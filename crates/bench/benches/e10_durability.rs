@@ -7,9 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use kojak_bench::data;
 use kojak_bench::experiments::e10_durability::refinement_stream;
-use online::{
-    DurableConfig, DurableSession, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent,
-};
+use online::{DurableConfig, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent};
 use std::path::PathBuf;
 
 fn scratch(name: &str) -> PathBuf {
@@ -55,7 +53,7 @@ fn bench_durability(c: &mut Criterion) {
         b.iter(|| {
             generation += 1;
             let session_dir = dir.join(generation.to_string());
-            let session = DurableSession::open(
+            let session = OnlineSession::open(
                 &session_dir,
                 DurableConfig {
                     session: SessionConfig::default(),
@@ -79,7 +77,7 @@ fn bench_durability(c: &mut Criterion) {
     // Recovery paths over one identical history.
     let mk_dir = |checkpoint: bool, name: &str| -> PathBuf {
         let dir = scratch(name);
-        let session = DurableSession::open(
+        let session = OnlineSession::open(
             &dir,
             DurableConfig {
                 session: SessionConfig::default(),

@@ -27,7 +27,6 @@ fn bench_online_ingest(c: &mut Criterion) {
     // 64-PE run's event stream under a fresh producer key.
     let session = OnlineSession::new(SessionConfig {
         threshold,
-        auto_flush_events: 0,
         ..SessionConfig::default()
     });
     for r in 0..BASE_RUNS as u32 {

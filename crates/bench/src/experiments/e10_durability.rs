@@ -4,7 +4,7 @@
 //!
 //! * **What does the WAL cost on the hot path?** The same refinement-heavy
 //!   event stream is ingested into a memory-only [`OnlineSession`] and
-//!   into [`DurableSession`]s (no fsync / batched fsync); the report is
+//!   into durable [`OnlineSession`]s (no fsync / batched fsync); the report is
 //!   ns/event and the durable/memory overhead ratio.
 //! * **What does a snapshot buy at restart?** The same session directory
 //!   is recovered twice — once from the full WAL (replaying every
@@ -20,9 +20,7 @@
 //! session accumulates.
 
 use crate::table::Table;
-use online::{
-    DurableConfig, DurableSession, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent,
-};
+use online::{DurableConfig, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent};
 use perfdata::{Store, TestRunId};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -152,7 +150,7 @@ fn ingest_ns(events: &[TraceEvent], durable: Option<FsyncPolicy>) -> u64 {
             }
             Some(fsync) => {
                 let dir = scratch(&format!("ingest-{iter}"));
-                let session = DurableSession::open(
+                let session = OnlineSession::open(
                     &dir,
                     DurableConfig {
                         session: SessionConfig::default(),
@@ -196,7 +194,7 @@ pub fn run() -> E10Result {
         snapshot_every_flushes: snapshot_every,
         faults: Default::default(),
     };
-    let live = DurableSession::open(&wal_dir, config(0)).expect("open wal dir");
+    let live = OnlineSession::open(&wal_dir, config(0)).expect("open wal dir");
     for batch in events.chunks(BATCH) {
         live.ingest_batch(batch).expect("ingest");
     }
@@ -205,7 +203,7 @@ pub fn run() -> E10Result {
     let wal_bytes = live.wal_len();
     drop(live); // killed: WAL holds the full history, no snapshot
 
-    let snap = DurableSession::open(&snap_dir, config(0)).expect("open snap dir");
+    let snap = OnlineSession::open(&snap_dir, config(0)).expect("open snap dir");
     for batch in events.chunks(BATCH) {
         snap.ingest_batch(batch).expect("ingest");
     }

@@ -2,7 +2,7 @@
 //!
 //! The ROADMAP's multi-node sharding item, measured through the new
 //! engine API: the same multi-version event stream is ingested into a
-//! `ShardedSession<DurableSession>` (one WAL + snapshot pair per shard)
+//! durable `ShardedSession` (one WAL + snapshot pair per shard)
 //! at 1/2/4/8 shards, timing ingestion + the final analysis flush.
 //! Version-affine routing spreads the stream's program versions over the
 //! shards, so WAL appends, store building and property evaluation all

@@ -49,7 +49,6 @@ pub fn run(base_runs: usize) -> E8Result {
     // --- incremental: session pre-loaded with the base runs ------------
     let session = OnlineSession::new(SessionConfig {
         threshold,
-        auto_flush_events: 0,
         ..SessionConfig::default()
     });
     for r in 0..base_runs as u32 {

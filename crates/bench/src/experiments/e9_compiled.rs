@@ -78,7 +78,6 @@ fn append_best(backend: Backend) -> (u64, cosy::AnalysisReport) {
 
     let session = OnlineSession::new(SessionConfig {
         threshold: ProblemThreshold::default(),
-        auto_flush_events: 0,
         backend,
         ..SessionConfig::default()
     });

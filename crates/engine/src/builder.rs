@@ -26,8 +26,8 @@ use crate::{AnalysisEngine, RecoverableState};
 use asl_core::check::CheckedSpec;
 use cosy::{AnalysisReport, Backend, ProblemThreshold};
 use online::{
-    DurableConfig, DurableSession, FsyncPolicy, OnlineSession, RecoveryStats, RunKey,
-    SessionConfig, SessionStats, TraceEvent,
+    DurableConfig, FsyncPolicy, OnlineSession, RecoveryStats, RunKey, SessionConfig, SessionStats,
+    TraceEvent,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -49,7 +49,6 @@ pub struct EngineBuilder {
     spec: Option<Arc<CheckedSpec>>,
     threshold: ProblemThreshold,
     backend: Backend,
-    auto_flush_events: usize,
     batch: bool,
     durable_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
@@ -82,13 +81,6 @@ impl EngineBuilder {
     /// SQL translations remain available as cross-checking oracles).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Flush automatically once this many events are pending (0 — the
-    /// default — leaves flushing to the caller/pipeline).
-    pub fn auto_flush_events(mut self, events: usize) -> Self {
-        self.auto_flush_events = events;
         self
     }
 
@@ -176,7 +168,6 @@ impl EngineBuilder {
     fn session_config(&self) -> SessionConfig {
         SessionConfig {
             threshold: self.threshold,
-            auto_flush_events: self.auto_flush_events,
             backend: self.backend,
             spec: self.spec.clone(),
         }
@@ -245,7 +236,7 @@ impl EngineBuilder {
                             .to_string(),
                     }));
                 }
-                Ok(Engine::Durable(DurableSession::open(
+                Ok(Engine::Online(OnlineSession::open(
                     dir,
                     self.durable_config(),
                 )?))
@@ -258,25 +249,25 @@ impl EngineBuilder {
                         durable: self.durable_config(),
                     },
                 )?;
-                Ok(Engine::ShardedDurable(session))
+                Ok(Engine::ShardedOnline(session))
             }
         }
     }
 }
 
 /// An engine built by [`EngineBuilder::build`]: one concrete type per
-/// configuration corner, all behind the same [`AnalysisEngine`] surface.
+/// evaluation/partitioning shape, all behind the same [`AnalysisEngine`]
+/// surface. Durability is a property of the incremental shapes, not a
+/// shape of its own (see [`AnalysisEngine::recoverable_state`]).
 pub enum Engine {
     /// Full re-analysis per flush.
     Batch(BatchEngine),
-    /// In-memory incremental session.
+    /// One incremental session — in memory, or with one WAL + snapshot
+    /// pair.
     Online(OnlineSession),
-    /// Incremental session with one WAL + snapshot pair.
-    Durable(DurableSession),
-    /// N in-memory shards.
-    ShardedOnline(ShardedSession<OnlineSession>),
-    /// N durable shards, one WAL + snapshot pair each.
-    ShardedDurable(ShardedSession<DurableSession>),
+    /// N incremental shards — in memory, or with one WAL + snapshot pair
+    /// each.
+    ShardedOnline(ShardedSession),
 }
 
 impl Engine {
@@ -284,9 +275,7 @@ impl Engine {
         match self {
             Engine::Batch(e) => e,
             Engine::Online(e) => e,
-            Engine::Durable(e) => e,
             Engine::ShardedOnline(e) => e,
-            Engine::ShardedDurable(e) => e,
         }
     }
 
@@ -297,9 +286,9 @@ impl Engine {
     /// [`ShardedSession::degraded_state`].
     pub fn recovery(&self) -> Option<Vec<RecoveryStats>> {
         match self {
-            Engine::Durable(e) => Some(vec![e.recovery().clone()]),
-            Engine::ShardedDurable(e) => Some(e.shard_recoveries()),
-            _ => None,
+            Engine::Batch(_) => None,
+            Engine::Online(e) => e.dir().map(|_| vec![e.recovery().clone()]),
+            Engine::ShardedOnline(e) => e.shard_recoveries(),
         }
     }
 }

@@ -29,8 +29,8 @@ pub enum EngineError {
     Spec(SpecError),
     /// An event was rejected at ingestion.
     Ingest(IngestError),
-    /// A flush — property evaluation, pipeline drain, or the checkpoint
-    /// riding on it — failed.
+    /// A flush — property evaluation or the checkpoint riding on it —
+    /// failed.
     Flush(FlushError),
     /// Recovering durable state at open failed.
     Recovery(RecoveryError),
@@ -45,16 +45,19 @@ impl EngineError {
     /// reject again. The sharded session quarantines a shard on a
     /// wholesale failure; the net server refuses to acknowledge one.
     pub fn failed_wholesale(&self) -> bool {
-        !matches!(
-            self,
-            EngineError::Ingest(
-                IngestError::UnknownRun(_)
-                    | IngestError::DuplicateRun(_)
-                    | IngestError::UnknownFunction { .. }
-                    | IngestError::UnknownRegion { .. }
-                    | IngestError::UnknownParent { .. }
-            )
-        )
+        let EngineError::Ingest(e) = self else {
+            return true;
+        };
+        // No wildcard arm: a new `IngestError` variant must be classified
+        // here before it compiles.
+        match e {
+            IngestError::UnknownRun(_)
+            | IngestError::DuplicateRun(_)
+            | IngestError::UnknownFunction { .. }
+            | IngestError::UnknownRegion { .. }
+            | IngestError::UnknownParent { .. } => false,
+            IngestError::Wal { .. } => true,
+        }
     }
 }
 
@@ -117,5 +120,51 @@ impl From<FlushError> for EngineError {
 impl From<RecoveryError> for EngineError {
     fn from(e: RecoveryError) -> Self {
         EngineError::Recovery(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use online::{RegionRef, RunKey};
+
+    /// Every `IngestError` variant, by name: per-event rejections are
+    /// final, only a failed WAL append leaves the batch unapplied.
+    #[test]
+    fn failed_wholesale_classifies_every_ingest_variant() {
+        let run = RunKey(1);
+        let function = String::from("f");
+        let per_event = [
+            IngestError::UnknownRun(run),
+            IngestError::DuplicateRun(run),
+            IngestError::UnknownFunction {
+                run,
+                function: function.clone(),
+            },
+            IngestError::UnknownRegion {
+                run,
+                function: function.clone(),
+                region: RegionRef::new("r", 1),
+            },
+            IngestError::UnknownParent {
+                run,
+                function,
+                parent: RegionRef::new("p", 1),
+            },
+        ];
+        for e in per_event {
+            assert!(!EngineError::Ingest(e.clone()).failed_wholesale(), "{e}");
+        }
+        let wal = IngestError::Wal {
+            op: online::WalOp::Append,
+            kind: std::io::ErrorKind::Other,
+            detail: String::from("disk full"),
+        };
+        assert!(EngineError::Ingest(wal).failed_wholesale());
+        // Anything that is not an ingest rejection applied nothing.
+        let config = EngineError::Config {
+            detail: String::new(),
+        };
+        assert!(config.failed_wholesale());
     }
 }

@@ -9,9 +9,8 @@
 //! | engine | evaluation | survives a kill |
 //! |---|---|---|
 //! | [`BatchEngine`] | full re-analysis per flush ([`cosy::Analyzer`]) | no |
-//! | [`online::OnlineSession`] | incremental (dirty contexts only) | no |
-//! | [`online::DurableSession`] | incremental | one WAL + snapshot pair |
-//! | [`ShardedSession`] | incremental, N shards in parallel | one WAL + snapshot pair **per shard** |
+//! | [`online::OnlineSession`] | incremental (dirty contexts only) | if built by `open`: one WAL + snapshot pair |
+//! | [`ShardedSession`] | incremental, N `OnlineSession` shards in parallel | if built by `open`: one WAL + snapshot pair **per shard** |
 //!
 //! [`EngineBuilder`] is the one construction path (spec → backend →
 //! durability → sharding), and [`EngineError`] the one failure hierarchy
@@ -50,7 +49,7 @@ pub mod error;
 pub mod sharded;
 
 use cosy::AnalysisReport;
-use online::{DurableSession, OnlineSession, RunKey, SessionStats, TraceEvent};
+use online::{OnlineSession, RunKey, SessionStats, TraceEvent};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -175,49 +174,15 @@ impl AnalysisEngine for OnlineSession {
     }
 
     fn recoverable_state(&self) -> RecoverableState {
-        RecoverableState::Ephemeral
-    }
-
-    fn checkpoint(&self) -> Result<(), EngineError> {
-        OnlineSession::flush(self)?;
-        Ok(())
-    }
-}
-
-impl AnalysisEngine for DurableSession {
-    fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, EngineError> {
-        DurableSession::ingest_batch(self, events).map_err(EngineError::from)
-    }
-
-    fn flush(&self) -> Result<Vec<RunKey>, EngineError> {
-        let mut updated = DurableSession::flush(self)?;
-        updated.sort();
-        Ok(updated)
-    }
-
-    fn report(&self, run: RunKey) -> Option<AnalysisReport> {
-        DurableSession::report(self, run)
-    }
-
-    fn reports(&self) -> HashMap<RunKey, AnalysisReport> {
-        DurableSession::reports(self)
-    }
-
-    fn stats(&self) -> SessionStats {
-        DurableSession::stats(self)
-    }
-
-    fn metrics(&self) -> obs::MetricsSnapshot {
-        DurableSession::metrics(self)
-    }
-
-    fn recoverable_state(&self) -> RecoverableState {
-        RecoverableState::Durable {
-            dir: self.dir().to_path_buf(),
+        match self.dir() {
+            Some(dir) => RecoverableState::Durable {
+                dir: dir.to_path_buf(),
+            },
+            None => RecoverableState::Ephemeral,
         }
     }
 
     fn checkpoint(&self) -> Result<(), EngineError> {
-        DurableSession::checkpoint(self).map_err(EngineError::from)
+        OnlineSession::checkpoint(self).map_err(EngineError::from)
     }
 }

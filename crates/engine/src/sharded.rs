@@ -1,11 +1,11 @@
-//! The sharded session: N independent engine shards, one WAL + snapshot
-//! pair per shard.
+//! The sharded session: N independent [`OnlineSession`] shards — in
+//! memory, or durable with one WAL + snapshot pair per shard.
 //!
 //! ```text
-//!                      ┌─ shard-000 ─ engine ─ wal.log + snapshot.bin
-//!  events ─▶ router ───┼─ shard-001 ─ engine ─ wal.log + snapshot.bin
+//!                      ┌─ shard-000 ─ session ─ wal.log + snapshot.bin
+//!  events ─▶ router ───┼─ shard-001 ─ session ─ wal.log + snapshot.bin
 //!            (affine   ├─ …
-//!             by run)  └─ shard-N-1 ─ engine ─ wal.log + snapshot.bin
+//!             by run)  └─ shard-N-1 ─ session ─ wal.log + snapshot.bin
 //!                             │
 //!                 reports() = merge of per-shard maps
 //! ```
@@ -15,9 +15,8 @@
 //! Every event is routed by its [`RunKey`] — a run's whole stream lands in
 //! exactly one shard, so per-shard WALs need no cross-shard ordering and
 //! recover independently. The *shard choice* for a new run hashes its
-//! [`online::VersionTag`] with the same splitmix64 finalizer the in-process
-//! [`online::IngestPipeline`] uses ([`online::pipeline::shard_of`]): all
-//! runs of one program version co-locate. That version affinity is what
+//! [`online::VersionTag`] with a splitmix64 finalizer: all runs of one
+//! program version co-locate. That version affinity is what
 //! makes shard-local analysis **globally exact** — the §4.2 data
 //! dependencies of the standard suite (min-PE reference run, ranking
 //! basis, `SublinearSpeedup`'s cross-run comparison) never cross a version
@@ -60,10 +59,9 @@
 use crate::error::EngineError;
 use crate::{AnalysisEngine, RecoverableState};
 use cosy::AnalysisReport;
-use online::pipeline::shard_of;
 use online::{
-    DurableConfig, DurableSession, IncrementalStats, OnlineSession, RecoveryError, RecoveryStats,
-    RunKey, SessionConfig, SessionStats, TraceEvent,
+    DurableConfig, IncrementalStats, OnlineSession, RecoveryError, RecoveryStats, RunKey,
+    SessionConfig, SessionStats, TraceEvent,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -173,26 +171,33 @@ impl fmt::Display for DegradedState {
 }
 
 /// A quarantined shard's book-keeping.
-struct Quarantine<E> {
+struct Quarantine {
     /// The shard engine, when it survived quarantine (ingest/flush
     /// failures keep it; a failed recovery never produced one).
-    engine: Option<E>,
+    engine: Option<OnlineSession>,
     reason: QuarantineReason,
     /// Events routed here since quarantine, in arrival order.
     parked: Vec<TraceEvent>,
 }
 
-enum ShardState<E> {
-    Healthy(E),
-    Quarantined(Quarantine<E>),
+enum ShardState {
+    Healthy(OnlineSession),
+    Quarantined(Quarantine),
+}
+
+impl ShardState {
+    /// The shard's session — behind on parked events while quarantined,
+    /// `None` when it was lost at recovery.
+    fn engine(&self) -> Option<&OnlineSession> {
+        match self {
+            ShardState::Healthy(engine) => Some(engine),
+            ShardState::Quarantined(q) => q.engine.as_ref(),
+        }
+    }
 }
 
 /// Swap a healthy shard into quarantine, keeping its engine.
-fn quarantine_in_place<E>(
-    state: &mut ShardState<E>,
-    reason: QuarantineReason,
-    parked: Vec<TraceEvent>,
-) {
+fn quarantine_in_place(state: &mut ShardState, reason: QuarantineReason, parked: Vec<TraceEvent>) {
     let prev = std::mem::replace(
         state,
         ShardState::Quarantined(Quarantine {
@@ -215,14 +220,12 @@ enum Partitioned<'a> {
     Groups(Vec<Vec<TraceEvent>>),
 }
 
-/// N independent engine shards behind one [`AnalysisEngine`] surface.
-///
-/// Generic over the shard engine: `ShardedSession<DurableSession>` is the
-/// shard-per-WAL deployment shape; `ShardedSession<OnlineSession>` shards
-/// a purely in-memory session (useful for scaling ingest on one node
-/// without durability).
-pub struct ShardedSession<E> {
-    shards: Vec<Mutex<ShardState<E>>>,
+/// N independent [`OnlineSession`] shards behind one [`AnalysisEngine`]
+/// surface: [`ShardedSession::open`] is the shard-per-WAL deployment
+/// shape, [`ShardedSession::in_memory`] shards purely in-memory sessions
+/// (useful for scaling ingest on one node without durability).
+pub struct ShardedSession {
+    shards: Vec<Mutex<ShardState>>,
     /// Run → shard affinity. The shard of a run is *chosen* by hashing its
     /// version tag at `RunStarted` (version locality, see module docs) and
     /// is *sticky* for the run's remaining events. Rebuilt from the shard
@@ -230,26 +233,32 @@ pub struct ShardedSession<E> {
     routes: Mutex<HashMap<RunKey, usize>>,
     /// Where and how the shards were opened — what
     /// [`ShardedSession::reintegrate`] needs to reopen a shard whose
-    /// recovery failed. `None` for in-memory and `from_shards` sessions.
+    /// recovery failed. `None` for in-memory sessions.
     durable_ctx: Option<(PathBuf, DurableConfig)>,
 }
 
-impl<E> ShardedSession<E> {
-    /// Assemble a sharded session from pre-built shards (the builder and
-    /// the `open_*` constructors are the usual entry points).
-    pub fn from_shards(shards: Vec<E>) -> Self {
-        assert!(!shards.is_empty(), "a sharded session needs >= 1 shard");
+/// The shard router: a splitmix64-style finalizer over the raw key,
+/// reduced modulo `shards`. Adjacent producer keys spread evenly.
+fn shard_of(key: u64, shards: usize) -> usize {
+    let mut h = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    (h % shards.max(1) as u64) as usize
+}
+
+impl ShardedSession {
+    /// A purely in-memory sharded session: N [`OnlineSession`]s sharing
+    /// one configuration.
+    pub fn in_memory(shards: usize, config: SessionConfig) -> Self {
         ShardedSession {
-            shards: shards
-                .into_iter()
-                .map(|e| Mutex::new(ShardState::Healthy(e)))
+            shards: (0..shards.max(1))
+                .map(|_| Mutex::new(ShardState::Healthy(OnlineSession::new(config.clone()))))
                 .collect(),
             routes: Mutex::new(HashMap::new()),
             durable_ctx: None,
         }
     }
 
-    fn state(&self, index: usize) -> MutexGuard<'_, ShardState<E>> {
+    fn state(&self, index: usize) -> MutexGuard<'_, ShardState> {
         self.shards[index].lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -257,7 +266,7 @@ impl<E> ShardedSession<E> {
     /// out of range or the shard is quarantined (its engine, if any, is
     /// behind on parked events — partial answers come from healthy shards
     /// only).
-    pub fn with_shard<T>(&self, index: usize, f: impl FnOnce(&E) -> T) -> Option<T> {
+    pub fn with_shard<T>(&self, index: usize, f: impl FnOnce(&OnlineSession) -> T) -> Option<T> {
         let guard = self
             .shards
             .get(index)?
@@ -361,7 +370,6 @@ impl<E> ShardedSession<E> {
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
-        E: Send,
     {
         let mut results: Vec<Option<T>> = (0..self.shards.len()).map(|_| None).collect();
         match indices {
@@ -381,20 +389,7 @@ impl<E> ShardedSession<E> {
         }
         results
     }
-}
 
-impl ShardedSession<OnlineSession> {
-    /// A purely in-memory sharded session: N [`OnlineSession`]s sharing
-    /// one configuration.
-    pub fn in_memory(shards: usize, config: SessionConfig) -> Self {
-        let shards = (0..shards.max(1))
-            .map(|_| OnlineSession::new(config.clone()))
-            .collect();
-        ShardedSession::from_shards(shards)
-    }
-}
-
-impl ShardedSession<DurableSession> {
     /// Open (or create) a sharded durable session under `dir`: shard `i`
     /// lives in `dir/shard-00i` with its own WAL + snapshot pair. Every
     /// shard recovers **in parallel**; the per-shard [`RecoveryStats`] are
@@ -449,18 +444,13 @@ impl ShardedSession<DurableSession> {
 
         // Recover every shard in parallel: each reads only its own WAL +
         // snapshot pair, so there is nothing to coordinate.
-        let mut slots: Vec<Option<Result<(DurableSession, RecoveryStats), RecoveryError>>> =
+        let mut slots: Vec<Option<Result<OnlineSession, RecoveryError>>> =
             (0..shards).map(|_| None).collect();
         std::thread::scope(|scope| {
             for (i, slot) in slots.iter_mut().enumerate() {
                 let shard_path = shard_dir(&dir, i);
                 let config = config.durable.clone();
-                scope.spawn(move || {
-                    *slot = Some(DurableSession::open(shard_path, config).map(|s| {
-                        let recovery = s.recovery().clone();
-                        (s, recovery)
-                    }));
-                });
+                scope.spawn(move || *slot = Some(OnlineSession::open(shard_path, config)));
             }
         });
 
@@ -468,9 +458,9 @@ impl ShardedSession<DurableSession> {
         let mut stats = Vec::with_capacity(shards);
         for slot in slots {
             match slot.expect("shard recovery ran") {
-                Ok((engine, recovery)) => {
+                Ok(engine) => {
+                    stats.push(engine.recovery().clone());
                     states.push(ShardState::Healthy(engine));
-                    stats.push(recovery);
                 }
                 // The two refusals stay hard: a corrupt snapshot's history
                 // exists nowhere else, and incompatible state means a
@@ -506,7 +496,7 @@ impl ShardedSession<DurableSession> {
             let mut routes = session.routes.lock().unwrap_or_else(|e| e.into_inner());
             for i in 0..session.shards.len() {
                 if let ShardState::Healthy(shard) = &*session.state(i) {
-                    for key in shard.session().run_keys() {
+                    for key in shard.run_keys() {
                         routes.insert(key, i);
                     }
                 }
@@ -515,33 +505,27 @@ impl ShardedSession<DurableSession> {
         Ok((session, stats))
     }
 
-    /// Sum of the per-shard WAL lengths (bytes since the last checkpoint).
-    /// Quarantined shards whose engine survived are included; a shard
-    /// lost at recovery contributes 0.
+    /// Sum of the per-shard WAL lengths (bytes since the last checkpoint;
+    /// 0 in memory). Quarantined shards whose engine survived are
+    /// included; a shard lost at recovery contributes 0.
     pub fn wal_len(&self) -> u64 {
         (0..self.shards.len())
-            .map(|i| match &*self.state(i) {
-                ShardState::Healthy(e) => e.wal_len(),
-                ShardState::Quarantined(q) => q.engine.as_ref().map_or(0, |e| e.wal_len()),
-            })
+            .map(|i| self.state(i).engine().map_or(0, OnlineSession::wal_len))
             .sum()
     }
 
-    /// Per-shard recovery statistics, in shard order. A shard quarantined
-    /// at open (recovery failed) reports the empty stats; after a
-    /// successful [`Self::reintegrate`] its entry reflects the reopened
-    /// recovery.
-    pub fn shard_recoveries(&self) -> Vec<RecoveryStats> {
-        (0..self.shards.len())
-            .map(|i| match &*self.state(i) {
-                ShardState::Healthy(e) => e.recovery().clone(),
-                ShardState::Quarantined(q) => q
-                    .engine
-                    .as_ref()
-                    .map(|e| e.recovery().clone())
-                    .unwrap_or_default(),
-            })
-            .collect()
+    /// Per-shard recovery statistics, in shard order; `None` for an
+    /// in-memory session. A shard quarantined at open (recovery failed)
+    /// reports the empty stats; after a successful [`Self::reintegrate`]
+    /// its entry reflects the reopened recovery.
+    pub fn shard_recoveries(&self) -> Option<Vec<RecoveryStats>> {
+        self.durable_ctx.as_ref()?;
+        let of = |i| self.state(i).engine().map(|e| e.recovery().clone());
+        Some(
+            (0..self.shards.len())
+                .map(|i| of(i).unwrap_or_default())
+                .collect(),
+        )
     }
 
     /// Drive a quarantined shard back to consistency; healthy shards are
@@ -583,7 +567,7 @@ impl ShardedSession<DurableSession> {
                      opened from a directory — cannot reopen it"
                     ),
                 })?;
-            match DurableSession::open(shard_dir(dir, shard), config.clone()) {
+            match OnlineSession::open(shard_dir(dir, shard), config.clone()) {
                 Ok(engine) => q.engine = Some(engine),
                 Err(e) => return Err(EngineError::Recovery(e)),
             }
@@ -593,7 +577,7 @@ impl ShardedSession<DurableSession> {
         let parked = std::mem::take(&mut q.parked);
         let drained = parked.len();
         if !parked.is_empty() {
-            match AnalysisEngine::ingest_batch(engine, &parked) {
+            match engine.ingest_batch(&parked).map_err(EngineError::from) {
                 Ok(_) => {}
                 Err(e) if e.failed_wholesale() => {
                     // Nothing of the backlog reached the shard (WAL append
@@ -607,10 +591,10 @@ impl ShardedSession<DurableSession> {
                 Err(_) => {}
             }
         }
-        AnalysisEngine::flush(engine)?;
+        engine.flush()?;
 
         let engine = q.engine.take().expect("engine ensured above");
-        let keys = engine.session().run_keys();
+        let keys = engine.run_keys();
         *state = ShardState::Healthy(engine);
         drop(state);
 
@@ -630,9 +614,7 @@ impl ShardedSession<DurableSession> {
         }
         Ok(drained)
     }
-}
 
-impl<E: AnalysisEngine> ShardedSession<E> {
     /// Ingest one shard's sub-batch under its lock, parking on (or
     /// entering) quarantine. `Ok` counts events the shard took
     /// responsibility for — applied, or parked for reintegration.
@@ -643,7 +625,7 @@ impl<E: AnalysisEngine> ShardedSession<E> {
                 q.parked.extend_from_slice(group);
                 return Ok(group.len());
             }
-            ShardState::Healthy(engine) => engine.ingest_batch(group),
+            ShardState::Healthy(engine) => engine.ingest_batch(group).map_err(EngineError::from),
         };
         match result {
             Ok(n) => Ok(n),
@@ -665,7 +647,7 @@ impl<E: AnalysisEngine> ShardedSession<E> {
     }
 }
 
-impl<E: AnalysisEngine> AnalysisEngine for ShardedSession<E> {
+impl AnalysisEngine for ShardedSession {
     /// Partition the batch by run affinity and apply every non-empty
     /// sub-batch **in parallel** (per-shard WAL appends and store updates
     /// proceed concurrently); a batch that lands on one shard runs inline
@@ -731,7 +713,7 @@ impl<E: AnalysisEngine> AnalysisEngine for ShardedSession<E> {
                 Err(e) => {
                     quarantine_in_place(
                         &mut state,
-                        QuarantineReason::Flush(Arc::new(e)),
+                        QuarantineReason::Flush(Arc::new(e.into())),
                         Vec::new(),
                     );
                     Vec::new()
@@ -833,32 +815,11 @@ impl<E: AnalysisEngine> AnalysisEngine for ShardedSession<E> {
     }
 
     fn recoverable_state(&self) -> RecoverableState {
-        let mut dirs = Vec::new();
-        for i in 0..self.shards.len() {
-            let state = match &*self.state(i) {
-                ShardState::Healthy(e) => Some(e.recoverable_state()),
-                ShardState::Quarantined(q) => match &q.engine {
-                    Some(e) => Some(e.recoverable_state()),
-                    // The engine was lost at recovery, but its durable
-                    // state is still on disk where we opened it.
-                    None => self
-                        .durable_ctx
-                        .as_ref()
-                        .map(|(dir, _)| RecoverableState::Durable {
-                            dir: shard_dir(dir, i),
-                        }),
-                },
-            };
-            match state {
-                Some(RecoverableState::Durable { dir }) => dirs.push(dir),
-                Some(RecoverableState::Sharded { mut shard_dirs }) => dirs.append(&mut shard_dirs),
-                Some(RecoverableState::Ephemeral) | None => {}
-            }
-        }
-        if dirs.is_empty() {
-            RecoverableState::Ephemeral
-        } else {
-            RecoverableState::Sharded { shard_dirs: dirs }
+        match &self.durable_ctx {
+            Some((dir, _)) => RecoverableState::Sharded {
+                shard_dirs: (0..self.shards.len()).map(|i| shard_dir(dir, i)).collect(),
+            },
+            None => RecoverableState::Ephemeral,
         }
     }
 
@@ -873,7 +834,11 @@ impl<E: AnalysisEngine> AnalysisEngine for ShardedSession<E> {
                 ShardState::Healthy(engine) => engine.checkpoint(),
             };
             if let Err(e) = result {
-                quarantine_in_place(&mut state, QuarantineReason::Flush(Arc::new(e)), Vec::new());
+                quarantine_in_place(
+                    &mut state,
+                    QuarantineReason::Flush(Arc::new(e.into())),
+                    Vec::new(),
+                );
             }
         });
         Ok(())

@@ -37,7 +37,7 @@ fn sim() -> (Store, TestRunId) {
     (store, run)
 }
 
-/// One stream, five engines, identical reports (bit for bit: every engine
+/// One stream, five engine configurations, identical reports (bit for bit: every engine
 /// builds the same store arena from the same event order).
 #[test]
 fn every_engine_shape_agrees_on_the_same_stream() {
@@ -101,8 +101,18 @@ fn every_engine_shape_agrees_on_the_same_stream() {
         engines[4].1.recoverable_state(),
         RecoverableState::Sharded { ref shard_dirs } if shard_dirs.len() == 3
     ));
-    assert!(engines[2].1.recovery().is_some());
-    assert_eq!(engines[4].1.recovery().map(|r| r.len()), Some(3));
+    // One variant carries both the in-memory and the durable session, so
+    // the recovery shape must follow the configuration, not the variant.
+    assert!(matches!(engines[1].1, Engine::Online(_)));
+    assert!(matches!(engines[2].1, Engine::Online(_)));
+    assert!(matches!(engines[3].1, Engine::ShardedOnline(_)));
+    assert!(matches!(engines[4].1, Engine::ShardedOnline(_)));
+    let recovered_shards = |i: usize| engines[i].1.recovery().map(|r| r.len());
+    assert_eq!(recovered_shards(0), None);
+    assert_eq!(recovered_shards(1), None);
+    assert_eq!(recovered_shards(2), Some(1));
+    assert_eq!(recovered_shards(3), None);
+    assert_eq!(recovered_shards(4), Some(3));
 }
 
 /// The trait is object-safe: heterogeneous engines behind one `dyn`.

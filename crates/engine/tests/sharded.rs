@@ -18,7 +18,6 @@ use apprentice_sim::{archetypes, simulate_program, MachineModel, ProgramGenerato
 use cosy::AnalysisReport;
 use engine::sharded::shard_dir;
 use engine::{AnalysisEngine, RecoverableState, ShardedConfig, ShardedSession};
-use online::pipeline::shard_of;
 use online::replay::events_for_run;
 use online::{DurableConfig, FsyncPolicy, OnlineSession, RunKey, SessionConfig, TraceEvent};
 use perfdata::{Store, TestRunId};
@@ -94,6 +93,15 @@ fn multi_version_store() -> Store {
     simulate_program(&mut store, &gen.generate(), &machine, &[1, 4]);
     simulate_program(&mut store, &archetypes::stencil3d(23), &machine, &[2, 8]);
     store
+}
+
+/// Mirror of the router's hash. Kept as an independent copy on purpose:
+/// which shard directory a version's runs live in is part of a durable
+/// session's on-disk layout, so the function must not drift.
+fn shard_of(key: u64, shards: usize) -> usize {
+    let mut h = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    (h % shards as u64) as usize
 }
 
 /// Mirror of the sharded router: version-affine shard choice per run.

@@ -13,8 +13,7 @@ use apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
 use faults::{FaultPlan, Faults};
 use online::replay::replay_store;
 use online::{
-    DurableConfig, DurableSession, FlushError, FsyncPolicy, IngestError, OnlineSession,
-    SessionConfig, TraceEvent,
+    DurableConfig, FlushError, FsyncPolicy, IngestError, OnlineSession, SessionConfig, TraceEvent,
 };
 use perfdata::Store;
 use std::path::PathBuf;
@@ -102,7 +101,7 @@ fn wal_append_faults_are_typed_and_apply_nothing() {
     // (Recovery is gated too — pause injection for the fresh open, this
     // test targets the append seam.)
     faults.set_active(false);
-    let durable = DurableSession::open(&dir.0, config(&faults, 0)).expect("open");
+    let durable = OnlineSession::open(&dir.0, config(&faults, 0)).expect("open");
     faults.set_active(true);
     let mut rejections = 0u32;
     for batch in events.chunks(13) {
@@ -148,7 +147,7 @@ fn wal_append_faults_are_typed_and_apply_nothing() {
     // The log holds exactly the accepted history: recovery replays it
     // to a bit-identical session.
     faults.set_active(false);
-    let reopened = DurableSession::open(&dir.0, config(&faults, 0)).expect("recover");
+    let reopened = OnlineSession::open(&dir.0, config(&faults, 0)).expect("recover");
     assert_eq!(
         reopened.recovery().wal_events_replayed,
         events.len() as u64,
@@ -179,7 +178,7 @@ fn checkpoint_faults_never_compromise_durability() {
 
     let dir = ScratchDir::new("checkpoint");
     faults.set_active(false);
-    let durable = DurableSession::open(&dir.0, config(&faults, 0)).expect("open");
+    let durable = OnlineSession::open(&dir.0, config(&faults, 0)).expect("open");
     faults.set_active(true);
     let mut checkpoint_failures = 0u32;
     let mut ingested = 0usize;
@@ -227,7 +226,7 @@ fn checkpoint_faults_never_compromise_durability() {
     faults.set_active(false);
     durable.checkpoint().expect("repaired checkpoint");
     drop(durable);
-    let reopened = DurableSession::open(&dir.0, config(&Faults::none(), 0)).expect("recover");
+    let reopened = OnlineSession::open(&dir.0, config(&Faults::none(), 0)).expect("recover");
     assert!(reopened.recovery().used_snapshot);
     let control = control_session(&events);
     assert_eq!(reopened.reports(), control.reports());
@@ -243,7 +242,7 @@ fn recovery_read_faults_are_typed_and_retryable() {
     let clean = Faults::none();
     let dir = ScratchDir::new("recovery-read");
     {
-        let durable = DurableSession::open(&dir.0, config(&clean, 2)).expect("open");
+        let durable = OnlineSession::open(&dir.0, config(&clean, 2)).expect("open");
         for batch in events.chunks(19) {
             durable.ingest_batch(batch).expect("ingest");
             durable.flush().expect("flush");
@@ -258,7 +257,7 @@ fn recovery_read_faults_are_typed_and_retryable() {
         max_faults: 0,
     }
     .build();
-    match DurableSession::open(&dir.0, config(&faults, 2)) {
+    match OnlineSession::open(&dir.0, config(&faults, 2)) {
         Err(online::RecoveryError::Io(source)) => {
             assert!(faults::is_injected(&source), "typed + provenance");
         }
@@ -268,7 +267,7 @@ fn recovery_read_faults_are_typed_and_retryable() {
 
     // The failure was injected, not real: a clean retry sees everything.
     faults.set_active(false);
-    let reopened = DurableSession::open(&dir.0, config(&faults, 2)).expect("clean retry");
+    let reopened = OnlineSession::open(&dir.0, config(&faults, 2)).expect("clean retry");
     let control = control_session(&events);
     assert_eq!(reopened.reports(), control.reports());
     assert_eq!(

@@ -3,7 +3,7 @@
 //! The paper's premise is that performance tools should be driven by
 //! machine-readable specifications of observable behavior; this crate
 //! turns that lens on the reproduction itself. Every layer of the engine
-//! stack — net decode, server dedup/ack, pipeline channel wait,
+//! stack — net decode, server dedup/ack,
 //! `StoreBuilder` apply, WAL append/fsync, snapshot write, compiled-eval
 //! flush — records into the primitives defined here, and the merged
 //! result is one diffable artifact (`render_text`) or one wire message

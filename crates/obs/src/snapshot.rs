@@ -8,7 +8,7 @@ use std::fmt;
 
 /// Anything that can contribute metrics to a [`MetricsSnapshot`]: the
 /// registry itself, and every layer's stats struct (`SessionStats`,
-/// `PipelineStats`, `NetStats`, `ServerStats`, …). This is the
+/// `NetStats`, `ServerStats`, …). This is the
 /// deduplication seam — the hand-rolled stats structs stay as plain
 /// data, but all expose themselves through one vocabulary.
 pub trait MetricsSource {

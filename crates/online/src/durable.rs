@@ -10,11 +10,11 @@
 //!    recover = load snapshot ▸ replay log tail ▸ one full flush
 //! ```
 //!
-//! [`DurableSession`] wraps an [`OnlineSession`] with a [`WalWriter`]:
+//! A session built by [`OnlineSession::open`] carries a [`WalWriter`]:
 //! every event batch is framed to disk *before* it is applied
 //! (write-ahead), and a checkpoint — taken automatically every
 //! `snapshot_every_flushes` flushes or explicitly via
-//! [`DurableSession::checkpoint`] — serializes the builder state and
+//! [`OnlineSession::checkpoint`] — serializes the builder state and
 //! finished-run set, then truncates the log. [`OnlineSession::recover`]
 //! inverts the process: load the latest valid snapshot, replay the log
 //! tail through the ordinary `StoreBuilder::apply` path, and run one full
@@ -28,15 +28,12 @@
 //! truncated log). Neither ever panics.
 
 use crate::error::FlushError;
-use crate::event::{IngestError, RunKey, TraceEvent};
-use crate::session::{OnlineSession, SessionConfig, SessionStats};
+use crate::session::{OnlineSession, SessionConfig};
 use crate::snapshot::{
     encode_snapshot, read_snapshot_with, write_snapshot_bytes_with, SnapshotError, SnapshotOp,
 };
 use crate::wal::{read_wal_with, FsyncPolicy, WalCorruption, WalIoError, WalMetrics, WalWriter};
-use cosy::AnalysisReport;
 use faults::Faults;
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,13 +46,13 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Configuration of a durable session.
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
-    /// The wrapped analysis session's configuration.
+    /// The analysis configuration.
     pub session: SessionConfig,
     /// When WAL appends reach stable storage.
     pub fsync: FsyncPolicy,
     /// Write a snapshot (and truncate the log) every this many successful
-    /// [`DurableSession::flush`]es; `0` disables automatic checkpoints
-    /// (use [`DurableSession::checkpoint`]).
+    /// [`OnlineSession::flush`]es; `0` disables automatic checkpoints
+    /// (use [`OnlineSession::checkpoint`]).
     pub snapshot_every_flushes: u32,
     /// Fault seam every file operation of this session (WAL and
     /// snapshot, recovery included) is gated through. The default is
@@ -280,39 +277,41 @@ impl OnlineSession {
     }
 }
 
-struct DurableInner {
-    wal: WalWriter,
+/// What the durable part's lock guards: the log writer and the
+/// checkpoint bookkeeping.
+pub(crate) struct Log {
+    pub(crate) wal: WalWriter,
     flushes_since_snapshot: u32,
     /// Current checkpoint epoch (== the WAL header's epoch; the next
     /// snapshot records `epoch + 1` and the log restarts under it).
     epoch: u64,
 }
 
-/// An [`OnlineSession`] whose state survives a process kill.
-///
-/// All mutation must go through this wrapper (the write-ahead invariant
-/// is: no event reaches the store unless its frame is on disk first);
-/// [`DurableSession::session`] hands out the inner session for reads.
-pub struct DurableSession {
-    session: Arc<OnlineSession>,
-    inner: Mutex<DurableInner>,
-    dir: PathBuf,
+/// The durable part of an [`OnlineSession`]: the write-ahead invariant
+/// (no event reaches the store unless its frame is on disk first) holds
+/// because the session takes [`Durability::lock`] around every append +
+/// apply, and offers no other way in.
+pub(crate) struct Durability {
+    log: Mutex<Log>,
+    pub(crate) dir: PathBuf,
     snapshot_every_flushes: u32,
-    recovery: RecoveryStats,
-    faults: Faults,
+    pub(crate) faults: Faults,
+    /// What recovery found when the session was opened.
+    pub(crate) recovery: RecoveryStats,
     snapshot_write_ns: Arc<obs::Histogram>,
     snapshot_writes: Arc<obs::Counter>,
 }
 
-impl DurableSession {
-    /// Open (or create) the durable session stored in `dir`, recovering
-    /// any existing state. A torn WAL tail found by recovery is truncated
-    /// so appending resumes on a frame boundary.
-    pub fn open(dir: impl Into<PathBuf>, config: DurableConfig) -> Result<Self, RecoveryError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let (session, recovery) =
-            OnlineSession::recover_with(&dir, config.session, &config.faults)?;
+impl Durability {
+    /// Open the log of the session `recovery` describes for appending.
+    pub(crate) fn open(
+        dir: PathBuf,
+        fsync: FsyncPolicy,
+        snapshot_every_flushes: u32,
+        faults: Faults,
+        recovery: RecoveryStats,
+        registry: &obs::MetricsRegistry,
+    ) -> Result<Self, RecoveryError> {
         // A stale log (crash between snapshot rename and truncation) has
         // wal_valid_len == 0: opening at that length completes the
         // interrupted checkpoint by restarting the log on the snapshot's
@@ -321,115 +320,57 @@ impl DurableSession {
             &dir.join(WAL_FILE),
             recovery.wal_valid_len,
             recovery.epoch,
-            config.fsync,
-            &config.faults,
+            fsync,
+            &faults,
         )?;
-        // The WAL records into the wrapped session's registry, so one
-        // snapshot covers the whole durable stack.
-        let registry = session.metrics_registry();
+        // The WAL records into the session's registry, so one snapshot
+        // covers the whole durable stack.
         wal.set_metrics(WalMetrics {
             append_ns: Some(registry.histogram("kojak_wal_append_ns")),
             fsync_ns: Some(registry.histogram("kojak_wal_fsync_ns")),
             frames: Some(registry.counter("kojak_wal_appended_frames_total")),
             fsyncs: Some(registry.counter("kojak_wal_fsyncs_total")),
         });
-        let snapshot_write_ns = registry.histogram("kojak_snapshot_write_ns");
-        let snapshot_writes = registry.counter("kojak_snapshot_writes_total");
-        Ok(DurableSession {
-            session: Arc::new(session),
-            inner: Mutex::new(DurableInner {
+        Ok(Durability {
+            log: Mutex::new(Log {
                 wal,
                 flushes_since_snapshot: 0,
                 epoch: recovery.epoch,
             }),
             dir,
-            snapshot_every_flushes: config.snapshot_every_flushes,
+            snapshot_every_flushes,
+            faults,
             recovery,
-            faults: config.faults,
-            snapshot_write_ns,
-            snapshot_writes,
+            snapshot_write_ns: registry.histogram("kojak_snapshot_write_ns"),
+            snapshot_writes: registry.counter("kojak_snapshot_writes_total"),
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, DurableInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    /// The writer lock (see the field docs on [`OnlineSession`]).
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The session directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Count one successful flush; true when the cadence asks for a
+    /// checkpoint now.
+    pub(crate) fn checkpoint_due(&self, log: &mut Log) -> bool {
+        log.flushes_since_snapshot += 1;
+        self.snapshot_every_flushes > 0 && log.flushes_since_snapshot >= self.snapshot_every_flushes
     }
 
-    /// What recovery found when this session was opened.
-    pub fn recovery(&self) -> &RecoveryStats {
-        &self.recovery
-    }
-
-    /// The wrapped live session (shared for concurrent readers).
-    pub fn session(&self) -> &Arc<OnlineSession> {
-        &self.session
-    }
-
-    /// Current WAL length in bytes (events logged since the last
-    /// checkpoint).
-    pub fn wal_len(&self) -> u64 {
-        self.lock().wal.len()
-    }
-
-    /// Ingest one event durably.
-    pub fn ingest(&self, event: &TraceEvent) -> Result<(), IngestError> {
-        self.ingest_batch(std::slice::from_ref(event)).map(|_| ())
-    }
-
-    /// Ingest a batch durably: the frames hit the log (and, per policy,
-    /// the disk) before any event is applied. Rejected events stay in the
-    /// log — replay re-rejects them deterministically, keeping recovered
-    /// counters truthful.
-    pub fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, IngestError> {
-        let mut inner = self.lock();
-        inner.wal.append_batch(events).map_err(IngestError::from)?;
-        self.session.ingest_batch(events)
-    }
-
-    /// Analyze everything pending (see [`OnlineSession::flush`]); every
-    /// `snapshot_every_flushes` successful flushes, also checkpoint.
-    ///
-    /// If the analysis flush succeeds but the checkpoint riding on it
-    /// fails, the returned [`FlushError::Snapshot`]/
-    /// [`FlushError::WalTruncate`] carries the flush's changed-run set in
-    /// its `updated` field — the pending delta was consumed, so those
-    /// keys are not observable from a retried flush. The checkpoint
-    /// itself retries on the next flush (the cadence counter is not
-    /// reset), and the WAL still holds the full history.
-    pub fn flush(&self) -> Result<Vec<RunKey>, FlushError> {
-        let mut inner = self.lock();
-        let updated = self.session.flush()?;
-        inner.flushes_since_snapshot += 1;
-        if self.snapshot_every_flushes > 0
-            && inner.flushes_since_snapshot >= self.snapshot_every_flushes
-        {
-            if let Err(e) = self.checkpoint_locked(&mut inner) {
-                return Err(e.with_updated(updated));
-            }
-        }
-        Ok(updated)
-    }
-
-    /// Flush, then write a snapshot and truncate the log behind it.
-    pub fn checkpoint(&self) -> Result<(), FlushError> {
-        let mut inner = self.lock();
-        self.session.flush()?;
-        self.checkpoint_locked(&mut inner)
-    }
-
-    fn checkpoint_locked(&self, inner: &mut DurableInner) -> Result<(), FlushError> {
+    /// Write a snapshot of `session` and truncate the log behind it.
+    pub(crate) fn checkpoint(
+        &self,
+        log: &mut Log,
+        session: &OnlineSession,
+    ) -> Result<(), FlushError> {
         let path = self.dir.join(SNAPSHOT_FILE);
-        let next_epoch = inner.epoch + 1;
+        let next_epoch = log.epoch + 1;
         // Encode under the session lock (consistent read), but do the
         // file write + fsyncs after releasing it so concurrent report()
-        // readers never wait on the disk. The durable lock (held by our
+        // readers never wait on the disk. The writer lock (held by our
         // caller) still serializes writers.
-        let bytes = self.session.snapshot_state(|builder, finished, rejected| {
+        let bytes = session.snapshot_state(|builder, finished, rejected| {
             encode_snapshot(builder, finished, rejected, next_epoch)
         });
         let write_result = {
@@ -457,9 +398,9 @@ impl DurableSession {
             // A failed reset schedules its own pending repair (re-driven
             // before the next append); the dir-sync failure outranks it
             // as the reported error either way.
-            let _ = inner.wal.reset(next_epoch);
-            inner.epoch = next_epoch;
-            inner.flushes_since_snapshot = 0;
+            let _ = log.wal.reset(next_epoch);
+            log.epoch = next_epoch;
+            log.flushes_since_snapshot = 0;
             return Err(FlushError::Snapshot {
                 path,
                 op: SnapshotOp::DirSync,
@@ -473,44 +414,14 @@ impl DurableSession {
         // epoch stays strictly ahead of a log the pending repair has
         // meanwhile reset onto `next_epoch` — an equal-epoch snapshot
         // would make recovery double-apply that log's tail.
-        let reset = inner.wal.reset(next_epoch);
-        inner.epoch = next_epoch;
-        inner.flushes_since_snapshot = 0;
+        let reset = log.wal.reset(next_epoch);
+        log.epoch = next_epoch;
+        log.flushes_since_snapshot = 0;
         reset.map_err(|e| FlushError::WalTruncate {
-            path: inner.wal.path().to_path_buf(),
+            path: log.wal.path().to_path_buf(),
             source: e.source,
             updated: Vec::new(),
         })?;
         Ok(())
-    }
-
-    /// Force logged frames to stable storage regardless of fsync policy.
-    pub fn sync(&self) -> Result<(), WalIoError> {
-        self.lock().wal.sync()
-    }
-
-    /// The live report of a run (as of the last flush).
-    pub fn report(&self, run: RunKey) -> Option<AnalysisReport> {
-        self.session.report(run)
-    }
-
-    /// All live reports keyed by producer run key.
-    pub fn reports(&self) -> HashMap<RunKey, AnalysisReport> {
-        self.session.reports()
-    }
-
-    /// Aggregate counters of the wrapped session.
-    pub fn stats(&self) -> SessionStats {
-        self.session.stats()
-    }
-
-    /// The wrapped session's metric snapshot. The WAL and snapshot stages
-    /// record into the same registry, so this is the whole durable
-    /// stack's view (see [`OnlineSession::metrics`]); a fault seam that is
-    /// actually injecting contributes its `kojak_faults_*` series too.
-    pub fn metrics(&self) -> obs::MetricsSnapshot {
-        let mut out = self.session.metrics();
-        obs::MetricsSource::collect_into(&self.faults, &mut out);
-        out
     }
 }

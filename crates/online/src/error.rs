@@ -1,9 +1,9 @@
 //! The typed flush-failure hierarchy of the online engine.
 //!
 //! Everything that can go wrong *after* events were accepted — evaluating
-//! the pending delta, draining the pipeline, writing the checkpoint that
-//! rides on a flush — surfaces as a [`FlushError`] variant instead of a
-//! formatted string, so callers (and the `kojak::engine` facade's
+//! the pending delta, writing the checkpoint that rides on a flush —
+//! surfaces as a [`FlushError`] variant instead of a formatted string, so
+//! callers (and the `kojak::engine` facade's
 //! `EngineError`) can react to the machine-readable cause. Ingestion-time
 //! failures remain [`crate::event::IngestError`]; recovery-time failures
 //! remain [`crate::durable::RecoveryError`].
@@ -29,12 +29,6 @@ pub enum FlushError {
     /// Re-binding the suite to the live store failed (backend
     /// preparation, see [`cosy::SpecError`]).
     Spec(SpecError),
-    /// The ingestion pipeline's channels are closed; no shard can accept
-    /// the flush barrier.
-    Closed,
-    /// A pipeline shard worker died or panicked before acknowledging the
-    /// flush barrier.
-    WorkerLost,
     /// Writing the checkpoint snapshot failed. The flush itself succeeded
     /// and durability is not compromised: before the rename commit point
     /// the WAL still holds the full history; a failed *directory sync*
@@ -88,8 +82,6 @@ impl fmt::Display for FlushError {
         match self {
             FlushError::Analysis(e) => write!(f, "analysis flush failed: {e}"),
             FlushError::Spec(e) => write!(f, "suite re-binding failed: {e}"),
-            FlushError::Closed => write!(f, "ingestion pipeline is closed"),
-            FlushError::WorkerLost => write!(f, "pipeline shard worker died"),
             FlushError::Snapshot {
                 path, op, source, ..
             } => {
@@ -107,7 +99,6 @@ impl std::error::Error for FlushError {
         match self {
             FlushError::Analysis(e) => Some(e),
             FlushError::Spec(e) => Some(e),
-            FlushError::Closed | FlushError::WorkerLost => None,
             FlushError::Snapshot { source, .. } | FlushError::WalTruncate { source, .. } => {
                 Some(source)
             }

@@ -200,8 +200,8 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The run this event belongs to — the sharding key of the ingestion
-    /// pipeline.
+    /// The run this event belongs to — what the engine layer's shard
+    /// router keeps a run's stream together by.
     pub fn run_key(&self) -> RunKey {
         match self {
             TraceEvent::RunStarted { run, .. }
@@ -508,8 +508,6 @@ pub enum IngestError {
         /// The unresolved parent reference.
         parent: RegionRef,
     },
-    /// The ingestion pipeline is shut down.
-    Closed,
     /// The durable session could not append to its write-ahead log (the
     /// event was **not** applied: write-ahead means no event reaches the
     /// store unless it is on disk first — and on this error, no frame of
@@ -553,7 +551,6 @@ impl fmt::Display for IngestError {
                 "unknown parent region `{}`@{} of `{function}` in {run}",
                 parent.name, parent.first_line
             ),
-            IngestError::Closed => write!(f, "ingestion pipeline is closed"),
             IngestError::Wal { op, kind, detail } => {
                 write!(f, "write-ahead log {op} failed ({kind:?}): {detail}")
             }

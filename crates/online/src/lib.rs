@@ -22,16 +22,16 @@
 //! ## Architecture
 //!
 //! ```text
-//!  producers ──▶ IngestPipeline ──▶ OnlineSession ──▶ live AnalysisReports
-//!               (sharded, bounded    (StoreBuilder      (rank-stable,
-//!                queues, per-run      + Incremental-     batch-identical)
-//!                batching)            Analyzer)
+//!  producers ──▶ OnlineSession::ingest_batch ──▶ flush ──▶ live AnalysisReports
+//!                 │ (durable: wal.log first)     (Incremental-   (rank-stable,
+//!                 ▼                               Analyzer)       batch-identical)
+//!                StoreBuilder ──▶ StoreDelta ─────────┘
 //! ```
 //!
-//! * [`IngestPipeline`] hashes each event's run key to one of N shard
-//!   workers; shards buffer per-run batches and apply them to the session.
-//!   Queues are bounded (`std::sync::mpsc::sync_channel`), so overload
-//!   produces backpressure instead of unbounded memory growth.
+//! * [`OnlineSession`] is the one session type: thread-safe, fed whole
+//!   batches by any number of producer threads. Fan-in across processes
+//!   and fan-out over shards live one layer up (`kojak-net`'s
+//!   `EngineServer`, `engine::ShardedSession`).
 //! * [`StoreBuilder`] applies events to the live [`perfdata::Store`] via
 //!   its upsert hooks and records each change's analytical blast radius in
 //!   a [`StoreDelta`].
@@ -39,9 +39,9 @@
 //!   instances that currently hold. A flush re-evaluates exactly the dirty
 //!   contexts — through the same `cosy` evaluation path the batch analyzer
 //!   uses — and re-assembles the affected reports.
-//! * [`DurableSession`] makes the session survive a process kill: events
-//!   are framed into a checksummed write-ahead log *before* they are
-//!   applied, snapshots of the builder state truncate the log at
+//! * [`OnlineSession::open`] makes the session survive a process kill:
+//!   events are framed into a checksummed write-ahead log *before* they
+//!   are applied, snapshots of the builder state truncate the log at
 //!   checkpoint boundaries, and [`OnlineSession::recover`] resumes with
 //!   live reports bit-identical to an uninterrupted session (see
 //!   [`crate::wal`], [`crate::snapshot`], [`crate::durable`]).
@@ -62,9 +62,8 @@
 //! ## Example
 //!
 //! ```
-//! use online::{IngestPipeline, OnlineSession, PipelineConfig, SessionConfig, replay};
+//! use online::{OnlineSession, SessionConfig, replay};
 //! use apprentice_sim::{archetypes, simulate_program, MachineModel};
-//! use std::sync::Arc;
 //!
 //! // A batch store stands in for a live producer via replay.
 //! let mut store = perfdata::Store::new();
@@ -75,13 +74,11 @@
 //!     &[1, 4, 16],
 //! );
 //!
-//! let session = Arc::new(OnlineSession::new(SessionConfig::default()));
-//! let pipeline = IngestPipeline::new(Arc::clone(&session), PipelineConfig::default());
-//! for event in replay::replay_store(&store) {
-//!     pipeline.submit(event).unwrap();
+//! let session = OnlineSession::new(SessionConfig::default());
+//! for batch in replay::replay_store(&store).chunks(256) {
+//!     session.ingest_batch(batch).unwrap();
 //! }
-//! let stats = pipeline.close().unwrap();
-//! assert!(stats.errors.is_empty());
+//! session.flush().unwrap();
 //!
 //! let run = store.versions[version.index()].runs[2];
 //! let report = session.report(online::replay::replay_run_key(run)).unwrap();
@@ -96,7 +93,6 @@ pub mod durable;
 pub mod error;
 pub mod event;
 pub mod incremental;
-pub mod pipeline;
 pub mod replay;
 pub mod session;
 pub mod snapshot;
@@ -127,13 +123,16 @@ pub fn eval_cache_metrics() -> obs::MetricsSnapshot {
     out.push_counter("kojak_eval_fn_memo_misses_total", fn_misses);
     out
 }
-pub use durable::{DurableConfig, DurableSession, RecoveryError, RecoveryStats};
+pub use durable::{DurableConfig, RecoveryError, RecoveryStats};
+/// The benchmark package under `benchmark/` — which a change to this
+/// crate may not edit — opens its durable sessions under this name;
+/// nothing else does.
+pub type DurableSession = OnlineSession;
 pub use error::FlushError;
 pub use event::{
     CallStats, IngestError, RegionDef, RegionRef, RunKey, TraceEvent, VersionTag, WIRE_VERSION,
 };
 pub use incremental::{IncrementalAnalyzer, IncrementalStats};
-pub use pipeline::{IngestPipeline, PipelineConfig, PipelineStats};
 pub use session::{OnlineSession, SessionConfig, SessionStats};
 pub use snapshot::{SnapshotOp, SnapshotWriteError};
 pub use wal::{FsyncPolicy, WalCorruption, WalCorruptionKind, WalIoError, WalOp};

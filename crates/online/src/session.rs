@@ -1,33 +1,40 @@
 //! The session layer: one always-on analysis service core multiplexing
 //! many concurrent measurement streams.
 //!
-//! [`OnlineSession`] is the shared, thread-safe object the ingestion
-//! pipeline's shard workers feed. It owns the [`StoreBuilder`] (live store
-//! and interning) and the [`IncrementalAnalyzer`] (live reports) behind one
-//! mutex; ingestion appends events and accumulates the pending
-//! [`StoreDelta`], and [`OnlineSession::flush`] turns the pending delta
-//! into refreshed reports (per-run evaluation fans out through rayon
-//! inside the incremental engine).
+//! [`OnlineSession`] is the shared, thread-safe object producers (or the
+//! engine layer's shard router and TCP server) feed. It owns the
+//! [`StoreBuilder`] (live store and interning) and the
+//! [`IncrementalAnalyzer`] (live reports) behind one mutex; ingestion
+//! appends events and accumulates the pending [`StoreDelta`], and
+//! [`OnlineSession::flush`] turns the pending delta into refreshed reports
+//! (per-run evaluation fans out through rayon inside the incremental
+//! engine).
+//!
+//! Whether the session survives a process kill is a *part* of it, not a
+//! wrapper around it: [`OnlineSession::open`] attaches the write-ahead log
+//! and checkpoint state of [`crate::durable`], after which every
+//! [`OnlineSession::ingest_batch`] is logged before it is applied. There
+//! is no un-logged way into a durable session's store.
 
 use crate::builder::{StoreBuilder, StoreDelta};
+use crate::durable::{Durability, DurableConfig, RecoveryError, RecoveryStats};
 use crate::error::FlushError;
 use crate::event::{IngestError, RunKey, TraceEvent};
 use crate::incremental::{IncrementalAnalyzer, IncrementalStats};
+use crate::wal::WalIoError;
 use asl_core::check::CheckedSpec;
 use cosy::{AnalysisReport, Backend, ProblemThreshold};
 use obs::{MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::Store;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Session configuration.
 #[derive(Debug, Clone, Default)]
 pub struct SessionConfig {
     /// Severity threshold above which a property is a performance problem.
     pub threshold: ProblemThreshold,
-    /// Flush automatically once this many events are pending (0 disables
-    /// auto-flush; the pipeline and `flush()` remain the triggers).
-    pub auto_flush_events: usize,
     /// Evaluation backend for the incremental engine. Defaults to the
     /// compiled IR; the interpreter remains available as a reference
     /// oracle for validation and baselining.
@@ -86,22 +93,29 @@ struct SessionInner {
     builder: StoreBuilder,
     analyzer: IncrementalAnalyzer,
     pending: StoreDelta,
-    pending_events: usize,
     rejected: u64,
     replayed: u64,
 }
 
-/// A live, thread-safe online analysis session.
+/// A live, thread-safe online analysis session — in memory
+/// ([`OnlineSession::new`]) or surviving a process kill
+/// ([`OnlineSession::open`]).
 pub struct OnlineSession {
     inner: Mutex<SessionInner>,
     config: SessionConfig,
-    /// Per-session metric set (shared with the durable wrapper, the WAL
-    /// writer and the pipeline; merged across shards by the engine layer).
+    /// Per-session metric set (shared with the WAL and snapshot writers;
+    /// merged across shards by the engine layer).
     registry: Arc<MetricsRegistry>,
     /// Pre-created stage handles — the hot path never takes the registry
     /// lock.
     apply_ns: Arc<obs::Histogram>,
     flush_ns: Arc<obs::Histogram>,
+    /// The write-ahead log, checkpoint state and recovery record; `None`
+    /// in memory (boxed so an in-memory session does not carry its
+    /// size). Its lock is the *writer* lock and is always taken before
+    /// `inner`'s: it spans WAL append + store apply (write-ahead) and
+    /// flush + checkpoint, while readers only ever take `inner`.
+    durability: Option<Box<Durability>>,
 }
 
 impl OnlineSession {
@@ -131,6 +145,7 @@ impl OnlineSession {
             registry,
             apply_ns,
             flush_ns,
+            durability: None,
         }
     }
 
@@ -145,12 +160,36 @@ impl OnlineSession {
                 builder: StoreBuilder::new(),
                 analyzer,
                 pending: StoreDelta::new(),
-                pending_events: 0,
                 rejected: 0,
                 replayed: 0,
             },
             registry,
         )
+    }
+
+    /// Open (or create) the durable session stored in `dir`, recovering
+    /// any existing state (see [`OnlineSession::recover`]). A torn WAL
+    /// tail found by recovery is truncated so appending resumes on a
+    /// frame boundary.
+    pub fn open(dir: impl Into<PathBuf>, config: DurableConfig) -> Result<Self, RecoveryError> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        let DurableConfig {
+            session,
+            fsync,
+            snapshot_every_flushes,
+            faults,
+        } = config;
+        let (mut opened, recovery) = OnlineSession::recover_with(&dir, session, &faults)?;
+        opened.durability = Some(Box::new(Durability::open(
+            dir,
+            fsync,
+            snapshot_every_flushes,
+            faults,
+            recovery,
+            &opened.registry,
+        )?));
+        Ok(opened)
     }
 
     /// Rebuild a session from recovered state: the snapshotted builder,
@@ -180,7 +219,6 @@ impl OnlineSession {
                 builder,
                 analyzer,
                 pending,
-                pending_events: 0,
                 rejected,
                 replayed: 0,
             },
@@ -233,11 +271,21 @@ impl OnlineSession {
         self.ingest_batch(std::slice::from_ref(event)).map(|_| ())
     }
 
-    /// Ingest a batch of events (the pipeline's unit of work). Events are
-    /// isolated: a rejected event is counted and skipped, the rest of the
-    /// batch still applies. Returns the number of applied events, or the
-    /// *first* rejection (after the whole batch was attempted).
+    /// Ingest a batch of events. Events are isolated: a rejected event is
+    /// counted and skipped, the rest of the batch still applies. Returns
+    /// the number of applied events, or the *first* rejection (after the
+    /// whole batch was attempted).
+    ///
+    /// A durable session frames the batch into its log (and, per fsync
+    /// policy, onto the disk) *before* any event is applied; a failed
+    /// append applies nothing. Rejected events stay in the log — replay
+    /// re-rejects them deterministically, keeping recovered counters
+    /// truthful.
     pub fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, IngestError> {
+        let mut log = self.durability.as_deref().map(Durability::lock);
+        if let Some(log) = &mut log {
+            log.wal.append_batch(events)?;
+        }
         let mut inner = self.lock();
         let SessionInner {
             builder, pending, ..
@@ -247,22 +295,16 @@ impl OnlineSession {
             builder.apply_batch(events, pending)
         };
         inner.rejected += (events.len() - applied) as u64;
-        inner.pending_events += applied;
-        let auto = self.config.auto_flush_events;
-        if auto > 0 && inner.pending_events >= auto {
-            // On failure the delta is re-queued (see `flush_inner`), so the
-            // error genuinely resurfaces on the next explicit flush.
-            let _ = self.flush_inner(&mut inner);
-        }
         match failure {
             Some(e) => Err(e),
             None => Ok(applied),
         }
     }
 
-    fn flush_inner(&self, inner: &mut SessionInner) -> Result<Vec<RunKey>, FlushError> {
+    /// The analysis half of a flush, under the store lock only.
+    fn flush_store(&self) -> Result<Vec<RunKey>, FlushError> {
+        let mut inner = self.lock();
         let delta = std::mem::take(&mut inner.pending);
-        inner.pending_events = 0;
         if delta.is_empty() {
             return Ok(Vec::new());
         }
@@ -272,7 +314,7 @@ impl OnlineSession {
             analyzer,
             pending,
             ..
-        } = inner;
+        } = &mut *inner;
         match analyzer.flush(builder.store(), &delta) {
             Ok(updated) => Ok(updated
                 .into_iter()
@@ -291,8 +333,69 @@ impl OnlineSession {
     /// whose live report changed. On failure the invalidated delta is
     /// re-queued, so the same [`FlushError`] resurfaces (and the same work
     /// retries) on the next flush.
+    ///
+    /// A durable session also checkpoints every
+    /// [`DurableConfig::snapshot_every_flushes`] successful flushes. If
+    /// the analysis succeeds but the checkpoint riding on it fails, the
+    /// returned [`FlushError::Snapshot`]/[`FlushError::WalTruncate`]
+    /// carries the flush's changed-run set in its `updated` field — the
+    /// pending delta was consumed, so those keys are not observable from a
+    /// retried flush. The checkpoint itself retries on the next flush (the
+    /// cadence counter is not reset), and the WAL still holds the full
+    /// history.
     pub fn flush(&self) -> Result<Vec<RunKey>, FlushError> {
-        self.flush_inner(&mut self.lock())
+        let Some(durability) = &self.durability else {
+            return self.flush_store();
+        };
+        let mut log = durability.lock();
+        let updated = self.flush_store()?;
+        if durability.checkpoint_due(&mut log) {
+            if let Err(e) = durability.checkpoint(&mut log, self) {
+                return Err(e.with_updated(updated));
+            }
+        }
+        Ok(updated)
+    }
+
+    /// Flush, then — for a durable session — write a snapshot and
+    /// truncate the log behind it.
+    pub fn checkpoint(&self) -> Result<(), FlushError> {
+        let Some(durability) = &self.durability else {
+            return self.flush_store().map(|_| ());
+        };
+        let mut log = durability.lock();
+        self.flush_store()?;
+        durability.checkpoint(&mut log, self)
+    }
+
+    /// Force logged frames to stable storage regardless of fsync policy
+    /// (nothing to do in memory).
+    pub fn sync(&self) -> Result<(), WalIoError> {
+        match &self.durability {
+            Some(durability) => durability.lock().wal.sync(),
+            None => Ok(()),
+        }
+    }
+
+    /// Current WAL length in bytes (events logged since the last
+    /// checkpoint; 0 in memory).
+    pub fn wal_len(&self) -> u64 {
+        self.durability.as_ref().map_or(0, |d| d.lock().wal.len())
+    }
+
+    /// The session directory; `None` for an in-memory session.
+    pub fn dir(&self) -> Option<&Path> {
+        self.durability.as_deref().map(|d| d.dir.as_path())
+    }
+
+    /// What recovery found when this session was opened (empty for an
+    /// in-memory session).
+    pub fn recovery(&self) -> &RecoveryStats {
+        static NONE: OnceLock<RecoveryStats> = OnceLock::new();
+        match &self.durability {
+            Some(durability) => &durability.recovery,
+            None => NONE.get_or_init(RecoveryStats::default),
+        }
     }
 
     /// True once the run's producer declared it finished and that event
@@ -341,22 +444,26 @@ impl OnlineSession {
     }
 
     /// The session's metric registry: the stage histograms this session
-    /// records into, shared with its durable wrapper, WAL writer and any
-    /// pipeline feeding it. Hold handles from it rather than re-looking
-    /// names up per event.
+    /// and its WAL and snapshot writers record into. Hold handles from it
+    /// rather than re-looking names up per event.
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
 
     /// One composable snapshot of everything this session knows about
     /// itself: the [`SessionStats`] counters plus the registry's stage
-    /// histograms. Process-global metrics (the compiled-eval cache) are
+    /// histograms (WAL and snapshot stages included when durable; a fault
+    /// seam that is actually injecting contributes its `kojak_faults_*`
+    /// series too). Process-global metrics (the compiled-eval cache) are
     /// deliberately *not* included — a sharded engine merges many of
     /// these snapshots, and globals must be added exactly once at the top
     /// (see `eval_cache_metrics` in the crate root).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut out = self.stats().metrics();
         self.registry.collect_into(&mut out);
+        if let Some(durability) = &self.durability {
+            durability.faults.collect_into(&mut out);
+        }
         out
     }
 

@@ -1,6 +1,6 @@
 //! The write-ahead event log.
 //!
-//! Every event a [`crate::DurableSession`] accepts is appended here
+//! Every event a durable [`crate::OnlineSession`] accepts is appended here
 //! *before* it touches the live store, as one self-checking frame:
 //!
 //! ```text
@@ -69,8 +69,9 @@ pub enum FsyncPolicy {
 
 impl Default for FsyncPolicy {
     fn default() -> Self {
-        // One sync per default pipeline batch: bounded loss window without
-        // paying a disk round-trip per event.
+        // One sync per 256 appended events (the net layer's default
+        // producer batch): bounded loss window without paying a disk
+        // round-trip per event.
         FsyncPolicy::EveryN(256)
     }
 }

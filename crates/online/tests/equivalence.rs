@@ -197,7 +197,6 @@ fn check_equivalence(store: &Store, chunk: usize, what: &str) {
     let threshold = ProblemThreshold::default();
     let session = OnlineSession::new(SessionConfig {
         threshold,
-        auto_flush_events: 0,
         ..SessionConfig::default()
     });
     for run in 0..store.runs.len() as u32 {

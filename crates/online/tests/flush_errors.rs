@@ -108,11 +108,11 @@ fn spec_evaluation_failure_is_a_typed_flush_error() {
 /// `RecoveryError::Analysis(FlushError::Analysis(..))`, not a string.
 #[test]
 fn recovery_flush_failure_is_typed_too() {
-    use online::{DurableConfig, DurableSession, FsyncPolicy, RecoveryError};
+    use online::{DurableConfig, FsyncPolicy, OnlineSession, RecoveryError};
 
     let dir = std::env::temp_dir().join(format!("kojak-flusherr-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let durable = DurableSession::open(
+    let durable = OnlineSession::open(
         &dir,
         DurableConfig {
             session: SessionConfig::default(),

@@ -1,5 +1,5 @@
 //! Metric/ground-truth reconciliation: the live registry counters a
-//! session exposes through [`DurableSession::metrics`] must close
+//! session exposes through [`OnlineSession::metrics`] must close
 //! **exactly** against the session's own [`SessionStats`] and against
 //! the durability ledger — across a kill and recovery, every applied
 //! event is accounted for as either a WAL frame appended *by this
@@ -15,7 +15,7 @@
 
 use apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
 use online::replay::replay_store;
-use online::{DurableConfig, DurableSession, FsyncPolicy, SessionConfig, TraceEvent};
+use online::{DurableConfig, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent};
 use perfdata::Store;
 use std::path::PathBuf;
 
@@ -70,7 +70,7 @@ fn config() -> DurableConfig {
 fn registry_counters_close_against_ground_truth() {
     let events = sim_events(41);
     let dir = ScratchDir::new("ledger");
-    let durable = DurableSession::open(&dir.0, config()).expect("open");
+    let durable = OnlineSession::open(&dir.0, config()).expect("open");
     let chunks: Vec<&[TraceEvent]> = events.chunks(64).collect();
     for chunk in &chunks {
         durable.ingest_batch(chunk).expect("ingest");
@@ -120,7 +120,7 @@ fn applied_equals_replayed_plus_frames_across_kill_and_recover() {
 
     // Process 1: stream the first half, flush, die without checkpoint.
     {
-        let durable = DurableSession::open(&dir.0, config()).expect("open");
+        let durable = OnlineSession::open(&dir.0, config()).expect("open");
         durable.ingest_batch(&events[..cut]).expect("ingest");
         durable.flush().expect("flush");
         let snapshot = durable.metrics();
@@ -132,7 +132,7 @@ fn applied_equals_replayed_plus_frames_across_kill_and_recover() {
     }
 
     // Process 2: recover, stream the rest, reconcile.
-    let recovered = DurableSession::open(&dir.0, config()).expect("recover");
+    let recovered = OnlineSession::open(&dir.0, config()).expect("recover");
     recovered.ingest_batch(&events[cut..]).expect("ingest tail");
     recovered.flush().expect("flush");
 

@@ -1,0 +1,102 @@
+//! Integration tests of one [`OnlineSession`]: per-event isolation inside
+//! a batch, finished-run tracking, and the incremental engine's work
+//! bound. (Concurrent producers and mid-stream flushes are covered over
+//! both session shapes in `crates/engine/tests/concurrent.rs`.)
+
+use apprentice_sim::{archetypes, simulate_program, MachineModel};
+use cosy::{Analyzer, Backend, ProblemThreshold};
+use online::replay::events_for_run;
+use online::{OnlineSession, SessionConfig, TraceEvent};
+use perfdata::{Store, TestRunId};
+
+fn simulated_store(pe_counts: &[u32]) -> Store {
+    let mut store = Store::new();
+    simulate_program(
+        &mut store,
+        &archetypes::particle_mc(42),
+        &MachineModel::t3e_900(),
+        pe_counts,
+    );
+    store
+}
+
+#[test]
+fn bad_event_does_not_poison_the_rest_of_a_batch() {
+    let store = simulated_store(&[1, 8]);
+    let session = OnlineSession::new(SessionConfig::default());
+    let mut events = events_for_run(&store, TestRunId(0));
+    // Inject a malformed event (unknown function) mid-batch.
+    let bad = TraceEvent::TypedSample {
+        run: online::replay::replay_run_key(TestRunId(0)),
+        function: "no_such_function".into(),
+        region: online::RegionRef::new("nope", 1),
+        ty: perfdata::TimingType::Barrier,
+        time: 1.0,
+    };
+    events.insert(events.len() / 2, bad);
+    let err = session.ingest_batch(&events).unwrap_err();
+    assert!(matches!(err, online::IngestError::UnknownFunction { .. }));
+    session.flush().unwrap();
+    // Every valid event after the bad one still applied: the run is
+    // finished and its report matches the batch analyzer.
+    let key = online::replay::replay_run_key(TestRunId(0));
+    assert!(session.is_finished(key));
+    assert_eq!(session.stats().events_rejected, 1);
+    let report = session.report(key).unwrap();
+    let batch = Analyzer::new(&store, store.runs[0].version)
+        .unwrap()
+        .analyze(
+            TestRunId(0),
+            Backend::Interpreter,
+            ProblemThreshold::default(),
+        )
+        .unwrap();
+    assert_eq!(report.entries.len(), batch.entries.len());
+}
+
+#[test]
+fn run_finished_state_is_tracked() {
+    let store = simulated_store(&[1, 8]);
+    let session = OnlineSession::new(SessionConfig::default());
+    let events = events_for_run(&store, TestRunId(0));
+    let key = online::replay::replay_run_key(TestRunId(0));
+    // All but the RunFinished marker.
+    session.ingest_batch(&events[..events.len() - 1]).unwrap();
+    session.flush().unwrap();
+    assert!(!session.is_finished(key));
+    session.ingest_batch(&events[events.len() - 1..]).unwrap();
+    session.flush().unwrap();
+    assert!(session.is_finished(key));
+    assert_eq!(session.stats().runs_finished, 1);
+}
+
+#[test]
+fn incremental_engine_does_less_work_than_batch() {
+    // Appending one run to a store with many runs must evaluate far fewer
+    // instances than re-analyzing every run would.
+    let store = simulated_store(&[1, 2, 4, 8, 16, 32]);
+    let session = OnlineSession::new(SessionConfig::default());
+    for r in 0..store.runs.len() as u32 - 1 {
+        session
+            .ingest_batch(&events_for_run(&store, TestRunId(r)))
+            .unwrap();
+    }
+    session.flush().unwrap();
+    let before = session.stats().incremental.instances_evaluated;
+
+    session
+        .ingest_batch(&events_for_run(
+            &store,
+            TestRunId(store.runs.len() as u32 - 1),
+        ))
+        .unwrap();
+    session.flush().unwrap();
+    let appended = session.stats().incremental.instances_evaluated - before;
+
+    // The append touched one run out of six: it must cost at most ~1/5 of
+    // the instances evaluated so far (which covered five full runs).
+    assert!(
+        appended * 4 <= before,
+        "incremental append evaluated {appended} instances vs {before} for the initial five runs"
+    );
+}

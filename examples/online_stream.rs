@@ -1,6 +1,6 @@
 //! Online streaming: feed trace events from concurrently executing test
-//! runs through the sharded ingestion pipeline and watch the live,
-//! incrementally maintained analysis reports.
+//! runs into one engine and watch the live, incrementally maintained
+//! analysis reports.
 //!
 //! ```sh
 //! cargo run --release --example online_stream
@@ -21,7 +21,7 @@ use kojak::apprentice_sim::{archetypes, simulate_program, MachineModel};
 use kojak::cosy::report::render_text;
 use kojak::engine::{AnalysisEngine, Engine, EngineBuilder};
 use kojak::online::replay::{events_for_run, replay_run_key, replay_store};
-use kojak::online::{FsyncPolicy, IngestPipeline, PipelineConfig};
+use kojak::online::FsyncPolicy;
 use kojak::perfdata::{Store, TestRunId};
 use std::sync::Arc;
 
@@ -123,61 +123,29 @@ fn streaming_demo(shards: usize) {
     let mut store = Store::new();
     simulate_program(&mut store, &model, &machine, &[1, 4, 16, 64]);
 
-    // One producer thread per run, all streaming concurrently. With the
-    // default single shard, the in-process pipeline (thread sharding,
-    // per-run batching, bounded queues) demonstrates the producer side;
-    // with `--shards N`, the engine's own ingest_batch fans out over N
-    // independent shards behind the same AnalysisEngine surface.
-    if shards <= 1 {
-        let session = Arc::new(EngineBuilder::new().build_online());
-        let pipeline = Arc::new(IngestPipeline::new(
-            Arc::clone(&session),
-            PipelineConfig {
-                shards: 4,
-                batch_size: 32,
-                queue_capacity: 256,
-            },
-        ));
-        std::thread::scope(|scope| {
-            for r in 0..store.runs.len() as u32 {
-                let events = events_for_run(&store, TestRunId(r));
-                let pipeline = Arc::clone(&pipeline);
-                scope.spawn(move || {
-                    for event in events {
-                        pipeline.submit(event).expect("submit");
-                    }
-                });
-            }
-        });
-        let pipeline = Arc::into_inner(pipeline).expect("all producers done");
-        let stats = pipeline.close().expect("close");
-        println!(
-            "pipeline: {} events in {} batches across 4 worker shards",
-            stats.events, stats.batches
-        );
-        report_outcome(session.as_ref() as &dyn AnalysisEngine, &store);
-    } else {
-        let engine = Arc::new(
-            EngineBuilder::new()
-                .shards(shards)
-                .build()
-                .expect("in-memory sharded engine"),
-        );
-        std::thread::scope(|scope| {
-            for r in 0..store.runs.len() as u32 {
-                let events = events_for_run(&store, TestRunId(r));
-                let engine = Arc::clone(&engine);
-                scope.spawn(move || {
-                    for batch in events.chunks(32) {
-                        engine.ingest_batch(batch).expect("ingest");
-                    }
-                });
-            }
-        });
-        engine.flush().expect("flush");
-        println!("sharded engine: {} shard(s)", shards);
-        report_outcome(engine.as_ref(), &store);
-    }
+    // One producer thread per run, all streaming concurrently into the
+    // engine's own ingest_batch: one session at `--shards 1`, N
+    // independent shards behind the same AnalysisEngine surface above.
+    let engine = Arc::new(
+        EngineBuilder::new()
+            .shards(shards)
+            .build()
+            .expect("in-memory engine"),
+    );
+    std::thread::scope(|scope| {
+        for r in 0..store.runs.len() as u32 {
+            let events = events_for_run(&store, TestRunId(r));
+            let engine = Arc::clone(&engine);
+            scope.spawn(move || {
+                for batch in events.chunks(32) {
+                    engine.ingest_batch(batch).expect("ingest");
+                }
+            });
+        }
+    });
+    engine.flush().expect("flush");
+    println!("engine: {} shard(s)", shards.max(1));
+    report_outcome(engine.as_ref(), &store);
 }
 
 fn report_outcome(engine: &dyn AnalysisEngine, store: &Store) {

@@ -11,9 +11,7 @@ use kojak::cosy::{Analyzer, Backend, ProblemThreshold};
 use kojak::online::durable::{RecoveryError, SNAPSHOT_FILE, WAL_FILE};
 use kojak::online::replay::replay_store;
 use kojak::online::wal::WalCorruptionKind;
-use kojak::online::{
-    DurableConfig, DurableSession, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent,
-};
+use kojak::online::{DurableConfig, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent};
 use kojak::perfdata::{DateTime, RegionKind, Store};
 use std::path::PathBuf;
 
@@ -184,7 +182,7 @@ fn stream() -> Vec<TraceEvent> {
 
 /// Ingest `events` durably (one flush at the end), then kill the session.
 fn write_session_dir(dir: &ScratchDir, events: &[TraceEvent], snapshot_every: u32) {
-    let durable = DurableSession::open(&dir.0, durable_config(snapshot_every)).expect("open");
+    let durable = OnlineSession::open(&dir.0, durable_config(snapshot_every)).expect("open");
     durable.ingest_batch(events).expect("ingest");
     durable.flush().expect("flush");
 }
@@ -218,7 +216,7 @@ fn truncated_final_wal_frame_recovers_to_last_consistent_event() {
     assert_eq!(recovered.reports(), reference.reports());
 
     // Reopening for writing resumes on the frame boundary.
-    let resumed = DurableSession::open(&dir.0, durable_config(0)).expect("reopen");
+    let resumed = OnlineSession::open(&dir.0, durable_config(0)).expect("reopen");
     resumed.ingest(&events[events.len() - 1]).expect("append");
     resumed.flush().expect("flush");
     assert_eq!(resumed.reports(), control(&events).reports());
@@ -256,7 +254,7 @@ fn stale_snapshot_plus_longer_log_recovers_the_full_history() {
     let dir = ScratchDir::new("stale-snap");
 
     // Checkpoint early (stale snapshot), then keep streaming (long tail).
-    let durable = DurableSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
     durable.ingest_batch(&events[..cut]).expect("ingest head");
     durable.checkpoint().expect("checkpoint");
     durable.ingest_batch(&events[cut..]).expect("ingest tail");
@@ -288,7 +286,7 @@ fn empty_and_missing_durable_files_recover_to_a_fresh_session() {
     assert!(session.reports().is_empty());
 
     // A durable session over the empty directory starts cleanly too.
-    let durable = DurableSession::open(&dir.0, durable_config(0)).expect("open empty");
+    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open empty");
     assert_eq!(durable.stats().events_applied, 0);
 }
 
@@ -301,7 +299,7 @@ fn interrupted_checkpoint_does_not_double_replay_the_log() {
     // (and re-reject every RunStarted as a duplicate).
     let events = stream();
     let dir = ScratchDir::new("interrupted-checkpoint");
-    let durable = DurableSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
     durable.ingest_batch(&events).expect("ingest");
     durable.flush().expect("flush");
     // Capture the pre-checkpoint WAL, checkpoint, then restore it — the
@@ -331,7 +329,7 @@ fn interrupted_checkpoint_does_not_double_replay_the_log() {
 
     // Reopening for writing completes the interrupted checkpoint (log
     // restarted on the snapshot's epoch) and appends keep working.
-    let resumed = DurableSession::open(&dir.0, durable_config(0)).expect("reopen");
+    let resumed = OnlineSession::open(&dir.0, durable_config(0)).expect("reopen");
     let extra = TraceEvent::RunStarted {
         run: kojak::online::RunKey(900_000),
         version: kojak::online::VersionTag(900_000),
@@ -359,7 +357,7 @@ fn deleted_snapshot_behind_a_truncated_log_is_detected() {
     // typed incompatibility, not as a silently empty session.
     let events = stream();
     let dir = ScratchDir::new("deleted-snap");
-    let durable = DurableSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
     durable.ingest_batch(&events).expect("ingest");
     durable.checkpoint().expect("checkpoint");
     drop(durable);
@@ -399,7 +397,7 @@ fn newer_format_wal_frames_refuse_recovery_instead_of_truncating() {
         Err(other) => panic!("expected Incompatible, got {other:?}"),
         Ok(_) => panic!("expected Incompatible, got a recovered session"),
     }
-    match DurableSession::open(&dir.0, durable_config(0)) {
+    match OnlineSession::open(&dir.0, durable_config(0)) {
         Err(RecoveryError::Incompatible { .. }) => {}
         other => panic!("expected Incompatible, got {:?}", other.map(|_| ())),
     }
@@ -412,7 +410,7 @@ fn newer_format_wal_frames_refuse_recovery_instead_of_truncating() {
 fn corrupt_snapshot_is_a_typed_error_not_a_panic() {
     let events = stream();
     let dir = ScratchDir::new("bad-snap");
-    let durable = DurableSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
     durable.ingest_batch(&events).expect("ingest");
     durable.checkpoint().expect("checkpoint");
     drop(durable);
@@ -430,7 +428,7 @@ fn corrupt_snapshot_is_a_typed_error_not_a_panic() {
         Err(other) => panic!("expected CorruptSnapshot, got {other:?}"),
         Ok(_) => panic!("expected CorruptSnapshot, got a recovered session"),
     }
-    match DurableSession::open(&dir.0, durable_config(0)) {
+    match OnlineSession::open(&dir.0, durable_config(0)) {
         Err(RecoveryError::CorruptSnapshot { .. }) => {}
         other => panic!("expected CorruptSnapshot, got {:?}", other.map(|_| ())),
     }
