@@ -2,9 +2,10 @@
 //!
 //! The paper's COSY prototype consumes summary data produced by **Cray MPP
 //! Apprentice** from instrumented runs on a Cray T3E. Neither the machine
-//! nor the tool is available, so this crate substitutes both (see DESIGN.md
-//! §2): it models a parallel application as a tree of regions with workload
-//! laws, simulates its execution on a configurable machine model for any
+//! nor the tool is available, so this crate substitutes both (the
+//! "synthetic Cray MPP Apprentice data supply" of the README's introduction
+//! and crate map): it models a parallel application as a tree of regions
+//! with workload laws, simulates its execution on a configurable machine model for any
 //! processor count, and summarizes the per-process results exactly the way
 //! Apprentice does — summed-over-processes exclusive/inclusive/overhead
 //! times per region, per-type overhead timings (25 categories), and per-call

@@ -1,188 +1,188 @@
 //! The experiment harness: regenerates every table/figure/claim of the
-//! paper (E1–E13, see DESIGN.md §4) and prints paper-style tables. E9
-//! through E13 also emit machine-readable JSON (`BENCH_e9.json` …
-//! `BENCH_e13.json`; best-of-N ns + speedup ratios) so the
-//! evaluation-core, durability, sharding, wire-protocol and
+//! paper (E1–E13, indexed in the README's "Quick start") and prints
+//! paper-style tables. E9 through E13 also emit machine-readable JSON
+//! (`BENCH_e9.json` … `BENCH_e13.json`; best-of-N ns + speedup ratios) so
+//! the evaluation-core, durability, sharding, wire-protocol and
 //! observability perf trajectories are tracked across PRs.
 //!
 //! ```sh
 //! cargo run --release -p kojak-bench --bin harness            # all
 //! cargo run --release -p kojak-bench --bin harness -- --e2    # one
 //! ```
+//!
+//! Exit codes: 0 every checked claim holds, 1 a claim failed, 2 an
+//! argument is not one of the flags below.
 
-use kojak_bench::experiments::*;
+use kojak_bench::experiments::{
+    e10_durability as e10, e11_sharding as e11, e12_net as e12, e13_obs as e13, e1_parse as e1,
+    e2_insert as e2, e3_fetch as e3, e4_client_vs_sql as e4, e5_analysis as e5,
+    e6_cost_scaling as e6, e7_distribution as e7, e8_online as e8, e9_compiled as e9,
+};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |flag: &str| args.is_empty() || args.iter().any(|a| a == flag);
-    let mut failures = Vec::new();
+/// One experiment: its flag, its banner, how to run it, and what is printed
+/// verbatim after it (the paper's statement and the separating blank line).
+struct Experiment {
+    flag: &'static str,
+    banner: &'static str,
+    run: fn() -> Outcome,
+    footer: &'static str,
+}
 
-    if want("--e1") {
-        println!("== E1: ASL front-end (Figure 1 grammar) =====================================\n");
-        let rows = e1_parse::run();
-        println!("{}", e1_parse::render(&rows));
-    }
+/// What one experiment hands back to the loop in `main`.
+struct Outcome {
+    /// The paper-style table(s).
+    text: String,
+    /// The claim check, for experiments that have one.
+    claim: Option<Result<(), String>>,
+    /// The machine-readable result, written to `BENCH_<experiment>.json`.
+    json: Option<String>,
+}
 
-    if want("--e2") {
-        println!("== E2: insertion across database backends (§5) ==============================\n");
-        let rows = e2_insert::run(2);
-        println!("{}", e2_insert::render(&rows));
-        report_claim(&mut failures, "E2", e2_insert::check_claims(&rows));
-        println!(
-            "paper: Oracle ~2x slower than MS SQL/Postgres; MS Access ~20x faster than Oracle\n"
-        );
-    }
+type Render<R> = fn(&R) -> String;
+type Check<R> = fn(&R) -> Result<(), String>;
+const E6_PES: &[u32] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
-    if want("--e3") {
-        println!("== E3: record fetch & API binding overhead (§5) =============================\n");
-        let rows = e3_fetch::run();
-        println!("{}", e3_fetch::render(&rows));
-        report_claim(&mut failures, "E3", e3_fetch::check_claims(&rows));
-        println!("paper: fetching a record from Oracle ~1 ms; JDBC 2-4x slower than C\n");
-    }
-
-    if want("--e4") {
-        println!("== E4: client-side evaluation vs SQL translation (§5) =======================\n");
-        let rows = e4_client_vs_sql::run(&[2, 6, 12]);
-        println!("{}", e4_client_vs_sql::render(&rows));
-        report_claim(&mut failures, "E4", e4_client_vs_sql::check_claims(&rows));
-        println!(
-            "paper: \"significant advantage to translate the conditions ... entirely into SQL\"\n"
-        );
-    }
-
-    if want("--e5") {
-        println!(
-            "== E5: COSY ranked analysis (§3/§4) ==========================================\n"
-        );
-        let results = e5_analysis::run();
-        for r in &results {
-            println!("{}", r.report_text);
-        }
-        println!("{}", e5_analysis::render_summary(&results));
-        report_claim(&mut failures, "E5", e5_analysis::check_claims(&results));
-        println!();
-    }
-
-    if want("--e6") {
-        println!("== E6: total cost vs processor count (§4.2 semantics) =======================\n");
-        let rows = e6_cost_scaling::run(&[1, 2, 4, 8, 16, 32, 64, 128]);
-        println!("{}", e6_cost_scaling::render(&rows));
-        report_claim(&mut failures, "E6", e6_cost_scaling::check_claims(&rows));
-        println!();
-    }
-
-    if want("--e7") {
-        println!("== E7: work-distribution ablation ===========================================\n");
-        let rows = e7_distribution::run(&[2, 10]);
-        println!("{}", e7_distribution::render(&rows));
-        report_claim(&mut failures, "E7", e7_distribution::check_claims(&rows));
-        println!();
-    }
-
-    if want("--e8") {
-        println!("== E8: online ingestion — incremental vs batch re-analysis ==================\n");
-        let result = e8_online::run(50);
-        println!("{}", e8_online::render(&result));
-        report_claim(&mut failures, "E8", e8_online::check_claims(&result));
-        println!("claim: single-run append ≥ 10x faster incrementally than full re-analysis\n");
-    }
-
-    if want("--e9") {
-        println!(
-            "== E9: compiled-IR evaluation vs interpreter =================================\n"
-        );
-        let result = e9_compiled::run();
-        println!("{}", e9_compiled::render(&result));
-        report_claim(&mut failures, "E9", e9_compiled::check_claims(&result));
-        let json = e9_compiled::to_json(&result);
-        match std::fs::write("BENCH_e9.json", &json) {
-            Ok(()) => println!("wrote BENCH_e9.json"),
-            Err(e) => println!("could not write BENCH_e9.json: {e}"),
-        }
-        println!("claim: compiled path ≥ 2x faster than the interpreter on E5 and E8 shapes\n");
-    }
-
-    if want("--e10") {
-        println!("== E10: durable sessions — WAL append overhead & recovery time ==============\n");
-        let result = e10_durability::run();
-        println!("{}", e10_durability::render(&result));
-        report_claim(&mut failures, "E10", e10_durability::check_claims(&result));
-        let json = e10_durability::to_json(&result);
-        match std::fs::write("BENCH_e10.json", &json) {
-            Ok(()) => println!("wrote BENCH_e10.json"),
-            Err(e) => println!("could not write BENCH_e10.json: {e}"),
-        }
-        println!(
-            "claim: snapshot recovery ≥ 1.5x faster than full WAL replay, reports identical\n"
-        );
-    }
-
-    if want("--e11") {
-        println!("== E11: sharded engine — shard-per-WAL ingest throughput ====================\n");
-        let result = e11_sharding::run();
-        println!("{}", e11_sharding::render(&result));
-        report_claim(&mut failures, "E11", e11_sharding::check_claims(&result));
-        let json = e11_sharding::to_json(&result);
-        match std::fs::write("BENCH_e11.json", &json) {
-            Ok(()) => println!("wrote BENCH_e11.json"),
-            Err(e) => println!("could not write BENCH_e11.json: {e}"),
-        }
-        println!(
-            "claim: reports identical at every shard count; multi-shard throughput >= 1x \
-             single-shard on multicore hosts\n"
-        );
-    }
-
-    if want("--e12") {
-        println!("== E12: wire protocol — loopback TCP ingest vs in-process ===================\n");
-        let result = e12_net::run();
-        println!("{}", e12_net::render(&result));
-        report_claim(&mut failures, "E12", e12_net::check_claims(&result));
-        let json = e12_net::to_json(&result);
-        match std::fs::write("BENCH_e12.json", &json) {
-            Ok(()) => println!("wrote BENCH_e12.json"),
-            Err(e) => println!("could not write BENCH_e12.json: {e}"),
-        }
-        println!(
-            "claim: reports identical over the wire; loopback throughput within a reported \
-             factor of in-process ingest\n"
-        );
-    }
-
-    if want("--e13") {
-        println!("== E13: observability — stage latency breakdown + overhead gate =============\n");
-        let result = e13_obs::run();
-        println!("{}", e13_obs::render(&result));
-        report_claim(&mut failures, "E13", e13_obs::check_claims(&result));
-        let json = e13_obs::to_json(&result);
-        match std::fs::write("BENCH_e13.json", &json) {
-            Ok(()) => println!("wrote BENCH_e13.json"),
-            Err(e) => println!("could not write BENCH_e13.json: {e}"),
-        }
-        println!(
-            "claim: every hot stage histogram is live at 1 and 4 shards; always-on \
-             instrumentation costs <= 3% ingest throughput\n"
-        );
-    }
-
-    if failures.is_empty() {
-        println!("all checked paper claims reproduced");
-    } else {
-        println!("CLAIM CHECK FAILURES:");
-        for f in &failures {
-            println!("  {f}");
-        }
-        std::process::exit(1);
+/// Render and check a result with the experiment module's own functions.
+fn checked<R: ?Sized>(render: Render<R>, check: Option<Check<R>>, result: &R) -> Outcome {
+    Outcome {
+        text: render(result),
+        claim: check.map(|check| check(result)),
+        json: None,
     }
 }
 
-fn report_claim(failures: &mut Vec<String>, exp: &str, r: Result<(), String>) {
-    match r {
-        Ok(()) => println!("[{exp}] paper-shape claims hold"),
-        Err(e) => {
-            println!("[{exp}] CLAIM FAILED: {e}");
-            failures.push(format!("{exp}: {e}"));
-        }
+/// Like [`checked`], and serialize the result for its `BENCH_*.json`.
+fn tracked<R>(render: Render<R>, check: Check<R>, to_json: Render<R>, result: &R) -> Outcome {
+    Outcome {
+        json: Some(to_json(result)),
+        ..checked(render, Some(check), result)
     }
+}
+
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        flag: "--e1",
+        banner: "== E1: ASL front-end (Figure 1 grammar) =====================================",
+        run: || checked(e1::render, None, &e1::run()),
+        footer: "",
+    },
+    Experiment {
+        flag: "--e2",
+        banner: "== E2: insertion across database backends (§5) ==============================",
+        run: || checked(e2::render, Some(e2::check_claims), &e2::run(2)),
+        footer:
+            "paper: Oracle ~2x slower than MS SQL/Postgres; MS Access ~20x faster than Oracle\n\n",
+    },
+    Experiment {
+        flag: "--e3",
+        banner: "== E3: record fetch & API binding overhead (§5) =============================",
+        run: || checked(e3::render, Some(e3::check_claims), &e3::run()),
+        footer: "paper: fetching a record from Oracle ~1 ms; JDBC 2-4x slower than C\n\n",
+    },
+    Experiment {
+        flag: "--e4",
+        banner: "== E4: client-side evaluation vs SQL translation (§5) =======================",
+        run: || checked(e4::render, Some(e4::check_claims), &e4::run(&[2, 6, 12])),
+        footer:
+            "paper: \"significant advantage to translate the conditions ... entirely into SQL\"\n\n",
+    },
+    Experiment {
+        flag: "--e5",
+        banner: "== E5: COSY ranked analysis (§3/§4) ==========================================",
+        run: || checked(e5::render, Some(e5::check_claims), &e5::run()),
+        footer: "\n",
+    },
+    Experiment {
+        flag: "--e6",
+        banner: "== E6: total cost vs processor count (§4.2 semantics) =======================",
+        run: || checked(e6::render, Some(e6::check_claims), &e6::run(E6_PES)),
+        footer: "\n",
+    },
+    Experiment {
+        flag: "--e7",
+        banner: "== E7: work-distribution ablation ===========================================",
+        run: || checked(e7::render, Some(e7::check_claims), &e7::run(&[2, 10])),
+        footer: "\n",
+    },
+    Experiment {
+        flag: "--e8",
+        banner: "== E8: online ingestion — incremental vs batch re-analysis ==================",
+        run: || checked(e8::render, Some(e8::check_claims), &e8::run(50)),
+        footer: "claim: single-run append ≥ 10x faster incrementally than full re-analysis\n\n",
+    },
+    Experiment {
+        flag: "--e9",
+        banner: "== E9: compiled-IR evaluation vs interpreter =================================",
+        run: || tracked(e9::render, e9::check_claims, e9::to_json, &e9::run()),
+        footer: "claim: compiled path ≥ 2x faster than the interpreter on E5 and E8 shapes\n\n",
+    },
+    Experiment {
+        flag: "--e10",
+        banner: "== E10: durable sessions — WAL append overhead & recovery time ==============",
+        run: || tracked(e10::render, e10::check_claims, e10::to_json, &e10::run()),
+        footer:
+            "claim: snapshot recovery ≥ 1.5x faster than full WAL replay, reports identical\n\n",
+    },
+    Experiment {
+        flag: "--e11",
+        banner: "== E11: sharded engine — shard-per-WAL ingest throughput ====================",
+        run: || tracked(e11::render, e11::check_claims, e11::to_json, &e11::run()),
+        footer: "claim: reports identical at every shard count; multi-shard throughput >= 1x \
+                 single-shard on multicore hosts\n\n",
+    },
+    Experiment {
+        flag: "--e12",
+        banner: "== E12: wire protocol — loopback TCP ingest vs in-process ===================",
+        run: || tracked(e12::render, e12::check_claims, e12::to_json, &e12::run()),
+        footer: "claim: reports identical over the wire; loopback throughput within a reported \
+                 factor of in-process ingest\n\n",
+    },
+    Experiment {
+        flag: "--e13",
+        banner: "== E13: observability — stage latency breakdown + overhead gate =============",
+        run: || tracked(e13::render, e13::check_claims, e13::to_json, &e13::run()),
+        footer: "claim: every hot stage histogram is live at 1 and 4 shards; always-on \
+                 instrumentation costs <= 3% ingest throughput\n\n",
+    },
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = (args.iter()).find(|a| EXPERIMENTS.iter().all(|e| e.flag != a.as_str())) {
+        let flags: Vec<&str> = EXPERIMENTS.iter().map(|e| e.flag).collect();
+        eprintln!("harness: unknown argument `{bad}`");
+        eprintln!("valid flags (none = run all): {}", flags.join(" "));
+        std::process::exit(2);
+    }
+
+    let mut failures = Vec::new();
+    let wanted = |e: &&Experiment| args.is_empty() || args.iter().any(|a| a == e.flag);
+    for exp in EXPERIMENTS.iter().filter(wanted) {
+        println!("{}\n", exp.banner);
+        let outcome = (exp.run)();
+        println!("{}", outcome.text);
+        let name = &exp.flag[2..];
+        match outcome.claim {
+            Some(Ok(())) => println!("[{}] paper-shape claims hold", name.to_uppercase()),
+            Some(Err(e)) => {
+                println!("[{}] CLAIM FAILED: {e}", name.to_uppercase());
+                failures.push(format!("{}: {e}", name.to_uppercase()));
+            }
+            None => {}
+        }
+        if let Some(json) = outcome.json {
+            let file = format!("BENCH_{name}.json");
+            match std::fs::write(&file, &json) {
+                Ok(()) => println!("wrote {file}"),
+                Err(e) => println!("could not write {file}: {e}"),
+            }
+        }
+        print!("{}", exp.footer);
+    }
+
+    if !failures.is_empty() {
+        println!("CLAIM CHECK FAILURES:\n  {}", failures.join("\n  "));
+        std::process::exit(1);
+    }
+    println!("all checked paper claims reproduced");
 }

@@ -61,8 +61,11 @@ pub fn run() -> Vec<E5Result> {
     out
 }
 
-/// Render the E5 summary table (full reports printed separately).
-pub fn render_summary(results: &[E5Result]) -> String {
+/// Render every ranked report, then the E5 summary table.
+pub fn render(results: &[E5Result]) -> String {
+    let reports: String = (results.iter())
+        .map(|r| format!("{}\n", r.report_text))
+        .collect();
     let mut t = Table::new(&["application", "bottleneck", "problems", "backends agree"]);
     for r in results {
         t.row(vec![
@@ -72,7 +75,7 @@ pub fn render_summary(results: &[E5Result]) -> String {
             if r.backends_agree { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    t.render()
+    reports + &t.render()
 }
 
 /// Expected bottleneck signatures per archetype.

@@ -1,4 +1,4 @@
-//! The experiments E1–E13 (see DESIGN.md §4 for the index).
+//! The experiments E1–E13 (see the README's "Quick start" for the index).
 
 pub mod e10_durability;
 pub mod e11_sharding;

@@ -1,6 +1,6 @@
 //! `unit-mismatch`: the flow pass infers a unit/dimension for every
 //! numeric expression (time, count, bytes and their quotients, seeded
-//! from the [`perfdata`] attribute schema) and this rule reports the
+//! from the `perfdata` attribute schema) and this rule reports the
 //! sites where an addition, subtraction or ordered comparison mixes
 //! two *different proven* dimensions — adding a time to a count,
 //! comparing a ratio against a time. Dimensionless or unknown operands

@@ -1,5 +1,5 @@
-//! Query execution: expression evaluation, scans, joins, grouping,
-//! ordering and projection.
+//! Query execution: expression evaluation, the table scan, whole-set
+//! aggregates, ordering and projection.
 //!
 //! ## Dialect notes (documented simplifications)
 //!
@@ -9,20 +9,19 @@
 //!   `IS NULL`. NULL in a boolean context is false.
 //! * Aggregates skip NULLs; `COUNT(*)` counts rows; `SUM`/`MIN`/`MAX` of an
 //!   empty set are NULL, `COUNT` is 0.
-//! * In grouped queries, a plain column reference resolves against the
-//!   first row of the group (valid for group keys, which is what the
-//!   generated queries use).
+//! * A SELECT whose items contain an aggregate produces one row over the
+//!   whole filtered row set; a bare column of the scanned table has no
+//!   value there and is an error.
 //! * Correlated scalar subqueries are re-evaluated per outer row (no
 //!   memoization) — the honest cost model for the paper's client-vs-SQL
 //!   work-distribution experiment.
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
-use crate::plan::{plan_from, Layout, LayoutCol, ScanPlan};
+use crate::plan::{plan_scan, Layout, ScanPlan};
 use crate::sql::ast::*;
 use crate::value::{Row, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Execution statistics, accumulated across subqueries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,27 +46,23 @@ impl<'a> Frames<'a> {
         Frames { stack: Vec::new() }
     }
 
-    fn with(&self, layout: &'a Layout, row: &'a [Value]) -> Frames<'a> {
+    /// The frames a subquery of an expression over `input` sees: a row
+    /// becomes the innermost frame, a row set adds nothing.
+    fn with(&self, layout: &'a Layout, input: Input<'a>) -> Frames<'a> {
         let mut stack = self.stack.clone();
-        stack.push((layout, row));
+        if let Input::Row(row) = input {
+            stack.push((layout, row));
+        }
         Frames { stack }
     }
 
     fn resolve(&self, table: Option<&str>, column: &str) -> Option<Value> {
         for (layout, row) in self.stack.iter().rev() {
-            if let Some(slot) = layout.try_resolve(table, column) {
+            if let Some(slot) = layout.slot(table, column) {
                 return Some(row[slot].clone());
             }
         }
         None
-    }
-}
-
-impl<'a> Clone for Frames<'a> {
-    fn clone(&self) -> Self {
-        Frames {
-            stack: self.stack.clone(),
-        }
     }
 }
 
@@ -140,36 +135,11 @@ fn numeric_binop(op: SqlBinOp, a: &Value, b: &Value) -> DbResult<Value> {
 
 fn scalar_function(name: &str, args: &[Value]) -> DbResult<Value> {
     match (name, args) {
-        ("ABS", [v]) => match v {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(i.abs())),
-            Value::Float(f) => Ok(Value::Float(f.abs())),
-            other => Err(DbError::Eval(format!("ABS of non-number {other}"))),
-        },
         ("COALESCE", vs) => Ok(vs
             .iter()
             .find(|v| !v.is_null())
             .cloned()
             .unwrap_or(Value::Null)),
-        ("LENGTH", [Value::Text(s)]) => Ok(Value::Int(s.len() as i64)),
-        ("LENGTH", [Value::Null]) => Ok(Value::Null),
-        ("UPPER", [Value::Text(s)]) => Ok(Value::Text(s.to_uppercase())),
-        ("LOWER", [Value::Text(s)]) => Ok(Value::Text(s.to_lowercase())),
-        ("ROUND", [v]) => match v {
-            Value::Float(f) => Ok(Value::Float(f.round())),
-            Value::Int(i) => Ok(Value::Int(*i)),
-            Value::Null => Ok(Value::Null),
-            other => Err(DbError::Eval(format!("ROUND of non-number {other}"))),
-        },
-        ("ROUND", [v, Value::Int(d)]) => match v {
-            Value::Float(f) => {
-                let m = 10f64.powi(*d as i32);
-                Ok(Value::Float((f * m).round() / m))
-            }
-            Value::Int(i) => Ok(Value::Int(*i)),
-            Value::Null => Ok(Value::Null),
-            other => Err(DbError::Eval(format!("ROUND of non-number {other}"))),
-        },
         ("GREATEST" | "LEAST", vs) if !vs.is_empty() => {
             let want_greater = name == "GREATEST";
             let mut best: Option<&Value> = None;
@@ -200,38 +170,104 @@ fn scalar_function(name: &str, args: &[Value]) -> DbResult<Value> {
     }
 }
 
-/// Evaluate a scalar expression against one row.
+/// What an expression is evaluated over.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// One row of the layout's table (empty for a table-less SELECT and
+    /// for `INSERT` values).
+    Row(&'a [Value]),
+    /// The whole filtered row set — the items of an aggregate query.
+    /// Aggregate calls fold over it.
+    Set(&'a [Row]),
+}
+
+/// Fold one aggregate call over a row set.
+fn aggregate(
+    db: &Database,
+    func: AggFunc,
+    arg: Option<&SqlExpr>,
+    layout: &Layout,
+    rows: &[Row],
+    frames: &Frames<'_>,
+    stats: &mut ExecStats,
+) -> DbResult<Value> {
+    // COUNT(*)
+    let Some(arg) = arg else {
+        return Ok(Value::Int(rows.len() as i64));
+    };
+    let mut vals = Vec::with_capacity(rows.len());
+    for row in rows {
+        let v = eval_expr(db, arg, layout, Input::Row(row), frames, stats)?;
+        if !v.is_null() {
+            vals.push(v);
+        }
+    }
+    let float_sum = |vals: &[Value]| -> DbResult<f64> {
+        let mut acc = 0.0;
+        for v in vals {
+            acc += v
+                .as_f64()
+                .ok_or_else(|| DbError::Eval(format!("{} of non-numeric {v}", func.name())))?;
+        }
+        Ok(acc)
+    };
+    match func {
+        AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
+        AggFunc::Sum | AggFunc::Avg if vals.is_empty() => Ok(Value::Null),
+        AggFunc::Sum if vals.iter().all(|v| matches!(v, Value::Int(_))) => {
+            Ok(Value::Int(vals.iter().filter_map(Value::as_i64).sum()))
+        }
+        AggFunc::Sum => Ok(Value::Float(float_sum(&vals)?)),
+        AggFunc::Avg => Ok(Value::Float(float_sum(&vals)? / vals.len() as f64)),
+        AggFunc::Min | AggFunc::Max => {
+            let mut best: Option<Value> = None;
+            for v in vals {
+                best = Some(match best {
+                    None => v,
+                    Some(b) => match v.compare(&b) {
+                        Some(Ordering::Less) if func == AggFunc::Min => v,
+                        Some(Ordering::Greater) if func == AggFunc::Max => v,
+                        None => {
+                            return Err(DbError::Eval("MIN/MAX over incomparable values".into()))
+                        }
+                        _ => b,
+                    },
+                });
+            }
+            Ok(best.unwrap_or(Value::Null))
+        }
+    }
+}
+
+/// Evaluate an expression over one row or, for the items of an aggregate
+/// query, over the whole row set.
 pub fn eval_expr(
     db: &Database,
     e: &SqlExpr,
     layout: &Layout,
-    row: &[Value],
+    input: Input<'_>,
     frames: &Frames<'_>,
     stats: &mut ExecStats,
 ) -> DbResult<Value> {
     match e {
         SqlExpr::Lit(v) => Ok(v.clone()),
-        SqlExpr::Col { table, column } => match layout.resolution(table.as_deref(), column) {
-            crate::plan::Resolution::Slot(slot) => Ok(row[slot].clone()),
-            crate::plan::Resolution::Ambiguous => Err(DbError::Semantic(format!(
-                "ambiguous column `{column}`; qualify it"
+        SqlExpr::Col { table, column } => match (layout.slot(table.as_deref(), column), input) {
+            (Some(slot), Input::Row(row)) => Ok(row[slot].clone()),
+            (Some(_), Input::Set(_)) => Err(DbError::Semantic(format!(
+                "column `{column}` outside an aggregate call in an aggregate query"
             ))),
-            crate::plan::Resolution::Absent => {
-                if let Some(v) = frames.resolve(table.as_deref(), column) {
-                    Ok(v)
-                } else {
-                    Err(DbError::Semantic(format!(
-                        "unknown column `{}{column}`",
-                        table
-                            .as_deref()
-                            .map(|t| format!("{t}."))
-                            .unwrap_or_default()
-                    )))
-                }
-            }
+            (None, _) => frames.resolve(table.as_deref(), column).ok_or_else(|| {
+                DbError::Semantic(format!(
+                    "unknown column `{}{column}`",
+                    table
+                        .as_deref()
+                        .map(|t| format!("{t}."))
+                        .unwrap_or_default()
+                ))
+            }),
         },
         SqlExpr::Neg(inner) => {
-            let v = eval_expr(db, inner, layout, row, frames, stats)?;
+            let v = eval_expr(db, inner, layout, input, frames, stats)?;
             match v {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => Ok(Value::Int(-i)),
@@ -240,24 +276,24 @@ pub fn eval_expr(
             }
         }
         SqlExpr::Not(inner) => {
-            let v = eval_expr(db, inner, layout, row, frames, stats)?;
+            let v = eval_expr(db, inner, layout, input, frames, stats)?;
             Ok(Value::Bool(!truthy(&v)?))
         }
         SqlExpr::Binary(op, a, b) => match op {
             SqlBinOp::And => {
-                let va = eval_expr(db, a, layout, row, frames, stats)?;
+                let va = eval_expr(db, a, layout, input, frames, stats)?;
                 if !truthy(&va)? {
                     return Ok(Value::Bool(false));
                 }
-                let vb = eval_expr(db, b, layout, row, frames, stats)?;
+                let vb = eval_expr(db, b, layout, input, frames, stats)?;
                 Ok(Value::Bool(truthy(&vb)?))
             }
             SqlBinOp::Or => {
-                let va = eval_expr(db, a, layout, row, frames, stats)?;
+                let va = eval_expr(db, a, layout, input, frames, stats)?;
                 if truthy(&va)? {
                     return Ok(Value::Bool(true));
                 }
-                let vb = eval_expr(db, b, layout, row, frames, stats)?;
+                let vb = eval_expr(db, b, layout, input, frames, stats)?;
                 Ok(Value::Bool(truthy(&vb)?))
             }
             SqlBinOp::Eq
@@ -266,8 +302,8 @@ pub fn eval_expr(
             | SqlBinOp::Le
             | SqlBinOp::Gt
             | SqlBinOp::Ge => {
-                let va = eval_expr(db, a, layout, row, frames, stats)?;
-                let vb = eval_expr(db, b, layout, row, frames, stats)?;
+                let va = eval_expr(db, a, layout, input, frames, stats)?;
+                let vb = eval_expr(db, b, layout, input, frames, stats)?;
                 let r = match va.compare(&vb) {
                     None => false, // dialect: unknown is false
                     Some(ord) => match op {
@@ -283,40 +319,40 @@ pub fn eval_expr(
                 Ok(Value::Bool(r))
             }
             _ => {
-                let va = eval_expr(db, a, layout, row, frames, stats)?;
-                let vb = eval_expr(db, b, layout, row, frames, stats)?;
+                let va = eval_expr(db, a, layout, input, frames, stats)?;
+                let vb = eval_expr(db, b, layout, input, frames, stats)?;
                 numeric_binop(*op, &va, &vb)
             }
         },
-        SqlExpr::IsNull(inner, negated) => {
-            let v = eval_expr(db, inner, layout, row, frames, stats)?;
-            Ok(Value::Bool(v.is_null() != *negated))
+        SqlExpr::IsNull(inner) => {
+            let v = eval_expr(db, inner, layout, input, frames, stats)?;
+            Ok(Value::Bool(v.is_null()))
         }
-        SqlExpr::InList(x, list, negated) => {
-            let vx = eval_expr(db, x, layout, row, frames, stats)?;
-            let mut found = false;
+        SqlExpr::InList(x, list) => {
+            let vx = eval_expr(db, x, layout, input, frames, stats)?;
             for item in list {
-                let vi = eval_expr(db, item, layout, row, frames, stats)?;
+                let vi = eval_expr(db, item, layout, input, frames, stats)?;
                 if vx.compare(&vi) == Some(Ordering::Equal) {
-                    found = true;
-                    break;
+                    return Ok(Value::Bool(true));
                 }
             }
-            Ok(Value::Bool(found != *negated))
+            Ok(Value::Bool(false))
         }
-        SqlExpr::Agg { .. } => Err(DbError::Semantic(
-            "aggregate used outside a grouped query".into(),
-        )),
+        SqlExpr::Agg { func, arg } => match input {
+            Input::Set(rows) => aggregate(db, *func, arg.as_deref(), layout, rows, frames, stats),
+            Input::Row(_) => Err(DbError::Semantic(
+                "aggregate used outside the SELECT list".into(),
+            )),
+        },
         SqlExpr::Func { name, args } => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval_expr(db, a, layout, row, frames, stats)?);
+                vals.push(eval_expr(db, a, layout, input, frames, stats)?);
             }
             scalar_function(name, &vals)
         }
         SqlExpr::Subquery(sub) => {
-            let inner_frames = frames.with(layout, row);
-            let (_, rows) = run_select(db, sub, &inner_frames, stats)?;
+            let (_, rows) = run_select(db, sub, &frames.with(layout, input), stats)?;
             match rows.len() {
                 0 => Ok(Value::Null),
                 1 => {
@@ -332,214 +368,30 @@ pub fn eval_expr(
             }
         }
         SqlExpr::Exists(sub) => {
-            let inner_frames = frames.with(layout, row);
-            let (_, rows) = run_select(db, sub, &inner_frames, stats)?;
+            let (_, rows) = run_select(db, sub, &frames.with(layout, input), stats)?;
             Ok(Value::Bool(!rows.is_empty()))
         }
     }
 }
 
-/// Evaluate an expression in a *group* context: aggregate nodes combine over
-/// the group's rows, plain columns resolve against the group's first row.
-fn eval_group_expr(
-    db: &Database,
-    e: &SqlExpr,
-    layout: &Layout,
-    group: &[Row],
-    frames: &Frames<'_>,
-    stats: &mut ExecStats,
-) -> DbResult<Value> {
-    match e {
-        SqlExpr::Agg {
-            func,
-            arg,
-            distinct,
-        } => {
-            // COUNT(*)
-            let Some(arg) = arg else {
-                return Ok(Value::Int(group.len() as i64));
-            };
-            let mut vals = Vec::with_capacity(group.len());
-            for row in group {
-                let v = eval_expr(db, arg, layout, row, frames, stats)?;
-                if !v.is_null() {
-                    vals.push(v);
-                }
-            }
-            if *distinct {
-                let mut seen = std::collections::HashSet::new();
-                vals.retain(|v| seen.insert(v.clone()));
-            }
-            match func {
-                AggFunc::Count => Ok(Value::Int(vals.len() as i64)),
-                AggFunc::Sum => {
-                    if vals.is_empty() {
-                        return Ok(Value::Null);
-                    }
-                    if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                        Ok(Value::Int(vals.iter().map(|v| v.as_i64().unwrap()).sum()))
-                    } else {
-                        let mut acc = 0.0;
-                        for v in &vals {
-                            acc += v
-                                .as_f64()
-                                .ok_or_else(|| DbError::Eval(format!("SUM of non-numeric {v}")))?;
-                        }
-                        Ok(Value::Float(acc))
-                    }
-                }
-                AggFunc::Avg => {
-                    if vals.is_empty() {
-                        return Ok(Value::Null);
-                    }
-                    let mut acc = 0.0;
-                    for v in &vals {
-                        acc += v
-                            .as_f64()
-                            .ok_or_else(|| DbError::Eval(format!("AVG of non-numeric {v}")))?;
-                    }
-                    Ok(Value::Float(acc / vals.len() as f64))
-                }
-                AggFunc::Min | AggFunc::Max => {
-                    let mut best: Option<Value> = None;
-                    for v in vals {
-                        best = Some(match best {
-                            None => v,
-                            Some(b) => match v.compare(&b) {
-                                Some(Ordering::Less) if *func == AggFunc::Min => v,
-                                Some(Ordering::Greater) if *func == AggFunc::Max => v,
-                                None => {
-                                    return Err(DbError::Eval(
-                                        "MIN/MAX over incomparable values".into(),
-                                    ))
-                                }
-                                _ => b,
-                            },
-                        });
-                    }
-                    Ok(best.unwrap_or(Value::Null))
-                }
-            }
-        }
-        // Recurse structurally so aggregates nested in arithmetic work
-        // (e.g. `SUM(t.Time) / 4`).
-        SqlExpr::Neg(i) => {
-            let v = eval_group_expr(db, i, layout, group, frames, stats)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Int(x) => Ok(Value::Int(-x)),
-                Value::Float(x) => Ok(Value::Float(-x)),
-                other => Err(DbError::Eval(format!("cannot negate {other}"))),
-            }
-        }
-        SqlExpr::Not(i) => {
-            let v = eval_group_expr(db, i, layout, group, frames, stats)?;
-            Ok(Value::Bool(!truthy(&v)?))
-        }
-        SqlExpr::Binary(op, a, b) => match op {
-            SqlBinOp::And
-            | SqlBinOp::Or
-            | SqlBinOp::Eq
-            | SqlBinOp::Neq
-            | SqlBinOp::Lt
-            | SqlBinOp::Le
-            | SqlBinOp::Gt
-            | SqlBinOp::Ge => {
-                let va = eval_group_expr(db, a, layout, group, frames, stats)?;
-                let vb = eval_group_expr(db, b, layout, group, frames, stats)?;
-                match op {
-                    SqlBinOp::And => Ok(Value::Bool(truthy(&va)? && truthy(&vb)?)),
-                    SqlBinOp::Or => Ok(Value::Bool(truthy(&va)? || truthy(&vb)?)),
-                    _ => {
-                        let r = match va.compare(&vb) {
-                            None => false,
-                            Some(ord) => match op {
-                                SqlBinOp::Eq => ord == Ordering::Equal,
-                                SqlBinOp::Neq => ord != Ordering::Equal,
-                                SqlBinOp::Lt => ord == Ordering::Less,
-                                SqlBinOp::Le => ord != Ordering::Greater,
-                                SqlBinOp::Gt => ord == Ordering::Greater,
-                                SqlBinOp::Ge => ord != Ordering::Less,
-                                _ => unreachable!(),
-                            },
-                        };
-                        Ok(Value::Bool(r))
-                    }
-                }
-            }
-            _ => {
-                let va = eval_group_expr(db, a, layout, group, frames, stats)?;
-                let vb = eval_group_expr(db, b, layout, group, frames, stats)?;
-                numeric_binop(*op, &va, &vb)
-            }
-        },
-        SqlExpr::Func { name, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_group_expr(db, a, layout, group, frames, stats)?);
-            }
-            scalar_function(name, &vals)
-        }
-        SqlExpr::IsNull(i, neg) => {
-            let v = eval_group_expr(db, i, layout, group, frames, stats)?;
-            Ok(Value::Bool(v.is_null() != *neg))
-        }
-        SqlExpr::InList(x, list, neg) => {
-            let vx = eval_group_expr(db, x, layout, group, frames, stats)?;
-            let mut found = false;
-            for item in list {
-                let vi = eval_group_expr(db, item, layout, group, frames, stats)?;
-                if vx.compare(&vi) == Some(Ordering::Equal) {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Bool(found != *neg))
-        }
-        // Non-aggregate leaf: resolve against the group's representative row.
-        other => {
-            let rep: &[Value] = group.first().map(|r| r.as_slice()).unwrap_or(&[]);
-            eval_expr(db, other, layout, rep, frames, stats)
-        }
-    }
-}
-
-/// Scan one table according to its plan, producing rows (cloned values).
+/// Scan the FROM table according to its plan, producing the rows that pass
+/// every predicate (cloned values).
 fn scan_table(
     db: &Database,
-    real_table: &str,
-    visible: &str,
-    scan: &ScanPlan,
+    plan: &ScanPlan,
     frames: &Frames<'_>,
     stats: &mut ExecStats,
 ) -> DbResult<Vec<Row>> {
     let table = db
-        .table(real_table)
-        .ok_or_else(|| DbError::Catalog(format!("unknown table `{real_table}`")))?;
-    // Single-table layout for filter evaluation.
-    let layout = Layout {
-        cols: table
-            .schema
-            .columns
-            .iter()
-            .map(|c| LayoutCol {
-                table: visible.to_string(),
-                column: c.name.clone(),
-            })
-            .collect(),
-        tables: vec![(
-            visible.to_string(),
-            real_table.to_string(),
-            0,
-            table.schema.arity(),
-        )],
-    };
+        .table(&plan.table)
+        .ok_or_else(|| DbError::Catalog(format!("unknown table `{}`", plan.table)))?;
+    let layout = &plan.layout;
 
-    let candidates: Vec<&Row> = if let Some(lookup) = &scan.index {
+    let candidates: Vec<&Row> = if let Some(lookup) = &plan.index {
         stats.index_lookups += 1;
         // The key expression references no columns of this table: evaluate
         // it once against the outer frames (correlated point lookup).
-        let key = eval_expr(db, &lookup.key, &layout, &[], frames, stats)?;
+        let key = eval_expr(db, &lookup.key, layout, Input::Row(&[]), frames, stats)?;
         if key.is_null() {
             Vec::new() // x = NULL matches nothing
         } else {
@@ -562,14 +414,14 @@ fn scan_table(
             }
         }
     } else {
-        table.iter().map(|(_, r)| r).collect()
+        table.rows().iter().collect()
     };
     stats.rows_scanned += candidates.len() as u64;
 
     let mut out = Vec::new();
     'rows: for row in candidates {
-        for f in &scan.filters {
-            let v = eval_expr(db, f, &layout, row, frames, stats)?;
+        for p in &plan.predicates {
+            let v = eval_expr(db, p, layout, Input::Row(row), frames, stats)?;
             if !truthy(&v)? {
                 continue 'rows;
             }
@@ -587,231 +439,78 @@ pub fn run_select(
     stats: &mut ExecStats,
 ) -> DbResult<(Vec<String>, Vec<Row>)> {
     // ---- FROM / WHERE ----------------------------------------------------
-    let plan = plan_from(db, sel)?;
-    let layout = &plan.layout;
-
-    let mut rows: Vec<Row> = if sel.from.is_none() {
-        vec![Vec::new()] // one empty row for table-less SELECT
-    } else {
-        let (visible, real, _, _) = &layout.tables[0];
-        scan_table(db, real, visible, &plan.scans[0], frames, stats)?
-    };
-
-    for (k, jp) in plan.joins.iter().enumerate() {
-        let right_idx = k + 1;
-        let (visible, real, start, _) = &layout.tables[right_idx];
-        let right_rows = scan_table(db, real, visible, &plan.scans[right_idx], frames, stats)?;
-        // Layout covering tables 0..=right for predicate evaluation.
-        let accum_layout = Layout {
-            cols: layout.cols[..layout.tables[right_idx].3].to_vec(),
-            tables: layout.tables[..=right_idx].to_vec(),
-        };
-        let right_layout = Layout {
-            cols: layout.cols[*start..layout.tables[right_idx].3].to_vec(),
-            tables: vec![(
-                visible.clone(),
-                real.clone(),
-                0,
-                layout.tables[right_idx].3 - start,
-            )],
-        };
-
-        let mut combined = Vec::new();
-        if let Some((lkey, rkey)) = &jp.hash_key {
-            // Build on the right side.
-            let mut hash: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, r) in right_rows.iter().enumerate() {
-                let v = eval_expr(db, rkey, &right_layout, r, frames, stats)?;
-                if !v.is_null() {
-                    hash.entry(v).or_default().push(i);
-                }
-            }
-            // Probe with the left side. The left layout is a prefix of the
-            // accumulated layout.
-            let left_layout = Layout {
-                cols: layout.cols[..*start].to_vec(),
-                tables: layout.tables[..right_idx].to_vec(),
-            };
-            for lrow in rows {
-                let v = eval_expr(db, lkey, &left_layout, &lrow, frames, stats)?;
-                if v.is_null() {
-                    continue;
-                }
-                if let Some(matches) = hash.get(&v) {
-                    'matches: for &ri in matches {
-                        let mut row = lrow.clone();
-                        row.extend(right_rows[ri].iter().cloned());
-                        for p in &jp.predicates {
-                            let pv = eval_expr(db, p, &accum_layout, &row, frames, stats)?;
-                            if !truthy(&pv)? {
-                                continue 'matches;
-                            }
-                        }
-                        combined.push(row);
-                    }
-                }
-            }
-        } else {
-            for lrow in &rows {
-                'right: for rrow in &right_rows {
-                    let mut row = lrow.clone();
-                    row.extend(rrow.iter().cloned());
-                    for p in &jp.predicates {
-                        let pv = eval_expr(db, p, &accum_layout, &row, frames, stats)?;
-                        if !truthy(&pv)? {
-                            continue 'right;
-                        }
-                    }
-                    combined.push(row);
-                }
-            }
-        }
-        rows = combined;
-    }
-
-    // Residual predicates (subqueries, multi-table non-join conjuncts).
-    if !plan.residual.is_empty() {
-        let mut filtered = Vec::with_capacity(rows.len());
-        'res: for row in rows {
-            for p in &plan.residual {
-                let v = eval_expr(db, p, layout, &row, frames, stats)?;
+    let plan = plan_scan(db, sel)?;
+    let no_table = Layout::default();
+    let (layout, rows) = match &plan {
+        Some(plan) => (&plan.layout, scan_table(db, plan, frames, stats)?),
+        // One empty row for a table-less SELECT; a WHERE is evaluated on it.
+        None => {
+            let mut rows = vec![Vec::new()];
+            if let Some(w) = &sel.where_ {
+                let v = eval_expr(db, w, &no_table, Input::Row(&[]), frames, stats)?;
                 if !truthy(&v)? {
-                    continue 'res;
+                    rows.clear();
                 }
             }
-            filtered.push(row);
-        }
-        rows = filtered;
-    }
-
-    // ---- projection set-up -------------------------------------------------
-    // Expand stars and derive output names.
-    let mut out_items: Vec<(SqlExpr, String)> = Vec::new();
-    for (i, item) in sel.items.iter().enumerate() {
-        match item {
-            SelectItem::Star => {
-                for c in &layout.cols {
-                    out_items.push((
-                        SqlExpr::Col {
-                            table: Some(c.table.clone()),
-                            column: c.column.clone(),
-                        },
-                        c.column.clone(),
-                    ));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    SqlExpr::Col { column, .. } => column.clone(),
-                    SqlExpr::Agg { func, .. } => func.name().to_string(),
-                    _ => format!("col{}", i + 1),
-                });
-                out_items.push((expr.clone(), name));
-            }
-        }
-    }
-    let columns: Vec<String> = out_items.iter().map(|(_, n)| n.clone()).collect();
-
-    let has_agg = !sel.group_by.is_empty()
-        || out_items.iter().any(|(e, _)| e.contains_aggregate())
-        || sel.having.as_ref().is_some_and(SqlExpr::contains_aggregate);
-
-    // Resolve an ORDER BY expression: an alias of an output column wins,
-    // otherwise the expression is evaluated in the row/group context.
-    let order_slot = |e: &SqlExpr| -> Option<usize> {
-        if let SqlExpr::Col {
-            table: None,
-            column,
-        } = e
-        {
-            columns.iter().position(|c| c.eq_ignore_ascii_case(column))
-        } else {
-            None
+            (&no_table, rows)
         }
     };
 
-    // ---- aggregation or plain projection -----------------------------------
-    // Produce (output_row, sort_keys).
-    let mut produced: Vec<(Row, Vec<Value>)> = Vec::new();
-    if has_agg {
-        // Group rows.
-        let mut order: Vec<Vec<Value>> = Vec::new(); // key per group
-        let mut groups: Vec<Vec<Row>> = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        if sel.group_by.is_empty() {
-            order.push(Vec::new());
-            groups.push(rows);
-        } else {
-            for row in rows {
-                let mut key = Vec::with_capacity(sel.group_by.len());
-                for g in &sel.group_by {
-                    key.push(eval_expr(db, g, layout, &row, frames, stats)?);
-                }
-                let gi = *index.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[gi].push(row);
-            }
-        }
-        for group in &groups {
-            if let Some(h) = &sel.having {
-                let hv = eval_group_expr(db, h, layout, group, frames, stats)?;
-                if !truthy(&hv)? {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(out_items.len());
-            for (e, _) in &out_items {
-                out.push(eval_group_expr(db, e, layout, group, frames, stats)?);
-            }
-            let mut keys = Vec::with_capacity(sel.order_by.len());
-            for (oe, _) in &sel.order_by {
-                match order_slot(oe) {
-                    Some(slot) => keys.push(out[slot].clone()),
-                    None => keys.push(eval_group_expr(db, oe, layout, group, frames, stats)?),
-                }
-            }
-            produced.push((out, keys));
-        }
+    // ---- projection ------------------------------------------------------
+    let columns: Vec<String> = sel
+        .items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            item.alias.clone().unwrap_or_else(|| match &item.expr {
+                SqlExpr::Col { column, .. } => column.clone(),
+                SqlExpr::Agg { func, .. } => func.name().to_string(),
+                _ => format!("col{}", i + 1),
+            })
+        })
+        .collect();
+
+    // An aggregate query produces one row over the whole set, any other
+    // query one row per input row.
+    let inputs: Vec<Input<'_>> = if sel.items.iter().any(|i| i.expr.contains_aggregate()) {
+        vec![Input::Set(&rows)]
     } else {
-        for row in &rows {
-            let mut out = Vec::with_capacity(out_items.len());
-            for (e, _) in &out_items {
-                out.push(eval_expr(db, e, layout, row, frames, stats)?);
-            }
-            let mut keys = Vec::with_capacity(sel.order_by.len());
-            for (oe, _) in &sel.order_by {
-                match order_slot(oe) {
-                    Some(slot) => keys.push(out[slot].clone()),
-                    None => keys.push(eval_expr(db, oe, layout, row, frames, stats)?),
-                }
-            }
-            produced.push((out, keys));
+        rows.iter().map(|r| Input::Row(r)).collect()
+    };
+
+    // Produce (output_row, sort_keys). An ORDER BY expression naming an
+    // output column sorts by it, anything else is evaluated on the input.
+    let mut produced: Vec<(Row, Vec<Value>)> = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        let mut out = Vec::with_capacity(sel.items.len());
+        for item in &sel.items {
+            out.push(eval_expr(db, &item.expr, layout, input, frames, stats)?);
         }
+        let mut keys = Vec::with_capacity(sel.order_by.len());
+        for oe in &sel.order_by {
+            let output_slot = match oe {
+                SqlExpr::Col {
+                    table: None,
+                    column,
+                } => columns.iter().position(|c| c.eq_ignore_ascii_case(column)),
+                _ => None,
+            };
+            keys.push(match output_slot {
+                Some(slot) => out[slot].clone(),
+                None => eval_expr(db, oe, layout, input, frames, stats)?,
+            });
+        }
+        produced.push((out, keys));
     }
 
-    // ---- DISTINCT / ORDER BY / LIMIT ---------------------------------------
-    if sel.distinct {
-        let mut seen = std::collections::HashSet::new();
-        produced.retain(|(row, _)| seen.insert(row.clone()));
-    }
     if !sel.order_by.is_empty() {
-        let descs: Vec<bool> = sel.order_by.iter().map(|(_, d)| *d).collect();
         produced.sort_by(|(_, ka), (_, kb)| {
-            for (i, desc) in descs.iter().enumerate() {
-                let ord = ka[i].sort_cmp(&kb[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
+            ka.iter()
+                .zip(kb)
+                .map(|(a, b)| a.sort_cmp(b))
+                .find(|ord| *ord != Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
         });
-    }
-    if let Some(limit) = sel.limit {
-        produced.truncate(limit as usize);
     }
 
     let rows: Vec<Row> = produced.into_iter().map(|(r, _)| r).collect();

@@ -4,14 +4,16 @@
 //! relational database (§3) and evaluates ASL property conditions as SQL
 //! queries (§5), reporting experiments with Oracle 7, MS Access, MS SQL
 //! Server and Postgres over JDBC. None of those 1999 systems is available
-//! here, so this crate provides both halves of the substitution
-//! (DESIGN.md §2):
+//! here, so this crate provides both halves of the substitution (README,
+//! "SQL path (frozen paper reproduction)"):
 //!
-//! 1. **A real embedded relational engine**, written from scratch: typed
-//!    columns, row storage, hash and ordered indexes, a hand-written SQL
-//!    parser, a logical planner with predicate pushdown and index selection,
-//!    and an executor supporting joins, grouping, aggregates, ordering and
-//!    DML ([`sql`], [`plan`], [`exec`], [`db`]).
+//! 1. **A real embedded relational engine**, written from scratch and
+//!    frozen at the SQL the reproduction sends (the grammar is listed in
+//!    [`sql`]): typed columns, append-only row storage, hash indexes, a
+//!    hand-written SQL parser, a planner with index selection for literal
+//!    and correlated keys, and an executor for single-table `SELECT`s with
+//!    correlated subqueries, whole-set aggregates and ordering ([`sql`],
+//!    [`plan`], [`exec`], [`db`]).
 //! 2. **A virtual-clock cost model** ([`remote`]) reproducing the *economics*
 //!    of the paper's client/server setups: per-statement parse cost,
 //!    per-row server cost, network round trips, and API-binding overhead

@@ -1,206 +1,71 @@
-//! Logical planning: row layouts, predicate classification, pushdown and
-//! index selection.
+//! Logical planning: the row layout of the FROM table, predicate ordering
+//! and index selection.
 //!
-//! A SELECT's FROM clause produces a *layout*: the concatenation of the
-//! columns of every referenced table, in FROM order. The planner splits the
-//! WHERE/ON conjuncts into
-//!
-//! * **scan filters** — conjuncts touching a single table, pushed to its
-//!   scan (and satisfied by a hash-index point lookup when they have the
-//!   shape `col = literal` and an index exists);
-//! * **join predicates** — conjuncts that become evaluable exactly when a
-//!   join step completes; equality predicates whose sides split across the
-//!   join become hash-join keys;
-//! * **residual predicates** — everything else (correlated subqueries,
-//!   expressions over three or more tables), evaluated after all joins.
+//! A SELECT reads at most one table. The planner splits its WHERE clause
+//! into conjuncts, turns one `col = key` conjunct into a hash-index point
+//! lookup when an index exists and the key does not depend on the scanned
+//! row, and orders the rest so that conjuncts containing subqueries run
+//! last — a correlated subquery is then evaluated only for rows the plain
+//! filters let through.
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::*;
+use crate::table::Table;
 
-/// One column slot of a row layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayoutCol {
-    /// Visible table name (alias if given).
-    pub table: String,
-    /// Column name.
-    pub column: String,
-}
-
-/// The flattened column layout of a FROM clause.
+/// The column layout of a FROM table: a column reference is a slot of this
+/// table, or else it belongs to an outer query (see
+/// [`crate::exec::Frames`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Layout {
-    /// All columns in slot order.
-    pub cols: Vec<LayoutCol>,
-    /// Per-table slot ranges `(visible_name, real_table, start, end)`.
-    pub tables: Vec<(String, String, usize, usize)>,
+    /// The name the table is visible as (its alias if one was given).
+    pub table: String,
+    /// Column names in slot order.
+    pub columns: Vec<String>,
 }
 
 impl Layout {
-    /// Build the layout for a FROM clause against the catalog.
-    pub fn build(db: &Database, from: &TableRef, joins: &[Join]) -> DbResult<Layout> {
-        let mut layout = Layout::default();
-        layout.push_table(db, from)?;
-        for j in joins {
-            layout.push_table(db, &j.table)?;
-        }
-        Ok(layout)
-    }
-
-    fn push_table(&mut self, db: &Database, tr: &TableRef) -> DbResult<()> {
-        let table = db
-            .table(&tr.table)
-            .ok_or_else(|| DbError::Catalog(format!("unknown table `{}`", tr.table)))?;
-        let visible = tr.visible_name().to_string();
-        if self
-            .tables
-            .iter()
-            .any(|(v, ..)| v.eq_ignore_ascii_case(&visible))
-        {
-            return Err(DbError::Semantic(format!(
-                "duplicate table name/alias `{visible}` in FROM"
-            )));
-        }
-        let start = self.cols.len();
-        for c in &table.schema.columns {
-            self.cols.push(LayoutCol {
-                table: visible.clone(),
-                column: c.name.clone(),
-            });
-        }
-        self.tables
-            .push((visible, tr.table.clone(), start, self.cols.len()));
-        Ok(())
-    }
-
-    /// Resolve a column reference to a slot. Qualified references must match
-    /// the table; unqualified references must be unambiguous.
-    pub fn resolve(&self, table: Option<&str>, column: &str) -> DbResult<usize> {
-        match self.try_resolve(table, column) {
-            Some(slot) => Ok(slot),
-            None => Err(DbError::Semantic(format!(
-                "unknown column `{}{column}`",
-                table.map(|t| format!("{t}.")).unwrap_or_default()
-            ))),
-        }
-    }
-
-    /// Like [`Layout::resolve`] but returns `None` instead of an error
-    /// (used for correlated-subquery resolution fallthrough).
-    pub fn try_resolve(&self, table: Option<&str>, column: &str) -> Option<usize> {
-        match self.resolution(table, column) {
-            Resolution::Slot(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Full three-way resolution of a column reference.
-    pub fn resolution(&self, table: Option<&str>, column: &str) -> Resolution {
-        match table {
-            Some(t) => self
-                .cols
+    /// The layout of `table`, visible as `visible`.
+    pub fn of(table: &Table, visible: &str) -> Layout {
+        Layout {
+            table: visible.to_string(),
+            columns: table
+                .schema
+                .columns
                 .iter()
-                .position(|c| {
-                    c.table.eq_ignore_ascii_case(t) && c.column.eq_ignore_ascii_case(column)
-                })
-                .map(Resolution::Slot)
-                .unwrap_or(Resolution::Absent),
-            None => {
-                let mut found = None;
-                for (i, c) in self.cols.iter().enumerate() {
-                    if c.column.eq_ignore_ascii_case(column) {
-                        if found.is_some() {
-                            return Resolution::Ambiguous;
-                        }
-                        found = Some(i);
-                    }
-                }
-                found.map(Resolution::Slot).unwrap_or(Resolution::Absent)
-            }
+                .map(|c| c.name.clone())
+                .collect(),
         }
     }
 
-    /// Which table span (index into `tables`) owns a slot?
-    pub fn owner_of(&self, slot: usize) -> usize {
-        self.tables
+    /// Resolve a column reference to a slot. A qualified reference must
+    /// name this table; `None` means the reference is not to this table.
+    pub fn slot(&self, table: Option<&str>, column: &str) -> Option<usize> {
+        if table.is_some_and(|t| !t.eq_ignore_ascii_case(&self.table)) {
+            return None;
+        }
+        self.columns
             .iter()
-            .position(|(_, _, s, e)| slot >= *s && slot < *e)
-            .expect("slot within layout")
+            .position(|c| c.eq_ignore_ascii_case(column))
     }
 
-    /// Analyze which slots (and what else) an expression references.
-    pub fn analyze(&self, e: &SqlExpr) -> ExprInfo {
-        let mut info = ExprInfo::default();
-        self.analyze_into(e, &mut info);
-        info
-    }
-
-    fn analyze_into(&self, e: &SqlExpr, info: &mut ExprInfo) {
-        match e {
-            SqlExpr::Lit(_) => {}
-            SqlExpr::Col { table, column } => match self.resolution(table.as_deref(), column) {
-                Resolution::Slot(s) => info.slots.push(s),
-                Resolution::Ambiguous => info.ambiguous = true,
-                // Unknown here — may be an outer (correlated) reference.
-                Resolution::Absent => info.outer = true,
-            },
-            SqlExpr::Neg(i) | SqlExpr::Not(i) | SqlExpr::IsNull(i, _) => self.analyze_into(i, info),
-            SqlExpr::Binary(_, a, b) => {
-                self.analyze_into(a, info);
-                self.analyze_into(b, info);
-            }
-            SqlExpr::InList(x, list, _) => {
-                self.analyze_into(x, info);
-                for l in list {
-                    self.analyze_into(l, info);
-                }
-            }
-            SqlExpr::Func { args, .. } => {
-                for a in args {
-                    self.analyze_into(a, info);
-                }
-            }
-            SqlExpr::Agg { .. } => info.aggregate = true,
-            SqlExpr::Subquery(_) | SqlExpr::Exists(_) => info.subquery = true,
-        }
-    }
-
-    /// Convenience: the slots of an expression, or `None` when it contains
-    /// subqueries, aggregates, ambiguous or outer references.
-    pub fn slots_of(&self, e: &SqlExpr) -> Option<Vec<usize>> {
-        let info = self.analyze(e);
-        if info.subquery || info.aggregate || info.ambiguous || info.outer {
-            None
-        } else {
-            Some(info.slots)
-        }
+    /// Does `e` read a column of this table (outside subqueries)?
+    fn reads(&self, e: &SqlExpr) -> bool {
+        e.any(&|e| match e {
+            SqlExpr::Col { table, column } => self.slot(table.as_deref(), column).is_some(),
+            _ => false,
+        })
     }
 }
 
-/// What a predicate expression references (see [`Layout::analyze`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ExprInfo {
-    /// Slots of this layout referenced by the expression.
-    pub slots: Vec<usize>,
-    /// References that do not resolve in this layout (correlated/outer).
-    pub outer: bool,
-    /// Contains a subquery (not pushable — may reference sibling tables).
-    pub subquery: bool,
-    /// Contains an aggregate call.
-    pub aggregate: bool,
-    /// Contains an ambiguous unqualified column (an error).
-    pub ambiguous: bool,
-}
-
-/// Result of resolving one column reference in a layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resolution {
-    /// Resolved to a slot.
-    Slot(usize),
-    /// Matches several columns; needs qualification.
-    Ambiguous,
-    /// Not present in this layout (possibly an outer reference).
-    Absent,
+/// Does `e` contain a subquery or an aggregate call?
+fn is_opaque(e: &SqlExpr) -> bool {
+    e.any(&|e| {
+        matches!(
+            e,
+            SqlExpr::Subquery(_) | SqlExpr::Exists(_) | SqlExpr::Agg { .. }
+        )
+    })
 }
 
 /// An index-assisted point lookup on a scan. The key expression contains no
@@ -210,188 +75,79 @@ pub enum Resolution {
 /// paper's production databases did).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexLookup {
-    /// Column index *within the table schema*.
+    /// Column index within the table schema.
     pub column: usize,
     /// The key expression (no references to the scanned table).
     pub key: SqlExpr,
 }
 
-/// The planned access path of one FROM table.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The planned access path of the FROM table.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanPlan {
-    /// Conjuncts evaluable on this table alone (slot-relative to the table).
-    pub filters: Vec<SqlExpr>,
+    /// The scanned table's real name.
+    pub table: String,
+    /// Its row layout.
+    pub layout: Layout,
     /// Optional index point lookup replacing the full scan.
     pub index: Option<IndexLookup>,
-}
-
-/// One join step.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct JoinPlan {
-    /// Hash-join key pair `(left_expr, right_expr)`; sides are expressions
-    /// over the accumulated left layout and the right table respectively.
-    pub hash_key: Option<(SqlExpr, SqlExpr)>,
-    /// Predicates checked on the combined row at this step.
+    /// The WHERE conjuncts the index did not consume: plain filters first,
+    /// conjuncts with subqueries after them.
     pub predicates: Vec<SqlExpr>,
 }
 
-/// The full FROM/WHERE plan of a SELECT.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FromPlan {
-    /// The layout of the joined row.
-    pub layout: Layout,
-    /// Access path per table (same order as `layout.tables`).
-    pub scans: Vec<ScanPlan>,
-    /// One entry per JOIN clause.
-    pub joins: Vec<JoinPlan>,
-    /// Predicates evaluated after all joins (incl. correlated subqueries).
-    pub residual: Vec<SqlExpr>,
-}
-
-/// Plan the FROM/WHERE part of a SELECT.
-pub fn plan_from(db: &Database, sel: &SelectStmt) -> DbResult<FromPlan> {
+/// Plan the FROM/WHERE part of a SELECT (`None` for a table-less SELECT).
+pub fn plan_scan(db: &Database, sel: &SelectStmt) -> DbResult<Option<ScanPlan>> {
     let Some(from) = &sel.from else {
-        return Ok(FromPlan::default());
+        return Ok(None);
     };
-    let layout = Layout::build(db, from, &sel.joins)?;
-    let n_tables = layout.tables.len();
-    let mut scans = vec![ScanPlan::default(); n_tables];
-    let mut joins = vec![JoinPlan::default(); sel.joins.len()];
-    let mut residual = Vec::new();
+    let table = db
+        .table(&from.table)
+        .ok_or_else(|| DbError::Catalog(format!("unknown table `{}`", from.table)))?;
+    let layout = Layout::of(table, from.visible_name());
 
-    // Gather all conjuncts: WHERE + each ON (ON conjuncts may not be pushed
-    // above their own join step, but since all joins are inner, pushing
-    // further down is sound).
-    let mut conjuncts: Vec<SqlExpr> = Vec::new();
-    if let Some(w) = &sel.where_ {
-        conjuncts.extend(w.clone().conjuncts());
-    }
-    for j in &sel.joins {
-        conjuncts.extend(j.on.clone().conjuncts());
-    }
+    // `col = key`, either way round, with an index on `col` and a key that
+    // is constant during the scan.
+    let as_lookup = |col: &SqlExpr, key: &SqlExpr| -> Option<IndexLookup> {
+        let SqlExpr::Col { table: t, column } = col else {
+            return None;
+        };
+        let column = layout.slot(t.as_deref(), column)?;
+        if layout.reads(key) || is_opaque(key) {
+            return None;
+        }
+        table.index_on(column)?;
+        Some(IndexLookup {
+            column,
+            key: key.clone(),
+        })
+    };
 
-    for c in conjuncts {
-        if matches!(c, SqlExpr::Lit(crate::value::Value::Bool(true))) {
-            continue; // trivial (comma joins)
-        }
-        let info = layout.analyze(&c);
-        if info.ambiguous {
-            return Err(DbError::Semantic(
-                "ambiguous unqualified column in predicate; qualify it".into(),
-            ));
-        }
-        if info.subquery || info.aggregate {
-            residual.push(c);
+    let mut index = None;
+    let mut plain = Vec::new();
+    let mut opaque = Vec::new();
+    for c in sel.where_.iter().flat_map(|w| w.clone().conjuncts()) {
+        if is_opaque(&c) {
+            opaque.push(c);
             continue;
         }
-        let owners: Vec<usize> = {
-            let mut o: Vec<usize> = info.slots.iter().map(|s| layout.owner_of(*s)).collect();
-            o.sort_unstable();
-            o.dedup();
-            o
-        };
-        match owners.len() {
-            // Only outer references / literals: constant per outer row —
-            // cheapest on the base scan.
-            0 => scans[0].filters.push(c),
-            // Single-table predicates push to that scan; outer references
-            // are fine (frames are available at scan time).
-            1 => scans[owners[0]].filters.push(c),
-            _ => {
-                // Evaluable at the join step that brings in the last
-                // referenced table. Table 0 is the base; join step k
-                // introduces table k+1.
-                let last = *owners.last().expect("non-empty");
-                let step = last - 1;
-                // Hash key detection: equality with sides splitting as
-                // (≤ last-1 tables) vs (exactly table `last`), neither side
-                // using outer references.
-                if let SqlExpr::Binary(SqlBinOp::Eq, a, b) = &c {
-                    let (sa, sb) = (layout.slots_of(a), layout.slots_of(b));
-                    if let (Some(sa), Some(sb)) = (sa, sb) {
-                        let side = |ss: &[usize]| -> Option<bool> {
-                            // true = right side (table `last`), false = left.
-                            if ss.iter().all(|s| layout.owner_of(*s) == last) && !ss.is_empty() {
-                                Some(true)
-                            } else if ss.iter().all(|s| layout.owner_of(*s) < last) {
-                                Some(false)
-                            } else {
-                                None
-                            }
-                        };
-                        if joins[step].hash_key.is_none() {
-                            match (side(&sa), side(&sb)) {
-                                (Some(false), Some(true)) => {
-                                    joins[step].hash_key = Some(((**a).clone(), (**b).clone()));
-                                    continue;
-                                }
-                                (Some(true), Some(false)) => {
-                                    joins[step].hash_key = Some(((**b).clone(), (**a).clone()));
-                                    continue;
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-                joins[step].predicates.push(c);
-            }
-        }
-    }
-
-    // Index selection on scans: `col = key` where the key expression does
-    // not reference the scanned table (literal or outer/correlated).
-    for (ti, scan) in scans.iter_mut().enumerate() {
-        let (_, real, start, _) = &layout.tables[ti];
-        let table = db.table(real).expect("table exists");
-        let mut chosen = None;
-        let mut keep = Vec::new();
-        for f in scan.filters.drain(..) {
-            if chosen.is_none() {
-                if let SqlExpr::Binary(SqlBinOp::Eq, a, b) = &f {
-                    let as_lookup = |col: &SqlExpr, key: &SqlExpr| -> Option<IndexLookup> {
-                        let SqlExpr::Col { table: t, column } = col else {
-                            return None;
-                        };
-                        let slot = layout.try_resolve(t.as_deref(), column)?;
-                        if layout.owner_of(slot) != ti {
-                            return None;
-                        }
-                        // The key must be constant during the scan: no
-                        // columns of this layout, no subqueries.
-                        let kinfo = layout.analyze(key);
-                        if !kinfo.slots.is_empty()
-                            || kinfo.subquery
-                            || kinfo.aggregate
-                            || kinfo.ambiguous
-                        {
-                            return None;
-                        }
-                        let col_in_table = slot - start;
-                        table.index_on(col_in_table)?;
-                        Some(IndexLookup {
-                            column: col_in_table,
-                            key: key.clone(),
-                        })
-                    };
-                    if let Some(l) = as_lookup(a, b).or_else(|| as_lookup(b, a)) {
-                        chosen = Some(l);
-                        continue; // consumed by the index
-                    }
+        if index.is_none() {
+            if let SqlExpr::Binary(SqlBinOp::Eq, a, b) = &c {
+                if let Some(l) = as_lookup(a, b).or_else(|| as_lookup(b, a)) {
+                    index = Some(l);
+                    continue; // consumed by the index
                 }
             }
-            keep.push(f);
         }
-        scan.filters = keep;
-        scan.index = chosen;
+        plain.push(c);
     }
+    plain.append(&mut opaque);
 
-    Ok(FromPlan {
+    Ok(Some(ScanPlan {
+        table: from.table.clone(),
         layout,
-        scans,
-        joins,
-        residual,
-    })
+        index,
+        predicates: plain,
+    }))
 }
 
 #[cfg(test)]
@@ -399,6 +155,7 @@ mod tests {
     use super::*;
     use crate::db::Database;
     use crate::sql::parser::parse_statement;
+    use crate::value::Value;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -411,58 +168,33 @@ mod tests {
         db
     }
 
-    fn plan(db: &Database, sql: &str) -> FromPlan {
-        let stmt = parse_statement(sql).unwrap();
-        match stmt {
-            crate::sql::ast::Stmt::Select(sel) => plan_from(db, &sel).unwrap(),
+    fn plan(db: &Database, sql: &str) -> ScanPlan {
+        match parse_statement(sql).unwrap() {
+            Stmt::Select(sel) => plan_scan(db, &sel).unwrap().expect("FROM table"),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn layout_concatenates_tables() {
+    fn layout_resolves_through_the_alias_only() {
         let db = db();
-        let p = plan(
-            &db,
-            "SELECT * FROM region r JOIN timing t ON t.region_id = r.id",
-        );
-        assert_eq!(p.layout.cols.len(), 3 + 4);
-        assert_eq!(p.layout.tables.len(), 2);
-        assert_eq!(p.layout.resolve(Some("t"), "incl").unwrap(), 6);
-    }
-
-    #[test]
-    fn single_table_conjunct_pushed_to_scan() {
-        let db = db();
-        let p = plan(
-            &db,
-            "SELECT * FROM region r JOIN timing t ON t.region_id = r.id WHERE t.run_id = 3 AND r.name = 'main'",
-        );
-        // r.name = 'main' pushed to scan 0; t.run_id = 3 pushed to scan 1.
-        assert_eq!(p.scans[0].filters.len(), 1);
-        assert_eq!(p.scans[1].filters.len(), 1);
-        assert!(p.residual.is_empty());
-    }
-
-    #[test]
-    fn equality_join_becomes_hash_key() {
-        let db = db();
-        let p = plan(
-            &db,
-            "SELECT * FROM region r JOIN timing t ON t.region_id = r.id",
-        );
-        assert!(p.joins[0].hash_key.is_some());
-        assert!(p.joins[0].predicates.is_empty());
+        let p = plan(&db, "SELECT id FROM timing t");
+        assert_eq!(p.layout.slot(Some("t"), "incl"), Some(3));
+        assert_eq!(p.layout.slot(None, "INCL"), Some(3));
+        // The real name is hidden behind the alias: `timing.incl` is an
+        // outer reference here (the shape of a self-correlated subquery).
+        assert_eq!(p.layout.slot(Some("timing"), "incl"), None);
+        assert_eq!(p.layout.slot(None, "zzz"), None);
     }
 
     #[test]
     fn index_lookup_selected_for_pk() {
         let db = db();
-        let p = plan(&db, "SELECT * FROM region WHERE id = 7");
-        let lookup = p.scans[0].index.as_ref().unwrap();
+        let p = plan(&db, "SELECT name FROM region WHERE id = 7");
+        let lookup = p.index.as_ref().unwrap();
         assert_eq!(lookup.column, 0);
-        assert_eq!(lookup.key, SqlExpr::Lit(crate::value::Value::Int(7)));
-        assert!(p.scans[0].filters.is_empty());
+        assert_eq!(lookup.key, SqlExpr::Lit(Value::Int(7)));
+        assert!(p.predicates.is_empty());
     }
 
     #[test]
@@ -470,64 +202,50 @@ mod tests {
         // An outer (unresolvable) reference as the key: the shape of every
         // correlated subquery the ASL compiler generates.
         let db = db();
-        let p = plan(&db, "SELECT * FROM timing WHERE region_id = ctx.id");
-        let lookup = p.scans[0].index.as_ref().unwrap();
+        let p = plan(&db, "SELECT incl FROM timing WHERE region_id = ctx.id");
+        let lookup = p.index.as_ref().unwrap();
         assert_eq!(lookup.column, 1);
         assert!(matches!(lookup.key, SqlExpr::Col { .. }));
     }
 
     #[test]
-    fn secondary_index_used() {
-        let db = db();
-        let p = plan(&db, "SELECT * FROM timing WHERE region_id = 2 AND incl > 0");
-        let lookup = p.scans[0].index.as_ref().unwrap();
-        assert_eq!(lookup.column, 1);
-        assert_eq!(p.scans[0].filters.len(), 1); // incl > 0 remains
-    }
-
-    #[test]
-    fn non_equality_join_is_predicate() {
-        let db = db();
-        let p = plan(&db, "SELECT * FROM region r JOIN timing t ON t.incl > r.id");
-        assert!(p.joins[0].hash_key.is_none());
-        assert_eq!(p.joins[0].predicates.len(), 1);
-    }
-
-    #[test]
-    fn subquery_predicate_is_residual() {
+    fn secondary_index_used_and_other_filters_kept() {
         let db = db();
         let p = plan(
             &db,
-            "SELECT * FROM region WHERE id = (SELECT MIN(region_id) FROM timing)",
+            "SELECT incl FROM timing WHERE incl > 0 AND 2 = region_id",
         );
-        assert_eq!(p.residual.len(), 1);
+        assert_eq!(p.index.as_ref().unwrap().column, 1);
+        assert_eq!(p.predicates.len(), 1); // incl > 0 remains
     }
 
     #[test]
-    fn ambiguous_unqualified_column_is_planning_error() {
+    fn key_reading_the_scanned_row_is_not_a_lookup() {
         let db = db();
-        let stmt = parse_statement(
-            "SELECT * FROM region r JOIN timing t ON t.region_id = r.id WHERE id = 1",
-        )
-        .unwrap();
-        match stmt {
-            crate::sql::ast::Stmt::Select(sel) => {
-                // `id` exists in both tables → must be qualified.
-                assert!(plan_from(&db, &sel).is_err());
-            }
-            other => panic!("{other:?}"),
-        }
+        let p = plan(&db, "SELECT incl FROM timing WHERE region_id = run_id");
+        assert!(p.index.is_none());
+        assert_eq!(p.predicates.len(), 1);
     }
 
     #[test]
-    fn duplicate_alias_rejected() {
+    fn subquery_predicates_run_after_plain_filters() {
         let db = db();
-        let stmt = parse_statement("SELECT * FROM region r JOIN timing r ON 1 = 1").unwrap();
-        match stmt {
-            crate::sql::ast::Stmt::Select(sel) => {
-                assert!(plan_from(&db, &sel).is_err());
-            }
-            other => panic!("{other:?}"),
-        }
+        let p = plan(
+            &db,
+            "SELECT name FROM region WHERE fn_id = (SELECT MIN(region_id) FROM timing) AND name = 'main'",
+        );
+        assert!(p.index.is_none());
+        assert_eq!(p.predicates.len(), 2);
+        assert!(!is_opaque(&p.predicates[0]));
+        assert!(is_opaque(&p.predicates[1]));
+    }
+
+    #[test]
+    fn unknown_table_is_a_catalog_error() {
+        let db = db();
+        let Stmt::Select(sel) = parse_statement("SELECT 1 FROM nowhere").unwrap() else {
+            panic!()
+        };
+        assert!(matches!(plan_scan(&db, &sel), Err(DbError::Catalog(_))));
     }
 }

@@ -52,25 +52,19 @@ impl Connection {
         self.clock.reset();
     }
 
-    /// Access the underlying shared database (tests, loaders).
-    pub fn database(&self) -> SharedDb {
-        Arc::clone(&self.db)
-    }
-
     /// Execute any statement, charging modeled costs.
     ///
     /// * DDL: one round trip + parse.
     /// * INSERT: round trip + parse + per-row server execution + one API
     ///   call marshalling all inserted values.
-    /// * UPDATE/DELETE: round trip + parse + per-affected-row cost.
     /// * SELECT: round trip + parse + query base + per-scanned-row cost +
     ///   batched result transfer (bytes + per-value marshalling).
     pub fn execute(&mut self, sql: &str) -> DbResult<QueryResult> {
         let stmt = parse_statement(sql)?;
         let p = &self.profile;
         match &stmt {
-            Stmt::Select(_) => {
-                let result = self.db.read().execute_ro(stmt)?;
+            Stmt::Select(sel) => {
+                let result = self.db.read().select(sel)?;
                 let values = result.rows.len() * result.columns.len().max(1);
                 let cost = p.network_rtt
                     + p.stmt_parse
@@ -92,17 +86,7 @@ impl Connection {
                 self.clock.advance(cost);
                 Ok(result)
             }
-            Stmt::Update { .. } | Stmt::Delete { .. } => {
-                let result = self.db.write().execute_stmt(stmt.clone())?;
-                let cost = p.network_rtt
-                    + p.stmt_parse
-                    + p.insert_exec * result.affected as f64
-                    + p.row_scan * result.stats.rows_scanned as f64
-                    + self.binding.call_cost(1);
-                self.clock.advance(cost);
-                Ok(result)
-            }
-            _ => {
+            Stmt::CreateTable { .. } | Stmt::CreateIndex { .. } => {
                 let result = self.db.write().execute_stmt(stmt.clone())?;
                 self.clock
                     .advance(p.network_rtt + p.stmt_parse + self.binding.call_cost(0));
@@ -118,11 +102,10 @@ impl Connection {
     /// pattern behind the paper's "fetching a record from the Oracle server
     /// takes about 1 ms".
     pub fn open_cursor(&mut self, sql: &str) -> DbResult<Cursor<'_>> {
-        let stmt = parse_statement(sql)?;
-        if !matches!(stmt, Stmt::Select(_)) {
+        let Stmt::Select(sel) = parse_statement(sql)? else {
             return Err(DbError::Semantic("cursors require a SELECT".into()));
-        }
-        let result = self.db.read().execute_ro(stmt)?;
+        };
+        let result = self.db.read().select(&sel)?;
         let p = &self.profile;
         self.clock.advance(
             p.network_rtt
@@ -137,32 +120,6 @@ impl Connection {
             columns,
             rows: result.rows.into_iter(),
         })
-    }
-}
-
-/// Helper so `Connection` can run SELECTs through an immutable borrow.
-trait ReadOnlyExec {
-    fn execute_ro(&self, stmt: Stmt) -> DbResult<QueryResult>;
-}
-
-impl ReadOnlyExec for Database {
-    fn execute_ro(&self, stmt: Stmt) -> DbResult<QueryResult> {
-        match stmt {
-            Stmt::Select(sel) => {
-                let mut stats = crate::exec::ExecStats::default();
-                let (columns, rows) =
-                    crate::exec::run_select(self, &sel, &crate::exec::Frames::new(), &mut stats)?;
-                Ok(QueryResult {
-                    columns,
-                    rows,
-                    affected: 0,
-                    stats,
-                })
-            }
-            _ => Err(DbError::Semantic(
-                "read-only execution requires SELECT".into(),
-            )),
-        }
     }
 }
 
@@ -190,11 +147,6 @@ impl Cursor<'_> {
             + self.conn.binding.call_cost(row.len());
         self.conn.clock.advance(cost);
         Some(row)
-    }
-
-    /// Remaining (unfetched) record count.
-    pub fn remaining(&self) -> usize {
-        self.rows.len()
     }
 }
 
@@ -263,8 +215,6 @@ mod tests {
         let db = test_db();
         let mut conn = Connection::connect(db, BackendProfile::oracle7(), ApiBinding::jdbc());
         let mut cur = conn.open_cursor("SELECT a, b, c, d, e FROM t").unwrap();
-        let before_rows = cur.remaining();
-        assert_eq!(before_rows, 200);
         // Fetch 100 records and check the per-record cost.
         let t0 = cur.conn.elapsed();
         for _ in 0..100 {

@@ -4,9 +4,9 @@
 //! chosen from period-plausible magnitudes (switched 10/100 Mbit LAN round
 //! trips of a few hundred microseconds; heavyweight redo logging in Oracle
 //! 7; an in-process Jet engine for MS Access; interpretive JDBC drivers
-//! marshalling every value through JNI) — see DESIGN.md §2. The paper's
-//! reported ratios are *outputs* of these inputs, reproduced by experiment
-//! E2/E3 (`kojak-bench`).
+//! marshalling every value through JNI) — see the README's "SQL path
+//! (frozen paper reproduction)". The paper's reported ratios are *outputs*
+//! of these inputs, reproduced by experiment E2/E3 (`kojak-bench`).
 
 use serde::{Deserialize, Serialize};
 

@@ -32,27 +32,6 @@ pub enum Stmt {
     },
     /// `SELECT`.
     Select(Box<SelectStmt>),
-    /// `UPDATE`.
-    Update {
-        /// Target table.
-        table: String,
-        /// `SET col = expr` assignments.
-        sets: Vec<(String, SqlExpr)>,
-        /// Optional filter.
-        where_: Option<SqlExpr>,
-    },
-    /// `DELETE FROM`.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Optional filter.
-        where_: Option<SqlExpr>,
-    },
-    /// `DROP TABLE`.
-    DropTable {
-        /// Table to drop.
-        name: String,
-    },
 }
 
 /// A table reference with an optional alias.
@@ -71,50 +50,26 @@ impl TableRef {
     }
 }
 
-/// One `JOIN … ON …` clause (inner joins only).
+/// One item of the SELECT list: `expr [AS alias]`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Join {
-    /// The joined table.
-    pub table: TableRef,
-    /// The join predicate.
-    pub on: SqlExpr,
+pub struct SelectItem {
+    /// The expression.
+    pub expr: SqlExpr,
+    /// Output column name.
+    pub alias: Option<String>,
 }
 
-/// One item of the SELECT list.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
-    /// `*`
-    Star,
-    /// `expr [AS alias]`
-    Expr {
-        /// The expression.
-        expr: SqlExpr,
-        /// Output column name.
-        alias: Option<String>,
-    },
-}
-
-/// A SELECT statement.
+/// A SELECT statement over at most one table.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SelectStmt {
-    /// `DISTINCT` flag.
-    pub distinct: bool,
     /// Output items.
     pub items: Vec<SelectItem>,
-    /// The first FROM table (`None` for table-less `SELECT 1`).
+    /// The FROM table (`None` for table-less `SELECT 1`).
     pub from: Option<TableRef>,
-    /// INNER JOIN clauses, in order.
-    pub joins: Vec<Join>,
     /// WHERE predicate.
     pub where_: Option<SqlExpr>,
-    /// GROUP BY expressions.
-    pub group_by: Vec<SqlExpr>,
-    /// HAVING predicate.
-    pub having: Option<SqlExpr>,
-    /// ORDER BY expressions with a descending flag.
-    pub order_by: Vec<(SqlExpr, bool)>,
-    /// LIMIT row count.
-    pub limit: Option<u64>,
+    /// ORDER BY expressions (ascending).
+    pub order_by: Vec<SqlExpr>,
 }
 
 /// Binary operators.
@@ -194,20 +149,18 @@ pub enum SqlExpr {
     Not(Box<SqlExpr>),
     /// Binary operation.
     Binary(SqlBinOp, Box<SqlExpr>, Box<SqlExpr>),
-    /// `expr IS NULL` / `expr IS NOT NULL` (bool = negated).
-    IsNull(Box<SqlExpr>, bool),
-    /// `expr [NOT] IN (e1, e2, …)` (bool = negated).
-    InList(Box<SqlExpr>, Vec<SqlExpr>, bool),
+    /// `expr IS NULL`.
+    IsNull(Box<SqlExpr>),
+    /// `expr IN (e1, e2, …)`.
+    InList(Box<SqlExpr>, Vec<SqlExpr>),
     /// Aggregate call. `arg == None` means `COUNT(*)`.
     Agg {
         /// Which aggregate.
         func: AggFunc,
         /// The aggregated expression.
         arg: Option<Box<SqlExpr>>,
-        /// `DISTINCT` inside the call.
-        distinct: bool,
     },
-    /// Scalar function call (ABS, COALESCE, LENGTH, UPPER, LOWER, ROUND).
+    /// Scalar function call (`COALESCE`, `GREATEST`, `LEAST`).
     Func {
         /// Uppercased function name.
         name: String,
@@ -229,20 +182,26 @@ impl SqlExpr {
         }
     }
 
+    /// Does `pred` hold for this expression or one of its sub-expressions?
+    /// Subqueries are leaves: their bodies have their own scope.
+    pub fn any(&self, pred: &impl Fn(&SqlExpr) -> bool) -> bool {
+        pred(self)
+            || match self {
+                SqlExpr::Lit(_)
+                | SqlExpr::Col { .. }
+                | SqlExpr::Subquery(_)
+                | SqlExpr::Exists(_) => false,
+                SqlExpr::Neg(e) | SqlExpr::Not(e) | SqlExpr::IsNull(e) => e.any(pred),
+                SqlExpr::Binary(_, a, b) => a.any(pred) || b.any(pred),
+                SqlExpr::InList(e, list) => e.any(pred) || list.iter().any(|l| l.any(pred)),
+                SqlExpr::Agg { arg, .. } => arg.as_deref().is_some_and(|a| a.any(pred)),
+                SqlExpr::Func { args, .. } => args.iter().any(|a| a.any(pred)),
+            }
+    }
+
     /// Does this expression contain an aggregate call (outside subqueries)?
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            SqlExpr::Agg { .. } => true,
-            SqlExpr::Lit(_) | SqlExpr::Col { .. } | SqlExpr::Subquery(_) | SqlExpr::Exists(_) => {
-                false
-            }
-            SqlExpr::Neg(e) | SqlExpr::Not(e) | SqlExpr::IsNull(e, _) => e.contains_aggregate(),
-            SqlExpr::Binary(_, a, b) => a.contains_aggregate() || b.contains_aggregate(),
-            SqlExpr::InList(e, list, _) => {
-                e.contains_aggregate() || list.iter().any(SqlExpr::contains_aggregate)
-            }
-            SqlExpr::Func { args, .. } => args.iter().any(SqlExpr::contains_aggregate),
-        }
+        self.any(&|e| matches!(e, SqlExpr::Agg { .. }))
     }
 
     /// Split a conjunction into its conjuncts.
@@ -254,41 +213,6 @@ impl SqlExpr {
                 out
             }
             other => vec![other],
-        }
-    }
-
-    /// The set of table qualifiers that appear unmistakably in this
-    /// expression (used for pushdown decisions). Unqualified columns yield
-    /// `None` entries.
-    pub fn referenced_tables<'a>(&'a self, out: &mut Vec<Option<&'a str>>) {
-        match self {
-            SqlExpr::Col { table, .. } => out.push(table.as_deref()),
-            SqlExpr::Lit(_) => {}
-            SqlExpr::Neg(e) | SqlExpr::Not(e) | SqlExpr::IsNull(e, _) => e.referenced_tables(out),
-            SqlExpr::Binary(_, a, b) => {
-                a.referenced_tables(out);
-                b.referenced_tables(out);
-            }
-            SqlExpr::InList(e, list, _) => {
-                e.referenced_tables(out);
-                for l in list {
-                    l.referenced_tables(out);
-                }
-            }
-            SqlExpr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    a.referenced_tables(out);
-                }
-            }
-            SqlExpr::Func { args, .. } => {
-                for a in args {
-                    a.referenced_tables(out);
-                }
-            }
-            // Subqueries reference their own scopes; correlated references
-            // are resolved at evaluation time, so treat them as opaque and
-            // *not* pushable.
-            SqlExpr::Subquery(_) | SqlExpr::Exists(_) => out.push(Some("\u{0}subquery")),
         }
     }
 }
@@ -314,11 +238,10 @@ mod tests {
     #[test]
     fn contains_aggregate_stops_at_subquery() {
         let sub = SelectStmt {
-            items: vec![SelectItem::Expr {
+            items: vec![SelectItem {
                 expr: SqlExpr::Agg {
                     func: AggFunc::Count,
                     arg: None,
-                    distinct: false,
                 },
                 alias: None,
             }],
@@ -329,7 +252,6 @@ mod tests {
         let direct = SqlExpr::Agg {
             func: AggFunc::Sum,
             arg: Some(Box::new(SqlExpr::col(None, "x"))),
-            distinct: false,
         };
         assert!(direct.contains_aggregate());
     }

@@ -52,7 +52,10 @@ pub enum SqlToken {
     Eof,
 }
 
-/// The reserved words that are never treated as identifiers.
+/// The reserved words that are never treated as identifiers. The words of
+/// syntax outside the frozen grammar (`JOIN`, `GROUP`, `LIMIT`, `UPDATE`, …)
+/// stay reserved so the parser refuses them with a typed error instead of
+/// reading them as a table or column alias.
 pub const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT", "ASC", "DESC", "AS",
     "JOIN", "INNER", "LEFT", "ON", "AND", "OR", "NOT", "NULL", "IS", "IN", "EXISTS", "DISTINCT",

@@ -1,23 +1,26 @@
 //! SQL front-end: lexer, AST and recursive-descent parser.
 //!
-//! The supported subset covers everything COSY's generated queries need
-//! (§5 of the paper: property conditions and severities translated into
-//! SQL):
+//! The grammar is frozen at what `asl-sql` can emit plus the literal SQL
+//! of the experiments, examples and tests (§5 of the paper: property
+//! conditions and severities translated into SQL). A new form needs an
+//! experiment that sends it:
 //!
 //! * `CREATE TABLE name (col TYPE [PRIMARY KEY|NOT NULL], …)`
 //! * `CREATE INDEX name ON table (column)`
 //! * `INSERT INTO t [(cols)] VALUES (…), (…)`
-//! * `SELECT [DISTINCT] items FROM t [alias] [JOIN u [alias] ON e]*
-//!    [WHERE e] [GROUP BY e, …] [HAVING e] [ORDER BY e [ASC|DESC], …]
-//!    [LIMIT n]`
-//! * `UPDATE t SET col = e, … [WHERE e]` / `DELETE FROM t [WHERE e]`
-//! * `DROP TABLE t`
+//! * `SELECT items [FROM t [alias]] [WHERE e] [ORDER BY e, …]` — one table
+//!   at most, ascending order only
 //!
-//! Expressions include scalar subqueries `(SELECT …)` (correlated allowed),
-//! `EXISTS (…)`, `IN (list)`, `IS [NOT] NULL`, the aggregates
-//! `COUNT/SUM/MIN/MAX/AVG` (plus `COUNT(*)` and `COUNT(DISTINCT e)`), and
-//! the scalar functions `ABS`, `COALESCE`, `LENGTH`, `UPPER`, `LOWER`,
-//! `ROUND`.
+//! Expressions: literals, `[alias.]column`, `+ - * / %`, unary minus,
+//! `= <> < <= > >=`, `AND`/`OR`/`NOT`, `IS NULL`, `IN (list)`, scalar
+//! subqueries `(SELECT …)` and `EXISTS (…)` (both may be correlated), the
+//! aggregates `COUNT/SUM/MIN/MAX/AVG` (plus `COUNT(*)`) over the whole row
+//! set, and the scalar functions `COALESCE`, `GREATEST`, `LEAST`.
+//!
+//! Everything else — `UPDATE`, `DELETE`, `DROP`, joins, `GROUP BY`,
+//! `HAVING`, `LIMIT`, `DESC`, `SELECT *`, `DISTINCT`, `IS NOT NULL`,
+//! `NOT IN` — is refused with [`crate::DbError::Parse`]; its words stay
+//! reserved.
 
 pub mod ast;
 pub mod lexer;

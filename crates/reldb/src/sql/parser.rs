@@ -109,15 +109,6 @@ impl Parser {
             self.insert()
         } else if self.at_word("SELECT") {
             Ok(Stmt::Select(Box::new(self.select()?)))
-        } else if self.eat_word("UPDATE") {
-            self.update()
-        } else if self.eat_word("DELETE") {
-            self.delete()
-        } else if self.eat_word("DROP") {
-            self.expect_word("TABLE")?;
-            Ok(Stmt::DropTable {
-                name: self.ident()?,
-            })
         } else {
             Err(DbError::Parse(format!(
                 "expected a statement, found {:?}",
@@ -235,41 +226,6 @@ impl Parser {
         })
     }
 
-    fn update(&mut self) -> DbResult<Stmt> {
-        let table = self.ident()?;
-        self.expect_word("SET")?;
-        let mut sets = Vec::new();
-        loop {
-            let col = self.ident()?;
-            self.expect(&SqlToken::Eq)?;
-            sets.push((col, self.expr()?));
-            if !self.eat(&SqlToken::Comma) {
-                break;
-            }
-        }
-        let where_ = if self.eat_word("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        Ok(Stmt::Update {
-            table,
-            sets,
-            where_,
-        })
-    }
-
-    fn delete(&mut self) -> DbResult<Stmt> {
-        self.expect_word("FROM")?;
-        let table = self.ident()?;
-        let where_ = if self.eat_word("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        Ok(Stmt::Delete { table, where_ })
-    }
-
     fn table_ref(&mut self) -> DbResult<TableRef> {
         let table = self.ident()?;
         // Optional alias: `Region r` or `Region AS r`. `eat_word` consumes
@@ -283,67 +239,23 @@ impl Parser {
     /// Parse a SELECT statement body (assumes the SELECT keyword is next).
     pub(crate) fn select(&mut self) -> DbResult<SelectStmt> {
         self.expect_word("SELECT")?;
-        let distinct = self.eat_word("DISTINCT");
         let mut items = Vec::new();
         loop {
-            if self.eat(&SqlToken::Star) {
-                items.push(SelectItem::Star);
-            } else {
-                let expr = self.expr()?;
-                let has_alias = self.eat_word("AS")
-                    || matches!(self.peek(), SqlToken::Word(w) if !crate::sql::lexer::is_keyword(w));
-                let alias = if has_alias { Some(self.ident()?) } else { None };
-                items.push(SelectItem::Expr { expr, alias });
-            }
+            let expr = self.expr()?;
+            let has_alias = self.eat_word("AS")
+                || matches!(self.peek(), SqlToken::Word(w) if !crate::sql::lexer::is_keyword(w));
+            let alias = if has_alias { Some(self.ident()?) } else { None };
+            items.push(SelectItem { expr, alias });
             if !self.eat(&SqlToken::Comma) {
                 break;
             }
         }
-
-        let mut from = None;
-        let mut joins = Vec::new();
-        if self.eat_word("FROM") {
-            from = Some(self.table_ref()?);
-            loop {
-                let inner = self.eat_word("INNER");
-                if self.eat_word("JOIN") {
-                    let table = self.table_ref()?;
-                    self.expect_word("ON")?;
-                    let on = self.expr()?;
-                    joins.push(Join { table, on });
-                } else if inner {
-                    return Err(DbError::Parse("expected JOIN after INNER".into()));
-                } else if self.eat(&SqlToken::Comma) {
-                    // Comma join: cross product with TRUE condition; any
-                    // real predicate lives in WHERE and is pushed by the
-                    // planner.
-                    let table = self.table_ref()?;
-                    joins.push(Join {
-                        table,
-                        on: SqlExpr::Lit(Value::Bool(true)),
-                    });
-                } else {
-                    break;
-                }
-            }
-        }
-
-        let where_ = if self.eat_word("WHERE") {
-            Some(self.expr()?)
+        let from = if self.eat_word("FROM") {
+            Some(self.table_ref()?)
         } else {
             None
         };
-        let mut group_by = Vec::new();
-        if self.eat_word("GROUP") {
-            self.expect_word("BY")?;
-            loop {
-                group_by.push(self.expr()?);
-                if !self.eat(&SqlToken::Comma) {
-                    break;
-                }
-            }
-        }
-        let having = if self.eat_word("HAVING") {
+        let where_ = if self.eat_word("WHERE") {
             Some(self.expr()?)
         } else {
             None
@@ -352,42 +264,17 @@ impl Parser {
         if self.eat_word("ORDER") {
             self.expect_word("BY")?;
             loop {
-                let e = self.expr()?;
-                let desc = if self.eat_word("DESC") {
-                    true
-                } else {
-                    self.eat_word("ASC");
-                    false
-                };
-                order_by.push((e, desc));
+                order_by.push(self.expr()?);
                 if !self.eat(&SqlToken::Comma) {
                     break;
                 }
             }
         }
-        let limit = if self.eat_word("LIMIT") {
-            match self.bump() {
-                SqlToken::Int(n) if n >= 0 => Some(n as u64),
-                other => {
-                    return Err(DbError::Parse(format!(
-                        "expected LIMIT count, found {other:?}"
-                    )))
-                }
-            }
-        } else {
-            None
-        };
-
         Ok(SelectStmt {
-            distinct,
             items,
             from,
-            joins,
             where_,
-            group_by,
-            having,
             order_by,
-            limit,
         })
     }
 
@@ -425,18 +312,11 @@ impl Parser {
 
     fn comparison(&mut self) -> DbResult<SqlExpr> {
         let lhs = self.additive()?;
-        // IS [NOT] NULL
         if self.eat_word("IS") {
-            let negated = self.eat_word("NOT");
             self.expect_word("NULL")?;
-            return Ok(SqlExpr::IsNull(Box::new(lhs), negated));
+            return Ok(SqlExpr::IsNull(Box::new(lhs)));
         }
-        // [NOT] IN (list)
-        if self.at_word("IN")
-            || (self.at_word("NOT") && matches!(self.peek_at(1), SqlToken::Word(w) if w == "IN"))
-        {
-            let negated = self.eat_word("NOT");
-            self.expect_word("IN")?;
+        if self.eat_word("IN") {
             self.expect(&SqlToken::LParen)?;
             let mut list = Vec::new();
             loop {
@@ -446,7 +326,7 @@ impl Parser {
                 }
             }
             self.expect(&SqlToken::RParen)?;
-            return Ok(SqlExpr::InList(Box::new(lhs), list, negated));
+            return Ok(SqlExpr::InList(Box::new(lhs), list));
         }
         let op = match self.peek() {
             SqlToken::Eq => Some(SqlBinOp::Eq),
@@ -571,25 +451,17 @@ impl Parser {
                     self.expect(&SqlToken::LParen)?;
                     if func == AggFunc::Count && self.eat(&SqlToken::Star) {
                         self.expect(&SqlToken::RParen)?;
-                        return Ok(SqlExpr::Agg {
-                            func,
-                            arg: None,
-                            distinct: false,
-                        });
+                        return Ok(SqlExpr::Agg { func, arg: None });
                     }
-                    let distinct = self.eat_word("DISTINCT");
                     let arg = self.expr()?;
                     self.expect(&SqlToken::RParen)?;
                     return Ok(SqlExpr::Agg {
                         func,
                         arg: Some(Box::new(arg)),
-                        distinct,
                     });
                 }
                 // Scalar function call?
-                let known_scalar = [
-                    "ABS", "COALESCE", "LENGTH", "UPPER", "LOWER", "ROUND", "GREATEST", "LEAST",
-                ];
+                let known_scalar = ["COALESCE", "GREATEST", "LEAST"];
                 let upper = w.to_ascii_uppercase();
                 if known_scalar.contains(&upper.as_str())
                     && matches!(self.peek_at(1), SqlToken::LParen)
@@ -691,49 +563,33 @@ mod tests {
     }
 
     #[test]
-    fn parse_select_with_everything() {
+    fn parse_select_with_every_clause() {
         let s = parse_ok(
-            "SELECT r.id, SUM(t.Time) AS total FROM Region r \
-             JOIN TypedTiming t ON t.region_id = r.id \
-             WHERE t.run_id = 3 AND t.ty = 'Barrier' \
-             GROUP BY r.id HAVING SUM(t.Time) > 0 \
-             ORDER BY total DESC LIMIT 10",
+            "SELECT r.id, SUM(t.Time) AS total FROM TypedTiming t \
+             WHERE t.run_id = 3 AND t.ty = 'Barrier' ORDER BY total, r.id",
         );
         match s {
             Stmt::Select(sel) => {
-                assert!(sel.from.is_some());
-                assert_eq!(sel.joins.len(), 1);
+                assert_eq!(sel.items.len(), 2);
+                assert_eq!(sel.items[1].alias.as_deref(), Some("total"));
+                assert_eq!(sel.from.unwrap().alias.as_deref(), Some("t"));
                 assert!(sel.where_.is_some());
-                assert_eq!(sel.group_by.len(), 1);
-                assert!(sel.having.is_some());
-                assert_eq!(sel.order_by.len(), 1);
-                assert!(sel.order_by[0].1); // desc
-                assert_eq!(sel.limit, Some(10));
+                assert_eq!(sel.order_by.len(), 2);
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn parse_count_star_and_distinct() {
-        let s = parse_ok("SELECT COUNT(*), COUNT(DISTINCT a) FROM t");
+    fn parse_count_star() {
+        let s = parse_ok("SELECT COUNT(*), COUNT(a) FROM t");
         match s {
             Stmt::Select(sel) => {
-                assert_eq!(sel.items.len(), 2);
-                match &sel.items[0] {
-                    SelectItem::Expr {
-                        expr: SqlExpr::Agg { arg: None, .. },
-                        ..
-                    } => {}
-                    other => panic!("{other:?}"),
-                }
-                match &sel.items[1] {
-                    SelectItem::Expr {
-                        expr: SqlExpr::Agg { distinct: true, .. },
-                        ..
-                    } => {}
-                    other => panic!("{other:?}"),
-                }
+                assert!(matches!(sel.items[0].expr, SqlExpr::Agg { arg: None, .. }));
+                assert!(matches!(
+                    sel.items[1].expr,
+                    SqlExpr::Agg { arg: Some(_), .. }
+                ));
             }
             other => panic!("{other:?}"),
         }
@@ -743,59 +599,20 @@ mod tests {
     fn parse_scalar_subquery() {
         let s = parse_ok("SELECT (SELECT MIN(NoPe) FROM TestRun) AS m FROM t");
         match s {
-            Stmt::Select(sel) => match &sel.items[0] {
-                SelectItem::Expr {
-                    expr: SqlExpr::Subquery(_),
-                    ..
-                } => {}
-                other => panic!("{other:?}"),
-            },
+            Stmt::Select(sel) => assert!(matches!(sel.items[0].expr, SqlExpr::Subquery(_))),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn parse_exists_and_in() {
+    fn parse_exists_in_and_is_null() {
         parse_ok("SELECT a FROM t WHERE EXISTS (SELECT b FROM u WHERE u.x = t.a)");
-        let s = parse_ok("SELECT a FROM t WHERE a IN (1, 2, 3) AND b NOT IN (4)");
-        match s {
-            Stmt::Select(sel) => {
-                let w = sel.where_.unwrap();
-                let parts = w.conjuncts();
-                assert!(matches!(parts[0], SqlExpr::InList(_, _, false)));
-                assert!(matches!(parts[1], SqlExpr::InList(_, _, true)));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn parse_is_null() {
-        let s = parse_ok("SELECT a FROM t WHERE a IS NOT NULL AND b IS NULL");
+        let s = parse_ok("SELECT a FROM t WHERE a IN (1, 2, 3) AND b IS NULL");
         match s {
             Stmt::Select(sel) => {
                 let parts = sel.where_.unwrap().conjuncts();
-                assert!(matches!(parts[0], SqlExpr::IsNull(_, true)));
-                assert!(matches!(parts[1], SqlExpr::IsNull(_, false)));
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn parse_update_delete_drop() {
-        parse_ok("UPDATE t SET a = a + 1, b = 'x' WHERE id = 3");
-        parse_ok("DELETE FROM t WHERE a < 0");
-        parse_ok("DROP TABLE t");
-    }
-
-    #[test]
-    fn parse_comma_join() {
-        let s = parse_ok("SELECT a FROM t, u WHERE t.id = u.id");
-        match s {
-            Stmt::Select(sel) => {
-                assert_eq!(sel.joins.len(), 1);
-                assert_eq!(sel.joins[0].on, SqlExpr::Lit(Value::Bool(true)));
+                assert!(matches!(parts[0], SqlExpr::InList(..)));
+                assert!(matches!(parts[1], SqlExpr::IsNull(_)));
             }
             other => panic!("{other:?}"),
         }
@@ -805,11 +622,8 @@ mod tests {
     fn parse_precedence() {
         let s = parse_ok("SELECT 1 + 2 * 3 FROM t");
         match s {
-            Stmt::Select(sel) => match &sel.items[0] {
-                SelectItem::Expr {
-                    expr: SqlExpr::Binary(SqlBinOp::Add, _, rhs),
-                    ..
-                } => {
+            Stmt::Select(sel) => match &sel.items[0].expr {
+                SqlExpr::Binary(SqlBinOp::Add, _, rhs) => {
                     assert!(matches!(**rhs, SqlExpr::Binary(SqlBinOp::Mul, _, _)));
                 }
                 other => panic!("{other:?}"),

@@ -13,7 +13,7 @@ pub struct HashIndex {
     pub column: usize,
     /// Enforce uniqueness (primary keys).
     pub unique: bool,
-    /// Value → row indexes. Deleted rows are pruned eagerly.
+    /// Value → row indexes.
     map: HashMap<Value, Vec<usize>>,
 }
 
@@ -54,14 +54,13 @@ impl HashIndex {
     }
 }
 
-/// A table: schema, rows and indexes. Deletions use tombstones so row
-/// indexes remain stable; vacuuming rebuilds indexes.
+/// A table: schema, rows and indexes. Rows are append-only, so a row's
+/// position is its stable id.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table {
     /// The table schema.
     pub schema: TableSchema,
-    rows: Vec<Option<Row>>,
-    live: usize,
+    rows: Vec<Row>,
     indexes: Vec<HashIndex>,
 }
 
@@ -75,19 +74,18 @@ impl Table {
         Table {
             schema,
             rows: Vec::new(),
-            live: 0,
             indexes,
         }
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.len()
     }
 
-    /// True if no live rows.
+    /// True if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.rows.is_empty()
     }
 
     /// Add a secondary index on a column (backfills existing rows).
@@ -103,9 +101,7 @@ impl Table {
         }
         let mut ix = HashIndex::new(column, false);
         for (i, row) in self.rows.iter().enumerate() {
-            if let Some(r) = row {
-                ix.insert(r[column].clone(), i)?;
-            }
+            ix.insert(row[column].clone(), i)?;
         }
         self.indexes.push(ix);
         Ok(())
@@ -156,100 +152,18 @@ impl Table {
         for ix in &mut self.indexes {
             ix.insert(coerced[ix.column].clone(), id)?;
         }
-        self.rows.push(Some(coerced));
-        self.live += 1;
+        self.rows.push(coerced);
         Ok(id)
     }
 
-    /// Fetch a row by id (None if deleted).
+    /// Fetch a row by id.
     pub fn get(&self, id: usize) -> Option<&Row> {
-        self.rows.get(id).and_then(|r| r.as_ref())
+        self.rows.get(id)
     }
 
-    /// Iterate over `(row_id, row)` pairs of live rows.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Row)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|row| (i, row)))
-    }
-
-    /// Delete a row by id; returns whether it was live.
-    pub fn delete(&mut self, id: usize) -> bool {
-        if let Some(slot) = self.rows.get_mut(id) {
-            if let Some(row) = slot.take() {
-                self.live -= 1;
-                for ix in &mut self.indexes {
-                    if let Some(v) = ix.map.get_mut(&row[ix.column]) {
-                        v.retain(|r| *r != id);
-                    }
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Replace a row in place (used by UPDATE); re-validates and re-indexes.
-    pub fn update(&mut self, id: usize, new_row: Row) -> DbResult<()> {
-        if self.get(id).is_none() {
-            return Err(DbError::Semantic(format!("row {id} does not exist")));
-        }
-        // Remove + insert preserves constraint checks; keep the same id by
-        // manual bookkeeping.
-        let old = self.rows[id].take().expect("checked live");
-        self.live -= 1;
-        for ix in &mut self.indexes {
-            if let Some(v) = ix.map.get_mut(&old[ix.column]) {
-                v.retain(|r| *r != id);
-            }
-        }
-        // Validate like insert but reuse slot `id`.
-        let result = (|| -> DbResult<Row> {
-            if new_row.len() != self.schema.arity() {
-                return Err(DbError::Semantic("arity mismatch in UPDATE".into()));
-            }
-            let mut coerced = Vec::with_capacity(new_row.len());
-            for (v, c) in new_row.into_iter().zip(self.schema.columns.iter()) {
-                if v.is_null() && !c.nullable {
-                    return Err(DbError::Constraint(format!(
-                        "column `{}` is NOT NULL",
-                        c.name
-                    )));
-                }
-                coerced.push(v.coerce(c.ty)?);
-            }
-            if let Some(pk) = self.schema.primary_key {
-                if let Some(ix) = self.index_on(pk) {
-                    if !ix.get(&coerced[pk]).is_empty() {
-                        return Err(DbError::Constraint(format!(
-                            "duplicate primary key {} in `{}`",
-                            coerced[pk], self.schema.name
-                        )));
-                    }
-                }
-            }
-            Ok(coerced)
-        })();
-        match result {
-            Ok(coerced) => {
-                for ix in &mut self.indexes {
-                    ix.insert(coerced[ix.column].clone(), id)?;
-                }
-                self.rows[id] = Some(coerced);
-                self.live += 1;
-                Ok(())
-            }
-            Err(e) => {
-                // Restore the old row on failure.
-                for ix in &mut self.indexes {
-                    ix.insert(old[ix.column].clone(), id).ok();
-                }
-                self.rows[id] = Some(old);
-                self.live += 1;
-                Err(e)
-            }
-        }
+    /// All rows, in insertion (= id) order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
     }
 }
 
@@ -337,53 +251,5 @@ mod tests {
             t.index_on(1).unwrap().get(&Value::Text("a".into())).len(),
             2
         );
-    }
-
-    #[test]
-    fn delete_removes_from_index() {
-        let mut t = table();
-        let id = t
-            .insert(vec![Value::Int(5), Value::Null, Value::Null])
-            .unwrap();
-        assert!(t.delete(id));
-        assert!(!t.delete(id));
-        assert_eq!(t.len(), 0);
-        assert!(t.index_on(0).unwrap().get(&Value::Int(5)).is_empty());
-        // PK can be reused after deletion.
-        t.insert(vec![Value::Int(5), Value::Null, Value::Null])
-            .unwrap();
-    }
-
-    #[test]
-    fn update_revalidates() {
-        let mut t = table();
-        let a = t
-            .insert(vec![Value::Int(1), Value::Null, Value::Null])
-            .unwrap();
-        t.insert(vec![Value::Int(2), Value::Null, Value::Null])
-            .unwrap();
-        // Updating a's pk to 2 must fail and restore the old row.
-        let err = t.update(a, vec![Value::Int(2), Value::Null, Value::Null]);
-        assert!(err.is_err());
-        assert_eq!(t.get(a).unwrap()[0], Value::Int(1));
-        // A valid update succeeds.
-        t.update(a, vec![Value::Int(3), Value::Text("z".into()), Value::Null])
-            .unwrap();
-        assert_eq!(t.get(a).unwrap()[0], Value::Int(3));
-        assert_eq!(t.index_on(0).unwrap().get(&Value::Int(3)).len(), 1);
-        assert!(t.index_on(0).unwrap().get(&Value::Int(1)).is_empty());
-    }
-
-    #[test]
-    fn iter_skips_tombstones() {
-        let mut t = table();
-        let a = t
-            .insert(vec![Value::Int(1), Value::Null, Value::Null])
-            .unwrap();
-        t.insert(vec![Value::Int(2), Value::Null, Value::Null])
-            .unwrap();
-        t.delete(a);
-        let ids: Vec<usize> = t.iter().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![1]);
     }
 }

@@ -18,15 +18,15 @@
 //!   on rows where the property does not hold) — NULLs from empty `UNIQUE`
 //!   / `MIN` propagate harmlessly into "does not hold".
 
-use crate::compile::{CVal, ExprCompiler};
+use crate::compile::CVal;
 use crate::error::{SqlGenError, SqlGenResult};
-use crate::property::assemble;
+use crate::property::{assemble, bind_value, compile_body, Guarded};
 use crate::schema::SchemaInfo;
 use asl_core::check::CheckedSpec;
 use asl_core::types::Type;
 use asl_eval::{PropertyOutcome, Value as EvalValue};
 use reldb::remote::Connection;
-use reldb::sql::ast::{SelectItem, SelectStmt, SqlExpr, TableRef};
+use reldb::sql::ast::{SelectItem, SelectStmt, SqlBinOp, SqlExpr, TableRef};
 use reldb::sql::render::render_select;
 use reldb::value::Value;
 use reldb::Database;
@@ -83,7 +83,6 @@ pub fn compile_batch(
     };
 
     let ctx_alias = "ctx".to_string();
-    let mut cx = ExprCompiler::new(spec, schema);
     let mut env: HashMap<String, CVal> = HashMap::new();
     env.insert(
         prop.params[family_param].name.name.clone(),
@@ -98,26 +97,7 @@ pub fn compile_batch(
                 "fixed parameter index {idx} invalid"
             )));
         }
-        let cval = match val {
-            EvalValue::Obj(o) => CVal::Obj {
-                class: o.class.as_str().to_string(),
-                expr: SqlExpr::Lit(Value::Int(o.index as i64)),
-            },
-            EvalValue::Int(v) => CVal::Scalar(SqlExpr::Lit(Value::Int(*v))),
-            EvalValue::Float(v) => CVal::Scalar(SqlExpr::Lit(Value::Float(*v))),
-            EvalValue::Str(v) => CVal::Scalar(SqlExpr::Lit(Value::Text(v.as_str().to_string()))),
-            EvalValue::Bool(v) => CVal::Scalar(SqlExpr::Lit(Value::Bool(*v))),
-            EvalValue::DateTime(v) => CVal::Scalar(SqlExpr::Lit(Value::Int(*v))),
-            EvalValue::Enum(_, v) => {
-                CVal::Scalar(SqlExpr::Lit(Value::Text(v.as_str().to_string())))
-            }
-            other => {
-                return Err(SqlGenError::Unsupported(format!(
-                    "cannot bind {other} as a fixed argument"
-                )))
-            }
-        };
-        env.insert(prop.params[*idx].name.name.clone(), cval);
+        env.insert(prop.params[*idx].name.name.clone(), bind_value(val)?);
     }
     if env.len() != prop.params.len() {
         return Err(SqlGenError::Unsupported(format!(
@@ -126,78 +106,46 @@ pub fn compile_batch(
             env.len()
         )));
     }
-
-    for l in &prop.lets {
-        let v = cx.compile(&l.value, &env, 0)?;
-        env.insert(l.name.name.clone(), v);
-    }
-
-    let mut items = vec![SelectItem::Expr {
-        expr: SqlExpr::col(Some(&ctx_alias), "id"),
-        alias: Some("ctx_id".to_string()),
-    }];
-    let push_scalar = |items: &mut Vec<SelectItem>,
-                       cx: &mut ExprCompiler<'_>,
-                       e: &asl_core::ast::Expr|
-     -> SqlGenResult<()> {
-        let v = cx.compile(e, &env, 0)?;
-        let CVal::Scalar(s) = v else {
-            return Err(SqlGenError::Unsupported(
-                "batch item did not compile to a scalar".into(),
-            ));
-        };
-        items.push(SelectItem::Expr {
-            expr: s,
-            alias: None,
-        });
-        Ok(())
-    };
-
-    let mut condition_ids = Vec::new();
-    for c in &prop.conditions {
-        push_scalar(&mut items, &mut cx, &c.expr)?;
-        condition_ids.push(c.id.as_ref().map(|i| i.name.clone()));
-    }
-    let mut confidence_guards = Vec::new();
-    for a in &prop.confidence.arms {
-        push_scalar(&mut items, &mut cx, &a.expr)?;
-        confidence_guards.push(a.guard.as_ref().map(|g| g.name.clone()));
-    }
-    let mut severity_guards = Vec::new();
-    for a in &prop.severity.arms {
-        push_scalar(&mut items, &mut cx, &a.expr)?;
-        severity_guards.push(a.guard.as_ref().map(|g| g.name.clone()));
-    }
+    let body = compile_body(spec, schema, prop, env)?;
 
     // The server returns only *holding* rows: the disjunction of all
     // conditions filters everything else before it crosses the wire — the
     // actual payoff of translating conditions into SQL (§5). Rows for
     // non-holding contexts are simply absent from the result.
-    let nc = condition_ids.len();
-    let holds_filter = items[1..1 + nc]
-        .iter()
-        .map(|item| match item {
-            SelectItem::Expr { expr, .. } => expr.clone(),
-            SelectItem::Star => unreachable!("conditions are expressions"),
-        })
-        .reduce(|a, b| SqlExpr::Binary(reldb::sql::ast::SqlBinOp::Or, Box::new(a), Box::new(b)));
+    let holds_filter = (body.conditions.iter())
+        .map(|(_, expr)| expr.clone())
+        .reduce(|a, b| SqlExpr::Binary(SqlBinOp::Or, Box::new(a), Box::new(b)));
     let candidate_filter = candidates.map(|ids| {
         SqlExpr::InList(
             Box::new(SqlExpr::col(Some(&ctx_alias), "id")),
             ids.iter()
                 .map(|id| SqlExpr::Lit(Value::Int(*id as i64)))
                 .collect(),
-            false,
         )
     });
     let where_ = match (candidate_filter, holds_filter) {
-        (Some(a), Some(b)) => Some(SqlExpr::Binary(
-            reldb::sql::ast::SqlBinOp::And,
-            Box::new(a),
-            Box::new(b),
-        )),
+        (Some(a), Some(b)) => Some(SqlExpr::Binary(SqlBinOp::And, Box::new(a), Box::new(b))),
         (a, b) => a.or(b),
     };
+
+    // Items: the context id, then every condition, confidence arm and
+    // severity arm; the guards are kept aside in the same order.
+    let mut items = vec![SelectItem {
+        expr: SqlExpr::col(Some(&ctx_alias), "id"),
+        alias: Some("ctx_id".to_string()),
+    }];
+    let mut push_items = |exprs: Vec<Guarded>| -> Vec<Option<String>> {
+        let (guards, exprs): (Vec<_>, Vec<_>) = exprs.into_iter().unzip();
+        items.extend(
+            exprs
+                .into_iter()
+                .map(|expr| SelectItem { expr, alias: None }),
+        );
+        guards
+    };
+    let condition_ids = push_items(body.conditions);
+    let confidence_guards = push_items(body.confidence);
+    let severity_guards = push_items(body.severity);
 
     let select = SelectStmt {
         items,
@@ -206,8 +154,7 @@ pub fn compile_batch(
             alias: Some(ctx_alias.clone()),
         }),
         where_,
-        order_by: vec![(SqlExpr::col(Some(&ctx_alias), "id"), false)],
-        ..Default::default()
+        order_by: vec![SqlExpr::col(Some(&ctx_alias), "id")],
     };
 
     Ok(BatchCompiled {

@@ -117,7 +117,7 @@ impl<'a> ExprCompiler<'a> {
             .cloned()
             .reduce(|a, b| SqlExpr::Binary(SqlBinOp::And, Box::new(a), Box::new(b)));
         SelectStmt {
-            items: vec![SelectItem::Expr {
+            items: vec![SelectItem {
                 expr: item,
                 alias: None,
             }],
@@ -131,30 +131,24 @@ impl<'a> ExprCompiler<'a> {
     }
 
     /// Build `SELECT alias.column FROM class alias WHERE alias.id = expr`,
-    /// fusing with `expr` when it is already a single-table subquery that
-    /// selects `inner_alias.id` (no grouping/ordering/limit) — the shape
-    /// produced by `UNIQUE` and inlined helper functions.
+    /// fusing with `expr` when it is already an unordered subquery on
+    /// `class` that selects `inner_alias.id` — the shape produced by
+    /// `UNIQUE` and inlined helper functions.
     fn object_column_select(&mut self, class: &str, expr: SqlExpr, column: &str) -> SelectStmt {
         if let SqlExpr::Subquery(inner) = &expr {
-            if inner.joins.is_empty()
-                && inner.group_by.is_empty()
-                && inner.having.is_none()
-                && inner.order_by.is_empty()
-                && inner.limit.is_none()
-                && !inner.distinct
-            {
-                if let (Some(from), [SelectItem::Expr { expr: item, .. }]) =
-                    (&inner.from, inner.items.as_slice())
-                {
-                    let visible = from.alias.as_deref().unwrap_or(&from.table);
-                    if *item == SqlExpr::col(Some(visible), "id") && from.table == class {
-                        let mut fused = (**inner).clone();
-                        fused.items = vec![SelectItem::Expr {
-                            expr: SqlExpr::col(Some(visible), column),
-                            alias: None,
-                        }];
-                        return fused;
-                    }
+            if let (Some(from), [item], true) = (
+                &inner.from,
+                inner.items.as_slice(),
+                inner.order_by.is_empty(),
+            ) {
+                let visible = from.visible_name();
+                if item.expr == SqlExpr::col(Some(visible), "id") && from.table == class {
+                    let mut fused = (**inner).clone();
+                    fused.items = vec![SelectItem {
+                        expr: SqlExpr::col(Some(visible), column),
+                        alias: None,
+                    }];
+                    return fused;
                 }
             }
         }
@@ -424,7 +418,6 @@ impl<'a> ExprCompiler<'a> {
                 let agg = SqlExpr::Agg {
                     func,
                     arg: Some(Box::new(item)),
-                    distinct: false,
                 };
                 // Empty SUM/COUNT must be 0 to match the interpreter.
                 let agg = if matches!(op, AggOp::Sum) {
@@ -480,7 +473,6 @@ impl<'a> ExprCompiler<'a> {
                     SqlExpr::Agg {
                         func: AggFunc::Count,
                         arg: None,
-                        distinct: false,
                     },
                 );
                 Ok(CVal::Scalar(SqlExpr::Subquery(Box::new(sel))))

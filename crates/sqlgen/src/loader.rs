@@ -22,7 +22,7 @@ use reldb::Database;
 use std::collections::HashMap;
 
 /// Convert an interpreter value into a SQL storage value.
-fn to_sql_value(v: &EvalValue) -> SqlGenResult<Value> {
+pub(crate) fn to_sql_value(v: &EvalValue) -> SqlGenResult<Value> {
     Ok(match v {
         EvalValue::Int(i) => Value::Int(*i),
         EvalValue::Float(f) => Value::Float(*f),
@@ -264,10 +264,11 @@ mod tests {
     #[test]
     fn enum_values_stored_as_text() {
         let (store, db, _) = simulated_db();
-        let r = db.query("SELECT DISTINCT Type FROM TypedTiming").unwrap();
-        assert!(!r.rows.is_empty());
-        for row in &r.rows {
-            let name = row[0].as_str().unwrap();
+        let r = db.query("SELECT Type FROM TypedTiming").unwrap();
+        let names: std::collections::BTreeSet<&str> =
+            r.rows.iter().map(|row| row[0].as_str().unwrap()).collect();
+        assert!(!names.is_empty());
+        for name in names {
             assert!(
                 perfdata::TimingType::from_name(name).is_some(),
                 "bad enum text {name}"

@@ -9,15 +9,16 @@
 
 use crate::compile::{CVal, ExprCompiler};
 use crate::error::{SqlGenError, SqlGenResult};
+use crate::loader::to_sql_value;
 use crate::schema::SchemaInfo;
-use asl_core::ast::{ArmSpec, PropertyDecl};
+use asl_core::ast::{Expr, Ident, PropertyDecl};
 use asl_core::check::CheckedSpec;
 use asl_eval::{PropertyOutcome, Value as EvalValue};
 use reldb::remote::Connection;
 use reldb::sql::ast::{SelectItem, SelectStmt, SqlExpr};
 use reldb::sql::render::render_select;
 use reldb::value::Value;
-use reldb::Database;
+use reldb::{Database, DbError, QueryResult};
 use std::collections::HashMap;
 
 /// One compiled scalar query with an optional guard (condition id).
@@ -61,72 +62,66 @@ impl CompiledProperty {
     }
 }
 
-fn bind_args(prop: &PropertyDecl, args: &[EvalValue]) -> SqlGenResult<HashMap<String, CVal>> {
-    if args.len() != prop.params.len() {
-        return Err(SqlGenError::Unsupported(format!(
-            "property `{}` expects {} arguments, got {}",
-            prop.name.name,
-            prop.params.len(),
-            args.len()
-        )));
-    }
-    let mut env = HashMap::new();
-    for (p, a) in prop.params.iter().zip(args) {
-        let cval = match a {
-            EvalValue::Obj(o) => CVal::Obj {
-                class: o.class.as_str().to_string(),
-                expr: SqlExpr::Lit(Value::Int(o.index as i64)),
-            },
-            EvalValue::Int(v) => CVal::Scalar(SqlExpr::Lit(Value::Int(*v))),
-            EvalValue::Float(v) => CVal::Scalar(SqlExpr::Lit(Value::Float(*v))),
-            EvalValue::Bool(v) => CVal::Scalar(SqlExpr::Lit(Value::Bool(*v))),
-            EvalValue::Str(v) => CVal::Scalar(SqlExpr::Lit(Value::Text(v.as_str().to_string()))),
-            EvalValue::DateTime(v) => CVal::Scalar(SqlExpr::Lit(Value::Int(*v))),
-            EvalValue::Enum(_, v) => {
-                CVal::Scalar(SqlExpr::Lit(Value::Text(v.as_str().to_string())))
-            }
-            other => {
-                return Err(SqlGenError::Unsupported(format!(
-                    "cannot bind {other} as a property argument"
-                )))
-            }
-        };
-        env.insert(p.name.name.clone(), cval);
-    }
-    Ok(env)
-}
-
-fn scalar_select(expr: SqlExpr) -> SelectStmt {
-    SelectStmt {
-        items: vec![SelectItem::Expr { expr, alias: None }],
-        ..Default::default()
+/// Bind one context argument: an object is its id, a scalar its literal.
+pub(crate) fn bind_value(v: &EvalValue) -> SqlGenResult<CVal> {
+    match v {
+        EvalValue::Obj(o) => Ok(CVal::Obj {
+            class: o.class.as_str().to_string(),
+            expr: SqlExpr::Lit(Value::Int(o.index as i64)),
+        }),
+        EvalValue::Set(_) | EvalValue::Null => Err(SqlGenError::Unsupported(format!(
+            "cannot bind {v} as a property argument"
+        ))),
+        scalar => Ok(CVal::Scalar(SqlExpr::Lit(to_sql_value(scalar)?))),
     }
 }
 
-fn compile_arms(
-    cx: &mut ExprCompiler<'_>,
-    spec: &ArmSpec,
-    env: &HashMap<String, CVal>,
-) -> SqlGenResult<Vec<CompiledScalar>> {
-    let mut out = Vec::with_capacity(spec.arms.len());
-    for arm in &spec.arms {
-        let v = cx.compile(&arm.expr, env, 0)?;
-        let CVal::Scalar(e) = v else {
-            return Err(SqlGenError::Unsupported(
-                "confidence/severity arm is not scalar".into(),
-            ));
-        };
-        out.push(CompiledScalar {
-            guard: arm.guard.as_ref().map(|g| g.name.clone()),
-            select: scalar_select(e),
-        });
+/// A condition id or arm guard with the scalar compiled for it.
+pub(crate) type Guarded = (Option<String>, SqlExpr);
+
+/// A property body compiled in one environment.
+pub(crate) struct CompiledBody {
+    pub(crate) conditions: Vec<Guarded>,
+    pub(crate) confidence: Vec<Guarded>,
+    pub(crate) severity: Vec<Guarded>,
+}
+
+/// Compile a property's body with its parameters bound in `env` — the one
+/// walk behind per-context and batch compilation. `LET` definitions are
+/// bound as compiled values, user functions are inlined. The order (lets,
+/// conditions, confidence, severity) fixes the alias numbering.
+pub(crate) fn compile_body(
+    spec: &CheckedSpec,
+    schema: &SchemaInfo,
+    prop: &PropertyDecl,
+    mut env: HashMap<String, CVal>,
+) -> SqlGenResult<CompiledBody> {
+    let mut cx = ExprCompiler::new(spec, schema);
+    for l in &prop.lets {
+        let v = cx.compile(&l.value, &env, 0)?;
+        env.insert(l.name.name.clone(), v);
     }
-    Ok(out)
+    let mut guarded = |guard: Option<&Ident>, e: &Expr| match cx.compile(e, &env, 0)? {
+        CVal::Scalar(s) => Ok((guard.map(|g| g.name.clone()), s)),
+        _ => Err(SqlGenError::Unsupported(
+            "condition or confidence/severity arm is not scalar".into(),
+        )),
+    };
+    Ok(CompiledBody {
+        conditions: (prop.conditions.iter())
+            .map(|c| guarded(c.id.as_ref(), &c.expr))
+            .collect::<SqlGenResult<_>>()?,
+        confidence: (prop.confidence.arms.iter())
+            .map(|a| guarded(a.guard.as_ref(), &a.expr))
+            .collect::<SqlGenResult<_>>()?,
+        severity: (prop.severity.arms.iter())
+            .map(|a| guarded(a.guard.as_ref(), &a.expr))
+            .collect::<SqlGenResult<_>>()?,
+    })
 }
 
 /// Compile a property for one context (`args` bound to its parameters, in
-/// order). `LET` definitions are bound as compiled values, user functions
-/// are inlined.
+/// order) into one scalar `SELECT` per condition and arm.
 pub fn compile_property(
     spec: &CheckedSpec,
     schema: &SchemaInfo,
@@ -136,31 +131,35 @@ pub fn compile_property(
     let prop = spec
         .property(name)
         .ok_or_else(|| SqlGenError::UnknownName(format!("property `{name}`")))?;
-    let mut cx = ExprCompiler::new(spec, schema);
-    let mut env = bind_args(prop, args)?;
-
-    for l in &prop.lets {
-        let v = cx.compile(&l.value, &env, 0)?;
-        env.insert(l.name.name.clone(), v);
+    if args.len() != prop.params.len() {
+        return Err(SqlGenError::Unsupported(format!(
+            "property `{name}` expects {} arguments, got {}",
+            prop.params.len(),
+            args.len()
+        )));
     }
-
-    let mut conditions = Vec::with_capacity(prop.conditions.len());
-    for c in &prop.conditions {
-        let v = cx.compile(&c.expr, &env, 0)?;
-        let CVal::Scalar(e) = v else {
-            return Err(SqlGenError::Unsupported("condition is not scalar".into()));
-        };
-        conditions.push(CompiledScalar {
-            guard: c.id.as_ref().map(|i| i.name.clone()),
-            select: scalar_select(e),
-        });
+    let mut env = HashMap::new();
+    for (p, a) in prop.params.iter().zip(args) {
+        env.insert(p.name.name.clone(), bind_value(a)?);
     }
-
+    let body = compile_body(spec, schema, prop, env)?;
+    let selects = |exprs: Vec<Guarded>| -> Vec<CompiledScalar> {
+        exprs
+            .into_iter()
+            .map(|(guard, expr)| CompiledScalar {
+                guard,
+                select: SelectStmt {
+                    items: vec![SelectItem { expr, alias: None }],
+                    ..Default::default()
+                },
+            })
+            .collect()
+    };
     Ok(CompiledProperty {
         name: name.to_string(),
-        conditions,
-        confidence: compile_arms(&mut cx, &prop.confidence, &env)?,
-        severity: compile_arms(&mut cx, &prop.severity, &env)?,
+        conditions: selects(body.conditions),
+        confidence: selects(body.confidence),
+        severity: selects(body.severity),
     })
 }
 
@@ -174,10 +173,6 @@ fn scalar_to_bool(v: &Value) -> bool {
         Value::Int(i) => *i != 0,
         _ => false,
     }
-}
-
-fn scalar_to_f64(v: &Value) -> Option<f64> {
-    v.as_f64()
 }
 
 /// Shared outcome assembly once each query has produced its scalar.
@@ -213,7 +208,7 @@ pub(crate) fn assemble(
             if !applicable(guard) {
                 continue;
             }
-            if let Some(x) = scalar_to_f64(v) {
+            if let Some(x) = v.as_f64() {
                 best = Some(best.map_or(x, |b: f64| b.max(x)));
             }
         }
@@ -230,42 +225,42 @@ pub(crate) fn assemble(
     }
 }
 
-fn run_scalar_db(db: &Database, cs: &CompiledScalar) -> SqlGenResult<Value> {
-    let r = db.query(&cs.sql())?;
-    match r.scalar() {
-        Some(v) => Ok(v.clone()),
-        None => Err(SqlGenError::Result(format!(
-            "query `{}` returned {} rows",
-            cs.sql(),
-            r.rows.len()
-        ))),
-    }
+/// Run the bundle's queries through `run` — conditions first, the arms only
+/// when one of them holds (severity of a non-holding property is 0 by
+/// definition, and an arm may divide by zero there) — and assemble the
+/// interpreter-compatible outcome.
+fn eval_with(
+    cp: &CompiledProperty,
+    mut run: impl FnMut(&str) -> Result<QueryResult, DbError>,
+) -> SqlGenResult<PropertyOutcome> {
+    let mut run_all = |queries: &[CompiledScalar]| {
+        let mut vals = Vec::with_capacity(queries.len());
+        for cs in queries {
+            let sql = cs.sql();
+            let r = run(&sql)?;
+            let Some(v) = r.scalar() else {
+                return Err(SqlGenError::Result(format!(
+                    "query `{sql}` returned {} rows",
+                    r.rows.len()
+                )));
+            };
+            vals.push((cs.guard.clone(), v.clone()));
+        }
+        Ok(vals)
+    };
+    let cond_vals = run_all(&cp.conditions)?;
+    let (conf_vals, sev_vals) = if cond_vals.iter().any(|(_, v)| scalar_to_bool(v)) {
+        (run_all(&cp.confidence)?, run_all(&cp.severity)?)
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    Ok(assemble(&cp.name, cond_vals, conf_vals, sev_vals))
 }
 
 /// Evaluate a compiled property against an embedded database (no cost
 /// model) and produce the interpreter-compatible outcome.
 pub fn eval_compiled(db: &Database, cp: &CompiledProperty) -> SqlGenResult<PropertyOutcome> {
-    let mut cond_vals = Vec::with_capacity(cp.conditions.len());
-    for c in &cp.conditions {
-        cond_vals.push((c.guard.clone(), run_scalar_db(db, c)?));
-    }
-    let holds = cond_vals.iter().any(|(_, v)| scalar_to_bool(v));
-    // Arms are only run when the property holds (severity of a non-holding
-    // property is 0 by definition).
-    let (conf_vals, sev_vals) = if holds {
-        let mut cv = Vec::new();
-        for a in &cp.confidence {
-            cv.push((a.guard.clone(), run_scalar_db(db, a)?));
-        }
-        let mut sv = Vec::new();
-        for a in &cp.severity {
-            sv.push((a.guard.clone(), run_scalar_db(db, a)?));
-        }
-        (cv, sv)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    Ok(assemble(&cp.name, cond_vals, conf_vals, sev_vals))
+    eval_with(cp, |sql| db.query(sql))
 }
 
 /// Evaluate a compiled property through a cost-charging [`Connection`]
@@ -274,36 +269,7 @@ pub fn eval_compiled_conn(
     conn: &mut Connection,
     cp: &CompiledProperty,
 ) -> SqlGenResult<PropertyOutcome> {
-    let mut run_scalar = |cs: &CompiledScalar| -> SqlGenResult<Value> {
-        let r = conn.execute(&cs.sql())?;
-        match r.scalar() {
-            Some(v) => Ok(v.clone()),
-            None => Err(SqlGenError::Result(format!(
-                "query `{}` returned {} rows",
-                cs.sql(),
-                r.rows.len()
-            ))),
-        }
-    };
-    let mut cond_vals = Vec::with_capacity(cp.conditions.len());
-    for c in &cp.conditions {
-        cond_vals.push((c.guard.clone(), run_scalar(c)?));
-    }
-    let holds = cond_vals.iter().any(|(_, v)| scalar_to_bool(v));
-    let (conf_vals, sev_vals) = if holds {
-        let mut cv = Vec::new();
-        for a in &cp.confidence {
-            cv.push((a.guard.clone(), run_scalar(a)?));
-        }
-        let mut sv = Vec::new();
-        for a in &cp.severity {
-            sv.push((a.guard.clone(), run_scalar(a)?));
-        }
-        (cv, sv)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    Ok(assemble(&cp.name, cond_vals, conf_vals, sev_vals))
+    eval_with(cp, |sql| conn.execute(sql))
 }
 
 #[cfg(test)]

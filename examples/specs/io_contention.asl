@@ -1,10 +1,10 @@
 // Custom property: I/O time that grew superlinearly vs the reference run
 // indicates filesystem contention (shared-bandwidth saturation).
 //
-// This file extends the built-in COSY suite: lint or evaluate it with the
-// data model and standard properties prepended, e.g.
+// This file extends the built-in COSY suite: lint it with the data model
+// prepended, evaluate it with the standard properties as well, e.g.
 //
-//     cargo run --example cosy_lint -- --with-suite examples/specs/io_contention.asl
+//     cargo run -p kojak-lint --bin cosy_lint -- --with-suite examples/specs/io_contention.asl
 //
 // cosy-lint: allow(residual-filter-scan): the IoNow/IoRef filters select by
 // (Run, Type); the store indexes only (owner, Run), so the Type membership

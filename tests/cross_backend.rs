@@ -145,3 +145,113 @@ fn backends_agree_on_generated_program() {
     let version = simulate_program(&mut store, &model, &machine, &[1, 8, 32]);
     cross_check(&store, version);
 }
+
+/// Every construct `asl_sql::compile` translates that the standard suite
+/// never reaches: `+ != <= >= NOT %`, unary minus, both quantifiers,
+/// `AVG`/`MAX`/`COUNT` aggregates, `COUNT(set)` and the two-argument
+/// `MAX`/`MIN` (→ `GREATEST`/`LEAST`), with named conditions and guarded
+/// arms so `fired` is more than one flag.
+const GENERATOR_GRAMMAR: &str = r#"
+Property GrammarArith(Region r, TestRun t, Region Basis) {
+    LET float Incl = Duration(r,t);
+        float Padded = Incl + Summary(r,t).Ovhd
+    IN CONDITION: (grew) Padded != Incl AND Incl + Incl <= Duration(Basis,t) AND Padded >= -Incl
+               OR (odd) NOT (t.NoPe % 2 != 1) AND Incl * 2 > Duration(Basis,t);
+    CONFIDENCE: MAX((grew) -> 1, (odd) -> 0.5);
+    SEVERITY: MAX((grew) -> MIN(Padded, Duration(Basis,t)) / MAX(Duration(Basis,t), Incl),
+                  (odd) -> 0.25);
+}
+
+Property GrammarQuantifiers(Region r, TestRun t, Region Basis) {
+    CONDITION: EXISTS(s IN r.TotTimes WITH s.Run == t AND s.Ovhd > 0)
+           AND FORALL(s IN r.TotTimes WITH s.Incl >= s.Excl AND s.Ovhd * 4 <= s.Incl);
+    CONFIDENCE: 1;
+    SEVERITY: COUNT(r.TypTimes) + 0.5;
+}
+
+Property GrammarAggregates(Region r, TestRun t, Region Basis) {
+    LET int N = COUNT(tt.Time WHERE tt IN r.TypTimes AND tt.Run == t);
+        float Mean = AVG(tt.Time WHERE tt IN r.TypTimes AND tt.Run == t);
+        float Peak = MAX(tt.Time WHERE tt IN r.TypTimes AND tt.Run == t)
+    IN CONDITION: N > 0 AND Peak >= Mean; CONFIDENCE: 1;
+    SEVERITY: (Peak - Mean) / Duration(Basis,t) + N;
+}
+"#;
+
+#[test]
+fn backends_agree_on_everything_the_generator_emits() {
+    use kojak::cosy::backend::{Backend, PreparedBackend};
+
+    let src = format!("{}\n{GENERATOR_GRAMMAR}", kojak::asl_eval::COSY_DATA_MODEL);
+    let spec =
+        kojak::asl_core::parse_and_check(&src).unwrap_or_else(|d| panic!("{}", d.render(&src)));
+    let mut store = Store::new();
+    let version = simulate_program(
+        &mut store,
+        &kojak::apprentice_sim::archetypes::particle_mc(29),
+        &MachineModel::t3e_900(),
+        &[1, 4, 16],
+    );
+    let basis = store.main_region(version).unwrap();
+    let v = &store.versions[version.index()];
+    let prepared: Vec<(Backend, PreparedBackend<'_>)> = [
+        Backend::Interpreter,
+        Backend::Compiled,
+        Backend::Sql,
+        Backend::SqlBatched,
+    ]
+    .into_iter()
+    .map(|b| (b, PreparedBackend::prepare(b, &spec, &store).unwrap()))
+    .collect();
+
+    for prop in ["GrammarArith", "GrammarQuantifiers", "GrammarAggregates"] {
+        let mut held = 0usize;
+        let mut not_held = 0usize;
+        for &run in &v.runs {
+            for f in &v.functions {
+                for region in &store.functions[f.index()].regions {
+                    let args = [
+                        Value::region(*region),
+                        Value::run(run),
+                        Value::region(basis),
+                    ];
+                    // `None` (not applicable: an empty UNIQUE/AVG/MAX) and
+                    // `holds == false` both mean "no problem here".
+                    let outcomes: Vec<_> = prepared
+                        .iter()
+                        .map(|(b, p)| {
+                            let o = p.eval(prop, &args).unwrap_or_else(|e| panic!("{b:?}: {e}"));
+                            (*b, o.filter(|o| o.holds))
+                        })
+                        .collect();
+                    let (_, reference) = &outcomes[0];
+                    match reference {
+                        Some(_) => held += 1,
+                        None => not_held += 1,
+                    }
+                    for (b, o) in &outcomes[1..] {
+                        let ctx = format!("{prop} {region:?} run {run}: Interpreter vs {b:?}");
+                        assert_eq!(reference.is_some(), o.is_some(), "{ctx}: holds");
+                        let (Some(i), Some(o)) = (reference, o) else {
+                            continue;
+                        };
+                        assert_eq!(i.fired, o.fired, "{ctx}: fired");
+                        assert_eq!(i.confidence, o.confidence, "{ctx}: confidence");
+                        let rel = 1e-9 * i.severity.abs().max(1.0);
+                        assert!(
+                            (i.severity - o.severity).abs() <= rel,
+                            "{ctx}: severity {} vs {}",
+                            i.severity,
+                            o.severity
+                        );
+                    }
+                }
+            }
+        }
+        assert!(held > 0, "{prop} never holds: the arms were not compared");
+        assert!(
+            not_held > 0,
+            "{prop} always holds: the filter was not compared"
+        );
+    }
+}
