@@ -53,7 +53,7 @@ pub fn run() -> Vec<E5Result> {
         out.push(E5Result {
             app: model.name.clone(),
             report_text: cosy::report::render_text(&a),
-            bottleneck: a.bottleneck().map(|e| e.property.clone()),
+            bottleneck: a.bottleneck().map(|e| e.property.to_string()),
             problems: a.problems().count(),
             backends_agree: agree,
         });

@@ -5,11 +5,12 @@ use crate::backend::{Backend, PreparedBackend};
 use crate::error::{AnalysisError, SpecError};
 use crate::suite::{standard_suite, ContextSelector, SUITE};
 use asl_core::check::CheckedSpec;
-use asl_eval::{compile as compile_ir, CompiledSpec, Value};
+use asl_eval::{compile as compile_ir, CompiledSpec, Scratch, Value};
 use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
 use rayon::prelude::*;
 use serde::Serialize;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Severity threshold above which a property is a *performance problem*
@@ -25,6 +26,65 @@ impl Default for ProblemThreshold {
     }
 }
 
+/// A property name or a context label: immutable text shared by every
+/// entry that carries it. A report names a dozen properties and a few
+/// hundred contexts across thousands of entries, so entries hold a
+/// reference — cloning an entry, a report or a whole report map copies no
+/// text. Reads as a `str`.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+pub struct Name(Arc<str>);
+
+impl Name {
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Self {
+        Name(s.into())
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name(s.into())
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The names of [`SUITE`], in suite order: one shared allocation each for
+/// the life of the process.
+fn suite_names() -> &'static [Name] {
+    static NAMES: OnceLock<Vec<Name>> = OnceLock::new();
+    NAMES.get_or_init(|| SUITE.iter().map(|info| info.name.into()).collect())
+}
+
 /// The context a property instance was evaluated in.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ContextDesc {
@@ -35,7 +95,7 @@ pub struct ContextDesc {
     /// The analyzed test run.
     pub run: u32,
     /// Human-readable label (region name or call description).
-    pub label: String,
+    pub label: Name,
 }
 
 /// One ranked analysis result.
@@ -44,7 +104,7 @@ pub struct RankedEntry {
     /// Rank (1-based, by decreasing severity).
     pub rank: usize,
     /// Property name.
-    pub property: String,
+    pub property: Name,
     /// Evaluation context.
     pub context: ContextDesc,
     /// Severity (fraction of the basis duration).
@@ -105,7 +165,7 @@ impl AnalysisReport {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HeldEntry {
     /// Property name.
-    pub property: String,
+    pub property: Name,
     /// Evaluation context.
     pub context: ContextDesc,
     /// Severity (fraction of the basis duration).
@@ -156,9 +216,69 @@ impl ContextScope {
     }
 }
 
-/// One enumerated property instance: property name, argument vector and
-/// the human-facing context description.
-pub type Instance = (String, Vec<Value>, ContextDesc);
+/// One enumerated property instance, as dense ids. Its test run and
+/// ranking basis are those of the enumeration it belongs to
+/// ([`Instances`]); its name and context description are built only if it
+/// turns out to hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Instance {
+    /// Index of the property in [`SUITE`].
+    pub property: u16,
+    /// Id of the region or call site — whichever the property's
+    /// [`ContextSelector`] ranges over — the instance is about.
+    pub subject: u32,
+}
+
+/// The property instances of one test run, property-major: all subjects of
+/// the first property, then all of the second, … — the order
+/// [`Analyzer::evaluate_instances`] cuts into batches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Instances {
+    run: TestRunId,
+    list: Vec<Instance>,
+}
+
+impl Instances {
+    /// Number of instances.
+    pub fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    /// True when there is nothing to evaluate.
+    pub fn is_empty(&self) -> bool {
+        self.list.is_empty()
+    }
+
+    /// The instances, in evaluation order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Instance> {
+        self.list.iter()
+    }
+
+    /// Keep only the instances `keep` accepts (order unchanged).
+    pub fn retain(&mut self, keep: impl FnMut(&Instance) -> bool) {
+        self.list.retain(keep);
+    }
+}
+
+/// Most subjects one batch evaluates. A batch is the unit handed to a
+/// worker, so a run with few properties over many contexts still spreads
+/// over the cores; within a batch everything that depends on (property,
+/// run, basis) alone is computed once.
+const BATCH_SUBJECTS: usize = 256;
+
+/// What the analyzer reads off the version's structure once, on first use:
+/// the context lists every enumeration walks and one label cell per
+/// context, filled when the first entry of that context holds and shared
+/// by every later one.
+struct Contexts {
+    regions: Vec<RegionId>,
+    barrier_calls: Vec<CallId>,
+    all_calls: Vec<CallId>,
+    /// [`SUITE`] indices of the properties the suite spec declares.
+    declared: Vec<u16>,
+    region_labels: HashMap<u32, OnceLock<Name>>,
+    call_labels: HashMap<u32, OnceLock<Name>>,
+}
 
 /// The COSY analyzer bound to one program version in a store.
 pub struct Analyzer<'s> {
@@ -169,6 +289,7 @@ pub struct Analyzer<'s> {
     /// first `Backend::Compiled` analysis and shared from then on.
     compiled: OnceLock<Arc<CompiledSpec>>,
     basis: RegionId,
+    contexts: OnceLock<Contexts>,
 }
 
 impl<'s> Analyzer<'s> {
@@ -193,13 +314,14 @@ impl<'s> Analyzer<'s> {
             spec,
             compiled: OnceLock::new(),
             basis,
+            contexts: OnceLock::new(),
         })
     }
 
     /// Create an analyzer sharing both a pre-checked suite and its
-    /// pre-lowered IR. The online engine compiles the suite once per
-    /// session and re-binds analyzers on every flush through this
-    /// constructor, so no per-flush lowering happens.
+    /// pre-lowered IR. The engines compile the suite once and re-bind
+    /// analyzers on every flush through this constructor, so no per-flush
+    /// lowering happens.
     pub fn with_compiled(
         store: &'s Store,
         version: VersionId,
@@ -215,6 +337,7 @@ impl<'s> Analyzer<'s> {
     pub fn with_suite(mut self, spec: CheckedSpec) -> Self {
         self.spec = Arc::new(spec);
         self.compiled = OnceLock::new();
+        self.contexts = OnceLock::new();
         self
     }
 
@@ -248,32 +371,53 @@ impl<'s> Analyzer<'s> {
         self.basis
     }
 
+    fn contexts(&self) -> &Contexts {
+        self.contexts.get_or_init(|| {
+            let s = self.store;
+            let functions = || s.versions[self.version.index()].functions.iter();
+            let regions: Vec<RegionId> = functions()
+                .flat_map(|f| s.functions[f.index()].regions.iter().copied())
+                .collect();
+            let calls_of = |barrier_only: bool| -> Vec<CallId> {
+                functions()
+                    .map(|f| &s.functions[f.index()])
+                    .filter(|f| !barrier_only || f.name == "barrier")
+                    .flat_map(|f| f.calls.iter().copied())
+                    .collect()
+            };
+            let all_calls = calls_of(false);
+            let declared = (0..SUITE.len() as u16)
+                .filter(|&i| self.spec.property(SUITE[i as usize].name).is_some())
+                .collect();
+            Contexts {
+                region_labels: regions.iter().map(|r| (r.0, OnceLock::new())).collect(),
+                call_labels: all_calls.iter().map(|c| (c.0, OnceLock::new())).collect(),
+                regions,
+                barrier_calls: calls_of(true),
+                all_calls,
+                declared,
+            }
+        })
+    }
+
     /// Regions of the analyzed version (all functions).
-    pub fn regions(&self) -> Vec<RegionId> {
-        self.store.versions[self.version.index()]
-            .functions
-            .iter()
-            .flat_map(|f| self.store.functions[f.index()].regions.iter().copied())
-            .collect()
+    pub fn regions(&self) -> &[RegionId] {
+        &self.contexts().regions
     }
 
-    /// Call sites according to a context selector.
-    pub fn calls(&self, selector: ContextSelector) -> Vec<CallId> {
-        let version = &self.store.versions[self.version.index()];
-        version
-            .functions
-            .iter()
-            .filter(|f| {
-                selector == ContextSelector::AllCalls
-                    || self.store.functions[f.index()].name == "barrier"
-            })
-            .flat_map(|f| self.store.functions[f.index()].calls.iter().copied())
-            .collect()
+    /// Call sites according to a context selector (none for
+    /// [`ContextSelector::AllRegions`]).
+    pub fn calls(&self, selector: ContextSelector) -> &[CallId] {
+        match selector {
+            ContextSelector::AllRegions => &[],
+            ContextSelector::BarrierCalls => &self.contexts().barrier_calls,
+            ContextSelector::AllCalls => &self.contexts().all_calls,
+        }
     }
 
-    /// Enumerate all (property, argument-vector, context) instances for one
-    /// run. Properties not present in the suite spec are skipped.
-    pub fn instances(&self, run: TestRunId) -> Vec<Instance> {
+    /// Enumerate all property instances of one run. Properties not present
+    /// in the suite spec are skipped.
+    pub fn instances(&self, run: TestRunId) -> Instances {
         self.instances_scoped(run, &ContextScope::All)
     }
 
@@ -281,54 +425,26 @@ impl<'s> Analyzer<'s> {
     /// scope. `ContextScope::All` yields the full batch cross-product; a
     /// dirty scope yields only the instances whose region/call context is
     /// listed — the unit of work of incremental re-analysis.
-    pub fn instances_scoped(&self, run: TestRunId, scope: &ContextScope) -> Vec<Instance> {
-        let mut out = Vec::new();
-        let basis = Value::region(self.basis);
-        for info in SUITE {
-            if self.spec.property(info.name).is_none() {
-                continue;
-            }
-            match info.contexts {
+    pub fn instances_scoped(&self, run: TestRunId, scope: &ContextScope) -> Instances {
+        let ctx = self.contexts();
+        let mut list = Vec::new();
+        if *scope == ContextScope::All {
+            list.reserve_exact(self.instance_universe());
+        }
+        for &property in &ctx.declared {
+            let of = |subject: u32| Instance { property, subject };
+            match SUITE[property as usize].contexts {
                 ContextSelector::AllRegions => {
-                    for r in self.regions() {
-                        if !scope.has_region(r) {
-                            continue;
-                        }
-                        out.push((
-                            info.name.to_string(),
-                            vec![Value::region(r), Value::run(run), basis.clone()],
-                            ContextDesc {
-                                region: Some(r.0),
-                                call: None,
-                                run: run.0,
-                                label: self.store.regions[r.index()].name.clone(),
-                            },
-                        ));
-                    }
+                    let regions = ctx.regions.iter().filter(|r| scope.has_region(**r));
+                    list.extend(regions.map(|r| of(r.0)));
                 }
-                sel @ (ContextSelector::BarrierCalls | ContextSelector::AllCalls) => {
-                    for c in self.calls(sel) {
-                        if !scope.has_call(c) {
-                            continue;
-                        }
-                        let call = &self.store.calls[c.index()];
-                        let callee = &self.store.functions[call.callee.index()].name;
-                        let site = &self.store.regions[call.calling_reg.index()].name;
-                        out.push((
-                            info.name.to_string(),
-                            vec![Value::call(c), Value::run(run), basis.clone()],
-                            ContextDesc {
-                                region: None,
-                                call: Some(c.0),
-                                run: run.0,
-                                label: format!("call {callee} at {site}"),
-                            },
-                        ));
-                    }
+                selector => {
+                    let calls = self.calls(selector).iter().filter(|c| scope.has_call(**c));
+                    list.extend(calls.map(|c| of(c.0)));
                 }
             }
         }
-        out
+        Instances { run, list }
     }
 
     /// Total number of property instances a full pass over any one run of
@@ -337,45 +453,150 @@ impl<'s> Analyzer<'s> {
     /// incremental engine keep batch-identical `skipped` statistics at
     /// negligible cost.
     pub fn instance_universe(&self) -> usize {
-        let regions = self.regions().len();
-        let mut count = 0;
-        for info in SUITE {
-            if self.spec.property(info.name).is_none() {
-                continue;
-            }
-            count += match info.contexts {
-                ContextSelector::AllRegions => regions,
-                sel @ (ContextSelector::BarrierCalls | ContextSelector::AllCalls) => {
-                    self.calls(sel).len()
-                }
-            };
-        }
-        count
+        let ctx = self.contexts();
+        let per_property = |&i: &u16| match SUITE[i as usize].contexts {
+            ContextSelector::AllRegions => ctx.regions.len(),
+            selector => self.calls(selector).len(),
+        };
+        ctx.declared.iter().map(per_property).sum()
     }
 
-    /// Evaluate a set of enumerated instances on a prepared backend, in
-    /// parallel. The result is aligned with `instances`: `Some(entry)` for
-    /// an instance that held with positive severity, `None` for one that
-    /// did not hold or was not applicable. Both the batch [`Self::analyze`]
-    /// and the incremental engine go through this single code path.
+    /// Evaluate a set of enumerated instances on a prepared backend. The
+    /// result is aligned with `instances`: `Some(entry)` for an instance
+    /// that held with positive severity, `None` for one that did not hold
+    /// or was not applicable; an evaluation failure is that of the first
+    /// failing instance in enumeration order. Both the batch
+    /// [`Self::analyze`] and the incremental engine go through this single
+    /// code path.
+    ///
+    /// The list is cut into batches of one property × up to
+    /// `BATCH_SUBJECTS` subjects, evaluated in parallel — the one level of
+    /// parallelism of a flush — unless the whole list is shorter than one
+    /// full batch.
     pub fn evaluate_instances(
         &self,
         prepared: &PreparedBackend<'_>,
-        instances: &[Instance],
+        instances: &Instances,
     ) -> Result<Vec<Option<HeldEntry>>, AnalysisError> {
-        let results: Vec<Result<Option<HeldEntry>, AnalysisError>> = instances
-            .par_iter()
-            .map(|(prop, args, ctx)| match prepared.eval(prop, args)? {
-                Some(o) if o.holds && o.severity > 0.0 => Ok(Some(HeldEntry {
-                    property: prop.clone(),
-                    context: ctx.clone(),
-                    severity: o.severity,
-                    confidence: o.confidence,
-                })),
-                _ => Ok(None),
-            })
-            .collect();
-        results.into_iter().collect()
+        let same_property = instances.list.chunk_by(|a, b| a.property == b.property);
+        let mut batches: Vec<&[Instance]> =
+            Vec::with_capacity(SUITE.len() + instances.len() / BATCH_SUBJECTS);
+        batches.extend(same_property.flat_map(|group| group.chunks(BATCH_SUBJECTS)));
+        let evaluate = |scratch: &mut Scratch, batch: &&[Instance]| {
+            self.evaluate_batch(prepared, instances.run, batch, scratch)
+        };
+        let results: Vec<Result<Vec<(usize, HeldEntry)>, AnalysisError>> =
+            if instances.len() < BATCH_SUBJECTS {
+                // Less work than starting a second thread costs (the few
+                // dirty contexts of an incremental flush, a small program).
+                let scratch = &mut Scratch::default();
+                batches
+                    .iter()
+                    .map(|batch| evaluate(scratch, batch))
+                    .collect()
+            } else {
+                batches
+                    .par_iter()
+                    .map_init(Scratch::default, evaluate)
+                    .collect()
+            };
+        let mut out = Vec::new();
+        out.resize_with(instances.len(), || None);
+        let mut start = 0;
+        for (batch, held) in batches.iter().zip(results) {
+            for (i, entry) in held? {
+                out[start + i] = Some(entry);
+            }
+            start += batch.len();
+        }
+        Ok(out)
+    }
+
+    /// One batch: instances of a single property, evaluated in the shared
+    /// `(run, basis)` context. Returns the entries that held, each with the
+    /// index of its instance in the batch — a batch in which nothing holds
+    /// allocates nothing.
+    fn evaluate_batch(
+        &self,
+        prepared: &PreparedBackend<'_>,
+        run: TestRunId,
+        batch: &[Instance],
+        scratch: &mut Scratch,
+    ) -> Result<Vec<(usize, HeldEntry)>, AnalysisError> {
+        let property = batch[0].property as usize;
+        let Some(info) = SUITE.get(property) else {
+            return Err(AnalysisError::BadInstance {
+                property: format!("#{property}"),
+                detail: "no such property in the suite".to_string(),
+            });
+        };
+        let regions = info.contexts == ContextSelector::AllRegions;
+        let subject = |inst: &Instance| {
+            if regions {
+                Value::region(RegionId(inst.subject))
+            } else {
+                Value::call(CallId(inst.subject))
+            }
+        };
+        let context = [Value::run(run), Value::region(self.basis)];
+
+        let mut held = Vec::new();
+        let mut foreign = None;
+        let mut keep = |i: usize, outcome: Option<asl_eval::Outcome>| {
+            let Some(o) = outcome.filter(|o| o.holds && o.severity > 0.0) else {
+                return;
+            };
+            let id = batch[i].subject;
+            let Some(label) = self.label(regions, id) else {
+                foreign.get_or_insert(id);
+                return;
+            };
+            if held.is_empty() {
+                held.reserve_exact(batch.len() - i);
+            }
+            let entry = HeldEntry {
+                property: suite_names()[property].clone(),
+                context: ContextDesc {
+                    region: regions.then_some(id),
+                    call: (!regions).then_some(id),
+                    run: run.0,
+                    label,
+                },
+                severity: o.severity,
+                confidence: o.confidence,
+            };
+            held.push((i, entry));
+        };
+        let mut subjects = batch.iter().map(subject);
+        prepared.eval_batch(info.name, &context, &mut subjects, scratch, &mut keep)?;
+        match foreign {
+            None => Ok(held),
+            Some(id) => Err(AnalysisError::BadInstance {
+                property: info.name.to_string(),
+                detail: format!("subject {id} is not a context of the analyzed version"),
+            }),
+        }
+    }
+
+    /// The label of a context of the analyzed version — the region's name,
+    /// or "call *callee* at *site*" — built when its first entry holds and
+    /// shared from then on. `None` for an id that is no such context.
+    fn label(&self, region: bool, id: u32) -> Option<Name> {
+        let s = self.store;
+        let ctx = self.contexts();
+        let label = if region {
+            let name = || s.regions[id as usize].name.as_str().into();
+            ctx.region_labels.get(&id)?.get_or_init(name)
+        } else {
+            let describe = || {
+                let call = &s.calls[id as usize];
+                let callee = &s.functions[call.callee.index()].name;
+                let site = &s.regions[call.calling_reg.index()].name;
+                format!("call {callee} at {site}").into()
+            };
+            ctx.call_labels.get(&id)?.get_or_init(describe)
+        };
+        Some(label.clone())
     }
 
     /// Rank held entries into a complete report. The ordering is total and
@@ -415,7 +636,7 @@ impl<'s> Analyzer<'s> {
         let basis_duration = self.store.duration(self.basis, run).unwrap_or(0.0);
         let total_cost = entries
             .iter()
-            .find(|e| e.property == "SublinearSpeedup" && e.context.region == Some(self.basis.0))
+            .find(|e| e.context.region == Some(self.basis.0) && e.property == "SublinearSpeedup")
             .map(|e| e.severity)
             .unwrap_or(0.0);
         let reference_pe = self
@@ -449,16 +670,21 @@ impl<'s> Analyzer<'s> {
             Backend::Compiled => PreparedBackend::from_compiled(self.compiled_spec(), self.store)?,
             other => PreparedBackend::prepare(other, &self.spec, self.store)?,
         };
+        self.analyze_prepared(run, &prepared, threshold)
+    }
+
+    /// [`Self::analyze`] on a backend the caller prepared — once for as
+    /// many runs and versions of the store as it analyzes.
+    pub fn analyze_prepared(
+        &self,
+        run: TestRunId,
+        prepared: &PreparedBackend<'_>,
+        threshold: ProblemThreshold,
+    ) -> Result<AnalysisReport, AnalysisError> {
         let instances = self.instances(run);
-        let outcomes = self.evaluate_instances(&prepared, &instances)?;
-        let mut skipped = 0usize;
-        let mut held = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                Some(entry) => held.push(entry),
-                None => skipped += 1,
-            }
-        }
+        let outcomes = self.evaluate_instances(prepared, &instances)?;
+        let held: Vec<HeldEntry> = outcomes.into_iter().flatten().collect();
+        let skipped = instances.len() - held.len();
         Ok(self.assemble_report(run, held, threshold, skipped))
     }
 }
@@ -672,6 +898,50 @@ mod tests {
                 .span()
                 .map(|s| asl_core::SourceMap::new(&src).locate(s.start).line);
             assert!(line.unwrap_or(0) > 10, "span line: {line:?}");
+        }
+    }
+
+    #[test]
+    fn evaluation_fails_with_the_first_failing_instance() {
+        // 300 loops — more than one batch per property — two of them with
+        // duplicate total timings: l270 twice, l260 three times. Every
+        // property that reads `Summary` fails on both, in every batch they
+        // fall into; the error reported is that of the first failing
+        // instance in enumeration order: the first property of the suite,
+        // on the earlier region.
+        use perfdata::{DateTime, RegionKind};
+        let mut store = Store::new();
+        let p = store.add_program("dups");
+        let version = store.add_version(p, DateTime::from_secs(0), "");
+        let run = store.add_run(version, DateTime::from_secs(1), 4, 450);
+        let f = store.add_function(version, "main");
+        let main = store.add_region(f, None, RegionKind::Subprogram, "main", (1, 9));
+        store.add_total_timing(main, run, 9.0, 9.0, 0.0);
+        for i in 0..300 {
+            let r = store.add_region(f, Some(main), RegionKind::Loop, format!("l{i}"), (2, 3));
+            let records = match i {
+                260 => 3,
+                270 => 2,
+                _ => 1,
+            };
+            for _ in 0..records {
+                store.add_total_timing(r, run, 1.0, 1.0, 0.5);
+            }
+        }
+        let analyzer = Analyzer::new(&store, version).unwrap();
+        assert!(analyzer.instances(run).len() > 2 * BATCH_SUBJECTS);
+        for backend in [Backend::Interpreter, Backend::Compiled] {
+            let err = analyzer
+                .analyze(run, backend, ProblemThreshold::default())
+                .unwrap_err();
+            let AnalysisError::Property { property, source } = &err else {
+                panic!("{backend:?}: {err}");
+            };
+            assert_eq!(property, SUITE[0].name, "{backend:?}");
+            assert_eq!(
+                source.message, "UNIQUE of a set with 3 elements",
+                "{backend:?}"
+            );
         }
     }
 

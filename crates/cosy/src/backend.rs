@@ -9,8 +9,7 @@
 use crate::error::{AnalysisError, SpecError};
 use asl_core::check::CheckedSpec;
 use asl_eval::{
-    compile as compile_ir, CompiledEvaluator, CompiledSpec, CosyData, Interpreter, PropertyOutcome,
-    Value,
+    CompiledEvaluator, CosyData, Interpreter, Outcome, PropertyOutcome, Scratch, Value,
 };
 use asl_sql::{
     compile_batch, compile_property, eval_batch, eval_compiled, generate_schema, loader, SchemaInfo,
@@ -19,6 +18,11 @@ use perfdata::Store;
 use reldb::Database;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The lowering [`PreparedBackend::from_compiled`] binds, and the function
+/// that makes it — for engines that lower their suite once and bind it on
+/// every flush.
+pub use asl_eval::{compile, CompiledSpec};
 
 /// Which evaluation strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,7 +86,7 @@ impl<'a> PreparedBackend<'a> {
     ) -> Result<Self, SpecError> {
         let sql = |source| SpecError::Sql { backend, source };
         match backend {
-            Backend::Compiled => Self::from_compiled(Arc::new(compile_ir(spec)), store),
+            Backend::Compiled => Self::from_compiled(Arc::new(compile(spec)), store),
             Backend::Interpreter => {
                 let data = CosyData::new(store);
                 let interp = Interpreter::new(spec, data)
@@ -110,23 +114,65 @@ impl<'a> PreparedBackend<'a> {
     }
 
     /// Bind an already-compiled spec to a store. This is the cheap
-    /// re-preparation path the online engine uses on every flush: the
-    /// expensive lowering happened once, binding only re-evaluates the
-    /// spec's global constants.
+    /// re-preparation path the engines use on every flush: the expensive
+    /// lowering happened once, binding only re-evaluates the spec's global
+    /// constants.
     pub fn from_compiled(
         compiled: Arc<CompiledSpec>,
         store: &'a Store,
     ) -> Result<PreparedBackend<'a>, SpecError> {
-        // Property instances of one flush overwhelmingly share `Run ==`
-        // metric loads and helper calls (`Summary(r,t)`, `Duration(Basis,t)`
-        // in every severity arm); memoize both for the binding's lifetime.
-        let data = CosyData::with_filter_memo(store);
-        let eval =
-            CompiledEvaluator::new_memoized(compiled, data).map_err(|source| SpecError::Bind {
+        let eval = CompiledEvaluator::new(compiled, CosyData::new(store)).map_err(|source| {
+            SpecError::Bind {
                 backend: Backend::Compiled,
                 source,
-            })?;
+            }
+        })?;
         Ok(PreparedBackend::Compiled(eval))
+    }
+
+    /// Evaluate one property for every subject in one shared context (the
+    /// arguments after the subject), handing `sink` the index and lean
+    /// outcome of each in order — `None` for a subject the property is not
+    /// applicable to. Stops at the first subject that fails to evaluate.
+    ///
+    /// The compiled engine runs the subjects as one [`asl_eval::Batch`] on
+    /// the caller's `scratch` (one per worker serves all its batches); the
+    /// others evaluate instance by instance through [`Self::eval`].
+    pub fn eval_batch(
+        &self,
+        prop: &str,
+        context: &[Value],
+        subjects: &mut dyn Iterator<Item = Value>,
+        scratch: &mut Scratch,
+        sink: &mut dyn FnMut(usize, Option<Outcome>),
+    ) -> Result<(), AnalysisError> {
+        let PreparedBackend::Compiled(eval) = self else {
+            let mut args = vec![Value::Null];
+            args.extend_from_slice(context);
+            for (i, subject) in subjects.enumerate() {
+                args[0] = subject;
+                let outcome = self.eval(prop, &args)?.map(|o| Outcome {
+                    holds: o.holds,
+                    confidence: o.confidence,
+                    severity: o.severity,
+                });
+                sink(i, outcome);
+            }
+            return Ok(());
+        };
+        let property = |source| AnalysisError::Property {
+            property: prop.to_string(),
+            source,
+        };
+        let mut batch = eval.batch(prop, context, scratch).map_err(property)?;
+        for (i, subject) in subjects.enumerate() {
+            match batch.eval(subject) {
+                Ok(outcome) => sink(i, Some(outcome)),
+                Err(e) if e.is_not_applicable() => sink(i, None),
+                Err(e) => return Err(property(e)),
+            }
+        }
+        Ok(())
     }
 
     /// Evaluate one property instance. Returns `Ok(None)` when the property

@@ -47,8 +47,8 @@ pub mod report;
 pub mod suite;
 
 pub use analyzer::{
-    AnalysisReport, Analyzer, ContextDesc, ContextScope, HeldEntry, Instance, ProblemThreshold,
-    RankedEntry,
+    AnalysisReport, Analyzer, ContextDesc, ContextScope, HeldEntry, Instance, Instances, Name,
+    ProblemThreshold, RankedEntry,
 };
 pub use backend::Backend;
 pub use error::{AnalysisError, SpecError};

@@ -32,8 +32,8 @@ pub fn render_text(report: &AnalysisReport) -> String {
     for e in &report.entries {
         rows.push([
             e.rank.to_string(),
-            e.property.clone(),
-            e.context.label.clone(),
+            e.property.to_string(),
+            e.context.label.to_string(),
             format!("{:8.4}%", e.severity * 100.0),
             format!("{:.2}", e.confidence),
             if e.is_problem { "YES" } else { "-" }.to_string(),

@@ -250,6 +250,47 @@ mod tests {
         }
     }
 
+    /// `benchmark/expected/spec_frontend.seed-*.json` commits the suite's
+    /// `compile(..).node_count()` and the hash of its lint JSON, whose
+    /// `costs` block prints these numbers: whatever the evaluator learns
+    /// about a property (batch hoists, lending) lives beside the node pool,
+    /// never in it.
+    #[test]
+    fn the_ir_pool_is_frozen() {
+        let compiled = asl_eval::compile(&standard_suite());
+        assert_eq!(compiled.node_count(), 349);
+        // (property, ir_nodes, cached_subtrees, estimated_units)
+        let pinned = [
+            ("SublinearSpeedup", 32, 1, 413),
+            ("MeasuredCost", 13, 0, 44),
+            ("UnmeasuredCost", 38, 1, 432),
+            ("SyncCost", 19, 0, 87),
+            ("LoadImbalance", 19, 0, 48),
+            ("MessagePassingCost", 29, 0, 151),
+            ("CollectiveCost", 44, 0, 247),
+            ("OneSidedCost", 29, 0, 151),
+            ("IoCost", 39, 0, 215),
+            ("BufferCost", 24, 0, 119),
+            ("RuntimeOverhead", 29, 0, 151),
+            ("FrequentFineGrainCalls", 23, 0, 58),
+        ];
+        let costs: Vec<_> = compiled
+            .property_costs()
+            .into_iter()
+            .map(|c| (c.property, c.ir_nodes, c.cached_subtrees, c.estimated_units))
+            .collect();
+        let pinned: Vec<_> = pinned
+            .iter()
+            .map(|&(name, nodes, cached, units)| (name.to_string(), nodes, cached, units))
+            .collect();
+        assert_eq!(costs, pinned);
+        // Binding builds the batch plan; the pool is the same afterwards.
+        let compiled = std::sync::Arc::new(compiled);
+        let store = perfdata::Store::new();
+        crate::backend::PreparedBackend::from_compiled(compiled.clone(), &store).unwrap();
+        assert_eq!(compiled.node_count(), 349);
+    }
+
     #[test]
     fn five_paper_properties_flagged() {
         assert_eq!(SUITE.iter().filter(|p| p.from_paper).count(), 5);

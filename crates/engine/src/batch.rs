@@ -12,6 +12,7 @@
 use crate::error::EngineError;
 use crate::{AnalysisEngine, RecoverableState};
 use asl_core::check::CheckedSpec;
+use cosy::backend::{compile, CompiledSpec, PreparedBackend};
 use cosy::{AnalysisReport, Analyzer, Backend, ProblemThreshold, SpecError};
 use online::{IngestError, RunKey, SessionStats, StoreBuilder, StoreDelta, TraceEvent};
 use perfdata::TestRunId;
@@ -31,6 +32,8 @@ struct BatchInner {
 /// A batch analysis engine over a streamed-in store.
 pub struct BatchEngine {
     spec: Arc<CheckedSpec>,
+    /// The suite lowered to the compiled IR, once, at construction.
+    compiled: Arc<CompiledSpec>,
     backend: Backend,
     threshold: ProblemThreshold,
     inner: Mutex<BatchInner>,
@@ -54,6 +57,7 @@ impl BatchEngine {
         threshold: ProblemThreshold,
     ) -> Self {
         BatchEngine {
+            compiled: Arc::new(compile(&spec)),
             spec,
             backend,
             threshold,
@@ -101,21 +105,41 @@ impl BatchEngine {
             return Ok(Vec::new());
         }
 
-        let mut fresh: HashMap<RunKey, AnalysisReport> = HashMap::new();
+        let store = inner.builder.store();
+        let mut analyzers = Vec::new();
         for (_, vid) in inner.builder.version_tags() {
-            let analyzer =
-                match Analyzer::with_spec(inner.builder.store(), vid, Arc::clone(&self.spec)) {
-                    Ok(a) => a,
-                    // No analyzable structure yet (no main region): the runs
-                    // of this version simply have no report, exactly like an
-                    // online session before the structure streams in.
-                    Err(SpecError::NoMainRegion) => continue,
-                    Err(e) => return Err(e.into()),
-                };
-            for &run in &inner.builder.store().versions[vid.index()].runs {
-                let report = analyzer.analyze(run, self.backend, self.threshold)?;
-                if let Some(key) = inner.builder.run_key_of(run) {
-                    fresh.insert(key, report);
+            match Analyzer::with_compiled(
+                store,
+                vid,
+                Arc::clone(&self.spec),
+                Arc::clone(&self.compiled),
+            ) {
+                Ok(analyzer) => analyzers.push((analyzer, &store.versions[vid.index()].runs)),
+                // No analyzable structure yet (no main region): the runs
+                // of this version simply have no report, exactly like an
+                // online session before the structure streams in.
+                Err(SpecError::NoMainRegion) => continue,
+                Err(e) => return Err(e.into()),
+            }
+        }
+
+        let mut fresh: HashMap<RunKey, AnalysisReport> = HashMap::new();
+        // One binding serves every run of every version: the store does
+        // not change under the lock. A flush with no run to analyze binds
+        // (and can fail to bind) nothing.
+        if analyzers.iter().any(|(_, runs)| !runs.is_empty()) {
+            let prepared = match self.backend {
+                Backend::Compiled => {
+                    PreparedBackend::from_compiled(Arc::clone(&self.compiled), store)
+                }
+                other => PreparedBackend::prepare(other, &self.spec, store),
+            }?;
+            for (analyzer, runs) in &analyzers {
+                for &run in runs.iter() {
+                    let report = analyzer.analyze_prepared(run, &prepared, self.threshold)?;
+                    if let Some(key) = inner.builder.run_key_of(run) {
+                        fresh.insert(key, report);
+                    }
                 }
             }
         }

@@ -22,7 +22,7 @@
 //!   `Summary`, `SyncCost`, `LoadImbalance`, …) are recognized and lowered
 //!   to an indexed [`Ir::FilterEq`] load, which the [`ObjectModel`] can
 //!   answer from a secondary index in O(matches) instead of scanning the
-//!   whole set (see [`ObjectModel::filter_eq`]).
+//!   whole set (see [`ObjectModel::visit_set`]).
 //!
 //! [`CompiledEvaluator`] then executes the IR against an [`ObjectModel`].
 //! It is a drop-in replacement for the interpreter: same outcomes, same
@@ -30,47 +30,54 @@
 //! interpreter-equivalence proptest in `tests/compiled_equiv.rs`). All
 //! value-level semantics are shared with the interpreter through
 //! [`crate::ops`], so the two engines cannot drift.
+//!
+//! The unit of execution is a [`Batch`]: one property, one shared context
+//! (every argument but the first) and any number of *subjects* (the first
+//! argument). A batch resolves the property once, runs every instance on
+//! one reusable register/cache stack, and keeps alive across its
+//! instances every expensive subtree that reads nothing but the shared
+//! context — which subtrees those are is a plan computed *beside* the node
+//! pool on first bind ([`CompiledSpec::node_count`] and the pool that
+//! kojak-lint and kojak-flow walk are exactly what [`compile`] emitted).
 
 use crate::error::{EvalError, EvalErrorKind, EvalResult};
 use crate::interp::{ObjectModel, PropertyOutcome};
 use crate::ops;
-use crate::value::Value;
+use crate::value::{ObjRef, Value};
 use asl_core::ast::*;
 use asl_core::check::CheckedSpec;
 use asl_core::intern::Symbol;
 use asl_core::Span;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// Maximum user-function call depth (mirrors the interpreter).
-const MAX_CALL_DEPTH: usize = 64;
+const MAX_CALL_DEPTH: u32 = 64;
 
-/// Process-wide hit counter of the per-instance memoization cache
-/// ([`Ir::Cached`] nodes). `const`-constructed — no registration, no
-/// startup cost; the observability layer reads it via [`cache_counters`].
+/// Process-wide hit counter of the evaluator's lazy cells ([`Ir::Cached`]
+/// loop-invariant caches and the batch-hoisted subtrees). `const`-
+/// constructed — no registration, no startup cost; the observability
+/// layer reads it via [`cache_counters`]. Executing a node only bumps a
+/// plain integer in the batch's scratch; the sum is added here once, when
+/// the batch ends.
 static CACHE_HITS: obs::Counter = obs::Counter::new();
-/// Process-wide miss counter of the memoization cache.
+/// Process-wide miss counter of the lazy cells.
 static CACHE_MISSES: obs::Counter = obs::Counter::new();
 
-/// Lifetime `(hits, misses)` of the compiled evaluator's memoization
-/// cache, summed over every evaluator in the process (the statics are
+/// Lifetime `(hits, misses)` of the compiled evaluator's lazy cells,
+/// summed over every evaluator in the process (the statics are
 /// process-global: a sharded engine's shards all bump the same pair, so
 /// add these to a merged snapshot exactly once, at the top level).
 pub fn cache_counters() -> (u64, u64) {
     (CACHE_HITS.get(), CACHE_MISSES.get())
 }
 
-/// Process-wide hit counter of the helper-function result memo (see
-/// [`CompiledEvaluator::new_memoized`]).
-static FN_MEMO_HITS: obs::Counter = obs::Counter::new();
-/// Process-wide miss counter of the helper-function result memo.
-static FN_MEMO_MISSES: obs::Counter = obs::Counter::new();
-
-/// Lifetime `(hits, misses)` of the helper-function result memo, summed
-/// over every memoized evaluator in the process (same single-snapshot
-/// caveat as [`cache_counters`]).
+/// Always `(0, 0)`: the helper-function result memo this counted is gone
+/// (run-invariant calls are hoisted per batch instead). The benchmark
+/// package under `benchmark/` — which a change to this crate may not edit
+/// — still reads the pair; nothing else does.
 pub fn fn_memo_counters() -> (u64, u64) {
-    (FN_MEMO_HITS.get(), FN_MEMO_MISSES.get())
+    (0, 0)
 }
 
 /// Reference to a node in the [`CompiledSpec`] pool.
@@ -211,7 +218,7 @@ pub enum Ir {
         expr: NodeRef,
     },
     /// Indexed set filter: the elements of `obj.set_attr` whose
-    /// `elem_attr` equals `key`. Served by [`ObjectModel::filter_eq`] when
+    /// `elem_attr` equals `key`. Served by [`ObjectModel::visit_set`] when
     /// the data source has an index, otherwise by a scan that reproduces
     /// the generic `==` filter element-by-element.
     FilterEq {
@@ -226,6 +233,56 @@ pub enum Ir {
         /// Which construct the filter was lowered from (error parity).
         ctx: SourceCtx,
     },
+}
+
+impl Ir {
+    /// Call `f` on every direct child reference, in evaluation order.
+    fn for_each_child(&self, f: &mut dyn FnMut(NodeRef)) {
+        match self {
+            Ir::Int(_)
+            | Ir::Float(_)
+            | Ir::Bool(_)
+            | Ir::Str(_)
+            | Ir::Load(_)
+            | Ir::Const(_)
+            | Ir::EnumVal(..)
+            | Ir::UnknownVar(_) => {}
+            Ir::Attr { base: i, .. }
+            | Ir::Unary(_, i)
+            | Ir::Unique(i)
+            | Ir::CountSet(i)
+            | Ir::Cached { expr: i, .. } => f(*i),
+            Ir::Call { args, .. } | Ir::CallUnknown { args, .. } | Ir::MinMax { args, .. } => {
+                args.iter().copied().for_each(f)
+            }
+            Ir::Binary(_, l, r) => {
+                f(*l);
+                f(*r);
+            }
+            Ir::SetComp { source, pred, .. } => {
+                f(*source);
+                f(*pred);
+            }
+            Ir::Aggregate {
+                source,
+                value,
+                pred,
+                ..
+            } => {
+                f(*source);
+                pred.iter().for_each(|p| f(*p));
+                f(*value);
+            }
+            Ir::Quantifier { source, pred, .. } => {
+                f(*source);
+                pred.iter().for_each(|p| f(*p));
+            }
+            Ir::FilterEq { obj, key, .. } => {
+                f(*obj);
+                f(*key);
+            }
+        }
+    }
 }
 
 /// A confidence/severity arm with its guard resolved to a condition index.
@@ -278,16 +335,24 @@ pub struct CompiledSpec {
     /// synthesized nodes). Used to attach source positions to runtime
     /// errors and by the static cost model.
     spans: Vec<Span>,
-    strings: Vec<String>,
+    strings: Vec<Arc<String>>,
     consts: Vec<ConstBody>,
     functions: Vec<FnBody>,
     properties: Vec<PropBody>,
     prop_names: Vec<String>,
     fn_ids: HashMap<String, usize>,
     prop_ids: HashMap<String, usize>,
+    /// Which subtrees a [`Batch`] keeps alive across its instances.
+    /// Computed on first bind, never by [`compile`]: the spec front end
+    /// (parse → check → compile → lint) does not pay for it.
+    plan: OnceLock<BatchPlan>,
 }
 
 impl CompiledSpec {
+    fn plan(&self) -> &BatchPlan {
+        self.plan.get_or_init(|| BatchPlan::build(self))
+    }
+
     /// Does the compiled spec declare this property?
     pub fn has_property(&self, name: &str) -> bool {
         self.prop_ids.contains_key(name)
@@ -672,7 +737,7 @@ struct Compiler<'s> {
     /// Span of the AST expression currently being lowered — the span
     /// recorded by [`Compiler::push`].
     cur_span: Span,
-    strings: Vec<String>,
+    strings: Vec<Arc<String>>,
     /// Lexical scopes: innermost last; each frame maps name → slot.
     scopes: Vec<Vec<(String, u32)>>,
     next_slot: u32,
@@ -759,6 +824,7 @@ impl<'s> Compiler<'s> {
             prop_names,
             fn_ids: self.fn_ids,
             prop_ids,
+            plan: OnceLock::new(),
         }
     }
 
@@ -859,10 +925,10 @@ impl<'s> Compiler<'s> {
     }
 
     fn pool_str(&mut self, s: &str) -> u32 {
-        if let Some(i) = self.strings.iter().position(|x| x == s) {
+        if let Some(i) = self.strings.iter().position(|x| **x == s) {
             return i as u32;
         }
-        self.strings.push(s.to_string());
+        self.strings.push(Arc::new(s.to_string()));
         (self.strings.len() - 1) as u32
     }
 
@@ -1108,8 +1174,8 @@ impl<'s> Compiler<'s> {
     /// inside the subtree itself. Rewrites child references in place and
     /// returns the (possibly wrapped) root.
     fn hoist(&mut self, node: NodeRef, binder_slot: u32) -> NodeRef {
-        if !self.loads_free_slot_ge(node, binder_slot, &mut Vec::new()) {
-            if self.is_expensive(node) {
+        if !self.loads_free_slot_ge(node, binder_slot) {
+            if is_expensive(&self.nodes, node) {
                 let cache = self.n_caches;
                 self.n_caches += 1;
                 let span = self.spans[node as usize];
@@ -1173,104 +1239,69 @@ impl<'s> Compiler<'s> {
         node
     }
 
-    /// Does the subtree load any **free** slot `>= threshold`? Slots bound
-    /// by constructs *within* the subtree (`bound`, maintained as a stack
-    /// while walking) are the subtree's own binders — loading them does
-    /// not make it depend on the enclosing loop. Free loads below the
-    /// threshold are outer params/lets/binders, stable across the
+    /// Does the subtree load any free slot `>= threshold`? Free loads below
+    /// the threshold are outer params/lets/binders, stable across the
     /// enclosing construct's iterations.
-    fn loads_free_slot_ge(&self, node: NodeRef, threshold: u32, bound: &mut Vec<u32>) -> bool {
-        match &self.nodes[node as usize] {
-            Ir::Load(s) => *s >= threshold && !bound.contains(s),
-            Ir::Int(_)
-            | Ir::Float(_)
-            | Ir::Bool(_)
-            | Ir::Str(_)
-            | Ir::Const(_)
-            | Ir::EnumVal(..)
-            | Ir::UnknownVar(_) => false,
-            Ir::Attr { base, .. } => self.loads_free_slot_ge(*base, threshold, bound),
-            Ir::Call { args, .. } | Ir::CallUnknown { args, .. } | Ir::MinMax { args, .. } => args
-                .iter()
-                .any(|a| self.loads_free_slot_ge(*a, threshold, bound)),
-            Ir::Unary(_, i) | Ir::Unique(i) | Ir::CountSet(i) | Ir::Cached { expr: i, .. } => {
-                self.loads_free_slot_ge(*i, threshold, bound)
-            }
-            Ir::Binary(_, l, r) => {
-                self.loads_free_slot_ge(*l, threshold, bound)
-                    || self.loads_free_slot_ge(*r, threshold, bound)
-            }
-            Ir::SetComp {
-                slot, source, pred, ..
-            } => {
-                // The binder is in scope for the predicate, not the source.
-                if self.loads_free_slot_ge(*source, threshold, bound) {
-                    return true;
-                }
-                bound.push(*slot);
-                let dep = self.loads_free_slot_ge(*pred, threshold, bound);
-                bound.pop();
-                dep
-            }
-            Ir::Aggregate {
-                slot,
-                source,
-                value,
-                pred,
-                ..
-            } => {
-                if self.loads_free_slot_ge(*source, threshold, bound) {
-                    return true;
-                }
-                bound.push(*slot);
-                let dep = self.loads_free_slot_ge(*value, threshold, bound)
-                    || pred.is_some_and(|p| self.loads_free_slot_ge(p, threshold, bound));
-                bound.pop();
-                dep
-            }
-            Ir::Quantifier {
-                slot, source, pred, ..
-            } => {
-                if self.loads_free_slot_ge(*source, threshold, bound) {
-                    return true;
-                }
-                bound.push(*slot);
-                let dep = pred.is_some_and(|p| self.loads_free_slot_ge(p, threshold, bound));
-                bound.pop();
-                dep
-            }
-            Ir::FilterEq { obj, key, .. } => {
-                self.loads_free_slot_ge(*obj, threshold, bound)
-                    || self.loads_free_slot_ge(*key, threshold, bound)
-            }
-        }
+    fn loads_free_slot_ge(&self, node: NodeRef, threshold: u32) -> bool {
+        loads_free_slot(&self.nodes, node, &|s| s >= threshold, &mut Vec::new())
     }
+}
 
-    /// Is the subtree worth caching? (Contains a nested loop, an indexed
-    /// filter, or a function call — anything whose re-evaluation per
-    /// iteration is more than a few machine ops.)
-    fn is_expensive(&self, node: NodeRef) -> bool {
-        match &self.nodes[node as usize] {
-            Ir::SetComp { .. }
-            | Ir::Aggregate { .. }
-            | Ir::Quantifier { .. }
-            | Ir::FilterEq { .. }
-            | Ir::Call { .. }
-            | Ir::CallUnknown { .. }
-            | Ir::Unique(_)
-            | Ir::CountSet(_) => true,
-            Ir::Int(_)
-            | Ir::Float(_)
-            | Ir::Bool(_)
-            | Ir::Str(_)
-            | Ir::Load(_)
-            | Ir::Const(_)
-            | Ir::EnumVal(..)
-            | Ir::UnknownVar(_) => false,
-            Ir::Attr { base, .. } => self.is_expensive(*base),
-            Ir::MinMax { args, .. } => args.iter().any(|a| self.is_expensive(*a)),
-            Ir::Unary(_, i) | Ir::Cached { expr: i, .. } => self.is_expensive(*i),
-            Ir::Binary(_, l, r) => self.is_expensive(*l) || self.is_expensive(*r),
+/// Does the subtree load any **free** slot that `varies`? Slots bound by
+/// constructs *within* the subtree (`bound`, maintained as a stack while
+/// walking) are the subtree's own binders — loading them does not make it
+/// depend on anything outside. Shared by loop-invariant code motion (what
+/// varies: the enclosing construct's binder and everything above it) and
+/// the batch plan (what varies: everything but the shared context).
+fn loads_free_slot(
+    nodes: &[Ir],
+    node: NodeRef,
+    varies: &dyn Fn(u32) -> bool,
+    bound: &mut Vec<u32>,
+) -> bool {
+    let ir = &nodes[node as usize];
+    let binder = match ir {
+        Ir::Load(s) => return varies(*s) && !bound.contains(s),
+        Ir::SetComp { slot, .. } | Ir::Aggregate { slot, .. } | Ir::Quantifier { slot, .. } => {
+            Some(*slot)
+        }
+        _ => None,
+    };
+    // A construct's binder is in scope for its predicate and value, not
+    // for its source — the first child.
+    let mut in_scope = None;
+    let mut free = false;
+    ir.for_each_child(&mut |child| {
+        if free {
+            return;
+        }
+        bound.extend(in_scope);
+        free = loads_free_slot(nodes, child, varies, bound);
+        if in_scope.is_some() {
+            bound.pop();
+        }
+        in_scope = binder;
+    });
+    free
+}
+
+/// Is the subtree worth caching? (Contains a nested loop, an indexed
+/// filter, or a function call — anything whose re-evaluation is more than
+/// a few machine ops.)
+fn is_expensive(nodes: &[Ir], node: NodeRef) -> bool {
+    match &nodes[node as usize] {
+        Ir::SetComp { .. }
+        | Ir::Aggregate { .. }
+        | Ir::Quantifier { .. }
+        | Ir::FilterEq { .. }
+        | Ir::Call { .. }
+        | Ir::CallUnknown { .. }
+        | Ir::Unique(_)
+        | Ir::CountSet(_) => true,
+        scalar => {
+            let mut expensive = false;
+            scalar.for_each_child(&mut |child| expensive |= is_expensive(nodes, child));
+            expensive
         }
     }
 }
@@ -1408,37 +1439,141 @@ pub mod shape {
 }
 
 // ---------------------------------------------------------------------------
+// Batch plan
+// ---------------------------------------------------------------------------
+
+/// "Not a hoist site" in [`BatchPlan::cell`].
+const NO_CELL: u32 = u32::MAX;
+
+/// Which subtrees of each property a [`Batch`] evaluates once. Within a
+/// batch only the subject (slot 0) changes, so an expensive subtree that
+/// reads nothing but the other parameters — `Duration(Basis, t)` in every
+/// severity of the standard suite — has one value, or one error, for all
+/// instances. Such a subtree is a *hoist site*: it gets a cell in the
+/// batch's scratch that is filled lazily, on the first instance that
+/// reaches it, and answers every later one.
+///
+/// A side table rather than new nodes in the pool: lint, flow and the
+/// benchmark's committed node counts see the pool [`compile`] emitted.
+#[derive(Debug)]
+struct BatchPlan {
+    /// Per node: its hoist cell, or [`NO_CELL`]. Sites are the maximal
+    /// context-only, expensive subtrees of property bodies; function and
+    /// constant bodies have none (their slots are arguments, not context).
+    cell: Vec<u32>,
+    /// Per property: how many cells its sites use.
+    n_cells: Vec<u32>,
+}
+
+impl BatchPlan {
+    fn build(cs: &CompiledSpec) -> Self {
+        let mut cell = vec![NO_CELL; cs.nodes.len()];
+        let mut n_cells = Vec::with_capacity(cs.properties.len());
+        for p in &cs.properties {
+            // Everything computed from the subject varies with it; LET and
+            // binder slots are counted as varying wholesale, so only the
+            // parameters after the first are context.
+            let varies = |slot: u32| slot == 0 || slot as usize >= p.n_params;
+            let mut next = 0;
+            let lets = p.lets.iter().map(|&(_, value)| value);
+            let conditions = p.conditions.iter().map(|&(_, pred)| pred);
+            let arms = p.confidence.iter().chain(&p.severity).map(|arm| arm.expr);
+            for root in lets.chain(conditions).chain(arms) {
+                mark_hoist_sites(&cs.nodes, root, &varies, &mut cell, &mut next);
+            }
+            n_cells.push(next);
+        }
+        BatchPlan { cell, n_cells }
+    }
+}
+
+/// The same walk as [`Compiler::hoist`], recording sites instead of
+/// wrapping them: a subtree that reads only context is a site if it is
+/// expensive (and is not descended into — sites are maximal); one that
+/// reads more is searched for sites among its children.
+fn mark_hoist_sites(
+    nodes: &[Ir],
+    node: NodeRef,
+    varies: &dyn Fn(u32) -> bool,
+    cell: &mut [u32],
+    next: &mut u32,
+) {
+    if loads_free_slot(nodes, node, varies, &mut Vec::new()) {
+        nodes[node as usize]
+            .for_each_child(&mut |child| mark_hoist_sites(nodes, child, varies, cell, next));
+    } else if is_expensive(nodes, node) {
+        cell[node as usize] = *next;
+        *next += 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Hashable projection of a helper-function argument for the function
-/// result memo. Arguments with no cheap exact projection (floats — NaN
-/// breaks `Eq` — strings, sets) disable memoization for that call.
-#[derive(PartialEq, Eq, Hash)]
-enum FnMemoArg {
-    Int(i64),
-    Bool(bool),
-    DateTime(i64),
-    Enum(Symbol, Symbol),
-    Obj(Symbol, u32),
+/// Where the running body's registers and cache cells start on the
+/// [`Scratch`] stacks. Two scalars: travels in registers.
+#[derive(Clone, Copy)]
+struct Frame {
+    fp: u32,
+    cp: u32,
 }
 
-/// Memo key: function id plus the projected argument tuple.
-type FnMemoKey = (u32, Vec<FnMemoArg>);
+impl Frame {
+    /// The property body's frame: the bottom of both stacks.
+    const ROOT: Frame = Frame { fp: 0, cp: 0 };
 
-fn fn_memo_key(fid: usize, args: &[Value]) -> Option<FnMemoKey> {
-    let mut key = Vec::with_capacity(args.len());
-    for a in args {
-        key.push(match a {
-            Value::Int(v) => FnMemoArg::Int(*v),
-            Value::Bool(b) => FnMemoArg::Bool(*b),
-            Value::DateTime(v) => FnMemoArg::DateTime(*v),
-            Value::Enum(owner, variant) => FnMemoArg::Enum(*owner, *variant),
-            Value::Obj(o) => FnMemoArg::Obj(o.class, o.index),
-            Value::Float(_) | Value::Str(_) | Value::Set(_) | Value::Null => return None,
-        });
+    /// Index of register `slot` on the register stack.
+    fn slot(self, slot: u32) -> usize {
+        (self.fp + slot) as usize
     }
-    Some((fid as u32, key))
+
+    /// Index of cache cell `cache` on the cache stack.
+    fn cache(self, cache: u32) -> usize {
+        (self.cp + cache) as usize
+    }
+}
+
+/// The mutable state of evaluation, reused from instance to instance and —
+/// handed from one [`CompiledEvaluator::batch`] to the next — from batch to
+/// batch: no instance, helper call or set construct allocates its own.
+/// Create one per worker with `Scratch::default()`.
+#[derive(Default)]
+pub struct Scratch {
+    /// Register stack. The running body's slots start at [`Frame::fp`]; a
+    /// helper call evaluates its arguments onto the top and runs there.
+    frame: Vec<Value>,
+    /// Loop-invariant cells ([`Ir::Cached`]), stacked like `frame`.
+    caches: Vec<Option<Value>>,
+    /// The batch's hoisted subtrees ([`BatchPlan`]): value or error, once
+    /// the first instance has reached the site.
+    hoisted: Vec<Option<EvalResult<Value>>>,
+    /// Which conditions fired in the last instance, one bit each.
+    fired: Vec<u64>,
+    /// How many helper calls deep the running body is.
+    depth: u32,
+    /// Lazy-cell lookups, added to the process-wide counters on drop.
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+impl Scratch {
+    /// Did condition `i` fire in the last instance?
+    fn fired(&self, i: usize) -> bool {
+        self.fired[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Invalidate the cache range of a set construct on entry.
+    fn reset_caches(&mut self, fr: Frame, resets: (u32, u32)) {
+        self.caches[fr.cache(resets.0)..fr.cache(resets.1)].fill(None);
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        CACHE_HITS.add(self.cache_hits);
+        CACHE_MISSES.add(self.cache_misses);
+    }
 }
 
 /// Executes a [`CompiledSpec`] against an [`ObjectModel`]. Global constants
@@ -1446,58 +1581,48 @@ fn fn_memo_key(fid: usize, args: &[Value]) -> Option<FnMemoKey> {
 /// [`crate::Interpreter::new`]).
 ///
 /// The evaluator is `Sync` whenever the data source is: the analyzers share
-/// one evaluator across rayon workers for parallel per-context evaluation.
+/// one evaluator across rayon workers, each running its own [`Batch`].
 pub struct CompiledEvaluator<M: ObjectModel> {
     spec: Arc<CompiledSpec>,
     data: M,
     consts: Vec<Value>,
-    fn_memo: Option<Mutex<HashMap<FnMemoKey, Value>>>,
+}
+
+/// What one property instance evaluated to — no names, nothing on the
+/// heap. Which conditions fired is a bitmask kept by the [`Batch`]
+/// ([`Batch::fired`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Outcome {
+    /// Whether any condition held.
+    pub holds: bool,
+    /// Confidence in `[0, 1]`; zero when the property does not hold.
+    pub confidence: f64,
+    /// Severity; zero when the property does not hold.
+    pub severity: f64,
+}
+
+/// One property bound to one shared context, evaluated subject after
+/// subject ([`CompiledEvaluator::batch`]).
+pub struct Batch<'e, M: ObjectModel> {
+    ctx: Ctx<'e, M>,
+    prop: &'e PropBody,
+    st: &'e mut Scratch,
 }
 
 impl<M: ObjectModel> CompiledEvaluator<M> {
     /// Bind a compiled spec to a data source and evaluate its constants.
     pub fn new(spec: Arc<CompiledSpec>, data: M) -> EvalResult<Self> {
         let mut consts: Vec<Value> = Vec::with_capacity(spec.consts.len());
-        for i in 0..spec.consts.len() {
-            let v = {
-                let ctx = Ctx {
-                    cs: &spec,
-                    data: &data,
-                    consts: &consts,
-                    fn_memo: None,
-                };
-                let mut frame = vec![Value::Null; spec.consts[i].n_slots];
-                let mut caches = vec![None; spec.consts[i].n_caches];
-                ctx.exec(spec.consts[i].body, &mut frame, &mut caches, 0)?
-            };
+        for c in &spec.consts {
+            let v = Ctx::new(&spec, &data, &consts).run_body(
+                c.body,
+                (c.n_slots, c.n_caches),
+                &mut Scratch::default(),
+                0,
+            )?;
             consts.push(v);
         }
-        Ok(CompiledEvaluator {
-            spec,
-            data,
-            consts,
-            fn_memo: None,
-        })
-    }
-
-    /// Like [`CompiledEvaluator::new`], but memoizes helper-function
-    /// results for the evaluator's lifetime.
-    ///
-    /// ASL helper functions are pure and the data source is immutable for
-    /// the binding's lifetime, so a successfully computed `(function,
-    /// scalar args)` call always yields the same value across the property
-    /// instances of one analysis pass — e.g. every severity arm of the
-    /// standard suite divides by the same `Duration(Basis, t)`. Only `Ok`
-    /// results are memoized; calls with float/string/set arguments bypass
-    /// the memo. One deliberate divergence from the unmemoized engines: a
-    /// repeated call that would only fail by exceeding the call-depth
-    /// limit can instead hit the memo and return the value the shallower
-    /// evaluation proved — the resource-limit error is masked, never a
-    /// computed result.
-    pub fn new_memoized(spec: Arc<CompiledSpec>, data: M) -> EvalResult<Self> {
-        let mut out = Self::new(spec, data)?;
-        out.fn_memo = Some(Mutex::new(HashMap::new()));
-        Ok(out)
+        Ok(CompiledEvaluator { spec, data, consts })
     }
 
     /// The compiled specification.
@@ -1506,60 +1631,149 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
     }
 
     fn ctx(&self) -> Ctx<'_, M> {
-        Ctx {
-            cs: &self.spec,
-            data: &self.data,
-            consts: &self.consts,
-            fn_memo: self.fn_memo.as_ref(),
-        }
+        Ctx::new(&self.spec, &self.data, &self.consts)
     }
 
-    /// Evaluate a property in the context given by `args` (one value per
-    /// declared parameter). Mirrors [`crate::Interpreter::eval_property`].
-    pub fn eval_property(&self, name: &str, args: &[Value]) -> EvalResult<PropertyOutcome> {
+    /// Bind property `name` for evaluation over many subjects in one
+    /// shared `context` — the arguments after the first; [`Batch::eval`]
+    /// supplies the first, the subject. The name is resolved and the arity
+    /// checked here, once. `scratch` carries the evaluation state; reuse
+    /// one from batch to batch.
+    pub fn batch<'e>(
+        &'e self,
+        name: &str,
+        context: &[Value],
+        scratch: &'e mut Scratch,
+    ) -> EvalResult<Batch<'e, M>> {
+        self.bind(name, Some(&Value::Null), context, scratch)
+    }
+
+    /// [`batch`](Self::batch) over the full argument list, first argument
+    /// (if the property has any) apart.
+    fn bind<'e>(
+        &'e self,
+        name: &str,
+        first: Option<&Value>,
+        rest: &[Value],
+        st: &'e mut Scratch,
+    ) -> EvalResult<Batch<'e, M>> {
         let &pid = self.spec.prop_ids.get(name).ok_or_else(|| {
             EvalError::new(EvalErrorKind::Unknown, format!("unknown property `{name}`"))
         })?;
-        let p = &self.spec.properties[pid];
-        if args.len() != p.n_params {
+        let prop = &self.spec.properties[pid];
+        let n_args = usize::from(first.is_some()) + rest.len();
+        if n_args != prop.n_params {
             return Err(EvalError::new(
                 EvalErrorKind::Type,
                 format!(
-                    "property `{name}` expects {} arguments, got {}",
-                    p.n_params,
-                    args.len()
+                    "property `{name}` expects {} arguments, got {n_args}",
+                    prop.n_params
                 ),
             ));
         }
-        let ctx = self.ctx();
-        let mut frame: Vec<Value> = Vec::with_capacity(p.n_slots);
-        frame.extend(args.iter().cloned());
-        frame.resize(p.n_slots, Value::Null);
-        let mut caches: Vec<Option<Value>> = vec![None; p.n_caches];
+        st.frame.clear();
+        st.frame.extend(first.cloned());
+        st.frame.extend_from_slice(rest);
+        st.frame.resize(prop.n_slots, Value::Null);
+        st.caches.clear();
+        st.caches.resize(prop.n_caches, None);
+        st.hoisted.clear();
+        st.hoisted
+            .resize(self.spec.plan().n_cells[pid] as usize, None);
+        st.fired.clear();
+        st.fired.resize(prop.conditions.len().div_ceil(64), 0);
+        Ok(Batch {
+            ctx: self.ctx(),
+            prop,
+            st,
+        })
+    }
+
+    /// Evaluate a property in the context given by `args` (one value per
+    /// declared parameter): a batch of one, with the conditions named.
+    /// Mirrors [`crate::Interpreter::eval_property`].
+    pub fn eval_property(&self, name: &str, args: &[Value]) -> EvalResult<PropertyOutcome> {
+        let mut scratch = Scratch::default();
+        let (first, rest) = match args.split_first() {
+            Some((first, rest)) => (Some(first), rest),
+            None => (None, args),
+        };
+        let mut batch = self.bind(name, first, rest, &mut scratch)?;
+        let Outcome {
+            holds,
+            confidence,
+            severity,
+        } = batch.run()?;
+        let fired = batch.prop.conditions.iter().enumerate();
+        Ok(PropertyOutcome {
+            property: name.to_string(),
+            holds,
+            fired: fired
+                .map(|(i, (id, _))| (id.clone(), batch.fired(i)))
+                .collect(),
+            confidence,
+            severity,
+        })
+    }
+
+    /// Call a compiled helper function by name.
+    pub fn call_function(&self, name: &str, args: &[Value]) -> EvalResult<Value> {
+        let &fid = self.spec.fn_ids.get(name).ok_or_else(|| {
+            EvalError::new(EvalErrorKind::Unknown, format!("unknown function `{name}`"))
+        })?;
+        let mut st = Scratch::default();
+        st.frame.extend_from_slice(args);
+        self.ctx().call_fn(fid, &mut st, 0)
+    }
+}
+
+impl<M: ObjectModel> Batch<'_, M> {
+    /// Evaluate the property with `subject` as its first argument.
+    pub fn eval(&mut self, subject: Value) -> EvalResult<Outcome> {
+        self.st.frame[0] = subject;
+        self.run()
+    }
+
+    /// Did condition `i` (declaration order) fire in the last instance?
+    pub fn fired(&self, i: usize) -> bool {
+        self.st.fired(i)
+    }
+
+    /// One instance over the arguments currently in the frame. Slots past
+    /// the parameters keep the previous instance's values: every body
+    /// writes a LET or binder slot before it reads it.
+    fn run(&mut self) -> EvalResult<Outcome> {
+        let (ctx, p, st) = (&self.ctx, self.prop, &mut *self.st);
+        let fr = Frame::ROOT;
+        // An instance that failed inside a helper call left its frames on
+        // the stacks.
+        st.frame.truncate(p.n_slots);
+        st.caches.truncate(p.n_caches);
+        st.depth = 0;
 
         for &(slot, value) in &p.lets {
-            let v = ctx.exec(value, &mut frame, &mut caches, 0)?;
-            frame[slot as usize] = v;
+            let v = ctx.operand(value, st, fr)?;
+            st.frame[slot as usize] = v;
         }
 
-        let mut fired = Vec::with_capacity(p.conditions.len());
+        st.fired.fill(0);
         let mut holds = false;
-        for (id, pred) in &p.conditions {
-            let v = ctx.exec(*pred, &mut frame, &mut caches, 0)?;
+        for (i, (_, pred)) in p.conditions.iter().enumerate() {
+            let v = ctx.exec(*pred, st, fr)?;
             let b = v.as_bool().ok_or_else(|| {
                 EvalError::new(
                     EvalErrorKind::Type,
                     format!("condition evaluated to {}, expected bool", v.type_name()),
                 )
             })?;
-            holds |= b;
-            fired.push((id.clone(), b));
+            if b {
+                st.fired[i / 64] |= 1 << (i % 64);
+                holds = true;
+            }
         }
         if !holds {
-            return Ok(PropertyOutcome {
-                property: name.to_string(),
+            return Ok(Outcome {
                 holds: false,
-                fired,
                 confidence: 0.0,
                 severity: 0.0,
             });
@@ -1568,14 +1782,10 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
         let mut eval_arms = |arms: &[CompiledArm]| -> EvalResult<f64> {
             let mut best: Option<f64> = None;
             for arm in arms {
-                let applicable = match arm.guard {
-                    None => true,
-                    Some(i) => fired[i].1,
-                };
-                if !applicable {
+                if arm.guard.is_some_and(|i| !st.fired(i)) {
                     continue;
                 }
-                let v = ctx.exec(arm.expr, &mut frame, &mut caches, 0)?;
+                let v = ctx.operand(arm.expr, st, fr)?;
                 let x = v.as_f64().ok_or_else(|| {
                     EvalError::new(
                         EvalErrorKind::Type,
@@ -1592,101 +1802,150 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
 
         let confidence = eval_arms(&p.confidence)?.clamp(0.0, 1.0);
         let severity = eval_arms(&p.severity)?;
-        Ok(PropertyOutcome {
-            property: name.to_string(),
+        Ok(Outcome {
             holds: true,
-            fired,
             confidence,
             severity,
         })
     }
-
-    /// Call a compiled helper function by name.
-    pub fn call_function(&self, name: &str, args: &[Value]) -> EvalResult<Value> {
-        let &fid = self.spec.fn_ids.get(name).ok_or_else(|| {
-            EvalError::new(EvalErrorKind::Unknown, format!("unknown function `{name}`"))
-        })?;
-        self.ctx().call_fn(fid, args.to_vec(), 0)
-    }
 }
 
-/// Borrowed execution context (spec + data + evaluated constants); also
-/// used during constant initialization when the evaluator is half-built.
+/// Borrowed execution context (spec + plan + data + evaluated constants);
+/// also used during constant initialization when the evaluator is
+/// half-built.
 struct Ctx<'c, M: ObjectModel> {
     cs: &'c CompiledSpec,
+    /// [`BatchPlan::cell`], looked up on every node execution.
+    cell: &'c [u32],
     data: &'c M,
     consts: &'c [Value],
-    fn_memo: Option<&'c Mutex<HashMap<FnMemoKey, Value>>>,
 }
 
-impl<M: ObjectModel> Ctx<'_, M> {
-    fn call_fn(&self, fid: usize, args: Vec<Value>, depth: usize) -> EvalResult<Value> {
+impl<'c, M: ObjectModel> Ctx<'c, M> {
+    fn new(cs: &'c CompiledSpec, data: &'c M, consts: &'c [Value]) -> Self {
+        Ctx {
+            cs,
+            cell: &cs.plan().cell,
+            data,
+            consts,
+        }
+    }
+
+    /// Run a body whose arguments are the top of the register stack, from
+    /// `base` up. `sizes` is the body's `(n_slots, n_caches)`.
+    fn run_body(
+        &self,
+        body: NodeRef,
+        sizes: (usize, usize),
+        st: &mut Scratch,
+        base: usize,
+    ) -> EvalResult<Value> {
+        st.frame.resize(base + sizes.0, Value::Null);
+        let cp = st.caches.len();
+        st.caches.resize(cp + sizes.1, None);
+        let fr = Frame {
+            fp: u32::try_from(base).expect("register stack fits u32"),
+            cp: u32::try_from(cp).expect("cache stack fits u32"),
+        };
+        let out = self.exec(body, st, fr);
+        st.caches.truncate(cp);
+        st.frame.truncate(base);
+        out
+    }
+
+    /// Call function `fid` on the arguments at `st.frame[base..]`.
+    fn call_fn(&self, fid: usize, st: &mut Scratch, base: usize) -> EvalResult<Value> {
         let f = &self.cs.functions[fid];
-        if args.len() != f.n_params {
+        let n_args = st.frame.len() - base;
+        if n_args != f.n_params {
             return Err(EvalError::new(
                 EvalErrorKind::Type,
                 format!(
-                    "function `{}` expects {} arguments, got {}",
-                    f.name,
-                    f.n_params,
-                    args.len()
+                    "function `{}` expects {} arguments, got {n_args}",
+                    f.name, f.n_params
                 ),
             ));
         }
-        if depth >= MAX_CALL_DEPTH {
+        if st.depth >= MAX_CALL_DEPTH {
             return Err(EvalError::new(
                 EvalErrorKind::Recursion,
                 format!("call depth limit exceeded in `{}`", f.name),
             ));
         }
-        let key = self.fn_memo.and_then(|_| fn_memo_key(fid, &args));
-        if let (Some(memo), Some(key)) = (self.fn_memo, &key) {
-            let guard = memo.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(v) = guard.get(key) {
-                FN_MEMO_HITS.inc();
-                return Ok(v.clone());
-            }
-            FN_MEMO_MISSES.inc();
-        }
-        let mut frame = args;
-        frame.resize(f.n_slots, Value::Null);
-        let mut caches = vec![None; f.n_caches];
-        let out = self.exec(f.body, &mut frame, &mut caches, depth + 1)?;
-        if let (Some(memo), Some(key)) = (self.fn_memo, key) {
-            memo.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(key, out.clone());
-        }
-        Ok(out)
+        st.depth += 1;
+        let out = self.run_body(f.body, (f.n_slots, f.n_caches), st, base);
+        st.depth -= 1;
+        out
     }
 
-    fn exec(
-        &self,
-        node: NodeRef,
-        frame: &mut Vec<Value>,
-        caches: &mut [Option<Value>],
-        depth: usize,
-    ) -> EvalResult<Value> {
+    /// [`exec`](Self::exec) for operand positions: a leaf, or an attribute
+    /// of a variable (`tt.Time`) — together most nodes of a property body
+    /// — is read on the spot instead of through a call. Neither is ever a
+    /// hoist site; a leaf cannot fail (a constant still initializing goes
+    /// the long way to its error) and the attribute read tags its error
+    /// as `exec` would.
+    #[inline(always)]
+    fn operand(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
+        let nodes = &self.cs.nodes;
+        match &nodes[node as usize] {
+            Ir::Load(slot) => Ok(st.frame[fr.slot(*slot)].clone()),
+            Ir::Int(v) => Ok(Value::Int(*v)),
+            Ir::Float(v) => Ok(Value::Float(*v)),
+            Ir::EnumVal(owner, variant) => Ok(Value::Enum(*owner, *variant)),
+            Ir::Attr { base, attr } => match &nodes[*base as usize] {
+                Ir::Load(slot) => ops::attr_on(self.data, &st.frame[fr.slot(*slot)], attr)
+                    .map_err(|e| e.or_span(self.cs.spans[node as usize])),
+                _ => self.exec(node, st, fr),
+            },
+            _ => self.exec(node, st, fr),
+        }
+    }
+
+    #[inline(always)]
+    fn exec(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
+        let cell = self.cell[node as usize];
+        if cell != NO_CELL {
+            return self.exec_hoisted(cell as usize, node, st, fr);
+        }
         // Tag bubbling errors with the deepest node span that saw them
         // (mirrors the interpreter's `eval` wrapper; success path pays
         // only a no-op `map_err`).
-        self.exec_inner(node, frame, caches, depth)
+        self.exec_inner(node, st, fr)
             .map_err(|e| e.or_span(self.cs.spans[node as usize]))
     }
 
-    fn exec_inner(
+    /// A hoist site: evaluated by the first instance of the batch that
+    /// reaches it — so short-circuiting and error order are those of
+    /// evaluating it every time — then answered from its cell. The cell
+    /// keeps an error as it keeps a value: every instance that reaches the
+    /// site fails the way re-evaluation would make it fail.
+    #[inline(never)]
+    fn exec_hoisted(
         &self,
+        cell: usize,
         node: NodeRef,
-        frame: &mut Vec<Value>,
-        caches: &mut [Option<Value>],
-        depth: usize,
+        st: &mut Scratch,
+        fr: Frame,
     ) -> EvalResult<Value> {
+        if let Some(kept) = &st.hoisted[cell] {
+            st.cache_hits += 1;
+            return kept.clone();
+        }
+        st.cache_misses += 1;
+        let out = self
+            .exec_inner(node, st, fr)
+            .map_err(|e| e.or_span(self.cs.spans[node as usize]));
+        st.hoisted[cell] = Some(out.clone());
+        out
+    }
+
+    fn exec_inner(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
         match &self.cs.nodes[node as usize] {
             Ir::Int(v) => Ok(Value::Int(*v)),
             Ir::Float(v) => Ok(Value::Float(*v)),
             Ir::Bool(b) => Ok(Value::Bool(*b)),
-            Ir::Str(i) => Ok(Value::Str(self.cs.strings[*i as usize].clone())),
-            Ir::Load(slot) => Ok(frame[*slot as usize].clone()),
+            Ir::Str(i) => Ok(Value::Str(Arc::clone(&self.cs.strings[*i as usize]))),
+            Ir::Load(slot) => Ok(st.frame[fr.slot(*slot)].clone()),
             Ir::Const(i) => match self.consts.get(*i as usize) {
                 Some(v) => Ok(v.clone()),
                 // Only reachable while constants are still initializing
@@ -1702,20 +1961,58 @@ impl<M: ObjectModel> Ctx<'_, M> {
                 EvalErrorKind::Unknown,
                 format!("unknown variable `{}`", self.cs.strings[*n as usize]),
             )),
+            // Operands that are only looked at are borrowed where the
+            // callee wrote them (`let Ok(v) = &r else { return r }`), not
+            // moved out with `?`: a value is written field by field and a
+            // move reads it back in wider loads, which stalls on every
+            // narrow field (an object reference, a bool) still in flight.
             Ir::Attr { base, attr } => {
-                let b = self.exec(*base, frame, caches, depth)?;
-                ops::attr_on(self.data, &b, attr)
+                let b = self.operand(*base, st, fr);
+                let Ok(b) = &b else { return b };
+                ops::attr_on(self.data, b, attr)
+            }
+            Ir::Unary(op, inner) => {
+                let v = self.operand(*inner, st, fr);
+                let Ok(v) = &v else { return v };
+                ops::unary(*op, v)
+            }
+            Ir::Binary(op, lhs, rhs) => match op {
+                BinOp::And => Ok(Value::Bool(
+                    self.truth(*lhs, "AND", st, fr)? && self.truth(*rhs, "AND", st, fr)?,
+                )),
+                BinOp::Or => Ok(Value::Bool(
+                    self.truth(*lhs, "OR", st, fr)? || self.truth(*rhs, "OR", st, fr)?,
+                )),
+                _ => {
+                    let l = self.operand(*lhs, st, fr);
+                    let Ok(l) = &l else { return l };
+                    let r = self.operand(*rhs, st, fr);
+                    let Ok(r) = &r else { return r };
+                    ops::binary_strict(*op, l, r)
+                }
+            },
+            Ir::Cached { cache, expr } => {
+                let at = fr.cache(*cache);
+                if let Some(v) = &st.caches[at] {
+                    st.cache_hits += 1;
+                    return Ok(v.clone());
+                }
+                st.cache_misses += 1;
+                let v = self.exec(*expr, st, fr)?;
+                st.caches[at] = Some(v.clone());
+                Ok(v)
             }
             Ir::Call { func, args } => {
-                let mut vals = Vec::with_capacity(args.len());
+                let base = st.frame.len();
                 for a in args.iter() {
-                    vals.push(self.exec(*a, frame, caches, depth)?);
+                    let v = self.operand(*a, st, fr)?;
+                    st.frame.push(v);
                 }
-                self.call_fn(*func as usize, vals, depth)
+                self.call_fn(*func as usize, st, base)
             }
             Ir::CallUnknown { name, args } => {
                 for a in args.iter() {
-                    self.exec(*a, frame, caches, depth)?;
+                    self.exec(*a, st, fr)?;
                 }
                 Err(EvalError::new(
                     EvalErrorKind::Unknown,
@@ -1725,7 +2022,7 @@ impl<M: ObjectModel> Ctx<'_, M> {
             Ir::MinMax { is_max, args } => {
                 let mut best: Option<Value> = None;
                 for a in args.iter() {
-                    let v = self.exec(*a, frame, caches, depth)?;
+                    let v = self.operand(*a, st, fr)?;
                     best = ops::fold_builtin_minmax(*is_max, best, v);
                 }
                 best.ok_or_else(|| {
@@ -1738,83 +2035,27 @@ impl<M: ObjectModel> Ctx<'_, M> {
                     )
                 })
             }
-            Ir::Unary(op, inner) => {
-                let v = self.exec(*inner, frame, caches, depth)?;
-                ops::unary(*op, v)
-            }
-            Ir::Binary(op, lhs, rhs) => match op {
-                BinOp::And => {
-                    let l = self.exec(*lhs, frame, caches, depth)?;
-                    if !l.as_bool().ok_or_else(|| ops::type_err("AND", &l))? {
-                        return Ok(Value::Bool(false));
-                    }
-                    let r = self.exec(*rhs, frame, caches, depth)?;
-                    Ok(Value::Bool(
-                        r.as_bool().ok_or_else(|| ops::type_err("AND", &r))?,
-                    ))
-                }
-                BinOp::Or => {
-                    let l = self.exec(*lhs, frame, caches, depth)?;
-                    if l.as_bool().ok_or_else(|| ops::type_err("OR", &l))? {
-                        return Ok(Value::Bool(true));
-                    }
-                    let r = self.exec(*rhs, frame, caches, depth)?;
-                    Ok(Value::Bool(
-                        r.as_bool().ok_or_else(|| ops::type_err("OR", &r))?,
-                    ))
-                }
-                _ => {
-                    let l = self.exec(*lhs, frame, caches, depth)?;
-                    let r = self.exec(*rhs, frame, caches, depth)?;
-                    ops::binary_strict(*op, l, r)
-                }
-            },
-            Ir::SetComp {
-                slot,
-                source,
-                pred,
-                resets,
-            } => {
-                caches[resets.0 as usize..resets.1 as usize].fill(None);
-                let src = self.exec(*source, frame, caches, depth)?;
-                let Value::Set(items) = src else {
-                    return Err(EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("comprehension source is {}", src.type_name()),
-                    ));
-                };
+            Ir::SetComp { .. } => {
                 let mut out = Vec::new();
-                for item in items {
-                    frame[*slot as usize] = item.clone();
-                    let keep = self.exec(*pred, frame, caches, depth)?;
-                    match keep.as_bool() {
-                        Some(true) => out.push(item),
-                        Some(false) => {}
-                        None => {
-                            return Err(EvalError::new(
-                                EvalErrorKind::Type,
-                                "comprehension predicate is not boolean",
-                            ));
-                        }
-                    }
-                }
-                Ok(Value::Set(out))
+                self.visit_kept(node, st, fr, |item| out.push(item))?;
+                Ok(Value::Set(out.into()))
             }
             Ir::Unique(inner) => {
-                let v = self.exec(*inner, frame, caches, depth)?;
-                let Value::Set(mut items) = v else {
-                    return Err(EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("UNIQUE applied to {}", v.type_name()),
-                    ));
-                };
-                match items.len() {
-                    1 => Ok(items.pop().expect("len checked")),
-                    0 => Err(EvalError::new(
+                let mut n = 0usize;
+                let mut only = None;
+                self.visit_members(*inner, "UNIQUE applied to", st, fr, |item| {
+                    if n == 0 {
+                        only = Some(item);
+                    }
+                    n += 1;
+                })?;
+                match (n, only) {
+                    (1, Some(v)) => Ok(v),
+                    (0, _) => Err(EvalError::new(
                         EvalErrorKind::EmptySet,
                         "UNIQUE of an empty set",
                     )),
-                    n => Err(EvalError::new(
+                    (n, _) => Err(EvalError::new(
                         EvalErrorKind::Ambiguous,
                         format!("UNIQUE of a set with {n} elements"),
                     )),
@@ -1828,26 +2069,21 @@ impl<M: ObjectModel> Ctx<'_, M> {
                 pred,
                 resets,
             } => {
-                caches[resets.0 as usize..resets.1 as usize].fill(None);
-                let src = self.exec(*source, frame, caches, depth)?;
-                let Value::Set(items) = src else {
-                    return Err(EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("aggregate source is {}", src.type_name()),
-                    ));
-                };
-                let mut vals = Vec::new();
-                for item in items {
-                    frame[*slot as usize] = item;
+                st.reset_caches(fr, *resets);
+                let at = fr.slot(*slot);
+                let mut agg = ops::Aggregator::new(*op);
+                self.visit_elems(*source, "aggregate source is", st, fr, |st, item| {
+                    st.frame[at] = item;
                     if let Some(p) = pred {
-                        let keep = self.exec(*p, frame, caches, depth)?;
+                        let keep = self.exec(*p, st, fr)?;
                         if !keep.as_bool().unwrap_or(false) {
-                            continue;
+                            return Ok(true);
                         }
                     }
-                    vals.push(self.exec(*value, frame, caches, depth)?);
-                }
-                ops::combine_aggregate(*op, vals)
+                    agg.push(self.operand(*value, st, fr)?);
+                    Ok(true)
+                })?;
+                agg.finish()
             }
             Ir::Quantifier {
                 forall,
@@ -1856,55 +2092,28 @@ impl<M: ObjectModel> Ctx<'_, M> {
                 pred,
                 resets,
             } => {
-                caches[resets.0 as usize..resets.1 as usize].fill(None);
-                let src = self.exec(*source, frame, caches, depth)?;
-                let Value::Set(items) = src else {
-                    return Err(EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("quantifier source is {}", src.type_name()),
-                    ));
-                };
+                st.reset_caches(fr, *resets);
+                let at = fr.slot(*slot);
                 let mut result = *forall;
-                for item in items {
-                    frame[*slot as usize] = item;
+                self.visit_elems(*source, "quantifier source is", st, fr, |st, item| {
+                    st.frame[at] = item;
                     let b = match pred {
-                        Some(p) => self
-                            .exec(*p, frame, caches, depth)?
-                            .as_bool()
-                            .unwrap_or(false),
+                        Some(p) => self.exec(*p, st, fr)?.as_bool().unwrap_or(false),
                         None => true,
                     };
-                    if *forall {
-                        if !b {
-                            result = false;
-                            break;
-                        }
-                    } else if b {
-                        result = true;
-                        break;
+                    // FORALL ends at its first counterexample, EXISTS at
+                    // its first witness.
+                    if b != *forall {
+                        result = b;
                     }
-                }
+                    Ok(b == *forall)
+                })?;
                 Ok(Value::Bool(result))
             }
             Ir::CountSet(inner) => {
-                let v = self.exec(*inner, frame, caches, depth)?;
-                let items = v.as_set().ok_or_else(|| {
-                    EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("COUNT applied to {}", v.type_name()),
-                    )
-                })?;
-                Ok(Value::Int(items.len() as i64))
-            }
-            Ir::Cached { cache, expr } => {
-                if let Some(v) = &caches[*cache as usize] {
-                    CACHE_HITS.inc();
-                    return Ok(v.clone());
-                }
-                CACHE_MISSES.inc();
-                let v = self.exec(*expr, frame, caches, depth)?;
-                caches[*cache as usize] = Some(v.clone());
-                Ok(v)
+                let mut n = 0i64;
+                self.visit_members(*inner, "COUNT applied to", st, fr, |_| n += 1)?;
+                Ok(Value::Int(n))
             }
             Ir::FilterEq {
                 obj,
@@ -1913,39 +2122,221 @@ impl<M: ObjectModel> Ctx<'_, M> {
                 key,
                 ctx,
             } => {
-                let base = self.exec(*obj, frame, caches, depth)?;
-                let obj_ref = match &base {
-                    Value::Obj(o) => o,
-                    // Reproduce the attribute-access errors the generic
-                    // lowering would have raised on `base.set_attr`.
-                    _ => return ops::attr_on(self.data, &base, set_attr),
-                };
-                // Key evaluation is infallible by construction (see
-                // `Compiler::is_infallible`), so hoisting it before the
-                // set access cannot reorder observable errors.
-                let key_v = self.exec(*key, frame, caches, depth)?;
-                if let Some(indexed) = self.data.filter_eq(obj_ref, set_attr, elem_attr, &key_v) {
-                    return indexed.map(Value::Set);
-                }
-                // Generic fallback: scan the set, comparing element
-                // attributes exactly as the unextracted predicate would.
-                let set = self.data.attr(obj_ref, set_attr)?;
-                let Value::Set(items) = set else {
-                    return Err(EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("{} source is {}", ctx.word(), set.type_name()),
-                    ));
-                };
+                let (obj_ref, key_v) = self.filter_operands(*obj, set_attr, *key, st, fr)?;
                 let mut out = Vec::new();
-                for item in items {
-                    let attr_v = ops::attr_on(self.data, &item, elem_attr)?;
-                    if attr_v.asl_eq(&key_v) {
-                        out.push(item);
-                    }
+                let filter = Some((*elem_attr, &key_v));
+                match self
+                    .data
+                    .visit_set(&obj_ref, set_attr, filter, &mut |elem| {
+                        out.push(Value::Obj(elem));
+                        Ok(true)
+                    }) {
+                    Some(lent) => lent.map(|()| Value::Set(out.into())),
+                    None => self.scan_filter_eq(&obj_ref, set_attr, elem_attr, &key_v, *ctx),
                 }
-                Ok(Value::Set(out))
             }
         }
+    }
+
+    /// An operand of the short-circuiting `op`, as a truth value.
+    fn truth(&self, node: NodeRef, op: &str, st: &mut Scratch, fr: Frame) -> EvalResult<bool> {
+        match self.exec(node, st, fr) {
+            Ok(Value::Bool(b)) => Ok(b),
+            Ok(v) => Err(ops::type_err(op, &v)),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Evaluate the object and key of an [`Ir::FilterEq`].
+    fn filter_operands(
+        &self,
+        obj: NodeRef,
+        set_attr: &str,
+        key: NodeRef,
+        st: &mut Scratch,
+        fr: Frame,
+    ) -> EvalResult<(ObjRef, Value)> {
+        let base = self.operand(obj, st, fr)?;
+        let Value::Obj(obj_ref) = base else {
+            // Reproduce the attribute-access errors the generic lowering
+            // would have raised on `base.set_attr`.
+            return Err(ops::attr_on(self.data, &base, set_attr)
+                .expect_err("attribute access on a non-object fails"));
+        };
+        // Key evaluation is infallible by construction (see
+        // `Compiler::is_infallible`), so hoisting it before the set access
+        // cannot reorder observable errors.
+        Ok((obj_ref, self.operand(key, st, fr)?))
+    }
+
+    /// [`Ir::FilterEq`] on a data source that lends no such filter: scan
+    /// the set, comparing element attributes exactly as the unextracted
+    /// predicate would.
+    fn scan_filter_eq(
+        &self,
+        obj: &ObjRef,
+        set_attr: &str,
+        elem_attr: &str,
+        key: &Value,
+        ctx: SourceCtx,
+    ) -> EvalResult<Value> {
+        let set = self.data.attr(obj, set_attr)?;
+        let Value::Set(items) = set else {
+            return Err(EvalError::new(
+                EvalErrorKind::Type,
+                format!("{} source is {}", ctx.word(), set.type_name()),
+            ));
+        };
+        let mut out = Vec::new();
+        for item in items.iter() {
+            let attr_v = ops::attr_on(self.data, item, elem_attr)?;
+            if attr_v.asl_eq(key) {
+                out.push(item.clone());
+            }
+        }
+        Ok(Value::Set(out.into()))
+    }
+
+    /// Visit the elements of the set `source` evaluates to, in set order:
+    /// `each` gets one element and the scratch back for its per-element
+    /// work, and returns `Ok(false)` to stop the visit. An attribute of the
+    /// data source, filtered or whole, is lent ([`ObjectModel::visit_set`])
+    /// instead of materialized; anything else — and a source the batch has
+    /// hoisted — is evaluated to a set first. `not_a_set` starts the type
+    /// error for any other value.
+    ///
+    /// Errors are tagged with the source's span as if they came out of
+    /// evaluating it: those of `each` carry their own, deeper one already.
+    #[inline(never)]
+    fn visit_elems<F>(
+        &self,
+        source: NodeRef,
+        not_a_set: &str,
+        st: &mut Scratch,
+        fr: Frame,
+        each: F,
+    ) -> EvalResult<()>
+    where
+        F: FnMut(&mut Scratch, Value) -> EvalResult<bool>,
+    {
+        self.visit_elems_inner(source, not_a_set, st, fr, each)
+            .map_err(|e| e.or_span(self.cs.spans[source as usize]))
+    }
+
+    fn visit_elems_inner<F>(
+        &self,
+        source: NodeRef,
+        not_a_set: &str,
+        st: &mut Scratch,
+        fr: Frame,
+        mut each: F,
+    ) -> EvalResult<()>
+    where
+        F: FnMut(&mut Scratch, Value) -> EvalResult<bool>,
+    {
+        let lendable = self.cell[source as usize] == NO_CELL;
+        let set = match &self.cs.nodes[source as usize] {
+            Ir::FilterEq {
+                obj,
+                set_attr,
+                elem_attr,
+                key,
+                ctx,
+            } if lendable => {
+                let (obj_ref, key_v) = self.filter_operands(*obj, set_attr, *key, st, fr)?;
+                let filter = Some((*elem_attr, &key_v));
+                let mut lend = |elem| each(st, Value::Obj(elem));
+                if let Some(lent) = self.data.visit_set(&obj_ref, set_attr, filter, &mut lend) {
+                    return lent;
+                }
+                self.scan_filter_eq(&obj_ref, set_attr, elem_attr, &key_v, *ctx)?
+            }
+            Ir::Attr { base, attr } if lendable => {
+                let b = self.operand(*base, st, fr)?;
+                if let Value::Obj(obj_ref) = &b {
+                    let mut lend = |elem| each(st, Value::Obj(elem));
+                    if let Some(lent) = self.data.visit_set(obj_ref, attr, None, &mut lend) {
+                        return lent;
+                    }
+                }
+                ops::attr_on(self.data, &b, attr)?
+            }
+            _ => self.exec(source, st, fr)?,
+        };
+        let Value::Set(items) = set else {
+            return Err(EvalError::new(
+                EvalErrorKind::Type,
+                format!("{not_a_set} {}", set.type_name()),
+            ));
+        };
+        for item in items.iter() {
+            if !each(st, item.clone())? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Visit the elements the comprehension `comp` (an [`Ir::SetComp`])
+    /// keeps, in set order.
+    fn visit_kept(
+        &self,
+        comp: NodeRef,
+        st: &mut Scratch,
+        fr: Frame,
+        mut keep: impl FnMut(Value),
+    ) -> EvalResult<()> {
+        let Ir::SetComp {
+            slot,
+            source,
+            pred,
+            resets,
+        } = &self.cs.nodes[comp as usize]
+        else {
+            unreachable!("visit_kept is called on comprehension nodes only");
+        };
+        st.reset_caches(fr, *resets);
+        let at = fr.slot(*slot);
+        self.visit_elems(*source, "comprehension source is", st, fr, |st, item| {
+            st.frame[at] = item.clone();
+            match self.exec(*pred, st, fr)?.as_bool() {
+                Some(true) => keep(item),
+                Some(false) => {}
+                None => {
+                    return Err(EvalError::new(
+                        EvalErrorKind::Type,
+                        "comprehension predicate is not boolean",
+                    ));
+                }
+            }
+            Ok(true)
+        })
+    }
+
+    /// Visit the members of the set `node` evaluates to, for a consumer
+    /// that only looks at them (`UNIQUE`, `COUNT`). With no fallible work
+    /// between two members, a comprehension can stream the elements it
+    /// keeps instead of collecting them: its predicates run in the same
+    /// order either way.
+    fn visit_members(
+        &self,
+        node: NodeRef,
+        not_a_set: &str,
+        st: &mut Scratch,
+        fr: Frame,
+        mut member: impl FnMut(Value),
+    ) -> EvalResult<()> {
+        let streams = matches!(self.cs.nodes[node as usize], Ir::SetComp { .. })
+            && self.cell[node as usize] == NO_CELL;
+        if streams {
+            return self
+                .visit_kept(node, st, fr, member)
+                .map_err(|e| e.or_span(self.cs.spans[node as usize]));
+        }
+        self.visit_elems(node, not_a_set, st, fr, |_, item| {
+            member(item);
+            Ok(true)
+        })
     }
 }
 
@@ -1963,11 +2354,14 @@ mod tests {
     impl ObjectModel for Points {
         fn attr(&self, obj: &ObjRef, attr: &str) -> EvalResult<Value> {
             match (obj.class.as_str(), obj.index, attr) {
-                ("Cloud", 0, "Points") => Ok(Value::Set(vec![
-                    Value::obj("Point", 0),
-                    Value::obj("Point", 1),
-                    Value::obj("Point", 2),
-                ])),
+                ("Cloud", 0, "Points") => Ok(Value::Set(
+                    vec![
+                        Value::obj("Point", 0),
+                        Value::obj("Point", 1),
+                        Value::obj("Point", 2),
+                    ]
+                    .into(),
+                )),
                 ("Point", i, "X") => Ok(Value::Float([1.0, 2.0, 3.0][i as usize])),
                 ("Point", i, "Y") => Ok(Value::Int([10, 20, 30][i as usize])),
                 _ => Err(EvalError::new(

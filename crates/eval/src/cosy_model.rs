@@ -6,20 +6,14 @@ use crate::interp::ObjectModel;
 use crate::value::{ObjRef, Value};
 use asl_core::intern::Symbol;
 use perfdata::{CallId, RegionId, Store, TestRunId, TimingType};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-/// Process-global hit/miss counters of the per-binding Run== filter memo
-/// (mirrors the compiled evaluator's loop-invariant cache counters in
-/// [`crate::compile`]); read via [`filter_memo_counters`].
-static FILTER_MEMO_HITS: obs::Counter = obs::Counter::new();
-static FILTER_MEMO_MISSES: obs::Counter = obs::Counter::new();
-
-/// Cumulative (hits, misses) of the [`CosyData`] filter memo across every
-/// binding in the process — the observability layer turns these into
-/// `kojak_eval_filter_memo_{hits,misses}_total`.
+/// Always `(0, 0)`: the per-binding `Run ==` filter memo this counted is
+/// gone (set loads are lent by the store, see [`CosyData`]). The benchmark
+/// package under `benchmark/` — which a change to this crate may not edit
+/// — still reads the pair; nothing else does.
 pub fn filter_memo_counters() -> (u64, u64) {
-    (FILTER_MEMO_HITS.get(), FILTER_MEMO_MISSES.get())
+    (0, 0)
 }
 
 /// Pre-interned symbols of the COSY data model. Hot paths construct object
@@ -173,56 +167,18 @@ TotalTiming Summary(Region r, TestRun t) = UNIQUE({s IN r.TotTimes WITH s.Run==t
 float Duration(Region r, TestRun t) = Summary(r,t).Incl;
 "#;
 
-/// Which per-run measurement set a [`CosyData`] memo entry caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum MemoSet {
-    /// `Region.TotTimes WITH .Run == t`.
-    TotTimes,
-    /// `Region.TypTimes WITH .Run == t`.
-    TypTimes,
-    /// `FunctionCall.Sums WITH .Run == t`.
-    Sums,
-}
-
-/// Memo key: which set, the owning object's arena index, the run's index.
-type MemoKey = (MemoSet, u32, u32);
-
 /// [`ObjectModel`] implementation over a [`perfdata::Store`], answering the
-/// attribute lookups of [`COSY_DATA_MODEL`].
+/// attribute lookups of [`COSY_DATA_MODEL`]. Set-valued attributes are
+/// lent straight from the store's arenas and secondary maps
+/// ([`ObjectModel::visit_set`]); nothing is copied or cached per binding.
 pub struct CosyData<'s> {
     store: &'s Store,
-    /// Per-binding memo of the indexed `Run ==` filter loads (see
-    /// [`CosyData::with_filter_memo`]). `None` disables memoization.
-    filter_memo: Option<Mutex<HashMap<MemoKey, Vec<Value>>>>,
 }
 
 impl<'s> CosyData<'s> {
     /// Bind a store.
     pub fn new(store: &'s Store) -> Self {
-        CosyData {
-            store,
-            filter_memo: None,
-        }
-    }
-
-    /// Bind a store with the per-(object, run) filter memo enabled: the
-    /// first `Run ==` metric load of each (region/call, run) pair
-    /// materializes from the store's secondary maps, every later load —
-    /// across all property instances evaluated through this binding — is
-    /// answered from the memo. Sound because the binding borrows the
-    /// store immutably for its whole lifetime: the underlying sets cannot
-    /// change while a memo entry exists. Error results (dangling
-    /// references) are never memoized, so failure behavior is identical.
-    ///
-    /// This is the flush-side fix for the per-instance constant: one
-    /// analysis flush evaluates many property instances over the same
-    /// few (region, run) pairs, and each used to re-load (re-hash,
-    /// re-allocate) the same timing sets.
-    pub fn with_filter_memo(store: &'s Store) -> Self {
-        CosyData {
-            store,
-            filter_memo: Some(Mutex::new(HashMap::new())),
-        }
+        CosyData { store }
     }
 
     /// The bound store.
@@ -255,10 +211,10 @@ impl<'s> CosyData<'s> {
 
 /// Does [`CosyData`] serve the filter
 /// `elem IN <class>.<set_attr> WITH elem.<elem_attr> == key` from a
-/// secondary index? True exactly for the shapes `filter_eq` answers:
-/// `Region.TotTimes`, `Region.TypTimes` and `FunctionCall.Sums`, keyed on
-/// `Run`. Static analysis (kojak-lint) uses this to tell natively indexed
-/// filters from extracted-but-still-scanned ones.
+/// secondary index? True exactly for the filtered shapes `visit_set`
+/// lends: `Region.TotTimes`, `Region.TypTimes` and `FunctionCall.Sums`,
+/// keyed on `Run`. Static analysis (kojak-lint) uses this to tell natively
+/// indexed filters from extracted-but-still-scanned ones.
 pub fn native_index(class: &str, set_attr: &str, elem_attr: &str) -> bool {
     elem_attr == "Run"
         && matches!(
@@ -267,108 +223,126 @@ pub fn native_index(class: &str, set_attr: &str, elem_attr: &str) -> bool {
         )
 }
 
-fn set_of<I: Into<u32> + Copy>(class: Symbol, ids: &[I]) -> Value {
-    Value::Set(
-        ids.iter()
-            .map(|id| Value::obj(class, (*id).into()))
-            .collect(),
-    )
+/// Hand the objects behind a slice of store ids to `each`, in order.
+fn lend<I: Into<u32> + Copy>(
+    class: Symbol,
+    ids: &[I],
+    each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
+) -> EvalResult<()> {
+    for id in ids {
+        let elem = ObjRef {
+            class,
+            index: (*id).into(),
+        };
+        if !each(elem)? {
+            break;
+        }
+    }
+    Ok(())
 }
 
 impl CosyData<'_> {
-    /// Indexed `Run ==` filters over the three per-run measurement sets
-    /// (`Region.TotTimes`, `Region.TypTimes`, `FunctionCall.Sums`), served
-    /// from the store's secondary maps in O(matches). Any other shape
-    /// returns `None` so the caller falls back to the generic scan.
-    fn filter_by_run(
+    /// [`ObjectModel::visit_set`] with the "not lent" answer inside the
+    /// `Result`, so index checks can use `?`.
+    fn lend_set(
         &self,
         obj: &ObjRef,
         set_attr: &str,
-        key: &Value,
-    ) -> Option<EvalResult<Vec<Value>>> {
+        filter: Option<(&str, &Value)>,
+        each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
+    ) -> EvalResult<Option<()>> {
+        let s = self.store;
         let sy = syms();
-        let run = match key {
-            Value::Obj(o) if o.class == sy.test_run => TestRunId(o.index),
+        let c = obj.class;
+        if let Some((elem_attr, key)) = filter {
+            // Indexed `Run ==` filters over the three per-run measurement
+            // sets, served from the store's secondary maps in O(matches).
             // A key that is not a TestRun compares unequal to every `Run`
             // attribute; the generic scan handles it (yielding nothing).
-            _ => return None,
-        };
-        let set = if obj.class == sy.region && set_attr == "TotTimes" {
-            MemoSet::TotTimes
-        } else if obj.class == sy.region && set_attr == "TypTimes" {
-            MemoSet::TypTimes
-        } else if obj.class == sy.function_call && set_attr == "Sums" {
-            MemoSet::Sums
-        } else {
-            return None;
-        };
-        if let Some(memo) = &self.filter_memo {
-            let key: MemoKey = (set, obj.index, run.0);
-            let guard = memo.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(cached) = guard.get(&key) {
-                FILTER_MEMO_HITS.inc();
-                return Some(Ok(cached.clone()));
-            }
-            drop(guard);
-            FILTER_MEMO_MISSES.inc();
-            let out = match self.load_by_run(set, obj, run) {
-                Ok(out) => out,
-                // Errors (dangling references) are never memoized.
-                Err(e) => return Some(Err(e)),
+            let run = match key {
+                Value::Obj(o) if elem_attr == "Run" && o.class == sy.test_run => TestRunId(o.index),
+                _ => return Ok(None),
             };
-            memo.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(key, out.clone());
-            Some(Ok(out))
-        } else {
-            Some(self.load_by_run(set, obj, run))
+            return if c == sy.region && set_attr == "TotTimes" {
+                let i = Self::check_index(obj, s.regions.len())?;
+                let ids = s.total_timing_ids(RegionId(i as u32), run);
+                lend(sy.total_timing, ids, each).map(Some)
+            } else if c == sy.region && set_attr == "TypTimes" {
+                let i = Self::check_index(obj, s.regions.len())?;
+                let ids = s.typed_timing_ids(RegionId(i as u32), run);
+                lend(sy.typed_timing, ids, each).map(Some)
+            } else if c == sy.function_call && set_attr == "Sums" {
+                let i = Self::check_index(obj, s.calls.len())?;
+                let ids = s.call_timing_ids(CallId(i as u32), run);
+                lend(sy.call_timing, ids, each).map(Some)
+            } else {
+                Ok(None)
+            };
         }
+        let lent = if c == sy.region {
+            let r = &s.regions[Self::check_index(obj, s.regions.len())?];
+            match set_attr {
+                "TotTimes" => lend(sy.total_timing, &r.tot_times, each),
+                "TypTimes" => lend(sy.typed_timing, &r.typ_times, each),
+                _ => return Ok(None),
+            }
+        } else if c == sy.function_call {
+            let fc = &s.calls[Self::check_index(obj, s.calls.len())?];
+            match set_attr {
+                "Sums" => lend(sy.call_timing, &fc.sums, each),
+                _ => return Ok(None),
+            }
+        } else if c == sy.function {
+            let f = &s.functions[Self::check_index(obj, s.functions.len())?];
+            match set_attr {
+                "Calls" => lend(sy.function_call, &f.calls, each),
+                "Regions" => lend(sy.region, &f.regions, each),
+                _ => return Ok(None),
+            }
+        } else if c == sy.prog_version {
+            let v = &s.versions[Self::check_index(obj, s.versions.len())?];
+            match set_attr {
+                "Functions" => lend(sy.function, &v.functions, each),
+                "Runs" => lend(sy.test_run, &v.runs, each),
+                _ => return Ok(None),
+            }
+        } else if c == sy.program {
+            let p = &s.programs[Self::check_index(obj, s.programs.len())?];
+            match set_attr {
+                "Versions" => lend(sy.prog_version, &p.versions, each),
+                _ => return Ok(None),
+            }
+        } else {
+            return Ok(None);
+        };
+        lent.map(Some)
     }
 
-    /// Materialize one `Run ==` metric load from the store's secondary
-    /// maps, in O(matches).
-    fn load_by_run(&self, set: MemoSet, obj: &ObjRef, run: TestRunId) -> EvalResult<Vec<Value>> {
-        let sy = syms();
-        let s = self.store;
-        match set {
-            MemoSet::TotTimes => {
-                let i = Self::check_index(obj, s.regions.len())?;
-                Ok(s.total_timing_ids(RegionId(i as u32), run)
-                    .iter()
-                    .map(|id| Value::obj(sy.total_timing, id.0))
-                    .collect())
-            }
-            MemoSet::TypTimes => {
-                let i = Self::check_index(obj, s.regions.len())?;
-                Ok(s.typed_timing_ids(RegionId(i as u32), run)
-                    .iter()
-                    .map(|id| Value::obj(sy.typed_timing, id.0))
-                    .collect())
-            }
-            MemoSet::Sums => {
-                let i = Self::check_index(obj, s.calls.len())?;
-                Ok(s.call_timing_ids(CallId(i as u32), run)
-                    .iter()
-                    .map(|id| Value::obj(sy.call_timing, id.0))
-                    .collect())
-            }
+    /// The fall-through of [`ObjectModel::attr`]: a set-valued attribute
+    /// materializes what [`ObjectModel::visit_set`] lends; anything else
+    /// is not an attribute of the class.
+    fn set_attr(&self, obj: &ObjRef, attr: &str) -> EvalResult<Value> {
+        let mut items = Vec::new();
+        let lent = self.lend_set(obj, attr, None, &mut |elem| {
+            items.push(Value::Obj(elem));
+            Ok(true)
+        })?;
+        match lent {
+            Some(()) => Ok(Value::Set(items.into())),
+            None => Err(Self::bad_attr(obj, attr)),
         }
     }
 }
 
 impl ObjectModel for CosyData<'_> {
-    fn filter_eq(
+    fn visit_set(
         &self,
         obj: &ObjRef,
         set_attr: &str,
-        elem_attr: &str,
-        key: &Value,
-    ) -> Option<EvalResult<Vec<Value>>> {
-        if elem_attr == "Run" {
-            self.filter_by_run(obj, set_attr, key)
-        } else {
-            None
-        }
+        filter: Option<(&str, &Value)>,
+        each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
+    ) -> Option<EvalResult<()>> {
+        self.lend_set(obj, set_attr, filter, each).transpose()
     }
 
     fn extent(&self, class: &str) -> Option<usize> {
@@ -424,10 +398,8 @@ impl ObjectModel for CosyData<'_> {
                     Some(p) => Value::obj(sy.region, p.0),
                     None => Value::Null,
                 }),
-                "Name" => Ok(Value::Str(r.name.clone())),
-                "TotTimes" => Ok(set_of(sy.total_timing, &r.tot_times)),
-                "TypTimes" => Ok(set_of(sy.typed_timing, &r.typ_times)),
-                _ => Err(Self::bad_attr(obj, attr)),
+                "Name" => Ok(Value::Str(r.name.clone().into())),
+                _ => self.set_attr(obj, attr),
             }
         } else if c == sy.test_run {
             let i = Self::check_index(obj, s.runs.len())?;
@@ -463,40 +435,34 @@ impl ObjectModel for CosyData<'_> {
             match attr {
                 "Caller" => Ok(Value::obj(sy.function, fc.caller.0)),
                 "CallingReg" => Ok(Value::obj(sy.region, fc.calling_reg.0)),
-                "Sums" => Ok(set_of(sy.call_timing, &fc.sums)),
-                _ => Err(Self::bad_attr(obj, attr)),
+                _ => self.set_attr(obj, attr),
             }
         } else if c == sy.function {
             let i = Self::check_index(obj, s.functions.len())?;
             let f = &s.functions[i];
             match attr {
-                "Name" => Ok(Value::Str(f.name.clone())),
-                "Calls" => Ok(set_of(sy.function_call, &f.calls)),
-                "Regions" => Ok(set_of(sy.region, &f.regions)),
-                _ => Err(Self::bad_attr(obj, attr)),
+                "Name" => Ok(Value::Str(f.name.clone().into())),
+                _ => self.set_attr(obj, attr),
             }
         } else if c == sy.prog_version {
             let i = Self::check_index(obj, s.versions.len())?;
             let v = &s.versions[i];
             match attr {
                 "Compilation" => Ok(Value::DateTime(v.compilation.micros())),
-                "Functions" => Ok(set_of(sy.function, &v.functions)),
-                "Runs" => Ok(set_of(sy.test_run, &v.runs)),
                 "Code" => Ok(Value::obj(sy.source_code, v.code.0)),
-                _ => Err(Self::bad_attr(obj, attr)),
+                _ => self.set_attr(obj, attr),
             }
         } else if c == sy.program {
             let i = Self::check_index(obj, s.programs.len())?;
             let p = &s.programs[i];
             match attr {
-                "Name" => Ok(Value::Str(p.name.clone())),
-                "Versions" => Ok(set_of(sy.prog_version, &p.versions)),
-                _ => Err(Self::bad_attr(obj, attr)),
+                "Name" => Ok(Value::Str(p.name.clone().into())),
+                _ => self.set_attr(obj, attr),
             }
         } else if c == sy.source_code {
             let i = Self::check_index(obj, s.sources.len())?;
             match attr {
-                "Text" => Ok(Value::Str(s.sources[i].text.clone())),
+                "Text" => Ok(Value::Str(s.sources[i].text.clone().into())),
                 _ => Err(Self::bad_attr(obj, attr)),
             }
         } else {

@@ -23,9 +23,16 @@ pub enum EvalErrorKind {
     Other,
 }
 
-/// An evaluation error with context.
+/// An evaluation error with context. One pointer wide, so that the
+/// `EvalResult<Value>` every IR node returns stays small — the error path
+/// pays an allocation, the success path does not carry its size. Reads
+/// (and writes) as its [`EvalErrorData`]: `e.kind`, `e.message`, `e.span`.
 #[derive(Debug, Clone)]
-pub struct EvalError {
+pub struct EvalError(Box<EvalErrorData>);
+
+/// The fields of an [`EvalError`].
+#[derive(Debug, Clone)]
+pub struct EvalErrorData {
     /// Machine-readable kind.
     pub kind: EvalErrorKind,
     /// Human-readable message.
@@ -33,6 +40,19 @@ pub struct EvalError {
     /// Source span of the deepest expression that failed, when known.
     /// Diagnostic metadata only — excluded from equality (see below).
     pub span: Option<Span>,
+}
+
+impl std::ops::Deref for EvalError {
+    type Target = EvalErrorData;
+    fn deref(&self) -> &EvalErrorData {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for EvalError {
+    fn deref_mut(&mut self) -> &mut EvalErrorData {
+        &mut self.0
+    }
 }
 
 /// Equality compares `(kind, message)` only. The span is diagnostic
@@ -48,11 +68,11 @@ impl PartialEq for EvalError {
 impl EvalError {
     /// Construct an error.
     pub fn new(kind: EvalErrorKind, message: impl Into<String>) -> Self {
-        EvalError {
+        EvalError(Box::new(EvalErrorData {
             kind,
             message: message.into(),
             span: None,
-        }
+        }))
     }
 
     /// Attach a source span, replacing any existing one.

@@ -22,20 +22,26 @@ pub trait ObjectModel {
         None
     }
 
-    /// Indexed filter: the elements of `obj.set_attr` whose `elem_attr`
-    /// equals `key`, **in set order**. Returning `Some` answers from a
-    /// secondary index in O(matches) instead of a full scan; `None` (the
-    /// default) makes the caller fall back to enumerating the set and
-    /// comparing element-by-element. An implementation must return exactly
-    /// what the scan would, including its errors — the compiled evaluator
-    /// relies on this for interpreter equivalence.
-    fn filter_eq(
+    /// Lend the elements of the set attribute `obj.set_attr` to `each`,
+    /// **in set order**, without materializing the set — all of them, or
+    /// with `filter = Some((elem_attr, key))` only those whose `elem_attr`
+    /// equals `key`, which a data source with a secondary index answers in
+    /// O(matches). `each` returns `Ok(false)` to stop the visit early; its
+    /// errors end the visit and are returned.
+    ///
+    /// `None` (the default) lends nothing: the caller reads the attribute
+    /// through [`attr`](ObjectModel::attr) and scans the materialized set.
+    /// An implementation must decide that before the first visit, visit
+    /// exactly what the scan would, and fail where the attribute access
+    /// would — the compiled evaluator relies on this for interpreter
+    /// equivalence.
+    fn visit_set(
         &self,
         _obj: &ObjRef,
         _set_attr: &str,
-        _elem_attr: &str,
-        _key: &Value,
-    ) -> Option<EvalResult<Vec<Value>>> {
+        _filter: Option<(&str, &Value)>,
+        _each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
+    ) -> Option<EvalResult<()>> {
         None
     }
 }
@@ -49,14 +55,14 @@ impl<T: ObjectModel + ?Sized> ObjectModel for &T {
         (**self).extent(class)
     }
 
-    fn filter_eq(
+    fn visit_set(
         &self,
         obj: &ObjRef,
         set_attr: &str,
-        elem_attr: &str,
-        key: &Value,
-    ) -> Option<EvalResult<Vec<Value>>> {
-        (**self).filter_eq(obj, set_attr, elem_attr, key)
+        filter: Option<(&str, &Value)>,
+        each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
+    ) -> Option<EvalResult<()>> {
+        (**self).visit_set(obj, set_attr, filter, each)
     }
 }
 
@@ -294,7 +300,7 @@ impl<'a, M: ObjectModel> Interpreter<'a, M> {
         match &e.kind {
             ExprKind::IntLit(v) => Ok(Value::Int(*v)),
             ExprKind::FloatLit(v) => Ok(Value::Float(*v)),
-            ExprKind::StrLit(s) => Ok(Value::Str(s.clone())),
+            ExprKind::StrLit(s) => Ok(Value::Str(s.clone().into())),
             ExprKind::BoolLit(b) => Ok(Value::Bool(*b)),
             ExprKind::Var(name) => {
                 if let Some(v) = env.lookup(name) {
@@ -340,7 +346,7 @@ impl<'a, M: ObjectModel> Interpreter<'a, M> {
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.eval(inner, env)?;
-                crate::ops::unary(*op, v)
+                crate::ops::unary(*op, &v)
             }
             ExprKind::Binary(op, lhs, rhs) => self.eval_binary(*op, lhs, rhs, env),
             ExprKind::SetComp {
@@ -374,7 +380,7 @@ impl<'a, M: ObjectModel> Interpreter<'a, M> {
                     }
                 }
                 env.pop();
-                Ok(Value::Set(out))
+                Ok(Value::Set(out.into()))
             }
             ExprKind::Unique(inner) => {
                 let v = self.eval(inner, env)?;
@@ -411,7 +417,7 @@ impl<'a, M: ObjectModel> Interpreter<'a, M> {
                     )
                 })?;
                 let items = items.to_vec();
-                let mut vals = Vec::new();
+                let mut agg = crate::ops::Aggregator::new(*op);
                 env.push();
                 for item in items {
                     env.bind(binder.name.clone(), item);
@@ -421,10 +427,10 @@ impl<'a, M: ObjectModel> Interpreter<'a, M> {
                             continue;
                         }
                     }
-                    vals.push(self.eval(value, env)?);
+                    agg.push(self.eval(value, env)?);
                 }
                 env.pop();
-                self.combine_aggregate(*op, vals)
+                agg.finish()
             }
             ExprKind::Quantifier {
                 q,
@@ -473,10 +479,6 @@ impl<'a, M: ObjectModel> Interpreter<'a, M> {
         }
     }
 
-    fn combine_aggregate(&self, op: AggOp, vals: Vec<Value>) -> EvalResult<Value> {
-        crate::ops::combine_aggregate(op, vals)
-    }
-
     fn eval_binary(&self, op: BinOp, lhs: &Expr, rhs: &Expr, env: &mut Env) -> EvalResult<Value> {
         use crate::ops::type_err;
         // Short-circuit logic first.
@@ -500,7 +502,7 @@ impl<'a, M: ObjectModel> Interpreter<'a, M> {
             _ => {
                 let l = self.eval(lhs, env)?;
                 let r = self.eval(rhs, env)?;
-                crate::ops::binary_strict(op, l, r)
+                crate::ops::binary_strict(op, &l, &r)
             }
         }
     }
@@ -518,11 +520,14 @@ mod tests {
     impl ObjectModel for Points {
         fn attr(&self, obj: &ObjRef, attr: &str) -> EvalResult<Value> {
             match (obj.class.as_str(), obj.index, attr) {
-                ("Cloud", 0, "Points") => Ok(Value::Set(vec![
-                    Value::obj("Point", 0),
-                    Value::obj("Point", 1),
-                    Value::obj("Point", 2),
-                ])),
+                ("Cloud", 0, "Points") => Ok(Value::Set(
+                    vec![
+                        Value::obj("Point", 0),
+                        Value::obj("Point", 1),
+                        Value::obj("Point", 2),
+                    ]
+                    .into(),
+                )),
                 ("Point", i, "X") => Ok(Value::Float([1.0, 2.0, 3.0][i as usize])),
                 ("Point", i, "Y") => Ok(Value::Int([10, 20, 30][i as usize])),
                 _ => Err(EvalError::new(

@@ -26,7 +26,10 @@
 //!    `u32` symbols, and `x IN obj.Set WITH x.Attr == key` filters become
 //!    indexed loads the data source can answer in O(matches).
 //! 3. [`CompiledEvaluator`] executes the IR against an [`ObjectModel`] —
-//!    this is the engine the batch and online analyzers run.
+//!    this is the engine the batch and online analyzers run, a [`Batch`]
+//!    (one property, one shared context, many subjects) at a time. On
+//!    first bind it computes, beside the IR and never in it, which
+//!    subtrees of each property a batch may evaluate once.
 //!
 //! The tree-walking [`Interpreter`] implements the same semantics directly
 //! on the AST and is kept as the **reference oracle**: equivalence tests
@@ -81,8 +84,8 @@ pub mod ops;
 pub mod value;
 
 pub use compile::{
-    cache_counters, compile, fn_memo_counters, CompiledArm, CompiledEvaluator, CompiledSpec,
-    ConstIr, FnIr, Ir, NodeRef, PropCost, PropIr, SourceCtx,
+    cache_counters, compile, fn_memo_counters, Batch, CompiledArm, CompiledEvaluator, CompiledSpec,
+    ConstIr, FnIr, Ir, NodeRef, Outcome, PropCost, PropIr, Scratch, SourceCtx,
 };
 pub use cosy_model::{filter_memo_counters, native_index, CosyData, COSY_DATA_MODEL};
 pub use error::{EvalError, EvalErrorKind};

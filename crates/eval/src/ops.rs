@@ -35,7 +35,7 @@ pub fn both_numbers(l: &Value, r: &Value, op: &str) -> EvalResult<(f64, f64)> {
 }
 
 /// Unary operator semantics.
-pub fn unary(op: UnOp, v: Value) -> EvalResult<Value> {
+pub fn unary(op: UnOp, v: &Value) -> EvalResult<Value> {
     match op {
         UnOp::Neg => match v {
             Value::Int(x) => Ok(Value::Int(-x)),
@@ -57,13 +57,15 @@ pub fn unary(op: UnOp, v: Value) -> EvalResult<Value> {
 
 /// Strict (non-short-circuit) binary operator semantics: comparisons,
 /// arithmetic, `%`. `AND`/`OR` must be handled by the caller (they
-/// short-circuit and must not evaluate both operands first).
-pub fn binary_strict(op: BinOp, l: Value, r: Value) -> EvalResult<Value> {
+/// short-circuit and must not evaluate both operands first). Operands
+/// come by reference: the engines evaluate them into place and nothing
+/// here needs to own them.
+pub fn binary_strict(op: BinOp, l: &Value, r: &Value) -> EvalResult<Value> {
     match op {
-        BinOp::Eq => Ok(Value::Bool(l.asl_eq(&r))),
-        BinOp::Ne => Ok(Value::Bool(!l.asl_eq(&r))),
+        BinOp::Eq => Ok(Value::Bool(l.asl_eq(r))),
+        BinOp::Ne => Ok(Value::Bool(!l.asl_eq(r))),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ord = l.asl_cmp(&r).ok_or_else(|| {
+            let ord = l.asl_cmp(r).ok_or_else(|| {
                 EvalError::new(
                     EvalErrorKind::Type,
                     format!("cannot order {} and {}", l.type_name(), r.type_name()),
@@ -78,7 +80,7 @@ pub fn binary_strict(op: BinOp, l: Value, r: Value) -> EvalResult<Value> {
             };
             Ok(Value::Bool(b))
         }
-        BinOp::Add | BinOp::Sub | BinOp::Mul => match (&l, &r) {
+        BinOp::Add | BinOp::Sub | BinOp::Mul => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(match op {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
@@ -86,7 +88,7 @@ pub fn binary_strict(op: BinOp, l: Value, r: Value) -> EvalResult<Value> {
                 _ => unreachable!(),
             })),
             _ => {
-                let (a, b) = both_numbers(&l, &r, op.symbol())?;
+                let (a, b) = both_numbers(l, r, op.symbol())?;
                 Ok(Value::Float(match op {
                     BinOp::Add => a + b,
                     BinOp::Sub => a - b,
@@ -97,13 +99,13 @@ pub fn binary_strict(op: BinOp, l: Value, r: Value) -> EvalResult<Value> {
         },
         // `/` always yields float (see the checker's documented rule).
         BinOp::Div => {
-            let (a, b) = both_numbers(&l, &r, "/")?;
+            let (a, b) = both_numbers(l, r, "/")?;
             if b == 0.0 {
                 return Err(EvalError::new(EvalErrorKind::DivByZero, "division by zero"));
             }
             Ok(Value::Float(a / b))
         }
-        BinOp::Mod => match (&l, &r) {
+        BinOp::Mod => match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
                     Err(EvalError::new(EvalErrorKind::DivByZero, "modulo by zero"))
@@ -141,81 +143,109 @@ pub fn fold_builtin_minmax(is_max: bool, best: Option<Value>, v: Value) -> Optio
     })
 }
 
-/// Combine the collected values of a quantified aggregate.
-pub fn combine_aggregate(op: AggOp, vals: Vec<Value>) -> EvalResult<Value> {
-    match op {
-        AggOp::Count => Ok(Value::Int(vals.len() as i64)),
-        AggOp::Sum => {
+/// Streaming state of a quantified aggregate (`SUM(v WHERE x IN s AND p)`):
+/// both engines [`push`](Aggregator::push) each element's value as they
+/// produce it and [`finish`](Aggregator::finish) after the last, so no
+/// engine collects the values first.
+///
+/// Floats accumulate left to right from `0.0`, exactly as a loop over the
+/// collected values would. A value the operator cannot take is remembered,
+/// not raised: the engine goes on evaluating the remaining elements (whose
+/// own errors come first, as they did when the values were collected) and
+/// `finish` raises the first such type error.
+pub struct Aggregator {
+    op: AggOp,
+    count: usize,
+    /// `SUM`: every value so far was an `Int` (the sum stays integral).
+    all_int: bool,
+    int_sum: i64,
+    float_sum: f64,
+    /// `MIN`/`MAX`: the extremum so far.
+    best: Option<Value>,
+    /// First value the operator could not take.
+    failed: Option<EvalError>,
+}
+
+impl Aggregator {
+    /// An empty aggregate.
+    pub fn new(op: AggOp) -> Self {
+        Aggregator {
+            op,
+            count: 0,
+            all_int: true,
+            int_sum: 0,
+            float_sum: 0.0,
+            best: None,
+            failed: None,
+        }
+    }
+
+    /// Fold in the next element's value.
+    pub fn push(&mut self, v: Value) {
+        self.count += 1;
+        if self.failed.is_some() {
+            return;
+        }
+        match self.op {
+            AggOp::Count => {}
+            AggOp::Sum | AggOp::Avg => {
+                match v {
+                    Value::Int(x) => self.int_sum = self.int_sum.wrapping_add(x),
+                    _ => self.all_int = false,
+                }
+                match v.as_f64() {
+                    Some(x) => self.float_sum += x,
+                    None => {
+                        self.failed = Some(EvalError::new(
+                            EvalErrorKind::Type,
+                            format!("{} over {} value", self.op.keyword(), v.type_name()),
+                        ))
+                    }
+                }
+            }
+            AggOp::Min | AggOp::Max => {
+                let Some(best) = &self.best else {
+                    self.best = Some(v);
+                    return;
+                };
+                match v.asl_cmp(best) {
+                    Some(std::cmp::Ordering::Greater) if self.op == AggOp::Max => {
+                        self.best = Some(v)
+                    }
+                    Some(std::cmp::Ordering::Less) if self.op == AggOp::Min => self.best = Some(v),
+                    Some(_) => {}
+                    None => {
+                        self.failed = Some(EvalError::new(
+                            EvalErrorKind::Type,
+                            "MIN/MAX over incomparable values",
+                        ))
+                    }
+                }
+            }
+        }
+    }
+
+    /// The aggregate over everything pushed.
+    pub fn finish(self) -> EvalResult<Value> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        let empty = || {
+            EvalError::new(
+                EvalErrorKind::EmptySet,
+                format!("{} of an empty set", self.op.keyword()),
+            )
+        };
+        match self.op {
+            AggOp::Count => Ok(Value::Int(self.count as i64)),
             // Empty sums are zero — `SUM(tt.Time WHERE …)` over a region
             // without matching typed timings must yield 0 so the
             // condition `> 0` is simply false (paper's SyncCost).
-            if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                let mut acc = 0i64;
-                for v in &vals {
-                    if let Value::Int(x) = v {
-                        acc = acc.wrapping_add(*x);
-                    }
-                }
-                Ok(Value::Int(acc))
-            } else {
-                let mut acc = 0.0;
-                for v in &vals {
-                    acc += v.as_f64().ok_or_else(|| {
-                        EvalError::new(
-                            EvalErrorKind::Type,
-                            format!("SUM over {} value", v.type_name()),
-                        )
-                    })?;
-                }
-                Ok(Value::Float(acc))
-            }
-        }
-        AggOp::Avg => {
-            if vals.is_empty() {
-                return Err(EvalError::new(
-                    EvalErrorKind::EmptySet,
-                    "AVG of an empty set",
-                ));
-            }
-            let mut acc = 0.0;
-            for v in &vals {
-                acc += v.as_f64().ok_or_else(|| {
-                    EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("AVG over {} value", v.type_name()),
-                    )
-                })?;
-            }
-            Ok(Value::Float(acc / vals.len() as f64))
-        }
-        AggOp::Min | AggOp::Max => {
-            let mut best: Option<Value> = None;
-            for v in vals {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let ord = v.asl_cmp(&b).ok_or_else(|| {
-                            EvalError::new(EvalErrorKind::Type, "MIN/MAX over incomparable values")
-                        })?;
-                        let keep_new = match ord {
-                            std::cmp::Ordering::Greater => op == AggOp::Max,
-                            std::cmp::Ordering::Less => op == AggOp::Min,
-                            std::cmp::Ordering::Equal => false,
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.ok_or_else(|| {
-                EvalError::new(
-                    EvalErrorKind::EmptySet,
-                    format!("{} of an empty set", op.keyword()),
-                )
-            })
+            AggOp::Sum if self.all_int => Ok(Value::Int(self.int_sum)),
+            AggOp::Sum => Ok(Value::Float(self.float_sum)),
+            AggOp::Avg if self.count == 0 => Err(empty()),
+            AggOp::Avg => Ok(Value::Float(self.float_sum / self.count as f64)),
+            AggOp::Min | AggOp::Max => self.best.ok_or_else(empty),
         }
     }
 }

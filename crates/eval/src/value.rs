@@ -3,6 +3,7 @@
 use asl_core::intern::Symbol;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A reference to a data-model object: interned class name plus arena
 /// index. `ObjRef` is 8 bytes and `Copy`-cheap to clone; comparing two
@@ -21,7 +22,10 @@ impl fmt::Display for ObjRef {
     }
 }
 
-/// A runtime value.
+/// A runtime value. Two words wide — every payload is at most one — so the
+/// `EvalResult<Value>` every IR node returns is as small; the two
+/// heap-backed variants hold a shared pointer, so moving a value through
+/// frames, caches and hoisted cells never copies text or elements.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Integer.
@@ -30,8 +34,8 @@ pub enum Value {
     Float(f64),
     /// Boolean.
     Bool(bool),
-    /// String.
-    Str(String),
+    /// String (shared: a clone is a reference count).
+    Str(Arc<String>),
     /// `DateTime` (microseconds since the epoch).
     DateTime(i64),
     /// Enum variant: (enum name, variant name), both interned — comparing
@@ -39,8 +43,9 @@ pub enum Value {
     Enum(Symbol, Symbol),
     /// Object reference.
     Obj(ObjRef),
-    /// A set of values (objects in practice).
-    Set(Vec<Value>),
+    /// A set of values (objects in practice), shared: a clone is a
+    /// reference count, never the elements.
+    Set(Arc<Vec<Value>>),
     /// Absent object reference (e.g. the parent of a root region). ASL has
     /// no null literal; `Null` only arises from the data and compares
     /// unequal to everything except itself.
@@ -163,6 +168,13 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_value_and_its_result_are_two_words() {
+        // Every node execution returns one of these by value.
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<crate::error::EvalResult<Value>>(), 16);
+    }
 
     #[test]
     fn asl_eq_mixed_numerics() {

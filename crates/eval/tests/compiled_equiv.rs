@@ -10,8 +10,19 @@
 //! order), and identical errors (kind and message) on the failure paths
 //! (empty `UNIQUE`, ambiguous `UNIQUE`, division by zero, recursion
 //! limits, empty `MIN`/`MAX`/`AVG`).
+//!
+//! The compiled engine is checked twice: instance by instance through
+//! `eval_property`, and as it runs in production — one [`asl_eval::Batch`]
+//! per (property, run) over all subjects, where subtrees that read only
+//! the shared context are evaluated once. A hoisted subtree that *fails*
+//! must fail every instance that reaches it exactly as re-evaluation
+//! would; `hoisted_failures_reach_every_instance` pins the three ways the
+//! standard suite's `Duration(Basis, t)` can.
 
-use asl_eval::{compile, CompiledEvaluator, CosyData, Interpreter, Value, COSY_DATA_MODEL};
+use asl_eval::{
+    compile, CompiledEvaluator, CosyData, EvalErrorKind, Interpreter, PropertyOutcome, Value,
+    COSY_DATA_MODEL,
+};
 use perfdata::{DateTime, RegionKind, Store, TimingType, VersionId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -218,7 +229,6 @@ fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
     let compiled_spec = Arc::new(compile(&spec));
     let compiled = CompiledEvaluator::new(compiled_spec, &data).expect("compiled binds");
 
-    let basis = store.main_region(v).expect("main region");
     let runs: Vec<_> = store.versions[v.index()].runs.clone();
     let regions: Vec<u32> = (0..store.regions.len() as u32).collect();
 
@@ -236,40 +246,74 @@ fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
         }
     }
 
-    // Every property on every context.
+    check_properties(&spec, &store, v, &interp, &compiled);
+}
+
+/// Every property on every context of every run, three ways: the
+/// interpreter, the compiled engine per instance, and the compiled engine
+/// as one batch per (property, run). Returns how many instances failed
+/// with each error kind, for tests that provoke a particular failure.
+fn check_properties(
+    spec: &asl_core::CheckedSpec,
+    store: &Store,
+    v: VersionId,
+    interp: &Interpreter<'_, &CosyData<'_>>,
+    compiled: &CompiledEvaluator<&CosyData<'_>>,
+) -> Vec<(EvalErrorKind, usize)> {
+    let basis = store.main_region(v).expect("main region");
+    let mut failures: Vec<(EvalErrorKind, usize)> = Vec::new();
+    // One scratch for every batch, as a worker of the analyzer reuses it.
+    let mut scratch = asl_eval::Scratch::default();
     for p in spec.properties() {
         let name = &p.name.name;
-        let region_ctx = p.params[0].ty.to_string() == "Region";
-        for &run in &runs {
-            if region_ctx {
-                for &r in &regions {
-                    let args = [
-                        Value::obj("Region", r),
-                        Value::run(run),
-                        Value::region(basis),
-                    ];
-                    assert_equivalent(
-                        &format!("{name}(r{r}, {run:?})"),
-                        interp.eval_property(name, &args),
-                        compiled.eval_property(name, &args),
-                    );
+        let subjects: Vec<Value> = if p.params[0].ty.to_string() == "Region" {
+            (0..store.regions.len() as u32)
+                .map(|r| Value::obj("Region", r))
+                .collect()
+        } else {
+            (0..store.calls.len() as u32)
+                .map(|c| Value::obj("FunctionCall", c))
+                .collect()
+        };
+        for &run in &store.versions[v.index()].runs {
+            let context = [Value::run(run), Value::region(basis)];
+            let mut batch = compiled
+                .batch(name, &context, &mut scratch)
+                .expect("batch binds");
+            for subject in &subjects {
+                let what = format!("{name}({subject}, {run:?})");
+                let args = [subject.clone(), context[0].clone(), context[1].clone()];
+                let oracle = interp.eval_property(name, &args);
+                assert_equivalent(&what, oracle.clone(), compiled.eval_property(name, &args));
+                // The batch's lean outcome, with the conditions read back
+                // from its bitmask, is the same outcome.
+                let batched = batch.eval(subject.clone()).map(|o| PropertyOutcome {
+                    property: name.clone(),
+                    holds: o.holds,
+                    fired: p
+                        .conditions
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| (c.id.as_ref().map(|id| id.name.clone()), batch.fired(i)))
+                        .collect(),
+                    confidence: o.confidence,
+                    severity: o.severity,
+                });
+                if let (Ok(a), Ok(b)) = (&oracle, &batched) {
+                    assert_eq!(a.severity.to_bits(), b.severity.to_bits(), "{what}");
+                    assert_eq!(a.confidence.to_bits(), b.confidence.to_bits(), "{what}");
                 }
-            } else {
-                for c in 0..store.calls.len() as u32 {
-                    let args = [
-                        Value::obj("FunctionCall", c),
-                        Value::run(run),
-                        Value::region(basis),
-                    ];
-                    assert_equivalent(
-                        &format!("{name}(call{c}, {run:?})"),
-                        interp.eval_property(name, &args),
-                        compiled.eval_property(name, &args),
-                    );
+                if let Err(e) = &oracle {
+                    match failures.iter_mut().find(|(kind, _)| *kind == e.kind) {
+                        Some((_, n)) => *n += 1,
+                        None => failures.push((e.kind, 1)),
+                    }
                 }
+                assert_equivalent(&format!("{what} batched"), oracle, batched);
             }
         }
     }
+    failures
 }
 
 /// The standard COSY suite property section (duplicated source constant is
@@ -322,6 +366,51 @@ proptest! {
         n_regions in 1usize..5,
     ) {
         check_case(seed, n_runs, n_regions);
+    }
+}
+
+/// `Duration(Basis, t)` is in every severity of the suite and reads only
+/// the batch's shared context, so a batch evaluates it once. Make it fail
+/// in each of the ways it can — no `Summary` of the basis in run `t`
+/// (`EmptySet`), a zero duration (`DivByZero` in the severity), a
+/// duplicate total timing (`Ambiguous`) — and every instance that reaches
+/// the severity must fail with that error, batched or not, while
+/// instances that do not hold never see it.
+#[test]
+fn hoisted_failures_reach_every_instance() {
+    let src = format!("{COSY_DATA_MODEL}\n{}", cosy_suite_properties());
+    let spec = asl_core::parse_and_check(&src).expect("suite checks");
+    for (basis_timings, expected) in [
+        (vec![], EvalErrorKind::EmptySet),
+        (vec![0.0], EvalErrorKind::DivByZero),
+        (vec![4.0, 5.0], EvalErrorKind::Ambiguous),
+    ] {
+        let mut s = Store::new();
+        let p = s.add_program("hoist");
+        let v = s.add_version(p, DateTime::from_secs(1), "");
+        let run = s.add_run(v, DateTime::from_secs(10), 4, 450);
+        let f = s.add_function(v, "main");
+        let main = s.add_region(f, None, RegionKind::Subprogram, "main", (1, 9));
+        for incl in basis_timings {
+            s.add_total_timing(main, run, incl, incl, 0.0);
+        }
+        for i in 0..4 {
+            let r = s.add_region(f, Some(main), RegionKind::Loop, format!("l{i}"), (2, 3));
+            // Two loops with overhead (MeasuredCost holds, its severity
+            // divides by the basis), two without (it never gets there).
+            s.add_total_timing(r, run, 1.0, 1.0, if i < 2 { 0.5 } else { 0.0 });
+            s.add_typed_timing(r, run, TimingType::Barrier, if i < 2 { 0.25 } else { 0.0 });
+        }
+        let data = CosyData::new(&s);
+        let interp = Interpreter::new(&spec, &data).expect("interpreter binds");
+        let compiled = CompiledEvaluator::new(Arc::new(compile(&spec)), &data).expect("binds");
+        let failures = check_properties(&spec, &s, v, &interp, &compiled);
+        let hit = failures.iter().find(|(kind, _)| *kind == expected);
+        // MeasuredCost and SyncCost on l0 and l1 at the least.
+        assert!(
+            hit.is_some_and(|(_, n)| *n >= 4),
+            "{expected:?} in {failures:?}"
+        );
     }
 }
 

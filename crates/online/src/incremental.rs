@@ -2,7 +2,7 @@
 //! store.
 //!
 //! The engine keeps, per test run, the set of property instances that
-//! currently *hold* (as [`HeldEntry`] values keyed by property name and
+//! currently *hold* (as [`HeldEntry`] values keyed by property index and
 //! context id). A [`StoreDelta`] names the contexts whose inputs changed;
 //! only those instances are re-evaluated — through exactly the same
 //! [`Analyzer::instances_scoped`] → [`Analyzer::evaluate_instances`] →
@@ -18,12 +18,13 @@ use crate::error::FlushError;
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec};
 use cosy::backend::{Backend, PreparedBackend};
-use cosy::{AnalysisReport, Analyzer, ContextScope, HeldEntry, ProblemThreshold};
-use obs::{MetricsRegistry, MetricsSnapshot, MetricsSource};
+use cosy::suite::SUITE;
+use cosy::{AnalysisReport, Analyzer, ContextScope, HeldEntry, Instance, ProblemThreshold};
+use obs::{Histogram, MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Counters describing the work the incremental engine actually did —
 /// the observable difference to batch re-analysis.
@@ -54,8 +55,59 @@ impl MetricsSource for IncrementalStats {
     }
 }
 
-/// Identity of a held entry within one run: (property, region, call).
-type EntryKey = (String, Option<u32>, Option<u32>);
+/// Identity of a held entry within one run: the instance it came from
+/// (property index in the suite, id of the region or call site).
+type EntryKey = Instance;
+
+/// Where a flush's time goes, per version: enumerating the instances of
+/// the dirty contexts, evaluating them, and merging + ranking the reports.
+/// Histogram names, in phase order.
+const PHASES: [&str; 3] = [
+    "kojak_eval_enumerate_ns",
+    "kojak_eval_evaluate_ns",
+    "kojak_eval_assemble_ns",
+];
+
+/// Accumulates the phase times of one version's share of a flush; records
+/// one sample per phase when the version is done — never one per run or
+/// instance. Inert (no clock reads) without a registry or with
+/// instrumentation off.
+struct PhaseClock<'a> {
+    sinks: Option<&'a [Arc<Histogram>; 3]>,
+    last: Option<Instant>,
+    ns: [u64; 3],
+}
+
+impl<'a> PhaseClock<'a> {
+    fn start(sinks: Option<&'a [Arc<Histogram>; 3]>) -> Self {
+        let sinks = sinks.filter(|_| obs::enabled());
+        PhaseClock {
+            sinks,
+            last: sinks.map(|_| Instant::now()),
+            ns: [0; 3],
+        }
+    }
+
+    /// Charge the time since the previous lap to `phase`.
+    fn lap(&mut self, phase: usize) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            let spent = now.duration_since(*last).as_nanos();
+            self.ns[phase] += u64::try_from(spent).unwrap_or(u64::MAX);
+            *last = now;
+        }
+    }
+}
+
+impl Drop for PhaseClock<'_> {
+    fn drop(&mut self) {
+        if let Some(sinks) = self.sinks {
+            for (sink, ns) in sinks.iter().zip(self.ns) {
+                sink.record(ns);
+            }
+        }
+    }
+}
 
 #[derive(Debug, Default)]
 struct RunState {
@@ -86,9 +138,18 @@ pub struct IncrementalAnalyzer {
     /// Runs whose producer declared them finished (`RunFinished` seen).
     finished: HashSet<TestRunId>,
     stats: IncrementalStats,
-    /// Optional metric sink for per-property evaluation counters
+    /// Optional metric sink ([`IncrementalAnalyzer::with_registry`]).
+    metrics: Option<Box<FlushMetrics>>,
+}
+
+/// Where a flush reports what it did.
+struct FlushMetrics {
+    /// For the per-property evaluation counters
     /// (`kojak_eval_property_evaluations_total{property="…"}`).
-    registry: Option<Arc<MetricsRegistry>>,
+    registry: Arc<MetricsRegistry>,
+    /// The [`PHASES`] histograms of `registry`, created with it so a flush
+    /// never takes the registry lock for them.
+    phases: [Arc<Histogram>; 3],
 }
 
 impl IncrementalAnalyzer {
@@ -111,7 +172,7 @@ impl IncrementalAnalyzer {
             pending_full: HashSet::new(),
             finished: HashSet::new(),
             stats: IncrementalStats::default(),
-            registry: None,
+            metrics: None,
         }
     }
 
@@ -124,10 +185,15 @@ impl IncrementalAnalyzer {
         self
     }
 
-    /// Record per-property evaluation counts into `registry` on every
-    /// flush (one labelled counter per property of the suite).
+    /// Record into `registry` on every flush: per-property evaluation
+    /// counts (one labelled counter per property of the suite) and, per
+    /// version, the three phase histograms `kojak_eval_enumerate_ns`,
+    /// `kojak_eval_evaluate_ns`, `kojak_eval_assemble_ns`.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
+        self.metrics = Some(Box::new(FlushMetrics {
+            phases: PHASES.map(|name| registry.histogram(name)),
+            registry,
+        }));
         self
     }
 
@@ -294,11 +360,10 @@ impl IncrementalAnalyzer {
 
         let spec = Arc::clone(&self.spec);
         let mut updated = Vec::new();
-        // Per-property evaluation counts of this flush, applied to the
-        // registry once at the end (never inside the merge loop — counter
-        // lookup takes a lock).
-        let mut property_counts: HashMap<String, u64> = HashMap::new();
-        let count_properties = self.registry.is_some() && obs::enabled();
+        // Per-property evaluation counts of this flush (by suite index),
+        // applied to the registry once at the end — counter lookup takes a
+        // lock.
+        let mut property_counts = [0u64; SUITE.len()];
         let mut versions: Vec<VersionId> = scopes.keys().copied().collect();
         versions.sort();
 
@@ -339,6 +404,7 @@ impl IncrementalAnalyzer {
                 .collect();
             work.sort_by_key(|(run, _)| *run);
 
+            let mut clock = PhaseClock::start(self.metrics.as_ref().map(|m| &m.phases));
             // The instance universe is a property of the version's
             // structure, identical for every run: count it once per flush.
             let instance_total = analyzer.instance_universe();
@@ -351,48 +417,28 @@ impl IncrementalAnalyzer {
                     other => PreparedBackend::prepare(other, &spec, store)?,
                 };
 
-                type Updates = Vec<(EntryKey, Option<HeldEntry>)>;
-                let results: Vec<Result<(TestRunId, bool, usize, Updates), FlushError>> = work
-                    .par_iter()
-                    .map(|(run, scope)| {
-                        let instances = analyzer.instances_scoped(*run, scope);
-                        let outcomes = analyzer.evaluate_instances(&prepared, &instances)?;
-                        let updates: Updates = instances
-                            .iter()
-                            .zip(outcomes)
-                            .map(|((prop, _, ctx), outcome)| {
-                                ((prop.clone(), ctx.region, ctx.call), outcome)
-                            })
-                            .collect();
-                        Ok((*run, *scope == ContextScope::All, instances.len(), updates))
-                    })
-                    .collect();
+                // Runs in turn: the parallelism of a flush is inside
+                // `evaluate_instances`, over its batches.
+                for (run, scope) in &work {
+                    let run = *run;
+                    let instances = analyzer.instances_scoped(run, scope);
+                    clock.lap(0);
+                    let outcomes = analyzer.evaluate_instances(&prepared, &instances)?;
+                    clock.lap(1);
 
-                for result in results {
-                    let (run, full, evaluated, updates) = result?;
                     let state = self.states.entry(run).or_default();
-                    if full {
+                    if *scope == ContextScope::All {
                         state.entries.clear();
                         self.stats.full_reevaluations += 1;
                     }
-                    for (key, outcome) in updates {
-                        if count_properties {
-                            // get-then-insert instead of `entry(clone)`:
-                            // one String clone per *distinct* property,
-                            // not one per evaluated instance.
-                            match property_counts.get_mut(&key.0) {
-                                Some(n) => *n += 1,
-                                None => {
-                                    property_counts.insert(key.0.clone(), 1);
-                                }
-                            }
-                        }
+                    for (key, outcome) in instances.iter().zip(outcomes) {
+                        property_counts[key.property as usize] += 1;
                         match outcome {
                             Some(entry) => {
-                                state.entries.insert(key, entry);
+                                state.entries.insert(*key, entry);
                             }
                             None => {
-                                state.entries.remove(&key);
+                                state.entries.remove(key);
                             }
                         }
                     }
@@ -401,10 +447,11 @@ impl IncrementalAnalyzer {
                     state.report =
                         Some(analyzer.assemble_report(run, held, self.threshold, skipped));
                     state.instance_total = instance_total;
-                    self.stats.instances_evaluated += evaluated as u64;
+                    self.stats.instances_evaluated += instances.len() as u64;
                     self.stats.runs_reevaluated += 1;
                     touched_runs.insert(run);
                     updated.push(run);
+                    clock.lap(2);
                 }
             }
 
@@ -433,15 +480,21 @@ impl IncrementalAnalyzer {
                     updated.push(run);
                 }
             }
+            clock.lap(2);
         }
 
-        if let Some(registry) = &self.registry {
-            for (property, n) in property_counts {
-                registry
-                    .counter(&format!(
-                        "kojak_eval_property_evaluations_total{{property=\"{property}\"}}"
-                    ))
-                    .add(n);
+        if let Some(FlushMetrics { registry, .. }) =
+            self.metrics.as_deref().filter(|_| obs::enabled())
+        {
+            for (info, n) in SUITE.iter().zip(property_counts) {
+                if n > 0 {
+                    let property = info.name;
+                    registry
+                        .counter(&format!(
+                            "kojak_eval_property_evaluations_total{{property=\"{property}\"}}"
+                        ))
+                        .add(n);
+                }
             }
         }
         self.stats.flushes += 1;

@@ -115,12 +115,6 @@ pub fn eval_cache_metrics() -> obs::MetricsSnapshot {
     let mut out = obs::MetricsSnapshot::default();
     out.push_counter("kojak_eval_cache_hits_total", hits);
     out.push_counter("kojak_eval_cache_misses_total", misses);
-    let (memo_hits, memo_misses) = asl_eval::filter_memo_counters();
-    out.push_counter("kojak_eval_filter_memo_hits_total", memo_hits);
-    out.push_counter("kojak_eval_filter_memo_misses_total", memo_misses);
-    let (fn_hits, fn_misses) = asl_eval::fn_memo_counters();
-    out.push_counter("kojak_eval_fn_memo_hits_total", fn_hits);
-    out.push_counter("kojak_eval_fn_memo_misses_total", fn_misses);
     out
 }
 pub use durable::{DurableConfig, RecoveryError, RecoveryStats};

@@ -169,3 +169,44 @@ fn applied_equals_replayed_plus_frames_across_kill_and_recover() {
         1
     );
 }
+
+/// The flush anatomy closes against the flush: per version and flush the
+/// analyzer records one sample each of enumerate / evaluate / assemble,
+/// all taken inside the span `kojak_online_flush_ns` times — so the three
+/// sums together never exceed the flush histogram's, and account for most
+/// of it.
+#[test]
+fn flush_phases_sum_to_no_more_than_the_flush() {
+    let events = sim_events(43);
+    let session = OnlineSession::new(SessionConfig::default());
+    let mut flushes = 0;
+    for chunk in events.chunks(events.len().div_ceil(4)) {
+        session.ingest_batch(chunk).expect("ingest");
+        session.flush().expect("flush");
+        flushes += 1;
+    }
+    let snapshot = session.metrics();
+    let flush = snapshot
+        .histogram("kojak_online_flush_ns")
+        .expect("flush histogram");
+    assert_eq!(flush.count, flushes);
+    let phases = [
+        "kojak_eval_enumerate_ns",
+        "kojak_eval_evaluate_ns",
+        "kojak_eval_assemble_ns",
+    ]
+    .map(|name| snapshot.histogram(name).unwrap_or_else(|| panic!("{name}")));
+    for phase in &phases {
+        // One simulated version: one sample per phase per flush that had
+        // analyzable structure.
+        assert_eq!(phase.count, phases[0].count);
+        assert!((1..=flushes).contains(&phase.count));
+    }
+    let inside: u64 = phases.iter().map(|phase| phase.sum).sum();
+    assert!(inside > 0);
+    assert!(
+        inside <= flush.sum,
+        "phases {inside} ns, flush {} ns",
+        flush.sum
+    );
+}

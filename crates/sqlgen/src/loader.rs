@@ -27,7 +27,7 @@ pub(crate) fn to_sql_value(v: &EvalValue) -> SqlGenResult<Value> {
         EvalValue::Int(i) => Value::Int(*i),
         EvalValue::Float(f) => Value::Float(*f),
         EvalValue::Bool(b) => Value::Bool(*b),
-        EvalValue::Str(s) => Value::Text(s.clone()),
+        EvalValue::Str(s) => Value::Text(s.to_string()),
         EvalValue::DateTime(t) => Value::Int(*t),
         EvalValue::Enum(_, variant) => Value::Text(variant.as_str().to_string()),
         EvalValue::Obj(o) => Value::Int(o.index as i64),
@@ -124,7 +124,7 @@ pub fn build_rows<M: ObjectModel>(
                     )));
                 };
                 let ti = table_index[target];
-                for m in members {
+                for m in members.iter() {
                     let EvalValue::Obj(mref) = m else {
                         return Err(SqlGenError::Data("non-object set member".into()));
                     };

@@ -1,8 +1,8 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! Implements the slice-parallelism surface this workspace uses —
-//! `par_iter()` followed by `map(...).collect()` or `for_each(...)` — on
-//! top of `std::thread::scope`. Work is split into one contiguous chunk per
+//! `par_iter()` followed by `map(...).collect()`, `map_init(...).collect()`
+//! or `for_each(...)` — on top of `std::thread::scope`. Work is split into one contiguous chunk per
 //! available core (sequential fallback on one core), and `collect()`
 //! preserves input order, matching rayon's indexed semantics. Swapping the
 //! real rayon back in is a manifest-only change.
@@ -18,17 +18,20 @@ fn workers_for(len: usize) -> usize {
 }
 
 /// Apply `f` to every element of `items`, collecting outputs in input
-/// order across a scoped thread pool.
-fn parallel_map<'a, T, R, F>(items: &'a [T], f: F) -> Vec<R>
+/// order across a scoped thread pool. Every worker makes one state with
+/// `init` and hands it to each of its calls of `f`.
+fn parallel_map<'a, T, S, R, I, F>(items: &'a [T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&'a T) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &'a T) -> R + Sync,
 {
     let n = items.len();
     let workers = workers_for(n);
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
     let chunk = n.div_ceil(workers);
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
@@ -48,10 +51,11 @@ where
     };
     std::thread::scope(|scope| {
         for (start, slot) in slots {
-            let f = &f;
+            let (init, f) = (&init, &f);
             scope.spawn(move || {
+                let mut state = init();
                 for (k, cell) in slot.iter_mut().enumerate() {
-                    *cell = Some(f(&items[start + k]));
+                    *cell = Some(f(&mut state, &items[start + k]));
                 }
             });
         }
@@ -72,6 +76,13 @@ pub struct ParMap<'a, T, F> {
     f: F,
 }
 
+/// A parallel iterator mapped with per-worker state (`map_init`).
+pub struct ParMapInit<'a, T, I, F> {
+    items: &'a [T],
+    init: I,
+    f: F,
+}
+
 impl<'a, T: Sync> ParIter<'a, T> {
     /// Apply `f` to every element.
     pub fn map<R, F>(self, f: F) -> ParMap<'a, T, F>
@@ -85,12 +96,27 @@ impl<'a, T: Sync> ParIter<'a, T> {
         }
     }
 
+    /// Apply `f` to every element, handing it a state made by `init` —
+    /// once per worker, not once per element (rayon's `map_init`).
+    pub fn map_init<S, R, I, F>(self, init: I, f: F) -> ParMapInit<'a, T, I, F>
+    where
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, &'a T) -> R + Sync,
+        R: Send,
+    {
+        ParMapInit {
+            items: self.items,
+            init,
+            f,
+        }
+    }
+
     /// Run `f` for every element.
     pub fn for_each<F>(self, f: F)
     where
         F: Fn(&'a T) + Sync,
     {
-        parallel_map(self.items, f);
+        parallel_map(self.items, || (), |(), item| f(item));
     }
 
     /// Number of elements.
@@ -107,13 +133,27 @@ impl<'a, T: Sync> ParIter<'a, T> {
 impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParMap<'a, T, F> {
     /// Collect the mapped values, preserving input order.
     pub fn collect<C: FromParallel<R>>(self) -> C {
-        C::from_vec(parallel_map(self.items, self.f))
+        let f = self.f;
+        C::from_vec(parallel_map(self.items, || (), |(), item| f(item)))
     }
 
     /// Sum the mapped values.
     pub fn sum<S: std::iter::Sum<R> + Send>(self) -> S {
         let v: Vec<R> = self.collect();
         v.into_iter().sum()
+    }
+}
+
+impl<'a, T, S, R, I, F> ParMapInit<'a, T, I, F>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &'a T) -> R + Sync,
+{
+    /// Collect the mapped values, preserving input order.
+    pub fn collect<C: FromParallel<R>>(self) -> C {
+        C::from_vec(parallel_map(self.items, self.init, self.f))
     }
 }
 
@@ -172,6 +212,29 @@ mod tests {
         let v: Vec<i32> = (0..1000).collect();
         let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_init_makes_one_state_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let states = AtomicUsize::new(0);
+        let v: Vec<usize> = (0..1000).collect();
+        let out: Vec<usize> = v
+            .par_iter()
+            .map_init(
+                || {
+                    states.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |seen, x| {
+                    *seen += 1;
+                    *x + 1
+                },
+            )
+            .collect();
+        assert_eq!(out, (1..=1000).collect::<Vec<_>>());
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!((1..=cores).contains(&states.load(Ordering::Relaxed)));
     }
 
     #[test]
