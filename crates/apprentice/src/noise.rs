@@ -3,8 +3,8 @@
 //! All per-PE variation in the simulator comes from hashing the tuple
 //! `(seed, region, pe, stream)` with SplitMix64. This keeps runs perfectly
 //! reproducible under any parallel schedule — a requirement for the
-//! cross-backend equality tests (interpreter vs SQL) and for criterion
-//! benches that must measure the same workload every iteration.
+//! cross-backend equality tests (interpreter vs SQL) and for benchmarks
+//! that must measure the same workload on every pass.
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
 #[inline]

@@ -53,11 +53,6 @@ pub struct RegionSim {
 }
 
 impl RegionSim {
-    /// Total overhead of one PE across all categories.
-    pub fn overhead_of(&self, pe: usize) -> f64 {
-        self.overheads.iter().map(|(_, v)| v[pe]).sum()
-    }
-
     /// Summed (over PEs) exclusive compute time.
     pub fn total_compute(&self) -> f64 {
         self.compute.iter().sum()

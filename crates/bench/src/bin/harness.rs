@@ -1,9 +1,9 @@
 //! The experiment harness: regenerates every table/figure/claim of the
-//! paper (E1–E13, indexed in the README's "Quick start") and prints
-//! paper-style tables. E9 through E13 also emit machine-readable JSON
-//! (`BENCH_e9.json` … `BENCH_e13.json`; best-of-N ns + speedup ratios) so
-//! the evaluation-core, durability, sharding, wire-protocol and
-//! observability perf trajectories are tracked across PRs.
+//! paper (E1–E7), the incremental-vs-batch claim (E8) and the
+//! instrumentation-overhead gate (E13), and prints paper-style tables.
+//! E13 also emits machine-readable JSON (`BENCH_e13.json`). Every other
+//! wall-clock question about the engine is answered by the benchmark of
+//! record in `benchmark/` (README, "Measuring").
 //!
 //! ```sh
 //! cargo run --release -p kojak-bench --bin harness            # all
@@ -14,9 +14,8 @@
 //! argument is not one of the flags below.
 
 use kojak_bench::experiments::{
-    e10_durability as e10, e11_sharding as e11, e12_net as e12, e13_obs as e13, e1_parse as e1,
-    e2_insert as e2, e3_fetch as e3, e4_client_vs_sql as e4, e5_analysis as e5,
-    e6_cost_scaling as e6, e7_distribution as e7, e8_online as e8, e9_compiled as e9,
+    e13_obs as e13, e1_parse as e1, e2_insert as e2, e3_fetch as e3, e4_client_vs_sql as e4,
+    e5_analysis as e5, e6_cost_scaling as e6, e7_distribution as e7, e8_online as e8,
 };
 
 /// One experiment: its flag, its banner, how to run it, and what is printed
@@ -109,33 +108,6 @@ const EXPERIMENTS: &[Experiment] = &[
         banner: "== E8: online ingestion — incremental vs batch re-analysis ==================",
         run: || checked(e8::render, Some(e8::check_claims), &e8::run(50)),
         footer: "claim: single-run append ≥ 10x faster incrementally than full re-analysis\n\n",
-    },
-    Experiment {
-        flag: "--e9",
-        banner: "== E9: compiled-IR evaluation vs interpreter =================================",
-        run: || tracked(e9::render, e9::check_claims, e9::to_json, &e9::run()),
-        footer: "claim: compiled path ≥ 2x faster than the interpreter on E5 and E8 shapes\n\n",
-    },
-    Experiment {
-        flag: "--e10",
-        banner: "== E10: durable sessions — WAL append overhead & recovery time ==============",
-        run: || tracked(e10::render, e10::check_claims, e10::to_json, &e10::run()),
-        footer:
-            "claim: snapshot recovery ≥ 1.5x faster than full WAL replay, reports identical\n\n",
-    },
-    Experiment {
-        flag: "--e11",
-        banner: "== E11: sharded engine — shard-per-WAL ingest throughput ====================",
-        run: || tracked(e11::render, e11::check_claims, e11::to_json, &e11::run()),
-        footer: "claim: reports identical at every shard count; multi-shard throughput >= 1x \
-                 single-shard on multicore hosts\n\n",
-    },
-    Experiment {
-        flag: "--e12",
-        banner: "== E12: wire protocol — loopback TCP ingest vs in-process ===================",
-        run: || tracked(e12::render, e12::check_claims, e12::to_json, &e12::run()),
-        footer: "claim: reports identical over the wire; loopback throughput within a reported \
-                 factor of in-process ingest\n\n",
     },
     Experiment {
         flag: "--e13",

@@ -1,8 +1,5 @@
-//! The experiments E1–E13 (see the README's "Quick start" for the index).
+//! The experiments E1–E8 and E13 (see the README's "Quick start" for the index).
 
-pub mod e10_durability;
-pub mod e11_sharding;
-pub mod e12_net;
 pub mod e13_obs;
 pub mod e1_parse;
 pub mod e2_insert;
@@ -12,5 +9,4 @@ pub mod e5_analysis;
 pub mod e6_cost_scaling;
 pub mod e7_distribution;
 pub mod e8_online;
-pub mod e9_compiled;
 pub mod strategies;

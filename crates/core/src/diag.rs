@@ -148,11 +148,6 @@ impl Diagnostics {
         self.items.iter()
     }
 
-    /// Consume and return the underlying vector.
-    pub fn into_vec(self) -> Vec<Diagnostic> {
-        self.items
-    }
-
     /// Render all diagnostics against the given source, one per line.
     pub fn render(&self, source: &str) -> String {
         let map = SourceMap::new(source);

@@ -112,13 +112,6 @@ pub struct EnumInfo {
     pub variants: Vec<String>,
 }
 
-impl EnumInfo {
-    /// Index of a variant within the declaration order.
-    pub fn variant_index(&self, variant: &str) -> Option<usize> {
-        self.variants.iter().position(|v| v == variant)
-    }
-}
-
 /// Signature of a helper function.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FnSig {

@@ -352,11 +352,6 @@ impl<'s> Analyzer<'s> {
         &self.spec
     }
 
-    /// The checked suite as a shareable handle.
-    pub fn shared_spec(&self) -> Arc<CheckedSpec> {
-        Arc::clone(&self.spec)
-    }
-
     /// The suite lowered to the compiled IR (lowering happens once, on
     /// first use, and is shared afterwards).
     pub fn compiled_spec(&self) -> Arc<CompiledSpec> {

@@ -13,7 +13,7 @@
 //!   properties per overhead family (documented extensions);
 //! * [`backend`] — the two evaluation strategies of §5: client-side
 //!   interpretation (`asl-eval`) and full translation to SQL (`asl-sql`),
-//!   behind one trait so analyses are backend-agnostic;
+//!   selected by the [`Backend`] enum so analyses are backend-agnostic;
 //! * [`analyzer`] — context enumeration (region × run, barrier-call × run),
 //!   parallel property evaluation (rayon), severity ranking, the
 //!   user/tool-defined *performance problem* threshold, and the §4

@@ -54,7 +54,6 @@ pub struct EngineBuilder {
     fsync: FsyncPolicy,
     snapshot_every_flushes: Option<u32>,
     shards: usize,
-    faults: faults::Faults,
     lint_gate: lint::LintGate,
 }
 
@@ -122,14 +121,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Gate every file operation of the built engine through a fault
-    /// seam (durable engines only). The default handle is inert; chaos
-    /// tests pass one built from a seeded [`faults::FaultPlan`].
-    pub fn fault_seam(mut self, faults: faults::Faults) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Static-analysis strictness applied when the engine is built (the
     /// default is [`lint::LintGate::Warn`]): `Deny` makes
     /// [`build`](EngineBuilder::build) fail with [`EngineError::Lint`]
@@ -181,7 +172,7 @@ impl EngineBuilder {
             snapshot_every_flushes: self
                 .snapshot_every_flushes
                 .unwrap_or(defaults.snapshot_every_flushes),
-            faults: self.faults.clone(),
+            faults: defaults.faults,
         }
     }
 

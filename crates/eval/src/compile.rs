@@ -353,11 +353,6 @@ impl CompiledSpec {
         self.plan.get_or_init(|| BatchPlan::build(self))
     }
 
-    /// Does the compiled spec declare this property?
-    pub fn has_property(&self, name: &str) -> bool {
-        self.prop_ids.contains_key(name)
-    }
-
     /// Number of IR nodes (diagnostics/benchmarks).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -1370,7 +1365,7 @@ fn simple_key(e: &Expr, binder: &str) -> bool {
 /// which `binder IN obj.Set WITH pred` shapes lower to an indexed
 /// `FilterEq` load.
 pub mod shape {
-    use super::{conjuncts, match_eq_filter, simple_key};
+    use super::{conjuncts, match_eq_filter};
     use asl_core::ast::{Expr, ExprKind};
 
     /// The decomposition of a set-construct predicate the compiler would
@@ -1430,11 +1425,6 @@ pub mod shape {
     /// `(attr name, key expr)`.
     pub fn eq_filter_conjunct<'e>(e: &'e Expr, binder: &str) -> Option<(&'e str, &'e Expr)> {
         match_eq_filter(e, binder)
-    }
-
-    /// Is `e` a cheap, binder-free, infallible key expression?
-    pub fn is_simple_key(e: &Expr, binder: &str) -> bool {
-        simple_key(e, binder)
     }
 }
 

@@ -7,8 +7,8 @@
 //! [`IncrementalAnalyzer`] (live reports) behind one mutex; ingestion
 //! appends events and accumulates the pending [`StoreDelta`], and
 //! [`OnlineSession::flush`] turns the pending delta into refreshed reports
-//! (per-run evaluation fans out through rayon inside the incremental
-//! engine).
+//! (dirty runs are walked in turn; the one parallel level is over a run's
+//! instance batches, inside `cosy::Analyzer::evaluate_instances`).
 //!
 //! Whether the session survives a process kill is a *part* of it, not a
 //! wrapper around it: [`OnlineSession::open`] attaches the write-ahead log
@@ -251,16 +251,6 @@ impl OnlineSession {
         self.lock().builder.runs().map(|(k, _, _)| k).collect()
     }
 
-    /// Producer keys of the runs declared finished (and flushed).
-    pub fn finished_run_keys(&self) -> Vec<RunKey> {
-        let inner = self.lock();
-        inner
-            .analyzer
-            .finished_runs()
-            .filter_map(|id| inner.builder.run_key_of(id))
-            .collect()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -441,13 +431,6 @@ impl OnlineSession {
             runs_finished: inner.analyzer.finished_count() as u64,
             incremental: inner.analyzer.stats(),
         }
-    }
-
-    /// The session's metric registry: the stage histograms this session
-    /// and its WAL and snapshot writers record into. Hold handles from it
-    /// rather than re-looking names up per event.
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// One composable snapshot of everything this session knows about

@@ -110,14 +110,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String view.
     pub fn as_str(&self) -> Option<&str> {
         match self {
