@@ -10,7 +10,9 @@
 use crate::data;
 use crate::experiments::strategies::{client_naive, client_side, sql_batched, sql_per_context};
 use crate::table::Table;
+use cosy::Analyzer;
 use reldb::remote::{connection::share, ApiBinding, BackendProfile, Connection};
+use std::sync::Arc;
 
 /// One program scale of the comparison.
 #[derive(Debug, Clone)]
@@ -41,6 +43,7 @@ pub fn run(scales: &[usize]) -> Vec<E4Row> {
     for &scale in scales {
         let (store, version) = data::generated_store(scale, &[1, 4, 16, 64]);
         let (spec, schema, db) = data::loaded_database(&store);
+        let analyzer = Analyzer::with_spec(&store, version, Arc::new(spec)).expect("analyzer");
         let shared = share(db);
         let run = *store.versions[version.index()].runs.last().unwrap();
 
@@ -48,9 +51,8 @@ pub fn run(scales: &[usize]) -> Vec<E4Row> {
             &BackendProfile::oracle7(),
             &ApiBinding::jdbc(),
             &store,
-            &spec,
+            &analyzer,
             &schema,
-            version,
             run,
         )
         .expect("naive client");
@@ -60,19 +62,17 @@ pub fn run(scales: &[usize]) -> Vec<E4Row> {
             BackendProfile::oracle7(),
             ApiBinding::jdbc(),
         );
-        let client = client_side(&mut conn, &store, &spec, version, run).expect("client");
+        let client = client_side(&mut conn, &store, &analyzer, run).expect("client");
 
         let mut conn = Connection::connect(
             shared.clone(),
             BackendProfile::oracle7(),
             ApiBinding::jdbc(),
         );
-        let per_ctx =
-            sql_per_context(&mut conn, &store, &spec, &schema, version, run).expect("per-ctx");
+        let per_ctx = sql_per_context(&mut conn, &analyzer, &schema, run).expect("per-ctx");
 
         let mut conn = Connection::connect(shared, BackendProfile::oracle7(), ApiBinding::jdbc());
-        let batched =
-            sql_batched(&mut conn, &store, &spec, &schema, version, run).expect("batched");
+        let batched = sql_batched(&mut conn, &analyzer, &schema, run).expect("batched");
 
         let agreed = client.fingerprint() == per_ctx.fingerprint()
             && client.fingerprint() == batched.fingerprint()

@@ -11,7 +11,9 @@
 use crate::data;
 use crate::experiments::strategies::{client_naive, client_side, sql_batched, sql_per_context};
 use crate::table::Table;
+use cosy::Analyzer;
 use reldb::remote::{connection::share, ApiBinding, BackendProfile, Connection};
+use std::sync::Arc;
 
 /// One cell of the ablation grid.
 #[derive(Debug, Clone)]
@@ -54,6 +56,7 @@ pub fn run(scales: &[usize]) -> Vec<E7Row> {
     for &scale in scales {
         let (store, version) = data::generated_store(scale, &[1, 4, 16, 64]);
         let (spec, schema, db) = data::loaded_database(&store);
+        let analyzer = Analyzer::with_spec(&store, version, Arc::new(spec)).expect("analyzer");
         let shared = share(db);
         let run = *store.versions[version.index()].runs.last().unwrap();
 
@@ -61,16 +64,14 @@ pub fn run(scales: &[usize]) -> Vec<E7Row> {
             (BackendProfile::oracle7(), ApiBinding::jdbc()),
             (BackendProfile::msaccess(), ApiBinding::native_c()),
         ] {
-            let naive = client_naive(&profile, &binding, &store, &spec, &schema, version, run)
+            let naive = client_naive(&profile, &binding, &store, &analyzer, &schema, run)
                 .expect("naive client");
             let mut conn = Connection::connect(shared.clone(), profile.clone(), binding.clone());
-            let client = client_side(&mut conn, &store, &spec, version, run).expect("client");
+            let client = client_side(&mut conn, &store, &analyzer, run).expect("client");
             let mut conn = Connection::connect(shared.clone(), profile.clone(), binding.clone());
-            let per_ctx =
-                sql_per_context(&mut conn, &store, &spec, &schema, version, run).expect("per-ctx");
+            let per_ctx = sql_per_context(&mut conn, &analyzer, &schema, run).expect("per-ctx");
             let mut conn = Connection::connect(shared.clone(), profile.clone(), binding.clone());
-            let batched =
-                sql_batched(&mut conn, &store, &spec, &schema, version, run).expect("batched");
+            let batched = sql_batched(&mut conn, &analyzer, &schema, run).expect("batched");
             assert_eq!(
                 client.fingerprint(),
                 batched.fingerprint(),

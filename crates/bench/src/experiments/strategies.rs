@@ -18,14 +18,16 @@
 //!
 //! All strategies must produce the same set of holding (property, context,
 //! severity) triples; [`StrategyResult::fingerprint`] is compared by tests.
+//! Which instances exist is the [`Analyzer`]'s decision
+//! ([`Analyzer::families`]); the strategies differ in how they evaluate
+//! them.
 
-use asl_core::check::CheckedSpec;
 use asl_eval::{CosyData, Interpreter, ObjRef, ObjectModel, Value};
 use asl_sql::{
     compile_batch, compile_property, eval_batch_conn, property::eval_compiled_conn, SchemaInfo,
 };
-use cosy::suite::{ContextSelector, SUITE};
-use perfdata::{Store, TestRunId, VersionId};
+use cosy::Analyzer;
+use perfdata::{Store, TestRunId};
 use reldb::remote::{ApiBinding, BackendProfile, Connection};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -55,47 +57,6 @@ impl StrategyResult {
             .collect();
         v.sort();
         v
-    }
-}
-
-/// Enumerate the suite's property instances for one version and run.
-/// Returns `(property, family ids, fixed args)` in suite order.
-pub fn suite_instances(
-    store: &Store,
-    version: VersionId,
-    run: TestRunId,
-) -> Vec<(&'static str, ContextSelector, Vec<u32>)> {
-    let v = &store.versions[version.index()];
-    let regions: Vec<u32> = v
-        .functions
-        .iter()
-        .flat_map(|f| store.functions[f.index()].regions.iter().map(|r| r.0))
-        .collect();
-    let calls = |barrier_only: bool| -> Vec<u32> {
-        v.functions
-            .iter()
-            .filter(|f| !barrier_only || store.functions[f.index()].name == "barrier")
-            .flat_map(|f| store.functions[f.index()].calls.iter().map(|c| c.0))
-            .collect()
-    };
-    let _ = run;
-    SUITE
-        .iter()
-        .map(|info| {
-            let ids = match info.contexts {
-                ContextSelector::AllRegions => regions.clone(),
-                ContextSelector::BarrierCalls => calls(true),
-                ContextSelector::AllCalls => calls(false),
-            };
-            (info.name, info.contexts, ids)
-        })
-        .collect()
-}
-
-fn family_class(sel: ContextSelector) -> &'static str {
-    match sel {
-        ContextSelector::AllRegions => "Region",
-        _ => "FunctionCall",
     }
 }
 
@@ -147,24 +108,20 @@ pub fn client_naive(
     profile: &BackendProfile,
     binding: &ApiBinding,
     store: &Store,
-    spec: &CheckedSpec,
+    analyzer: &Analyzer<'_>,
     schema: &SchemaInfo,
-    version: VersionId,
     run: TestRunId,
 ) -> Result<StrategyResult, String> {
     let data = CountingData::new(store);
-    let basis = store.main_region(version).ok_or("no main region")?;
+    let basis = analyzer.basis();
     let mut held = Vec::new();
     {
-        let interp = Interpreter::new(spec, &data).map_err(|e| e.to_string())?;
-        for (prop, sel, ids) in suite_instances(store, version, run) {
-            for id in ids {
+        let interp = Interpreter::new(analyzer.spec(), &data).map_err(|e| e.to_string())?;
+        for family in analyzer.families() {
+            let prop = family.property.as_str();
+            for &id in family.subjects.iter() {
                 data.reset_eval();
-                let subject = match sel {
-                    ContextSelector::AllRegions => Value::obj("Region", id),
-                    _ => Value::obj("FunctionCall", id),
-                };
-                let args = [subject, Value::run(run), Value::region(basis)];
+                let args = [family.subject(id), Value::run(run), Value::region(basis)];
                 match interp.eval_property(prop, &args) {
                     Ok(o) if o.holds && o.severity > 0.0 => {
                         held.push((prop.to_string(), id, o.severity))
@@ -203,12 +160,12 @@ pub fn client_naive(
 pub fn client_side(
     conn: &mut Connection,
     store: &Store,
-    spec: &CheckedSpec,
-    version: VersionId,
+    analyzer: &Analyzer<'_>,
     run: TestRunId,
 ) -> Result<StrategyResult, String> {
     let t0 = conn.elapsed();
     let run_id = run.0;
+    let version = store.runs[run.index()].version;
     let mut records = 0usize;
     let mut statements = 0usize;
     // The tool pulls every record of the run it analyzes (plus the
@@ -231,16 +188,13 @@ pub fn client_side(
     // Local evaluation (free on the virtual clock: the data is client-side
     // now; we read it from the store, which holds identical values).
     let data = CosyData::new(store);
-    let interp = Interpreter::new(spec, data).map_err(|e| e.to_string())?;
-    let basis = store.main_region(version).ok_or("no main region")?;
+    let interp = Interpreter::new(analyzer.spec(), data).map_err(|e| e.to_string())?;
+    let basis = analyzer.basis();
     let mut held = Vec::new();
-    for (prop, sel, ids) in suite_instances(store, version, run) {
-        for id in ids {
-            let subject = match sel {
-                ContextSelector::AllRegions => Value::obj("Region", id),
-                _ => Value::obj("FunctionCall", id),
-            };
-            let args = [subject, Value::run(run), Value::region(basis)];
+    for family in analyzer.families() {
+        let prop = family.property.as_str();
+        for &id in family.subjects.iter() {
+            let args = [family.subject(id), Value::run(run), Value::region(basis)];
             match interp.eval_property(prop, &args) {
                 Ok(o) if o.holds && o.severity > 0.0 => {
                     held.push((prop.to_string(), id, o.severity))
@@ -262,24 +216,19 @@ pub fn client_side(
 /// SQL per-context strategy: scalar queries per (property, context).
 pub fn sql_per_context(
     conn: &mut Connection,
-    store: &Store,
-    spec: &CheckedSpec,
+    analyzer: &Analyzer<'_>,
     schema: &SchemaInfo,
-    version: VersionId,
     run: TestRunId,
 ) -> Result<StrategyResult, String> {
     let t0 = conn.elapsed();
-    let basis = store.main_region(version).ok_or("no main region")?;
+    let (spec, basis) = (analyzer.spec(), analyzer.basis());
     let mut held = Vec::new();
     let mut statements = 0usize;
     let mut records = 0usize;
-    for (prop, sel, ids) in suite_instances(store, version, run) {
-        for id in ids {
-            let subject = match sel {
-                ContextSelector::AllRegions => Value::obj("Region", id),
-                _ => Value::obj("FunctionCall", id),
-            };
-            let args = [subject, Value::run(run), Value::region(basis)];
+    for family in analyzer.families() {
+        let prop = family.property.as_str();
+        for &id in family.subjects.iter() {
+            let args = [family.subject(id), Value::run(run), Value::region(basis)];
             let cp = compile_property(spec, schema, prop, &args).map_err(|e| e.to_string())?;
             statements += cp.conditions.len(); // arm queries counted on demand
             let o = eval_compiled_conn(conn, &cp).map_err(|e| e.to_string())?;
@@ -301,25 +250,23 @@ pub fn sql_per_context(
 /// SQL batched strategy: one query per property over all contexts.
 pub fn sql_batched(
     conn: &mut Connection,
-    store: &Store,
-    spec: &CheckedSpec,
+    analyzer: &Analyzer<'_>,
     schema: &SchemaInfo,
-    version: VersionId,
     run: TestRunId,
 ) -> Result<StrategyResult, String> {
     let t0 = conn.elapsed();
-    let basis = store.main_region(version).ok_or("no main region")?;
+    let (spec, basis) = (analyzer.spec(), analyzer.basis());
     let fixed = [(1usize, Value::run(run)), (2usize, Value::region(basis))];
     let mut held = Vec::new();
     let mut statements = 0usize;
     let mut records = 0usize;
-    for (prop, sel, ids) in suite_instances(store, version, run) {
+    for family in analyzer.families() {
+        let (prop, ids) = (family.property.as_str(), &family.subjects);
         if ids.is_empty() {
             continue;
         }
-        let _ = family_class(sel);
         let bc =
-            compile_batch(spec, schema, prop, 0, &fixed, Some(&ids)).map_err(|e| e.to_string())?;
+            compile_batch(spec, schema, prop, 0, &fixed, Some(ids)).map_err(|e| e.to_string())?;
         statements += 1;
         let outcomes = eval_batch_conn(conn, &bc).map_err(|e| e.to_string())?;
         records += outcomes.len();

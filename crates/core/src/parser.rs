@@ -1045,7 +1045,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_sublinear_speedup_property_from_paper() {
+    fn parses_the_papers_sublinear_speedup_property() {
         let spec = parse_ok(
             r#"
             Property SublinearSpeedup(Region r, TestRun t, Region Basis) {

@@ -3,7 +3,8 @@
 
 use crate::backend::{Backend, PreparedBackend};
 use crate::error::{AnalysisError, SpecError};
-use crate::suite::{standard_suite, ContextSelector, SUITE};
+use crate::suite::{standard_suite, SUITE};
+use asl_core::ast::{PropertyDecl, TypeExprKind};
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec, Scratch, Value};
 use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
@@ -76,13 +77,6 @@ impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
     }
-}
-
-/// The names of [`SUITE`], in suite order: one shared allocation each for
-/// the life of the process.
-fn suite_names() -> &'static [Name] {
-    static NAMES: OnceLock<Vec<Name>> = OnceLock::new();
-    NAMES.get_or_init(|| SUITE.iter().map(|info| info.name.into()).collect())
 }
 
 /// The context a property instance was evaluated in.
@@ -206,14 +200,6 @@ impl ContextScope {
             ContextScope::Dirty { calls, .. } => calls.contains(&c),
         }
     }
-
-    /// True when the scope selects nothing.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            ContextScope::All => false,
-            ContextScope::Dirty { regions, calls } => regions.is_empty() && calls.is_empty(),
-        }
-    }
 }
 
 /// One enumerated property instance, as dense ids. Its test run and
@@ -222,10 +208,11 @@ impl ContextScope {
 /// turns out to hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Instance {
-    /// Index of the property in [`SUITE`].
+    /// Index of the property in the spec's declaration order
+    /// ([`CheckedSpec::properties`], [`Analyzer::families`]).
     pub property: u16,
-    /// Id of the region or call site — whichever the property's
-    /// [`ContextSelector`] ranges over — the instance is about.
+    /// Id of the region or call site — whichever the property's first
+    /// parameter ranges over — the instance is about.
     pub subject: u32,
 }
 
@@ -266,16 +253,81 @@ impl Instances {
 /// run, basis) alone is computed once.
 const BATCH_SUBJECTS: usize = 256;
 
-/// What the analyzer reads off the version's structure once, on first use:
-/// the context lists every enumeration walks and one label cell per
+const REGION: &str = "Region";
+const FUNCTION_CALL: &str = "FunctionCall";
+
+/// The instantiation rule: a property declared `(Region | FunctionCall,
+/// TestRun, Region)` is instantiated once per subject of the first
+/// parameter's class, with the analyzed run and the ranking basis bound to
+/// the other two. Returns that class.
+fn subject_class(p: &PropertyDecl) -> Result<&'static str, SpecError> {
+    let class_of = |i: usize| match p.params.get(i).map(|param| &param.ty.kind) {
+        Some(TypeExprKind::Named(class)) => class.as_str(),
+        _ => "",
+    };
+    let subject = [REGION, FUNCTION_CALL]
+        .into_iter()
+        .find(|class| *class == class_of(0));
+    match subject {
+        Some(class) if p.params.len() == 3 && class_of(1) == "TestRun" && class_of(2) == REGION => {
+            Ok(class)
+        }
+        _ => Err(SpecError::Signature {
+            property: p.name.name.clone(),
+            span: match (p.params.first(), p.params.last()) {
+                (Some(first), Some(last)) => first.span.merge(last.span),
+                _ => p.name.span,
+            },
+        }),
+    }
+}
+
+/// Can the engine instantiate every property of `spec`? The first one it
+/// cannot is the error ([`SpecError::Signature`], carrying the span of the
+/// offending parameter list).
+pub fn check_signatures(spec: &CheckedSpec) -> Result<(), SpecError> {
+    let instantiable = |p| subject_class(p).map(drop);
+    spec.properties().iter().try_for_each(instantiable)
+}
+
+/// One property of the spec as instantiated on the analyzed version.
+#[derive(Debug, Clone)]
+pub struct Family {
+    /// Property name, as declared.
+    pub property: Name,
+    /// Ids of the regions or call sites of the version the property is
+    /// instantiated for, in enumeration order.
+    pub subjects: Arc<[u32]>,
+    /// Whether the subjects are regions (call sites otherwise).
+    regions: bool,
+}
+
+impl Family {
+    /// Class of the subjects — the type of the property's first parameter:
+    /// `Region` or `FunctionCall`.
+    pub fn class(&self) -> &'static str {
+        match self.regions {
+            true => REGION,
+            false => FUNCTION_CALL,
+        }
+    }
+
+    /// The subject with id `id`, as the property's first argument.
+    pub fn subject(&self, id: u32) -> Value {
+        if self.regions {
+            Value::region(RegionId(id))
+        } else {
+            Value::call(CallId(id))
+        }
+    }
+}
+
+/// What the analyzer reads off the spec and the version's structure once,
+/// on first use: one [`Family`] per property and one label cell per
 /// context, filled when the first entry of that context holds and shared
 /// by every later one.
 struct Contexts {
-    regions: Vec<RegionId>,
-    barrier_calls: Vec<CallId>,
-    all_calls: Vec<CallId>,
-    /// [`SUITE`] indices of the properties the suite spec declares.
-    declared: Vec<u16>,
+    families: Vec<Family>,
     region_labels: HashMap<u32, OnceLock<Name>>,
     call_labels: HashMap<u32, OnceLock<Name>>,
 }
@@ -299,14 +351,17 @@ impl<'s> Analyzer<'s> {
         Self::with_spec(store, version, Arc::new(standard_suite()))
     }
 
-    /// Create an analyzer with a pre-parsed shared suite. The online engine
-    /// re-binds analyzers on every flush; sharing the [`CheckedSpec`] via
-    /// `Arc` keeps that re-binding free of ASL re-parsing.
+    /// Create an analyzer with a pre-parsed shared suite (based on the COSY
+    /// data model; every property must pass [`check_signatures`]). The
+    /// online engine re-binds analyzers on every flush; sharing the
+    /// [`CheckedSpec`] via `Arc` keeps that re-binding free of ASL
+    /// re-parsing.
     pub fn with_spec(
         store: &'s Store,
         version: VersionId,
         spec: Arc<CheckedSpec>,
     ) -> Result<Self, SpecError> {
+        check_signatures(&spec)?;
         let basis = store.main_region(version).ok_or(SpecError::NoMainRegion)?;
         Ok(Analyzer {
             store,
@@ -331,14 +386,6 @@ impl<'s> Analyzer<'s> {
         let analyzer = Self::with_spec(store, version, spec)?;
         let _ = analyzer.compiled.set(compiled);
         Ok(analyzer)
-    }
-
-    /// Use a custom checked suite (must be based on the COSY data model).
-    pub fn with_suite(mut self, spec: CheckedSpec) -> Self {
-        self.spec = Arc::new(spec);
-        self.compiled = OnceLock::new();
-        self.contexts = OnceLock::new();
-        self
     }
 
     /// Override the ranking basis region.
@@ -369,49 +416,52 @@ impl<'s> Analyzer<'s> {
     fn contexts(&self) -> &Contexts {
         self.contexts.get_or_init(|| {
             let s = self.store;
-            let functions = || s.versions[self.version.index()].functions.iter();
-            let regions: Vec<RegionId> = functions()
-                .flat_map(|f| s.functions[f.index()].regions.iter().copied())
+            let functions = || {
+                let of_version = s.versions[self.version.index()].functions.iter();
+                of_version.map(|f| &s.functions[f.index()])
+            };
+            let regions: Arc<[u32]> = functions()
+                .flat_map(|f| f.regions.iter().map(|r| r.0))
                 .collect();
-            let calls_of = |barrier_only: bool| -> Vec<CallId> {
+            let calls_of = |restricted: bool| -> Arc<[u32]> {
                 functions()
-                    .map(|f| &s.functions[f.index()])
-                    .filter(|f| !barrier_only || f.name == "barrier")
-                    .flat_map(|f| f.calls.iter().copied())
+                    .filter(|f| !restricted || f.name == "barrier")
+                    .flat_map(|f| f.calls.iter().map(|c| c.0))
                     .collect()
             };
-            let all_calls = calls_of(false);
-            let declared = (0..SUITE.len() as u16)
-                .filter(|&i| self.spec.property(SUITE[i as usize].name).is_some())
-                .collect();
+            let (calls, barrier_calls) = (calls_of(false), calls_of(true));
+            let family = |p: &PropertyDecl| {
+                let class = subject_class(p).expect("signatures checked at construction");
+                let name = p.name.name.as_str();
+                let restricted = SUITE.iter().any(|m| m.barrier_calls && m.name == name);
+                let subjects = match (class, restricted) {
+                    (REGION, _) => &regions,
+                    (_, true) => &barrier_calls,
+                    (_, false) => &calls,
+                };
+                Family {
+                    property: name.into(),
+                    subjects: Arc::clone(subjects),
+                    regions: class == REGION,
+                }
+            };
             Contexts {
-                region_labels: regions.iter().map(|r| (r.0, OnceLock::new())).collect(),
-                call_labels: all_calls.iter().map(|c| (c.0, OnceLock::new())).collect(),
-                regions,
-                barrier_calls: calls_of(true),
-                all_calls,
-                declared,
+                families: self.spec.properties().iter().map(family).collect(),
+                region_labels: regions.iter().map(|r| (*r, OnceLock::new())).collect(),
+                call_labels: calls.iter().map(|c| (*c, OnceLock::new())).collect(),
             }
         })
     }
 
-    /// Regions of the analyzed version (all functions).
-    pub fn regions(&self) -> &[RegionId] {
-        &self.contexts().regions
+    /// The properties of the spec, in declaration order ([`Instance`]s
+    /// index this list), each with the class and ids of the subjects it is
+    /// instantiated for on the analyzed version — the one place that
+    /// decides which instances exist.
+    pub fn families(&self) -> &[Family] {
+        &self.contexts().families
     }
 
-    /// Call sites according to a context selector (none for
-    /// [`ContextSelector::AllRegions`]).
-    pub fn calls(&self, selector: ContextSelector) -> &[CallId] {
-        match selector {
-            ContextSelector::AllRegions => &[],
-            ContextSelector::BarrierCalls => &self.contexts().barrier_calls,
-            ContextSelector::AllCalls => &self.contexts().all_calls,
-        }
-    }
-
-    /// Enumerate all property instances of one run. Properties not present
-    /// in the suite spec are skipped.
+    /// Enumerate all property instances of one run.
     pub fn instances(&self, run: TestRunId) -> Instances {
         self.instances_scoped(run, &ContextScope::All)
     }
@@ -421,23 +471,20 @@ impl<'s> Analyzer<'s> {
     /// dirty scope yields only the instances whose region/call context is
     /// listed — the unit of work of incremental re-analysis.
     pub fn instances_scoped(&self, run: TestRunId, scope: &ContextScope) -> Instances {
-        let ctx = self.contexts();
         let mut list = Vec::new();
         if *scope == ContextScope::All {
             list.reserve_exact(self.instance_universe());
         }
-        for &property in &ctx.declared {
-            let of = |subject: u32| Instance { property, subject };
-            match SUITE[property as usize].contexts {
-                ContextSelector::AllRegions => {
-                    let regions = ctx.regions.iter().filter(|r| scope.has_region(**r));
-                    list.extend(regions.map(|r| of(r.0)));
-                }
-                selector => {
-                    let calls = self.calls(selector).iter().filter(|c| scope.has_call(**c));
-                    list.extend(calls.map(|c| of(c.0)));
-                }
-            }
+        for (property, family) in self.families().iter().enumerate() {
+            let in_scope = |id: &&u32| match family.regions {
+                true => scope.has_region(RegionId(**id)),
+                false => scope.has_call(CallId(**id)),
+            };
+            let subjects = family.subjects.iter().filter(in_scope);
+            list.extend(subjects.map(|&subject| Instance {
+                property: property as u16,
+                subject,
+            }));
         }
         Instances { run, list }
     }
@@ -448,12 +495,7 @@ impl<'s> Analyzer<'s> {
     /// incremental engine keep batch-identical `skipped` statistics at
     /// negligible cost.
     pub fn instance_universe(&self) -> usize {
-        let ctx = self.contexts();
-        let per_property = |&i: &u16| match SUITE[i as usize].contexts {
-            ContextSelector::AllRegions => ctx.regions.len(),
-            selector => self.calls(selector).len(),
-        };
-        ctx.declared.iter().map(per_property).sum()
+        self.families().iter().map(|f| f.subjects.len()).sum()
     }
 
     /// Evaluate a set of enumerated instances on a prepared backend. The
@@ -475,7 +517,7 @@ impl<'s> Analyzer<'s> {
     ) -> Result<Vec<Option<HeldEntry>>, AnalysisError> {
         let same_property = instances.list.chunk_by(|a, b| a.property == b.property);
         let mut batches: Vec<&[Instance]> =
-            Vec::with_capacity(SUITE.len() + instances.len() / BATCH_SUBJECTS);
+            Vec::with_capacity(self.families().len() + instances.len() / BATCH_SUBJECTS);
         batches.extend(same_property.flat_map(|group| group.chunks(BATCH_SUBJECTS)));
         let evaluate = |scratch: &mut Scratch, batch: &&[Instance]| {
             self.evaluate_batch(prepared, instances.run, batch, scratch)
@@ -518,21 +560,8 @@ impl<'s> Analyzer<'s> {
         batch: &[Instance],
         scratch: &mut Scratch,
     ) -> Result<Vec<(usize, HeldEntry)>, AnalysisError> {
-        let property = batch[0].property as usize;
-        let Some(info) = SUITE.get(property) else {
-            return Err(AnalysisError::BadInstance {
-                property: format!("#{property}"),
-                detail: "no such property in the suite".to_string(),
-            });
-        };
-        let regions = info.contexts == ContextSelector::AllRegions;
-        let subject = |inst: &Instance| {
-            if regions {
-                Value::region(RegionId(inst.subject))
-            } else {
-                Value::call(CallId(inst.subject))
-            }
-        };
+        let family = &self.families()[batch[0].property as usize];
+        let regions = family.regions;
         let context = [Value::run(run), Value::region(self.basis)];
 
         let mut held = Vec::new();
@@ -550,7 +579,7 @@ impl<'s> Analyzer<'s> {
                 held.reserve_exact(batch.len() - i);
             }
             let entry = HeldEntry {
-                property: suite_names()[property].clone(),
+                property: family.property.clone(),
                 context: ContextDesc {
                     region: regions.then_some(id),
                     call: (!regions).then_some(id),
@@ -562,12 +591,18 @@ impl<'s> Analyzer<'s> {
             };
             held.push((i, entry));
         };
-        let mut subjects = batch.iter().map(subject);
-        prepared.eval_batch(info.name, &context, &mut subjects, scratch, &mut keep)?;
+        let mut subjects = batch.iter().map(|inst| family.subject(inst.subject));
+        prepared.eval_batch(
+            &family.property,
+            &context,
+            &mut subjects,
+            scratch,
+            &mut keep,
+        )?;
         match foreign {
             None => Ok(held),
             Some(id) => Err(AnalysisError::BadInstance {
-                property: info.name.to_string(),
+                property: family.property.to_string(),
                 detail: format!("subject {id} is not a context of the analyzed version"),
             }),
         }
@@ -839,8 +874,7 @@ mod tests {
         let machine = MachineModel::t3e_900();
         let version = simulate_program(&mut store, &model, &machine, &[1, 16]);
         let run = store.versions[version.index()].runs[1];
-        // A suite with only SyncCost declared: other SUITE entries are
-        // skipped because the spec does not declare them.
+        // A suite with only SyncCost declared: nothing else is instantiated.
         let src = format!(
             "{}\nProperty SyncCost(Region r, TestRun t, Region Basis) {{\n\
              LET float B = SUM(tt.Time WHERE tt IN r.TypTimes AND tt.Run==t \
@@ -849,13 +883,95 @@ mod tests {
             asl_eval::COSY_DATA_MODEL
         );
         let spec = asl_core::parse_and_check(&src).unwrap();
-        let report = Analyzer::new(&store, version)
+        let report = Analyzer::with_spec(&store, version, Arc::new(spec))
             .unwrap()
-            .with_suite(spec)
             .analyze(run, Backend::Interpreter, ProblemThreshold::default())
             .unwrap();
         assert!(!report.entries.is_empty());
         assert!(report.entries.iter().all(|e| e.property == "SyncCost"));
+    }
+
+    #[test]
+    fn a_property_of_any_name_is_instantiated_from_its_signature() {
+        let mut store = Store::new();
+        let model = archetypes::spectral_io(11);
+        let machine = MachineModel::t3e_900();
+        let version = simulate_program(&mut store, &model, &machine, &[2, 64]);
+        let run = store.versions[version.index()].runs[1];
+        let src = format!(
+            "{}\n{}",
+            crate::suite::standard_suite_source(),
+            include_str!("../../../examples/specs/io_contention.asl")
+        );
+        let spec = Arc::new(asl_core::parse_and_check(&src).unwrap());
+        let analyzer = Analyzer::with_spec(&store, version, spec).unwrap();
+        let standard = Analyzer::new(&store, version).unwrap();
+        let thirteenth = analyzer.families().last().unwrap();
+        assert_eq!(thirteenth.property, "IoContention");
+        assert_eq!(thirteenth.class(), "Region");
+        assert_eq!(
+            analyzer.instance_universe(),
+            standard.instance_universe() + thirteenth.subjects.len()
+        );
+        let mut reports = [Backend::Interpreter, Backend::Compiled].map(|b| {
+            analyzer
+                .analyze(run, b, ProblemThreshold::default())
+                .unwrap()
+        });
+        assert_eq!(reports[0], reports[1]);
+        // The standard properties rank as they do without the extra one.
+        let custom = |e: &RankedEntry| e.property == "IoContention";
+        let held: Vec<_> = reports[0].entries.iter().filter(|e| custom(e)).collect();
+        let labels: Vec<&str> = held.iter().map(|e| e.context.label.as_str()).collect();
+        assert_eq!(labels, ["main:if@33", "main:block@9"]);
+        reports[1].entries.retain(|e| !custom(e));
+        let plain = standard
+            .analyze(run, Backend::Compiled, ProblemThreshold::default())
+            .unwrap();
+        let key = |e: &RankedEntry| (e.property.clone(), e.context.clone(), e.severity.to_bits());
+        assert_eq!(
+            reports[1].entries.iter().map(key).collect::<Vec<_>>(),
+            plain.entries.iter().map(key).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn uninstantiable_signature_is_a_spanned_spec_error() {
+        let store = Store::new();
+        for (params, caret) in [
+            ("TestRun t", "^^^^^^^^^"),
+            ("Region r, TestRun t", "^^^^^^^^^^^^^^^^^^^"),
+            ("TotalTiming x, TestRun t, Region Basis", "^^^^^^^^^^^^^^"),
+            ("Region r, TestRun t, FunctionCall Basis", "^^^^^^^^"),
+        ] {
+            let src = format!(
+                "{}\nProperty P({params}) {{ CONDITION: t.NoPe > 0; CONFIDENCE: 1; SEVERITY: 1; }}",
+                asl_eval::COSY_DATA_MODEL
+            );
+            let spec = Arc::new(asl_core::parse_and_check(&src).unwrap());
+            // Checked before the store is looked at: the error does not
+            // wait for structure to stream in.
+            let Err(err) = Analyzer::with_spec(&store, VersionId(0), spec) else {
+                panic!("`P({params})` must not be instantiable");
+            };
+            assert!(
+                matches!(&err, SpecError::Signature { property, .. } if property == "P"),
+                "{err:?}"
+            );
+            let rendered = err.render(&src);
+            let snippet: Vec<&str> = rendered.lines().collect();
+            let line = snippet
+                .iter()
+                .position(|l| l.contains("Property P("))
+                .unwrap();
+            let carets = snippet[line + 1];
+            assert!(carets.contains(caret), "{rendered}");
+            // The carets sit under the parameter list, from its first
+            // character to its last.
+            let under = |text: &str| snippet[line].find(text).unwrap();
+            assert_eq!(carets.find('^').unwrap(), under(params), "{rendered}");
+            assert_eq!(carets.rfind('^').unwrap(), under(") {") - 1, "{rendered}");
+        }
     }
 
     #[test]
@@ -876,11 +992,10 @@ mod tests {
              }}",
             asl_eval::COSY_DATA_MODEL
         );
-        let spec = asl_core::parse_and_check(&src).unwrap();
+        let spec = Arc::new(asl_core::parse_and_check(&src).unwrap());
         for backend in [Backend::Interpreter, Backend::Compiled] {
-            let err = Analyzer::new(&store, version)
+            let err = Analyzer::with_spec(&store, version, Arc::clone(&spec))
                 .unwrap()
-                .with_suite(spec.clone())
                 .analyze(run, backend, ProblemThreshold::default())
                 .unwrap_err();
             let rendered = err.render(&src);

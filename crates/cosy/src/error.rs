@@ -4,9 +4,9 @@
 //! they happen at different times and demand different reactions:
 //!
 //! * [`SpecError`] — *construction* failed: the suite could not be bound
-//!   to the store (no ranking basis yet, constant evaluation failed, SQL
-//!   schema/load failed). Callers typically wait for more data or fix the
-//!   spec.
+//!   to the store (a property signature the engine cannot instantiate, no
+//!   ranking basis yet, constant evaluation failed, SQL schema/load
+//!   failed). Callers typically wait for more data or fix the spec.
 //! * [`AnalysisError`] — *evaluation* failed mid-pass: one property
 //!   instance raised a genuine error (division by zero, ambiguous
 //!   `UNIQUE`, a SQL execution failure). Callers surface the property and
@@ -28,6 +28,15 @@ use std::fmt;
 /// not be constructed from a spec and a store.
 #[derive(Debug)]
 pub enum SpecError {
+    /// A property is not declared `(Region | FunctionCall, TestRun,
+    /// Region)` — subject, analyzed run, ranking basis — the one signature
+    /// the engine knows how to enumerate instances for.
+    Signature {
+        /// The property.
+        property: String,
+        /// Its parameter list (the property name, if the list is empty).
+        span: asl_core::Span,
+    },
     /// The analyzed version has no `main` region to serve as the ranking
     /// basis (§4: every severity is a fraction of `Duration(Basis, t)`).
     /// Online, this simply means the structure has not streamed in yet.
@@ -56,8 +65,26 @@ impl SpecError {
     /// evaluation error carries one.
     pub fn span(&self) -> Option<asl_core::Span> {
         match self {
+            SpecError::Signature { span, .. } => Some(*span),
             SpecError::Bind { source, .. } => source.span,
             SpecError::NoMainRegion | SpecError::Sql { .. } => None,
+        }
+    }
+
+    /// Render the error against the spec source it came from: the message,
+    /// followed by a caret snippet when the error carries a span.
+    pub fn render(&self, source: &str) -> String {
+        render_spanned(self, self.span(), source)
+    }
+}
+
+fn render_spanned(error: &dyn fmt::Display, span: Option<asl_core::Span>, source: &str) -> String {
+    match span {
+        None => error.to_string(),
+        Some(span) => {
+            let map = asl_core::SourceMap::new(source);
+            let d = asl_core::Diagnostic::error(span, error.to_string());
+            d.render_snippet(source, &map)
         }
     }
 }
@@ -65,6 +92,11 @@ impl SpecError {
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SpecError::Signature { property, .. } => write!(
+                f,
+                "property `{property}` cannot be instantiated: expected parameters \
+                 (Region | FunctionCall, TestRun, Region)"
+            ),
             SpecError::NoMainRegion => write!(f, "version has no main region"),
             SpecError::Bind { backend, source } => {
                 write!(f, "binding spec to store for {backend:?} failed: {source}")
@@ -79,7 +111,7 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SpecError::NoMainRegion => None,
+            SpecError::Signature { .. } | SpecError::NoMainRegion => None,
             SpecError::Bind { source, .. } => Some(source),
             SpecError::Sql { source, .. } => Some(source),
         }
@@ -133,14 +165,7 @@ impl AnalysisError {
     /// this is the one-line message followed by a caret snippet pointing at
     /// the failing expression; without one, just the message.
     pub fn render(&self, source: &str) -> String {
-        match self.span() {
-            None => self.to_string(),
-            Some(span) => {
-                let map = asl_core::SourceMap::new(source);
-                let d = asl_core::Diagnostic::error(span, self.to_string());
-                d.render_snippet(source, &map)
-            }
-        }
+        render_spanned(self, self.span(), source)
     }
 }
 

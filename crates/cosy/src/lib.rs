@@ -14,8 +14,11 @@
 //! * [`backend`] — the two evaluation strategies of §5: client-side
 //!   interpretation (`asl-eval`) and full translation to SQL (`asl-sql`),
 //!   selected by the [`Backend`] enum so analyses are backend-agnostic;
-//! * [`analyzer`] — context enumeration (region × run, barrier-call × run),
-//!   parallel property evaluation (rayon), severity ranking, the
+//! * [`analyzer`] — instantiation from the checked signatures (a property
+//!   declared `(Region | FunctionCall, TestRun, Region)` ranges over the
+//!   regions or call sites of the version — any property of the spec, not
+//!   only the standard suite's), parallel property evaluation (rayon),
+//!   severity ranking, the
 //!   user/tool-defined *performance problem* threshold, and the §4
 //!   *bottleneck* rule ("a program has a unique bottleneck, which is its
 //!   most severe performance property");
@@ -47,9 +50,9 @@ pub mod report;
 pub mod suite;
 
 pub use analyzer::{
-    AnalysisReport, Analyzer, ContextDesc, ContextScope, HeldEntry, Instance, Instances, Name,
-    ProblemThreshold, RankedEntry,
+    check_signatures, AnalysisReport, Analyzer, ContextDesc, ContextScope, Family, HeldEntry,
+    Instance, Instances, Name, ProblemThreshold, RankedEntry,
 };
 pub use backend::Backend;
 pub use error::{AnalysisError, SpecError};
-pub use suite::{standard_suite, standard_suite_source, ContextSelector, PropertyInfo};
+pub use suite::{standard_suite, standard_suite_source, PropertyInfo};

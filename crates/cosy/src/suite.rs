@@ -2,100 +2,54 @@
 
 use asl_core::check::CheckedSpec;
 use asl_core::parse_and_check;
+use asl_core::pretty::print_spec;
 use asl_eval::COSY_DATA_MODEL;
+use std::sync::OnceLock;
 
-/// Which contexts a property is instantiated over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContextSelector {
-    /// Every region of the analyzed version, paired with the selected run.
-    AllRegions,
-    /// Call sites of the `barrier` runtime routine (§4.2: `LoadImbalance`
-    /// "is evaluated only for calls to the barrier routine").
-    BarrierCalls,
-    /// Every call site.
-    AllCalls,
-}
-
-/// Metadata for one property of the suite.
+/// One entry of the standard suite's manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropertyInfo {
-    /// Property name as declared in the ASL source.
+    /// Property name as declared in [`SUITE_PROPERTIES`].
     pub name: &'static str,
-    /// Context enumeration rule.
-    pub contexts: ContextSelector,
-    /// True for the properties printed verbatim in the paper; false for
-    /// our documented extensions.
-    pub from_paper: bool,
+    /// §4.2: "`LoadImbalance` is evaluated only for calls to the barrier
+    /// routine" — of the call sites its signature ranges over, the property
+    /// is instantiated at those of the `barrier` runtime routine only.
+    pub barrier_calls: bool,
 }
 
-/// The properties of the standard suite, in reporting order.
+const fn everywhere(name: &'static str) -> PropertyInfo {
+    PropertyInfo {
+        name,
+        barrier_calls: false,
+    }
+}
+
+/// The manifest of the standard suite: its property names in declaration
+/// order, and the one instantiation rule the suite text does not carry.
+/// What a property ranges over is read off its checked signature
+/// ([`crate::Analyzer::families`]); this table decides nothing else.
 pub const SUITE: &[PropertyInfo] = &[
-    PropertyInfo {
-        name: "SublinearSpeedup",
-        contexts: ContextSelector::AllRegions,
-        from_paper: true,
-    },
-    PropertyInfo {
-        name: "MeasuredCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: true,
-    },
-    PropertyInfo {
-        name: "UnmeasuredCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: true,
-    },
-    PropertyInfo {
-        name: "SyncCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: true,
-    },
+    everywhere("SublinearSpeedup"),
+    everywhere("MeasuredCost"),
+    everywhere("UnmeasuredCost"),
+    everywhere("SyncCost"),
     PropertyInfo {
         name: "LoadImbalance",
-        contexts: ContextSelector::BarrierCalls,
-        from_paper: true,
+        barrier_calls: true,
     },
-    PropertyInfo {
-        name: "MessagePassingCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: false,
-    },
-    PropertyInfo {
-        name: "CollectiveCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: false,
-    },
-    PropertyInfo {
-        name: "OneSidedCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: false,
-    },
-    PropertyInfo {
-        name: "IoCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: false,
-    },
-    PropertyInfo {
-        name: "BufferCost",
-        contexts: ContextSelector::AllRegions,
-        from_paper: false,
-    },
-    PropertyInfo {
-        name: "RuntimeOverhead",
-        contexts: ContextSelector::AllRegions,
-        from_paper: false,
-    },
-    PropertyInfo {
-        name: "FrequentFineGrainCalls",
-        contexts: ContextSelector::AllCalls,
-        from_paper: false,
-    },
+    everywhere("MessagePassingCost"),
+    everywhere("CollectiveCost"),
+    everywhere("OneSidedCost"),
+    everywhere("IoCost"),
+    everywhere("BufferCost"),
+    everywhere("RuntimeOverhead"),
+    everywhere("FrequentFineGrainCalls"),
 ];
 
 /// The property specifications. The first five are the paper's §4.2
 /// properties (`UnmeasuredCost` is described in prose as the counterpart of
-/// `MeasuredCost`); the rest are refinement properties per overhead family,
-/// marked as extensions in [`SUITE`].
+/// `MeasuredCost`); the rest are refinement properties per overhead family
+/// (documented extensions).
 pub const SUITE_PROPERTIES: &str = r#"
 // cosy-lint: allow(residual-filter-scan): the per-overhead-family properties
 // filter `r.TypTimes` by `Run == t AND Type == X`; the store only indexes
@@ -217,9 +171,15 @@ pub fn standard_suite() -> CheckedSpec {
         .unwrap_or_else(|d| panic!("standard suite must check:\n{}", d.render(&src)))
 }
 
-/// Metadata lookup by property name.
-pub fn property_info(name: &str) -> Option<&'static PropertyInfo> {
-    SUITE.iter().find(|p| p.name == name)
+/// Does `spec` declare exactly the standard suite? Compared through the
+/// canonical pretty-printer, so spans, comments and layout do not count —
+/// data model, constants, helper functions and every property do. The
+/// online engine's hand-derived dirtiness rules are sound for this suite
+/// and no other.
+pub fn is_standard_suite(spec: &CheckedSpec) -> bool {
+    static STANDARD: OnceLock<String> = OnceLock::new();
+    let standard = STANDARD.get_or_init(|| print_spec(&standard_suite().spec));
+    print_spec(&spec.spec) == *standard
 }
 
 #[cfg(test)]
@@ -227,27 +187,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_parses_and_checks() {
+    fn manifest_names_the_declared_properties_in_order() {
         let spec = standard_suite();
-        assert_eq!(spec.properties().len(), SUITE.len());
+        let declared: Vec<&str> = spec
+            .properties()
+            .iter()
+            .map(|p| p.name.name.as_str())
+            .collect();
+        let manifest: Vec<&str> = SUITE.iter().map(|info| info.name).collect();
+        assert_eq!(manifest, declared);
     }
 
     #[test]
-    fn suite_metadata_matches_declarations() {
-        let spec = standard_suite();
-        for info in SUITE {
-            let p = spec
-                .property(info.name)
-                .unwrap_or_else(|| panic!("{} not declared", info.name));
-            // Context selector must match the first parameter's type.
-            let first = p.params[0].ty.to_string();
-            match info.contexts {
-                ContextSelector::AllRegions => assert_eq!(first, "Region", "{}", info.name),
-                ContextSelector::BarrierCalls | ContextSelector::AllCalls => {
-                    assert_eq!(first, "FunctionCall", "{}", info.name)
-                }
-            }
-        }
+    fn only_the_suite_itself_is_standard() {
+        assert!(is_standard_suite(&standard_suite()));
+        // Layout and comments do not count; a thirteenth property does.
+        let reflowed = standard_suite_source().replace("\n\n", "\n// note\n");
+        assert!(is_standard_suite(&parse_and_check(&reflowed).unwrap()));
+        let extended = format!(
+            "{}\nProperty Extra(Region r, TestRun t, Region Basis) {{\n\
+             CONDITION: Duration(r,t) > 0; CONFIDENCE: 1; SEVERITY: 1.0; }}",
+            standard_suite_source()
+        );
+        assert!(!is_standard_suite(&parse_and_check(&extended).unwrap()));
     }
 
     /// `benchmark/expected/spec_frontend.seed-*.json` commits the suite's
@@ -289,13 +251,6 @@ mod tests {
         let store = perfdata::Store::new();
         crate::backend::PreparedBackend::from_compiled(compiled.clone(), &store).unwrap();
         assert_eq!(compiled.node_count(), 349);
-    }
-
-    #[test]
-    fn five_paper_properties_flagged() {
-        assert_eq!(SUITE.iter().filter(|p| p.from_paper).count(), 5);
-        assert!(property_info("SublinearSpeedup").unwrap().from_paper);
-        assert!(!property_info("IoCost").unwrap().from_paper);
     }
 
     #[test]

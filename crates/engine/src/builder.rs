@@ -65,6 +65,11 @@ impl EngineBuilder {
     }
 
     /// Evaluate a custom pre-checked suite instead of the standard one.
+    /// Every property must be declared `(Region | FunctionCall, TestRun,
+    /// Region)` — [`build`](EngineBuilder::build) refuses anything else
+    /// with [`cosy::SpecError::Signature`]. Incremental engines re-evaluate
+    /// a custom suite one whole version at a time (their finer dirtiness
+    /// rules are derived from the standard suite's reads).
     pub fn spec(mut self, spec: Arc<CheckedSpec>) -> Self {
         self.spec = Some(spec);
         self
@@ -185,6 +190,9 @@ impl EngineBuilder {
     pub fn build(self) -> Result<Engine, EngineError> {
         if self.lint_gate != lint::LintGate::Off {
             self.lint_check()?;
+        }
+        if let Some(spec) = &self.spec {
+            cosy::check_signatures(spec)?;
         }
         let config = |detail: &str| EngineError::Config {
             detail: detail.to_string(),

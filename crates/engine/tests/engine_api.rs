@@ -179,13 +179,15 @@ fn lint_gate_denies_dirty_spec_and_passes_standard_suite() {
     let engine = EngineBuilder::new().lint(engine::LintGate::Deny).build();
     assert!(engine.is_ok(), "standard suite must pass the deny gate");
 
-    // A spec with an unused constant and an isolated class.
+    // A spec with an unused constant and an isolated class (and a
+    // signature the engine can instantiate — `Warn` must build it).
     let dirty = asl_core::parse_and_check(
         "class TestRun { int NoPe; }\n\
+         class Region { int Line; }\n\
          class Dead { int X; }\n\
          float Unused = 1.0;\n\
-         PROPERTY P(TestRun t) {\n\
-             CONDITION: t.NoPe > 0; CONFIDENCE: 1; SEVERITY: 1.0;\n\
+         PROPERTY P(Region r, TestRun t, Region Basis) {\n\
+             CONDITION: t.NoPe > r.Line - Basis.Line; CONFIDENCE: 1; SEVERITY: 1.0;\n\
          }",
     )
     .unwrap();
@@ -209,6 +211,34 @@ fn lint_gate_denies_dirty_spec_and_passes_standard_suite() {
     let report = builder.lint_check().expect("warn gate must pass");
     assert!(!report.is_clean());
     assert!(builder.build().is_ok());
+}
+
+/// A property the engine cannot instantiate is refused when the engine is
+/// built — every shape — with the typed, span-carrying signature error,
+/// never skipped at analysis time.
+#[test]
+fn uninstantiable_signature_fails_the_build() {
+    let src = "class TestRun { int NoPe; }\n\
+               PROPERTY P(TestRun t) {\n\
+                   CONDITION: t.NoPe > 0; CONFIDENCE: 1; SEVERITY: 1.0;\n\
+               }";
+    let spec = std::sync::Arc::new(asl_core::parse_and_check(src).unwrap());
+    let shapes = [
+        EngineBuilder::new().batch(),
+        EngineBuilder::new(),
+        EngineBuilder::new().shards(2),
+    ];
+    for builder in shapes {
+        match builder.spec(spec.clone()).build() {
+            Err(EngineError::Spec(e @ cosy::SpecError::Signature { .. })) => {
+                let rendered = e.render(src);
+                assert!(rendered.contains("property `P` cannot be instantiated"));
+                assert!(rendered.contains("PROPERTY P(TestRun t) {"), "{rendered}");
+                assert!(rendered.contains("^^^^^^^^^"), "{rendered}");
+            }
+            other => panic!("expected a signature error, got {:?}", other.err()),
+        }
+    }
 }
 
 /// Flow-proven findings are hard errors under `Deny`: a denominator the

@@ -328,6 +328,79 @@ fn multi_version_shards_partition_exactly() {
     }
 }
 
+/// A suite with a user property is sharded like the standard one: with
+/// `IoContention` (whose reads the standard suite's dirtiness rules do not
+/// cover) declared, a sharded session stays bit-identical — reports,
+/// `skipped`, changed-run sets — to the batch engine, through a late
+/// correction of the reference run's I/O time that moves the property in
+/// the runs it was not addressed to.
+#[test]
+fn custom_property_sharded_matches_batch() {
+    use perfdata::TimingType::{IoRead, IoWrite};
+    let src = format!(
+        "{}\n{}",
+        cosy::standard_suite_source(),
+        include_str!("../../../examples/specs/io_contention.asl")
+    );
+    let spec = std::sync::Arc::new(asl_core::parse_and_check(&src).expect("custom suite"));
+    let machine = MachineModel::t3e_900();
+    let mut store = Store::new();
+    simulate_program(
+        &mut store,
+        &archetypes::spectral_io(11),
+        &machine,
+        &[2, 16, 64],
+    );
+    let mut events = interleave(per_run_streams(&store), 21);
+    let reference_io = |e: &&TraceEvent| {
+        matches!(
+            e,
+            TraceEvent::TypedSample {
+                run: RunKey(0),
+                ty: IoRead | IoWrite,
+                ..
+            }
+        )
+    };
+    let mut correction = events.iter().rfind(reference_io).unwrap().clone();
+    if let TraceEvent::TypedSample { time, .. } = &mut correction {
+        *time *= 0.5;
+    }
+    events.push(correction);
+
+    let batch = engine::EngineBuilder::new()
+        .spec(spec.clone())
+        .batch()
+        .build()
+        .expect("batch engine");
+    let sharded = engine::EngineBuilder::new()
+        .spec(spec)
+        .shards(3)
+        .build()
+        .expect("sharded engine");
+    // Everything but the correction in chunks, then the correction alone:
+    // by then every run has been reported.
+    let (correction, reported) = events.split_last().unwrap();
+    let mut changed = Vec::new();
+    for chunk in reported
+        .chunks(211)
+        .chain([std::slice::from_ref(correction)])
+    {
+        batch.ingest_batch(chunk).expect("batch ingest");
+        sharded.ingest_batch(chunk).expect("sharded ingest");
+        changed = batch.flush().expect("batch flush");
+        sharded.flush().expect("sharded flush");
+        // Ids included: one version's runs co-locate, so its shard's
+        // arena is the batch engine's.
+        assert_eq!(sharded.reports(), batch.reports());
+    }
+    // The batch engine reports what changed: the run the correction was
+    // addressed to, and the two it was not.
+    assert_eq!(changed, [RunKey(0), RunKey(1), RunKey(2)]);
+    let held = |e: &cosy::RankedEntry| e.property == "IoContention";
+    assert!(sharded.reports()[&RunKey(2)].entries.iter().any(held));
+}
+
 fn sharded_config(snapshot_every_flushes: u32) -> ShardedConfig {
     ShardedConfig {
         shards: 3,

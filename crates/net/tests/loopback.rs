@@ -105,6 +105,91 @@ fn tcp_stream_into_sharded_server_matches_in_process() {
     server.shutdown();
 }
 
+/// A suite with a user property crosses the wire like the standard one:
+/// both endpoints hash the custom suite, the sharded server evaluates
+/// `IoContention` (whose reads the standard suite's dirtiness rules do not
+/// cover), and after a late correction of the reference run's I/O time —
+/// sent once every run was reported — its reports are bit-identical to a
+/// batch engine fed in process.
+#[test]
+fn custom_property_over_tcp_matches_batch() {
+    use perfdata::TimingType::{IoRead, IoWrite};
+    let src = format!(
+        "{}\n{}",
+        cosy::standard_suite_source(),
+        include_str!("../../../examples/specs/io_contention.asl")
+    );
+    let spec = Arc::new(asl_core::parse_and_check(&src).expect("custom suite"));
+    let spec_hash = net::spec_hash(&spec);
+    assert_ne!(spec_hash, net::standard_spec_hash());
+
+    let mut store = Store::new();
+    simulate_program(
+        &mut store,
+        &archetypes::spectral_io(11),
+        &MachineModel::t3e_900(),
+        &[2, 16, 64],
+    );
+    let events = replay_store(&store);
+    let reference_io = |e: &&TraceEvent| {
+        matches!(
+            e,
+            TraceEvent::TypedSample {
+                run: online::RunKey(0),
+                ty: IoRead | IoWrite,
+                ..
+            }
+        )
+    };
+    let mut correction = events.iter().rfind(reference_io).unwrap().clone();
+    if let TraceEvent::TypedSample { time, .. } = &mut correction {
+        *time *= 0.5;
+    }
+
+    let engine = EngineBuilder::new().spec(spec.clone()).shards(3).build();
+    let server = EngineServer::bind(
+        "127.0.0.1:0",
+        Arc::new(engine.expect("sharded engine")),
+        ServerConfig {
+            spec_hash,
+            flush_every_events: 512,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind server");
+    let mut producer = TraceProducer::connect(
+        server.local_addr().to_string(),
+        ProducerConfig {
+            producer_id: 21,
+            spec_hash,
+            batch_events: 64,
+            ..ProducerConfig::default()
+        },
+    )
+    .expect("connect");
+    for event in &events {
+        producer.send(event).expect("send");
+    }
+    producer.flush().expect("producer flush");
+    server.engine().flush().expect("every run reported");
+    let before = server.engine().reports();
+    producer.send(&correction).expect("send correction");
+    producer.close().expect("close");
+    server.engine().flush().expect("final flush");
+
+    let batch = EngineBuilder::new().spec(spec).batch().build().unwrap();
+    batch.ingest_batch(&events).expect("batch ingest");
+    batch.ingest(&correction).expect("batch correction");
+    batch.flush().expect("batch flush");
+    assert_eq!(server.engine().reports(), batch.reports());
+    // Addressed to run 0, the correction moved run 2's report too.
+    let run2 = online::RunKey(2);
+    assert_ne!(before[&run2], batch.reports()[&run2]);
+    let held = |e: &cosy::RankedEntry| e.property == "IoContention";
+    assert!(batch.reports()[&run2].entries.iter().any(held));
+    server.shutdown();
+}
+
 /// Mid-stream producer kill + restart: the restarted producer re-offers
 /// the whole stream, resumes from the server's last-acked sequence
 /// number, and the engine ends with no duplicate and no lost events.

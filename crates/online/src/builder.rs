@@ -9,7 +9,9 @@
 //!
 //! ## Dirtiness rules
 //!
-//! Derived from the data dependencies of the standard suite (§4.2):
+//! Derived by hand from the data dependencies of the standard suite (§4.2),
+//! and used by the incremental analyzer for that suite only (any other
+//! spec re-evaluates whole versions — [`crate::incremental`]):
 //!
 //! * a total/typed timing or call statistic dirties its own
 //!   `(run, context)` — every property reads its context's records for the

@@ -12,16 +12,26 @@
 //! a total, deterministic order, an incrementally maintained report is
 //! bit-identical to a batch re-analysis of the same store (enforced by the
 //! equivalence proptest in `tests/`).
+//!
+//! Which contexts a delta names follows from the data dependencies of the
+//! standard suite, worked out by hand ([`crate::builder`], *Dirtiness
+//! rules*). They are trusted for that suite only
+//! ([`cosy::suite::is_standard_suite`]): under any other spec a flush
+//! re-evaluates every run of each version the delta touches in full — the
+//! batch engine's behaviour, one version at a time — which is sound for
+//! any property whose reads stay inside the version of its subject (the
+//! assumption the sharded router makes too).
 
 use crate::builder::StoreDelta;
 use crate::error::FlushError;
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec};
 use cosy::backend::{Backend, PreparedBackend};
-use cosy::suite::SUITE;
-use cosy::{AnalysisReport, Analyzer, ContextScope, HeldEntry, Instance, ProblemThreshold};
+use cosy::{
+    AnalysisReport, Analyzer, ContextScope, HeldEntry, Instance, ProblemThreshold, SpecError,
+};
 use obs::{Histogram, MetricsRegistry, MetricsSnapshot, MetricsSource};
-use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
+use perfdata::{RegionId, Store, TestRunId, VersionId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,7 +66,7 @@ impl MetricsSource for IncrementalStats {
 }
 
 /// Identity of a held entry within one run: the instance it came from
-/// (property index in the suite, id of the region or call site).
+/// (property index in the spec, id of the region or call site).
 type EntryKey = Instance;
 
 /// Where a flush's time goes, per version: enumerating the instances of
@@ -121,10 +131,42 @@ struct RunState {
     instance_total: usize,
 }
 
+impl RunState {
+    /// Rank the held entries into the run's report, against a universe of
+    /// `instance_total` instances.
+    fn assemble(
+        &mut self,
+        analyzer: &Analyzer<'_>,
+        run: TestRunId,
+        threshold: ProblemThreshold,
+        instance_total: usize,
+    ) {
+        let skipped = instance_total - self.entries.len();
+        let held: Vec<HeldEntry> = self.entries.values().cloned().collect();
+        self.report = Some(analyzer.assemble_report(run, held, threshold, skipped));
+        self.instance_total = instance_total;
+    }
+}
+
+/// The contexts to re-evaluate, per run, per version.
+type Scopes = HashMap<VersionId, HashMap<TestRunId, ContextScope>>;
+
+/// The scope of `run`; a run not in `scopes` yet gets an empty dirty set.
+fn scope_of(scopes: &mut Scopes, version: VersionId, run: TestRunId) -> &mut ContextScope {
+    let runs = scopes.entry(version).or_default();
+    runs.entry(run).or_insert_with(|| ContextScope::Dirty {
+        regions: HashSet::new(),
+        calls: HashSet::new(),
+    })
+}
+
 /// The live incremental analyzer. Owns no store — it is driven with
 /// `(store, delta)` pairs by the session layer after each applied batch.
 pub struct IncrementalAnalyzer {
     spec: Arc<CheckedSpec>,
+    /// Whether `spec` is the standard suite, i.e. whether a delta's dirty
+    /// sets can be trusted (module doc).
+    standard: bool,
     /// The suite lowered once to the slot-indexed IR; every flush re-binds
     /// this shared lowering instead of re-walking the AST.
     compiled: Arc<CompiledSpec>,
@@ -163,6 +205,7 @@ impl IncrementalAnalyzer {
     pub fn with_spec(spec: Arc<CheckedSpec>, threshold: ProblemThreshold) -> Self {
         let compiled = Arc::new(compile_ir(&spec));
         IncrementalAnalyzer {
+            standard: cosy::suite::is_standard_suite(&spec),
             spec,
             compiled,
             backend: Backend::default(),
@@ -186,7 +229,7 @@ impl IncrementalAnalyzer {
     }
 
     /// Record into `registry` on every flush: per-property evaluation
-    /// counts (one labelled counter per property of the suite) and, per
+    /// counts (one labelled counter per property of the spec) and, per
     /// version, the three phase histograms `kojak_eval_enumerate_ns`,
     /// `kojak_eval_evaluate_ns`, `kojak_eval_assemble_ns`.
     pub fn with_registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
@@ -248,46 +291,12 @@ impl IncrementalAnalyzer {
         store: &Store,
         delta: &StoreDelta,
     ) -> Result<Vec<TestRunId>, FlushError> {
-        #[derive(Debug)]
-        enum Scope {
-            Full,
-            Partial {
-                regions: HashSet<RegionId>,
-                calls: HashSet<CallId>,
-            },
-        }
-
-        impl Scope {
-            fn add_region(&mut self, r: RegionId) {
-                if let Scope::Partial { regions, .. } = self {
-                    regions.insert(r);
-                }
-            }
-            fn add_calls(&mut self, cs: &HashSet<CallId>) {
-                if let Scope::Partial { calls, .. } = self {
-                    calls.extend(cs);
-                }
-            }
-        }
-
         self.finished.extend(delta.finished_runs.iter().copied());
 
         let version_of_run = |r: TestRunId| store.runs[r.index()].version;
-        let mut scopes: HashMap<VersionId, HashMap<TestRunId, Scope>> = HashMap::new();
-        let mark_full = |scopes: &mut HashMap<VersionId, HashMap<TestRunId, Scope>>,
-                         run: TestRunId| {
-            scopes
-                .entry(version_of_run(run))
-                .or_default()
-                .insert(run, Scope::Full);
-        };
-        let partial = || Scope::Partial {
-            regions: HashSet::new(),
-            calls: HashSet::new(),
-        };
-
+        let mut scopes = Scopes::new();
         for &run in delta.full_runs.iter().chain(self.pending_full.iter()) {
-            mark_full(&mut scopes, run);
+            *scope_of(&mut scopes, version_of_run(run), run) = ContextScope::All;
         }
         self.pending_full.clear();
         // Versions whose static structure grew take part in the flush even
@@ -298,38 +307,31 @@ impl IncrementalAnalyzer {
         }
         for &v in &delta.full_versions {
             for &run in &store.versions[v.index()].runs {
-                mark_full(&mut scopes, run);
+                *scope_of(&mut scopes, v, run) = ContextScope::All;
             }
         }
         for &region in &delta.regions_all_runs {
             let function = store.regions[region.index()].function;
             let v = store.functions[function.index()].version;
             for &run in &store.versions[v.index()].runs {
-                scopes
-                    .entry(v)
-                    .or_default()
-                    .entry(run)
-                    .or_insert_with(partial)
-                    .add_region(region);
+                if let ContextScope::Dirty { regions, .. } = scope_of(&mut scopes, v, run) {
+                    regions.insert(region);
+                }
             }
         }
-        for (&run, regions) in &delta.dirty_regions {
-            let scope = scopes
-                .entry(version_of_run(run))
-                .or_default()
-                .entry(run)
-                .or_insert_with(partial);
-            for &r in regions {
-                scope.add_region(r);
+        for (&run, dirty) in &delta.dirty_regions {
+            if let ContextScope::Dirty { regions, .. } =
+                scope_of(&mut scopes, version_of_run(run), run)
+            {
+                regions.extend(dirty);
             }
         }
-        for (&run, calls) in &delta.dirty_calls {
-            scopes
-                .entry(version_of_run(run))
-                .or_default()
-                .entry(run)
-                .or_insert_with(partial)
-                .add_calls(calls);
+        for (&run, dirty) in &delta.dirty_calls {
+            if let ContextScope::Dirty { calls, .. } =
+                scope_of(&mut scopes, version_of_run(run), run)
+            {
+                calls.extend(dirty);
+            }
         }
 
         // Ranking-basis audit: a changed basis identity re-bases every
@@ -349,21 +351,28 @@ impl IncrementalAnalyzer {
                 }
                 (Some(old), Some(new)) if old != new => {
                     self.basis.insert(v, new);
-                    let entry = scopes.entry(v).or_default();
                     for &run in &store.versions[v.index()].runs {
-                        entry.insert(run, Scope::Full);
+                        *scope_of(&mut scopes, v, run) = ContextScope::All;
                     }
                 }
                 _ => {}
             }
         }
+        if !self.standard {
+            // No dirtiness rule is known to hold for this spec: whatever
+            // the delta says of a version, all of it is re-evaluated.
+            for (v, runs) in &mut scopes {
+                let all = store.versions[v.index()].runs.iter();
+                runs.extend(all.map(|&run| (run, ContextScope::All)));
+            }
+        }
 
         let spec = Arc::clone(&self.spec);
         let mut updated = Vec::new();
-        // Per-property evaluation counts of this flush (by suite index),
-        // applied to the registry once at the end — counter lookup takes a
-        // lock.
-        let mut property_counts = [0u64; SUITE.len()];
+        // Per-property evaluation counts of this flush (by index in the
+        // spec), applied to the registry once at the end — counter lookup
+        // takes a lock.
+        let mut property_counts = vec![0u64; spec.properties().len()];
         let mut versions: Vec<VersionId> = scopes.keys().copied().collect();
         versions.sort();
 
@@ -376,32 +385,24 @@ impl IncrementalAnalyzer {
                 Arc::clone(&self.compiled),
             ) {
                 Ok(a) => a,
-                Err(_) => {
+                // No structure yet: retry these runs on the next flush.
+                Err(SpecError::NoMainRegion) => {
                     self.pending_full.extend(runs.into_keys());
                     continue;
                 }
+                Err(e) => return Err(e.into()),
             };
             let basis = analyzer.basis();
 
             // A dirty basis region re-bases the whole run.
             for scope in runs.values_mut() {
-                if let Scope::Partial { regions, .. } = scope {
-                    if regions.contains(&basis) {
-                        *scope = Scope::Full;
-                    }
+                if matches!(scope, ContextScope::Dirty { regions, .. } if regions.contains(&basis))
+                {
+                    *scope = ContextScope::All;
                 }
             }
 
-            let mut work: Vec<(TestRunId, ContextScope)> = runs
-                .into_iter()
-                .map(|(run, scope)| {
-                    let cs = match scope {
-                        Scope::Full => ContextScope::All,
-                        Scope::Partial { regions, calls } => ContextScope::Dirty { regions, calls },
-                    };
-                    (run, cs)
-                })
-                .collect();
+            let mut work: Vec<(TestRunId, ContextScope)> = runs.into_iter().collect();
             work.sort_by_key(|(run, _)| *run);
 
             let mut clock = PhaseClock::start(self.metrics.as_ref().map(|m| &m.phases));
@@ -442,11 +443,7 @@ impl IncrementalAnalyzer {
                             }
                         }
                     }
-                    let skipped = instance_total - state.entries.len();
-                    let held: Vec<HeldEntry> = state.entries.values().cloned().collect();
-                    state.report =
-                        Some(analyzer.assemble_report(run, held, self.threshold, skipped));
-                    state.instance_total = instance_total;
+                    state.assemble(&analyzer, run, self.threshold, instance_total);
                     self.stats.instances_evaluated += instances.len() as u64;
                     self.stats.runs_reevaluated += 1;
                     touched_runs.insert(run);
@@ -468,15 +465,8 @@ impl IncrementalAnalyzer {
                 let Some(state) = self.states.get_mut(&run) else {
                     continue;
                 };
-                if state.report.is_none() {
-                    continue;
-                }
-                if state.instance_total != instance_total {
-                    let skipped = instance_total - state.entries.len();
-                    let held: Vec<HeldEntry> = state.entries.values().cloned().collect();
-                    state.report =
-                        Some(analyzer.assemble_report(run, held, self.threshold, skipped));
-                    state.instance_total = instance_total;
+                if state.report.is_some() && state.instance_total != instance_total {
+                    state.assemble(&analyzer, run, self.threshold, instance_total);
                     updated.push(run);
                 }
             }
@@ -486,9 +476,9 @@ impl IncrementalAnalyzer {
         if let Some(FlushMetrics { registry, .. }) =
             self.metrics.as_deref().filter(|_| obs::enabled())
         {
-            for (info, n) in SUITE.iter().zip(property_counts) {
+            for (declared, n) in spec.properties().iter().zip(property_counts) {
                 if n > 0 {
-                    let property = info.name;
+                    let property = &declared.name.name;
                     registry
                         .counter(&format!(
                             "kojak_eval_property_evaluations_total{{property=\"{property}\"}}"

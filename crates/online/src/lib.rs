@@ -57,7 +57,10 @@
 //! **basis** region — or a change of basis identity as functions stream
 //! in — dirties whole runs, since every severity is a fraction of
 //! `Duration(Basis, t)`. These rules are what make incremental results
-//! *equal* to batch results (see `tests/equivalence.rs`), not just close.
+//! *equal* to batch results (see `tests/equivalence.rs`), not just close
+//! — for the standard suite. Under any other spec
+//! ([`SessionConfig::spec`]) they are not trusted: a flush re-evaluates
+//! every run of each version its delta touches, in full.
 //!
 //! ## Example
 //!

@@ -41,7 +41,9 @@ pub struct SessionConfig {
     pub backend: Backend,
     /// The property suite to evaluate. `None` means the standard suite;
     /// a custom pre-checked suite is shared (and lowered to the compiled
-    /// IR once) across the session's whole life, recovery included.
+    /// IR once) across the session's whole life, recovery included. A
+    /// suite other than the standard one is re-evaluated one whole version
+    /// at a time (see [`crate::incremental`]).
     pub spec: Option<Arc<CheckedSpec>>,
 }
 

@@ -317,6 +317,79 @@ fn kill_mid_snapshot_write_falls_back_to_the_previous_snapshot() {
     );
 }
 
+/// A suite with a user property (`IoContention`, whose reads the standard
+/// suite's dirtiness rules do not cover) survives a kill like the standard
+/// one: the session is killed once every run is reported, recovered, and
+/// only then sent a correction of the reference run's I/O time — the end
+/// state is that of a never-killed session.
+#[test]
+fn custom_property_kill_resume_matches_an_uninterrupted_session() {
+    let src = format!(
+        "{}\n{}",
+        cosy::standard_suite_source(),
+        include_str!("../../../examples/specs/io_contention.asl")
+    );
+    let session = SessionConfig {
+        spec: Some(std::sync::Arc::new(
+            asl_core::parse_and_check(&src).unwrap(),
+        )),
+        ..SessionConfig::default()
+    };
+    let config = || DurableConfig {
+        session: session.clone(),
+        ..durable_config(2)
+    };
+    let mut store = Store::new();
+    simulate_program(
+        &mut store,
+        &apprentice_sim::archetypes::spectral_io(11),
+        &MachineModel::t3e_900(),
+        &[2, 16, 64],
+    );
+    let events = replay_store(&store);
+    let reference_io = |e: &&TraceEvent| {
+        use perfdata::TimingType::{IoRead, IoWrite};
+        matches!(
+            e,
+            TraceEvent::TypedSample {
+                run: RunKey(0),
+                ty: IoRead | IoWrite,
+                ..
+            }
+        )
+    };
+    let mut correction = events.iter().rfind(reference_io).unwrap().clone();
+    if let TraceEvent::TypedSample { time, .. } = &mut correction {
+        *time *= 0.5;
+    }
+
+    let dir = ScratchDir::new("custom-property");
+    {
+        let durable = OnlineSession::open(&dir.0, config()).expect("open");
+        for batch in events.chunks(29) {
+            durable.ingest_batch(batch).expect("durable ingest");
+            durable.flush().expect("durable flush");
+        }
+        // Killed here.
+    }
+    let resumed = OnlineSession::open(&dir.0, config()).expect("reopen");
+    assert!(resumed.recovery().used_snapshot);
+    let before = resumed.reports();
+    resumed.ingest(&correction).expect("correction");
+    resumed.flush().expect("resumed flush");
+
+    let control = OnlineSession::new(session.clone());
+    control.ingest_batch(&events).expect("control ingest");
+    control.ingest(&correction).expect("control correction");
+    control.flush().expect("control flush");
+    assert_eq!(resumed.store_snapshot(), control.store_snapshot());
+    assert_bit_identical(&resumed.reports(), &control.reports(), "custom property");
+    // The correction was addressed to run 0 and moved run 2's report.
+    assert_ne!(before[&RunKey(2)], control.reports()[&RunKey(2)]);
+    let held = |e: &cosy::RankedEntry| e.property == "IoContention";
+    assert!(control.reports()[&RunKey(2)].entries.iter().any(held));
+}
+
 #[test]
 fn recovery_of_empty_or_missing_directory_is_a_fresh_session() {
     let dir = ScratchDir::new("fresh");

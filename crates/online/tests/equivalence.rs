@@ -1,14 +1,18 @@
 //! Batch ≡ online equivalence: replaying an `apprentice`-simulated store
 //! through the streaming pipeline yields, for every run, an
 //! `AnalysisReport` equal to the batch `cosy` analyzer on the final store
-//! — same properties, same contexts, severities within 1e-9.
+//! — same properties, same contexts, severities within 1e-9. So does a
+//! suite with a user property whose reads the standard suite's dirtiness
+//! rules do not cover.
 
 use apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
+use asl_core::check::CheckedSpec;
 use cosy::{AnalysisReport, Analyzer, Backend, ProblemThreshold};
-use online::replay::{events_for_run, replay_run_key};
-use online::{OnlineSession, SessionConfig};
-use perfdata::{Store, TestRunId};
+use online::replay::{events_for_run, replay_run_key, replay_store};
+use online::{OnlineSession, RunKey, SessionConfig, TraceEvent};
+use perfdata::{Store, TestRunId, TimingType};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Assert two reports agree (severities within 1e-9 relative, everything
 /// else exactly).
@@ -175,12 +179,16 @@ fn canonical(store: &Store) -> Vec<String> {
 }
 
 /// Batch-analyze every run of a store.
-fn batch_reports(store: &Store, threshold: ProblemThreshold) -> Vec<(TestRunId, AnalysisReport)> {
+fn batch_reports(
+    store: &Store,
+    spec: &Arc<CheckedSpec>,
+    threshold: ProblemThreshold,
+) -> Vec<(TestRunId, AnalysisReport)> {
     (0..store.runs.len() as u32)
         .map(|r| {
             let run = TestRunId(r);
             let version = store.runs[run.index()].version;
-            let analyzer = Analyzer::new(store, version).unwrap();
+            let analyzer = Analyzer::with_spec(store, version, Arc::clone(spec)).unwrap();
             let report = analyzer
                 .analyze(run, Backend::Interpreter, threshold)
                 .unwrap();
@@ -213,7 +221,8 @@ fn check_equivalence(store: &Store, chunk: usize, what: &str) {
     let (orig, replayed) = (canonical(store), canonical(&snapshot));
     assert_eq!(orig, replayed, "{what}: store contents mismatch");
 
-    for (run, batch_report) in batch_reports(store, threshold) {
+    let standard = Arc::new(cosy::standard_suite());
+    for (run, batch_report) in batch_reports(store, &standard, threshold) {
         let online_report = session
             .report(replay_run_key(run))
             .unwrap_or_else(|| panic!("{what}: no online report for {run}"));
@@ -256,6 +265,96 @@ fn decreasing_pe_order_still_equivalent() {
         &[16, 4, 1],
     );
     check_equivalence(&store, 13, "decreasing_pe");
+}
+
+/// The standard suite plus `IoContention`; the replayed events of an
+/// I/O-bound program at 2, 16 and 64 PEs; and, last, a correction halving
+/// an I/O time of the reference (2-PE) run. `IoContention` reads that
+/// *typed* timing in every run of the version (`tt.Run == MinPeSum.Run`) —
+/// a dependency none of the standard suite's dirtiness rules covers: by
+/// them the correction dirties one region of the 2-PE run and nothing else.
+fn io_contention_case() -> (Arc<CheckedSpec>, Vec<TraceEvent>) {
+    let src = format!(
+        "{}\n{}",
+        cosy::standard_suite_source(),
+        include_str!("../../../examples/specs/io_contention.asl")
+    );
+    let spec = Arc::new(asl_core::parse_and_check(&src).expect("custom suite"));
+    let mut store = Store::new();
+    simulate_program(
+        &mut store,
+        &apprentice_sim::archetypes::spectral_io(11),
+        &MachineModel::t3e_900(),
+        &[2, 16, 64],
+    );
+    let mut events = replay_store(&store);
+    let reference_io = |e: &&TraceEvent| {
+        matches!(
+            e,
+            TraceEvent::TypedSample {
+                run: RunKey(0),
+                ty: TimingType::IoRead | TimingType::IoWrite,
+                ..
+            }
+        )
+    };
+    let mut correction = events.iter().rfind(reference_io).unwrap().clone();
+    if let TraceEvent::TypedSample { time, .. } = &mut correction {
+        *time *= 0.5;
+    }
+    events.push(correction);
+    (spec, events)
+}
+
+#[test]
+fn custom_property_sees_a_late_correction_of_the_reference_run() {
+    let (spec, events) = io_contention_case();
+    let threshold = ProblemThreshold::default();
+    let session = OnlineSession::new(SessionConfig {
+        threshold,
+        spec: Some(Arc::clone(&spec)),
+        ..SessionConfig::default()
+    });
+    let (correction, reported) = events.split_last().unwrap();
+    for batch in reported.chunks(64) {
+        session.ingest_batch(batch).unwrap();
+        session.flush().unwrap();
+    }
+    let io_contention = |key: u64| -> Vec<(String, u64)> {
+        let report = session.report(RunKey(key)).unwrap();
+        let held = report
+            .entries
+            .iter()
+            .filter(|e| e.property == "IoContention");
+        held.map(|e| (e.context.label.to_string(), e.severity.to_bits()))
+            .collect()
+    };
+    let before = [io_contention(1), io_contention(2)];
+    assert!(before.iter().all(|held| !held.is_empty()), "{before:?}");
+    let full_before = session.stats().incremental.full_reevaluations;
+
+    session.ingest(correction).unwrap();
+    let mut updated = session.flush().unwrap();
+    updated.sort();
+    // Every run of the version is re-evaluated in full, and the correction
+    // moves the property in the runs it was not addressed to.
+    assert_eq!(updated, [RunKey(0), RunKey(1), RunKey(2)]);
+    assert_eq!(
+        session.stats().incremental.full_reevaluations,
+        full_before + 3
+    );
+    assert_ne!(before[0], io_contention(1));
+    assert_ne!(before[1], io_contention(2));
+
+    let store = session.store_snapshot();
+    for (run, batch_report) in batch_reports(&store, &spec, threshold) {
+        let online_report = session.report(replay_run_key(run)).unwrap();
+        assert_reports_equal(
+            &batch_report,
+            &online_report,
+            &format!("io_contention {run}"),
+        );
+    }
 }
 
 proptest! {

@@ -145,3 +145,38 @@ fn recovery_flush_failure_is_typed_too() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A spec the engine cannot instantiate is not "no structure yet": the
+/// flush fails with the typed signature error — at once, and again on every
+/// retry — instead of parking the runs for a later flush that could never
+/// succeed. (`EngineBuilder::build` refuses such a spec up front; a session
+/// built directly meets it here.)
+#[test]
+fn uninstantiable_spec_is_a_typed_flush_error_not_a_silent_requeue() {
+    use cosy::SpecError;
+    let src = format!(
+        "{}\nProperty P(TestRun t) {{ CONDITION: t.NoPe > 0; CONFIDENCE: 1; SEVERITY: 1; }}",
+        asl_eval::COSY_DATA_MODEL
+    );
+    let spec = std::sync::Arc::new(asl_core::parse_and_check(&src).expect("checks"));
+    let session = OnlineSession::new(SessionConfig {
+        spec: Some(spec),
+        ..SessionConfig::default()
+    });
+    session
+        .ingest_batch(&[
+            run_started(1, 1),
+            main_region(1),
+            region_exited(1, 1.0, 0.0),
+        ])
+        .expect("ingest");
+    for attempt in 0..2 {
+        match session.flush() {
+            Err(FlushError::Spec(e @ SpecError::Signature { .. })) => {
+                assert!(e.render(&src).contains("(TestRun t)"), "{}", e.render(&src));
+            }
+            other => panic!("attempt {attempt}: expected a signature error, got {other:?}"),
+        }
+    }
+    assert!(session.reports().is_empty());
+}

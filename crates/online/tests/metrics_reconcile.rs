@@ -210,3 +210,46 @@ fn flush_phases_sum_to_no_more_than_the_flush() {
         flush.sum
     );
 }
+
+/// The per-property evaluation counters are sized and labelled from the
+/// spec, not from the standard suite's manifest: a thirteenth property has
+/// a counter of its own, and the labelled counters still sum to the
+/// engine's instance count.
+#[test]
+fn property_counters_follow_the_spec() {
+    let src = format!(
+        "{}\n{}",
+        cosy::standard_suite_source(),
+        include_str!("../../../examples/specs/io_contention.asl")
+    );
+    let spec = std::sync::Arc::new(asl_core::parse_and_check(&src).expect("custom suite"));
+    for spec in [None, Some(spec)] {
+        let custom = spec.is_some();
+        let session = OnlineSession::new(SessionConfig {
+            spec,
+            ..SessionConfig::default()
+        });
+        for chunk in sim_events(44).chunks(97) {
+            session.ingest_batch(chunk).expect("ingest");
+            session.flush().expect("flush");
+        }
+        let snapshot = session.metrics();
+        let labelled = |(name, n): (&str, u64)| {
+            name.starts_with("kojak_eval_property_evaluations_total{")
+                .then_some(n)
+        };
+        let per_property: Vec<u64> = snapshot.counters().filter_map(labelled).collect();
+        assert_eq!(per_property.len(), if custom { 13 } else { 12 });
+        assert_eq!(
+            per_property.iter().sum::<u64>(),
+            snapshot.counter("kojak_eval_instances_evaluated_total")
+        );
+        let io_contention =
+            snapshot.counter("kojak_eval_property_evaluations_total{property=\"IoContention\"}");
+        assert_eq!(io_contention > 0, custom);
+        // As often as the standard property with the same signature.
+        let sync_cost =
+            snapshot.counter("kojak_eval_property_evaluations_total{property=\"SyncCost\"}");
+        assert!(!custom || io_contention == sync_cost);
+    }
+}

@@ -7,78 +7,61 @@ use kojak::asl_eval::{CosyData, Interpreter, Value};
 use kojak::asl_sql::{
     compile_batch, compile_property, eval_batch, eval_compiled, generate_schema, loader,
 };
-use kojak::cosy::suite::{standard_suite, ContextSelector, SUITE};
+use kojak::cosy::Analyzer;
 use kojak::perfdata::Store;
 use kojak::reldb::Database;
 
 /// Collect holding (property, context, severity, confidence) per strategy
 /// and assert equality.
 fn cross_check(store: &Store, version: kojak::perfdata::VersionId) {
-    let spec = standard_suite();
+    // Which instances exist is the analyzer's decision, read off the
+    // checked signatures; how they are evaluated is what is compared.
+    let analyzer = Analyzer::new(store, version).unwrap();
+    let spec = analyzer.spec();
     let schema = generate_schema(&spec.model).unwrap();
     let mut db = Database::new();
     schema.create_all(&mut db).unwrap();
     let data = CosyData::new(store);
     loader::load_store(&mut db, &schema, &spec.model, &data).unwrap();
-    let interp = Interpreter::new(&spec, &data).unwrap();
-
-    let basis = store.main_region(version).unwrap();
-    let v = &store.versions[version.index()];
-    let regions: Vec<u32> = v
-        .functions
-        .iter()
-        .flat_map(|f| store.functions[f.index()].regions.iter().map(|r| r.0))
-        .collect();
-    let calls = |barrier_only: bool| -> Vec<u32> {
-        v.functions
-            .iter()
-            .filter(|f| !barrier_only || store.functions[f.index()].name == "barrier")
-            .flat_map(|f| store.functions[f.index()].calls.iter().map(|c| c.0))
-            .collect()
-    };
+    let interp = Interpreter::new(spec, &data).unwrap();
+    let basis = analyzer.basis();
 
     let mut checked = 0usize;
     let mut held = 0usize;
-    for &run in &v.runs {
-        for info in SUITE {
-            let (class, ids) = match info.contexts {
-                ContextSelector::AllRegions => ("Region", regions.clone()),
-                ContextSelector::BarrierCalls => ("FunctionCall", calls(true)),
-                ContextSelector::AllCalls => ("FunctionCall", calls(false)),
-            };
+    for &run in &store.versions[version.index()].runs {
+        for family in analyzer.families() {
+            let (name, class, ids) = (family.property.as_str(), family.class(), &family.subjects);
             if ids.is_empty() {
                 continue;
             }
             // Batched once per (property, run).
             let fixed = [(1usize, Value::run(run)), (2usize, Value::region(basis))];
             let batch: std::collections::HashMap<u32, _> =
-                compile_batch(&spec, &schema, info.name, 0, &fixed, Some(&ids))
+                compile_batch(spec, &schema, name, 0, &fixed, Some(ids))
                     .unwrap()
                     .pipe(|bc| eval_batch(&db, &bc).unwrap())
                     .into_iter()
                     .collect();
-            for id in ids {
-                let args = vec![Value::obj(class, id), Value::run(run), Value::region(basis)];
-                let sql = compile_property(&spec, &schema, info.name, &args)
+            for &id in ids.iter() {
+                let args = vec![family.subject(id), Value::run(run), Value::region(basis)];
+                let sql = compile_property(spec, &schema, name, &args)
                     .and_then(|cp| eval_compiled(&db, &cp))
                     .unwrap();
-                let by_interp = match interp.eval_property(info.name, &args) {
+                let by_interp = match interp.eval_property(name, &args) {
                     Ok(o) => Some(o),
                     Err(e) if e.is_not_applicable() => None,
-                    Err(e) => panic!("{}: {e}", info.name),
+                    Err(e) => panic!("{name}: {e}"),
                 };
                 checked += 1;
                 let interp_holds = by_interp.as_ref().is_some_and(|o| o.holds);
                 assert_eq!(
                     interp_holds, sql.holds,
-                    "{} {class}#{id} run {run}: interp vs per-context SQL",
-                    info.name
+                    "{name} {class}#{id} run {run}: interp vs per-context SQL"
                 );
                 let in_batch = batch.contains_key(&id);
                 assert_eq!(
                     interp_holds, in_batch,
-                    "{} {class}#{id} run {run}: interp vs batch",
-                    info.name
+                    "{name} {class}#{id} run {run}: interp vs batch"
                 );
                 if let (Some(i), Some(b)) = (by_interp.as_ref(), batch.get(&id)) {
                     if i.holds {
@@ -86,19 +69,17 @@ fn cross_check(store: &Store, version: kojak::perfdata::VersionId) {
                         let rel = 1e-9 * i.severity.abs().max(1.0);
                         assert!(
                             (i.severity - sql.severity).abs() <= rel,
-                            "{}: severity {} vs {}",
-                            info.name,
+                            "{name}: severity {} vs {}",
                             i.severity,
                             sql.severity
                         );
                         assert!(
                             (i.severity - b.severity).abs() <= rel,
-                            "{}: severity {} vs batch {}",
-                            info.name,
+                            "{name}: severity {} vs batch {}",
                             i.severity,
                             b.severity
                         );
-                        assert_eq!(i.confidence, sql.confidence, "{}", info.name);
+                        assert_eq!(i.confidence, sql.confidence, "{name}");
                     }
                 }
             }

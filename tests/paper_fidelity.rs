@@ -9,7 +9,9 @@
 use kojak::apprentice_sim::{archetypes, simulate_program, MachineModel};
 use kojak::asl_core::parse_and_check;
 use kojak::asl_eval::{CosyData, Interpreter, Value, COSY_DATA_MODEL};
+use kojak::cosy::Analyzer;
 use kojak::perfdata::Store;
+use std::sync::Arc;
 
 /// §4.1 of the paper, as printed (classes only; SourceCode added since the
 /// paper references it without declaring it).
@@ -163,18 +165,20 @@ fn paper_properties_evaluate_on_simulated_data() {
         / store.duration(main, run16).unwrap();
     assert!((o.severity - expected).abs() < 1e-12);
 
-    // LoadImbalance on a barrier call: the paper's refinement fires for the
-    // imbalanced archetype.
-    let barrier_fn = store
-        .functions
+    // LoadImbalance on a barrier call — the call sites the analyzer
+    // instantiates it for: the paper's refinement fires for the imbalanced
+    // archetype.
+    let analyzer = Analyzer::with_spec(&store, version, Arc::new(spec.clone())).unwrap();
+    let imbalance = analyzer
+        .families()
         .iter()
-        .position(|f| f.name == "barrier")
-        .unwrap();
-    let call = store.functions[barrier_fn].calls[0];
+        .find(|f| f.property == "LoadImbalance");
+    let imbalance = imbalance.expect("declared by the paper");
+    let call = imbalance.subject(imbalance.subjects[0]);
     let o = interp
         .eval_property(
             "LoadImbalance",
-            &[Value::call(call), Value::run(run16), Value::region(main)],
+            &[call, Value::run(run16), Value::region(main)],
         )
         .unwrap();
     assert!(o.holds, "barrier call must show imbalance at 16 PEs");
