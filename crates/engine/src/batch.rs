@@ -4,8 +4,9 @@
 //! [`BatchEngine`] accepts the same [`TraceEvent`] streams as the online
 //! sessions (through the same [`StoreBuilder`] ingestion path), but every
 //! [`flush`](crate::AnalysisEngine::flush) re-runs the **full**
-//! [`cosy::Analyzer`] pass over every run of every version — no dirty
-//! tracking, no held-entry cache. It is the reference the incremental
+//! [`cosy::Analyzer`] pass over every run of every version — it reads
+//! nothing of the [`StoreDelta`] but the finished runs, and keeps no
+//! held-entry cache. It is the reference the incremental
 //! engines are equivalent to, and the right choice for one-shot analyses
 //! where the store is built once and analyzed once.
 
@@ -13,7 +14,7 @@ use crate::error::EngineError;
 use crate::{AnalysisEngine, RecoverableState};
 use asl_core::check::CheckedSpec;
 use cosy::backend::{compile, CompiledSpec, PreparedBackend};
-use cosy::{AnalysisReport, Analyzer, Backend, ProblemThreshold, SpecError};
+use cosy::{AnalysisReport, Analyzer, ProblemThreshold, SpecError};
 use online::{IngestError, RunKey, SessionStats, StoreBuilder, StoreDelta, TraceEvent};
 use perfdata::TestRunId;
 use std::collections::{HashMap, HashSet};
@@ -34,7 +35,6 @@ pub struct BatchEngine {
     spec: Arc<CheckedSpec>,
     /// The suite lowered to the compiled IR, once, at construction.
     compiled: Arc<CompiledSpec>,
-    backend: Backend,
     threshold: ProblemThreshold,
     inner: Mutex<BatchInner>,
 }
@@ -44,22 +44,16 @@ impl BatchEngine {
     pub fn new() -> Self {
         Self::with_config(
             Arc::new(cosy::suite::standard_suite()),
-            Backend::default(),
             ProblemThreshold::default(),
         )
     }
 
-    /// A batch engine with an explicit suite, backend and threshold (the
+    /// A batch engine with an explicit suite and threshold (the
     /// [`crate::EngineBuilder`] construction path).
-    pub fn with_config(
-        spec: Arc<CheckedSpec>,
-        backend: Backend,
-        threshold: ProblemThreshold,
-    ) -> Self {
+    pub fn with_config(spec: Arc<CheckedSpec>, threshold: ProblemThreshold) -> Self {
         BatchEngine {
             compiled: Arc::new(compile(&spec)),
             spec,
-            backend,
             threshold,
             inner: Mutex::new(BatchInner {
                 builder: StoreBuilder::new(),
@@ -128,12 +122,7 @@ impl BatchEngine {
         // not change under the lock. A flush with no run to analyze binds
         // (and can fail to bind) nothing.
         if analyzers.iter().any(|(_, runs)| !runs.is_empty()) {
-            let prepared = match self.backend {
-                Backend::Compiled => {
-                    PreparedBackend::from_compiled(Arc::clone(&self.compiled), store)
-                }
-                other => PreparedBackend::prepare(other, &self.spec, store),
-            }?;
+            let prepared = PreparedBackend::from_compiled(Arc::clone(&self.compiled), store)?;
             for (analyzer, runs) in &analyzers {
                 for &run in runs.iter() {
                     let report = analyzer.analyze_prepared(run, &prepared, self.threshold)?;
@@ -206,6 +195,10 @@ impl AnalysisEngine for BatchEngine {
 
     fn stats(&self) -> SessionStats {
         BatchEngine::stats(self)
+    }
+
+    fn spec(&self) -> Arc<CheckedSpec> {
+        Arc::clone(&self.spec)
     }
 
     fn recoverable_state(&self) -> RecoverableState {

@@ -1,4 +1,4 @@
-//! The one construction path: spec → backend → durability → sharding.
+//! The one construction path: spec → durability → sharding.
 //!
 //! ```
 //! use engine::{AnalysisEngine, EngineBuilder};
@@ -24,7 +24,7 @@ use crate::error::EngineError;
 use crate::sharded::{ShardedConfig, ShardedSession};
 use crate::{AnalysisEngine, RecoverableState};
 use asl_core::check::CheckedSpec;
-use cosy::{AnalysisReport, Backend, ProblemThreshold};
+use cosy::{AnalysisReport, ProblemThreshold};
 use online::{
     DurableConfig, FsyncPolicy, OnlineSession, RecoveryStats, RunKey, SessionConfig, SessionStats,
     TraceEvent,
@@ -38,8 +38,8 @@ use std::sync::Arc;
 /// The stages mirror the decisions an operator makes, in order: *what* to
 /// evaluate ([`spec`](EngineBuilder::spec),
 /// [`threshold`](EngineBuilder::threshold)), *how*
-/// ([`backend`](EngineBuilder::backend), [`batch`](EngineBuilder::batch)
-/// vs incremental), *what survives a kill*
+/// ([`batch`](EngineBuilder::batch) vs incremental — always on the
+/// compiled IR), *what survives a kill*
 /// ([`durable`](EngineBuilder::durable),
 /// [`fsync`](EngineBuilder::fsync),
 /// [`snapshot_every_flushes`](EngineBuilder::snapshot_every_flushes)),
@@ -48,7 +48,6 @@ use std::sync::Arc;
 pub struct EngineBuilder {
     spec: Option<Arc<CheckedSpec>>,
     threshold: ProblemThreshold,
-    backend: Backend,
     batch: bool,
     durable_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
@@ -58,8 +57,8 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Start from the defaults: standard suite, compiled backend, 5%
-    /// problem threshold, incremental evaluation, in-memory, unsharded.
+    /// Start from the defaults: standard suite, 5% problem threshold,
+    /// incremental evaluation, in-memory, unsharded.
     pub fn new() -> Self {
         EngineBuilder::default()
     }
@@ -68,8 +67,9 @@ impl EngineBuilder {
     /// Every property must be declared `(Region | FunctionCall, TestRun,
     /// Region)` — [`build`](EngineBuilder::build) refuses anything else
     /// with [`cosy::SpecError::Signature`]. Incremental engines re-evaluate
-    /// a custom suite one whole version at a time (their finer dirtiness
-    /// rules are derived from the standard suite's reads).
+    /// a custom suite one whole version at a time (the finer rules of
+    /// `online::IncrementalAnalyzer::invalidated` follow from the
+    /// standard suite's reads).
     pub fn spec(mut self, spec: Arc<CheckedSpec>) -> Self {
         self.spec = Some(spec);
         self
@@ -78,13 +78,6 @@ impl EngineBuilder {
     /// Severity threshold above which a property is a performance problem.
     pub fn threshold(mut self, threshold: ProblemThreshold) -> Self {
         self.threshold = threshold;
-        self
-    }
-
-    /// Evaluation backend (compiled IR by default; the interpreter and the
-    /// SQL translations remain available as cross-checking oracles).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -128,26 +121,26 @@ impl EngineBuilder {
 
     /// Static-analysis strictness applied when the engine is built (the
     /// default is [`lint::LintGate::Warn`]): `Deny` makes
-    /// [`build`](EngineBuilder::build) fail with [`EngineError::Lint`]
-    /// when the suite has any active lint finding, `Warn` accepts the
-    /// suite (inspect findings via
-    /// [`lint_check`](EngineBuilder::lint_check)), `Off` skips the pass.
+    /// [`build`](EngineBuilder::build) lint the suite and fail with
+    /// [`EngineError::Lint`] on any active finding; `Warn` accepts the
+    /// suite, so `build` does not lint it — ask for the findings with
+    /// [`lint_check`](EngineBuilder::lint_check).
     pub fn lint(mut self, gate: lint::LintGate) -> Self {
         self.lint_gate = gate;
         self
     }
 
-    /// Run the configured lint gate over the suite this builder would
-    /// load and return the full report, or the gate rejection as an
-    /// [`EngineError::Lint`].
+    /// Lint the suite this builder would load and return the full report,
+    /// or — under `Deny`, with an active finding — the gate rejection as
+    /// an [`EngineError::Lint`].
     ///
     /// A custom [`spec`](EngineBuilder::spec) is rendered through the
     /// canonical pretty-printer for directive scanning and snippet
     /// rendering; comments — including `cosy-lint: allow(...)`
     /// directives — do not survive that round trip, so callers that rely
     /// on allow directives in a custom suite should lint the original
-    /// source themselves (`lint::lint`) and set
-    /// [`lint`](EngineBuilder::lint) to `Off`.
+    /// source themselves (`lint::lint`) and leave
+    /// [`lint`](EngineBuilder::lint) at `Warn`.
     pub fn lint_check(&self) -> Result<lint::LintReport, EngineError> {
         let (spec, source) = match &self.spec {
             Some(s) => (s.clone(), asl_core::pretty::print_spec(&s.spec)),
@@ -164,7 +157,6 @@ impl EngineBuilder {
     fn session_config(&self) -> SessionConfig {
         SessionConfig {
             threshold: self.threshold,
-            backend: self.backend,
             spec: self.spec.clone(),
         }
     }
@@ -188,7 +180,7 @@ impl EngineBuilder {
 
     /// Build the configured engine.
     pub fn build(self) -> Result<Engine, EngineError> {
-        if self.lint_gate != lint::LintGate::Off {
+        if self.lint_gate == lint::LintGate::Deny {
             self.lint_check()?;
         }
         if let Some(spec) = &self.spec {
@@ -213,7 +205,6 @@ impl EngineBuilder {
                 .unwrap_or_else(|| Arc::new(cosy::suite::standard_suite()));
             return Ok(Engine::Batch(BatchEngine::with_config(
                 spec,
-                self.backend,
                 self.threshold,
             )));
         }
@@ -315,6 +306,10 @@ impl AnalysisEngine for Engine {
 
     fn metrics(&self) -> obs::MetricsSnapshot {
         self.as_engine().metrics()
+    }
+
+    fn spec(&self) -> Arc<CheckedSpec> {
+        self.as_engine().spec()
     }
 
     fn recoverable_state(&self) -> RecoverableState {

@@ -12,8 +12,9 @@
 //! | [`online::OnlineSession`] | incremental (dirty contexts only) | if built by `open`: one WAL + snapshot pair |
 //! | [`ShardedSession`] | incremental, N `OnlineSession` shards in parallel | if built by `open`: one WAL + snapshot pair **per shard** |
 //!
-//! [`EngineBuilder`] is the one construction path (spec → backend →
-//! durability → sharding), and [`EngineError`] the one failure hierarchy
+//! [`EngineBuilder`] is the one construction path (spec → durability →
+//! sharding; every engine evaluates with the compiled IR), and
+//! [`EngineError`] the one failure hierarchy
 //! ([`cosy::SpecError`] / [`online::IngestError`] / [`online::FlushError`]
 //! / [`online::RecoveryError`]) — no stringly-typed result anywhere on
 //! the public surface (CI-enforced by `scripts/deny_stringly_errors.sh`).
@@ -48,10 +49,12 @@ pub mod builder;
 pub mod error;
 pub mod sharded;
 
+use asl_core::check::CheckedSpec;
 use cosy::AnalysisReport;
 use online::{OnlineSession, RunKey, SessionStats, TraceEvent};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 pub use batch::BatchEngine;
 pub use builder::{Engine, EngineBuilder};
@@ -136,6 +139,13 @@ pub trait AnalysisEngine: Send + Sync {
         self.stats().metrics()
     }
 
+    /// The property suite this engine evaluates (the standard suite
+    /// unless the engine was built with another). What a server fronting
+    /// the engine hashes into its handshake.
+    fn spec(&self) -> Arc<CheckedSpec> {
+        Arc::new(cosy::suite::standard_suite())
+    }
+
     /// Where this engine's state would come back from after a kill.
     fn recoverable_state(&self) -> RecoverableState;
 
@@ -171,6 +181,10 @@ impl AnalysisEngine for OnlineSession {
 
     fn metrics(&self) -> obs::MetricsSnapshot {
         OnlineSession::metrics(self)
+    }
+
+    fn spec(&self) -> Arc<CheckedSpec> {
+        OnlineSession::spec(self)
     }
 
     fn recoverable_state(&self) -> RecoverableState {

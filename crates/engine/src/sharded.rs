@@ -58,6 +58,7 @@
 
 use crate::error::EngineError;
 use crate::{AnalysisEngine, RecoverableState};
+use asl_core::check::CheckedSpec;
 use cosy::AnalysisReport;
 use online::{
     DurableConfig, IncrementalStats, OnlineSession, RecoveryError, RecoveryStats, RunKey,
@@ -235,6 +236,16 @@ pub struct ShardedSession {
     /// [`ShardedSession::reintegrate`] needs to reopen a shard whose
     /// recovery failed. `None` for in-memory sessions.
     durable_ctx: Option<(PathBuf, DurableConfig)>,
+    /// The suite every shard evaluates. Kept here because a quarantined
+    /// shard has no session to ask.
+    spec: Arc<CheckedSpec>,
+}
+
+/// The suite `config` names (`None`: the standard suite), resolved once
+/// and written back so that every shard shares it.
+fn resolve_spec(config: &mut SessionConfig) -> Arc<CheckedSpec> {
+    let standard = || Arc::new(cosy::suite::standard_suite());
+    Arc::clone(config.spec.get_or_insert_with(standard))
 }
 
 /// The shard router: a splitmix64-style finalizer over the raw key,
@@ -248,13 +259,15 @@ fn shard_of(key: u64, shards: usize) -> usize {
 impl ShardedSession {
     /// A purely in-memory sharded session: N [`OnlineSession`]s sharing
     /// one configuration.
-    pub fn in_memory(shards: usize, config: SessionConfig) -> Self {
+    pub fn in_memory(shards: usize, mut config: SessionConfig) -> Self {
+        let spec = resolve_spec(&mut config);
         ShardedSession {
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(ShardState::Healthy(OnlineSession::new(config.clone()))))
                 .collect(),
             routes: Mutex::new(HashMap::new()),
             durable_ctx: None,
+            spec,
         }
     }
 
@@ -409,9 +422,10 @@ impl ShardedSession {
     /// [`ShardedSession::reintegrate`] retries the recovery later.
     pub fn open(
         dir: impl Into<PathBuf>,
-        config: ShardedConfig,
+        mut config: ShardedConfig,
     ) -> Result<(Self, Vec<RecoveryStats>), RecoveryError> {
         let dir = dir.into();
+        let spec = resolve_spec(&mut config.durable.session);
         let shards = config.shards.max(1);
         std::fs::create_dir_all(&dir)?;
         // Refuse a layout change on existing state: an unsharded session's
@@ -483,6 +497,7 @@ impl ShardedSession {
         let session = ShardedSession {
             shards: states.into_iter().map(Mutex::new).collect(),
             routes: Mutex::new(HashMap::new()),
+            spec,
             durable_ctx: Some((dir, config.durable)),
         };
         // Rebuild run affinity from the recovered shard stores; new runs
@@ -787,6 +802,10 @@ impl AnalysisEngine for ShardedSession {
             total.incremental.instances_evaluated += instances_evaluated;
         }
         total
+    }
+
+    fn spec(&self) -> Arc<CheckedSpec> {
+        Arc::clone(&self.spec)
     }
 
     /// Merge every healthy shard's snapshot (counters and histogram

@@ -193,23 +193,27 @@ fn lint_gate_denies_dirty_spec_and_passes_standard_suite() {
     .unwrap();
     let dirty = std::sync::Arc::new(dirty);
 
-    match EngineBuilder::new()
+    let deny = EngineBuilder::new()
         .spec(dirty.clone())
-        .lint(engine::LintGate::Deny)
-        .build()
-    {
-        Err(EngineError::Lint(rejection)) => {
-            assert!(!rejection.findings.is_empty());
-            assert!(rejection.rendered.contains("unused-constant"));
-            assert!(rejection.rendered.contains("unused-type"));
+        .lint(engine::LintGate::Deny);
+    let rejected = [deny.lint_check().map(|_| ()), deny.build().map(|_| ())];
+    for outcome in rejected {
+        match outcome {
+            Err(EngineError::Lint(rejection)) => {
+                assert!(!rejection.findings.is_empty());
+                assert!(rejection.rendered.contains("unused-constant"));
+                assert!(rejection.rendered.contains("unused-type"));
+            }
+            other => panic!("expected lint rejection, got {:?}", other.err()),
         }
-        other => panic!("expected lint rejection, got {:?}", other.err()),
     }
 
-    // Warn (the default) surfaces the findings but builds the engine.
+    // Warn (the default) builds the engine — without linting — and
+    // reports the same findings when asked.
     let builder = EngineBuilder::new().spec(dirty);
     let report = builder.lint_check().expect("warn gate must pass");
-    assert!(!report.is_clean());
+    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+    assert!(rules.contains(&"unused-constant") && rules.contains(&"unused-type"));
     assert!(builder.build().is_ok());
 }
 

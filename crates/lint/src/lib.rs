@@ -403,9 +403,7 @@ pub fn rule_catalog() -> Vec<(&'static str, &'static str)> {
 /// How strictly engine construction treats lint findings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LintGate {
-    /// Do not run the lint pass at all.
-    Off,
-    /// Run the pass and surface findings, but accept the suite.
+    /// Accept the suite whatever the pass finds.
     #[default]
     Warn,
     /// Refuse to load a suite with any active finding — including
@@ -437,15 +435,15 @@ impl std::error::Error for GateRejection {}
 
 impl LintGate {
     /// Apply the gate to a report. `Deny` with any active finding is a
-    /// rejection; `Warn` and `Off` always pass (the caller decides how
-    /// to surface `Warn` findings).
+    /// rejection; `Warn` always passes (the caller decides how to surface
+    /// the findings).
     pub fn evaluate(self, report: &LintReport, source: &str) -> Result<(), GateRejection> {
         match self {
             LintGate::Deny if !report.is_clean() => Err(GateRejection {
                 findings: report.findings.clone(),
                 rendered: report.render_text(source),
             }),
-            _ => Ok(()),
+            LintGate::Deny | LintGate::Warn => Ok(()),
         }
     }
 }

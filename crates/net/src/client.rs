@@ -38,7 +38,8 @@ pub struct ProducerConfig {
     /// server's resume registry. Two live producers must not share one.
     pub producer_id: u64,
     /// Hash of the suite this producer was built against (see
-    /// [`proto::spec_hash`]); must match the server's.
+    /// [`proto::spec_hash`]); must match that of the suite the server's
+    /// engine evaluates. Defaults to the standard suite.
     pub spec_hash: u64,
     /// Events per batch frame.
     pub batch_events: usize,

@@ -26,10 +26,13 @@
 //!   returns the last acknowledged sequence number, so a producer restart
 //!   never duplicates or drops an event (the server additionally
 //!   deduplicates by sequence number under the producer's lock).
-//! * The handshake exchanges a **spec hash** ([`proto::spec_hash`]): a
-//!   producer built against a different property suite is refused with a
-//!   typed [`NetError::SpecMismatch`] instead of silently feeding a
-//!   server that would analyze its events differently.
+//! * The handshake exchanges a **spec hash** ([`proto::spec_hash`]): the
+//!   server's is that of the suite its engine serves
+//!   ([`engine::AnalysisEngine::spec`], asked at bind — not a setting), a
+//!   producer's is configured ([`ProducerConfig::spec_hash`], it being a
+//!   remote build). A producer built against a different property suite
+//!   is refused with a typed [`NetError::SpecMismatch`] instead of
+//!   silently feeding a server that would analyze its events differently.
 //! * The handshake also negotiates **optional message sets** as a
 //!   feature bitmask ([`proto::feature`]) — unknown bits are masked, not
 //!   refused, so additions like the [`proto::Message::Introspect`] poll

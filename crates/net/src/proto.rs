@@ -143,8 +143,8 @@ pub fn spec_hash(spec: &CheckedSpec) -> u64 {
     h
 }
 
-/// [`spec_hash`] of the standard suite — the default both endpoints use
-/// when no custom suite is configured.
+/// [`spec_hash`] of the standard suite — a producer's default, and what a
+/// server fronting a standard-suite engine advertises.
 pub fn standard_spec_hash() -> u64 {
     use std::sync::OnceLock;
     static HASH: OnceLock<u64> = OnceLock::new();

@@ -26,10 +26,6 @@ use std::thread::JoinHandle;
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Hash of the suite this server's engine evaluates (see
-    /// [`proto::spec_hash`]); producers with a different hash are refused
-    /// at handshake. Defaults to the standard suite.
-    pub spec_hash: u64,
     /// Maximum events a producer should keep in flight; advertised at
     /// handshake and re-advertised (minus current queue depth) as the
     /// headroom of every ack.
@@ -66,7 +62,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            spec_hash: proto::standard_spec_hash(),
             window: 4096,
             flush_every_events: 2048,
             max_frame_len: proto::DEFAULT_MAX_FRAME_LEN,
@@ -159,6 +154,10 @@ struct ProducerSlot {
 }
 
 struct ServerInner {
+    /// [`proto::spec_hash`] of the suite `engine` evaluates, taken from
+    /// the engine at bind: producers with a different hash are refused at
+    /// handshake.
+    spec_hash: u64,
     engine: Arc<dyn AnalysisEngine>,
     config: ServerConfig,
     producers: Mutex<HashMap<u64, Arc<Mutex<ProducerSlot>>>>,
@@ -271,7 +270,9 @@ pub struct EngineServer {
 
 impl EngineServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// accepting producer connections into `engine`.
+    /// accepting producer connections into `engine`. The spec hash the
+    /// handshake checks is that of [`AnalysisEngine::spec`] — the suite
+    /// actually served, not one configured beside it.
     pub fn bind(
         addr: impl ToSocketAddrs,
         engine: Arc<dyn AnalysisEngine>,
@@ -283,6 +284,7 @@ impl EngineServer {
         let decode_ns = registry.histogram("kojak_net_decode_ns");
         let handle_ns = registry.histogram("kojak_net_handle_ns");
         let inner = Arc::new(ServerInner {
+            spec_hash: proto::spec_hash(&engine.spec()),
             engine,
             config,
             producers: Mutex::new(HashMap::new()),
@@ -518,7 +520,7 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
     };
     let refusal = if version != proto::PROTO_VERSION {
         Some(proto::status::UNSUPPORTED_PROTOCOL)
-    } else if hello.spec_hash != inner.config.spec_hash {
+    } else if hello.spec_hash != inner.spec_hash {
         Some(proto::status::SPEC_MISMATCH)
     } else if quarantined {
         Some(proto::status::QUARANTINED)
@@ -527,7 +529,7 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
     };
     let reply = HelloAck {
         status: refusal.unwrap_or(proto::status::ACCEPTED),
-        spec_hash: inner.config.spec_hash,
+        spec_hash: inner.spec_hash,
         last_acked,
         window: inner.config.window,
         features,

@@ -105,8 +105,52 @@ fn tcp_stream_into_sharded_server_matches_in_process() {
     server.shutdown();
 }
 
+/// The standard suite plus `examples/specs/io_contention.asl`.
+fn custom_suite() -> Arc<asl_core::check::CheckedSpec> {
+    let src = format!(
+        "{}\n{}",
+        cosy::standard_suite_source(),
+        include_str!("../../../examples/specs/io_contention.asl")
+    );
+    Arc::new(asl_core::parse_and_check(&src).expect("custom suite"))
+}
+
+/// The server advertises the hash of the suite its engine serves, with
+/// nothing configured beside it: in front of a custom-suite engine a
+/// default producer (standard suite) is refused and a producer built
+/// against the custom suite is accepted.
+#[test]
+fn server_hashes_the_spec_its_engine_serves() {
+    let spec = custom_suite();
+    let engine = EngineBuilder::new().spec(spec.clone()).build();
+    let server = EngineServer::bind(
+        "127.0.0.1:0",
+        Arc::new(engine.expect("engine")),
+        ServerConfig::default(),
+    )
+    .expect("bind server");
+    let addr = server.local_addr().to_string();
+    match TraceProducer::connect(&addr, ProducerConfig::default()) {
+        Err(NetError::SpecMismatch { client, server: s }) => {
+            assert_eq!(client, net::standard_spec_hash());
+            assert_eq!(s, net::spec_hash(&spec));
+        }
+        Err(other) => panic!("expected SpecMismatch, got {other:?}"),
+        Ok(_) => panic!("expected SpecMismatch, got an accepted connection"),
+    }
+    let configured = ProducerConfig {
+        spec_hash: net::spec_hash(&spec),
+        ..ProducerConfig::default()
+    };
+    let producer = TraceProducer::connect(&addr, configured).expect("connect");
+    producer.close().expect("close");
+    assert_eq!(server.stats().handshakes_refused, 1);
+    assert_eq!(server.stats().connections_accepted, 1);
+    server.shutdown();
+}
+
 /// A suite with a user property crosses the wire like the standard one:
-/// both endpoints hash the custom suite, the sharded server evaluates
+/// the producer hashes the custom suite, the sharded server evaluates
 /// `IoContention` (whose reads the standard suite's dirtiness rules do not
 /// cover), and after a late correction of the reference run's I/O time —
 /// sent once every run was reported — its reports are bit-identical to a
@@ -114,12 +158,7 @@ fn tcp_stream_into_sharded_server_matches_in_process() {
 #[test]
 fn custom_property_over_tcp_matches_batch() {
     use perfdata::TimingType::{IoRead, IoWrite};
-    let src = format!(
-        "{}\n{}",
-        cosy::standard_suite_source(),
-        include_str!("../../../examples/specs/io_contention.asl")
-    );
-    let spec = Arc::new(asl_core::parse_and_check(&src).expect("custom suite"));
+    let spec = custom_suite();
     let spec_hash = net::spec_hash(&spec);
     assert_ne!(spec_hash, net::standard_spec_hash());
 
@@ -151,7 +190,6 @@ fn custom_property_over_tcp_matches_batch() {
         "127.0.0.1:0",
         Arc::new(engine.expect("sharded engine")),
         ServerConfig {
-            spec_hash,
             flush_every_events: 512,
             ..ServerConfig::default()
         },

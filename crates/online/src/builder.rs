@@ -1,59 +1,33 @@
-//! Applying trace events to a [`Store`] while tracking what the change
-//! invalidates.
+//! Applying trace events to a [`Store`] while recording what changed.
 //!
 //! [`StoreBuilder`] owns the live store plus the name→id interning maps
 //! that let events (which carry names and source lines) resolve to arena
-//! ids. Every application records its analytical blast radius in a
-//! [`StoreDelta`]; the incremental analyzer consumes deltas to re-evaluate
-//! only affected property instances.
-//!
-//! ## Dirtiness rules
-//!
-//! Derived by hand from the data dependencies of the standard suite (§4.2),
-//! and used by the incremental analyzer for that suite only (any other
-//! spec re-evaluates whole versions — [`crate::incremental`]):
-//!
-//! * a total/typed timing or call statistic dirties its own
-//!   `(run, context)` — every property reads its context's records for the
-//!   analyzed run;
-//! * a **total** timing for region `r` in run `t` additionally dirties `r`
-//!   in *all* runs when `t`'s processor count does not exceed the smallest
-//!   among `r`'s other totals — `SublinearSpeedup`/`UnmeasuredCost` compare
-//!   every run against the region's min-PE total (`MinPeSum`), so a new or
-//!   refined minimum invalidates the comparison everywhere;
-//! * a new run whose processor count does not exceed the version's current
-//!   minimum dirties the **whole version** — the reference configuration
-//!   (and `UNIQUE` min-PE selection) changes for every region;
-//! * any timing of the version's ranking-basis region dirties its whole
-//!   run — all severities are fractions of `Duration(Basis, t)`. (Detected
-//!   by the incremental analyzer, which also watches for basis identity
-//!   changes as functions stream in.)
+//! ids. Every application records the **facts** of the change in a
+//! [`StoreDelta`] — which records were upserted, which runs are new, which
+//! versions' structure grew, which runs finished — and nothing about what
+//! those facts invalidate: that is decided in one place, the private
+//! `IncrementalAnalyzer::invalidated` in [`crate::incremental`], by the
+//! only engine that needs to know.
 
 use crate::event::{CallStats, IngestError, RegionRef, RunKey, TraceEvent, VersionTag};
 use perfdata::{CallId, CallTiming, FunctionId, RegionId, Store, TestRunId, VersionId};
 use std::collections::{HashMap, HashSet};
 
-/// The analytical blast radius of a batch of applied events.
+/// What a batch of applied events changed in the store.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreDelta {
-    /// Region contexts to re-evaluate, per run.
-    pub dirty_regions: HashMap<TestRunId, HashSet<RegionId>>,
-    /// Call-site contexts to re-evaluate, per run.
-    pub dirty_calls: HashMap<TestRunId, HashSet<CallId>>,
-    /// Runs needing a full re-evaluation (new runs, basis changes).
-    pub full_runs: HashSet<TestRunId>,
-    /// Versions where every run needs a full re-evaluation (reference
-    /// configuration changed).
-    pub full_versions: HashSet<VersionId>,
-    /// Regions dirty in **every** run of their version (min-PE total
-    /// changed).
-    pub regions_all_runs: HashSet<RegionId>,
+    /// Regions whose total timing was upserted, per run.
+    pub totals: HashMap<TestRunId, HashSet<RegionId>>,
+    /// Regions that had a typed timing upserted, per run.
+    pub typed: HashMap<TestRunId, HashSet<RegionId>>,
+    /// Call sites whose statistics were upserted, per run.
+    pub calls: HashMap<TestRunId, HashSet<CallId>>,
+    /// Runs that started.
+    pub new_runs: HashSet<TestRunId>,
     /// Versions whose static structure grew (new function, region or call
-    /// site). The incremental analyzer re-checks the ranking-basis identity
-    /// of these versions — a newly announced `main` function re-bases every
-    /// severity of the version.
-    pub touched_versions: HashSet<VersionId>,
-    /// Runs for which a `RunFinished` was seen in this delta.
+    /// site).
+    pub grown_versions: HashSet<VersionId>,
+    /// Runs for which a `RunFinished` was seen.
     pub finished_runs: HashSet<TestRunId>,
 }
 
@@ -63,43 +37,35 @@ impl StoreDelta {
         StoreDelta::default()
     }
 
-    /// True when nothing was invalidated.
+    /// True when nothing changed.
     pub fn is_empty(&self) -> bool {
-        self.dirty_regions.is_empty()
-            && self.dirty_calls.is_empty()
-            && self.full_runs.is_empty()
-            && self.full_versions.is_empty()
-            && self.regions_all_runs.is_empty()
-            && self.touched_versions.is_empty()
+        self.totals.is_empty()
+            && self.typed.is_empty()
+            && self.calls.is_empty()
+            && self.new_runs.is_empty()
+            && self.grown_versions.is_empty()
             && self.finished_runs.is_empty()
     }
 
     /// Fold `other` into `self`.
     pub fn merge(&mut self, other: StoreDelta) {
-        for (run, regions) in other.dirty_regions {
-            self.dirty_regions.entry(run).or_default().extend(regions);
+        for (run, regions) in other.totals {
+            self.totals.entry(run).or_default().extend(regions);
         }
-        for (run, calls) in other.dirty_calls {
-            self.dirty_calls.entry(run).or_default().extend(calls);
+        for (run, regions) in other.typed {
+            self.typed.entry(run).or_default().extend(regions);
         }
-        self.full_runs.extend(other.full_runs);
-        self.full_versions.extend(other.full_versions);
-        self.regions_all_runs.extend(other.regions_all_runs);
-        self.touched_versions.extend(other.touched_versions);
+        for (run, calls) in other.calls {
+            self.calls.entry(run).or_default().extend(calls);
+        }
+        self.new_runs.extend(other.new_runs);
+        self.grown_versions.extend(other.grown_versions);
         self.finished_runs.extend(other.finished_runs);
-    }
-
-    fn dirty_region(&mut self, run: TestRunId, region: RegionId) {
-        self.dirty_regions.entry(run).or_default().insert(region);
-    }
-
-    fn dirty_call(&mut self, run: TestRunId, call: CallId) {
-        self.dirty_calls.entry(run).or_default().insert(call);
     }
 }
 
 /// Applies [`TraceEvent`]s to an owned [`Store`], interning structure by
-/// name and recording dirtiness deltas.
+/// name and recording what each event changed.
 #[derive(Debug, Default)]
 pub struct StoreBuilder {
     store: Store,
@@ -182,6 +148,15 @@ impl StoreBuilder {
         }
     }
 
+    /// The delta for a consumer that saw none of this builder's events:
+    /// every run is new. Recovery seeds its first flush with it.
+    pub(crate) fn all_new(&self) -> StoreDelta {
+        StoreDelta {
+            new_runs: self.run_keys.keys().copied().collect(),
+            ..StoreDelta::default()
+        }
+    }
+
     fn resolve_run(&self, key: RunKey) -> Result<(TestRunId, VersionId), IngestError> {
         let run = self.run_id(key).ok_or(IngestError::UnknownRun(key))?;
         Ok((run, self.run_version[&run]))
@@ -240,7 +215,7 @@ impl StoreBuilder {
         (applied, failure)
     }
 
-    /// Apply one event, accumulating its blast radius into `delta`.
+    /// Apply one event, recording what it changed in `delta`.
     /// Rejected events leave both the store and the delta untouched.
     pub fn apply(&mut self, event: &TraceEvent, delta: &mut StoreDelta) -> Result<(), IngestError> {
         match event {
@@ -269,19 +244,11 @@ impl StoreBuilder {
                         vid
                     }
                 };
-                // A run at (or below) the current minimum processor count
-                // changes the reference configuration of the version.
-                if let Some(min) = self.store.min_pe_of_version(vid) {
-                    if *no_pe <= min {
-                        delta.full_versions.insert(vid);
-                    }
-                }
                 let rid = self.store.add_run(vid, *start, *no_pe, *clockspeed);
                 self.runs.insert(*run, rid);
                 self.run_keys.insert(rid, *run);
                 self.run_version.insert(rid, vid);
-                delta.full_runs.insert(rid);
-                delta.touched_versions.insert(vid);
+                delta.new_runs.insert(rid);
             }
 
             TraceEvent::RegionEntered {
@@ -316,7 +283,7 @@ impl StoreBuilder {
                 let fid = match existing_fid {
                     Some(f) => f,
                     None => {
-                        delta.touched_versions.insert(vid);
+                        delta.grown_versions.insert(vid);
                         self.store.add_function(vid, function.clone())
                     }
                 };
@@ -325,7 +292,7 @@ impl StoreBuilder {
                     .region_by_name(fid, &region.name, region.first_line)
                     .is_none()
                 {
-                    delta.touched_versions.insert(vid);
+                    delta.grown_versions.insert(vid);
                     self.store.add_region(
                         fid,
                         parent,
@@ -347,27 +314,9 @@ impl StoreBuilder {
                 let (rid, vid) = self.resolve_run(*run)?;
                 let fid = self.resolve_function(*run, vid, function)?;
                 let reg = self.resolve_region(*run, fid, function, region)?;
-                // Does this total (re)define the region's min-PE record?
-                let no_pe = self.store.runs[rid.index()].no_pe;
-                let min_other = self.store.regions[reg.index()]
-                    .tot_times
-                    .iter()
-                    .map(|id| {
-                        let t = &self.store.total_timings[id.index()];
-                        (t.run, self.store.runs[t.run.index()].no_pe)
-                    })
-                    .filter(|(r, _)| *r != rid)
-                    .map(|(_, pe)| pe)
-                    .min();
                 self.store
                     .upsert_total_timing(reg, rid, *excl, *incl, *ovhd);
-                match min_other {
-                    Some(min) if no_pe <= min => {
-                        delta.regions_all_runs.insert(reg);
-                    }
-                    _ => {}
-                }
-                delta.dirty_region(rid, reg);
+                delta.totals.entry(rid).or_default().insert(reg);
             }
 
             TraceEvent::TypedSample {
@@ -381,7 +330,7 @@ impl StoreBuilder {
                 let fid = self.resolve_function(*run, vid, function)?;
                 let reg = self.resolve_region(*run, fid, function, region)?;
                 self.store.upsert_typed_timing(reg, rid, *ty, *time);
-                delta.dirty_region(rid, reg);
+                delta.typed.entry(rid).or_default().insert(reg);
             }
 
             TraceEvent::CallSiteStat {
@@ -401,7 +350,7 @@ impl StoreBuilder {
                     // Runtime routines (`barrier`, …) may never announce
                     // regions of their own; introduce them on first call.
                     None => {
-                        delta.touched_versions.insert(vid);
+                        delta.grown_versions.insert(vid);
                         self.store.add_function(vid, callee.clone())
                     }
                 };
@@ -412,13 +361,13 @@ impl StoreBuilder {
                     // the structure growth must be visible to the
                     // analyzer even when the callee already existed.
                     None => {
-                        delta.touched_versions.insert(vid);
+                        delta.grown_versions.insert(vid);
                         self.store.add_call(caller_id, callee_id, site_id)
                     }
                 };
                 self.store
                     .upsert_call_timing(to_call_timing(call, rid, stats));
-                delta.dirty_call(rid, call);
+                delta.calls.entry(rid).or_default().insert(call);
             }
 
             TraceEvent::RunFinished { run } => {
@@ -453,59 +402,28 @@ fn to_call_timing(call: CallId, run: TestRunId, s: &CallStats) -> CallTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfdata::{DateTime, RegionKind, TimingType};
+    use crate::test_events::{call_stat, exited, region_entered, run_started, typed};
 
-    fn run_started(key: u64, tag: u64, no_pe: u32) -> TraceEvent {
-        TraceEvent::RunStarted {
-            run: RunKey(key),
-            version: VersionTag(tag),
-            program: "app".into(),
-            compiled_at: DateTime::from_secs(100),
-            source: "program app".into(),
-            start: DateTime::from_secs(200 + key as i64),
-            no_pe,
-            clockspeed: 450,
-        }
-    }
-
-    fn region_entered(key: u64, name: &str, parent: Option<(&str, u32)>, line: u32) -> TraceEvent {
-        TraceEvent::RegionEntered {
-            run: RunKey(key),
-            function: "main".into(),
-            region: RegionDef {
-                name: name.into(),
-                parent: parent.map(|(n, l)| RegionRef::new(n, l)),
-                kind: if parent.is_none() {
-                    RegionKind::Subprogram
-                } else {
-                    RegionKind::Loop
-                },
-                first_line: line,
-                last_line: line + 10,
-            },
-        }
-    }
-    use crate::event::RegionDef;
+    const MAIN: (&str, u32) = ("main", 1);
 
     #[test]
     fn run_and_structure_creation() {
         let mut b = StoreBuilder::new();
         let mut d = StoreDelta::new();
         b.apply(&run_started(1, 9, 4), &mut d).unwrap();
-        b.apply(&region_entered(1, "main", None, 1), &mut d)
+        b.apply(&region_entered(1, "main", "main", None, 1), &mut d)
             .unwrap();
         b.apply(
-            &region_entered(1, "main:loop@10", Some(("main", 1)), 10),
+            &region_entered(1, "main", "main:loop@10", Some(MAIN), 10),
             &mut d,
         )
         .unwrap();
         assert_eq!(b.store().programs.len(), 1);
         assert_eq!(b.store().regions.len(), 2);
         let rid = b.run_id(RunKey(1)).unwrap();
-        assert!(d.full_runs.contains(&rid));
         assert_eq!(b.run_key_of(rid), Some(RunKey(1)));
         // Re-announcing is idempotent.
-        b.apply(&region_entered(1, "main", None, 1), &mut d)
+        b.apply(&region_entered(1, "main", "main", None, 1), &mut d)
             .unwrap();
         assert_eq!(b.store().regions.len(), 2);
     }
@@ -515,24 +433,13 @@ mod tests {
         let mut b = StoreBuilder::new();
         let mut d = StoreDelta::new();
         let err = b
-            .apply(&region_entered(1, "main", None, 1), &mut d)
+            .apply(&region_entered(1, "main", "main", None, 1), &mut d)
             .unwrap_err();
         assert_eq!(err, IngestError::UnknownRun(RunKey(1)));
         b.apply(&run_started(1, 9, 4), &mut d).unwrap();
         let err = b.apply(&run_started(1, 9, 4), &mut d).unwrap_err();
         assert_eq!(err, IngestError::DuplicateRun(RunKey(1)));
-        let err = b
-            .apply(
-                &TraceEvent::TypedSample {
-                    run: RunKey(1),
-                    function: "nope".into(),
-                    region: RegionRef::new("r", 1),
-                    ty: TimingType::Barrier,
-                    time: 0.1,
-                },
-                &mut d,
-            )
-            .unwrap_err();
+        let err = b.apply(&typed(1, "nope", ("r", 1)), &mut d).unwrap_err();
         assert!(matches!(err, IngestError::UnknownFunction { .. }));
     }
 
@@ -543,10 +450,11 @@ mod tests {
         b.apply(&run_started(1, 9, 4), &mut d).unwrap();
         let mut d2 = StoreDelta::new();
         // RegionEntered naming a brand-new function but an unknown parent:
-        // must reject without creating the function or touching the delta.
+        // must reject without creating the function or touching the delta
+        // (the rejection sits directly above the `grown_versions` insert).
         let err = b
             .apply(
-                &region_entered(1, "main:loop@9", Some(("main", 1)), 9),
+                &region_entered(1, "main", "main:loop@9", Some(MAIN), 9),
                 &mut d2,
             )
             .unwrap_err();
@@ -554,32 +462,10 @@ mod tests {
         assert!(b.store().functions.is_empty());
         assert!(d2.is_empty());
         // CallSiteStat with an unknown site: must not intern the callee.
-        b.apply(&region_entered(1, "main", None, 1), &mut d2)
+        b.apply(&region_entered(1, "main", "main", None, 1), &mut d)
             .unwrap();
         let err = b
-            .apply(
-                &TraceEvent::CallSiteStat {
-                    run: RunKey(1),
-                    caller: "main".into(),
-                    callee: "barrier".into(),
-                    site: RegionRef::new("nope", 77),
-                    stats: CallStats {
-                        min_count: 0.0,
-                        max_count: 0.0,
-                        mean_count: 0.0,
-                        stdev_count: 0.0,
-                        min_count_pe: 0,
-                        max_count_pe: 0,
-                        min_time: 0.0,
-                        max_time: 0.0,
-                        mean_time: 0.0,
-                        stdev_time: 0.0,
-                        min_time_pe: 0,
-                        max_time_pe: 0,
-                    },
-                },
-                &mut d2,
-            )
+            .apply(&call_stat(1, "main", ("nope", 77)), &mut d)
             .unwrap_err();
         assert!(matches!(err, IngestError::UnknownRegion { .. }));
         assert!(b
@@ -589,73 +475,13 @@ mod tests {
     }
 
     #[test]
-    fn smaller_pe_run_dirties_whole_version() {
-        let mut b = StoreBuilder::new();
-        let mut d = StoreDelta::new();
-        b.apply(&run_started(1, 9, 8), &mut d).unwrap();
-        assert!(d.full_versions.is_empty());
-        b.apply(&run_started(2, 9, 2), &mut d).unwrap();
-        let vid = b.version_id(VersionTag(9)).unwrap();
-        assert!(d.full_versions.contains(&vid));
-        // A larger run does not.
-        let mut d2 = StoreDelta::new();
-        b.apply(&run_started(3, 9, 16), &mut d2).unwrap();
-        assert!(d2.full_versions.is_empty());
-    }
-
-    #[test]
-    fn min_pe_total_dirties_region_in_all_runs() {
-        let mut b = StoreBuilder::new();
-        let mut d = StoreDelta::new();
-        b.apply(&run_started(1, 9, 2), &mut d).unwrap();
-        b.apply(&run_started(2, 9, 8), &mut d).unwrap();
-        b.apply(&region_entered(1, "main", None, 1), &mut d)
-            .unwrap();
-        let exited = |key: u64, incl: f64| TraceEvent::RegionExited {
-            run: RunKey(key),
-            function: "main".into(),
-            region: RegionRef::new("main", 1),
-            excl: 1.0,
-            incl,
-            ovhd: 0.1,
-        };
-        // First total of the region: no other totals, only locally dirty.
-        let mut d1 = StoreDelta::new();
-        b.apply(&exited(2, 12.0), &mut d1).unwrap();
-        assert!(d1.regions_all_runs.is_empty());
-        // A total from the 2-PE run undercuts the 8-PE record: dirty everywhere.
-        let mut d2 = StoreDelta::new();
-        b.apply(&exited(1, 10.0), &mut d2).unwrap();
-        assert_eq!(d2.regions_all_runs.len(), 1);
-    }
-
-    #[test]
     fn call_stats_create_callee_and_site() {
         let mut b = StoreBuilder::new();
         let mut d = StoreDelta::new();
         b.apply(&run_started(1, 9, 4), &mut d).unwrap();
-        b.apply(&region_entered(1, "main", None, 1), &mut d)
+        b.apply(&region_entered(1, "main", "main", None, 1), &mut d)
             .unwrap();
-        let stat = TraceEvent::CallSiteStat {
-            run: RunKey(1),
-            caller: "main".into(),
-            callee: "barrier".into(),
-            site: RegionRef::new("main", 1),
-            stats: CallStats {
-                min_count: 1.0,
-                max_count: 1.0,
-                mean_count: 1.0,
-                stdev_count: 0.0,
-                min_count_pe: 0,
-                max_count_pe: 0,
-                min_time: 0.1,
-                max_time: 0.3,
-                mean_time: 0.2,
-                stdev_time: 0.1,
-                min_time_pe: 0,
-                max_time_pe: 3,
-            },
-        };
+        let stat = call_stat(1, "main", MAIN);
         b.apply(&stat, &mut d).unwrap();
         assert_eq!(b.store().functions.len(), 2);
         assert_eq!(b.store().calls.len(), 1);
@@ -663,20 +489,71 @@ mod tests {
         // Re-applying updates in place.
         b.apply(&stat, &mut d).unwrap();
         assert_eq!(b.store().call_timings.len(), 1);
-        let rid = b.run_id(RunKey(1)).unwrap();
-        assert_eq!(d.dirty_calls[&rid].len(), 1);
+    }
+
+    #[test]
+    fn apply_records_exactly_the_facts() {
+        let mut b = StoreBuilder::new();
+        let mut d = StoreDelta::new();
+        b.apply(&run_started(1, 9, 8), &mut d).unwrap();
+        // A smaller run is a new run like any other: a fact, no verdict.
+        b.apply(&run_started(2, 9, 2), &mut d).unwrap();
+        let (r1, r2) = (b.run_id(RunKey(1)).unwrap(), b.run_id(RunKey(2)).unwrap());
+        let vid = b.version_id(VersionTag(9)).unwrap();
+        let mut expected = StoreDelta::new();
+        expected.new_runs.extend([r1, r2]);
+        assert_eq!(d, expected);
+
+        b.apply(&region_entered(1, "main", "main", None, 1), &mut d)
+            .unwrap();
+        expected.grown_versions.insert(vid);
+        assert_eq!(d, expected);
+        // Re-announcing known structure records nothing.
+        let mut again = StoreDelta::new();
+        b.apply(&region_entered(2, "main", "main", None, 1), &mut again)
+            .unwrap();
+        assert!(again.is_empty());
+
+        let main = RegionId(0);
+        for (key, run) in [(1, r1), (2, r2)] {
+            b.apply(&exited(key, "main", MAIN, 10.0), &mut d).unwrap();
+            expected.totals.entry(run).or_default().insert(main);
+        }
+        b.apply(&typed(2, "main", MAIN), &mut d).unwrap();
+        expected.typed.entry(r2).or_default().insert(main);
+        // The first call statistic also interns the callee and the site.
+        b.apply(&call_stat(1, "main", MAIN), &mut d).unwrap();
+        expected.calls.entry(r1).or_default().insert(CallId(0));
+        b.apply(&TraceEvent::RunFinished { run: RunKey(2) }, &mut d)
+            .unwrap();
+        expected.finished_runs.insert(r2);
+        assert_eq!(d, expected);
+
+        // A rejected event records none.
+        assert!(b
+            .apply(&call_stat(1, "main", ("nope", 77)), &mut d)
+            .is_err());
+        assert!(b.apply(&run_started(2, 9, 1), &mut d).is_err());
+        assert!(b.apply(&exited(7, "main", MAIN, 1.0), &mut d).is_err());
+        assert_eq!(d, expected);
     }
 
     #[test]
     fn delta_merge_accumulates() {
         let mut a = StoreDelta::new();
         let mut b = StoreDelta::new();
-        a.dirty_region(TestRunId(0), RegionId(1));
-        b.dirty_region(TestRunId(0), RegionId(2));
-        b.full_runs.insert(TestRunId(3));
+        a.totals
+            .entry(TestRunId(0))
+            .or_default()
+            .insert(RegionId(1));
+        b.totals
+            .entry(TestRunId(0))
+            .or_default()
+            .insert(RegionId(2));
+        b.new_runs.insert(TestRunId(3));
         a.merge(b);
-        assert_eq!(a.dirty_regions[&TestRunId(0)].len(), 2);
-        assert!(a.full_runs.contains(&TestRunId(3)));
+        assert_eq!(a.totals[&TestRunId(0)].len(), 2);
+        assert!(a.new_runs.contains(&TestRunId(3)));
         assert!(!a.is_empty());
         assert!(StoreDelta::new().is_empty());
     }

@@ -33,12 +33,15 @@
 //!   and fan-out over shards live one layer up (`kojak-net`'s
 //!   `EngineServer`, `engine::ShardedSession`).
 //! * [`StoreBuilder`] applies events to the live [`perfdata::Store`] via
-//!   its upsert hooks and records each change's analytical blast radius in
-//!   a [`StoreDelta`].
+//!   its upsert hooks and records the facts of each change — records
+//!   upserted, runs started, structure grown, runs finished — in a
+//!   [`StoreDelta`].
 //! * [`IncrementalAnalyzer`] maintains, per run, the set of property
-//!   instances that currently hold. A flush re-evaluates exactly the dirty
-//!   contexts — through the same `cosy` evaluation path the batch analyzer
-//!   uses — and re-assembles the affected reports.
+//!   instances that currently hold. A flush asks
+//!   `IncrementalAnalyzer::invalidated` which contexts the delta's facts
+//!   dirty, re-evaluates exactly those — through the same `cosy`
+//!   evaluation path the batch analyzer uses — and re-assembles the
+//!   affected reports.
 //! * [`OnlineSession::open`] makes the session survive a process kill:
 //!   events are framed into a checksummed write-ahead log *before* they
 //!   are applied, snapshots of the builder state truncate the log at
@@ -48,19 +51,17 @@
 //!
 //! ## Dirty-context tracking
 //!
-//! A delta names dirty `(run, region)` and `(run, call)` contexts, plus
-//! three escalations derived from the data dependencies of the standard
-//! suite: a region whose **min-PE total** changed is dirty in every run
-//! (`SublinearSpeedup` compares all runs against it); a run at or below
-//! the version's smallest processor count dirties the **whole version**
-//! (the reference configuration changed); and a timing of the ranking
-//! **basis** region — or a change of basis identity as functions stream
-//! in — dirties whole runs, since every severity is a fraction of
-//! `Duration(Basis, t)`. These rules are what make incremental results
-//! *equal* to batch results (see `tests/equivalence.rs`), not just close
-//! — for the standard suite. Under any other spec
-//! ([`SessionConfig::spec`]) they are not trusted: a flush re-evaluates
-//! every run of each version its delta touches, in full.
+//! Ingestion knows nothing of the property suite: a delta says what
+//! changed, and one function — `IncrementalAnalyzer::invalidated`, where
+//! the rules are stated — says what that invalidates: the changed
+//! `(run, context)` pairs, escalated to a region in every run, a whole run
+//! or a whole version where the standard suite reads across runs (min-PE
+//! totals, the reference configuration, the ranking basis). The rules are
+//! what make incremental results *equal* to batch results (see
+//! `tests/equivalence.rs`), not just close — for the standard suite.
+//! Under any other spec ([`SessionConfig::spec`]) they are not trusted: a
+//! flush re-evaluates every run of each version its delta touches, in
+//! full.
 //!
 //! ## Example
 //!
@@ -99,6 +100,8 @@ pub mod incremental;
 pub mod replay;
 pub mod session;
 pub mod snapshot;
+#[cfg(test)]
+mod test_events;
 pub mod wal;
 pub mod wire;
 

@@ -5,8 +5,9 @@
 //! engine layer's shard router and TCP server) feed. It owns the
 //! [`StoreBuilder`] (live store and interning) and the
 //! [`IncrementalAnalyzer`] (live reports) behind one mutex; ingestion
-//! appends events and accumulates the pending [`StoreDelta`], and
-//! [`OnlineSession::flush`] turns the pending delta into refreshed reports
+//! appends events and accumulates the facts of the change in the pending
+//! [`StoreDelta`], and [`OnlineSession::flush`] hands that delta to the
+//! analyzer, which decides what it invalidates and refreshes those reports
 //! (dirty runs are walked in turn; the one parallel level is over a run's
 //! instance batches, inside `cosy::Analyzer::evaluate_instances`).
 //!
@@ -23,7 +24,7 @@ use crate::event::{IngestError, RunKey, TraceEvent};
 use crate::incremental::{IncrementalAnalyzer, IncrementalStats};
 use crate::wal::WalIoError;
 use asl_core::check::CheckedSpec;
-use cosy::{AnalysisReport, Backend, ProblemThreshold};
+use cosy::{AnalysisReport, ProblemThreshold};
 use obs::{MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::Store;
 use std::collections::HashMap;
@@ -35,15 +36,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct SessionConfig {
     /// Severity threshold above which a property is a performance problem.
     pub threshold: ProblemThreshold,
-    /// Evaluation backend for the incremental engine. Defaults to the
-    /// compiled IR; the interpreter remains available as a reference
-    /// oracle for validation and baselining.
-    pub backend: Backend,
     /// The property suite to evaluate. `None` means the standard suite;
     /// a custom pre-checked suite is shared (and lowered to the compiled
     /// IR once) across the session's whole life, recovery included. A
     /// suite other than the standard one is re-evaluated one whole version
-    /// at a time (see [`crate::incremental`]).
+    /// at a time (see `IncrementalAnalyzer::invalidated`).
     pub spec: Option<Arc<CheckedSpec>>,
 }
 
@@ -104,7 +101,6 @@ struct SessionInner {
 /// ([`OnlineSession::open`]).
 pub struct OnlineSession {
     inner: Mutex<SessionInner>,
-    config: SessionConfig,
     /// Per-session metric set (shared with the WAL and snapshot writers;
     /// merged across shards by the engine layer).
     registry: Arc<MetricsRegistry>,
@@ -129,21 +125,14 @@ impl OnlineSession {
             Some(spec) => IncrementalAnalyzer::with_spec(Arc::clone(spec), config.threshold),
             None => IncrementalAnalyzer::new(config.threshold),
         };
-        analyzer
-            .with_backend(config.backend)
-            .with_registry(Arc::clone(registry))
+        analyzer.with_registry(Arc::clone(registry))
     }
 
-    fn assemble(
-        config: SessionConfig,
-        inner: SessionInner,
-        registry: Arc<MetricsRegistry>,
-    ) -> Self {
+    fn assemble(inner: SessionInner, registry: Arc<MetricsRegistry>) -> Self {
         let apply_ns = registry.histogram("kojak_online_apply_ns");
         let flush_ns = registry.histogram("kojak_online_flush_ns");
         OnlineSession {
             inner: Mutex::new(inner),
-            config,
             registry,
             apply_ns,
             flush_ns,
@@ -157,7 +146,6 @@ impl OnlineSession {
         let registry = Arc::new(MetricsRegistry::new());
         let analyzer = Self::analyzer_for(&config, &registry);
         Self::assemble(
-            config,
             SessionInner {
                 builder: StoreBuilder::new(),
                 analyzer,
@@ -195,9 +183,9 @@ impl OnlineSession {
     }
 
     /// Rebuild a session from recovered state: the snapshotted builder,
-    /// the finished-run set, and the restored lifetime counters. The
-    /// pending delta is seeded with a full re-evaluation of every known
-    /// run, so the first flush recomputes every live report from the
+    /// the finished-run set, and the restored lifetime counters. To the
+    /// fresh analyzer every recovered run is new, and the pending delta
+    /// says so: the first flush recomputes every live report from the
     /// recovered store (deterministically identical to the reports the
     /// crashed session would have shown after its own next flush).
     pub(crate) fn from_recovered(
@@ -208,15 +196,9 @@ impl OnlineSession {
     ) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let mut analyzer = Self::analyzer_for(&config, &registry);
-        analyzer.restore_finished(finished.iter().copied());
-        let mut pending = StoreDelta::new();
-        for (_, run, version) in builder.runs() {
-            pending.full_runs.insert(run);
-            pending.touched_versions.insert(version);
-        }
-        pending.finished_runs.extend(finished);
+        analyzer.restore_finished(finished);
+        let pending = builder.all_new();
         Self::assemble(
-            config,
             SessionInner {
                 builder,
                 analyzer,
@@ -417,6 +399,11 @@ impl OnlineSession {
             .collect()
     }
 
+    /// The property suite the session evaluates.
+    pub fn spec(&self) -> Arc<CheckedSpec> {
+        self.lock().analyzer.spec()
+    }
+
     /// A snapshot of the live store (clone; the live store keeps moving).
     pub fn store_snapshot(&self) -> Store {
         self.lock().builder.store().clone()
@@ -450,11 +437,6 @@ impl OnlineSession {
             durability.faults.collect_into(&mut out);
         }
         out
-    }
-
-    /// The configured problem threshold.
-    pub fn threshold(&self) -> ProblemThreshold {
-        self.config.threshold
     }
 }
 

@@ -313,7 +313,6 @@ fn custom_property_sees_a_late_correction_of_the_reference_run() {
     let session = OnlineSession::new(SessionConfig {
         threshold,
         spec: Some(Arc::clone(&spec)),
-        ..SessionConfig::default()
     });
     let (correction, reported) = events.split_last().unwrap();
     for batch in reported.chunks(64) {

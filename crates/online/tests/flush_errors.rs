@@ -180,3 +180,78 @@ fn uninstantiable_spec_is_a_typed_flush_error_not_a_silent_requeue() {
     }
     assert!(session.reports().is_empty());
 }
+
+/// A run waiting for its version's structure is owed a full evaluation
+/// until it gets one: a flush that fails on an *earlier* version must not
+/// forget it. Version 1 fails (zero basis) in the very flush that would
+/// have evaluated version 2's parked run; the failing delta is re-queued,
+/// but it says nothing about the parked run — another, larger run brought
+/// the structure — so only the engine's memory can bring it back.
+#[test]
+fn failed_flush_does_not_forget_a_run_waiting_for_structure() {
+    let second_version = |key: u64, no_pe: u32| match run_started(key, no_pe) {
+        TraceEvent::RunStarted {
+            run,
+            program,
+            compiled_at,
+            source,
+            start,
+            no_pe,
+            clockspeed,
+            ..
+        } => TraceEvent::RunStarted {
+            run,
+            version: VersionTag(2),
+            program,
+            compiled_at,
+            source,
+            start,
+            no_pe,
+            clockspeed,
+        },
+        other => other,
+    };
+    let events = [
+        // Version 1 is healthy; run 3 of version 2 has no structure yet.
+        vec![
+            run_started(1, 1),
+            main_region(1),
+            region_exited(1, 10.0, 0.0),
+            second_version(3, 1),
+        ],
+        // Run 4 brings version 2's structure in the delta whose flush
+        // fails on version 1 before reaching version 2.
+        vec![
+            second_version(4, 4),
+            main_region(4),
+            region_exited(4, 8.0, 0.0),
+            run_started(2, 4),
+            region_exited(1, 0.0, 0.0),
+            region_exited(2, 0.0, 0.1),
+        ],
+        vec![region_exited(1, 10.0, 0.0), region_exited(2, 12.0, 0.1)],
+    ];
+
+    let session = OnlineSession::new(SessionConfig::default());
+    session.ingest_batch(&events[0]).expect("ingest");
+    session.flush().expect("first flush parks run 3");
+    assert!(session.report(RunKey(1)).is_some());
+    assert!(session.report(RunKey(3)).is_none());
+    session.ingest_batch(&events[1]).expect("ingest");
+    session.flush().expect_err("version 1 divides by zero");
+    session.ingest_batch(&events[2]).expect("refinement");
+    session.flush().expect("healed flush");
+
+    // The same events with one flush at the end: nothing was ever parked.
+    let batch = OnlineSession::new(SessionConfig::default());
+    batch.ingest_batch(&events.concat()).expect("ingest");
+    batch.flush().expect("flush");
+    assert!(batch.report(RunKey(3)).is_some());
+    for key in 1..=4 {
+        assert_eq!(
+            session.report(RunKey(key)),
+            batch.report(RunKey(key)),
+            "run {key}"
+        );
+    }
+}

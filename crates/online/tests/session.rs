@@ -1,7 +1,8 @@
 //! Integration tests of one [`OnlineSession`]: per-event isolation inside
 //! a batch, finished-run tracking, and the incremental engine's work
-//! bound. (Concurrent producers and mid-stream flushes are covered over
-//! both session shapes in `crates/engine/tests/concurrent.rs`.)
+//! bound and exact work counts. (Concurrent producers and mid-stream
+//! flushes are covered over both session shapes in
+//! `crates/engine/tests/concurrent.rs`.)
 
 use apprentice_sim::{archetypes, simulate_program, MachineModel};
 use cosy::{Analyzer, Backend, ProblemThreshold};
@@ -99,4 +100,76 @@ fn incremental_engine_does_less_work_than_batch() {
         appended * 4 <= before,
         "incremental append evaluated {appended} instances vs {before} for the initial five runs"
     );
+}
+
+/// The invalidation policy, pinned by the work it causes: the exact
+/// `(runs_reevaluated, full_reevaluations, instances_evaluated)` each
+/// flush of a fixed scenario adds. The numbers were taken from the commit
+/// before `StoreDelta` became a record of facts (when `StoreBuilder`
+/// decided dirtiness event by event); a change to
+/// `IncrementalAnalyzer::invalidated` that moves one of them has changed
+/// what is re-evaluated and must say why.
+#[test]
+fn invalidation_policy_is_pinned() {
+    let store = simulated_store(&[1, 2, 4, 8, 16, 32]);
+    let session = OnlineSession::new(SessionConfig::default());
+    let mut seen = online::IncrementalStats::default();
+    let mut flush_work = || {
+        session.flush().unwrap();
+        let now = session.stats().incremental;
+        let work = (
+            now.runs_reevaluated - seen.runs_reevaluated,
+            now.full_reevaluations - seen.full_reevaluations,
+            now.instances_evaluated - seen.instances_evaluated,
+        );
+        seen = now;
+        work
+    };
+
+    // Runs 1..=5 (2 to 32 PEs) arrive in turn: each is evaluated in full,
+    // none disturbs its siblings.
+    for r in 1..store.runs.len() as u32 {
+        session
+            .ingest_batch(&events_for_run(&store, TestRunId(r)))
+            .unwrap();
+        assert_eq!(flush_work(), (1, 1, 54), "run {r}");
+    }
+
+    // Corrections of a region that is not the ranking basis.
+    let basis = store.main_region(store.runs[0].version).unwrap();
+    let basis_name = &store.regions[basis.index()].name;
+    let correction = |run: u32, typed: bool| {
+        let mut event = events_for_run(&store, TestRunId(run))
+            .into_iter()
+            .find(|e| match e {
+                TraceEvent::RegionExited { region, .. } => !typed && region.name != *basis_name,
+                TraceEvent::TypedSample { region, .. } => typed && region.name != *basis_name,
+                _ => false,
+            })
+            .unwrap();
+        match &mut event {
+            TraceEvent::RegionExited { incl, excl, .. } => {
+                *incl *= 1.5;
+                *excl *= 1.5;
+            }
+            TraceEvent::TypedSample { time, .. } => *time *= 1.5,
+            _ => unreachable!(),
+        }
+        event
+    };
+    // A total of the 8-PE run: its own context only.
+    session.ingest(&correction(3, false)).unwrap();
+    assert_eq!(flush_work(), (1, 0, 10));
+    // A total of the 2-PE run, the minimum so far: the region in all five.
+    session.ingest(&correction(1, false)).unwrap();
+    assert_eq!(flush_work(), (5, 0, 50));
+    // A typed timing: its own context only.
+    session.ingest(&correction(3, true)).unwrap();
+    assert_eq!(flush_work(), (1, 0, 10));
+    // The 1-PE run arrives late: a new reference configuration, the whole
+    // version in full.
+    session
+        .ingest_batch(&events_for_run(&store, TestRunId(0)))
+        .unwrap();
+    assert_eq!(flush_work(), (6, 6, 324));
 }
