@@ -33,25 +33,34 @@ impl CheckedSpec {
 
 /// Type-check a parsed specification.
 pub fn check(spec: &Specification) -> Result<CheckedSpec, Diagnostics> {
-    let mut cx = Checker::new();
-    cx.collect_declarations(spec);
-    if cx.diags.has_errors() {
-        return Err(cx.diags);
+    let mut decls = Collector {
+        model: Model::default(),
+        diags: Diagnostics::new(),
+    };
+    decls.collect_declarations(spec);
+    if decls.diags.has_errors() {
+        return Err(decls.diags);
     }
+    let mut cx = Infer {
+        model: &decls.model,
+        diags: decls.diags,
+    };
     cx.check_bodies(spec);
-    if cx.diags.has_errors() {
-        Err(cx.diags)
+    let diags = cx.diags;
+    if diags.has_errors() {
+        Err(diags)
     } else {
         Ok(CheckedSpec {
             spec: spec.clone(),
-            model: cx.model,
-            warnings: cx.diags,
+            model: decls.model,
+            warnings: diags,
         })
     }
 }
 
-/// Lexical scope used during expression typing. Also usable by downstream
-/// crates (interpreter, SQL compiler) that need to re-derive types.
+/// Lexical scope used during expression typing. Public for
+/// [`infer_expr_type`], which `kojak-lint` calls with the scope of the
+/// position it asks about.
 #[derive(Debug, Clone, Default)]
 pub struct Scope {
     frames: Vec<HashMap<String, Type>>,
@@ -89,19 +98,32 @@ impl Scope {
     }
 }
 
-struct Checker {
+/// Pass 1: builds the [`Model`], the only place one is constructed.
+struct Collector {
     model: Model,
     diags: Diagnostics,
 }
 
-impl Checker {
-    fn new() -> Self {
-        Checker {
-            model: Model::default(),
-            diags: Diagnostics::new(),
+/// Pass 2 and [`infer_expr_type`]: types expressions against a finished
+/// model it only borrows.
+struct Infer<'m> {
+    model: &'m Model,
+    diags: Diagnostics,
+}
+
+fn resolve_type(model: &Model, diags: &mut Diagnostics, t: &TypeExpr) -> Type {
+    let (TypeExprKind::Named(n) | TypeExprKind::Setof(n)) = &t.kind;
+    match (model.named_type(n), &t.kind) {
+        (Some(ty), TypeExprKind::Named(_)) => ty,
+        (Some(ty), TypeExprKind::Setof(_)) => Type::Set(Box::new(ty)),
+        (None, _) => {
+            diags.error(t.span, format!("unknown type `{n}`"));
+            Type::Error
         }
     }
+}
 
+impl Collector {
     // ---- pass 1: declarations -------------------------------------------
 
     fn collect_declarations(&mut self, spec: &Specification) {
@@ -322,32 +344,20 @@ impl Checker {
     }
 
     fn resolve_type(&mut self, t: &TypeExpr) -> Type {
-        match &t.kind {
-            TypeExprKind::Named(n) => match self.model.named_type(n) {
-                Some(ty) => ty,
-                None => {
-                    self.diags.error(t.span, format!("unknown type `{n}`"));
-                    Type::Error
-                }
-            },
-            TypeExprKind::Setof(n) => match self.model.named_type(n) {
-                Some(ty) => Type::Set(Box::new(ty)),
-                None => {
-                    self.diags.error(t.span, format!("unknown type `{n}`"));
-                    Type::Error
-                }
-            },
-        }
+        resolve_type(&self.model, &mut self.diags, t)
     }
+}
 
+impl Infer<'_> {
     // ---- pass 2: bodies ---------------------------------------------------
 
     fn check_bodies(&mut self, spec: &Specification) {
+        let model = self.model;
         for c in &spec.constants {
-            let declared = self.model.constants[&c.name.name].clone();
+            let declared = &model.constants[&c.name.name];
             let mut scope = Scope::new();
             let inferred = self.infer(&c.value, &mut scope);
-            if !self.model.assignable(&inferred, &declared) {
+            if !model.assignable(&inferred, declared) {
                 self.diags.error(
                     c.value.span,
                     format!(
@@ -359,13 +369,13 @@ impl Checker {
         }
 
         for f in &spec.functions {
-            let sig = self.model.functions[&f.name.name].clone();
+            let sig = &model.functions[&f.name.name];
             let mut scope = Scope::new();
             for (name, ty) in &sig.params {
                 scope.bind(name.clone(), ty.clone());
             }
             let body_ty = self.infer(&f.body, &mut scope);
-            if !self.model.assignable(&body_ty, &sig.ret) {
+            if !model.assignable(&body_ty, &sig.ret) {
                 self.diags.error(
                     f.body.span,
                     format!(
@@ -382,14 +392,14 @@ impl Checker {
     }
 
     fn check_property(&mut self, p: &PropertyDecl) {
-        let sig = self.model.properties[&p.name.name].clone();
+        let sig = &self.model.properties[&p.name.name];
         let mut scope = Scope::new();
         for (name, ty) in &sig.params {
             scope.bind(name.clone(), ty.clone());
         }
 
         for l in &p.lets {
-            let declared = self.resolve_type(&l.ty);
+            let declared = resolve_type(self.model, &mut self.diags, &l.ty);
             let inferred = self.infer(&l.value, &mut scope);
             if !self.model.assignable(&inferred, &declared) {
                 self.diags.error(
@@ -413,8 +423,8 @@ impl Checker {
             }
         }
 
-        self.check_arm_spec(&p.confidence, &sig, &mut scope, "CONFIDENCE", true);
-        self.check_arm_spec(&p.severity, &sig, &mut scope, "SEVERITY", false);
+        self.check_arm_spec(&p.confidence, sig, &mut scope, "CONFIDENCE", true);
+        self.check_arm_spec(&p.severity, sig, &mut scope, "SEVERITY", false);
 
         // Guarded arms require at least one labelled condition to exist.
         let any_guard = p
@@ -751,7 +761,8 @@ impl Checker {
             return out;
         }
 
-        let Some(sig) = self.model.functions.get(&name.name).cloned() else {
+        let model = self.model;
+        let Some(sig) = model.functions.get(&name.name) else {
             self.diags
                 .error(name.span, format!("unknown function `{}`", name.name));
             for a in args {
@@ -772,7 +783,7 @@ impl Checker {
         }
         for (a, (pname, pty)) in args.iter().zip(sig.params.iter()) {
             let at = self.infer(a, scope);
-            if !self.model.assignable(&at, pty) {
+            if !model.assignable(&at, pty) {
                 self.diags.error(
                     a.span,
                     format!(
@@ -782,7 +793,7 @@ impl Checker {
                 );
             }
         }
-        sig.ret
+        sig.ret.clone()
     }
 
     fn infer_binary(&mut self, span: Span, op: BinOp, lt: Type, rt: Type) -> Type {
@@ -883,13 +894,14 @@ impl Checker {
 
 /// Standalone expression type inference against a checked model.
 ///
-/// Downstream crates (the interpreter and the SQL compiler) use this to make
-/// type-directed decisions without re-running the whole checker. Returns
-/// `Err` with diagnostics if the expression does not type-check in the given
-/// scope.
+/// `kojak-lint`'s performance rules use this to make type-directed
+/// decisions without re-running the whole checker. The model is only read —
+/// a call costs what typing `expr` costs, whatever the size of the spec.
+/// Returns `Err` with diagnostics if the expression does not type-check in
+/// the given scope.
 pub fn infer_expr_type(model: &Model, expr: &Expr, scope: &mut Scope) -> Result<Type, Diagnostics> {
-    let mut cx = Checker {
-        model: model.clone(),
+    let mut cx = Infer {
+        model,
         diags: Diagnostics::new(),
     };
     let t = cx.infer(expr, scope);
@@ -983,6 +995,29 @@ mod tests {
             infer_expr_type(&c.model, &e, &mut scope).unwrap(),
             Type::Enum("TimingType".into())
         );
+    }
+
+    /// The sweep over every body of the real suite lives where the suite
+    /// can be named: `tests/inference.rs` of the root package.
+    #[test]
+    fn standalone_inference_only_reads_the_model() {
+        let c = checked("float T = 0.25;");
+        let before = c.model.clone();
+        let mut scope = Scope::new();
+        scope.bind("r", Type::Class("Region".into()));
+
+        let good = parse_expr("SUM(s.Incl WHERE s IN r.TotTimes AND s.Incl > T)").unwrap();
+        let ty = infer_expr_type(&c.model, &good, &mut scope).unwrap();
+        assert_eq!(ty, Type::Float);
+
+        let bad = parse_expr("T + r.TotTimes").unwrap();
+        let diags = infer_expr_type(&c.model, &bad, &mut scope).unwrap_err();
+        let d = diags.iter().next().unwrap();
+        assert!(d.message.contains("numeric operands"), "{}", d.message);
+        assert_eq!(d.span, bad.span, "the diagnostic points at the expression");
+        assert_ne!(d.span, Span::default());
+
+        assert_eq!(c.model, before);
     }
 
     #[test]

@@ -25,100 +25,117 @@
 //! operands).
 
 use crate::{Finding, LintReport};
-use asl_core::SourceMap;
+use asl_core::{SourceMap, Span};
 use std::fmt::Write;
 
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+/// Append `s`, escaped for a JSON string literal, to `out`: the runs
+/// between characters that need an escape are copied whole.
+fn escape_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (at, c) in s.char_indices() {
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[clean..at]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            None => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c),
         }
+        clean = at + c.len_utf8();
     }
-    out
+    out.push_str(&s[clean..]);
 }
 
-fn finding_json(f: &Finding, map: &SourceMap) -> String {
-    let loc = map.locate(f.span.start);
-    let verdict = match f.verdict {
-        Some(v) => format!("\"{}\"", escape(v)),
-        None => "null".to_string(),
-    };
-    let notes = f
-        .notes
-        .iter()
-        .map(|n| {
-            let nloc = map.locate(n.span.start);
-            format!(
-                "{{\"message\":\"{}\",\"line\":{},\"col\":{},\"start\":{},\"end\":{}}}",
-                escape(&n.message),
-                nloc.line,
-                nloc.col,
-                n.span.start,
-                n.span.end
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"rule\":\"{}\",\"message\":\"{}\",\"owner\":\"{}\",\"verdict\":{},\
-         \"line\":{},\"col\":{},\"start\":{},\"end\":{},\"notes\":[{}]}}",
-        escape(f.rule),
-        escape(&f.message),
-        escape(&f.owner),
-        verdict,
-        loc.line,
-        loc.col,
-        f.span.start,
-        f.span.end,
-        notes
-    )
+/// Append `"key":"<escaped value>"`.
+fn string_field(out: &mut String, key: &str, value: &str) {
+    let _ = write!(out, "\"{key}\":\"");
+    escape_into(out, value);
+    out.push('"');
+}
+
+/// Append `,"line":…,"col":…,"start":…,"end":…` for a span.
+fn location(out: &mut String, span: Span, map: &SourceMap) {
+    let loc = map.locate(span.start);
+    let _ = write!(
+        out,
+        ",\"line\":{},\"col\":{},\"start\":{},\"end\":{}",
+        loc.line, loc.col, span.start, span.end
+    );
+}
+
+/// Append `"key":[item,item,…]`, one `item` call per element.
+fn list<T>(out: &mut String, key: &str, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    let _ = write!(out, "\"{key}\":[");
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, it);
+    }
+    out.push(']');
+}
+
+fn finding_json(out: &mut String, f: &Finding, map: &SourceMap) {
+    out.push('{');
+    string_field(out, "rule", f.rule);
+    out.push(',');
+    string_field(out, "message", &f.message);
+    out.push(',');
+    string_field(out, "owner", &f.owner);
+    out.push(',');
+    match f.verdict {
+        Some(v) => string_field(out, "verdict", v),
+        None => out.push_str("\"verdict\":null"),
+    }
+    location(out, f.span, map);
+    out.push(',');
+    list(out, "notes", &f.notes, |out, n| {
+        out.push('{');
+        string_field(out, "message", &n.message);
+        location(out, n.span, map);
+        out.push('}');
+    });
+    out.push('}');
 }
 
 /// Render a full report as a single JSON object.
 pub fn report_to_json(report: &LintReport, source: &str) -> String {
     let map = SourceMap::new(source);
-    let list = |fs: &[Finding]| {
-        fs.iter()
-            .map(|f| finding_json(f, &map))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let costs = report
-        .costs
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"property\":\"{}\",\"ir_nodes\":{},\"indexed_loads\":{},\
-                 \"scan_constructs\":{},\"cached_subtrees\":{},\
-                 \"max_loop_depth\":{},\"estimated_units\":{}}}",
-                escape(&c.property),
-                c.ir_nodes,
-                c.indexed_loads,
-                c.scan_constructs,
-                c.cached_subtrees,
-                c.max_loop_depth,
-                c.estimated_units
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"schema\":1,\"findings\":[{}],\"suppressed\":[{}],\"proofs\":[{}],\"costs\":[{}]}}",
-        list(&report.findings),
-        list(&report.suppressed),
-        list(&report.proofs),
-        costs
-    )
+    let mut out = String::from("{\"schema\":1,");
+    for (key, findings) in [
+        ("findings", &report.findings),
+        ("suppressed", &report.suppressed),
+        ("proofs", &report.proofs),
+    ] {
+        list(&mut out, key, findings, |out, f| finding_json(out, f, &map));
+        out.push(',');
+    }
+    list(&mut out, "costs", &report.costs, |out, c| {
+        out.push('{');
+        string_field(out, "property", &c.property);
+        let _ = write!(
+            out,
+            ",\"ir_nodes\":{},\"indexed_loads\":{},\
+             \"scan_constructs\":{},\"cached_subtrees\":{},\
+             \"max_loop_depth\":{},\"estimated_units\":{}}}",
+            c.ir_nodes,
+            c.indexed_loads,
+            c.scan_constructs,
+            c.cached_subtrees,
+            c.max_loop_depth,
+            c.estimated_units
+        );
+    });
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -127,7 +144,8 @@ mod tests {
 
     #[test]
     fn escapes_control_and_quote_characters() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let mut out = String::new();
+        escape_into(&mut out, "a\"b\\c\nd\u{1}");
+        assert_eq!(out, "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -17,8 +17,9 @@ pub mod unused;
 use crate::fold::Folder;
 use crate::Finding;
 use asl_core::ast::{Expr, ExprKind, Param, TypeExpr, TypeExprKind};
-use asl_core::check::{infer_expr_type, CheckedSpec, Scope};
+use asl_core::check::{CheckedSpec, Scope};
 use asl_core::types::{Model, Type};
+use std::cell::OnceCell;
 
 /// Shared context handed to every rule: the checked spec, the constant
 /// folder (built once over the spec's global constants), and — when the
@@ -33,6 +34,9 @@ pub struct LintCx<'a> {
     /// it they fall back to their syntactic approximation (or stay
     /// silent, for the flow-only rules).
     pub flow: Option<&'a flow::FlowReport>,
+    /// The performance rules' findings, from the one walk they share
+    /// (see [`perf`]); filled by whichever of them runs first.
+    perf: OnceCell<Vec<Finding>>,
 }
 
 impl<'a> LintCx<'a> {
@@ -47,6 +51,7 @@ impl<'a> LintCx<'a> {
             folder: Folder::new(&spec.spec),
             spec,
             flow,
+            perf: OnceCell::new(),
         }
     }
 
@@ -128,91 +133,6 @@ pub(crate) fn walk_expr<'e>(e: &'e Expr, f: &mut impl FnMut(&'e Expr)) {
             walk_expr(source, f);
             walk_expr(pred, f);
         }
-    }
-}
-
-/// Pre-order walk that keeps a type [`Scope`] current: set-construct
-/// binders are bound (to the inferred element type of their source)
-/// around the sub-expressions that can see them. The callback observes
-/// each node with the scope of its *surrounding* context — a construct's
-/// own binder is not yet bound when the construct node itself is visited.
-pub(crate) fn walk_scoped(
-    model: &Model,
-    e: &Expr,
-    scope: &mut Scope,
-    f: &mut impl FnMut(&Expr, &mut Scope),
-) {
-    f(e, scope);
-    match &e.kind {
-        ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::BoolLit(_)
-        | ExprKind::Var(_) => {}
-        ExprKind::Attr(base, _) => walk_scoped(model, base, scope, f),
-        ExprKind::Call(_, args) => {
-            for a in args {
-                walk_scoped(model, a, scope, f);
-            }
-        }
-        ExprKind::Unary(_, inner) | ExprKind::Unique(inner) | ExprKind::CountSet(inner) => {
-            walk_scoped(model, inner, scope, f)
-        }
-        ExprKind::Binary(_, l, r) => {
-            walk_scoped(model, l, scope, f);
-            walk_scoped(model, r, scope, f);
-        }
-        ExprKind::SetComp {
-            binder,
-            source,
-            pred,
-        } => {
-            walk_scoped(model, source, scope, f);
-            let et = elem_of(model, source, scope);
-            scope.push();
-            scope.bind(&binder.name, et);
-            walk_scoped(model, pred, scope, f);
-            scope.pop();
-        }
-        ExprKind::Aggregate {
-            value,
-            binder,
-            source,
-            pred,
-            ..
-        } => {
-            walk_scoped(model, source, scope, f);
-            let et = elem_of(model, source, scope);
-            scope.push();
-            scope.bind(&binder.name, et);
-            walk_scoped(model, value, scope, f);
-            if let Some(p) = pred {
-                walk_scoped(model, p, scope, f);
-            }
-            scope.pop();
-        }
-        ExprKind::Quantifier {
-            binder,
-            source,
-            pred,
-            ..
-        } => {
-            walk_scoped(model, source, scope, f);
-            let et = elem_of(model, source, scope);
-            scope.push();
-            scope.bind(&binder.name, et);
-            walk_scoped(model, pred, scope, f);
-            scope.pop();
-        }
-    }
-}
-
-/// The element type of a set-valued source expression, `Type::Error`
-/// when inference fails (rules must treat `Error` as "unknown").
-pub(crate) fn elem_of(model: &Model, source: &Expr, scope: &mut Scope) -> Type {
-    match infer_expr_type(model, source, scope) {
-        Ok(Type::Set(e)) => *e,
-        _ => Type::Error,
     }
 }
 

@@ -6,89 +6,254 @@
 //! `asl_eval::native_index` to know which `(class, set, attr)` triples
 //! the COSY store can actually serve in O(matches).
 
-use super::{elem_of, walk_scoped, LintCx, LintRule};
+use super::{bind_params, decl_ty, uses_var, LintCx, LintRule};
 use crate::Finding;
-use asl_core::ast::{BinOp, Expr, ExprKind, Ident};
+use asl_core::ast::{BinOp, Expr, ExprKind, Ident, Param};
 use asl_core::check::{infer_expr_type, Scope};
-use asl_core::types::Type;
+use asl_core::types::{Model, Type};
+use asl_core::Span;
 use asl_eval::compile::shape::{and_conjuncts, eq_filter_conjunct, indexed_filter};
 use asl_eval::native_index;
-use std::collections::HashSet;
 
-/// A set construct the compiler's `lower_source` extraction applies to
-/// (quantifiers are excluded: `FORALL`/`EXISTS` never use the indexed
-/// filter).
-struct Construct<'e> {
-    binder: &'e Ident,
-    source: &'e Expr,
-    pred: Option<&'e Expr>,
+/// The one scoped walk the three rules share: every expression of the spec
+/// is visited once, with the lexical type scope of its position and the
+/// binders of the set constructs around it. The checker is asked for a
+/// type once per construct source, once per filtered base and once per
+/// binder-dependent attribute.
+struct Walk<'a> {
+    model: &'a Model,
+    scope: Scope,
+    /// Binders of the enclosing set constructs, outermost first.
+    binders: Vec<&'a str>,
+    /// The declaration being walked (`property X`, `function F`, …).
+    owner: String,
+    out: Vec<Finding>,
 }
 
-impl<'e> Construct<'e> {
-    fn of(e: &'e Expr) -> Option<Construct<'e>> {
+/// Every performance finding of the spec, computed by the first of the
+/// three rules to run and shared through the context.
+fn findings<'c>(cx: &'c LintCx<'_>) -> &'c [Finding] {
+    cx.perf.get_or_init(|| {
+        let model = cx.model();
+        let spec = &cx.spec.spec;
+        let mut w = Walk {
+            model,
+            scope: Scope::new(),
+            binders: Vec::new(),
+            owner: String::new(),
+            out: Vec::new(),
+        };
+        for c in &spec.constants {
+            w.enter(format!("constant {}", c.name.name), &[]);
+            w.expr(&c.value);
+        }
+        for fun in &spec.functions {
+            w.enter(format!("function {}", fun.name.name), &fun.params);
+            w.expr(&fun.body);
+        }
+        for p in &spec.properties {
+            w.enter(format!("property {}", p.name.name), &p.params);
+            for l in &p.lets {
+                w.expr(&l.value);
+                w.scope.bind(&l.name.name, decl_ty(model, &l.ty));
+            }
+            for c in &p.conditions {
+                w.expr(&c.expr);
+            }
+            for arm in p.confidence.arms.iter().chain(p.severity.arms.iter()) {
+                w.expr(&arm.expr);
+            }
+        }
+        w.out
+    })
+}
+
+/// The findings of one rule, out of the shared walk.
+fn emit(rule: &'static str, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
+    out.extend(findings(cx).iter().filter(|f| f.rule == rule).cloned());
+}
+
+impl<'a> Walk<'a> {
+    /// Start a declaration: a fresh scope holding its parameters.
+    fn enter(&mut self, owner: String, params: &[Param]) {
+        self.owner = owner;
+        self.scope = Scope::new();
+        bind_params(self.model, &mut self.scope, params);
+    }
+
+    fn finding(&mut self, rule: &'static str, span: Span, message: String) {
+        self.out.push(Finding {
+            rule,
+            message,
+            span,
+            owner: self.owner.clone(),
+            ..Finding::default()
+        });
+    }
+
+    fn expr(&mut self, e: &'a Expr) {
         match &e.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::Var(_) => {}
+            ExprKind::Attr(base, _) => self.attr(e, base, None),
+            ExprKind::Call(_, args) => {
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            ExprKind::Unary(_, inner) | ExprKind::Unique(inner) | ExprKind::CountSet(inner) => {
+                self.expr(inner)
+            }
+            ExprKind::Binary(_, l, r) => {
+                self.expr(l);
+                self.expr(r);
+            }
             ExprKind::SetComp {
                 binder,
                 source,
                 pred,
-            } => Some(Construct {
-                binder,
-                source,
-                pred: Some(pred),
-            }),
+            } => {
+                self.filtered(binder, source, Some(pred));
+                self.construct(binder, source, [None, Some(pred)]);
+            }
             ExprKind::Aggregate {
+                value,
                 binder,
                 source,
                 pred,
                 ..
-            } => Some(Construct {
+            } => {
+                self.filtered(binder, source, pred.as_deref());
+                self.construct(binder, source, [Some(value), pred.as_deref()]);
+            }
+            // `FORALL`/`EXISTS` never use the indexed filter.
+            ExprKind::Quantifier {
                 binder,
                 source,
-                pred: pred.as_deref(),
-            }),
-            _ => None,
+                pred,
+                ..
+            } => self.construct(binder, source, [None, Some(pred)]),
         }
     }
-}
 
-/// Visit every expression of the spec with the lexical type scope of its
-/// position, tagging each with its owning declaration.
-fn for_each_expr(cx: &LintCx<'_>, f: &mut impl FnMut(&Expr, &mut Scope, &str)) {
-    let model = cx.model();
-    let spec = &cx.spec.spec;
-    for c in &spec.constants {
-        let mut scope = Scope::new();
-        let owner = format!("constant {}", c.name.name);
-        walk_scoped(model, &c.value, &mut scope, &mut |e, s| f(e, s, &owner));
-    }
-    for fun in &spec.functions {
-        let mut scope = Scope::new();
-        super::bind_params(model, &mut scope, &fun.params);
-        let owner = format!("function {}", fun.name.name);
-        walk_scoped(model, &fun.body, &mut scope, &mut |e, s| f(e, s, &owner));
-    }
-    for p in &spec.properties {
-        let mut scope = Scope::new();
-        super::bind_params(model, &mut scope, &p.params);
-        let owner = format!("property {}", p.name.name);
-        for l in &p.lets {
-            walk_scoped(model, &l.value, &mut scope, &mut |e, s| f(e, s, &owner));
-            scope.bind(&l.name.name, super::decl_ty(model, &l.ty));
+    /// Walk a set construct: its source in the surrounding scope, its
+    /// bodies with the binder bound to the source's element type
+    /// (`Type::Error`, which rules treat as "unknown", when inference
+    /// fails).
+    fn construct(&mut self, binder: &'a Ident, source: &'a Expr, bodies: [Option<&'a Expr>; 2]) {
+        let ty = infer_expr_type(self.model, source, &mut self.scope).ok();
+        let elem = match &ty {
+            Some(Type::Set(elem)) => (**elem).clone(),
+            _ => Type::Error,
+        };
+        match &source.kind {
+            ExprKind::Attr(base, _) => self.attr(source, base, ty),
+            _ => self.expr(source),
         }
-        for c in &p.conditions {
-            walk_scoped(model, &c.expr, &mut scope, &mut |e, s| f(e, s, &owner));
+        self.scope.push();
+        self.scope.bind(&binder.name, elem);
+        self.binders.push(&binder.name);
+        for body in bodies.into_iter().flatten() {
+            self.expr(body);
         }
-        for arm in p.confidence.arms.iter().chain(p.severity.arms.iter()) {
-            walk_scoped(model, &arm.expr, &mut scope, &mut |e, s| f(e, s, &owner));
-        }
+        self.binders.pop();
+        self.scope.pop();
     }
-}
 
-/// The class of an object-valued expression, via type inference.
-fn class_of(cx: &LintCx<'_>, e: &Expr, scope: &mut Scope) -> Option<String> {
-    match infer_expr_type(cx.model(), e, scope) {
-        Ok(Type::Class(c)) => Some(c),
-        _ => None,
+    /// `per-element-set-clone` at the attribute access `e`, attributed to
+    /// the outermost enclosing binder it reads; `ty` is its type when the
+    /// caller already asked for it.
+    fn attr(&mut self, e: &'a Expr, base: &'a Expr, ty: Option<Type>) {
+        if let Some(binder) = self.binders.iter().copied().find(|b| uses_var(e, b)) {
+            let ty = ty.or_else(|| infer_expr_type(self.model, e, &mut self.scope).ok());
+            if matches!(ty, Some(Type::Set(_))) {
+                self.finding(
+                    "per-element-set-clone",
+                    e.span,
+                    format!(
+                        "set-valued attribute `{}` depends on binder `{binder}` and is \
+                         materialized (cloned) on every iteration; hoist it or \
+                         restructure the loop if the set is large",
+                        asl_core::pretty::print_expr(e),
+                    ),
+                );
+            }
+        }
+        self.expr(base);
+    }
+
+    /// `residual-filter-scan` and `full-scan-where-indexed` at a construct
+    /// the compiler's `lower_source` extraction applies to: which of the
+    /// two can fire is decided by whether the first conjunct is extracted
+    /// *and* natively served.
+    fn filtered(&mut self, binder: &'a Ident, source: &'a Expr, pred: Option<&'a Expr>) {
+        let (ExprKind::Attr(base, set_attr), Some(pred)) = (&source.kind, pred) else {
+            return;
+        };
+        let Ok(Type::Class(class)) = infer_expr_type(self.model, base, &mut self.scope) else {
+            return;
+        };
+        let b = &binder.name;
+        let sa = &set_attr.name;
+        let served = indexed_filter(b, source, Some(pred))
+            .filter(|f| native_index(&class, f.set_attr, f.elem_attr));
+        if let Some(f) = served {
+            for r in &f.residual {
+                let Some((attr, n_keys)) = eq_membership(r, b) else {
+                    continue;
+                };
+                let keys = if n_keys == 1 {
+                    "…".to_string()
+                } else {
+                    format!("one of {n_keys} keys")
+                };
+                self.finding(
+                    "residual-filter-scan",
+                    r.span,
+                    format!(
+                        "`{b}.{attr} == {keys}` runs per element after the indexed \
+                         `{b}.{ea} ==` load: `{class}.{sa}` has no ({ea}, {attr}) \
+                         two-key index, so the residual filter scans every match",
+                        ea = f.elem_attr,
+                    ),
+                );
+            }
+            return;
+        }
+        // Not served (a second servable conjunct behind a served first one
+        // is the two-key case above): any servable conjunct is a lost
+        // indexed load. One finding per construct is enough.
+        for (i, conj) in and_conjuncts(pred).into_iter().enumerate() {
+            let Some((attr, _)) = eq_filter_conjunct(conj, b) else {
+                continue;
+            };
+            if !native_index(&class, sa, attr) {
+                continue;
+            }
+            let why = if i == 0 {
+                // First conjunct, but extraction still failed (e.g. a
+                // non-simple key): unreachable today, kept for safety.
+                "the compiler could not extract it".to_string()
+            } else {
+                format!(
+                    "it is conjunct {} — only the first conjunct is extracted",
+                    i + 1
+                )
+            };
+            self.finding(
+                "full-scan-where-indexed",
+                conj.span,
+                format!(
+                    "this construct scans `{class}.{sa}` in full although \
+                     `{b}.{attr} ==` could be served by the indexed load; {why}. \
+                     Move it to the front of the predicate",
+                ),
+            );
+            return;
+        }
     }
 }
 
@@ -128,42 +293,7 @@ impl LintRule for ResidualFilterScan {
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        for_each_expr(cx, &mut |e, scope, owner| {
-            let Some(c) = Construct::of(e) else { return };
-            let Some(f) = indexed_filter(&c.binder.name, c.source, c.pred) else {
-                return;
-            };
-            let Some(class) = class_of(cx, f.base, scope) else {
-                return;
-            };
-            if !native_index(&class, f.set_attr, f.elem_attr) {
-                return;
-            }
-            for r in &f.residual {
-                let Some((attr, n_keys)) = eq_membership(r, &c.binder.name) else {
-                    continue;
-                };
-                let keys = if n_keys == 1 {
-                    "…".to_string()
-                } else {
-                    format!("one of {n_keys} keys")
-                };
-                out.push(Finding {
-                    rule: LintRule::name(self),
-                    message: format!(
-                        "`{b}.{attr} == {keys}` runs per element after the indexed \
-                         `{b}.{ea} ==` load: `{class}.{sa}` has no ({ea}, {attr}) \
-                         two-key index, so the residual filter scans every match",
-                        b = c.binder.name,
-                        ea = f.elem_attr,
-                        sa = f.set_attr,
-                    ),
-                    span: r.span,
-                    owner: owner.to_string(),
-                    ..Finding::default()
-                });
-            }
-        });
+        emit(self.name(), cx, out);
     }
 }
 
@@ -183,55 +313,7 @@ impl LintRule for FullScanWhereIndexed {
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        for_each_expr(cx, &mut |e, scope, owner| {
-            let Some(c) = Construct::of(e) else { return };
-            let (ExprKind::Attr(base, set_attr), Some(pred)) = (&c.source.kind, c.pred) else {
-                return;
-            };
-            let Some(class) = class_of(cx, base, scope) else {
-                return;
-            };
-            // When the first conjunct is already extracted *and* natively
-            // served, the construct is fine (a second servable conjunct is
-            // the two-key case handled by residual-filter-scan).
-            if indexed_filter(&c.binder.name, c.source, c.pred)
-                .is_some_and(|f| native_index(&class, f.set_attr, f.elem_attr))
-            {
-                return;
-            }
-            for (i, conj) in and_conjuncts(pred).into_iter().enumerate() {
-                let Some((attr, _)) = eq_filter_conjunct(conj, &c.binder.name) else {
-                    continue;
-                };
-                if !native_index(&class, &set_attr.name, attr) {
-                    continue;
-                }
-                let why = if i == 0 {
-                    // First conjunct, but extraction still failed (e.g. a
-                    // non-simple key): unreachable today, kept for safety.
-                    "the compiler could not extract it".to_string()
-                } else {
-                    format!(
-                        "it is conjunct {} — only the first conjunct is extracted",
-                        i + 1
-                    )
-                };
-                out.push(Finding {
-                    rule: LintRule::name(self),
-                    message: format!(
-                        "this construct scans `{class}.{sa}` in full although \
-                         `{b}.{attr} ==` could be served by the indexed load; {why}. \
-                         Move it to the front of the predicate",
-                        sa = set_attr.name,
-                        b = c.binder.name,
-                    ),
-                    span: conj.span,
-                    owner: owner.to_string(),
-                    ..Finding::default()
-                });
-                return; // one finding per construct is enough
-            }
-        });
+        emit(self.name(), cx, out);
     }
 }
 
@@ -251,66 +333,6 @@ impl LintRule for PerElementSetClone {
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        let model = cx.model();
-        let mut seen: HashSet<(u32, u32)> = HashSet::new();
-        for_each_expr(cx, &mut |e, scope, owner| {
-            let (binder, source, bodies): (_, _, Vec<&Expr>) = match &e.kind {
-                ExprKind::SetComp {
-                    binder,
-                    source,
-                    pred,
-                } => (binder, source, vec![pred]),
-                ExprKind::Aggregate {
-                    binder,
-                    source,
-                    pred,
-                    value,
-                    ..
-                } => {
-                    let mut b: Vec<&Expr> = vec![value];
-                    b.extend(pred.as_deref());
-                    (binder, source, b)
-                }
-                ExprKind::Quantifier {
-                    binder,
-                    source,
-                    pred,
-                    ..
-                } => (binder, source, vec![pred]),
-                _ => return,
-            };
-            let et = elem_of(model, source, scope);
-            scope.push();
-            scope.bind(&binder.name, et);
-            for body in bodies {
-                walk_scoped(model, body, scope, &mut |inner, inner_scope| {
-                    if !matches!(inner.kind, ExprKind::Attr(..)) {
-                        return;
-                    }
-                    if !super::uses_var(inner, &binder.name) {
-                        return;
-                    }
-                    if !matches!(infer_expr_type(model, inner, inner_scope), Ok(Type::Set(_))) {
-                        return;
-                    }
-                    if seen.insert((inner.span.start, inner.span.end)) {
-                        out.push(Finding {
-                            rule: "per-element-set-clone",
-                            message: format!(
-                                "set-valued attribute `{}` depends on binder `{}` and is \
-                                 materialized (cloned) on every iteration; hoist it or \
-                                 restructure the loop if the set is large",
-                                asl_core::pretty::print_expr(inner),
-                                binder.name
-                            ),
-                            span: inner.span,
-                            owner: owner.to_string(),
-                            ..Finding::default()
-                        });
-                    }
-                });
-            }
-            scope.pop();
-        });
+        emit(self.name(), cx, out);
     }
 }

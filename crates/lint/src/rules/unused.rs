@@ -58,11 +58,12 @@ impl LintRule for UnusedConstant {
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
         let spec = &cx.spec.spec;
+        let constants = &cx.model().constants;
         let mut used: HashSet<&str> = HashSet::new();
         for_each_body(spec, &mut |owner, body| {
             walk_expr(body, &mut |e| {
                 if let ExprKind::Var(n) = &e.kind {
-                    if owner != Owner::Const(n.as_str()) && spec.constant(n).is_some() {
+                    if owner != Owner::Const(n.as_str()) && constants.contains_key(n) {
                         used.insert(n.as_str());
                     }
                 }
@@ -97,12 +98,13 @@ impl LintRule for UnusedFunction {
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
         let spec = &cx.spec.spec;
+        let functions = &cx.model().functions;
         let mut called: HashSet<&str> = HashSet::new();
         let mut self_called: HashSet<&str> = HashSet::new();
         for_each_body(spec, &mut |owner, body| {
             walk_expr(body, &mut |e| {
                 if let ExprKind::Call(name, _) = &e.kind {
-                    if spec.function(&name.name).is_some() {
+                    if functions.contains_key(&name.name) {
                         if owner == Owner::Func(name.name.as_str()) {
                             self_called.insert(name.name.as_str());
                         } else {

@@ -74,6 +74,14 @@ fn golden_perf() {
     run_fixture("perf");
 }
 
+/// Blessed on the commit before the three performance rules were folded
+/// into one typed walk: binder attribution under nesting, shadowing and a
+/// `LET`-bound source must not move.
+#[test]
+fn golden_perf_nested() {
+    run_fixture("perf_nested");
+}
+
 #[test]
 fn golden_allow() {
     run_fixture("allow");
