@@ -253,6 +253,26 @@ mod tests {
         assert_eq!(compiled.node_count(), 349);
     }
 
+    /// What the plan beside that pool holds for the suite: the seven
+    /// per-overhead-family sums hand their `Type ∈ {…}` test to the store,
+    /// the two `MinPeSum`s are one cell filled once per region and flush,
+    /// and every severity's `Duration(Basis, t)` is evaluated once per
+    /// batch.
+    #[test]
+    fn the_plan_of_the_suite_is_pinned() {
+        let compiled = asl_eval::compile(&standard_suite());
+        assert_eq!(
+            compiled.plan_stats(),
+            asl_eval::PlanStats {
+                hoist_sites: 12,
+                subject_sites: 2,
+                subject_cells: 1,
+                second_keys: 7,
+            }
+        );
+        assert_eq!(compiled.node_count(), 349);
+    }
+
     #[test]
     fn paper_properties_take_region_run_basis() {
         let spec = standard_suite();

@@ -6,7 +6,9 @@
 //! for entries that hold, and shared; frames, sets and helper-call
 //! arguments live in one reused scratch per batch. What remains is per
 //! batch (scratch, output vector), per context (its label, once per
-//! analyzer) and per call (the instance list, the result vector).
+//! analyzer), per call (the instance list, the result vector) and per
+//! binding (the slots of what the evaluator keeps per subject, allocated
+//! by the first instance that needs them — not again by a later run).
 //!
 //! Own test binary, one test function: the counter is the process's
 //! global allocator.
@@ -119,4 +121,23 @@ fn evaluation_allocates_per_batch_not_per_instance() {
         heads.len()
     );
     assert_eq!(per_instance, per_batch);
+
+    // Per binding: the first run evaluated on a fresh one allocates the
+    // per-subject slots, a second run finds them — its first evaluation
+    // allocates what its repetition does.
+    let fresh = PreparedBackend::from_compiled(analyzer.compiled_spec(), &store).unwrap();
+    let lists = [runs[0], runs[1]].map(|run| analyzer.instances(run));
+    let mut counts = [0; 4];
+    for (i, list) in [&lists[0], &lists[0], &lists[1], &lists[1]]
+        .into_iter()
+        .enumerate()
+    {
+        counts[i] = allocations(|| analyzer.evaluate_instances(&fresh, list).unwrap()).0;
+    }
+    println!("fresh binding: {counts:?} (first run twice, then second run twice)");
+    assert!(
+        counts[0] > counts[1],
+        "{counts:?}: nothing kept per binding"
+    );
+    assert_eq!(counts[2], counts[3], "a second run allocated per binding");
 }

@@ -33,15 +33,21 @@
 //!
 //! The unit of execution is a [`Batch`]: one property, one shared context
 //! (every argument but the first) and any number of *subjects* (the first
-//! argument). A batch resolves the property once, runs every instance on
-//! one reusable register/cache stack, and keeps alive across its
-//! instances every expensive subtree that reads nothing but the shared
-//! context — which subtrees those are is a plan computed *beside* the node
+//! argument). A batch resolves the property once and runs every instance
+//! on one reusable register/cache stack. What need not be computed per
+//! instance is not: an expensive subtree that reads nothing but the shared
+//! context is evaluated once per batch, one that reads nothing but the
+//! subject once per subject for as long as the evaluator is bound to its
+//! data — across runs, properties and workers — and a predicate that only
+//! selects elements by a set of constants (`tt.Type == A OR tt.Type == B`)
+//! is handed to the data source with the filter in front of it
+//! ([`SetFilter::among`]) instead of being run per element. Which
+//! subtrees and predicates those are is a plan computed *beside* the node
 //! pool on first bind ([`CompiledSpec::node_count`] and the pool that
 //! kojak-lint and kojak-flow walk are exactly what [`compile`] emitted).
 
 use crate::error::{EvalError, EvalErrorKind, EvalResult};
-use crate::interp::{ObjectModel, PropertyOutcome};
+use crate::interp::{ObjectModel, PropertyOutcome, SetFilter};
 use crate::ops;
 use crate::value::{ObjRef, Value};
 use asl_core::ast::*;
@@ -54,8 +60,9 @@ use std::sync::{Arc, OnceLock};
 /// Maximum user-function call depth (mirrors the interpreter).
 const MAX_CALL_DEPTH: u32 = 64;
 
-/// Process-wide hit counter of the evaluator's lazy cells ([`Ir::Cached`]
-/// loop-invariant caches and the batch-hoisted subtrees). `const`-
+/// Process-wide hit counter of the evaluator's lazy cells: loop-invariant
+/// ([`Ir::Cached`]), per-batch context (hoisted subtrees) and per-flush
+/// subject (subtrees kept per subject while the evaluator lives). `const`-
 /// constructed — no registration, no startup cost; the observability
 /// layer reads it via [`cache_counters`]. Executing a node only bumps a
 /// plain integer in the batch's scratch; the sum is added here once, when
@@ -109,7 +116,7 @@ impl SourceCtx {
 /// The enum is public (read-only, via [`CompiledSpec::node`]) so that
 /// analysis passes such as `kojak-flow` can walk the exact program the
 /// engine executes rather than re-deriving semantics from the AST.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Ir {
     /// Integer literal.
     Int(i64),
@@ -283,6 +290,56 @@ impl Ir {
             }
         }
     }
+
+    /// Replace every direct child reference by `f` of it — in the order
+    /// [`Compiler::hoist`] rewrites them, which numbers the cache cells (an
+    /// aggregate's value before its predicate), not in evaluation order.
+    fn map_children(&mut self, f: &mut dyn FnMut(NodeRef) -> NodeRef) {
+        match self {
+            Ir::Int(_)
+            | Ir::Float(_)
+            | Ir::Bool(_)
+            | Ir::Str(_)
+            | Ir::Load(_)
+            | Ir::Const(_)
+            | Ir::EnumVal(..)
+            | Ir::UnknownVar(_) => {}
+            Ir::Attr { base: i, .. }
+            | Ir::Unary(_, i)
+            | Ir::Unique(i)
+            | Ir::CountSet(i)
+            | Ir::Cached { expr: i, .. } => *i = f(*i),
+            Ir::Call { args, .. } | Ir::CallUnknown { args, .. } | Ir::MinMax { args, .. } => {
+                args.iter_mut().for_each(|a| *a = f(*a))
+            }
+            Ir::Binary(_, l, r) => {
+                *l = f(*l);
+                *r = f(*r);
+            }
+            Ir::SetComp { source, pred, .. } => {
+                *source = f(*source);
+                *pred = f(*pred);
+            }
+            Ir::Aggregate {
+                source,
+                value,
+                pred,
+                ..
+            } => {
+                *source = f(*source);
+                *value = f(*value);
+                pred.iter_mut().for_each(|p| *p = f(*p));
+            }
+            Ir::Quantifier { source, pred, .. } => {
+                *source = f(*source);
+                pred.iter_mut().for_each(|p| *p = f(*p));
+            }
+            Ir::FilterEq { obj, key, .. } => {
+                *obj = f(*obj);
+                *key = f(*key);
+            }
+        }
+    }
 }
 
 /// A confidence/severity arm with its guard resolved to a condition index.
@@ -356,6 +413,24 @@ impl CompiledSpec {
     /// Number of IR nodes (diagnostics/benchmarks).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// What the evaluator's plan holds beside those nodes (diagnostics and
+    /// tests; builds the plan if no evaluator has been bound yet).
+    pub fn plan_stats(&self) -> PlanStats {
+        let plan = self.plan();
+        let sites = |subject| {
+            let marked = plan.cell.iter().filter(|&&c| c != NO_CELL);
+            marked
+                .filter(|&&c| (c & SUBJECT_CELL != 0) == subject)
+                .count()
+        };
+        PlanStats {
+            hoist_sites: sites(false),
+            subject_sites: sites(true),
+            subject_cells: plan.subject_roots.len(),
+            second_keys: plan.second_keys.len(),
+        }
     }
 
     /// The IR node behind a reference (read-only; analysis passes).
@@ -599,6 +674,24 @@ impl CompiledSpec {
             CARD_SCAN
         }
     }
+}
+
+/// Sizes of the plan a [`CompiledSpec`] is evaluated by — which subtrees
+/// are evaluated once and which predicates the data source answers; see
+/// [`CompiledSpec::plan_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanStats {
+    /// Subtrees that read only a batch's shared context: evaluated once
+    /// per batch.
+    pub hoist_sites: usize,
+    /// Subtrees that read only the subject: evaluated once per subject and
+    /// binding.
+    pub subject_sites: usize,
+    /// Distinct cells behind the subject sites (equal subtrees share one).
+    pub subject_cells: usize,
+    /// Selecting constructs whose predicate `x.A == c₁ OR …` is handed to
+    /// the data source as a second filter key.
+    pub second_keys: usize,
 }
 
 /// Read-only view of a compiled global constant (analysis passes).
@@ -1181,55 +1274,7 @@ impl<'s> Compiler<'s> {
         // Depends on the loop — recurse into the children, rewriting the
         // node's child references in place (parents stay valid).
         let mut n = self.nodes[node as usize].clone();
-        match &mut n {
-            Ir::Attr { base, .. } => *base = self.hoist(*base, binder_slot),
-            Ir::Call { args, .. } | Ir::CallUnknown { args, .. } | Ir::MinMax { args, .. } => {
-                for a in args.iter_mut() {
-                    *a = self.hoist(*a, binder_slot);
-                }
-            }
-            Ir::Unary(_, i) | Ir::Unique(i) | Ir::CountSet(i) | Ir::Cached { expr: i, .. } => {
-                *i = self.hoist(*i, binder_slot);
-            }
-            Ir::Binary(_, l, r) => {
-                *l = self.hoist(*l, binder_slot);
-                *r = self.hoist(*r, binder_slot);
-            }
-            Ir::SetComp { source, pred, .. } => {
-                *source = self.hoist(*source, binder_slot);
-                *pred = self.hoist(*pred, binder_slot);
-            }
-            Ir::Aggregate {
-                source,
-                value,
-                pred,
-                ..
-            } => {
-                *source = self.hoist(*source, binder_slot);
-                *value = self.hoist(*value, binder_slot);
-                if let Some(p) = pred {
-                    *p = self.hoist(*p, binder_slot);
-                }
-            }
-            Ir::Quantifier { source, pred, .. } => {
-                *source = self.hoist(*source, binder_slot);
-                if let Some(p) = pred {
-                    *p = self.hoist(*p, binder_slot);
-                }
-            }
-            Ir::FilterEq { obj, key, .. } => {
-                *obj = self.hoist(*obj, binder_slot);
-                *key = self.hoist(*key, binder_slot);
-            }
-            Ir::Int(_)
-            | Ir::Float(_)
-            | Ir::Bool(_)
-            | Ir::Str(_)
-            | Ir::Load(_)
-            | Ir::Const(_)
-            | Ir::EnumVal(..)
-            | Ir::UnknownVar(_) => {}
-        }
+        n.map_children(&mut |child| self.hoist(child, binder_slot));
         self.nodes[node as usize] = n;
         node
     }
@@ -1432,33 +1477,68 @@ pub mod shape {
 // Batch plan
 // ---------------------------------------------------------------------------
 
-/// "Not a hoist site" in [`BatchPlan::cell`].
+/// "Keeps nothing" in [`BatchPlan::cell`], "selects by no second key" in
+/// [`BatchPlan::among`].
 const NO_CELL: u32 = u32::MAX;
 
-/// Which subtrees of each property a [`Batch`] evaluates once. Within a
-/// batch only the subject (slot 0) changes, so an expensive subtree that
-/// reads nothing but the other parameters — `Duration(Basis, t)` in every
-/// severity of the standard suite — has one value, or one error, for all
-/// instances. Such a subtree is a *hoist site*: it gets a cell in the
-/// batch's scratch that is filled lazily, on the first instance that
-/// reaches it, and answers every later one.
+/// Set on the [`BatchPlan::cell`] of a *subject* site; the other bits are
+/// the subject cell's id.
+const SUBJECT_CELL: u32 = 1 << 31;
+
+/// What the evaluator knows about each property beyond its nodes. Two kinds
+/// of subtree are evaluated once and answered from a cell afterwards, and
+/// one kind of predicate is not executed at all:
+///
+/// * **Hoist sites.** Within a batch only the subject (slot 0) changes, so
+///   an expensive subtree that reads nothing but the other parameters —
+///   `Duration(Basis, t)` in every severity of the standard suite — has one
+///   value, or one error, for all instances. It gets a cell in the batch's
+///   scratch that is filled lazily, on the first instance that reaches it,
+///   and answers every later one.
+/// * **Subject sites.** An expensive subtree that reads nothing but the
+///   subject — `MinPeSum` of `SublinearSpeedup` and `UnmeasuredCost`, which
+///   finds a region's reference run — has one value per subject whatever
+///   the run and whichever property asks. It gets a cell of the *evaluator*
+///   ([`CompiledEvaluator::subjects`]), one value per subject, that lives
+///   as long as the binding to the data does; structurally equal subtrees
+///   share one cell.
+/// * **Second keys.** An `Aggregate` or `SetComp` over an indexed filter
+///   whose remaining predicate is `x.A == c₁ [OR x.A == c₂ …]` — every
+///   per-overhead-family property of the suite — *selects* the elements
+///   with `A ∈ {cᵢ}`. The set is asked of the data source
+///   ([`SetFilter::among`]); a source that answers has applied the
+///   predicate.
 ///
 /// A side table rather than new nodes in the pool: lint, flow and the
 /// benchmark's committed node counts see the pool [`compile`] emitted.
 #[derive(Debug)]
 struct BatchPlan {
-    /// Per node: its hoist cell, or [`NO_CELL`]. Sites are the maximal
-    /// context-only, expensive subtrees of property bodies; function and
-    /// constant bodies have none (their slots are arguments, not context).
+    /// Per node: [`NO_CELL`], its hoist cell, or [`SUBJECT_CELL`] + its
+    /// subject cell. Sites are the maximal context-only (subject-only),
+    /// expensive subtrees of property bodies; function and constant bodies
+    /// have none (their slots are arguments, not context).
     cell: Vec<u32>,
-    /// Per property: how many cells its sites use.
+    /// Per property: how many hoist cells its sites use.
     n_cells: Vec<u32>,
+    /// One root per distinct subject cell (the first site found of each).
+    subject_roots: Vec<NodeRef>,
+    /// Per node: for a construct that selects by a second key, its index
+    /// in `second_keys`; [`NO_CELL`] otherwise.
+    among: Vec<u32>,
+    /// `(attribute, values)` of each second key.
+    second_keys: Vec<(&'static str, Box<[Value]>)>,
 }
 
 impl BatchPlan {
     fn build(cs: &CompiledSpec) -> Self {
-        let mut cell = vec![NO_CELL; cs.nodes.len()];
-        let mut n_cells = Vec::with_capacity(cs.properties.len());
+        let nodes = &cs.nodes;
+        let mut plan = BatchPlan {
+            cell: vec![NO_CELL; nodes.len()],
+            n_cells: Vec::with_capacity(cs.properties.len()),
+            subject_roots: Vec::new(),
+            among: vec![NO_CELL; nodes.len()],
+            second_keys: Vec::new(),
+        };
         for p in &cs.properties {
             // Everything computed from the subject varies with it; LET and
             // binder slots are counted as varying wholesale, so only the
@@ -1469,11 +1549,40 @@ impl BatchPlan {
             let conditions = p.conditions.iter().map(|&(_, pred)| pred);
             let arms = p.confidence.iter().chain(&p.severity).map(|arm| arm.expr);
             for root in lets.chain(conditions).chain(arms) {
-                mark_hoist_sites(&cs.nodes, root, &varies, &mut cell, &mut next);
+                mark_hoist_sites(nodes, root, &varies, &mut plan.cell, &mut next);
+                // Slot 0 is the subject only if the property has parameters.
+                if p.n_params > 0 {
+                    plan.mark_subject_sites(nodes, root);
+                }
             }
-            n_cells.push(next);
+            plan.n_cells.push(next);
         }
-        BatchPlan { cell, n_cells }
+        for (at, ir) in nodes.iter().enumerate() {
+            if let Some(key) = second_key(nodes, ir) {
+                plan.among[at] = plan.second_keys.len() as u32;
+                plan.second_keys.push(key);
+            }
+        }
+        plan
+    }
+
+    /// [`mark_hoist_sites`] for what reads the subject alone, after it: a
+    /// hoist site stays one. Sites with the same tree get the same cell.
+    fn mark_subject_sites(&mut self, nodes: &[Ir], node: NodeRef) {
+        if self.cell[node as usize] != NO_CELL {
+            return;
+        }
+        if loads_free_slot(nodes, node, &|slot| slot != 0, &mut Vec::new()) {
+            nodes[node as usize].for_each_child(&mut |child| self.mark_subject_sites(nodes, child));
+        } else if is_expensive(nodes, node) {
+            let mut known = self.subject_roots.iter();
+            let shared = known.position(|&root| same_tree(nodes, root, node));
+            let id = shared.unwrap_or_else(|| {
+                self.subject_roots.push(node);
+                self.subject_roots.len() - 1
+            });
+            self.cell[node as usize] = SUBJECT_CELL | id as u32;
+        }
     }
 }
 
@@ -1494,6 +1603,85 @@ fn mark_hoist_sites(
     } else if is_expensive(nodes, node) {
         cell[node as usize] = *next;
         *next += 1;
+    }
+}
+
+/// Do the two subtrees compute the same thing from the same slots? Node
+/// for node the same operation on the same names, slots and cache cells
+/// (equal cells are more than needed — a subtree numbered differently is
+/// merely not shared); spans are not part of what is computed.
+fn same_tree(nodes: &[Ir], a: NodeRef, b: NodeRef) -> bool {
+    let parts = |node: NodeRef| {
+        let mut head = nodes[node as usize].clone();
+        let mut children = Vec::new();
+        head.map_children(&mut |child| {
+            children.push(child);
+            0
+        });
+        (head, children)
+    };
+    let ((x, xs), (y, ys)) = (parts(a), parts(b));
+    // Equal heads have as many children, a missing predicate included.
+    x == y && xs.iter().zip(&ys).all(|(&c, &d)| same_tree(nodes, c, d))
+}
+
+/// The second key of a selecting construct: for an `Aggregate` or `SetComp`
+/// straight over a [`Ir::FilterEq`] whose predicate is nothing but
+/// `b.A == c₁ [OR b.A == c₂ …]` — one attribute `A` of the construct's own
+/// binder `b`, each `cᵢ` an enum variant — `(A, {cᵢ})`. Never a quantifier:
+/// `FORALL` is falsified by the elements a filter drops.
+fn second_key(nodes: &[Ir], construct: &Ir) -> Option<(&'static str, Box<[Value]>)> {
+    let (slot, source, pred) = match construct {
+        Ir::Aggregate {
+            slot,
+            source,
+            pred: Some(pred),
+            ..
+        }
+        | Ir::SetComp {
+            slot, source, pred, ..
+        } => (*slot, *source, *pred),
+        _ => return None,
+    };
+    if !matches!(nodes[source as usize], Ir::FilterEq { .. }) {
+        return None;
+    }
+    let mut attr = None;
+    let mut values = Vec::new();
+    alternatives(nodes, pred, slot, &mut attr, &mut values)?;
+    Some((attr?, values.into()))
+}
+
+/// Collect the `cᵢ` of `b.A == c₁ OR …` (see [`second_key`]), `None` if
+/// `pred` is anything else.
+fn alternatives(
+    nodes: &[Ir],
+    pred: NodeRef,
+    binder: u32,
+    attr: &mut Option<&'static str>,
+    values: &mut Vec<Value>,
+) -> Option<()> {
+    match &nodes[pred as usize] {
+        Ir::Binary(BinOp::Or, l, r) => {
+            alternatives(nodes, *l, binder, attr, values)?;
+            alternatives(nodes, *r, binder, attr, values)
+        }
+        Ir::Binary(BinOp::Eq, l, r) => {
+            let (l, r) = (&nodes[*l as usize], &nodes[*r as usize]);
+            let ((Ir::Attr { base, attr: a }, Ir::EnumVal(owner, variant))
+            | (Ir::EnumVal(owner, variant), Ir::Attr { base, attr: a })) = (l, r)
+            else {
+                return None;
+            };
+            let of_binder = matches!(nodes[*base as usize], Ir::Load(s) if s == binder);
+            if !of_binder || attr.is_some_and(|known| known != *a) {
+                return None;
+            }
+            *attr = Some(a);
+            values.push(Value::Enum(*owner, *variant));
+            Some(())
+        }
+        _ => None,
     }
 }
 
@@ -1576,6 +1764,20 @@ pub struct CompiledEvaluator<M: ObjectModel> {
     spec: Arc<CompiledSpec>,
     data: M,
     consts: Vec<Value>,
+    /// The plan's subject cells, one per [`BatchPlan::subject_roots`]: what
+    /// a subject-only subtree evaluated to, per subject. Valid while `data`
+    /// answers the same — for this evaluator's life, when `data` borrows
+    /// its store — and shared by every batch, run, property and worker.
+    subjects: Box<[OnceLock<SubjectCell>]>,
+}
+
+/// The values of one subject cell: the class of the first subject that
+/// reached it and one lazily filled slot per object of that class. Only
+/// values are kept — a failing subtree is evaluated again, so that every
+/// site reports the failure at its own span.
+struct SubjectCell {
+    class: Symbol,
+    values: Box<[OnceLock<Value>]>,
 }
 
 /// What one property instance evaluated to — no names, nothing on the
@@ -1604,7 +1806,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
     pub fn new(spec: Arc<CompiledSpec>, data: M) -> EvalResult<Self> {
         let mut consts: Vec<Value> = Vec::with_capacity(spec.consts.len());
         for c in &spec.consts {
-            let v = Ctx::new(&spec, &data, &consts).run_body(
+            let v = Ctx::new(&spec, &data, &consts, &[]).run_body(
                 c.body,
                 (c.n_slots, c.n_caches),
                 &mut Scratch::default(),
@@ -1612,7 +1814,13 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
             )?;
             consts.push(v);
         }
-        Ok(CompiledEvaluator { spec, data, consts })
+        let subjects = spec.plan().subject_roots.iter();
+        Ok(CompiledEvaluator {
+            subjects: subjects.map(|_| OnceLock::new()).collect(),
+            spec,
+            data,
+            consts,
+        })
     }
 
     /// The compiled specification.
@@ -1621,7 +1829,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
     }
 
     fn ctx(&self) -> Ctx<'_, M> {
-        Ctx::new(&self.spec, &self.data, &self.consts)
+        Ctx::new(&self.spec, &self.data, &self.consts, &self.subjects)
     }
 
     /// Bind property `name` for evaluation over many subjects in one
@@ -1805,19 +2013,31 @@ impl<M: ObjectModel> Batch<'_, M> {
 /// half-built.
 struct Ctx<'c, M: ObjectModel> {
     cs: &'c CompiledSpec,
+    plan: &'c BatchPlan,
     /// [`BatchPlan::cell`], looked up on every node execution.
     cell: &'c [u32],
     data: &'c M,
     consts: &'c [Value],
+    /// [`CompiledEvaluator::subjects`]; empty while constants initialize
+    /// (their bodies have no sites).
+    subjects: &'c [OnceLock<SubjectCell>],
 }
 
 impl<'c, M: ObjectModel> Ctx<'c, M> {
-    fn new(cs: &'c CompiledSpec, data: &'c M, consts: &'c [Value]) -> Self {
+    fn new(
+        cs: &'c CompiledSpec,
+        data: &'c M,
+        consts: &'c [Value],
+        subjects: &'c [OnceLock<SubjectCell>],
+    ) -> Self {
+        let plan = cs.plan();
         Ctx {
             cs,
-            cell: &cs.plan().cell,
+            plan,
+            cell: &plan.cell,
             data,
             consts,
+            subjects,
         }
     }
 
@@ -1895,7 +2115,11 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     fn exec(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
         let cell = self.cell[node as usize];
         if cell != NO_CELL {
-            return self.exec_hoisted(cell as usize, node, st, fr);
+            return if cell & SUBJECT_CELL == 0 {
+                self.exec_hoisted(cell as usize, node, st, fr)
+            } else {
+                self.exec_subject_site((cell ^ SUBJECT_CELL) as usize, node, st, fr)
+            };
         }
         // Tag bubbling errors with the deepest node span that saw them
         // (mirrors the interpreter's `eval` wrapper; success path pays
@@ -1927,6 +2151,55 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             .map_err(|e| e.or_span(self.cs.spans[node as usize]));
         st.hoisted[cell] = Some(out.clone());
         out
+    }
+
+    /// A subject site: evaluated for the first instance of a subject that
+    /// reaches it — in any batch on this evaluator — then answered from
+    /// the subject's slot. Sites are in property bodies, whose slot 0
+    /// holds the subject.
+    #[inline(never)]
+    fn exec_subject_site(
+        &self,
+        cell: usize,
+        node: NodeRef,
+        st: &mut Scratch,
+        fr: Frame,
+    ) -> EvalResult<Value> {
+        let slot = match &st.frame[fr.slot(0)] {
+            Value::Obj(subject) => self.subject_slot(cell, subject),
+            _ => None,
+        };
+        if let Some(kept) = slot.and_then(OnceLock::get) {
+            st.cache_hits += 1;
+            return Ok(kept.clone());
+        }
+        st.cache_misses += 1;
+        let out = self
+            .exec_inner(node, st, fr)
+            .map_err(|e| e.or_span(self.cs.spans[node as usize]));
+        if let (Some(slot), Ok(v)) = (slot, &out) {
+            // Another worker may have got there first, with the same value.
+            let _ = slot.set(v.clone());
+        }
+        out
+    }
+
+    /// The slot of `subject` in a subject cell, allocating the cell's slots
+    /// — as many as the data source has objects of the class — for the
+    /// first subject. `None` for an object of another class than that one,
+    /// or one the source does not count.
+    fn subject_slot(&self, cell: usize, subject: &ObjRef) -> Option<&'c OnceLock<Value>> {
+        let kept = self.subjects[cell].get_or_init(|| {
+            let n = self.data.extent(subject.class.as_str()).unwrap_or(0);
+            SubjectCell {
+                class: subject.class,
+                values: (0..n).map(|_| OnceLock::new()).collect(),
+            }
+        });
+        let same_class = kept.class == subject.class;
+        kept.values
+            .get(subject.index as usize)
+            .filter(|_| same_class)
     }
 
     fn exec_inner(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
@@ -2062,10 +2335,12 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 st.reset_caches(fr, *resets);
                 let at = fr.slot(*slot);
                 let mut agg = ops::Aggregator::new(*op);
-                self.visit_elems(*source, "aggregate source is", st, fr, |st, item| {
+                let among = self.second_key_of(node);
+                let not_a_set = "aggregate source is";
+                self.visit_elems(*source, among, not_a_set, st, fr, |st, item, selected| {
                     st.frame[at] = item;
-                    if let Some(p) = pred {
-                        let keep = self.exec(*p, st, fr)?;
+                    if let Some(p) = pred.filter(|_| !selected) {
+                        let keep = self.exec(p, st, fr)?;
                         if !keep.as_bool().unwrap_or(false) {
                             return Ok(true);
                         }
@@ -2085,7 +2360,8 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 st.reset_caches(fr, *resets);
                 let at = fr.slot(*slot);
                 let mut result = *forall;
-                self.visit_elems(*source, "quantifier source is", st, fr, |st, item| {
+                let not_a_set = "quantifier source is";
+                self.visit_elems(*source, None, not_a_set, st, fr, |st, item, _| {
                     st.frame[at] = item;
                     let b = match pred {
                         Some(p) => self.exec(*p, st, fr)?.as_bool().unwrap_or(false),
@@ -2114,7 +2390,11 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             } => {
                 let (obj_ref, key_v) = self.filter_operands(*obj, set_attr, *key, st, fr)?;
                 let mut out = Vec::new();
-                let filter = Some((*elem_attr, &key_v));
+                let filter = Some(SetFilter {
+                    elem_attr,
+                    key: &key_v,
+                    among: None,
+                });
                 match self
                     .data
                     .visit_set(&obj_ref, set_attr, filter, &mut |elem| {
@@ -2191,9 +2471,14 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     /// `each` gets one element and the scratch back for its per-element
     /// work, and returns `Ok(false)` to stop the visit. An attribute of the
     /// data source, filtered or whole, is lent ([`ObjectModel::visit_set`])
-    /// instead of materialized; anything else — and a source the batch has
-    /// hoisted — is evaluated to a set first. `not_a_set` starts the type
-    /// error for any other value.
+    /// instead of materialized; anything else — and a source the plan
+    /// keeps in a cell — is evaluated to a set first. `not_a_set` starts
+    /// the type error for any other value.
+    ///
+    /// `among` is the second key of the visiting construct
+    /// ([`Ctx::second_key_of`]): if the data source answers a filter with it,
+    /// `each` is told that the elements it gets are `selected` — they
+    /// satisfy the construct's predicate, which need not run.
     ///
     /// Errors are tagged with the source's span as if they came out of
     /// evaluating it: those of `each` carry their own, deeper one already.
@@ -2201,28 +2486,30 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     fn visit_elems<F>(
         &self,
         source: NodeRef,
+        among: Option<(&str, &[Value])>,
         not_a_set: &str,
         st: &mut Scratch,
         fr: Frame,
         each: F,
     ) -> EvalResult<()>
     where
-        F: FnMut(&mut Scratch, Value) -> EvalResult<bool>,
+        F: FnMut(&mut Scratch, Value, bool) -> EvalResult<bool>,
     {
-        self.visit_elems_inner(source, not_a_set, st, fr, each)
+        self.visit_elems_inner(source, among, not_a_set, st, fr, each)
             .map_err(|e| e.or_span(self.cs.spans[source as usize]))
     }
 
     fn visit_elems_inner<F>(
         &self,
         source: NodeRef,
+        among: Option<(&str, &[Value])>,
         not_a_set: &str,
         st: &mut Scratch,
         fr: Frame,
         mut each: F,
     ) -> EvalResult<()>
     where
-        F: FnMut(&mut Scratch, Value) -> EvalResult<bool>,
+        F: FnMut(&mut Scratch, Value, bool) -> EvalResult<bool>,
     {
         let lendable = self.cell[source as usize] == NO_CELL;
         let set = match &self.cs.nodes[source as usize] {
@@ -2234,9 +2521,25 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 ctx,
             } if lendable => {
                 let (obj_ref, key_v) = self.filter_operands(*obj, set_attr, *key, st, fr)?;
-                let filter = Some((*elem_attr, &key_v));
-                let mut lend = |elem| each(st, Value::Obj(elem));
-                if let Some(lent) = self.data.visit_set(&obj_ref, set_attr, filter, &mut lend) {
+                let one_key = SetFilter {
+                    elem_attr,
+                    key: &key_v,
+                    among: None,
+                };
+                if among.is_some() {
+                    let filter = Some(SetFilter { among, ..one_key });
+                    let mut lend = |elem| each(st, Value::Obj(elem), true);
+                    if let Some(lent) = self.data.visit_set(&obj_ref, set_attr, filter, &mut lend) {
+                        return lent;
+                    }
+                    // Not answered, and nothing visited: the first key
+                    // alone, and the predicate runs.
+                }
+                let mut lend = |elem| each(st, Value::Obj(elem), false);
+                let lent = self
+                    .data
+                    .visit_set(&obj_ref, set_attr, Some(one_key), &mut lend);
+                if let Some(lent) = lent {
                     return lent;
                 }
                 self.scan_filter_eq(&obj_ref, set_attr, elem_attr, &key_v, *ctx)?
@@ -2244,7 +2547,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             Ir::Attr { base, attr } if lendable => {
                 let b = self.operand(*base, st, fr)?;
                 if let Value::Obj(obj_ref) = &b {
-                    let mut lend = |elem| each(st, Value::Obj(elem));
+                    let mut lend = |elem| each(st, Value::Obj(elem), false);
                     if let Some(lent) = self.data.visit_set(obj_ref, attr, None, &mut lend) {
                         return lent;
                     }
@@ -2260,11 +2563,21 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             ));
         };
         for item in items.iter() {
-            if !each(st, item.clone())? {
+            if !each(st, item.clone(), false)? {
                 break;
             }
         }
         Ok(())
+    }
+
+    /// The second key `node` selects by ([`BatchPlan::among`]), if it is
+    /// such a construct.
+    fn second_key_of(&self, node: NodeRef) -> Option<(&'c str, &'c [Value])> {
+        let key = self
+            .plan
+            .second_keys
+            .get(self.plan.among[node as usize] as usize);
+        key.map(|(attr, values)| (*attr, &**values))
     }
 
     /// Visit the elements the comprehension `comp` (an [`Ir::SetComp`])
@@ -2287,7 +2600,13 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         };
         st.reset_caches(fr, *resets);
         let at = fr.slot(*slot);
-        self.visit_elems(*source, "comprehension source is", st, fr, |st, item| {
+        let among = self.second_key_of(comp);
+        let not_a_set = "comprehension source is";
+        self.visit_elems(*source, among, not_a_set, st, fr, |st, item, selected| {
+            if selected {
+                keep(item);
+                return Ok(true);
+            }
             st.frame[at] = item.clone();
             match self.exec(*pred, st, fr)?.as_bool() {
                 Some(true) => keep(item),
@@ -2323,7 +2642,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 .visit_kept(node, st, fr, member)
                 .map_err(|e| e.or_span(self.cs.spans[node as usize]));
         }
-        self.visit_elems(node, not_a_set, st, fr, |_, item| {
+        self.visit_elems(node, None, not_a_set, st, fr, |_, item, _| {
             member(item);
             Ok(true)
         })

@@ -2,7 +2,7 @@
 //! [`ObjectModel`] binding onto a [`perfdata::Store`].
 
 use crate::error::{EvalError, EvalErrorKind, EvalResult};
-use crate::interp::ObjectModel;
+use crate::interp::{ObjectModel, SetFilter};
 use crate::value::{ObjRef, Value};
 use asl_core::intern::Symbol;
 use perfdata::{CallId, RegionId, Store, TestRunId, TimingType};
@@ -211,10 +211,14 @@ impl<'s> CosyData<'s> {
 
 /// Does [`CosyData`] serve the filter
 /// `elem IN <class>.<set_attr> WITH elem.<elem_attr> == key` from a
-/// secondary index? True exactly for the filtered shapes `visit_set`
-/// lends: `Region.TotTimes`, `Region.TypTimes` and `FunctionCall.Sums`,
-/// keyed on `Run`. Static analysis (kojak-lint) uses this to tell natively
-/// indexed filters from extracted-but-still-scanned ones.
+/// secondary index? True for the one-key shapes `visit_set` lends:
+/// `Region.TotTimes`, `Region.TypTimes` and `FunctionCall.Sums`, keyed on
+/// `Run`. Static analysis (kojak-lint) uses this to tell natively indexed
+/// filters from extracted-but-still-scanned ones. The table knows one key:
+/// that `Region.TypTimes` keyed on `Run` also answers a second key
+/// `Type ∈ {…}` ([`SetFilter::among`]) is not in it, so lint still reports
+/// that residual as scanned — its committed output is computed from these
+/// answers, which only a benchmark re-baseline may change.
 pub fn native_index(class: &str, set_attr: &str, elem_attr: &str) -> bool {
     elem_attr == "Run"
         && matches!(
@@ -223,10 +227,10 @@ pub fn native_index(class: &str, set_attr: &str, elem_attr: &str) -> bool {
         )
 }
 
-/// Hand the objects behind a slice of store ids to `each`, in order.
-fn lend<I: Into<u32> + Copy>(
+/// Hand the objects behind store ids to `each`, in order.
+fn lend<'a, I: Into<u32> + Copy + 'a>(
     class: Symbol,
-    ids: &[I],
+    ids: impl IntoIterator<Item = &'a I>,
     each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
 ) -> EvalResult<()> {
     for id in ids {
@@ -241,6 +245,22 @@ fn lend<I: Into<u32> + Copy>(
     Ok(())
 }
 
+/// The `TimingType`s among `values`, one bit each (bit `ty as u32`). Any
+/// other value equals no `TypedTiming.Type` and sets none.
+fn timing_type_mask(values: &[Value]) -> u32 {
+    let sy = syms();
+    let mut mask = 0;
+    for v in values {
+        if let Value::Enum(owner, variant) = v {
+            if *owner == sy.timing_type {
+                let ty = sy.timing_variants.iter().position(|s| s == variant);
+                mask |= ty.map_or(0, |ty| 1 << ty);
+            }
+        }
+    }
+    mask
+}
+
 impl CosyData<'_> {
     /// [`ObjectModel::visit_set`] with the "not lent" answer inside the
     /// `Result`, so index checks can use `?`.
@@ -248,35 +268,54 @@ impl CosyData<'_> {
         &self,
         obj: &ObjRef,
         set_attr: &str,
-        filter: Option<(&str, &Value)>,
+        filter: Option<SetFilter<'_>>,
         each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
     ) -> EvalResult<Option<()>> {
         let s = self.store;
         let sy = syms();
         let c = obj.class;
-        if let Some((elem_attr, key)) = filter {
+        if let Some(filter) = filter {
             // Indexed `Run ==` filters over the three per-run measurement
             // sets, served from the store's secondary maps in O(matches).
             // A key that is not a TestRun compares unequal to every `Run`
             // attribute; the generic scan handles it (yielding nothing).
-            let run = match key {
-                Value::Obj(o) if elem_attr == "Run" && o.class == sy.test_run => TestRunId(o.index),
+            let run = match filter.key {
+                Value::Obj(o) if filter.elem_attr == "Run" && o.class == sy.test_run => {
+                    TestRunId(o.index)
+                }
                 _ => return Ok(None),
             };
-            return if c == sy.region && set_attr == "TotTimes" {
-                let i = Self::check_index(obj, s.regions.len())?;
-                let ids = s.total_timing_ids(RegionId(i as u32), run);
-                lend(sy.total_timing, ids, each).map(Some)
-            } else if c == sy.region && set_attr == "TypTimes" {
-                let i = Self::check_index(obj, s.regions.len())?;
-                let ids = s.typed_timing_ids(RegionId(i as u32), run);
-                lend(sy.typed_timing, ids, each).map(Some)
-            } else if c == sy.function_call && set_attr == "Sums" {
-                let i = Self::check_index(obj, s.calls.len())?;
-                let ids = s.call_timing_ids(CallId(i as u32), run);
-                lend(sy.call_timing, ids, each).map(Some)
-            } else {
-                Ok(None)
+            return match (filter.among, set_attr) {
+                (None, "TotTimes") if c == sy.region => {
+                    let i = Self::check_index(obj, s.regions.len())?;
+                    let ids = s.total_timing_ids(RegionId(i as u32), run);
+                    lend(sy.total_timing, ids, each).map(Some)
+                }
+                (None, "TypTimes") if c == sy.region => {
+                    let i = Self::check_index(obj, s.regions.len())?;
+                    let ids = s.typed_timing_ids(RegionId(i as u32), run);
+                    lend(sy.typed_timing, ids, each).map(Some)
+                }
+                // The second key `Type ∈ {…}`: the run's typed timings in
+                // recording order, minus those of another type. Not the
+                // store's `(region, run, type)` map, which keeps the first
+                // of duplicate records only — the predicate this stands
+                // for counts both.
+                (Some(("Type", types)), "TypTimes") if c == sy.region => {
+                    let i = Self::check_index(obj, s.regions.len())?;
+                    let mask = timing_type_mask(types);
+                    let ids = s.typed_timing_ids(RegionId(i as u32), run);
+                    let kept = ids
+                        .iter()
+                        .filter(|id| mask >> (s.typed_timings[id.index()].ty as u32) & 1 == 1);
+                    lend(sy.typed_timing, kept, each).map(Some)
+                }
+                (None, "Sums") if c == sy.function_call => {
+                    let i = Self::check_index(obj, s.calls.len())?;
+                    let ids = s.call_timing_ids(CallId(i as u32), run);
+                    lend(sy.call_timing, ids, each).map(Some)
+                }
+                _ => Ok(None),
             };
         }
         let lent = if c == sy.region {
@@ -339,7 +378,7 @@ impl ObjectModel for CosyData<'_> {
         &self,
         obj: &ObjRef,
         set_attr: &str,
-        filter: Option<(&str, &Value)>,
+        filter: Option<SetFilter<'_>>,
         each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
     ) -> Option<EvalResult<()>> {
         self.lend_set(obj, set_attr, filter, each).transpose()
@@ -565,6 +604,81 @@ mod tests {
             best = best.max(val.as_f64().unwrap());
         }
         assert!(best > 0.0, "some region must show barrier time");
+    }
+
+    /// The second key `Type ∈ {…}` lends exactly what testing each typed
+    /// timing of the run would keep, in the same order — for every region
+    /// and run, for each single type, for sets of types, for values that
+    /// are no `TimingType` at all, and with a duplicate `(region, run,
+    /// type)` record in the store (both count).
+    #[test]
+    fn second_key_lends_what_the_type_test_keeps() {
+        let (mut store, v) = simulated();
+        let runs = store.versions[v.index()].runs.clone();
+        let twice = store.typed_timings[0].clone();
+        store.add_typed_timing(twice.region, twice.run, twice.ty, twice.time + 1.0);
+        let data = CosyData::new(&store);
+        let sy = syms();
+        let ty = |t: TimingType| Value::Enum(sy.timing_type, sy.timing_variants[t as usize]);
+        let mut keys: Vec<Vec<Value>> = TimingType::ALL.iter().map(|&t| vec![ty(t)]).collect();
+        keys.push(vec![]);
+        keys.push(TimingType::ALL.iter().map(|&t| ty(t)).collect());
+        keys.push(vec![ty(TimingType::PtpSend), ty(TimingType::Barrier)]);
+        keys.push(vec![ty(twice.ty), ty(twice.ty), Value::Int(3)]);
+        keys.push(vec![Value::Enum("Other".into(), sy.timing_variants[0])]);
+
+        let visit = |region: &ObjRef, run: &Value, among| {
+            let filter = SetFilter {
+                elem_attr: "Run",
+                key: run,
+                among,
+            };
+            let mut seen = Vec::new();
+            data.visit_set(region, "TypTimes", Some(filter), &mut |elem| {
+                seen.push(elem);
+                Ok(true)
+            })
+            .expect("lent")
+            .expect("visits");
+            seen
+        };
+        let mut kept_twice = false;
+        for r in 0..store.regions.len() as u32 {
+            let region = ObjRef {
+                class: sy.region,
+                index: r,
+            };
+            for &run in &runs {
+                let run = Value::run(run);
+                let all = visit(&region, &run, None);
+                for key in &keys {
+                    let expected: Vec<ObjRef> = all
+                        .iter()
+                        .filter(|tt| {
+                            let is = data.attr(tt, "Type").unwrap();
+                            key.iter().any(|v| is.asl_eq(v))
+                        })
+                        .cloned()
+                        .collect();
+                    kept_twice |= expected.len() > key.len();
+                    assert_eq!(visit(&region, &run, Some(("Type", key))), expected);
+                }
+            }
+        }
+        assert!(kept_twice, "the duplicate record was never selected");
+        // A second key on anything else is not answered: asked again
+        // without it, the store lends the run's records.
+        let region = ObjRef {
+            class: sy.region,
+            index: 0,
+        };
+        let filter = SetFilter {
+            elem_attr: "Run",
+            key: &Value::run(runs[0]),
+            among: Some(("Time", &[])),
+        };
+        let lent = data.visit_set(&region, "TypTimes", Some(filter), &mut |_| Ok(true));
+        assert!(lent.is_none());
     }
 
     #[test]

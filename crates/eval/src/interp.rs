@@ -24,26 +24,46 @@ pub trait ObjectModel {
 
     /// Lend the elements of the set attribute `obj.set_attr` to `each`,
     /// **in set order**, without materializing the set — all of them, or
-    /// with `filter = Some((elem_attr, key))` only those whose `elem_attr`
-    /// equals `key`, which a data source with a secondary index answers in
-    /// O(matches). `each` returns `Ok(false)` to stop the visit early; its
-    /// errors end the visit and are returned.
+    /// with a [`SetFilter`] only those it keeps, which a data source with a
+    /// secondary index answers in O(matches). `each` returns `Ok(false)`
+    /// to stop the visit early; its errors end the visit and are returned.
     ///
     /// `None` (the default) lends nothing: the caller reads the attribute
-    /// through [`attr`](ObjectModel::attr) and scans the materialized set.
-    /// An implementation must decide that before the first visit, visit
-    /// exactly what the scan would, and fail where the attribute access
-    /// would — the compiled evaluator relies on this for interpreter
-    /// equivalence.
+    /// through [`attr`](ObjectModel::attr), scans the materialized set and
+    /// tests each element itself. An implementation must decide that
+    /// **before the first visit** — a filter whose second key
+    /// ([`SetFilter::among`]) it cannot answer is asked again without one
+    /// — visit exactly what the scan and the test would keep, in the order
+    /// they would, and fail where the attribute access would: the compiled
+    /// evaluator relies on this for interpreter equivalence (an order
+    /// that differs moves the last bits of a float `SUM`).
     fn visit_set(
         &self,
         _obj: &ObjRef,
         _set_attr: &str,
-        _filter: Option<(&str, &Value)>,
+        _filter: Option<SetFilter<'_>>,
         _each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
     ) -> Option<EvalResult<()>> {
         None
     }
+}
+
+/// Which elements of a set [`ObjectModel::visit_set`] is asked for: those
+/// whose `elem_attr` equals `key` and — with a second key — whose
+/// `among.0` equals one of the values `among.1`. Equality is
+/// [`Value::asl_eq`], so a value of another type than the attribute's
+/// matches nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct SetFilter<'a> {
+    /// The element attribute compared with `key`.
+    pub elem_attr: &'a str,
+    /// The value `elem_attr` must equal.
+    pub key: &'a Value,
+    /// The second key `(attribute, values)`: the lowered form of a
+    /// selecting predicate `x.A == c₁ OR x.A == c₂ …` over constants, which
+    /// is then not executed. A source that lends the first key but not
+    /// this one answers `None`.
+    pub among: Option<(&'a str, &'a [Value])>,
 }
 
 impl<T: ObjectModel + ?Sized> ObjectModel for &T {
@@ -59,7 +79,7 @@ impl<T: ObjectModel + ?Sized> ObjectModel for &T {
         &self,
         obj: &ObjRef,
         set_attr: &str,
-        filter: Option<(&str, &Value)>,
+        filter: Option<SetFilter<'_>>,
         each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
     ) -> Option<EvalResult<()>> {
         (**self).visit_set(obj, set_attr, filter, each)

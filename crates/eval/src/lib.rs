@@ -29,7 +29,10 @@
 //!    this is the engine the batch and online analyzers run, a [`Batch`]
 //!    (one property, one shared context, many subjects) at a time. On
 //!    first bind it computes, beside the IR and never in it, which
-//!    subtrees of each property a batch may evaluate once.
+//!    subtrees of each property are evaluated once — per batch if they
+//!    read only its shared context, per subject and binding if they read
+//!    only the subject — and which predicates the data source answers as
+//!    a second filter key ([`SetFilter::among`]).
 //!
 //! The tree-walking [`Interpreter`] implements the same semantics directly
 //! on the AST and is kept as the **reference oracle**: equivalence tests
@@ -85,9 +88,9 @@ pub mod value;
 
 pub use compile::{
     cache_counters, compile, fn_memo_counters, Batch, CompiledArm, CompiledEvaluator, CompiledSpec,
-    ConstIr, FnIr, Ir, NodeRef, Outcome, PropCost, PropIr, Scratch, SourceCtx,
+    ConstIr, FnIr, Ir, NodeRef, Outcome, PlanStats, PropCost, PropIr, Scratch, SourceCtx,
 };
 pub use cosy_model::{filter_memo_counters, native_index, CosyData, COSY_DATA_MODEL};
 pub use error::{EvalError, EvalErrorKind};
-pub use interp::{Interpreter, ObjectModel, PropertyOutcome};
+pub use interp::{Interpreter, ObjectModel, PropertyOutcome, SetFilter};
 pub use value::{ObjRef, Value};

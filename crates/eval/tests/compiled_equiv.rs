@@ -18,6 +18,20 @@
 //! must fail every instance that reaches it exactly as re-evaluation
 //! would; `hoisted_failures_reach_every_instance` pins the three ways the
 //! standard suite's `Duration(Basis, t)` can.
+//!
+//! Both run on **one evaluator** for all properties and runs of a case,
+//! so what the evaluator keeps per subject (`MinPeSum`, shared by
+//! `SublinearSpeedup` and `UnmeasuredCost`) is filled by the first
+//! instance of a region and answers every later run and both properties
+//! — against an interpreter that re-derives it each time. Regions without
+//! totals, or with tied minima, make that subtree fail: nothing is kept,
+//! and each property reports the failure at its own span.
+//!
+//! The generated filters cover what the store answers itself — `Type ==
+//! A`, `OR` chains of types under every aggregate and in comprehensions —
+//! and what it must leave to the predicate: a chain mixed with another
+//! test, `!=`. Duplicate `(region, run, type)` records must count twice
+//! either way.
 
 use asl_eval::{
     compile, CompiledEvaluator, CosyData, EvalErrorKind, Interpreter, PropertyOutcome, Value,
@@ -91,8 +105,10 @@ fn build_store(seed: u64, n_runs: usize, n_regions: usize) -> (Store, VersionId)
         ));
     }
     for &r in &regions {
+        // A region without any total: `MinPeSum` is `UNIQUE` of nothing.
+        let measured = rng.chance(85);
         for &run in &runs {
-            if rng.chance(75) {
+            if measured && rng.chance(75) {
                 let incl = if rng.chance(10) {
                     0.0 // zero duration → division-by-zero severity paths
                 } else {
@@ -118,6 +134,11 @@ fn build_store(seed: u64, n_runs: usize, n_regions: usize) -> (Store, VersionId)
                         rng.f64_in(0.001, 5.0)
                     };
                     s.add_typed_timing(r, run, ty, t);
+                    if rng.chance(8) {
+                        // Duplicate (region, run, type): both records
+                        // count, in recording order.
+                        s.add_typed_timing(r, run, ty, t + 0.5);
+                    }
                 }
             }
         }
@@ -147,26 +168,51 @@ fn build_store(seed: u64, n_runs: usize, n_regions: usize) -> (Store, VersionId)
     (s, v)
 }
 
-/// Generated properties: random aggregate, optional type filter, random
-/// comparison/threshold and a random severity transform — well-typed by
-/// construction, wide coverage of the error paths by chance.
+/// Generated properties: random aggregate or comprehension, a random
+/// filter on the timing type (none, one type, an `OR` chain of 2–4 types
+/// with repeats, the chain written backwards, a chain mixed with a test on
+/// the time, `!=`), random comparison/threshold and a random severity
+/// transform — well-typed by construction, wide coverage of the error
+/// paths by chance.
 fn generated_properties(seed: u64) -> String {
+    // Eight recorded types and one that never is.
+    const TYPES: [&str; 5] = ["Barrier", "Lock", "PtpSend", "Broadcast", "IoRead"];
     let mut rng = Rng(seed ^ 0xabcdef);
     let mut out = String::new();
-    for i in 0..3 {
+    for i in 0..4 {
         let agg = ["SUM", "MIN", "MAX", "AVG", "COUNT"][rng.below(5) as usize];
         let cmp = [">", "<", ">=", "<=", "==", "!="][rng.below(6) as usize];
-        let ty = ["Barrier", "Lock", "PtpSend", "Broadcast"][rng.below(4) as usize];
-        let filter = if rng.chance(50) {
-            format!(" AND tt.Type == {ty}")
-        } else {
-            String::new()
+        let ty = |rng: &mut Rng| TYPES[rng.below(TYPES.len() as u64) as usize];
+        let first = ty(&mut rng);
+        let filter = match rng.below(6) {
+            0 => String::new(),
+            1 => format!(" AND tt.Type == {first}"),
+            2 => format!(" AND tt.Type != {first}"),
+            3 => format!(" AND (tt.Type == {first} OR tt.Time > 1.5)"),
+            chain_shape => {
+                let mut chain = format!("tt.Type == {first}");
+                for _ in 0..1 + rng.below(3) {
+                    let next = ty(&mut rng);
+                    chain = match chain_shape {
+                        4 => format!("{chain} OR tt.Type == {next}"),
+                        // Operands swapped, nested to the right.
+                        _ => format!("{next} == tt.Type OR ({chain})"),
+                    };
+                }
+                format!(" AND ({chain})")
+            }
+        };
+        let selected = format!("tt IN r.TypTimes WITH tt.Run==t{filter}");
+        let value = match rng.below(4) {
+            0 => format!("COUNT({{{selected}}})"),
+            1 => format!("{agg}(x.Time WHERE x IN {{{selected}}})"),
+            _ => format!("{agg}(tt.Time WHERE tt IN r.TypTimes AND tt.Run==t{filter})"),
         };
         let threshold = rng.below(4) as f64 * 0.5;
         let scale = 1 + rng.below(3);
         out.push_str(&format!(
             "Property Gen{i}(Region r, TestRun t, Region Basis) {{\n\
-                LET float X = {agg}(tt.Time WHERE tt IN r.TypTimes AND tt.Run==t{filter})\n\
+                LET float X = {value}\n\
                 IN CONDITION: X {cmp} {threshold};\n\
                 CONFIDENCE: 0.9;\n\
                 SEVERITY: X * {scale} / Duration(Basis, t);\n\
@@ -211,6 +257,7 @@ fn assert_equivalent<T: PartialEq + std::fmt::Debug>(
         (Err(a), Err(b)) => {
             assert_eq!(a.kind, b.kind, "{what}: error kind mismatch");
             assert_eq!(a.message, b.message, "{what}: error message mismatch");
+            assert_eq!(a.span, b.span, "{what}: error span mismatch");
         }
         _ => panic!("{what}: interp={interp:?} vs compiled={compiled:?}"),
     }
@@ -339,11 +386,27 @@ Property MeasuredCost (Region r, TestRun t, Region Basis) {
     SEVERITY: Cost / Duration(Basis,t);
 }
 
+Property UnmeasuredCost (Region r, TestRun t, Region Basis) {
+    LET TotalTiming MinPeSum = UNIQUE({sum IN r.TotTimes WITH sum.Run.NoPe ==
+            MIN(s.Run.NoPe WHERE s IN r.TotTimes)});
+        float TotalCost = Duration(r,t) - Duration(r,MinPeSum.Run);
+        float Unmeasured = TotalCost - Summary(r,t).Ovhd
+    IN CONDITION: Unmeasured > 0; CONFIDENCE: 1;
+    SEVERITY: Unmeasured / Duration(Basis,t);
+}
+
 Property SyncCost(Region r, TestRun t, Region Basis) {
     LET float Barrier2 = SUM(tt.Time WHERE tt IN r.TypTimes AND tt.Run==t
             AND tt.Type == Barrier)
     IN CONDITION: Barrier2 > 0; CONFIDENCE: 1;
     SEVERITY: Barrier2 / Duration(Basis,t);
+}
+
+Property MessagePassingCost(Region r, TestRun t, Region Basis) {
+    LET float Msg = SUM(tt.Time WHERE tt IN r.TypTimes AND tt.Run==t
+            AND (tt.Type == PtpSend OR tt.Type == PtpRecv OR tt.Type == PtpWait))
+    IN CONDITION: Msg > 0; CONFIDENCE: 1;
+    SEVERITY: Msg / Duration(Basis,t);
 }
 
 Property LoadImbalance(FunctionCall Call, TestRun t, Region Basis) {
@@ -356,8 +419,17 @@ Property LoadImbalance(FunctionCall Call, TestRun t, Region Basis) {
 "#
 }
 
+/// 24 cases locally; CI widens the sweep via `PROPTEST_CASES`.
+fn configured_cases() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(configured_cases())]
 
     #[test]
     fn compiled_equals_interpreter_on_random_specs_and_stores(

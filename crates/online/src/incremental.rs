@@ -425,7 +425,6 @@ impl IncrementalAnalyzer {
                 }
                 Err(e) => return Err(e.into()),
             };
-            self.basis.insert(v, analyzer.basis());
 
             let mut clock = PhaseClock::start(self.metrics.as_ref().map(|m| &m.phases));
             // The instance universe is a property of the version's
@@ -468,6 +467,9 @@ impl IncrementalAnalyzer {
                     clock.lap(2);
                 }
             }
+            // Only now: had an evaluation above failed, the retried delta
+            // must still find the old basis and re-base the version.
+            self.basis.insert(v, analyzer.basis());
 
             // Structure growth re-sizes the instance universe of every run
             // of the version: re-assemble (without re-evaluating) any live
@@ -679,6 +681,45 @@ mod tests {
             &[region_entered(2, "main", LOOP.0, Some(MAIN), LOOP.1)],
         );
         assert_eq!(of_version_9(&b, a.invalidated(b.store(), &more)), []);
+    }
+
+    /// Rule 6 compares with the basis the version was last *evaluated*
+    /// against: a flush that fails on the way leaves the re-base owed.
+    #[test]
+    fn failed_flush_still_owes_the_rebase() {
+        let mut b = StoreBuilder::new();
+        let mut a = standard();
+        let work = ("work", 40);
+        let early = apply(
+            &mut b,
+            &[
+                run_started(1, 9, 2),
+                run_started(2, 9, 8),
+                region_entered(1, "work", work.0, None, work.1),
+                exited(1, "work", work, 10.0),
+                exited(2, "work", work, 12.0),
+            ],
+        );
+        a.flush(b.store(), &early).unwrap();
+        // `main` arrives late with a zero total in run 1: every severity
+        // of that run divides by `Duration(main, 1) == 0`.
+        let late = apply(
+            &mut b,
+            &[
+                region_entered(2, "main", MAIN.0, None, MAIN.1),
+                exited(1, "main", MAIN, 0.0),
+            ],
+        );
+        let whole_version = [(1, ContextScope::All), (2, ContextScope::All)];
+        assert_eq!(
+            of_version_9(&b, a.invalidated(b.store(), &late)),
+            whole_version
+        );
+        a.flush(b.store(), &late).unwrap_err();
+        assert_eq!(
+            of_version_9(&b, a.invalidated(b.store(), &late)),
+            whole_version
+        );
     }
 
     #[test]

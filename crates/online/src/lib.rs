@@ -107,8 +107,9 @@ pub mod wire;
 
 pub use builder::{StoreBuilder, StoreDelta};
 
-/// The compiled evaluator's process-global memoization-cache counters as
-/// a metric snapshot (`kojak_eval_cache_{hits,misses}_total`).
+/// The compiled evaluator's process-global lazy-cell counters as a metric
+/// snapshot (`kojak_eval_cache_{hits,misses}_total`) — lazy cells:
+/// loop-invariant, per-batch context, per-flush subject.
 ///
 /// These counters are **process-wide** — every evaluator of every shard
 /// bumps the same pair — so they are deliberately excluded from

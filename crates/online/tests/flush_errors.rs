@@ -26,11 +26,16 @@ fn run_started(key: u64, no_pe: u32) -> TraceEvent {
 }
 
 fn main_region(key: u64) -> TraceEvent {
+    root_region(key, "main")
+}
+
+/// Announce function `function` and its subprogram region.
+fn root_region(key: u64, function: &str) -> TraceEvent {
     TraceEvent::RegionEntered {
         run: RunKey(key),
-        function: "main".into(),
+        function: function.into(),
         region: RegionDef {
-            name: "main".into(),
+            name: function.into(),
             parent: None,
             kind: RegionKind::Subprogram,
             first_line: 1,
@@ -40,10 +45,15 @@ fn main_region(key: u64) -> TraceEvent {
 }
 
 fn region_exited(key: u64, incl: f64, ovhd: f64) -> TraceEvent {
+    root_exited(key, "main", incl, ovhd)
+}
+
+/// A total timing of `function`'s subprogram region.
+fn root_exited(key: u64, function: &str, incl: f64, ovhd: f64) -> TraceEvent {
     TraceEvent::RegionExited {
         run: RunKey(key),
-        function: "main".into(),
-        region: RegionRef::new("main", 1),
+        function: function.into(),
+        region: RegionRef::new(function, 1),
         excl: incl,
         incl,
         ovhd,
@@ -254,4 +264,57 @@ fn failed_flush_does_not_forget_a_run_waiting_for_structure() {
             "run {key}"
         );
     }
+}
+
+/// A version is re-based when its ranking basis is another region than the
+/// one it was last *evaluated* against — not the one a failed flush was
+/// about to use. `main` is announced late, with a zero total in run 1:
+/// the flush that would re-rank both runs against `main` fails on run 1.
+/// The producer then corrects that one total, which says nothing about
+/// run 2; only the re-base still owed brings run 2 off `work`.
+#[test]
+fn failed_flush_does_not_forget_a_rebase() {
+    let events = [
+        // Ranked against `work`, the first function's region.
+        vec![
+            run_started(1, 2),
+            run_started(2, 8),
+            root_region(1, "work"),
+            root_exited(1, "work", 10.0, 0.1),
+            root_exited(2, "work", 12.0, 0.1),
+        ],
+        vec![main_region(2), region_exited(1, 0.0, 0.0)],
+        vec![region_exited(1, 20.0, 0.0)],
+    ];
+
+    let session = OnlineSession::new(SessionConfig::default());
+    session.ingest_batch(&events[0]).expect("ingest");
+    session.flush().expect("ranked against `work`");
+    let against_work = session.report(RunKey(2)).expect("run 2 reported");
+    assert!(!against_work.entries.is_empty());
+    session.ingest_batch(&events[1]).expect("ingest");
+    let err = session.flush().expect_err("run 1 divides by zero");
+    assert!(
+        matches!(
+            err,
+            FlushError::Analysis(AnalysisError::Property { ref source, .. })
+                if source.kind == EvalErrorKind::DivByZero
+        ),
+        "got {err:?}"
+    );
+    session.ingest_batch(&events[2]).expect("correction");
+    session.flush().expect("healed flush");
+
+    // The same events with one flush at the end: the batch engine's answer.
+    let batch = OnlineSession::new(SessionConfig::default());
+    batch.ingest_batch(&events.concat()).expect("ingest");
+    batch.flush().expect("flush");
+    for key in 1..=2 {
+        assert_eq!(
+            session.report(RunKey(key)),
+            batch.report(RunKey(key)),
+            "run {key}"
+        );
+    }
+    assert_ne!(session.report(RunKey(2)), Some(against_work));
 }

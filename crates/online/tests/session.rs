@@ -173,3 +173,70 @@ fn invalidation_policy_is_pinned() {
         .unwrap();
     assert_eq!(flush_work(), (6, 6, 324));
 }
+
+/// What the evaluator keeps per subject — `MinPeSum`, the region's total
+/// in the run with the fewest processors — lives exactly as long as one
+/// flush's binding to the store. A 1-PE run arriving after runs 4 and 16
+/// were evaluated makes another record the minimum of every region, and a
+/// correction of that record changes what it says: each time
+/// `SublinearSpeedup` moves in every other run of the version, to what a
+/// session that saw everything before its only flush reports.
+#[test]
+fn what_is_kept_per_subject_never_outlives_a_flush() {
+    let store = simulated_store(&[1, 4, 16]);
+    let key = online::replay::replay_run_key;
+    let speedup_losses = |session: &OnlineSession, run: u32| -> Vec<(String, f64)> {
+        let report = session.report(key(TestRunId(run))).unwrap();
+        let entries = report.entries.iter();
+        entries
+            .filter(|e| e.property == "SublinearSpeedup")
+            .map(|e| (e.context.label.to_string(), e.severity))
+            .collect()
+    };
+    let basis = store.main_region(store.runs[0].version).unwrap();
+    let basis_name = &store.regions[basis.index()].name;
+    // Halve every non-basis total of the 1-PE run.
+    let corrections: Vec<TraceEvent> = events_for_run(&store, TestRunId(0))
+        .into_iter()
+        .filter_map(|mut event| match &mut event {
+            TraceEvent::RegionExited {
+                region, incl, excl, ..
+            } if region.name != *basis_name => {
+                *incl *= 0.5;
+                *excl *= 0.5;
+                Some(event)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(!corrections.is_empty());
+    let steps = [
+        [1, 2]
+            .map(|r| events_for_run(&store, TestRunId(r)))
+            .concat(),
+        events_for_run(&store, TestRunId(0)),
+        corrections,
+    ];
+
+    let session = OnlineSession::new(SessionConfig::default());
+    let mut so_far = Vec::new();
+    let mut before: Option<[Vec<(String, f64)>; 2]> = None;
+    for step in &steps {
+        session.ingest_batch(step).unwrap();
+        session.flush().unwrap();
+        so_far.extend_from_slice(step);
+        let at_once = OnlineSession::new(SessionConfig::default());
+        at_once.ingest_batch(&so_far).unwrap();
+        at_once.flush().unwrap();
+        let now = [1, 2].map(|run| speedup_losses(&session, run));
+        for (i, run) in [1, 2].into_iter().enumerate() {
+            assert_eq!(now[i], speedup_losses(&at_once, run), "run {run}");
+            if let Some(before) = &before {
+                assert_ne!(now[i], before[i], "run {run} did not move");
+            }
+        }
+        // The 4-PE run loses nothing while it is the reference itself.
+        assert!(!now[1].is_empty() && now[0].is_empty() == before.is_none());
+        before = Some(now);
+    }
+}

@@ -5,6 +5,43 @@ use crate::model::*;
 use crate::timing_type::TimingType;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher of the secondary indexes. Their keys are arena ids this store
+/// assigned itself — dense, never chosen by whoever sends the data — and
+/// the maps are only ever probed, never iterated: SipHash's protection
+/// against crafted keys buys nothing here, and its cost is paid on every
+/// metric load of an evaluation. One rotate, xor and multiply per word.
+#[derive(Default, Clone)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    /// An enum's discriminant (`TimingType`) arrives as an `isize`.
+    fn write_isize(&mut self, word: isize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// The table takes its bucket from the low bits and its tag from the
+    /// top seven; the multiply mixes upwards, so bring the top down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A secondary index: a hash map keyed by ids of this store.
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A complete COSY performance database: multiple applications, multiple
 /// versions per application, multiple test runs per version (§3 of the
@@ -47,20 +84,20 @@ pub struct Store {
     /// `(region, run)` → total timings in arena order. Well-formed data has
     /// exactly one entry, but the index must mirror the arena faithfully —
     /// a duplicate record still surfaces as an ambiguous `Summary`.
-    total_idx: HashMap<(RegionId, TestRunId), Vec<TotalTimingId>>,
+    total_idx: IdMap<(RegionId, TestRunId), Vec<TotalTimingId>>,
     /// `(region, run, type)` → its typed timing (first recorded wins,
     /// matching the arena-scan order the lookups historically used).
-    typed_idx: HashMap<(RegionId, TestRunId, TimingType), TypedTimingId>,
+    typed_idx: IdMap<(RegionId, TestRunId, TimingType), TypedTimingId>,
     /// `(region, run)` → all typed timings of that run, in arena order.
-    typed_by_run: HashMap<(RegionId, TestRunId), Vec<TypedTimingId>>,
+    typed_by_run: IdMap<(RegionId, TestRunId), Vec<TypedTimingId>>,
     /// `(call, run)` → call-statistics records in arena order (one entry
     /// when well-formed; see `total_idx`).
-    call_idx: HashMap<(CallId, TestRunId), Vec<CallTimingId>>,
+    call_idx: IdMap<(CallId, TestRunId), Vec<CallTimingId>>,
     /// Region → direct children, in arena order.
-    children_idx: HashMap<RegionId, Vec<RegionId>>,
+    children_idx: IdMap<RegionId, Vec<RegionId>>,
     /// Version → its run with the smallest processor count (earliest run
     /// wins ties, matching `min_by_key` over the version's run list).
-    min_pe_idx: HashMap<VersionId, TestRunId>,
+    min_pe_idx: IdMap<VersionId, TestRunId>,
 }
 
 impl Store {
