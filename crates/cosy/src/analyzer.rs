@@ -7,10 +7,10 @@ use crate::suite::{standard_suite, SUITE};
 use asl_core::ast::{PropertyDecl, TypeExprKind};
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec, Scratch, Value};
-use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
+use perfdata::{CallId, IdSet, RegionId, Store, TestRunId, VersionId};
 use rayon::prelude::*;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -178,9 +178,9 @@ pub enum ContextScope {
     /// Only the listed regions and call sites.
     Dirty {
         /// Region contexts to (re-)evaluate.
-        regions: HashSet<RegionId>,
+        regions: IdSet<RegionId>,
         /// Call-site contexts to (re-)evaluate.
-        calls: HashSet<CallId>,
+        calls: IdSet<CallId>,
     },
 }
 

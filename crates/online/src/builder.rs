@@ -10,25 +10,29 @@
 //! only engine that needs to know.
 
 use crate::event::{CallStats, IngestError, RegionRef, RunKey, TraceEvent, VersionTag};
-use perfdata::{CallId, CallTiming, FunctionId, RegionId, Store, TestRunId, VersionId};
-use std::collections::{HashMap, HashSet};
+use perfdata::{
+    CallId, CallTiming, FunctionId, IdMap, IdSet, RegionId, Store, TestRunId, VersionId,
+};
+use std::collections::HashMap;
 
-/// What a batch of applied events changed in the store.
+/// What a batch of applied events changed in the store. Every key is an
+/// id the store assigned, so the maps and sets skip SipHash
+/// ([`perfdata::IdHasher`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreDelta {
     /// Regions whose total timing was upserted, per run.
-    pub totals: HashMap<TestRunId, HashSet<RegionId>>,
+    pub totals: IdMap<TestRunId, IdSet<RegionId>>,
     /// Regions that had a typed timing upserted, per run.
-    pub typed: HashMap<TestRunId, HashSet<RegionId>>,
+    pub typed: IdMap<TestRunId, IdSet<RegionId>>,
     /// Call sites whose statistics were upserted, per run.
-    pub calls: HashMap<TestRunId, HashSet<CallId>>,
+    pub calls: IdMap<TestRunId, IdSet<CallId>>,
     /// Runs that started.
-    pub new_runs: HashSet<TestRunId>,
+    pub new_runs: IdSet<TestRunId>,
     /// Versions whose static structure grew (new function, region or call
     /// site).
-    pub grown_versions: HashSet<VersionId>,
+    pub grown_versions: IdSet<VersionId>,
     /// Runs for which a `RunFinished` was seen.
-    pub finished_runs: HashSet<TestRunId>,
+    pub finished_runs: IdSet<TestRunId>,
 }
 
 impl StoreDelta {
@@ -71,8 +75,7 @@ pub struct StoreBuilder {
     store: Store,
     versions: HashMap<VersionTag, VersionId>,
     runs: HashMap<RunKey, TestRunId>,
-    run_keys: HashMap<TestRunId, RunKey>,
-    run_version: HashMap<TestRunId, VersionId>,
+    run_keys: IdMap<TestRunId, RunKey>,
     events_applied: u64,
 }
 
@@ -109,12 +112,14 @@ impl StoreBuilder {
 
     /// The version a run belongs to.
     pub fn version_of_run(&self, run: TestRunId) -> Option<VersionId> {
-        self.run_version.get(&run).copied()
+        self.store.runs.get(run.index()).map(|r| r.version)
     }
 
     /// All known (key, store id, version) run triples.
     pub fn runs(&self) -> impl Iterator<Item = (RunKey, TestRunId, VersionId)> + '_ {
-        self.runs.iter().map(|(k, r)| (*k, *r, self.run_version[r]))
+        self.runs
+            .iter()
+            .map(|(k, r)| (*k, *r, self.store.runs[r.index()].version))
     }
 
     /// All known (producer tag, store id) version pairs.
@@ -124,9 +129,8 @@ impl StoreBuilder {
 
     /// Rebuild a builder from snapshot parts: the reconstructed store, the
     /// producer key maps, and the lifetime applied-event counter. The
-    /// derived maps (reverse run keys, run→version) are recomputed from
-    /// the store, so a round-tripped builder is indistinguishable from the
-    /// one that was snapshotted.
+    /// reverse run-key map is recomputed, so a round-tripped builder is
+    /// indistinguishable from the one that was snapshotted.
     pub(crate) fn from_parts(
         store: Store,
         versions: HashMap<VersionTag, VersionId>,
@@ -134,16 +138,11 @@ impl StoreBuilder {
         events_applied: u64,
     ) -> StoreBuilder {
         let run_keys = runs.iter().map(|(k, r)| (*r, *k)).collect();
-        let run_version = runs
-            .values()
-            .map(|r| (*r, store.runs[r.index()].version))
-            .collect();
         StoreBuilder {
             store,
             versions,
             runs,
             run_keys,
-            run_version,
             events_applied,
         }
     }
@@ -159,7 +158,7 @@ impl StoreBuilder {
 
     fn resolve_run(&self, key: RunKey) -> Result<(TestRunId, VersionId), IngestError> {
         let run = self.run_id(key).ok_or(IngestError::UnknownRun(key))?;
-        Ok((run, self.run_version[&run]))
+        Ok((run, self.store.runs[run.index()].version))
     }
 
     fn resolve_function(
@@ -247,7 +246,6 @@ impl StoreBuilder {
                 let rid = self.store.add_run(vid, *start, *no_pe, *clockspeed);
                 self.runs.insert(*run, rid);
                 self.run_keys.insert(rid, *run);
-                self.run_version.insert(rid, vid);
                 delta.new_runs.insert(rid);
             }
 

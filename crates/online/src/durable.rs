@@ -7,7 +7,8 @@
 //!                      │      snapshot.bin (atomic tmp+rename;
 //!                      │◀──── truncates the log behind it)
 //!                      ▼
-//!    recover = load snapshot ▸ replay log tail ▸ one full flush
+//!    recover = load snapshot ▸ stream log tail ▸ one full flush
+//!                              (REPLAY_CHUNK events at a time)
 //! ```
 //!
 //! A session built by [`OnlineSession::open`] carries a [`WalWriter`]:
@@ -16,8 +17,9 @@
 //! `snapshot_every_flushes` flushes or explicitly via
 //! [`OnlineSession::checkpoint`] — serializes the builder state and
 //! finished-run set, then truncates the log. [`OnlineSession::recover`]
-//! inverts the process: load the latest valid snapshot, replay the log
-//! tail through the ordinary `StoreBuilder::apply` path, and run one full
+//! inverts the process: load the latest valid snapshot, stream the log
+//! tail through the ordinary [`OnlineSession::ingest_batch`] path in
+//! batches of [`REPLAY_CHUNK`] decoded events, and run one full
 //! flush, after which the live reports are **bit-identical** to what an
 //! uninterrupted session over the same events would show (the
 //! crash-recovery proptest in `tests/crash_recovery.rs` enforces this).
@@ -32,7 +34,9 @@ use crate::session::{OnlineSession, SessionConfig};
 use crate::snapshot::{
     encode_snapshot, read_snapshot_with, write_snapshot_bytes_with, SnapshotError, SnapshotOp,
 };
-use crate::wal::{read_wal_with, FsyncPolicy, WalCorruption, WalIoError, WalMetrics, WalWriter};
+use crate::wal::{
+    read_image, FsyncPolicy, WalCorruption, WalFrames, WalIoError, WalMetrics, WalWriter,
+};
 use faults::Faults;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,6 +46,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const WAL_FILE: &str = "wal.log";
 /// File name of the snapshot inside a session directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+/// Events recovery decodes and applies per batch: it holds at most this
+/// many decoded events at a time, never the whole log.
+pub const REPLAY_CHUNK: usize = 4096;
 
 /// Configuration of a durable session.
 #[derive(Debug, Clone)]
@@ -204,49 +211,34 @@ impl OnlineSession {
                 })
             }
         };
-        let wal = read_wal_with(&wal_path, faults)?;
-        // An unreadable-by-design log (foreign header, frames from a newer
-        // wire format) must not be "recovered" by truncating it away.
-        if let Some(c) = &wal.corruption {
-            if c.kind.is_incompatibility() {
-                return Err(RecoveryError::Incompatible {
-                    path: wal_path,
-                    detail: c.to_string(),
-                });
-            }
-        }
+        let image = read_image(&wal_path, faults)?;
+        let mut frames = WalFrames::new(&image);
 
-        // Reconcile the checkpoint epochs. The log's epoch can lag the
-        // snapshot's by exactly one crash window (snapshot renamed, log
-        // not yet truncated): those frames are already covered by the
-        // snapshot and replaying them would double-count history.
+        // Reconcile the checkpoint epochs — settled off the header, before
+        // any frame is applied. The log's epoch can lag the snapshot's by
+        // exactly one crash window (snapshot renamed, log not yet
+        // truncated): those frames are already covered by the snapshot and
+        // replaying them would double-count history.
+        let wal_epoch = frames.epoch();
         let snapshot_epoch = snapshot.as_ref().map(|s| s.wal_epoch).unwrap_or(0);
-        match &snapshot {
-            Some(_) if wal.epoch > snapshot_epoch => {
-                return Err(RecoveryError::Incompatible {
-                    path: snapshot_path,
-                    detail: format!(
-                        "snapshot epoch {snapshot_epoch} older than log epoch {} — \
-                         the snapshot covering the truncated history is missing",
-                        wal.epoch
-                    ),
-                })
-            }
-            None if wal.epoch > 0 => {
-                return Err(RecoveryError::Incompatible {
-                    path: snapshot_path,
-                    detail: format!(
-                        "log epoch {} says a snapshot truncated it, but no snapshot exists",
-                        wal.epoch
-                    ),
-                })
-            }
-            _ => {}
-        }
-        stats.wal_stale = snapshot.is_some() && wal.epoch < snapshot_epoch;
-        stats.epoch = snapshot_epoch.max(wal.epoch);
-        stats.wal_valid_len = if stats.wal_stale { 0 } else { wal.valid_len };
-        stats.wal_corruption = wal.corruption;
+        let epoch_error = match &snapshot {
+            Some(_) if wal_epoch > snapshot_epoch => Some(RecoveryError::Incompatible {
+                path: snapshot_path,
+                detail: format!(
+                    "snapshot epoch {snapshot_epoch} older than log epoch {wal_epoch} — \
+                     the snapshot covering the truncated history is missing"
+                ),
+            }),
+            None if wal_epoch > 0 => Some(RecoveryError::Incompatible {
+                path: snapshot_path,
+                detail: format!(
+                    "log epoch {wal_epoch} says a snapshot truncated it, but no snapshot exists"
+                ),
+            }),
+            _ => None,
+        };
+        stats.wal_stale = snapshot.is_some() && wal_epoch < snapshot_epoch;
+        stats.epoch = snapshot_epoch.max(wal_epoch);
 
         let session = match snapshot {
             Some(data) => {
@@ -262,14 +254,48 @@ impl OnlineSession {
             None => OnlineSession::new(config),
         };
 
-        if !stats.wal_stale && !wal.events.is_empty() {
-            stats.wal_events_replayed = wal.events.len() as u64;
-            let before = session.stats().events_rejected;
-            // Rejected events are counted and skipped exactly as they were
-            // live; the first error is not fatal to the rest of the tail.
-            let _ = session.ingest_batch(&wal.events);
-            stats.wal_events_rejected = session.stats().events_rejected - before;
+        // Stream the tail through the ordinary ingestion path, one reused
+        // chunk of decoded events at a time. A log that is not to be
+        // applied (stale, or refused by its epoch) is still scanned to its
+        // end, so a newer-format frame anywhere refuses recovery below.
+        let apply = epoch_error.is_none() && !stats.wal_stale;
+        let rejected_before = session.stats().events_rejected;
+        let mut chunk = Vec::new();
+        loop {
+            chunk.clear();
+            chunk.extend(frames.by_ref().take(REPLAY_CHUNK));
+            if chunk.is_empty() {
+                break;
+            }
+            if apply {
+                stats.wal_events_replayed += chunk.len() as u64;
+                // Rejected events are counted and skipped exactly as they
+                // were live; the first error is not fatal to the rest.
+                let _ = session.ingest_batch(&chunk);
+            }
         }
+        // An unreadable-by-design log (foreign header, frames from a newer
+        // wire format) must not be "recovered" by truncating it away; the
+        // session that replayed its prefix is dropped, nothing on disk
+        // was touched.
+        if let Some(c) = frames.corruption() {
+            if c.kind.is_incompatibility() {
+                return Err(RecoveryError::Incompatible {
+                    path: wal_path,
+                    detail: c.to_string(),
+                });
+            }
+        }
+        if let Some(e) = epoch_error {
+            return Err(e);
+        }
+        stats.wal_valid_len = if stats.wal_stale {
+            0
+        } else {
+            frames.valid_len()
+        };
+        stats.wal_corruption = frames.corruption().cloned();
+        stats.wal_events_rejected = session.stats().events_rejected - rejected_before;
         session.note_replayed(stats.snapshot_events + stats.wal_events_replayed);
         session.flush().map_err(RecoveryError::Analysis)?;
         stats.runs_recovered = session.reports().len();

@@ -28,7 +28,7 @@ use cosy::{
     AnalysisReport, Analyzer, ContextScope, HeldEntry, Instance, ProblemThreshold, SpecError,
 };
 use obs::{Histogram, MetricsRegistry, MetricsSnapshot, MetricsSource};
-use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
+use perfdata::{CallId, IdSet, RegionId, Store, TestRunId, VersionId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -336,8 +336,8 @@ impl IncrementalAnalyzer {
         let mut dirty = |run: TestRunId, region: Option<RegionId>, call: Option<CallId>| {
             let runs = scopes.entry(version_of(run)).or_default();
             let scope = runs.entry(run).or_insert_with(|| ContextScope::Dirty {
-                regions: HashSet::new(),
-                calls: HashSet::new(),
+                regions: IdSet::default(),
+                calls: IdSet::default(),
             });
             if let ContextScope::Dirty { regions, calls } = scope {
                 regions.extend(region);
@@ -565,8 +565,8 @@ mod tests {
         let f = b.store().function_by_name(v, function).unwrap();
         let r = b.store().region_by_name(f, region.0, region.1).unwrap();
         ContextScope::Dirty {
-            regions: HashSet::from([r]),
-            calls: HashSet::new(),
+            regions: IdSet::from_iter([r]),
+            calls: IdSet::default(),
         }
     }
 

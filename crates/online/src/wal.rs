@@ -34,7 +34,7 @@ use crate::event::TraceEvent;
 use crate::wire::{self, WireError};
 use faults::{Faults, Op as FaultOp};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a WAL file.
@@ -229,93 +229,142 @@ pub struct WalContents {
     pub corruption: Option<WalCorruption>,
 }
 
+/// The one frame scanner: the events of a log image (header + frames), in
+/// append order, up to the first torn, corrupt or newer-format frame.
+/// [`parse_frames`] collects it, recovery streams it — so every reader
+/// of the log cuts it at the same frame. The header is read on
+/// construction: [`WalFrames::epoch`] is known before the first frame is.
+pub(crate) struct WalFrames<'a> {
+    bytes: &'a [u8],
+    /// Start of the next frame; also the byte length of the consistent
+    /// prefix read so far (0 for an empty image or a bad header).
+    pos: usize,
+    frame: usize,
+    epoch: u64,
+    corruption: Option<WalCorruption>,
+}
+
+impl<'a> WalFrames<'a> {
+    /// Scan `bytes`. An empty image is a fresh epoch-0 log.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        let mut frames = WalFrames {
+            bytes,
+            pos: 0,
+            frame: 0,
+            epoch: 0,
+            corruption: None,
+        };
+        if bytes.is_empty() {
+            return frames;
+        }
+        if bytes.len() < WAL_HEADER_LEN as usize
+            || &bytes[..4] != WAL_MAGIC
+            || bytes[4] != WAL_FORMAT_VERSION
+        {
+            frames.corruption = Some(WalCorruption {
+                frame: 0,
+                offset: 0,
+                kind: WalCorruptionKind::BadHeader,
+            });
+            return frames;
+        }
+        frames.epoch = u64::from_le_bytes(bytes[5..13].try_into().unwrap());
+        frames.pos = WAL_HEADER_LEN as usize;
+        frames
+    }
+
+    /// Checkpoint epoch from the file header (0 for an empty log).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Byte length of the consistent prefix scanned so far (header
+    /// included).
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.pos as u64
+    }
+
+    /// Why scanning stopped early, once it has.
+    pub(crate) fn corruption(&self) -> Option<&WalCorruption> {
+        self.corruption.as_ref()
+    }
+
+    /// Decode the frame at `pos` and step past it.
+    fn decode_frame(&mut self) -> Result<TraceEvent, WalCorruptionKind> {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < 8 {
+            return Err(WalCorruptionKind::TruncatedHeader);
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
+        let Some(payload) = rest[8..].get(..len as usize) else {
+            return Err(WalCorruptionKind::TruncatedFrame {
+                expected: len,
+                present: (rest.len() - 8) as u32,
+            });
+        };
+        if wire::crc32(payload) != crc {
+            return Err(WalCorruptionKind::ChecksumMismatch);
+        }
+        let event = TraceEvent::decode_wire(payload).map_err(|e| match e {
+            WireError::UnsupportedVersion(v) => WalCorruptionKind::UnsupportedFrameVersion(v),
+            e => WalCorruptionKind::Malformed(e),
+        })?;
+        self.pos += 8 + payload.len();
+        self.frame += 1;
+        Ok(event)
+    }
+}
+
+impl Iterator for WalFrames<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        if self.corruption.is_some() || self.pos == self.bytes.len() {
+            return None;
+        }
+        match self.decode_frame() {
+            Ok(event) => Some(event),
+            Err(kind) => {
+                self.corruption = Some(WalCorruption {
+                    frame: self.frame,
+                    offset: self.pos as u64,
+                    kind,
+                });
+                None
+            }
+        }
+    }
+}
+
 /// Parse a log image (header + frames) into the longest consistent frame
 /// prefix. An empty image is a fresh epoch-0 log.
 pub fn parse_frames(bytes: &[u8]) -> WalContents {
-    let mut out = WalContents::default();
-    if bytes.is_empty() {
-        return out;
+    let mut frames = WalFrames::new(bytes);
+    let events = frames.by_ref().collect();
+    WalContents {
+        epoch: frames.epoch,
+        events,
+        valid_len: frames.valid_len(),
+        corruption: frames.corruption,
     }
-    if bytes.len() < WAL_HEADER_LEN as usize
-        || &bytes[..4] != WAL_MAGIC
-        || bytes[4] != WAL_FORMAT_VERSION
-    {
-        out.corruption = Some(WalCorruption {
-            frame: 0,
-            offset: 0,
-            kind: WalCorruptionKind::BadHeader,
-        });
-        return out;
+}
+
+/// The bytes of the log at `path`, read through the fault seam. A missing
+/// file is an empty image (a fresh session), not an error; any other I/O
+/// failure is.
+pub(crate) fn read_image(path: &Path, faults: &Faults) -> io::Result<Vec<u8>> {
+    faults.check(FaultOp::WalRead)?;
+    match std::fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
     }
-    out.epoch = u64::from_le_bytes(bytes[5..13].try_into().unwrap());
-    out.valid_len = WAL_HEADER_LEN;
-    let mut pos = WAL_HEADER_LEN as usize;
-    let mut frame = 0usize;
-    loop {
-        let stop = |kind: WalCorruptionKind| {
-            Some(WalCorruption {
-                frame,
-                offset: pos as u64,
-                kind,
-            })
-        };
-        if pos == bytes.len() {
-            break;
-        }
-        if bytes.len() - pos < 8 {
-            out.corruption = stop(WalCorruptionKind::TruncatedHeader);
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + 8;
-        if bytes.len() - body_start < len as usize {
-            out.corruption = stop(WalCorruptionKind::TruncatedFrame {
-                expected: len,
-                present: (bytes.len() - body_start) as u32,
-            });
-            break;
-        }
-        let payload = &bytes[body_start..body_start + len as usize];
-        if wire::crc32(payload) != crc {
-            out.corruption = stop(WalCorruptionKind::ChecksumMismatch);
-            break;
-        }
-        match TraceEvent::decode_wire(payload) {
-            Ok(event) => out.events.push(event),
-            Err(WireError::UnsupportedVersion(v)) => {
-                out.corruption = stop(WalCorruptionKind::UnsupportedFrameVersion(v));
-                break;
-            }
-            Err(e) => {
-                out.corruption = stop(WalCorruptionKind::Malformed(e));
-                break;
-            }
-        }
-        pos = body_start + len as usize;
-        out.valid_len = pos as u64;
-        frame += 1;
-    }
-    out
 }
 
 /// Read a whole log file. A missing file is an empty log (fresh session),
 /// not an error; any other I/O failure is.
 pub fn read_wal(path: &Path) -> io::Result<WalContents> {
-    read_wal_with(path, &Faults::none())
-}
-
-/// [`read_wal`] through a fault seam (recovery under chaos tests).
-pub fn read_wal_with(path: &Path, faults: &Faults) -> io::Result<WalContents> {
-    faults.check(FaultOp::WalRead)?;
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalContents::default()),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    Ok(parse_frames(&bytes))
+    Ok(parse_frames(&read_image(path, &Faults::none())?))
 }
 
 /// Append one framed event to `buf` (shared by the WAL writer and tests).
@@ -342,7 +391,9 @@ pub fn frame_event(buf: &mut Vec<u8>, event: &TraceEvent) {
 /// writer stays usable without any observability plumbing.
 #[derive(Debug, Default)]
 pub struct WalMetrics {
-    /// Wall time of each `write` call appending a frame batch.
+    /// Wall time of each batch append: encoding and checksumming its
+    /// frames plus the `write` call, not the policy fsync (that is
+    /// `fsync_ns`).
     pub append_ns: Option<std::sync::Arc<obs::Histogram>>,
     /// Wall time of each fsync (policy-driven or explicit).
     pub fsync_ns: Option<std::sync::Arc<obs::Histogram>>,
@@ -517,13 +568,13 @@ impl WalWriter {
             return Ok(());
         }
         self.complete_repair()?;
-        self.scratch.clear();
-        for event in events {
-            frame_event(&mut self.scratch, event);
-        }
         let before = self.len;
         let written = {
             let _stage = obs::StageTimer::maybe(self.metrics.append_ns.as_deref());
+            self.scratch.clear();
+            for event in events {
+                frame_event(&mut self.scratch, event);
+            }
             self.faults
                 .write_all(FaultOp::WalAppend, &mut self.file, &self.scratch)
         };

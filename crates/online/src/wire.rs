@@ -199,9 +199,12 @@ impl<'a> Reader<'a> {
 
 // ----------------------------------------------------------- checksum ----
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-16 tables, built at compile
+/// time. Table 0 is the classic bytewise table; `CRC_TABLES[k][b]` is the
+/// CRC register after byte `b` is followed by `k` zero bytes, so sixteen
+/// lookups advance the register over sixteen input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -214,18 +217,52 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `bytes` — the per-frame checksum of the WAL and the
-/// whole-payload checksum of the snapshot.
+/// CRC-32 (IEEE) of `bytes` — the one checksum of every durable and wire
+/// format: each WAL frame ([`crate::wal`]), each `kojak-net` frame, and
+/// the whole snapshot payload ([`crate::snapshot`]). Slicing-by-16 with a
+/// bytewise tail; the value is the standard CRC-32 for every input, so
+/// every log, snapshot and peer written by earlier builds still verifies.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let w = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(w & 0xff) as usize]
+            ^ t[14][((w >> 8) & 0xff) as usize]
+            ^ t[13][((w >> 16) & 0xff) as usize]
+            ^ t[12][(w >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -294,10 +331,58 @@ mod tests {
         assert_eq!(region_kind_from_code(5), None);
     }
 
+    /// Bit-at-a-time CRC-32 (IEEE, reflected), no table: the independent
+    /// reference the sliced kernel is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        // Published CRC-32 check values (as `zlib.crc32` gives them).
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
+        assert_eq!(crc32(&[0x00; 32]), 0x190a_55ad);
+        assert_eq!(crc32(&[0xff; 32]), 0xff6c_ab0b);
+        for (input, want) in [
+            (&b"123456789"[..], 0xcbf4_3926),
+            (&[0x00; 32][..], 0x190a_55ad),
+        ] {
+            assert_eq!(crc32_bitwise(input), want, "the reference itself");
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length_and_offset() {
+        // Every length 0..=1024 at every start offset 0..16: each split of
+        // an input into 16-byte blocks and a tail, and every alignment.
+        let data: Vec<u8> = (0..1024 + 16u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for offset in 0..16 {
+            for len in 0..=1024 {
+                let input = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(input),
+                    crc32_bitwise(input),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
     }
 }

@@ -19,6 +19,9 @@
 //! up values of all processes"); per-process variation survives only in the
 //! [`CallTiming`] statistics (min/max/mean/stddev with the first/last PE
 //! memorized).
+//!
+//! Maps and sets keyed by the store's own ids use [`IdMap`] / [`IdSet`]
+//! (a multiply-rotate hasher instead of SipHash; see [`IdHasher`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

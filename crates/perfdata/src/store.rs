@@ -4,44 +4,6 @@ use crate::ids::*;
 use crate::model::*;
 use crate::timing_type::TimingType;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hasher of the secondary indexes. Their keys are arena ids this store
-/// assigned itself — dense, never chosen by whoever sends the data — and
-/// the maps are only ever probed, never iterated: SipHash's protection
-/// against crafted keys buys nothing here, and its cost is paid on every
-/// metric load of an evaluation. One rotate, xor and multiply per word.
-#[derive(Default, Clone)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(word.into());
-    }
-
-    /// An enum's discriminant (`TimingType`) arrives as an `isize`.
-    fn write_isize(&mut self, word: isize) {
-        self.write_u64(word as u64);
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    /// The table takes its bucket from the low bits and its tag from the
-    /// top seven; the multiply mixes upwards, so bring the top down.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// A secondary index: a hash map keyed by ids of this store.
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A complete COSY performance database: multiple applications, multiple
 /// versions per application, multiple test runs per version (§3 of the
@@ -368,7 +330,9 @@ impl Store {
     }
 
     /// Find a region of a function by name and first source line (the
-    /// stable identity a trace stream refers to regions by).
+    /// stable identity a trace stream refers to regions by). The line is
+    /// compared first: it tells a function's regions apart without
+    /// reading their names.
     pub fn region_by_name(
         &self,
         function: FunctionId,
@@ -381,7 +345,7 @@ impl Store {
             .copied()
             .find(|r| {
                 let reg = &self.regions[r.index()];
-                reg.name == name && reg.first_line == first_line
+                reg.first_line == first_line && reg.name == name
             })
     }
 

@@ -8,9 +8,9 @@
 
 use kojak::apprentice_sim::{archetypes, simulate_program, MachineModel};
 use kojak::cosy::{Analyzer, Backend, ProblemThreshold};
-use kojak::online::durable::{RecoveryError, SNAPSHOT_FILE, WAL_FILE};
+use kojak::online::durable::{RecoveryError, RecoveryStats, REPLAY_CHUNK, SNAPSHOT_FILE, WAL_FILE};
 use kojak::online::replay::replay_store;
-use kojak::online::wal::WalCorruptionKind;
+use kojak::online::wal::{read_wal, WalCorruptionKind};
 use kojak::online::{DurableConfig, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent};
 use kojak::perfdata::{DateTime, RegionKind, Store};
 use std::path::PathBuf;
@@ -180,6 +180,52 @@ fn stream() -> Vec<TraceEvent> {
     replay_store(&store)
 }
 
+/// [`stream`] stretched past four [`REPLAY_CHUNK`]s: its measurement
+/// events re-sent for many rounds between the structure and the finish,
+/// as a live monitor refreshing its counters does. Recovery streams the
+/// log in chunks, so only an input this long can see a refusal or a cut
+/// *after* whole chunks were already applied.
+fn long_stream() -> Vec<TraceEvent> {
+    let events = stream();
+    let measurement = |e: &&TraceEvent| {
+        matches!(
+            e,
+            TraceEvent::RegionExited { .. }
+                | TraceEvent::TypedSample { .. }
+                | TraceEvent::CallSiteStat { .. }
+        )
+    };
+    let finish = |e: &&TraceEvent| matches!(e, TraceEvent::RunFinished { .. });
+    let rounds: Vec<&TraceEvent> = events.iter().filter(measurement).collect();
+    let mut long: Vec<TraceEvent> = events
+        .iter()
+        .filter(|e| !measurement(e) && !finish(e))
+        .cloned()
+        .collect();
+    while long.len() < 4 * REPLAY_CHUNK + 100 {
+        long.extend(rounds.iter().map(|e| (*e).clone()));
+    }
+    long.extend(events.iter().filter(finish).cloned());
+    long
+}
+
+/// Both inputs of the WAL-damage cases: one far short of a replay chunk,
+/// one longer than four.
+fn streams() -> [(&'static str, Vec<TraceEvent>); 2] {
+    let long = long_stream();
+    assert!(long.len() > 4 * REPLAY_CHUNK);
+    [("short", stream()), ("long", long)]
+}
+
+/// Recovery replayed exactly the prefix `read_wal` reads off the same
+/// damaged file, cut at the same frame for the same reason.
+fn assert_replay_matches_read_wal(stats: &RecoveryStats, wal_path: &std::path::Path) {
+    let read = read_wal(wal_path).expect("read_wal");
+    assert_eq!(stats.wal_events_replayed, read.events.len() as u64);
+    assert_eq!(stats.wal_valid_len, read.valid_len);
+    assert_eq!(stats.wal_corruption, read.corruption);
+}
+
 /// Ingest `events` durably (one flush at the end), then kill the session.
 fn write_session_dir(dir: &ScratchDir, events: &[TraceEvent], snapshot_every: u32) {
     let durable = OnlineSession::open(&dir.0, durable_config(snapshot_every)).expect("open");
@@ -197,54 +243,62 @@ fn control(events: &[TraceEvent]) -> OnlineSession {
 
 #[test]
 fn truncated_final_wal_frame_recovers_to_last_consistent_event() {
-    let events = stream();
-    let dir = ScratchDir::new("torn-tail");
-    write_session_dir(&dir, &events, 0);
+    for (name, events) in streams() {
+        let dir = ScratchDir::new(&format!("torn-tail-{name}"));
+        write_session_dir(&dir, &events, 0);
 
-    // Tear the final frame: a crash mid-`write`.
-    let wal_path = dir.0.join(WAL_FILE);
-    let bytes = std::fs::read(&wal_path).unwrap();
-    std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
+        // Tear the final frame: a crash mid-`write`.
+        let wal_path = dir.0.join(WAL_FILE);
+        let bytes = std::fs::read(&wal_path).unwrap();
+        std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
 
-    let (recovered, stats) =
-        OnlineSession::recover(&dir.0, SessionConfig::default()).expect("never a panic");
-    let c = stats.wal_corruption.expect("typed skip report");
-    assert!(matches!(c.kind, WalCorruptionKind::TruncatedFrame { .. }));
-    assert_eq!(stats.wal_events_replayed, events.len() as u64 - 1);
-    // Identical to an uninterrupted session over the surviving prefix.
-    let reference = control(&events[..events.len() - 1]);
-    assert_eq!(recovered.reports(), reference.reports());
+        let (recovered, stats) =
+            OnlineSession::recover(&dir.0, SessionConfig::default()).expect("never a panic");
+        let c = stats.wal_corruption.clone().expect("typed skip report");
+        assert!(matches!(c.kind, WalCorruptionKind::TruncatedFrame { .. }));
+        assert_eq!(stats.wal_events_replayed, events.len() as u64 - 1);
+        assert_replay_matches_read_wal(&stats, &wal_path);
+        // Identical to an uninterrupted session over the surviving prefix.
+        let reference = control(&events[..events.len() - 1]);
+        assert_eq!(recovered.reports(), reference.reports(), "{name}");
 
-    // Reopening for writing resumes on the frame boundary.
-    let resumed = OnlineSession::open(&dir.0, durable_config(0)).expect("reopen");
-    resumed.ingest(&events[events.len() - 1]).expect("append");
-    resumed.flush().expect("flush");
-    assert_eq!(resumed.reports(), control(&events).reports());
+        // Reopening for writing resumes on the frame boundary.
+        let resumed = OnlineSession::open(&dir.0, durable_config(0)).expect("reopen");
+        resumed.ingest(&events[events.len() - 1]).expect("append");
+        resumed.flush().expect("flush");
+        assert_eq!(resumed.reports(), control(&events).reports(), "{name}");
+    }
 }
 
 #[test]
 fn flipped_wal_checksum_byte_recovers_prefix_with_typed_report() {
-    let events = stream();
-    let dir = ScratchDir::new("bitflip");
-    write_session_dir(&dir, &events, 0);
+    for (name, events) in streams() {
+        let dir = ScratchDir::new(&format!("bitflip-{name}"));
+        write_session_dir(&dir, &events, 0);
 
-    let wal_path = dir.0.join(WAL_FILE);
-    let mut bytes = std::fs::read(&wal_path).unwrap();
-    // Flip a byte ~2/3 in: everything beyond that frame is untrusted.
-    let victim = bytes.len() * 2 / 3;
-    bytes[victim] ^= 0x01;
-    std::fs::write(&wal_path, &bytes).unwrap();
+        let wal_path = dir.0.join(WAL_FILE);
+        let mut bytes = std::fs::read(&wal_path).unwrap();
+        // Flip a byte ~2/3 in: everything beyond that frame is untrusted.
+        let victim = bytes.len() * 2 / 3;
+        bytes[victim] ^= 0x01;
+        std::fs::write(&wal_path, &bytes).unwrap();
 
-    let (recovered, stats) =
-        OnlineSession::recover(&dir.0, SessionConfig::default()).expect("never a panic");
-    let c = stats.wal_corruption.expect("typed skip report");
-    assert!(matches!(
-        c.kind,
-        WalCorruptionKind::ChecksumMismatch | WalCorruptionKind::TruncatedFrame { .. }
-    ));
-    let kept = stats.wal_events_replayed as usize;
-    assert!(kept < events.len(), "corrupt frame must not be trusted");
-    assert_eq!(recovered.reports(), control(&events[..kept]).reports());
+        let (recovered, stats) =
+            OnlineSession::recover(&dir.0, SessionConfig::default()).expect("never a panic");
+        let c = stats.wal_corruption.clone().expect("typed skip report");
+        assert!(matches!(
+            c.kind,
+            WalCorruptionKind::ChecksumMismatch | WalCorruptionKind::TruncatedFrame { .. }
+        ));
+        assert_replay_matches_read_wal(&stats, &wal_path);
+        let kept = stats.wal_events_replayed as usize;
+        assert!(kept < events.len(), "corrupt frame must not be trusted");
+        assert_eq!(
+            recovered.reports(),
+            control(&events[..kept]).reports(),
+            "{name}"
+        );
+    }
 }
 
 #[test]
@@ -374,36 +428,38 @@ fn deleted_snapshot_behind_a_truncated_log_is_detected() {
 fn newer_format_wal_frames_refuse_recovery_instead_of_truncating() {
     // A checksum-valid frame written by a future wire version (binary
     // downgrade): recovery must hard-stop — truncating it away would
-    // destroy data a newer build could still read.
-    let events = stream();
-    let dir = ScratchDir::new("newer-wire");
-    write_session_dir(&dir, &events[..events.len() / 2], 0);
+    // destroy data a newer build could still read. On the long input the
+    // frame sits behind more than two replay chunks already applied.
+    for (name, events) in streams() {
+        let dir = ScratchDir::new(&format!("newer-wire-{name}"));
+        let cut = events.len() / 2;
+        write_session_dir(&dir, &events[..cut], 0);
 
-    let wal_path = dir.0.join(WAL_FILE);
-    let mut bytes = std::fs::read(&wal_path).unwrap();
-    let mut payload = Vec::new();
-    events[events.len() / 2].encode_wire(&mut payload);
-    payload[0] = 9; // future WIRE_VERSION
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&kojak::online::wire::crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    bytes.extend_from_slice(&frame);
-    std::fs::write(&wal_path, &bytes).unwrap();
+        let wal_path = dir.0.join(WAL_FILE);
+        let mut bytes = std::fs::read(&wal_path).unwrap();
+        let mut payload = Vec::new();
+        events[cut].encode_wire(&mut payload);
+        payload[0] = 9; // future WIRE_VERSION
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&kojak::online::wire::crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        bytes.extend_from_slice(&frame);
+        std::fs::write(&wal_path, &bytes).unwrap();
 
-    let before = std::fs::metadata(&wal_path).unwrap().len();
-    match OnlineSession::recover(&dir.0, SessionConfig::default()) {
-        Err(RecoveryError::Incompatible { .. }) => {}
-        Err(other) => panic!("expected Incompatible, got {other:?}"),
-        Ok(_) => panic!("expected Incompatible, got a recovered session"),
+        match OnlineSession::recover(&dir.0, SessionConfig::default()) {
+            Err(RecoveryError::Incompatible { .. }) => {}
+            Err(other) => panic!("{name}: expected Incompatible, got {other:?}"),
+            Ok(_) => panic!("{name}: expected Incompatible, got a recovered session"),
+        }
+        match OnlineSession::open(&dir.0, durable_config(0)) {
+            Err(RecoveryError::Incompatible { .. }) => {}
+            other => panic!("{name}: expected Incompatible, got {:?}", other.map(|_| ())),
+        }
+        // Nothing was truncated or rewritten: the newer frames are intact
+        // for the build that can read them.
+        assert!(std::fs::read(&wal_path).unwrap() == bytes, "{name}");
     }
-    match OnlineSession::open(&dir.0, durable_config(0)) {
-        Err(RecoveryError::Incompatible { .. }) => {}
-        other => panic!("expected Incompatible, got {:?}", other.map(|_| ())),
-    }
-    // Nothing was truncated: the newer frames are intact for the build
-    // that can read them.
-    assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), before);
 }
 
 #[test]
