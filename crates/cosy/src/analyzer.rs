@@ -502,9 +502,8 @@ impl<'s> Analyzer<'s> {
     /// result is aligned with `instances`: `Some(entry)` for an instance
     /// that held with positive severity, `None` for one that did not hold
     /// or was not applicable; an evaluation failure is that of the first
-    /// failing instance in enumeration order. Both the batch
-    /// [`Self::analyze`] and the incremental engine go through this single
-    /// code path.
+    /// failing instance in enumeration order. Both [`Self::analyze`] and
+    /// the incremental engine go through this single code path.
     ///
     /// The list is cut into batches of one property × up to
     /// `BATCH_SUBJECTS` subjects, evaluated in parallel — the one level of
@@ -700,19 +699,8 @@ impl<'s> Analyzer<'s> {
             Backend::Compiled => PreparedBackend::from_compiled(self.compiled_spec(), self.store)?,
             other => PreparedBackend::prepare(other, &self.spec, self.store)?,
         };
-        self.analyze_prepared(run, &prepared, threshold)
-    }
-
-    /// [`Self::analyze`] on a backend the caller prepared — once for as
-    /// many runs and versions of the store as it analyzes.
-    pub fn analyze_prepared(
-        &self,
-        run: TestRunId,
-        prepared: &PreparedBackend<'_>,
-        threshold: ProblemThreshold,
-    ) -> Result<AnalysisReport, AnalysisError> {
         let instances = self.instances(run);
-        let outcomes = self.evaluate_instances(prepared, &instances)?;
+        let outcomes = self.evaluate_instances(&prepared, &instances)?;
         let held: Vec<HeldEntry> = outcomes.into_iter().flatten().collect();
         let skipped = instances.len() - held.len();
         Ok(self.assemble_report(run, held, threshold, skipped))

@@ -19,7 +19,6 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::batch::BatchEngine;
 use crate::error::EngineError;
 use crate::sharded::{ShardedConfig, ShardedSession};
 use crate::{AnalysisEngine, RecoverableState};
@@ -37,18 +36,17 @@ use std::sync::Arc;
 ///
 /// The stages mirror the decisions an operator makes, in order: *what* to
 /// evaluate ([`spec`](EngineBuilder::spec),
-/// [`threshold`](EngineBuilder::threshold)), *how*
-/// ([`batch`](EngineBuilder::batch) vs incremental — always on the
-/// compiled IR), *what survives a kill*
+/// [`threshold`](EngineBuilder::threshold)), *what survives a kill*
 /// ([`durable`](EngineBuilder::durable),
 /// [`fsync`](EngineBuilder::fsync),
 /// [`snapshot_every_flushes`](EngineBuilder::snapshot_every_flushes)),
-/// and *how wide* ([`shards`](EngineBuilder::shards)).
+/// and *how wide* ([`shards`](EngineBuilder::shards)). Every shape
+/// evaluates incrementally on the compiled IR; a one-shot analysis is
+/// simply its first flush.
 #[derive(Debug, Clone, Default)]
 pub struct EngineBuilder {
     spec: Option<Arc<CheckedSpec>>,
     threshold: ProblemThreshold,
-    batch: bool,
     durable_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
     snapshot_every_flushes: Option<u32>,
@@ -81,12 +79,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Use the batch engine: every flush re-runs the full analyzer pass
-    /// instead of incremental re-evaluation. Incompatible with
-    /// [`durable`](EngineBuilder::durable) and
-    /// [`shards`](EngineBuilder::shards).
-    pub fn batch(mut self) -> Self {
-        self.batch = true;
+    /// A no-op, kept so that code written for the removed batch engine
+    /// still builds: it builds the default engine. A one-shot analysis
+    /// needs no engine of its own — every run is new to a session's first
+    /// flush, so every run is evaluated in full, once.
+    pub fn batch(self) -> Self {
         self
     }
 
@@ -186,30 +183,8 @@ impl EngineBuilder {
         if let Some(spec) = &self.spec {
             cosy::check_signatures(spec)?;
         }
-        let config = |detail: &str| EngineError::Config {
-            detail: detail.to_string(),
-        };
-        if self.batch {
-            if self.durable_dir.is_some() {
-                return Err(config(
-                    "the batch engine cannot be durable (it rebuilds \
-                                   its analysis from the store; stream into a durable \
-                                   incremental engine instead)",
-                ));
-            }
-            if self.shards > 1 {
-                return Err(config("the batch engine cannot be sharded"));
-            }
-            let spec = self
-                .spec
-                .unwrap_or_else(|| Arc::new(cosy::suite::standard_suite()));
-            return Ok(Engine::Batch(BatchEngine::with_config(
-                spec,
-                self.threshold,
-            )));
-        }
         match (self.durable_dir.clone(), self.shards > 1) {
-            (None, false) => Ok(Engine::Online(self.build_online())),
+            (None, false) => Ok(Engine::Online(Box::new(self.build_online()))),
             (None, true) => Ok(Engine::ShardedOnline(ShardedSession::in_memory(
                 self.shards,
                 self.session_config(),
@@ -226,10 +201,8 @@ impl EngineBuilder {
                             .to_string(),
                     }));
                 }
-                Ok(Engine::Online(OnlineSession::open(
-                    dir,
-                    self.durable_config(),
-                )?))
+                let session = OnlineSession::open(dir, self.durable_config())?;
+                Ok(Engine::Online(Box::new(session)))
             }
             (Some(dir), true) => {
                 let (session, _recovery) = ShardedSession::open(
@@ -246,15 +219,13 @@ impl EngineBuilder {
 }
 
 /// An engine built by [`EngineBuilder::build`]: one concrete type per
-/// evaluation/partitioning shape, all behind the same [`AnalysisEngine`]
-/// surface. Durability is a property of the incremental shapes, not a
-/// shape of its own (see [`AnalysisEngine::recoverable_state`]).
+/// partitioning shape, both behind the same [`AnalysisEngine`] surface.
+/// Durability is a property of either shape, not a shape of its own (see
+/// [`AnalysisEngine::recoverable_state`]).
 pub enum Engine {
-    /// Full re-analysis per flush.
-    Batch(BatchEngine),
     /// One incremental session — in memory, or with one WAL + snapshot
     /// pair.
-    Online(OnlineSession),
+    Online(Box<OnlineSession>),
     /// N incremental shards — in memory, or with one WAL + snapshot pair
     /// each.
     ShardedOnline(ShardedSession),
@@ -263,8 +234,7 @@ pub enum Engine {
 impl Engine {
     fn as_engine(&self) -> &dyn AnalysisEngine {
         match self {
-            Engine::Batch(e) => e,
-            Engine::Online(e) => e,
+            Engine::Online(e) => e.as_ref(),
             Engine::ShardedOnline(e) => e,
         }
     }
@@ -276,7 +246,6 @@ impl Engine {
     /// [`ShardedSession::degraded_state`].
     pub fn recovery(&self) -> Option<Vec<RecoveryStats>> {
         match self {
-            Engine::Batch(_) => None,
             Engine::Online(e) => e.dir().map(|_| vec![e.recovery().clone()]),
             Engine::ShardedOnline(e) => e.shard_recoveries(),
         }

@@ -14,8 +14,8 @@ use std::fmt;
 /// Any failure of an [`crate::AnalysisEngine`].
 #[derive(Debug)]
 pub enum EngineError {
-    /// The [`crate::EngineBuilder`] was asked for an impossible
-    /// configuration (e.g. a durable batch engine).
+    /// The engine was asked for something its configuration cannot do
+    /// (e.g. reintegrating a shard that does not exist).
     Config {
         /// What was wrong with the requested configuration.
         detail: String,

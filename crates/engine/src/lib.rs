@@ -8,9 +8,13 @@
 //!
 //! | engine | evaluation | survives a kill |
 //! |---|---|---|
-//! | [`BatchEngine`] | full re-analysis per flush ([`cosy::Analyzer`]) | no |
 //! | [`online::OnlineSession`] | incremental (dirty contexts only) | if built by `open`: one WAL + snapshot pair |
 //! | [`ShardedSession`] | incremental, N `OnlineSession` shards in parallel | if built by `open`: one WAL + snapshot pair **per shard** |
+//!
+//! Both evaluate through one flush loop (`online::IncrementalAnalyzer`).
+//! A one-shot analysis — build the store, analyze it once — is a
+//! session's first flush: every run is new, so every run is evaluated in
+//! full, once.
 //!
 //! [`EngineBuilder`] is the one construction path (spec → durability →
 //! sharding; every engine evaluates with the compiled IR), and
@@ -44,7 +48,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod builder;
 pub mod error;
 pub mod sharded;
@@ -56,7 +59,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-pub use batch::BatchEngine;
 pub use builder::{Engine, EngineBuilder};
 pub use error::EngineError;
 pub use lint::{GateRejection, LintGate, LintReport};
@@ -96,8 +98,8 @@ impl RecoverableState {
 /// [`flush`](AnalysisEngine::flush) turns everything pending into
 /// refreshed, rank-stable [`AnalysisReport`]s, and
 /// [`reports`](AnalysisEngine::reports) serves them keyed by the
-/// producer's [`RunKey`]. Engines differ only in *how* they evaluate
-/// (batch vs incremental) and *what survives a kill*
+/// producer's [`RunKey`]. Engines differ only in *how wide* they run (one
+/// session or N shards) and *what survives a kill*
 /// ([`recoverable_state`](AnalysisEngine::recoverable_state)).
 pub trait AnalysisEngine: Send + Sync {
     /// Ingest a batch of events. Events are isolated: a rejected event is

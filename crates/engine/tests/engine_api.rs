@@ -3,10 +3,12 @@
 //! are typed end to end.
 
 use apprentice_sim::{archetypes, simulate_program, MachineModel};
+use cosy::{AnalysisReport, Analyzer, Backend, ProblemThreshold};
 use engine::{AnalysisEngine, Engine, EngineBuilder, EngineError, RecoverableState};
 use online::replay::{replay_run_key, replay_store};
-use online::TraceEvent;
+use online::{RunKey, TraceEvent};
 use perfdata::{Store, TestRunId};
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 struct ScratchDir(PathBuf);
@@ -37,8 +39,21 @@ fn sim() -> (Store, TestRunId) {
     (store, run)
 }
 
-/// One stream, five engine configurations, identical reports (bit for bit: every engine
-/// builds the same store arena from the same event order).
+/// The interpreter oracle's report of every run of `store` that has an
+/// analyzable version, keyed by the run's replay key.
+fn oracle_reports(store: &Store) -> HashMap<RunKey, AnalysisReport> {
+    let runs = (0..store.runs.len() as u32).map(TestRunId);
+    runs.filter_map(|run| {
+        let analyzer = Analyzer::new(store, store.runs[run.index()].version).ok()?;
+        let report = analyzer.analyze(run, Backend::Interpreter, ProblemThreshold::default());
+        Some((replay_run_key(run), report.unwrap()))
+    })
+    .collect()
+}
+
+/// One stream, four engine configurations, identical reports — bit for
+/// bit, and equal to the interpreter oracle over the store they built
+/// (every engine builds the same store arena from the same event order).
 #[test]
 fn every_engine_shape_agrees_on_the_same_stream() {
     let (store, run) = sim();
@@ -47,7 +62,6 @@ fn every_engine_shape_agrees_on_the_same_stream() {
     let sharded_dir = ScratchDir::new("agree-sharded");
 
     let engines: Vec<(&str, Engine)> = vec![
-        ("batch", EngineBuilder::new().batch().build().unwrap()),
         ("online", EngineBuilder::new().build().unwrap()),
         (
             "durable",
@@ -84,35 +98,83 @@ fn every_engine_shape_agrees_on_the_same_stream() {
         assert_eq!(engine.stats().events_applied, events.len() as u64, "{name}");
         reports.push((name, engine.reports()));
     }
-    let (first_name, first) = &reports[0];
-    for (name, other) in &reports[1..] {
-        assert_eq!(first, other, "{first_name} vs {name}");
+    let Engine::Online(online) = &engines[0].1 else {
+        panic!("an unsharded engine is one session");
+    };
+    let oracle = oracle_reports(&online.store_snapshot());
+    assert_eq!(oracle.len(), store.runs.len());
+    for (name, reports) in &reports {
+        assert_eq!(*reports, oracle, "{name} vs the interpreter oracle");
     }
 
     // Recoverable-state shapes match the configuration.
     assert!(engines[0].1.recoverable_state().is_ephemeral());
-    assert!(engines[1].1.recoverable_state().is_ephemeral());
     assert!(matches!(
-        engines[2].1.recoverable_state(),
+        engines[1].1.recoverable_state(),
         RecoverableState::Durable { .. }
     ));
-    assert!(engines[3].1.recoverable_state().is_ephemeral());
+    assert!(engines[2].1.recoverable_state().is_ephemeral());
     assert!(matches!(
-        engines[4].1.recoverable_state(),
+        engines[3].1.recoverable_state(),
         RecoverableState::Sharded { ref shard_dirs } if shard_dirs.len() == 3
     ));
     // One variant carries both the in-memory and the durable session, so
     // the recovery shape must follow the configuration, not the variant.
     assert!(matches!(engines[1].1, Engine::Online(_)));
-    assert!(matches!(engines[2].1, Engine::Online(_)));
+    assert!(matches!(engines[2].1, Engine::ShardedOnline(_)));
     assert!(matches!(engines[3].1, Engine::ShardedOnline(_)));
-    assert!(matches!(engines[4].1, Engine::ShardedOnline(_)));
     let recovered_shards = |i: usize| engines[i].1.recovery().map(|r| r.len());
     assert_eq!(recovered_shards(0), None);
-    assert_eq!(recovered_shards(1), None);
-    assert_eq!(recovered_shards(2), Some(1));
-    assert_eq!(recovered_shards(3), None);
-    assert_eq!(recovered_shards(4), Some(3));
+    assert_eq!(recovered_shards(1), Some(1));
+    assert_eq!(recovered_shards(2), None);
+    assert_eq!(recovered_shards(3), Some(3));
+}
+
+/// A flush returns the runs whose report changed, not every run it
+/// re-evaluated: re-sending a sample the engine already holds changes
+/// nothing, in every shape, while a sample that moves a severity returns
+/// exactly its run.
+#[test]
+fn flush_returns_only_runs_whose_report_changed() {
+    let (store, run) = sim();
+    let events = replay_store(&store);
+    let key = replay_run_key(run);
+    let sample = events
+        .iter()
+        .rfind(|e| matches!(e, TraceEvent::TypedSample { run: r, .. } if *r == key))
+        .unwrap()
+        .clone();
+    let mut slower = sample.clone();
+    if let TraceEvent::TypedSample { time, .. } = &mut slower {
+        *time *= 3.0;
+    }
+    let durable_dir = ScratchDir::new("changed-durable");
+    let sharded_dir = ScratchDir::new("changed-sharded");
+    let shapes = [
+        ("online", EngineBuilder::new()),
+        ("durable", EngineBuilder::new().durable(&durable_dir.0)),
+        ("sharded-online", EngineBuilder::new().shards(3)),
+        (
+            "sharded-durable",
+            EngineBuilder::new().durable(&sharded_dir.0).shards(3),
+        ),
+    ];
+    for (name, builder) in shapes {
+        let engine = builder.build().unwrap_or_else(|e| panic!("{name}: {e}"));
+        engine.ingest_batch(&events).unwrap();
+        assert_eq!(engine.flush().unwrap().len(), store.runs.len(), "{name}");
+        let before = engine.reports();
+
+        engine.ingest(&sample).unwrap();
+        assert_eq!(engine.flush().unwrap(), [], "{name}: nothing changed");
+        assert_eq!(engine.reports(), before, "{name}");
+        let evaluated = engine.stats().incremental.runs_reevaluated;
+        assert_eq!(evaluated, store.runs.len() as u64 + 1, "{name}");
+
+        engine.ingest(&slower).unwrap();
+        assert_eq!(engine.flush().unwrap(), [key], "{name}");
+        assert_ne!(engine.reports()[&key], before[&key], "{name}");
+    }
 }
 
 /// The trait is object-safe: heterogeneous engines behind one `dyn`.
@@ -121,7 +183,6 @@ fn engines_work_as_trait_objects() {
     let (store, run) = sim();
     let events = replay_store(&store);
     let engines: Vec<Box<dyn AnalysisEngine>> = vec![
-        Box::new(engine::BatchEngine::new()),
         Box::new(EngineBuilder::new().build_online()),
         Box::new(engine::ShardedSession::in_memory(2, Default::default())),
     ];
@@ -129,20 +190,6 @@ fn engines_work_as_trait_objects() {
         engine.ingest_batch(&events).expect("ingest");
         engine.flush().expect("flush");
         assert!(engine.report(replay_run_key(run)).is_some());
-    }
-}
-
-/// Impossible builder configurations fail typed, not stringly.
-#[test]
-fn impossible_configurations_are_typed_config_errors() {
-    let dir = ScratchDir::new("cfg");
-    match EngineBuilder::new().batch().durable(&dir.0).build() {
-        Err(EngineError::Config { detail }) => assert!(detail.contains("durable")),
-        other => panic!("expected Config error, got {:?}", other.err()),
-    }
-    match EngineBuilder::new().batch().shards(4).build() {
-        Err(EngineError::Config { detail }) => assert!(detail.contains("sharded")),
-        other => panic!("expected Config error, got {:?}", other.err()),
     }
 }
 
@@ -154,7 +201,6 @@ fn rejections_are_typed_uniformly() {
         run: online::RunKey(404),
     };
     let engines: Vec<Box<dyn AnalysisEngine>> = vec![
-        Box::new(engine::BatchEngine::new()),
         Box::new(EngineBuilder::new().build_online()),
         Box::new(engine::ShardedSession::in_memory(2, Default::default())),
     ];
@@ -227,11 +273,7 @@ fn uninstantiable_signature_fails_the_build() {
                    CONDITION: t.NoPe > 0; CONFIDENCE: 1; SEVERITY: 1.0;\n\
                }";
     let spec = std::sync::Arc::new(asl_core::parse_and_check(src).unwrap());
-    let shapes = [
-        EngineBuilder::new().batch(),
-        EngineBuilder::new(),
-        EngineBuilder::new().shards(2),
-    ];
+    let shapes = [EngineBuilder::new(), EngineBuilder::new().shards(2)];
     for builder in shapes {
         match builder.spec(spec.clone()).build() {
             Err(EngineError::Spec(e @ cosy::SpecError::Signature { .. })) => {

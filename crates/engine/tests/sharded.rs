@@ -331,11 +331,11 @@ fn multi_version_shards_partition_exactly() {
 /// A suite with a user property is sharded like the standard one: with
 /// `IoContention` (whose reads the standard suite's dirtiness rules do not
 /// cover) declared, a sharded session stays bit-identical — reports,
-/// `skipped`, changed-run sets — to the batch engine, through a late
-/// correction of the reference run's I/O time that moves the property in
-/// the runs it was not addressed to.
+/// `skipped` — to an unsharded one and to the interpreter oracle over its
+/// store, through a late correction of the reference run's I/O time that
+/// moves the property in the runs it was not addressed to.
 #[test]
-fn custom_property_sharded_matches_batch() {
+fn custom_property_sharded_matches_the_oracle() {
     use perfdata::TimingType::{IoRead, IoWrite};
     let src = format!(
         "{}\n{}",
@@ -368,13 +368,32 @@ fn custom_property_sharded_matches_batch() {
     }
     events.push(correction);
 
-    let batch = engine::EngineBuilder::new()
+    // Runs are numbered in the order they start, which the interleaving
+    // decides.
+    let started: Vec<RunKey> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::RunStarted { run, .. } => Some(*run),
+            _ => None,
+        })
+        .collect();
+    let oracle = |store: &Store| -> HashMap<RunKey, AnalysisReport> {
+        let runs = (0..store.runs.len() as u32).map(TestRunId);
+        runs.filter_map(|run| {
+            let version = store.runs[run.index()].version;
+            let analyzer = cosy::Analyzer::with_spec(store, version, spec.clone()).ok()?;
+            let threshold = cosy::ProblemThreshold::default();
+            let report = analyzer.analyze(run, cosy::Backend::Interpreter, threshold);
+            Some((started[run.index()], report.unwrap()))
+        })
+        .collect()
+    };
+
+    let online = engine::EngineBuilder::new()
         .spec(spec.clone())
-        .batch()
-        .build()
-        .expect("batch engine");
+        .build_online();
     let sharded = engine::EngineBuilder::new()
-        .spec(spec)
+        .spec(spec.clone())
         .shards(3)
         .build()
         .expect("sharded engine");
@@ -386,15 +405,16 @@ fn custom_property_sharded_matches_batch() {
         .chunks(211)
         .chain([std::slice::from_ref(correction)])
     {
-        batch.ingest_batch(chunk).expect("batch ingest");
+        online.ingest_batch(chunk).expect("online ingest");
         sharded.ingest_batch(chunk).expect("sharded ingest");
-        changed = batch.flush().expect("batch flush");
+        changed = AnalysisEngine::flush(&online).expect("online flush");
         sharded.flush().expect("sharded flush");
         // Ids included: one version's runs co-locate, so its shard's
-        // arena is the batch engine's.
-        assert_eq!(sharded.reports(), batch.reports());
+        // arena is the unsharded session's.
+        assert_eq!(sharded.reports(), online.reports());
+        assert_eq!(online.reports(), oracle(&online.store_snapshot()));
     }
-    // The batch engine reports what changed: the run the correction was
+    // The flush reports what changed: the run the correction was
     // addressed to, and the two it was not.
     assert_eq!(changed, [RunKey(0), RunKey(1), RunKey(2)]);
     let held = |e: &cosy::RankedEntry| e.property == "IoContention";

@@ -153,10 +153,10 @@ fn server_hashes_the_spec_its_engine_serves() {
 /// the producer hashes the custom suite, the sharded server evaluates
 /// `IoContention` (whose reads the standard suite's dirtiness rules do not
 /// cover), and after a late correction of the reference run's I/O time —
-/// sent once every run was reported — its reports are bit-identical to a
-/// batch engine fed in process.
+/// sent once every run was reported — its reports are bit-identical to
+/// the interpreter oracle over the same stream's store.
 #[test]
-fn custom_property_over_tcp_matches_batch() {
+fn custom_property_over_tcp_matches_the_oracle() {
     use perfdata::TimingType::{IoRead, IoWrite};
     let spec = custom_suite();
     let spec_hash = net::spec_hash(&spec);
@@ -215,16 +215,28 @@ fn custom_property_over_tcp_matches_batch() {
     producer.close().expect("close");
     server.engine().flush().expect("final flush");
 
-    let batch = EngineBuilder::new().spec(spec).batch().build().unwrap();
-    batch.ingest_batch(&events).expect("batch ingest");
-    batch.ingest(&correction).expect("batch correction");
-    batch.flush().expect("batch flush");
-    assert_eq!(server.engine().reports(), batch.reports());
+    // The oracle's store: the same stream, built in process.
+    let in_process = EngineBuilder::new().spec(spec.clone()).build_online();
+    in_process.ingest_batch(&events).expect("ingest");
+    in_process.ingest(&correction).expect("correction");
+    let store = in_process.store_snapshot();
+    let oracle: std::collections::HashMap<_, _> = (0..store.runs.len() as u32)
+        .map(|r| {
+            let run = perfdata::TestRunId(r);
+            let version = store.runs[run.index()].version;
+            let analyzer = cosy::Analyzer::with_spec(&store, version, spec.clone()).unwrap();
+            let threshold = cosy::ProblemThreshold::default();
+            let report = analyzer.analyze(run, cosy::Backend::Interpreter, threshold);
+            (online::replay::replay_run_key(run), report.unwrap())
+        })
+        .collect();
+    let reports = server.engine().reports();
+    assert_eq!(reports, oracle);
     // Addressed to run 0, the correction moved run 2's report too.
     let run2 = online::RunKey(2);
-    assert_ne!(before[&run2], batch.reports()[&run2]);
+    assert_ne!(before[&run2], reports[&run2]);
     let held = |e: &cosy::RankedEntry| e.property == "IoContention";
-    assert!(batch.reports()[&run2].entries.iter().any(held));
+    assert!(reports[&run2].entries.iter().any(held));
     server.shutdown();
 }
 

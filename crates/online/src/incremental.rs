@@ -1,17 +1,18 @@
 //! Incremental re-evaluation of the COSY property suite over a changing
 //! store.
 //!
-//! The engine keeps, per test run, the set of property instances that
-//! currently *hold* (as [`HeldEntry`] values keyed by property index and
-//! context id). A [`StoreDelta`] names the contexts whose inputs changed;
-//! only those instances are re-evaluated — through exactly the same
+//! The engine keeps, per test run, only its live [`AnalysisReport`]: the
+//! report's entries are exactly the property instances that currently
+//! *hold*. A [`StoreDelta`] names the contexts whose inputs changed; only
+//! those instances are re-evaluated — through exactly the same
 //! [`Analyzer::instances_scoped`] → [`Analyzer::evaluate_instances`] →
-//! [`Analyzer::assemble_report`] path the batch analyzer uses — and the
-//! results are merged into the held-set before the run's live
-//! [`AnalysisReport`] is re-assembled. Because the assembly step sorts with
-//! a total, deterministic order, an incrementally maintained report is
-//! bit-identical to a batch re-analysis of the same store (enforced by the
-//! equivalence proptest in `tests/`).
+//! [`Analyzer::assemble_report`] path as [`Analyzer::analyze`] — and the
+//! fresh entries replace the report's entries of those contexts before it
+//! is re-ranked. Because the assembly step sorts with a total,
+//! deterministic order, an incrementally maintained report is
+//! bit-identical to a full analysis of the same store (enforced by the
+//! equivalence proptest in `tests/`). A one-shot analysis is a session's
+//! first flush: every run is new, so every run is evaluated in full, once.
 //!
 //! A delta states facts only; which contexts those facts invalidate is
 //! decided by one function, `IncrementalAnalyzer::invalidated` — the
@@ -25,7 +26,8 @@ use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec};
 use cosy::backend::PreparedBackend;
 use cosy::{
-    AnalysisReport, Analyzer, ContextScope, HeldEntry, Instance, ProblemThreshold, SpecError,
+    AnalysisReport, Analyzer, ContextDesc, ContextScope, HeldEntry, ProblemThreshold, RankedEntry,
+    SpecError,
 };
 use obs::{Histogram, MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::{CallId, IdSet, RegionId, Store, TestRunId, VersionId};
@@ -61,10 +63,6 @@ impl MetricsSource for IncrementalStats {
         out.push_counter("kojak_eval_instances_evaluated_total", *instances_evaluated);
     }
 }
-
-/// Identity of a held entry within one run: the instance it came from
-/// (property index in the spec, id of the region or call site).
-type EntryKey = Instance;
 
 /// Where a flush's time goes, per version: enumerating the instances of
 /// the dirty contexts, evaluating them, and merging + ranking the reports.
@@ -116,32 +114,22 @@ impl Drop for PhaseClock<'_> {
     }
 }
 
-#[derive(Debug, Default)]
-struct RunState {
-    entries: HashMap<EntryKey, HeldEntry>,
-    report: Option<AnalysisReport>,
-    /// The version's instance-universe size when `report` was assembled.
-    /// Structure growth (a sibling run announcing a new call site) changes
-    /// the universe — and therefore the report's `skipped` count — without
-    /// dirtying this run's contexts; the flush re-assembles such reports
-    /// so they stay bit-identical to a batch pass over the current store.
-    instance_total: usize,
+/// Is the context of an entry one that `scope` re-evaluates?
+fn in_scope(scope: &ContextScope, context: &ContextDesc) -> bool {
+    match (context.region, context.call) {
+        (Some(region), _) => scope.has_region(RegionId(region)),
+        (_, Some(call)) => scope.has_call(CallId(call)),
+        (None, None) => false,
+    }
 }
 
-impl RunState {
-    /// Rank the held entries into the run's report, against a universe of
-    /// `instance_total` instances.
-    fn assemble(
-        &mut self,
-        analyzer: &Analyzer<'_>,
-        run: TestRunId,
-        threshold: ProblemThreshold,
-        instance_total: usize,
-    ) {
-        let skipped = instance_total - self.entries.len();
-        let held: Vec<HeldEntry> = self.entries.values().cloned().collect();
-        self.report = Some(analyzer.assemble_report(run, held, threshold, skipped));
-        self.instance_total = instance_total;
+/// The held entry a ranked one was assembled from.
+fn unranked(entry: &RankedEntry) -> HeldEntry {
+    HeldEntry {
+        property: entry.property.clone(),
+        context: entry.context.clone(),
+        severity: entry.severity,
+        confidence: entry.confidence,
     }
 }
 
@@ -162,7 +150,9 @@ pub struct IncrementalAnalyzer {
     /// this shared lowering instead of re-walking the AST.
     compiled: Arc<CompiledSpec>,
     threshold: ProblemThreshold,
-    states: HashMap<TestRunId, RunState>,
+    /// The live report of every evaluated run — the only state a run
+    /// keeps: its entries are exactly the instances that hold.
+    reports: HashMap<TestRunId, AnalysisReport>,
     /// The ranking-basis region each version was last evaluated against.
     basis: HashMap<VersionId, RegionId>,
     /// Runs whose version had no analyzable structure yet: owed a full
@@ -200,7 +190,7 @@ impl IncrementalAnalyzer {
             spec,
             compiled,
             threshold,
-            states: HashMap::new(),
+            reports: HashMap::new(),
             basis: HashMap::new(),
             pending_full: HashSet::new(),
             finished: HashSet::new(),
@@ -233,7 +223,7 @@ impl IncrementalAnalyzer {
 
     /// The live report of a run, if any data arrived for it.
     pub fn report(&self, run: TestRunId) -> Option<&AnalysisReport> {
-        self.states.get(&run).and_then(|s| s.report.as_ref())
+        self.reports.get(&run)
     }
 
     /// True once the run's producer declared it finished (its report is
@@ -260,9 +250,7 @@ impl IncrementalAnalyzer {
 
     /// All live reports.
     pub fn reports(&self) -> impl Iterator<Item = (TestRunId, &AnalysisReport)> {
-        self.states
-            .iter()
-            .filter_map(|(run, s)| s.report.as_ref().map(|r| (*run, r)))
+        self.reports.iter().map(|(run, report)| (*run, report))
     }
 
     /// The contexts whose held results the facts of `delta` can have
@@ -298,7 +286,7 @@ impl IncrementalAnalyzer {
     /// in the flush even with nothing dirty (see `Scopes`). Under any
     /// other spec than the standard suite no rule above is known to hold:
     /// every run of each version the delta touches is evaluated in full —
-    /// the batch engine's behaviour, one version at a time — which is
+    /// a full analysis, one version at a time — which is
     /// sound for any property whose reads stay inside the version of its
     /// subject (the assumption the sharded router makes too). This is
     /// where read-sets derived from the checked spec replace the
@@ -409,6 +397,10 @@ impl IncrementalAnalyzer {
         // spec), applied to the registry once at the end — counter lookup
         // takes a lock.
         let mut property_counts = vec![0u64; spec.properties().len()];
+        // One binding serves every version: the store does not change
+        // during a flush. Made on first use, so a flush with no run to
+        // evaluate binds (and can fail to bind) nothing.
+        let mut bound = None;
 
         for (v, runs) in scopes {
             let analyzer = match Analyzer::with_compiled(
@@ -430,63 +422,71 @@ impl IncrementalAnalyzer {
             // The instance universe is a property of the version's
             // structure, identical for every run: count it once per flush.
             let instance_total = analyzer.instance_universe();
-            if !runs.is_empty() {
-                let prepared = PreparedBackend::from_compiled(Arc::clone(&self.compiled), store)?;
+            // Runs in turn: the parallelism of a flush is inside
+            // `evaluate_instances`, over its batches.
+            for (&run, scope) in &runs {
+                let prepared = match &bound {
+                    Some(prepared) => prepared,
+                    None => bound.insert(PreparedBackend::from_compiled(
+                        Arc::clone(&self.compiled),
+                        store,
+                    )?),
+                };
+                let instances = analyzer.instances_scoped(run, scope);
+                clock.lap(0);
+                let outcomes = analyzer.evaluate_instances(prepared, &instances)?;
+                clock.lap(1);
 
-                // Runs in turn: the parallelism of a flush is inside
-                // `evaluate_instances`, over its batches.
-                for (&run, scope) in &runs {
-                    let instances = analyzer.instances_scoped(run, scope);
-                    clock.lap(0);
-                    let outcomes = analyzer.evaluate_instances(&prepared, &instances)?;
-                    clock.lap(1);
-
-                    let state = self.states.entry(run).or_default();
-                    if *scope == ContextScope::All {
-                        state.entries.clear();
-                        self.stats.full_reevaluations += 1;
-                        // Owed until paid: a flush that fails before this
-                        // point leaves the run waiting.
-                        self.pending_full.remove(&run);
-                    }
-                    for (key, outcome) in instances.iter().zip(outcomes) {
-                        property_counts[key.property as usize] += 1;
-                        match outcome {
-                            Some(entry) => {
-                                state.entries.insert(*key, entry);
-                            }
-                            None => {
-                                state.entries.remove(key);
-                            }
-                        }
-                    }
-                    state.assemble(&analyzer, run, self.threshold, instance_total);
-                    self.stats.instances_evaluated += instances.len() as u64;
-                    self.stats.runs_reevaluated += 1;
-                    updated.push(run);
-                    clock.lap(2);
+                for instance in instances.iter() {
+                    property_counts[instance.property as usize] += 1;
                 }
+                // The report's entries outside the scope still hold; every
+                // entry inside it was just evaluated again.
+                let fresh = outcomes.into_iter().flatten();
+                let held: Vec<HeldEntry> = match (scope, self.reports.get(&run)) {
+                    (ContextScope::Dirty { .. }, Some(live)) => {
+                        let kept = live.entries.iter().filter(|e| !in_scope(scope, &e.context));
+                        kept.map(unranked).chain(fresh).collect()
+                    }
+                    _ => fresh.collect(),
+                };
+                let skipped = instance_total - held.len();
+                let report = analyzer.assemble_report(run, held, self.threshold, skipped);
+                if self.reports.get(&run) != Some(&report) {
+                    self.reports.insert(run, report);
+                    updated.push(run);
+                }
+                if *scope == ContextScope::All {
+                    self.stats.full_reevaluations += 1;
+                    // Owed until paid: a flush that fails before this
+                    // point leaves the run waiting.
+                    self.pending_full.remove(&run);
+                }
+                self.stats.instances_evaluated += instances.len() as u64;
+                self.stats.runs_reevaluated += 1;
+                clock.lap(2);
             }
             // Only now: had an evaluation above failed, the retried delta
             // must still find the old basis and re-base the version.
             self.basis.insert(v, analyzer.basis());
 
             // Structure growth re-sizes the instance universe of every run
-            // of the version: re-assemble (without re-evaluating) any live
-            // report whose cached universe size drifted, so `skipped`
-            // counts stay bit-identical to a batch pass over the current
-            // store. No held entry can change here — a brand-new context
-            // has no data for untouched runs, so nothing new can hold.
-            for &run in &store.versions[v.index()].runs {
-                if runs.contains_key(&run) {
+            // of the version, and with it the `skipped` count of a report
+            // no rule re-evaluated. Nothing else of such a report can
+            // change: a brand-new context has no data for untouched runs,
+            // so nothing new can hold, and the basis duration and reference
+            // configuration move only under rules that re-evaluate the run.
+            for run in &store.versions[v.index()].runs {
+                if runs.contains_key(run) {
                     continue;
                 }
-                let Some(state) = self.states.get_mut(&run) else {
+                let Some(report) = self.reports.get_mut(run) else {
                     continue;
                 };
-                if state.report.is_some() && state.instance_total != instance_total {
-                    state.assemble(&analyzer, run, self.threshold, instance_total);
-                    updated.push(run);
+                let skipped = instance_total - report.entries.len();
+                if report.skipped != skipped {
+                    report.skipped = skipped;
+                    updated.push(*run);
                 }
             }
             clock.lap(2);
@@ -774,6 +774,51 @@ mod tests {
         let scopes = a.invalidated(b.store(), &elsewhere);
         let v10 = b.version_id(VersionTag(10)).unwrap();
         assert!(scopes.keys().eq([&v10]), "{scopes:?}");
+    }
+
+    /// A correction inside a dirty scope that makes an entry stop holding:
+    /// the entry leaves the report, its instance counts as skipped, and
+    /// the report is the one a single flush over the same store makes.
+    #[test]
+    fn correction_drops_an_entry_that_stops_holding() {
+        let (mut b, structure) = version_with_runs(&[2]);
+        let mut a = standard();
+        a.flush(b.store(), &structure).unwrap();
+        let measured = apply(
+            &mut b,
+            &[
+                exited(1, "main", MAIN, 10.0),
+                exited(1, "main", LOOP, 5.0),
+                typed(1, "main", LOOP),
+            ],
+        );
+        let run = b.run_id(RunKey(1)).unwrap();
+        assert_eq!(a.flush(b.store(), &measured).unwrap(), [run]);
+        let before = a.report(run).unwrap().clone();
+        let sync_cost = |report: &AnalysisReport| {
+            let held = |e: &RankedEntry| e.property == "SyncCost" && e.context.label == LOOP.0;
+            report.entries.iter().any(held)
+        };
+        assert!(sync_cost(&before));
+
+        let mut no_barrier = typed(1, "main", LOOP);
+        if let TraceEvent::TypedSample { time, .. } = &mut no_barrier {
+            *time = 0.0;
+        }
+        let correction = apply(&mut b, &[no_barrier]);
+        assert_eq!(
+            of_version_9(&b, a.invalidated(b.store(), &correction)),
+            [(1, dirty_region(&b, "main", LOOP))]
+        );
+        assert_eq!(a.flush(b.store(), &correction).unwrap(), [run]);
+        let after = a.report(run).unwrap();
+        assert!(!sync_cost(after));
+        assert_eq!(after.entries.len() + 1, before.entries.len());
+        assert_eq!(after.skipped, before.skipped + 1);
+
+        let mut once = standard();
+        once.flush(b.store(), &b.all_new()).unwrap();
+        assert_eq!(once.report(run), Some(after));
     }
 
     #[test]

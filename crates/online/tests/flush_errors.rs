@@ -305,14 +305,14 @@ fn failed_flush_does_not_forget_a_rebase() {
     session.ingest_batch(&events[2]).expect("correction");
     session.flush().expect("healed flush");
 
-    // The same events with one flush at the end: the batch engine's answer.
-    let batch = OnlineSession::new(SessionConfig::default());
-    batch.ingest_batch(&events.concat()).expect("ingest");
-    batch.flush().expect("flush");
+    // The same events with one flush at the end: a one-shot analysis.
+    let once = OnlineSession::new(SessionConfig::default());
+    once.ingest_batch(&events.concat()).expect("ingest");
+    once.flush().expect("flush");
     for key in 1..=2 {
         assert_eq!(
             session.report(RunKey(key)),
-            batch.report(RunKey(key)),
+            once.report(RunKey(key)),
             "run {key}"
         );
     }

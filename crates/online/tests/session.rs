@@ -71,6 +71,29 @@ fn run_finished_state_is_tracked() {
     assert_eq!(session.stats().runs_finished, 1);
 }
 
+/// A flush returns the runs whose report changed: a sample re-sent with
+/// the value the store already holds is evaluated again, and changes
+/// nothing.
+#[test]
+fn identical_sample_changes_no_report() {
+    let store = simulated_store(&[1, 8]);
+    let session = OnlineSession::new(SessionConfig::default());
+    let events = online::replay::replay_store(&store);
+    session.ingest_batch(&events).unwrap();
+    session.flush().unwrap();
+    let before = session.reports();
+    let resent = events
+        .iter()
+        .rfind(|e| matches!(e, TraceEvent::TypedSample { .. }))
+        .unwrap();
+    let evaluated = session.stats().incremental.runs_reevaluated;
+
+    session.ingest(resent).unwrap();
+    assert_eq!(session.flush().unwrap(), []);
+    assert_eq!(session.stats().incremental.runs_reevaluated, evaluated + 1);
+    assert_eq!(session.reports(), before);
+}
+
 #[test]
 fn incremental_engine_does_less_work_than_batch() {
     // Appending one run to a store with many runs must evaluate far fewer

@@ -28,11 +28,11 @@ fn main() {
         store.object_count()
     );
 
-    // 3. One engine API for every analysis shape. `.batch()` is the
-    //    paper's one-shot COSY workflow; drop it for the incremental
-    //    online engine, add `.durable(dir)`/`.shards(n)` to scale out —
-    //    the code below stays the same.
-    let engine = EngineBuilder::new().batch().build().expect("engine");
+    // 3. One engine API for every analysis shape: the paper's one-shot
+    //    COSY workflow is the engine's first flush; add
+    //    `.durable(dir)`/`.shards(n)` to scale out — the code below stays
+    //    the same.
+    let engine = EngineBuilder::new().build().expect("engine");
     engine
         .ingest_batch(&replay_store(&store))
         .expect("ingest the simulated trace stream");
