@@ -53,6 +53,7 @@ impl EngineError {
         match e {
             IngestError::UnknownRun(_)
             | IngestError::DuplicateRun(_)
+            | IngestError::NoProcessors(_)
             | IngestError::UnknownFunction { .. }
             | IngestError::UnknownRegion { .. }
             | IngestError::UnknownParent { .. } => false,
@@ -137,6 +138,7 @@ mod tests {
         let per_event = [
             IngestError::UnknownRun(run),
             IngestError::DuplicateRun(run),
+            IngestError::NoProcessors(run),
             IngestError::UnknownFunction {
                 run,
                 function: function.clone(),

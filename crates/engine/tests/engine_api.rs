@@ -215,6 +215,79 @@ fn rejections_are_typed_uniformly() {
     }
 }
 
+/// A run that declares zero processors is refused at the door with a
+/// typed error, in every shape and across a kill and reopen. Admitted, it
+/// made `IoContention`'s `Growth = t.NoPe / MinPeSum.Run.NoPe` divide by
+/// zero, and every later flush failed on the re-queued delta.
+#[test]
+fn a_run_without_processors_is_rejected_and_flushing_goes_on() {
+    let src = format!(
+        "{}\n{}",
+        cosy::suite::standard_suite_source(),
+        include_str!("../../../examples/specs/io_contention.asl")
+    );
+    let spec = std::sync::Arc::new(asl_core::parse_and_check(&src).unwrap());
+    let mut store = Store::new();
+    simulate_program(
+        &mut store,
+        &archetypes::spectral_io(11),
+        &MachineModel::t3e_900(),
+        &[2, 64],
+    );
+    let zero = replay_run_key(TestRunId(0));
+    let kept = replay_run_key(TestRunId(1));
+    let mut events = replay_store(&store);
+    for e in &mut events {
+        if let TraceEvent::RunStarted { run, no_pe, .. } = e {
+            if *run == zero {
+                *no_pe = 0;
+            }
+        }
+    }
+    // The refused run's later events name a run that never started.
+    let refused = events.iter().filter(|e| e.run_key() == zero).count() as u64;
+
+    let durable_dir = ScratchDir::new("zero-pe-durable");
+    let sharded_dir = ScratchDir::new("zero-pe-sharded");
+    let shapes = [
+        ("online", EngineBuilder::new()),
+        ("durable", EngineBuilder::new().durable(&durable_dir.0)),
+        ("sharded-online", EngineBuilder::new().shards(2)),
+        (
+            "sharded-durable",
+            EngineBuilder::new().durable(&sharded_dir.0).shards(2),
+        ),
+    ];
+    for (name, builder) in shapes {
+        let builder = builder.spec(spec.clone());
+        let engine = builder
+            .clone()
+            .build()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        match engine.ingest_batch(&events) {
+            Err(EngineError::Ingest(online::IngestError::NoProcessors(k))) => {
+                assert_eq!(k, zero, "{name}")
+            }
+            other => panic!("{name}: expected typed NoProcessors, got {other:?}"),
+        }
+        assert_eq!(engine.stats().events_rejected, refused, "{name}");
+        engine.flush().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let reports = engine.reports();
+        assert!(!reports.contains_key(&zero), "{name}");
+        assert!(reports[&kept].bottleneck().is_some(), "{name}");
+        // A second flush has nothing re-queued to fail on.
+        assert_eq!(engine.flush().unwrap(), [], "{name}");
+        if !engine.recoverable_state().is_ephemeral() {
+            drop(engine); // killed: no checkpoint, no graceful shutdown
+            let reopened = builder
+                .build()
+                .unwrap_or_else(|e| panic!("{name} reopen: {e}"));
+            assert_eq!(reopened.stats().events_rejected, refused, "{name}");
+            assert_eq!(reopened.reports(), reports, "{name} after reopen");
+        }
+    }
+}
+
 /// The standard suite passes the strictest lint gate (its one accepted
 /// pattern — the two-key `(Run, Type)` filters — carries an explicit
 /// `cosy-lint: allow(...)` directive), while a dirty custom suite is

@@ -18,8 +18,7 @@
 //! * The `inject` cargo feature. Without it (the default) the seam
 //!   compiles to an inlined passthrough — `Faults` is a zero-sized
 //!   type and every call site reduces to the underlying I/O operation,
-//!   so release builds pay nothing for carrying the fault layer
-//!   (mirrors `kojak-obs`'s `obs-off`, with the polarity inverted).
+//!   so release builds pay nothing for carrying the fault layer.
 //!
 //! ## Determinism
 //!

@@ -68,10 +68,10 @@ pub struct DivSite {
     /// The verdict.
     pub verdict: DivVerdict,
     /// Whether the denominator has a *trigger shape* — one of the forms
-    /// the syntactic lint reports (constant zero, `COUNT`, `E - E`,
-    /// possibly through one `LET`). Only triggered sites surface as
-    /// findings; un-triggered `Unknown` sites stay silent exactly like
-    /// the syntactic rule.
+    /// whose range provably includes zero (constant zero, `COUNT`,
+    /// `E - E`, possibly through one `LET`). Only triggered sites
+    /// surface as lint findings; a denominator of unknown range, such as
+    /// an attribute load, stays silent.
     pub triggered: bool,
     /// Human-readable reason: why zero is possible/proven, or what
     /// proves the site safe.
@@ -1003,8 +1003,8 @@ impl<'a> Analyzer<'a> {
         });
     }
 
-    /// IR twin of the syntactic `provably_can_be_zero`: does the
-    /// denominator have a shape whose range provably includes zero?
+    /// Does the denominator have a shape whose range provably includes
+    /// zero? Returns the reason when so.
     fn zero_trigger(&self, env: &Env, den: NodeRef) -> Option<String> {
         let n = self.unwrap_cached(den);
         if let Some(v) = self.const_value(n) {

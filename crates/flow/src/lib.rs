@@ -2,8 +2,8 @@
 //!
 //! A fixpoint abstract-interpretation engine that runs over the same
 //! slot-indexed IR the compiled evaluator executes
-//! ([`asl_eval::CompiledSpec`]), turning the syntactic lints of
-//! `kojak-lint` into *semantic* ones with three kinds of output:
+//! ([`asl_eval::CompiledSpec`]). It is the only source of the semantic
+//! facts `kojak-lint`'s rules report, with three kinds of output:
 //!
 //! - **Proven verdicts.** Every division/modulo site is triaged into
 //!   proven-safe / possible / proven-div-by-zero ([`DivVerdict`]),
@@ -47,16 +47,12 @@
 //! assert_eq!(prop.divisions[0].verdict, flow::DivVerdict::ProvenSafe);
 //! assert_eq!(prop.divisions[0].guard.as_deref(), Some("(has_data)"));
 //! ```
-//!
-//! The syntactic layer — AST constant folding and threshold reasoning,
-//! shared with `kojak-lint`'s `--no-flow` path — lives in [`fold`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod absint;
 pub mod domain;
-pub mod fold;
 
 pub use absint::{
     analyze, ArmCanon, Atom, CondFlow, ConstraintSet, DeclFlow, DivSite, DivVerdict, FlowReport,

@@ -1,9 +1,8 @@
 //! `cosy_lint` — command-line front end for the `kojak-lint` pass.
 //!
 //! Lints one or more ASL specification files and prints a text or JSON
-//! report per file. By default the `kojak-flow` abstract interpreter
-//! runs over the compiled IR, so findings carry proven verdicts;
-//! `--no-flow` falls back to the purely syntactic rules.
+//! report per file. The `kojak-flow` abstract interpreter runs over the
+//! compiled IR, so semantic findings carry proven verdicts.
 //!
 //! Exit codes form a stable contract (see `--help`):
 //!
@@ -22,8 +21,6 @@ USAGE:
 OPTIONS:
     --json          emit the report as JSON (schema 1) instead of text
     --costs         also print the static per-property cost ranking
-    --flow          run the dataflow (abstract interpretation) pass [default]
-    --no-flow       syntactic rules only; flow-only rules stay silent
     --with-suite    prepend the COSY data model to each file before linting
     --rules         list every rule with its description and exit
     -h, --help      print this help and exit
@@ -37,7 +34,6 @@ EXIT CODES:
 struct Opts {
     json: bool,
     costs: bool,
-    flow: bool,
     with_suite: bool,
     files: Vec<String>,
 }
@@ -61,7 +57,6 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, UsageError> {
     let mut opts = Opts {
         json: false,
         costs: false,
-        flow: true,
         with_suite: false,
         files: Vec::new(),
     };
@@ -69,8 +64,6 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, UsageError> {
         match a.as_str() {
             "--json" => opts.json = true,
             "--costs" => opts.costs = true,
-            "--flow" => opts.flow = true,
-            "--no-flow" => opts.flow = false,
             "--with-suite" => opts.with_suite = true,
             "--rules" => {
                 for (name, desc) in lint::rule_catalog() {
@@ -115,7 +108,7 @@ fn run_file(path: &str, opts: &Opts) -> u8 {
             return 2;
         }
     };
-    let report = lint::lint_with(&spec, &source, opts.flow);
+    let report = lint::lint(&spec, &source);
     if opts.json {
         println!("{}", report.to_json(&source));
     } else {

@@ -18,15 +18,14 @@
 //!   [IR cost estimator](asl_eval::CompiledSpec::property_costs) ranks
 //!   properties by estimated evaluation cost.
 //!
-//! By default the pass runs the `kojak-flow` abstract interpreter over
-//! the compiled IR ([`flow::analyze`]) and the semantic rules consume
+//! The pass runs the `kojak-flow` abstract interpreter over the
+//! compiled IR ([`flow::analyze`]) once, and every semantic rule reads
 //! its results: division sites are triaged into
 //! proven-safe / possible / proven-div-by-zero verdicts,
 //! unreachable/overlapping arms are decided by guard implication over
-//! arbitrary expressions (not just threshold literals), unit mismatches
-//! are reported from the inferred dimension lattice, and flow-proven
-//! cardinality bounds sharpen the cost ranking. [`lint_with`] with
-//! `run_flow = false` falls back to the purely syntactic rules.
+//! arbitrary expressions, unit mismatches are reported from the inferred
+//! dimension lattice, and flow-proven cardinality bounds sharpen the
+//! cost ranking.
 //!
 //! Every [`Finding`] carries a real [`Span`], an optional flow
 //! *verdict* tag, and [`Note`]s pointing at the dominating spans (the
@@ -69,10 +68,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod fold;
 pub mod json;
 pub mod rules;
-
-pub use flow::fold;
 
 use asl_core::{CheckedSpec, Diagnostic, Diagnostics, SourceMap, Span};
 use asl_eval::PropCost;
@@ -122,13 +120,12 @@ pub struct LintReport {
     pub findings: Vec<Finding>,
     /// Findings matched by an `allow(...)` directive, in source order.
     pub suppressed: Vec<Finding>,
-    /// Flow proofs: sites a syntactic rule would have flagged that the
-    /// abstract interpreter proved safe (verdict `"proven-safe"`).
+    /// Flow proofs: division sites of a flagged shape that the abstract
+    /// interpreter proved safe (verdict `"proven-safe"`).
     /// Informational — proofs never make a report dirty.
     pub proofs: Vec<Finding>,
-    /// Per-property static cost estimates, most expensive first. When
-    /// the flow pass ran, proven cardinality bounds sharpen the
-    /// estimates.
+    /// Per-property static cost estimates, most expensive first,
+    /// sharpened by flow-proven cardinality bounds.
     pub costs: Vec<PropCost>,
 }
 
@@ -275,29 +272,20 @@ fn allow_directives(source: &str) -> Vec<AllowDirective> {
     out
 }
 
-/// Run every registered rule over a checked spec, with the flow pass
-/// enabled (see [`lint_with`]).
-pub fn lint(spec: &CheckedSpec, source: &str) -> LintReport {
-    lint_with(spec, source, true)
-}
-
 /// Run every registered rule over a checked spec.
 ///
 /// `source` must be the text the spec was parsed from: it feeds the
 /// `allow(...)` directive scan and all span rendering. Checker warnings
 /// recorded on the success path ([`CheckedSpec::warnings`]) are included
 /// as `checker-warning` findings, so one gate covers both passes. The
-/// spec is also compiled (to the slot IR) for the static cost ranking.
-///
-/// With `run_flow`, the `kojak-flow` abstract interpreter analyzes the
-/// compiled IR first and the semantic rules (div-by-zero triage,
+/// spec is compiled to the slot IR, the `kojak-flow` abstract
+/// interpreter analyzes it, and the semantic rules (div-by-zero triage,
 /// unreachable/overlapping arms, unit mismatch, property subsumption)
-/// consume its results; without it, the syntactic fallback rules run
-/// and the flow-only rules stay silent.
-pub fn lint_with(spec: &CheckedSpec, source: &str, run_flow: bool) -> LintReport {
+/// and the static cost ranking read its results.
+pub fn lint(spec: &CheckedSpec, source: &str) -> LintReport {
     let comp = asl_eval::compile(spec);
-    let flow_report = run_flow.then(|| flow::analyze(spec, &comp));
-    let cx = rules::LintCx::with_flow(spec, flow_report.as_ref());
+    let flow_report = flow::analyze(spec, &comp);
+    let cx = rules::LintCx::new(spec, &flow_report);
     let mut findings: Vec<Finding> = spec
         .warnings
         .iter()
@@ -360,10 +348,7 @@ pub fn lint_with(spec: &CheckedSpec, source: &str, run_flow: bool) -> LintReport
     findings.sort_by(by_span);
     suppressed.sort_by(by_span);
 
-    let mut costs = match &flow_report {
-        Some(fr) => comp.property_costs_with_bounds(&|n| fr.loop_bound(n)),
-        None => comp.property_costs(),
-    };
+    let mut costs = comp.property_costs_with_bounds(&|n| flow_report.loop_bound(n));
     costs.sort_by_key(|c| std::cmp::Reverse(c.estimated_units));
 
     LintReport {
@@ -372,6 +357,12 @@ pub fn lint_with(spec: &CheckedSpec, source: &str, run_flow: bool) -> LintReport
         proofs,
         costs,
     }
+}
+
+/// [`lint`], kept for callers written when the flow pass could be
+/// switched off: the flag is ignored, and the flow pass always runs.
+pub fn lint_with(spec: &CheckedSpec, source: &str, _flow: bool) -> LintReport {
+    lint(spec, source)
 }
 
 /// Parse, check and lint a source text in one step. Front-end errors
@@ -521,13 +512,5 @@ mod tests {
         let json = report.to_json(DIRTY);
         assert!(json.contains("\"property\":\"P\""));
         assert!(json.contains("\"schema\":1"));
-    }
-
-    #[test]
-    fn no_flow_fallback_matches_syntactic_rules() {
-        let spec = asl_core::parse_and_check(DIRTY).unwrap();
-        let syntactic = lint_with(&spec, DIRTY, false);
-        assert!(!syntactic.is_clean());
-        assert!(syntactic.proofs.is_empty());
     }
 }

@@ -1,18 +1,16 @@
 //! Condition/arm lints: constant conditions, unreachable guarded arms,
 //! and overlapping `MAX` arms.
 //!
-//! Without the flow pass, unreachable arms are detected by constant
-//! folding (guard condition folds to `FALSE`) and overlaps by
-//! threshold-literal implication. With it, both generalize to
-//! arbitrary guard expressions: an arm is unreachable when the
-//! abstract interpreter proves its guard condition `False`, and two
-//! `MAX` arms overlap when one guard's constraint set implies the
-//! other's.
+//! Constant conditions are found by constant folding. The other two are
+//! decided by the abstract interpreter over arbitrary guard expressions:
+//! an arm is unreachable when it proves the arm's guard condition
+//! `False`, and two `MAX` arms overlap when one guard's constraint set
+//! implies the other's.
 
 use super::{LintCx, LintRule};
-use crate::fold::{implies, threshold_of, Const, Threshold};
+use crate::fold::Const;
 use crate::{Finding, Note};
-use asl_core::ast::{ArmSpec, Condition, PropertyDecl};
+use asl_core::ast::Condition;
 use flow::Tri;
 use std::collections::HashMap;
 
@@ -58,39 +56,11 @@ impl LintRule for ConstantCondition {
     }
 }
 
-/// `unreachable-arm`: a confidence/severity arm guarded by a condition
-/// that folds to `FALSE` can never be selected.
+/// `unreachable-arm`: a confidence/severity arm whose guard condition the
+/// abstract interpreter proves `False` over all runs can never be
+/// selected — constant folding is the simplest case, a provably empty
+/// solution set of an arbitrary guard the general one.
 pub struct UnreachableArm;
-
-impl UnreachableArm {
-    fn check_section(
-        &self,
-        cx: &LintCx<'_>,
-        p: &PropertyDecl,
-        section: &str,
-        spec: &ArmSpec,
-        false_ids: &[String],
-        out: &mut Vec<Finding>,
-    ) {
-        for arm in &spec.arms {
-            let Some(guard) = &arm.guard else { continue };
-            if false_ids.contains(&guard.name) {
-                out.push(Finding {
-                    rule: LintRule::name(self),
-                    message: format!(
-                        "{section} arm guarded by `({})` is unreachable: the condition \
-                         is constantly FALSE",
-                        guard.name
-                    ),
-                    span: arm.span,
-                    owner: format!("property {}", p.name.name),
-                    ..Finding::default()
-                });
-            }
-        }
-        let _ = cx;
-    }
-}
 
 impl LintRule for UnreachableArm {
     fn name(&self) -> &'static str {
@@ -98,38 +68,12 @@ impl LintRule for UnreachableArm {
     }
 
     fn description(&self) -> &'static str {
-        "guarded arm whose condition folds to FALSE"
+        "guarded arm whose condition can never hold"
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        if let Some(fr) = cx.flow {
-            self.run_flow(cx, fr, out);
-            return;
-        }
         for p in &cx.spec.spec.properties {
-            let false_ids: Vec<String> = p
-                .conditions
-                .iter()
-                .filter(|c| cx.folder.fold(&c.expr) == Some(Const::Bool(false)))
-                .filter_map(|c| c.id.as_ref().map(|i| i.name.clone()))
-                .collect();
-            if false_ids.is_empty() {
-                continue;
-            }
-            self.check_section(cx, p, "confidence", &p.confidence, &false_ids, out);
-            self.check_section(cx, p, "severity", &p.severity, &false_ids, out);
-        }
-    }
-}
-
-impl UnreachableArm {
-    /// Flow-driven variant: an arm is unreachable when the abstract
-    /// interpreter proves its guard condition `False` over all runs —
-    /// this covers constant folding (the syntactic case) and arbitrary
-    /// guard expressions with provably-empty solution sets.
-    fn run_flow(&self, cx: &LintCx<'_>, fr: &flow::FlowReport, out: &mut Vec<Finding>) {
-        for p in &cx.spec.spec.properties {
-            let Some(pf) = fr.property(&p.name.name) else {
+            let Some(pf) = cx.flow.property(&p.name.name) else {
                 continue;
             };
             let false_conds: Vec<&flow::CondFlow> = pf
@@ -149,8 +93,9 @@ impl UnreachableArm {
                     else {
                         continue;
                     };
-                    // Keep the syntactic wording when folding alone
-                    // decides it, so the no-flow path reads the same.
+                    // Name the stronger reason when folding alone decides
+                    // it; the lint goldens and the benchmark's lint-JSON
+                    // hashes pin both wordings.
                     let folded = p
                         .conditions
                         .iter()
@@ -185,9 +130,9 @@ impl UnreachableArm {
 }
 
 /// `overlapping-arms`: two arms of one `MAX` section are guarded by
-/// threshold conditions over the same expression where one condition
-/// implies the other — the "specialized" arm never fires alone, which
-/// usually means the thresholds were meant to be mutually exclusive.
+/// conditions where one's constraint set implies the other's — the
+/// "specialized" arm never fires alone, which usually means the
+/// thresholds were meant to be mutually exclusive.
 pub struct OverlappingArms;
 
 impl LintRule for OverlappingArms {
@@ -196,83 +141,12 @@ impl LintRule for OverlappingArms {
     }
 
     fn description(&self) -> &'static str {
-        "MAX arms guarded by threshold conditions where one implies the other"
+        "MAX arms guarded by conditions where one implies the other"
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        if let Some(fr) = cx.flow {
-            self.run_flow(cx, fr, out);
-            return;
-        }
         for p in &cx.spec.spec.properties {
-            // Threshold shape per named condition.
-            let mut thresholds: HashMap<&str, Threshold> = HashMap::new();
-            for c in &p.conditions {
-                if let (Some(id), Some(t)) = (&c.id, threshold_of(&c.expr, &cx.folder)) {
-                    thresholds.insert(&id.name, t);
-                }
-            }
-            if thresholds.len() < 2 {
-                continue;
-            }
-            for (section, spec) in [("confidence", &p.confidence), ("severity", &p.severity)] {
-                if !spec.is_max {
-                    continue;
-                }
-                let guards: Vec<&asl_core::ast::Arm> = spec
-                    .arms
-                    .iter()
-                    .filter(|a| {
-                        a.guard
-                            .as_ref()
-                            .is_some_and(|g| thresholds.contains_key(g.name.as_str()))
-                    })
-                    .collect();
-                for (i, a) in guards.iter().enumerate() {
-                    for b in &guards[i + 1..] {
-                        let (ga, gb) = (
-                            a.guard.as_ref().expect("filtered on guard"),
-                            b.guard.as_ref().expect("filtered on guard"),
-                        );
-                        if ga.name == gb.name {
-                            continue;
-                        }
-                        let (ta, tb) =
-                            (&thresholds[ga.name.as_str()], &thresholds[gb.name.as_str()]);
-                        // Report at the implied (weaker) guard; on mutual
-                        // implication report only once.
-                        let (strong, weak) = if implies(ta, tb) {
-                            (ga, gb)
-                        } else if implies(tb, ta) {
-                            (gb, ga)
-                        } else {
-                            continue;
-                        };
-                        out.push(Finding {
-                            rule: self.name(),
-                            message: format!(
-                                "{section} arms overlap: whenever `({})` holds, `({})` \
-                                 holds too (`{}` thresholds are nested, not exclusive)",
-                                strong.name, weak.name, ta.key
-                            ),
-                            span: weak.span,
-                            owner: format!("property {}", p.name.name),
-                            ..Finding::default()
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl OverlappingArms {
-    /// Flow-driven variant: one guard's constraint set implying the
-    /// other's generalizes threshold nesting to arbitrary conjunctions
-    /// of interval constraints.
-    fn run_flow(&self, cx: &LintCx<'_>, fr: &flow::FlowReport, out: &mut Vec<Finding>) {
-        for p in &cx.spec.spec.properties {
-            let Some(pf) = fr.property(&p.name.name) else {
+            let Some(pf) = cx.flow.property(&p.name.name) else {
                 continue;
             };
             // Constraint view (and span) per named condition.

@@ -1,36 +1,27 @@
 //! `possible-div-by-zero`: a division (or modulo) whose denominator
 //! *provably* can be zero — it folds to zero, it is a `COUNT` (zero on
-//! an empty set), or it is syntactically `E - E`. A denominator that is
-//! a plain variable is resolved one level through the property's LET
-//! bindings, so the common `LET int N = COUNT(…) … / N` idiom is caught.
+//! an empty set), or it is `E - E`, possibly through one `LET` binding,
+//! so the common `LET int N = COUNT(…) … / N` idiom is caught.
 //!
 //! The rule is deliberately one-sided: attribute loads and calls have
-//! unknown ranges and stay quiet. A finding is suppressed when a
-//! property condition proves the denominator nonzero (e.g. the arm
-//! `Cost / N` under the guarding condition `N > 0`), since
-//! severity/confidence arms only run once a condition holds.
-//!
-//! With the flow pass ([`LintCx::flow`]) the same sites are triaged by
-//! the abstract interpreter instead: every finding carries a verdict
-//! (`proven-div-by-zero` / `possible`), and sites the interpreter
-//! proves safe become [proof entries](crate::LintReport::proofs) with
-//! the proving guard in the span chain.
+//! unknown ranges and stay quiet. Every site of one of those shapes is
+//! triaged by the abstract interpreter ([`LintCx::flow`]): a finding
+//! carries a verdict (`proven-div-by-zero` / `possible`), and sites the
+//! interpreter proves safe — by their value range or by a guarding
+//! condition such as `N > 0` — become [proof
+//! entries](crate::LintReport::proofs) with the proving guard in the span
+//! chain.
 
-use super::{walk_expr, LintCx, LintRule};
-use crate::fold::{provably_can_be_zero, proves_nonzero, threshold_of, Threshold};
+use super::{LintCx, LintRule};
 use crate::{Finding, Note};
-use asl_core::ast::{BinOp, Expr, ExprKind};
-use asl_core::pretty;
-use asl_eval::compile::shape::and_conjuncts;
 use flow::{DivSite, DivVerdict};
 
 /// See module docs.
 pub struct PossibleDivByZero;
 
 /// Translate flow division sites for one owner into findings/proofs.
-/// Only *triggered* sites (trigger shapes the syntactic rule reports)
-/// surface at all, so a flow run never flags more sites than the
-/// syntactic rule — it only sharpens their verdicts.
+/// Only *triggered* sites (denominators of one of the shapes above)
+/// surface at all; the interpreter decides their verdicts.
 fn emit_flow_sites(rule: &'static str, owner: &str, sites: &[DivSite], out: &mut Vec<Finding>) {
     for s in sites.iter().filter(|s| s.triggered) {
         let what = if s.is_mod { "modulo" } else { "division" };
@@ -61,74 +52,6 @@ fn emit_flow_sites(rule: &'static str, owner: &str, sites: &[DivSite], out: &mut
     }
 }
 
-impl PossibleDivByZero {
-    fn check_body(
-        &self,
-        cx: &LintCx<'_>,
-        owner: &str,
-        body: &Expr,
-        facts: &[Threshold],
-        lets: &[(&str, &Expr)],
-        out: &mut Vec<Finding>,
-    ) {
-        walk_expr(body, &mut |e| {
-            let ExprKind::Binary(op @ (BinOp::Div | BinOp::Mod), _, den) = &e.kind else {
-                return;
-            };
-            // Resolve a plain-variable denominator one level through the
-            // LET bindings in scope (latest binding of the name wins).
-            let resolved = match &den.kind {
-                ExprKind::Var(v) => lets
-                    .iter()
-                    .rev()
-                    .find(|(n, _)| *n == v.as_str())
-                    .map(|(_, value)| *value),
-                _ => None,
-            };
-            let Some(reason) = provably_can_be_zero(den, &cx.folder).or_else(|| {
-                resolved.and_then(|value| {
-                    provably_can_be_zero(value, &cx.folder)
-                        .map(|r| format!("{r} (`{}` is LET-bound to it)", pretty::print_expr(den)))
-                })
-            }) else {
-                return;
-            };
-            // A condition fact can name either the variable or the bound
-            // expression itself; both prove the denominator nonzero.
-            let mut keys = vec![pretty::print_expr(den)];
-            if let Some(value) = resolved {
-                keys.push(pretty::print_expr(value));
-            }
-            let proven_nonzero = facts
-                .iter()
-                .any(|t| keys.contains(&t.key) && proves_nonzero(t));
-            if proven_nonzero {
-                return;
-            }
-            let what = match op {
-                BinOp::Mod => "modulo",
-                _ => "division",
-            };
-            out.push(Finding {
-                rule: LintRule::name(self),
-                message: format!("possible {what} by zero: {reason}"),
-                span: den.span,
-                owner: owner.to_string(),
-                ..Finding::default()
-            });
-        });
-    }
-}
-
-/// Threshold facts established by a condition expression (all of its
-/// top-level conjuncts).
-fn condition_facts(cx: &LintCx<'_>, cond: &Expr) -> Vec<Threshold> {
-    and_conjuncts(cond)
-        .into_iter()
-        .filter_map(|c| threshold_of(c, &cx.folder))
-        .collect()
-}
-
 impl LintRule for PossibleDivByZero {
     fn name(&self) -> &'static str {
         "possible-div-by-zero"
@@ -139,71 +62,13 @@ impl LintRule for PossibleDivByZero {
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        if let Some(fr) = cx.flow {
-            let rule = LintRule::name(self);
-            for d in fr.consts.iter().chain(&fr.functions) {
-                emit_flow_sites(rule, &d.owner, &d.divisions, out);
-            }
-            for p in &fr.properties {
-                let owner = format!("property {}", p.name);
-                emit_flow_sites(rule, &owner, &p.divisions, out);
-            }
-            return;
+        let rule = LintRule::name(self);
+        for d in cx.flow.consts.iter().chain(&cx.flow.functions) {
+            emit_flow_sites(rule, &d.owner, &d.divisions, out);
         }
-        let spec = &cx.spec.spec;
-        for c in &spec.constants {
-            self.check_body(
-                cx,
-                &format!("constant {}", c.name.name),
-                &c.value,
-                &[],
-                &[],
-                out,
-            );
-        }
-        for f in &spec.functions {
-            self.check_body(
-                cx,
-                &format!("function {}", f.name.name),
-                &f.body,
-                &[],
-                &[],
-                out,
-            );
-        }
-        for p in &spec.properties {
-            let owner = format!("property {}", p.name.name);
-            // LETs and conditions evaluate before any condition is known
-            // to hold: no facts apply there. Each LET body sees only the
-            // bindings declared before it.
-            let mut lets: Vec<(&str, &Expr)> = Vec::new();
-            for l in &p.lets {
-                self.check_body(cx, &owner, &l.value, &[], &lets, out);
-                lets.push((&l.name.name, &l.value));
-            }
-            for c in &p.conditions {
-                self.check_body(cx, &owner, &c.expr, &[], &lets, out);
-            }
-            // Arms run only once the property holds. A guarded arm is
-            // protected by its own condition; an unguarded arm is only
-            // protected when the property has exactly one condition.
-            let sole_facts = match p.conditions.as_slice() {
-                [only] => condition_facts(cx, &only.expr),
-                _ => Vec::new(),
-            };
-            for arm in p.confidence.arms.iter().chain(p.severity.arms.iter()) {
-                let guard_facts = arm
-                    .guard
-                    .as_ref()
-                    .and_then(|g| {
-                        p.conditions
-                            .iter()
-                            .find(|c| c.id.as_ref().is_some_and(|i| i.name == g.name))
-                    })
-                    .map(|c| condition_facts(cx, &c.expr));
-                let facts = guard_facts.as_deref().unwrap_or(&sole_facts);
-                self.check_body(cx, &owner, &arm.expr, facts, &lets, out);
-            }
+        for p in &cx.flow.properties {
+            let owner = format!("property {}", p.name);
+            emit_flow_sites(rule, &owner, &p.divisions, out);
         }
     }
 }

@@ -22,31 +22,25 @@ use asl_core::types::{Model, Type};
 use std::cell::OnceCell;
 
 /// Shared context handed to every rule: the checked spec, the constant
-/// folder (built once over the spec's global constants), and — when the
-/// flow pass ran — the abstract-interpretation results.
+/// folder (built once over the spec's global constants), and the
+/// abstract-interpretation results over its compiled IR.
 pub struct LintCx<'a> {
     /// The type-checked specification under analysis.
     pub spec: &'a CheckedSpec,
     /// Constant folder over the spec's global constants.
     pub folder: Folder,
-    /// Flow results over the compiled IR, when the pass ran. Semantic
-    /// rules branch on this: with flow they consume proven facts, without
-    /// it they fall back to their syntactic approximation (or stay
-    /// silent, for the flow-only rules).
-    pub flow: Option<&'a flow::FlowReport>,
+    /// Flow results over the compiled IR: the facts every semantic rule
+    /// (div-by-zero triage, arm reachability and overlap, units,
+    /// subsumption) reads.
+    pub flow: &'a flow::FlowReport,
     /// The performance rules' findings, from the one walk they share
     /// (see [`perf`]); filled by whichever of them runs first.
     perf: OnceCell<Vec<Finding>>,
 }
 
 impl<'a> LintCx<'a> {
-    /// Build the context for a syntactic-only lint run.
-    pub fn new(spec: &'a CheckedSpec) -> Self {
-        LintCx::with_flow(spec, None)
-    }
-
-    /// Build the context, optionally wiring in flow results.
-    pub fn with_flow(spec: &'a CheckedSpec, flow: Option<&'a flow::FlowReport>) -> Self {
+    /// Build the context over a spec and its flow results.
+    pub fn new(spec: &'a CheckedSpec, flow: &'a flow::FlowReport) -> Self {
         LintCx {
             folder: Folder::new(&spec.spec),
             spec,

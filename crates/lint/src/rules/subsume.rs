@@ -11,7 +11,7 @@
 //! interval atoms (opaque conjuncts on the conclusion side block it),
 //! and an unsatisfiable premise never counts (that is dead code,
 //! reported elsewhere). On mutual implication the later-declared
-//! property is reported. Flow-only: silent without [`LintCx::flow`].
+//! property is reported.
 
 use super::{LintCx, LintRule};
 use crate::{Finding, Note};
@@ -52,12 +52,11 @@ impl LintRule for SubsumedProperty {
     }
 
     fn description(&self) -> &'static str {
-        "property whose condition implies another's at equal-or-lower severity (flow only)"
+        "property whose condition implies another's at equal-or-lower severity"
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        let Some(fr) = cx.flow else { return };
-        let props = &fr.properties;
+        let props = &cx.flow.properties;
         for i in 0..props.len() {
             for j in i + 1..props.len() {
                 let (a, b) = (&props[i], &props[j]);

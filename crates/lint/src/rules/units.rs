@@ -5,7 +5,7 @@
 //! two *different proven* dimensions — adding a time to a count,
 //! comparing a ratio against a time. Dimensionless or unknown operands
 //! never fire, so the common `Ratio > 0.25` threshold idiom stays
-//! quiet. Flow-only: silent without [`LintCx::flow`].
+//! quiet.
 
 use super::{LintCx, LintRule};
 use crate::{Finding, Note};
@@ -61,15 +61,14 @@ impl LintRule for UnitMismatchRule {
     }
 
     fn description(&self) -> &'static str {
-        "arithmetic or comparison mixing two different proven units (flow only)"
+        "arithmetic or comparison mixing two different proven units"
     }
 
     fn run(&self, cx: &LintCx<'_>, out: &mut Vec<Finding>) {
-        let Some(fr) = cx.flow else { return };
-        for d in fr.consts.iter().chain(&fr.functions) {
+        for d in cx.flow.consts.iter().chain(&cx.flow.functions) {
             emit(&d.owner, &d.units, out);
         }
-        for p in &fr.properties {
+        for p in &cx.flow.properties {
             emit(&format!("property {}", p.name), &p.units, out);
         }
     }

@@ -103,11 +103,11 @@ fn synthetic_suite(copies: usize) -> String {
     out
 }
 
-/// Allocations of one `lint_with` (flow on) over an already checked spec.
+/// Allocations of one `lint` over an already checked spec.
 fn lint_allocations(source: &str) -> (usize, lint::LintReport) {
     let spec = asl_core::parse_and_check(source)
         .unwrap_or_else(|d| panic!("suite does not check:\n{}", d.render(source)));
-    allocations(|| lint::lint_with(&spec, source, true))
+    allocations(|| lint::lint(&spec, source))
 }
 
 #[test]
@@ -129,7 +129,7 @@ fn lint_allocations_scale_with_the_spec_not_its_square() {
     // inference it was 48 274 and 1 126 111 (23.3×).
     assert!(
         n8 <= 10 * n1,
-        "lint_with allocates {n8} times on the 8× suite, {n1} on the suite \
+        "lint allocates {n8} times on the 8× suite, {n1} on the suite \
          ({:.1}×): a copy of the model — or of anything else that grows \
          with the spec — is made per node again",
         n8 as f64 / n1 as f64
@@ -137,6 +137,6 @@ fn lint_allocations_scale_with_the_spec_not_its_square() {
     // The measured count plus 25 % for the rules to grow into.
     assert!(
         n1 <= 4_540,
-        "lint_with allocates {n1} times on the standard suite, ceiling 4540"
+        "lint allocates {n1} times on the standard suite, ceiling 4540"
     );
 }

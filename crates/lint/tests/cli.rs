@@ -1,6 +1,6 @@
 //! End-to-end tests for the `cosy_lint` binary: the exit-code contract
-//! (0 = clean, 1 = findings, 2 = front-end/IO error), the
-//! `--flow`/`--no-flow` switch, and the JSON schema field.
+//! (0 = clean, 1 = findings, 2 = front-end/IO/usage error), the flow
+//! verdicts it always reports, and the JSON schema field.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -43,25 +43,28 @@ fn exit_zero_on_clean_file() {
 }
 
 #[test]
-fn exit_one_on_findings_and_flow_default() {
+fn exit_one_on_findings_with_flow_verdicts() {
     let f = write_fixture("dirty.asl", DIRTY);
     let out = run(&[f.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
-    // Flow is on by default: the LET-resolved `N = t.NoPe - t.NoPe`
-    // denominator is proven, not merely possible.
+    // The LET-resolved `N = t.NoPe - t.NoPe` denominator is proven, not
+    // merely possible.
     assert!(text.contains("proven division by zero"), "{text}");
     assert!(text.contains("verdict: proven-div-by-zero"), "{text}");
 }
 
+/// The flow pass is the only tier: the switches that selected a tier are
+/// usage errors now, like any other unknown flag.
 #[test]
-fn no_flow_falls_back_to_syntactic_wording() {
-    let f = write_fixture("dirty_noflow.asl", DIRTY);
-    let out = run(&["--no-flow", f.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("possible division by zero"), "{text}");
-    assert!(!text.contains("verdict:"), "{text}");
+fn flow_switches_are_unknown_options() {
+    let f = write_fixture("dirty_switch.asl", DIRTY);
+    for flag in ["--flow", "--no-flow"] {
+        let out = run(&[flag, f.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    }
 }
 
 #[test]
@@ -96,7 +99,7 @@ fn help_documents_the_exit_code_contract() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let help = String::from_utf8_lossy(&out.stdout);
     assert!(help.contains("EXIT CODES"), "{help}");
-    assert!(help.contains("--no-flow"), "{help}");
+    assert!(!help.contains("-flow"), "{help}");
     let out = run(&["--rules"]);
     assert_eq!(out.status.code(), Some(0));
     let rules = String::from_utf8_lossy(&out.stdout);

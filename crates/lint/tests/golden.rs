@@ -146,3 +146,23 @@ fn golden_flow_subsumed() {
 fn golden_unused_allow() {
     run_fixture("unused_allow");
 }
+
+/// `lint_with` survives only as a shim whose flag is ignored: either value
+/// renders exactly what `lint` does, in text and JSON.
+#[test]
+fn lint_with_ignores_its_flag() {
+    let divzero = std::fs::read_to_string(golden_dir().join("divzero.asl")).unwrap();
+    let sources = [
+        cosy::suite::standard_suite_source(),
+        format!("{}\n{divzero}", asl_eval::COSY_DATA_MODEL),
+    ];
+    for source in &sources {
+        let spec = asl_core::parse_and_check(source).unwrap();
+        let reference = lint::lint(&spec, source);
+        for flag in [false, true] {
+            let shim = lint::lint_with(&spec, source, flag);
+            assert_eq!(shim.render_text(source), reference.render_text(source));
+            assert_eq!(shim.to_json(source), reference.to_json(source));
+        }
+    }
+}

@@ -27,14 +27,13 @@
 //!   stats unify into (via [`MetricsSource`]), with a self-contained
 //!   binary codec and a Prometheus-style text exposition.
 //!
-//! ## The two off switches
+//! ## The off switch
 //!
 //! Instrumentation is cheap and on by default. [`set_enabled`] is the
-//! runtime switch: timers stop reading the clock and every primitive
-//! stops recording (one relaxed load decides). The `obs-off` **feature**
-//! is the compile-time switch: [`enabled`] becomes a `const false`, so
-//! every instrumentation site folds away entirely — that build is the
-//! baseline the E13 overhead gate measures against.
+//! one switch, at runtime: timers stop reading the clock and every
+//! primitive stops recording (one relaxed load decides). The E13
+//! overhead gate measures the enabled binary against the same binary
+//! with `set_enabled(false)` thrown.
 //!
 //! Metric names follow `kojak_<layer>_<stage>_<unit>`: histograms end in
 //! `_ns`, monotonic counters in `_total`, gauges in a bare unit noun.
@@ -57,31 +56,16 @@ pub use metric::{
 pub use registry::MetricsRegistry;
 pub use snapshot::{MetricsSnapshot, MetricsSource, SnapshotDecodeError};
 
-#[cfg(not(feature = "obs-off"))]
 static ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
 
-/// Is instrumentation live? One relaxed load on the hot path (and a
-/// `const false` under the `obs-off` feature, which dead-codes every
-/// recording site away).
+/// Is instrumentation live? One relaxed load on the hot path.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "obs-off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "obs-off"))]
-    {
-        ENABLED.load(std::sync::atomic::Ordering::Relaxed)
-    }
+    ENABLED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Runtime kill switch: `set_enabled(false)` mutes every counter, gauge,
 /// histogram and timer process-wide (values freeze; handles stay valid).
-/// A no-op under the `obs-off` feature, where instrumentation does not
-/// exist to begin with.
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "obs-off")]
-    let _ = on;
-    #[cfg(not(feature = "obs-off"))]
     ENABLED.store(on, std::sync::atomic::Ordering::Relaxed);
 }

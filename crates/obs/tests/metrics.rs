@@ -1,34 +1,26 @@
 //! Unit suite for the instrumentation primitives: histogram bucket
 //! boundaries and overflow, merge associativity (the shard fan-in
-//! contract), the snapshot codec, the text exposition, and the two off
-//! switches.
-//!
-//! Tests that *record* through the live primitives are compiled out
-//! under `obs-off` (recording is a no-op there, by design); the pure
-//! snapshot/codec math runs in both configurations.
+//! contract), the snapshot codec, the text exposition, and the runtime
+//! off switch.
 
 use obs::{
-    bucket_index, bucket_upper_bound, HistogramSnapshot, MetricsSnapshot, SnapshotDecodeError,
+    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot,
+    MetricsRegistry, MetricsSnapshot, MetricsSource, SnapshotDecodeError, StageTimer,
     HISTOGRAM_BUCKETS,
 };
-
-#[cfg(not(feature = "obs-off"))]
-use obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSource, StageTimer};
 
 /// Exactly one test mutates the process-wide enabled flag
 /// ([`disabling_mutes_every_primitive`]); it holds this lock for its
 /// whole body and restores the flag before releasing, and every test
 /// that depends on the default-enabled state takes the same lock.
-#[cfg(not(feature = "obs-off"))]
 static ENABLED_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-#[cfg(not(feature = "obs-off"))]
 fn with_default_enabled<R>(f: impl FnOnce() -> R) -> R {
     let _guard = ENABLED_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     f()
 }
 
-/// A snapshot built without recording — usable under `obs-off` too.
+/// A snapshot built without recording.
 fn sample_snapshot() -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     snap.push_counter("kojak_a_total", 123);
@@ -103,7 +95,6 @@ fn quantiles_report_bucket_upper_bounds() {
     assert_eq!(HistogramSnapshot::default().mean(), 0);
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn merge_is_associative_and_commutative() {
     with_default_enabled(|| {
@@ -149,7 +140,6 @@ fn merge_is_associative_and_commutative() {
     });
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn counters_and_gauges_record() {
     with_default_enabled(|| {
@@ -164,7 +154,6 @@ fn counters_and_gauges_record() {
     });
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn registry_hands_out_shared_handles() {
     with_default_enabled(|| {
@@ -275,7 +264,6 @@ fn sample_snapshot_with_label() -> MetricsSnapshot {
     snap
 }
 
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn stage_timer_records_on_drop_and_maybe_disarms() {
     with_default_enabled(|| {
@@ -302,7 +290,6 @@ fn stage_timer_records_on_drop_and_maybe_disarms() {
 /// The runtime kill switch mutes every primitive. This is the only test
 /// allowed to toggle the flag, and it holds the lock for its whole body
 /// so concurrently-running recording tests never observe the off state.
-#[cfg(not(feature = "obs-off"))]
 #[test]
 fn disabling_mutes_every_primitive() {
     let _guard = ENABLED_FLAG.lock().unwrap_or_else(|e| e.into_inner());
@@ -336,7 +323,6 @@ fn disabling_mutes_every_primitive() {
 
 /// Restores the enabled flag even if the test body panics, so one
 /// failure doesn't cascade into every other test in the binary.
-#[cfg(not(feature = "obs-off"))]
 fn restore_enabled_on_drop() -> impl Drop {
     struct Restore;
     impl Drop for Restore {
@@ -347,54 +333,22 @@ fn restore_enabled_on_drop() -> impl Drop {
     Restore
 }
 
-/// Under `obs-off` the layer is compiled out: `enabled()` is const
-/// false, `set_enabled` is a no-op, every primitive stays at zero.
-#[cfg(feature = "obs-off")]
-#[test]
-fn obs_off_compiles_the_layer_out() {
-    obs::set_enabled(true);
-    assert!(!obs::enabled());
-    let c = obs::Counter::new();
-    c.inc();
-    c.add(10);
-    let g = obs::Gauge::new();
-    g.set(5);
-    let h = obs::Histogram::new();
-    h.record(100);
-    {
-        let _timer = h.start_timer();
-    }
-    assert_eq!(c.get(), 0);
-    assert_eq!(g.get(), 0);
-    assert_eq!(h.count(), 0);
-}
-
-/// Generous smoke bound: recording must stay cheap in every
-/// configuration. We don't assert nanoseconds (CI machines vary
-/// wildly); we assert a million counter bumps complete promptly and
-/// that the count matches the configuration.
+/// Generous smoke bound: recording must stay cheap. We don't assert
+/// nanoseconds (CI machines vary wildly); we assert a million counter
+/// bumps complete promptly and are all counted.
 #[test]
 fn overhead_smoke() {
-    let run = || {
-        let c = obs::Counter::new();
+    with_default_enabled(|| {
+        let c = Counter::new();
         let start = std::time::Instant::now();
         for _ in 0..1_000_000 {
             c.inc();
         }
         let elapsed = start.elapsed();
-        let expected = if cfg!(feature = "obs-off") {
-            0
-        } else {
-            1_000_000
-        };
-        assert_eq!(c.get(), expected);
+        assert_eq!(c.get(), 1_000_000);
         assert!(
             elapsed < std::time::Duration::from_secs(5),
             "1M counter bumps took {elapsed:?} — instrumentation is not cheap"
         );
-    };
-    #[cfg(not(feature = "obs-off"))]
-    with_default_enabled(run);
-    #[cfg(feature = "obs-off")]
-    run();
+    });
 }

@@ -231,6 +231,9 @@ impl StoreBuilder {
                 if self.runs.contains_key(run) {
                     return Err(IngestError::DuplicateRun(*run));
                 }
+                if *no_pe == 0 {
+                    return Err(IngestError::NoProcessors(*run));
+                }
                 let vid = match self.versions.get(version) {
                     Some(v) => *v,
                     None => {
@@ -439,6 +442,17 @@ mod tests {
         assert_eq!(err, IngestError::DuplicateRun(RunKey(1)));
         let err = b.apply(&typed(1, "nope", ("r", 1)), &mut d).unwrap_err();
         assert!(matches!(err, IngestError::UnknownFunction { .. }));
+    }
+
+    #[test]
+    fn a_run_without_processors_is_refused_before_its_version_exists() {
+        let mut b = StoreBuilder::new();
+        let mut d = StoreDelta::new();
+        let err = b.apply(&run_started(1, 9, 0), &mut d).unwrap_err();
+        assert_eq!(err, IngestError::NoProcessors(RunKey(1)));
+        assert!(b.store().programs.is_empty() && b.store().versions.is_empty());
+        assert!(d.is_empty());
+        assert_eq!(b.run_id(RunKey(1)), None);
     }
 
     #[test]

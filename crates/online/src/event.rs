@@ -483,6 +483,10 @@ pub enum IngestError {
     UnknownRun(RunKey),
     /// A run key was reused by a second `RunStarted`.
     DuplicateRun(RunKey),
+    /// A `RunStarted` declared zero processors. Properties divide by a
+    /// run's `NoPe` (`IoContention`'s growth factor, for one), so the run
+    /// is refused at the door rather than failing every later flush.
+    NoProcessors(RunKey),
     /// An event referenced a function never introduced for its version.
     UnknownFunction {
         /// The offending run.
@@ -530,6 +534,9 @@ impl fmt::Display for IngestError {
         match self {
             IngestError::UnknownRun(k) => write!(f, "unknown run {k}"),
             IngestError::DuplicateRun(k) => write!(f, "duplicate RunStarted for {k}"),
+            IngestError::NoProcessors(k) => {
+                write!(f, "RunStarted for {k} declares zero processors")
+            }
             IngestError::UnknownFunction { run, function } => {
                 write!(f, "unknown function `{function}` in {run}")
             }
