@@ -22,7 +22,8 @@
 //! basis, `SublinearSpeedup`'s cross-run comparison) never cross a version
 //! boundary, so each shard's reports are bit-identical to what an
 //! unsharded session over the same events would produce (enforced by the
-//! equivalence proptest in `tests/sharded.rs`).
+//! workspace's `tests/shapes.rs`, which holds every engine shape to the
+//! interpreter oracle).
 //!
 //! ## Recovery
 //!

@@ -5,23 +5,27 @@
 //! Concurrent apply order legitimately permutes arena ids, so every
 //! assertion here is id-free.
 
-use apprentice_sim::{archetypes, simulate_program, MachineModel};
-use cosy::{Analyzer, Backend, ProblemThreshold};
 use engine::{AnalysisEngine, ShardedSession};
-use online::replay::{events_for_run, replay_run_key};
-use online::{OnlineSession, SessionConfig};
-use perfdata::{Store, TestRunId};
+use online::{OnlineSession, RunKey, SessionConfig, TraceEvent};
 use std::sync::{Arc, Barrier};
+use testkit::{Program, Scenario};
 
-fn simulated_store(pe_counts: &[u32]) -> Store {
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &archetypes::particle_mc(42),
-        &MachineModel::t3e_900(),
-        pe_counts,
-    );
-    store
+fn scenario(pes: &[u32]) -> Scenario {
+    Scenario {
+        program: Program::ParticleMc,
+        pes: pes.to_vec(),
+        ..Scenario::new(42)
+    }
+}
+
+/// The event streams of one version's runs on `pes`, run by run.
+fn runs(pes: &[u32]) -> Vec<Vec<TraceEvent>> {
+    let events = scenario(pes).events();
+    let mut runs: Vec<Vec<TraceEvent>> = vec![Vec::new(); pes.len()];
+    for event in events {
+        runs[event.run_key().0 as usize].push(event);
+    }
+    runs
 }
 
 /// Both shapes of the one session core.
@@ -42,12 +46,12 @@ fn engines() -> Vec<(&'static str, Arc<dyn AnalysisEngine>)> {
 fn concurrent_producers_into_one_engine() {
     // One producer thread per run, all released together and streaming
     // small batches so their applies interleave.
-    let store = simulated_store(&[1, 4, 16]);
+    let runs = runs(&[1, 4, 16]);
+    let simulated = scenario(&[1, 4, 16]).reports();
     for (name, engine) in engines() {
-        let start = Barrier::new(store.runs.len());
+        let start = Barrier::new(runs.len());
         std::thread::scope(|scope| {
-            for r in 0..store.runs.len() as u32 {
-                let events = events_for_run(&store, TestRunId(r));
+            for events in &runs {
                 let (engine, start) = (Arc::clone(&engine), &start);
                 scope.spawn(move || {
                     start.wait();
@@ -62,7 +66,7 @@ fn concurrent_producers_into_one_engine() {
 
         // Every run has a live report with the analysis invariants intact.
         let reports = engine.reports();
-        assert_eq!(reports.len(), store.runs.len(), "{name}");
+        assert_eq!(reports.len(), runs.len(), "{name}");
         for (key, report) in &reports {
             for w in report.entries.windows(2) {
                 assert!(
@@ -80,39 +84,19 @@ fn concurrent_producers_into_one_engine() {
             .find(|r| r.no_pe == 16)
             .expect("16-PE report");
         assert!(run16.needs_tuning(), "{name}");
-
-        // And each report is the batch analyzer's, by name and severity.
-        for run in (0..store.runs.len() as u32).map(TestRunId) {
-            let batch = Analyzer::new(&store, store.runs[run.index()].version)
-                .unwrap()
-                .analyze(run, Backend::Interpreter, ProblemThreshold::default())
-                .unwrap();
-            let online = &reports[&replay_run_key(run)];
-            assert_eq!(batch.entries.len(), online.entries.len(), "{name} {run}");
-            for (b, o) in batch.entries.iter().zip(&online.entries) {
-                assert_eq!(b.property, o.property, "{name} {run}");
-                assert_eq!(b.context.label, o.context.label, "{name} {run}");
-                assert!(
-                    (b.severity - o.severity).abs() <= 1e-9 * b.severity.abs().max(1.0),
-                    "{name} {run} {}: {} vs {}",
-                    b.property,
-                    b.severity,
-                    o.severity
-                );
-            }
-        }
+        // And each report is the interpreter's over the simulated store,
+        // bit for bit but for the arena ids.
+        testkit::assert_reports_agree(name, false, &simulated, &reports);
     }
 }
 
 #[test]
 fn mid_stream_flush_serves_partial_reports() {
-    let store = simulated_store(&[1, 8]);
-    let events = events_for_run(&store, TestRunId(1));
-    let key = replay_run_key(TestRunId(1));
+    let runs = runs(&[1, 8]);
+    let events = &runs[1];
+    let key = RunKey(1);
     for (name, engine) in engines() {
-        engine
-            .ingest_batch(&events_for_run(&store, TestRunId(0)))
-            .unwrap();
+        engine.ingest_batch(&runs[0]).unwrap();
         // Stream only half of run 1, then flush: a live (partial) report
         // must be available already.
         let half = events.len() / 2;

@@ -1,98 +1,33 @@
-//! Sharded-session correctness.
+//! Sharded-session properties beyond report agreement (which
+//! `tests/shapes.rs` holds every shape to):
 //!
-//! * **Equivalence proptest** — for any event interleaving, chunking and
-//!   shard count, the merged reports of a `ShardedSession` are
-//!   **bit-identical** (plain `assert_eq!`, ids included) to a
-//!   single-shard session over the same stream.
+//! * **Batched ingest** — the single-pass partitioned ingest is
+//!   bit-identical to feeding the same layout one event at a time.
 //! * **Partition exactness** — with many program versions spread over the
 //!   shards, every shard's state is bit-identical to a plain session fed
 //!   exactly that shard's subsequence: sharding is partitioning, nothing
 //!   leaks between shards.
-//! * **Kill/recovery** — a sharded durable session killed mid-stream
-//!   recovers every shard from its own WAL + snapshot pair (in parallel)
-//!   and converges to the same end state as a never-killed session; a
-//!   torn WAL tail in one shard is that shard's problem alone (reusing
-//!   the crash-harness shape of `crates/online/tests/crash_recovery.rs`).
+//! * **Durable failures** — a torn WAL tail in one shard is that shard's
+//!   problem alone; a shard that fails recovery or a checkpoint is
+//!   quarantined and reintegrated; a corrupt snapshot and a changed shard
+//!   layout are refused.
 
-use apprentice_sim::{archetypes, simulate_program, MachineModel, ProgramGenerator};
-use cosy::AnalysisReport;
 use engine::sharded::shard_dir;
 use engine::{AnalysisEngine, RecoverableState, ShardedConfig, ShardedSession};
-use online::replay::events_for_run;
-use online::{DurableConfig, FsyncPolicy, OnlineSession, RunKey, SessionConfig, TraceEvent};
-use perfdata::{Store, TestRunId};
+use online::{RunKey, SessionConfig, TraceEvent};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use testkit::{durable_config, fingerprint, uninterrupted, Scenario, ScratchDir};
 
-/// A fresh scratch directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(name: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("kojak-sharded-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
+/// Five program versions (so the version hash spreads them over the
+/// shards), their runs interleaved by `seed`.
+fn stream(seed: u64) -> Vec<TraceEvent> {
+    Scenario {
+        versions: 5,
+        interleave: Some(seed),
+        ..Scenario::new(17)
     }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Deterministically interleave per-run event streams (per-run order is
-/// preserved — the only ordering producers guarantee).
-fn interleave(mut streams: Vec<Vec<TraceEvent>>, seed: u64) -> Vec<TraceEvent> {
-    for s in &mut streams {
-        s.reverse(); // pop() from the back == front of the stream
-    }
-    let mut out = Vec::new();
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    loop {
-        let live: Vec<usize> = streams
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        if live.is_empty() {
-            return out;
-        }
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let pick = live[(state >> 33) as usize % live.len()];
-        out.push(streams[pick].pop().unwrap());
-    }
-}
-
-fn per_run_streams(store: &Store) -> Vec<Vec<TraceEvent>> {
-    (0..store.runs.len() as u32)
-        .map(|r| events_for_run(store, TestRunId(r)))
-        .collect()
-}
-
-/// A store with several program versions (so the version hash spreads
-/// them over the shards).
-fn multi_version_store() -> Store {
-    let machine = MachineModel::t3e_900();
-    let mut store = Store::new();
-    simulate_program(&mut store, &archetypes::particle_mc(3), &machine, &[1, 4]);
-    simulate_program(&mut store, &archetypes::stencil3d(5), &machine, &[1, 8]);
-    simulate_program(&mut store, &archetypes::particle_mc(11), &machine, &[1, 2]);
-    let gen = ProgramGenerator {
-        seed: 17,
-        functions: 2,
-        max_depth: 3,
-        max_fanout: 3,
-        base_work: 0.01,
-        comm_probability: 0.6,
-    };
-    simulate_program(&mut store, &gen.generate(), &machine, &[1, 4]);
-    simulate_program(&mut store, &archetypes::stencil3d(23), &machine, &[2, 8]);
-    store
+    .events()
 }
 
 /// Mirror of the router's hash. Kept as an independent copy on purpose:
@@ -126,105 +61,8 @@ fn expected_partition(events: &[TraceEvent], shards: usize) -> Vec<Vec<TraceEven
     groups
 }
 
-fn control_session(events: &[TraceEvent]) -> OnlineSession {
-    let session = OnlineSession::new(SessionConfig::default());
-    if !events.is_empty() {
-        session.ingest_batch(events).expect("control ingest");
-    }
-    session.flush().expect("control flush");
-    session
-}
-
-/// Id-free projection of a report (shard-local stores allocate their own
-/// arena ids, so cross-sharding comparisons drop the raw context ids and
-/// compare everything the ids stand for by name instead).
-fn canonical(report: &AnalysisReport) -> impl PartialEq + std::fmt::Debug {
-    (
-        report.program.clone(),
-        report.no_pe,
-        report.reference_pe,
-        report.basis_duration.to_bits(),
-        report.total_cost.to_bits(),
-        report.skipped,
-        report
-            .entries
-            .iter()
-            .map(|e| {
-                (
-                    e.rank,
-                    e.property.clone(),
-                    e.context.label.clone(),
-                    e.severity.to_bits(),
-                    e.confidence.to_bits(),
-                    e.is_problem,
-                )
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-fn configured_cases() -> ProptestConfig {
-    let cases = std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
-    ProptestConfig::with_cases(cases)
-}
-
 proptest! {
-    #![proptest_config(configured_cases())]
-
-    /// Satellite: batch≡sharded equivalence — for any interleaving of a
-    /// version's event streams, any chunking and any shard count, the
-    /// sharded session's merged reports are bit-identical to a
-    /// single-shard session (ids included: one version's runs co-locate,
-    /// so shard-local arenas match the unsharded ones exactly).
-    #[test]
-    fn sharded_reports_bit_identical_to_single_shard(
-        seed in 0u64..10_000,
-        functions in 1usize..4,
-        pe in prop_oneof![Just(4u32), Just(8), Just(16)],
-        shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
-        chunk in prop_oneof![Just(7usize), Just(64), Just(1024)],
-    ) {
-        let gen = ProgramGenerator {
-            seed,
-            functions,
-            max_depth: 3,
-            max_fanout: 3,
-            base_work: 0.01,
-            comm_probability: 0.6,
-        };
-        let mut store = Store::new();
-        simulate_program(&mut store, &gen.generate(), &MachineModel::t3e_900(), &[1, pe]);
-        let events = interleave(per_run_streams(&store), seed ^ 0xabcd);
-
-        let sharded = ShardedSession::in_memory(shards, SessionConfig::default());
-        let control = OnlineSession::new(SessionConfig::default());
-        for batch in events.chunks(chunk) {
-            let applied = AnalysisEngine::ingest_batch(&sharded, batch).expect("sharded ingest");
-            prop_assert_eq!(applied, batch.len());
-            control.ingest_batch(batch).expect("control ingest");
-            // The changed-run sets of every flush agree, not just the end
-            // state.
-            let mut changed_control = control.flush().expect("control flush");
-            changed_control.sort();
-            let changed_sharded = AnalysisEngine::flush(&sharded).expect("sharded flush");
-            prop_assert_eq!(changed_sharded, changed_control);
-        }
-
-        let merged = AnalysisEngine::reports(&sharded);
-        let single = control.reports();
-        prop_assert_eq!(&merged, &single, "merged reports differ");
-        prop_assert_eq!(
-            AnalysisEngine::stats(&sharded).events_applied,
-            control.stats().events_applied
-        );
-        prop_assert_eq!(
-            AnalysisEngine::stats(&sharded).runs_finished,
-            control.stats().runs_finished
-        );
-    }
+    #![proptest_config(testkit::cases(6))]
 
     /// Batched path ≡ per-event path: for any chunking, the single-pass
     /// partitioned ingest (including its whole-batch-to-one-shard fast
@@ -236,8 +74,7 @@ proptest! {
         shards in prop_oneof![Just(1usize), Just(2), Just(4)],
         chunk in prop_oneof![Just(3usize), Just(64), Just(257), Just(4096)],
     ) {
-        let store = multi_version_store();
-        let events = interleave(per_run_streams(&store), seed);
+        let events = stream(seed);
 
         let batched = ShardedSession::in_memory(shards, SessionConfig::default());
         let per_event = ShardedSession::in_memory(shards, SessionConfig::default());
@@ -274,8 +111,7 @@ proptest! {
 #[test]
 fn multi_version_shards_partition_exactly() {
     const SHARDS: usize = 4;
-    let store = multi_version_store();
-    let events = interleave(per_run_streams(&store), 99);
+    let events = stream(99);
 
     let sharded = ShardedSession::in_memory(SHARDS, SessionConfig::default());
     for batch in events.chunks(113) {
@@ -295,7 +131,7 @@ fn multi_version_shards_partition_exactly() {
 
     // Per shard: bit-identical to a plain session over its subsequence.
     for (i, subsequence) in expected_partition(&events, SHARDS).into_iter().enumerate() {
-        let control = control_session(&subsequence);
+        let control = uninterrupted(&subsequence);
         assert_eq!(
             sharded
                 .with_shard(i, |s| s.reports())
@@ -314,182 +150,25 @@ fn multi_version_shards_partition_exactly() {
 
     // Merged: canonically identical to the unsharded control (arena ids
     // are shard-local, everything they denote matches by name).
-    let control = control_session(&events);
+    let control = uninterrupted(&events);
     let merged = AnalysisEngine::reports(&sharded);
     let single = control.reports();
     assert_eq!(merged.len(), single.len());
     for (key, report) in &single {
         let sharded_report = &merged[key];
         assert_eq!(
-            canonical(sharded_report),
-            canonical(report),
-            "canonical report for {key} differs"
+            fingerprint(sharded_report),
+            fingerprint(report),
+            "id-free report of {key} differs"
         );
     }
-}
-
-/// A suite with a user property is sharded like the standard one: with
-/// `IoContention` (whose reads the standard suite's dirtiness rules do not
-/// cover) declared, a sharded session stays bit-identical — reports,
-/// `skipped` — to an unsharded one and to the interpreter oracle over its
-/// store, through a late correction of the reference run's I/O time that
-/// moves the property in the runs it was not addressed to.
-#[test]
-fn custom_property_sharded_matches_the_oracle() {
-    use perfdata::TimingType::{IoRead, IoWrite};
-    let src = format!(
-        "{}\n{}",
-        cosy::standard_suite_source(),
-        include_str!("../../../examples/specs/io_contention.asl")
-    );
-    let spec = std::sync::Arc::new(asl_core::parse_and_check(&src).expect("custom suite"));
-    let machine = MachineModel::t3e_900();
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &archetypes::spectral_io(11),
-        &machine,
-        &[2, 16, 64],
-    );
-    let mut events = interleave(per_run_streams(&store), 21);
-    let reference_io = |e: &&TraceEvent| {
-        matches!(
-            e,
-            TraceEvent::TypedSample {
-                run: RunKey(0),
-                ty: IoRead | IoWrite,
-                ..
-            }
-        )
-    };
-    let mut correction = events.iter().rfind(reference_io).unwrap().clone();
-    if let TraceEvent::TypedSample { time, .. } = &mut correction {
-        *time *= 0.5;
-    }
-    events.push(correction);
-
-    // Runs are numbered in the order they start, which the interleaving
-    // decides.
-    let started: Vec<RunKey> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::RunStarted { run, .. } => Some(*run),
-            _ => None,
-        })
-        .collect();
-    let oracle = |store: &Store| -> HashMap<RunKey, AnalysisReport> {
-        let runs = (0..store.runs.len() as u32).map(TestRunId);
-        runs.filter_map(|run| {
-            let version = store.runs[run.index()].version;
-            let analyzer = cosy::Analyzer::with_spec(store, version, spec.clone()).ok()?;
-            let threshold = cosy::ProblemThreshold::default();
-            let report = analyzer.analyze(run, cosy::Backend::Interpreter, threshold);
-            Some((started[run.index()], report.unwrap()))
-        })
-        .collect()
-    };
-
-    let online = engine::EngineBuilder::new()
-        .spec(spec.clone())
-        .build_online();
-    let sharded = engine::EngineBuilder::new()
-        .spec(spec.clone())
-        .shards(3)
-        .build()
-        .expect("sharded engine");
-    // Everything but the correction in chunks, then the correction alone:
-    // by then every run has been reported.
-    let (correction, reported) = events.split_last().unwrap();
-    let mut changed = Vec::new();
-    for chunk in reported
-        .chunks(211)
-        .chain([std::slice::from_ref(correction)])
-    {
-        online.ingest_batch(chunk).expect("online ingest");
-        sharded.ingest_batch(chunk).expect("sharded ingest");
-        changed = AnalysisEngine::flush(&online).expect("online flush");
-        sharded.flush().expect("sharded flush");
-        // Ids included: one version's runs co-locate, so its shard's
-        // arena is the unsharded session's.
-        assert_eq!(sharded.reports(), online.reports());
-        assert_eq!(online.reports(), oracle(&online.store_snapshot()));
-    }
-    // The flush reports what changed: the run the correction was
-    // addressed to, and the two it was not.
-    assert_eq!(changed, [RunKey(0), RunKey(1), RunKey(2)]);
-    let held = |e: &cosy::RankedEntry| e.property == "IoContention";
-    assert!(sharded.reports()[&RunKey(2)].entries.iter().any(held));
 }
 
 fn sharded_config(snapshot_every_flushes: u32) -> ShardedConfig {
     ShardedConfig {
         shards: 3,
-        durable: DurableConfig {
-            session: SessionConfig::default(),
-            fsync: FsyncPolicy::Never,
-            snapshot_every_flushes,
-            faults: Default::default(),
-        },
+        durable: durable_config(snapshot_every_flushes),
     }
-}
-
-/// Acceptance: a sharded durable session killed mid-stream recovers each
-/// shard from its own WAL + snapshot pair with reports identical to an
-/// uninterrupted run, and resumes to the same end state.
-#[test]
-fn sharded_kill_resume_converges_to_uninterrupted_state() {
-    let store = multi_version_store();
-    let events = interleave(per_run_streams(&store), 7);
-    let cut = events.len() / 2;
-
-    let dir = ScratchDir::new("kill-resume");
-    let (durable, _) = ShardedSession::open(&dir.0, sharded_config(2)).expect("open");
-    for batch in events[..cut].chunks(97) {
-        AnalysisEngine::ingest_batch(&durable, batch).expect("ingest");
-        AnalysisEngine::flush(&durable).expect("flush");
-    }
-    let reports_at_kill = AnalysisEngine::reports(&durable);
-    drop(durable); // killed: no checkpoint, no graceful shutdown
-
-    let (recovered, stats) = ShardedSession::open(&dir.0, sharded_config(2)).expect("recover");
-    assert_eq!(stats.len(), 3);
-    assert!(
-        stats.iter().any(|s| s.used_snapshot),
-        "checkpoints must have fired somewhere"
-    );
-    assert_eq!(
-        AnalysisEngine::reports(&recovered),
-        reports_at_kill,
-        "recovery must restore the exact pre-kill reports"
-    );
-    // Every shard recovered from its own pair; nothing was lost.
-    let restored: u64 = stats
-        .iter()
-        .map(|s| s.snapshot_events + s.wal_events_replayed)
-        .sum();
-    assert_eq!(restored, cut as u64);
-
-    // Resume the stream: the end state equals a never-killed sharded
-    // session over the full stream.
-    for batch in events[cut..].chunks(97) {
-        AnalysisEngine::ingest_batch(&recovered, batch).expect("resume ingest");
-        AnalysisEngine::flush(&recovered).expect("resume flush");
-    }
-    let never_killed_dir = ScratchDir::new("never-killed");
-    let (never_killed, _) =
-        ShardedSession::open(&never_killed_dir.0, sharded_config(2)).expect("open control");
-    for batch in events.chunks(97) {
-        AnalysisEngine::ingest_batch(&never_killed, batch).expect("control ingest");
-        AnalysisEngine::flush(&never_killed).expect("control flush");
-    }
-    assert_eq!(
-        AnalysisEngine::reports(&recovered),
-        AnalysisEngine::reports(&never_killed)
-    );
-    assert_eq!(
-        AnalysisEngine::stats(&recovered).events_applied,
-        AnalysisEngine::stats(&never_killed).events_applied
-    );
 }
 
 /// Kill one shard harder than the rest: tear its WAL tail. Only that
@@ -498,8 +177,7 @@ fn sharded_kill_resume_converges_to_uninterrupted_state() {
 #[test]
 fn torn_wal_in_one_shard_is_isolated() {
     const SHARDS: usize = 3;
-    let store = multi_version_store();
-    let events = interleave(per_run_streams(&store), 13);
+    let events = stream(13);
 
     let dir = ScratchDir::new("torn-one");
     // No snapshots: every shard's WAL holds its whole history.
@@ -507,7 +185,7 @@ fn torn_wal_in_one_shard_is_isolated() {
         shards: SHARDS,
         ..sharded_config(0)
     };
-    let (durable, _) = ShardedSession::open(&dir.0, config.clone()).expect("open");
+    let (durable, _) = ShardedSession::open(dir.path(), config.clone()).expect("open");
     AnalysisEngine::ingest_batch(&durable, &events).expect("ingest");
     AnalysisEngine::flush(&durable).expect("flush");
     assert!(matches!(
@@ -521,11 +199,11 @@ fn torn_wal_in_one_shard_is_isolated() {
     let victim = (0..SHARDS)
         .max_by_key(|&i| partition[i].len())
         .expect("shards exist");
-    let wal_path = shard_dir(&dir.0, victim).join(online::durable::WAL_FILE);
+    let wal_path = shard_dir(dir.path(), victim).join(online::durable::WAL_FILE);
     let bytes = std::fs::read(&wal_path).expect("victim wal");
     std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).expect("tear");
 
-    let (recovered, stats) = ShardedSession::open(&dir.0, config).expect("recover");
+    let (recovered, stats) = ShardedSession::open(dir.path(), config).expect("recover");
     for (i, shard_stats) in stats.iter().enumerate() {
         let expected = if i == victim {
             partition[i].len() as u64 - 1
@@ -540,7 +218,7 @@ fn torn_wal_in_one_shard_is_isolated() {
         // The shard equals a plain session over the subsequence it could
         // still read.
         let survived = &partition[i][..expected as usize];
-        let control = control_session(survived);
+        let control = uninterrupted(survived);
         assert_eq!(
             recovered
                 .with_shard(i, |s| s.reports())
@@ -561,8 +239,7 @@ fn torn_wal_in_one_shard_is_isolated() {
 fn recovery_failure_quarantines_and_reintegrate_converges() {
     use engine::QuarantineReason;
     const SHARDS: usize = 3;
-    let store = multi_version_store();
-    let events = interleave(per_run_streams(&store), 31);
+    let events = stream(31);
     let partition = expected_partition(&events, SHARDS);
     let victim = (0..SHARDS)
         .max_by_key(|&i| partition[i].len())
@@ -579,14 +256,15 @@ fn recovery_failure_quarantines_and_reintegrate_converges() {
         shards: SHARDS,
         ..sharded_config(0)
     };
-    let (fresh, _) = ShardedSession::open(&dir.0, config.clone()).expect("open fresh");
+    let (fresh, _) = ShardedSession::open(dir.path(), config.clone()).expect("open fresh");
     drop(fresh);
-    let wal_path = shard_dir(&dir.0, victim).join(online::durable::WAL_FILE);
+    let wal_path = shard_dir(dir.path(), victim).join(online::durable::WAL_FILE);
     let _ = std::fs::remove_file(&wal_path);
     std::fs::create_dir(&wal_path).expect("plant bogus wal directory");
 
     // Open succeeds *degraded* instead of failing wholesale.
-    let (degraded, stats) = ShardedSession::open(&dir.0, config.clone()).expect("open degraded");
+    let (degraded, stats) =
+        ShardedSession::open(dir.path(), config.clone()).expect("open degraded");
     assert_eq!(stats.len(), SHARDS);
     let state = degraded.degraded_state();
     assert!(state.is_degraded());
@@ -616,7 +294,7 @@ fn recovery_failure_quarantines_and_reintegrate_converges() {
     let mut expected_partial = HashMap::new();
     for (i, subsequence) in partition.iter().enumerate() {
         if i != victim {
-            expected_partial.extend(control_session(subsequence).reports());
+            expected_partial.extend(uninterrupted(subsequence).reports());
         }
     }
     assert_eq!(partial.len(), expected_partial.len());
@@ -646,7 +324,7 @@ fn recovery_failure_quarantines_and_reintegrate_converges() {
     assert_eq!(metrics.gauge("kojak_engine_events_parked"), Some(0));
 
     let control_dir = ScratchDir::new("quarantine-control");
-    let (control, _) = ShardedSession::open(&control_dir.0, config).expect("open control");
+    let (control, _) = ShardedSession::open(control_dir.path(), config).expect("open control");
     AnalysisEngine::ingest_batch(&control, &events).expect("control ingest");
     AnalysisEngine::flush(&control).expect("control flush");
     assert_eq!(
@@ -671,8 +349,7 @@ fn recovery_failure_quarantines_and_reintegrate_converges() {
 fn checkpoint_failure_quarantines_with_engine_preserved() {
     use engine::QuarantineReason;
     const SHARDS: usize = 3;
-    let store = multi_version_store();
-    let events = interleave(per_run_streams(&store), 57);
+    let events = stream(57);
     let partition = expected_partition(&events, SHARDS);
     let victim = (0..SHARDS)
         .max_by_key(|&i| partition[i].len())
@@ -683,14 +360,14 @@ fn checkpoint_failure_quarantines_with_engine_preserved() {
         shards: SHARDS,
         ..sharded_config(0)
     };
-    let (durable, _) = ShardedSession::open(&dir.0, config).expect("open");
+    let (durable, _) = ShardedSession::open(dir.path(), config).expect("open");
     AnalysisEngine::ingest_batch(&durable, &events).expect("ingest");
     AnalysisEngine::flush(&durable).expect("flush");
     let whole_reports = AnalysisEngine::reports(&durable);
 
     // A directory squatting on `snapshot.tmp` makes the victim's next
     // checkpoint fail (File::create → EISDIR) — running as any user.
-    let tmp_path = shard_dir(&dir.0, victim).join("snapshot.tmp");
+    let tmp_path = shard_dir(dir.path(), victim).join("snapshot.tmp");
     std::fs::create_dir(&tmp_path).expect("plant bogus snapshot.tmp");
 
     // checkpoint() degrades instead of erroring: healthy shards
@@ -723,8 +400,7 @@ fn checkpoint_failure_quarantines_with_engine_preserved() {
 #[test]
 fn corrupt_snapshot_is_still_a_hard_open_error() {
     const SHARDS: usize = 3;
-    let store = multi_version_store();
-    let events = interleave(per_run_streams(&store), 83);
+    let events = stream(83);
     let partition = expected_partition(&events, SHARDS);
     let victim = (0..SHARDS)
         .max_by_key(|&i| partition[i].len())
@@ -732,16 +408,16 @@ fn corrupt_snapshot_is_still_a_hard_open_error() {
 
     let dir = ScratchDir::new("corrupt-snapshot");
     // snapshot_every_flushes = 1: the flush below writes snapshots.
-    let (durable, _) = ShardedSession::open(&dir.0, sharded_config(1)).expect("open");
+    let (durable, _) = ShardedSession::open(dir.path(), sharded_config(1)).expect("open");
     AnalysisEngine::ingest_batch(&durable, &events).expect("ingest");
     AnalysisEngine::flush(&durable).expect("flush");
     drop(durable);
 
-    let snapshot_path = shard_dir(&dir.0, victim).join(online::durable::SNAPSHOT_FILE);
+    let snapshot_path = shard_dir(dir.path(), victim).join(online::durable::SNAPSHOT_FILE);
     assert!(snapshot_path.exists(), "checkpoint must have written one");
     std::fs::write(&snapshot_path, b"KJSN garbage, not a snapshot").expect("corrupt");
 
-    match ShardedSession::open(&dir.0, sharded_config(1)) {
+    match ShardedSession::open(dir.path(), sharded_config(1)) {
         Err(online::RecoveryError::CorruptSnapshot { .. }) => {}
         other => panic!(
             "expected CorruptSnapshot, got {:?}",
@@ -760,10 +436,10 @@ fn relayouting_an_existing_directory_is_refused() {
 
     // Shard-count change.
     let dir = ScratchDir::new("reshard");
-    let (durable, _) = ShardedSession::open(&dir.0, sharded_config(0)).expect("open");
+    let (durable, _) = ShardedSession::open(dir.path(), sharded_config(0)).expect("open");
     drop(durable);
     match ShardedSession::open(
-        &dir.0,
+        dir.path(),
         ShardedConfig {
             shards: 5,
             ..sharded_config(0)
@@ -775,7 +451,7 @@ fn relayouting_an_existing_directory_is_refused() {
 
     // Sharded state reopened unsharded: the builder must refuse rather
     // than hand back a fresh session that ignores every shard's history.
-    match EngineBuilder::new().durable(&dir.0).build() {
+    match EngineBuilder::new().durable(dir.path()).build() {
         Err(EngineError::Recovery(online::RecoveryError::Incompatible { .. })) => {}
         other => panic!("expected Incompatible, got {:?}", other.err()),
     }
@@ -783,15 +459,15 @@ fn relayouting_an_existing_directory_is_refused() {
     // Unsharded state reopened sharded.
     let plain = ScratchDir::new("plain");
     let engine = EngineBuilder::new()
-        .durable(&plain.0)
+        .durable(plain.path())
         .build()
         .expect("open unsharded");
     drop(engine);
-    match ShardedSession::open(&plain.0, sharded_config(0)) {
+    match ShardedSession::open(plain.path(), sharded_config(0)) {
         Err(online::RecoveryError::Incompatible { .. }) => {}
         other => panic!("expected Incompatible, got {:?}", other.map(|_| ()).err()),
     }
-    match EngineBuilder::new().durable(&plain.0).shards(3).build() {
+    match EngineBuilder::new().durable(plain.path()).shards(3).build() {
         Err(EngineError::Recovery(online::RecoveryError::Incompatible { .. })) => {}
         other => panic!("expected Incompatible, got {:?}", other.err()),
     }

@@ -8,61 +8,30 @@
 //! The sweep runs ≥ 20 distinct seeds; every failure message carries
 //! its seed, and `FaultPlan { seed, .. }` reproduces the schedule.
 
-use apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
 use engine::{AnalysisEngine, ShardedConfig, ShardedSession};
 use faults::FaultPlan;
-use online::replay::replay_store;
-use online::{DurableConfig, FsyncPolicy, SessionConfig, TraceEvent};
-use perfdata::Store;
-use std::path::PathBuf;
+use online::{DurableConfig, TraceEvent};
+use testkit::{Scenario, ScratchDir};
 
 const SEEDS: u64 = 24;
 const SHARDS: usize = 3;
 
-/// A fresh scratch directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(name: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("kojak-chaos-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// Two program versions per soak seed, so the router actually spreads
 /// runs across shards and quarantines hit a strict subset of the state.
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
-    let machine = MachineModel::t3e_900();
-    let mut store = Store::new();
-    for salt in [0u64, 1] {
-        let gen = ProgramGenerator {
-            seed: seed.wrapping_mul(2).wrapping_add(salt),
-            functions: 2,
-            max_depth: 3,
-            max_fanout: 2,
-            base_work: 0.01,
-            comm_probability: 0.5,
-        };
-        simulate_program(&mut store, &gen.generate(), &machine, &[1, 4]);
+    Scenario {
+        versions: 2,
+        ..Scenario::new(seed)
     }
-    replay_store(&store)
+    .events()
 }
 
 fn sharded_config(faults: &faults::Faults) -> ShardedConfig {
     ShardedConfig {
         shards: SHARDS,
         durable: DurableConfig {
-            session: SessionConfig::default(),
-            fsync: FsyncPolicy::Never,
-            snapshot_every_flushes: 2,
             faults: faults.clone(),
+            ..testkit::durable_config(2)
         },
     }
 }
@@ -90,7 +59,7 @@ fn chaos_soak_converges_bit_identically_across_seeds() {
         // quarantined, never fatal (a fresh directory has no snapshot,
         // so the one hard failure — a corrupt snapshot — cannot occur).
         let dir = ScratchDir::new(&format!("soak-{seed}"));
-        let (session, _) = ShardedSession::open(&dir.0, sharded_config(&faults))
+        let (session, _) = ShardedSession::open(dir.path(), sharded_config(&faults))
             .expect("open degrades, not fails");
 
         // Exactly-once ingest: every batch is fully accepted — applied
@@ -149,7 +118,7 @@ fn chaos_soak_converges_bit_identically_across_seeds() {
 
         let control_dir = ScratchDir::new(&format!("control-{seed}"));
         let (control, _) =
-            ShardedSession::open(&control_dir.0, sharded_config(&faults::Faults::none()))
+            ShardedSession::open(control_dir.path(), sharded_config(&faults::Faults::none()))
                 .expect("open control");
         AnalysisEngine::ingest_batch(&control, &events).expect("control ingest");
         AnalysisEngine::flush(&control).expect("control flush");
@@ -190,7 +159,7 @@ fn chaos_survivors_recover_after_a_kill() {
         .build();
 
         let dir = ScratchDir::new(&format!("kill-{seed}"));
-        let (session, _) = ShardedSession::open(&dir.0, sharded_config(&faults)).expect("open");
+        let (session, _) = ShardedSession::open(dir.path(), sharded_config(&faults)).expect("open");
         for batch in events.chunks(53) {
             AnalysisEngine::ingest_batch(&session, batch).expect("ingest");
             AnalysisEngine::flush(&session).expect("flush");
@@ -205,8 +174,9 @@ fn chaos_survivors_recover_after_a_kill() {
         let reports_at_kill = AnalysisEngine::reports(&session);
         drop(session); // killed: no checkpoint, no graceful shutdown
 
-        let (recovered, _) = ShardedSession::open(&dir.0, sharded_config(&faults::Faults::none()))
-            .expect("clean recovery");
+        let (recovered, _) =
+            ShardedSession::open(dir.path(), sharded_config(&faults::Faults::none()))
+                .expect("clean recovery");
         assert_eq!(
             AnalysisEngine::reports(&recovered),
             reports_at_kill,

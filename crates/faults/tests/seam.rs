@@ -9,64 +9,22 @@
 //! kojak-faults`, and the canary below fails loudly if it ever stops
 //! being true.
 
-use apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
 use faults::{FaultPlan, Faults};
-use online::replay::replay_store;
-use online::{
-    DurableConfig, FlushError, FsyncPolicy, IngestError, OnlineSession, SessionConfig, TraceEvent,
-};
-use perfdata::Store;
-use std::path::PathBuf;
-
-/// A fresh scratch directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(name: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("kojak-seam-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use online::{DurableConfig, FlushError, IngestError, OnlineSession, SessionConfig, TraceEvent};
+use testkit::{uninterrupted, Scenario, ScratchDir};
 
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
-    let gen = ProgramGenerator {
-        seed,
-        functions: 2,
-        max_depth: 3,
-        max_fanout: 3,
-        base_work: 0.01,
-        comm_probability: 0.6,
-    };
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &gen.generate(),
-        &MachineModel::t3e_900(),
-        &[1, 8],
-    );
-    replay_store(&store)
-}
-
-fn control_session(events: &[TraceEvent]) -> OnlineSession {
-    let session = OnlineSession::new(SessionConfig::default());
-    session.ingest_batch(events).expect("control ingest");
-    session.flush().expect("control flush");
-    session
+    Scenario {
+        pes: vec![1, 8],
+        ..Scenario::new(seed)
+    }
+    .events()
 }
 
 fn config(faults: &Faults, snapshot_every_flushes: u32) -> DurableConfig {
     DurableConfig {
-        session: SessionConfig::default(),
-        fsync: FsyncPolicy::Never,
-        snapshot_every_flushes,
         faults: faults.clone(),
+        ..testkit::durable_config(snapshot_every_flushes)
     }
 }
 
@@ -101,7 +59,7 @@ fn wal_append_faults_are_typed_and_apply_nothing() {
     // (Recovery is gated too — pause injection for the fresh open, this
     // test targets the append seam.)
     faults.set_active(false);
-    let durable = OnlineSession::open(&dir.0, config(&faults, 0)).expect("open");
+    let durable = OnlineSession::open(dir.path(), config(&faults, 0)).expect("open");
     faults.set_active(true);
     let mut rejections = 0u32;
     for batch in events.chunks(13) {
@@ -140,14 +98,14 @@ fn wal_append_faults_are_typed_and_apply_nothing() {
     );
     assert_eq!(metrics.gauge("kojak_faults_active"), Some(1));
 
-    let control = control_session(&events);
+    let control = uninterrupted(&events);
     assert_eq!(durable.reports(), control.reports());
     drop(durable);
 
     // The log holds exactly the accepted history: recovery replays it
     // to a bit-identical session.
     faults.set_active(false);
-    let reopened = OnlineSession::open(&dir.0, config(&faults, 0)).expect("recover");
+    let reopened = OnlineSession::open(dir.path(), config(&faults, 0)).expect("recover");
     assert_eq!(
         reopened.recovery().wal_events_replayed,
         events.len() as u64,
@@ -178,7 +136,7 @@ fn checkpoint_faults_never_compromise_durability() {
 
     let dir = ScratchDir::new("checkpoint");
     faults.set_active(false);
-    let durable = OnlineSession::open(&dir.0, config(&faults, 0)).expect("open");
+    let durable = OnlineSession::open(dir.path(), config(&faults, 0)).expect("open");
     faults.set_active(true);
     let mut checkpoint_failures = 0u32;
     let mut ingested = 0usize;
@@ -203,7 +161,7 @@ fn checkpoint_faults_never_compromise_durability() {
                 other => panic!("checkpoint fault must stay typed, got {other}"),
             }
             let (recovered, stats) =
-                OnlineSession::recover(&dir.0, SessionConfig::default()).expect("recover");
+                OnlineSession::recover(dir.path(), SessionConfig::default()).expect("recover");
             assert_eq!(
                 stats.snapshot_events + stats.wal_events_replayed,
                 ingested as u64,
@@ -226,9 +184,9 @@ fn checkpoint_faults_never_compromise_durability() {
     faults.set_active(false);
     durable.checkpoint().expect("repaired checkpoint");
     drop(durable);
-    let reopened = OnlineSession::open(&dir.0, config(&Faults::none(), 0)).expect("recover");
+    let reopened = OnlineSession::open(dir.path(), config(&Faults::none(), 0)).expect("recover");
     assert!(reopened.recovery().used_snapshot);
-    let control = control_session(&events);
+    let control = uninterrupted(&events);
     assert_eq!(reopened.reports(), control.reports());
 }
 
@@ -242,7 +200,7 @@ fn recovery_read_faults_are_typed_and_retryable() {
     let clean = Faults::none();
     let dir = ScratchDir::new("recovery-read");
     {
-        let durable = OnlineSession::open(&dir.0, config(&clean, 2)).expect("open");
+        let durable = OnlineSession::open(dir.path(), config(&clean, 2)).expect("open");
         for batch in events.chunks(19) {
             durable.ingest_batch(batch).expect("ingest");
             durable.flush().expect("flush");
@@ -257,7 +215,7 @@ fn recovery_read_faults_are_typed_and_retryable() {
         max_faults: 0,
     }
     .build();
-    match OnlineSession::open(&dir.0, config(&faults, 2)) {
+    match OnlineSession::open(dir.path(), config(&faults, 2)) {
         Err(online::RecoveryError::Io(source)) => {
             assert!(faults::is_injected(&source), "typed + provenance");
         }
@@ -267,8 +225,8 @@ fn recovery_read_faults_are_typed_and_retryable() {
 
     // The failure was injected, not real: a clean retry sees everything.
     faults.set_active(false);
-    let reopened = OnlineSession::open(&dir.0, config(&faults, 2)).expect("clean retry");
-    let control = control_session(&events);
+    let reopened = OnlineSession::open(dir.path(), config(&faults, 2)).expect("clean retry");
+    let control = uninterrupted(&events);
     assert_eq!(reopened.reports(), control.reports());
     assert_eq!(
         reopened.stats().events_applied,

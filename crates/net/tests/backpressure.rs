@@ -4,7 +4,6 @@
 
 use engine::{AnalysisEngine, EngineError, RecoverableState};
 use net::{EngineServer, ProducerConfig, ServerConfig, TraceProducer};
-use online::replay::replay_store;
 use online::{RunKey, SessionStats, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,15 +62,11 @@ impl AnalysisEngine for SlowEngine {
 }
 
 fn sim_events() -> Vec<TraceEvent> {
-    use apprentice_sim::{archetypes, simulate_program, MachineModel};
-    let mut store = perfdata::Store::new();
-    simulate_program(
-        &mut store,
-        &archetypes::particle_mc(3),
-        &MachineModel::t3e_900(),
-        &[1, 4, 16],
-    );
-    replay_store(&store)
+    testkit::Scenario {
+        pes: vec![1, 4, 16],
+        ..testkit::Scenario::new(3)
+    }
+    .events()
 }
 
 /// A batch-level engine failure (a durable engine whose WAL append

@@ -1,47 +1,21 @@
-//! Loopback equivalence: a producer process streaming events over TCP
-//! into an [`EngineServer`] must leave the engine with reports
-//! **bit-identical** to in-process ingestion of the same stream — through
-//! handshake refusals, a mid-stream producer kill, and
-//! reconnect-with-resume.
+//! Loopback protocol: a producer streaming events over TCP into an
+//! [`EngineServer`] must leave the engine with the interpreter oracle's
+//! reports through handshake refusals, a mid-stream producer kill,
+//! concurrent producers and reconnect-with-resume. (A clean stream over
+//! TCP is one of the shapes `tests/shapes.rs` holds to the oracle.)
 
-use apprentice_sim::{archetypes, simulate_program, MachineModel, ProgramGenerator};
 use engine::{AnalysisEngine, EngineBuilder};
 use net::{EngineServer, NetError, ProducerConfig, ServerConfig, TraceProducer};
-use online::replay::replay_store;
 use online::TraceEvent;
-use perfdata::Store;
 use std::sync::Arc;
+use testkit::{oracle, Scenario, ScratchDir, Suite};
 
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
-    let gen = ProgramGenerator {
-        seed,
-        functions: 2,
-        max_depth: 3,
-        max_fanout: 3,
-        base_work: 0.01,
-        comm_probability: 0.6,
-    };
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &gen.generate(),
-        &MachineModel::t3e_900(),
-        &[1, 4, 16],
-    );
-    replay_store(&store)
-}
-
-/// In-process control: the same engine shape fed directly.
-fn control_reports(
-    events: &[TraceEvent],
-) -> std::collections::HashMap<online::RunKey, cosy::AnalysisReport> {
-    let control = EngineBuilder::new()
-        .shards(3)
-        .build()
-        .expect("control engine");
-    control.ingest_batch(events).expect("control ingest");
-    control.flush().expect("control flush");
-    control.reports()
+    Scenario {
+        pes: vec![1, 4, 16],
+        ..Scenario::new(seed)
+    }
+    .events()
 }
 
 fn sharded_server(window: u32) -> EngineServer {
@@ -63,65 +37,13 @@ fn sharded_server(window: u32) -> EngineServer {
     .expect("bind server")
 }
 
-/// The acceptance-criteria test: stream over TCP into a `ShardedSession`
-/// server; the resulting reports are bit-identical to in-process
-/// ingestion of the same stream.
-#[test]
-fn tcp_stream_into_sharded_server_matches_in_process() {
-    let events = sim_events(11);
-    let server = sharded_server(4096);
-    let addr = server.local_addr().to_string();
-
-    let mut producer = TraceProducer::connect(
-        &addr,
-        ProducerConfig {
-            producer_id: 1,
-            batch_events: 64,
-            ..ProducerConfig::default()
-        },
-    )
-    .expect("connect");
-    for event in &events {
-        producer.send(event).expect("send");
-    }
-    let stats = producer.close().expect("close");
-    assert_eq!(stats.events_sent, events.len() as u64);
-    assert_eq!(stats.events_acked, events.len() as u64);
-    assert_eq!(stats.events_inflight, 0);
-
-    server.engine().flush().expect("final flush");
-    assert_eq!(
-        server.engine().stats().events_applied,
-        events.len() as u64,
-        "every event applied exactly once"
-    );
-    assert_eq!(server.engine().reports(), control_reports(&events));
-
-    let server_stats = server.stats();
-    assert_eq!(server_stats.connections_accepted, 1);
-    assert_eq!(server_stats.events_received, events.len() as u64);
-    assert_eq!(server_stats.events_deduplicated, 0);
-    assert_eq!(server_stats.goodbyes, 1);
-    server.shutdown();
-}
-
-/// The standard suite plus `examples/specs/io_contention.asl`.
-fn custom_suite() -> Arc<asl_core::check::CheckedSpec> {
-    let src = format!(
-        "{}\n{}",
-        cosy::standard_suite_source(),
-        include_str!("../../../examples/specs/io_contention.asl")
-    );
-    Arc::new(asl_core::parse_and_check(&src).expect("custom suite"))
-}
-
 /// The server advertises the hash of the suite its engine serves, with
 /// nothing configured beside it: in front of a custom-suite engine a
 /// default producer (standard suite) is refused and a producer built
 /// against the custom suite is accepted.
 #[test]
 fn server_hashes_the_spec_its_engine_serves() {
-    let spec = custom_suite();
+    let spec = Suite::WithIoContention.spec();
     let engine = EngineBuilder::new().spec(spec.clone()).build();
     let server = EngineServer::bind(
         "127.0.0.1:0",
@@ -146,97 +68,6 @@ fn server_hashes_the_spec_its_engine_serves() {
     producer.close().expect("close");
     assert_eq!(server.stats().handshakes_refused, 1);
     assert_eq!(server.stats().connections_accepted, 1);
-    server.shutdown();
-}
-
-/// A suite with a user property crosses the wire like the standard one:
-/// the producer hashes the custom suite, the sharded server evaluates
-/// `IoContention` (whose reads the standard suite's dirtiness rules do not
-/// cover), and after a late correction of the reference run's I/O time —
-/// sent once every run was reported — its reports are bit-identical to
-/// the interpreter oracle over the same stream's store.
-#[test]
-fn custom_property_over_tcp_matches_the_oracle() {
-    use perfdata::TimingType::{IoRead, IoWrite};
-    let spec = custom_suite();
-    let spec_hash = net::spec_hash(&spec);
-    assert_ne!(spec_hash, net::standard_spec_hash());
-
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &archetypes::spectral_io(11),
-        &MachineModel::t3e_900(),
-        &[2, 16, 64],
-    );
-    let events = replay_store(&store);
-    let reference_io = |e: &&TraceEvent| {
-        matches!(
-            e,
-            TraceEvent::TypedSample {
-                run: online::RunKey(0),
-                ty: IoRead | IoWrite,
-                ..
-            }
-        )
-    };
-    let mut correction = events.iter().rfind(reference_io).unwrap().clone();
-    if let TraceEvent::TypedSample { time, .. } = &mut correction {
-        *time *= 0.5;
-    }
-
-    let engine = EngineBuilder::new().spec(spec.clone()).shards(3).build();
-    let server = EngineServer::bind(
-        "127.0.0.1:0",
-        Arc::new(engine.expect("sharded engine")),
-        ServerConfig {
-            flush_every_events: 512,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind server");
-    let mut producer = TraceProducer::connect(
-        server.local_addr().to_string(),
-        ProducerConfig {
-            producer_id: 21,
-            spec_hash,
-            batch_events: 64,
-            ..ProducerConfig::default()
-        },
-    )
-    .expect("connect");
-    for event in &events {
-        producer.send(event).expect("send");
-    }
-    producer.flush().expect("producer flush");
-    server.engine().flush().expect("every run reported");
-    let before = server.engine().reports();
-    producer.send(&correction).expect("send correction");
-    producer.close().expect("close");
-    server.engine().flush().expect("final flush");
-
-    // The oracle's store: the same stream, built in process.
-    let in_process = EngineBuilder::new().spec(spec.clone()).build_online();
-    in_process.ingest_batch(&events).expect("ingest");
-    in_process.ingest(&correction).expect("correction");
-    let store = in_process.store_snapshot();
-    let oracle: std::collections::HashMap<_, _> = (0..store.runs.len() as u32)
-        .map(|r| {
-            let run = perfdata::TestRunId(r);
-            let version = store.runs[run.index()].version;
-            let analyzer = cosy::Analyzer::with_spec(&store, version, spec.clone()).unwrap();
-            let threshold = cosy::ProblemThreshold::default();
-            let report = analyzer.analyze(run, cosy::Backend::Interpreter, threshold);
-            (online::replay::replay_run_key(run), report.unwrap())
-        })
-        .collect();
-    let reports = server.engine().reports();
-    assert_eq!(reports, oracle);
-    // Addressed to run 0, the correction moved run 2's report too.
-    let run2 = online::RunKey(2);
-    assert_ne!(before[&run2], reports[&run2]);
-    let held = |e: &cosy::RankedEntry| e.property == "IoContention";
-    assert!(reports[&run2].entries.iter().any(held));
     server.shutdown();
 }
 
@@ -300,56 +131,21 @@ fn producer_kill_and_resume_loses_and_duplicates_nothing() {
     // would silently skew events_applied).
     assert_eq!(server.engine().stats().events_applied, events.len() as u64);
     assert_eq!(server.engine().stats().events_rejected, 0);
-    assert_eq!(server.engine().reports(), control_reports(&events));
+    let spec = server.engine().spec();
+    assert_eq!(server.engine().reports(), oracle(&spec, &events).reports);
     server.shutdown();
-}
-
-/// Id-free projection of a report map: producer keys, labels, ranks and
-/// severity bit patterns — everything except the arena ids, which depend
-/// on the order runs reached a shard's store. Used where producers race
-/// (their interleaving is nondeterministic); the single-producer tests
-/// above compare full reports bit-for-bit.
-fn canonical(
-    reports: &std::collections::HashMap<online::RunKey, cosy::AnalysisReport>,
-) -> Vec<String> {
-    let mut out: Vec<String> = reports
-        .iter()
-        .map(|(key, r)| {
-            let entries: Vec<String> = r
-                .entries
-                .iter()
-                .map(|e| {
-                    format!(
-                        "{}:{}@{}={:x}",
-                        e.rank,
-                        e.property,
-                        e.context.label,
-                        e.severity.to_bits()
-                    )
-                })
-                .collect();
-            format!(
-                "{key} {} pe{} cost{:x} [{}]",
-                r.program,
-                r.no_pe,
-                r.total_cost.to_bits(),
-                entries.join(";")
-            )
-        })
-        .collect();
-    out.sort();
-    out
 }
 
 /// Several concurrent producers, distinct run sets, one server: the
 /// merged reports match in-process ingestion of the union stream.
 #[test]
 fn concurrent_producers_fan_in() {
-    let mut store = Store::new();
-    let machine = MachineModel::t3e_900();
-    simulate_program(&mut store, &archetypes::particle_mc(5), &machine, &[1, 8]);
-    simulate_program(&mut store, &archetypes::stencil3d(6), &machine, &[1, 8]);
-    let events = replay_store(&store);
+    let events = Scenario {
+        versions: 2,
+        pes: vec![1, 8],
+        ..Scenario::new(5)
+    }
+    .events();
     // Partition by run so each producer owns complete runs.
     let mut parts: Vec<Vec<TraceEvent>> = vec![Vec::new(), Vec::new(), Vec::new()];
     for event in &events {
@@ -380,12 +176,10 @@ fn concurrent_producers_fan_in() {
     });
     server.engine().flush().expect("final flush");
     assert_eq!(server.engine().stats().events_applied, events.len() as u64);
-    assert_eq!(
-        canonical(&server.engine().reports()),
-        canonical(&control_reports(&events)),
-        "fan-in reports equal the union stream's (id-free: producer \
-         interleaving is nondeterministic)"
-    );
+    // Id-free: producer interleaving is nondeterministic.
+    let spec = server.engine().spec();
+    let union = oracle(&spec, &events).reports;
+    testkit::assert_reports_agree("fan-in", false, &union, &server.engine().reports());
     assert_eq!(server.stats().connections_accepted, 3);
     server.shutdown();
 }
@@ -523,14 +317,13 @@ fn nan_payloads_cross_the_socket_bit_exactly() {
 #[test]
 fn tcp_into_durable_engine_survives_engine_kill() {
     let events = sim_events(13);
-    let dir = std::env::temp_dir().join(format!("kojak-net-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("net-durable");
     let cut = events.len() / 2;
 
     {
         let engine = Arc::new(
             EngineBuilder::new()
-                .durable(&dir)
+                .durable(dir.path())
                 .build()
                 .expect("durable engine"),
         );
@@ -556,7 +349,7 @@ fn tcp_into_durable_engine_survives_engine_kill() {
 
     let engine = Arc::new(
         EngineBuilder::new()
-            .durable(&dir)
+            .durable(dir.path())
             .build()
             .expect("recovered engine"),
     );
@@ -582,12 +375,9 @@ fn tcp_into_durable_engine_survives_engine_kill() {
     producer.close().expect("close");
     server.engine().flush().expect("final flush");
 
-    let control = EngineBuilder::new().build_online();
-    control.ingest_batch(&events).expect("control ingest");
-    control.flush().expect("control flush");
-    assert_eq!(server.engine().reports(), control.reports());
+    let spec = server.engine().spec();
+    assert_eq!(server.engine().reports(), oracle(&spec, &events).reports);
     server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Feature negotiation pins (PR 6): unknown feature bits in the hello

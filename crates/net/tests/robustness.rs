@@ -5,29 +5,12 @@
 
 use engine::EngineBuilder;
 use net::{EngineServer, NetError, ProducerConfig, ServerConfig, TraceProducer};
-use online::replay::replay_store;
 use online::TraceEvent;
-use perfdata::Store;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
-    let gen = apprentice_sim::ProgramGenerator {
-        seed,
-        functions: 2,
-        max_depth: 3,
-        max_fanout: 3,
-        base_work: 0.01,
-        comm_probability: 0.6,
-    };
-    let mut store = Store::new();
-    apprentice_sim::simulate_program(
-        &mut store,
-        &gen.generate(),
-        &apprentice_sim::MachineModel::t3e_900(),
-        &[1, 4],
-    );
-    replay_store(&store)
+    testkit::Scenario::new(seed).events()
 }
 
 fn server_with(config: ServerConfig) -> EngineServer {

@@ -21,8 +21,9 @@
 //! tail through the ordinary [`OnlineSession::ingest_batch`] path in
 //! batches of [`REPLAY_CHUNK`] decoded events, and run one full
 //! flush, after which the live reports are **bit-identical** to what an
-//! uninterrupted session over the same events would show (the
-//! crash-recovery proptest in `tests/crash_recovery.rs` enforces this).
+//! uninterrupted session over the same events would show (the durable
+//! shapes of the workspace's `tests/shapes.rs` are killed at a random
+//! event and held to this).
 //!
 //! A torn or corrupt log tail is recovered up to the last consistent
 //! frame and reported as a typed [`WalCorruption`]; a corrupt snapshot is

@@ -11,7 +11,7 @@
 //! is re-ranked. Because the assembly step sorts with a total,
 //! deterministic order, an incrementally maintained report is
 //! bit-identical to a full analysis of the same store (enforced by the
-//! equivalence proptest in `tests/`). A one-shot analysis is a session's
+//! workspace's `tests/shapes.rs`). A one-shot analysis is a session's
 //! first flush: every run is new, so every run is evaluated in full, once.
 //!
 //! A delta states facts only; which contexts those facts invalidate is

@@ -57,8 +57,8 @@
 //! `(run, context)` pairs, escalated to a region in every run, a whole run
 //! or a whole version where the standard suite reads across runs (min-PE
 //! totals, the reference configuration, the ranking basis). The rules are
-//! what make incremental results *equal* to batch results (see
-//! `tests/equivalence.rs`), not just close — for the standard suite.
+//! what make incremental results *equal* to a one-shot analysis (see the
+//! workspace's `tests/shapes.rs`), not just close — for the standard suite.
 //! Under any other spec ([`SessionConfig::spec`]) they are not trusted: a
 //! flush re-evaluates every run of each version its delta touches, in
 //! full.

@@ -6,8 +6,8 @@
 //! Producer keys are derived from the store ids ([`RunKey`] = run index,
 //! [`VersionTag`] = version index), so replaying a whole store into a fresh
 //! [`crate::StoreBuilder`] reconstructs an identical arena layout. This is
-//! the foundation of the batch≡online equivalence tests and of the
-//! ingestion benchmarks.
+//! how the differential tests turn a simulated program into a stream for
+//! every engine shape, and how the ingestion benchmarks get their input.
 
 use crate::event::{CallStats, RegionRef, RunKey, TraceEvent, VersionTag};
 use perfdata::{RegionId, Store, TestRunId};

@@ -118,20 +118,10 @@ fn spec_evaluation_failure_is_a_typed_flush_error() {
 /// `RecoveryError::Analysis(FlushError::Analysis(..))`, not a string.
 #[test]
 fn recovery_flush_failure_is_typed_too() {
-    use online::{DurableConfig, FsyncPolicy, OnlineSession, RecoveryError};
+    use online::RecoveryError;
 
-    let dir = std::env::temp_dir().join(format!("kojak-flusherr-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let durable = OnlineSession::open(
-        &dir,
-        DurableConfig {
-            session: SessionConfig::default(),
-            fsync: FsyncPolicy::Never,
-            snapshot_every_flushes: 0,
-            faults: Default::default(),
-        },
-    )
-    .expect("open");
+    let dir = testkit::ScratchDir::new("flush-errors");
+    let durable = OnlineSession::open(dir.path(), testkit::durable_config(0)).expect("open");
     durable
         .ingest_batch(&[
             run_started(1, 1),
@@ -143,7 +133,7 @@ fn recovery_flush_failure_is_typed_too() {
         .expect("ingest");
     drop(durable); // killed before any flush
 
-    match OnlineSession::recover(&dir, SessionConfig::default()) {
+    match OnlineSession::recover(dir.path(), SessionConfig::default()) {
         Err(RecoveryError::Analysis(FlushError::Analysis(AnalysisError::Property {
             source,
             ..
@@ -153,7 +143,6 @@ fn recovery_flush_failure_is_typed_too() {
             other.map(|_| ())
         ),
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A spec the engine cannot instantiate is not "no structure yet": the

@@ -13,55 +13,15 @@
 //! (valid-only streams; a rejected event is WAL-framed but not applied,
 //! which is why the suite pins the zero-rejection case exactly).
 
-use apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
-use online::replay::replay_store;
-use online::{DurableConfig, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent};
-use perfdata::Store;
-use std::path::PathBuf;
-
-/// A fresh scratch directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(name: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("kojak-obsrec-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use online::{OnlineSession, SessionConfig, TraceEvent};
+use testkit::{durable_config, Scenario, ScratchDir, Suite};
 
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
-    let gen = ProgramGenerator {
-        seed,
-        functions: 2,
-        max_depth: 3,
-        max_fanout: 3,
-        base_work: 0.01,
-        comm_probability: 0.6,
-    };
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &gen.generate(),
-        &MachineModel::t3e_900(),
-        &[1, 4, 16],
-    );
-    replay_store(&store)
-}
-
-fn config() -> DurableConfig {
-    DurableConfig {
-        session: SessionConfig::default(),
-        fsync: FsyncPolicy::Never,
-        snapshot_every_flushes: 0,
-        faults: Default::default(),
+    Scenario {
+        pes: vec![1, 4, 16],
+        ..Scenario::new(seed)
     }
+    .events()
 }
 
 /// Every metric counter mirrors its [`SessionStats`] field exactly, and
@@ -70,7 +30,7 @@ fn config() -> DurableConfig {
 fn registry_counters_close_against_ground_truth() {
     let events = sim_events(41);
     let dir = ScratchDir::new("ledger");
-    let durable = OnlineSession::open(&dir.0, config()).expect("open");
+    let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open");
     let chunks: Vec<&[TraceEvent]> = events.chunks(64).collect();
     for chunk in &chunks {
         durable.ingest_batch(chunk).expect("ingest");
@@ -120,7 +80,7 @@ fn applied_equals_replayed_plus_frames_across_kill_and_recover() {
 
     // Process 1: stream the first half, flush, die without checkpoint.
     {
-        let durable = OnlineSession::open(&dir.0, config()).expect("open");
+        let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open");
         durable.ingest_batch(&events[..cut]).expect("ingest");
         durable.flush().expect("flush");
         let snapshot = durable.metrics();
@@ -132,7 +92,7 @@ fn applied_equals_replayed_plus_frames_across_kill_and_recover() {
     }
 
     // Process 2: recover, stream the rest, reconcile.
-    let recovered = OnlineSession::open(&dir.0, config()).expect("recover");
+    let recovered = OnlineSession::open(dir.path(), durable_config(0)).expect("recover");
     recovered.ingest_batch(&events[cut..]).expect("ingest tail");
     recovered.flush().expect("flush");
 
@@ -217,13 +177,7 @@ fn flush_phases_sum_to_no_more_than_the_flush() {
 /// engine's instance count.
 #[test]
 fn property_counters_follow_the_spec() {
-    let src = format!(
-        "{}\n{}",
-        cosy::standard_suite_source(),
-        include_str!("../../../examples/specs/io_contention.asl")
-    );
-    let spec = std::sync::Arc::new(asl_core::parse_and_check(&src).expect("custom suite"));
-    for spec in [None, Some(spec)] {
+    for spec in [None, Some(Suite::WithIoContention.spec())] {
         let custom = spec.is_some();
         let session = OnlineSession::new(SessionConfig {
             spec,

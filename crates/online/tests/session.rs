@@ -4,21 +4,19 @@
 //! flushes are covered over both session shapes in
 //! `crates/engine/tests/concurrent.rs`.)
 
-use apprentice_sim::{archetypes, simulate_program, MachineModel};
 use cosy::{Analyzer, Backend, ProblemThreshold};
 use online::replay::events_for_run;
 use online::{OnlineSession, SessionConfig, TraceEvent};
 use perfdata::{Store, TestRunId};
+use testkit::{Program, Scenario};
 
 fn simulated_store(pe_counts: &[u32]) -> Store {
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &archetypes::particle_mc(42),
-        &MachineModel::t3e_900(),
-        pe_counts,
-    );
-    store
+    Scenario {
+        program: Program::ParticleMc,
+        pes: pe_counts.to_vec(),
+        ..Scenario::new(42)
+    }
+    .store()
 }
 
 #[test]

@@ -211,10 +211,9 @@ fn oversized_string_length_prefix_is_typed_eof() {
 /// re-encoded events are stable across a WAL cycle.
 #[test]
 fn nan_payloads_roundtrip_the_wal_bit_exactly() {
-    let dir = std::env::temp_dir().join(format!("kojak-wire-fuzz-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wal.log");
+    let dir = testkit::ScratchDir::new("wire-fuzz");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let path = dir.path().join("wal.log");
 
     // A quiet NaN, a signaling-ish NaN with payload bits, −0.0, ±inf, a
     // subnormal: every special f64 class.
@@ -273,5 +272,4 @@ fn nan_payloads_roundtrip_the_wal_bit_exactly() {
         read_back.encode_wire(&mut again);
         assert_eq!(&again, encoding, "WAL round-trip re-encodes bit-exactly");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

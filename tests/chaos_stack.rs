@@ -12,61 +12,30 @@
 
 #![cfg(feature = "faults")]
 
-use kojak::apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
 use kojak::engine::{AnalysisEngine, ShardedConfig, ShardedSession};
 use kojak::faults::{FaultPlan, Faults};
 use kojak::net::{EngineServer, ProducerConfig, ServerConfig, TraceProducer};
-use kojak::online::replay::replay_store;
-use kojak::online::{DurableConfig, FsyncPolicy, SessionConfig, TraceEvent};
-use kojak::perfdata::Store;
-use std::path::PathBuf;
+use kojak::online::{DurableConfig, TraceEvent};
 use std::sync::Arc;
 use std::time::Duration;
+use testkit::{Scenario, ScratchDir};
 
 const SHARDS: usize = 3;
 
-/// A fresh scratch directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(name: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("kojak-stack-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
-    let machine = MachineModel::t3e_900();
-    let mut store = Store::new();
-    for salt in [0u64, 1] {
-        let gen = ProgramGenerator {
-            seed: seed.wrapping_mul(2).wrapping_add(salt),
-            functions: 2,
-            max_depth: 3,
-            max_fanout: 2,
-            base_work: 0.01,
-            comm_probability: 0.5,
-        };
-        simulate_program(&mut store, &gen.generate(), &machine, &[1, 4]);
+    Scenario {
+        versions: 2,
+        ..Scenario::new(seed)
     }
-    replay_store(&store)
+    .events()
 }
 
 fn sharded_config(faults: &Faults) -> ShardedConfig {
     ShardedConfig {
         shards: SHARDS,
         durable: DurableConfig {
-            session: SessionConfig::default(),
-            fsync: FsyncPolicy::Never,
-            snapshot_every_flushes: 2,
             faults: faults.clone(),
+            ..testkit::durable_config(2)
         },
     }
 }
@@ -92,7 +61,7 @@ fn faulted_stack_converges_to_the_clean_stack() {
         // the TCP server in front of it, sockets gated by the same plan.
         let dir = ScratchDir::new(&format!("seed-{seed}"));
         faults.set_active(false); // deterministic handshake for connect()
-        let (session, _) = ShardedSession::open(&dir.0, sharded_config(&faults)).expect("open");
+        let (session, _) = ShardedSession::open(dir.path(), sharded_config(&faults)).expect("open");
         let engine = Arc::new(session);
         let server = EngineServer::bind(
             "127.0.0.1:0",
@@ -147,7 +116,8 @@ fn faulted_stack_converges_to_the_clean_stack() {
 
         let control_dir = ScratchDir::new(&format!("control-{seed}"));
         let (control, _) =
-            ShardedSession::open(&control_dir.0, sharded_config(&Faults::none())).expect("control");
+            ShardedSession::open(control_dir.path(), sharded_config(&Faults::none()))
+                .expect("control");
         AnalysisEngine::ingest_batch(&control, &events).expect("control ingest");
         AnalysisEngine::flush(&control).expect("control flush");
 

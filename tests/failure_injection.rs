@@ -9,11 +9,10 @@
 use kojak::apprentice_sim::{archetypes, simulate_program, MachineModel};
 use kojak::cosy::{Analyzer, Backend, ProblemThreshold};
 use kojak::online::durable::{RecoveryError, RecoveryStats, REPLAY_CHUNK, SNAPSHOT_FILE, WAL_FILE};
-use kojak::online::replay::replay_store;
 use kojak::online::wal::{read_wal, WalCorruptionKind};
-use kojak::online::{DurableConfig, FsyncPolicy, OnlineSession, SessionConfig, TraceEvent};
+use kojak::online::{OnlineSession, SessionConfig, TraceEvent};
 use kojak::perfdata::{DateTime, RegionKind, Store};
-use std::path::PathBuf;
+use testkit::{durable_config, uninterrupted, Program, Scenario, ScratchDir};
 
 #[test]
 fn run_without_any_timings_is_all_skipped() {
@@ -142,42 +141,14 @@ fn duplicate_timing_is_caught_before_analysis() {
 // Durable-session storage failures (WAL + snapshot).
 // ---------------------------------------------------------------------------
 
-/// Scratch session directory, removed on drop.
-struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    fn new(name: &str) -> ScratchDir {
-        let dir = std::env::temp_dir().join(format!("kojak-failinj-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ScratchDir(dir)
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn durable_config(snapshot_every_flushes: u32) -> DurableConfig {
-    DurableConfig {
-        session: SessionConfig::default(),
-        fsync: FsyncPolicy::Never,
-        snapshot_every_flushes,
-        faults: Default::default(),
-    }
-}
-
 /// A small simulated event stream (two runs).
 fn stream() -> Vec<TraceEvent> {
-    let mut store = Store::new();
-    simulate_program(
-        &mut store,
-        &archetypes::stencil3d(9),
-        &MachineModel::t3e_900(),
-        &[1, 8],
-    );
-    replay_store(&store)
+    Scenario {
+        program: Program::Stencil3d,
+        pes: vec![1, 8],
+        ..Scenario::new(9)
+    }
+    .events()
 }
 
 /// [`stream`] stretched past four [`REPLAY_CHUNK`]s: its measurement
@@ -228,17 +199,9 @@ fn assert_replay_matches_read_wal(stats: &RecoveryStats, wal_path: &std::path::P
 
 /// Ingest `events` durably (one flush at the end), then kill the session.
 fn write_session_dir(dir: &ScratchDir, events: &[TraceEvent], snapshot_every: u32) {
-    let durable = OnlineSession::open(&dir.0, durable_config(snapshot_every)).expect("open");
+    let durable = OnlineSession::open(dir.path(), durable_config(snapshot_every)).expect("open");
     durable.ingest_batch(events).expect("ingest");
     durable.flush().expect("flush");
-}
-
-/// The uninterrupted-reference session over the same events.
-fn control(events: &[TraceEvent]) -> OnlineSession {
-    let session = OnlineSession::new(SessionConfig::default());
-    session.ingest_batch(events).expect("control ingest");
-    session.flush().expect("control flush");
-    session
 }
 
 #[test]
@@ -248,25 +211,29 @@ fn truncated_final_wal_frame_recovers_to_last_consistent_event() {
         write_session_dir(&dir, &events, 0);
 
         // Tear the final frame: a crash mid-`write`.
-        let wal_path = dir.0.join(WAL_FILE);
+        let wal_path = dir.path().join(WAL_FILE);
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
 
         let (recovered, stats) =
-            OnlineSession::recover(&dir.0, SessionConfig::default()).expect("never a panic");
+            OnlineSession::recover(dir.path(), SessionConfig::default()).expect("never a panic");
         let c = stats.wal_corruption.clone().expect("typed skip report");
         assert!(matches!(c.kind, WalCorruptionKind::TruncatedFrame { .. }));
         assert_eq!(stats.wal_events_replayed, events.len() as u64 - 1);
         assert_replay_matches_read_wal(&stats, &wal_path);
         // Identical to an uninterrupted session over the surviving prefix.
-        let reference = control(&events[..events.len() - 1]);
+        let reference = uninterrupted(&events[..events.len() - 1]);
         assert_eq!(recovered.reports(), reference.reports(), "{name}");
 
         // Reopening for writing resumes on the frame boundary.
-        let resumed = OnlineSession::open(&dir.0, durable_config(0)).expect("reopen");
+        let resumed = OnlineSession::open(dir.path(), durable_config(0)).expect("reopen");
         resumed.ingest(&events[events.len() - 1]).expect("append");
         resumed.flush().expect("flush");
-        assert_eq!(resumed.reports(), control(&events).reports(), "{name}");
+        assert_eq!(
+            resumed.reports(),
+            uninterrupted(&events).reports(),
+            "{name}"
+        );
     }
 }
 
@@ -276,7 +243,7 @@ fn flipped_wal_checksum_byte_recovers_prefix_with_typed_report() {
         let dir = ScratchDir::new(&format!("bitflip-{name}"));
         write_session_dir(&dir, &events, 0);
 
-        let wal_path = dir.0.join(WAL_FILE);
+        let wal_path = dir.path().join(WAL_FILE);
         let mut bytes = std::fs::read(&wal_path).unwrap();
         // Flip a byte ~2/3 in: everything beyond that frame is untrusted.
         let victim = bytes.len() * 2 / 3;
@@ -284,7 +251,7 @@ fn flipped_wal_checksum_byte_recovers_prefix_with_typed_report() {
         std::fs::write(&wal_path, &bytes).unwrap();
 
         let (recovered, stats) =
-            OnlineSession::recover(&dir.0, SessionConfig::default()).expect("never a panic");
+            OnlineSession::recover(dir.path(), SessionConfig::default()).expect("never a panic");
         let c = stats.wal_corruption.clone().expect("typed skip report");
         assert!(matches!(
             c.kind,
@@ -295,7 +262,7 @@ fn flipped_wal_checksum_byte_recovers_prefix_with_typed_report() {
         assert!(kept < events.len(), "corrupt frame must not be trusted");
         assert_eq!(
             recovered.reports(),
-            control(&events[..kept]).reports(),
+            uninterrupted(&events[..kept]).reports(),
             "{name}"
         );
     }
@@ -308,7 +275,7 @@ fn stale_snapshot_plus_longer_log_recovers_the_full_history() {
     let dir = ScratchDir::new("stale-snap");
 
     // Checkpoint early (stale snapshot), then keep streaming (long tail).
-    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open");
     durable.ingest_batch(&events[..cut]).expect("ingest head");
     durable.checkpoint().expect("checkpoint");
     durable.ingest_batch(&events[cut..]).expect("ingest tail");
@@ -316,31 +283,31 @@ fn stale_snapshot_plus_longer_log_recovers_the_full_history() {
     drop(durable); // killed
 
     let (recovered, stats) =
-        OnlineSession::recover(&dir.0, SessionConfig::default()).expect("recover");
+        OnlineSession::recover(dir.path(), SessionConfig::default()).expect("recover");
     assert!(stats.used_snapshot);
     assert_eq!(stats.snapshot_events, cut as u64);
     assert_eq!(stats.wal_events_replayed, (events.len() - cut) as u64);
-    assert_eq!(recovered.reports(), control(&events).reports());
+    assert_eq!(recovered.reports(), uninterrupted(&events).reports());
     assert_eq!(
         recovered.stats().events_applied,
-        control(&events).stats().events_applied
+        uninterrupted(&events).stats().events_applied
     );
 }
 
 #[test]
 fn empty_and_missing_durable_files_recover_to_a_fresh_session() {
     let dir = ScratchDir::new("empty-files");
-    std::fs::create_dir_all(&dir.0).unwrap();
+    std::fs::create_dir_all(dir.path()).unwrap();
     // Zero-byte WAL and no snapshot.
-    std::fs::write(dir.0.join(WAL_FILE), b"").unwrap();
+    std::fs::write(dir.path().join(WAL_FILE), b"").unwrap();
     let (session, stats) =
-        OnlineSession::recover(&dir.0, SessionConfig::default()).expect("empty wal");
+        OnlineSession::recover(dir.path(), SessionConfig::default()).expect("empty wal");
     assert!(!stats.used_snapshot);
     assert_eq!(stats.wal_events_replayed, 0);
     assert!(session.reports().is_empty());
 
     // A durable session over the empty directory starts cleanly too.
-    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open empty");
+    let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open empty");
     assert_eq!(durable.stats().events_applied, 0);
 }
 
@@ -353,12 +320,12 @@ fn interrupted_checkpoint_does_not_double_replay_the_log() {
     // (and re-reject every RunStarted as a duplicate).
     let events = stream();
     let dir = ScratchDir::new("interrupted-checkpoint");
-    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open");
     durable.ingest_batch(&events).expect("ingest");
     durable.flush().expect("flush");
     // Capture the pre-checkpoint WAL, checkpoint, then restore it — the
     // exact on-disk state of a crash after rename, before truncation.
-    let wal_path = dir.0.join(WAL_FILE);
+    let wal_path = dir.path().join(WAL_FILE);
     let pre_checkpoint_wal = std::fs::read(&wal_path).unwrap();
     assert!(!pre_checkpoint_wal.is_empty());
     durable.checkpoint().expect("checkpoint");
@@ -366,11 +333,11 @@ fn interrupted_checkpoint_does_not_double_replay_the_log() {
     std::fs::write(&wal_path, &pre_checkpoint_wal).unwrap();
 
     let (recovered, stats) =
-        OnlineSession::recover(&dir.0, SessionConfig::default()).expect("recover");
+        OnlineSession::recover(dir.path(), SessionConfig::default()).expect("recover");
     assert!(stats.used_snapshot);
     assert!(stats.wal_stale, "old-epoch log must be detected as covered");
     assert_eq!(stats.wal_events_replayed, 0, "no double replay");
-    let reference = control(&events);
+    let reference = uninterrupted(&events);
     assert_eq!(
         recovered.stats().events_applied,
         reference.stats().events_applied
@@ -383,7 +350,7 @@ fn interrupted_checkpoint_does_not_double_replay_the_log() {
 
     // Reopening for writing completes the interrupted checkpoint (log
     // restarted on the snapshot's epoch) and appends keep working.
-    let resumed = OnlineSession::open(&dir.0, durable_config(0)).expect("reopen");
+    let resumed = OnlineSession::open(dir.path(), durable_config(0)).expect("reopen");
     let extra = TraceEvent::RunStarted {
         run: kojak::online::RunKey(900_000),
         version: kojak::online::VersionTag(900_000),
@@ -411,13 +378,13 @@ fn deleted_snapshot_behind_a_truncated_log_is_detected() {
     // typed incompatibility, not as a silently empty session.
     let events = stream();
     let dir = ScratchDir::new("deleted-snap");
-    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open");
     durable.ingest_batch(&events).expect("ingest");
     durable.checkpoint().expect("checkpoint");
     drop(durable);
-    std::fs::remove_file(dir.0.join(SNAPSHOT_FILE)).unwrap();
+    std::fs::remove_file(dir.path().join(SNAPSHOT_FILE)).unwrap();
 
-    match OnlineSession::recover(&dir.0, SessionConfig::default()) {
+    match OnlineSession::recover(dir.path(), SessionConfig::default()) {
         Err(RecoveryError::Incompatible { .. }) => {}
         Err(other) => panic!("expected Incompatible, got {other:?}"),
         Ok(_) => panic!("expected Incompatible, got a recovered session"),
@@ -435,7 +402,7 @@ fn newer_format_wal_frames_refuse_recovery_instead_of_truncating() {
         let cut = events.len() / 2;
         write_session_dir(&dir, &events[..cut], 0);
 
-        let wal_path = dir.0.join(WAL_FILE);
+        let wal_path = dir.path().join(WAL_FILE);
         let mut bytes = std::fs::read(&wal_path).unwrap();
         let mut payload = Vec::new();
         events[cut].encode_wire(&mut payload);
@@ -447,12 +414,12 @@ fn newer_format_wal_frames_refuse_recovery_instead_of_truncating() {
         bytes.extend_from_slice(&frame);
         std::fs::write(&wal_path, &bytes).unwrap();
 
-        match OnlineSession::recover(&dir.0, SessionConfig::default()) {
+        match OnlineSession::recover(dir.path(), SessionConfig::default()) {
             Err(RecoveryError::Incompatible { .. }) => {}
             Err(other) => panic!("{name}: expected Incompatible, got {other:?}"),
             Ok(_) => panic!("{name}: expected Incompatible, got a recovered session"),
         }
-        match OnlineSession::open(&dir.0, durable_config(0)) {
+        match OnlineSession::open(dir.path(), durable_config(0)) {
             Err(RecoveryError::Incompatible { .. }) => {}
             other => panic!("{name}: expected Incompatible, got {:?}", other.map(|_| ())),
         }
@@ -466,12 +433,12 @@ fn newer_format_wal_frames_refuse_recovery_instead_of_truncating() {
 fn corrupt_snapshot_is_a_typed_error_not_a_panic() {
     let events = stream();
     let dir = ScratchDir::new("bad-snap");
-    let durable = OnlineSession::open(&dir.0, durable_config(0)).expect("open");
+    let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open");
     durable.ingest_batch(&events).expect("ingest");
     durable.checkpoint().expect("checkpoint");
     drop(durable);
 
-    let snap_path = dir.0.join(SNAPSHOT_FILE);
+    let snap_path = dir.path().join(SNAPSHOT_FILE);
     let mut bytes = std::fs::read(&snap_path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
@@ -479,12 +446,12 @@ fn corrupt_snapshot_is_a_typed_error_not_a_panic() {
 
     // The WAL was truncated by the checkpoint, so the snapshot's history
     // exists nowhere else: this must be a hard, typed error.
-    match OnlineSession::recover(&dir.0, SessionConfig::default()) {
+    match OnlineSession::recover(dir.path(), SessionConfig::default()) {
         Err(RecoveryError::CorruptSnapshot { path, .. }) => assert_eq!(path, snap_path),
         Err(other) => panic!("expected CorruptSnapshot, got {other:?}"),
         Ok(_) => panic!("expected CorruptSnapshot, got a recovered session"),
     }
-    match OnlineSession::open(&dir.0, durable_config(0)) {
+    match OnlineSession::open(dir.path(), durable_config(0)) {
         Err(RecoveryError::CorruptSnapshot { .. }) => {}
         other => panic!("expected CorruptSnapshot, got {:?}", other.map(|_| ())),
     }

@@ -2,7 +2,7 @@
 //! programs and machine parameters, the three analysis backends agree and
 //! the analysis respects its defining invariants.
 
-use kojak::apprentice_sim::{simulate_program, MachineModel, ProgramGenerator};
+use kojak::apprentice_sim::{simulate_program, MachineModel};
 use kojak::cosy::{Analyzer, Backend, ProblemThreshold};
 use kojak::perfdata::{validate, Store};
 use proptest::prelude::*;
@@ -35,15 +35,7 @@ proptest! {
         machine in machine_strategy(),
         pe in prop_oneof![Just(4u32), Just(8), Just(16), Just(32)],
     ) {
-        let gen = ProgramGenerator {
-            seed,
-            functions,
-            max_depth: 3,
-            max_fanout: 3,
-            base_work: 0.01,
-            comm_probability: 0.6,
-        };
-        let model = gen.generate();
+        let model = testkit::generator(seed, functions).generate();
         let mut store = Store::new();
         let version = simulate_program(&mut store, &model, &machine, &[1, pe]);
         prop_assert!(validate(&store).is_empty());
