@@ -30,9 +30,37 @@ impl Default for ProblemThreshold {
 /// entry that carries it. A report names a dozen properties and a few
 /// hundred contexts across thousands of entries, so entries hold a
 /// reference — cloning an entry, a report or a whole report map copies no
-/// text. Reads as a `str`.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+/// text. Reads as a `str`; compares as one, without reading the text of
+/// two clones of one name.
+#[derive(Clone, Eq, Serialize)]
 pub struct Name(Arc<str>);
+
+impl std::hash::Hash for Name {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return std::cmp::Ordering::Equal;
+        }
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Name {
     /// The text.
@@ -621,14 +649,8 @@ impl<'s> Analyzer<'s> {
             };
             held.push((i, entry));
         };
-        let mut subjects = batch.iter().map(|inst| family.subject(inst.subject));
-        prepared.eval_batch(
-            &family.property,
-            &context,
-            &mut subjects,
-            scratch,
-            &mut keep,
-        )?;
+        let subjects = batch.iter().map(|inst| family.subject(inst.subject));
+        prepared.eval_batch(&family.property, &context, subjects, scratch, &mut keep)?;
         match foreign {
             None => Ok(held),
             Some(id) => Err(AnalysisError::BadInstance {
@@ -667,29 +689,42 @@ impl<'s> Analyzer<'s> {
     pub fn assemble_report(
         &self,
         run: TestRunId,
-        mut held: Vec<HeldEntry>,
+        held: Vec<HeldEntry>,
         threshold: ProblemThreshold,
         skipped: usize,
     ) -> AnalysisReport {
-        held.sort_by(|a, b| {
-            b.severity
-                .total_cmp(&a.severity)
-                .then_with(|| a.property.cmp(&b.property))
-                .then_with(|| a.context.label.cmp(&b.context.label))
-                .then_with(|| a.context.region.cmp(&b.context.region))
-                .then_with(|| a.context.call.cmp(&b.context.call))
+        // Sorted as keys — the severity's bits in descending total order
+        // and the entry's index — so that the entries themselves move once
+        // and the names are compared only between equal severities. The
+        // index settles ties the rest leaves, as a stable sort would.
+        let descending = |x: f64| {
+            let bits = x.to_bits() as i64;
+            !(bits ^ (((bits >> 63) as u64) >> 1) as i64)
+        };
+        let mut order: Vec<(i64, u32)> = (held.iter().enumerate())
+            .map(|(i, e)| (descending(e.severity), i as u32))
+            .collect();
+        order.sort_unstable_by(|&(ka, a), &(kb, b)| {
+            let (x, y) = (&held[a as usize], &held[b as usize]);
+            ka.cmp(&kb)
+                .then_with(|| x.property.cmp(&y.property))
+                .then_with(|| x.context.label.cmp(&y.context.label))
+                .then_with(|| x.context.region.cmp(&y.context.region))
+                .then_with(|| x.context.call.cmp(&y.context.call))
+                .then(a.cmp(&b))
         });
-
-        let entries: Vec<RankedEntry> = held
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| RankedEntry {
-                rank: i + 1,
-                property: e.property,
-                context: e.context,
-                severity: e.severity,
-                confidence: e.confidence,
-                is_problem: e.severity > threshold.0,
+        let mut held: Vec<Option<HeldEntry>> = held.into_iter().map(Some).collect();
+        let entries: Vec<RankedEntry> = (order.iter().enumerate())
+            .map(|(rank, &(_, i))| {
+                let e = held[i as usize].take().expect("each entry ranks once");
+                RankedEntry {
+                    rank: rank + 1,
+                    property: e.property,
+                    context: e.context,
+                    severity: e.severity,
+                    confidence: e.confidence,
+                    is_problem: e.severity > threshold.0,
+                }
             })
             .collect();
 

@@ -133,16 +133,18 @@ impl<'a> PreparedBackend<'a> {
     /// Evaluate one property for every subject in one shared context (the
     /// arguments after the subject), handing `sink` the index and lean
     /// outcome of each in order — `None` for a subject the property is not
-    /// applicable to. Stops at the first subject that fails to evaluate.
+    /// applicable to. Stops at the first subject that fails to evaluate,
+    /// with its error.
     ///
-    /// The compiled engine runs the subjects as one [`asl_eval::Batch`] on
-    /// the caller's `scratch` (one per worker serves all its batches); the
-    /// others evaluate instance by instance through [`Self::eval`].
+    /// The compiled engine runs the subjects as the lanes of one
+    /// [`asl_eval::Batch`] on the caller's `scratch` (one per worker serves
+    /// all its batches); the others evaluate instance by instance through
+    /// [`Self::eval`].
     pub fn eval_batch(
         &self,
         prop: &str,
         context: &[Value],
-        subjects: &mut dyn Iterator<Item = Value>,
+        subjects: impl Iterator<Item = Value>,
         scratch: &mut Scratch,
         sink: &mut dyn FnMut(usize, Option<Outcome>),
     ) -> Result<(), AnalysisError> {
@@ -165,11 +167,11 @@ impl<'a> PreparedBackend<'a> {
             source,
         };
         let mut batch = eval.batch(prop, context, scratch).map_err(property)?;
-        for (i, subject) in subjects.enumerate() {
-            match batch.eval(subject) {
-                Ok(outcome) => sink(i, Some(outcome)),
+        for (i, outcome) in batch.eval(subjects).iter().enumerate() {
+            match outcome {
+                Ok(outcome) => sink(i, Some(*outcome)),
                 Err(e) if e.is_not_applicable() => sink(i, None),
-                Err(e) => return Err(property(e)),
+                Err(e) => return Err(property(e.clone())),
             }
         }
         Ok(())

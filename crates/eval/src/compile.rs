@@ -33,18 +33,46 @@
 //!
 //! The unit of execution is a [`Batch`]: one property, one shared context
 //! (every argument but the first) and any number of *subjects* (the first
-//! argument). A batch resolves the property once and runs every instance
-//! on one reusable register/cache stack. What need not be computed per
-//! instance is not: an expensive subtree that reads nothing but the shared
-//! context is evaluated once per batch, one that reads nothing but the
-//! subject once per subject for as long as the evaluator is bound to its
-//! data — across runs, properties and workers — and a predicate that only
-//! selects elements by a set of constants (`tt.Type == A OR tt.Type == B`)
-//! is handed to the data source with the filter in front of it
-//! ([`SetFilter::among`]) instead of being run per element. Which
-//! subtrees and predicates those are is a plan computed *beside* the node
-//! pool on first bind ([`CompiledSpec::node_count`] and the pool that
-//! kojak-lint and kojak-flow walk are exactly what [`compile`] emitted).
+//! argument), each a **lane**. A batch resolves the property once and runs
+//! its body **node by node over all lanes at once**: every node executes
+//! once per batch over the lanes that reach it, writing a column of lane
+//! values onto one reusable stack ([`Scratch`]). A value every lane shares
+//! — the context, a constant, a literal, a hoisted subtree — is kept once,
+//! not copied per lane. A selection of active lanes drives `AND`/`OR`
+//! short-circuits, conditions (which fire per lane) and guarded arms; a
+//! lane that fails drops out of every later node. A set construct lends
+//! each active lane's elements into one column of elements, each tagged
+//! with its owning lane, runs its predicate and value bodies once over that
+//! column, and folds each lane's elements in set order — a float `SUM`
+//! adds as one instance alone would. The element column is a copy — one
+//! value per element of every active lane, and of each outer slot the body
+//! reads — so a construct's stack grows with the batch's width times the
+//! set's size, on the reused scratch. A quantifier tests its elements in
+//! rounds of doubling length over the lanes still undecided, so a lane
+//! its first element decides costs a round, not its whole set. A helper
+//! call runs its body over the caller's lanes.
+//! [`CompiledEvaluator::eval_property`],
+//! [`CompiledEvaluator::call_function`] and constant initialization are
+//! one-lane batches: there is one executor.
+//!
+//! A lane's outcome is the one evaluating its instance alone gives, error
+//! included: its error is the first it would meet in that order. An
+//! element's failure is its lane's only if no earlier element of the lane
+//! failed, and elements after a lane's deciding one (a `FORALL`
+//! counterexample, an `EXISTS` witness) cannot fail it.
+//!
+//! What need not be computed per lane is not: an expensive subtree that
+//! reads nothing but the shared context is evaluated once per batch, value
+//! or error, one that reads nothing but the subject once per subject for as
+//! long as the evaluator is bound to its data — across runs, properties and
+//! workers — and a predicate that only selects elements by a set of
+//! constants (`tt.Type == A OR tt.Type == B`) is handed to the data source
+//! with the filter in front of it ([`SetFilter::among`]) instead of being
+//! run per element. Which subtrees and predicates those are, and which
+//! outer slots a set construct's body reads, is a plan computed *beside*
+//! the node pool on first bind ([`CompiledSpec::node_count`] and the pool
+//! that kojak-lint and kojak-flow walk are exactly what [`compile`]
+//! emitted).
 
 use crate::error::{EvalError, EvalErrorKind, EvalResult};
 use crate::interp::{ObjectModel, PropertyOutcome, SetFilter};
@@ -78,6 +106,18 @@ static CACHE_MISSES: obs::Counter = obs::Counter::new();
 /// add these to a merged snapshot exactly once, at the top level).
 pub fn cache_counters() -> (u64, u64) {
     (CACHE_HITS.get(), CACHE_MISSES.get())
+}
+
+/// Process-wide count of IR node executions: one per node and selection
+/// of lanes it runs over, counted in the [`Scratch`] beside the cache
+/// lookups and added when it is dropped.
+static NODE_EXECUTIONS: obs::Counter = obs::Counter::new();
+
+/// Lifetime IR node executions of every compiled evaluator in the process
+/// — a work count a wall clock cannot blur: one per node and batch, not
+/// one per node and instance.
+pub fn node_executions() -> u64 {
+    NODE_EXECUTIONS.get()
 }
 
 /// Always `(0, 0)`: the helper-function result memo this counted is gone
@@ -356,7 +396,6 @@ pub struct CompiledArm {
 struct ConstBody {
     name: String,
     n_slots: usize,
-    n_caches: usize,
     body: NodeRef,
 }
 
@@ -365,7 +404,6 @@ struct FnBody {
     name: String,
     n_params: usize,
     n_slots: usize,
-    n_caches: usize,
     body: NodeRef,
 }
 
@@ -373,7 +411,6 @@ struct FnBody {
 struct PropBody {
     n_params: usize,
     n_slots: usize,
-    n_caches: usize,
     /// `(slot, value)` in declaration order.
     lets: Vec<(u32, NodeRef)>,
     /// `(condition id, predicate)` in declaration order.
@@ -400,7 +437,7 @@ pub struct CompiledSpec {
     prop_names: Vec<String>,
     fn_ids: HashMap<String, usize>,
     prop_ids: HashMap<String, usize>,
-    /// Which subtrees a [`Batch`] keeps alive across its instances.
+    /// Which subtrees a [`Batch`] keeps alive across its lanes.
     /// Computed on first bind, never by [`compile`]: the spec front end
     /// (parse → check → compile → lint) does not pay for it.
     plan: OnceLock<BatchPlan>,
@@ -882,7 +919,6 @@ impl<'s> Compiler<'s> {
             consts.push(ConstBody {
                 name: c.name.name.clone(),
                 n_slots: self.max_slots as usize,
-                n_caches: self.n_caches as usize,
                 body,
             });
             self.const_ids.insert(c.name.name.clone(), i as u32);
@@ -899,7 +935,6 @@ impl<'s> Compiler<'s> {
                 name: f.name.name.clone(),
                 n_params: f.params.len(),
                 n_slots: self.max_slots as usize,
-                n_caches: self.n_caches as usize,
                 body,
             });
         }
@@ -968,7 +1003,6 @@ impl<'s> Compiler<'s> {
         PropBody {
             n_params: p.params.len(),
             n_slots: self.max_slots as usize,
-            n_caches: self.n_caches as usize,
             lets,
             conditions,
             confidence,
@@ -1155,7 +1189,9 @@ impl<'s> Compiler<'s> {
                 // and `EXISTS` short-circuits at the first witness — a
                 // materializing filter would touch elements past it,
                 // surfacing attribute errors the interpreter never
-                // reaches (and doing more work) on unindexed models.
+                // reaches on unindexed models. (The executor tests a
+                // lane's elements in rounds, so it stops within a round
+                // of the witness too: `Ctx::decide`.)
                 let (src, plan) = (self.lower(source), Some(Residual::Whole(pred)));
                 self.open_scope();
                 let slot = self.bind(&binder.name);
@@ -1504,9 +1540,9 @@ const SUBJECT_CELL: u32 = 1 << 31;
 /// * **Hoist sites.** Within a batch only the subject (slot 0) changes, so
 ///   an expensive subtree that reads nothing but the other parameters —
 ///   `Duration(Basis, t)` in every severity of the standard suite — has one
-///   value, or one error, for all instances. It gets a cell in the batch's
-///   scratch that is filled lazily, on the first instance that reaches it,
-///   and answers every later one.
+///   value, or one error, for all lanes. It gets a cell in the batch's
+///   scratch that is filled once, for the first lane that reaches it, and
+///   answers every lane that does.
 /// * **Subject sites.** An expensive subtree that reads nothing but the
 ///   subject — `MinPeSum` of `SublinearSpeedup` and `UnmeasuredCost`, which
 ///   finds a region's reference run — has one value per subject whatever
@@ -1539,6 +1575,10 @@ struct BatchPlan {
     among: Vec<u32>,
     /// `(attribute, values)` of each second key.
     second_keys: Vec<(&'static str, Box<[Value]>)>,
+    /// Per node: for a set construct, the outer slots its body reads —
+    /// bit `s` for slot `s`, bit 63 for slot 63 and up — which the frame
+    /// of its elements takes from the frame it runs in; 0 otherwise.
+    gather: Vec<u64>,
 }
 
 impl BatchPlan {
@@ -1550,6 +1590,7 @@ impl BatchPlan {
             subject_roots: Vec::new(),
             among: vec![NO_CELL; nodes.len()],
             second_keys: Vec::new(),
+            gather: vec![0; nodes.len()],
         };
         for p in &cs.properties {
             // Everything computed from the subject varies with it; LET and
@@ -1574,6 +1615,18 @@ impl BatchPlan {
                 plan.among[at] = plan.second_keys.len() as u32;
                 plan.second_keys.push(key);
             }
+            if let Ir::SetComp { slot, .. }
+            | Ir::Aggregate { slot, .. }
+            | Ir::Quantifier { slot, .. } = ir
+            {
+                // Every child but the first, the source, is the body.
+                let mut source = true;
+                ir.for_each_child(&mut |child| {
+                    if !std::mem::take(&mut source) {
+                        outer_reads(nodes, child, *slot, &mut plan.gather[at]);
+                    }
+                });
+            }
         }
         plan
     }
@@ -1595,6 +1648,16 @@ impl BatchPlan {
             });
             self.cell[node as usize] = SUBJECT_CELL | id as u32;
         }
+    }
+}
+
+/// Add to `mask` the slots below `binder` that the subtree loads (bit 63
+/// standing for every slot from 63 up): those of the scopes around a
+/// construct whose binder is `binder`.
+fn outer_reads(nodes: &[Ir], node: NodeRef, binder: u32, mask: &mut u64) {
+    match &nodes[node as usize] {
+        Ir::Load(s) if *s < binder => *mask |= 1 << (*s).min(63),
+        ir => ir.for_each_child(&mut |child| outer_reads(nodes, child, binder, mask)),
     }
 }
 
@@ -1701,61 +1764,254 @@ fn alternatives(
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Where the running body's registers and cache cells start on the
-/// [`Scratch`] stacks. Two scalars: travels in registers.
+/// No frame, no construct.
+const NONE: u32 = u32::MAX;
+
+/// Lane values a fresh [`Scratch`] makes room for at once: a batch of the
+/// analyzers' width (256 subjects), its set constructs' elements included,
+/// fits, so a batch allocates the same whatever its width
+/// (`crates/cosy/tests/alloc_budget.rs`).
+const RESERVED_VALUES: usize = 4096;
+
+/// Lanes a fresh [`Scratch`] makes room for in its per-lane outcomes: the
+/// analyzers' batch width.
+const RESERVED_LANES: usize = 256;
+
+/// Elements of each lane a quantifier tests in its first round
+/// ([`Ctx::decide`]).
+const QUANTIFIER_ROUND: u32 = 8;
+
+/// A column of lane values on [`Scratch::vals`]: lane `l` is at
+/// `base + l * stride`. Stride 1 holds a value per lane; stride 0 holds one
+/// value every lane shares — a literal, a constant, the batch's context, a
+/// hoisted subtree — kept once, not copied per lane.
+#[derive(Clone, Copy, Default)]
+struct Col {
+    base: u32,
+    stride: u32,
+}
+
+impl Col {
+    fn at(self, lane: u32) -> usize {
+        (self.base + lane * self.stride) as usize
+    }
+}
+
+/// The active lanes of an execution: `len` lane indices, ascending, at
+/// `start` on [`Scratch::lanes`].
+#[derive(Clone, Copy)]
+struct Sel {
+    start: u32,
+    len: u32,
+}
+
+impl Sel {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// Where a body or a set construct runs: its registers (one [`Col`] per
+/// slot, from `regs` on [`Scratch::regs`]) over `width` lanes, and its
+/// record `id` on [`Scratch::frames`]. Four scalars: travels in registers.
 #[derive(Clone, Copy)]
 struct Frame {
-    fp: u32,
-    cp: u32,
+    id: u32,
+    regs: u32,
+    width: u32,
+    slots: u32,
 }
 
-impl Frame {
-    /// The property body's frame: the bottom of both stacks.
-    const ROOT: Frame = Frame { fp: 0, cp: 0 };
-
-    /// Index of register `slot` on the register stack.
-    fn slot(self, slot: u32) -> usize {
-        (self.fp + slot) as usize
-    }
-
-    /// Index of cache cell `cache` on the cache stack.
-    fn cache(self, cache: u32) -> usize {
-        (self.cp + cache) as usize
-    }
+/// What a frame is, for a [`Ir::Cached`] cell looking for the construct
+/// entry it belongs to.
+struct FrameRec {
+    /// The set construct whose elements are this frame's lanes; [`NONE`]
+    /// for a body (a property, helper call or constant).
+    by: NodeRef,
+    /// The frame the construct ran in.
+    parent: u32,
+    /// Where on [`Scratch::lanes`] lane `e`'s owner — its lane in the
+    /// parent frame — is, at `owners + e`.
+    owners: u32,
+    /// The construct's cache cells on [`Scratch::caches`]: cell `k` of its
+    /// reset range for parent lane `l` at `caches + (k - first) *
+    /// parent_width + l`.
+    caches: u32,
+    parent_width: u32,
 }
 
-/// The mutable state of evaluation, reused from instance to instance and —
-/// handed from one [`CompiledEvaluator::batch`] to the next — from batch to
-/// batch: no instance, helper call or set construct allocates its own.
-/// Create one per worker with `Scratch::default()`.
+/// What a set construct's source lent ([`Ctx::visit`]): element `e` is at
+/// `elems + e` on [`Scratch::vals`] and belongs to lane `owners + e` on
+/// [`Scratch::lanes`]; a lane's elements are contiguous, in set order.
+#[derive(Clone, Copy)]
+struct Visit {
+    elems: u32,
+    owners: u32,
+    n: u32,
+}
+
+/// The mutable state of evaluation, reused from batch to batch — handed
+/// from one [`CompiledEvaluator::batch`] to the next: no node, helper call
+/// or set construct allocates its own. Everything is a stack: a node's
+/// temporaries are popped when it returns, a construct's frame when it
+/// ends. Create one per worker with `Scratch::default()`.
 #[derive(Default)]
 pub struct Scratch {
-    /// Register stack. The running body's slots start at [`Frame::fp`]; a
-    /// helper call evaluates its arguments onto the top and runs there.
-    frame: Vec<Value>,
-    /// Loop-invariant cells ([`Ir::Cached`]), stacked like `frame`.
-    caches: Vec<Option<Value>>,
+    /// Lane values: every register's and every node's column.
+    vals: Vec<EvalResult<Value>>,
+    /// Lane indices: selections and the owners of elements.
+    lanes: Vec<u32>,
+    /// Registers of every frame, one column per slot.
+    regs: Vec<Col>,
+    frames: Vec<FrameRec>,
+    /// Loop-invariant cells ([`Ir::Cached`]) of the running constructs.
+    caches: Vec<Option<EvalResult<Value>>>,
     /// The batch's hoisted subtrees ([`BatchPlan`]): value or error, once
-    /// the first instance has reached the site.
+    /// the first lane has reached the site.
     hoisted: Vec<Option<EvalResult<Value>>>,
-    /// Which conditions fired in the last instance, one bit each.
+    /// The batch's context: the arguments after the subject.
+    context: Vec<Value>,
+    /// Whether the bound property takes a subject.
+    subject: bool,
+    /// Per lane: the outcome of the last [`Batch::eval`].
+    outcomes: Vec<EvalResult<Outcome>>,
+    /// Per lane: the best arm value so far.
+    best: Vec<Option<f64>>,
+    /// Per lane, `words` words: which conditions fired.
     fired: Vec<u64>,
+    words: usize,
     /// How many helper calls deep the running body is.
     depth: u32,
     /// Lazy-cell lookups, added to the process-wide counters on drop.
     cache_hits: u64,
     cache_misses: u64,
+    /// IR node executions: one per node per selection it runs over.
+    executions: u64,
 }
 
 impl Scratch {
-    /// Did condition `i` fire in the last instance?
-    fn fired(&self, i: usize) -> bool {
-        self.fired[i / 64] >> (i % 64) & 1 == 1
+    /// Empty every stack.
+    fn clear(&mut self) {
+        self.vals.clear();
+        self.lanes.clear();
+        self.regs.clear();
+        self.frames.clear();
+        self.caches.clear();
+        self.depth = 0;
     }
 
-    /// Invalidate the cache range of a set construct on entry.
-    fn reset_caches(&mut self, fr: Frame, resets: (u32, u32)) {
-        self.caches[fr.cache(resets.0)..fr.cache(resets.1)].fill(None);
+    /// A fresh column of `width` lanes on top of the stack.
+    fn push_col(&mut self, width: u32) -> Col {
+        let base = self.vals.len();
+        let nulls = std::iter::repeat_with(|| Ok(Value::Null));
+        self.vals.extend(nulls.take(width as usize));
+        Col {
+            base: base as u32,
+            stride: 1,
+        }
+    }
+
+    /// A column every lane reads `v` from.
+    fn push_one(&mut self, v: EvalResult<Value>) -> Col {
+        self.vals.push(v);
+        Col {
+            base: self.vals.len() as u32 - 1,
+            stride: 0,
+        }
+    }
+
+    /// Pop every column above `out`, a column of `width` lanes.
+    fn pop_above(&mut self, out: Col, width: u32) {
+        self.vals.truncate((out.base + width) as usize);
+    }
+
+    /// The selection of the lanes pushed on [`lanes`](Self::lanes) since
+    /// `start`.
+    fn since(&self, start: usize) -> Sel {
+        Sel {
+            start: start as u32,
+            len: (self.lanes.len() - start) as u32,
+        }
+    }
+
+    /// The lanes of `sel` that `test` passes, as a selection — `sel` itself
+    /// if it passes them all. A lane `test` fails with an error is handed,
+    /// with the error, to `fail`; one it fails with `None` is left out.
+    fn filter(
+        &mut self,
+        sel: Sel,
+        test: impl Fn(&Self, u32) -> Result<(), Option<EvalError>>,
+        mut fail: impl FnMut(&mut Self, u32, EvalError),
+    ) -> Sel {
+        if sel.range().all(|k| test(self, self.lanes[k]).is_ok()) {
+            return sel;
+        }
+        let start = self.lanes.len();
+        for k in sel.range() {
+            let lane = self.lanes[k];
+            match test(self, lane) {
+                Ok(()) => self.lanes.push(lane),
+                Err(Some(e)) => fail(self, lane, e),
+                Err(None) => {}
+            }
+        }
+        self.since(start)
+    }
+
+    /// The lanes of `sel` that `keep` accepts.
+    fn select(&mut self, sel: Sel, keep: impl Fn(&Self, u32) -> bool) -> Sel {
+        let test = |st: &Self, lane| if keep(st, lane) { Ok(()) } else { Err(None) };
+        self.filter(sel, test, |_, _, _| {})
+    }
+
+    /// Settle the lanes of `sel` that failed in `col` — their error, tagged
+    /// with `span`, is their value in `out` — and select the others.
+    fn settle(&mut self, col: Col, sel: Sel, out: Col, span: Span) -> Sel {
+        self.filter(
+            sel,
+            |st, lane| match &st.vals[col.at(lane)] {
+                Ok(_) => Ok(()),
+                Err(e) => Err(Some(e.clone())),
+            },
+            |st, lane, e| st.vals[out.at(lane)] = Err(e.or_span(span)),
+        )
+    }
+
+    /// Fail the lanes of `alive` whose value in `col` is an error, or that
+    /// `check` rejects, with that error as their outcome — untagged: a
+    /// property-level failure has no node of its own — and select the
+    /// others.
+    fn settle_lanes(
+        &mut self,
+        alive: Sel,
+        col: Col,
+        check: impl Fn(&Value) -> EvalResult<()>,
+    ) -> Sel {
+        self.filter(
+            alive,
+            |st, lane| match &st.vals[col.at(lane)] {
+                Ok(v) => check(v).map_err(Some),
+                Err(e) => Err(Some(e.clone())),
+            },
+            |st, lane, e| st.outcomes[lane as usize] = Err(e),
+        )
+    }
+
+    /// The tops of the frame stacks, for [`close`](Self::close).
+    fn marks(&self) -> [usize; 3] {
+        [self.frames.len(), self.regs.len(), self.caches.len()]
+    }
+
+    /// Close the frames opened since `marks` (their columns stay).
+    fn close(&mut self, [frames, regs, caches]: [usize; 3]) {
+        self.frames.truncate(frames);
+        self.regs.truncate(regs);
+        self.caches.truncate(caches);
+    }
+
+    /// Did condition `i` fire in `lane` of the last batch?
+    fn fired(&self, lane: usize, i: usize) -> bool {
+        self.fired[lane * self.words + i / 64] >> (i % 64) & 1 == 1
     }
 }
 
@@ -1763,6 +2019,7 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         CACHE_HITS.add(self.cache_hits);
         CACHE_MISSES.add(self.cache_misses);
+        NODE_EXECUTIONS.add(self.executions);
     }
 }
 
@@ -1805,8 +2062,8 @@ pub struct Outcome {
     pub severity: f64,
 }
 
-/// One property bound to one shared context, evaluated subject after
-/// subject ([`CompiledEvaluator::batch`]).
+/// One property bound to one shared context, evaluated over many subjects
+/// at once, one lane each ([`CompiledEvaluator::batch`]).
 pub struct Batch<'e, M: ObjectModel> {
     ctx: Ctx<'e, M>,
     prop: &'e PropBody,
@@ -1818,12 +2075,8 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
     pub fn new(spec: Arc<CompiledSpec>, data: M) -> EvalResult<Self> {
         let mut consts: Vec<Value> = Vec::with_capacity(spec.consts.len());
         for c in &spec.consts {
-            let v = Ctx::new(&spec, &data, &consts, &[]).run_body(
-                c.body,
-                (c.n_slots, c.n_caches),
-                &mut Scratch::default(),
-                0,
-            )?;
+            let ctx = Ctx::new(&spec, &data, &consts, &[]);
+            let v = ctx.run_body(c.body, c.n_slots, &[], 0, &mut Scratch::default())?;
             consts.push(v);
         }
         let subjects = spec.plan().subject_roots.iter();
@@ -1846,7 +2099,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
 
     /// Bind property `name` for evaluation over many subjects in one
     /// shared `context` — the arguments after the first; [`Batch::eval`]
-    /// supplies the first, the subject. The name is resolved and the arity
+    /// supplies the first, the subjects. The name is resolved and the arity
     /// checked here, once. `scratch` carries the evaluation state; reuse
     /// one from batch to batch.
     pub fn batch<'e>(
@@ -1855,23 +2108,23 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
         context: &[Value],
         scratch: &'e mut Scratch,
     ) -> EvalResult<Batch<'e, M>> {
-        self.bind(name, Some(&Value::Null), context, scratch)
+        self.bind(name, true, context, scratch)
     }
 
-    /// [`batch`](Self::batch) over the full argument list, first argument
-    /// (if the property has any) apart.
+    /// [`batch`](Self::batch) over the arguments after the first, if
+    /// `subject`, or over all of them.
     fn bind<'e>(
         &'e self,
         name: &str,
-        first: Option<&Value>,
-        rest: &[Value],
+        subject: bool,
+        context: &[Value],
         st: &'e mut Scratch,
     ) -> EvalResult<Batch<'e, M>> {
         let &pid = self.spec.prop_ids.get(name).ok_or_else(|| {
             EvalError::new(EvalErrorKind::Unknown, format!("unknown property `{name}`"))
         })?;
         let prop = &self.spec.properties[pid];
-        let n_args = usize::from(first.is_some()) + rest.len();
+        let n_args = usize::from(subject) + context.len();
         if n_args != prop.n_params {
             return Err(EvalError::new(
                 EvalErrorKind::Type,
@@ -1881,17 +2134,13 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
                 ),
             ));
         }
-        st.frame.clear();
-        st.frame.extend(first.cloned());
-        st.frame.extend_from_slice(rest);
-        st.frame.resize(prop.n_slots, Value::Null);
-        st.caches.clear();
-        st.caches.resize(prop.n_caches, None);
+        st.context.clear();
+        st.context.extend_from_slice(context);
+        st.subject = subject;
         st.hoisted.clear();
         st.hoisted
             .resize(self.spec.plan().n_cells[pid] as usize, None);
-        st.fired.clear();
-        st.fired.resize(prop.conditions.len().div_ceil(64), 0);
+        st.words = prop.conditions.len().div_ceil(64);
         Ok(Batch {
             ctx: self.ctx(),
             prop,
@@ -1900,7 +2149,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
     }
 
     /// Evaluate a property in the context given by `args` (one value per
-    /// declared parameter): a batch of one, with the conditions named.
+    /// declared parameter): a batch of one lane, with the conditions named.
     /// Mirrors [`crate::Interpreter::eval_property`].
     pub fn eval_property(&self, name: &str, args: &[Value]) -> EvalResult<PropertyOutcome> {
         let mut scratch = Scratch::default();
@@ -1908,117 +2157,180 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
             Some((first, rest)) => (Some(first), rest),
             None => (None, args),
         };
-        let mut batch = self.bind(name, first, rest, &mut scratch)?;
+        let mut batch = self.bind(name, first.is_some(), rest, &mut scratch)?;
         let Outcome {
             holds,
             confidence,
             severity,
-        } = batch.run()?;
+        } = match first {
+            Some(first) => batch.eval(std::iter::once(first.clone()))[0].clone()?,
+            None => {
+                batch.st.clear();
+                batch.run(1)[0].clone()?
+            }
+        };
         let fired = batch.prop.conditions.iter().enumerate();
         Ok(PropertyOutcome {
             property: name.to_string(),
             holds,
             fired: fired
-                .map(|(i, (id, _))| (id.clone(), batch.fired(i)))
+                .map(|(i, (id, _))| (id.clone(), batch.fired(0, i)))
                 .collect(),
             confidence,
             severity,
         })
     }
 
-    /// Call a compiled helper function by name.
+    /// Call a compiled helper function by name: its body over one lane.
     pub fn call_function(&self, name: &str, args: &[Value]) -> EvalResult<Value> {
         let &fid = self.spec.fn_ids.get(name).ok_or_else(|| {
             EvalError::new(EvalErrorKind::Unknown, format!("unknown function `{name}`"))
         })?;
-        let mut st = Scratch::default();
-        st.frame.extend_from_slice(args);
-        self.ctx().call_fn(fid, &mut st, 0)
+        let f = &self.spec.functions[fid];
+        let ctx = self.ctx();
+        ctx.enter_call(f, args.len())?;
+        ctx.run_body(f.body, f.n_slots, args, 1, &mut Scratch::default())
     }
 }
 
 impl<M: ObjectModel> Batch<'_, M> {
-    /// Evaluate the property with `subject` as its first argument.
-    pub fn eval(&mut self, subject: Value) -> EvalResult<Outcome> {
-        self.st.frame[0] = subject;
-        self.run()
+    /// Evaluate the property with each of `subjects` as its first
+    /// argument, one lane each, node by node over all lanes at once.
+    /// Returns the outcome of every lane, in the subjects' order: a lane
+    /// fails with the first error the property meets on it, as evaluating
+    /// that instance alone would.
+    pub fn eval(&mut self, subjects: impl IntoIterator<Item = Value>) -> &[EvalResult<Outcome>] {
+        let st = &mut *self.st;
+        st.clear();
+        if st.vals.capacity() == 0 {
+            // Room for a batch on first use.
+            st.vals.reserve(RESERVED_VALUES);
+            st.lanes.reserve(RESERVED_VALUES);
+            st.outcomes.reserve(RESERVED_LANES);
+            st.best.reserve(RESERVED_LANES);
+        }
+        st.vals.extend(subjects.into_iter().map(Ok));
+        let width = st.vals.len() as u32;
+        self.run(width)
     }
 
-    /// Did condition `i` (declaration order) fire in the last instance?
-    pub fn fired(&self, i: usize) -> bool {
-        self.st.fired(i)
+    /// Did condition `i` (declaration order) fire in `lane` of the last
+    /// [`eval`](Self::eval)?
+    pub fn fired(&self, lane: usize, i: usize) -> bool {
+        self.st.fired(lane, i)
     }
 
-    /// One instance over the arguments currently in the frame. Slots past
-    /// the parameters keep the previous instance's values: every body
-    /// writes a LET or binder slot before it reads it.
-    fn run(&mut self) -> EvalResult<Outcome> {
+    /// One batch of `width` lanes: the subjects, if the property takes
+    /// one, are the first `width` values on the cleared stack and go to
+    /// slot 0; the context follows. Slots past the parameters are the
+    /// LETs, a column each.
+    fn run(&mut self, width: u32) -> &[EvalResult<Outcome>] {
         let (ctx, p, st) = (&self.ctx, self.prop, &mut *self.st);
-        let fr = Frame::ROOT;
-        // An instance that failed inside a helper call left its frames on
-        // the stacks.
-        st.frame.truncate(p.n_slots);
-        st.caches.truncate(p.n_caches);
-        st.depth = 0;
-
-        for &(slot, value) in &p.lets {
-            let v = ctx.operand(value, st, fr)?;
-            st.frame[slot as usize] = v;
+        st.regs.resize(p.n_slots, Col::default());
+        if st.subject {
+            st.regs[0] = Col { base: 0, stride: 1 };
         }
-
-        st.fired.fill(0);
-        let mut holds = false;
-        for (i, (_, pred)) in p.conditions.iter().enumerate() {
-            let v = ctx.exec(*pred, st, fr)?;
-            let b = v.as_bool().ok_or_else(|| {
-                EvalError::new(
-                    EvalErrorKind::Type,
-                    format!("condition evaluated to {}, expected bool", v.type_name()),
-                )
-            })?;
-            if b {
-                st.fired[i / 64] |= 1 << (i % 64);
-                holds = true;
-            }
+        for i in 0..st.context.len() {
+            let col = st.push_one(Ok(st.context[i].clone()));
+            st.regs[usize::from(st.subject) + i] = col;
         }
-        if !holds {
-            return Ok(Outcome {
-                holds: false,
-                confidence: 0.0,
-                severity: 0.0,
-            });
-        }
-
-        let mut eval_arms = |arms: &[CompiledArm]| -> EvalResult<f64> {
-            let mut best: Option<f64> = None;
-            for arm in arms {
-                if arm.guard.is_some_and(|i| !st.fired(i)) {
-                    continue;
-                }
-                let v = ctx.operand(arm.expr, st, fr)?;
-                let x = v.as_f64().ok_or_else(|| {
-                    EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("arm evaluated to {}, expected number", v.type_name()),
-                    )
-                })?;
-                best = Some(match best {
-                    None => x,
-                    Some(b) => b.max(x),
-                });
-            }
-            Ok(best.unwrap_or(0.0))
+        let fr = ctx.body_frame(width, p.n_slots, st);
+        st.outcomes.clear();
+        st.outcomes.resize(width as usize, Ok(NOT_HELD));
+        st.best.clear();
+        st.best.resize(width as usize, None);
+        st.fired.clear();
+        st.fired.resize(width as usize * st.words, 0);
+        st.lanes.extend(0..width);
+        let mut alive = Sel {
+            start: 0,
+            len: width,
         };
 
-        let confidence = eval_arms(&p.confidence)?.clamp(0.0, 1.0);
-        let severity = eval_arms(&p.severity)?;
-        Ok(Outcome {
-            holds: true,
-            confidence,
-            severity,
-        })
+        for &(slot, value) in &p.lets {
+            let col = ctx.eval(value, fr, alive, st);
+            alive = st.settle_lanes(alive, col, |_| Ok(()));
+            st.regs[slot as usize] = col;
+        }
+
+        for (i, (_, pred)) in p.conditions.iter().enumerate() {
+            let top = st.vals.len();
+            let col = ctx.eval(*pred, fr, alive, st);
+            alive = st.settle_lanes(alive, col, |v| match v {
+                Value::Bool(_) => Ok(()),
+                v => Err(EvalError::new(
+                    EvalErrorKind::Type,
+                    format!("condition evaluated to {}, expected bool", v.type_name()),
+                )),
+            });
+            for k in alive.range() {
+                let lane = st.lanes[k] as usize;
+                if let Ok(Value::Bool(true)) = st.vals[col.at(lane as u32)] {
+                    st.fired[lane * st.words + i / 64] |= 1 << (i % 64);
+                }
+            }
+            st.vals.truncate(top);
+        }
+        let words = st.words;
+        alive = st.select(alive, |st, lane| {
+            let bits = &st.fired[lane as usize * words..][..words];
+            bits.iter().any(|&w| w != 0)
+        });
+
+        for (arms, severity) in [(&p.confidence, false), (&p.severity, true)] {
+            for k in alive.range() {
+                let lane = st.lanes[k] as usize;
+                st.best[lane] = None;
+            }
+            for arm in arms {
+                let reached = match arm.guard {
+                    None => alive,
+                    Some(i) => st.select(alive, |st, lane| st.fired(lane as usize, i)),
+                };
+                let top = st.vals.len();
+                let col = ctx.eval(arm.expr, fr, reached, st);
+                let numbers = st.settle_lanes(reached, col, |v| match v.as_f64() {
+                    Some(_) => Ok(()),
+                    None => Err(EvalError::new(
+                        EvalErrorKind::Type,
+                        format!("arm evaluated to {}, expected number", v.type_name()),
+                    )),
+                });
+                for k in numbers.range() {
+                    let lane = st.lanes[k];
+                    let x = st.vals[col.at(lane)].as_ref().ok().and_then(Value::as_f64);
+                    let best = &mut st.best[lane as usize];
+                    *best = x.map(|x| best.map_or(x, |b| b.max(x)));
+                }
+                st.vals.truncate(top);
+                if numbers.len < reached.len {
+                    alive = st.select(alive, |st, lane| st.outcomes[lane as usize].is_ok());
+                }
+            }
+            for k in alive.range() {
+                let lane = st.lanes[k] as usize;
+                let best = st.best[lane].unwrap_or(0.0);
+                let Ok(o) = &mut st.outcomes[lane] else {
+                    unreachable!("alive lanes have not failed")
+                };
+                o.holds = true;
+                if severity {
+                    o.severity = best;
+                } else {
+                    o.confidence = best.clamp(0.0, 1.0);
+                }
+            }
+        }
+        &st.outcomes
     }
 }
+
+/// The outcome of a lane where no condition fired.
+const NOT_HELD: Outcome = Outcome {
+    holds: false,
+    confidence: 0.0,
+    severity: 0.0,
+};
 
 /// Borrowed execution context (spec + plan + data + evaluated constants);
 /// also used during constant initialization when the evaluator is
@@ -2053,32 +2365,51 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         }
     }
 
-    /// Run a body whose arguments are the top of the register stack, from
-    /// `base` up. `sizes` is the body's `(n_slots, n_caches)`.
+    /// Open the frame of a body over `width` lanes, its registers the top
+    /// `slots` of the register stack.
+    fn body_frame(&self, width: u32, slots: usize, st: &mut Scratch) -> Frame {
+        let regs = st.regs.len() - slots;
+        st.frames.push(FrameRec {
+            by: NONE,
+            parent: NONE,
+            owners: 0,
+            caches: 0,
+            parent_width: 0,
+        });
+        Frame {
+            id: st.frames.len() as u32 - 1,
+            regs: regs as u32,
+            width,
+            slots: slots as u32,
+        }
+    }
+
+    /// Run a body on one lane, its arguments `args`, `depth` helper calls
+    /// deep: a helper function called from outside (1, as the interpreter
+    /// counts its body), or a constant (0).
     fn run_body(
         &self,
         body: NodeRef,
-        sizes: (usize, usize),
+        slots: usize,
+        args: &[Value],
+        depth: u32,
         st: &mut Scratch,
-        base: usize,
     ) -> EvalResult<Value> {
-        st.frame.resize(base + sizes.0, Value::Null);
-        let cp = st.caches.len();
-        st.caches.resize(cp + sizes.1, None);
-        let fr = Frame {
-            fp: u32::try_from(base).expect("register stack fits u32"),
-            cp: u32::try_from(cp).expect("cache stack fits u32"),
-        };
-        let out = self.exec(body, st, fr);
-        st.caches.truncate(cp);
-        st.frame.truncate(base);
-        out
+        st.clear();
+        st.depth = depth;
+        st.regs.resize(slots, Col::default());
+        for (i, arg) in args.iter().enumerate() {
+            st.regs[i] = st.push_one(Ok(arg.clone()));
+        }
+        let fr = self.body_frame(1, slots, st);
+        st.lanes.push(0);
+        let col = self.eval(body, fr, Sel { start: 0, len: 1 }, st);
+        st.vals[col.at(0)].clone()
     }
 
-    /// Call function `fid` on the arguments at `st.frame[base..]`.
-    fn call_fn(&self, fid: usize, st: &mut Scratch, base: usize) -> EvalResult<Value> {
-        let f = &self.cs.functions[fid];
-        let n_args = st.frame.len() - base;
+    /// The checks of a helper call with `n_args` arguments, before its body
+    /// runs — on every lane alike.
+    fn enter_call(&self, f: &FnBody, n_args: usize) -> EvalResult<()> {
         if n_args != f.n_params {
             return Err(EvalError::new(
                 EvalErrorKind::Type,
@@ -2088,111 +2419,114 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 ),
             ));
         }
-        if st.depth >= MAX_CALL_DEPTH {
-            return Err(EvalError::new(
-                EvalErrorKind::Recursion,
-                format!("call depth limit exceeded in `{}`", f.name),
-            ));
-        }
-        st.depth += 1;
-        let out = self.run_body(f.body, (f.n_slots, f.n_caches), st, base);
-        st.depth -= 1;
-        out
+        Ok(())
     }
 
-    /// [`exec`](Self::exec) for operand positions: a leaf, or an attribute
-    /// of a variable (`tt.Time`) — together most nodes of a property body
-    /// — is read on the spot instead of through a call. Neither is ever a
-    /// hoist site; a leaf cannot fail (a constant still initializing goes
-    /// the long way to its error) and the attribute read tags its error
-    /// as `exec` would.
-    #[inline(always)]
-    fn operand(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
-        let nodes = &self.cs.nodes;
-        match &nodes[node as usize] {
-            Ir::Load(slot) => Ok(st.frame[fr.slot(*slot)].clone()),
-            Ir::Int(v) => Ok(Value::Int(*v)),
-            Ir::Float(v) => Ok(Value::Float(*v)),
-            Ir::EnumVal(owner, variant) => Ok(Value::Enum(*owner, *variant)),
-            Ir::Attr { base, attr } => match &nodes[*base as usize] {
-                Ir::Load(slot) => ops::attr_on(self.data, &st.frame[fr.slot(*slot)], attr)
-                    .map_err(|e| e.or_span(self.cs.spans[node as usize])),
-                _ => self.exec(node, st, fr),
-            },
-            _ => self.exec(node, st, fr),
+    /// Execute `node` once over the lanes `sel` of frame `fr`. The result is
+    /// a column holding, for every lane of `sel`, the node's value or the
+    /// first error evaluating it met on that lane — tagged, as it bubbles
+    /// out, with the deepest node span that saw it (mirroring the
+    /// interpreter's `eval` wrapper). Columns the node pushed above its
+    /// result are popped; the result stays until the caller pops it.
+    fn eval(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
+        if sel.len == 0 {
+            // Nothing reaches the node: nothing to read from the result.
+            return Col::default();
         }
-    }
-
-    #[inline(always)]
-    fn exec(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
+        st.executions += 1;
         let cell = self.cell[node as usize];
-        if cell != NO_CELL {
-            return if cell & SUBJECT_CELL == 0 {
-                self.exec_hoisted(cell as usize, node, st, fr)
-            } else {
-                self.exec_subject_site((cell ^ SUBJECT_CELL) as usize, node, st, fr)
+        if cell == NO_CELL {
+            self.eval_inner(node, fr, sel, st)
+        } else if cell & SUBJECT_CELL == 0 {
+            self.eval_hoisted(cell as usize, node, fr, sel, st)
+        } else {
+            self.eval_subject_site((cell ^ SUBJECT_CELL) as usize, node, fr, sel, st)
+        }
+    }
+
+    /// A hoist site: evaluated by the first lane of the batch that reaches
+    /// it — it reads only the context, so any lane gives the same answer —
+    /// then answered from its cell. The cell keeps an error as it keeps a
+    /// value: every lane that reaches the site fails the way re-evaluation
+    /// would make it fail.
+    #[inline(never)]
+    fn eval_hoisted(
+        &self,
+        cell: usize,
+        node: NodeRef,
+        fr: Frame,
+        sel: Sel,
+        st: &mut Scratch,
+    ) -> Col {
+        let mut hits = sel.len;
+        if st.hoisted[cell].is_none() {
+            st.cache_misses += 1;
+            hits -= 1;
+            let (top, lanes) = (st.vals.len(), st.lanes.len());
+            st.lanes.push(st.lanes[sel.start as usize]);
+            let first = Sel {
+                start: lanes as u32,
+                len: 1,
             };
+            let col = self.eval_inner(node, fr, first, st);
+            let kept = st.vals[col.at(st.lanes[lanes])].clone();
+            st.vals.truncate(top);
+            st.lanes.truncate(lanes);
+            st.hoisted[cell] = Some(kept);
         }
-        // Tag bubbling errors with the deepest node span that saw them
-        // (mirrors the interpreter's `eval` wrapper; success path pays
-        // only a no-op `map_err`).
-        self.exec_inner(node, st, fr)
-            .map_err(|e| e.or_span(self.cs.spans[node as usize]))
+        st.cache_hits += u64::from(hits);
+        let kept = st.hoisted[cell].clone().expect("filled above");
+        st.push_one(kept)
     }
 
-    /// A hoist site: evaluated by the first instance of the batch that
-    /// reaches it — so short-circuiting and error order are those of
-    /// evaluating it every time — then answered from its cell. The cell
-    /// keeps an error as it keeps a value: every instance that reaches the
-    /// site fails the way re-evaluation would make it fail.
+    /// A subject site: evaluated for the lanes whose subject has no value
+    /// in the cell yet — in any batch on this evaluator — which then fill
+    /// it; the others are answered from it. Sites are in property bodies,
+    /// whose slot 0 holds the subject.
     #[inline(never)]
-    fn exec_hoisted(
+    fn eval_subject_site(
         &self,
         cell: usize,
         node: NodeRef,
-        st: &mut Scratch,
         fr: Frame,
-    ) -> EvalResult<Value> {
-        if let Some(kept) = &st.hoisted[cell] {
-            st.cache_hits += 1;
-            return kept.clone();
-        }
-        st.cache_misses += 1;
-        let out = self
-            .exec_inner(node, st, fr)
-            .map_err(|e| e.or_span(self.cs.spans[node as usize]));
-        st.hoisted[cell] = Some(out.clone());
-        out
-    }
-
-    /// A subject site: evaluated for the first instance of a subject that
-    /// reaches it — in any batch on this evaluator — then answered from
-    /// the subject's slot. Sites are in property bodies, whose slot 0
-    /// holds the subject.
-    #[inline(never)]
-    fn exec_subject_site(
-        &self,
-        cell: usize,
-        node: NodeRef,
+        sel: Sel,
         st: &mut Scratch,
-        fr: Frame,
-    ) -> EvalResult<Value> {
-        let slot = match &st.frame[fr.slot(0)] {
-            Value::Obj(subject) => self.subject_slot(cell, subject),
+    ) -> Col {
+        let out = st.push_col(fr.width);
+        let subject = st.regs[fr.regs as usize];
+        let slot_of = |st: &Scratch, lane: u32| match &st.vals[subject.at(lane)] {
+            Ok(Value::Obj(s)) => self.subject_slot(cell, s),
             _ => None,
         };
-        if let Some(kept) = slot.and_then(OnceLock::get) {
-            st.cache_hits += 1;
-            return Ok(kept.clone());
+        let start = st.lanes.len();
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            match slot_of(st, lane).and_then(OnceLock::get) {
+                Some(kept) => {
+                    st.cache_hits += 1;
+                    st.vals[out.at(lane)] = Ok(kept.clone());
+                }
+                None => {
+                    st.cache_misses += 1;
+                    st.lanes.push(lane);
+                }
+            }
         }
-        st.cache_misses += 1;
-        let out = self
-            .exec_inner(node, st, fr)
-            .map_err(|e| e.or_span(self.cs.spans[node as usize]));
-        if let (Some(slot), Ok(v)) = (slot, &out) {
-            // Another worker may have got there first, with the same value.
-            let _ = slot.set(v.clone());
+        let missed = st.since(start);
+        if missed.len > 0 {
+            let col = self.eval_inner(node, fr, missed, st);
+            for k in missed.range() {
+                let lane = st.lanes[k];
+                let v = st.vals[col.at(lane)].clone();
+                if let (Some(slot), Ok(v)) = (slot_of(st, lane), &v) {
+                    // Another worker may have got there first, with the same value.
+                    let _ = slot.set(v.clone());
+                }
+                st.vals[out.at(lane)] = v;
+            }
         }
+        st.pop_above(out, fr.width);
+        st.lanes.truncate(start);
         out
     }
 
@@ -2214,14 +2548,16 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             .filter(|_| same_class)
     }
 
-    fn exec_inner(&self, node: NodeRef, st: &mut Scratch, fr: Frame) -> EvalResult<Value> {
-        match &self.cs.nodes[node as usize] {
-            Ir::Int(v) => Ok(Value::Int(*v)),
-            Ir::Float(v) => Ok(Value::Float(*v)),
-            Ir::Bool(b) => Ok(Value::Bool(*b)),
-            Ir::Str(i) => Ok(Value::Str(Arc::clone(&self.cs.strings[*i as usize]))),
-            Ir::Load(slot) => Ok(st.frame[fr.slot(*slot)].clone()),
-            Ir::Const(i) => match self.consts.get(*i as usize) {
+    fn eval_inner(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
+        let span = self.cs.spans[node as usize];
+        let lanes = st.lanes.len();
+        let col = match &self.cs.nodes[node as usize] {
+            Ir::Int(v) => st.push_one(Ok(Value::Int(*v))),
+            Ir::Float(v) => st.push_one(Ok(Value::Float(*v))),
+            Ir::Bool(b) => st.push_one(Ok(Value::Bool(*b))),
+            Ir::Str(i) => st.push_one(Ok(Value::Str(Arc::clone(&self.cs.strings[*i as usize])))),
+            Ir::Load(slot) => st.regs[(fr.regs + slot) as usize],
+            Ir::Const(i) => st.push_one(match self.consts.get(*i as usize) {
                 Some(v) => Ok(v.clone()),
                 // Only reachable while constants are still initializing
                 // (a forward reference) — the interpreter fails the same
@@ -2229,226 +2565,1020 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 None => Err(EvalError::new(
                     EvalErrorKind::Unknown,
                     format!("unknown variable `{}`", self.cs.consts[*i as usize].name),
-                )),
-            },
-            Ir::EnumVal(owner, variant) => Ok(Value::Enum(*owner, *variant)),
-            Ir::UnknownVar(n) => Err(EvalError::new(
+                )
+                .or_span(span)),
+            }),
+            Ir::EnumVal(owner, variant) => st.push_one(Ok(Value::Enum(*owner, *variant))),
+            Ir::UnknownVar(n) => st.push_one(Err(EvalError::new(
                 EvalErrorKind::Unknown,
                 format!("unknown variable `{}`", self.cs.strings[*n as usize]),
-            )),
-            // Operands that are only looked at are borrowed where the
-            // callee wrote them (`let Ok(v) = &r else { return r }`), not
-            // moved out with `?`: a value is written field by field and a
-            // move reads it back in wider loads, which stalls on every
-            // narrow field (an object reference, a bool) still in flight.
-            Ir::Attr { base, attr } => {
-                let b = self.operand(*base, st, fr);
-                let Ok(b) = &b else { return b };
-                ops::attr_on(self.data, b, attr)
+            )
+            .or_span(span))),
+            Ir::Attr { base, attr } => self.map1(*base, fr, sel, st, span, |v| {
+                ops::attr_on(self.data, v, attr)
+            }),
+            Ir::Unary(op, inner) => self.map1(*inner, fr, sel, st, span, |v| ops::unary(*op, v)),
+            Ir::Binary(op @ (BinOp::And | BinOp::Or), lhs, rhs) => {
+                self.logical(*op, *lhs, *rhs, fr, sel, st, span)
             }
-            Ir::Unary(op, inner) => {
-                let v = self.operand(*inner, st, fr);
-                let Ok(v) = &v else { return v };
-                ops::unary(*op, v)
-            }
-            Ir::Binary(op, lhs, rhs) => match op {
-                BinOp::And => Ok(Value::Bool(
-                    self.truth(*lhs, "AND", st, fr)? && self.truth(*rhs, "AND", st, fr)?,
-                )),
-                BinOp::Or => Ok(Value::Bool(
-                    self.truth(*lhs, "OR", st, fr)? || self.truth(*rhs, "OR", st, fr)?,
-                )),
-                _ => {
-                    let l = self.operand(*lhs, st, fr);
-                    let Ok(l) = &l else { return l };
-                    let r = self.operand(*rhs, st, fr);
-                    let Ok(r) = &r else { return r };
-                    ops::binary_strict(*op, l, r)
-                }
-            },
-            Ir::Cached { cache, expr } => {
-                let at = fr.cache(*cache);
-                if let Some(v) = &st.caches[at] {
-                    st.cache_hits += 1;
-                    return Ok(v.clone());
-                }
-                st.cache_misses += 1;
-                let v = self.exec(*expr, st, fr)?;
-                st.caches[at] = Some(v.clone());
-                Ok(v)
-            }
-            Ir::Call { func, args } => {
-                let base = st.frame.len();
-                for a in args.iter() {
-                    let v = self.operand(*a, st, fr)?;
-                    st.frame.push(v);
-                }
-                self.call_fn(*func as usize, st, base)
-            }
+            Ir::Binary(op, lhs, rhs) => self.strict(*op, *lhs, *rhs, fr, sel, st, span),
+            Ir::Cached { cache, expr } => self.cached(*cache, *expr, fr, sel, st, span),
+            Ir::Call { func, args } => self.call(*func as usize, args, fr, sel, st, span),
             Ir::CallUnknown { name, args } => {
+                let out = st.push_col(fr.width);
+                let mut alive = sel;
                 for a in args.iter() {
-                    self.exec(*a, st, fr)?;
+                    let col = self.eval(*a, fr, alive, st);
+                    alive = st.settle(col, alive, out, span);
                 }
-                Err(EvalError::new(
-                    EvalErrorKind::Unknown,
-                    format!("unknown function `{}`", self.cs.strings[*name as usize]),
-                ))
-            }
-            Ir::MinMax { is_max, args } => {
-                let mut best: Option<Value> = None;
-                for a in args.iter() {
-                    let v = self.operand(*a, st, fr)?;
-                    best = ops::fold_builtin_minmax(*is_max, best, v);
-                }
-                best.ok_or_else(|| {
-                    EvalError::new(
-                        EvalErrorKind::Type,
-                        format!(
-                            "{} requires at least one argument",
-                            if *is_max { "MAX" } else { "MIN" }
-                        ),
+                for k in alive.range() {
+                    let lane = st.lanes[k];
+                    st.vals[out.at(lane)] = Err(EvalError::new(
+                        EvalErrorKind::Unknown,
+                        format!("unknown function `{}`", self.cs.strings[*name as usize]),
                     )
-                })
+                    .or_span(span));
+                }
+                st.pop_above(out, fr.width);
+                out
             }
+            Ir::MinMax { is_max, args } => self.min_max(*is_max, args, fr, sel, st, span),
             Ir::SetComp { .. } => {
-                let mut out = Vec::new();
-                self.visit_kept(node, st, fr, |item| out.push(item))?;
-                Ok(Value::Set(out.into()))
+                let out = st.push_col(fr.width);
+                self.comp_members(node, Members::Set, fr, sel, out, st);
+                st.pop_above(out, fr.width);
+                out
             }
             Ir::Unique(inner) => {
-                let mut n = 0usize;
-                let mut only = None;
-                self.visit_members(*inner, "UNIQUE applied to", st, fr, |item| {
-                    if n == 0 {
-                        only = Some(item);
-                    }
-                    n += 1;
-                })?;
-                match (n, only) {
-                    (1, Some(v)) => Ok(v),
-                    (0, _) => Err(EvalError::new(
-                        EvalErrorKind::EmptySet,
-                        "UNIQUE of an empty set",
-                    )),
-                    (n, _) => Err(EvalError::new(
-                        EvalErrorKind::Ambiguous,
-                        format!("UNIQUE of a set with {n} elements"),
-                    )),
-                }
-            }
-            Ir::Aggregate {
-                op,
-                slot,
-                source,
-                value,
-                pred,
-                resets,
-            } => {
-                st.reset_caches(fr, *resets);
-                let at = fr.slot(*slot);
-                let mut agg = ops::Aggregator::new(*op);
-                let among = self.second_key_of(node);
-                let not_a_set = "aggregate source is";
-                self.visit_elems(*source, among, not_a_set, st, fr, |st, item, selected| {
-                    st.frame[at] = item;
-                    if let Some(p) = pred.filter(|_| !selected) {
-                        let keep = self.exec(p, st, fr)?;
-                        if !keep.as_bool().unwrap_or(false) {
-                            return Ok(true);
-                        }
-                    }
-                    agg.push(self.operand(*value, st, fr)?);
-                    Ok(true)
-                })?;
-                agg.finish()
-            }
-            Ir::Quantifier {
-                forall,
-                slot,
-                source,
-                pred,
-                resets,
-            } => {
-                st.reset_caches(fr, *resets);
-                let at = fr.slot(*slot);
-                let mut result = *forall;
-                let not_a_set = "quantifier source is";
-                self.visit_elems(*source, None, not_a_set, st, fr, |st, item, _| {
-                    st.frame[at] = item;
-                    let b = match pred {
-                        Some(p) => self.exec(*p, st, fr)?.as_bool().unwrap_or(false),
-                        None => true,
-                    };
-                    // FORALL ends at its first counterexample, EXISTS at
-                    // its first witness.
-                    if b != *forall {
-                        result = b;
-                    }
-                    Ok(b == *forall)
-                })?;
-                Ok(Value::Bool(result))
+                let out = st.push_col(fr.width);
+                self.members(
+                    *inner,
+                    Members::Unique,
+                    "UNIQUE applied to",
+                    fr,
+                    sel,
+                    out,
+                    st,
+                );
+                self.tag(out, sel, span, st);
+                st.pop_above(out, fr.width);
+                out
             }
             Ir::CountSet(inner) => {
-                let mut n = 0i64;
-                self.visit_members(*inner, "COUNT applied to", st, fr, |_| n += 1)?;
-                Ok(Value::Int(n))
+                let out = st.push_col(fr.width);
+                self.members(*inner, Members::Count, "COUNT applied to", fr, sel, out, st);
+                self.tag(out, sel, span, st);
+                st.pop_above(out, fr.width);
+                out
             }
-            Ir::FilterEq {
-                obj,
-                set_attr,
-                elem_attr,
-                key,
-                ctx,
-            } => {
-                let (obj_ref, key_v) = self.filter_operands(*obj, set_attr, *key, st, fr)?;
-                let mut out = Vec::new();
-                let filter = Some(SetFilter {
-                    elem_attr,
-                    key: &key_v,
-                    among: None,
-                });
-                match self
-                    .data
-                    .visit_set(&obj_ref, set_attr, filter, &mut |elem| {
-                        out.push(Value::Obj(elem));
-                        Ok(true)
-                    }) {
-                    Some(lent) => lent.map(|()| Value::Set(out.into())),
-                    None => self.scan_filter_eq(&obj_ref, set_attr, elem_attr, &key_v, *ctx),
+            Ir::Aggregate { .. } => self.aggregate(node, fr, sel, st),
+            Ir::Quantifier { .. } => self.quantifier(node, fr, sel, st),
+            Ir::FilterEq { .. } => {
+                let out = st.push_col(fr.width);
+                let v = self.lend_filter(node, None, fr, sel, out, st);
+                self.fold_members(v, None, Members::Set, sel, out, st);
+                st.pop_above(out, fr.width);
+                out
+            }
+        };
+        st.lanes.truncate(lanes);
+        col
+    }
+
+    /// Tag the errors `out` holds for `sel` with `span`, if they have none.
+    fn tag(&self, out: Col, sel: Sel, span: Span, st: &mut Scratch) {
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            if let Err(e) = &mut st.vals[out.at(lane)] {
+                if e.span.is_none() && span != Span::default() {
+                    e.span = Some(span);
                 }
             }
         }
     }
 
-    /// An operand of the short-circuiting `op`, as a truth value.
-    fn truth(&self, node: NodeRef, op: &str, st: &mut Scratch, fr: Frame) -> EvalResult<bool> {
-        match self.exec(node, st, fr) {
-            Ok(Value::Bool(b)) => Ok(b),
-            Ok(v) => Err(ops::type_err(op, &v)),
-            Err(e) => Err(e),
+    /// A node of one operand: `f` of its value, lane by lane — once, if
+    /// every lane shares the operand.
+    fn map1(
+        &self,
+        inner: NodeRef,
+        fr: Frame,
+        sel: Sel,
+        st: &mut Scratch,
+        span: Span,
+        f: impl Fn(&Value) -> EvalResult<Value>,
+    ) -> Col {
+        let out = st.push_col(fr.width);
+        let v = self.eval(inner, fr, sel, st);
+        let apply = |r: &EvalResult<Value>| match r {
+            Ok(v) => f(v).map_err(|e| e.or_span(span)),
+            Err(e) => Err(e.clone().or_span(span)),
+        };
+        if v.stride == 0 {
+            let r = apply(&st.vals[v.base as usize]);
+            st.vals[out.base as usize] = r;
+            st.pop_above(out, fr.width);
+            return Col {
+                base: out.base,
+                stride: 0,
+            };
+        }
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            st.vals[out.at(lane)] = apply(&st.vals[v.at(lane)]);
+        }
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// A strict binary operator: the right operand runs on the lanes where
+    /// the left one did not fail.
+    #[allow(clippy::too_many_arguments)]
+    fn strict(
+        &self,
+        op: BinOp,
+        lhs: NodeRef,
+        rhs: NodeRef,
+        fr: Frame,
+        sel: Sel,
+        st: &mut Scratch,
+        span: Span,
+    ) -> Col {
+        let out = st.push_col(fr.width);
+        let l = self.eval(lhs, fr, sel, st);
+        let right = st.settle(l, sel, out, span);
+        let r = self.eval(rhs, fr, right, st);
+        let apply = |l: &EvalResult<Value>, r: &EvalResult<Value>| match (l, r) {
+            (Ok(l), Ok(r)) => ops::binary_strict(op, l, r).map_err(|e| e.or_span(span)),
+            (_, Err(e)) | (Err(e), _) => Err(e.clone().or_span(span)),
+        };
+        if l.stride == 0 && r.stride == 0 && right.len > 0 {
+            let v = apply(&st.vals[l.base as usize], &st.vals[r.base as usize]);
+            st.vals[out.base as usize] = v;
+            st.pop_above(out, fr.width);
+            return Col {
+                base: out.base,
+                stride: 0,
+            };
+        }
+        for k in right.range() {
+            let lane = st.lanes[k];
+            st.vals[out.at(lane)] = apply(&st.vals[l.at(lane)], &st.vals[r.at(lane)]);
+        }
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// `AND`/`OR`: the right operand runs on the lanes the left one did
+    /// not decide.
+    #[allow(clippy::too_many_arguments)]
+    fn logical(
+        &self,
+        op: BinOp,
+        lhs: NodeRef,
+        rhs: NodeRef,
+        fr: Frame,
+        sel: Sel,
+        st: &mut Scratch,
+        span: Span,
+    ) -> Col {
+        let (word, decides) = if op == BinOp::And {
+            ("AND", false)
+        } else {
+            ("OR", true)
+        };
+        let out = st.push_col(fr.width);
+        let truth = |r: &EvalResult<Value>| match r {
+            Ok(Value::Bool(b)) => Ok(*b),
+            Ok(v) => Err(ops::type_err(word, v).or_span(span)),
+            Err(e) => Err(e.clone().or_span(span)),
+        };
+        let l = self.eval(lhs, fr, sel, st);
+        let start = st.lanes.len();
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            match truth(&st.vals[l.at(lane)]) {
+                Ok(b) if b == decides => st.vals[out.at(lane)] = Ok(Value::Bool(b)),
+                Ok(_) => st.lanes.push(lane),
+                Err(e) => st.vals[out.at(lane)] = Err(e),
+            }
+        }
+        let right = st.since(start);
+        let r = self.eval(rhs, fr, right, st);
+        for k in right.range() {
+            let lane = st.lanes[k];
+            st.vals[out.at(lane)] = truth(&st.vals[r.at(lane)]).map(Value::Bool);
+        }
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// A loop-invariant cell of the construct entry each lane is in: the
+    /// first lane of an entry to reach it evaluates it, the others read
+    /// it. Kept per entry, as the interpreter would recompute it.
+    fn cached(
+        &self,
+        cache: u32,
+        expr: NodeRef,
+        fr: Frame,
+        sel: Sel,
+        st: &mut Scratch,
+        span: Span,
+    ) -> Col {
+        let out = st.push_col(fr.width);
+        // Each lane's cell, then the first lane of each empty one.
+        let cells = st.lanes.len();
+        for k in sel.range() {
+            let cell = self.cache_cell(cache, fr, st.lanes[k], st);
+            st.lanes.push(cell);
+        }
+        let start = st.lanes.len();
+        for (j, k) in sel.range().enumerate() {
+            let cell = st.lanes[cells + j] as usize;
+            if st.caches[cell].is_none() {
+                st.cache_misses += 1;
+                // Claimed: filled below, before any lane reads it.
+                st.caches[cell] = Some(Ok(Value::Null));
+                st.lanes.push(st.lanes[k]);
+            } else {
+                st.cache_hits += 1;
+            }
+        }
+        let first = st.since(start);
+        let col = self.eval(expr, fr, first, st);
+        // The first lanes are a subsequence of `sel`: fill their cells on
+        // the way through.
+        let mut next = first.range();
+        let mut filling = next.next();
+        for (j, k) in sel.range().enumerate() {
+            let (lane, cell) = (st.lanes[k], st.lanes[cells + j] as usize);
+            if filling.is_some_and(|f| st.lanes[f] == lane) {
+                st.caches[cell] = Some(st.vals[col.at(lane)].clone());
+                filling = next.next();
+            }
+            let kept = st.caches[cell].clone().expect("filled above");
+            st.vals[out.at(lane)] = kept.map_err(|e| e.or_span(span));
+        }
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// Where cache cell `cache` of `lane` is: with the entry of the
+    /// construct whose reset range holds it — the nearest frame up that
+    /// such a construct opened — for the lane that entered it.
+    fn cache_cell(&self, cache: u32, fr: Frame, lane: u32, st: &Scratch) -> u32 {
+        let (mut f, mut lane) = (fr.id, lane);
+        loop {
+            let rec = &st.frames[f as usize];
+            let owner = st.lanes[(rec.owners + lane) as usize];
+            let resets = match &self.cs.nodes[rec.by as usize] {
+                Ir::SetComp { resets, .. }
+                | Ir::Aggregate { resets, .. }
+                | Ir::Quantifier { resets, .. } => *resets,
+                _ => unreachable!("construct frames are opened by set constructs"),
+            };
+            if (resets.0..resets.1).contains(&cache) {
+                return rec.caches + (cache - resets.0) * rec.parent_width + owner;
+            }
+            (f, lane) = (rec.parent, owner);
         }
     }
 
-    /// Evaluate the object and key of an [`Ir::FilterEq`].
-    fn filter_operands(
+    /// A helper call: arguments in order, each on the lanes the ones
+    /// before did not fail, then the callee's body over the caller's lanes
+    /// in a frame of its own.
+    #[allow(clippy::too_many_arguments)]
+    fn call(
         &self,
-        obj: NodeRef,
-        set_attr: &str,
-        key: NodeRef,
-        st: &mut Scratch,
+        fid: usize,
+        args: &[NodeRef],
         fr: Frame,
-    ) -> EvalResult<(ObjRef, Value)> {
-        let base = self.operand(obj, st, fr)?;
-        let Value::Obj(obj_ref) = base else {
-            // Reproduce the attribute-access errors the generic lowering
-            // would have raised on `base.set_attr`.
-            return Err(ops::attr_on(self.data, &base, set_attr)
-                .expect_err("attribute access on a non-object fails"));
+        sel: Sel,
+        st: &mut Scratch,
+        span: Span,
+    ) -> Col {
+        let f = &self.cs.functions[fid];
+        let out = st.push_col(fr.width);
+        let regs = st.regs.len();
+        st.regs
+            .resize(regs + f.n_slots.max(args.len()), Col::default());
+        let mut alive = sel;
+        for (i, a) in args.iter().enumerate() {
+            let col = self.eval(*a, fr, alive, st);
+            st.regs[regs + i] = col;
+            alive = st.settle(col, alive, out, span);
+        }
+        let entered = self.enter_call(f, args.len()).and_then(|()| {
+            if st.depth >= MAX_CALL_DEPTH {
+                return Err(EvalError::new(
+                    EvalErrorKind::Recursion,
+                    format!("call depth limit exceeded in `{}`", f.name),
+                ));
+            }
+            Ok(())
+        });
+        match entered {
+            Err(e) => {
+                for k in alive.range() {
+                    let lane = st.lanes[k];
+                    st.vals[out.at(lane)] = Err(e.clone().or_span(span));
+                }
+            }
+            Ok(()) if alive.len > 0 => {
+                st.regs.truncate(regs + f.n_slots);
+                let frames = st.frames.len();
+                let callee = self.body_frame(fr.width, f.n_slots, st);
+                st.depth += 1;
+                let body = self.eval(f.body, callee, alive, st);
+                st.depth -= 1;
+                st.frames.truncate(frames);
+                st.regs.truncate(regs);
+                if body.stride == 1 && body.base > out.base {
+                    // A column the call made: its answer, with the lanes
+                    // that failed before the body ran.
+                    self.tag(body, alive, span, st);
+                    if alive.len < sel.len {
+                        for k in sel.range() {
+                            let lane = st.lanes[k];
+                            if st.vals[out.at(lane)].is_err() {
+                                let failed =
+                                    std::mem::replace(&mut st.vals[out.at(lane)], Ok(Value::Null));
+                                st.vals[body.at(lane)] = failed;
+                            }
+                        }
+                    }
+                    return body;
+                }
+                for k in alive.range() {
+                    let lane = st.lanes[k];
+                    let v = match &st.vals[body.at(lane)] {
+                        Ok(v) => Ok(v.clone()),
+                        Err(e) => Err(e.clone().or_span(span)),
+                    };
+                    st.vals[out.at(lane)] = v;
+                }
+            }
+            Ok(()) => {}
+        }
+        st.regs.truncate(regs);
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// The n-ary `MAX(a, b, …)` / `MIN(a, b, …)` builtin.
+    #[allow(clippy::too_many_arguments)]
+    fn min_max(
+        &self,
+        is_max: bool,
+        args: &[NodeRef],
+        fr: Frame,
+        sel: Sel,
+        st: &mut Scratch,
+        span: Span,
+    ) -> Col {
+        let out = st.push_col(fr.width);
+        let cols = st.regs.len();
+        let mut alive = sel;
+        for a in args.iter() {
+            let col = self.eval(*a, fr, alive, st);
+            st.regs.push(col);
+            alive = st.settle(col, alive, out, span);
+        }
+        for k in alive.range() {
+            let lane = st.lanes[k];
+            let mut best: Option<Value> = None;
+            for &col in &st.regs[cols..] {
+                let v = st.vals[col.at(lane)].as_ref().expect("settled").clone();
+                best = ops::fold_builtin_minmax(is_max, best, v);
+            }
+            st.vals[out.at(lane)] = best.ok_or_else(|| {
+                let word = if is_max { "MAX" } else { "MIN" };
+                EvalError::new(
+                    EvalErrorKind::Type,
+                    format!("{word} requires at least one argument"),
+                )
+                .or_span(span)
+            });
+        }
+        st.regs.truncate(cols);
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// The members of the set `node` evaluates to, for a consumer that
+    /// only looks at them (`UNIQUE`, `COUNT`). A comprehension hands over
+    /// the elements it keeps without collecting them: its predicates run
+    /// in the same order either way.
+    #[allow(clippy::too_many_arguments)]
+    fn members(
+        &self,
+        node: NodeRef,
+        how: Members,
+        not_a_set: &str,
+        fr: Frame,
+        sel: Sel,
+        out: Col,
+        st: &mut Scratch,
+    ) {
+        let streams = matches!(self.cs.nodes[node as usize], Ir::SetComp { .. })
+            && self.cell[node as usize] == NO_CELL;
+        if streams {
+            return self.comp_members(node, how, fr, sel, out, st);
+        }
+        let v = self.visit(node, None, not_a_set, fr, sel, out, st);
+        self.fold_members(v, None, how, sel, out, st);
+    }
+
+    /// The members the comprehension `comp` keeps, per lane, as `how`
+    /// wants them.
+    fn comp_members(
+        &self,
+        comp: NodeRef,
+        how: Members,
+        fr: Frame,
+        sel: Sel,
+        out: Col,
+        st: &mut Scratch,
+    ) {
+        let Ir::SetComp {
+            slot, source, pred, ..
+        } = &self.cs.nodes[comp as usize]
+        else {
+            unreachable!("comp_members is called on comprehension nodes only");
         };
+        let among = self.second_key_of(comp);
+        let v = self.visit(*source, among, "comprehension source is", fr, sel, out, st);
+        let comp_span = self.cs.spans[comp as usize];
+        self.tag(out, sel, comp_span, st);
+        let marks = st.marks();
+        let child = self.open(comp, *slot, fr, v, st);
+        let tested = self.elements(v, out, |selected| !selected, st);
+        let tests = self.eval(*pred, child, tested, st);
+        st.close(marks);
+        let spans = [self.cs.spans[*source as usize], comp_span];
+        self.fold_members(v, Some((tests, spans)), how, sel, out, st);
+    }
+
+    /// Fold each lane's elements into what `how` wants of them — those
+    /// its comprehension's predicate `tests` keeps, if it has one. A lane
+    /// fails with the first element's failure, tagged as coming out of
+    /// the comprehension's source, then out of the comprehension (the
+    /// two `spans`).
+    fn fold_members(
+        &self,
+        v: Visit,
+        tests: Option<(Col, [Span; 2])>,
+        how: Members,
+        sel: Sel,
+        out: Col,
+        st: &mut Scratch,
+    ) {
+        let mut e = 0;
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            let selected = match &st.vals[out.at(lane)] {
+                Err(_) => continue,
+                Ok(flag) => matches!(flag, Value::Bool(true)),
+            };
+            let mut items = matches!(how, Members::Set).then(Vec::new);
+            let (mut n, mut first, mut err) = (0usize, None, None);
+            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+                let keep = match tests {
+                    Some((tests, _)) if err.is_none() && !selected => match &st.vals[tests.at(e)] {
+                        Ok(Value::Bool(b)) => Ok(*b),
+                        Ok(_) => Err(EvalError::new(
+                            EvalErrorKind::Type,
+                            "comprehension predicate is not boolean",
+                        )),
+                        Err(x) => Err(x.clone()),
+                    },
+                    _ => Ok(err.is_none()),
+                };
+                match keep {
+                    Ok(true) => {
+                        let item = st.vals[(v.elems + e) as usize]
+                            .as_ref()
+                            .expect("an element");
+                        if let Some(items) = &mut items {
+                            items.push(item.clone());
+                        } else if n == 0 {
+                            first = Some(item.clone());
+                        }
+                        n += 1;
+                    }
+                    Ok(false) => {}
+                    Err(x) => err = Some(x),
+                }
+                e += 1;
+            }
+            st.vals[out.at(lane)] = match err {
+                Some(x) => {
+                    let [source, comp] = tests.map_or([Span::default(); 2], |(_, spans)| spans);
+                    Err(x.or_span(source).or_span(comp))
+                }
+                None => how.finish(n, first, items),
+            };
+        }
+    }
+
+    /// Select the elements of `v` whose lane's flag in `out` `wants`
+    /// (given whether the data source selected them).
+    fn elements(&self, v: Visit, out: Col, wants: impl Fn(bool) -> bool, st: &mut Scratch) -> Sel {
+        let start = st.lanes.len();
+        for e in 0..v.n {
+            let owner = st.lanes[(v.owners + e) as usize];
+            let selected = matches!(st.vals[out.at(owner)], Ok(Value::Bool(true)));
+            if wants(selected) {
+                st.lanes.push(e);
+            }
+        }
+        st.since(start)
+    }
+
+    /// Quantified aggregate `SUM(value WHERE x IN source AND pred)`: the
+    /// predicate over every element the source did not select, the value
+    /// over every element kept, then each lane's values folded in set
+    /// order — a float sum adds exactly as one instance alone would.
+    fn aggregate(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
+        let Ir::Aggregate {
+            op,
+            slot,
+            source,
+            value,
+            pred,
+            ..
+        } = &self.cs.nodes[node as usize]
+        else {
+            unreachable!("aggregate is called on aggregate nodes only");
+        };
+        let out = st.push_col(fr.width);
+        let among = self.second_key_of(node);
+        let v = self.visit(*source, among, "aggregate source is", fr, sel, out, st);
+        let marks = st.marks();
+        let child = self.open(node, *slot, fr, v, st);
+        // A predicate the data source applied on every lane does not run.
+        let untested = |st: &Scratch| {
+            let flag = |k: usize| &st.vals[out.at(st.lanes[k])];
+            sel.range()
+                .any(|k| matches!(flag(k), Ok(Value::Bool(false))))
+        };
+        let tests = pred.filter(|_| untested(st)).map(|p| {
+            let tested = self.elements(v, out, |selected| !selected, st);
+            self.eval(p, child, tested, st)
+        });
+        let start = st.lanes.len();
+        match tests {
+            None => st.lanes.extend(0..v.n),
+            Some(tests) => {
+                for e in 0..v.n {
+                    let owner = st.lanes[(v.owners + e) as usize];
+                    let keep = match &st.vals[out.at(owner)] {
+                        Ok(Value::Bool(true)) => true,
+                        _ => matches!(st.vals[tests.at(e)], Ok(Value::Bool(true))),
+                    };
+                    if keep {
+                        st.lanes.push(e);
+                    }
+                }
+            }
+        }
+        let kept = st.since(start);
+        let values = self.eval(*value, child, kept, st);
+        st.close(marks);
+
+        let mut e = 0;
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            let selected = match &st.vals[out.at(lane)] {
+                Err(_) => continue,
+                Ok(flag) => matches!(flag, Value::Bool(true)),
+            };
+            let mut agg = ops::Aggregator::new(*op);
+            let mut err = None;
+            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+                if err.is_none() {
+                    let test = match tests {
+                        Some(tests) if !selected => st.vals[tests.at(e)]
+                            .as_ref()
+                            .map(|t| t.as_bool().unwrap_or(false)),
+                        _ => Ok(true),
+                    };
+                    match test {
+                        Ok(true) => match &st.vals[values.at(e)] {
+                            Ok(x) => agg.push(x.clone()),
+                            Err(x) => err = Some(x.clone()),
+                        },
+                        Ok(false) => {}
+                        Err(x) => err = Some(x.clone()),
+                    }
+                }
+                e += 1;
+            }
+            let source_span = self.cs.spans[*source as usize];
+            st.vals[out.at(lane)] = match err {
+                Some(x) => Err(x.or_span(source_span)),
+                None => agg.finish(),
+            };
+        }
+        self.tag(out, sel, self.cs.spans[node as usize], st);
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// `FORALL`/`EXISTS`: the predicate over each lane's elements in
+    /// rounds ([`Ctx::decide`]), then each lane decided by its first
+    /// counterexample or witness — the elements after it cannot fail the
+    /// lane.
+    fn quantifier(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
+        let Ir::Quantifier {
+            forall,
+            slot,
+            source,
+            pred,
+            ..
+        } = &self.cs.nodes[node as usize]
+        else {
+            unreachable!("quantifier is called on quantifier nodes only");
+        };
+        let out = st.push_col(fr.width);
+        let v = self.visit(*source, None, "quantifier source is", fr, sel, out, st);
+        let tests = pred.map(|p| {
+            let tests = st.push_col(v.n);
+            let marks = st.marks();
+            let child = self.open(node, *slot, fr, v, st);
+            self.decide(p, *forall, child, v, sel, tests, st);
+            st.close(marks);
+            tests
+        });
+
+        let mut e = 0;
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            if st.vals[out.at(lane)].is_err() {
+                continue;
+            }
+            let mut decided: EvalResult<Option<bool>> = Ok(None);
+            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+                if let Ok(None) = decided {
+                    let b = match tests {
+                        Some(tests) => st.vals[tests.at(e)]
+                            .as_ref()
+                            .map(|t| t.as_bool().unwrap_or(false)),
+                        None => Ok(true),
+                    };
+                    decided = match b {
+                        // FORALL ends at its first counterexample, EXISTS
+                        // at its first witness.
+                        Ok(b) => Ok((b != *forall).then_some(b)),
+                        Err(x) => Err(x.clone()),
+                    };
+                }
+                e += 1;
+            }
+            let source_span = self.cs.spans[*source as usize];
+            st.vals[out.at(lane)] = match decided {
+                Ok(b) => Ok(Value::Bool(b.unwrap_or(*forall))),
+                Err(x) => Err(x.or_span(source_span)),
+            };
+        }
+        self.tag(out, sel, self.cs.spans[node as usize], st);
+        st.pop_above(out, fr.width);
+        out
+    }
+
+    /// Test the elements of `v` with a quantifier's predicate `pred` into
+    /// `tests`, in rounds: the first [`QUANTIFIER_ROUND`] elements of each
+    /// lane, then twice as many of each lane no element has decided yet —
+    /// by failing, or as a counterexample (`FORALL`) or witness (`EXISTS`)
+    /// — and so on. A lane decided early costs at most twice the elements
+    /// up to its deciding one, or the first round; the elements after it
+    /// are not tested, as evaluating the instance alone would not.
+    #[allow(clippy::too_many_arguments)]
+    fn decide(
+        &self,
+        pred: NodeRef,
+        forall: bool,
+        child: Frame,
+        v: Visit,
+        sel: Sel,
+        tests: Col,
+        st: &mut Scratch,
+    ) {
+        // Per lane of `sel`: its next untested element and the end of its
+        // elements — equal once the lane is decided.
+        let cursors = st.lanes.len();
+        let mut e = 0;
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            st.lanes.push(e);
+            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+                e += 1;
+            }
+            st.lanes.push(e);
+        }
+        let mut round = QUANTIFIER_ROUND;
+        loop {
+            let start = st.lanes.len();
+            for j in 0..sel.len as usize {
+                let (next, end) = (st.lanes[cursors + 2 * j], st.lanes[cursors + 2 * j + 1]);
+                st.lanes.extend(next..end.min(next.saturating_add(round)));
+            }
+            let tested = st.since(start);
+            if tested.len == 0 {
+                break;
+            }
+            let top = st.vals.len();
+            let col = self.eval(pred, child, tested, st);
+            for k in tested.range() {
+                let e = st.lanes[k];
+                st.vals[tests.at(e)] = st.vals[col.at(e)].clone();
+            }
+            st.vals.truncate(top);
+            st.lanes.truncate(start);
+            for j in 0..sel.len as usize {
+                let (next, end) = (st.lanes[cursors + 2 * j], st.lanes[cursors + 2 * j + 1]);
+                let upto = end.min(next.saturating_add(round));
+                let decides = |e: u32| match &st.vals[tests.at(e)] {
+                    Ok(t) => t.as_bool().unwrap_or(false) != forall,
+                    Err(_) => true,
+                };
+                let decided = (next..upto).any(decides);
+                st.lanes[cursors + 2 * j] = if decided { end } else { upto };
+            }
+            round = round.saturating_mul(2);
+        }
+        st.lanes.truncate(cursors);
+    }
+
+    /// Open the frame of a set construct over the elements `v` lent: its
+    /// binder `slot` holds them, and every outer slot its body reads
+    /// ([`BatchPlan::gather`]) holds, per element, what the element's lane
+    /// holds — or, shared by every lane, the one value. Closed with
+    /// [`Scratch::close`].
+    fn open(&self, construct: NodeRef, slot: u32, fr: Frame, v: Visit, st: &mut Scratch) -> Frame {
+        let regs = st.regs.len();
+        st.regs
+            .extend_from_within(fr.regs as usize..(fr.regs + fr.slots) as usize);
+        let gather = self.plan.gather[construct as usize];
+        for s in 0..slot.min(fr.slots) {
+            let col = st.regs[regs + s as usize];
+            if gather >> s.min(63) & 1 == 0 || col.stride == 0 {
+                continue;
+            }
+            let base = st.vals.len();
+            for e in 0..v.n {
+                let owner = st.lanes[(v.owners + e) as usize];
+                let x = st.vals[col.at(owner)].clone();
+                st.vals.push(x);
+            }
+            st.regs[regs + s as usize] = Col {
+                base: base as u32,
+                stride: 1,
+            };
+        }
+        st.regs[regs + slot as usize] = Col {
+            base: v.elems,
+            stride: 1,
+        };
+        let (Ir::SetComp { resets, .. }
+        | Ir::Aggregate { resets, .. }
+        | Ir::Quantifier { resets, .. }) = &self.cs.nodes[construct as usize]
+        else {
+            unreachable!("frames are opened by set constructs");
+        };
+        let caches = st.caches.len();
+        let cells = (resets.1 - resets.0) as usize * fr.width as usize;
+        st.caches.resize(caches + cells, None);
+        st.frames.push(FrameRec {
+            by: construct,
+            parent: fr.id,
+            owners: v.owners,
+            caches: caches as u32,
+            parent_width: fr.width,
+        });
+        Frame {
+            id: st.frames.len() as u32 - 1,
+            regs: regs as u32,
+            width: v.n,
+            slots: fr.slots,
+        }
+    }
+
+    /// Lend each lane of `sel` the elements of the set `source` evaluates
+    /// to, in set order, and flag the lane in `out` — `Ok(true)` if the
+    /// data source applied the second key `among` (the elements satisfy
+    /// the construct's predicate), `Ok(false)` if not, its error if the
+    /// source failed on it. An attribute of the data source, filtered or
+    /// whole, is lent ([`ObjectModel::visit_set`]) instead of
+    /// materialized; anything else — and a source the plan keeps in a
+    /// cell — is evaluated to a set first. `not_a_set` starts the type
+    /// error for any other value. Errors are tagged with the source's
+    /// span, as if they came out of evaluating it.
+    #[allow(clippy::too_many_arguments)]
+    fn visit(
+        &self,
+        source: NodeRef,
+        among: Option<(&str, &[Value])>,
+        not_a_set: &str,
+        fr: Frame,
+        sel: Sel,
+        out: Col,
+        st: &mut Scratch,
+    ) -> Visit {
+        let span = self.cs.spans[source as usize];
+        let lendable = self.cell[source as usize] == NO_CELL;
+        match &self.cs.nodes[source as usize] {
+            Ir::FilterEq { .. } if lendable => self.lend_filter(source, among, fr, sel, out, st),
+            Ir::Attr { base, attr } if lendable => {
+                let b = self.eval(*base, fr, sel, st);
+                let (elems, owners) = (st.vals.len(), st.lanes.len());
+                for k in sel.range() {
+                    let lane = st.lanes[k];
+                    let got = match &st.vals[b.at(lane)] {
+                        Ok(Value::Obj(obj)) => {
+                            let obj = obj.clone();
+                            match self.lend(lane, &obj, attr, None, st) {
+                                Some(lent) => {
+                                    st.vals[out.at(lane)] = lent
+                                        .map(|()| Value::Bool(false))
+                                        .map_err(|e| e.or_span(span));
+                                    continue;
+                                }
+                                None => self.data.attr(&obj, attr),
+                            }
+                        }
+                        Ok(other) => ops::attr_on(self.data, other, attr),
+                        Err(e) => Err(e.clone()),
+                    };
+                    self.push_set(got, lane, not_a_set, out, span, st);
+                }
+                self.visited(elems, owners, st)
+            }
+            _ => {
+                let set = self.eval(source, fr, sel, st);
+                let (elems, owners) = (st.vals.len(), st.lanes.len());
+                for k in sel.range() {
+                    let lane = st.lanes[k];
+                    let got = st.vals[set.at(lane)].clone();
+                    self.push_set(got, lane, not_a_set, out, span, st);
+                }
+                self.visited(elems, owners, st)
+            }
+        }
+    }
+
+    /// The [`Visit`] of the elements pushed since `elems` and `owners`.
+    fn visited(&self, elems: usize, owners: usize, st: &Scratch) -> Visit {
+        Visit {
+            elems: elems as u32,
+            owners: owners as u32,
+            n: (st.vals.len() - elems) as u32,
+        }
+    }
+
+    /// Push the members of a materialized set as `lane`'s elements.
+    #[allow(clippy::too_many_arguments)]
+    fn push_set(
+        &self,
+        set: EvalResult<Value>,
+        lane: u32,
+        not_a_set: &str,
+        out: Col,
+        span: Span,
+        st: &mut Scratch,
+    ) {
+        st.vals[out.at(lane)] = match set {
+            Ok(Value::Set(items)) => {
+                for item in items.iter() {
+                    st.vals.push(Ok(item.clone()));
+                    st.lanes.push(lane);
+                }
+                Ok(Value::Bool(false))
+            }
+            Ok(v) => Err(EvalError::new(
+                EvalErrorKind::Type,
+                format!("{not_a_set} {}", v.type_name()),
+            )
+            .or_span(span)),
+            Err(e) => Err(e.or_span(span)),
+        };
+    }
+
+    /// Lend `lane` what the data source lends of `obj.set_attr` under
+    /// `filter`; nothing stays pushed unless it lent all of it.
+    fn lend(
+        &self,
+        lane: u32,
+        obj: &ObjRef,
+        set_attr: &str,
+        filter: Option<SetFilter<'_>>,
+        st: &mut Scratch,
+    ) -> Option<EvalResult<()>> {
+        let (elems, owners) = (st.vals.len(), st.lanes.len());
+        let lent = self.data.visit_set(obj, set_attr, filter, &mut |elem| {
+            st.vals.push(Ok(Value::Obj(elem)));
+            st.lanes.push(lane);
+            Ok(true)
+        });
+        if !matches!(lent, Some(Ok(()))) {
+            st.vals.truncate(elems);
+            st.lanes.truncate(owners);
+        }
+        lent
+    }
+
+    /// [`Ir::FilterEq`] as [`visit`](Self::visit) lends it: the object and
+    /// the key per lane, then the data source's filter — with the second
+    /// key first, if there is one — or, where the source lends no such
+    /// filter, a scan that compares element attributes exactly as the
+    /// unextracted predicate would.
+    fn lend_filter(
+        &self,
+        node: NodeRef,
+        among: Option<(&str, &[Value])>,
+        fr: Frame,
+        sel: Sel,
+        out: Col,
+        st: &mut Scratch,
+    ) -> Visit {
+        let Ir::FilterEq {
+            obj,
+            set_attr,
+            elem_attr,
+            key,
+            ctx,
+        } = &self.cs.nodes[node as usize]
+        else {
+            unreachable!("lend_filter is called on filter nodes only");
+        };
+        let span = self.cs.spans[node as usize];
+        let objs = self.eval(*obj, fr, sel, st);
+        let object = |st: &Scratch, lane: u32| matches!(st.vals[objs.at(lane)], Ok(Value::Obj(_)));
+        if sel.range().any(|k| !object(st, st.lanes[k])) {
+            for k in sel.range() {
+                // The attribute-access errors the generic lowering would
+                // have raised on `base.set_attr`.
+                st.vals[out.at(st.lanes[k])] = match &st.vals[objs.at(st.lanes[k])] {
+                    Ok(Value::Obj(_)) => continue,
+                    Ok(base) => Err(ops::attr_on(self.data, base, set_attr)
+                        .expect_err("attribute access on a non-object fails")),
+                    Err(e) => Err(e.clone()),
+                }
+                .map_err(|e| e.or_span(span));
+            }
+        }
+        let with_obj = st.select(sel, object);
         // Key evaluation is infallible by construction (see
-        // `Compiler::is_infallible`), so hoisting it before the set access
-        // cannot reorder observable errors.
-        Ok((obj_ref, self.operand(key, st, fr)?))
+        // `Compiler::is_infallible`), so evaluating it before the set
+        // access cannot reorder observable errors.
+        let keys = self.eval(*key, fr, with_obj, st);
+        let keyed = st.settle(keys, with_obj, out, span);
+        let (elems, owners) = (st.vals.len(), st.lanes.len());
+        let shared_key = (keys.stride == 0 && keyed.len > 0).then(|| st.vals[keys.at(0)].clone());
+        for k in keyed.range() {
+            let lane = st.lanes[k];
+            let Ok(Value::Obj(obj_ref)) = &st.vals[objs.at(lane)] else {
+                unreachable!("lanes with an object");
+            };
+            let obj_ref = obj_ref.clone();
+            let own_key;
+            let key_v = match &shared_key {
+                Some(Ok(key)) => key,
+                _ => {
+                    own_key = st.vals[keys.at(lane)].clone().expect("settled");
+                    &own_key
+                }
+            };
+            let one_key = SetFilter {
+                elem_attr,
+                key: key_v,
+                among: None,
+            };
+            let mut lent = None;
+            if among.is_some() {
+                let filter = Some(SetFilter { among, ..one_key });
+                lent = self
+                    .lend(lane, &obj_ref, set_attr, filter, st)
+                    .map(|lent| lent.map(|()| true));
+                // Not answered, and nothing lent: the first key alone,
+                // and the predicate runs.
+            }
+            if lent.is_none() {
+                lent = self
+                    .lend(lane, &obj_ref, set_attr, Some(one_key), st)
+                    .map(|lent| lent.map(|()| false));
+            }
+            match lent {
+                Some(lent) => {
+                    st.vals[out.at(lane)] = lent.map(Value::Bool).map_err(|e| e.or_span(span));
+                }
+                None => {
+                    let set = self.scan_filter_eq(&obj_ref, set_attr, elem_attr, key_v, *ctx);
+                    self.push_set(set, lane, "", out, span, st);
+                }
+            }
+        }
+        self.visited(elems, owners, st)
     }
 
     /// [`Ir::FilterEq`] on a data source that lends no such filter: scan
@@ -2479,109 +3609,6 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         Ok(Value::Set(out.into()))
     }
 
-    /// Visit the elements of the set `source` evaluates to, in set order:
-    /// `each` gets one element and the scratch back for its per-element
-    /// work, and returns `Ok(false)` to stop the visit. An attribute of the
-    /// data source, filtered or whole, is lent ([`ObjectModel::visit_set`])
-    /// instead of materialized; anything else — and a source the plan
-    /// keeps in a cell — is evaluated to a set first. `not_a_set` starts
-    /// the type error for any other value.
-    ///
-    /// `among` is the second key of the visiting construct
-    /// ([`Ctx::second_key_of`]): if the data source answers a filter with it,
-    /// `each` is told that the elements it gets are `selected` — they
-    /// satisfy the construct's predicate, which need not run.
-    ///
-    /// Errors are tagged with the source's span as if they came out of
-    /// evaluating it: those of `each` carry their own, deeper one already.
-    #[inline(never)]
-    fn visit_elems<F>(
-        &self,
-        source: NodeRef,
-        among: Option<(&str, &[Value])>,
-        not_a_set: &str,
-        st: &mut Scratch,
-        fr: Frame,
-        each: F,
-    ) -> EvalResult<()>
-    where
-        F: FnMut(&mut Scratch, Value, bool) -> EvalResult<bool>,
-    {
-        self.visit_elems_inner(source, among, not_a_set, st, fr, each)
-            .map_err(|e| e.or_span(self.cs.spans[source as usize]))
-    }
-
-    fn visit_elems_inner<F>(
-        &self,
-        source: NodeRef,
-        among: Option<(&str, &[Value])>,
-        not_a_set: &str,
-        st: &mut Scratch,
-        fr: Frame,
-        mut each: F,
-    ) -> EvalResult<()>
-    where
-        F: FnMut(&mut Scratch, Value, bool) -> EvalResult<bool>,
-    {
-        let lendable = self.cell[source as usize] == NO_CELL;
-        let set = match &self.cs.nodes[source as usize] {
-            Ir::FilterEq {
-                obj,
-                set_attr,
-                elem_attr,
-                key,
-                ctx,
-            } if lendable => {
-                let (obj_ref, key_v) = self.filter_operands(*obj, set_attr, *key, st, fr)?;
-                let one_key = SetFilter {
-                    elem_attr,
-                    key: &key_v,
-                    among: None,
-                };
-                if among.is_some() {
-                    let filter = Some(SetFilter { among, ..one_key });
-                    let mut lend = |elem| each(st, Value::Obj(elem), true);
-                    if let Some(lent) = self.data.visit_set(&obj_ref, set_attr, filter, &mut lend) {
-                        return lent;
-                    }
-                    // Not answered, and nothing visited: the first key
-                    // alone, and the predicate runs.
-                }
-                let mut lend = |elem| each(st, Value::Obj(elem), false);
-                let lent = self
-                    .data
-                    .visit_set(&obj_ref, set_attr, Some(one_key), &mut lend);
-                if let Some(lent) = lent {
-                    return lent;
-                }
-                self.scan_filter_eq(&obj_ref, set_attr, elem_attr, &key_v, *ctx)?
-            }
-            Ir::Attr { base, attr } if lendable => {
-                let b = self.operand(*base, st, fr)?;
-                if let Value::Obj(obj_ref) = &b {
-                    let mut lend = |elem| each(st, Value::Obj(elem), false);
-                    if let Some(lent) = self.data.visit_set(obj_ref, attr, None, &mut lend) {
-                        return lent;
-                    }
-                }
-                ops::attr_on(self.data, &b, attr)?
-            }
-            _ => self.exec(source, st, fr)?,
-        };
-        let Value::Set(items) = set else {
-            return Err(EvalError::new(
-                EvalErrorKind::Type,
-                format!("{not_a_set} {}", set.type_name()),
-            ));
-        };
-        for item in items.iter() {
-            if !each(st, item.clone(), false)? {
-                break;
-            }
-        }
-        Ok(())
-    }
-
     /// The second key `node` selects by ([`BatchPlan::among`]), if it is
     /// such a construct.
     fn second_key_of(&self, node: NodeRef) -> Option<(&'c str, &'c [Value])> {
@@ -2591,73 +3618,41 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             .get(self.plan.among[node as usize] as usize);
         key.map(|(attr, values)| (*attr, &**values))
     }
+}
 
-    /// Visit the elements the comprehension `comp` (an [`Ir::SetComp`])
-    /// keeps, in set order.
-    fn visit_kept(
-        &self,
-        comp: NodeRef,
-        st: &mut Scratch,
-        fr: Frame,
-        mut keep: impl FnMut(Value),
-    ) -> EvalResult<()> {
-        let Ir::SetComp {
-            slot,
-            source,
-            pred,
-            resets,
-        } = &self.cs.nodes[comp as usize]
-        else {
-            unreachable!("visit_kept is called on comprehension nodes only");
-        };
-        st.reset_caches(fr, *resets);
-        let at = fr.slot(*slot);
-        let among = self.second_key_of(comp);
-        let not_a_set = "comprehension source is";
-        self.visit_elems(*source, among, not_a_set, st, fr, |st, item, selected| {
-            if selected {
-                keep(item);
-                return Ok(true);
-            }
-            st.frame[at] = item.clone();
-            match self.exec(*pred, st, fr)?.as_bool() {
-                Some(true) => keep(item),
-                Some(false) => {}
-                None => {
-                    return Err(EvalError::new(
-                        EvalErrorKind::Type,
-                        "comprehension predicate is not boolean",
-                    ));
-                }
-            }
-            Ok(true)
-        })
-    }
+/// What a consumer of a set's members wants of each lane's.
+#[derive(Clone, Copy)]
+enum Members {
+    /// The set of them.
+    Set,
+    /// How many there are.
+    Count,
+    /// The only one.
+    Unique,
+}
 
-    /// Visit the members of the set `node` evaluates to, for a consumer
-    /// that only looks at them (`UNIQUE`, `COUNT`). With no fallible work
-    /// between two members, a comprehension can stream the elements it
-    /// keeps instead of collecting them: its predicates run in the same
-    /// order either way.
-    fn visit_members(
-        &self,
-        node: NodeRef,
-        not_a_set: &str,
-        st: &mut Scratch,
-        fr: Frame,
-        mut member: impl FnMut(Value),
-    ) -> EvalResult<()> {
-        let streams = matches!(self.cs.nodes[node as usize], Ir::SetComp { .. })
-            && self.cell[node as usize] == NO_CELL;
-        if streams {
-            return self
-                .visit_kept(node, st, fr, member)
-                .map_err(|e| e.or_span(self.cs.spans[node as usize]));
+impl Members {
+    /// The value of a lane with `n` members, the first of them `first`,
+    /// all of them `items` (collected for [`Members::Set`] only).
+    fn finish(
+        self,
+        n: usize,
+        first: Option<Value>,
+        items: Option<Vec<Value>>,
+    ) -> EvalResult<Value> {
+        match (self, n, first) {
+            (Members::Set, ..) => Ok(Value::Set(items.unwrap_or_default().into())),
+            (Members::Count, ..) => Ok(Value::Int(n as i64)),
+            (Members::Unique, 1, Some(v)) => Ok(v),
+            (Members::Unique, 0, _) => Err(EvalError::new(
+                EvalErrorKind::EmptySet,
+                "UNIQUE of an empty set",
+            )),
+            (Members::Unique, n, _) => Err(EvalError::new(
+                EvalErrorKind::Ambiguous,
+                format!("UNIQUE of a set with {n} elements"),
+            )),
         }
-        self.visit_elems(node, None, not_a_set, st, fr, |_, item, _| {
-            member(item);
-            Ok(true)
-        })
     }
 }
 
@@ -2745,6 +3740,69 @@ mod tests {
         assert_same("int F(Cloud c) = COUNT({p IN c.Points WITH p.Y >= 20});");
     }
 
+    /// A cloud of `len` points, every `X` 1.0 but point `zero_at`'s, 0.0;
+    /// counts the `X` it is asked for.
+    struct Ramp {
+        len: u32,
+        zero_at: u32,
+        reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ObjectModel for Ramp {
+        fn attr(&self, obj: &ObjRef, attr: &str) -> EvalResult<Value> {
+            match (obj.class.as_str(), attr) {
+                ("Cloud", "Points") => Ok(Value::Set(Arc::new(
+                    (0..self.len).map(|i| Value::obj("Point", i)).collect(),
+                ))),
+                ("Point", "X") => {
+                    self.reads
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    Ok(Value::Float(if obj.index == self.zero_at {
+                        0.0
+                    } else {
+                        1.0
+                    }))
+                }
+                _ => Err(EvalError::new(EvalErrorKind::Unknown, "no such attribute")),
+            }
+        }
+    }
+
+    #[test]
+    fn quantifiers_stop_within_a_round_of_their_deciding_element() {
+        let src = format!(
+            "{MODEL}\n\
+            bool Early(Cloud c) = FORALL(p IN c.Points WITH 1.0 / p.X > 2.0);\n\
+            bool Late(Cloud c) = EXISTS(p IN c.Points WITH 1.0 / p.X > 2.0);"
+        );
+        let spec = parse_and_check(&src).unwrap();
+        let compiled = Arc::new(compile(&spec));
+        // `Early` is decided by its first element, `Late` fails at its
+        // 21st: the elements past a round beyond are never read.
+        for (f, zero_at, needed) in [("Early", 900, 1), ("Late", 20, 21)] {
+            let ramp = |zero_at| Ramp {
+                len: 1000,
+                zero_at,
+                reads: Default::default(),
+            };
+            let (a, b) = (ramp(zero_at), ramp(zero_at));
+            let args = [Value::obj("Cloud", 0)];
+            let i = Interpreter::new(&spec, &a).unwrap().call_function(f, &args);
+            let c = CompiledEvaluator::new(Arc::clone(&compiled), &b)
+                .unwrap()
+                .call_function(f, &args);
+            match (&i, &c) {
+                (Ok(x), Ok(y)) => assert_eq!(x, y, "{f}"),
+                (Err(x), Err(y)) => assert_eq!((x.kind, x.span), (y.kind, y.span), "{f}"),
+                _ => panic!("divergence on {f}: interp={i:?} compiled={c:?}"),
+            }
+            let reads = |m: &Ramp| m.reads.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(reads(&a), needed, "{f}");
+            let bound = 2 * needed.max(QUANTIFIER_ROUND as usize);
+            assert!(reads(&b) <= bound.min(100), "{f}: {} reads", reads(&b));
+        }
+    }
+
     #[test]
     fn indexed_filter_shape_matches_generic_scan() {
         // `p.Y == <key>` extracts into FilterEq; Points has no index so the
@@ -2788,6 +3846,26 @@ mod tests {
         let b = compiled.call_function("F", &args).unwrap_err();
         assert_eq!(a.kind, EvalErrorKind::Recursion);
         assert_eq!(a.kind, b.kind);
+    }
+
+    #[test]
+    fn recursion_at_the_limit_matches() {
+        // Called from outside, `F` runs one call deep: `F(63)` nests 64
+        // bodies, the most either engine allows; `F(64)` nests one more.
+        let extra = "bool F(int n) = n <= 0 OR F(n - 1);";
+        for (n, ok) in [(62, true), (63, true), (64, false), (65, false)] {
+            let (i, c) = both(extra, "F", &[Value::Int(n)]);
+            assert_eq!(i.is_ok(), ok, "interpreter on F({n}): {i:?}");
+            match (&i, &c) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "F({n})"),
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.kind, EvalErrorKind::Recursion, "F({n})");
+                    assert_eq!((a.kind, &a.message), (b.kind, &b.message), "F({n})");
+                    assert_eq!(a.span, b.span, "F({n})");
+                }
+                _ => panic!("divergence on F({n}): interp={i:?} compiled={c:?}"),
+            }
+        }
     }
 
     #[test]

@@ -45,27 +45,56 @@ pub struct CosySyms {
     /// `TimingType` variant symbols, indexed by `TimingType as usize`
     /// (declaration order, matching [`TimingType::ALL`]).
     pub timing_variants: Vec<Symbol>,
+    /// The inverse of `timing_variants`: `TimingType as u8` at
+    /// `symbol.id() - variant_base`, [`NOT_A_VARIANT`] between them.
+    variant_index: Box<[u8]>,
+    /// The smallest id among `timing_variants`.
+    variant_base: u32,
+}
+
+/// A [`CosySyms::variant_index`] entry that names no `TimingType`.
+const NOT_A_VARIANT: u8 = u8::MAX;
+
+impl CosySyms {
+    /// The `TimingType` whose variant name `variant` is, as its index in
+    /// [`TimingType::ALL`] — one table read, no scan.
+    fn timing_type_index(&self, variant: Symbol) -> Option<usize> {
+        let at = variant.id().checked_sub(self.variant_base)?;
+        let ty = *self.variant_index.get(at as usize)?;
+        (ty != NOT_A_VARIANT).then_some(ty as usize)
+    }
 }
 
 /// The process-wide [`CosySyms`] table.
 pub fn syms() -> &'static CosySyms {
     static SYMS: OnceLock<CosySyms> = OnceLock::new();
-    SYMS.get_or_init(|| CosySyms {
-        program: Symbol::intern("Program"),
-        prog_version: Symbol::intern("ProgVersion"),
-        source_code: Symbol::intern("SourceCode"),
-        test_run: Symbol::intern("TestRun"),
-        function: Symbol::intern("Function"),
-        region: Symbol::intern("Region"),
-        total_timing: Symbol::intern("TotalTiming"),
-        typed_timing: Symbol::intern("TypedTiming"),
-        function_call: Symbol::intern("FunctionCall"),
-        call_timing: Symbol::intern("CallTiming"),
-        timing_type: Symbol::intern("TimingType"),
-        timing_variants: TimingType::ALL
+    SYMS.get_or_init(|| {
+        let timing_variants: Vec<Symbol> = TimingType::ALL
             .iter()
             .map(|t| Symbol::intern(t.name()))
-            .collect(),
+            .collect();
+        let ids = timing_variants.iter().map(|s| s.id());
+        let (lo, hi) = (ids.clone().min().unwrap_or(0), ids.max().unwrap_or(0));
+        let mut variant_index = vec![NOT_A_VARIANT; (hi - lo + 1) as usize];
+        for (ty, s) in timing_variants.iter().enumerate() {
+            variant_index[(s.id() - lo) as usize] = ty as u8;
+        }
+        CosySyms {
+            program: Symbol::intern("Program"),
+            prog_version: Symbol::intern("ProgVersion"),
+            source_code: Symbol::intern("SourceCode"),
+            test_run: Symbol::intern("TestRun"),
+            function: Symbol::intern("Function"),
+            region: Symbol::intern("Region"),
+            total_timing: Symbol::intern("TotalTiming"),
+            typed_timing: Symbol::intern("TypedTiming"),
+            function_call: Symbol::intern("FunctionCall"),
+            call_timing: Symbol::intern("CallTiming"),
+            timing_type: Symbol::intern("TimingType"),
+            timing_variants,
+            variant_index: variant_index.into(),
+            variant_base: lo,
+        }
     })
 }
 
@@ -253,7 +282,7 @@ fn timing_type_mask(values: &[Value]) -> u32 {
     for v in values {
         if let Value::Enum(owner, variant) = v {
             if *owner == sy.timing_type {
-                let ty = sy.timing_variants.iter().position(|s| s == variant);
+                let ty = sy.timing_type_index(*variant);
                 mask |= ty.map_or(0, |ty| 1 << ty);
             }
         }
@@ -679,6 +708,17 @@ mod tests {
         };
         let lent = data.visit_set(&region, "TypTimes", Some(filter), &mut |_| Ok(true));
         assert!(lent.is_none());
+    }
+
+    #[test]
+    fn every_variant_symbol_finds_its_timing_type() {
+        let sy = syms();
+        for (ty, &variant) in sy.timing_variants.iter().enumerate() {
+            assert_eq!(sy.timing_type_index(variant), Some(ty));
+        }
+        for other in [sy.timing_type, sy.region, Symbol::intern("NoSuchType")] {
+            assert_eq!(sy.timing_type_index(other), None);
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!    indexed loads the data source can answer in O(matches).
 //! 3. [`CompiledEvaluator`] executes the IR against an [`ObjectModel`] —
 //!    this is the engine the batch and online analyzers run, a [`Batch`]
-//!    (one property, one shared context, many subjects) at a time. On
+//!    (one property, one shared context, many subjects) at a time, each
+//!    IR node once per batch over all of its subjects' lanes. On
 //!    first bind it computes, beside the IR and never in it, which
 //!    subtrees of each property are evaluated once — per batch if they
 //!    read only its shared context, per subject and binding if they read
@@ -91,8 +92,9 @@ pub mod reads;
 pub mod value;
 
 pub use compile::{
-    cache_counters, compile, fn_memo_counters, Batch, CompiledArm, CompiledEvaluator, CompiledSpec,
-    ConstIr, FnIr, Ir, NodeRef, Outcome, PlanStats, PropCost, PropIr, Scratch, SourceCtx,
+    cache_counters, compile, fn_memo_counters, node_executions, Batch, CompiledArm,
+    CompiledEvaluator, CompiledSpec, ConstIr, FnIr, Ir, NodeRef, Outcome, PlanStats, PropCost,
+    PropIr, Scratch, SourceCtx,
 };
 pub use cosy_model::{filter_memo_counters, native_index, CosyData, COSY_DATA_MODEL};
 pub use error::{EvalError, EvalErrorKind};

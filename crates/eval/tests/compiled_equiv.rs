@@ -12,9 +12,10 @@
 //! limits, empty `MIN`/`MAX`/`AVG`).
 //!
 //! The compiled engine is checked twice: instance by instance through
-//! `eval_property`, and as it runs in production — one [`asl_eval::Batch`]
-//! per (property, run) over all subjects, where subtrees that read only
-//! the shared context are evaluated once. A hoisted subtree that *fails*
+//! `eval_property`, and as it runs in production — [`asl_eval::Batch`]es
+//! of 1, 7 and 256 lanes per (property, run), all on one reused scratch,
+//! where subtrees that read only the shared context are evaluated once
+//! per batch. A hoisted subtree that *fails*
 //! must fail every instance that reaches it exactly as re-evaluation
 //! would; `hoisted_failures_reach_every_instance` pins the three ways the
 //! standard suite's `Duration(Basis, t)` can.
@@ -297,9 +298,12 @@ fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
 }
 
 /// Every property on every context of every run, three ways: the
-/// interpreter, the compiled engine per instance, and the compiled engine
-/// as one batch per (property, run). Returns how many instances failed
-/// with each error kind, for tests that provoke a particular failure.
+/// interpreter, the compiled engine on one instance (`eval_property`, a
+/// one-lane batch), and the compiled engine as it runs in production — one
+/// batch per (property, run), its subjects cut into lane batches of 1, 7
+/// and 256, all on one scratch — compared lane by lane. Returns
+/// how many instances failed with each error kind, for tests that provoke
+/// a particular failure.
 fn check_properties(
     spec: &asl_core::CheckedSpec,
     store: &Store,
@@ -308,12 +312,8 @@ fn check_properties(
     compiled: &CompiledEvaluator<&CosyData<'_>>,
 ) -> Vec<(EvalErrorKind, usize)> {
     let basis = store.main_region(v).expect("main region");
-    let mut failures: Vec<(EvalErrorKind, usize)> = Vec::new();
-    // One scratch for every batch, as a worker of the analyzer reuses it.
-    let mut scratch = asl_eval::Scratch::default();
-    for p in spec.properties() {
-        let name = &p.name.name;
-        let subjects: Vec<Value> = if p.params[0].ty.to_string() == "Region" {
+    let subjects_of = |p: &asl_core::ast::PropertyDecl| -> Vec<Value> {
+        if p.params[0].ty.to_string() == "Region" {
             (0..store.regions.len() as u32)
                 .map(|r| Value::obj("Region", r))
                 .collect()
@@ -321,46 +321,98 @@ fn check_properties(
             (0..store.calls.len() as u32)
                 .map(|c| Value::obj("FunctionCall", c))
                 .collect()
-        };
+        }
+    };
+    let mut failures: Vec<(EvalErrorKind, usize)> = Vec::new();
+    // One scratch for every property, run and width, as a worker of the
+    // analyzer reuses it: state one batch leaves behind must not leak
+    // into the next.
+    let mut scratch = asl_eval::Scratch::default();
+    for p in spec.properties() {
+        let name = &p.name.name;
+        let subjects = subjects_of(p);
         for &run in &store.versions[v.index()].runs {
             let context = [Value::run(run), Value::region(basis)];
-            let mut batch = compiled
-                .batch(name, &context, &mut scratch)
-                .expect("batch binds");
-            for subject in &subjects {
-                let what = format!("{name}({subject}, {run:?})");
-                let args = [subject.clone(), context[0].clone(), context[1].clone()];
-                let oracle = interp.eval_property(name, &args);
-                assert_equivalent(&what, oracle.clone(), compiled.eval_property(name, &args));
-                // The batch's lean outcome, with the conditions read back
-                // from its bitmask, is the same outcome.
-                let batched = batch.eval(subject.clone()).map(|o| PropertyOutcome {
+            let what = |subject: &Value| format!("{name}({subject}, {run:?})");
+            let oracle: Vec<_> = subjects
+                .iter()
+                .map(|subject| {
+                    let args = [subject.clone(), context[0].clone(), context[1].clone()];
+                    let oracle = interp.eval_property(name, &args);
+                    let single = compiled.eval_property(name, &args);
+                    assert_equivalent(&what(subject), oracle.clone(), single);
+                    if let Err(e) = &oracle {
+                        match failures.iter_mut().find(|(kind, _)| *kind == e.kind) {
+                            Some((_, n)) => *n += 1,
+                            None => failures.push((e.kind, 1)),
+                        }
+                    }
+                    oracle
+                })
+                .collect();
+            let widths = [1, 7, 256];
+            assert_batches_agree(
+                compiled,
+                p,
+                &context,
+                &subjects,
+                &oracle,
+                &what,
+                &widths,
+                &mut scratch,
+            );
+        }
+    }
+    failures
+}
+
+/// The subjects of one (property, context) as lane batches of each of
+/// `widths` on `scratch`, as a worker of the analyzer reuses it: every lane's
+/// outcome — the conditions read back from its bitmask — is the oracle's,
+/// severities and confidences bit for bit, errors with kind, message and
+/// span.
+#[allow(clippy::too_many_arguments)]
+fn assert_batches_agree(
+    compiled: &CompiledEvaluator<&CosyData<'_>>,
+    p: &asl_core::ast::PropertyDecl,
+    context: &[Value],
+    subjects: &[Value],
+    oracle: &[Result<PropertyOutcome, asl_eval::EvalError>],
+    what: &dyn Fn(&Value) -> String,
+    widths: &[usize],
+    scratch: &mut asl_eval::Scratch,
+) {
+    let name = &p.name.name;
+    for &width in widths {
+        let mut batch = compiled.batch(name, context, scratch).expect("batch binds");
+        for (cut, lanes) in subjects.chunks(width).enumerate() {
+            let outcomes = batch.eval(lanes.iter().cloned()).to_vec();
+            for (lane, outcome) in outcomes.into_iter().enumerate() {
+                let i = cut * width + lane;
+                let batched = outcome.map(|o| PropertyOutcome {
                     property: name.clone(),
                     holds: o.holds,
                     fired: p
                         .conditions
                         .iter()
                         .enumerate()
-                        .map(|(i, c)| (c.id.as_ref().map(|id| id.name.clone()), batch.fired(i)))
+                        .map(|(c, cond)| {
+                            let id = cond.id.as_ref().map(|id| id.name.clone());
+                            (id, batch.fired(lane, c))
+                        })
                         .collect(),
                     confidence: o.confidence,
                     severity: o.severity,
                 });
-                if let (Ok(a), Ok(b)) = (&oracle, &batched) {
+                let what = format!("{} in lanes of {width}", what(&subjects[i]));
+                if let (Ok(a), Ok(b)) = (&oracle[i], &batched) {
                     assert_eq!(a.severity.to_bits(), b.severity.to_bits(), "{what}");
                     assert_eq!(a.confidence.to_bits(), b.confidence.to_bits(), "{what}");
                 }
-                if let Err(e) = &oracle {
-                    match failures.iter_mut().find(|(kind, _)| *kind == e.kind) {
-                        Some((_, n)) => *n += 1,
-                        None => failures.push((e.kind, 1)),
-                    }
-                }
-                assert_equivalent(&format!("{what} batched"), oracle, batched);
+                assert_equivalent(&what, oracle[i].clone(), batched);
             }
         }
     }
-    failures
 }
 
 /// The standard COSY suite property section (duplicated source constant is
@@ -492,4 +544,113 @@ fn compiled_equals_interpreter_on_fixed_edge_seeds() {
     for (seed, runs, regions) in [(1, 1, 1), (7, 4, 4), (42, 2, 4), (9999, 4, 1)] {
         check_case(seed, runs, regions);
     }
+}
+
+/// One batch of 300 lanes — more than the analyzers cut a batch at — whose
+/// lanes part ways: the first 40 hold, and from there on every seventh
+/// lane
+///
+/// * fails in a `LET` (a duplicate total: `Summary` is ambiguous),
+/// * fails only in its severity (a zero `Excl`),
+/// * has a `FORALL` decided by a counterexample before an element that
+///   would fail it (a zero `Time`) — or, the next one, no counterexample
+///   before that element, and fails; both lie past the first round of
+///   elements the executor tests, which decides every other lane,
+/// * has an `AND` decided by its left operand before the right one would
+///   fail (a zero `Ovhd`) — or, the next one, not, and fails.
+///
+/// Every lane is the interpreter's and `eval_property`'s, error spans
+/// included, in one batch and at the usual widths.
+#[test]
+fn lanes_of_one_batch_part_ways_as_single_instances_do() {
+    const LANE_PROBE: &str = r#"
+Property LaneProbe(Region r, TestRun t, Region Basis) {
+    LET float D = Duration(r, t);
+        bool Calm = FORALL(tt IN r.TypTimes WITH 1.0 / tt.Time < 100.0)
+    IN
+    CONDITION: (calm) Calm AND D > 0.0
+            OR (costly) D > 1.0 AND 1.0 / Summary(r, t).Ovhd > 0.5;
+    CONFIDENCE: MAX((calm) -> 0.5, (costly) -> 1);
+    SEVERITY: D / Summary(r, t).Excl;
+}
+"#;
+    let src = format!("{COSY_DATA_MODEL}\n{LANE_PROBE}");
+    let spec = asl_core::parse_and_check(&src).expect("probe checks");
+    let mut s = Store::new();
+    let p = s.add_program("lanes");
+    let v = s.add_version(p, DateTime::from_secs(1), "");
+    let run = s.add_run(v, DateTime::from_secs(10), 4, 450);
+    let f = s.add_function(v, "main");
+    let main = s.add_region(f, None, RegionKind::Subprogram, "main", (1, 9));
+    s.add_total_timing(main, run, 10.0, 10.0, 1.0);
+    s.add_typed_timing(main, run, TimingType::Barrier, 1.0);
+    for i in 0..300 {
+        let r = s.add_region(f, Some(main), RegionKind::Loop, format!("l{i}"), (2, 3));
+        let shape = if i < 40 { 0 } else { i % 7 };
+        let (incl, excl, ovhd) = match shape {
+            2 => (3.0, 0.0, 1.0),
+            5 => (0.5, 1.0, 0.0),
+            6 => (3.0, 1.0, 0.0),
+            _ => (2.0 + (i % 5) as f64, 1.0, 1.0),
+        };
+        s.add_total_timing(r, run, excl, incl, ovhd);
+        if shape == 1 {
+            s.add_total_timing(r, run, excl, incl + 1.0, ovhd);
+        }
+        let times = match shape {
+            3 => [vec![1.0; 10], vec![0.005, 1.0, 0.0]].concat(),
+            4 => [vec![1.0; 12], vec![0.0]].concat(),
+            _ => vec![1.0, 2.0],
+        };
+        for time in times {
+            s.add_typed_timing(r, run, TimingType::Barrier, time);
+        }
+    }
+    let data = CosyData::new(&s);
+    let interp = Interpreter::new(&spec, &data).expect("interpreter binds");
+    let compiled = CompiledEvaluator::new(Arc::new(compile(&spec)), &data).expect("binds");
+
+    let probe = &spec.properties()[0];
+    let context = [Value::run(run), Value::region(main)];
+    let subjects: Vec<Value> = (1..=300).map(|r| Value::obj("Region", r)).collect();
+    let oracle: Vec<_> = subjects
+        .iter()
+        .map(|subject| {
+            let args = [subject.clone(), context[0].clone(), context[1].clone()];
+            interp.eval_property("LaneProbe", &args)
+        })
+        .collect();
+    let what = |subject: &Value| format!("LaneProbe({subject})");
+    let widths = [subjects.len(), 1, 7, 256];
+    let mut scratch = asl_eval::Scratch::default();
+    assert_batches_agree(
+        &compiled,
+        probe,
+        &context,
+        &subjects,
+        &oracle,
+        &what,
+        &widths,
+        &mut scratch,
+    );
+
+    // The lanes parted the ways they were built to.
+    let kind = |i: usize| oracle[i].as_ref().err().map(|e| e.kind);
+    assert!((0..40).all(|i| oracle[i].as_ref().is_ok_and(|o| o.holds)));
+    for i in 40..300 {
+        let expected = match i % 7 {
+            1 => Some(EvalErrorKind::Ambiguous),
+            2 | 4 | 6 => Some(EvalErrorKind::DivByZero),
+            _ => None,
+        };
+        assert_eq!(kind(i), expected, "lane {i}");
+    }
+    // Decided before the failing element: the FORALL is false, the lane
+    // holds by its other condition.
+    let decided = oracle[45].as_ref().expect("lane 45 holds");
+    let fired = |o: &PropertyOutcome| o.fired.iter().map(|(_, b)| *b).collect::<Vec<_>>();
+    assert_eq!(fired(decided), [false, true]);
+    // Decided before the failing operand: the AND is false.
+    let short = oracle[47].as_ref().expect("lane 47 holds");
+    assert_eq!(fired(short), [true, false]);
 }

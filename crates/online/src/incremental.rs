@@ -395,7 +395,10 @@ impl IncrementalAnalyzer {
     /// run of each version a fact, a new run or new structure touched. A
     /// region or call site that appeared since the last flush is evaluated
     /// in every run of its version. Every version touched takes part in
-    /// the flush even with nothing to re-evaluate (see `Scopes`).
+    /// the flush even with nothing to re-evaluate (see `Scopes`). A
+    /// version all of whose runs rules 3 and 4 re-evaluate in full — every
+    /// version of a session's first flush — has nothing left for the other
+    /// rules to add, and its facts are not visited.
     ///
     /// Rules 2 and 3 look at the store as the delta left it, not as each
     /// event found it. They select the same contexts — a min-PE record of
@@ -414,6 +417,14 @@ impl IncrementalAnalyzer {
         let readers = &self.readers;
         let spec_len = readers.every.len();
         let mut scopes = Scopes::new();
+        // Versions rules 3 and 4 re-evaluate whole (see above).
+        let whole: HashSet<TestRunId> = (delta.new_runs.iter().chain(&self.pending_full))
+            .copied()
+            .collect();
+        let saturated: HashSet<VersionId> = (whole.iter())
+            .map(|&run| version_of(run))
+            .filter(|&v| runs_of(v).all(|run| whole.contains(&run)))
+            .collect();
         // Re-evaluate `properties` at `context` in `run` of version `v`, or
         // in every run of it. Either way the version takes part.
         let mut dirty = |v: VersionId, run: Option<TestRunId>, properties: &[u16], context| {
@@ -455,6 +466,9 @@ impl IncrementalAnalyzer {
             let narrowed = self.standard && set == Measurements::TotTimes;
             for (&run, regions) in by_run {
                 let v = version_of(run);
+                if saturated.contains(&v) {
+                    continue;
+                }
                 let basis = store.main_region(v);
                 for &region in regions {
                     let context = Context::Region(region);
@@ -472,6 +486,9 @@ impl IncrementalAnalyzer {
         let sums = Measurements::Sums as usize;
         for (&run, calls) in &delta.calls {
             let v = version_of(run);
+            if saturated.contains(&v) {
+                continue;
+            }
             for &call in calls {
                 dirty(v, Some(run), &readers.subject[sums], Context::Call(call));
                 dirty(
@@ -492,7 +509,10 @@ impl IncrementalAnalyzer {
             .map(|(id, r)| (r.function, Context::Region(RegionId(id as u32))))
             .chain(new_calls.map(|(id, c)| (c.callee, Context::Call(CallId(id as u32)))));
         for (function, context) in new_contexts {
-            dirty(version_of_function(function), None, &readers.every, context);
+            let v = version_of_function(function);
+            if !saturated.contains(&v) {
+                dirty(v, None, &readers.every, context);
+            }
         }
         for &v in &delta.grown_versions {
             dirty(v, None, &[], Context::All);

@@ -4,16 +4,23 @@
 //! `par_iter()` followed by `map(...).collect()`, `map_init(...).collect()`
 //! or `for_each(...)` — on top of `std::thread::scope`. Work is split into one contiguous chunk per
 //! available core (sequential fallback on one core), and `collect()`
-//! preserves input order, matching rayon's indexed semantics. Swapping the
-//! real rayon back in is a manifest-only change.
+//! preserves input order, matching rayon's indexed semantics. The core
+//! count is asked of the system once per process, as rayon sizes its pool
+//! once: `available_parallelism` reads cgroup files on Linux, which costs
+//! more than a small job. Swapping the real rayon back in is a
+//! manifest-only change.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Number of worker threads to use for a job of `len` items.
 fn workers_for(len: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     cores.min(len).max(1)
 }
 
