@@ -2,9 +2,7 @@
 
 use asl_core::check::CheckedSpec;
 use asl_core::parse_and_check;
-use asl_core::pretty::print_spec;
 use asl_eval::COSY_DATA_MODEL;
-use std::sync::OnceLock;
 
 /// One entry of the standard suite's manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,19 +169,6 @@ pub fn standard_suite() -> CheckedSpec {
         .unwrap_or_else(|d| panic!("standard suite must check:\n{}", d.render(&src)))
 }
 
-/// Does `spec` declare exactly the standard suite? Compared through the
-/// canonical pretty-printer, so spans, comments and layout do not count —
-/// data model, constants, helper functions and every property do. The
-/// online engine derives its invalidation from what any spec's properties
-/// read; one refinement of it — a total reaches other runs only when it is
-/// its region's min-PE total — is proved by hand for this suite and no
-/// other.
-pub fn is_standard_suite(spec: &CheckedSpec) -> bool {
-    static STANDARD: OnceLock<String> = OnceLock::new();
-    let standard = STANDARD.get_or_init(|| print_spec(&standard_suite().spec));
-    print_spec(&spec.spec) == *standard
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,20 +183,6 @@ mod tests {
             .collect();
         let manifest: Vec<&str> = SUITE.iter().map(|info| info.name).collect();
         assert_eq!(manifest, declared);
-    }
-
-    #[test]
-    fn only_the_suite_itself_is_standard() {
-        assert!(is_standard_suite(&standard_suite()));
-        // Layout and comments do not count; a thirteenth property does.
-        let reflowed = standard_suite_source().replace("\n\n", "\n// note\n");
-        assert!(is_standard_suite(&parse_and_check(&reflowed).unwrap()));
-        let extended = format!(
-            "{}\nProperty Extra(Region r, TestRun t, Region Basis) {{\n\
-             CONDITION: Duration(r,t) > 0; CONFIDENCE: 1; SEVERITY: 1.0; }}",
-            standard_suite_source()
-        );
-        assert!(!is_standard_suite(&parse_and_check(&extended).unwrap()));
     }
 
     /// `benchmark/expected/spec_frontend.seed-*.json` commits the suite's
@@ -277,10 +248,14 @@ mod tests {
 
     /// What each property reads, as the online engine's invalidation sees
     /// it: the twelve standard properties, `io_contention.asl`'s user
-    /// property, and one that navigates to a region's parent. Only
-    /// `SublinearSpeedup` and `UnmeasuredCost` read another run of the
-    /// standard suite (its min-PE total); every property reads the basis
-    /// total of the analyzed run (`Duration(Basis, t)`).
+    /// property, and one that navigates to a region's parent. The only
+    /// reads of another run are of the selected run of a region's totals
+    /// (the min-PE total `MinPeSum`): `SublinearSpeedup` and
+    /// `UnmeasuredCost` read that total, `IoContention` also the typed
+    /// timings of its run. Every property reads the basis total of the
+    /// analyzed run (`Duration(Basis, t)`), and each standard property
+    /// requires its own run's total or call statistics, unless it only
+    /// sums typed timings.
     #[test]
     fn the_reads_of_the_suite_are_pinned() {
         use asl_eval::{Measurements::*, Owner::*, PropertyReads, Runs::*};
@@ -295,34 +270,38 @@ mod tests {
         let spec = parse_and_check(&src).unwrap_or_else(|d| panic!("{}", d.render(&src)));
         let compiled = asl_eval::compile(&spec);
         let basis = (Basis, TotTimes, Analyzed);
+        let min_pe = Selected(TotTimes);
         let own_total = [(Subject, TotTimes, Analyzed), basis];
         let min_pe_total = [
             (Subject, TotTimes, Analyzed),
-            (Subject, TotTimes, Others),
+            (Subject, TotTimes, min_pe),
             basis,
         ];
         let typed = [(Subject, TypTimes, Analyzed), basis];
         let calls = [(Subject, Sums, Analyzed), basis];
         let io_contention = [
-            (Subject, TotTimes, Others),
+            (Subject, TotTimes, min_pe),
             (Subject, TypTimes, Analyzed),
-            (Subject, TypTimes, Others),
+            (Subject, TypTimes, min_pe),
             basis,
         ];
-        let pinned: [(&str, Option<&[_]>); 14] = [
-            ("SublinearSpeedup", Some(&min_pe_total)),
-            ("MeasuredCost", Some(&own_total)),
-            ("UnmeasuredCost", Some(&min_pe_total)),
-            ("SyncCost", Some(&typed)),
-            ("LoadImbalance", Some(&calls)),
-            ("MessagePassingCost", Some(&typed)),
-            ("CollectiveCost", Some(&typed)),
-            ("OneSidedCost", Some(&typed)),
-            ("IoCost", Some(&typed)),
-            ("BufferCost", Some(&typed)),
-            ("RuntimeOverhead", Some(&typed)),
-            ("FrequentFineGrainCalls", Some(&calls)),
-            ("IoContention", Some(&io_contention)),
+        let total = Some(TotTimes);
+        let sums = Some(Sums);
+        #[rustfmt::skip]
+        let pinned: [(&str, Option<(&[_], _)>); 14] = [
+            ("SublinearSpeedup", Some((&min_pe_total, total))),
+            ("MeasuredCost", Some((&own_total, total))),
+            ("UnmeasuredCost", Some((&min_pe_total, total))),
+            ("SyncCost", Some((&typed, None))),
+            ("LoadImbalance", Some((&calls, sums))),
+            ("MessagePassingCost", Some((&typed, None))),
+            ("CollectiveCost", Some((&typed, None))),
+            ("OneSidedCost", Some((&typed, None))),
+            ("IoCost", Some((&typed, None))),
+            ("BufferCost", Some((&typed, None))),
+            ("RuntimeOverhead", Some((&typed, None))),
+            ("FrequentFineGrainCalls", Some((&calls, sums))),
+            ("IoContention", Some((&io_contention, None))),
             ("ParentShare", None),
         ];
         let reads: Vec<_> = spec
@@ -331,7 +310,11 @@ mod tests {
             .zip(compiled.property_reads())
             .map(|(p, reads)| {
                 let reads = match reads {
-                    PropertyReads::Classified(set) => Some(set.iter().collect::<Vec<_>>()),
+                    PropertyReads::Classified(set) => {
+                        let required = asl_eval::Measurements::ALL.into_iter();
+                        let required: Vec<_> = required.filter(|s| set.requires_own(*s)).collect();
+                        Some((set.iter().collect::<Vec<_>>(), required))
+                    }
                     PropertyReads::Unclassified => None,
                 };
                 (p.name.name.as_str(), reads)
@@ -339,7 +322,11 @@ mod tests {
             .collect();
         let pinned: Vec<_> = pinned
             .iter()
-            .map(|(name, reads)| (*name, reads.map(<[_]>::to_vec)))
+            .map(|(name, reads)| {
+                let reads =
+                    reads.map(|(reads, required)| (reads.to_vec(), Vec::from_iter(required)));
+                (*name, reads)
+            })
             .collect();
         assert_eq!(reads, pinned);
     }

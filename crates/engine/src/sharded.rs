@@ -17,11 +17,13 @@
 //! recover independently. The *shard choice* for a new run hashes its
 //! [`online::VersionTag`] with a splitmix64 finalizer: all runs of one
 //! program version co-locate. That version affinity is what
-//! makes shard-local analysis **globally exact** — the §4.2 data
-//! dependencies of the standard suite (min-PE reference run, ranking
-//! basis, `SublinearSpeedup`'s cross-run comparison) never cross a version
-//! boundary, so each shard's reports are bit-identical to what an
-//! unsharded session over the same events would produce (enforced by the
+//! makes shard-local analysis **globally exact** for any spec over the
+//! COSY data model: a property instance reads nothing outside its
+//! version — its subject and ranking basis are contexts of the version,
+//! and their measurement sets hold records of the version's runs only, so
+//! the min-PE reference run, a selected record and any cross-run
+//! comparison stay inside it. Each shard's reports are bit-identical to
+//! what an unsharded session over the same events would produce (enforced by the
 //! workspace's `tests/shapes.rs`, which holds every engine shape to the
 //! interpreter oracle).
 //!

@@ -26,7 +26,8 @@
 use crate::builder::StoreDelta;
 use crate::error::FlushError;
 use asl_core::check::CheckedSpec;
-use asl_eval::{compile as compile_ir, CompiledSpec, Measurements, Owner, PropertyReads, Runs};
+use asl_eval::{compile as compile_ir, CompiledSpec, PropertyReads};
+use asl_eval::{Measurements, Owner, ReadSet, Runs};
 use cosy::backend::PreparedBackend;
 use cosy::{
     AnalysisReport, Analyzer, ContextScope, HeldEntry, Name, ProblemThreshold, RankedEntry,
@@ -34,6 +35,7 @@ use cosy::{
 };
 use obs::{Histogram, MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::{CallId, FunctionId, RegionId, Store, TestRunId, VersionId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -176,19 +178,13 @@ fn mark(
 
 /// Which properties, by declaration index, each kind of fact reaches: the
 /// read summaries of the spec ([`asl_eval::PropertyReads`]), inverted
-/// once. Indexed by [`Measurements`] where there is one per set.
-#[derive(Debug, Default)]
+/// once.
+#[derive(Debug)]
 struct Readers {
     /// Every property.
     every: Vec<u16>,
-    /// Read a set of their subject.
-    subject: [Vec<u16>; 3],
-    /// Read a set of their subject in other runs than the analyzed one.
-    subject_elsewhere: [Vec<u16>; 3],
-    /// Read a set of the basis.
-    basis: [Vec<u16>; 3],
-    /// Read a set of the basis in other runs than the analyzed one.
-    basis_elsewhere: [Vec<u16>; 3],
+    /// Per bit of a [`ReadSet`], the properties whose summary sets it.
+    by_bit: Vec<Vec<u16>>,
     /// Read anything of another run.
     elsewhere: Vec<u16>,
     /// Navigate beyond the subject's and basis' measurements.
@@ -197,30 +193,22 @@ struct Readers {
 
 impl Readers {
     fn of(summaries: &[PropertyReads]) -> Readers {
-        let mut readers = Readers::default();
-        for (p, summary) in (0u16..).zip(summaries) {
-            readers.every.push(p);
-            let PropertyReads::Classified(reads) = summary else {
-                readers.unclassified.push(p);
-                continue;
+        let which = |keep: &dyn Fn(Option<ReadSet>) -> bool| {
+            let reads = |summary| match summary {
+                &PropertyReads::Classified(reads) => Some(reads),
+                PropertyReads::Unclassified => None,
             };
-            for set in Measurements::ALL {
-                let push = |lists: &mut [Vec<u16>; 3], reads: bool| {
-                    if reads {
-                        lists[set as usize].push(p);
-                    }
-                };
-                let elsewhere = |owner| reads.reads_in(owner, set, Runs::Others);
-                push(&mut readers.subject, reads.reads(Owner::Subject, set));
-                push(&mut readers.subject_elsewhere, elsewhere(Owner::Subject));
-                push(&mut readers.basis, reads.reads(Owner::Basis, set));
-                push(&mut readers.basis_elsewhere, elsewhere(Owner::Basis));
-            }
-            if reads.reads_other_runs() {
-                readers.elsewhere.push(p);
-            }
+            let kept = (0u16..).zip(summaries).filter(|(_, s)| keep(reads(s)));
+            kept.map(|(p, _)| p).collect()
+        };
+        Readers {
+            every: which(&|_| true),
+            by_bit: (0..ReadSet::BITS)
+                .map(|bit| which(&|reads| reads.is_some_and(|r| r.bits().any(|b| b == bit))))
+                .collect(),
+            elsewhere: which(&|reads| reads.is_some_and(ReadSet::reads_other_runs)),
+            unclassified: which(&|reads| reads.is_none()),
         }
-        readers
     }
 }
 
@@ -228,9 +216,6 @@ impl Readers {
 /// `(store, delta)` pairs by the session layer after each applied batch.
 pub struct IncrementalAnalyzer {
     spec: Arc<CheckedSpec>,
-    /// Whether `spec` is the standard suite, for which rule 2 of
-    /// `IncrementalAnalyzer::invalidated` is narrowed to min-PE totals.
-    standard: bool,
     /// The suite lowered once to the slot-indexed IR; every flush re-binds
     /// this shared lowering instead of re-walking the AST.
     compiled: Arc<CompiledSpec>,
@@ -282,7 +267,6 @@ impl IncrementalAnalyzer {
         let compiled = Arc::new(compile_ir(&spec));
         let names = spec.properties().iter().map(|p| p.name.name.as_str());
         IncrementalAnalyzer {
-            standard: cosy::suite::is_standard_suite(&spec),
             readers: Readers::of(compiled.property_reads()),
             property_index: names
                 .enumerate()
@@ -362,18 +346,19 @@ impl IncrementalAnalyzer {
     /// Every rule is scoped by property, through the read summary the spec
     /// yields for it ([`asl_eval::PropertyReads`]): which measurement sets
     /// — total timings, typed timings, call statistics — it reads of its
-    /// subject and of the ranking basis, in the analyzed run only or in
-    /// other runs too. A fact of set `S` at `(context, t)` reaches:
+    /// subject and of the ranking basis, in the analyzed run only, in the
+    /// run one of the subject's sets selects, or in other runs too. A fact
+    /// of set `S` at `(context, t)` reaches:
     ///
     /// 1. `context` in run `t`, for the properties that read `S` of their
     ///    subject;
     /// 2. `context` in *every* run of the version, for the properties that
-    ///    read `S` of their subject in other runs. Under the standard
-    ///    suite a total spreads only when no other run with a total of the
-    ///    region has fewer processors than `t`: its two such readers,
-    ///    `SublinearSpeedup` and `UnmeasuredCost`, read another run only
-    ///    through the region's min-PE total (`MinPeSum`) — proved by hand
-    ///    for that suite (`cosy::suite::is_standard_suite`), for no other;
+    ///    read `S` of their subject in other runs — in the run a set `R`
+    ///    selects ([`Runs::Selected`]) only if `t` could be it: no other
+    ///    run holding a record of `R` at `context` has fewer processors, or
+    ///    none holds one. Then the other runs have none, so the properties
+    ///    that require one of their own ([`ReadSet::requires_own`]) are
+    ///    not applicable there, before the fact and after: not those;
     ///
     /// and
     ///
@@ -406,10 +391,10 @@ impl IncrementalAnalyzer {
     /// undercut the minimum of its time — with one exception: when the
     /// *first* totals of a region arrive, fewest processors first, inside
     /// one delta, event-time tracking never saw a minimum undercut while
-    /// rule 2 spreads the region to the version's other runs too. Those
-    /// runs have no total of the region, so the added instances evaluate
-    /// to "not applicable": the reports are identical, the work counters
-    /// are not.
+    /// rule 2 spreads the region to the version's other runs too, for the
+    /// readers of the selected run that require a total of their own.
+    /// Those runs have none, so the added instances evaluate to "not
+    /// applicable": the reports are identical, the work counters are not.
     fn invalidated(&self, store: &Store, delta: &StoreDelta) -> Scopes {
         let version_of = |run: TestRunId| store.runs[run.index()].version;
         let no_pe = |run: TestRunId| store.runs[run.index()].no_pe;
@@ -447,57 +432,76 @@ impl IncrementalAnalyzer {
             }
         }
 
-        // Rules 1, 2 and 5, fact by fact.
-        let min_pe_total = |run: TestRunId, region: RegionId| {
-            let others = store.regions[region.index()].tot_times.iter();
-            let min_other = others
-                .map(|t| store.total_timings[t.index()].run)
-                .filter(|&other| other != run)
-                .map(no_pe)
-                .min();
-            min_other.is_some_and(|min| no_pe(run) <= min)
+        // Rules 1, 2 and 5, fact by fact. The fewest processors of a run
+        // other than `run` holding a record of `set` at `context`, if any:
+        let least_other = |set, context, run| {
+            let (regions, calls) = (&store.regions, &store.calls);
+            let holders: &mut dyn Iterator<Item = _> = match (set, context) {
+                (Measurements::TotTimes, Context::Region(r)) => &mut (regions[r.index()].tot_times)
+                    .iter()
+                    .map(|t| store.total_timings[t.index()].run),
+                (Measurements::TypTimes, Context::Region(r)) => &mut (regions[r.index()].typ_times)
+                    .iter()
+                    .map(|t| store.typed_timings[t.index()].run),
+                (Measurements::Sums, Context::Call(c)) => &mut (calls[c.index()].sums)
+                    .iter()
+                    .map(|s| store.call_timings[s.index()].run),
+                // A set its context does not have: no run holds a record.
+                _ => &mut std::iter::empty(),
+            };
+            holders.filter(|&holder| holder != run).map(no_pe).min()
         };
-        let region_facts = [
-            (Measurements::TotTimes, &delta.totals),
-            (Measurements::TypTimes, &delta.typed),
-        ];
-        for (set, by_run) in region_facts {
-            let i = set as usize;
-            let narrowed = self.standard && set == Measurements::TotTimes;
-            for (&run, regions) in by_run {
-                let v = version_of(run);
-                if saturated.contains(&v) {
-                    continue;
-                }
-                let basis = store.main_region(v);
-                for &region in regions {
-                    let context = Context::Region(region);
-                    dirty(v, Some(run), &readers.subject[i], context);
-                    if !narrowed || min_pe_total(run, region) {
-                        dirty(v, None, &readers.subject_elsewhere[i], context);
-                    }
-                    if Some(region) == basis {
-                        dirty(v, Some(run), &readers.basis[i], Context::All);
-                        dirty(v, None, &readers.basis_elsewhere[i], Context::All);
-                    }
-                }
-            }
-        }
-        let sums = Measurements::Sums as usize;
-        for (&run, calls) in &delta.calls {
+        let mut facts = |set: Measurements, run, contexts: &mut dyn Iterator<Item = Context>| {
             let v = version_of(run);
             if saturated.contains(&v) {
-                continue;
+                return;
             }
-            for &call in calls {
-                dirty(v, Some(run), &readers.subject[sums], Context::Call(call));
-                dirty(
-                    v,
-                    None,
-                    &readers.subject_elsewhere[sums],
-                    Context::Call(call),
-                );
+            dirty(v, None, &[], Context::All);
+            let basis = store.main_region(v).map(Context::Region);
+            for context in contexts {
+                // A fact at the basis reaches every context of its readers.
+                let owners = [(Owner::Subject, context), (Owner::Basis, Context::All)];
+                for (owner, reached) in owners {
+                    if owner == Owner::Basis && Some(context) != basis {
+                        continue;
+                    }
+                    for runs in Runs::ALL {
+                        let properties = &readers.by_bit[ReadSet::bit(owner, set, runs)];
+                        if properties.is_empty() {
+                            continue;
+                        }
+                        dirty(v, Some(run), properties, reached);
+                        let elsewhere: Cow<[u16]> = match runs {
+                            Runs::Analyzed => continue,
+                            Runs::Others => properties.into(),
+                            Runs::Selected(by) => match least_other(by, context, run) {
+                                Some(least) if no_pe(run) > least => continue,
+                                Some(_) => properties.into(),
+                                None => {
+                                    let requiring = &readers.by_bit[ReadSet::own_bit(by)];
+                                    let applicable = properties.iter().copied();
+                                    applicable
+                                        .filter(|p| requiring.binary_search(p).is_err())
+                                        .collect()
+                                }
+                            },
+                        };
+                        dirty(v, None, &elsewhere, reached);
+                    }
+                }
             }
+        };
+        for (set, by_run) in [
+            (Measurements::TotTimes, &delta.totals),
+            (Measurements::TypTimes, &delta.typed),
+        ] {
+            for (&run, regions) in by_run {
+                facts(set, run, &mut regions.iter().copied().map(Context::Region));
+            }
+        }
+        for (&run, calls) in &delta.calls {
+            let mut calls = calls.iter().copied().map(Context::Call);
+            facts(Measurements::Sums, run, &mut calls);
         }
 
         // New contexts.
@@ -1017,38 +1021,42 @@ mod tests {
         assert!(a.invalidated(b.store(), &nothing).is_empty());
     }
 
-    /// Under a spec other than the standard suite the same derived rules
-    /// apply, without the standard suite's min-PE narrowing of rule 2:
-    /// any fact reaches every run for the properties that read other runs
-    /// — here `IoContention` also reads other runs' typed timings — and
-    /// nothing else of another run.
+    /// The extended suite is invalidated by the same derived rules as the
+    /// standard one, min-PE narrowing included: `IoContention` reads the
+    /// region's min-PE total and the typed timings of its run, so a total
+    /// or a typed timing of a run that cannot be the min-PE run reaches
+    /// that run only. The region's first total reaches `IoContention`
+    /// everywhere — it does not require a total of its own run — and not
+    /// the two standard readers of the min-PE total, which do.
     #[test]
-    fn non_standard_spec_spreads_other_run_reads_to_every_run() {
+    fn extended_spec_keeps_the_min_pe_narrowing() {
         let (mut b, mut a) = seen_by(with_io_contention(), &[2, 8, 4]);
         let looped = dirty_region(&b, "main", LOOP);
         let with = |names: &[&'static str]| [names, &["IoContention"]].concat();
-        // A total that is not the region's minimum.
-        let total = apply(&mut b, &[exited(2, "main", LOOP, 12.0)]);
-        let elsewhere = only(&with(&MIN_PE), &looped);
+        // The region's first total, of the 2-PE run.
+        let first = apply(&mut b, &[exited(1, "main", LOOP, 10.0)]);
+        let elsewhere = only(&["IoContention"], &looped);
         assert_eq!(
-            of_version_9(&a, &b, a.invalidated(b.store(), &total)),
+            of_version_9(&a, &b, a.invalidated(b.store(), &first)),
             [
-                (1, elsewhere.clone()),
-                (2, only(&with(&TOTALS), &looped)),
+                (1, only(&with(&TOTALS), &looped)),
+                (2, elsewhere.clone()),
                 (3, elsewhere),
             ]
         );
+        a.flush(b.store(), &first).unwrap();
+        // A total that is not the region's minimum.
+        let total = apply(&mut b, &[exited(2, "main", LOOP, 12.0)]);
+        assert_eq!(
+            of_version_9(&a, &b, a.invalidated(b.store(), &total)),
+            [(2, only(&with(&TOTALS), &looped))]
+        );
         a.flush(b.store(), &total).unwrap();
-        // A typed timing.
+        // A typed timing of a run that is not the min-PE run.
         let sample = apply(&mut b, &[typed(3, "main", LOOP)]);
-        let elsewhere = only(&["IoContention"], &looped);
         assert_eq!(
             of_version_9(&a, &b, a.invalidated(b.store(), &sample)),
-            [
-                (1, elsewhere.clone()),
-                (2, elsewhere),
-                (3, only(&with(&TYPED), &looped)),
-            ]
+            [(3, only(&with(&TYPED), &looped))]
         );
         a.flush(b.store(), &sample).unwrap();
         // Another version is not touched.
@@ -1056,6 +1064,94 @@ mod tests {
         let scopes = a.invalidated(b.store(), &elsewhere);
         let v10 = b.version_id(VersionTag(10)).unwrap();
         assert!(scopes.keys().eq([&v10]), "{scopes:?}");
+    }
+
+    /// An I/O sample of the loop in run `key`.
+    fn io(key: u64, time: f64) -> TraceEvent {
+        let mut event = typed(key, "main", LOOP);
+        if let TraceEvent::TypedSample { ty, time: t, .. } = &mut event {
+            (*ty, *t) = (TimingType::IoRead, time);
+        }
+        event
+    }
+
+    /// `a`'s reports are those of one flush over `b`'s store.
+    fn as_one_flush(a: &IncrementalAnalyzer, b: &StoreBuilder) {
+        let mut once = IncrementalAnalyzer::with_spec(a.spec(), ProblemThreshold::default());
+        once.flush(b.store(), &b.all_new()).unwrap();
+        for (run, report) in a.reports() {
+            assert_eq!(once.report(run), Some(report));
+        }
+    }
+
+    /// Rule 2's last branch: a run holds I/O samples of the loop and no
+    /// total of it. When the loop's first total lands in another run, that
+    /// total is the min-PE total, and `IoContention` — which does not read
+    /// the analyzed run's total — becomes evaluable, and holds, in the run
+    /// without one.
+    #[test]
+    fn a_first_total_reaches_a_run_without_one() {
+        let (mut b, mut a) = seen_by(with_io_contention(), &[2, 8]);
+        let measured = apply(
+            &mut b,
+            &[
+                exited(1, "main", MAIN, 40.0),
+                exited(2, "main", MAIN, 30.0),
+                io(1, 1.0),
+                io(2, 8.0),
+            ],
+        );
+        a.flush(b.store(), &measured).unwrap();
+        let wider = b.run_id(RunKey(2)).unwrap();
+        let contended = |a: &IncrementalAnalyzer| {
+            let held = |e: &RankedEntry| e.property == "IoContention" && e.context.label == LOOP.0;
+            a.report(wider).unwrap().entries.iter().any(held)
+        };
+        assert!(!contended(&a));
+
+        let first = apply(&mut b, &[exited(1, "main", LOOP, 20.0)]);
+        let looped = dirty_region(&b, "main", LOOP);
+        let mut totals = TOTALS.to_vec();
+        totals.push("IoContention");
+        assert_eq!(
+            of_version_9(&a, &b, a.invalidated(b.store(), &first)),
+            [
+                (1, only(&totals, &looped)),
+                (2, only(&["IoContention"], &looped)),
+            ]
+        );
+        a.flush(b.store(), &first).unwrap();
+        assert!(contended(&a));
+        as_one_flush(&a, &b);
+    }
+
+    /// Correcting the I/O time of a run that is not the min-PE run
+    /// re-evaluates `IoContention` in that run only, beside the typed
+    /// readers: no other run reads its typed timings.
+    #[test]
+    fn io_correction_of_another_run_stays_in_it() {
+        let (mut b, mut a) = seen_by(with_io_contention(), &[2, 8, 4]);
+        let mut measured = Vec::new();
+        for (key, io_time) in [(1, 1.0), (2, 8.0), (3, 3.0)] {
+            measured.push(exited(key, "main", MAIN, 40.0));
+            measured.push(exited(key, "main", LOOP, 20.0));
+            measured.push(io(key, io_time));
+        }
+        let measured = apply(&mut b, &measured);
+        a.flush(b.store(), &measured).unwrap();
+
+        let correction = apply(&mut b, &[io(2, 2.0)]);
+        let mut typed_readers = TYPED.to_vec();
+        typed_readers.push("IoContention");
+        assert_eq!(
+            of_version_9(&a, &b, a.invalidated(b.store(), &correction)),
+            [(2, only(&typed_readers, &dirty_region(&b, "main", LOOP)))]
+        );
+        let run = b.run_id(RunKey(2)).unwrap();
+        let before = a.report(run).unwrap().clone();
+        assert_eq!(a.flush(b.store(), &correction).unwrap(), [run]);
+        assert_ne!(a.report(run), Some(&before));
+        as_one_flush(&a, &b);
     }
 
     /// ROADMAP item 1's exit: under `io_contention.asl`, correcting the

@@ -203,8 +203,8 @@ fn property_counters_follow_the_spec() {
         assert_eq!(io_contention > 0, custom);
         // At least as often as `SyncCost`, a standard property with the
         // same signature: it reads everything `SyncCost` reads (typed
-        // timings of its region, the basis total) and more (totals, and
-        // the typed timings of other runs), so every fact that
+        // timings of its region, the basis total) and more (the min-PE
+        // total, and the typed timings of its run), so every fact that
         // re-evaluates one re-evaluates the other.
         let sync_cost =
             snapshot.counter("kojak_eval_property_evaluations_total{property=\"SyncCost\"}");

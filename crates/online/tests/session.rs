@@ -9,7 +9,7 @@ use online::replay::events_for_run;
 use online::{OnlineSession, SessionConfig, TraceEvent};
 use perfdata::{Store, TestRunId};
 use std::sync::Arc;
-use testkit::{Program, Scenario};
+use testkit::{Program, Scenario, Suite};
 
 fn simulated_store(pe_counts: &[u32]) -> Store {
     Scenario {
@@ -315,4 +315,47 @@ fn what_is_kept_per_subject_never_outlives_a_flush() {
         assert!(!now[1].is_empty() && now[0].is_empty() == before.is_none());
         before = Some(now);
     }
+}
+
+/// Retargeting by editing the spec costs the standard properties nothing:
+/// a session on the standard suite plus `io_contention.asl` re-evaluates
+/// each of the twelve standard properties exactly as often as one on the
+/// standard suite alone. The stream is three archetypes on 1 to 64 PEs,
+/// every version's runs arriving fewest processors first, one flush per
+/// run — so every total after a region's first is one no later run
+/// undercuts, and the min-PE narrowing of rule 2 decides the work.
+#[test]
+fn an_added_property_costs_the_standard_ones_nothing() {
+    let store = Scenario {
+        program: Program::SpectralIo,
+        versions: 3,
+        pes: vec![1, 2, 4, 8, 16, 32, 64],
+        ..Scenario::new(7)
+    }
+    .store();
+    let evaluations = |suite: Suite| {
+        let session = OnlineSession::new(SessionConfig {
+            spec: Some(suite.spec()),
+            ..SessionConfig::default()
+        });
+        for run in 0..store.runs.len() as u32 {
+            session
+                .ingest_batch(&events_for_run(&store, TestRunId(run)))
+                .unwrap();
+            session.flush().unwrap();
+        }
+        let metrics = session.metrics();
+        let count = |name: &str| {
+            metrics.counter(&format!(
+                "kojak_eval_property_evaluations_total{{property=\"{name}\"}}"
+            ))
+        };
+        let suite = cosy::suite::SUITE.iter();
+        suite
+            .map(|info| (info.name, count(info.name)))
+            .collect::<Vec<_>>()
+    };
+    let standard = evaluations(Suite::Standard);
+    assert!(standard.iter().all(|(_, n)| *n > 0), "{standard:?}");
+    assert_eq!(evaluations(Suite::WithIoContention), standard);
 }

@@ -127,8 +127,8 @@ pub enum Suite {
     /// The built-in COSY suite.
     Standard,
     /// The standard suite plus `examples/specs/io_contention.asl`, a user
-    /// property that reads other runs' typed timings, which no standard
-    /// property does.
+    /// property that reads the min-PE run's typed timings, which no
+    /// standard property does.
     WithIoContention,
 }
 
