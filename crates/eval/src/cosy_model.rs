@@ -198,7 +198,7 @@ float Duration(Region r, TestRun t) = Summary(r,t).Incl;
 
 /// [`ObjectModel`] implementation over a [`perfdata::Store`], answering the
 /// attribute lookups of [`COSY_DATA_MODEL`]. Set-valued attributes are
-/// lent straight from the store's arenas and secondary maps
+/// lent straight from the store's arenas and run rows
 /// ([`ObjectModel::visit_set`]); nothing is copied or cached per binding.
 pub struct CosyData<'s> {
     store: &'s Store,
@@ -257,15 +257,15 @@ pub fn native_index(class: &str, set_attr: &str, elem_attr: &str) -> bool {
 }
 
 /// Hand the objects behind store ids to `each`, in order.
-fn lend<'a, I: Into<u32> + Copy + 'a>(
+fn lend<I: Into<u32>>(
     class: Symbol,
-    ids: impl IntoIterator<Item = &'a I>,
+    ids: impl IntoIterator<Item = I>,
     each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
 ) -> EvalResult<()> {
     for id in ids {
         let elem = ObjRef {
             class,
-            index: (*id).into(),
+            index: id.into(),
         };
         if !each(elem)? {
             break;
@@ -305,7 +305,7 @@ impl CosyData<'_> {
         let c = obj.class;
         if let Some(filter) = filter {
             // Indexed `Run ==` filters over the three per-run measurement
-            // sets, served from the store's secondary maps in O(matches).
+            // sets, served from the run's row of store slots in O(matches).
             // A key that is not a TestRun compares unequal to every `Run`
             // attribute; the generic scan handles it (yielding nothing).
             let run = match filter.key {
@@ -326,17 +326,16 @@ impl CosyData<'_> {
                     lend(sy.typed_timing, ids, each).map(Some)
                 }
                 // The second key `Type ∈ {…}`: the run's typed timings in
-                // recording order, minus those of another type. Not the
-                // store's `(region, run, type)` map, which keeps the first
-                // of duplicate records only — the predicate this stands
-                // for counts both.
+                // recording order, minus those of another type. Not
+                // `Store::typed_timing`, which answers the first of
+                // duplicate records only — the predicate this stands for
+                // counts both.
                 (Some(("Type", types)), "TypTimes") if c == sy.region => {
                     let i = Self::check_index(obj, s.regions.len())?;
                     let mask = timing_type_mask(types);
                     let ids = s.typed_timing_ids(RegionId(i as u32), run);
-                    let kept = ids
-                        .iter()
-                        .filter(|id| mask >> (s.typed_timings[id.index()].ty as u32) & 1 == 1);
+                    let kept =
+                        ids.filter(|id| mask >> (s.typed_timings[id.index()].ty as u32) & 1 == 1);
                     lend(sy.typed_timing, kept, each).map(Some)
                 }
                 (None, "Sums") if c == sy.function_call => {
@@ -350,34 +349,34 @@ impl CosyData<'_> {
         let lent = if c == sy.region {
             let r = &s.regions[Self::check_index(obj, s.regions.len())?];
             match set_attr {
-                "TotTimes" => lend(sy.total_timing, &r.tot_times, each),
-                "TypTimes" => lend(sy.typed_timing, &r.typ_times, each),
+                "TotTimes" => lend(sy.total_timing, r.tot_times.iter().copied(), each),
+                "TypTimes" => lend(sy.typed_timing, r.typ_times.iter().copied(), each),
                 _ => return Ok(None),
             }
         } else if c == sy.function_call {
             let fc = &s.calls[Self::check_index(obj, s.calls.len())?];
             match set_attr {
-                "Sums" => lend(sy.call_timing, &fc.sums, each),
+                "Sums" => lend(sy.call_timing, fc.sums.iter().copied(), each),
                 _ => return Ok(None),
             }
         } else if c == sy.function {
             let f = &s.functions[Self::check_index(obj, s.functions.len())?];
             match set_attr {
-                "Calls" => lend(sy.function_call, &f.calls, each),
-                "Regions" => lend(sy.region, &f.regions, each),
+                "Calls" => lend(sy.function_call, f.calls.iter().copied(), each),
+                "Regions" => lend(sy.region, f.regions.iter().copied(), each),
                 _ => return Ok(None),
             }
         } else if c == sy.prog_version {
             let v = &s.versions[Self::check_index(obj, s.versions.len())?];
             match set_attr {
-                "Functions" => lend(sy.function, &v.functions, each),
-                "Runs" => lend(sy.test_run, &v.runs, each),
+                "Functions" => lend(sy.function, v.functions.iter().copied(), each),
+                "Runs" => lend(sy.test_run, v.runs.iter().copied(), each),
                 _ => return Ok(None),
             }
         } else if c == sy.program {
             let p = &s.programs[Self::check_index(obj, s.programs.len())?];
             match set_attr {
-                "Versions" => lend(sy.prog_version, &p.versions, each),
+                "Versions" => lend(sy.prog_version, p.versions.iter().copied(), each),
                 _ => return Ok(None),
             }
         } else {

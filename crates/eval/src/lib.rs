@@ -50,7 +50,7 @@
 //! the classes of a checked specification. [`CosyData`] implements it for
 //! the [`perfdata::Store`], exposing exactly the class and attribute names
 //! of the paper's §4.1 data model ([`COSY_DATA_MODEL`]), and serves the
-//! compiled engine's indexed loads from the store's secondary maps.
+//! compiled engine's indexed loads from the store's run rows.
 //!
 //! ```
 //! use asl_eval::{CosyData, Interpreter, Value, COSY_DATA_MODEL};

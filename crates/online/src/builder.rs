@@ -75,7 +75,8 @@ pub struct StoreBuilder {
     store: Store,
     versions: HashMap<VersionTag, VersionId>,
     runs: HashMap<RunKey, TestRunId>,
-    run_keys: IdMap<TestRunId, RunKey>,
+    /// The producer key of every store run, indexed by run id.
+    run_keys: Vec<RunKey>,
     events_applied: u64,
 }
 
@@ -102,7 +103,7 @@ impl StoreBuilder {
 
     /// Reverse lookup: the producer key of a store run.
     pub fn run_key_of(&self, run: TestRunId) -> Option<RunKey> {
-        self.run_keys.get(&run).copied()
+        self.run_keys.get(run.index()).copied()
     }
 
     /// Resolve a version tag to its store id.
@@ -115,11 +116,13 @@ impl StoreBuilder {
         self.store.runs.get(run.index()).map(|r| r.version)
     }
 
-    /// All known (key, store id, version) run triples.
+    /// All known (key, store id, version) run triples, in store id order.
     pub fn runs(&self) -> impl Iterator<Item = (RunKey, TestRunId, VersionId)> + '_ {
-        self.runs
+        self.run_keys
             .iter()
-            .map(|(k, r)| (*k, *r, self.store.runs[r.index()].version))
+            .zip(&self.store.runs)
+            .enumerate()
+            .map(|(i, (k, r))| (*k, TestRunId(i as u32), r.version))
     }
 
     /// All known (producer tag, store id) version pairs.
@@ -129,15 +132,19 @@ impl StoreBuilder {
 
     /// Rebuild a builder from snapshot parts: the reconstructed store, the
     /// producer key maps, and the lifetime applied-event counter. The
-    /// reverse run-key map is recomputed, so a round-tripped builder is
-    /// indistinguishable from the one that was snapshotted.
+    /// reverse run-key table is recomputed, so a round-tripped builder is
+    /// indistinguishable from the one that was snapshotted. `runs` must key
+    /// every store run exactly once.
     pub(crate) fn from_parts(
         store: Store,
         versions: HashMap<VersionTag, VersionId>,
         runs: HashMap<RunKey, TestRunId>,
         events_applied: u64,
     ) -> StoreBuilder {
-        let run_keys = runs.iter().map(|(k, r)| (*r, *k)).collect();
+        let mut run_keys = vec![RunKey(0); store.runs.len()];
+        for (key, run) in &runs {
+            run_keys[run.index()] = *key;
+        }
         StoreBuilder {
             store,
             versions,
@@ -151,7 +158,7 @@ impl StoreBuilder {
     /// every run is new. Recovery seeds its first flush with it.
     pub(crate) fn all_new(&self) -> StoreDelta {
         StoreDelta {
-            new_runs: self.run_keys.keys().copied().collect(),
+            new_runs: (0..self.run_keys.len() as u32).map(TestRunId).collect(),
             ..StoreDelta::default()
         }
     }
@@ -248,7 +255,7 @@ impl StoreBuilder {
                 };
                 let rid = self.store.add_run(vid, *start, *no_pe, *clockspeed);
                 self.runs.insert(*run, rid);
-                self.run_keys.insert(rid, *run);
+                self.run_keys.push(*run);
                 delta.new_runs.insert(rid);
             }
 

@@ -4,12 +4,12 @@
 //! primary arenas plus the producer-key maps ([`RunKey`]→run,
 //! [`VersionTag`]→version) — and the [`crate::IncrementalAnalyzer`]'s
 //! finished-run set. Only the arenas are written; backlink vectors and the
-//! store's secondary indexes are **reconstructed by replaying the public
+//! store's positional indexes are **reconstructed by replaying the public
 //! `Store::add_*` builders in arena order**, which reproduces ids,
-//! backlink orders, and index tie-breaking exactly. A recovered store is
-//! therefore arena-identical to the snapshotted one, which is what makes
-//! recovered analysis reports bit-identical (down to `ContextDesc` ids)
-//! rather than merely equivalent.
+//! backlink orders, and the order of duplicate records exactly. A
+//! recovered store is therefore arena-identical to the snapshotted one,
+//! which is what makes recovered analysis reports bit-identical (down to
+//! `ContextDesc` ids) rather than merely equivalent.
 //!
 //! ## File format
 //!
@@ -244,7 +244,7 @@ fn encode_payload(
         wire::put_u32(&mut buf, s.max_time_pe);
     }
 
-    // Key maps, sorted by store id for byte-stable output.
+    // Key maps in store id order, for byte-stable output.
     let mut tags: Vec<(VersionTag, VersionId)> = builder.version_tags().collect();
     tags.sort_by_key(|(_, v)| *v);
     wire::put_u32(&mut buf, tags.len() as u32);
@@ -252,10 +252,8 @@ fn encode_payload(
         wire::put_u64(&mut buf, tag.0);
         wire::put_u32(&mut buf, vid.0);
     }
-    let mut keys: Vec<(RunKey, TestRunId)> = builder.runs().map(|(k, r, _)| (k, r)).collect();
-    keys.sort_by_key(|(_, r)| *r);
-    wire::put_u32(&mut buf, keys.len() as u32);
-    for (key, rid) in keys {
+    wire::put_u32(&mut buf, store.runs.len() as u32);
+    for (key, rid, _) in builder.runs() {
         wire::put_u64(&mut buf, key.0);
         wire::put_u32(&mut buf, rid.0);
     }
@@ -350,6 +348,23 @@ fn get_id(r: &mut Reader<'_>, what: &'static str, limit: usize) -> Result<u32, S
     Ok(id)
 }
 
+/// The version of a (bounds-checked) region id.
+fn region_version(store: &Store, region: u32) -> VersionId {
+    store.functions[store.regions[region as usize].function.index()].version
+}
+
+/// A timing's owner and run must share a version: the store indexes the
+/// record by its owner's place in that version.
+fn same_version(store: &Store, owner: VersionId, run: u32) -> Result<(), SnapshotError> {
+    let of_run = store.runs[run as usize].version;
+    if owner != of_run {
+        return Err(SnapshotError::Corrupt(format!(
+            "a record of {owner} in run {run} of {of_run}"
+        )));
+    }
+    Ok(())
+}
+
 fn decode_payload(payload: &[u8]) -> Result<SnapshotData, SnapshotError> {
     let mut r = Reader::new(payload);
     let events_applied = r.get_u64("events_applied")?;
@@ -412,6 +427,7 @@ fn decode_payload(payload: &[u8]) -> Result<SnapshotData, SnapshotError> {
         let excl = r.get_f64("excl")?;
         let incl = r.get_f64("incl")?;
         let ovhd = r.get_f64("ovhd")?;
+        same_version(&store, region_version(&store, region), run)?;
         store.add_total_timing(RegionId(region), TestRunId(run), excl, incl, ovhd);
     }
     let n_typed = r.get_u32("typed timing count")?;
@@ -422,6 +438,7 @@ fn decode_payload(payload: &[u8]) -> Result<SnapshotData, SnapshotError> {
         let ty = TimingType::from_code(ty_code)
             .ok_or_else(|| SnapshotError::Corrupt(format!("timing type {ty_code}")))?;
         let time = r.get_f64("typed time")?;
+        same_version(&store, region_version(&store, region), run)?;
         store.add_typed_timing(RegionId(region), TestRunId(run), ty, time);
     }
     let n_calls = r.get_u32("call count")?;
@@ -435,6 +452,8 @@ fn decode_payload(payload: &[u8]) -> Result<SnapshotData, SnapshotError> {
     for _ in 0..n_ct {
         let call = get_id(&mut r, "call timing call id", store.calls.len())?;
         let run = get_id(&mut r, "call timing run id", store.runs.len())?;
+        let caller = store.calls[call as usize].caller;
+        same_version(&store, store.functions[caller.index()].version, run)?;
         let ct = CallTiming {
             call: perfdata::CallId(call),
             run: TestRunId(run),
@@ -463,9 +482,13 @@ fn decode_payload(payload: &[u8]) -> Result<SnapshotData, SnapshotError> {
     }
     let n_keys = r.get_u32("run key count")?;
     let mut runs = HashMap::with_capacity(n_keys as usize);
+    let mut keyed = vec![false; store.runs.len()];
     for _ in 0..n_keys {
         let key = RunKey(r.get_u64("run key")?);
         let rid = get_id(&mut r, "keyed run id", store.runs.len())?;
+        if std::mem::replace(&mut keyed[rid as usize], true) {
+            return Err(SnapshotError::Corrupt(format!("run {rid} keyed twice")));
+        }
         runs.insert(key, TestRunId(rid));
     }
     if runs.len() != store.runs.len() {
@@ -639,6 +662,63 @@ mod tests {
             builder.version_id(VersionTag(55))
         );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// `payload` with its one occurrence of `from` replaced by `to`.
+    fn patched(payload: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at: Vec<usize> = (0..=payload.len() - from.len())
+            .filter(|&i| &payload[i..i + from.len()] == from)
+            .collect();
+        assert_eq!(at.len(), 1, "pattern must occur once");
+        let mut out = payload.to_vec();
+        out[at[0]..at[0] + to.len()].copy_from_slice(to);
+        out
+    }
+
+    #[test]
+    fn a_timing_across_versions_or_a_run_keyed_twice_is_corrupt() {
+        let mut b = sample_builder();
+        let mut d = StoreDelta::new();
+        b.apply(
+            &TraceEvent::RunStarted {
+                run: RunKey(11),
+                version: VersionTag(56),
+                program: "app".into(),
+                compiled_at: DateTime::from_secs(11),
+                source: "program app".into(),
+                start: DateTime::from_secs(40),
+                no_pe: 4,
+                clockspeed: 450,
+            },
+            &mut d,
+        )
+        .unwrap();
+        let payload = encode_payload(&b, &[], 0, 0);
+        assert!(decode_payload(&payload).is_ok());
+        let corrupt = |bytes: &[u8]| match decode_payload(bytes) {
+            Err(SnapshotError::Corrupt(why)) => why,
+            other => panic!("expected a corrupt snapshot, got {:?}", other.map(|_| ())),
+        };
+
+        // `main`'s total timing in run 0, moved to run 2 of the other
+        // version: the store has no slot for it there.
+        let timing = |run: u32| {
+            let mut t = Vec::new();
+            for word in [0, run] {
+                t.extend_from_slice(&u32::to_le_bytes(word));
+            }
+            for value in [1.0, 10.0, 0.5] {
+                t.extend_from_slice(&f64::to_le_bytes(value));
+            }
+            t
+        };
+        let why = corrupt(&patched(&payload, &timing(0), &timing(2)));
+        assert!(why.contains("ver0") && why.contains("ver1"), "{why}");
+
+        // Key 9 names run 0, which key 7 already names; run 1 has none.
+        let key = |run: u32| [u64::to_le_bytes(9).as_slice(), &u32::to_le_bytes(run)].concat();
+        let why = corrupt(&patched(&payload, &key(1), &key(0)));
+        assert!(why.contains("keyed twice"), "{why}");
     }
 
     #[test]

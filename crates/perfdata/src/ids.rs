@@ -7,12 +7,11 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher of maps keyed by ids a [`crate::Store`] assigned itself — dense,
-/// never chosen by whoever sends the data: the store's secondary indexes
-/// and what ingestion records about them (`cosy-online`'s `StoreDelta`,
-/// `cosy`'s dirty `ContextScope`). SipHash's protection against crafted
-/// keys buys nothing there, and its cost is paid on every metric load of
-/// an evaluation and every applied event. One rotate, xor and multiply per
-/// word.
+/// never chosen by whoever sends the data: what ingestion records about the
+/// store (`cosy-online`'s `StoreDelta`, `cosy`'s dirty `ContextScope`).
+/// SipHash's protection against crafted keys buys nothing there, and its
+/// cost is paid on every applied event. One rotate, xor and multiply per
+/// word. (The store itself indexes by position and hashes nothing.)
 ///
 /// Iteration order is arbitrary, as it already was under `RandomState`,
 /// and nothing depends on it: the incremental engine's scopes are
@@ -81,6 +80,12 @@ macro_rules! define_id {
         impl From<$name> for u32 {
             fn from(id: $name) -> u32 {
                 id.0
+            }
+        }
+
+        impl From<u32> for $name {
+            fn from(index: u32) -> $name {
+                $name(index)
             }
         }
     };

@@ -4,22 +4,40 @@ use crate::ids::*;
 use crate::model::*;
 use crate::timing_type::TimingType;
 use serde::{Deserialize, Serialize};
+use std::marker::PhantomData;
 
 /// A complete COSY performance database: multiple applications, multiple
 /// versions per application, multiple test runs per version (§3 of the
 /// paper), with static structure (functions, regions, call sites) and
 /// dynamic measurements (total/typed timings, call statistics).
 ///
-/// Besides the primary arenas, the store maintains **secondary indexes**
-/// (`(region, run) → timing`, `region → children`, `version → reference
-/// run`) so the analyzer's hot metric loads are O(1) hash lookups instead
-/// of arena scans. The indexes are derived data kept consistent by every
-/// builder/upsert method; they are private, and while the arenas remain
-/// `pub` for read access, **mutation must go through the builder/upsert
-/// methods** — pushing into an arena directly leaves the indexes stale
-/// and the indexed lookups (and the compiled evaluator's filtered loads)
-/// answering from the past.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Besides the primary arenas, the store keeps **positional indexes** so
+/// the analyzer's hot metric loads and the ingest upserts find "the records
+/// of owner X in run t" without hashing or scanning:
+/// - every region and call site gets a version-local index when it is
+///   added;
+/// - every run owns a row of slots indexed by them, holding the first total
+///   timing, the first and last typed timing and the first call record of
+///   each owner in that run;
+/// - duplicate records of one owner in one run are chained in arena order
+///   through a `next` array kept beside each timing arena;
+/// - children and the reference run are vectors indexed by region and
+///   version id.
+///
+/// The indexes are derived data kept consistent by every builder/upsert
+/// method; they are private, and while the arenas remain `pub` for read
+/// access, **mutation must go through the builder/upsert methods** —
+/// pushing into an arena directly leaves the indexes stale and the indexed
+/// lookups (and the compiled evaluator's filtered loads) answering from
+/// the past. Two stores are equal when their arenas are: rows are sized
+/// lazily, so the same records reached in another order may leave rows of
+/// other lengths.
+///
+/// A timing record's owner and run must belong to one version (`validate`'s
+/// `run-version-consistency`): the `add_*` and `upsert_*` methods panic on
+/// a record that crosses versions, and the lookups answer "none" for an
+/// owner and a run of different versions.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Store {
     /// All programs.
     pub programs: Vec<Program>,
@@ -42,24 +60,127 @@ pub struct Store {
     /// All source-code blobs.
     pub sources: Vec<SourceCode>,
 
-    // ---- secondary indexes (derived; see the struct docs) ---------------
-    /// `(region, run)` → total timings in arena order. Well-formed data has
-    /// exactly one entry, but the index must mirror the arena faithfully —
-    /// a duplicate record still surfaces as an ambiguous `Summary`.
-    total_idx: IdMap<(RegionId, TestRunId), Vec<TotalTimingId>>,
-    /// `(region, run, type)` → its typed timing (first recorded wins,
-    /// matching the arena-scan order the lookups historically used).
-    typed_idx: IdMap<(RegionId, TestRunId, TimingType), TypedTimingId>,
-    /// `(region, run)` → all typed timings of that run, in arena order.
-    typed_by_run: IdMap<(RegionId, TestRunId), Vec<TypedTimingId>>,
-    /// `(call, run)` → call-statistics records in arena order (one entry
-    /// when well-formed; see `total_idx`).
-    call_idx: IdMap<(CallId, TestRunId), Vec<CallTimingId>>,
-    /// Region → direct children, in arena order.
-    children_idx: IdMap<RegionId, Vec<RegionId>>,
-    /// Version → its run with the smallest processor count (earliest run
-    /// wins ties, matching `min_by_key` over the version's run list).
-    min_pe_idx: IdMap<VersionId, TestRunId>,
+    // ---- positional indexes (derived; see the struct docs) --------------
+    /// Per version: how many regions and call sites it holds (the next
+    /// local indexes), and its reference run.
+    version_index: Vec<VersionIndex>,
+    /// Per region: its version and version-local index.
+    region_place: Vec<Place>,
+    /// Per call site: its version (the caller's) and version-local index.
+    call_place: Vec<Place>,
+    /// Per run: its row of slots.
+    rows: Vec<RunRow>,
+    /// Per total timing: the next record of the same region and run.
+    total_next: Vec<u32>,
+    /// Per typed timing: the next record of the same region and run.
+    typed_next: Vec<u32>,
+    /// Per call timing: the next record of the same call site and run.
+    call_next: Vec<u32>,
+    /// Per region: its direct children, in arena order.
+    children: Vec<Vec<RegionId>>,
+}
+
+/// No record: an empty slot, or the end of a chain.
+const NONE: u32 = u32::MAX;
+
+/// What the store keeps per version.
+#[derive(Debug, Clone, Default)]
+struct VersionIndex {
+    /// Regions added so far (the next region-local index).
+    regions: u32,
+    /// Call sites added so far (the next call-local index).
+    calls: u32,
+    /// The run with the smallest processor count (earliest run wins ties,
+    /// matching `min_by_key` over the version's run list).
+    min_pe_run: Option<TestRunId>,
+}
+
+/// Where an owner's slot sits in the rows of its version's runs.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    version: VersionId,
+    local: u32,
+}
+
+/// One region's records in one run: heads of its chains.
+#[derive(Debug, Clone, Copy)]
+struct RegionSlot {
+    total: u32,
+    typed_first: u32,
+    typed_last: u32,
+}
+
+const EMPTY_SLOT: RegionSlot = RegionSlot {
+    total: NONE,
+    typed_first: NONE,
+    typed_last: NONE,
+};
+
+/// One run's slots, indexed by version-local index. A row grows when a
+/// record lands past its end; a lookup past its end finds nothing.
+#[derive(Debug, Clone)]
+struct RunRow {
+    version: VersionId,
+    regions: Vec<RegionSlot>,
+    /// First call record per call-local index.
+    calls: Vec<u32>,
+}
+
+/// The records of one owner in one run, in arena order: a walk along one
+/// of the store's duplicate chains.
+#[derive(Debug, Clone)]
+pub struct Chain<'a, I> {
+    next: &'a [u32],
+    at: u32,
+    id: PhantomData<I>,
+}
+
+impl<'a, I> Chain<'a, I> {
+    fn new(next: &'a [u32], first: u32) -> Self {
+        Chain {
+            next,
+            at: first,
+            id: PhantomData,
+        }
+    }
+}
+
+impl<I: From<u32>> Iterator for Chain<'_, I> {
+    type Item = I;
+
+    fn next(&mut self) -> Option<I> {
+        if self.at == NONE {
+            return None;
+        }
+        let id = self.at;
+        self.at = self.next[id as usize];
+        Some(I::from(id))
+    }
+}
+
+/// Link `id` behind the last record of the chain starting at `first`.
+fn append(next: &mut [u32], first: u32, id: u32) {
+    let mut at = first;
+    while next[at as usize] != NONE {
+        at = next[at as usize];
+    }
+    next[at as usize] = id;
+}
+
+/// The records are the store; the indexes are derived from them.
+impl PartialEq for Store {
+    fn eq(&self, other: &Self) -> bool {
+        self.programs == other.programs
+            && self.versions == other.versions
+            && self.runs == other.runs
+            && self.functions == other.functions
+            && self.regions == other.regions
+            && self.total_timings == other.total_timings
+            && self.typed_timings == other.typed_timings
+            && self.calls == other.calls
+            && self.call_timings == other.call_timings
+            && self.sources == other.sources
+    }
 }
 
 impl Store {
@@ -99,6 +220,7 @@ impl Store {
             runs: Vec::new(),
             code,
         });
+        self.version_index.push(VersionIndex::default());
         self.programs[program.index()].versions.push(id);
         id
     }
@@ -119,13 +241,17 @@ impl Store {
             clockspeed,
         });
         self.versions[version.index()].runs.push(id);
-        match self.min_pe_idx.get(&version) {
+        self.rows.push(RunRow {
+            version,
+            regions: Vec::new(),
+            calls: Vec::new(),
+        });
+        let reference = &mut self.version_index[version.index()].min_pe_run;
+        match *reference {
             // Strictly-smaller only: the earliest run keeps the reference
             // slot on ties, matching `min_by_key` over the run list.
-            Some(&cur) if self.runs[cur.index()].no_pe <= no_pe => {}
-            _ => {
-                self.min_pe_idx.insert(version, id);
-            }
+            Some(cur) if self.runs[cur.index()].no_pe <= no_pe => {}
+            _ => *reference = Some(id),
         }
         id
     }
@@ -164,8 +290,16 @@ impl Store {
             typ_times: Vec::new(),
         });
         self.functions[function.index()].regions.push(id);
+        let version = self.functions[function.index()].version;
+        let count = &mut self.version_index[version.index()].regions;
+        self.region_place.push(Place {
+            version,
+            local: *count,
+        });
+        *count += 1;
+        self.children.push(Vec::new());
         if let Some(p) = parent {
-            self.children_idx.entry(p).or_default().push(id);
+            self.children[p.index()].push(id);
         }
         id
     }
@@ -188,7 +322,14 @@ impl Store {
             ovhd,
         });
         self.regions[region.index()].tot_times.push(id);
-        self.total_idx.entry((region, run)).or_default().push(id);
+        self.total_next.push(NONE);
+        let slot = self.region_slot_mut(region, run);
+        let first = slot.total;
+        if first == NONE {
+            slot.total = id.0;
+        } else {
+            append(&mut self.total_next, first, id.0);
+        }
         id
     }
 
@@ -208,8 +349,14 @@ impl Store {
             time,
         });
         self.regions[region.index()].typ_times.push(id);
-        self.typed_idx.entry((region, run, ty)).or_insert(id);
-        self.typed_by_run.entry((region, run)).or_default().push(id);
+        self.typed_next.push(NONE);
+        let slot = self.region_slot_mut(region, run);
+        let last = std::mem::replace(&mut slot.typed_last, id.0);
+        if last == NONE {
+            slot.typed_first = id.0;
+        } else {
+            self.typed_next[last as usize] = id.0;
+        }
         id
     }
 
@@ -230,18 +377,31 @@ impl Store {
             sums: Vec::new(),
         });
         self.functions[callee.index()].calls.push(id);
+        let version = self.functions[caller.index()].version;
+        let count = &mut self.version_index[version.index()].calls;
+        self.call_place.push(Place {
+            version,
+            local: *count,
+        });
+        *count += 1;
         id
     }
 
     /// Record call statistics for a call site in a run.
-    #[allow(clippy::too_many_arguments)]
     pub fn add_call_timing(&mut self, ct: CallTiming) -> CallTimingId {
         let id = CallTimingId(self.call_timings.len() as u32);
         let call = ct.call;
         let run = ct.run;
         self.call_timings.push(ct);
         self.calls[call.index()].sums.push(id);
-        self.call_idx.entry((call, run)).or_default().push(id);
+        self.call_next.push(NONE);
+        let slot = self.call_slot_mut(call, run);
+        let first = *slot;
+        if first == NONE {
+            *slot = id.0;
+        } else {
+            append(&mut self.call_next, first, id.0);
+        }
         id
     }
 
@@ -252,7 +412,8 @@ impl Store {
     // applied (e.g. a region's running total). The upsert hooks keep the
     // one-record-per-(region, run[, type]) invariant `validate` enforces
     // while allowing in-place refinement, and report whether they inserted
-    // or updated so callers can maintain dirty-context deltas.
+    // or updated so callers can maintain dirty-context deltas. A refinement
+    // lands on the first of duplicate records, the one the lookups return.
 
     /// Insert or refresh the total timing of a region in a run. Returns the
     /// timing id and `true` when a new record was inserted (`false` when an
@@ -265,8 +426,7 @@ impl Store {
         incl: f64,
         ovhd: f64,
     ) -> (TotalTimingId, bool) {
-        let existing = self.total_timing_id(region, run);
-        match existing {
+        match self.total_timing_id(region, run) {
             Some(id) => {
                 let t = &mut self.total_timings[id.index()];
                 t.excl = excl;
@@ -287,8 +447,7 @@ impl Store {
         ty: TimingType,
         time: f64,
     ) -> (TypedTimingId, bool) {
-        let existing = self.typed_idx.get(&(region, run, ty)).copied();
-        match existing {
+        match self.typed_timing_id(region, run, ty) {
             Some(id) => {
                 self.typed_timings[id.index()].time = time;
                 (id, false)
@@ -300,14 +459,71 @@ impl Store {
     /// Insert or refresh the call statistics of a call site in a run.
     /// Returns the record id and `true` on insert (`false` on update).
     pub fn upsert_call_timing(&mut self, ct: CallTiming) -> (CallTimingId, bool) {
-        let existing = self.call_timing_id(ct.call, ct.run);
-        match existing {
+        match self.call_timing_id(ct.call, ct.run) {
             Some(id) => {
                 self.call_timings[id.index()] = ct;
                 (id, false)
             }
             None => (self.add_call_timing(ct), true),
         }
+    }
+
+    // ---- slots ------------------------------------------------------------
+
+    /// The slot of a region in a run, if the run's row reaches it. `None`
+    /// as well for ids out of range and for a region and a run of
+    /// different versions.
+    fn region_slot(&self, r: RegionId, run: TestRunId) -> Option<&RegionSlot> {
+        let place = self.region_place.get(r.index())?;
+        let row = self.rows.get(run.index())?;
+        if row.version != place.version {
+            return None;
+        }
+        row.regions.get(place.local as usize)
+    }
+
+    /// The slot of a region in a run, growing the run's row to reach it.
+    fn region_slot_mut(&mut self, r: RegionId, run: TestRunId) -> &mut RegionSlot {
+        let place = self.region_place[r.index()];
+        let row = &mut self.rows[run.index()];
+        assert_eq!(
+            row.version, place.version,
+            "a timing of {r} in {run} crosses versions"
+        );
+        let local = place.local as usize;
+        if local >= row.regions.len() {
+            let len = self.version_index[place.version.index()].regions as usize;
+            row.regions.resize(len, EMPTY_SLOT);
+        }
+        &mut row.regions[local]
+    }
+
+    /// The first call record of a call site in a run, or [`NONE`].
+    fn call_slot(&self, c: CallId, run: TestRunId) -> u32 {
+        let (Some(place), Some(row)) = (self.call_place.get(c.index()), self.rows.get(run.index()))
+        else {
+            return NONE;
+        };
+        if row.version != place.version {
+            return NONE;
+        }
+        row.calls.get(place.local as usize).copied().unwrap_or(NONE)
+    }
+
+    /// The first-record slot of a call site in a run, growing the row.
+    fn call_slot_mut(&mut self, c: CallId, run: TestRunId) -> &mut u32 {
+        let place = self.call_place[c.index()];
+        let row = &mut self.rows[run.index()];
+        assert_eq!(
+            row.version, place.version,
+            "statistics of {c} in {run} cross versions"
+        );
+        let local = place.local as usize;
+        if local >= row.calls.len() {
+            let len = self.version_index[place.version.index()].calls as usize;
+            row.calls.resize(len, NONE);
+        }
+        &mut row.calls[local]
     }
 
     // ---- streaming lookups ------------------------------------------------
@@ -370,10 +586,9 @@ impl Store {
     /// The smallest processor count among the runs of a version, if any
     /// run exists. Streaming ingestion uses this to detect when a new run
     /// changes the reference configuration (which invalidates every
-    /// speedup-derived result of the version). O(1) via the reference-run
-    /// index.
+    /// speedup-derived result of the version). O(1).
     pub fn min_pe_of_version(&self, v: VersionId) -> Option<u32> {
-        self.min_pe_idx.get(&v).map(|r| self.runs[r.index()].no_pe)
+        self.min_pe_run(v).map(|r| self.runs[r.index()].no_pe)
     }
 
     // ---- navigation ---------------------------------------------------------
@@ -383,28 +598,23 @@ impl Store {
         &self.programs[self.versions[v.index()].program.index()]
     }
 
-    /// Direct children of a region. O(children) via the children index.
+    /// Direct children of a region, in arena order. O(children).
     pub fn children(&self, r: RegionId) -> impl Iterator<Item = RegionId> + '_ {
-        self.children_idx
-            .get(&r)
-            .into_iter()
-            .flat_map(|kids| kids.iter().copied())
+        self.children.get(r.index()).into_iter().flatten().copied()
     }
 
     /// The id of the (first) total timing of a region in a run. O(1).
     pub fn total_timing_id(&self, r: RegionId, run: TestRunId) -> Option<TotalTimingId> {
-        self.total_idx
-            .get(&(r, run))
-            .and_then(|ids| ids.first().copied())
+        self.region_slot(r, run)
+            .filter(|s| s.total != NONE)
+            .map(|s| TotalTimingId(s.total))
     }
 
     /// All total-timing records of a region in a run, in arena order —
-    /// exactly one when the store is well-formed. O(1).
-    pub fn total_timing_ids(&self, r: RegionId, run: TestRunId) -> &[TotalTimingId] {
-        self.total_idx
-            .get(&(r, run))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// exactly one when the store is well-formed. O(1) to locate.
+    pub fn total_timing_ids(&self, r: RegionId, run: TestRunId) -> Chain<'_, TotalTimingId> {
+        let first = self.region_slot(r, run).map_or(NONE, |s| s.total);
+        Chain::new(&self.total_next, first)
     }
 
     /// The unique total timing of a region in a run, if recorded. O(1).
@@ -414,42 +624,49 @@ impl Store {
     }
 
     /// All typed timings of a region in one run, in recording order. O(1)
-    /// to locate; the slice covers every overhead type of the run.
-    pub fn typed_timing_ids(&self, r: RegionId, run: TestRunId) -> &[TypedTimingId] {
-        self.typed_by_run
-            .get(&(r, run))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// to locate; the walk covers every overhead type of the run.
+    pub fn typed_timing_ids(&self, r: RegionId, run: TestRunId) -> Chain<'_, TypedTimingId> {
+        let first = self.region_slot(r, run).map_or(NONE, |s| s.typed_first);
+        Chain::new(&self.typed_next, first)
     }
 
-    /// The typed timing of a region for a given run and type, if recorded.
-    /// O(1).
+    /// The id of the first recorded typed timing of a region for a given
+    /// run and type. O(types recorded for the region in the run).
+    fn typed_timing_id(
+        &self,
+        r: RegionId,
+        run: TestRunId,
+        ty: TimingType,
+    ) -> Option<TypedTimingId> {
+        self.typed_timing_ids(r, run)
+            .find(|id| self.typed_timings[id.index()].ty == ty)
+    }
+
+    /// The typed timing of a region for a given run and type, if recorded
+    /// (the first recorded of duplicates). O(types recorded for the region
+    /// in the run).
     pub fn typed_timing(
         &self,
         r: RegionId,
         run: TestRunId,
         ty: TimingType,
     ) -> Option<&TypedTiming> {
-        self.typed_idx
-            .get(&(r, run, ty))
+        self.typed_timing_id(r, run, ty)
             .map(|id| &self.typed_timings[id.index()])
     }
 
     /// The id of the (first) call-statistics record of a call site in a
     /// run. O(1).
     pub fn call_timing_id(&self, c: CallId, run: TestRunId) -> Option<CallTimingId> {
-        self.call_idx
-            .get(&(c, run))
-            .and_then(|ids| ids.first().copied())
+        Some(self.call_slot(c, run))
+            .filter(|&first| first != NONE)
+            .map(CallTimingId)
     }
 
     /// All call-statistics records of a call site in a run, in arena order
-    /// — exactly one when the store is well-formed. O(1).
-    pub fn call_timing_ids(&self, c: CallId, run: TestRunId) -> &[CallTimingId] {
-        self.call_idx
-            .get(&(c, run))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// — exactly one when the store is well-formed. O(1) to locate.
+    pub fn call_timing_ids(&self, c: CallId, run: TestRunId) -> Chain<'_, CallTimingId> {
+        Chain::new(&self.call_next, self.call_slot(c, run))
     }
 
     /// Inclusive duration of a region in a run (the paper's `Duration`
@@ -459,10 +676,9 @@ impl Store {
     }
 
     /// The test run of a version with the smallest processor count — the
-    /// reference run used by `SublinearSpeedup` (§4.2). O(1) via the
-    /// reference-run index.
+    /// reference run used by `SublinearSpeedup` (§4.2). O(1).
     pub fn min_pe_run(&self, v: VersionId) -> Option<TestRunId> {
-        self.min_pe_idx.get(&v).copied()
+        self.version_index.get(v.index())?.min_pe_run
     }
 
     /// The root (subprogram) region of a function, by convention the first
@@ -682,45 +898,32 @@ mod tests {
     }
 
     #[test]
-    fn indexes_agree_with_arena_scans() {
-        let (s, v, r1, r2, lp) = sample_store();
-        // total_idx vs scan over tot_times.
-        for region in [RegionId(0), lp] {
-            for run in [r1, r2] {
-                let scanned = s.regions[region.index()]
-                    .tot_times
-                    .iter()
-                    .copied()
-                    .find(|id| s.total_timings[id.index()].run == run);
-                assert_eq!(s.total_timing_id(region, run), scanned);
-            }
-        }
-        // typed indexes vs scan over typ_times.
-        let scanned: Vec<_> = s.regions[lp.index()]
-            .typ_times
-            .iter()
-            .copied()
-            .filter(|id| s.typed_timings[id.index()].run == r2)
-            .collect();
-        assert_eq!(s.typed_timing_ids(lp, r2), scanned.as_slice());
-        assert!(s.typed_timing_ids(lp, r1).is_empty());
-        // children index vs full-arena scan.
-        let root = s.regions[lp.index()].parent.unwrap();
-        let scanned: Vec<_> = s
-            .regions
-            .iter()
-            .enumerate()
-            .filter(|(_, reg)| reg.parent == Some(root))
-            .map(|(i, _)| RegionId(i as u32))
-            .collect();
-        assert_eq!(s.children(root).collect::<Vec<_>>(), scanned);
-        // reference-run index vs min_by_key scan.
-        let scanned = s.versions[v.index()]
-            .runs
-            .iter()
-            .copied()
-            .min_by_key(|r| s.runs[r.index()].no_pe);
-        assert_eq!(s.min_pe_run(v), scanned);
+    fn lookups_across_versions_and_out_of_range_find_nothing() {
+        let (mut s, _, r1, _, lp) = sample_store();
+        let p = s.add_program("other");
+        let v2 = s.add_version(p, DateTime::from_secs(0), "");
+        let f2 = s.add_function(v2, "main");
+        let root2 = s.add_region(f2, None, RegionKind::Subprogram, "main", (1, 10));
+        let run2 = s.add_run(v2, DateTime::from_secs(1), 4, 450);
+        s.add_total_timing(root2, run2, 1.0, 2.0, 0.0);
+        // `root2` shares local index 0 with version 1's root.
+        assert_eq!(s.total_timing_id(RegionId(0), run2), None);
+        assert_eq!(s.total_timing_id(root2, r1), None);
+        assert_eq!(s.total_timing_ids(lp, TestRunId(99)).count(), 0);
+        assert_eq!(s.typed_timing_ids(RegionId(99), r1).count(), 0);
+        assert_eq!(s.call_timing_ids(CallId(0), r1).count(), 0);
+        assert_eq!(s.min_pe_run(VersionId(99)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses versions")]
+    fn a_timing_across_versions_is_refused() {
+        let (mut s, _, r1, ..) = sample_store();
+        let p = s.add_program("other");
+        let v2 = s.add_version(p, DateTime::from_secs(0), "");
+        let f2 = s.add_function(v2, "main");
+        let root2 = s.add_region(f2, None, RegionKind::Subprogram, "main", (1, 10));
+        s.add_total_timing(root2, r1, 1.0, 2.0, 0.0);
     }
 
     #[test]
@@ -746,7 +949,7 @@ mod tests {
         assert_eq!(s.total_timing_id(lp, r3), Some(id3));
         let (tid, inserted) = s.upsert_typed_timing(lp, r3, TimingType::IoRead, 0.5);
         assert!(inserted);
-        assert_eq!(s.typed_timing_ids(lp, r3), &[tid]);
+        assert_eq!(s.typed_timing_ids(lp, r3).collect::<Vec<_>>(), [tid]);
         assert_eq!(
             s.typed_timing(lp, r3, TimingType::IoRead).map(|t| t.time),
             Some(0.5)

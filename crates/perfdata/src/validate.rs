@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn duplicate_total_timing_detected() {
-        // Built through the builder so the secondary indexes stay
+        // Built through the builder so the store's indexes stay
         // consistent with the (deliberately malformed) arenas.
         let mut s = valid_store();
         let dup = s.total_timings[0].clone();
