@@ -1,7 +1,8 @@
 //! Soundness of the abstract interpreter's proven claims, checked
 //! against **both** runtime backends on randomized stores and specs.
 //!
-//! For every generated (store, suite) pair and every property context:
+//! For every generated (store, suite) pair and every property context —
+//! region and call-site properties alike:
 //!
 //! * a condition flow proves `False` must never fire at runtime (so any
 //!   arm it guards never runs), and one proven `True` must always fire;
@@ -10,133 +11,16 @@
 //!   raise `DivByZero` — through the interpreter *or* the compiled
 //!   engine.
 //!
-//! The generated properties are shaped so the claims actually occur:
-//! `COUNT(...) < 0` conditions (proven unsatisfiable), `COUNT(...) >= 0`
-//! (proven tautological), and `X / N` arms guarded by `N > k` with
-//! `k >= 0` (proven safe by guard implication through a `LET`).
+//! The cases come from testkit's one generator: the real standard suite
+//! plus generated properties, of which `Gen0` is shaped so the claims
+//! occur — `COUNT(...) < 0` (proven unsatisfiable), `COUNT(...) >= 0`
+//! (proven tautological), and `X / N` guarded by `N > k` with `k >= 0`
+//! (proven safe by guard implication through a `LET`).
 
-use asl_eval::{compile, CompiledEvaluator, CosyData, Interpreter, Value, COSY_DATA_MODEL};
+use asl_eval::{compile, CompiledEvaluator, CosyData, Interpreter, Value};
 use flow::{DivVerdict, Tri};
-use perfdata::{DateTime, RegionKind, Store, TimingType, VersionId};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Tiny deterministic splitmix64 stream for store/spec shaping (same
-/// scheme as `asl-eval`'s `compiled_equiv` generator).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-}
-
-/// A randomized store: one version, patchy timing coverage including
-/// zero durations and missing records, so the runtime actually hits
-/// empty sets and zero denominators where the analysis allows them.
-fn build_store(seed: u64, n_runs: usize, n_regions: usize) -> (Store, VersionId) {
-    let mut rng = Rng(seed);
-    let mut s = Store::new();
-    let p = s.add_program("soundprog");
-    let v = s.add_version(p, DateTime::from_secs(1), "generated");
-    let mut runs = Vec::new();
-    for i in 0..n_runs {
-        let no_pe = 1 << rng.below(6);
-        runs.push(s.add_run(v, DateTime::from_secs(10 + i as i64), no_pe as u32, 450));
-    }
-    let f_main = s.add_function(v, "main");
-    let mut regions = Vec::new();
-    for i in 0..n_regions {
-        let parent = if regions.is_empty() || rng.chance(30) {
-            None
-        } else {
-            Some(regions[rng.below(regions.len() as u64) as usize])
-        };
-        let kind = if i == 0 {
-            RegionKind::Subprogram
-        } else {
-            RegionKind::Loop
-        };
-        regions.push(s.add_region(
-            f_main,
-            parent,
-            kind,
-            format!("r{i}"),
-            (i as u32, i as u32 + 9),
-        ));
-    }
-    for &r in &regions {
-        for &run in &runs {
-            if rng.chance(70) {
-                let incl = if rng.chance(15) {
-                    0.0
-                } else {
-                    rng.f64_in(0.5, 50.0)
-                };
-                let excl = rng.f64_in(0.0, incl.max(0.1));
-                s.add_total_timing(r, run, excl, incl, 0.0);
-            }
-            for &ty in &TimingType::ALL[..6] {
-                if rng.chance(25) {
-                    let t = if rng.chance(20) {
-                        0.0
-                    } else {
-                        rng.f64_in(0.001, 5.0)
-                    };
-                    s.add_typed_timing(r, run, ty, t);
-                }
-            }
-        }
-    }
-    (s, v)
-}
-
-/// Generated properties shaped so flow proves something about them:
-/// `(never)` is unsatisfiable, `(always)` tautological, and the `X / N`
-/// severity arm is guarded by `(pos) N > k` with `k >= 0`.
-fn generated_properties(seed: u64) -> String {
-    let mut rng = Rng(seed ^ 0x50f7_50f7);
-    let mut out = String::new();
-    for i in 0..3 {
-        let agg = ["SUM", "MIN", "MAX", "AVG", "COUNT"][rng.below(5) as usize];
-        let ty = ["Barrier", "Lock", "PtpSend", "Broadcast"][rng.below(4) as usize];
-        let filter = if rng.chance(50) {
-            format!(" AND tt.Type == {ty}")
-        } else {
-            String::new()
-        };
-        let k = rng.below(3);
-        let conf = rng.f64_in(0.1, 1.0);
-        out.push_str(&format!(
-            "Property Gen{i}(Region r, TestRun t, Region Basis) {{\n\
-                 LET int N = COUNT(r.TotTimes);\n\
-                     float X = {agg}(tt.Time WHERE tt IN r.TypTimes AND tt.Run==t{filter})\n\
-                 IN CONDITION: (pos) N > {k}\n\
-                            OR (always) COUNT(r.TypTimes) >= 0\n\
-                            OR (never) COUNT(r.TypTimes) < 0;\n\
-                 CONFIDENCE: MAX((pos) -> 0.9, (always) -> {conf:.2});\n\
-                 SEVERITY: MAX((pos) -> X / N, (never) -> 7.0);\n\
-             }}\n"
-        ));
-    }
-    out
-}
 
 /// Check one backend's outcome against the flow claims for a property.
 fn check_claims(
@@ -180,12 +64,8 @@ fn check_claims(
 }
 
 fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
-    let (store, v) = build_store(seed, n_runs, n_regions);
-    let src = format!(
-        "{COSY_DATA_MODEL}\n{}\n{}",
-        cosy::suite::SUITE_PROPERTIES,
-        generated_properties(seed)
-    );
+    let (store, v) = testkit::random_store(seed, n_runs, n_regions);
+    let src = testkit::generated_suite(seed);
     let spec = asl_core::parse_and_check(&src).expect("generated suite checks");
     let comp = Arc::new(compile(&spec));
     let report = flow::analyze(&spec, &comp);
@@ -195,8 +75,6 @@ fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
     let compiled = CompiledEvaluator::new(comp.clone(), &data).expect("compiled binds");
 
     let basis = store.main_region(v).expect("main region");
-    let runs: Vec<_> = store.versions[v.index()].runs.clone();
-    let regions: Vec<u32> = (0..store.regions.len() as u32).collect();
 
     // Shared declarations safe ⇒ the per-property claim only needs the
     // property's own sites.
@@ -208,9 +86,6 @@ fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
     });
 
     for p in spec.properties() {
-        if p.params[0].ty.to_string() != "Region" {
-            continue; // FunctionCall-context properties need call data
-        }
         let name = &p.name.name;
         let Some(pf) = report.property(name) else {
             continue;
@@ -220,21 +95,17 @@ fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
                 .divisions
                 .iter()
                 .all(|s| s.verdict == DivVerdict::ProvenSafe);
-        for &run in &runs {
-            for &r in &regions {
-                let args = [
-                    Value::obj("Region", r),
-                    Value::run(run),
-                    Value::region(basis),
-                ];
+        for &run in &store.versions[v.index()].runs {
+            for subject in testkit::subjects(&store, p) {
+                let args = [subject.clone(), Value::run(run), Value::region(basis)];
                 check_claims(
-                    &format!("interp {name}(r{r})"),
+                    &format!("interp {name}({subject})"),
                     pf,
                     all_div_safe,
                     &interp.eval_property(name, &args),
                 );
                 check_claims(
-                    &format!("compiled {name}(r{r})"),
+                    &format!("compiled {name}({subject})"),
                     pf,
                     all_div_safe,
                     &compiled.eval_property(name, &args),
@@ -263,7 +134,7 @@ fn check_case(seed: u64, n_runs: usize, n_regions: usize) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(testkit::cases(16))]
 
     #[test]
     fn proven_claims_hold_on_both_backends(

@@ -1,86 +1,25 @@
 //! parse → check → lint → cost-estimate must never panic.
 //!
-//! Randomized property suites layered over the real data model and the
-//! standard COSY properties: random aggregates, filter shapes (indexed
-//! single-key, two-key, reordered, `OR`-membership, non-equality), random
-//! comparisons and thresholds, guarded arms, and denominators that hit
-//! every `possible-div-by-zero` path (`E - E`, LET-bound `COUNT`, plain
-//! `COUNT`). The specs are well-typed by construction; the assertion is
-//! simply that the whole analysis pipeline — rules, cost model, text and
-//! JSON rendering, gate evaluation — returns on all of them.
+//! Randomized property suites from the one evaluator-level generator in
+//! `crates/testkit` ([`testkit::generated_suite`]): the real data model
+//! and standard COSY properties plus random aggregates and
+//! comprehensions, filter shapes (indexed single-key, two-key, reordered,
+//! `OR` chains, non-equality, no run key), random comparisons and
+//! thresholds, guarded arms, quantifiers, recursion, and denominators that
+//! hit every `possible-div-by-zero` path (`X - X`, LET-bound `COUNT`,
+//! plain `COUNT`). The specs are well-typed by construction; the
+//! assertion is simply that the whole analysis pipeline — rules, cost
+//! model, text and JSON rendering, gate evaluation — returns on all of
+//! them.
 
 use proptest::prelude::*;
 
-/// Tiny deterministic splitmix64 stream for spec shaping (same scheme as
-/// `asl-eval`'s `compiled_equiv` generator).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-    }
-}
-
-fn generated_properties(seed: u64) -> String {
-    let mut rng = Rng(seed ^ 0x51c0_ffee);
-    let mut out = String::new();
-    for i in 0..4 {
-        let agg = ["SUM", "MIN", "MAX", "AVG", "COUNT"][rng.below(5) as usize];
-        let cmp = [">", "<", ">=", "<=", "==", "!="][rng.below(6) as usize];
-        let ty = ["Barrier", "Lock", "PtpSend", "Broadcast", "IoRead"][rng.below(5) as usize];
-        let ty2 = ["IoWrite", "Reduce", "Gather"][rng.below(3) as usize];
-        let filter = match rng.below(5) {
-            0 => format!("tt.Run == t AND tt.Type == {ty}"),
-            1 => "tt.Run == t".to_string(),
-            2 => format!("tt.Type == {ty} AND tt.Run == t"),
-            3 => format!("tt.Run == t AND (tt.Type == {ty} OR tt.Type == {ty2})"),
-            _ => format!("tt.Time > {:.2}", rng.f64_in(0.0, 2.0)),
-        };
-        let denom = match rng.below(4) {
-            0 => "Duration(Basis, t)",
-            1 => "N",
-            2 => "(X - X)",
-            _ => "COUNT(r.TotTimes)",
-        };
-        let t1 = rng.f64_in(0.0, 2.0);
-        let t2 = rng.f64_in(0.0, 4.0);
-        let conf = rng.f64_in(0.0, 1.0);
-        out.push_str(&format!(
-            "Property Gen{i}(Region r, TestRun t, Region Basis) {{\n\
-             LET float X = {agg}(tt.Time WHERE tt IN r.TypTimes AND {filter});\n\
-                 int N = COUNT(r.TotTimes)\n\
-             IN CONDITION: (a) X {cmp} {t1:.2} OR (b) X > {t2:.2} OR (c) N > 0;\n\
-             CONFIDENCE: MAX((a) -> 0.9, (b) -> {conf:.2});\n\
-             SEVERITY: MAX((a) -> X / {denom}, (c) -> X / N);\n\
-             }}\n"
-        ));
-    }
-    out
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(testkit::cases(32))]
 
     #[test]
     fn lint_and_cost_estimate_never_panic(seed in 0u64..1_000_000_000) {
-        let src = format!(
-            "{}\n{}\n{}",
-            asl_eval::COSY_DATA_MODEL,
-            cosy::suite::SUITE_PROPERTIES,
-            generated_properties(seed)
-        );
+        let src = testkit::generated_suite(seed);
         let spec = asl_core::parse_and_check(&src).expect("generated spec must check");
         let report = lint::lint(&spec, &src);
         let _ = report.render_text(&src);

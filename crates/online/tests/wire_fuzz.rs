@@ -104,7 +104,7 @@ fn assert_reencodes_identically(bytes: &[u8]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(testkit::cases(256))]
 
     /// Arbitrary bytes: decode returns a value or a typed error; on
     /// success the value re-encodes to the exact input bytes.

@@ -18,6 +18,10 @@
 //! * [`assert_all_shapes_agree`] drives every engine shape over a
 //!   scenario and holds each one to the oracle.
 //!
+//! The evaluator-level suites (interpreter ≡ compiled, flow soundness,
+//! lint never panics) draw from one generator too: [`random_store`] and
+//! [`generated_suite`].
+//!
 //! Beside them live the small helpers the suites used to copy:
 //! [`ScratchDir`], [`cases`], [`generator`], [`uninterrupted`] and
 //! [`durable_config`]. The kit is a dev-dependency only.
@@ -39,6 +43,9 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod specgen;
+pub use specgen::{generated_suite, random_store, subjects};
 
 /// Live reports keyed by producer run key, as every engine serves them.
 pub type Reports = HashMap<RunKey, AnalysisReport>;
