@@ -189,17 +189,7 @@ impl EngineBuilder {
                 self.session_config(),
             ))),
             (Some(dir), false) => {
-                // The mirror of `ShardedSession::open`'s layout check:
-                // opening sharded state unsharded would silently ignore
-                // every shard's history.
-                if crate::sharded::shard_dir(&dir, 0).exists() {
-                    return Err(EngineError::Recovery(online::RecoveryError::Incompatible {
-                        path: dir,
-                        detail: "directory holds a sharded durable session — \
-                                 reopen it with .shards(n) matching its layout"
-                            .to_string(),
-                    }));
-                }
+                crate::sharded::check_layout(&dir, None)?;
                 let session = OnlineSession::open(dir, self.durable_config())?;
                 Ok(Engine::Online(Box::new(session)))
             }

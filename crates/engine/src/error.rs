@@ -57,7 +57,7 @@ impl EngineError {
             | IngestError::UnknownFunction { .. }
             | IngestError::UnknownRegion { .. }
             | IngestError::UnknownParent { .. } => false,
-            IngestError::Wal { .. } => true,
+            IngestError::Wal(_) => true,
         }
     }
 }
@@ -157,11 +157,10 @@ mod tests {
         for e in per_event {
             assert!(!EngineError::Ingest(e.clone()).failed_wholesale(), "{e}");
         }
-        let wal = IngestError::Wal {
-            op: online::WalOp::Append,
-            kind: std::io::ErrorKind::Other,
-            detail: String::from("disk full"),
-        };
+        let wal = IngestError::Wal(faults::IoFailure {
+            op: faults::Op::WalAppend,
+            source: std::sync::Arc::new(std::io::Error::other("disk full")),
+        });
         assert!(EngineError::Ingest(wal).failed_wholesale());
         // Anything that is not an ingest rejection applied nothing.
         let config = EngineError::Config {

@@ -97,6 +97,36 @@ pub fn shard_dir(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("shard-{index:03}"))
 }
 
+/// The durable layout rule: may `dir` be opened with `shards` shards
+/// (`None`: unsharded)? The layout is part of a session's identity.
+/// Opening sharded state unsharded would ignore every shard's history,
+/// opening unsharded state sharded would ignore its files, and another
+/// shard count would strand runs on shards the router no longer picks:
+/// each is refused as [`RecoveryError::Incompatible`]. A missing or empty
+/// `dir` fits every layout.
+pub(crate) fn check_layout(dir: &Path, shards: Option<usize>) -> Result<(), RecoveryError> {
+    let existing = (0..).take_while(|&i| shard_dir(dir, i).exists()).count();
+    let unsharded = dir.join(online::durable::WAL_FILE).exists()
+        || dir.join(online::durable::SNAPSHOT_FILE).exists();
+    let detail = match shards {
+        None if existing > 0 => "directory holds a sharded durable session — \
+                                 reopen it with .shards(n) matching its layout"
+            .to_string(),
+        Some(_) if unsharded => "directory holds an unsharded durable session — \
+                                 opening it sharded would ignore its history"
+            .to_string(),
+        Some(n) if existing > 0 && existing != n => format!(
+            "directory holds {existing} shard(s) but {n} were requested — \
+             resharding an existing session is not supported"
+        ),
+        _ => return Ok(()),
+    };
+    Err(RecoveryError::Incompatible {
+        path: dir.to_path_buf(),
+        detail,
+    })
+}
+
 /// Why a shard is quarantined (cheap to clone: the underlying typed
 /// errors are shared, not copied).
 #[derive(Debug, Clone)]
@@ -413,9 +443,10 @@ impl ShardedSession {
     ///
     /// The shard layout is part of the session's identity: reopening an
     /// existing directory with a different shard count — or a directory
-    /// holding *unsharded* durable state — would strand runs on shards
-    /// the router no longer picks, so both are refused as
-    /// [`RecoveryError::Incompatible`]. A shard whose snapshot is corrupt
+    /// holding *unsharded* durable state — is refused as
+    /// [`RecoveryError::Incompatible`] (see `check_layout`). Each shard
+    /// creates its own directory, and with it `dir`, when its log opens.
+    /// A shard whose snapshot is corrupt
     /// refuses too ([`RecoveryError::CorruptSnapshot`] — its history
     /// exists nowhere else). Any *other* per-shard recovery failure
     /// (I/O, recovery flush) **quarantines that shard** instead of
@@ -430,34 +461,7 @@ impl ShardedSession {
         let dir = dir.into();
         let spec = resolve_spec(&mut config.durable.session);
         let shards = config.shards.max(1);
-        std::fs::create_dir_all(&dir)?;
-        // Refuse a layout change on existing state: an unsharded session's
-        // files directly in `dir`, or a different shard count.
-        if dir.join(online::durable::WAL_FILE).exists()
-            || dir.join(online::durable::SNAPSHOT_FILE).exists()
-        {
-            return Err(RecoveryError::Incompatible {
-                path: dir,
-                detail: "directory holds an unsharded durable session — \
-                         opening it sharded would ignore its history"
-                    .to_string(),
-            });
-        }
-        let existing: Vec<PathBuf> = (0..)
-            .map(|i| shard_dir(&dir, i))
-            .take_while(|d| d.exists())
-            .collect();
-        if !existing.is_empty() && existing.len() != shards {
-            return Err(RecoveryError::Incompatible {
-                path: dir,
-                detail: format!(
-                    "directory holds {} shard(s) but {} were requested — \
-                     resharding an existing session is not supported",
-                    existing.len(),
-                    shards
-                ),
-            });
-        }
+        check_layout(&dir, Some(shards))?;
 
         // Recover every shard in parallel: each reads only its own WAL +
         // snapshot pair, so there is nothing to coordinate.

@@ -10,11 +10,15 @@
 //!   fault events (short writes, fsync errors, ENOSPC, torn renames,
 //!   read errors, connection resets, delayed/partial socket writes).
 //! * A [`Faults`] handle — the injectable seam. The WAL, snapshot and
-//!   durable-session write paths call [`Faults::check`] /
-//!   [`Faults::write_all`] / [`Faults::rename`] at every file
-//!   operation; the network layer wraps its sockets in a
-//!   [`FaultStream`]. A handle built from a plan injects; the default
-//!   handle is inert.
+//!   durable-session paths run every disk step through [`Faults::step`] /
+//!   [`Faults::write_all`] / [`Faults::rename`]; the network layer wraps
+//!   its sockets in a [`FaultStream`]. A handle built from a plan
+//!   injects; the default handle is inert.
+//! * An [`IoFailure`] — the one durable I/O failure type. The disk seam
+//!   returns it, tagged with the [`Op`] of the step that failed, whether
+//!   the plan injected the error or the real world produced it. No caller
+//!   names a step by hand, so every write-path and read-path failure is
+//!   attributed to exactly one op by the seam's return type.
 //! * The `inject` cargo feature. Without it (the default) the seam
 //!   compiles to an inlined passthrough — `Faults` is a zero-sized
 //!   type and every call site reduces to the underlying I/O operation,
@@ -31,7 +35,8 @@
 //!
 //! Injected errors carry a typed payload — [`is_injected`] tells a
 //! test (or a suspicious operator) whether an [`io::Error`] came from
-//! the plan or from the real world.
+//! the plan or from the real world. An [`IoFailure`] keeps that error as
+//! its source, so the payload survives every layer above the seam.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,7 +49,6 @@ use std::io::{self, Write};
 use std::path::Path;
 #[cfg(feature = "inject")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "inject")]
 use std::sync::Arc;
 
 /// SplitMix64 finalizer — the same mixer the ingest router and the
@@ -198,6 +202,71 @@ impl Op {
                 FaultKind::Delay,
             ],
         }
+    }
+}
+
+impl std::fmt::Display for Op {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = match self {
+            Op::WalOpen => "wal open",
+            Op::WalAppend => "wal append",
+            Op::WalSync => "wal sync",
+            Op::WalTruncate => "wal truncate",
+            Op::WalRead => "wal read",
+            Op::SnapshotCreate => "snapshot create temp",
+            Op::SnapshotWrite => "snapshot write temp",
+            Op::SnapshotSync => "snapshot sync temp",
+            Op::SnapshotRename => "snapshot rename",
+            Op::SnapshotDirSync => "snapshot sync directory",
+            Op::SnapshotRead => "snapshot read",
+            Op::NetRead => "net read",
+            Op::NetWrite => "net write",
+        };
+        f.write_str(name)
+    }
+}
+
+/// A disk step that failed: the [`Op`] it ran under and the I/O error it
+/// failed with, injected or real. The seam returns one from
+/// [`Faults::step`], [`Faults::write_all`] and [`Faults::rename`];
+/// nothing above it tags an error by hand.
+///
+/// Cheap to clone (the error is shared), so typed errors that must be
+/// `Clone` can carry it. Two failures are equal when they failed at the
+/// same step with the same [`io::ErrorKind`].
+#[derive(Debug, Clone)]
+pub struct IoFailure {
+    /// The step that failed.
+    pub op: Op,
+    /// The original error; [`is_injected`] and [`injected_fault`] read
+    /// its payload.
+    pub source: Arc<io::Error>,
+}
+
+impl IoFailure {
+    fn tagged(op: Op) -> impl FnOnce(io::Error) -> IoFailure {
+        move |e| IoFailure {
+            op,
+            source: Arc::new(e),
+        }
+    }
+}
+
+impl PartialEq for IoFailure {
+    fn eq(&self, other: &Self) -> bool {
+        self.op == other.op && self.source.kind() == other.source.kind()
+    }
+}
+
+impl std::fmt::Display for IoFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} failed: {}", self.op, self.source)
+    }
+}
+
+impl std::error::Error for IoFailure {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&*self.source)
     }
 }
 
@@ -411,11 +480,40 @@ impl Faults {
         }
     }
 
-    /// Gate a simple operation (read, fsync, connect): `Ok(())` to
-    /// proceed, an injected error to fail. A [`FaultKind::Delay`] draw
-    /// sleeps briefly and proceeds.
+    /// Run the disk step `op`: draw for it, then run `io` — the real
+    /// call, with any ungated calls that belong to the same step — and
+    /// tag whatever error comes back, injected or real, with `op`. A
+    /// [`FaultKind::Delay`] draw sleeps briefly and proceeds.
     #[inline]
-    pub fn check(&self, op: Op) -> io::Result<()> {
+    pub fn step<T>(&self, op: Op, io: impl FnOnce() -> io::Result<T>) -> Result<T, IoFailure> {
+        self.gate(op)
+            .and_then(|()| io())
+            .map_err(IoFailure::tagged(op))
+    }
+
+    /// Gate a buffered write: passthrough `w.write_all(buf)` normally;
+    /// under a [`FaultKind::ShortWrite`] / [`FaultKind::PartialWrite`]
+    /// draw, a *prefix* of `buf` is actually written before the error
+    /// — the torn-write crash model.
+    #[inline]
+    pub fn write_all<W: Write>(&self, op: Op, w: &mut W, buf: &[u8]) -> Result<(), IoFailure> {
+        self.gated_write(op, w, buf).map_err(IoFailure::tagged(op))
+    }
+
+    /// Gate an atomic-rename commit: performs `std::fs::rename(from,
+    /// to)` normally; under a [`FaultKind::TornRename`] draw the
+    /// rename is *not* performed (temp file left, destination
+    /// untouched) and the injected error returns — the crash window
+    /// between tmp-write and rename, without killing the process.
+    #[inline]
+    pub fn rename(&self, op: Op, from: &Path, to: &Path) -> Result<(), IoFailure> {
+        self.step(op, || std::fs::rename(from, to))
+    }
+
+    /// One draw at `op`: `Ok(())` to proceed, an injected error to fail.
+    /// A [`FaultKind::Delay`] draw sleeps briefly and proceeds.
+    #[inline]
+    fn gate(&self, op: Op) -> io::Result<()> {
         #[cfg(feature = "inject")]
         if let Some(inj) = self.inner.as_deref() {
             if let Some((kind, h)) = inj.draw(op) {
@@ -430,12 +528,10 @@ impl Faults {
         Ok(())
     }
 
-    /// Gate a buffered write: passthrough `w.write_all(buf)` normally;
-    /// under a [`FaultKind::ShortWrite`] / [`FaultKind::PartialWrite`]
-    /// draw, a *prefix* of `buf` is actually written before the error
-    /// — the torn-write crash model.
+    /// [`Faults::write_all`] before the tag: the byte streams of
+    /// [`FaultStream`] must fail with a plain [`io::Error`].
     #[inline]
-    pub fn write_all<W: Write>(&self, op: Op, w: &mut W, buf: &[u8]) -> io::Result<()> {
+    fn gated_write<W: Write>(&self, op: Op, w: &mut W, buf: &[u8]) -> io::Result<()> {
         #[cfg(feature = "inject")]
         if let Some(inj) = self.inner.as_deref() {
             if let Some((kind, h)) = inj.draw(op) {
@@ -458,25 +554,6 @@ impl Faults {
         }
         let _ = op;
         w.write_all(buf)
-    }
-
-    /// Gate an atomic-rename commit: performs `std::fs::rename(from,
-    /// to)` normally; under a [`FaultKind::TornRename`] draw the
-    /// rename is *not* performed (temp file left, destination
-    /// untouched) and the injected error returns — the crash window
-    /// between tmp-write and rename, without killing the process.
-    #[inline]
-    pub fn rename(&self, op: Op, from: &Path, to: &Path) -> io::Result<()> {
-        #[cfg(feature = "inject")]
-        if let Some(inj) = self.inner.as_deref() {
-            if let Some((kind, _)) = inj.draw(op) {
-                if kind != FaultKind::Delay {
-                    return Err(injected_error(op, kind));
-                }
-            }
-        }
-        let _ = op;
-        std::fs::rename(from, to)
     }
 }
 
@@ -532,7 +609,7 @@ impl<S> FaultStream<S> {
 
 impl<S: io::Read> io::Read for FaultStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.faults.check(Op::NetRead)?;
+        self.faults.gate(Op::NetRead)?;
         self.inner.read(buf)
     }
 }
@@ -542,7 +619,8 @@ impl<S: Write> Write for FaultStream<S> {
         // write_all applies the partial-write semantics (prefix hits
         // the wire, then the connection dies); a clean pass writes the
         // whole buffer, which is a legal `write` return.
-        self.faults.write_all(Op::NetWrite, &mut self.inner, buf)?;
+        self.faults
+            .gated_write(Op::NetWrite, &mut self.inner, buf)?;
         Ok(buf.len())
     }
 
@@ -561,13 +639,23 @@ mod tests {
         assert!(!faults.is_active());
         assert_eq!(faults.injected_total(), 0);
         for op in [Op::WalAppend, Op::NetRead, Op::SnapshotSync] {
-            assert!(faults.check(op).is_ok());
+            assert!(faults.step(op, || Ok(())).is_ok());
         }
         let mut sink = Vec::new();
         faults
             .write_all(Op::WalAppend, &mut sink, b"payload")
             .unwrap();
         assert_eq!(sink, b"payload");
+        // A real error is tagged with its step and kept as the source.
+        let real = faults
+            .step(Op::WalRead, || -> io::Result<()> {
+                Err(io::Error::other("disk gone"))
+            })
+            .unwrap_err();
+        assert_eq!(real.op, Op::WalRead);
+        assert!(!is_injected(&real.source));
+        assert_eq!(real.to_string(), "wal read failed: disk gone");
+        assert_eq!(real.clone(), real, "equal by step and kind");
     }
 
     #[test]
@@ -596,7 +684,7 @@ mod tests {
             for k in 0..200 {
                 let mut sink = io::sink();
                 if let Err(e) = faults.write_all(Op::WalAppend, &mut sink, b"x") {
-                    schedule.push((k, injected_fault(&e).unwrap().kind));
+                    schedule.push((k, injected_fault(&e.source).unwrap().kind));
                 }
             }
             schedule
@@ -619,7 +707,7 @@ mod tests {
         assert!(faults.is_active());
         let mut injected = 0;
         for _ in 0..100 {
-            if faults.check(Op::WalSync).is_err() {
+            if faults.step(Op::WalSync, || Ok(())).is_err() {
                 injected += 1;
             }
         }
@@ -627,7 +715,10 @@ mod tests {
         assert_eq!(faults.injected_total(), 4);
         assert_eq!(faults.injected_of(FaultKind::FsyncError), 4);
         faults.set_active(false);
-        assert!(faults.check(Op::WalSync).is_ok(), "paused handles pass");
+        assert!(
+            faults.step(Op::WalSync, || Ok(())).is_ok(),
+            "paused handles pass"
+        );
         let mut out = obs::MetricsSnapshot::default();
         obs::MetricsSource::collect_into(&faults, &mut out);
         assert_eq!(out.counter("kojak_faults_injected_total"), 4);
@@ -649,7 +740,7 @@ mod tests {
         for _ in 0..64 {
             let mut sink: Vec<u8> = Vec::new();
             match faults.write_all(Op::WalAppend, &mut sink, &payload) {
-                Err(e) if injected_fault(&e).unwrap().kind == FaultKind::ShortWrite => {
+                Err(e) if injected_fault(&e.source).unwrap().kind == FaultKind::ShortWrite => {
                     assert!(sink.len() < payload.len(), "a strict prefix");
                     assert_eq!(sink[..], payload[..sink.len()]);
                     saw_short = true;
@@ -669,7 +760,8 @@ mod tests {
         let err = faults
             .rename(Op::SnapshotRename, &from, &to)
             .expect_err("rate 1000 always fires");
-        assert!(is_injected(&err));
+        assert!(is_injected(&err.source));
+        assert_eq!(err.op, Op::SnapshotRename);
         assert!(from.exists(), "temp file left in place");
         assert!(!to.exists(), "destination untouched");
         let _ = std::fs::remove_dir_all(&dir);

@@ -4,13 +4,19 @@
 //! durability contract — nothing half-applied, recovery bit-identical
 //! to the accepted prefix — must hold across every injection.
 //!
+//! Every failure is attributed: the [`faults::IoFailure`] it carries
+//! names the same [`Op`] as the injected payload of its source.
+//!
 //! These tests compile only against an `inject` build; the dev-dep
 //! feature graph of `kojak-faults` guarantees that for `cargo test -p
 //! kojak-faults`, and the canary below fails loudly if it ever stops
 //! being true.
 
-use faults::{FaultPlan, Faults};
-use online::{DurableConfig, FlushError, IngestError, OnlineSession, SessionConfig, TraceEvent};
+use faults::{FaultPlan, Faults, IoFailure, Op};
+use online::durable::{SNAPSHOT_FILE, WAL_FILE};
+use online::{
+    DurableConfig, FlushError, IngestError, OnlineSession, RecoveryError, SessionConfig, TraceEvent,
+};
 use testkit::{uninterrupted, Scenario, ScratchDir};
 
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
@@ -26,6 +32,15 @@ fn config(faults: &Faults, snapshot_every_flushes: u32) -> DurableConfig {
         faults: faults.clone(),
         ..testkit::durable_config(snapshot_every_flushes)
     }
+}
+
+/// The step a failure names is the step the plan injected at, and the
+/// injected payload survived every layer above the seam. Returns the op.
+fn injected_op(failure: &IoFailure) -> Op {
+    let injected = faults::injected_fault(&failure.source)
+        .unwrap_or_else(|| panic!("only injected faults can fire here: {failure}"));
+    assert_eq!(failure.op, injected.op, "{failure}");
+    failure.op
 }
 
 /// The feature-graph canary: these suites are worthless if the `inject`
@@ -69,13 +84,10 @@ fn wal_append_faults_are_typed_and_apply_nothing() {
                     assert_eq!(n, batch.len());
                     break;
                 }
-                Err(IngestError::Wal { detail, .. }) => {
-                    // Typed, and provably from the plan: the rendered
-                    // source carries the injection payload.
-                    assert!(
-                        detail.contains("injected"),
-                        "only injected faults can fire here: {detail}"
-                    );
+                Err(IngestError::Wal(failure)) => {
+                    // Typed, and provably from the plan: the source
+                    // carries the injection payload, at the append step.
+                    assert_eq!(injected_op(&failure), Op::WalAppend);
                     rejections += 1;
                     assert!(rejections < 10_000, "retry must converge");
                     // Append atomicity: the failed batch left no frame
@@ -120,7 +132,8 @@ fn wal_append_faults_are_typed_and_apply_nothing() {
 
 /// Satellite (snapshot audit): checkpoint faults (temp create/write,
 /// fsync, torn rename, log truncation) surface as the typed
-/// `FlushError` checkpoint variants, never compromise the WAL, and a
+/// `FlushError::Checkpoint`, naming the file of the failed step, never
+/// compromise the WAL, and a
 /// torn rename leaves the crash window exactly as recovery expects it
 /// (temp file present, committed snapshot untouched).
 #[test]
@@ -144,7 +157,10 @@ fn checkpoint_faults_never_compromise_durability() {
         loop {
             match durable.ingest_batch(batch) {
                 Ok(_) => break,
-                Err(IngestError::Wal { .. }) => continue,
+                Err(IngestError::Wal(failure)) => {
+                    injected_op(&failure);
+                    continue;
+                }
                 Err(other) => panic!("unexpected ingest error: {other}"),
             }
         }
@@ -155,7 +171,12 @@ fn checkpoint_faults_never_compromise_durability() {
         // still reproduces every accepted event.
         if let Err(e) = durable.checkpoint() {
             match e {
-                FlushError::Snapshot { .. } | FlushError::WalTruncate { .. } => {
+                FlushError::Checkpoint { path, failure, .. } => {
+                    let file = match injected_op(&failure) {
+                        Op::WalTruncate => WAL_FILE,
+                        _ => SNAPSHOT_FILE,
+                    };
+                    assert_eq!(path, dir.path().join(file), "{failure}");
                     checkpoint_failures += 1
                 }
                 other => panic!("checkpoint fault must stay typed, got {other}"),
@@ -216,8 +237,10 @@ fn recovery_read_faults_are_typed_and_retryable() {
     }
     .build();
     match OnlineSession::open(dir.path(), config(&faults, 2)) {
-        Err(online::RecoveryError::Io(source)) => {
-            assert!(faults::is_injected(&source), "typed + provenance");
+        Err(RecoveryError::Io(failure)) => {
+            assert!(faults::is_injected(&failure.source), "typed + provenance");
+            // The first gated step of recovery is the snapshot read.
+            assert_eq!(injected_op(&failure), Op::SnapshotRead);
         }
         Ok(_) => panic!("recovery must fail under a 100% read-fault rate"),
         Err(other) => panic!("recovery fault must stay typed, got {other}"),
@@ -232,4 +255,31 @@ fn recovery_read_faults_are_typed_and_retryable() {
         reopened.stats().events_applied,
         control.stats().events_applied
     );
+}
+
+/// An injected fault at the log's open keeps its provenance through
+/// `OnlineSession::open`. With seed 9 at 500 ‰ the first `WalOpen` draw
+/// faults and the first `WalRead` and `SnapshotRead` draws do not, so
+/// recovery of the empty directory succeeds and the open of its log
+/// fails. The failure names `WalOpen`, and its source is the injected
+/// error itself, not a re-wrapped copy.
+#[test]
+fn an_injected_wal_open_fault_keeps_its_provenance() {
+    let faults = FaultPlan {
+        disk_per_mille: 500,
+        net_per_mille: 0,
+        ..FaultPlan::new(9)
+    }
+    .build();
+    let dir = ScratchDir::new("wal-open-provenance");
+    match OnlineSession::open(dir.path(), config(&faults, 0)) {
+        Err(RecoveryError::Io(failure)) => {
+            assert_eq!(failure.op, Op::WalOpen, "{failure}");
+            assert!(faults::is_injected(&failure.source), "{failure}");
+            assert_eq!(injected_op(&failure), Op::WalOpen);
+        }
+        Ok(_) => panic!("the first WalOpen draw of seed 9 faults"),
+        Err(other) => panic!("expected an I/O failure, got {other}"),
+    }
+    assert_eq!(faults.injected_total(), 1, "one fault, at the open");
 }

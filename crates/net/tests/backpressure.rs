@@ -91,11 +91,10 @@ fn wholesale_ingest_failure_is_not_acked_and_resends() {
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                 .is_ok()
             {
-                return Err(EngineError::Ingest(IngestError::Wal {
-                    op: online::WalOp::Append,
-                    kind: std::io::ErrorKind::Other,
-                    detail: "injected append failure".to_string(),
-                }));
+                return Err(EngineError::Ingest(IngestError::Wal(faults::IoFailure {
+                    op: faults::Op::WalAppend,
+                    source: Arc::new(std::io::Error::other("injected append failure")),
+                })));
             }
             self.inner.ingest_batch(events)
         }

@@ -111,11 +111,6 @@ impl StoreBuilder {
         self.versions.get(&tag).copied()
     }
 
-    /// The version a run belongs to.
-    pub fn version_of_run(&self, run: TestRunId) -> Option<VersionId> {
-        self.store.runs.get(run.index()).map(|r| r.version)
-    }
-
     /// All known (key, store id, version) run triples, in store id order.
     pub fn runs(&self) -> impl Iterator<Item = (RunKey, TestRunId, VersionId)> + '_ {
         self.run_keys

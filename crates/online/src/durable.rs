@@ -29,17 +29,19 @@
 //! frame and reported as a typed [`WalCorruption`]; a corrupt snapshot is
 //! a hard [`RecoveryError`] (its history is not reconstructible from a
 //! truncated log). Neither ever panics.
+//!
+//! Every disk step of the session — the recovery reads, the log's open
+//! (which also creates the session directory), each checkpoint step —
+//! runs through the session's fault seam, and every failure surfaces
+//! carrying the seam's [`IoFailure`]: the [`faults::Op`] that failed and
+//! the original error, so an injected fault stays recognisable
+//! ([`faults::is_injected`]) at the public API.
 
 use crate::error::FlushError;
 use crate::session::{OnlineSession, SessionConfig};
-use crate::snapshot::{
-    encode_snapshot, read_snapshot_with, write_snapshot_bytes_with, SnapshotError, SnapshotOp,
-};
-use crate::wal::{
-    read_image, FsyncPolicy, WalCorruption, WalFrames, WalIoError, WalMetrics, WalWriter,
-};
-use faults::Faults;
-use std::io;
+use crate::snapshot::{encode_snapshot, read_snapshot_with, write_snapshot_bytes, SnapshotError};
+use crate::wal::{read_image, FsyncPolicy, WalCorruption, WalFrames, WalMetrics, WalWriter};
+use faults::{Faults, IoFailure, Op};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -82,8 +84,9 @@ impl Default for DurableConfig {
 /// Why a session directory could not be recovered.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// Filesystem failure.
-    Io(io::Error),
+    /// A disk step failed: reading the snapshot or the log, or opening
+    /// the log for appending.
+    Io(IoFailure),
     /// The snapshot file exists but cannot be trusted. Unlike a torn WAL
     /// tail this is fatal: the log was truncated when the snapshot was
     /// written, so the snapshot's history exists nowhere else.
@@ -132,20 +135,6 @@ impl std::error::Error for RecoveryError {
             RecoveryError::Analysis(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<io::Error> for RecoveryError {
-    fn from(e: io::Error) -> Self {
-        RecoveryError::Io(e)
-    }
-}
-
-impl From<WalIoError> for RecoveryError {
-    fn from(e: WalIoError) -> Self {
-        // Preserve the OS classification on the outside and the typed
-        // WalIoError (op + source chain) as the payload.
-        RecoveryError::Io(io::Error::new(e.source.kind(), e))
     }
 }
 
@@ -212,7 +201,7 @@ impl OnlineSession {
                 })
             }
         };
-        let image = read_image(&wal_path, faults)?;
+        let image = read_image(&wal_path, faults).map_err(RecoveryError::Io)?;
         let mut frames = WalFrames::new(&image);
 
         // Reconcile the checkpoint epochs — settled off the header, before
@@ -349,7 +338,8 @@ impl Durability {
             recovery.epoch,
             fsync,
             &faults,
-        )?;
+        )
+        .map_err(RecoveryError::Io)?;
         // The WAL records into the session's registry, so one snapshot
         // covers the whole durable stack.
         wal.set_metrics(WalMetrics {
@@ -402,36 +392,29 @@ impl Durability {
         });
         let write_result = {
             let _stage = self.snapshot_write_ns.start_timer();
-            write_snapshot_bytes_with(&path, &bytes, &self.faults)
+            write_snapshot_bytes(&path, &bytes, &self.faults)
         };
-        if let Err(e) = write_result {
+        if let Err(failure) = write_result {
             // Every step up to the rename leaves the previous snapshot
             // and the log authoritative — bail with the epoch untouched.
             // The directory sync is *after* the commit point: the new
             // snapshot IS live, so the log must still move onto the new
-            // epoch below, or every future append would land in a file
+            // epoch, or every future append would land in a file
             // recovery skips as stale (silent loss of acknowledged
             // events). Only the rename's machine-crash durability is in
             // doubt; the caller still sees the typed failure.
-            if e.op != SnapshotOp::DirSync {
-                return Err(FlushError::Snapshot {
-                    path,
-                    op: e.op,
-                    source: e.source,
-                    updated: Vec::new(),
-                });
+            if failure.op == Op::SnapshotDirSync {
+                self.snapshot_writes.inc();
+                // A failed reset schedules its own pending repair
+                // (re-driven before the next append); the dir-sync
+                // failure outranks it as the reported error either way.
+                let _ = log.wal.reset(next_epoch);
+                log.epoch = next_epoch;
+                log.flushes_since_snapshot = 0;
             }
-            self.snapshot_writes.inc();
-            // A failed reset schedules its own pending repair (re-driven
-            // before the next append); the dir-sync failure outranks it
-            // as the reported error either way.
-            let _ = log.wal.reset(next_epoch);
-            log.epoch = next_epoch;
-            log.flushes_since_snapshot = 0;
-            return Err(FlushError::Snapshot {
+            return Err(FlushError::Checkpoint {
                 path,
-                op: SnapshotOp::DirSync,
-                source: e.source,
+                failure,
                 updated: Vec::new(),
             });
         }
@@ -444,11 +427,10 @@ impl Durability {
         let reset = log.wal.reset(next_epoch);
         log.epoch = next_epoch;
         log.flushes_since_snapshot = 0;
-        reset.map_err(|e| FlushError::WalTruncate {
+        reset.map_err(|failure| FlushError::Checkpoint {
             path: log.wal.path().to_path_buf(),
-            source: e.source,
+            failure,
             updated: Vec::new(),
-        })?;
-        Ok(())
+        })
     }
 }

@@ -7,12 +7,16 @@
 //! `EngineError`) can react to the machine-readable cause. Ingestion-time
 //! failures remain [`crate::event::IngestError`]; recovery-time failures
 //! remain [`crate::durable::RecoveryError`].
+//!
+//! Every durable I/O failure among them — a WAL append, a checkpoint
+//! step, a recovery read — carries the one [`faults::IoFailure`] the
+//! fault seam returned: the [`faults::Op`] of the step that failed and the
+//! original error as its source, injected or real.
 
 use crate::event::RunKey;
-use crate::snapshot::SnapshotOp;
 use cosy::{AnalysisError, SpecError};
+use faults::IoFailure;
 use std::fmt;
-use std::io;
 use std::path::PathBuf;
 
 /// Why a flush (or the checkpoint riding on it) failed.
@@ -29,37 +33,27 @@ pub enum FlushError {
     /// Re-binding the suite to the live store failed (backend
     /// preparation, see [`cosy::SpecError`]).
     Spec(SpecError),
-    /// Writing the checkpoint snapshot failed. The flush itself succeeded
-    /// and durability is not compromised: before the rename commit point
-    /// the WAL still holds the full history; a failed *directory sync*
-    /// (the one post-commit step, see [`SnapshotOp::DirSync`]) means the
-    /// snapshot is live and the log has been moved onto its epoch — only
-    /// the rename's machine-crash durability is in doubt.
-    Snapshot {
-        /// The snapshot file being written.
+    /// A step of the checkpoint failed: one of the snapshot protocol's
+    /// (`Snapshot*` ops) or the log truncation behind it
+    /// ([`faults::Op::WalTruncate`]). The flush itself succeeded and durability is
+    /// not compromised. Before the rename commit point the WAL still holds
+    /// the full history. A failed directory sync ([`faults::Op::SnapshotDirSync`],
+    /// the one post-commit snapshot step) means the snapshot is live and
+    /// the log has been moved onto its epoch; only the rename's
+    /// machine-crash durability is in doubt. A failed truncation leaves a
+    /// valid snapshot; recovery detects the stale log by its older epoch
+    /// and skips it, so no event is double-applied.
+    Checkpoint {
+        /// The file the failed step wrote: the snapshot, or the log for
+        /// [`faults::Op::WalTruncate`].
         path: PathBuf,
-        /// The step of the atomic-write protocol that failed (temp
-        /// create/write/sync, rename, or directory sync).
-        op: SnapshotOp,
-        /// The I/O failure.
-        source: io::Error,
+        /// The failed step and its I/O error.
+        failure: IoFailure,
         /// The runs whose report the *successful* analysis flush changed
         /// (empty for an explicit `checkpoint()` call). The pending delta
         /// was consumed, so these keys are not observable from a retried
         /// flush — consumers driving work off the changed-run list must
         /// take them from here.
-        updated: Vec<RunKey>,
-    },
-    /// Truncating the write-ahead log behind a freshly written snapshot
-    /// failed. The snapshot is valid; recovery detects the stale log by
-    /// its older epoch and skips it, so no event is double-applied.
-    WalTruncate {
-        /// The log file being truncated.
-        path: PathBuf,
-        /// The I/O failure.
-        source: io::Error,
-        /// The changed runs of the successful analysis flush (see
-        /// [`FlushError::Snapshot::updated`]).
         updated: Vec<RunKey>,
     },
 }
@@ -68,9 +62,7 @@ impl FlushError {
     /// Attach the changed-run set of a successful analysis flush to the
     /// checkpoint failure that rode on it.
     pub(crate) fn with_updated(mut self, runs: Vec<RunKey>) -> Self {
-        if let FlushError::Snapshot { updated, .. } | FlushError::WalTruncate { updated, .. } =
-            &mut self
-        {
+        if let FlushError::Checkpoint { updated, .. } = &mut self {
             *updated = runs;
         }
         self
@@ -82,13 +74,8 @@ impl fmt::Display for FlushError {
         match self {
             FlushError::Analysis(e) => write!(f, "analysis flush failed: {e}"),
             FlushError::Spec(e) => write!(f, "suite re-binding failed: {e}"),
-            FlushError::Snapshot {
-                path, op, source, ..
-            } => {
-                write!(f, "snapshot {op} {} failed: {source}", path.display())
-            }
-            FlushError::WalTruncate { path, source, .. } => {
-                write!(f, "wal truncate {} failed: {source}", path.display())
+            FlushError::Checkpoint { path, failure, .. } => {
+                write!(f, "checkpoint {}: {failure}", path.display())
             }
         }
     }
@@ -99,9 +86,7 @@ impl std::error::Error for FlushError {
         match self {
             FlushError::Analysis(e) => Some(e),
             FlushError::Spec(e) => Some(e),
-            FlushError::Snapshot { source, .. } | FlushError::WalTruncate { source, .. } => {
-                Some(source)
-            }
+            FlushError::Checkpoint { failure, .. } => Some(failure),
         }
     }
 }

@@ -517,16 +517,10 @@ pub enum IngestError {
     /// store unless it is on disk first — and on this error, no frame of
     /// the batch remains in the log either, so a retry cannot
     /// double-log).
-    Wal {
-        /// The WAL operation that failed (append, the fsync riding on
-        /// it, or the repair of an earlier torn append).
-        op: crate::wal::WalOp,
-        /// The OS error category ([`std::io::ErrorKind`] — the error
-        /// itself is not `Clone`, its classification is).
-        kind: std::io::ErrorKind,
-        /// Rendered description of the underlying error.
-        detail: String,
-    },
+    ///
+    /// The failure's op is the step that failed: the append, the fsync
+    /// riding on it, or the repair of an earlier torn append or reset.
+    Wal(faults::IoFailure),
 }
 
 impl fmt::Display for IngestError {
@@ -558,21 +552,16 @@ impl fmt::Display for IngestError {
                 "unknown parent region `{}`@{} of `{function}` in {run}",
                 parent.name, parent.first_line
             ),
-            IngestError::Wal { op, kind, detail } => {
-                write!(f, "write-ahead log {op} failed ({kind:?}): {detail}")
-            }
+            IngestError::Wal(failure) => write!(f, "write-ahead log: {failure}"),
         }
     }
 }
 
-impl std::error::Error for IngestError {}
-
-impl From<crate::wal::WalIoError> for IngestError {
-    fn from(e: crate::wal::WalIoError) -> Self {
-        IngestError::Wal {
-            op: e.op,
-            kind: e.source.kind(),
-            detail: e.source.to_string(),
+impl std::error::Error for IngestError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            IngestError::Wal(failure) => Some(failure),
+            _ => None,
         }
     }
 }

@@ -134,6 +134,5 @@ pub use event::{
 };
 pub use incremental::{IncrementalAnalyzer, IncrementalStats};
 pub use session::{OnlineSession, SessionConfig, SessionStats};
-pub use snapshot::{SnapshotOp, SnapshotWriteError};
-pub use wal::{FsyncPolicy, WalCorruption, WalCorruptionKind, WalIoError, WalOp};
+pub use wal::{FsyncPolicy, WalCorruption, WalCorruptionKind};
 pub use wire::WireError;

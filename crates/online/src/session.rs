@@ -22,9 +22,9 @@ use crate::durable::{Durability, DurableConfig, RecoveryError, RecoveryStats};
 use crate::error::FlushError;
 use crate::event::{IngestError, RunKey, TraceEvent};
 use crate::incremental::{IncrementalAnalyzer, IncrementalStats};
-use crate::wal::WalIoError;
 use asl_core::check::CheckedSpec;
 use cosy::{AnalysisReport, ProblemThreshold};
+use faults::IoFailure;
 use obs::{MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::Store;
 use std::collections::HashMap;
@@ -160,10 +160,10 @@ impl OnlineSession {
     /// Open (or create) the durable session stored in `dir`, recovering
     /// any existing state (see [`OnlineSession::recover`]). A torn WAL
     /// tail found by recovery is truncated so appending resumes on a
-    /// frame boundary.
+    /// frame boundary. A missing `dir` is a fresh session; opening its
+    /// log creates it.
     pub fn open(dir: impl Into<PathBuf>, config: DurableConfig) -> Result<Self, RecoveryError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         let DurableConfig {
             session,
             fsync,
@@ -258,7 +258,7 @@ impl OnlineSession {
     pub fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, IngestError> {
         let mut log = self.durability.as_deref().map(Durability::lock);
         if let Some(log) = &mut log {
-            log.wal.append_batch(events)?;
+            log.wal.append_batch(events).map_err(IngestError::Wal)?;
         }
         let mut inner = self.lock();
         let SessionInner {
@@ -311,10 +311,9 @@ impl OnlineSession {
     /// A durable session also checkpoints every
     /// [`DurableConfig::snapshot_every_flushes`] successful flushes. If
     /// the analysis succeeds but the checkpoint riding on it fails, the
-    /// returned [`FlushError::Snapshot`]/[`FlushError::WalTruncate`]
-    /// carries the flush's changed-run set in its `updated` field — the
-    /// pending delta was consumed, so those keys are not observable from a
-    /// retried flush. The checkpoint itself retries on the next flush (the
+    /// returned [`FlushError::Checkpoint`] carries the flush's changed-run
+    /// set in its `updated` field — the pending delta was consumed, so
+    /// those keys are not observable from a retried flush. The checkpoint itself retries on the next flush (the
     /// cadence counter is not reset), and the WAL still holds the full
     /// history.
     pub fn flush(&self) -> Result<Vec<RunKey>, FlushError> {
@@ -344,7 +343,7 @@ impl OnlineSession {
 
     /// Force logged frames to stable storage regardless of fsync policy
     /// (nothing to do in memory).
-    pub fn sync(&self) -> Result<(), WalIoError> {
+    pub fn sync(&self) -> Result<(), IoFailure> {
         match &self.durability {
             Some(durability) => durability.lock().wal.sync(),
             None => Ok(()),

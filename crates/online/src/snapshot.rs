@@ -28,17 +28,23 @@
 //! Writes are atomic: payload to `snapshot.tmp`, fsync, rename over
 //! `snapshot.bin`, fsync the directory. A crash mid-write leaves either
 //! the old snapshot or the new one, never a torn file.
+//!
+//! Each step of that protocol, and the read, runs through the fault seam
+//! ([`faults::Faults`]), which returns a [`faults::IoFailure`] tagged with
+//! the step's [`faults::Op`] (`SnapshotCreate`, `SnapshotWrite`,
+//! `SnapshotSync`, `SnapshotRename`, `SnapshotDirSync`, `SnapshotRead`):
+//! the seam's return type attributes every I/O result to exactly one op.
 
 use crate::builder::StoreBuilder;
 use crate::event::{RunKey, VersionTag};
 use crate::wire::{self, Reader, WireError};
-use faults::{Faults, Op as FaultOp};
+use faults::{Faults, IoFailure, Op};
 use perfdata::{
     CallTiming, DateTime, FunctionId, RegionId, Store, TestRunId, TimingType, VersionId,
 };
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 
 /// Magic prefix of a snapshot file.
@@ -50,7 +56,7 @@ pub const SNAPSHOT_VERSION: u8 = 1;
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Filesystem failure.
-    Io(io::Error),
+    Io(IoFailure),
     /// The file exists but is not a loadable snapshot (bad magic, bad
     /// checksum, truncated, or internally inconsistent ids).
     Corrupt(String),
@@ -65,73 +71,18 @@ impl std::fmt::Display for SnapshotError {
     }
 }
 
-impl std::error::Error for SnapshotError {}
-
-impl From<io::Error> for SnapshotError {
-    fn from(e: io::Error) -> Self {
-        SnapshotError::Io(e)
+impl std::error::Error for SnapshotError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SnapshotError::Io(failure) => Some(failure),
+            SnapshotError::Corrupt(_) => None,
+        }
     }
 }
 
 impl From<WireError> for SnapshotError {
     fn from(e: WireError) -> Self {
         SnapshotError::Corrupt(e.to_string())
-    }
-}
-
-/// The step of the atomic snapshot-write protocol a
-/// [`SnapshotWriteError`] failed in. Every I/O result of the protocol
-/// is attributed to exactly one of these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotOp {
-    /// Creating the temp file.
-    Create,
-    /// Writing the image into the temp file.
-    Write,
-    /// Fsyncing the temp file before the rename.
-    Sync,
-    /// Renaming the temp file over the live snapshot — the commit point.
-    Rename,
-    /// Fsyncing the directory after the rename. The snapshot content is
-    /// already committed; only the *rename's* machine-crash durability
-    /// is in doubt.
-    DirSync,
-}
-
-impl std::fmt::Display for SnapshotOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            SnapshotOp::Create => "create temp",
-            SnapshotOp::Write => "write temp",
-            SnapshotOp::Sync => "sync temp",
-            SnapshotOp::Rename => "rename",
-            SnapshotOp::DirSync => "sync directory",
-        };
-        f.write_str(name)
-    }
-}
-
-/// A typed snapshot-write failure: which protocol step failed, and the
-/// underlying OS error. Steps before [`SnapshotOp::Rename`] leave the
-/// previous snapshot untouched; recovery falls back to it plus the
-/// longer WAL tail.
-#[derive(Debug)]
-pub struct SnapshotWriteError {
-    /// The protocol step that failed.
-    pub op: SnapshotOp,
-    /// The underlying I/O error.
-    pub source: io::Error,
-}
-
-impl std::fmt::Display for SnapshotWriteError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "snapshot {} failed: {}", self.op, self.source)
-    }
-}
-
-impl std::error::Error for SnapshotWriteError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
     }
 }
 
@@ -287,49 +238,29 @@ pub fn encode_snapshot(
 }
 
 /// Atomically persist an encoded snapshot image to `path` (write to a
-/// temp file, fsync, rename over, fsync the directory).
-pub fn write_snapshot_bytes(path: &Path, file_bytes: &[u8]) -> Result<(), SnapshotWriteError> {
-    write_snapshot_bytes_with(path, file_bytes, &Faults::none())
-}
-
-/// [`write_snapshot_bytes`] through a fault seam: each protocol step is
-/// individually injectable, and each failure is attributed to its
-/// [`SnapshotOp`].
-pub fn write_snapshot_bytes_with(
+/// temp file, fsync, rename over, fsync the directory), each step through
+/// `faults`. A failure before [`Op::SnapshotRename`] leaves the previous
+/// snapshot untouched; recovery falls back to it plus the longer WAL tail.
+pub fn write_snapshot_bytes(
     path: &Path,
     file_bytes: &[u8],
     faults: &Faults,
-) -> Result<(), SnapshotWriteError> {
-    let step = |op: SnapshotOp| move |source: io::Error| SnapshotWriteError { op, source };
+) -> Result<(), IoFailure> {
     let tmp = path.with_extension("tmp");
     {
-        faults
-            .check(FaultOp::SnapshotCreate)
-            .and_then(|()| File::create(&tmp))
-            .map_err(step(SnapshotOp::Create))
-            .and_then(|mut f| {
-                faults
-                    .write_all(FaultOp::SnapshotWrite, &mut f, file_bytes)
-                    .map_err(step(SnapshotOp::Write))?;
-                faults
-                    .check(FaultOp::SnapshotSync)
-                    .and_then(|()| f.sync_all())
-                    .map_err(step(SnapshotOp::Sync))
-            })?;
+        let mut f = faults.step(Op::SnapshotCreate, || File::create(&tmp))?;
+        faults.write_all(Op::SnapshotWrite, &mut f, file_bytes)?;
+        faults.step(Op::SnapshotSync, || f.sync_all())?;
     }
-    faults
-        .rename(FaultOp::SnapshotRename, &tmp, path)
-        .map_err(step(SnapshotOp::Rename))?;
+    faults.rename(Op::SnapshotRename, &tmp, path)?;
     // Persist the rename itself. Failing to *open* the directory is
     // tolerated (not every filesystem allows it — there is nothing to
     // report), but once open, a failing sync is a real durability signal
-    // and surfaces typed instead of being swallowed.
+    // and surfaces typed instead of being swallowed. It is the one step
+    // after the commit point: the new snapshot is already live.
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {
-            faults
-                .check(FaultOp::SnapshotDirSync)
-                .and_then(|()| d.sync_all())
-                .map_err(step(SnapshotOp::DirSync))?;
+            faults.step(Op::SnapshotDirSync, || d.sync_all())?;
         }
     }
     Ok(())
@@ -530,14 +461,13 @@ pub fn read_snapshot_with(
     path: &Path,
     faults: &Faults,
 ) -> Result<Option<SnapshotData>, SnapshotError> {
-    faults.check(FaultOp::SnapshotRead)?;
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(SnapshotError::Io(e)),
+    let read = faults.step(Op::SnapshotRead, || match std::fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        read => read.map(Some),
+    });
+    let Some(bytes) = read.map_err(SnapshotError::Io)? else {
+        return Ok(None);
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
     if bytes.len() < 13 {
         return Err(SnapshotError::Corrupt(format!(
             "file too short ({} bytes)",
@@ -644,7 +574,12 @@ mod tests {
         let path = tmp("roundtrip");
         let builder = sample_builder();
         let finished = vec![TestRunId(1)];
-        write_snapshot_bytes(&path, &encode_snapshot(&builder, &finished, 3, 5)).unwrap();
+        write_snapshot_bytes(
+            &path,
+            &encode_snapshot(&builder, &finished, 3, 5),
+            &Faults::none(),
+        )
+        .unwrap();
         let data = read_snapshot(&path).unwrap().expect("snapshot present");
         assert_eq!(data.builder.store(), builder.store());
         assert_eq!(data.events_applied, builder.events_applied());
@@ -734,7 +669,12 @@ mod tests {
     fn corruption_is_typed_not_a_panic() {
         let path = tmp("corrupt");
         let builder = sample_builder();
-        write_snapshot_bytes(&path, &encode_snapshot(&builder, &[], 0, 0)).unwrap();
+        write_snapshot_bytes(
+            &path,
+            &encode_snapshot(&builder, &[], 0, 0),
+            &Faults::none(),
+        )
+        .unwrap();
         let good = std::fs::read(&path).unwrap();
 
         // Flip one payload byte: checksum catches it.

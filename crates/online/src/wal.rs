@@ -29,12 +29,19 @@
 //! format* (or a foreign/damaged header) are classified separately from
 //! torn-tail corruption, so the recovery layer can refuse them instead of
 //! destructively truncating data a newer binary could still read.
+//!
+//! Every file operation whose failure surfaces runs through the fault seam
+//! ([`faults::Faults`]), which returns a [`faults::IoFailure`] tagged with
+//! the step's [`faults::Op`] (`WalOpen`, `WalAppend`, `WalSync`,
+//! `WalTruncate`, `WalRead`): each I/O result of the log is attributed to
+//! exactly one op by the seam's return type, never by a mapping written
+//! here.
 
 use crate::event::TraceEvent;
 use crate::wire::{self, WireError};
-use faults::{Faults, Op as FaultOp};
+use faults::{Faults, IoFailure, Op};
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a WAL file.
@@ -73,65 +80,6 @@ impl Default for FsyncPolicy {
         // producer batch): bounded loss window without paying a disk
         // round-trip per event.
         FsyncPolicy::EveryN(256)
-    }
-}
-
-/// The log-file operation a [`WalIoError`] failed in. Every I/O result
-/// on the write path is attributed to exactly one of these — none is
-/// collapsed into a catch-all or silently dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOp {
-    /// Opening (or creating/truncating-to-resume) the log file.
-    Open,
-    /// Appending framed events.
-    Append,
-    /// Forcing appended frames to stable storage (`fsync`).
-    Sync,
-    /// Truncating — either dropping a torn tail before appending resumes,
-    /// or restarting the log behind a checkpoint.
-    Truncate,
-    /// Reading the log back (recovery / reintegration).
-    Read,
-}
-
-impl std::fmt::Display for WalOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            WalOp::Open => "open",
-            WalOp::Append => "append",
-            WalOp::Sync => "sync",
-            WalOp::Truncate => "truncate",
-            WalOp::Read => "read",
-        };
-        f.write_str(name)
-    }
-}
-
-/// A typed WAL I/O failure: which file operation failed, and the
-/// underlying OS error.
-#[derive(Debug)]
-pub struct WalIoError {
-    /// The operation that failed.
-    pub op: WalOp,
-    /// The underlying I/O error.
-    pub source: io::Error,
-}
-
-impl WalIoError {
-    fn new(op: WalOp) -> impl FnOnce(io::Error) -> WalIoError {
-        move |source| WalIoError { op, source }
-    }
-}
-
-impl std::fmt::Display for WalIoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "wal {} failed: {}", self.op, self.source)
-    }
-}
-
-impl std::error::Error for WalIoError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
     }
 }
 
@@ -353,17 +301,16 @@ pub fn parse_frames(bytes: &[u8]) -> WalContents {
 /// The bytes of the log at `path`, read through the fault seam. A missing
 /// file is an empty image (a fresh session), not an error; any other I/O
 /// failure is.
-pub(crate) fn read_image(path: &Path, faults: &Faults) -> io::Result<Vec<u8>> {
-    faults.check(FaultOp::WalRead)?;
-    match std::fs::read(path) {
+pub(crate) fn read_image(path: &Path, faults: &Faults) -> Result<Vec<u8>, IoFailure> {
+    faults.step(Op::WalRead, || match std::fs::read(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
         read => read,
-    }
+    })
 }
 
 /// Read a whole log file. A missing file is an empty log (fresh session),
 /// not an error; any other I/O failure is.
-pub fn read_wal(path: &Path) -> io::Result<WalContents> {
+pub fn read_wal(path: &Path) -> Result<WalContents, IoFailure> {
     Ok(parse_frames(&read_image(path, &Faults::none())?))
 }
 
@@ -446,65 +393,60 @@ impl WalWriter {
         valid_len: u64,
         epoch: u64,
         policy: FsyncPolicy,
-    ) -> Result<WalWriter, WalIoError> {
+    ) -> Result<WalWriter, IoFailure> {
         WalWriter::open_with(path, valid_len, epoch, policy, &Faults::none())
     }
 
     /// [`WalWriter::open`] through a fault seam: every subsequent file
-    /// operation of this writer is gated on `faults`.
+    /// operation of this writer is gated on `faults`. The log's directory
+    /// is created if missing, as part of the open.
     pub fn open_with(
         path: &Path,
         valid_len: u64,
         epoch: u64,
         policy: FsyncPolicy,
         faults: &Faults,
-    ) -> Result<WalWriter, WalIoError> {
-        let wrap = WalIoError::new(WalOp::Open);
-        faults.check(FaultOp::WalOpen).map_err(wrap)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(false)
-            .open(path)
-            .map_err(WalIoError::new(WalOp::Open))?;
-        let mut w = WalWriter {
+    ) -> Result<WalWriter, IoFailure> {
+        let fresh = valid_len < WAL_HEADER_LEN;
+        let resume_at = if fresh { 0 } else { valid_len };
+        let mut file = faults.step(Op::WalOpen, || {
+            if let Some(dir) = path.parent() {
+                std::fs::create_dir_all(dir)?;
+            }
+            let mut file = OpenOptions::new()
+                .create(true)
+                .read(true)
+                .write(true)
+                .truncate(false)
+                .open(path)?;
+            file.set_len(resume_at)?;
+            file.seek(io::SeekFrom::Start(resume_at))?;
+            Ok(file)
+        })?;
+        if fresh {
+            faults.write_all(Op::WalOpen, &mut file, &wal_header(epoch))?;
+        }
+        Ok(WalWriter {
             file,
             path: path.to_path_buf(),
             policy,
             epoch,
-            len: valid_len,
+            len: if fresh { WAL_HEADER_LEN } else { valid_len },
             appended_since_sync: 0,
             scratch: Vec::new(),
             metrics: WalMetrics::default(),
             faults: faults.clone(),
             repair: None,
-        };
-        use std::io::Seek;
-        let wrap = WalIoError::new(WalOp::Open);
-        if valid_len < WAL_HEADER_LEN {
-            w.file.set_len(0).map_err(WalIoError::new(WalOp::Open))?;
-            w.file.seek(io::SeekFrom::Start(0)).map_err(wrap)?;
-            w.faults
-                .write_all(FaultOp::WalOpen, &mut w.file, &wal_header(epoch))
-                .map_err(WalIoError::new(WalOp::Open))?;
-            w.len = WAL_HEADER_LEN;
-        } else {
-            w.file
-                .set_len(valid_len)
-                .map_err(WalIoError::new(WalOp::Open))?;
-            w.file.seek(io::SeekFrom::Start(valid_len)).map_err(wrap)?;
-        }
-        Ok(w)
+        })
     }
 
     /// Complete whatever repair an earlier failed mutation deferred.
-    fn complete_repair(&mut self) -> Result<(), WalIoError> {
+    fn complete_repair(&mut self) -> Result<(), IoFailure> {
         match self.repair {
             None => Ok(()),
             Some(PendingRepair::Truncate(off)) => {
-                self.truncate_to(off)
-                    .map_err(WalIoError::new(WalOp::Truncate))?;
+                let faults = self.faults.clone();
+                faults.step(Op::WalTruncate, || self.truncate_to(off))?;
                 self.repair = None;
                 Ok(())
             }
@@ -514,7 +456,6 @@ impl WalWriter {
 
     /// Truncate the file to `off` and reposition the cursor there.
     fn truncate_to(&mut self, off: u64) -> io::Result<()> {
-        use std::io::Seek;
         self.file.set_len(off)?;
         self.file.seek(io::SeekFrom::Start(off))?;
         self.len = off;
@@ -563,7 +504,7 @@ impl WalWriter {
     /// *no* frame of the batch remains in the log (a torn prefix is
     /// truncated away), so the caller can safely not apply the events and
     /// later retry the whole batch without double-logging.
-    pub fn append_batch(&mut self, events: &[TraceEvent]) -> Result<(), WalIoError> {
+    pub fn append_batch(&mut self, events: &[TraceEvent]) -> Result<(), IoFailure> {
         if events.is_empty() {
             return Ok(());
         }
@@ -576,14 +517,11 @@ impl WalWriter {
                 frame_event(&mut self.scratch, event);
             }
             self.faults
-                .write_all(FaultOp::WalAppend, &mut self.file, &self.scratch)
+                .write_all(Op::WalAppend, &mut self.file, &self.scratch)
         };
-        if let Err(source) = written {
+        if let Err(failure) = written {
             self.mark_torn(before);
-            return Err(WalIoError {
-                op: WalOp::Append,
-                source,
-            });
+            return Err(failure);
         }
         self.len += self.scratch.len() as u64;
         self.appended_since_sync += events.len() as u64;
@@ -611,14 +549,10 @@ impl WalWriter {
     }
 
     /// Force the log to stable storage.
-    pub fn sync(&mut self) -> Result<(), WalIoError> {
-        let wrap = WalIoError::new(WalOp::Sync);
+    pub fn sync(&mut self) -> Result<(), IoFailure> {
         {
             let _stage = obs::StageTimer::maybe(self.metrics.fsync_ns.as_deref());
-            self.faults.check(FaultOp::WalSync).map_err(wrap)?;
-            self.file
-                .sync_data()
-                .map_err(WalIoError::new(WalOp::Sync))?;
+            self.faults.step(Op::WalSync, || self.file.sync_data())?;
         }
         if let Some(fsyncs) = &self.metrics.fsyncs {
             fsyncs.inc();
@@ -638,23 +572,25 @@ impl WalWriter {
     /// and is re-driven to completion before the next append, so events
     /// accepted after the failure can never land in a log a snapshot
     /// already covers.
-    pub fn reset(&mut self, epoch: u64) -> Result<(), WalIoError> {
-        use std::io::Seek;
-        let result = (|| {
-            self.faults.check(FaultOp::WalTruncate)?;
-            self.file.set_len(0)?;
-            self.file.seek(io::SeekFrom::Start(0))?;
-            self.faults
-                .write_all(FaultOp::WalTruncate, &mut self.file, &wal_header(epoch))?;
-            self.file.sync_data()?;
-            Ok(())
-        })();
-        if let Err(source) = result {
-            self.repair = Some(PendingRepair::Reset(epoch));
-            return Err(WalIoError {
-                op: WalOp::Truncate,
-                source,
+    pub fn reset(&mut self, epoch: u64) -> Result<(), IoFailure> {
+        // Two steps, as two draws: empty the file, then write and sync
+        // the new header (its menu has no torn write to model).
+        let file = &mut self.file;
+        let result = self
+            .faults
+            .step(Op::WalTruncate, || {
+                file.set_len(0)?;
+                file.seek(io::SeekFrom::Start(0))
+            })
+            .and_then(|_| {
+                self.faults.step(Op::WalTruncate, || {
+                    file.write_all(&wal_header(epoch))?;
+                    file.sync_data()
+                })
             });
+        if let Err(failure) = result {
+            self.repair = Some(PendingRepair::Reset(epoch));
+            return Err(failure);
         }
         self.repair = None;
         self.epoch = epoch;

@@ -350,7 +350,12 @@ fn a_live_store_equals_its_snapshot_round_trip() {
     let dir = ScratchDir::new("store-rows");
     std::fs::create_dir_all(dir.path()).unwrap();
     let path = dir.path().join("snapshot.bin");
-    write_snapshot_bytes(&path, &encode_snapshot(&b, &[], 0, 0)).unwrap();
+    write_snapshot_bytes(
+        &path,
+        &encode_snapshot(&b, &[], 0, 0),
+        &faults::Faults::none(),
+    )
+    .unwrap();
     let back = read_snapshot(&path)
         .unwrap()
         .expect("snapshot present")

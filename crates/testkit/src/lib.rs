@@ -23,8 +23,9 @@
 //! [`generated_suite`].
 //!
 //! Beside them live the small helpers the suites used to copy:
-//! [`ScratchDir`], [`cases`], [`generator`], [`uninterrupted`] and
-//! [`durable_config`]. The kit is a dev-dependency only.
+//! [`ScratchDir`], [`cases`], [`generator`], [`uninterrupted`],
+//! [`durable_config`], and the allocation gates' [`Counting`] allocator
+//! with [`allocations`]. The kit is a dev-dependency only.
 
 use apprentice_sim::{archetypes, simulate_program, MachineModel, ProgramGenerator, ProgramModel};
 use asl_core::check::CheckedSpec;
@@ -44,7 +45,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod counting;
 mod specgen;
+pub use counting::{allocations, Counting};
 pub use specgen::{generated_suite, random_store, subjects};
 
 /// Live reports keyed by producer run key, as every engine serves them.
