@@ -369,26 +369,34 @@ impl ShardedSession {
         let mut routes = self.routes.lock().unwrap_or_else(|e| e.into_inner());
         let mut shard_ids: Vec<u32> = Vec::with_capacity(events.len());
         let mut counts = vec![0usize; n];
+        // The last routed run: a batch is mostly runs of consecutive
+        // events, and a route, once in the map, does not change under the
+        // lock — so a repeat skips the map lookup.
+        let mut last: Option<(RunKey, usize)> = None;
         for event in events {
             let run = event.run_key();
-            let shard = match routes.get(&run) {
-                Some(s) => *s,
-                None => {
-                    let s = match event {
-                        // Version affinity: all runs of one version land
-                        // on one shard, keeping shard-local analysis
-                        // globally exact.
-                        TraceEvent::RunStarted { version, .. } => shard_of(version.0, n),
-                        // An event for a run nobody started: route by the
-                        // run key — the shard rejects it (UnknownRun)
-                        // exactly like an unsharded session would.
-                        _ => shard_of(run.0, n),
-                    };
-                    if matches!(event, TraceEvent::RunStarted { .. }) {
-                        routes.insert(run, s);
+            let shard = match last {
+                Some((key, s)) if key == run => s,
+                _ => match (routes.get(&run).copied(), event) {
+                    (Some(s), _) => {
+                        last = Some((run, s));
+                        s
                     }
-                    s
-                }
+                    // Version affinity: all runs of one version land on
+                    // one shard, keeping shard-local analysis globally
+                    // exact.
+                    (None, TraceEvent::RunStarted { version, .. }) => {
+                        let s = shard_of(version.0, n);
+                        routes.insert(run, s);
+                        last = Some((run, s));
+                        s
+                    }
+                    // An event for a run nobody started: route by the run
+                    // key — the shard rejects it (UnknownRun) exactly like
+                    // an unsharded session would. Not remembered: a later
+                    // `RunStarted` of the key is routed by its version.
+                    (None, _) => shard_of(run.0, n),
+                },
             };
             shard_ids.push(shard as u32);
             counts[shard] += 1;
@@ -868,5 +876,81 @@ impl AnalysisEngine for ShardedSession {
             }
         });
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use perfdata::DateTime;
+
+    fn started(run: u64, version: u64) -> TraceEvent {
+        TraceEvent::RunStarted {
+            run: RunKey(run),
+            version: online::VersionTag(version),
+            program: "app".into(),
+            compiled_at: DateTime::from_secs(0),
+            source: String::new(),
+            start: DateTime::from_secs(1),
+            no_pe: 1,
+            clockspeed: 450,
+        }
+    }
+
+    fn finished(run: u64) -> TraceEvent {
+        TraceEvent::RunFinished { run: RunKey(run) }
+    }
+
+    /// The routing memo remembers only the last routed run: a batch
+    /// alternating between runs on different shards, a run started inside
+    /// it, and a run whose events come before its `RunStarted` (routed by
+    /// its key until then, by its version after) are each routed as the
+    /// `routes` map says at that event.
+    #[test]
+    fn alternating_runs_are_routed_as_the_map_says() {
+        let session = ShardedSession::in_memory(2, SessionConfig::default());
+        let version_on = |shard| (0u64..).find(|&v| shard_of(v, 2) == shard).unwrap();
+        let (v0, v1) = (version_on(0), version_on(1));
+        session.partition(&[started(1, v0), started(2, v1)]);
+        let mut routes = HashMap::from([(RunKey(1), 0), (RunKey(2), 1)]);
+        assert_eq!(*session.routes.lock().unwrap(), routes);
+
+        // Run 9 is routed by its key before it starts, by its version after.
+        let v9 = version_on(1 - shard_of(9, 2));
+        let batch = [
+            finished(1),
+            finished(2),
+            finished(1),
+            started(3, v1),
+            finished(3),
+            finished(1),
+            finished(9),
+            started(9, v9),
+            finished(9),
+            finished(3),
+            finished(2),
+        ];
+        let Partitioned::Groups(groups) = session.partition(&batch) else {
+            panic!("the batch spans both shards");
+        };
+        let mut expected = vec![Vec::new(), Vec::new()];
+        for event in &batch {
+            let run = event.run_key();
+            let shard = match (routes.get(&run), event) {
+                (Some(&s), _) => s,
+                (None, TraceEvent::RunStarted { version, .. }) => {
+                    routes.insert(run, shard_of(version.0, 2));
+                    shard_of(version.0, 2)
+                }
+                (None, _) => shard_of(run.0, 2),
+            };
+            expected[shard].push(event.clone());
+        }
+        assert_eq!(groups, expected);
+        assert_eq!(
+            *session.routes.lock().unwrap(),
+            routes,
+            "RunStarted recorded"
+        );
     }
 }

@@ -177,9 +177,9 @@ impl SentBatch {
         self.first_seq + self.count() as u64 - 1
     }
 
-    /// The EventBatch frame payload for this batch.
-    fn payload(&self) -> Vec<u8> {
-        proto::event_batch_payload(self.first_seq, self.count() as u32, &self.body)
+    /// Write this batch as one EventBatch frame.
+    fn write(&self, stream: &mut ProducerStream) -> std::io::Result<()> {
+        proto::write_event_batch(stream, self.first_seq, self.count() as u32, &self.body)
     }
 
     /// Drop the entries acknowledged through `high_water` (which the
@@ -388,11 +388,10 @@ impl TraceProducer {
             offsets: std::mem::take(&mut self.pending_offsets),
             body: std::mem::take(&mut self.pending_body),
         };
-        let frame = batch.payload();
         self.stats.events_sent += pending as u64;
         self.stats.batches_sent += 1;
         self.unacked.push_back(batch);
-        self.write_or_reconnect(&frame)
+        self.write_newest_or_reconnect()
     }
 
     /// Read one ack frame, retiring acknowledged batches; reconnects on
@@ -449,11 +448,12 @@ impl TraceProducer {
         }
     }
 
-    fn write_or_reconnect(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let Some(stream) = self.stream.as_mut() else {
+    /// Write the newest retained batch; reconnects on socket failure.
+    fn write_newest_or_reconnect(&mut self) -> Result<(), NetError> {
+        let (Some(stream), Some(batch)) = (self.stream.as_mut(), self.unacked.back()) else {
             return Err(NetError::Closed);
         };
-        match write_raw(stream, frame) {
+        match batch.write(stream) {
             Ok(()) => Ok(()),
             // The failed frame is already retained in `unacked`:
             // reconnect resends everything still owed, this frame
@@ -571,15 +571,11 @@ fn resend_all(
     let mut events = 0u64;
     let mut batches = 0u64;
     for batch in unacked {
-        write_raw(stream, &batch.payload())?;
+        batch.write(stream)?;
         events += batch.count() as u64;
         batches += 1;
     }
     Ok((events, batches))
-}
-
-fn write_raw(stream: &mut ProducerStream, payload: &[u8]) -> std::io::Result<()> {
-    proto::write_frame(stream, payload)
 }
 
 /// Connect with the configured timeout (resolving `addr` may yield

@@ -324,24 +324,44 @@ pub fn encode_batch_entry(body: &mut Vec<u8>, event: &TraceEvent) {
     body[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Build a full EventBatch frame payload from a pre-encoded body of
-/// `count` [`encode_batch_entry`] entries.
-pub fn event_batch_payload(first_seq: u64, count: u32, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(13 + body.len());
-    wire::put_u8(&mut payload, KIND_EVENT_BATCH);
-    wire::put_u64(&mut payload, first_seq);
-    wire::put_u32(&mut payload, count);
-    payload.extend_from_slice(body);
-    payload
+/// Append the EventBatch header: kind, first sequence number, count.
+fn put_event_batch_header(buf: &mut Vec<u8>, first_seq: u64, count: u32) {
+    wire::put_u8(buf, KIND_EVENT_BATCH);
+    wire::put_u64(buf, first_seq);
+    wire::put_u32(buf, count);
+}
+
+/// Write one EventBatch frame from a pre-encoded body of `count`
+/// [`encode_batch_entry`] entries — the bytes [`write_message`] writes
+/// for those events, built in one buffer with one copy of the body: the
+/// frame header is reserved up front and its length and checksum
+/// back-patched, as a WAL frame's are ([`online::wal::frame_event`]).
+/// One `write`, then a flush. A producer retains each batch as its body
+/// and re-frames it with this on every resend.
+pub fn write_event_batch(
+    w: &mut impl Write,
+    first_seq: u64,
+    count: u32,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(8 + 13 + body.len());
+    wire::put_u32(&mut frame, 0); // length, back-patched below
+    wire::put_u32(&mut frame, 0); // crc32, back-patched below
+    put_event_batch_header(&mut frame, first_seq, count);
+    frame.extend_from_slice(body);
+    let len = (frame.len() - 8) as u32;
+    let crc = wire::crc32(&frame[8..]);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    w.write_all(&frame)?;
+    w.flush()
 }
 
 /// Append the encoding of `message` to `buf`.
 pub fn encode_message(buf: &mut Vec<u8>, message: &Message) {
     match message {
         Message::EventBatch { first_seq, events } => {
-            wire::put_u8(buf, KIND_EVENT_BATCH);
-            wire::put_u64(buf, *first_seq);
-            wire::put_u32(buf, events.len() as u32);
+            put_event_batch_header(buf, *first_seq, events.len() as u32);
             for event in events {
                 encode_batch_entry(buf, event);
             }
@@ -368,8 +388,10 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
 }
 
 /// [`decode_message`] with a recycled-vector pool: an `EventBatch`
-/// decodes into a vector popped from `pool` (allocation-free once warm)
-/// instead of a fresh one. See [`DecodeArena`] for the owning handle.
+/// decodes into a vector popped from `pool` instead of a fresh one,
+/// overwriting its events in place ([`TraceEvent::decode_wire_into`]) and
+/// truncating the ones past the batch — allocation-free once warm. See
+/// [`DecodeArena`] for the owning handle.
 fn decode_message_with_pool(
     payload: &[u8],
     pool: &mut Vec<Vec<TraceEvent>>,
@@ -384,12 +406,17 @@ fn decode_message_with_pool(
             // exceed remaining/6 — a hostile count is caught by the
             // bounds-checked reads below, and must not balloon capacity.
             let mut events = pool.pop().unwrap_or_default();
-            events.reserve(count.min(r.remaining() / 6 + 1));
-            for _ in 0..count {
+            let bound = count.min(r.remaining() / 6 + 1);
+            events.reserve(bound.saturating_sub(events.len()));
+            for i in 0..count {
                 let len = r.get_u32("event length")? as usize;
                 let bytes = r.get_bytes(len, "event payload")?;
-                events.push(TraceEvent::decode_wire(bytes)?);
+                match events.get_mut(i) {
+                    Some(slot) => TraceEvent::decode_wire_into(bytes, slot)?,
+                    None => events.push(TraceEvent::decode_wire(bytes)?),
+                }
             }
+            events.truncate(count);
             Message::EventBatch { first_seq, events }
         }
         KIND_ACK => Message::Ack(Ack {
@@ -470,10 +497,11 @@ pub fn read_frame_into(
 }
 
 /// A per-connection decode arena: one payload buffer reused across
-/// frames, plus a small pool of recycled event vectors, so the server's
-/// decode → handle path performs no per-frame (let alone per-event)
-/// buffer allocations once warm. The handler hands an `EventBatch`'s
-/// vector back through [`DecodeArena::recycle`] after ingesting it.
+/// frames, plus a small pool of recycled event vectors whose events are
+/// decoded over in place, strings included, so the server's decode →
+/// handle path allocates nothing per frame or per event once warm. The
+/// handler hands an `EventBatch`'s vector back through
+/// [`DecodeArena::recycle`] after ingesting it.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
     payload: Vec<u8>,
@@ -506,10 +534,10 @@ impl DecodeArena {
         result
     }
 
-    /// Return an `EventBatch`'s event vector for reuse by a later decode.
-    pub fn recycle(&mut self, mut events: Vec<TraceEvent>) {
+    /// Return an `EventBatch`'s event vector for reuse by a later decode,
+    /// events and all: the next batch is decoded over them.
+    pub fn recycle(&mut self, events: Vec<TraceEvent>) {
         if self.pool.len() < ARENA_POOL_CAP {
-            events.clear();
             self.pool.push(events);
         }
     }
@@ -643,6 +671,56 @@ mod tests {
             read_message(&mut &huge[..], DEFAULT_MAX_FRAME_LEN),
             Err(NetError::FrameTooLarge { len: u32::MAX, .. })
         ));
+    }
+
+    #[test]
+    fn an_arena_decodes_over_recycled_batches_of_any_length() {
+        let event = |i: u64| match i % 3 {
+            0 => TraceEvent::RunFinished { run: RunKey(i) },
+            _ => TraceEvent::RegionExited {
+                run: RunKey(i),
+                function: "main".repeat(i as usize % 4),
+                region: online::RegionRef::new(format!("main:loop@{i}"), 7),
+                excl: i as f64,
+                incl: -0.0,
+                ovhd: 1.5,
+            },
+        };
+        let mut arena = DecodeArena::new();
+        for (first_seq, len) in [(1, 5), (6, 2), (8, 7), (15, 0), (15, 4)] {
+            // Each batch shifts the variants under the recycled slots.
+            let events: Vec<TraceEvent> = (first_seq..first_seq + len).map(event).collect();
+            let batch = Message::EventBatch { first_seq, events };
+            let mut socket = Vec::new();
+            write_message(&mut socket, &batch).unwrap();
+            arena
+                .read_frame(&mut &socket[..], DEFAULT_MAX_FRAME_LEN)
+                .unwrap();
+            let decoded = arena.decode().unwrap();
+            assert_eq!(decoded, batch);
+            let Message::EventBatch { events, .. } = decoded else {
+                unreachable!()
+            };
+            arena.recycle(events);
+        }
+    }
+
+    #[test]
+    fn an_event_batch_frame_is_the_message_frame() {
+        for (first_seq, runs) in [(17, 0..3), (1, 0..0)] {
+            let events: Vec<TraceEvent> = runs
+                .map(|run| TraceEvent::RunFinished { run: RunKey(run) })
+                .collect();
+            let mut body = Vec::new();
+            for event in &events {
+                encode_batch_entry(&mut body, event);
+            }
+            let mut one_step = Vec::new();
+            write_event_batch(&mut one_step, first_seq, events.len() as u32, &body).unwrap();
+            let mut message = Vec::new();
+            write_message(&mut message, &Message::EventBatch { first_seq, events }).unwrap();
+            assert_eq!(one_step, message);
+        }
     }
 
     #[test]

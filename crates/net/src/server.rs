@@ -555,9 +555,9 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
 
     // --- frame loop -----------------------------------------------------
     // One decode arena per connection: the frame payload buffer and the
-    // event vectors are reused across frames, so the steady-state decode
-    // → handle path allocates nothing per batch (the events' own heap
-    // contents aside).
+    // event vectors are reused across frames, each batch decoded over the
+    // events of an earlier one, so the steady-state decode → handle path
+    // allocates nothing per batch or per event.
     let mut arena = proto::DecodeArena::new();
     loop {
         // The blocking socket read stays outside the decode timer — it

@@ -70,6 +70,12 @@ impl StoreDelta {
 
 /// Applies [`TraceEvent`]s to an owned [`Store`], interning structure by
 /// name and recording what each event changed.
+///
+/// Consecutive events almost always belong to one run and one function,
+/// so the builder remembers the last run key and the last function it
+/// resolved and answers a repeat without hashing the key or scanning the
+/// version's functions. Runs and functions are never removed or renamed,
+/// so a remembered answer stays the one the lookup would give.
 #[derive(Debug, Default)]
 pub struct StoreBuilder {
     store: Store,
@@ -78,6 +84,10 @@ pub struct StoreBuilder {
     /// The producer key of every store run, indexed by run id.
     run_keys: Vec<RunKey>,
     events_applied: u64,
+    /// The last run key resolved, with its run and version.
+    last_run: Option<(RunKey, TestRunId, VersionId)>,
+    /// The last function resolved by name, with its version.
+    last_function: Option<(VersionId, FunctionId)>,
 }
 
 impl StoreBuilder {
@@ -146,6 +156,8 @@ impl StoreBuilder {
             runs,
             run_keys,
             events_applied,
+            last_run: None,
+            last_function: None,
         }
     }
 
@@ -158,19 +170,38 @@ impl StoreBuilder {
         }
     }
 
-    fn resolve_run(&self, key: RunKey) -> Result<(TestRunId, VersionId), IngestError> {
+    fn resolve_run(&mut self, key: RunKey) -> Result<(TestRunId, VersionId), IngestError> {
+        if let Some((last, run, version)) = self.last_run {
+            if last == key {
+                return Ok((run, version));
+            }
+        }
         let run = self.run_id(key).ok_or(IngestError::UnknownRun(key))?;
-        Ok((run, self.store.runs[run.index()].version))
+        let version = self.store.runs[run.index()].version;
+        self.last_run = Some((key, run, version));
+        Ok((run, version))
+    }
+
+    /// [`Store::function_by_name`], answered from the last hit when it
+    /// names the same function of the same version.
+    fn function_of(&mut self, version: VersionId, name: &str) -> Option<FunctionId> {
+        if let Some((last_version, function)) = self.last_function {
+            if last_version == version && self.store.functions[function.index()].name == name {
+                return Some(function);
+            }
+        }
+        let function = self.store.function_by_name(version, name)?;
+        self.last_function = Some((version, function));
+        Some(function)
     }
 
     fn resolve_function(
-        &self,
+        &mut self,
         run: RunKey,
         version: VersionId,
         name: &str,
     ) -> Result<FunctionId, IngestError> {
-        self.store
-            .function_by_name(version, name)
+        self.function_of(version, name)
             .ok_or_else(|| IngestError::UnknownFunction {
                 run,
                 function: name.to_string(),
@@ -263,7 +294,7 @@ impl StoreBuilder {
                 // Validate the parent reference *before* creating anything,
                 // so a rejected event leaves no phantom function behind. A
                 // parent inside a not-yet-known function cannot exist.
-                let existing_fid = self.store.function_by_name(vid, function);
+                let existing_fid = self.function_of(vid, function);
                 let parent = match (&region.parent, existing_fid) {
                     (None, _) => None,
                     (Some(p), None) => {
@@ -550,6 +581,64 @@ mod tests {
         assert!(b.apply(&run_started(2, 9, 1), &mut d).is_err());
         assert!(b.apply(&exited(7, "main", MAIN, 1.0), &mut d).is_err());
         assert_eq!(d, expected);
+    }
+
+    #[test]
+    fn interleaved_versions_resolve_to_their_own_structure() {
+        // Runs 1 and 3 of version 7, runs 2 and 4 of version 8: both
+        // versions have a function `main` with a region `main@1`.
+        let runs = [(1, 7), (2, 8), (3, 7), (4, 8)];
+        let mut first_round = Vec::new();
+        for &(run, tag) in &runs {
+            first_round.push(run_started(run, tag, run as u32));
+            first_round.push(region_entered(run, "main", "main", None, 1));
+            first_round.push(region_entered(run, "main", "main:loop@5", Some(MAIN), 5));
+        }
+        let measurements = |run: u64, round: f64| {
+            let value = round * 100.0 + run as f64;
+            vec![
+                exited(run, "main", MAIN, value),
+                typed(run, "main", MAIN),
+                exited(run, "main", ("main:loop@5", 5), value),
+                call_stat(run, "main", MAIN),
+                exited(run, "main", MAIN, value + 0.5),
+            ]
+        };
+        // The first round creates every record, run after run; the second
+        // only overwrites them, so the order it comes in cannot move an id.
+        for &(run, _) in &runs {
+            first_round.extend(measurements(run, 1.0));
+        }
+        let second: Vec<Vec<TraceEvent>> = runs
+            .iter()
+            .map(|&(run, _)| measurements(run, 2.0))
+            .collect();
+        let serial = [first_round.clone(), second.concat()].concat();
+        let mut interleaved = first_round;
+        for i in 0..second[0].len() {
+            interleaved.extend(second.iter().map(|events| events[i].clone()));
+        }
+        let build = |events: &[TraceEvent]| {
+            let mut b = StoreBuilder::new();
+            let applied = b.apply_batch(events, &mut StoreDelta::new());
+            assert_eq!(applied, (events.len(), None));
+            b
+        };
+        let (b, control) = (build(&interleaved), build(&serial));
+        assert!(b.store() == control.store(), "interleaving moved a record");
+        for &(run, tag) in &runs {
+            let rid = b.run_id(RunKey(run)).unwrap();
+            let main = b
+                .store()
+                .function_by_name(b.version_id(VersionTag(tag)).unwrap(), "main");
+            let root = b.store().region_by_name(main.unwrap(), "main", 1).unwrap();
+            let incl = b.store().total_timing(root, rid).map(|t| t.incl);
+            assert_eq!(
+                incl,
+                Some(200.5 + run as f64),
+                "run {run} upserted elsewhere"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!                      │◀──── truncates the log behind it)
 //!                      ▼
 //!    recover = load snapshot ▸ stream log tail ▸ one full flush
-//!                              (REPLAY_CHUNK events at a time)
+//!                              (REPLAY_CHUNK events at a time,
+//!                               decoded into reused slots)
 //! ```
 //!
 //! A session built by [`OnlineSession::open`] carries a [`WalWriter`]:
@@ -19,11 +20,13 @@
 //! finished-run set, then truncates the log. [`OnlineSession::recover`]
 //! inverts the process: load the latest valid snapshot, stream the log
 //! tail through the ordinary [`OnlineSession::ingest_batch`] path in
-//! batches of [`REPLAY_CHUNK`] decoded events, and run one full
-//! flush, after which the live reports are **bit-identical** to what an
-//! uninterrupted session over the same events would show (the durable
-//! shapes of the workspace's `tests/shapes.rs` are killed at a random
-//! event and held to this).
+//! batches of [`REPLAY_CHUNK`] events — each frame decoded in place into
+//! a slot of one reused chunk, so replay allocates next to nothing per
+//! event once the chunk is warm — and run one full flush, after which the
+//! live reports are **bit-identical** to what an uninterrupted session
+//! over the same events would show (the durable shapes of the
+//! workspace's `tests/shapes.rs` are killed at a random event and held to
+//! this).
 //!
 //! A torn or corrupt log tail is recovered up to the last consistent
 //! frame and reported as a typed [`WalCorruption`]; a corrupt snapshot is
@@ -38,6 +41,7 @@
 //! ([`faults::is_injected`]) at the public API.
 
 use crate::error::FlushError;
+use crate::event::TraceEvent;
 use crate::session::{OnlineSession, SessionConfig};
 use crate::snapshot::{encode_snapshot, read_snapshot_with, write_snapshot_bytes, SnapshotError};
 use crate::wal::{read_image, FsyncPolicy, WalCorruption, WalFrames, WalMetrics, WalWriter};
@@ -50,7 +54,8 @@ pub const WAL_FILE: &str = "wal.log";
 /// File name of the snapshot inside a session directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Events recovery decodes and applies per batch: it holds at most this
-/// many decoded events at a time, never the whole log.
+/// many decoded events at a time, never the whole log, and decodes each
+/// chunk into the slots of the previous one.
 pub const REPLAY_CHUNK: usize = 4096;
 
 /// Configuration of a durable session.
@@ -244,24 +249,34 @@ impl OnlineSession {
             None => OnlineSession::new(config),
         };
 
-        // Stream the tail through the ordinary ingestion path, one reused
-        // chunk of decoded events at a time. A log that is not to be
-        // applied (stale, or refused by its epoch) is still scanned to its
-        // end, so a newer-format frame anywhere refuses recovery below.
+        // Stream the tail through the ordinary ingestion path, one chunk
+        // at a time, each frame decoded in place into a slot of the same
+        // reused chunk — no allocation per event once the slots are warm.
+        // A log that is not to be applied (stale, or refused by its epoch)
+        // is still scanned to its end, so a newer-format frame anywhere
+        // refuses recovery below.
         let apply = epoch_error.is_none() && !stats.wal_stale;
         let rejected_before = session.stats().events_rejected;
-        let mut chunk = Vec::new();
+        let mut chunk: Vec<TraceEvent> = Vec::new();
         loop {
-            chunk.clear();
-            chunk.extend(frames.by_ref().take(REPLAY_CHUNK));
-            if chunk.is_empty() {
-                break;
+            let mut len = 0;
+            while len < REPLAY_CHUNK {
+                if len == chunk.len() {
+                    chunk.push(TraceEvent::default());
+                }
+                if !frames.next_into(&mut chunk[len]) {
+                    break;
+                }
+                len += 1;
             }
-            if apply {
-                stats.wal_events_replayed += chunk.len() as u64;
+            if apply && len > 0 {
+                stats.wal_events_replayed += len as u64;
                 // Rejected events are counted and skipped exactly as they
                 // were live; the first error is not fatal to the rest.
-                let _ = session.ingest_batch(&chunk);
+                let _ = session.ingest_batch(&chunk[..len]);
+            }
+            if len < REPLAY_CHUNK {
+                break;
             }
         }
         // An unreadable-by-design log (foreign header, frames from a newer

@@ -84,7 +84,7 @@ pub struct RegionDef {
 
 /// Across-process statistics of one call site in one run — the streaming
 /// form of [`perfdata::CallTiming`] without database ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct CallStats {
     /// Minimum pass count over processes.
     pub min_count: f64,
@@ -233,6 +233,7 @@ impl TraceEvent {
     /// UTF-8 strings — see [`crate::wire`]).
     pub fn encode_wire(&self, buf: &mut Vec<u8>) {
         wire::put_u8(buf, WIRE_VERSION);
+        wire::put_u8(buf, self.tag());
         match self {
             TraceEvent::RunStarted {
                 run,
@@ -244,7 +245,6 @@ impl TraceEvent {
                 no_pe,
                 clockspeed,
             } => {
-                wire::put_u8(buf, 0);
                 wire::put_u64(buf, run.0);
                 wire::put_u64(buf, version.0);
                 wire::put_str(buf, program);
@@ -259,7 +259,6 @@ impl TraceEvent {
                 function,
                 region,
             } => {
-                wire::put_u8(buf, 1);
                 wire::put_u64(buf, run.0);
                 wire::put_str(buf, function);
                 wire::put_str(buf, &region.name);
@@ -283,7 +282,6 @@ impl TraceEvent {
                 incl,
                 ovhd,
             } => {
-                wire::put_u8(buf, 2);
                 wire::put_u64(buf, run.0);
                 wire::put_str(buf, function);
                 wire::put_str(buf, &region.name);
@@ -299,7 +297,6 @@ impl TraceEvent {
                 ty,
                 time,
             } => {
-                wire::put_u8(buf, 3);
                 wire::put_u64(buf, run.0);
                 wire::put_str(buf, function);
                 wire::put_str(buf, &region.name);
@@ -314,7 +311,6 @@ impl TraceEvent {
                 site,
                 stats,
             } => {
-                wire::put_u8(buf, 4);
                 wire::put_u64(buf, run.0);
                 wire::put_str(buf, caller);
                 wire::put_str(buf, callee);
@@ -334,123 +330,99 @@ impl TraceEvent {
                 wire::put_u32(buf, stats.max_time_pe);
             }
             TraceEvent::RunFinished { run } => {
-                wire::put_u8(buf, 5);
                 wire::put_u64(buf, run.0);
             }
         }
     }
 
-    /// Decode one event from its wire encoding. The whole of `bytes` must
-    /// be consumed; partial or trailing input is a [`WireError`].
-    pub fn decode_wire(bytes: &[u8]) -> Result<TraceEvent, WireError> {
-        let mut r = Reader::new(bytes);
-        let version = r.get_u8("wire version")?;
-        if version != WIRE_VERSION {
-            return Err(WireError::UnsupportedVersion(version));
+    /// The variant's wire tag, the byte after [`WIRE_VERSION`].
+    fn tag(&self) -> u8 {
+        match self {
+            TraceEvent::RunStarted { .. } => 0,
+            TraceEvent::RegionEntered { .. } => 1,
+            TraceEvent::RegionExited { .. } => 2,
+            TraceEvent::TypedSample { .. } => 3,
+            TraceEvent::CallSiteStat { .. } => 4,
+            TraceEvent::RunFinished { .. } => 5,
         }
-        let tag = r.get_u8("event tag")?;
-        let event = match tag {
+    }
+
+    /// Turn `slot` into the variant of wire tag `tag`, its scalars zeroed,
+    /// holding the strings the slot held: a slot that changes variant
+    /// keeps their buffers for the decode that overwrites them.
+    fn reshape(slot: &mut TraceEvent, tag: u8) -> Result<(), WireError> {
+        let take = std::mem::take::<String>;
+        let [a, b, c] = match slot {
+            TraceEvent::RunStarted {
+                program, source, ..
+            } => [take(program), take(source), String::new()],
+            TraceEvent::RegionEntered {
+                function, region, ..
+            } => [
+                take(function),
+                take(&mut region.name),
+                region.parent.take().map(|p| p.name).unwrap_or_default(),
+            ],
+            TraceEvent::RegionExited {
+                function, region, ..
+            }
+            | TraceEvent::TypedSample {
+                function, region, ..
+            } => [take(function), take(&mut region.name), String::new()],
+            TraceEvent::CallSiteStat {
+                caller,
+                callee,
+                site,
+                ..
+            } => [take(caller), take(callee), take(&mut site.name)],
+            TraceEvent::RunFinished { .. } => Default::default(),
+        };
+        let run = RunKey::default();
+        *slot = match tag {
             0 => TraceEvent::RunStarted {
-                run: RunKey(r.get_u64("run key")?),
-                version: VersionTag(r.get_u64("version tag")?),
-                program: r.get_str("program")?,
-                compiled_at: DateTime(r.get_i64("compiled_at")?),
-                source: r.get_str("source")?,
-                start: DateTime(r.get_i64("start")?),
-                no_pe: r.get_u32("no_pe")?,
-                clockspeed: r.get_u32("clockspeed")?,
+                run,
+                version: VersionTag::default(),
+                program: a,
+                compiled_at: DateTime(0),
+                source: b,
+                start: DateTime(0),
+                no_pe: 0,
+                clockspeed: 0,
             },
-            1 => {
-                let run = RunKey(r.get_u64("run key")?);
-                let function = r.get_str("function")?;
-                let name = r.get_str("region name")?;
-                let parent = match r.get_u8("parent flag")? {
-                    0 => None,
-                    1 => Some(RegionRef {
-                        name: r.get_str("parent name")?,
-                        first_line: r.get_u32("parent line")?,
-                    }),
-                    code => {
-                        return Err(WireError::BadEnum {
-                            what: "parent flag",
-                            code,
-                        })
-                    }
-                };
-                let kind_code = r.get_u8("region kind")?;
-                let kind = wire::region_kind_from_code(kind_code).ok_or(WireError::BadEnum {
-                    what: "region kind",
-                    code: kind_code,
-                })?;
-                TraceEvent::RegionEntered {
-                    run,
-                    function,
-                    region: RegionDef {
-                        name,
-                        parent,
-                        kind,
-                        first_line: r.get_u32("first_line")?,
-                        last_line: r.get_u32("last_line")?,
-                    },
-                }
-            }
+            1 => TraceEvent::RegionEntered {
+                run,
+                function: a,
+                region: RegionDef {
+                    name: b,
+                    parent: None,
+                    kind: RegionKind::Subprogram,
+                    first_line: 0,
+                    last_line: 0,
+                },
+            },
             2 => TraceEvent::RegionExited {
-                run: RunKey(r.get_u64("run key")?),
-                function: r.get_str("function")?,
-                region: RegionRef {
-                    name: r.get_str("region name")?,
-                    first_line: r.get_u32("region line")?,
-                },
-                excl: r.get_f64("excl")?,
-                incl: r.get_f64("incl")?,
-                ovhd: r.get_f64("ovhd")?,
+                run,
+                function: a,
+                region: RegionRef::new(b, 0),
+                excl: 0.0,
+                incl: 0.0,
+                ovhd: 0.0,
             },
-            3 => {
-                let run = RunKey(r.get_u64("run key")?);
-                let function = r.get_str("function")?;
-                let region = RegionRef {
-                    name: r.get_str("region name")?,
-                    first_line: r.get_u32("region line")?,
-                };
-                let ty_code = r.get_u8("timing type")?;
-                let ty = TimingType::from_code(ty_code).ok_or(WireError::BadEnum {
-                    what: "timing type",
-                    code: ty_code,
-                })?;
-                TraceEvent::TypedSample {
-                    run,
-                    function,
-                    region,
-                    ty,
-                    time: r.get_f64("time")?,
-                }
-            }
+            3 => TraceEvent::TypedSample {
+                run,
+                function: a,
+                region: RegionRef::new(b, 0),
+                ty: TimingType::ALL[0],
+                time: 0.0,
+            },
             4 => TraceEvent::CallSiteStat {
-                run: RunKey(r.get_u64("run key")?),
-                caller: r.get_str("caller")?,
-                callee: r.get_str("callee")?,
-                site: RegionRef {
-                    name: r.get_str("site name")?,
-                    first_line: r.get_u32("site line")?,
-                },
-                stats: CallStats {
-                    min_count: r.get_f64("min_count")?,
-                    max_count: r.get_f64("max_count")?,
-                    mean_count: r.get_f64("mean_count")?,
-                    stdev_count: r.get_f64("stdev_count")?,
-                    min_count_pe: r.get_u32("min_count_pe")?,
-                    max_count_pe: r.get_u32("max_count_pe")?,
-                    min_time: r.get_f64("min_time")?,
-                    max_time: r.get_f64("max_time")?,
-                    mean_time: r.get_f64("mean_time")?,
-                    stdev_time: r.get_f64("stdev_time")?,
-                    min_time_pe: r.get_u32("min_time_pe")?,
-                    max_time_pe: r.get_u32("max_time_pe")?,
-                },
+                run,
+                caller: a,
+                callee: b,
+                site: RegionRef::new(c, 0),
+                stats: CallStats::default(),
             },
-            5 => TraceEvent::RunFinished {
-                run: RunKey(r.get_u64("run key")?),
-            },
+            5 => TraceEvent::RunFinished { run },
             code => {
                 return Err(WireError::BadEnum {
                     what: "event tag",
@@ -458,8 +430,153 @@ impl TraceEvent {
                 })
             }
         };
-        r.finish()?;
+        Ok(())
+    }
+
+    /// Decode one event from its wire encoding. The whole of `bytes` must
+    /// be consumed; partial or trailing input is a [`WireError`]. This is
+    /// [`TraceEvent::decode_wire_into`] over a fresh slot.
+    pub fn decode_wire(bytes: &[u8]) -> Result<TraceEvent, WireError> {
+        let mut event = TraceEvent::default();
+        TraceEvent::decode_wire_into(bytes, &mut event)?;
         Ok(event)
+    }
+
+    /// Decode one event from its wire encoding into `slot`, overwriting
+    /// it in place: the strings the slot holds — of whatever variant —
+    /// are cleared and refilled, so a warm slot decodes without
+    /// allocating. The one decoder of the format ([`TraceEvent::decode_wire`]
+    /// wraps it), so both accept exactly the same inputs and fail with the
+    /// same [`WireError`]. On `Err` the slot holds some valid event of no
+    /// meaning.
+    pub fn decode_wire_into(bytes: &[u8], slot: &mut TraceEvent) -> Result<(), WireError> {
+        let mut r = Reader::new(bytes);
+        let version = r.get_u8("wire version")?;
+        if version != WIRE_VERSION {
+            return Err(WireError::UnsupportedVersion(version));
+        }
+        let tag = r.get_u8("event tag")?;
+        if slot.tag() != tag {
+            TraceEvent::reshape(slot, tag)?;
+        }
+        match slot {
+            TraceEvent::RunStarted {
+                run,
+                version,
+                program,
+                compiled_at,
+                source,
+                start,
+                no_pe,
+                clockspeed,
+            } => {
+                run.0 = r.get_u64("run key")?;
+                version.0 = r.get_u64("version tag")?;
+                set_str(program, r.get_str_ref("program")?);
+                compiled_at.0 = r.get_i64("compiled_at")?;
+                set_str(source, r.get_str_ref("source")?);
+                start.0 = r.get_i64("start")?;
+                *no_pe = r.get_u32("no_pe")?;
+                *clockspeed = r.get_u32("clockspeed")?;
+            }
+            TraceEvent::RegionEntered {
+                run,
+                function,
+                region,
+            } => {
+                run.0 = r.get_u64("run key")?;
+                set_str(function, r.get_str_ref("function")?);
+                set_str(&mut region.name, r.get_str_ref("region name")?);
+                match r.get_u8("parent flag")? {
+                    0 => region.parent = None,
+                    1 => {
+                        let name = r.get_str_ref("parent name")?;
+                        let first_line = r.get_u32("parent line")?;
+                        match &mut region.parent {
+                            Some(parent) => {
+                                set_str(&mut parent.name, name);
+                                parent.first_line = first_line;
+                            }
+                            None => region.parent = Some(RegionRef::new(name, first_line)),
+                        }
+                    }
+                    code => {
+                        return Err(WireError::BadEnum {
+                            what: "parent flag",
+                            code,
+                        })
+                    }
+                }
+                let kind_code = r.get_u8("region kind")?;
+                region.kind = wire::region_kind_from_code(kind_code).ok_or(WireError::BadEnum {
+                    what: "region kind",
+                    code: kind_code,
+                })?;
+                region.first_line = r.get_u32("first_line")?;
+                region.last_line = r.get_u32("last_line")?;
+            }
+            TraceEvent::RegionExited {
+                run,
+                function,
+                region,
+                excl,
+                incl,
+                ovhd,
+            } => {
+                run.0 = r.get_u64("run key")?;
+                set_str(function, r.get_str_ref("function")?);
+                set_str(&mut region.name, r.get_str_ref("region name")?);
+                region.first_line = r.get_u32("region line")?;
+                *excl = r.get_f64("excl")?;
+                *incl = r.get_f64("incl")?;
+                *ovhd = r.get_f64("ovhd")?;
+            }
+            TraceEvent::TypedSample {
+                run,
+                function,
+                region,
+                ty,
+                time,
+            } => {
+                run.0 = r.get_u64("run key")?;
+                set_str(function, r.get_str_ref("function")?);
+                set_str(&mut region.name, r.get_str_ref("region name")?);
+                region.first_line = r.get_u32("region line")?;
+                let ty_code = r.get_u8("timing type")?;
+                *ty = TimingType::from_code(ty_code).ok_or(WireError::BadEnum {
+                    what: "timing type",
+                    code: ty_code,
+                })?;
+                *time = r.get_f64("time")?;
+            }
+            TraceEvent::CallSiteStat {
+                run,
+                caller,
+                callee,
+                site,
+                stats,
+            } => {
+                run.0 = r.get_u64("run key")?;
+                set_str(caller, r.get_str_ref("caller")?);
+                set_str(callee, r.get_str_ref("callee")?);
+                set_str(&mut site.name, r.get_str_ref("site name")?);
+                site.first_line = r.get_u32("site line")?;
+                stats.min_count = r.get_f64("min_count")?;
+                stats.max_count = r.get_f64("max_count")?;
+                stats.mean_count = r.get_f64("mean_count")?;
+                stats.stdev_count = r.get_f64("stdev_count")?;
+                stats.min_count_pe = r.get_u32("min_count_pe")?;
+                stats.max_count_pe = r.get_u32("max_count_pe")?;
+                stats.min_time = r.get_f64("min_time")?;
+                stats.max_time = r.get_f64("max_time")?;
+                stats.mean_time = r.get_f64("mean_time")?;
+                stats.stdev_time = r.get_f64("stdev_time")?;
+                stats.min_time_pe = r.get_u32("min_time_pe")?;
+                stats.max_time_pe = r.get_u32("max_time_pe")?;
+            }
+            TraceEvent::RunFinished { run } => run.0 = r.get_u64("run key")?,
+        }
+        r.finish()
     }
 
     /// Short event-kind name for diagnostics.
@@ -472,6 +589,29 @@ impl TraceEvent {
             TraceEvent::CallSiteStat { .. } => "call-site-stat",
             TraceEvent::RunFinished { .. } => "run-finished",
         }
+    }
+}
+
+impl Default for TraceEvent {
+    /// `RunFinished` of run 0: an event owning no heap memory, the slot a
+    /// [`TraceEvent::decode_wire_into`] caller starts from.
+    fn default() -> Self {
+        TraceEvent::RunFinished {
+            run: RunKey::default(),
+        }
+    }
+}
+
+/// Overwrite `dst` with `src` inside `dst`'s own buffer (no allocation
+/// once that buffer is long enough; a buffer that grows grows amortized).
+/// A string of a fresh slot has none: it is allocated at `src`'s length
+/// at once, which costs a fresh decode no more than a copied string.
+fn set_str(dst: &mut String, src: &str) {
+    if dst.capacity() == 0 {
+        *dst = src.to_owned();
+    } else {
+        dst.clear();
+        dst.push_str(src);
     }
 }
 

@@ -179,9 +179,11 @@ pub struct WalContents {
 
 /// The one frame scanner: the events of a log image (header + frames), in
 /// append order, up to the first torn, corrupt or newer-format frame.
-/// [`parse_frames`] collects it, recovery streams it — so every reader
-/// of the log cuts it at the same frame. The header is read on
-/// construction: [`WalFrames::epoch`] is known before the first frame is.
+/// [`parse_frames`] collects it; recovery decodes it in place, frame by
+/// frame into a reused chunk of events ([`WalFrames::next_into`]) — so
+/// every reader of the log cuts it at the same frame. The header is read
+/// on construction: [`WalFrames::epoch`] is known before the first frame
+/// is.
 pub(crate) struct WalFrames<'a> {
     bytes: &'a [u8],
     /// Start of the next frame; also the byte length of the consistent
@@ -237,8 +239,8 @@ impl<'a> WalFrames<'a> {
         self.corruption.as_ref()
     }
 
-    /// Decode the frame at `pos` and step past it.
-    fn decode_frame(&mut self) -> Result<TraceEvent, WalCorruptionKind> {
+    /// The checksum-verified payload of the frame at `pos`.
+    fn payload(&self) -> Result<&'a [u8], WalCorruptionKind> {
         let rest = &self.bytes[self.pos..];
         if rest.len() < 8 {
             return Err(WalCorruptionKind::TruncatedHeader);
@@ -254,34 +256,49 @@ impl<'a> WalFrames<'a> {
         if wire::crc32(payload) != crc {
             return Err(WalCorruptionKind::ChecksumMismatch);
         }
-        let event = TraceEvent::decode_wire(payload).map_err(|e| match e {
-            WireError::UnsupportedVersion(v) => WalCorruptionKind::UnsupportedFrameVersion(v),
-            e => WalCorruptionKind::Malformed(e),
-        })?;
-        self.pos += 8 + payload.len();
-        self.frame += 1;
-        Ok(event)
+        Ok(payload)
+    }
+
+    /// Decode the next frame into `slot` (see
+    /// [`TraceEvent::decode_wire_into`]: a warm slot is overwritten
+    /// without allocating) and step past it. False at the end of the
+    /// consistent prefix — the end of the image, or a frame that failed,
+    /// recorded in [`WalFrames::corruption`]; the slot is then
+    /// meaningless.
+    pub(crate) fn next_into(&mut self, slot: &mut TraceEvent) -> bool {
+        if self.corruption.is_some() || self.pos == self.bytes.len() {
+            return false;
+        }
+        let kind = match self.payload() {
+            Ok(payload) => match TraceEvent::decode_wire_into(payload, slot) {
+                Ok(()) => {
+                    self.pos += 8 + payload.len();
+                    self.frame += 1;
+                    return true;
+                }
+                Err(WireError::UnsupportedVersion(v)) => {
+                    WalCorruptionKind::UnsupportedFrameVersion(v)
+                }
+                Err(e) => WalCorruptionKind::Malformed(e),
+            },
+            Err(kind) => kind,
+        };
+        self.corruption = Some(WalCorruption {
+            frame: self.frame,
+            offset: self.pos as u64,
+            kind,
+        });
+        false
     }
 }
 
 impl Iterator for WalFrames<'_> {
     type Item = TraceEvent;
 
+    /// [`WalFrames::next_into`] over a fresh slot.
     fn next(&mut self) -> Option<TraceEvent> {
-        if self.corruption.is_some() || self.pos == self.bytes.len() {
-            return None;
-        }
-        match self.decode_frame() {
-            Ok(event) => Some(event),
-            Err(kind) => {
-                self.corruption = Some(WalCorruption {
-                    frame: self.frame,
-                    offset: self.pos as u64,
-                    kind,
-                });
-                None
-            }
-        }
+        let mut event = TraceEvent::default();
+        self.next_into(&mut event).then_some(event)
     }
 }
 

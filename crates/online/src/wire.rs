@@ -189,11 +189,18 @@ impl<'a> Reader<'a> {
         self.take(n, what)
     }
 
-    /// Read a length-prefixed UTF-8 string.
+    /// Read a length-prefixed UTF-8 string into a new `String`.
     pub fn get_str(&mut self, what: &'static str) -> Result<String, WireError> {
+        self.get_str_ref(what).map(str::to_owned)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the buffer: the
+    /// UTF-8 check of [`Reader::get_str`] without its allocation, for a
+    /// decoder that copies into a `String` it already owns.
+    pub fn get_str_ref(&mut self, what: &'static str) -> Result<&'a str, WireError> {
         let len = self.get_u32(what)? as usize;
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
     }
 }
 
@@ -315,6 +322,8 @@ mod tests {
         buf.extend_from_slice(&[0xff, 0xfe]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_str("s"), Err(WireError::BadUtf8));
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.get_str_ref("s"), Err(WireError::BadUtf8));
     }
 
     #[test]

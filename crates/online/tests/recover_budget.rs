@@ -1,0 +1,126 @@
+//! Allocation pin of recovery — an exact count a noisy host can check,
+//! where a stopwatch cannot.
+//!
+//! A durable session ingests a fixed refinement stream (every run's
+//! measurements re-sent as running totals, round after round), is
+//! checkpointed after the first round and killed after the last, and is
+//! recovered: snapshot load, WAL-tail replay, one full flush. The session
+//! evaluates a suite of no properties, so the flush costs next to
+//! nothing and never fans out over threads (which would make the count
+//! depend on the host's cores): the ledger is the ingest side's. Replay
+//! decodes every frame in place, into the slots of one reused chunk, and
+//! resolves a repeat run or function from the builder's memo, so the
+//! events themselves allocate next to nothing once the chunk is warm (a
+//! slot's string grows to the longest it is handed, and one dropped by a
+//! change of variant is made again): what is left is the snapshot's
+//! store, the log image, the chunk and the replay's delta sets. A change
+//! that moves the count must restate it here, on purpose.
+//!
+//! Own test binary, one test function: the counter is the process's
+//! global allocator.
+
+use online::{DurableConfig, OnlineSession, SessionConfig, TraceEvent};
+use std::sync::Arc;
+use testkit::{allocations, durable_config, uninterrupted, Scenario, ScratchDir};
+
+#[global_allocator]
+static GLOBAL: testkit::Counting = testkit::Counting;
+
+/// Times every run's measurements are sent.
+const ROUNDS: u32 = 24;
+
+/// Two versions of a generated program, three runs each, then its
+/// measurement events re-sent `ROUNDS - 1` more times, each round's
+/// timings a larger share of the final ones; and the length of the first
+/// round.
+fn refinement_stream() -> (Vec<TraceEvent>, usize) {
+    let structure = Scenario {
+        versions: 2,
+        functions: 6,
+        pes: vec![1, 2, 4],
+        ..Scenario::new(11)
+    }
+    .events();
+    let mut events = structure.clone();
+    for round in 2..=ROUNDS {
+        let share = f64::from(round) / f64::from(ROUNDS);
+        events.extend(structure.iter().filter_map(|event| match event.clone() {
+            TraceEvent::RegionExited {
+                run,
+                function,
+                region,
+                excl,
+                incl,
+                ovhd,
+            } => Some(TraceEvent::RegionExited {
+                run,
+                function,
+                region,
+                excl: excl * share,
+                incl: incl * share,
+                ovhd: ovhd * share,
+            }),
+            TraceEvent::TypedSample {
+                run,
+                function,
+                region,
+                ty,
+                time,
+            } => Some(TraceEvent::TypedSample {
+                run,
+                function,
+                region,
+                ty,
+                time: time * share,
+            }),
+            refined @ TraceEvent::CallSiteStat { .. } => Some(refined),
+            _ => None,
+        }));
+    }
+    (events, structure.len())
+}
+
+#[test]
+fn recovery_allocations_are_pinned() {
+    let (events, first_round) = refinement_stream();
+    let no_properties = asl_core::check::check(&asl_core::parser::parse("").unwrap()).unwrap();
+    let config = SessionConfig {
+        spec: Some(Arc::new(no_properties)),
+        ..SessionConfig::default()
+    };
+    let dir = ScratchDir::new("recover-budget");
+    {
+        let durable = DurableConfig {
+            session: config.clone(),
+            ..durable_config(0)
+        };
+        let session = OnlineSession::open(dir.path(), durable).unwrap();
+        session.ingest_batch(&events[..first_round]).unwrap();
+        session.flush().unwrap();
+        session.checkpoint().unwrap();
+        for batch in events[first_round..].chunks(256) {
+            session.ingest_batch(batch).unwrap();
+        }
+        // Killed: dropped without a checkpoint.
+    }
+
+    let (count, recovered) = allocations(|| OnlineSession::recover(dir.path(), config));
+    let (session, stats) = recovered.unwrap();
+    let tail = (events.len() - first_round) as u64;
+    assert_eq!(
+        (stats.wal_events_replayed, stats.wal_events_rejected),
+        (tail, 0)
+    );
+    assert!(tail > 4096, "the tail must span more than one replay chunk");
+    assert_eq!(session.stats().events_applied, events.len() as u64);
+    assert_eq!(
+        session.store_snapshot(),
+        uninterrupted(&events).store_snapshot()
+    );
+    println!(
+        "recovery: {count} allocations for a {tail}-event log tail over a snapshot of {first_round} events"
+    );
+    // Decoding each frame into a fresh event, as replay did before,
+    // allocated 46 556 times here: one per string of every replayed event.
+    assert_eq!(count, 15_504, "allocations of one recovery");
+}

@@ -5,6 +5,12 @@
 //! [`WireError`] — never a panic, never an over-read — and every valid
 //! encoding must re-encode byte-identically (checksums over re-encoded
 //! frames are stable), `f64` NaN/−0.0 bit patterns included.
+//!
+//! The server and WAL replay decode in place, over whatever event a
+//! reused slot held before ([`TraceEvent::decode_wire_into`]): on every
+//! input above and every prior slot content, it must accept exactly what
+//! `decode_wire` accepts, produce the same event bit for bit, and fail
+//! with the same error.
 
 use online::wal::{self, FsyncPolicy, WalWriter};
 use online::wire::{self, Reader, WireError};
@@ -103,8 +109,89 @@ fn assert_reencodes_identically(bytes: &[u8]) {
     assert_eq!(wire::crc32(bytes), wire::crc32(&again));
 }
 
+/// Every content a reused decode slot can hold: each variant (by `k`),
+/// `RegionEntered` both without (`k == 1`) and with (`k == 6`) a parent,
+/// with strings shorter or longer than the ones decoded over them.
+fn prior_slot(k: u8, a: u64, bits: u64, line: u32, s: &str) -> TraceEvent {
+    match k % 7 {
+        1 => event_from(1, a, bits & !1, line, s),
+        6 => event_from(1, a, bits | 1, line, s),
+        k => event_from(k, a, bits, line, s),
+    }
+}
+
+/// Decoding `bytes` into `slot` agrees with decoding them fresh: `Ok`
+/// exactly when `decode_wire` is, then the same event bit for bit (its
+/// encoding, which `==` cannot stand in for: NaN != NaN, −0.0 == 0.0),
+/// else the identical error.
+fn assert_decodes_alike(bytes: &[u8], mut slot: TraceEvent) {
+    let into = TraceEvent::decode_wire_into(bytes, &mut slot);
+    match TraceEvent::decode_wire(bytes) {
+        Ok(fresh) => {
+            assert_eq!(
+                into,
+                Ok(()),
+                "decode_wire accepted, decode_wire_into did not"
+            );
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            slot.encode_wire(&mut got);
+            fresh.encode_wire(&mut want);
+            assert_eq!(got, want, "the reused slot decoded to another event");
+        }
+        Err(e) => assert_eq!(into, Err(e), "the two decoders fail differently"),
+    }
+}
+
 proptest! {
     #![proptest_config(testkit::cases(256))]
+
+    /// Arbitrary bytes — half of them behind a valid version byte and a
+    /// near-valid tag, so decoding gets past the header — decode alike
+    /// into every prior slot.
+    #[test]
+    fn decode_into_agrees_on_arbitrary_bytes(
+        mut bytes in prop::collection::vec(any::<u8>(), 0..96),
+        versioned in any::<bool>(),
+        k in 0u8..7,
+        a in any::<u64>(),
+        bits in any::<u64>(),
+        line in 1u32..5000,
+        name in "[a-z:@0-9]{0,24}",
+    ) {
+        if versioned && bytes.len() >= 2 {
+            bytes[0] = online::WIRE_VERSION;
+            bytes[1] %= 7;
+        }
+        assert_decodes_alike(&bytes, prior_slot(k, a, bits, line, &name));
+    }
+
+    /// Valid encodings — whole, truncated, or with one byte flipped —
+    /// decode alike into every prior slot.
+    #[test]
+    fn decode_into_agrees_on_mutated_encodings(
+        variant in 0u8..6,
+        a in any::<u64>(),
+        bits in any::<u64>(),
+        line in 1u32..5000,
+        name in "[a-z:@0-9]{0,24}",
+        edit in 0u8..3,
+        pos_seed in any::<u64>(),
+        flip in 1u8..255,
+        k in 0u8..7,
+        prior_bits in any::<u64>(),
+        prior_name in "[a-z:@0-9]{0,24}",
+    ) {
+        let mut buf = Vec::new();
+        event_from(variant, a, bits, line, &name).encode_wire(&mut buf);
+        let pos = (pos_seed % buf.len() as u64) as usize;
+        match edit {
+            0 => {}
+            1 => buf.truncate(pos),
+            _ => buf[pos] ^= flip,
+        }
+        let prior = prior_slot(k, !a, prior_bits, line / 2 + 1, &prior_name);
+        assert_decodes_alike(&buf, prior);
+    }
 
     /// Arbitrary bytes: decode returns a value or a typed error; on
     /// success the value re-encodes to the exact input bytes.
