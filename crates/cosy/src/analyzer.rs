@@ -7,7 +7,7 @@ use crate::suite::{standard_suite, SUITE};
 use asl_core::ast::{PropertyDecl, TypeExprKind};
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec, Scratch, Value};
-use perfdata::{CallId, IdMap, IdSet, RegionId, Store, TestRunId, VersionId};
+use perfdata::{CallId, IdSet, RegionId, Store, TestRunId, VersionId};
 use rayon::prelude::*;
 use serde::Serialize;
 use std::fmt;
@@ -154,8 +154,9 @@ pub struct AnalysisReport {
     pub total_cost: f64,
     /// The problem threshold used.
     pub threshold: ProblemThreshold,
-    /// Entries holding with severity > 0, ranked by decreasing severity.
-    pub entries: Vec<RankedEntry>,
+    /// Entries holding with severity > 0, ranked by decreasing severity:
+    /// shared and immutable — a clone of the report copies no entry.
+    pub entries: RankedEntries,
     /// Contexts skipped as not applicable.
     pub skipped: usize,
 }
@@ -179,16 +180,53 @@ impl AnalysisReport {
     }
 }
 
-/// One property instance that held, before ranking. The shared currency of
-/// the batch analyzer and the incremental online engine (`cosy-online`):
-/// both produce `HeldEntry` values through the same evaluation path and
-/// feed them to [`Analyzer::assemble_report`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// The entries of a report, in rank order: one immutable slice shared by
+/// every clone of the report, so reading a report — or every report of an
+/// engine — copies no entry. Reads as a `[RankedEntry]`.
+#[derive(Clone, Default, PartialEq, Serialize)]
+pub struct RankedEntries(Arc<[RankedEntry]>);
+
+impl std::ops::Deref for RankedEntries {
+    type Target = [RankedEntry];
+    fn deref(&self) -> &[RankedEntry] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a RankedEntries {
+    type Item = &'a RankedEntry;
+    type IntoIter = std::slice::Iter<'a, RankedEntry>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl FromIterator<RankedEntry> for RankedEntries {
+    fn from_iter<I: IntoIterator<Item = RankedEntry>>(entries: I) -> Self {
+        RankedEntries(entries.into_iter().collect())
+    }
+}
+
+impl fmt::Debug for RankedEntries {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+/// One property instance that held, before ranking: a compact record of
+/// dense ids and the two numbers its evaluation produced. It carries no
+/// name and no label — those are read off the version's rank tables once,
+/// when the entry is ranked into a report ([`Analyzer::assemble_report`]).
+/// The shared currency of the batch analyzer and the incremental online
+/// engine (`cosy-online`): both produce `HeldEntry` values through
+/// [`Analyzer::evaluate_instances`] and rank them through the analyzer.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HeldEntry {
-    /// Property name.
-    pub property: Name,
-    /// Evaluation context.
-    pub context: ContextDesc,
+    /// Index of the property in the spec's declaration order, as in
+    /// [`Instance::property`].
+    pub property: u16,
+    /// Id of the region or call site the instance is about.
+    pub subject: u32,
     /// Severity (fraction of the basis duration).
     pub severity: f64,
     /// Confidence in `[0, 1]`.
@@ -364,16 +402,42 @@ impl Family {
             Value::call(CallId(id))
         }
     }
+
+    /// Does `scope` include the subject with id `id`?
+    pub fn in_scope(&self, scope: &ContextScope, id: u32) -> bool {
+        match self.regions {
+            true => scope.has_region(RegionId(id)),
+            false => scope.has_call(CallId(id)),
+        }
+    }
 }
 
-/// What the analyzer reads off the spec and the version's structure once,
-/// on first use: one [`Family`] per property and one label cell per
-/// context, filled when the first entry of that context holds and shared
-/// by every later one.
-struct Contexts {
+/// What the analyzer derives from a version's structure under its spec:
+/// one [`Family`] per property and — when the first report is ranked —
+/// every context's label and the two rank tables. It reads nothing of the
+/// store but the structure, which only grows, so it outlives the analyzer
+/// that derived it: the incremental engine keeps it from flush to flush
+/// ([`Analyzer::with_context`]) and derives a new one only when the
+/// version's structure grows.
+pub struct VersionContext {
     families: Vec<Family>,
-    region_labels: IdMap<RegionId, OnceLock<Name>>,
-    call_labels: IdMap<CallId, OnceLock<Name>>,
+    /// The version's `(regions, call sites)` when this was derived
+    /// ([`Store::version_contexts`]).
+    structure: (u32, u32),
+    ranking: OnceLock<Ranking>,
+}
+
+/// The rank tables of a version: what orders its held entries by one
+/// integer key. Built on first use — a version whose entries are never
+/// ranked (nothing holds) builds no label.
+struct Ranking {
+    /// Per property, in declaration order: its rank in name order.
+    properties: Vec<u16>,
+    /// Per region, by version-local index: its rank among the version's
+    /// contexts in `(label, region, call)` order, and its label.
+    regions: Vec<Option<(u32, Name)>>,
+    /// Per call site, by version-local index: the same.
+    calls: Vec<Option<(u32, Name)>>,
 }
 
 /// The COSY analyzer bound to one program version in a store.
@@ -385,7 +449,7 @@ pub struct Analyzer<'s> {
     /// first `Backend::Compiled` analysis and shared from then on.
     compiled: OnceLock<Arc<CompiledSpec>>,
     basis: RegionId,
-    contexts: OnceLock<Contexts>,
+    context: OnceLock<Arc<VersionContext>>,
 }
 
 impl<'s> Analyzer<'s> {
@@ -413,7 +477,7 @@ impl<'s> Analyzer<'s> {
             spec,
             compiled: OnceLock::new(),
             basis,
-            contexts: OnceLock::new(),
+            context: OnceLock::new(),
         })
     }
 
@@ -438,6 +502,16 @@ impl<'s> Analyzer<'s> {
         self
     }
 
+    /// Take over what an earlier analyzer of the same version and spec
+    /// derived ([`Self::context`]), unless the version's structure has
+    /// grown since: then this analyzer derives its own.
+    pub fn with_context(self, context: Arc<VersionContext>) -> Self {
+        if context.structure == self.store.version_contexts(self.version) {
+            let _ = self.context.set(context);
+        }
+        self
+    }
+
     /// The checked suite in use.
     pub fn spec(&self) -> &CheckedSpec {
         &self.spec
@@ -457,8 +531,14 @@ impl<'s> Analyzer<'s> {
         self.basis
     }
 
-    fn contexts(&self) -> &Contexts {
-        self.contexts.get_or_init(|| {
+    /// What this analyzer derives from the version's structure, to hand
+    /// to a later analyzer of the same version ([`Self::with_context`]).
+    pub fn context(&self) -> Arc<VersionContext> {
+        Arc::clone(self.derived())
+    }
+
+    fn derived(&self) -> &Arc<VersionContext> {
+        self.context.get_or_init(|| {
             let s = self.store;
             let functions = || {
                 let of_version = s.versions[self.version.index()].functions.iter();
@@ -489,18 +569,105 @@ impl<'s> Analyzer<'s> {
                     regions: class == REGION,
                 }
             };
-            Contexts {
+            Arc::new(VersionContext {
                 families: self.spec.properties().iter().map(family).collect(),
-                region_labels: regions
-                    .iter()
-                    .map(|r| (RegionId(*r), OnceLock::new()))
-                    .collect(),
-                call_labels: calls
-                    .iter()
-                    .map(|c| (CallId(*c), OnceLock::new()))
-                    .collect(),
-            }
+                structure: s.version_contexts(self.version),
+                ranking: OnceLock::new(),
+            })
         })
+    }
+
+    /// The version's rank tables, built on first use: every context's
+    /// label — the region's name, or "call *callee* at *site*" — and the
+    /// ranks of the properties in name order and of the contexts in
+    /// `(label, region, call)` order.
+    fn ranking(&self) -> &Ranking {
+        self.derived().ranking.get_or_init(|| {
+            let (s, version) = (self.store, self.version);
+            let families = self.families();
+            let mut properties = vec![0; families.len()];
+            let mut by_name: Vec<usize> = (0..families.len()).collect();
+            by_name.sort_by(|&a, &b| families[a].property.cmp(&families[b].property));
+            for (rank, p) in by_name.into_iter().enumerate() {
+                properties[p] = rank as u16;
+            }
+
+            let functions = s.versions[version.index()].functions.iter();
+            let functions = functions.map(|f| &s.functions[f.index()]);
+            let mut contexts: Vec<(Name, Option<u32>, Option<u32>)> = Vec::new();
+            for f in functions {
+                let regions = f.regions.iter();
+                contexts.extend(
+                    regions.map(|r| (s.regions[r.index()].name.as_str().into(), Some(r.0), None)),
+                );
+                contexts.extend(f.calls.iter().map(|c| {
+                    let call = &s.calls[c.index()];
+                    let callee = &s.functions[call.callee.index()].name;
+                    let site = &s.regions[call.calling_reg.index()].name;
+                    (format!("call {callee} at {site}").into(), None, Some(c.0))
+                }));
+            }
+            contexts.sort_unstable_by(|(la, ra, ca), (lb, rb, cb)| {
+                (la.as_str(), ra, ca).cmp(&(lb.as_str(), rb, cb))
+            });
+            let (regions, calls) = self.derived().structure;
+            let mut ranking = Ranking {
+                properties,
+                regions: vec![None; regions as usize],
+                calls: vec![None; calls as usize],
+            };
+            for (rank, (label, region, call)) in contexts.into_iter().enumerate() {
+                let slot = match (region, call) {
+                    (Some(r), _) => s
+                        .region_local(RegionId(r), version)
+                        .map(|i| &mut ranking.regions[i as usize]),
+                    (_, Some(c)) => s
+                        .call_local(CallId(c), version)
+                        .map(|i| &mut ranking.calls[i as usize]),
+                    (None, None) => None,
+                };
+                if let Some(slot) = slot {
+                    *slot = Some((rank as u32, label));
+                }
+            }
+            ranking
+        })
+    }
+
+    /// The rank and label of the context an entry of `family` about
+    /// `subject` is about.
+    fn context_of<'r>(
+        &self,
+        ranking: &'r Ranking,
+        family: &Family,
+        subject: u32,
+    ) -> Option<&'r (u32, Name)> {
+        let (s, v) = (self.store, self.version);
+        let slot = match family.regions {
+            true => ranking
+                .regions
+                .get(s.region_local(RegionId(subject), v)? as usize),
+            false => ranking
+                .calls
+                .get(s.call_local(CallId(subject), v)? as usize),
+        };
+        slot?.as_ref()
+    }
+
+    /// The one integer an entry ranks by, ascending: the severity's bits
+    /// in descending total order, then the property's rank in name order,
+    /// then the context's rank in `(label, region, call)` order.
+    fn rank_key(&self, ranking: &Ranking, held: &HeldEntry) -> u128 {
+        let family = &self.families()[held.property as usize];
+        let (context, _) = self
+            .context_of(ranking, family, held.subject)
+            .expect("a held entry is about a context of the analyzed version");
+        // `f64::total_cmp` as an unsigned integer: a negative value has its
+        // other bits flipped, then the sign bit puts negatives first.
+        let bits = held.severity.to_bits() as i64;
+        let total = (bits ^ ((((bits >> 63) as u64) >> 1) as i64)) as u64 ^ (1 << 63);
+        let property = ranking.properties[held.property as usize];
+        (u128::from(!total) << 64) | (u128::from(property) << 32) | u128::from(*context)
     }
 
     /// The properties of the spec, in declaration order ([`Instance`]s
@@ -508,7 +675,7 @@ impl<'s> Analyzer<'s> {
     /// instantiated for on the analyzed version — the one place that
     /// decides which instances exist.
     pub fn families(&self) -> &[Family] {
-        &self.contexts().families
+        &self.derived().families
     }
 
     /// Enumerate all property instances of one run.
@@ -535,11 +702,7 @@ impl<'s> Analyzer<'s> {
         let mut list = Vec::new();
         let families = self.families().iter().enumerate().zip(scopes);
         for ((property, family), scope) in families.filter(|(_, scope)| !scope.is_empty()) {
-            let in_scope = |id: &&u32| match family.regions {
-                true => scope.has_region(RegionId(**id)),
-                false => scope.has_call(CallId(**id)),
-            };
-            let subjects = family.subjects.iter().filter(in_scope);
+            let subjects = (family.subjects.iter()).filter(|id| family.in_scope(scope, **id));
             list.extend(subjects.map(|&subject| Instance {
                 property: property as u16,
                 subject,
@@ -559,10 +722,12 @@ impl<'s> Analyzer<'s> {
 
     /// Evaluate a set of enumerated instances on a prepared backend. The
     /// result is aligned with `instances`: `Some(entry)` for an instance
-    /// that held with positive severity, `None` for one that did not hold
-    /// or was not applicable; an evaluation failure is that of the first
-    /// failing instance in enumeration order. Both [`Self::analyze`] and
-    /// the incremental engine go through this single code path.
+    /// that held with positive severity — a compact [`HeldEntry`] of ids
+    /// and numbers, for which no label is looked up and no name cloned —
+    /// and `None` for one that did not hold or was not applicable; an
+    /// evaluation failure is that of the first failing instance in
+    /// enumeration order. Both [`Self::analyze`] and the incremental
+    /// engine go through this single code path.
     ///
     /// The list is cut into batches of one property × up to
     /// `BATCH_SUBJECTS` subjects, evaluated in parallel — the one level of
@@ -622,6 +787,7 @@ impl<'s> Analyzer<'s> {
         let regions = family.regions;
         let context = [Value::run(run), Value::region(self.basis)];
 
+        let (store, version) = (self.store, self.version);
         let mut held = Vec::new();
         let mut foreign = None;
         let mut keep = |i: usize, outcome: Option<asl_eval::Outcome>| {
@@ -629,21 +795,20 @@ impl<'s> Analyzer<'s> {
                 return;
             };
             let id = batch[i].subject;
-            let Some(label) = self.label(regions, id) else {
+            let local = match regions {
+                true => store.region_local(RegionId(id), version),
+                false => store.call_local(CallId(id), version),
+            };
+            if local.is_none() {
                 foreign.get_or_insert(id);
                 return;
-            };
+            }
             if held.is_empty() {
                 held.reserve_exact(batch.len() - i);
             }
             let entry = HeldEntry {
-                property: family.property.clone(),
-                context: ContextDesc {
-                    region: regions.then_some(id),
-                    call: (!regions).then_some(id),
-                    run: run.0,
-                    label,
-                },
+                property: batch[i].property,
+                subject: id,
                 severity: o.severity,
                 confidence: o.confidence,
             };
@@ -660,79 +825,101 @@ impl<'s> Analyzer<'s> {
         }
     }
 
-    /// The label of a context of the analyzed version — the region's name,
-    /// or "call *callee* at *site*" — built when its first entry holds and
-    /// shared from then on. `None` for an id that is no such context.
-    fn label(&self, region: bool, id: u32) -> Option<Name> {
-        let s = self.store;
-        let ctx = self.contexts();
-        let label = if region {
-            let name = || s.regions[id as usize].name.as_str().into();
-            ctx.region_labels.get(&RegionId(id))?.get_or_init(name)
-        } else {
-            let describe = || {
-                let call = &s.calls[id as usize];
-                let callee = &s.functions[call.callee.index()].name;
-                let site = &s.regions[call.calling_reg.index()].name;
-                format!("call {callee} at {site}").into()
-            };
-            ctx.call_labels.get(&CallId(id))?.get_or_init(describe)
-        };
-        Some(label.clone())
-    }
-
     /// Rank held entries into a complete report. The ordering is total and
     /// deterministic — severity descending, then property name, label and
     /// context ids — so a report assembled incrementally from merged
     /// entries is identical to one assembled from a full batch pass
-    /// (rank-stability of the online engine).
+    /// (rank-stability of the online engine). [`Self::rank`], then
+    /// [`Self::ranked_report`].
     pub fn assemble_report(
         &self,
         run: TestRunId,
-        held: Vec<HeldEntry>,
+        mut held: Vec<HeldEntry>,
         threshold: ProblemThreshold,
         skipped: usize,
     ) -> AnalysisReport {
-        // Sorted as keys — the severity's bits in descending total order
-        // and the entry's index — so that the entries themselves move once
-        // and the names are compared only between equal severities. The
-        // index settles ties the rest leaves, as a stable sort would.
-        let descending = |x: f64| {
-            let bits = x.to_bits() as i64;
-            !(bits ^ (((bits >> 63) as u64) >> 1) as i64)
-        };
-        let mut order: Vec<(i64, u32)> = (held.iter().enumerate())
-            .map(|(i, e)| (descending(e.severity), i as u32))
-            .collect();
-        order.sort_unstable_by(|&(ka, a), &(kb, b)| {
-            let (x, y) = (&held[a as usize], &held[b as usize]);
-            ka.cmp(&kb)
-                .then_with(|| x.property.cmp(&y.property))
-                .then_with(|| x.context.label.cmp(&y.context.label))
-                .then_with(|| x.context.region.cmp(&y.context.region))
-                .then_with(|| x.context.call.cmp(&y.context.call))
-                .then(a.cmp(&b))
-        });
-        let mut held: Vec<Option<HeldEntry>> = held.into_iter().map(Some).collect();
-        let entries: Vec<RankedEntry> = (order.iter().enumerate())
-            .map(|(rank, &(_, i))| {
-                let e = held[i as usize].take().expect("each entry ranks once");
-                RankedEntry {
-                    rank: rank + 1,
-                    property: e.property,
-                    context: e.context,
-                    severity: e.severity,
-                    confidence: e.confidence,
-                    is_problem: e.severity > threshold.0,
-                }
-            })
-            .collect();
+        self.rank(&mut held);
+        self.ranked_report(run, &held, threshold, skipped)
+    }
 
-        let total_cost = entries
-            .iter()
-            .find(|e| e.context.region == Some(self.basis.0) && e.property == "SublinearSpeedup")
-            .map(|e| e.severity)
-            .unwrap_or(0.0);
+    /// Put held entries of this version into rank order: a sort of one
+    /// integer key per entry ([`Self::assemble_report`] states the order),
+    /// computed once, from the version's rank tables — no name or label is
+    /// read.
+    pub fn rank(&self, held: &mut [HeldEntry]) {
+        if held.len() > 1 {
+            let ranking = self.ranking();
+            held.sort_by_cached_key(|h| self.rank_key(ranking, h));
+        }
+    }
+
+    /// Merge two lists of held entries of this version, each in rank order
+    /// and about disjoint `(property, context)` pairs, into one in rank
+    /// order, in one pass.
+    pub fn merge_ranked(
+        &self,
+        kept: impl IntoIterator<Item = HeldEntry>,
+        fresh: Vec<HeldEntry>,
+    ) -> Vec<HeldEntry> {
+        let kept = kept.into_iter();
+        if fresh.is_empty() {
+            return kept.collect();
+        }
+        let ranking = self.ranking();
+        let key = |h: &HeldEntry| self.rank_key(ranking, h);
+        let mut merged = Vec::with_capacity(kept.size_hint().0 + fresh.len());
+        let mut kept = kept.map(|h| (key(&h), h)).peekable();
+        for h in fresh {
+            let at = key(&h);
+            while let Some((_, before)) = kept.next_if(|(k, _)| *k < at) {
+                merged.push(before);
+            }
+            merged.push(h);
+        }
+        merged.extend(kept.map(|(_, h)| h));
+        merged
+    }
+
+    /// The report of held entries of this version already in rank order
+    /// ([`Self::rank`]): each [`RankedEntry`] is built once, in that order,
+    /// into the report's shared slice.
+    pub fn ranked_report(
+        &self,
+        run: TestRunId,
+        ranked: &[HeldEntry],
+        threshold: ProblemThreshold,
+        skipped: usize,
+    ) -> AnalysisReport {
+        let entries: RankedEntries = match ranked {
+            // Nothing held: no rank table is built, nothing allocated.
+            [] => RankedEntries::default(),
+            _ => {
+                let (ranking, families) = (self.ranking(), self.families());
+                (ranked.iter().enumerate())
+                    .map(|(i, h)| {
+                        let family = &families[h.property as usize];
+                        let (_, label) = self
+                            .context_of(ranking, family, h.subject)
+                            .expect("a held entry is about a context of the analyzed version");
+                        RankedEntry {
+                            rank: i + 1,
+                            property: family.property.clone(),
+                            context: ContextDesc {
+                                region: family.regions.then_some(h.subject),
+                                call: (!family.regions).then_some(h.subject),
+                                run: run.0,
+                                label: label.clone(),
+                            },
+                            severity: h.severity,
+                            confidence: h.confidence,
+                            is_problem: h.severity > threshold.0,
+                        }
+                    })
+                    .collect()
+            }
+        };
+
+        let total_cost = self.total_cost(&entries);
         let (reference_pe, basis_duration) = self.header(run);
 
         AnalysisReport {
@@ -745,6 +932,15 @@ impl<'s> Analyzer<'s> {
             entries,
             skipped,
         }
+    }
+
+    /// The severity of `SublinearSpeedup` at the basis among `entries`.
+    fn total_cost(&self, entries: &[RankedEntry]) -> f64 {
+        entries
+            .iter()
+            .find(|e| e.context.region == Some(self.basis.0) && e.property == "SublinearSpeedup")
+            .map(|e| e.severity)
+            .unwrap_or(0.0)
     }
 
     /// What a report of `run` reads off the store rather than evaluates:
@@ -762,21 +958,24 @@ impl<'s> Analyzer<'s> {
 
     /// Bring what `report` reads off the store — the reference
     /// configuration, the basis duration and the count of instances that
-    /// did not hold — up to date, its entries as they are: the report
+    /// did not hold — and its total cost, which the basis picks out of its
+    /// entries, up to date, its entries as they are: the report
     /// [`Self::assemble_report`] would make of the same entries. True if
     /// anything moved.
     pub fn refresh_header(&self, run: TestRunId, report: &mut AnalysisReport) -> bool {
         let (reference_pe, basis_duration) = self.header(run);
         let skipped = self.instance_universe() - report.entries.len();
-        let before = (
-            report.reference_pe,
-            report.basis_duration.to_bits(),
-            report.skipped,
-        );
+        let total_cost = self.total_cost(&report.entries);
+        let header = |r: &AnalysisReport| {
+            let (duration, cost) = (r.basis_duration.to_bits(), r.total_cost.to_bits());
+            (r.reference_pe, duration, r.skipped, cost)
+        };
+        let before = header(report);
         report.reference_pe = reference_pe;
         report.basis_duration = basis_duration;
         report.skipped = skipped;
-        before != (reference_pe, basis_duration.to_bits(), skipped)
+        report.total_cost = total_cost;
+        before != header(report)
     }
 
     /// Run the full analysis of one test run.
@@ -994,7 +1193,7 @@ mod tests {
             analyzer.instance_universe(),
             standard.instance_universe() + thirteenth.subjects.len()
         );
-        let mut reports = [Backend::Interpreter, Backend::Compiled].map(|b| {
+        let reports = [Backend::Interpreter, Backend::Compiled].map(|b| {
             analyzer
                 .analyze(run, b, ProblemThreshold::default())
                 .unwrap()
@@ -1005,13 +1204,14 @@ mod tests {
         let held: Vec<_> = reports[0].entries.iter().filter(|e| custom(e)).collect();
         let labels: Vec<&str> = held.iter().map(|e| e.context.label.as_str()).collect();
         assert_eq!(labels, ["main:if@33", "main:block@9"]);
-        reports[1].entries.retain(|e| !custom(e));
+        let standard_only: Vec<&RankedEntry> =
+            reports[1].entries.iter().filter(|e| !custom(e)).collect();
         let plain = standard
             .analyze(run, Backend::Compiled, ProblemThreshold::default())
             .unwrap();
         let key = |e: &RankedEntry| (e.property.clone(), e.context.clone(), e.severity.to_bits());
         assert_eq!(
-            reports[1].entries.iter().map(key).collect::<Vec<_>>(),
+            standard_only.into_iter().map(key).collect::<Vec<_>>(),
             plain.entries.iter().map(key).collect::<Vec<_>>()
         );
     }

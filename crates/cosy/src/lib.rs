@@ -51,7 +51,7 @@ pub mod suite;
 
 pub use analyzer::{
     check_signatures, AnalysisReport, Analyzer, ContextDesc, ContextScope, Family, HeldEntry,
-    Instance, Instances, Name, ProblemThreshold, RankedEntry,
+    Instance, Instances, Name, ProblemThreshold, RankedEntries, RankedEntry, VersionContext,
 };
 pub use backend::Backend;
 pub use error::{AnalysisError, SpecError};

@@ -2,13 +2,14 @@
 //! noisy host can check exactly, where a stopwatch cannot.
 //!
 //! Enumerating and evaluating the instances of a run must not allocate
-//! per instance: names, labels and context descriptions are built only
-//! for entries that hold, and shared; frames, sets and helper-call
-//! arguments live in one reused scratch per batch. What remains is per
-//! batch (scratch, output vector), per context (its label, once per
-//! analyzer), per call (the instance list, the result vector) and per
-//! binding (the slots of what the evaluator keeps per subject, allocated
-//! by the first instance that needs them — not again by a later run).
+//! per instance: an entry that holds is a compact record of ids and
+//! numbers — names, labels and context descriptions are built when a
+//! report is ranked, not here; frames, sets and helper-call arguments
+//! live in one reused scratch per batch. What remains is per batch
+//! (scratch, output vector), per analyzer (the version's context lists),
+//! per call (the instance list, the result vector) and per binding (the
+//! slots of what the evaluator keeps per subject, allocated by the first
+//! instance that needs them — not again by a later run).
 //!
 //! Own test binary, one test function: the counter is the process's
 //! global allocator.
@@ -36,7 +37,7 @@ fn evaluation_allocates_per_batch_not_per_instance() {
     let prepared = PreparedBackend::from_compiled(analyzer.compiled_spec(), &store).unwrap();
 
     // Cold, on a fresh analyzer: everything a flush pays per instance —
-    // the version's context lists and each context's label included.
+    // the version's context lists included.
     let mut instances = 0;
     let mut held = 0;
     let (cold, ()) = allocations(|| {

@@ -74,8 +74,14 @@ impl StoreDelta {
 /// Consecutive events almost always belong to one run and one function,
 /// so the builder remembers the last run key and the last function it
 /// resolved and answers a repeat without hashing the key or scanning the
-/// version's functions. Runs and functions are never removed or renamed,
-/// so a remembered answer stays the one the lookup would give.
+/// version's functions. Regions are resolved the same way, from the
+/// position of the last one resolved in its function's list: a stream
+/// names a region several times in a row (its exit, then its typed
+/// samples) and walks a function's regions in order, so that position and
+/// the next one answer almost every lookup without a scan. Runs,
+/// functions and regions are never removed or renamed, and no two regions
+/// of a function share a name and first line, so a remembered answer
+/// stays the one the lookup would give.
 #[derive(Debug, Default)]
 pub struct StoreBuilder {
     store: Store,
@@ -88,6 +94,9 @@ pub struct StoreBuilder {
     last_run: Option<(RunKey, TestRunId, VersionId)>,
     /// The last function resolved by name, with its version.
     last_function: Option<(VersionId, FunctionId)>,
+    /// The last region resolved, as its function and its position in the
+    /// function's region list.
+    last_region: Option<(FunctionId, usize)>,
 }
 
 impl StoreBuilder {
@@ -158,6 +167,7 @@ impl StoreBuilder {
             events_applied,
             last_run: None,
             last_function: None,
+            last_region: None,
         }
     }
 
@@ -208,15 +218,34 @@ impl StoreBuilder {
             })
     }
 
+    /// [`Store::region_by_name`], answered from the last region resolved
+    /// or the one after it in its function's list when either is the one
+    /// named.
+    fn region_of(&mut self, function: FunctionId, name: &str, first_line: u32) -> Option<RegionId> {
+        let regions = &self.store.functions[function.index()].regions;
+        let named = |r: &RegionId| {
+            let region = &self.store.regions[r.index()];
+            region.first_line == first_line && region.name == name
+        };
+        let remembered = match self.last_region {
+            Some((last, at)) if last == function => {
+                (at..regions.len().min(at + 2)).find(|&i| named(&regions[i]))
+            }
+            _ => None,
+        };
+        let at = remembered.or_else(|| regions.iter().position(named))?;
+        self.last_region = Some((function, at));
+        Some(regions[at])
+    }
+
     fn resolve_region(
-        &self,
+        &mut self,
         run: RunKey,
         function: FunctionId,
         function_name: &str,
         rref: &RegionRef,
     ) -> Result<RegionId, IngestError> {
-        self.store
-            .region_by_name(function, &rref.name, rref.first_line)
+        self.region_of(function, &rref.name, rref.first_line)
             .ok_or_else(|| IngestError::UnknownRegion {
                 run,
                 function: function_name.to_string(),
@@ -295,23 +324,27 @@ impl StoreBuilder {
                 // so a rejected event leaves no phantom function behind. A
                 // parent inside a not-yet-known function cannot exist.
                 let existing_fid = self.function_of(vid, function);
-                let parent = match (&region.parent, existing_fid) {
-                    (None, _) => None,
-                    (Some(p), None) => {
-                        return Err(IngestError::UnknownParent {
+                let existing = existing_fid
+                    .and_then(|fid| self.region_of(fid, &region.name, region.first_line));
+                let parent = match &region.parent {
+                    None => None,
+                    Some(p) => {
+                        let unknown = || IngestError::UnknownParent {
                             run: *run,
                             function: function.clone(),
                             parent: p.clone(),
-                        })
-                    }
-                    (Some(p), Some(fid)) => {
-                        Some(self.resolve_region(*run, fid, function, p).map_err(|_| {
-                            IngestError::UnknownParent {
-                                run: *run,
-                                function: function.clone(),
-                                parent: p.clone(),
-                            }
-                        })?)
+                        };
+                        let fid = existing_fid.ok_or_else(unknown)?;
+                        // A re-announced region names the parent it was
+                        // created under: that answers without a lookup.
+                        let recorded = existing.and_then(|r| self.store.regions[r.index()].parent);
+                        let recorded = recorded.filter(|q| {
+                            let known = &self.store.regions[q.index()];
+                            known.first_line == p.first_line && known.name == p.name
+                        });
+                        let parent =
+                            recorded.or_else(|| self.region_of(fid, &p.name, p.first_line));
+                        Some(parent.ok_or_else(unknown)?)
                     }
                 };
                 let fid = match existing_fid {
@@ -321,11 +354,7 @@ impl StoreBuilder {
                         self.store.add_function(vid, function.clone())
                     }
                 };
-                if self
-                    .store
-                    .region_by_name(fid, &region.name, region.first_line)
-                    .is_none()
-                {
+                if existing.is_none() {
                     delta.grown_versions.insert(vid);
                     self.store.add_region(
                         fid,
@@ -459,6 +488,13 @@ mod tests {
         // Re-announcing is idempotent.
         b.apply(&region_entered(1, "main", "main", None, 1), &mut d)
             .unwrap();
+        assert_eq!(b.store().regions.len(), 2);
+        // A re-announcement's parent must exist, whether or not it is the
+        // one the region was created under.
+        let under = |parent| region_entered(1, "main", "main:loop@10", Some(parent), 10);
+        b.apply(&under(("main:loop@10", 10)), &mut d).unwrap();
+        let err = b.apply(&under(("main", 2)), &mut d).unwrap_err();
+        assert!(matches!(err, IngestError::UnknownParent { .. }), "{err:?}");
         assert_eq!(b.store().regions.len(), 2);
     }
 

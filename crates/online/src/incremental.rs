@@ -1,19 +1,24 @@
 //! Incremental re-evaluation of the COSY property suite over a changing
 //! store.
 //!
-//! The engine keeps, per test run, only its live [`AnalysisReport`]: the
-//! report's entries are exactly the property instances that currently
-//! *hold*. A [`StoreDelta`] names the records whose values changed; only
-//! the `(property, context)` instances that read them are re-evaluated —
-//! through exactly the same [`Analyzer::instances_scoped`] →
-//! [`Analyzer::evaluate_instances`] → [`Analyzer::assemble_report`] path
-//! as [`Analyzer::analyze`] — and the fresh entries replace the report's
-//! entries of those pairs before it is re-ranked. Because the assembly
-//! step sorts with a total, deterministic order, an incrementally
-//! maintained report is bit-identical to a full analysis of the same store
-//! (enforced by the workspace's `tests/shapes.rs`). A one-shot analysis is
-//! a session's first flush: every run is new, so every run is evaluated in
-//! full, once.
+//! The engine keeps, per test run, only its live [`AnalysisReport`] and
+//! the compact records it was ranked from: the report's entries are
+//! exactly the property instances that currently *hold*. A [`StoreDelta`]
+//! names the records whose values changed; only the `(property, context)`
+//! instances that read them are re-evaluated — through exactly the same
+//! [`Analyzer::instances_scoped`] → [`Analyzer::evaluate_instances`] →
+//! [`Analyzer::rank`] → [`Analyzer::ranked_report`] path as
+//! [`Analyzer::analyze`] — and the fresh entries replace the report's
+//! entries of those pairs: only they are ranked, then merged in one pass
+//! with the run's kept entries, which are in rank order already
+//! ([`Analyzer::merge_ranked`]). Because the ranking is a total,
+//! deterministic order, an incrementally maintained report is
+//! bit-identical to a full analysis of the same store (enforced by the
+//! workspace's `tests/shapes.rs`). What the ranking reads — each version's
+//! families, labels and rank tables ([`VersionContext`]) — is derived once
+//! and kept across flushes until the version's structure grows. A one-shot
+//! analysis is a session's first flush: every run is new, so every run is
+//! evaluated in full, once.
 //!
 //! A delta states facts only; which instances those facts invalidate is
 //! decided by one function, `IncrementalAnalyzer::invalidated`, from what
@@ -30,8 +35,7 @@ use asl_eval::{compile as compile_ir, CompiledSpec, PropertyReads};
 use asl_eval::{Measurements, Owner, ReadSet, Runs};
 use cosy::backend::PreparedBackend;
 use cosy::{
-    AnalysisReport, Analyzer, ContextScope, HeldEntry, Name, ProblemThreshold, RankedEntry,
-    SpecError,
+    AnalysisReport, Analyzer, ContextScope, HeldEntry, ProblemThreshold, SpecError, VersionContext,
 };
 use obs::{Histogram, MetricsRegistry, MetricsSnapshot, MetricsSource};
 use perfdata::{CallId, FunctionId, RegionId, Store, TestRunId, VersionId};
@@ -119,14 +123,12 @@ impl Drop for PhaseClock<'_> {
     }
 }
 
-/// The held entry a ranked one was assembled from.
-fn unranked(entry: &RankedEntry) -> HeldEntry {
-    HeldEntry {
-        property: entry.property.clone(),
-        context: entry.context.clone(),
-        severity: entry.severity,
-        confidence: entry.confidence,
-    }
+/// What a run keeps between flushes: its live report, and the compact
+/// records its entries were ranked from, in the same order — what the next
+/// flush merges the re-evaluated entries into.
+struct Live {
+    report: AnalysisReport,
+    held: Vec<HeldEntry>,
 }
 
 /// What one run re-evaluates: a context scope per property of the spec,
@@ -222,17 +224,19 @@ pub struct IncrementalAnalyzer {
     /// Which properties each kind of fact reaches, from the read summaries
     /// of `compiled`.
     readers: Readers,
-    /// The declaration index of each property, by name: which scope of a
-    /// [`RunScope`] a held entry falls under.
-    property_index: HashMap<Name, usize>,
+    /// What each version's last analyzer derived from its structure
+    /// (families, labels, rank tables): handed to the next flush's
+    /// analyzer, which derives its own only once the structure has grown.
+    contexts: HashMap<VersionId, Arc<VersionContext>>,
     /// How many regions and call sites the store had after the last
     /// completed flush: the ids from there on are contexts no run has
     /// been evaluated at yet.
     seen_contexts: (usize, usize),
     threshold: ProblemThreshold,
-    /// The live report of every evaluated run — the only state a run
-    /// keeps: its entries are exactly the instances that hold.
-    reports: HashMap<TestRunId, AnalysisReport>,
+    /// The live report of every evaluated run, with the records it was
+    /// ranked from — the only state a run keeps: its entries are exactly
+    /// the instances that hold.
+    reports: HashMap<TestRunId, Live>,
     /// The ranking-basis region each version was last evaluated against.
     basis: HashMap<VersionId, RegionId>,
     /// Runs whose version had no analyzable structure yet: owed a full
@@ -265,13 +269,9 @@ impl IncrementalAnalyzer {
     /// compiled IR once, here.
     pub fn with_spec(spec: Arc<CheckedSpec>, threshold: ProblemThreshold) -> Self {
         let compiled = Arc::new(compile_ir(&spec));
-        let names = spec.properties().iter().map(|p| p.name.name.as_str());
         IncrementalAnalyzer {
             readers: Readers::of(compiled.property_reads()),
-            property_index: names
-                .enumerate()
-                .map(|(i, name)| (name.into(), i))
-                .collect(),
+            contexts: HashMap::new(),
             seen_contexts: (0, 0),
             spec,
             compiled,
@@ -309,7 +309,7 @@ impl IncrementalAnalyzer {
 
     /// The live report of a run, if any data arrived for it.
     pub fn report(&self, run: TestRunId) -> Option<&AnalysisReport> {
-        self.reports.get(&run)
+        self.reports.get(&run).map(|live| &live.report)
     }
 
     /// True once the run's producer declared it finished (its report is
@@ -336,7 +336,7 @@ impl IncrementalAnalyzer {
 
     /// All live reports.
     pub fn reports(&self) -> impl Iterator<Item = (TestRunId, &AnalysisReport)> {
-        self.reports.iter().map(|(run, report)| (*run, report))
+        self.reports.iter().map(|(run, live)| (*run, &live.report))
     }
 
     /// The `(property, context)` pairs of each run whose held results the
@@ -536,17 +536,6 @@ impl IncrementalAnalyzer {
         scopes
     }
 
-    /// Is the `(property, context)` pair of a held entry one that `scope`
-    /// re-evaluates?
-    fn in_scope(&self, scope: &RunScope, entry: &RankedEntry) -> bool {
-        let scope = &scope[self.property_index[&entry.property]];
-        match (entry.context.region, entry.context.call) {
-            (Some(region), _) => scope.has_region(RegionId(region)),
-            (_, Some(call)) => scope.has_call(CallId(call)),
-            (None, None) => false,
-        }
-    }
-
     /// Re-evaluate everything a delta invalidated and refresh the affected
     /// reports. Returns the runs whose report changed, in ascending order.
     pub fn flush(
@@ -575,7 +564,10 @@ impl IncrementalAnalyzer {
                 Arc::clone(&spec),
                 Arc::clone(&self.compiled),
             ) {
-                Ok(a) => a,
+                Ok(a) => match self.contexts.get(&v) {
+                    Some(context) => a.with_context(Arc::clone(context)),
+                    None => a,
+                },
                 // No structure yet: retry these runs on the next flush.
                 Err(SpecError::NoMainRegion) => {
                     self.pending_full.extend(runs.into_keys());
@@ -607,21 +599,36 @@ impl IncrementalAnalyzer {
                     property_counts[instance.property as usize] += 1;
                 }
                 // The report's entries outside the scope still hold; every
-                // entry inside it was just evaluated again.
-                let fresh = outcomes.into_iter().flatten();
+                // entry inside it was just evaluated again. Both lists are
+                // in rank order, so they merge in one pass.
+                let mut fresh: Vec<HeldEntry> = outcomes.into_iter().flatten().collect();
+                analyzer.rank(&mut fresh);
                 let full = scope.iter().all(|s| *s == ContextScope::All);
-                let held: Vec<HeldEntry> = match self.reports.get(&run).filter(|_| !full) {
+                let held = match self.reports.get(&run).filter(|_| !full) {
                     Some(live) => {
-                        let kept = live.entries.iter().filter(|e| !self.in_scope(scope, e));
-                        kept.map(unranked).chain(fresh).collect()
+                        let families = analyzer.families();
+                        let kept = live.held.iter().copied().filter(|h| {
+                            let p = h.property as usize;
+                            !families[p].in_scope(&scope[p], h.subject)
+                        });
+                        analyzer.merge_ranked(kept, fresh)
                     }
-                    None => fresh.collect(),
+                    None => fresh,
                 };
-                let skipped = instance_total - held.len();
-                let report = analyzer.assemble_report(run, held, self.threshold, skipped);
-                if self.reports.get(&run) != Some(&report) {
-                    self.reports.insert(run, report);
-                    updated.push(run);
+                match self.reports.get_mut(&run) {
+                    // The same entries: only what the report reads off the
+                    // store can have moved.
+                    Some(live) if live.held == held => {
+                        if analyzer.refresh_header(run, &mut live.report) {
+                            updated.push(run);
+                        }
+                    }
+                    _ => {
+                        let skipped = instance_total - held.len();
+                        let report = analyzer.ranked_report(run, &held, self.threshold, skipped);
+                        self.reports.insert(run, Live { report, held });
+                        updated.push(run);
+                    }
                 }
                 if full {
                     self.stats.full_reevaluations += 1;
@@ -636,6 +643,7 @@ impl IncrementalAnalyzer {
             // Only now: had an evaluation above failed, the retried delta
             // must still find the old basis and re-base the version.
             self.basis.insert(v, analyzer.basis());
+            self.contexts.insert(v, analyzer.context());
 
             // A report no rule re-evaluated keeps its entries, but what it
             // reads off the store can have moved all the same: the
@@ -647,10 +655,10 @@ impl IncrementalAnalyzer {
                 if runs.contains_key(run) {
                     continue;
                 }
-                let Some(report) = self.reports.get_mut(run) else {
+                let Some(live) = self.reports.get_mut(run) else {
                     continue;
                 };
-                if analyzer.refresh_header(*run, report) {
+                if analyzer.refresh_header(*run, &mut live.report) {
                     updated.push(*run);
                 }
             }
@@ -684,6 +692,7 @@ mod tests {
     use crate::builder::StoreBuilder;
     use crate::event::{RunKey, TraceEvent, VersionTag};
     use crate::test_events::{call_stat, exited, region_entered, run_started, typed};
+    use cosy::RankedEntry;
     use perfdata::{IdSet, TimingType};
 
     const MAIN: (&str, u32) = ("main", 1);

@@ -122,5 +122,7 @@ fn recovery_allocations_are_pinned() {
     );
     // Decoding each frame into a fresh event, as replay did before,
     // allocated 46 556 times here: one per string of every replayed event.
-    assert_eq!(count, 15_504, "allocations of one recovery");
+    // The flush derives each version's context once and keeps it, and
+    // builds no label for a spec under which nothing holds: 15 504 → 15 503.
+    assert_eq!(count, 15_503, "allocations of one recovery");
 }

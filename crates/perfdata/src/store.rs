@@ -591,6 +591,28 @@ impl Store {
         self.min_pe_run(v).map(|r| self.runs[r.index()].no_pe)
     }
 
+    /// How many regions and call sites version `v` holds: its
+    /// version-local indexes run from 0 to these. Grows exactly when the
+    /// version's structure does.
+    pub fn version_contexts(&self, v: VersionId) -> (u32, u32) {
+        let index = &self.version_index[v.index()];
+        (index.regions, index.calls)
+    }
+
+    /// The version-local index of region `r` (its place among the regions
+    /// of its version, in creation order), if `r` is a region of `version`.
+    pub fn region_local(&self, r: RegionId, version: VersionId) -> Option<u32> {
+        let place = self.region_place.get(r.index())?;
+        (place.version == version).then_some(place.local)
+    }
+
+    /// The version-local index of call site `c`, if `c` is a call site of
+    /// `version` (the caller's).
+    pub fn call_local(&self, c: CallId, version: VersionId) -> Option<u32> {
+        let place = self.call_place.get(c.index())?;
+        (place.version == version).then_some(place.local)
+    }
+
     // ---- navigation ---------------------------------------------------------
 
     /// The program a version belongs to.
