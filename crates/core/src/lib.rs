@@ -16,7 +16,7 @@
 //!
 //! * [`lexer`] — hand-written tokenizer with precise byte spans,
 //! * [`parser`] — recursive-descent parser producing the [`ast`] tree,
-//! * [`check`] — a nominal type checker resolving classes, enums, functions
+//! * [`check`](mod@check) — a nominal type checker resolving classes, enums, functions
 //!   and property signatures (see [`types`]),
 //! * [`pretty`] — a canonical pretty-printer whose output re-parses to the
 //!   same tree (tested by property-based round-trip tests),

@@ -418,13 +418,22 @@ impl Family {
 /// store but the structure, which only grows, so it outlives the analyzer
 /// that derived it: the incremental engine keeps it from flush to flush
 /// ([`Analyzer::with_context`]) and derives a new one only when the
-/// version's structure grows.
+/// version's structure grows or its ranking basis moves.
 pub struct VersionContext {
     families: Vec<Family>,
-    /// The version's `(regions, call sites)` when this was derived
-    /// ([`Store::version_contexts`]).
-    structure: (u32, u32),
+    /// The ranking basis and the version's `(regions, call sites)`
+    /// ([`Store::version_contexts`]) when this was derived.
+    derived_under: (RegionId, (u32, u32)),
     ranking: OnceLock<Ranking>,
+}
+
+impl VersionContext {
+    /// The ranking basis and the version's `(regions, call sites)` when
+    /// this was derived: the contexts at these version-local indexes and
+    /// past them are new since.
+    pub fn derived_under(&self) -> (RegionId, (u32, u32)) {
+        self.derived_under
+    }
 }
 
 /// The rank tables of a version: what orders its held entries by one
@@ -504,9 +513,9 @@ impl<'s> Analyzer<'s> {
 
     /// Take over what an earlier analyzer of the same version and spec
     /// derived ([`Self::context`]), unless the version's structure has
-    /// grown since: then this analyzer derives its own.
+    /// grown or its basis moved since: then this analyzer derives its own.
     pub fn with_context(self, context: Arc<VersionContext>) -> Self {
-        if context.structure == self.store.version_contexts(self.version) {
+        if context.derived_under == (self.basis, self.store.version_contexts(self.version)) {
             let _ = self.context.set(context);
         }
         self
@@ -544,25 +553,29 @@ impl<'s> Analyzer<'s> {
                 let of_version = s.versions[self.version.index()].functions.iter();
                 of_version.map(|f| &s.functions[f.index()])
             };
-            let regions: Arc<[u32]> = functions()
-                .flat_map(|f| f.regions.iter().map(|r| r.0))
-                .collect();
-            let calls_of = |restricted: bool| -> Arc<[u32]> {
-                functions()
-                    .filter(|f| !restricted || f.name == "barrier")
-                    .flat_map(|f| f.calls.iter().map(|c| c.0))
-                    .collect()
-            };
-            let (calls, barrier_calls) = (calls_of(false), calls_of(true));
+            // The regions, the call sites and `barrier`'s call sites of the
+            // version, each collected for the first family over it.
+            let mut lists: [Option<Arc<[u32]>>; 3] = Default::default();
             let family = |p: &PropertyDecl| {
                 let class = subject_class(p).expect("signatures checked at construction");
                 let name = p.name.name.as_str();
                 let restricted = SUITE.iter().any(|m| m.barrier_calls && m.name == name);
-                let subjects = match (class, restricted) {
-                    (REGION, _) => &regions,
-                    (_, true) => &barrier_calls,
-                    (_, false) => &calls,
+                let list = match (class, restricted) {
+                    (REGION, _) => 0,
+                    (_, false) => 1,
+                    (_, true) => 2,
                 };
+                let subjects = lists[list].get_or_insert_with(|| {
+                    let functions = functions().filter(|f| list != 2 || f.name == "barrier");
+                    match class {
+                        REGION => functions
+                            .flat_map(|f| f.regions.iter().map(|r| r.0))
+                            .collect(),
+                        _ => functions
+                            .flat_map(|f| f.calls.iter().map(|c| c.0))
+                            .collect(),
+                    }
+                });
                 Family {
                     property: name.into(),
                     subjects: Arc::clone(subjects),
@@ -571,7 +584,7 @@ impl<'s> Analyzer<'s> {
             };
             Arc::new(VersionContext {
                 families: self.spec.properties().iter().map(family).collect(),
-                structure: s.version_contexts(self.version),
+                derived_under: (self.basis, s.version_contexts(self.version)),
                 ranking: OnceLock::new(),
             })
         })
@@ -610,7 +623,7 @@ impl<'s> Analyzer<'s> {
             contexts.sort_unstable_by(|(la, ra, ca), (lb, rb, cb)| {
                 (la.as_str(), ra, ca).cmp(&(lb.as_str(), rb, cb))
             });
-            let (regions, calls) = self.derived().structure;
+            let (_, (regions, calls)) = self.derived().derived_under;
             let mut ranking = Ranking {
                 properties,
                 regions: vec![None; regions as usize],

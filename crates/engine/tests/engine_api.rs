@@ -3,10 +3,13 @@
 //! typed end to end. (That every shape serves the same reports, and
 //! recovers the state its configuration promises, is `tests/shapes.rs`.)
 
+use cosy::{Analyzer, Backend, ProblemThreshold};
 use engine::{AnalysisEngine, EngineBuilder, EngineError};
 use online::replay::replay_run_key;
 use online::TraceEvent;
 use perfdata::TestRunId;
+use std::collections::HashMap;
+use std::sync::Arc;
 use testkit::{Scenario, ScratchDir};
 
 /// Three runs of one generated version, and the key of the 16-PE one.
@@ -63,6 +66,45 @@ fn flush_returns_only_runs_whose_report_changed() {
     }
 }
 
+/// COSY gives every analyzed run a report, and a property that does not
+/// hold adds no entry to it. Under a spec with no property at all, every
+/// run's report is its header alone — the report `Analyzer::analyze`
+/// makes of the same store — in one engine and in a sharded one.
+#[test]
+fn a_spec_without_properties_reports_every_run() {
+    let scenario = Scenario {
+        pes: vec![1, 4, 16],
+        versions: 2,
+        ..Scenario::new(7)
+    };
+    let store = scenario.store();
+    let spec = Arc::new(asl_core::parse_and_check(asl_eval::COSY_DATA_MODEL).unwrap());
+    let analyzed = |run: TestRunId| {
+        let version = store.runs[run.index()].version;
+        let analyzer = Analyzer::with_spec(&store, version, Arc::clone(&spec)).unwrap();
+        let report = analyzer.analyze(run, Backend::Interpreter, ProblemThreshold::default());
+        (replay_run_key(run), report.unwrap())
+    };
+    let expected: HashMap<_, _> = (0..store.runs.len() as u32)
+        .map(TestRunId)
+        .map(analyzed)
+        .collect();
+    assert_eq!(expected.len(), 6);
+    assert!(expected
+        .values()
+        .all(|r| r.entries.is_empty() && r.skipped == 0));
+    for shards in [1, 3] {
+        let engine = EngineBuilder::new()
+            .spec(Arc::clone(&spec))
+            .shards(shards)
+            .build()
+            .unwrap();
+        engine.ingest_batch(&scenario.events()).unwrap();
+        engine.flush().unwrap();
+        assert_eq!(engine.reports(), expected, "{shards} shard(s)");
+    }
+}
+
 /// The trait is object-safe: heterogeneous engines behind one `dyn`.
 #[test]
 fn engines_work_as_trait_objects() {
@@ -100,7 +142,7 @@ fn lint_gate_denies_dirty_spec_and_passes_standard_suite() {
          }",
     )
     .unwrap();
-    let dirty = std::sync::Arc::new(dirty);
+    let dirty = Arc::new(dirty);
 
     let deny = EngineBuilder::new()
         .spec(dirty.clone())
@@ -135,7 +177,7 @@ fn uninstantiable_signature_fails_the_build() {
                PROPERTY P(TestRun t) {\n\
                    CONDITION: t.NoPe > 0; CONFIDENCE: 1; SEVERITY: 1.0;\n\
                }";
-    let spec = std::sync::Arc::new(asl_core::parse_and_check(src).unwrap());
+    let spec = Arc::new(asl_core::parse_and_check(src).unwrap());
     let shapes = [EngineBuilder::new(), EngineBuilder::new().shards(2)];
     for builder in shapes {
         match builder.spec(spec.clone()).build() {
@@ -166,7 +208,7 @@ fn lint_gate_denies_flow_proven_findings() {
     )
     .unwrap();
     match EngineBuilder::new()
-        .spec(std::sync::Arc::new(spec))
+        .spec(Arc::new(spec))
         .lint(engine::LintGate::Deny)
         .build()
     {

@@ -1229,11 +1229,11 @@ impl<'s> Compiler<'s> {
 
     /// Lower the source of a `binder IN source [pred]` construct,
     /// extracting a leading `binder.Attr == key` conjunct into an indexed
-    /// [`Ir::FilterEq`] when it is safe: the source is an attribute access,
-    /// the conjunct is the **first** one evaluated (so skipped elements
-    /// never reached the rest of the predicate anyway), and the key is an
-    /// infallible, binder-free expression (so hoisting its evaluation out
-    /// of the loop cannot reorder errors).
+    /// [`Ir::FilterEq`] when it is safe: the shape is one
+    /// [`shape::indexed_filter`] recognises (the conjunct is the **first**
+    /// one evaluated, so skipped elements never reached the rest of the
+    /// predicate anyway), and the lowered key is infallible (so hoisting
+    /// its evaluation out of the loop cannot reorder errors).
     fn lower_source<'e>(
         &mut self,
         binder: &Ident,
@@ -1241,26 +1241,22 @@ impl<'s> Compiler<'s> {
         pred: Option<&'e Expr>,
         ctx: SourceCtx,
     ) -> (NodeRef, Option<Residual<'e>>) {
-        if let (ExprKind::Attr(base, set_attr), Some(p)) = (&source.kind, pred) {
-            let mut cj = Vec::new();
-            conjuncts(p, &mut cj);
-            if let Some((elem_attr, key_expr)) = match_eq_filter(cj[0], &binder.name) {
-                // Key compiled in the *outer* scope; it is binder-free by
-                // the `match_eq_filter` check, so resolution is identical.
-                let key = self.lower(key_expr);
-                if self.is_infallible(key) {
-                    let obj = self.lower(base);
-                    let set_attr = Symbol::intern(&set_attr.name).as_str();
-                    let elem_attr = Symbol::intern(elem_attr).as_str();
-                    let src = self.push(Ir::FilterEq {
-                        obj,
-                        set_attr,
-                        elem_attr,
-                        key,
-                        ctx,
-                    });
-                    return (src, Some(Residual::Conjuncts(cj[1..].to_vec())));
-                }
+        if let Some(filter) = shape::indexed_filter(&binder.name, source, pred) {
+            // Key compiled in the *outer* scope; it is binder-free by the
+            // shape's check, so resolution is identical.
+            let key = self.lower(filter.key);
+            if self.is_infallible(key) {
+                let obj = self.lower(filter.base);
+                let set_attr = Symbol::intern(filter.set_attr).as_str();
+                let elem_attr = Symbol::intern(filter.elem_attr).as_str();
+                let src = self.push(Ir::FilterEq {
+                    obj,
+                    set_attr,
+                    elem_attr,
+                    key,
+                    ctx,
+                });
+                return (src, Some(Residual::Conjuncts(filter.residual)));
             }
         }
         (self.lower(source), pred.map(Residual::Whole))
@@ -1480,11 +1476,12 @@ pub mod shape {
 
     /// Would the compiler lower `binder IN source [WITH pred]` to an
     /// indexed `FilterEq` load? Returns the extracted parts
-    /// if so. Mirrors `Compiler::lower_source` exactly: the source must
-    /// be an attribute access, the **first** conjunct must be
+    /// if so. `Compiler::lower_source` extracts exactly these: the source
+    /// must be an attribute access, the **first** conjunct must be
     /// `binder.Attr == key` (either side), and the key must be a simple
-    /// binder-free expression. On a checked spec, "simple" also implies
-    /// infallible (every name the checker admits resolves).
+    /// binder-free expression. The compiler also requires the lowered key
+    /// to be infallible, which on a checked spec "simple" implies (every
+    /// name the checker admits resolves).
     pub fn indexed_filter<'e>(
         binder: &str,
         source: &'e Expr,

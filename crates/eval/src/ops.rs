@@ -2,7 +2,7 @@
 //!
 //! Both evaluation engines — the tree-walking [`crate::Interpreter`]
 //! (the reference oracle) and the compiled-IR executor in
-//! [`crate::compile`] — delegate every value-level operation here, so the
+//! [`crate::compile`](mod@crate::compile) — delegate every value-level operation here, so the
 //! two paths cannot drift apart: same numeric promotion rules, same
 //! error kinds, same messages.
 

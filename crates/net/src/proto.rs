@@ -333,9 +333,8 @@ fn put_event_batch_header(buf: &mut Vec<u8>, first_seq: u64, count: u32) {
 
 /// Write one EventBatch frame from a pre-encoded body of `count`
 /// [`encode_batch_entry`] entries — the bytes [`write_message`] writes
-/// for those events, built in one buffer with one copy of the body: the
-/// frame header is reserved up front and its length and checksum
-/// back-patched, as a WAL frame's are ([`online::wal::frame_event`]).
+/// for those events, built in one buffer with one copy of the body by the
+/// frame writer WAL frames use too ([`wire::put_frame`]).
 /// One `write`, then a flush. A producer retains each batch as its body
 /// and re-frames it with this on every resend.
 pub fn write_event_batch(
@@ -345,14 +344,10 @@ pub fn write_event_batch(
     body: &[u8],
 ) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(8 + 13 + body.len());
-    wire::put_u32(&mut frame, 0); // length, back-patched below
-    wire::put_u32(&mut frame, 0); // crc32, back-patched below
-    put_event_batch_header(&mut frame, first_seq, count);
-    frame.extend_from_slice(body);
-    let len = (frame.len() - 8) as u32;
-    let crc = wire::crc32(&frame[8..]);
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    wire::put_frame(&mut frame, |frame| {
+        put_event_batch_header(frame, first_seq, count);
+        frame.extend_from_slice(body);
+    });
     w.write_all(&frame)?;
     w.flush()
 }
@@ -442,12 +437,11 @@ fn decode_message_with_pool(
 
 // ------------------------------------------------------------- frames ----
 
-/// Write `payload` as one frame (len + crc32 + payload, a single write).
+/// Write `payload` as one frame (len + crc32 + payload, [`wire::put_frame`];
+/// a single write).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(8 + payload.len());
-    wire::put_u32(&mut frame, payload.len() as u32);
-    wire::put_u32(&mut frame, wire::crc32(payload));
-    frame.extend_from_slice(payload);
+    wire::put_frame(&mut frame, |frame| frame.extend_from_slice(payload));
     w.write_all(&frame)?;
     w.flush()
 }

@@ -302,8 +302,8 @@ impl OnlineSession {
         stats.wal_corruption = frames.corruption().cloned();
         stats.wal_events_rejected = session.stats().events_rejected - rejected_before;
         session.note_replayed(stats.snapshot_events + stats.wal_events_replayed);
-        session.flush().map_err(RecoveryError::Analysis)?;
-        stats.runs_recovered = session.reports().len();
+        // A fresh analyzer: every report it holds, this flush made.
+        stats.runs_recovered = session.flush().map_err(RecoveryError::Analysis)?.len();
         Ok((session, stats))
     }
 }

@@ -16,8 +16,11 @@
 //! bit-identical to a full analysis of the same store (enforced by the
 //! workspace's `tests/shapes.rs`). What the ranking reads — each version's
 //! families, labels and rank tables ([`VersionContext`]) — is derived once
-//! and kept across flushes until the version's structure grows. A one-shot
-//! analysis is a session's first flush: every run is new, so every run is
+//! and kept across flushes until the version's structure grows or its
+//! basis moves. It is the one record a version keeps: a flush re-bases
+//! from its basis, counts new contexts from its structure, and evaluates
+//! in full every run that holds no report. A one-shot analysis is a
+//! session's first flush: no run holds a report, so every run is
 //! evaluated in full, once.
 //!
 //! A delta states facts only; which instances those facts invalidate is
@@ -38,7 +41,7 @@ use cosy::{
     AnalysisReport, Analyzer, ContextScope, HeldEntry, ProblemThreshold, SpecError, VersionContext,
 };
 use obs::{Histogram, MetricsRegistry, MetricsSnapshot, MetricsSource};
-use perfdata::{CallId, FunctionId, RegionId, Store, TestRunId, VersionId};
+use perfdata::{CallId, RegionId, Store, TestRunId, VersionId};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -224,24 +227,17 @@ pub struct IncrementalAnalyzer {
     /// Which properties each kind of fact reaches, from the read summaries
     /// of `compiled`.
     readers: Readers,
-    /// What each version's last analyzer derived from its structure
-    /// (families, labels, rank tables): handed to the next flush's
-    /// analyzer, which derives its own only once the structure has grown.
+    /// What each version's last completed evaluation derived, and under
+    /// which basis and structure — the one record a version keeps: the
+    /// next flush's analyzer takes it over, and `invalidated` reads off it
+    /// the basis to re-base from and the contexts not evaluated yet.
     contexts: HashMap<VersionId, Arc<VersionContext>>,
-    /// How many regions and call sites the store had after the last
-    /// completed flush: the ids from there on are contexts no run has
-    /// been evaluated at yet.
-    seen_contexts: (usize, usize),
     threshold: ProblemThreshold,
     /// The live report of every evaluated run, with the records it was
     /// ranked from — the only state a run keeps: its entries are exactly
-    /// the instances that hold.
+    /// the instances that hold. A run without one is owed a full
+    /// evaluation.
     reports: HashMap<TestRunId, Live>,
-    /// The ranking-basis region each version was last evaluated against.
-    basis: HashMap<VersionId, RegionId>,
-    /// Runs whose version had no analyzable structure yet: owed a full
-    /// evaluation, and kept here until a flush has given them one.
-    pending_full: HashSet<TestRunId>,
     /// Runs whose producer declared them finished (`RunFinished` seen).
     finished: HashSet<TestRunId>,
     stats: IncrementalStats,
@@ -272,13 +268,10 @@ impl IncrementalAnalyzer {
         IncrementalAnalyzer {
             readers: Readers::of(compiled.property_reads()),
             contexts: HashMap::new(),
-            seen_contexts: (0, 0),
             spec,
             compiled,
             threshold,
             reports: HashMap::new(),
-            basis: HashMap::new(),
-            pending_full: HashSet::new(),
             finished: HashSet::new(),
             stats: IncrementalStats::default(),
             metrics: None,
@@ -307,7 +300,7 @@ impl IncrementalAnalyzer {
         Arc::clone(&self.spec)
     }
 
-    /// The live report of a run, if any data arrived for it.
+    /// The live report of a run, once a flush has evaluated it.
     pub fn report(&self, run: TestRunId) -> Option<&AnalysisReport> {
         self.reports.get(&run).map(|live| &live.report)
     }
@@ -362,28 +355,29 @@ impl IncrementalAnalyzer {
     ///
     /// and
     ///
-    /// 3. a new run is evaluated in full, and when no run of its version
-    ///    has fewer processors, every run of the version re-evaluates the
+    /// 3. in every version the delta touches, a run that holds no report
+    ///    is evaluated in full — it is new, waited for its version's
+    ///    structure ([`SpecError::NoMainRegion`]), or was owed by a flush
+    ///    that failed — and when a new run has no run of its version with
+    ///    fewer processors, every run of the version re-evaluates the
     ///    properties that read other runs — the reference configuration
     ///    (and the `UNIQUE` min-PE selection) changed;
-    /// 4. a run that was waiting for its version's structure
-    ///    ([`SpecError::NoMainRegion`]) is evaluated in full;
-    /// 5. a fact of set `S` at the ranking basis re-bases run `t` — every
+    /// 4. a fact of set `S` at the ranking basis re-bases run `t` — every
     ///    context — for the properties that read `S` of the basis, and
     ///    every run for those that read it in other runs;
-    /// 6. a basis *identity* other than the one the version was last
-    ///    evaluated against (a `main` function announced late) re-bases
-    ///    the whole version.
+    /// 5. a basis *identity* other than the one the version's kept
+    ///    [`VersionContext`] was derived under (a `main` function announced
+    ///    late) re-bases the whole version, as does having no kept context.
     ///
     /// A property whose reads the summary does not classify (it navigates
     /// to a parent region, a caller, …) is re-evaluated in full in every
     /// run of each version a fact, a new run or new structure touched. A
-    /// region or call site that appeared since the last flush is evaluated
-    /// in every run of its version. Every version touched takes part in
-    /// the flush even with nothing to re-evaluate (see `Scopes`). A
-    /// version all of whose runs rules 3 and 4 re-evaluate in full — every
-    /// version of a session's first flush — has nothing left for the other
-    /// rules to add, and its facts are not visited.
+    /// region or call site at or past the kept context's structure counts
+    /// is evaluated in every run of its version. Every version touched
+    /// takes part in the flush even with nothing to re-evaluate (see
+    /// `Scopes`). A version none of whose runs holds a report — every
+    /// version of a session's first flush — rule 3 re-evaluates whole:
+    /// the other rules have nothing to add, and its facts are not visited.
     ///
     /// Rules 2 and 3 look at the store as the delta left it, not as each
     /// event found it. They select the same contexts — a min-PE record of
@@ -401,30 +395,26 @@ impl IncrementalAnalyzer {
         let runs_of = |v: VersionId| store.versions[v.index()].runs.iter().copied();
         let readers = &self.readers;
         let spec_len = readers.every.len();
+        // Every version the delta touches takes part, and rule 3.
+        let fact_runs = (delta.totals.keys().chain(delta.typed.keys())).chain(delta.calls.keys());
+        let touched = (fact_runs.chain(&delta.new_runs).map(|&run| version_of(run)))
+            .chain(delta.grown_versions.iter().copied());
         let mut scopes = Scopes::new();
-        // Versions rules 3 and 4 re-evaluate whole (see above).
-        let whole: HashSet<TestRunId> = (delta.new_runs.iter().chain(&self.pending_full))
-            .copied()
-            .collect();
-        let saturated: HashSet<VersionId> = (whole.iter())
-            .map(|&run| version_of(run))
-            .filter(|&v| runs_of(v).all(|run| whole.contains(&run)))
-            .collect();
+        touched.for_each(|v| _ = scopes.entry(v).or_default());
+        for (&v, runs) in &mut scopes {
+            let unreported = runs_of(v).filter(|run| !self.reports.contains_key(run));
+            runs.extend(unreported.map(|run| (run, vec![ContextScope::All; spec_len])));
+        }
+        let saturated = |v: VersionId| runs_of(v).all(|run| !self.reports.contains_key(&run));
         // Re-evaluate `properties` at `context` in `run` of version `v`, or
-        // in every run of it. Either way the version takes part.
+        // in every run of it.
         let mut dirty = |v: VersionId, run: Option<TestRunId>, properties: &[u16], context| {
-            let runs = scopes.entry(v).or_default();
+            let runs = scopes.get_mut(&v).expect("a touched version");
             match run {
                 Some(run) => mark(runs, run, properties, context, spec_len),
-                None if properties.is_empty() => {}
                 None => runs_of(v).for_each(|r| mark(runs, r, properties, context, spec_len)),
             }
         };
-
-        // Rules 3 and 4.
-        for &run in delta.new_runs.iter().chain(&self.pending_full) {
-            dirty(version_of(run), Some(run), &readers.every, Context::All);
-        }
         for &run in &delta.new_runs {
             let v = version_of(run);
             if store.min_pe_of_version(v) == Some(no_pe(run)) {
@@ -432,7 +422,7 @@ impl IncrementalAnalyzer {
             }
         }
 
-        // Rules 1, 2 and 5, fact by fact. The fewest processors of a run
+        // Rules 1, 2 and 4, fact by fact. The fewest processors of a run
         // other than `run` holding a record of `set` at `context`, if any:
         let least_other = |set, context, run| {
             let (regions, calls) = (&store.regions, &store.calls);
@@ -453,10 +443,9 @@ impl IncrementalAnalyzer {
         };
         let mut facts = |set: Measurements, run, contexts: &mut dyn Iterator<Item = Context>| {
             let v = version_of(run);
-            if saturated.contains(&v) {
+            if saturated(v) {
                 return;
             }
-            dirty(v, None, &[], Context::All);
             let basis = store.main_region(v).map(Context::Region);
             for context in contexts {
                 // A fact at the basis reaches every context of its readers.
@@ -504,33 +493,28 @@ impl IncrementalAnalyzer {
             facts(Measurements::Sums, run, &mut calls);
         }
 
-        // New contexts.
-        let (regions, calls) = self.seen_contexts;
-        let version_of_function = |f: FunctionId| store.functions[f.index()].version;
-        let new_regions = store.regions.iter().enumerate().skip(regions);
-        let new_calls = store.calls.iter().enumerate().skip(calls);
-        let new_contexts = new_regions
-            .map(|(id, r)| (r.function, Context::Region(RegionId(id as u32))))
-            .chain(new_calls.map(|(id, c)| (c.callee, Context::Call(CallId(id as u32)))));
-        for (function, context) in new_contexts {
-            let v = version_of_function(function);
-            if !saturated.contains(&v) {
-                dirty(v, None, &readers.every, context);
-            }
-        }
-        for &v in &delta.grown_versions {
-            dirty(v, None, &[], Context::All);
-        }
-
-        for (&v, runs) in &mut scopes {
-            let mut everywhere = |properties: &[u16]| {
-                runs_of(v).for_each(|r| mark(runs, r, properties, Context::All, spec_len));
+        for (&v, runs) in scopes.iter_mut().filter(|(v, _)| !saturated(**v)) {
+            let mut everywhere = |properties: &[u16], context| {
+                runs_of(v).for_each(|r| mark(runs, r, properties, context, spec_len));
             };
-            everywhere(&readers.unclassified);
-            // Rule 6.
-            let basis = store.main_region(v);
-            if basis.is_some() && self.basis.get(&v).is_some_and(|old| Some(*old) != basis) {
-                everywhere(&readers.every);
+            everywhere(&readers.unclassified, Context::All);
+            // Rule 5, and the contexts the kept context has not seen.
+            match self.contexts.get(&v).map(|kept| kept.derived_under()) {
+                Some((basis, (regions, calls))) if store.main_region(v) == Some(basis) => {
+                    let functions = store.versions[v.index()].functions.iter();
+                    for f in functions.map(|f| &store.functions[f.index()]) {
+                        let new_regions = (f.regions.iter().copied())
+                            .filter(|&r| store.region_local(r, v) >= Some(regions));
+                        let new_calls = (f.calls.iter().copied())
+                            .filter(|&c| store.call_local(c, v) >= Some(calls));
+                        for context in
+                            (new_regions.map(Context::Region)).chain(new_calls.map(Context::Call))
+                        {
+                            everywhere(&readers.every, context);
+                        }
+                    }
+                }
+                _ => everywhere(&readers.every, Context::All),
             }
         }
         scopes
@@ -568,11 +552,9 @@ impl IncrementalAnalyzer {
                     Some(context) => a.with_context(Arc::clone(context)),
                     None => a,
                 },
-                // No structure yet: retry these runs on the next flush.
-                Err(SpecError::NoMainRegion) => {
-                    self.pending_full.extend(runs.into_keys());
-                    continue;
-                }
+                // No structure yet: its runs hold no report, so the flush
+                // its structure arrives in evaluates them in full.
+                Err(SpecError::NoMainRegion) => continue,
                 Err(e) => return Err(e.into()),
             };
 
@@ -632,17 +614,14 @@ impl IncrementalAnalyzer {
                 }
                 if full {
                     self.stats.full_reevaluations += 1;
-                    // Owed until paid: a flush that fails before this
-                    // point leaves the run waiting.
-                    self.pending_full.remove(&run);
                 }
                 self.stats.instances_evaluated += instances.len() as u64;
                 self.stats.runs_reevaluated += 1;
                 clock.lap(2);
             }
             // Only now: had an evaluation above failed, the retried delta
-            // must still find the old basis and re-base the version.
-            self.basis.insert(v, analyzer.basis());
+            // must still find the old basis and structure, and re-base the
+            // version or evaluate its new contexts.
             self.contexts.insert(v, analyzer.context());
 
             // A report no rule re-evaluated keeps its entries, but what it
@@ -664,7 +643,6 @@ impl IncrementalAnalyzer {
             }
             clock.lap(2);
         }
-        self.seen_contexts = (store.regions.len(), store.calls.len());
 
         if let Some(FlushMetrics { registry, .. }) =
             self.metrics.as_deref().filter(|_| obs::enabled())
@@ -811,12 +789,13 @@ mod tests {
     /// reference configuration of every run — for what reads other runs.
     #[test]
     fn smaller_pe_run_reevaluates_what_reads_other_runs() {
-        let (mut b, a) = version_with_runs(&[8]);
+        let (mut b, mut a) = version_with_runs(&[8]);
         let smaller = apply(&mut b, &[run_started(2, 9, 2)]);
         assert_eq!(
             of_version_9(&a, &b, a.invalidated(b.store(), &smaller)),
             [(1, only(&MIN_PE, &ContextScope::All)), (2, Seen::Full)]
         );
+        a.flush(b.store(), &smaller).unwrap();
         // A larger run does not.
         let larger = apply(&mut b, &[run_started(3, 9, 16)]);
         assert_eq!(
@@ -903,7 +882,7 @@ mod tests {
         );
     }
 
-    /// Rule 5: a fact at the ranking basis re-bases its run for the
+    /// Rule 4: a fact at the ranking basis re-bases its run for the
     /// properties that read that set of the basis. Every standard property
     /// reads the basis total (`Duration(Basis, t)`); none reads its typed
     /// timings, so a typed sample at `main` reaches only the seven typed
@@ -967,8 +946,9 @@ mod tests {
         assert_eq!(of_version_9(&a, &b, a.invalidated(b.store(), &more)), []);
     }
 
-    /// Rule 6 compares with the basis the version was last *evaluated*
-    /// against: a flush that fails on the way leaves the re-base owed.
+    /// Rule 5 compares with the basis the version was last *evaluated*
+    /// against — its kept context's: a flush that fails on the way leaves
+    /// the re-base owed.
     #[test]
     fn failed_flush_still_owes_the_rebase() {
         let mut b = StoreBuilder::new();
@@ -1006,6 +986,8 @@ mod tests {
         );
     }
 
+    /// Rule 3: a run whose version has no ranking basis yet holds no
+    /// report, and is owed a full evaluation until its structure arrives.
     #[test]
     fn version_without_main_region_waits_for_structure() {
         let mut b = StoreBuilder::new();
@@ -1014,14 +996,9 @@ mod tests {
         let run = b.run_id(RunKey(1)).unwrap();
         assert_eq!(a.flush(b.store(), &started).unwrap(), []);
         assert!(a.report(run).is_none());
-        // Requeued: with no new fact at all the run is still owed a full
-        // evaluation, and still cannot get one.
         let nothing = StoreDelta::new();
-        assert_eq!(
-            of_version_9(&a, &b, a.invalidated(b.store(), &nothing)),
-            [(1, Seen::Full)]
-        );
         assert_eq!(a.flush(b.store(), &nothing).unwrap(), []);
+        assert!(a.report(run).is_none());
         // The flush after structure arrives evaluates it, once.
         let structure = apply(&mut b, &[region_entered(1, "main", MAIN.0, None, MAIN.1)]);
         assert_eq!(a.flush(b.store(), &structure).unwrap(), [run]);

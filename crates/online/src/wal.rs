@@ -333,21 +333,12 @@ pub fn read_wal(path: &Path) -> Result<WalContents, IoFailure> {
 
 /// Append one framed event to `buf` (shared by the WAL writer and tests).
 ///
-/// The payload is wire-encoded **in place**: the frame header (length,
-/// crc) is reserved up front and back-patched once the payload's extent
-/// is known, so framing a whole batch into one scratch buffer performs
+/// The payload is wire-encoded **in place** ([`wire::put_frame`]), so
+/// framing a whole batch into one scratch buffer performs
 /// zero per-event allocations — the group-commit append's cost is one
 /// buffer fill, one `write`, at most one fsync.
 pub fn frame_event(buf: &mut Vec<u8>, event: &TraceEvent) {
-    let header = buf.len();
-    wire::put_u32(buf, 0); // length, back-patched below
-    wire::put_u32(buf, 0); // crc32, back-patched below
-    let body = buf.len();
-    event.encode_wire(buf);
-    let len = (buf.len() - body) as u32;
-    let crc = wire::crc32(&buf[body..]);
-    buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
-    buf[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+    wire::put_frame(buf, |buf| event.encode_wire(buf));
 }
 
 /// Metric handles a [`WalWriter`] records into when its owner wires them

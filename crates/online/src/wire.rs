@@ -96,6 +96,22 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// Append one frame, `len u32 | crc32 u32 | payload`, whose payload
+/// `encode` appends in place: the header is reserved up front and
+/// back-patched with the payload's length and [`crc32`] once its extent
+/// is known — the one writer of WAL frames ([`crate::wal::frame_event`])
+/// and `kojak-net` frames.
+pub fn put_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let header = buf.len();
+    let body = header + 8;
+    buf.resize(body, 0);
+    encode(buf);
+    let len = (buf.len() - body) as u32;
+    let crc = crc32(&buf[body..]);
+    buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    buf[header + 4..body].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Stable one-byte code of a [`RegionKind`] (wire + snapshot format).
 pub fn region_kind_code(kind: RegionKind) -> u8 {
     match kind {

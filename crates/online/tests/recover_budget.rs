@@ -124,5 +124,10 @@ fn recovery_allocations_are_pinned() {
     // allocated 46 556 times here: one per string of every replayed event.
     // The flush derives each version's context once and keeps it, and
     // builds no label for a spec under which nothing holds: 15 504 → 15 503.
-    assert_eq!(count, 15_503, "allocations of one recovery");
+    // Every run now gets its header-only report (six program names, the
+    // report map, the changed-run lists); the flush no longer keeps a
+    // basis map or a set of owed runs, collects no subject list no family
+    // reads, and recovery counts its runs off the flush instead of
+    // cloning every report: 15 503 → 15 500.
+    assert_eq!(count, 15_500, "allocations of one recovery");
 }

@@ -321,9 +321,10 @@ impl Scenario {
         self.simulate(self.rejected_events)
     }
 
-    /// The interpreter's reports over [`accepted_store`]
-    /// (Scenario::accepted_store), keyed by replay run key: a reference
-    /// that owes nothing to `StoreBuilder`, before any late correction.
+    /// The interpreter's reports over
+    /// [`accepted_store`](Scenario::accepted_store), keyed by replay run
+    /// key: a reference that owes nothing to `StoreBuilder`, before any
+    /// late correction.
     pub fn reports(&self) -> Reports {
         let store = self.accepted_store();
         analyze_all(&store, &self.spec(), Backend::Interpreter, replay_run_key)

@@ -153,7 +153,7 @@ pub fn random_store(seed: u64, n_runs: usize, n_regions: usize) -> (Store, Versi
 }
 
 /// A suite to check: the data model, the real standard properties, and
-/// the [`generated_properties`] of `seed`.
+/// the generated properties of `seed`.
 pub fn generated_suite(seed: u64) -> String {
     format!(
         "{COSY_DATA_MODEL}\n{SUITE_PROPERTIES}\n{}",

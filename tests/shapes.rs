@@ -76,7 +76,7 @@ fn decreasing_pe_order_with_late_corrections() {
 /// read summary says so: a correction of that timing, sent once every run
 /// was reported, moves the property in the runs it was not addressed to,
 /// and only the reference run — whose basis total is corrected too — is
-/// re-evaluated in full (rule 5), not the whole version.
+/// re-evaluated in full (rule 4), not the whole version.
 #[test]
 fn a_late_correction_of_the_reference_run_moves_a_custom_property() {
     let corrected = Scenario {
