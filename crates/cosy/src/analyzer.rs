@@ -421,6 +421,8 @@ impl Family {
 /// version's structure grows or its ranking basis moves.
 pub struct VersionContext {
     families: Vec<Family>,
+    /// The families' subjects, summed once ([`Analyzer::instance_universe`]).
+    instances: usize,
     /// The ranking basis and the version's `(regions, call sites)`
     /// ([`Store::version_contexts`]) when this was derived.
     derived_under: (RegionId, (u32, u32)),
@@ -582,8 +584,10 @@ impl<'s> Analyzer<'s> {
                     regions: class == REGION,
                 }
             };
+            let families: Vec<Family> = self.spec.properties().iter().map(family).collect();
             Arc::new(VersionContext {
-                families: self.spec.properties().iter().map(family).collect(),
+                instances: families.iter().map(|f| f.subjects.len()).sum(),
+                families,
                 derived_under: (self.basis, s.version_contexts(self.version)),
                 ranking: OnceLock::new(),
             })
@@ -726,11 +730,11 @@ impl<'s> Analyzer<'s> {
 
     /// Total number of property instances a full pass over any one run of
     /// the version would enumerate (without building them) — a property of
-    /// the version's structure, identical for every run. Lets the
-    /// incremental engine keep batch-identical `skipped` statistics at
-    /// negligible cost.
+    /// the version's structure, identical for every run, counted once per
+    /// [`VersionContext`]. Lets the incremental engine keep batch-identical
+    /// `skipped` statistics at no cost.
     pub fn instance_universe(&self) -> usize {
-        self.families().iter().map(|f| f.subjects.len()).sum()
+        self.derived().instances
     }
 
     /// Evaluate a set of enumerated instances on a prepared backend. The
@@ -969,12 +973,12 @@ impl<'s> Analyzer<'s> {
         (reference_pe, basis_duration)
     }
 
-    /// Bring what `report` reads off the store — the reference
-    /// configuration, the basis duration and the count of instances that
-    /// did not hold — and its total cost, which the basis picks out of its
-    /// entries, up to date, its entries as they are: the report
-    /// [`Self::assemble_report`] would make of the same entries. True if
-    /// anything moved.
+    /// Bring the header of `report` up to date, its entries as they are:
+    /// the report [`Self::assemble_report`] would make of the same entries.
+    /// Besides the entries, only a new fewest-processors run (reference
+    /// configuration), a basis total of `run` (basis duration), the
+    /// version's structure (instances that did not hold) and its basis
+    /// (total cost too) move it. True if anything moved.
     pub fn refresh_header(&self, run: TestRunId, report: &mut AnalysisReport) -> bool {
         let (reference_pe, basis_duration) = self.header(run);
         let skipped = self.instance_universe() - report.entries.len();
@@ -1366,5 +1370,25 @@ mod tests {
         assert!(strict.problems().count() > 0);
         assert_eq!(lax.problems().count(), 0);
         assert!(!lax.needs_tuning());
+    }
+
+    /// A context derived under the main region is not taken over by an
+    /// analyzer ranking against another region, though the structure it
+    /// was derived from is the version's still: that analyzer derives its
+    /// own.
+    #[test]
+    fn a_context_of_another_basis_is_not_adopted() {
+        let mut store = Store::new();
+        let model = archetypes::particle_mc(23);
+        let version = simulate_program(&mut store, &model, &MachineModel::t3e_900(), &[1, 4]);
+        let main = Analyzer::new(&store, version).unwrap();
+        let kept = main.context();
+        assert_eq!(kept.derived_under().0, main.basis());
+        let functions = store.versions[version.index()].functions.iter();
+        let mut regions = functions.flat_map(|f| store.functions[f.index()].regions.iter());
+        let other = *regions.find(|&&r| r != main.basis()).unwrap();
+        let rebased = Analyzer::new(&store, version).unwrap().with_basis(other);
+        let rebased = rebased.with_context(kept);
+        assert_eq!(rebased.context().derived_under().0, other);
     }
 }

@@ -5,9 +5,10 @@
 
 use cosy::{Analyzer, Backend, ProblemThreshold};
 use engine::{AnalysisEngine, EngineBuilder, EngineError};
-use online::replay::replay_run_key;
-use online::TraceEvent;
+use online::replay::{events_for_run, replay_run_key};
+use online::{StoreBuilder, StoreDelta, TraceEvent};
 use perfdata::TestRunId;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 use testkit::{Scenario, ScratchDir};
@@ -69,39 +70,79 @@ fn flush_returns_only_runs_whose_report_changed() {
 /// COSY gives every analyzed run a report, and a property that does not
 /// hold adds no entry to it. Under a spec with no property at all, every
 /// run's report is its header alone — the report `Analyzer::analyze`
-/// makes of the same store — in one engine and in a sharded one.
+/// makes of the same store — in one engine and in a sharded one. The runs
+/// arrive one flush at a time, most processors first, so each 1-PE run
+/// moves the reference configuration of every report of its version; then
+/// a halved total of the basis in the first run moves its basis duration.
+/// No property reads either. After every flush the reports are those
+/// `Analyzer::analyze` makes over a `StoreBuilder` fed the same events.
 #[test]
 fn a_spec_without_properties_reports_every_run() {
-    let scenario = Scenario {
+    let store = Scenario {
         pes: vec![1, 4, 16],
         versions: 2,
         ..Scenario::new(7)
-    };
-    let store = scenario.store();
+    }
+    .store();
     let spec = Arc::new(asl_core::parse_and_check(asl_eval::COSY_DATA_MODEL).unwrap());
-    let analyzed = |run: TestRunId| {
-        let version = store.runs[run.index()].version;
-        let analyzer = Analyzer::with_spec(&store, version, Arc::clone(&spec)).unwrap();
-        let report = analyzer.analyze(run, Backend::Interpreter, ProblemThreshold::default());
-        (replay_run_key(run), report.unwrap())
+    let analyzed = |events: &[TraceEvent]| {
+        let (mut builder, mut delta) = (StoreBuilder::new(), StoreDelta::new());
+        events
+            .iter()
+            .for_each(|e| builder.apply(e, &mut delta).unwrap());
+        let store = builder.store();
+        let report = |run: TestRunId| {
+            let version = store.runs[run.index()].version;
+            let analyzer = Analyzer::with_spec(store, version, Arc::clone(&spec)).unwrap();
+            let report = analyzer.analyze(run, Backend::Interpreter, ProblemThreshold::default());
+            (builder.run_key_of(run).unwrap(), report.unwrap())
+        };
+        let runs = (0..store.runs.len() as u32).map(TestRunId);
+        runs.map(report).collect::<HashMap<_, _>>()
     };
-    let expected: HashMap<_, _> = (0..store.runs.len() as u32)
-        .map(TestRunId)
-        .map(analyzed)
+    let mut runs: Vec<TestRunId> = (0..store.runs.len() as u32).map(TestRunId).collect();
+    runs.sort_by_key(|run| Reverse(store.runs[run.index()].no_pe));
+    let mut steps: Vec<Vec<TraceEvent>> = runs
+        .iter()
+        .map(|&run| events_for_run(&store, run))
         .collect();
-    assert_eq!(expected.len(), 6);
-    assert!(expected
-        .values()
-        .all(|r| r.entries.is_empty() && r.skipped == 0));
+    let first = TestRunId(0);
+    let basis = store
+        .main_region(store.runs[first.index()].version)
+        .unwrap();
+    let basis = store.regions[basis.index()].name.as_str();
+    let mut total = events_for_run(&store, first)
+        .into_iter()
+        .rfind(|e| matches!(e, TraceEvent::RegionExited { region, .. } if region.name == basis))
+        .unwrap();
+    if let TraceEvent::RegionExited { excl, incl, .. } = &mut total {
+        (*excl, *incl) = (*excl * 0.5, *incl * 0.5);
+    }
+    steps.push(vec![total]);
     for shards in [1, 3] {
         let engine = EngineBuilder::new()
             .spec(Arc::clone(&spec))
             .shards(shards)
             .build()
             .unwrap();
-        engine.ingest_batch(&scenario.events()).unwrap();
-        engine.flush().unwrap();
-        assert_eq!(engine.reports(), expected, "{shards} shard(s)");
+        let mut fed = Vec::new();
+        let mut before = analyzed(&fed);
+        for (step, events) in steps.iter().enumerate() {
+            engine.ingest_batch(events).unwrap();
+            engine.flush().unwrap();
+            fed.extend_from_slice(events);
+            let expected = analyzed(&fed);
+            assert_eq!(engine.reports(), expected, "{shards} shard(s), step {step}");
+            assert!(expected
+                .values()
+                .all(|r| r.entries.is_empty() && r.skipped == 0));
+            if step + 1 == steps.len() {
+                assert_eq!(expected.len(), 6);
+                let key = replay_run_key(first);
+                assert_ne!(expected[&key].basis_duration, before[&key].basis_duration);
+            }
+            before = expected;
+        }
     }
 }
 

@@ -18,18 +18,18 @@
 //! families, labels and rank tables ([`VersionContext`]) — is derived once
 //! and kept across flushes until the version's structure grows or its
 //! basis moves. It is the one record a version keeps: a flush re-bases
-//! from its basis, counts new contexts from its structure, and evaluates
-//! in full every run that holds no report. A one-shot analysis is a
-//! session's first flush: no run holds a report, so every run is
+//! from its basis and counts new contexts from its structure, and a
+//! version without one is evaluated in full. A one-shot analysis is a
+//! session's first flush: no version keeps a context, so every run is
 //! evaluated in full, once.
 //!
-//! A delta states facts only; which instances those facts invalidate is
-//! decided by one function, `IncrementalAnalyzer::invalidated`, from what
-//! each property reads — the read summaries the compiled spec derives
-//! from the property bodies ([`CompiledSpec::property_reads`]), not a
-//! table kept beside the suite. The rules are stated there and nowhere
-//! else. [`IncrementalAnalyzer::flush`] calls it and then only enumerates,
-//! evaluates and assembles.
+//! A delta states facts only; which instances those facts invalidate, and
+//! which report headers they move, is decided by one function,
+//! `IncrementalAnalyzer::invalidated`, from what each property reads — the
+//! read summaries the compiled spec derives from the property bodies
+//! ([`CompiledSpec::property_reads`]), not a table kept beside the suite.
+//! The rules are stated there and nowhere else; [`IncrementalAnalyzer::flush`]
+//! walks only the runs it lists.
 
 use crate::builder::StoreDelta;
 use crate::error::FlushError;
@@ -53,7 +53,7 @@ use std::time::Instant;
 pub struct IncrementalStats {
     /// Number of flushes processed.
     pub flushes: u64,
-    /// Runs whose report was re-assembled.
+    /// Runs re-evaluated, in part or in full; a header refresh is not one.
     pub runs_reevaluated: u64,
     /// Runs that needed a full (all-context) evaluation.
     pub full_reevaluations: u64,
@@ -138,10 +138,10 @@ struct Live {
 /// in declaration order ([`Analyzer::instances_scoped`]).
 type RunScope = Vec<ContextScope>;
 
-/// What a delta invalidated: per version, per run, in ascending order. A
-/// version mapped to no run takes part in the flush all the same — a fact
-/// of it arrived, or its structure grew, so its reports' headers are
-/// brought up to date. Only `IncrementalAnalyzer::invalidated` builds one.
+/// What a delta invalidated: per version, per run, in ascending order,
+/// every run whose report can move. A run whose scope names no context
+/// only has its header brought up to date; a version mapped to no run has
+/// nothing that moved. Only `IncrementalAnalyzer::invalidated` builds one.
 type Scopes = BTreeMap<VersionId, BTreeMap<TestRunId, RunScope>>;
 
 /// Where a fact was stored, or which contexts a rule reaches.
@@ -153,7 +153,7 @@ enum Context {
     All,
 }
 
-/// Re-evaluate `properties` of `run` at `context`.
+/// List `run` and re-evaluate `properties` of it at `context`.
 fn mark(
     runs: &mut BTreeMap<TestRunId, RunScope>,
     run: TestRunId,
@@ -161,9 +161,6 @@ fn mark(
     context: Context,
     spec_len: usize,
 ) {
-    if properties.is_empty() {
-        return;
-    }
     let scope = runs
         .entry(run)
         .or_insert_with(|| vec![ContextScope::none(); spec_len]);
@@ -333,8 +330,8 @@ impl IncrementalAnalyzer {
     }
 
     /// The `(property, context)` pairs of each run whose held results the
-    /// facts of `delta` can have changed — the one statement of the
-    /// engine's invalidation policy.
+    /// facts of `delta` can have changed, and the runs whose header they
+    /// can have moved — the one statement of the engine's policy.
     ///
     /// Every rule is scoped by property, through the read summary the spec
     /// yields for it ([`asl_eval::PropertyReads`]): which measurement sets
@@ -355,10 +352,11 @@ impl IncrementalAnalyzer {
     ///
     /// and
     ///
-    /// 3. in every version the delta touches, a run that holds no report
-    ///    is evaluated in full — it is new, waited for its version's
-    ///    structure ([`SpecError::NoMainRegion`]), or was owed by a flush
-    ///    that failed — and when a new run has no run of its version with
+    /// 3. a run is evaluated in full when it is new and holds no report, or
+    ///    its version keeps no [`VersionContext`] (it may have waited for
+    ///    structure, [`SpecError::NoMainRegion`]); a failed flush re-queues
+    ///    its delta and keeps no context it did not finish, so a run it owed
+    ///    is one or the other. When a new run has no run of its version with
     ///    fewer processors, every run of the version re-evaluates the
     ///    properties that read other runs — the reference configuration
     ///    (and the `UNIQUE` min-PE selection) changed;
@@ -373,11 +371,14 @@ impl IncrementalAnalyzer {
     /// to a parent region, a caller, …) is re-evaluated in full in every
     /// run of each version a fact, a new run or new structure touched. A
     /// region or call site at or past the kept context's structure counts
-    /// is evaluated in every run of its version. Every version touched
-    /// takes part in the flush even with nothing to re-evaluate (see
-    /// `Scopes`). A version none of whose runs holds a report — every
-    /// version of a session's first flush — rule 3 re-evaluates whole:
-    /// the other rules have nothing to add, and its facts are not visited.
+    /// is evaluated in every run of its version. Whatever the reader lists
+    /// hold, a run whose header can move is listed, its scope empty if no
+    /// rule re-evaluates anything there: every run of the version when a
+    /// new run has its fewest processors (rule 3), its structure grew or
+    /// its basis moved (rule 5), and run `t` when a total of the basis
+    /// arrived in `t`. A version that keeps no context — every version of
+    /// a session's first flush — rule 3 re-evaluates whole: the other rules
+    /// have nothing to add, and its facts are not visited.
     ///
     /// Rules 2 and 3 look at the store as the delta left it, not as each
     /// event found it. They select the same contexts — a min-PE record of
@@ -395,19 +396,14 @@ impl IncrementalAnalyzer {
         let runs_of = |v: VersionId| store.versions[v.index()].runs.iter().copied();
         let readers = &self.readers;
         let spec_len = readers.every.len();
-        // Every version the delta touches takes part, and rule 3.
+        // Every version the delta touches takes part.
         let fact_runs = (delta.totals.keys().chain(delta.typed.keys())).chain(delta.calls.keys());
         let touched = (fact_runs.chain(&delta.new_runs).map(|&run| version_of(run)))
             .chain(delta.grown_versions.iter().copied());
         let mut scopes = Scopes::new();
         touched.for_each(|v| _ = scopes.entry(v).or_default());
-        for (&v, runs) in &mut scopes {
-            let unreported = runs_of(v).filter(|run| !self.reports.contains_key(run));
-            runs.extend(unreported.map(|run| (run, vec![ContextScope::All; spec_len])));
-        }
-        let saturated = |v: VersionId| runs_of(v).all(|run| !self.reports.contains_key(&run));
-        // Re-evaluate `properties` at `context` in `run` of version `v`, or
-        // in every run of it.
+        // List `run` of version `v`, or every run of it, and re-evaluate
+        // `properties` at `context` there.
         let mut dirty = |v: VersionId, run: Option<TestRunId>, properties: &[u16], context| {
             let runs = scopes.get_mut(&v).expect("a touched version");
             match run {
@@ -415,8 +411,13 @@ impl IncrementalAnalyzer {
                 None => runs_of(v).for_each(|r| mark(runs, r, properties, context, spec_len)),
             }
         };
+        // Rule 3 for new runs; a version without a kept context is re-based
+        // whole below.
         for &run in &delta.new_runs {
             let v = version_of(run);
+            if !self.reports.contains_key(&run) {
+                dirty(v, Some(run), &readers.every, Context::All);
+            }
             if store.min_pe_of_version(v) == Some(no_pe(run)) {
                 dirty(v, None, &readers.elsewhere, Context::All);
             }
@@ -443,11 +444,15 @@ impl IncrementalAnalyzer {
         };
         let mut facts = |set: Measurements, run, contexts: &mut dyn Iterator<Item = Context>| {
             let v = version_of(run);
-            if saturated(v) {
+            if !self.contexts.contains_key(&v) {
                 return;
             }
             let basis = store.main_region(v).map(Context::Region);
             for context in contexts {
+                // A total of the basis moves the run's basis duration.
+                if set == Measurements::TotTimes && Some(context) == basis {
+                    dirty(v, Some(run), &[], Context::All);
+                }
                 // A fact at the basis reaches every context of its readers.
                 let owners = [(Owner::Subject, context), (Owner::Basis, Context::All)];
                 for (owner, reached) in owners {
@@ -475,7 +480,9 @@ impl IncrementalAnalyzer {
                                 }
                             },
                         };
-                        dirty(v, None, &elsewhere, reached);
+                        if !elsewhere.is_empty() {
+                            dirty(v, None, &elsewhere, reached);
+                        }
                     }
                 }
             }
@@ -493,14 +500,16 @@ impl IncrementalAnalyzer {
             facts(Measurements::Sums, run, &mut calls);
         }
 
-        for (&v, runs) in scopes.iter_mut().filter(|(v, _)| !saturated(**v)) {
+        for (&v, runs) in &mut scopes {
             let mut everywhere = |properties: &[u16], context| {
                 runs_of(v).for_each(|r| mark(runs, r, properties, context, spec_len));
             };
-            everywhere(&readers.unclassified, Context::All);
-            // Rule 5, and the contexts the kept context has not seen.
+            // Rules 3 and 5, and the contexts the kept context has not seen.
             match self.contexts.get(&v).map(|kept| kept.derived_under()) {
                 Some((basis, (regions, calls))) if store.main_region(v) == Some(basis) => {
+                    if !readers.unclassified.is_empty() {
+                        everywhere(&readers.unclassified, Context::All);
+                    }
                     let functions = store.versions[v.index()].functions.iter();
                     for f in functions.map(|f| &store.functions[f.index()]) {
                         let new_regions = (f.regions.iter().copied())
@@ -541,7 +550,7 @@ impl IncrementalAnalyzer {
         // evaluate binds (and can fail to bind) nothing.
         let mut bound = None;
 
-        for (v, runs) in scopes {
+        for (v, runs) in scopes.into_iter().filter(|(_, runs)| !runs.is_empty()) {
             let analyzer = match Analyzer::with_compiled(
                 store,
                 v,
@@ -559,89 +568,73 @@ impl IncrementalAnalyzer {
             };
 
             let mut clock = PhaseClock::start(self.metrics.as_ref().map(|m| &m.phases));
-            // The instance universe is a property of the version's
-            // structure, identical for every run: count it once per flush.
-            let instance_total = analyzer.instance_universe();
             // Runs in turn: the parallelism of a flush is inside
             // `evaluate_instances`, over its batches.
             for (&run, scope) in &runs {
-                let prepared = match &bound {
-                    Some(prepared) => prepared,
-                    None => bound.insert(PreparedBackend::from_compiled(
-                        Arc::clone(&self.compiled),
-                        store,
-                    )?),
-                };
-                let instances = analyzer.instances_scoped(run, scope);
-                clock.lap(0);
-                let outcomes = analyzer.evaluate_instances(prepared, &instances)?;
-                clock.lap(1);
+                let held = match self.reports.get(&run) {
+                    // Nothing to re-evaluate: only the header can have moved.
+                    Some(_) if scope.iter().all(ContextScope::is_empty) => None,
+                    live => {
+                        let prepared = match &bound {
+                            Some(prepared) => prepared,
+                            None => bound.insert(PreparedBackend::from_compiled(
+                                Arc::clone(&self.compiled),
+                                store,
+                            )?),
+                        };
+                        let instances = analyzer.instances_scoped(run, scope);
+                        clock.lap(0);
+                        let outcomes = analyzer.evaluate_instances(prepared, &instances)?;
+                        clock.lap(1);
 
-                for instance in instances.iter() {
-                    property_counts[instance.property as usize] += 1;
-                }
-                // The report's entries outside the scope still hold; every
-                // entry inside it was just evaluated again. Both lists are
-                // in rank order, so they merge in one pass.
-                let mut fresh: Vec<HeldEntry> = outcomes.into_iter().flatten().collect();
-                analyzer.rank(&mut fresh);
-                let full = scope.iter().all(|s| *s == ContextScope::All);
-                let held = match self.reports.get(&run).filter(|_| !full) {
-                    Some(live) => {
-                        let families = analyzer.families();
-                        let kept = live.held.iter().copied().filter(|h| {
-                            let p = h.property as usize;
-                            !families[p].in_scope(&scope[p], h.subject)
-                        });
-                        analyzer.merge_ranked(kept, fresh)
+                        for instance in instances.iter() {
+                            property_counts[instance.property as usize] += 1;
+                        }
+                        let full = scope.iter().all(|s| *s == ContextScope::All);
+                        self.stats.full_reevaluations += u64::from(full);
+                        self.stats.instances_evaluated += instances.len() as u64;
+                        self.stats.runs_reevaluated += 1;
+                        // The report's entries outside the scope still hold;
+                        // every entry inside it was just evaluated again.
+                        // Both lists are in rank order, so they merge in one
+                        // pass.
+                        let mut fresh: Vec<HeldEntry> = outcomes.into_iter().flatten().collect();
+                        analyzer.rank(&mut fresh);
+                        Some(match live.filter(|_| !full) {
+                            Some(live) => {
+                                let families = analyzer.families();
+                                let kept = live.held.iter().copied().filter(|h| {
+                                    let p = h.property as usize;
+                                    !families[p].in_scope(&scope[p], h.subject)
+                                });
+                                analyzer.merge_ranked(kept, fresh)
+                            }
+                            None => fresh,
+                        })
                     }
-                    None => fresh,
                 };
                 match self.reports.get_mut(&run) {
-                    // The same entries: only what the report reads off the
-                    // store can have moved.
-                    Some(live) if live.held == held => {
+                    // The same entries, or none evaluated: only what the
+                    // report reads off the store can have moved.
+                    Some(live) if held.as_ref().is_none_or(|held| *held == live.held) => {
                         if analyzer.refresh_header(run, &mut live.report) {
                             updated.push(run);
                         }
                     }
                     _ => {
-                        let skipped = instance_total - held.len();
+                        let held = held.expect("a run without a report is evaluated");
+                        let skipped = analyzer.instance_universe() - held.len();
                         let report = analyzer.ranked_report(run, &held, self.threshold, skipped);
                         self.reports.insert(run, Live { report, held });
                         updated.push(run);
                     }
                 }
-                if full {
-                    self.stats.full_reevaluations += 1;
-                }
-                self.stats.instances_evaluated += instances.len() as u64;
-                self.stats.runs_reevaluated += 1;
                 clock.lap(2);
             }
             // Only now: had an evaluation above failed, the retried delta
             // must still find the old basis and structure, and re-base the
             // version or evaluate its new contexts.
             self.contexts.insert(v, analyzer.context());
-
-            // A report no rule re-evaluated keeps its entries, but what it
-            // reads off the store can have moved all the same: the
-            // reference configuration (a new min-PE run), the basis
-            // duration (a basis total no property of the spec reads) and,
-            // with the version's structure, the count of instances that
-            // did not hold.
-            for run in &store.versions[v.index()].runs {
-                if runs.contains_key(run) {
-                    continue;
-                }
-                let Some(live) = self.reports.get_mut(run) else {
-                    continue;
-                };
-                if analyzer.refresh_header(*run, &mut live.report) {
-                    updated.push(*run);
-                }
-            }
-            clock.lap(2);
         }
 
         if let Some(FlushMetrics { registry, .. }) =
@@ -1256,5 +1249,84 @@ mod tests {
             of_version_9(&a, &b, a.invalidated(b.store(), &b.all_new())),
             [1, 2, 3].map(|key| (key, Seen::Full))
         );
+    }
+
+    /// One version of `n` runs of the particle archetype (PEs 1, then 2 to
+    /// 30 over and over), replayed and flushed at once, and the facts of a
+    /// correction halving the last run's last typed sample.
+    fn corrected_history(n: u32) -> (StoreBuilder, IncrementalAnalyzer, StoreDelta) {
+        use apprentice_sim::{archetypes, simulate_program, MachineModel};
+        let pes: Vec<u32> = (0..n)
+            .map(|i| if i == 0 { 1 } else { 2 + (i - 1) % 29 })
+            .collect();
+        let mut store = Store::new();
+        let model = archetypes::particle_mc(42);
+        simulate_program(&mut store, &model, &MachineModel::t3e_900(), &pes);
+        let mut b = StoreBuilder::new();
+        let mut a = standard();
+        let bulk = apply(&mut b, &crate::replay::replay_store(&store));
+        a.flush(b.store(), &bulk).unwrap();
+        assert_eq!(a.reports().count(), n as usize);
+        let events = crate::replay::events_for_run(&store, TestRunId(n - 1));
+        let mut halved = (events.into_iter())
+            .rfind(|e| matches!(e, TraceEvent::TypedSample { .. }))
+            .unwrap();
+        if let TraceEvent::TypedSample { time, .. } = &mut halved {
+            *time *= 0.5;
+        }
+        let correction = apply(&mut b, &[halved]);
+        (b, a, correction)
+    }
+
+    /// A one-sample correction lists its run alone, with the scopes of the
+    /// seven typed readers, however long the version's history: at 4 runs
+    /// and at 256 the same list, and the flush evaluates one run and seven
+    /// instances.
+    #[test]
+    fn a_correction_lists_its_run_alone_at_any_history() {
+        let listed = |n: u32| {
+            let (b, mut a, correction) = corrected_history(n);
+            let last = b.run_id(RunKey(u64::from(n) - 1)).unwrap();
+            let scopes = a.invalidated(b.store(), &correction);
+            let runs: Vec<(TestRunId, RunScope)> = scopes.into_values().flatten().collect();
+            assert_eq!(runs.iter().map(|(run, _)| *run).collect::<Vec<_>>(), [last]);
+            let before = a.stats();
+            a.flush(b.store(), &correction).unwrap();
+            let after = a.stats();
+            assert_eq!(after.runs_reevaluated - before.runs_reevaluated, 1);
+            assert_eq!(after.instances_evaluated - before.instances_evaluated, 7);
+            let names = a.spec.properties().iter().map(|p| p.name.name.clone());
+            let scoped = names.zip(runs[0].1.iter()).filter(|(_, s)| !s.is_empty());
+            assert!(scoped.map(|(p, _)| p).eq(TYPED), "n = {n}");
+            runs
+        };
+        assert_eq!(listed(4)[0].1, listed(256)[0].1);
+    }
+
+    /// A late 1-PE run moves the reference configuration in every report
+    /// of its version. Under a spec whose one property reads no other run,
+    /// every run is listed all the same, the older ones with nothing to
+    /// re-evaluate, and the flush brings their headers up to date.
+    #[test]
+    fn a_late_reference_run_lists_every_run() {
+        let src = format!(
+            "{}\nProperty SyncCost(Region r, TestRun t, Region Basis) {{\n\
+             LET float B = SUM(tt.Time WHERE tt IN r.TypTimes AND tt.Run==t \
+             AND tt.Type == Barrier) IN CONDITION: B > 0; CONFIDENCE: 1; \
+             SEVERITY: B / Duration(Basis,t); }}",
+            asl_eval::COSY_DATA_MODEL
+        );
+        let spec = Arc::new(asl_core::parse_and_check(&src).unwrap());
+        let (mut b, mut a) = seen_by(spec, &[4, 16]);
+        let late = apply(&mut b, &[run_started(3, 9, 1)]);
+        let nothing = Seen::Only(Vec::new());
+        assert_eq!(
+            of_version_9(&a, &b, a.invalidated(b.store(), &late)),
+            [(1, nothing.clone()), (2, nothing), (3, Seen::Full)]
+        );
+        let runs = a.stats().runs_reevaluated;
+        assert_eq!(a.flush(b.store(), &late).unwrap().len(), 3);
+        assert_eq!(a.stats().runs_reevaluated, runs + 1);
+        as_one_flush(&a, &b);
     }
 }
