@@ -13,8 +13,7 @@
 //!
 //! The simulation is **deterministic**: all per-PE variation derives from a
 //! counter-based hash of `(seed, region, pe)`, so the same inputs always
-//! produce the same database, regardless of thread scheduling. Per-PE
-//! timelines are computed in parallel with rayon and reduced in index order.
+//! produce the same database. Per-PE timelines are reduced in index order.
 //!
 //! ```
 //! use apprentice_sim::{archetypes, MachineModel, simulate_program};

@@ -23,9 +23,8 @@
 
 use crate::machine::MachineModel;
 use crate::noise;
-use crate::program::{raw_skew, CallModel, ProgramModel, RegionNode, Workload};
+use crate::program::{raw_skew, CallModel, ProgramModel, Workload};
 use perfdata::TimingType;
-use rayon::prelude::*;
 
 /// Per-PE simulation result of one call site.
 #[derive(Debug, Clone, PartialEq)]
@@ -270,55 +269,30 @@ pub fn simulate_region(
     }
 }
 
-/// Simulate a whole program run at `no_pe` processors. Regions are simulated
-/// in parallel (rayon), results are assembled in deterministic pre-order.
+/// Simulate a whole program run at `no_pe` processors, region by region in
+/// pre-order. Each region's variation derives from its own index, so the
+/// order of simulation does not show in the result.
 pub fn simulate_run(model: &ProgramModel, machine: &MachineModel, no_pe: u32) -> RunSim {
-    // Flatten all regions so rayon can process them in one parallel pass.
-    struct Job<'a> {
-        func: usize,
-        node: &'a RegionNode,
-        uid: u64,
-        is_main_root: bool,
-    }
-    let mut jobs = Vec::new();
     let mut uid = 0u64;
+    let mut functions = Vec::with_capacity(model.functions.len());
     for (fi, f) in model.functions.iter().enumerate() {
+        let mut regions = Vec::new();
         for (ri, node) in f.root.walk().into_iter().enumerate() {
-            jobs.push(Job {
-                func: fi,
-                node,
-                uid,
-                is_main_root: fi == 0 && ri == 0,
-            });
-            uid += 1;
-        }
-    }
-
-    let sims: Vec<RegionSim> = jobs
-        .par_iter()
-        .map(|j| {
-            simulate_region(
-                &j.node.workload,
-                &j.node.calls,
+            regions.push(simulate_region(
+                &node.workload,
+                &node.calls,
                 machine,
                 no_pe,
                 model.seed,
-                j.uid,
-                j.is_main_root,
-            )
-        })
-        .collect();
-
-    let mut functions: Vec<FunctionSim> = model
-        .functions
-        .iter()
-        .map(|f| FunctionSim {
+                uid,
+                fi == 0 && ri == 0,
+            ));
+            uid += 1;
+        }
+        functions.push(FunctionSim {
             name: f.name.clone(),
-            regions: Vec::new(),
-        })
-        .collect();
-    for (j, sim) in jobs.iter().zip(sims) {
-        functions[j.func].regions.push(sim);
+            regions,
+        });
     }
     RunSim { no_pe, functions }
 }

@@ -1,4 +1,4 @@
-//! Context enumeration, parallel property evaluation, ranking and
+//! Context enumeration, batched property evaluation, ranking and
 //! bottleneck detection.
 
 use crate::backend::{Backend, PreparedBackend};
@@ -8,7 +8,6 @@ use asl_core::ast::{PropertyDecl, TypeExprKind};
 use asl_core::check::CheckedSpec;
 use asl_eval::{compile as compile_ir, CompiledSpec, Scratch, Value};
 use perfdata::{CallId, IdSet, RegionId, Store, TestRunId, VersionId};
-use rayon::prelude::*;
 use serde::Serialize;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -329,10 +328,9 @@ impl Instances {
     }
 }
 
-/// Most subjects one batch evaluates. A batch is the unit handed to a
-/// worker, so a run with few properties over many contexts still spreads
-/// over the cores; within a batch everything that depends on (property,
-/// run, basis) alone is computed once.
+/// Most subjects one batch evaluates: the lanes one [`Scratch`] reserves.
+/// Within a batch everything that depends on (property, run, basis) alone
+/// is computed once.
 const BATCH_SUBJECTS: usize = 256;
 
 const REGION: &str = "Region";
@@ -747,65 +745,41 @@ impl<'s> Analyzer<'s> {
     /// engine go through this single code path.
     ///
     /// The list is cut into batches of one property × up to
-    /// `BATCH_SUBJECTS` subjects, evaluated in parallel — the one level of
-    /// parallelism of a flush — unless the whole list is shorter than one
-    /// full batch.
+    /// `BATCH_SUBJECTS` subjects, evaluated in turn on one [`Scratch`] on
+    /// the caller's thread; each entry that holds is written into its slot.
     pub fn evaluate_instances(
         &self,
         prepared: &PreparedBackend<'_>,
         instances: &Instances,
     ) -> Result<Vec<Option<HeldEntry>>, AnalysisError> {
-        let same_property = instances.list.chunk_by(|a, b| a.property == b.property);
-        let mut batches: Vec<&[Instance]> =
-            Vec::with_capacity(self.families().len() + instances.len() / BATCH_SUBJECTS);
-        batches.extend(same_property.flat_map(|group| group.chunks(BATCH_SUBJECTS)));
-        let evaluate = |scratch: &mut Scratch, batch: &&[Instance]| {
-            self.evaluate_batch(prepared, instances.run, batch, scratch)
-        };
-        let results: Vec<Result<Vec<(usize, HeldEntry)>, AnalysisError>> =
-            if instances.len() < BATCH_SUBJECTS {
-                // Less work than starting a second thread costs (the few
-                // dirty contexts of an incremental flush, a small program).
-                let scratch = &mut Scratch::default();
-                batches
-                    .iter()
-                    .map(|batch| evaluate(scratch, batch))
-                    .collect()
-            } else {
-                batches
-                    .par_iter()
-                    .map_init(Scratch::default, evaluate)
-                    .collect()
-            };
-        let mut out = Vec::new();
-        out.resize_with(instances.len(), || None);
+        let mut out = vec![None; instances.len()];
+        let scratch = &mut Scratch::default();
         let mut start = 0;
-        for (batch, held) in batches.iter().zip(results) {
-            for (i, entry) in held? {
-                out[start + i] = Some(entry);
-            }
+        let same_property = instances.list.chunk_by(|a, b| a.property == b.property);
+        for batch in same_property.flat_map(|group| group.chunks(BATCH_SUBJECTS)) {
+            let slots = &mut out[start..start + batch.len()];
+            self.evaluate_batch(prepared, instances.run, batch, scratch, slots)?;
             start += batch.len();
         }
         Ok(out)
     }
 
     /// One batch: instances of a single property, evaluated in the shared
-    /// `(run, basis)` context. Returns the entries that held, each with the
-    /// index of its instance in the batch — a batch in which nothing holds
-    /// allocates nothing.
+    /// `(run, basis)` context. Each entry that held is written into the
+    /// slot of its instance in `slots`, which is aligned with `batch`.
     fn evaluate_batch(
         &self,
         prepared: &PreparedBackend<'_>,
         run: TestRunId,
         batch: &[Instance],
         scratch: &mut Scratch,
-    ) -> Result<Vec<(usize, HeldEntry)>, AnalysisError> {
+        slots: &mut [Option<HeldEntry>],
+    ) -> Result<(), AnalysisError> {
         let family = &self.families()[batch[0].property as usize];
         let regions = family.regions;
         let context = [Value::run(run), Value::region(self.basis)];
 
         let (store, version) = (self.store, self.version);
-        let mut held = Vec::new();
         let mut foreign = None;
         let mut keep = |i: usize, outcome: Option<asl_eval::Outcome>| {
             let Some(o) = outcome.filter(|o| o.holds && o.severity > 0.0) else {
@@ -820,21 +794,17 @@ impl<'s> Analyzer<'s> {
                 foreign.get_or_insert(id);
                 return;
             }
-            if held.is_empty() {
-                held.reserve_exact(batch.len() - i);
-            }
-            let entry = HeldEntry {
+            slots[i] = Some(HeldEntry {
                 property: batch[i].property,
                 subject: id,
                 severity: o.severity,
                 confidence: o.confidence,
-            };
-            held.push((i, entry));
+            });
         };
         let subjects = batch.iter().map(|inst| family.subject(inst.subject));
         prepared.eval_batch(&family.property, &context, subjects, scratch, &mut keep)?;
         match foreign {
-            None => Ok(held),
+            None => Ok(()),
             Some(id) => Err(AnalysisError::BadInstance {
                 property: family.property.to_string(),
                 detail: format!("subject {id} is not a context of the analyzed version"),

@@ -9,20 +9,17 @@
 use crate::error::{AnalysisError, SpecError};
 use asl_core::check::CheckedSpec;
 use asl_eval::{
-    CompiledEvaluator, CosyData, Interpreter, Outcome, PropertyOutcome, Scratch, Value,
+    compile, CompiledEvaluator, CompiledSpec, CosyData, Interpreter, Outcome, PropertyOutcome,
+    Scratch, Value,
 };
 use asl_sql::{
     compile_batch, compile_property, eval_batch, eval_compiled, generate_schema, loader, SchemaInfo,
 };
 use perfdata::Store;
 use reldb::Database;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The lowering [`PreparedBackend::from_compiled`] binds, and the function
-/// that makes it — for engines that lower their suite once and bind it on
-/// every flush.
-pub use asl_eval::{compile, CompiledSpec};
 
 /// Which evaluation strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,7 +70,7 @@ pub enum PreparedBackend<'a> {
         /// The populated database.
         db: Database,
         /// One result map per (property, run, basis); filled lazily.
-        cache: std::sync::Mutex<HashMap<BatchKey, HashMap<u32, PropertyOutcome>>>,
+        cache: RefCell<HashMap<BatchKey, HashMap<u32, PropertyOutcome>>>,
     },
 }
 
@@ -106,7 +103,7 @@ impl<'a> PreparedBackend<'a> {
                         spec,
                         schema,
                         db,
-                        cache: std::sync::Mutex::new(HashMap::new()),
+                        cache: RefCell::new(HashMap::new()),
                     })
                 }
             }
@@ -137,8 +134,8 @@ impl<'a> PreparedBackend<'a> {
     /// with its error.
     ///
     /// The compiled engine runs the subjects as the lanes of one
-    /// [`asl_eval::Batch`] on the caller's `scratch` (one per worker serves
-    /// all its batches); the others evaluate instance by instance through
+    /// [`asl_eval::Batch`] on the caller's `scratch` (one serves every
+    /// batch of a call); the others evaluate instance by instance through
     /// [`Self::eval`].
     pub fn eval_batch(
         &self,
@@ -234,7 +231,7 @@ impl<'a> PreparedBackend<'a> {
                     }
                 };
                 let key: BatchKey = (prop.to_string(), run, basis);
-                let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
+                let mut cache = cache.borrow_mut();
                 if !cache.contains_key(&key) {
                     let fixed = [(1usize, args[1].clone()), (2usize, args[2].clone())];
                     let bc = compile_batch(spec, schema, prop, 0, &fixed, None).map_err(sql)?;

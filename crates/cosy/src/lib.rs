@@ -17,8 +17,8 @@
 //! * [`analyzer`] — instantiation from the checked signatures (a property
 //!   declared `(Region | FunctionCall, TestRun, Region)` ranges over the
 //!   regions or call sites of the version — any property of the spec, not
-//!   only the standard suite's), parallel property evaluation (rayon),
-//!   severity ranking, the
+//!   only the standard suite's), batched property evaluation on the
+//!   caller's thread, severity ranking, the
 //!   user/tool-defined *performance problem* threshold, and the §4
 //!   *bottleneck* rule ("a program has a unique bottleneck, which is its
 //!   most severe performance property");

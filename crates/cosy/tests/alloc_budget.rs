@@ -5,11 +5,11 @@
 //! per instance: an entry that holds is a compact record of ids and
 //! numbers — names, labels and context descriptions are built when a
 //! report is ranked, not here; frames, sets and helper-call arguments
-//! live in one reused scratch per batch. What remains is per batch
-//! (scratch, output vector), per analyzer (the version's context lists),
-//! per call (the instance list, the result vector) and per binding (the
-//! slots of what the evaluator keeps per subject, allocated by the first
-//! instance that needs them — not again by a later run).
+//! live in one reused scratch per call. What remains is per analyzer
+//! (the version's context lists), per call (the instance list, the
+//! scratch, the result vector) and per binding (the slots of what the
+//! evaluator keeps per subject, allocated by the first instance that
+//! needs them — not again by a later run).
 //!
 //! Own test binary, one test function: the counter is the process's
 //! global allocator.
@@ -17,8 +17,8 @@
 use apprentice_sim::{archetypes, simulate_program, MachineModel};
 use cosy::backend::PreparedBackend;
 use cosy::{Analyzer, Instances};
-use perfdata::Store;
-use testkit::allocations;
+use perfdata::{Store, TestRunId, VersionId};
+use testkit::{allocations, Scenario};
 
 #[global_allocator]
 static GLOBAL: testkit::Counting = testkit::Counting;
@@ -106,4 +106,31 @@ fn evaluation_allocates_per_batch_not_per_instance() {
         "{counts:?}: nothing kept per binding"
     );
     assert_eq!(counts[2], counts[3], "a second run allocated per binding");
+
+    // Per call: warm, a list of a few batches and one of many — longer
+    // than a batch's lanes — allocate the same, whatever the host's cores.
+    let scenario = Scenario {
+        functions: 8,
+        pes: vec![1, 4, 16],
+        ..Scenario::new(3)
+    };
+    let generated = scenario.store();
+    let wide = Analyzer::new(&generated, VersionId(0)).unwrap();
+    let warm = |analyzer: &Analyzer, store, list: &Instances| {
+        let bound = PreparedBackend::from_compiled(analyzer.compiled_spec(), store).unwrap();
+        analyzer.evaluate_instances(&bound, list).unwrap();
+        allocations(|| analyzer.evaluate_instances(&bound, list).unwrap()).0
+    };
+    let (short, long) = (&lists[0], wide.instances(TestRunId(2)));
+    let per_call = [
+        warm(&analyzer, &store, short),
+        warm(&wide, &generated, &long),
+    ];
+    println!(
+        "warm per call: {per_call:?} for {} and {} instances",
+        short.len(),
+        long.len()
+    );
+    assert_eq!((short.len(), long.len()), (54, 530));
+    assert_eq!(per_call[0], per_call[1], "a longer list allocated more");
 }

@@ -419,7 +419,8 @@ impl ShardedSession {
     /// Run `f` for each listed shard index — the one fan-out/fan-in used
     /// by ingest, flush and checkpoint. A single listed index runs inline
     /// (no thread spawn); more fan out over scoped threads. Unlisted
-    /// shards get `None`.
+    /// shards get `None`. With [`Self::open`] this is the engine's one
+    /// parallel seam: a shard's flush evaluates on its own thread.
     fn fan_out<T, F>(&self, indices: &[usize], f: F) -> Vec<Option<T>>
     where
         T: Send,

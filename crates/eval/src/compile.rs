@@ -64,8 +64,8 @@
 //! What need not be computed per lane is not: an expensive subtree that
 //! reads nothing but the shared context is evaluated once per batch, value
 //! or error, one that reads nothing but the subject once per subject for as
-//! long as the evaluator is bound to its data — across runs, properties and
-//! workers — and a predicate that only selects elements by a set of
+//! long as the evaluator is bound to its data — across runs and properties
+//! — and a predicate that only selects elements by a set of
 //! constants (`tt.Type == A OR tt.Type == B`) is handed to the data source
 //! with the filter in front of it ([`SetFilter::among`]) instead of being
 //! run per element. Which subtrees and predicates those are, and which
@@ -83,6 +83,7 @@ use asl_core::ast::*;
 use asl_core::check::CheckedSpec;
 use asl_core::intern::Symbol;
 use asl_core::Span;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -1851,7 +1852,7 @@ struct Visit {
 /// from one [`CompiledEvaluator::batch`] to the next: no node, helper call
 /// or set construct allocates its own. Everything is a stack: a node's
 /// temporaries are popped when it returns, a construct's frame when it
-/// ends. Create one per worker with `Scratch::default()`.
+/// ends. Create one with `Scratch::default()`; every batch reuses it.
 #[derive(Default)]
 pub struct Scratch {
     /// Lane values: every register's and every node's column.
@@ -2024,8 +2025,8 @@ impl Drop for Scratch {
 /// are evaluated eagerly at construction (in declaration order, mirroring
 /// [`crate::Interpreter::new`]).
 ///
-/// The evaluator is `Sync` whenever the data source is: the analyzers share
-/// one evaluator across rayon workers, each running its own [`Batch`].
+/// One evaluator serves one thread: its subject cells are filled in place,
+/// by whichever [`Batch`] first reaches them.
 pub struct CompiledEvaluator<M: ObjectModel> {
     spec: Arc<CompiledSpec>,
     data: M,
@@ -2033,8 +2034,8 @@ pub struct CompiledEvaluator<M: ObjectModel> {
     /// The plan's subject cells, one per [`BatchPlan::subject_roots`]: what
     /// a subject-only subtree evaluated to, per subject. Valid while `data`
     /// answers the same — for this evaluator's life, when `data` borrows
-    /// its store — and shared by every batch, run, property and worker.
-    subjects: Box<[OnceLock<SubjectCell>]>,
+    /// its store — and shared by every batch, run and property.
+    subjects: Box<[OnceCell<SubjectCell>]>,
 }
 
 /// The values of one subject cell: the class of the first subject that
@@ -2043,7 +2044,7 @@ pub struct CompiledEvaluator<M: ObjectModel> {
 /// site reports the failure at its own span.
 struct SubjectCell {
     class: Symbol,
-    values: Box<[OnceLock<Value>]>,
+    values: Box<[OnceCell<Value>]>,
 }
 
 /// What one property instance evaluated to — no names, nothing on the
@@ -2078,7 +2079,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
         }
         let subjects = spec.plan().subject_roots.iter();
         Ok(CompiledEvaluator {
-            subjects: subjects.map(|_| OnceLock::new()).collect(),
+            subjects: subjects.map(|_| OnceCell::new()).collect(),
             spec,
             data,
             consts,
@@ -2341,7 +2342,7 @@ struct Ctx<'c, M: ObjectModel> {
     consts: &'c [Value],
     /// [`CompiledEvaluator::subjects`]; empty while constants initialize
     /// (their bodies have no sites).
-    subjects: &'c [OnceLock<SubjectCell>],
+    subjects: &'c [OnceCell<SubjectCell>],
 }
 
 impl<'c, M: ObjectModel> Ctx<'c, M> {
@@ -2349,7 +2350,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         cs: &'c CompiledSpec,
         data: &'c M,
         consts: &'c [Value],
-        subjects: &'c [OnceLock<SubjectCell>],
+        subjects: &'c [OnceCell<SubjectCell>],
     ) -> Self {
         let plan = cs.plan();
         Ctx {
@@ -2498,7 +2499,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let start = st.lanes.len();
         for k in sel.range() {
             let lane = st.lanes[k];
-            match slot_of(st, lane).and_then(OnceLock::get) {
+            match slot_of(st, lane).and_then(OnceCell::get) {
                 Some(kept) => {
                     st.cache_hits += 1;
                     st.vals[out.at(lane)] = Ok(kept.clone());
@@ -2516,7 +2517,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 let lane = st.lanes[k];
                 let v = st.vals[col.at(lane)].clone();
                 if let (Some(slot), Ok(v)) = (slot_of(st, lane), &v) {
-                    // Another worker may have got there first, with the same value.
+                    // An earlier lane of the same subject may have set it.
                     let _ = slot.set(v.clone());
                 }
                 st.vals[out.at(lane)] = v;
@@ -2531,12 +2532,12 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     /// — as many as the data source has objects of the class — for the
     /// first subject. `None` for an object of another class than that one,
     /// or one the source does not count.
-    fn subject_slot(&self, cell: usize, subject: &ObjRef) -> Option<&'c OnceLock<Value>> {
+    fn subject_slot(&self, cell: usize, subject: &ObjRef) -> Option<&'c OnceCell<Value>> {
         let kept = self.subjects[cell].get_or_init(|| {
             let n = self.data.extent(subject.class.as_str()).unwrap_or(0);
             SubjectCell {
                 class: subject.class,
-                values: (0..n).map(|_| OnceLock::new()).collect(),
+                values: (0..n).map(|_| OnceCell::new()).collect(),
             }
         });
         let same_class = kept.class == subject.class;

@@ -568,8 +568,8 @@ impl IncrementalAnalyzer {
             };
 
             let mut clock = PhaseClock::start(self.metrics.as_ref().map(|m| &m.phases));
-            // Runs in turn: the parallelism of a flush is inside
-            // `evaluate_instances`, over its batches.
+            // Runs in turn, on the flush's thread: shards are what runs in
+            // parallel (`ShardedSession`).
             for (&run, scope) in &runs {
                 let held = match self.reports.get(&run) {
                     // Nothing to re-evaluate: only the header can have moved.

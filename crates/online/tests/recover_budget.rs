@@ -5,16 +5,17 @@
 //! measurements re-sent as running totals, round after round), is
 //! checkpointed after the first round and killed after the last, and is
 //! recovered: snapshot load, WAL-tail replay, one full flush. The session
-//! evaluates a suite of no properties, so the flush costs next to
-//! nothing and never fans out over threads (which would make the count
-//! depend on the host's cores): the ledger is the ingest side's. Replay
-//! decodes every frame in place, into the slots of one reused chunk, and
-//! resolves a repeat run or function from the builder's memo, so the
-//! events themselves allocate next to nothing once the chunk is warm (a
-//! slot's string grows to the longest it is handed, and one dropped by a
-//! change of variant is made again): what is left is the snapshot's
-//! store, the log image, the chunk and the replay's delta sets. A change
-//! that moves the count must restate it here, on purpose.
+//! evaluates a suite of no properties first, so the flush costs next to
+//! nothing: the ledger is the ingest side's. Replay decodes every frame
+//! in place, into the slots of one reused chunk, and resolves a repeat
+//! run or function from the builder's memo, so the events themselves
+//! allocate next to nothing once the chunk is warm (a slot's string grows
+//! to the longest it is handed, and one dropped by a change of variant is
+//! made again): what is left is the snapshot's store, the log image, the
+//! chunk and the replay's delta sets. The same stream is then recovered
+//! under the standard suite, whose flush evaluates every run on the
+//! recovering thread, so that count is as exact. A change that moves
+//! either count must restate it here, on purpose.
 //!
 //! Own test binary, one test function: the counter is the process's
 //! global allocator.
@@ -80,6 +81,23 @@ fn refinement_stream() -> (Vec<TraceEvent>, usize) {
     (events, structure.len())
 }
 
+/// Open a durable session under `config` in `dir`, ingest `events`,
+/// checkpointing after the first round, and kill it: dropped without a
+/// checkpoint.
+fn killed_session(dir: &ScratchDir, config: &SessionConfig, events: &[TraceEvent], first: usize) {
+    let durable = DurableConfig {
+        session: config.clone(),
+        ..durable_config(0)
+    };
+    let session = OnlineSession::open(dir.path(), durable).unwrap();
+    session.ingest_batch(&events[..first]).unwrap();
+    session.flush().unwrap();
+    session.checkpoint().unwrap();
+    for batch in events[first..].chunks(256) {
+        session.ingest_batch(batch).unwrap();
+    }
+}
+
 #[test]
 fn recovery_allocations_are_pinned() {
     let (events, first_round) = refinement_stream();
@@ -89,20 +107,7 @@ fn recovery_allocations_are_pinned() {
         ..SessionConfig::default()
     };
     let dir = ScratchDir::new("recover-budget");
-    {
-        let durable = DurableConfig {
-            session: config.clone(),
-            ..durable_config(0)
-        };
-        let session = OnlineSession::open(dir.path(), durable).unwrap();
-        session.ingest_batch(&events[..first_round]).unwrap();
-        session.flush().unwrap();
-        session.checkpoint().unwrap();
-        for batch in events[first_round..].chunks(256) {
-            session.ingest_batch(batch).unwrap();
-        }
-        // Killed: dropped without a checkpoint.
-    }
+    killed_session(&dir, &config, &events, first_round);
 
     let (count, recovered) = allocations(|| OnlineSession::recover(dir.path(), config));
     let (session, stats) = recovered.unwrap();
@@ -130,4 +135,16 @@ fn recovery_allocations_are_pinned() {
     // reads, and recovery counts its runs off the flush instead of
     // cloning every report: 15 503 → 15 500.
     assert_eq!(count, 15_500, "allocations of one recovery");
+
+    // The same stream under the standard suite: the flush evaluates every
+    // run on the recovering thread, so this count does not depend on the
+    // host's cores either.
+    let suite = SessionConfig::default();
+    let dir = ScratchDir::new("recover-budget-suite");
+    killed_session(&dir, &suite, &events, first_round);
+    let (count, recovered) = allocations(|| OnlineSession::recover(dir.path(), suite));
+    let (session, _) = recovered.unwrap();
+    println!("recovery under the standard suite: {count} allocations");
+    assert_eq!(session.reports().len(), 6);
+    assert_eq!(count, 19_997, "allocations of one recovery under the suite");
 }

@@ -1,5 +1,5 @@
 //! Determinism guarantees: identical seeds produce identical databases and
-//! identical analyses, regardless of rayon scheduling.
+//! identical analyses, run after run.
 
 use kojak::apprentice_sim::{archetypes, simulate_program, MachineModel};
 use kojak::cosy::{Analyzer, Backend, ProblemThreshold};
