@@ -238,8 +238,11 @@ mod tests {
             compiled.plan_stats(),
             asl_eval::PlanStats {
                 hoist_sites: 12,
-                subject_sites: 2,
-                subject_cells: 1,
+                subject_sites: 4,
+                subject_cells: 2,
+                run_sites: 15,
+                run_cells: 11,
+                sum_groups: 1,
                 second_keys: 7,
             }
         );

@@ -18,7 +18,7 @@ use apprentice_sim::{archetypes, simulate_program, MachineModel};
 use cosy::backend::PreparedBackend;
 use cosy::{Analyzer, Instances};
 use perfdata::{Store, TestRunId, VersionId};
-use testkit::{allocations, Scenario};
+use testkit::{allocated_bytes, allocations, Scenario};
 
 #[global_allocator]
 static GLOBAL: testkit::Counting = testkit::Counting;
@@ -54,6 +54,10 @@ fn evaluation_allocates_per_batch_not_per_instance() {
         cold <= instances,
         "{cold} allocations for {instances} instances ({held} held): over 1 per instance"
     );
+    // 76 while the evaluator kept one subject cell sized by the store; its
+    // row table of subject and run cells is 4 allocations, its scratch
+    // no longer grows a frame stack for every batch: 76 → 75.
+    assert_eq!(cold, 75, "cold allocations of the three runs");
 
     // Warm, on the instances that do not hold: evaluating all of them
     // allocates exactly what evaluating one per batch does — the loop over
@@ -133,4 +137,30 @@ fn evaluation_allocates_per_batch_not_per_instance() {
     );
     assert_eq!((short.len(), long.len()), (54, 530));
     assert_eq!(per_call[0], per_call[1], "a longer list allocated more");
+
+    // Per binding, by the version: the same run of version 0, evaluated on
+    // a fresh binding in a store of 4 versions and in one of 64, allocates
+    // as often and as much — what the evaluator keeps per subject grows
+    // with the subjects it evaluates, never with the store.
+    let first_run = |versions| {
+        let store = Scenario {
+            versions,
+            ..Scenario::new(5)
+        }
+        .store();
+        let analyzer = Analyzer::new(&store, VersionId(0)).unwrap();
+        let list = analyzer.instances(store.versions[0].runs[0]);
+        let bound = PreparedBackend::from_compiled(analyzer.compiled_spec(), &store).unwrap();
+        let (count, bytes, _) =
+            allocated_bytes(|| analyzer.evaluate_instances(&bound, &list).unwrap());
+        (store.regions.len(), count, bytes)
+    };
+    let (small, large) = (first_run(4), first_run(64));
+    println!("version 0 in stores of 4 and 64 versions: {small:?} / {large:?} (regions, allocations, bytes)");
+    assert!(large.0 > 4 * small.0, "{small:?} / {large:?}");
+    assert_eq!(
+        (small.1, small.2),
+        (large.1, large.2),
+        "a larger store allocated more"
+    );
 }

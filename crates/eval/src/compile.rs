@@ -61,18 +61,25 @@
 //! failed, and elements after a lane's deciding one (a `FORALL`
 //! counterexample, an `EXISTS` witness) cannot fail it.
 //!
-//! What need not be computed per lane is not: an expensive subtree that
-//! reads nothing but the shared context is evaluated once per batch, value
-//! or error, one that reads nothing but the subject once per subject for as
-//! long as the evaluator is bound to its data — across runs and properties
-//! — and a predicate that only selects elements by a set of
+//! What need not be computed per lane is not. The evaluator keeps three
+//! kinds of cell: an expensive subtree that reads nothing but the shared
+//! context is evaluated once per batch, value or error (a *hoist* cell);
+//! one that reads nothing but the subject, also through LETs, once per
+//! subject for as long as the evaluator is bound to its data — across runs
+//! and properties (a *subject* cell); and one that reads the subject and
+//! the context and occurs twice or more in the spec once per subject and
+//! context, whichever property reaches it first (a *run* cell) — sums that
+//! select disjoint values of one attribute over one indexed source filling
+//! theirs in one visit. A predicate that only selects elements by a set of
 //! constants (`tt.Type == A OR tt.Type == B`) is handed to the data source
 //! with the filter in front of it ([`SetFilter::among`]) instead of being
-//! run per element. Which subtrees and predicates those are, and which
-//! outer slots a set construct's body reads, is a plan computed *beside*
-//! the node pool on first bind ([`CompiledSpec::node_count`] and the pool
-//! that kojak-lint and kojak-flow walk are exactly what [`compile`]
-//! emitted).
+//! run per element, and `UNIQUE`/`COUNT` of an indexed filter and an
+//! aggregate of a binder attribute over one are answered by the data source
+//! ([`ObjectModel::count_set`], [`ObjectModel::visit_attr`]) without lending
+//! the elements. Which subtrees and predicates those are, and which outer
+//! slots a set construct's body reads, is a plan computed *beside* the node
+//! pool on first bind ([`CompiledSpec::node_count`] and the pool that
+//! kojak-lint and kojak-flow walk are exactly what [`compile`] emitted).
 
 use crate::error::{EvalError, EvalErrorKind, EvalResult};
 use crate::interp::{ObjectModel, PropertyOutcome, SetFilter};
@@ -83,16 +90,18 @@ use asl_core::ast::*;
 use asl_core::check::CheckedSpec;
 use asl_core::intern::Symbol;
 use asl_core::Span;
-use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Maximum user-function call depth (mirrors the interpreter).
 const MAX_CALL_DEPTH: u32 = 64;
 
 /// Process-wide hit counter of the evaluator's lazy cells: loop-invariant
-/// ([`Ir::Cached`]), per-batch context (hoisted subtrees) and per-flush
-/// subject (subtrees kept per subject while the evaluator lives). `const`-
+/// ([`Ir::Cached`]), per-batch context (hoisted subtrees), per-flush
+/// subject and per subject and context (subtrees kept while the evaluator
+/// lives). `const`-
 /// constructed — no registration, no startup cost; the observability
 /// layer reads it via [`cache_counters`]. Executing a node only bumps a
 /// plain integer in the batch's scratch; the sum is added here once, when
@@ -420,6 +429,17 @@ struct PropBody {
     severity: Vec<CompiledArm>,
 }
 
+impl PropBody {
+    /// The roots of the body's expressions: the LETs' values, the
+    /// conditions, then the confidence and severity arms.
+    fn roots(&self) -> impl Iterator<Item = NodeRef> + '_ {
+        let lets = self.lets.iter().map(|&(_, value)| value);
+        let conditions = self.conditions.iter().map(|&(_, pred)| pred);
+        let arms = self.confidence.iter().chain(&self.severity);
+        lets.chain(conditions).chain(arms.map(|arm| arm.expr))
+    }
+}
+
 /// A specification lowered to the slot-indexed IR. Compile once (pure,
 /// data-independent), share via `Arc`, and bind to any number of data
 /// sources with [`CompiledEvaluator::new`].
@@ -468,16 +488,19 @@ impl CompiledSpec {
     /// tests; builds the plan if no evaluator has been bound yet).
     pub fn plan_stats(&self) -> PlanStats {
         let plan = self.plan();
-        let sites = |subject| {
+        let sites = |kind| {
             let marked = plan.cell.iter().filter(|&&c| c != NO_CELL);
             marked
-                .filter(|&&c| (c & SUBJECT_CELL != 0) == subject)
+                .filter(|&&c| c & (SUBJECT_CELL | RUN_CELL) == kind)
                 .count()
         };
         PlanStats {
-            hoist_sites: sites(false),
-            subject_sites: sites(true),
-            subject_cells: plan.subject_roots.len(),
+            hoist_sites: sites(0),
+            subject_sites: sites(SUBJECT_CELL),
+            subject_cells: plan.subject_cells as usize,
+            run_sites: sites(RUN_CELL),
+            run_cells: plan.run_cells(),
+            sum_groups: plan.groups.len(),
             second_keys: plan.second_keys.len(),
         }
     }
@@ -733,11 +756,19 @@ pub struct PlanStats {
     /// Subtrees that read only a batch's shared context: evaluated once
     /// per batch.
     pub hoist_sites: usize,
-    /// Subtrees that read only the subject: evaluated once per subject and
-    /// binding.
+    /// Subtrees that read only the subject, also through LETs: evaluated
+    /// once per subject and binding.
     pub subject_sites: usize,
     /// Distinct cells behind the subject sites (equal subtrees share one).
     pub subject_cells: usize,
+    /// Subtrees that read the subject and the context and occur at least
+    /// twice in the spec, or sum in a group: evaluated once per subject and
+    /// context.
+    pub run_sites: usize,
+    /// Distinct cells behind the run sites.
+    pub run_cells: usize,
+    /// Groups of sums over one indexed source filled in one visit.
+    pub sum_groups: usize,
     /// Selecting constructs whose predicate `x.A == c₁ OR …` is handed to
     /// the data source as a second filter key.
     pub second_keys: usize,
@@ -1531,9 +1562,24 @@ const NO_CELL: u32 = u32::MAX;
 /// the subject cell's id.
 const SUBJECT_CELL: u32 = 1 << 31;
 
-/// What the evaluator knows about each property beyond its nodes. Two kinds
-/// of subtree are evaluated once and answered from a cell afterwards, and
-/// one kind of predicate is not executed at all:
+/// Set on the [`BatchPlan::cell`] of a *run* site; the other bits are the
+/// run cell's id.
+const RUN_CELL: u32 = 1 << 30;
+
+/// What a subtree of a property body reads ([`Body::reads`]), one bit
+/// each: the subject (slot 0), the batch's context (the other parameters)
+/// and anything else — a binder of a construct around the subtree. A LET
+/// reads what its value reads.
+const READS_SUBJECT: u8 = 1;
+/// See [`READS_SUBJECT`].
+const READS_CONTEXT: u8 = 2;
+/// See [`READS_SUBJECT`].
+const READS_OTHER: u8 = 4;
+
+/// What the evaluator knows about each property beyond its nodes. Three
+/// kinds of subtree are evaluated once and answered from a cell
+/// afterwards, sibling sums are filled together, and one kind of
+/// predicate is not executed at all:
 ///
 /// * **Hoist sites.** Within a batch only the subject (slot 0) changes, so
 ///   an expensive subtree that reads nothing but the other parameters —
@@ -1542,32 +1588,52 @@ const SUBJECT_CELL: u32 = 1 << 31;
 ///   scratch that is filled once, for the first lane that reaches it, and
 ///   answers every lane that does.
 /// * **Subject sites.** An expensive subtree that reads nothing but the
-///   subject — `MinPeSum` of `SublinearSpeedup` and `UnmeasuredCost`, which
-///   finds a region's reference run — has one value per subject whatever
-///   the run and whichever property asks. It gets a cell of the *evaluator*
-///   ([`CompiledEvaluator::subjects`]), one value per subject, that lives
-///   as long as the binding to the data does; structurally equal subtrees
-///   share one cell.
+///   subject, also through LETs whose values do — `MinPeSum` of
+///   `SublinearSpeedup` and `UnmeasuredCost`, which finds a region's
+///   reference run, and `Duration(r, MinPeSum.Run)` — has one value per
+///   subject whatever the run and whichever property asks. It gets a
+///   *subject cell* of the evaluator ([`CompiledEvaluator::kept`]) that
+///   lives as long as the binding to the data does.
+/// * **Run sites.** An expensive subtree that reads the subject and the
+///   context, also through LETs, and occurs at least twice in the spec —
+///   `TotalCost`, `Summary(r,t).Ovhd` and the call statistics `ct` of the
+///   suite — has one value per subject and context. It gets a *run cell*
+///   of the evaluator, filled by the first property that reaches it and
+///   read by every later one, until a batch binds another context.
+/// * **Sum groups.** Sums of one attribute over one indexed source that
+///   select by a second key among values no other member selects — the
+///   seven per-overhead-family sums — are filled together: the first
+///   member reached visits the source once, and each member adds its own
+///   elements, in the source's order, into its run cell.
 /// * **Second keys.** An `Aggregate` or `SetComp` over an indexed filter
-///   whose remaining predicate is `x.A == c₁ [OR x.A == c₂ …]` — every
-///   per-overhead-family property of the suite — *selects* the elements
-///   with `A ∈ {cᵢ}`. The set is asked of the data source
+///   whose remaining predicate is `x.A == c₁ [OR x.A == c₂ …]` *selects*
+///   the elements with `A ∈ {cᵢ}`. The set is asked of the data source
 ///   ([`SetFilter::among`]); a source that answers has applied the
 ///   predicate.
+///
+/// Subject and run sites are maximal (a run site may hold subject sites),
+/// and equal subtrees — node for node, a LET read as its value, a binder
+/// by its position — share one cell. A cell keeps values only: a failing
+/// subtree is evaluated again, so that every site reports the failure at
+/// its own span. No site yields a set, which a cell would hold
+/// materialized.
 ///
 /// A side table rather than new nodes in the pool: lint, flow and the
 /// benchmark's committed node counts see the pool [`compile`] emitted.
 #[derive(Debug)]
 struct BatchPlan {
-    /// Per node: [`NO_CELL`], its hoist cell, or [`SUBJECT_CELL`] + its
-    /// subject cell. Sites are the maximal context-only (subject-only),
-    /// expensive subtrees of property bodies; function and constant bodies
-    /// have none (their slots are arguments, not context).
+    /// Per node: [`NO_CELL`], its hoist cell, [`SUBJECT_CELL`] + its
+    /// subject cell or [`RUN_CELL`] + its run cell. Sites are in property
+    /// bodies only: function and constant bodies have none (their slots
+    /// are arguments, not context).
     cell: Vec<u32>,
     /// Per property: how many hoist cells its sites use.
     n_cells: Vec<u32>,
-    /// One root per distinct subject cell (the first site found of each).
-    subject_roots: Vec<NodeRef>,
+    /// How many distinct subject cells the sites use.
+    subject_cells: u32,
+    /// Per run cell: its sum group in `groups`, [`NO_CELL`] if none.
+    group_of: Vec<u32>,
+    groups: Vec<SumGroup>,
     /// Per node: for a construct that selects by a second key, its index
     /// in `second_keys`; [`NO_CELL`] otherwise.
     among: Vec<u32>,
@@ -1579,13 +1645,37 @@ struct BatchPlan {
     gather: Vec<u64>,
 }
 
+/// Sums filled together ([`BatchPlan`]): `SUM(x.attr WHERE x IN s AND
+/// (x.by == c₁ OR …))`, one source `s` and one `attr`, each member
+/// selecting values of `by` no other member selects.
+#[derive(Debug)]
+struct SumGroup {
+    attr: &'static str,
+    by: &'static str,
+    /// Per member: its run cell.
+    members: Box<[u32]>,
+    /// Each value of `by` a member selects — an enum variant, as
+    /// [`enum_key`] packs it — and the member's index.
+    routes: Box<[(u64, u32)]>,
+}
+
+/// An enum variant as one integer: its enum's symbol, then its own.
+fn enum_key(v: &Value) -> Option<u64> {
+    match v {
+        Value::Enum(owner, variant) => Some(u64::from(owner.id()) << 32 | u64::from(variant.id())),
+        _ => None,
+    }
+}
+
 impl BatchPlan {
     fn build(cs: &CompiledSpec) -> Self {
         let nodes = &cs.nodes;
         let mut plan = BatchPlan {
             cell: vec![NO_CELL; nodes.len()],
             n_cells: Vec::with_capacity(cs.properties.len()),
-            subject_roots: Vec::new(),
+            subject_cells: 0,
+            group_of: Vec::new(),
+            groups: Vec::new(),
             among: vec![NO_CELL; nodes.len()],
             second_keys: Vec::new(),
             gather: vec![0; nodes.len()],
@@ -1596,15 +1686,8 @@ impl BatchPlan {
             // parameters after the first are context.
             let varies = |slot: u32| slot == 0 || slot as usize >= p.n_params;
             let mut next = 0;
-            let lets = p.lets.iter().map(|&(_, value)| value);
-            let conditions = p.conditions.iter().map(|&(_, pred)| pred);
-            let arms = p.confidence.iter().chain(&p.severity).map(|arm| arm.expr);
-            for root in lets.chain(conditions).chain(arms) {
+            for root in p.roots() {
                 mark_hoist_sites(nodes, root, &varies, &mut plan.cell, &mut next);
-                // Slot 0 is the subject only if the property has parameters.
-                if p.n_params > 0 {
-                    plan.mark_subject_sites(nodes, root);
-                }
             }
             plan.n_cells.push(next);
         }
@@ -1626,26 +1709,453 @@ impl BatchPlan {
                 });
             }
         }
+        KeptSites::mark(cs, &mut plan);
         plan
     }
 
-    /// [`mark_hoist_sites`] for what reads the subject alone, after it: a
-    /// hoist site stays one. Sites with the same tree get the same cell.
-    fn mark_subject_sites(&mut self, nodes: &[Ir], node: NodeRef) {
-        if self.cell[node as usize] != NO_CELL {
+    /// The run cells the sites use.
+    fn run_cells(&self) -> usize {
+        self.group_of.len()
+    }
+}
+
+/// A property body as [`BatchPlan`]'s subject and run sites see it: what
+/// each slot reads, and the LETs a key reads through.
+struct Body<'p> {
+    prop: &'p PropBody,
+    /// Per slot: the `READS_*` bits of a parameter or a LET; binder slots
+    /// are [`READS_OTHER`].
+    slots: Vec<u8>,
+    /// The binders [`Body::reads`] walks under, reused.
+    binders: RefCell<Vec<u32>>,
+}
+
+impl<'p> Body<'p> {
+    fn new(nodes: &[Ir], prop: &'p PropBody) -> Self {
+        let mut body = Body {
+            prop,
+            slots: vec![READS_OTHER; prop.n_slots],
+            binders: RefCell::default(),
+        };
+        for s in 0..prop.n_params {
+            body.slots[s] = if s == 0 { READS_SUBJECT } else { READS_CONTEXT };
+        }
+        for &(slot, value) in &prop.lets {
+            body.slots[slot as usize] = body.reads(nodes, value, &[]);
+        }
+        body
+    }
+
+    /// What the subtree reads, `outer` the binders of the constructs
+    /// around it.
+    fn reads(&self, nodes: &[Ir], node: NodeRef, outer: &[u32]) -> u8 {
+        let mut reads = 0;
+        let mut binders = self.binders.borrow_mut();
+        binders.clear();
+        scoped_walk(nodes, node, &mut binders, &mut |node, inner| {
+            if let Ir::Load(s) = &nodes[node as usize] {
+                reads |= if inner.contains(s) {
+                    0
+                } else if outer.contains(s) {
+                    READS_OTHER
+                } else {
+                    self.slots.get(*s as usize).copied().unwrap_or(READS_OTHER)
+                };
+            }
+            true
+        });
+        reads
+    }
+
+    /// The value a free load of LET slot `slot` reads.
+    fn let_value(&self, slot: u32) -> Option<NodeRef> {
+        let mut lets = self.prop.lets.iter();
+        lets.find(|&&(s, _)| s == slot).map(|&(_, value)| value)
+    }
+}
+
+/// Visit `node`, then — while `visit` says so — its children, each with the
+/// binders of the constructs around it within the walk, innermost last.
+fn scoped_walk(
+    nodes: &[Ir],
+    node: NodeRef,
+    binders: &mut Vec<u32>,
+    visit: &mut dyn FnMut(NodeRef, &[u32]) -> bool,
+) {
+    if !visit(node, binders) {
+        return;
+    }
+    let ir = &nodes[node as usize];
+    let binder = match ir {
+        Ir::SetComp { slot, .. } | Ir::Aggregate { slot, .. } | Ir::Quantifier { slot, .. } => {
+            Some(*slot)
+        }
+        _ => None,
+    };
+    // A construct's binder is in scope for its predicate and value, not
+    // for its source — the first child.
+    let mut in_scope = None;
+    ir.for_each_child(&mut |child| {
+        binders.extend(in_scope);
+        scoped_walk(nodes, child, binders, visit);
+        if in_scope.is_some() {
+            binders.pop();
+        }
+        in_scope = binder;
+    });
+}
+
+/// May the subtree be a subject or run site? It is expensive and yields
+/// no set: not a filter or a comprehension, nor a call of a function
+/// whose body is one.
+fn keeps(cs: &CompiledSpec, node: NodeRef) -> bool {
+    let mut root = node;
+    for _ in 0..MAX_CALL_DEPTH {
+        match &cs.nodes[root as usize] {
+            Ir::Cached { expr, .. } => root = *expr,
+            Ir::Call { func, .. } => root = cs.functions[*func as usize].body,
+            Ir::FilterEq { .. } | Ir::SetComp { .. } => return false,
+            _ => break,
+        }
+    }
+    is_expensive(&cs.nodes, node)
+}
+
+/// Structural keys of subtrees: equal keys compute the same value from
+/// the same subject, context and data. A node's key is its operation and
+/// the keys of its children; a free load of a LET is the key of the LET's
+/// value, a load of a binder within the subtree its depth, and a cache
+/// wrapper ([`Ir::Cached`]) the key of what it wraps.
+#[derive(Default)]
+struct Keys {
+    /// The operation and up to three children; a fourth and more are the
+    /// key of a list node in the third.
+    ids: HashMap<(Head, [u32; 3]), u32>,
+    /// The binders of a keyed subtree, reused.
+    binders: Vec<u32>,
+}
+
+/// The operation of a node in a key: its variant and what it carries
+/// besides its children.
+type Head = (u8, u64, u64);
+
+impl Keys {
+    /// The key of the subtree at `node` in `body`.
+    fn key(&mut self, nodes: &[Ir], body: &Body<'_>, node: NodeRef) -> u32 {
+        let mut binders = std::mem::take(&mut self.binders);
+        binders.clear();
+        let key = self.of(nodes, body, node, &mut binders);
+        self.binders = binders;
+        key
+    }
+
+    /// The key of `node` in `body`, `binders` those bound around it within
+    /// the keyed subtree.
+    fn of(&mut self, nodes: &[Ir], body: &Body<'_>, node: NodeRef, binders: &mut Vec<u32>) -> u32 {
+        let sym = |s: &str| u64::from(Symbol::intern(s).id());
+        let head: Head = match &nodes[node as usize] {
+            Ir::Load(s) => match binders.iter().rev().position(|b| b == s) {
+                Some(depth) => (0, depth as u64, 0),
+                None => match body.let_value(*s) {
+                    Some(value) if *s as usize >= body.prop.n_params => {
+                        let mut outside = Vec::new();
+                        return self.of(nodes, body, value, &mut outside);
+                    }
+                    _ => (1, u64::from(*s), 0),
+                },
+            },
+            Ir::Cached { expr, .. } => return self.of(nodes, body, *expr, binders),
+            Ir::Int(v) => (2, *v as u64, 0),
+            Ir::Float(v) => (3, v.to_bits(), 0),
+            Ir::Bool(b) => (4, u64::from(*b), 0),
+            Ir::Str(i) => (5, u64::from(*i), 0),
+            Ir::Const(i) => (6, u64::from(*i), 0),
+            Ir::EnumVal(owner, variant) => (7, u64::from(owner.id()), u64::from(variant.id())),
+            Ir::UnknownVar(n) => (8, u64::from(*n), 0),
+            Ir::Attr { attr, .. } => (9, sym(attr), 0),
+            Ir::Call { func, .. } => (10, u64::from(*func), 0),
+            Ir::CallUnknown { name, .. } => (11, u64::from(*name), 0),
+            Ir::MinMax { is_max, .. } => (12, u64::from(*is_max), 0),
+            Ir::Unary(op, _) => (13, *op as u64, 0),
+            Ir::Binary(op, ..) => (14, *op as u64, 0),
+            Ir::SetComp { .. } => (15, 0, 0),
+            Ir::Unique(_) => (16, 0, 0),
+            Ir::Aggregate { op, .. } => (17, *op as u64, 0),
+            Ir::Quantifier { forall, .. } => (18, u64::from(*forall), 0),
+            Ir::CountSet(_) => (19, 0, 0),
+            Ir::FilterEq {
+                set_attr,
+                elem_attr,
+                ctx,
+                ..
+            } => (
+                20,
+                sym(set_attr),
+                sym(elem_attr) << 1 | (*ctx == SourceCtx::Agg) as u64,
+            ),
+        };
+        let ir = &nodes[node as usize];
+        let binder = match ir {
+            Ir::SetComp { slot, .. } | Ir::Aggregate { slot, .. } | Ir::Quantifier { slot, .. } => {
+                Some(*slot)
+            }
+            _ => None,
+        };
+        // Up to eight children on the stack; a longer list (an n-ary call)
+        // is collected.
+        let mut kids = [0; 8];
+        let mut more = Vec::new();
+        let mut n = 0;
+        let mut in_scope = None;
+        ir.for_each_child(&mut |child| {
+            binders.extend(in_scope);
+            let kid = self.of(nodes, body, child, binders);
+            if n < kids.len() {
+                kids[n] = kid;
+            } else {
+                if more.is_empty() {
+                    more.extend_from_slice(&kids);
+                }
+                more.push(kid);
+            }
+            n += 1;
+            if in_scope.is_some() {
+                binders.pop();
+            }
+            in_scope = binder;
+        });
+        let all = if n <= kids.len() {
+            &kids[..n]
+        } else {
+            &more[..]
+        };
+        self.intern(head, all)
+    }
+
+    /// The key of `head` over `kids`, interned.
+    fn intern(&mut self, head: Head, kids: &[u32]) -> u32 {
+        let mut slots = [u32::MAX; 3];
+        if kids.len() <= 3 {
+            slots[..kids.len()].copy_from_slice(kids);
+        } else {
+            slots[..2].copy_from_slice(&kids[..2]);
+            slots[2] = self.intern((u8::MAX, kids.len() as u64, 0), &kids[2..]);
+        }
+        let next = self.ids.len() as u32;
+        *self.ids.entry((head, slots)).or_insert(next)
+    }
+}
+
+/// A run site that may join a sum group ([`KeptSites::sum`]).
+struct Sum {
+    node: NodeRef,
+    key: u32,
+    /// The key of its indexed source.
+    source: u32,
+    attr: &'static str,
+    by: &'static str,
+    values: Box<[Value]>,
+}
+
+/// The marking of subject and run sites and of sum groups
+/// ([`BatchPlan`]), across the properties of a spec.
+#[derive(Default)]
+struct KeptSites {
+    keys: Keys,
+    /// Per key: how many candidate run sites have it.
+    counts: HashMap<u32, u32>,
+    /// Per key: its cell, flag included.
+    cells: HashMap<u32, u32>,
+    /// The run sites that are members of a sum group.
+    grouped: HashSet<NodeRef>,
+}
+
+impl KeptSites {
+    fn mark(cs: &CompiledSpec, plan: &mut BatchPlan) {
+        let nodes = &cs.nodes;
+        let mut sites = KeptSites::default();
+        let bodies = cs.properties.iter().filter(|p| p.n_params > 0);
+        let bodies: Vec<Body> = bodies.map(|p| Body::new(nodes, p)).collect();
+        // Count the candidate run sites at every depth by key, and collect
+        // the sums among them.
+        let mut sums = Vec::new();
+        for body in &bodies {
+            for root in body.prop.roots() {
+                scoped_walk(nodes, root, &mut Vec::new(), &mut |node, outer| {
+                    if plan.cell[node as usize] != NO_CELL {
+                        return false;
+                    }
+                    let reads = body.reads(nodes, node, outer);
+                    if reads & READS_OTHER == 0 && reads & READS_CONTEXT != 0 && keeps(cs, node) {
+                        let key = sites.keys.key(nodes, body, node);
+                        *sites.counts.entry(key).or_default() += 1;
+                        sums.extend(sites.sum(nodes, plan, body, node, key));
+                    }
+                    true
+                });
+            }
+        }
+        sites.group(plan, sums);
+        for body in &bodies {
+            for root in body.prop.roots() {
+                sites.mark_sites(cs, plan, body, root, &mut Vec::new(), false);
+            }
+        }
+    }
+
+    /// `node` as a candidate member of a sum group: `SUM(x.A WHERE x IN
+    /// s AND …)` whose predicate is a second key and whose source `s` is an
+    /// indexed filter.
+    fn sum(
+        &mut self,
+        nodes: &[Ir],
+        plan: &BatchPlan,
+        body: &Body<'_>,
+        node: NodeRef,
+        key: u32,
+    ) -> Option<Sum> {
+        let Ir::Aggregate {
+            op: AggOp::Sum,
+            slot,
+            source,
+            value,
+            pred: Some(_),
+            ..
+        } = &nodes[node as usize]
+        else {
+            return None;
+        };
+        let (by, values) = plan.second_keys.get(plan.among[node as usize] as usize)?;
+        let Ir::Attr { base, attr } = &nodes[*value as usize] else {
+            return None;
+        };
+        let of_binder = matches!(nodes[*base as usize], Ir::Load(s) if s == *slot);
+        if !of_binder || !matches!(nodes[*source as usize], Ir::FilterEq { .. }) {
+            return None;
+        }
+        Some(Sum {
+            node,
+            key,
+            source: self.keys.key(nodes, body, *source),
+            attr,
+            by,
+            values: values.clone(),
+        })
+    }
+
+    /// Form the sum groups: a sum joins the first group of its source,
+    /// attribute and second key whose members select none of its values,
+    /// or starts one; a group of one is dropped. A key that is already a
+    /// member joins no group twice.
+    fn group(&mut self, plan: &mut BatchPlan, sums: Vec<Sum>) {
+        let mut groups: Vec<Vec<Sum>> = Vec::new();
+        let mut placed = HashSet::new();
+        for sum in sums.into_iter().filter(|sum| placed.insert(sum.key)) {
+            let fits = |members: &Vec<Sum>| {
+                let first = &members[0];
+                let overlaps = |m: &Sum| {
+                    m.values
+                        .iter()
+                        .any(|v| sum.values.iter().any(|w| v.asl_eq(w)))
+                };
+                (first.source, first.attr, first.by) == (sum.source, sum.attr, sum.by)
+                    && !members.iter().any(overlaps)
+            };
+            match groups.iter().position(fits) {
+                Some(g) => groups[g].push(sum),
+                None => groups.push(vec![sum]),
+            }
+        }
+        for members in groups.into_iter().filter(|members| members.len() >= 2) {
+            let group = plan.groups.len() as u32;
+            let (attr, by) = (members[0].attr, members[0].by);
+            let mut routes = Vec::new();
+            let mut cells = Vec::new();
+            for (m, sum) in members.into_iter().enumerate() {
+                self.grouped.insert(sum.node);
+                let cell = self.cell(plan, sum.key, RUN_CELL) ^ RUN_CELL;
+                plan.group_of[cell as usize] = group;
+                cells.push(cell);
+                routes.extend(
+                    sum.values
+                        .iter()
+                        .filter_map(enum_key)
+                        .map(|v| (v, m as u32)),
+                );
+            }
+            plan.groups.push(SumGroup {
+                attr,
+                by,
+                members: cells.into(),
+                routes: routes.into(),
+            });
+        }
+    }
+
+    /// The cell of `key`, made on first ask: a subject cell or a run cell,
+    /// as `flag` says.
+    fn cell(&mut self, plan: &mut BatchPlan, key: u32, flag: u32) -> u32 {
+        *self.cells.entry(key).or_insert_with(|| {
+            let id = if flag == SUBJECT_CELL {
+                plan.subject_cells += 1;
+                plan.subject_cells - 1
+            } else {
+                plan.group_of.push(NO_CELL);
+                plan.group_of.len() as u32 - 1
+            };
+            flag | id
+        })
+    }
+
+    /// Mark the maximal subject and run sites of the subtree at `node` of
+    /// `body`, `outer` the binders around it; within a run site (`in_run`)
+    /// only subject sites. A hoist site is no other site and holds none.
+    #[allow(clippy::too_many_arguments)]
+    fn mark_sites(
+        &mut self,
+        cs: &CompiledSpec,
+        plan: &mut BatchPlan,
+        body: &Body<'_>,
+        node: NodeRef,
+        outer: &mut Vec<u32>,
+        mut in_run: bool,
+    ) {
+        let nodes = &cs.nodes;
+        if plan.cell[node as usize] != NO_CELL {
             return;
         }
-        if loads_free_slot(nodes, node, &|slot| slot != 0, &mut Vec::new()) {
-            nodes[node as usize].for_each_child(&mut |child| self.mark_subject_sites(nodes, child));
-        } else if is_expensive(nodes, node) {
-            let mut known = self.subject_roots.iter();
-            let shared = known.position(|&root| same_tree(nodes, root, node));
-            let id = shared.unwrap_or_else(|| {
-                self.subject_roots.push(node);
-                self.subject_roots.len() - 1
-            });
-            self.cell[node as usize] = SUBJECT_CELL | id as u32;
+        let reads = body.reads(nodes, node, outer);
+        if reads & READS_OTHER == 0 && keeps(cs, node) {
+            if reads == READS_SUBJECT {
+                let key = self.keys.key(nodes, body, node);
+                plan.cell[node as usize] = self.cell(plan, key, SUBJECT_CELL);
+                return;
+            }
+            if reads & READS_CONTEXT != 0 && !in_run {
+                let key = self.keys.key(nodes, body, node);
+                let shared = self.counts.get(&key).is_some_and(|&n| n >= 2);
+                if shared || self.grouped.contains(&node) {
+                    plan.cell[node as usize] = self.cell(plan, key, RUN_CELL);
+                    in_run = true;
+                }
+            }
         }
+        let ir = &nodes[node as usize];
+        let binder = match ir {
+            Ir::SetComp { slot, .. } | Ir::Aggregate { slot, .. } | Ir::Quantifier { slot, .. } => {
+                Some(*slot)
+            }
+            _ => None,
+        };
+        let mut in_scope = None;
+        ir.for_each_child(&mut |child| {
+            outer.extend(in_scope);
+            self.mark_sites(cs, plan, body, child, outer, in_run);
+            if in_scope.is_some() {
+                outer.pop();
+            }
+            in_scope = binder;
+        });
     }
 }
 
@@ -1677,25 +2187,6 @@ fn mark_hoist_sites(
         cell[node as usize] = *next;
         *next += 1;
     }
-}
-
-/// Do the two subtrees compute the same thing from the same slots? Node
-/// for node the same operation on the same names, slots and cache cells
-/// (equal cells are more than needed — a subtree numbered differently is
-/// merely not shared); spans are not part of what is computed.
-fn same_tree(nodes: &[Ir], a: NodeRef, b: NodeRef) -> bool {
-    let parts = |node: NodeRef| {
-        let mut head = nodes[node as usize].clone();
-        let mut children = Vec::new();
-        head.map_children(&mut |child| {
-            children.push(child);
-            0
-        });
-        (head, children)
-    };
-    let ((x, xs), (y, ys)) = (parts(a), parts(b));
-    // Equal heads have as many children, a missing predicate included.
-    x == y && xs.iter().zip(&ys).all(|(&c, &d)| same_tree(nodes, c, d))
 }
 
 /// The second key of a selecting construct: for an `Aggregate` or `SetComp`
@@ -1774,6 +2265,11 @@ const RESERVED_VALUES: usize = 4096;
 /// Lanes a fresh [`Scratch`] makes room for in its per-lane outcomes: the
 /// analyzers' batch width.
 const RESERVED_LANES: usize = 256;
+
+/// Registers, frames and loop-invariant cells a fresh [`Scratch`] makes
+/// room for: a batch whose kept cells miss runs more helper calls than
+/// one whose cells answer, and allocates no more for it.
+const RESERVED_FRAMES: usize = 64;
 
 /// Elements of each lane a quantifier tests in its first round
 /// ([`Ctx::decide`]).
@@ -2025,26 +2521,136 @@ impl Drop for Scratch {
 /// are evaluated eagerly at construction (in declaration order, mirroring
 /// [`crate::Interpreter::new`]).
 ///
-/// One evaluator serves one thread: its subject cells are filled in place,
-/// by whichever [`Batch`] first reaches them.
+/// One evaluator serves one thread: its subject and run cells are filled
+/// in place, by whichever [`Batch`] first reaches them.
 pub struct CompiledEvaluator<M: ObjectModel> {
     spec: Arc<CompiledSpec>,
     data: M,
     consts: Vec<Value>,
-    /// The plan's subject cells, one per [`BatchPlan::subject_roots`]: what
-    /// a subject-only subtree evaluated to, per subject. Valid while `data`
-    /// answers the same — for this evaluator's life, when `data` borrows
-    /// its store — and shared by every batch, run and property.
-    subjects: Box<[OnceCell<SubjectCell>]>,
+    /// The plan's subject and run cells, per subject ([`Kept`]): valid
+    /// while `data` answers the same — for this evaluator's life, when
+    /// `data` borrows its store — and shared by every batch and property;
+    /// the run cells by the batches of one context.
+    kept: RefCell<Kept>,
 }
 
-/// The values of one subject cell: the class of the first subject that
-/// reached it and one lazily filled slot per object of that class. Only
-/// values are kept — a failing subtree is evaluated again, so that every
-/// site reports the failure at its own span.
-struct SubjectCell {
-    class: Symbol,
-    values: Box<[OnceCell<Value>]>,
+/// What an evaluator keeps per subject: a row for each subject that has
+/// reached a subject or run site — its subject cells, then its run cells,
+/// each a value once filled. Rows are made as subjects arrive, so they
+/// are as many as the subjects evaluated (a version's contexts), never as
+/// many as the data source holds. A row's run cells answer for the context
+/// of its epoch only: a batch of another context starts a new epoch
+/// ([`Kept::enter`]), and a row of an older one has its run cells emptied
+/// when it is next looked up.
+struct Kept {
+    rows: HashMap<ObjRef, u32, BuildHasherDefault<RowHasher>>,
+    /// Per lane of a batch's body: the subject a site last looked up there
+    /// and its row — batch after batch, as long as the lane's subject is
+    /// the same (the analyzers cut every property's subjects alike).
+    lanes: Vec<(ObjRef, u32)>,
+    /// Row `r`'s cells at `r * width..`.
+    cells: Vec<Option<Value>>,
+    /// Per row: the epoch its run cells were filled in.
+    epochs: Vec<u32>,
+    subject_cells: usize,
+    width: usize,
+    /// The context of the current epoch.
+    context: Vec<Value>,
+    epoch: u32,
+    /// The members' sums of a [`SumGroup`] being filled.
+    sums: Vec<ops::Aggregator>,
+}
+
+impl Kept {
+    fn new(plan: &BatchPlan) -> Self {
+        let subject_cells = plan.subject_cells as usize;
+        Kept {
+            rows: HashMap::default(),
+            lanes: Vec::new(),
+            cells: Vec::new(),
+            epochs: Vec::new(),
+            subject_cells,
+            width: subject_cells + plan.run_cells(),
+            context: Vec::new(),
+            epoch: 0,
+            sums: Vec::new(),
+        }
+    }
+
+    /// Bind the run cells to `context`: a new epoch if it is not the
+    /// current one's.
+    fn enter(&mut self, context: &[Value]) {
+        if self.context != context {
+            self.epoch += 1;
+            self.context.clear();
+            self.context.extend_from_slice(context);
+        }
+    }
+
+    /// The row of `subject`, made on first ask, its run cells those of the
+    /// current epoch.
+    fn row(&mut self, subject: &ObjRef) -> u32 {
+        if self.epochs.capacity() == 0 {
+            // Room for a batch of subjects on first use.
+            self.rows.reserve(RESERVED_LANES);
+            self.lanes.reserve(RESERVED_LANES);
+            self.cells.reserve(RESERVED_LANES * self.width);
+            self.epochs.reserve(RESERVED_LANES);
+        }
+        let next = self.epochs.len() as u32;
+        let row = *self.rows.entry(subject.clone()).or_insert(next);
+        if row == next {
+            self.cells.resize(self.cells.len() + self.width, None);
+            self.epochs.push(self.epoch);
+        }
+        self.refresh(row)
+    }
+
+    /// `row`, its run cells emptied if they are of an older epoch.
+    fn refresh(&mut self, row: u32) -> u32 {
+        if self.epochs[row as usize] != self.epoch {
+            self.epochs[row as usize] = self.epoch;
+            let at = row as usize * self.width;
+            self.cells[at + self.subject_cells..at + self.width].fill(None);
+        }
+        row
+    }
+
+    /// The slot of `cell` ([`BatchPlan::cell`], flag included) in `row`.
+    fn at(&mut self, row: u32, cell: u32) -> &mut Option<Value> {
+        let id = (cell & !(SUBJECT_CELL | RUN_CELL)) as usize;
+        let run = if cell & RUN_CELL != 0 {
+            self.subject_cells
+        } else {
+            0
+        };
+        &mut self.cells[row as usize * self.width + run + id]
+    }
+}
+
+/// The hasher of [`Kept::rows`]: an object reference is two small
+/// integers, which a multiply-and-rotate mixes well enough.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// What one property instance evaluated to — no names, nothing on the
@@ -2072,14 +2678,15 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
     /// Bind a compiled spec to a data source and evaluate its constants.
     pub fn new(spec: Arc<CompiledSpec>, data: M) -> EvalResult<Self> {
         let mut consts: Vec<Value> = Vec::with_capacity(spec.consts.len());
+        // Constant bodies have no sites: nothing is kept for them.
+        let none = RefCell::new(Kept::new(spec.plan()));
         for c in &spec.consts {
-            let ctx = Ctx::new(&spec, &data, &consts, &[]);
+            let ctx = Ctx::new(&spec, &data, &consts, &none);
             let v = ctx.run_body(c.body, c.n_slots, &[], 0, &mut Scratch::default())?;
             consts.push(v);
         }
-        let subjects = spec.plan().subject_roots.iter();
         Ok(CompiledEvaluator {
-            subjects: subjects.map(|_| OnceCell::new()).collect(),
+            kept: RefCell::new(Kept::new(spec.plan())),
             spec,
             data,
             consts,
@@ -2092,7 +2699,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
     }
 
     fn ctx(&self) -> Ctx<'_, M> {
-        Ctx::new(&self.spec, &self.data, &self.consts, &self.subjects)
+        Ctx::new(&self.spec, &self.data, &self.consts, &self.kept)
     }
 
     /// Bind property `name` for evaluation over many subjects in one
@@ -2206,6 +2813,8 @@ impl<M: ObjectModel> Batch<'_, M> {
             st.lanes.reserve(RESERVED_VALUES);
             st.outcomes.reserve(RESERVED_LANES);
             st.best.reserve(RESERVED_LANES);
+            st.regs.reserve(RESERVED_FRAMES);
+            st.frames.reserve(RESERVED_FRAMES);
         }
         st.vals.extend(subjects.into_iter().map(Ok));
         let width = st.vals.len() as u32;
@@ -2233,6 +2842,7 @@ impl<M: ObjectModel> Batch<'_, M> {
             st.regs[usize::from(st.subject) + i] = col;
         }
         let fr = ctx.body_frame(width, p.n_slots, st);
+        ctx.kept.borrow_mut().enter(&st.context);
         st.outcomes.clear();
         st.outcomes.resize(width as usize, Ok(NOT_HELD));
         st.best.clear();
@@ -2254,18 +2864,25 @@ impl<M: ObjectModel> Batch<'_, M> {
         for (i, (_, pred)) in p.conditions.iter().enumerate() {
             let top = st.vals.len();
             let col = ctx.eval(*pred, fr, alive, st);
-            alive = st.settle_lanes(alive, col, |v| match v {
-                Value::Bool(_) => Ok(()),
-                v => Err(EvalError::new(
-                    EvalErrorKind::Type,
-                    format!("condition evaluated to {}, expected bool", v.type_name()),
-                )),
-            });
+            // Fire the lanes that hold in one pass; settle the others only
+            // if one of them failed.
+            let mut failed = false;
             for k in alive.range() {
                 let lane = st.lanes[k] as usize;
-                if let Ok(Value::Bool(true)) = st.vals[col.at(lane as u32)] {
-                    st.fired[lane * st.words + i / 64] |= 1 << (i % 64);
+                match st.vals[col.at(lane as u32)] {
+                    Ok(Value::Bool(true)) => st.fired[lane * st.words + i / 64] |= 1 << (i % 64),
+                    Ok(Value::Bool(false)) => {}
+                    _ => failed = true,
                 }
+            }
+            if failed {
+                alive = st.settle_lanes(alive, col, |v| match v {
+                    Value::Bool(_) => Ok(()),
+                    v => Err(EvalError::new(
+                        EvalErrorKind::Type,
+                        format!("condition evaluated to {}, expected bool", v.type_name()),
+                    )),
+                });
             }
             st.vals.truncate(top);
         }
@@ -2287,23 +2904,30 @@ impl<M: ObjectModel> Batch<'_, M> {
                 };
                 let top = st.vals.len();
                 let col = ctx.eval(arm.expr, fr, reached, st);
-                let numbers = st.settle_lanes(reached, col, |v| match v.as_f64() {
-                    Some(_) => Ok(()),
-                    None => Err(EvalError::new(
-                        EvalErrorKind::Type,
-                        format!("arm evaluated to {}, expected number", v.type_name()),
-                    )),
-                });
-                for k in numbers.range() {
+                // Take the numbers in one pass; settle the other lanes only
+                // if there is one.
+                let mut failed = false;
+                for k in reached.range() {
                     let lane = st.lanes[k];
-                    let x = st.vals[col.at(lane)].as_ref().ok().and_then(Value::as_f64);
-                    let best = &mut st.best[lane as usize];
-                    *best = x.map(|x| best.map_or(x, |b| b.max(x)));
+                    match st.vals[col.at(lane)].as_ref().ok().and_then(Value::as_f64) {
+                        Some(x) => {
+                            let best = &mut st.best[lane as usize];
+                            *best = Some(best.map_or(x, |b| b.max(x)));
+                        }
+                        None => failed = true,
+                    }
                 }
-                st.vals.truncate(top);
-                if numbers.len < reached.len {
+                if failed {
+                    st.settle_lanes(reached, col, |v| match v.as_f64() {
+                        Some(_) => Ok(()),
+                        None => Err(EvalError::new(
+                            EvalErrorKind::Type,
+                            format!("arm evaluated to {}, expected number", v.type_name()),
+                        )),
+                    });
                     alive = st.select(alive, |st, lane| st.outcomes[lane as usize].is_ok());
                 }
+                st.vals.truncate(top);
             }
             for k in alive.range() {
                 let lane = st.lanes[k] as usize;
@@ -2340,9 +2964,9 @@ struct Ctx<'c, M: ObjectModel> {
     cell: &'c [u32],
     data: &'c M,
     consts: &'c [Value],
-    /// [`CompiledEvaluator::subjects`]; empty while constants initialize
-    /// (their bodies have no sites).
-    subjects: &'c [OnceCell<SubjectCell>],
+    /// [`CompiledEvaluator::kept`]; an empty one while constants
+    /// initialize (their bodies have no sites).
+    kept: &'c RefCell<Kept>,
 }
 
 impl<'c, M: ObjectModel> Ctx<'c, M> {
@@ -2350,7 +2974,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         cs: &'c CompiledSpec,
         data: &'c M,
         consts: &'c [Value],
-        subjects: &'c [OnceCell<SubjectCell>],
+        kept: &'c RefCell<Kept>,
     ) -> Self {
         let plan = cs.plan();
         Ctx {
@@ -2359,7 +2983,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             cell: &plan.cell,
             data,
             consts,
-            subjects,
+            kept,
         }
     }
 
@@ -2435,10 +3059,10 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let cell = self.cell[node as usize];
         if cell == NO_CELL {
             self.eval_inner(node, fr, sel, st)
-        } else if cell & SUBJECT_CELL == 0 {
+        } else if cell & (SUBJECT_CELL | RUN_CELL) == 0 {
             self.eval_hoisted(cell as usize, node, fr, sel, st)
         } else {
-            self.eval_subject_site((cell ^ SUBJECT_CELL) as usize, node, fr, sel, st)
+            self.eval_kept(cell, node, fr, sel, st)
         }
     }
 
@@ -2477,48 +3101,44 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         st.push_one(kept)
     }
 
-    /// A subject site: evaluated for the lanes whose subject has no value
-    /// in the cell yet — in any batch on this evaluator — which then fill
-    /// it; the others are answered from it. Sites are in property bodies,
-    /// whose slot 0 holds the subject.
+    /// A subject or run site: answered from the cell of each lane's subject
+    /// ([`Kept`]) where it holds a value — filled by an earlier lane, batch
+    /// or property — and evaluated for the other lanes, which then fill it.
+    /// A member of a sum group fills its whole group first. Sites are in
+    /// property bodies, whose slot 0 holds the subject.
     #[inline(never)]
-    fn eval_subject_site(
-        &self,
-        cell: usize,
-        node: NodeRef,
-        fr: Frame,
-        sel: Sel,
-        st: &mut Scratch,
-    ) -> Col {
-        let out = st.push_col(fr.width);
-        let subject = st.regs[fr.regs as usize];
-        let slot_of = |st: &Scratch, lane: u32| match &st.vals[subject.at(lane)] {
-            Ok(Value::Obj(s)) => self.subject_slot(cell, s),
-            _ => None,
+    fn eval_kept(&self, cell: u32, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
+        // Every lane of the frame, in order: the column is pushed as it is
+        // answered, not made first and overwritten.
+        let whole = sel.len == fr.width;
+        let out = match whole {
+            true => Col {
+                base: st.vals.len() as u32,
+                stride: 1,
+            },
+            false => st.push_col(fr.width),
         };
         let start = st.lanes.len();
-        for k in sel.range() {
-            let lane = st.lanes[k];
-            match slot_of(st, lane).and_then(OnceCell::get) {
-                Some(kept) => {
-                    st.cache_hits += 1;
-                    st.vals[out.at(lane)] = Ok(kept.clone());
-                }
-                None => {
-                    st.cache_misses += 1;
-                    st.lanes.push(lane);
-                }
-            }
+        self.answer_kept(cell, fr, sel, out, whole, st);
+        let mut missed = st.since(start);
+        let group = match cell & RUN_CELL {
+            0 => NO_CELL,
+            _ => self.plan.group_of[(cell ^ RUN_CELL) as usize],
+        };
+        if missed.len > 0 && group != NO_CELL {
+            self.fill_group(group, node, fr, missed, st);
+            let again = st.lanes.len();
+            self.answer_kept(cell, fr, missed, out, false, st);
+            missed = st.since(again);
         }
-        let missed = st.since(start);
         if missed.len > 0 {
             let col = self.eval_inner(node, fr, missed, st);
+            let mut kept = self.kept.borrow_mut();
             for k in missed.range() {
                 let lane = st.lanes[k];
                 let v = st.vals[col.at(lane)].clone();
-                if let (Some(slot), Ok(v)) = (slot_of(st, lane), &v) {
-                    // An earlier lane of the same subject may have set it.
-                    let _ = slot.set(v.clone());
+                if let (Some(row), Ok(v)) = (self.row_of(&mut kept, fr, lane, st), &v) {
+                    *kept.at(row, cell) = Some(v.clone());
                 }
                 st.vals[out.at(lane)] = v;
             }
@@ -2528,22 +3148,131 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         out
     }
 
-    /// The slot of `subject` in a subject cell, allocating the cell's slots
-    /// — as many as the data source has objects of the class — for the
-    /// first subject. `None` for an object of another class than that one,
-    /// or one the source does not count.
-    fn subject_slot(&self, cell: usize, subject: &ObjRef) -> Option<&'c OnceCell<Value>> {
-        let kept = self.subjects[cell].get_or_init(|| {
-            let n = self.data.extent(subject.class.as_str()).unwrap_or(0);
-            SubjectCell {
-                class: subject.class,
-                values: (0..n).map(|_| OnceCell::new()).collect(),
+    /// Answer the lanes of `sel` whose cell holds a value into `out`, and
+    /// push the others onto the lanes. `push`: `out` is the top of the
+    /// stack and `sel` every lane of the frame, in order — each lane's
+    /// answer is pushed, `Null` for one not answered.
+    fn answer_kept(&self, cell: u32, fr: Frame, sel: Sel, out: Col, push: bool, st: &mut Scratch) {
+        let mut kept = self.kept.borrow_mut();
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            let row = self.row_of(&mut kept, fr, lane, st);
+            let v = match row.and_then(|row| kept.at(row, cell).as_ref()) {
+                Some(v) => {
+                    st.cache_hits += 1;
+                    Ok(v.clone())
+                }
+                None => {
+                    st.cache_misses += 1;
+                    st.lanes.push(lane);
+                    Ok(Value::Null)
+                }
+            };
+            match push {
+                true => st.vals.push(v),
+                false => st.vals[out.at(lane)] = v,
             }
-        });
-        let same_class = kept.class == subject.class;
-        kept.values
-            .get(subject.index as usize)
-            .filter(|_| same_class)
+        }
+    }
+
+    /// The row of `lane`'s subject in [`Kept`], `None` for a subject that
+    /// is not an object. Sites are in property bodies: an element of a set
+    /// construct is of the batch lane its owners lead up to, whose subject
+    /// is the body frame's slot 0 (a site may read the subject through a
+    /// LET only, so the element's frame need not hold it). A batch lane
+    /// remembers its row ([`Kept::lanes`]).
+    fn row_of(&self, kept: &mut Kept, fr: Frame, lane: u32, st: &Scratch) -> Option<u32> {
+        let (mut frame, mut lane) = (fr.id, lane);
+        while frame != 0 {
+            let rec = &st.frames[frame as usize];
+            lane = st.lanes[(rec.owners + lane) as usize];
+            frame = rec.parent;
+        }
+        let Ok(Value::Obj(s)) = &st.vals[st.regs[0].at(lane)] else {
+            return None;
+        };
+        let lane = lane as usize;
+        match kept.lanes.get(lane) {
+            Some((known, row)) if known == s => {
+                let row = *row;
+                Some(kept.refresh(row))
+            }
+            _ => {
+                let row = kept.row(s);
+                if lane >= kept.lanes.len() {
+                    let unknown = (
+                        ObjRef {
+                            class: s.class,
+                            index: u32::MAX,
+                        },
+                        0,
+                    );
+                    kept.lanes.resize(lane + 1, unknown);
+                }
+                kept.lanes[lane] = (s.clone(), row);
+                Some(row)
+            }
+        }
+    }
+
+    /// Fill the run cells of every member of sum group `group` for the
+    /// lanes `sel`, `node` one member: one visit of the source's elements
+    /// per lane, each adding its attribute to the member that selects it,
+    /// in the source's order. A lane the data source does not answer, or a
+    /// member whose sum fails, is left empty — its site evaluates it.
+    fn fill_group(&self, group: u32, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) {
+        let Ir::Aggregate { op, source, .. } = &self.cs.nodes[node as usize] else {
+            unreachable!("sum groups are of aggregates");
+        };
+        let Ir::FilterEq {
+            obj,
+            set_attr,
+            elem_attr,
+            key,
+            ..
+        } = &self.cs.nodes[*source as usize]
+        else {
+            unreachable!("sum groups are over indexed filters");
+        };
+        let group = &self.plan.groups[group as usize];
+        let objs = self.eval(*obj, fr, sel, st);
+        let keys = self.eval(*key, fr, sel, st);
+        let mut kept = self.kept.borrow_mut();
+        let mut sums = std::mem::take(&mut kept.sums);
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            let Some(row) = self.row_of(&mut kept, fr, lane, st) else {
+                continue;
+            };
+            let (Ok(Value::Obj(o)), Ok(key)) = (&st.vals[objs.at(lane)], &st.vals[keys.at(lane)])
+            else {
+                continue;
+            };
+            let filter = SetFilter {
+                elem_attr,
+                key,
+                among: None,
+            };
+            sums.clear();
+            sums.extend(group.members.iter().map(|_| ops::Aggregator::new(*op)));
+            let routes = &group.routes;
+            let mut route = |v, by: &Value| {
+                let key = enum_key(by);
+                if let Some(&(_, m)) = routes.iter().find(|(k, _)| Some(*k) == key) {
+                    sums[m as usize].push(v);
+                }
+            };
+            let answered =
+                (self.data).visit_attr(o, set_attr, filter, group.attr, Some(group.by), &mut route);
+            if let Some(Ok(())) = answered {
+                for (cell, sum) in group.members.iter().zip(sums.drain(..)) {
+                    if let Ok(v) = sum.finish() {
+                        *kept.at(row, RUN_CELL | cell) = Some(v);
+                    }
+                }
+            }
+        }
+        kept.sums = sums;
     }
 
     fn eval_inner(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
@@ -2707,7 +3436,10 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let right = st.settle(l, sel, out, span);
         let r = self.eval(rhs, fr, right, st);
         let apply = |l: &EvalResult<Value>, r: &EvalResult<Value>| match (l, r) {
-            (Ok(l), Ok(r)) => ops::binary_strict(op, l, r).map_err(|e| e.or_span(span)),
+            (Ok(l), Ok(r)) => match ops::binary_float(op, l, r) {
+                Some(v) => Ok(v),
+                None => ops::binary_strict(op, l, r).map_err(|e| e.or_span(span)),
+            },
             (_, Err(e)) | (Err(e), _) => Err(e.clone().or_span(span)),
         };
         if l.stride == 0 && r.stride == 0 && right.len > 0 {
@@ -2978,13 +3710,74 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         out: Col,
         st: &mut Scratch,
     ) {
-        let streams = matches!(self.cs.nodes[node as usize], Ir::SetComp { .. })
-            && self.cell[node as usize] == NO_CELL;
-        if streams {
+        let (comp, filter) = match self.cs.nodes[node as usize] {
+            Ir::SetComp { .. } => (true, false),
+            Ir::FilterEq { .. } => (false, true),
+            _ => (false, false),
+        };
+        let lent = self.cell[node as usize] == NO_CELL;
+        if lent && (comp || filter) && self.count_members(node, how, fr, sel, out, st) {
+            return;
+        }
+        if lent && comp {
             return self.comp_members(node, how, fr, sel, out, st);
         }
         let v = self.visit(node, None, not_a_set, fr, sel, out, st);
         self.fold_members(v, None, how, sel, out, st);
+    }
+
+    /// `COUNT`/`UNIQUE` (`how`) of an indexed filter — or of a
+    /// comprehension over one whose predicate is a second key — as the data
+    /// source counts it ([`ObjectModel::count_set`]): no element is lent.
+    /// False where the source does not answer every lane of `sel`, or a
+    /// lane has no object or key to ask it with; what it wrote into `out`
+    /// is then overwritten by the visit.
+    #[allow(clippy::too_many_arguments)]
+    fn count_members(
+        &self,
+        node: NodeRef,
+        how: Members,
+        fr: Frame,
+        sel: Sel,
+        out: Col,
+        st: &mut Scratch,
+    ) -> bool {
+        let (source, among) = match &self.cs.nodes[node as usize] {
+            Ir::SetComp { source, .. } => match self.second_key_of(node) {
+                Some(among) if self.cell[*source as usize] == NO_CELL => (*source, Some(among)),
+                _ => return false,
+            },
+            _ => (node, None),
+        };
+        let Ir::FilterEq {
+            obj,
+            set_attr,
+            elem_attr,
+            key,
+            ..
+        } = &self.cs.nodes[source as usize]
+        else {
+            return false;
+        };
+        let objs = self.eval(*obj, fr, sel, st);
+        let keys = self.eval(*key, fr, sel, st);
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            let (Ok(Value::Obj(o)), Ok(key)) = (&st.vals[objs.at(lane)], &st.vals[keys.at(lane)])
+            else {
+                return false;
+            };
+            let filter = SetFilter {
+                elem_attr,
+                key,
+                among,
+            };
+            let Some(Ok((n, first))) = self.data.count_set(o, set_attr, filter) else {
+                return false;
+            };
+            st.vals[out.at(lane)] = how.finish(n, first.map(Value::Obj), None);
+        }
+        true
     }
 
     /// The members the comprehension `comp` keeps, per lane, as `how`
@@ -3109,6 +3902,9 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         else {
             unreachable!("aggregate is called on aggregate nodes only");
         };
+        if let Some(col) = self.fold_attr(node, fr, sel, st) {
+            return col;
+        }
         let out = st.push_col(fr.width);
         let among = self.second_key_of(node);
         let v = self.visit(*source, among, "aggregate source is", fr, sel, out, st);
@@ -3181,6 +3977,72 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         self.tag(out, sel, self.cs.spans[node as usize], st);
         st.pop_above(out, fr.width);
         out
+    }
+
+    /// An aggregate of a binder attribute over an indexed filter, its
+    /// predicate none or a second key, folded from what the data source
+    /// hands over ([`ObjectModel::visit_attr`]) in the order it would lend
+    /// the elements: none is lent and no frame of elements opened. `None`,
+    /// with nothing left pushed, where the source does not answer every
+    /// lane of `sel`, or a lane has no object or key to ask it with.
+    fn fold_attr(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Option<Col> {
+        let Ir::Aggregate {
+            op,
+            slot,
+            source,
+            value,
+            pred,
+            ..
+        } = &self.cs.nodes[node as usize]
+        else {
+            unreachable!("fold_attr is called on aggregate nodes only");
+        };
+        let among = self.second_key_of(node);
+        let answered = pred.is_none() || among.is_some();
+        let Ir::FilterEq {
+            obj,
+            set_attr,
+            elem_attr,
+            key,
+            ..
+        } = &self.cs.nodes[*source as usize]
+        else {
+            return None;
+        };
+        let Ir::Attr { base, attr } = &self.cs.nodes[*value as usize] else {
+            return None;
+        };
+        let of_binder = matches!(self.cs.nodes[*base as usize], Ir::Load(s) if s == *slot);
+        if !answered || !of_binder || self.cell[*source as usize] != NO_CELL {
+            return None;
+        }
+        let out = st.push_col(fr.width);
+        let objs = self.eval(*obj, fr, sel, st);
+        let keys = self.eval(*key, fr, sel, st);
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            let mut agg = ops::Aggregator::new(*op);
+            let folded = match (&st.vals[objs.at(lane)], &st.vals[keys.at(lane)]) {
+                (Ok(Value::Obj(o)), Ok(key)) => {
+                    let filter = SetFilter {
+                        elem_attr,
+                        key,
+                        among,
+                    };
+                    self.data
+                        .visit_attr(o, set_attr, filter, attr, None, &mut |v, _| agg.push(v))
+                }
+                _ => None,
+            };
+            if !matches!(folded, Some(Ok(()))) {
+                st.vals.truncate(out.base as usize);
+                return None;
+            }
+            st.vals[out.at(lane)] = agg.finish();
+        }
+        self.tag(out, sel, self.cs.spans[node as usize], st);
+        st.pop_above(out, fr.width);
+        Some(out)
     }
 
     /// `FORALL`/`EXISTS`: the predicate over each lane's elements in

@@ -401,7 +401,84 @@ impl CosyData<'_> {
     }
 }
 
+/// What [`ObjectModel::attr`] answers for attribute `attr` of an element of
+/// the indexed set `set_attr` ([`native_index`]'s three), read by arena
+/// index; `None` for an attribute the element's class does not have.
+fn element_attr(set_attr: &str, attr: &str) -> Option<fn(&Store, usize) -> Value> {
+    let read: fn(&Store, usize) -> Value = match (set_attr, attr) {
+        ("TotTimes", "Run") => |s, i| Value::obj(syms().test_run, s.total_timings[i].run.0),
+        ("TotTimes", "Excl") => |s, i| Value::Float(s.total_timings[i].excl),
+        ("TotTimes", "Incl") => |s, i| Value::Float(s.total_timings[i].incl),
+        ("TotTimes", "Ovhd") => |s, i| Value::Float(s.total_timings[i].ovhd),
+        ("TypTimes", "Run") => |s, i| Value::obj(syms().test_run, s.typed_timings[i].run.0),
+        ("TypTimes", "Type") => |s, i| {
+            let sy = syms();
+            Value::Enum(
+                sy.timing_type,
+                sy.timing_variants[s.typed_timings[i].ty as usize],
+            )
+        },
+        ("TypTimes", "Time") => |s, i| Value::Float(s.typed_timings[i].time),
+        ("Sums", "Run") => |s, i| Value::obj(syms().test_run, s.call_timings[i].run.0),
+        ("Sums", "MinCount") => |s, i| Value::Float(s.call_timings[i].min_count),
+        ("Sums", "MaxCount") => |s, i| Value::Float(s.call_timings[i].max_count),
+        ("Sums", "MeanCount") => |s, i| Value::Float(s.call_timings[i].mean_count),
+        ("Sums", "StdevCount") => |s, i| Value::Float(s.call_timings[i].stdev_count),
+        ("Sums", "MinCountPe") => |s, i| Value::Int(s.call_timings[i].min_count_pe as i64),
+        ("Sums", "MaxCountPe") => |s, i| Value::Int(s.call_timings[i].max_count_pe as i64),
+        ("Sums", "MinTime") => |s, i| Value::Float(s.call_timings[i].min_time),
+        ("Sums", "MaxTime") => |s, i| Value::Float(s.call_timings[i].max_time),
+        ("Sums", "MeanTime") => |s, i| Value::Float(s.call_timings[i].mean_time),
+        ("Sums", "StdevTime") => |s, i| Value::Float(s.call_timings[i].stdev_time),
+        ("Sums", "MinTimePe") => |s, i| Value::Int(s.call_timings[i].min_time_pe as i64),
+        ("Sums", "MaxTimePe") => |s, i| Value::Int(s.call_timings[i].max_time_pe as i64),
+        _ => return None,
+    };
+    Some(read)
+}
+
 impl ObjectModel for CosyData<'_> {
+    /// Counted off the run's row of store slots, as `visit_set` lends it.
+    fn count_set(
+        &self,
+        obj: &ObjRef,
+        set_attr: &str,
+        filter: SetFilter<'_>,
+    ) -> Option<EvalResult<(usize, Option<ObjRef>)>> {
+        let (mut n, mut first) = (0, None);
+        let counted = self.lend_set(obj, set_attr, Some(filter), &mut |elem| {
+            n += 1;
+            first.get_or_insert(elem);
+            Ok(true)
+        });
+        counted.map(|lent| lent.map(|()| (n, first))).transpose()
+    }
+
+    /// Read off the run's row of store slots, as `visit_set` lends it, each
+    /// attribute resolved once per visit rather than once per element.
+    fn visit_attr(
+        &self,
+        obj: &ObjRef,
+        set_attr: &str,
+        filter: SetFilter<'_>,
+        attr: &str,
+        by: Option<&str>,
+        each: &mut dyn FnMut(Value, &Value),
+    ) -> Option<EvalResult<()>> {
+        let value = element_attr(set_attr, attr)?;
+        let by = match by {
+            Some(by) => Some(element_attr(set_attr, by)?),
+            None => None,
+        };
+        let s = self.store;
+        let lent = self.lend_set(obj, set_attr, Some(filter), &mut |elem| {
+            let i = elem.index as usize;
+            each(value(s, i), &by.map_or(Value::Null, |by| by(s, i)));
+            Ok(true)
+        });
+        lent.transpose()
+    }
+
     fn visit_set(
         &self,
         obj: &ObjRef,

@@ -11,6 +11,19 @@ const MAX_CALL_DEPTH: usize = 64;
 
 /// A data source able to answer attribute lookups on objects of the ASL
 /// data model.
+///
+/// [`attr`](ObjectModel::attr) is all an implementation must answer; every
+/// other method is a provided one that answers nothing (`None`) by
+/// default, and the evaluators then do the work themselves from `attr`.
+/// A source that answers one — lends a set where it lives
+/// ([`visit_set`](ObjectModel::visit_set)), counts it
+/// ([`count_set`](ObjectModel::count_set)), hands over one attribute of
+/// each element ([`visit_attr`](ObjectModel::visit_attr)) — must answer
+/// exactly what reading the set through `attr` and testing each element
+/// would give, in the same order, and must not answer where those reads
+/// would fail: the compiled evaluator relies on it for interpreter
+/// equivalence. The interpreter and the SQL path use `attr` and `extent`
+/// only.
 pub trait ObjectModel {
     /// The value of `obj.attr`.
     fn attr(&self, obj: &ObjRef, attr: &str) -> EvalResult<Value>;
@@ -43,6 +56,47 @@ pub trait ObjectModel {
         _set_attr: &str,
         _filter: Option<SetFilter<'_>>,
         _each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
+    ) -> Option<EvalResult<()>> {
+        None
+    }
+
+    /// How many elements [`visit_set`](ObjectModel::visit_set) would lend
+    /// of `obj.set_attr` under `filter`, and the first of them — what
+    /// `COUNT` and `UNIQUE` of the filtered set need, answered without
+    /// lending the elements one by one.
+    ///
+    /// `None` (the default) answers nothing: the caller visits the set.
+    /// An implementation that answers must answer what counting the visit
+    /// would, and must not answer where the visit would fail.
+    fn count_set(
+        &self,
+        _obj: &ObjRef,
+        _set_attr: &str,
+        _filter: SetFilter<'_>,
+    ) -> Option<EvalResult<(usize, Option<ObjRef>)>> {
+        None
+    }
+
+    /// Hand `each`, for every element [`visit_set`](ObjectModel::visit_set)
+    /// would lend of `obj.set_attr` under `filter` and in the order it
+    /// would, the element's `attr` and — with `by` — its `by` attribute
+    /// (`Null` without): what `SUM`/`AVG`/`MIN`/`MAX`/`COUNT` of a binder
+    /// attribute fold, and what a group of sums selecting by `by` route
+    /// on, without an element object per element.
+    ///
+    /// `None` (the default) answers nothing: the caller visits the set and
+    /// reads each attribute through [`attr`](ObjectModel::attr). An
+    /// implementation decides before the first element, hands over exactly
+    /// the values those reads would give, and does not answer where a read
+    /// or the visit would fail.
+    fn visit_attr(
+        &self,
+        _obj: &ObjRef,
+        _set_attr: &str,
+        _filter: SetFilter<'_>,
+        _attr: &str,
+        _by: Option<&str>,
+        _each: &mut dyn FnMut(Value, &Value),
     ) -> Option<EvalResult<()>> {
         None
     }
@@ -83,6 +137,27 @@ impl<T: ObjectModel + ?Sized> ObjectModel for &T {
         each: &mut dyn FnMut(ObjRef) -> EvalResult<bool>,
     ) -> Option<EvalResult<()>> {
         (**self).visit_set(obj, set_attr, filter, each)
+    }
+
+    fn count_set(
+        &self,
+        obj: &ObjRef,
+        set_attr: &str,
+        filter: SetFilter<'_>,
+    ) -> Option<EvalResult<(usize, Option<ObjRef>)>> {
+        (**self).count_set(obj, set_attr, filter)
+    }
+
+    fn visit_attr(
+        &self,
+        obj: &ObjRef,
+        set_attr: &str,
+        filter: SetFilter<'_>,
+        attr: &str,
+        by: Option<&str>,
+        each: &mut dyn FnMut(Value, &Value),
+    ) -> Option<EvalResult<()>> {
+        (**self).visit_attr(obj, set_attr, filter, attr, by, each)
     }
 }
 

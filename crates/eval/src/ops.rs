@@ -122,6 +122,36 @@ pub fn binary_strict(op: BinOp, l: &Value, r: &Value) -> EvalResult<Value> {
     }
 }
 
+/// [`binary_strict`] where both operands are numbers and one at least a
+/// float, and the answer is a value: the arithmetic, `/` by a nonzero
+/// divisor and the comparisons of ordered operands, in `f64` as
+/// `binary_strict` computes them. `None` leaves the operator to
+/// `binary_strict` — integers, other types, a zero divisor, a NaN to
+/// order, `%` — so callers may try this first on their hot path.
+#[inline]
+pub fn binary_float(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
+    let (a, b) = match (l, r) {
+        (Value::Float(a), Value::Float(b)) => (*a, *b),
+        (Value::Float(a), Value::Int(b)) => (*a, *b as f64),
+        (Value::Int(a), Value::Float(b)) => (*a as f64, *b),
+        _ => return None,
+    };
+    let ordered = |test: fn(std::cmp::Ordering) -> bool| a.partial_cmp(&b).map(test);
+    Some(match op {
+        BinOp::Add => Value::Float(a + b),
+        BinOp::Sub => Value::Float(a - b),
+        BinOp::Mul => Value::Float(a * b),
+        BinOp::Div if b != 0.0 => Value::Float(a / b),
+        BinOp::Eq => Value::Bool(a == b),
+        BinOp::Ne => Value::Bool(a != b),
+        BinOp::Lt => Value::Bool(ordered(|o| o.is_lt())?),
+        BinOp::Le => Value::Bool(ordered(|o| o.is_le())?),
+        BinOp::Gt => Value::Bool(ordered(|o| o.is_gt())?),
+        BinOp::Ge => Value::Bool(ordered(|o| o.is_ge())?),
+        _ => return None,
+    })
+}
+
 /// Fold one more argument into the n-ary `MAX(a, b, …)`/`MIN(a, b, …)`
 /// builtin: incomparable values keep the current best (matching the
 /// interpreter's historical behavior — the checker rules them out anyway).

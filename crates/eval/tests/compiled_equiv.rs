@@ -259,6 +259,14 @@ fn compiled_equals_interpreter_on_fixed_edge_seeds() {
     let mut seen = Vec::new();
     for (seed, runs, regions) in [(1, 1, 1), (7, 4, 4), (42, 2, 4), (9999, 4, 1), (5, 4, 3)] {
         seen.extend(check_case(seed, runs, regions));
+        // The generated properties share with each other and with the
+        // suite: more run sites than the suite's 15, and a second group.
+        let spec = asl_core::parse_and_check(&testkit::generated_suite(seed)).expect("checks");
+        let plan = compile(&spec).plan_stats();
+        assert!(
+            plan.run_sites > 15 && plan.sum_groups >= 2,
+            "seed {seed}: {plan:?}"
+        );
     }
     for p in testkit::Suite::Standard.spec().properties() {
         let held = seen
@@ -375,4 +383,86 @@ Property LaneProbe(Region r, TestRun t, Region Basis) {
     // Decided before the failing operand: the AND is false.
     let short = oracle[47].as_ref().expect("lane 47 holds");
     assert_eq!(fired(short), [true, false]);
+}
+
+/// The evaluator keeps what the suite's properties share per subject *and
+/// context*: `TotalCost` (filled by `SublinearSpeedup`, read by
+/// `UnmeasuredCost`), `Summary(r,t).Ovhd` (filled by `MeasuredCost`) and
+/// the per-family sums (filled together by `SyncCost`). Two runs over the
+/// same regions, every total and typed record different between them: a
+/// property that reads a cell in one run right after another filled it in
+/// the other run — on one evaluator and one scratch, both ways round — gets
+/// its own run's answer, lane by lane, as the interpreter does.
+#[test]
+fn a_run_cell_never_answers_another_context() {
+    let spec = testkit::Suite::Standard.spec();
+    let mut s = Store::new();
+    let p = s.add_program("contexts");
+    let v = s.add_version(p, DateTime::from_secs(1), "");
+    let runs = [
+        s.add_run(v, DateTime::from_secs(10), 1, 450),
+        s.add_run(v, DateTime::from_secs(20), 4, 450),
+    ];
+    let f = s.add_function(v, "main");
+    let main = s.add_region(f, None, RegionKind::Subprogram, "main", (1, 9));
+    let mut regions = vec![main];
+    for i in 0..5 {
+        regions.push(s.add_region(f, Some(main), RegionKind::Loop, format!("l{i}"), (2, 3)));
+    }
+    for (k, &run) in runs.iter().enumerate() {
+        let scale = 1.0 + k as f64;
+        s.add_total_timing(main, run, 10.0 * scale, 20.0 / scale, 1.0 * scale);
+        for (i, &r) in regions.iter().enumerate().skip(1) {
+            let x = i as f64 * scale;
+            let incl = 2.0 * i as f64 + 5.0 * k as f64;
+            s.add_total_timing(r, run, x, incl, 0.25 * x);
+            s.add_typed_timing(r, run, TimingType::Barrier, 0.5 * x);
+            s.add_typed_timing(r, run, TimingType::PtpSend, 0.125 * x + k as f64);
+            s.add_typed_timing(r, run, TimingType::PtpSend, 0.0625 * x);
+        }
+    }
+    let data = CosyData::new(&s);
+    let interp = Interpreter::new(&spec, &data).expect("interpreter binds");
+    let compiled = CompiledEvaluator::new(Arc::new(compile(&spec)), &data).expect("binds");
+    let subjects: Vec<Value> = regions.iter().map(|&r| Value::region(r)).collect();
+    let mut scratch = asl_eval::Scratch::default();
+    let mut held = 0;
+    let shared = [
+        ("SublinearSpeedup", "UnmeasuredCost"),
+        ("MeasuredCost", "UnmeasuredCost"),
+        ("SyncCost", "MessagePassingCost"),
+    ];
+    for (fill, read) in shared {
+        for (first, then) in [(runs[0], runs[1]), (runs[1], runs[0])] {
+            let context = |run| [Value::run(run), Value::region(main)];
+            let mut filling = compiled.batch(fill, &context(first), &mut scratch).unwrap();
+            filling.eval(subjects.iter().cloned());
+            let p = spec.property(read).expect("a suite property");
+            let oracle: Vec<_> = subjects
+                .iter()
+                .map(|subject| {
+                    let [run, basis] = context(then);
+                    interp.eval_property(read, &[subject.clone(), run, basis])
+                })
+                .collect();
+            held += oracle
+                .iter()
+                .filter(|o| o.as_ref().is_ok_and(|o| o.holds))
+                .count();
+            let what = |subject: &Value| format!("{read}({subject}) after {fill} in another run");
+            assert_batches_agree(
+                &compiled,
+                p,
+                &context(then),
+                &subjects,
+                &oracle,
+                &what,
+                &[subjects.len()],
+                &mut scratch,
+            );
+        }
+    }
+    // The loops hold in the run of more processors, so a cell of the other
+    // run would move an outcome.
+    assert!(held >= 3 * shared.len(), "{held} held");
 }

@@ -97,6 +97,19 @@ pub struct StoreBuilder {
     /// The last region resolved, as its function and its position in the
     /// function's region list.
     last_region: Option<(FunctionId, usize)>,
+    /// The last callee resolved by name, with its version: a memo of its
+    /// own, so that resolving a callee leaves the caller's alone.
+    last_callee: Option<(VersionId, FunctionId)>,
+    /// The last call site resolved, as its callee and its position in the
+    /// callee's call list.
+    last_call: Option<(FunctionId, usize)>,
+}
+
+/// The position in `list` of the item `is` accepts: the remembered
+/// position `at` and the one after it are tried before a scan.
+fn position_near<T>(list: &[T], at: Option<usize>, is: impl Fn(&T) -> bool) -> Option<usize> {
+    let near = at.and_then(|at| (at..list.len().min(at + 2)).find(|&i| is(&list[i])));
+    near.or_else(|| list.iter().position(is))
 }
 
 impl StoreBuilder {
@@ -168,6 +181,8 @@ impl StoreBuilder {
             last_run: None,
             last_function: None,
             last_region: None,
+            last_callee: None,
+            last_call: None,
         }
     }
 
@@ -227,15 +242,43 @@ impl StoreBuilder {
             let region = &self.store.regions[r.index()];
             region.first_line == first_line && region.name == name
         };
-        let remembered = match self.last_region {
-            Some((last, at)) if last == function => {
-                (at..regions.len().min(at + 2)).find(|&i| named(&regions[i]))
-            }
-            _ => None,
-        };
-        let at = remembered.or_else(|| regions.iter().position(named))?;
+        let remembered = self.last_region.filter(|(last, _)| *last == function);
+        let at = position_near(regions, remembered.map(|(_, at)| at), named)?;
         self.last_region = Some((function, at));
         Some(regions[at])
+    }
+
+    /// [`Store::function_by_name`] for a callee, answered from the last
+    /// callee resolved when it is the one named.
+    fn callee_of(&mut self, version: VersionId, name: &str) -> Option<FunctionId> {
+        if let Some((last_version, callee)) = self.last_callee {
+            if last_version == version && self.store.functions[callee.index()].name == name {
+                return Some(callee);
+            }
+        }
+        let callee = self.store.function_by_name(version, name)?;
+        self.last_callee = Some((version, callee));
+        Some(callee)
+    }
+
+    /// [`Store::call_site`], answered from the last call site resolved or
+    /// the one after it in the callee's call list when either is the one
+    /// asked for.
+    fn call_of(
+        &mut self,
+        caller: FunctionId,
+        callee: FunctionId,
+        site: RegionId,
+    ) -> Option<CallId> {
+        let calls = &self.store.functions[callee.index()].calls;
+        let is = |c: &CallId| {
+            let call = &self.store.calls[c.index()];
+            call.caller == caller && call.calling_reg == site
+        };
+        let remembered = self.last_call.filter(|(last, _)| *last == callee);
+        let at = position_near(calls, remembered.map(|(_, at)| at), is)?;
+        self.last_call = Some((callee, at));
+        Some(calls[at])
     }
 
     fn resolve_region(
@@ -408,7 +451,7 @@ impl StoreBuilder {
                 // Resolve the site before interning the callee, so a
                 // rejected event creates no phantom callee function.
                 let site_id = self.resolve_region(*run, caller_id, caller, site)?;
-                let callee_id = match self.store.function_by_name(vid, callee) {
+                let callee_id = match self.callee_of(vid, callee) {
                     Some(f) => f,
                     // Runtime routines (`barrier`, …) may never announce
                     // regions of their own; introduce them on first call.
@@ -417,7 +460,7 @@ impl StoreBuilder {
                         self.store.add_function(vid, callee.clone())
                     }
                 };
-                let call = match self.store.call_site(caller_id, callee_id, site_id) {
+                let call = match self.call_of(caller_id, callee_id, site_id) {
                     Some(c) => c,
                     // A new call site enlarges the instance universe of
                     // every run of the version (its `skipped` counts), so

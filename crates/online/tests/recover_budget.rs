@@ -146,5 +146,11 @@ fn recovery_allocations_are_pinned() {
     let (session, _) = recovered.unwrap();
     println!("recovery under the standard suite: {count} allocations");
     assert_eq!(session.reports().len(), 6);
-    assert_eq!(count, 19_997, "allocations of one recovery under the suite");
+    // 19 997 before the evaluator kept cells per subject and context:
+    // its plan now keys shared subtrees structurally when the spec is
+    // first bound (+84 allocations, once), each binding that reaches a
+    // site keeps a row table, a ranked run sorts packed keys beside its
+    // entries, and a batch no longer reserves room for frames it does not
+    // open: 19 997 → 20 079.
+    assert_eq!(count, 20_079, "allocations of one recovery under the suite");
 }

@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 mod counting;
 mod specgen;
-pub use counting::{allocations, Counting};
+pub use counting::{allocated_bytes, allocations, Counting};
 pub use specgen::{generated_suite, random_store, subjects};
 
 /// Live reports keyed by producer run key, as every engine serves them.

@@ -190,7 +190,72 @@ fn generated_properties(seed: u64) -> String {
              }}\n"
         ));
     }
+    out.push_str(&shared_properties(&mut rng));
     out + FIXED_PROPERTIES
+}
+
+/// Properties that share subtrees, between them and within one, so the
+/// compiled evaluator keeps them once per subject and run: a helper call
+/// (`Duration(r, t)`, failing where `r` has no total of `t` or two; and
+/// `Duration(Basis, M.Run)`, which reads the subject through a LET only,
+/// inside an `EXISTS` and out of it), a
+/// `UNIQUE` over an indexed filter with a second key (empty where `r` has
+/// no typed record of the type in `t`, ambiguous where it has two), and
+/// sums over one filter selecting disjoint type families — a group the
+/// evaluator fills in one visit — plus one whose family overlaps another,
+/// over stores with duplicate typed records.
+fn shared_properties(rng: &mut Rng) -> String {
+    let k = rng.below(3) as f64 * 0.5;
+    let ty = timing_type(rng);
+    let unique = format!("UNIQUE({{tt IN r.TypTimes WITH tt.Run == t AND tt.Type == {ty}}}).Time");
+    let mut out = format!(
+        "Property ShareCall(Region r, TestRun t, Region Basis) {{\n\
+             LET float D = Duration(r, t); float E = Duration(r, t) - {k:.1}\n\
+             IN CONDITION: (d) D > {k:.1} OR (e) E > 0.0;\n\
+             CONFIDENCE: MAX((d) -> 1, (e) -> 0.5);\n\
+             SEVERITY: (D + Duration(r, t)) / Duration(Basis, t);\n\
+         }}\n\
+         Property ShareInside(Region r, TestRun t, Region Basis) {{\n\
+             LET TotalTiming M = UNIQUE({{s IN r.TotTimes WITH s.Run.NoPe ==\n\
+                 MIN(q.Run.NoPe WHERE q IN r.TotTimes)}})\n\
+             IN CONDITION: EXISTS(tt IN r.TypTimes WITH tt.Time > {k:.1} * Duration(Basis, M.Run));\n\
+             CONFIDENCE: 1;\n\
+             SEVERITY: Duration(Basis, M.Run) / Duration(Basis, t);\n\
+         }}\n\
+         Property ShareUnique(Region r, TestRun t, Region Basis) {{\n\
+             LET float U = {unique}\n\
+             IN CONDITION: U > {unique} - 1.0 AND Duration(r, t) > {k:.1};\n\
+             CONFIDENCE: 1;\n\
+             SEVERITY: U / Duration(Basis, t);\n\
+         }}\n"
+    );
+    // Deal the recorded types into three disjoint families, then draw a
+    // fourth that overlaps the first.
+    let mut families = vec![Vec::new(); 3];
+    for ty in TimingType::ALL.iter().filter(|&&ty| ty != UNRECORDED) {
+        if rng.chance(60) {
+            families[rng.below(3) as usize].push(ty.name());
+        }
+    }
+    let overlap = [
+        families[0].first().copied().unwrap_or("Barrier"),
+        timing_type(rng),
+    ];
+    families.retain(|family| !family.is_empty());
+    families.push(overlap.to_vec());
+    for (i, family) in families.iter().enumerate() {
+        let test = family.iter().map(|ty| format!("tt.Type == {ty}"));
+        let test = test.collect::<Vec<_>>().join(" OR ");
+        let sum = format!("SUM(tt.Time WHERE tt IN r.TypTimes AND tt.Run == t AND ({test}))");
+        out.push_str(&format!(
+            "Property ShareSum{i}(Region r, TestRun t, Region Basis) {{\n\
+                 LET float S = {sum}\n\
+                 IN CONDITION: S > {k:.1} OR Duration(r, t) > 1.0; CONFIDENCE: 1;\n\
+                 SEVERITY: S / Duration(Basis, t);\n\
+             }}\n"
+        ));
+    }
+    out
 }
 
 /// A random comparison of `X`, either one plain condition or three
