@@ -2544,10 +2544,14 @@ pub struct CompiledEvaluator<M: ObjectModel> {
 /// when it is next looked up.
 struct Kept {
     rows: HashMap<ObjRef, u32, BuildHasherDefault<RowHasher>>,
-    /// Per lane of a batch's body: the subject a site last looked up there
-    /// and its row — batch after batch, as long as the lane's subject is
-    /// the same (the analyzers cut every property's subjects alike).
-    lanes: Vec<(ObjRef, u32)>,
+    /// Per lane of a batch's body: the subject a site last looked up there,
+    /// its row — batch after batch, as long as the lane's subject is the
+    /// same (the analyzers cut every property's subjects alike) — and the
+    /// batch ([`Kept::batch`]) that last looked it up.
+    lanes: Vec<(ObjRef, u32, u32)>,
+    /// Counts the batches run ([`Kept::enter`]): a lane looked up in the
+    /// running batch answers without a second look.
+    batch: u32,
     /// Row `r`'s cells at `r * width..`.
     cells: Vec<Option<Value>>,
     /// Per row: the epoch its run cells were filled in.
@@ -2567,6 +2571,7 @@ impl Kept {
         Kept {
             rows: HashMap::default(),
             lanes: Vec::new(),
+            batch: 0,
             cells: Vec::new(),
             epochs: Vec::new(),
             subject_cells,
@@ -2577,9 +2582,10 @@ impl Kept {
         }
     }
 
-    /// Bind the run cells to `context`: a new epoch if it is not the
-    /// current one's.
+    /// Start a batch and bind the run cells to its `context`: a new epoch
+    /// if it is not the current one's.
     fn enter(&mut self, context: &[Value]) {
+        self.batch = self.batch.wrapping_add(1);
         if self.context != context {
             self.epoch += 1;
             self.context.clear();
@@ -3154,16 +3160,13 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     /// answer is pushed, `Null` for one not answered.
     fn answer_kept(&self, cell: u32, fr: Frame, sel: Sel, out: Col, push: bool, st: &mut Scratch) {
         let mut kept = self.kept.borrow_mut();
+        let missed = st.lanes.len();
         for k in sel.range() {
             let lane = st.lanes[k];
             let row = self.row_of(&mut kept, fr, lane, st);
             let v = match row.and_then(|row| kept.at(row, cell).as_ref()) {
-                Some(v) => {
-                    st.cache_hits += 1;
-                    Ok(v.clone())
-                }
+                Some(v) => Ok(v.clone()),
                 None => {
-                    st.cache_misses += 1;
                     st.lanes.push(lane);
                     Ok(Value::Null)
                 }
@@ -3173,6 +3176,9 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 false => st.vals[out.at(lane)] = v,
             }
         }
+        let misses = (st.lanes.len() - missed) as u64;
+        st.cache_misses += misses;
+        st.cache_hits += u64::from(sel.len) - misses;
     }
 
     /// The row of `lane`'s subject in [`Kept`], `None` for a subject that
@@ -3188,31 +3194,40 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             lane = st.lanes[(rec.owners + lane) as usize];
             frame = rec.parent;
         }
-        let Ok(Value::Obj(s)) = &st.vals[st.regs[0].at(lane)] else {
+        let lane = lane as usize;
+        let batch = kept.batch;
+        if let Some(&(_, row, seen)) = kept.lanes.get(lane) {
+            if seen == batch {
+                return Some(row);
+            }
+        }
+        let Ok(Value::Obj(s)) = &st.vals[st.regs[0].at(lane as u32)] else {
             return None;
         };
-        let lane = lane as usize;
-        match kept.lanes.get(lane) {
-            Some((known, row)) if known == s => {
+        let row = match kept.lanes.get(lane) {
+            Some((known, row, _)) if known == s => {
                 let row = *row;
-                Some(kept.refresh(row))
+                kept.refresh(row)
             }
             _ => {
                 let row = kept.row(s);
                 if lane >= kept.lanes.len() {
+                    let index = u32::MAX;
                     let unknown = (
                         ObjRef {
                             class: s.class,
-                            index: u32::MAX,
+                            index,
                         },
                         0,
+                        batch.wrapping_sub(1),
                     );
                     kept.lanes.resize(lane + 1, unknown);
                 }
-                kept.lanes[lane] = (s.clone(), row);
-                Some(row)
+                row
             }
-        }
+        };
+        kept.lanes[lane] = (s.clone(), row, batch);
+        Some(row)
     }
 
     /// Fill the run cells of every member of sum group `group` for the
@@ -3772,10 +3787,11 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 key,
                 among,
             };
-            let Some(Ok((n, first))) = self.data.count_set(o, set_attr, filter) else {
-                return false;
+            st.vals[out.at(lane)] = match self.data.count_set(o, set_attr, filter) {
+                Some(Ok((1, Some(only)))) if matches!(how, Members::Unique) => Ok(Value::Obj(only)),
+                Some(Ok((n, first))) => how.finish(n, first.map(Value::Obj), None),
+                _ => return false,
             };
-            st.vals[out.at(lane)] = how.finish(n, first.map(Value::Obj), None);
         }
         true
     }
