@@ -328,29 +328,14 @@ impl Instances {
     }
 }
 
-/// `items` in ascending order of `key`, keys distinct and shaped as
-/// [`Analyzer::rank_key`] builds them. A list of up to `packed` items sorts
-/// one integer per item: the key with its property and context ranks moved
-/// down 16 bits (a property rank takes 16 of the 32 bits above the
-/// context's) and the item's place below them, which never decides. A
-/// longer one sorts the key beside the place.
-fn sorted_by_key<T: Copy>(items: &[T], key: impl Fn(&T) -> u128, packed: usize) -> Vec<T> {
-    if items.len() <= packed.min(1 << 16) {
-        let pack = |(i, item)| {
-            let k = key(item);
-            let ranks = (k >> 32 & 0xffff) << 48 | (k & 0xffff_ffff) << 16;
-            k >> 64 << 64 | ranks | i as u128
-        };
-        let mut keyed: Vec<u128> = items.iter().enumerate().map(pack).collect();
-        keyed.sort_unstable();
-        keyed.iter().map(|k| items[(k & 0xffff) as usize]).collect()
-    } else {
-        let mut keyed: Vec<(u128, u32)> = (items.iter().enumerate())
-            .map(|(i, item)| (key(item), i as u32))
-            .collect();
-        keyed.sort_unstable_by_key(|&(key, _)| key);
-        keyed.iter().map(|&(_, i)| items[i as usize]).collect()
-    }
+/// `items` in ascending order of `key`, keys distinct: each key is
+/// computed once and sorted beside the item's place.
+fn sorted_by_key<T: Copy>(items: &[T], key: impl Fn(&T) -> u128) -> Vec<T> {
+    let mut keyed: Vec<(u128, u32)> = (items.iter().enumerate())
+        .map(|(i, item)| (key(item), i as u32))
+        .collect();
+    keyed.sort_unstable_by_key(|&(key, _)| key);
+    keyed.iter().map(|&(_, i)| items[i as usize]).collect()
 }
 
 /// Most subjects one batch evaluates: the lanes one [`Scratch`] reserves.
@@ -861,7 +846,7 @@ impl<'s> Analyzer<'s> {
     pub fn rank(&self, held: &mut [HeldEntry]) {
         if held.len() > 1 {
             let ranking = self.ranking();
-            let ranked = sorted_by_key(held, |h| self.rank_key(ranking, h), 1 << 16);
+            let ranked = sorted_by_key(held, |h| self.rank_key(ranking, h));
             held.copy_from_slice(&ranked);
         }
     }
@@ -1027,34 +1012,6 @@ mod tests {
         analyzer
             .analyze(run, backend, ProblemThreshold::default())
             .unwrap()
-    }
-
-    /// Both ways of [`sorted_by_key`] give the order of the keys: a list
-    /// packed into one integer per item and one sorted beside its places.
-    #[test]
-    fn packed_and_unpacked_ranks_agree() {
-        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let keys: Vec<u128> = (0..500u32)
-            .map(|i| {
-                let severity = next() >> (next() % 40);
-                u128::from(severity) << 64 | u128::from(next() % 12) << 32 | u128::from(i)
-            })
-            .collect();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        for packed in [1 << 16, 10] {
-            assert_eq!(
-                sorted_by_key(&keys, |k| *k, packed),
-                expected,
-                "packed up to {packed}"
-            );
-        }
     }
 
     #[test]

@@ -92,7 +92,6 @@ use asl_core::intern::Symbol;
 use asl_core::Span;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Maximum user-function call depth (mirrors the interpreter).
@@ -2543,7 +2542,7 @@ pub struct CompiledEvaluator<M: ObjectModel> {
 /// ([`Kept::enter`]), and a row of an older one has its run cells emptied
 /// when it is next looked up.
 struct Kept {
-    rows: HashMap<ObjRef, u32, BuildHasherDefault<RowHasher>>,
+    rows: perfdata::IdMap<ObjRef, u32>,
     /// Per lane of a batch's body: the subject a site last looked up there,
     /// its row — batch after batch, as long as the lane's subject is the
     /// same (the analyzers cut every property's subjects alike) — and the
@@ -2631,31 +2630,6 @@ impl Kept {
             0
         };
         &mut self.cells[row as usize * self.width + run + id]
-    }
-}
-
-/// The hasher of [`Kept::rows`]: an object reference is two small
-/// integers, which a multiply-and-rotate mixes well enough.
-#[derive(Default)]
-struct RowHasher(u64);
-
-impl Hasher for RowHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -3451,10 +3425,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let right = st.settle(l, sel, out, span);
         let r = self.eval(rhs, fr, right, st);
         let apply = |l: &EvalResult<Value>, r: &EvalResult<Value>| match (l, r) {
-            (Ok(l), Ok(r)) => match ops::binary_float(op, l, r) {
-                Some(v) => Ok(v),
-                None => ops::binary_strict(op, l, r).map_err(|e| e.or_span(span)),
-            },
+            (Ok(l), Ok(r)) => ops::binary_strict(op, l, r).map_err(|e| e.or_span(span)),
             (_, Err(e)) | (Err(e), _) => Err(e.clone().or_span(span)),
         };
         if l.stride == 0 && r.stride == 0 && right.len > 0 {

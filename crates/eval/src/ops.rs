@@ -61,6 +61,31 @@ pub fn unary(op: UnOp, v: &Value) -> EvalResult<Value> {
 /// come by reference: the engines evaluate them into place and nothing
 /// here needs to own them.
 pub fn binary_strict(op: BinOp, l: &Value, r: &Value) -> EvalResult<Value> {
+    // Numbers, one at least a float — the common case of every spec's
+    // arithmetic — are answered first, in `f64`. A zero divisor, a NaN to
+    // order and `%` go on to the general rules below.
+    let floats = match (l, r) {
+        (Value::Float(a), Value::Float(b)) => Some((*a, *b)),
+        (Value::Float(a), Value::Int(b)) => Some((*a, *b as f64)),
+        (Value::Int(a), Value::Float(b)) => Some((*a as f64, *b)),
+        _ => None,
+    };
+    if let Some((a, b)) = floats {
+        let ord = a.partial_cmp(&b);
+        match (op, ord) {
+            (BinOp::Add, _) => return Ok(Value::Float(a + b)),
+            (BinOp::Sub, _) => return Ok(Value::Float(a - b)),
+            (BinOp::Mul, _) => return Ok(Value::Float(a * b)),
+            (BinOp::Div, _) if b != 0.0 => return Ok(Value::Float(a / b)),
+            (BinOp::Eq, _) => return Ok(Value::Bool(a == b)),
+            (BinOp::Ne, _) => return Ok(Value::Bool(a != b)),
+            (BinOp::Lt, Some(o)) => return Ok(Value::Bool(o.is_lt())),
+            (BinOp::Le, Some(o)) => return Ok(Value::Bool(o.is_le())),
+            (BinOp::Gt, Some(o)) => return Ok(Value::Bool(o.is_gt())),
+            (BinOp::Ge, Some(o)) => return Ok(Value::Bool(o.is_ge())),
+            _ => {}
+        }
+    }
     match op {
         BinOp::Eq => Ok(Value::Bool(l.asl_eq(r))),
         BinOp::Ne => Ok(Value::Bool(!l.asl_eq(r))),
@@ -120,36 +145,6 @@ pub fn binary_strict(op: BinOp, l: &Value, r: &Value) -> EvalResult<Value> {
         },
         BinOp::And | BinOp::Or => unreachable!("logical operators short-circuit in the caller"),
     }
-}
-
-/// [`binary_strict`] where both operands are numbers and one at least a
-/// float, and the answer is a value: the arithmetic, `/` by a nonzero
-/// divisor and the comparisons of ordered operands, in `f64` as
-/// `binary_strict` computes them. `None` leaves the operator to
-/// `binary_strict` — integers, other types, a zero divisor, a NaN to
-/// order, `%` — so callers may try this first on their hot path.
-#[inline]
-pub fn binary_float(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
-    let (a, b) = match (l, r) {
-        (Value::Float(a), Value::Float(b)) => (*a, *b),
-        (Value::Float(a), Value::Int(b)) => (*a, *b as f64),
-        (Value::Int(a), Value::Float(b)) => (*a as f64, *b),
-        _ => return None,
-    };
-    let ordered = |test: fn(std::cmp::Ordering) -> bool| a.partial_cmp(&b).map(test);
-    Some(match op {
-        BinOp::Add => Value::Float(a + b),
-        BinOp::Sub => Value::Float(a - b),
-        BinOp::Mul => Value::Float(a * b),
-        BinOp::Div if b != 0.0 => Value::Float(a / b),
-        BinOp::Eq => Value::Bool(a == b),
-        BinOp::Ne => Value::Bool(a != b),
-        BinOp::Lt => Value::Bool(ordered(|o| o.is_lt())?),
-        BinOp::Le => Value::Bool(ordered(|o| o.is_le())?),
-        BinOp::Gt => Value::Bool(ordered(|o| o.is_gt())?),
-        BinOp::Ge => Value::Bool(ordered(|o| o.is_ge())?),
-        _ => return None,
-    })
 }
 
 /// Fold one more argument into the n-ary `MAX(a, b, …)`/`MIN(a, b, …)`
