@@ -40,7 +40,10 @@
 //! — the context, a constant, a literal, a hoisted subtree — is kept once,
 //! not copied per lane. A selection of active lanes drives `AND`/`OR`
 //! short-circuits, conditions (which fire per lane) and guarded arms; a
-//! lane that fails drops out of every later node. A set construct lends
+//! lane that fails drops out of every later node. A condition that is a
+//! comparison, or an arm that is arithmetic, whose operator answers on
+//! every lane goes straight into the fired bits or the best arm value,
+//! without a column of its own. A set construct lends
 //! each active lane's elements into one column of elements, each tagged
 //! with its owning lane, runs its predicate and value bodies once over that
 //! column, and folds each lane's elements in set order — a float `SUM`
