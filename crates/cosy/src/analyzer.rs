@@ -751,8 +751,8 @@ impl<'s> Analyzer<'s> {
     /// and numbers, for which no label is looked up and no name cloned —
     /// and `None` for one that did not hold or was not applicable; an
     /// evaluation failure is that of the first failing instance in
-    /// enumeration order. [`Self::evaluate_held`], which [`Self::analyze`]
-    /// and the incremental engine use, runs the same code path.
+    /// enumeration order. Both [`Self::analyze`] and the incremental
+    /// engine go through this single code path.
     ///
     /// The list is cut into batches of one property × up to
     /// `BATCH_SUBJECTS` subjects, evaluated in turn on one [`Scratch`] on
@@ -763,52 +763,27 @@ impl<'s> Analyzer<'s> {
         instances: &Instances,
     ) -> Result<Vec<Option<HeldEntry>>, AnalysisError> {
         let mut out = vec![None; instances.len()];
-        self.evaluate_each(prepared, instances, &mut |i, entry| out[i] = Some(entry))?;
-        Ok(out)
-    }
-
-    /// The entries of [`Self::evaluate_instances`] that are `Some`, in
-    /// enumeration order, without a slot for each instance that did not
-    /// hold: what a report is assembled from.
-    pub fn evaluate_held(
-        &self,
-        prepared: &PreparedBackend<'_>,
-        instances: &Instances,
-    ) -> Result<Vec<HeldEntry>, AnalysisError> {
-        let mut held = Vec::new();
-        self.evaluate_each(prepared, instances, &mut |_, entry| held.push(entry))?;
-        Ok(held)
-    }
-
-    /// Evaluate `instances` batch by batch, handing `sink` each entry that
-    /// holds with its instance's place in the list, in enumeration order.
-    fn evaluate_each(
-        &self,
-        prepared: &PreparedBackend<'_>,
-        instances: &Instances,
-        sink: &mut dyn FnMut(usize, HeldEntry),
-    ) -> Result<(), AnalysisError> {
         let scratch = &mut Scratch::default();
         let mut start = 0;
         let same_property = instances.list.chunk_by(|a, b| a.property == b.property);
         for batch in same_property.flat_map(|group| group.chunks(BATCH_SUBJECTS)) {
-            let mut held = |i, entry| sink(start + i, entry);
-            self.evaluate_batch(prepared, instances.run, batch, scratch, &mut held)?;
+            let slots = &mut out[start..start + batch.len()];
+            self.evaluate_batch(prepared, instances.run, batch, scratch, slots)?;
             start += batch.len();
         }
-        Ok(())
+        Ok(out)
     }
 
     /// One batch: instances of a single property, evaluated in the shared
-    /// `(run, basis)` context. Each entry that held is handed to `sink`
-    /// with its instance's place in `batch`.
+    /// `(run, basis)` context. Each entry that held is written into the
+    /// slot of its instance in `slots`, which is aligned with `batch`.
     fn evaluate_batch(
         &self,
         prepared: &PreparedBackend<'_>,
         run: TestRunId,
         batch: &[Instance],
         scratch: &mut Scratch,
-        sink: &mut dyn FnMut(usize, HeldEntry),
+        slots: &mut [Option<HeldEntry>],
     ) -> Result<(), AnalysisError> {
         let family = &self.families()[batch[0].property as usize];
         let regions = family.regions;
@@ -829,13 +804,12 @@ impl<'s> Analyzer<'s> {
                 foreign.get_or_insert(id);
                 return;
             }
-            let entry = HeldEntry {
+            slots[i] = Some(HeldEntry {
                 property: batch[i].property,
                 subject: id,
                 severity: o.severity,
                 confidence: o.confidence,
-            };
-            sink(i, entry);
+            });
         };
         let subjects = batch.iter().map(|inst| family.subject(inst.subject));
         prepared.eval_batch(&family.property, &context, subjects, scratch, &mut keep)?;
@@ -1016,7 +990,8 @@ impl<'s> Analyzer<'s> {
             other => PreparedBackend::prepare(other, &self.spec, self.store)?,
         };
         let instances = self.instances(run);
-        let held = self.evaluate_held(&prepared, &instances)?;
+        let outcomes = self.evaluate_instances(&prepared, &instances)?;
+        let held: Vec<HeldEntry> = outcomes.into_iter().flatten().collect();
         let skipped = instances.len() - held.len();
         Ok(self.assemble_report(run, held, threshold, skipped))
     }

@@ -56,10 +56,8 @@ fn evaluation_allocates_per_batch_not_per_instance() {
     );
     // 76 while the evaluator kept one subject cell sized by the store; its
     // row table of subject and run cells is 4 allocations, its scratch
-    // no longer grows a frame stack for every batch: 76 → 75. Each run's
-    // scratch reserves the numbers of the conditions and arms it computes
-    // without a column: 75 → 78.
-    assert_eq!(cold, 78, "cold allocations of the three runs");
+    // no longer grows a frame stack for every batch: 76 → 75.
+    assert_eq!(cold, 75, "cold allocations of the three runs");
 
     // Warm, on the instances that do not hold: evaluating all of them
     // allocates exactly what evaluating one per batch does — the loop over

@@ -40,10 +40,7 @@
 //! — the context, a constant, a literal, a hoisted subtree — is kept once,
 //! not copied per lane. A selection of active lanes drives `AND`/`OR`
 //! short-circuits, conditions (which fire per lane) and guarded arms; a
-//! lane that fails drops out of every later node. A condition that is a
-//! comparison, or an arm that is arithmetic, whose operator answers on
-//! every lane goes straight into the fired bits or the best arm value,
-//! without a column of its own. A set construct lends
+//! lane that fails drops out of every later node. A set construct lends
 //! each active lane's elements into one column of elements, each tagged
 //! with its owning lane, runs its predicate and value bodies once over that
 //! column, and folds each lane's elements in set order — a float `SUM`
@@ -2373,9 +2370,6 @@ pub struct Scratch {
     outcomes: Vec<EvalResult<Outcome>>,
     /// Per lane: the best arm value so far.
     best: Vec<Option<f64>>,
-    /// Per lane of a selection: a condition's or an arm's numbers
-    /// ([`Ctx::eval_root`]).
-    nums: Vec<f64>,
     /// Per lane, `words` words: which conditions fired.
     fired: Vec<u64>,
     words: usize,
@@ -2799,7 +2793,6 @@ impl<M: ObjectModel> Batch<'_, M> {
             st.lanes.reserve(RESERVED_VALUES);
             st.outcomes.reserve(RESERVED_LANES);
             st.best.reserve(RESERVED_LANES);
-            st.nums.reserve(RESERVED_LANES);
             st.regs.reserve(RESERVED_FRAMES);
             st.frames.reserve(RESERVED_FRAMES);
         }
@@ -2850,16 +2843,7 @@ impl<M: ObjectModel> Batch<'_, M> {
 
         for (i, (_, pred)) in p.conditions.iter().enumerate() {
             let top = st.vals.len();
-            let Some(col) = ctx.eval_root(*pred, true, fr, alive, st) else {
-                for (k, &truth) in alive.range().zip(&st.nums) {
-                    let lane = st.lanes[k] as usize;
-                    if truth != 0.0 {
-                        st.fired[lane * st.words + i / 64] |= 1 << (i % 64);
-                    }
-                }
-                st.vals.truncate(top);
-                continue;
-            };
+            let col = ctx.eval(*pred, fr, alive, st);
             // Fire the lanes that hold in one pass; settle the others only
             // if one of them failed.
             let mut failed = false;
@@ -2899,14 +2883,7 @@ impl<M: ObjectModel> Batch<'_, M> {
                     Some(i) => st.select(alive, |st, lane| st.fired(lane as usize, i)),
                 };
                 let top = st.vals.len();
-                let Some(col) = ctx.eval_root(arm.expr, false, fr, reached, st) else {
-                    for (k, &x) in reached.range().zip(&st.nums) {
-                        let best = &mut st.best[st.lanes[k] as usize];
-                        *best = Some(best.map_or(x, |b| b.max(x)));
-                    }
-                    st.vals.truncate(top);
-                    continue;
-                };
+                let col = ctx.eval(arm.expr, fr, reached, st);
                 // Take the numbers in one pass; settle the other lanes only
                 // if there is one.
                 let mut failed = false;
@@ -3430,60 +3407,6 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         out
     }
 
-    /// A condition (`truth`) or an arm over the lanes of `sel`, as its loop
-    /// in [`Batch::run`] reads it. A comparison (an arithmetic operator, for
-    /// an arm) that answers a bool (a number) on every lane is computed
-    /// straight into [`Scratch::nums`], a number per lane of `sel` (1 or 0
-    /// for a comparison), and gives `None`: no column is made for it.
-    /// Anything else gives its column, as [`Self::eval`] would.
-    fn eval_root(
-        &self,
-        node: NodeRef,
-        truth: bool,
-        fr: Frame,
-        sel: Sel,
-        st: &mut Scratch,
-    ) -> Option<Col> {
-        use BinOp::*;
-        let fused = match self.cs.nodes[node as usize] {
-            Ir::Binary(op @ (Lt | Le | Gt | Ge | Eq | Ne), l, r) if truth => Some((op, l, r)),
-            Ir::Binary(op @ (Add | Sub | Mul | Div), l, r) if !truth => Some((op, l, r)),
-            _ => None,
-        };
-        let kept = self.cell[node as usize] != NO_CELL;
-        let Some((op, lhs, rhs)) = fused.filter(|_| sel.len > 0 && !kept) else {
-            return Some(self.eval(node, fr, sel, st));
-        };
-        st.executions += 1;
-        let span = self.cs.spans[node as usize];
-        let l = self.eval(lhs, fr, sel, st);
-        if !sel.range().all(|k| st.vals[l.at(st.lanes[k])].is_ok()) {
-            let out = st.push_col(fr.width);
-            return Some(self.strict_right(op, l, rhs, out, fr, sel, st, span));
-        }
-        let r = self.eval(rhs, fr, sel, st);
-        st.nums.clear();
-        for k in sel.range() {
-            let lane = st.lanes[k];
-            let x = match (&st.vals[l.at(lane)], &st.vals[r.at(lane)]) {
-                (Ok(a), Ok(b)) => match ops::binary_strict(op, a, b) {
-                    Ok(Value::Bool(b)) if truth => Some(f64::from(u8::from(b))),
-                    Ok(v) if !truth => v.as_f64(),
-                    _ => None,
-                },
-                _ => None,
-            };
-            match x {
-                Some(x) => st.nums.push(x),
-                None => {
-                    let out = st.push_col(fr.width);
-                    return Some(self.apply_strict(op, [l, r, out], fr, sel, st, span));
-                }
-            }
-        }
-        None
-    }
-
     /// A strict binary operator: the right operand runs on the lanes where
     /// the left one did not fail.
     #[allow(clippy::too_many_arguments)]
@@ -3499,40 +3422,8 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     ) -> Col {
         let out = st.push_col(fr.width);
         let l = self.eval(lhs, fr, sel, st);
-        self.strict_right(op, l, rhs, out, fr, sel, st, span)
-    }
-
-    /// The rest of a strict operator whose left operand is evaluated, in
-    /// `l`: the right one on the lanes where `l` did not fail, then the
-    /// operator, into `out`, a column below the right operand's.
-    #[allow(clippy::too_many_arguments)]
-    fn strict_right(
-        &self,
-        op: BinOp,
-        l: Col,
-        rhs: NodeRef,
-        out: Col,
-        fr: Frame,
-        sel: Sel,
-        st: &mut Scratch,
-        span: Span,
-    ) -> Col {
         let right = st.settle(l, sel, out, span);
         let r = self.eval(rhs, fr, right, st);
-        self.apply_strict(op, [l, r, out], fr, right, st, span)
-    }
-
-    /// A strict operator over its operands' columns `l` and `r`, on the
-    /// lanes `right`, into `out`, a column below the right operand's.
-    fn apply_strict(
-        &self,
-        op: BinOp,
-        [l, r, out]: [Col; 3],
-        fr: Frame,
-        right: Sel,
-        st: &mut Scratch,
-        span: Span,
-    ) -> Col {
         let apply = |l: &EvalResult<Value>, r: &EvalResult<Value>| match (l, r) {
             (Ok(l), Ok(r)) => ops::binary_strict(op, l, r).map_err(|e| e.or_span(span)),
             (_, Err(e)) | (Err(e), _) => Err(e.clone().or_span(span)),

@@ -6,7 +6,7 @@
 //! exactly the property instances that currently *hold*. A [`StoreDelta`]
 //! names the records whose values changed; only the `(property, context)`
 //! instances that read them are re-evaluated — through exactly the same
-//! [`Analyzer::instances_scoped`] → [`Analyzer::evaluate_held`] →
+//! [`Analyzer::instances_scoped`] → [`Analyzer::evaluate_instances`] →
 //! [`Analyzer::rank`] → [`Analyzer::ranked_report`] path as
 //! [`Analyzer::analyze`] — and the fresh entries replace the report's
 //! entries of those pairs: only they are ranked, then merged in one pass
@@ -584,7 +584,7 @@ impl IncrementalAnalyzer {
                         };
                         let instances = analyzer.instances_scoped(run, scope);
                         clock.lap(0);
-                        let mut fresh = analyzer.evaluate_held(prepared, &instances)?;
+                        let outcomes = analyzer.evaluate_instances(prepared, &instances)?;
                         clock.lap(1);
 
                         for instance in instances.iter() {
@@ -598,6 +598,7 @@ impl IncrementalAnalyzer {
                         // every entry inside it was just evaluated again.
                         // Both lists are in rank order, so they merge in one
                         // pass.
+                        let mut fresh: Vec<HeldEntry> = outcomes.into_iter().flatten().collect();
                         analyzer.rank(&mut fresh);
                         Some(match live.filter(|_| !full) {
                             Some(live) => {

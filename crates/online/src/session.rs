@@ -9,7 +9,7 @@
 //! [`StoreDelta`], and [`OnlineSession::flush`] hands that delta to the
 //! analyzer, which decides what it invalidates and refreshes those reports
 //! (dirty runs are walked in turn; the one parallel level is over a run's
-//! instance batches, inside `cosy::Analyzer::evaluate_held`).
+//! instance batches, inside `cosy::Analyzer::evaluate_instances`).
 //!
 //! Whether the session survives a process kill is a *part* of it, not a
 //! wrapper around it: [`OnlineSession::open`] attaches the write-ahead log
