@@ -6,6 +6,7 @@ use crate::error::{AnalysisError, SpecError};
 use crate::suite::{standard_suite, SUITE};
 use asl_core::ast::{PropertyDecl, TypeExprKind};
 use asl_core::check::CheckedSpec;
+use asl_core::intern::Symbol;
 use asl_eval::{compile as compile_ir, CompiledSpec, Scratch, Value};
 use perfdata::{CallId, IdSet, RegionId, Store, TestRunId, VersionId};
 use serde::Serialize;
@@ -27,12 +28,13 @@ impl Default for ProblemThreshold {
 
 /// A property name or a context label: immutable text shared by every
 /// entry that carries it. A report names a dozen properties and a few
-/// hundred contexts across thousands of entries, so entries hold a
-/// reference — cloning an entry, a report or a whole report map copies no
-/// text. Reads as a `str`; compares as one, without reading the text of
-/// two clones of one name.
-#[derive(Clone, Eq, Serialize)]
-pub struct Name(Arc<str>);
+/// hundred contexts across thousands of entries, so entries hold the text
+/// interned ([`asl_core::intern::Symbol`], whose table lives for the
+/// process, as the store keeps every name for its life anyway) — copying
+/// an entry copies a reference, with no count to keep. Reads as a `str`;
+/// compares as one, without reading the text of two copies of one name.
+#[derive(Clone, Copy, Eq, Serialize)]
+pub struct Name(&'static str);
 
 impl std::hash::Hash for Name {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
@@ -42,16 +44,16 @@ impl std::hash::Hash for Name {
 
 impl PartialEq for Name {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        std::ptr::eq(self.0, other.0) || self.0 == other.0
     }
 }
 
 impl Ord for Name {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
+        if std::ptr::eq(self.0, other.0) {
             return std::cmp::Ordering::Equal;
         }
-        self.0.cmp(&other.0)
+        self.0.cmp(other.0)
     }
 }
 
@@ -63,27 +65,27 @@ impl PartialOrd for Name {
 
 impl Name {
     /// The text.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        self.0
     }
 }
 
 impl std::ops::Deref for Name {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl From<&str> for Name {
     fn from(s: &str) -> Self {
-        Name(s.into())
+        Name(Symbol::intern(s).as_str())
     }
 }
 
 impl From<String> for Name {
     fn from(s: String) -> Self {
-        Name(s.into())
+        Name::from(s.as_str())
     }
 }
 
@@ -901,12 +903,12 @@ impl<'s> Analyzer<'s> {
                             .expect("a held entry is about a context of the analyzed version");
                         RankedEntry {
                             rank: i + 1,
-                            property: family.property.clone(),
+                            property: family.property,
                             context: ContextDesc {
                                 region: family.regions.then_some(h.subject),
                                 call: (!family.regions).then_some(h.subject),
                                 run: run.0,
-                                label: label.clone(),
+                                label: *label,
                             },
                             severity: h.severity,
                             confidence: h.confidence,
@@ -1207,7 +1209,7 @@ mod tests {
         let plain = standard
             .analyze(run, Backend::Compiled, ProblemThreshold::default())
             .unwrap();
-        let key = |e: &RankedEntry| (e.property.clone(), e.context.clone(), e.severity.to_bits());
+        let key = |e: &RankedEntry| (e.property, e.context.clone(), e.severity.to_bits());
         assert_eq!(
             standard_only.into_iter().map(key).collect::<Vec<_>>(),
             plain.entries.iter().map(key).collect::<Vec<_>>()

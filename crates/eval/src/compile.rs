@@ -36,7 +36,16 @@
 //! argument), each a **lane**. A batch resolves the property once and runs
 //! its body **node by node over all lanes at once**: every node executes
 //! once per batch over the lanes that reach it, writing a column of lane
-//! values onto one reusable stack ([`Scratch`]). A value every lane shares
+//! values onto the reusable stacks of a [`Scratch`]. Lanes are unboxed: a
+//! column whose lanes are all floats, integers, truth values or objects is
+//! a run of plain `f64`/`i64`/`bool` words or object references, and only
+//! a column whose lanes mix kinds, or hold strings, sets, enums, dates or
+//! `Null`, holds [`Value`]s; a failed lane's error sits in a table beside
+//! its column, with a count, so settling a column no lane of which failed
+//! costs nothing. Operators run over the unboxed lanes through the scalar
+//! kernels of [`crate::ops`] that the interpreter's operators call too;
+//! `Value` is what the data source, the interpreter and the API see. A
+//! value every lane shares
 //! — the context, a constant, a literal, a hoisted subtree — is kept once,
 //! not copied per lane. A selection of active lanes drives `AND`/`OR`
 //! short-circuits, conditions (which fire per lane) and guarded arms; a
@@ -2252,13 +2261,13 @@ fn alternatives(
 // Execution
 // ---------------------------------------------------------------------------
 
-/// No frame, no construct.
+/// No frame, no construct, no error block.
 const NONE: u32 = u32::MAX;
 
-/// Lane values a fresh [`Scratch`] makes room for at once: a batch of the
-/// analyzers' width (256 subjects), its set constructs' elements included,
-/// fits, so a batch allocates the same whatever its width
-/// (`crates/cosy/tests/alloc_budget.rs`).
+/// Lanes a fresh [`Scratch`] makes room for on each of its stacks at once:
+/// a batch of the analyzers' width (256 subjects), its set constructs'
+/// elements included, fits, so a batch allocates the same whatever its
+/// width (`crates/cosy/tests/alloc_budget.rs`).
 const RESERVED_VALUES: usize = 4096;
 
 /// Lanes a fresh [`Scratch`] makes room for in its per-lane outcomes: the
@@ -2270,23 +2279,127 @@ const RESERVED_LANES: usize = 256;
 /// one whose cells answer, and allocates no more for it.
 const RESERVED_FRAMES: usize = 64;
 
+/// Subject lists whose rows an evaluator keeps ([`Kept::lists`]): a
+/// version's contexts of each class, cut into batches, fit.
+const RECENT_LISTS: usize = 4;
+
 /// Elements of each lane a quantifier tests in its first round
 /// ([`Ctx::decide`]).
 const QUANTIFIER_ROUND: u32 = 8;
 
-/// A column of lane values on [`Scratch::vals`]: lane `l` is at
-/// `base + l * stride`. Stride 1 holds a value per lane; stride 0 holds one
-/// value every lane shares — a literal, a constant, the batch's context, a
-/// hoisted subtree — kept once, not copied per lane.
-#[derive(Clone, Copy, Default)]
+/// What the lanes of a [`Col`] hold, and so which stack of [`Scratch`]
+/// they are on. A column takes the kind of the first lane written to it
+/// and keeps it while every lane is of that kind; a lane of another kind
+/// turns it into a column of values.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+enum Kind {
+    /// No lane stored yet.
+    #[default]
+    Empty,
+    /// Floats, as their bits on [`Scratch::nums`].
+    F64,
+    /// Integers, on [`Scratch::nums`].
+    I64,
+    /// Truth values, 0 or 1 on [`Scratch::nums`].
+    Bool,
+    /// Object references, on [`Scratch::objs`].
+    Obj,
+    /// [`Value`]s, on [`Scratch::vals`]: lanes of mixed kinds, strings,
+    /// sets, enums, dates and `Null`.
+    Val,
+}
+
+impl Kind {
+    /// Is a column of this kind on [`Scratch::nums`]?
+    fn numeric(self) -> bool {
+        matches!(self, Kind::F64 | Kind::I64 | Kind::Bool)
+    }
+}
+
+/// The lane of numeric `kind` whose bits are `bits`, as a value.
+fn num_value(kind: Kind, bits: u64) -> Value {
+    match kind {
+        Kind::F64 => Value::Float(f64::from_bits(bits)),
+        Kind::I64 => Value::Int(bits as i64),
+        _ => Value::Bool(bits != 0),
+    }
+}
+
+/// A column of lane values: `len` lanes of `kind` from `base` on their
+/// stack of [`Scratch`] — lane `l` at `base + l` — or, with `len` 1, one
+/// value every lane reads: a literal, a constant, the batch's context, a
+/// hoisted subtree, kept once and not copied per lane. A lane that failed
+/// has its error in the column's error block on [`Scratch::errs`] (at
+/// `errs` and the same offset) and counts in `failed`; a column no lane of
+/// which failed has no block, and settling or tagging it costs nothing.
+/// Lanes are stored on the first write ([`Scratch::put_val`]): a node's
+/// result column lands above its operands' and is moved down over them
+/// when the node returns ([`Scratch::keep`]).
+#[derive(Clone, Copy)]
 struct Col {
     base: u32,
-    stride: u32,
+    len: u32,
+    errs: u32,
+    failed: u32,
+    kind: Kind,
+}
+
+impl Default for Col {
+    fn default() -> Self {
+        Col::new(0)
+    }
 }
 
 impl Col {
+    /// A column of `len` lanes, none written.
+    const fn new(len: u32) -> Col {
+        Col {
+            base: 0,
+            len,
+            errs: NONE,
+            failed: 0,
+            kind: Kind::Empty,
+        }
+    }
+
+    /// Lane `lane`'s offset from the column's base, and its error block's.
+    #[inline]
+    fn off(self, lane: u32) -> u32 {
+        lane * u32::from(self.len != 1)
+    }
+
+    /// Where lane `lane` is on the column's stack.
+    #[inline]
     fn at(self, lane: u32) -> usize {
-        (self.base + lane * self.stride) as usize
+        (self.base + self.off(lane)) as usize
+    }
+}
+
+/// The heights of the stacks of lane values ([`Scratch::top`]).
+#[derive(Clone, Copy)]
+struct Top {
+    nums: u32,
+    objs: u32,
+    vals: u32,
+    errs: u32,
+}
+
+/// Cut `stack` back to `top`, all but the `n` items at `base` that `kept`
+/// names, which move down to `top` if they are above it. Where they are
+/// now, if they moved.
+fn sink<T>(stack: &mut Vec<T>, top: u32, kept: Option<(u32, u32)>) -> Option<u32> {
+    match kept {
+        Some((base, n)) if base >= top => {
+            stack.truncate((base + n) as usize);
+            if base > top {
+                stack.drain(top as usize..base as usize);
+            }
+            Some(top)
+        }
+        _ => {
+            stack.truncate(top as usize);
+            None
+        }
     }
 }
 
@@ -2333,26 +2446,52 @@ struct FrameRec {
     parent_width: u32,
 }
 
-/// What a set construct's source lent ([`Ctx::visit`]): element `e` is at
-/// `elems + e` on [`Scratch::vals`] and belongs to lane `owners + e` on
+/// What a set construct's source lent ([`Ctx::visit`]): element `e` is
+/// lane `e` of `elems` and belongs to lane `owners + e` on
 /// [`Scratch::lanes`]; a lane's elements are contiguous, in set order.
+/// Lane `l` of the frame the source ran in has a flag at `selected + l` on
+/// [`Scratch::lanes`], 1 if the data source applied the construct's second
+/// key to its elements; `selected` is [`NONE`] if no source was asked one.
 #[derive(Clone, Copy)]
 struct Visit {
-    elems: u32,
+    elems: Col,
     owners: u32,
-    n: u32,
+    selected: u32,
+}
+
+impl Visit {
+    /// Did the data source select `lane`'s elements by the second key?
+    fn selected(self, lane: u32, st: &Scratch) -> bool {
+        self.selected != NONE && st.lanes[(self.selected + lane) as usize] != 0
+    }
+
+    /// The lane element `e` belongs to.
+    fn owner(self, e: u32, st: &Scratch) -> u32 {
+        st.lanes[(self.owners + e) as usize]
+    }
 }
 
 /// The mutable state of evaluation, reused from batch to batch — handed
 /// from one [`CompiledEvaluator::batch`] to the next: no node, helper call
 /// or set construct allocates its own. Everything is a stack: a node's
 /// temporaries are popped when it returns, a construct's frame when it
-/// ends. Create one with `Scratch::default()`; every batch reuses it.
+/// ends. Lane values are unboxed: a column of floats, integers
+/// or truth values is a run of words on `nums`, one of objects a run of
+/// references on `objs`, and only a column whose lanes mix kinds, or hold
+/// strings, sets, enums, dates or `Null`, is a run of [`Value`]s on
+/// `vals`; a lane's error is in a block on `errs` beside its column. Create
+/// one with `Scratch::default()`; every batch reuses it.
 #[derive(Default)]
 pub struct Scratch {
-    /// Lane values: every register's and every node's column.
-    vals: Vec<EvalResult<Value>>,
-    /// Lane indices: selections and the owners of elements.
+    /// Lanes of float, integer and truth-value columns, as 64 bits each.
+    nums: Vec<u64>,
+    /// Lanes of object columns.
+    objs: Vec<ObjRef>,
+    /// Lanes of value columns.
+    vals: Vec<Value>,
+    /// The error blocks of columns with a failed lane: a slot per lane.
+    errs: Vec<Option<EvalError>>,
+    /// Lane indices: selections, the owners of elements and their flags.
     lanes: Vec<u32>,
     /// Registers of every frame, one column per slot.
     regs: Vec<Col>,
@@ -2385,7 +2524,10 @@ pub struct Scratch {
 impl Scratch {
     /// Empty every stack.
     fn clear(&mut self) {
+        self.nums.clear();
+        self.objs.clear();
         self.vals.clear();
+        self.errs.clear();
         self.lanes.clear();
         self.regs.clear();
         self.frames.clear();
@@ -2393,29 +2535,382 @@ impl Scratch {
         self.depth = 0;
     }
 
-    /// A fresh column of `width` lanes on top of the stack.
-    fn push_col(&mut self, width: u32) -> Col {
-        let base = self.vals.len();
-        let nulls = std::iter::repeat_with(|| Ok(Value::Null));
-        self.vals.extend(nulls.take(width as usize));
-        Col {
-            base: base as u32,
-            stride: 1,
+    /// The heights of the lane stacks, to cut back to.
+    #[inline]
+    fn top(&self) -> Top {
+        Top {
+            nums: self.nums.len() as u32,
+            objs: self.objs.len() as u32,
+            vals: self.vals.len() as u32,
+            errs: self.errs.len() as u32,
+        }
+    }
+
+    /// Pop every lane pushed since `top`.
+    fn cut(&mut self, top: Top) {
+        self.keep(top, Col::new(0));
+    }
+
+    /// Pop every lane pushed since `top` but `col`'s, which move down to
+    /// `top` if they are above it: the column a node returns, over the
+    /// temporaries it made on the way.
+    #[inline]
+    fn keep(&mut self, top: Top, mut col: Col) -> Col {
+        let lanes = (col.base, col.len);
+        let on = |yes: bool| yes.then_some(lanes);
+        let (nums, objs, vals) = (
+            on(col.kind.numeric()),
+            on(col.kind == Kind::Obj),
+            on(col.kind == Kind::Val),
+        );
+        let errs = (col.errs != NONE).then_some((col.errs, col.len));
+        for base in [
+            sink(&mut self.nums, top.nums, nums),
+            sink(&mut self.objs, top.objs, objs),
+            sink(&mut self.vals, top.vals, vals),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            col.base = base;
+        }
+        if let Some(errs) = sink(&mut self.errs, top.errs, errs) {
+            col.errs = errs;
+        }
+        col
+    }
+
+    /// Was `col` made since `top`: does it have lanes or errors above it?
+    fn made_since(&self, top: Top, col: Col) -> bool {
+        match col.kind {
+            Kind::Empty => col.errs != NONE && col.errs >= top.errs,
+            k if k.numeric() => col.base >= top.nums,
+            Kind::Obj => col.base >= top.objs,
+            _ => col.base >= top.vals,
         }
     }
 
     /// A column every lane reads `v` from.
     fn push_one(&mut self, v: EvalResult<Value>) -> Col {
-        self.vals.push(v);
-        Col {
-            base: self.vals.len() as u32 - 1,
-            stride: 0,
+        let mut col = Col::new(1);
+        self.put(&mut col, 0, v);
+        col
+    }
+
+    /// The error lane `lane` of `col` failed with, if it did.
+    #[inline]
+    fn err(&self, col: Col, lane: u32) -> Option<&EvalError> {
+        if col.failed == 0 {
+            return None;
+        }
+        self.errs[(col.errs + col.off(lane)) as usize].as_ref()
+    }
+
+    /// The value stored at offset `i` of `col`.
+    #[inline]
+    fn stored(&self, col: Col, i: u32) -> Value {
+        let at = (col.base + i) as usize;
+        match col.kind {
+            Kind::Empty => Value::Null,
+            Kind::Obj => Value::Obj(self.objs[at].clone()),
+            Kind::Val => self.vals[at].clone(),
+            kind => num_value(kind, self.nums[at]),
         }
     }
 
-    /// Pop every column above `out`, a column of `width` lanes.
-    fn pop_above(&mut self, out: Col, width: u32) {
-        self.vals.truncate((out.base + width) as usize);
+    /// Lane `lane`'s value in `col` — `Null` if it failed or was never
+    /// written.
+    #[inline]
+    fn value(&self, col: Col, lane: u32) -> Value {
+        self.stored(col, col.off(lane))
+    }
+
+    /// Lane `lane` of `col`: its value or its error.
+    fn get(&self, col: Col, lane: u32) -> EvalResult<Value> {
+        match self.err(col, lane) {
+            Some(e) => Err(e.clone()),
+            None => Ok(self.value(col, lane)),
+        }
+    }
+
+    /// Lane `lane`'s object in `col`, if it holds one.
+    #[inline]
+    fn obj_of(&self, col: Col, lane: u32) -> Option<&ObjRef> {
+        if self.err(col, lane).is_some() {
+            return None;
+        }
+        match col.kind {
+            Kind::Obj => Some(&self.objs[col.at(lane)]),
+            Kind::Val => match &self.vals[col.at(lane)] {
+                Value::Obj(o) => Some(o),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Lane `lane`'s number in `col`, which has not failed there, if it
+    /// holds one: read straight from an unboxed lane.
+    #[inline]
+    fn num_of(&self, col: Col, lane: u32) -> Option<ops::Scalar> {
+        let at = col.at(lane);
+        match col.kind {
+            Kind::F64 => Some(ops::Scalar::Float(f64::from_bits(self.nums[at]))),
+            Kind::I64 => Some(ops::Scalar::Int(self.nums[at] as i64)),
+            Kind::Val => ops::Scalar::number(&self.vals[at]),
+            _ => None,
+        }
+    }
+
+    /// Lane `lane`'s truth value in `col`, if it holds one.
+    #[inline]
+    fn bool_of(&self, col: Col, lane: u32) -> Option<bool> {
+        if self.err(col, lane).is_some() {
+            return None;
+        }
+        match col.kind {
+            Kind::Bool => Some(self.nums[col.at(lane)] != 0),
+            Kind::Val => self.vals[col.at(lane)].as_bool(),
+            _ => None,
+        }
+    }
+
+    /// Lane `lane`'s number in `col`, widened to a float, if it holds one.
+    #[inline]
+    fn f64_of(&self, col: Col, lane: u32) -> Option<f64> {
+        if self.err(col, lane).is_some() {
+            return None;
+        }
+        let bits = || self.nums[col.at(lane)];
+        match col.kind {
+            Kind::F64 => Some(f64::from_bits(bits())),
+            Kind::I64 => Some(bits() as i64 as f64),
+            Kind::Val => self.vals[col.at(lane)].as_f64(),
+            _ => None,
+        }
+    }
+
+    /// Fail lane `lane` of `col` with `e`.
+    fn fail(&mut self, col: &mut Col, lane: u32, e: EvalError) {
+        if col.errs == NONE {
+            col.errs = self.errs.len() as u32;
+            self.errs.resize(self.errs.len() + col.len as usize, None);
+        }
+        let slot = &mut self.errs[(col.errs + col.off(lane)) as usize];
+        col.failed += u32::from(slot.is_none());
+        *slot = Some(e);
+    }
+
+    /// Lane `lane` of `col` holds a value: drop an error it held.
+    #[inline]
+    fn clear_err(&mut self, col: &mut Col, lane: u32) {
+        if col.failed > 0 {
+            let slot = &mut self.errs[(col.errs + col.off(lane)) as usize];
+            col.failed -= u32::from(slot.take().is_some());
+        }
+    }
+
+    /// Write `r` into lane `lane` of `col`.
+    #[inline]
+    fn put(&mut self, col: &mut Col, lane: u32, r: EvalResult<Value>) {
+        match r {
+            Ok(v) => self.put_val(col, lane, v),
+            Err(e) => self.fail(col, lane, e),
+        }
+    }
+
+    /// Write `v` into lane `lane` of `col`, unboxed if the column's lanes
+    /// are all of its kind.
+    #[inline]
+    fn put_val(&mut self, col: &mut Col, lane: u32, v: Value) {
+        match v {
+            Value::Float(x) => self.put_num(col, lane, Kind::F64, x.to_bits()),
+            Value::Int(x) => self.put_num(col, lane, Kind::I64, x as u64),
+            Value::Bool(b) => self.put_num(col, lane, Kind::Bool, u64::from(b)),
+            Value::Obj(o) => self.put_obj(col, lane, o),
+            v => self.put_any(col, lane, v),
+        }
+    }
+
+    /// [`put_val`](Self::put_val) of a borrowed value.
+    #[inline]
+    fn put_ref(&mut self, col: &mut Col, lane: u32, v: &Value) {
+        match v {
+            Value::Float(x) => self.put_num(col, lane, Kind::F64, x.to_bits()),
+            Value::Int(x) => self.put_num(col, lane, Kind::I64, *x as u64),
+            Value::Bool(b) => self.put_num(col, lane, Kind::Bool, u64::from(*b)),
+            v => self.put_val(col, lane, v.clone()),
+        }
+    }
+
+    /// Write what a scalar kernel yielded into lane `lane` of `col`.
+    #[inline]
+    fn put_scalar(&mut self, col: &mut Col, lane: u32, s: ops::Scalar) {
+        match s {
+            ops::Scalar::Float(x) => self.put_num(col, lane, Kind::F64, x.to_bits()),
+            ops::Scalar::Int(x) => self.put_num(col, lane, Kind::I64, x as u64),
+            ops::Scalar::Bool(b) => self.put_num(col, lane, Kind::Bool, u64::from(b)),
+        }
+    }
+
+    /// Write `bits`, a lane of numeric `kind`, into lane `lane` of `col`.
+    #[inline]
+    fn put_num(&mut self, col: &mut Col, lane: u32, kind: Kind, bits: u64) {
+        if col.kind != kind {
+            if col.kind != Kind::Empty {
+                return self.put_any(col, lane, num_value(kind, bits));
+            }
+            col.kind = kind;
+            col.base = self.nums.len() as u32;
+            self.nums.resize(self.nums.len() + col.len as usize, 0);
+        }
+        self.nums[col.at(lane)] = bits;
+        self.clear_err(col, lane);
+    }
+
+    /// Write object `o` into lane `lane` of `col`.
+    #[inline]
+    fn put_obj(&mut self, col: &mut Col, lane: u32, o: ObjRef) {
+        if col.kind != Kind::Obj {
+            if col.kind != Kind::Empty {
+                return self.put_any(col, lane, Value::Obj(o));
+            }
+            col.kind = Kind::Obj;
+            col.base = self.objs.len() as u32;
+            self.objs
+                .resize(self.objs.len() + col.len as usize, o.clone());
+        }
+        self.objs[col.at(lane)] = o;
+        self.clear_err(col, lane);
+    }
+
+    /// Write `v` into lane `lane` of `col` as a value, first turning `col`
+    /// into a column of values — a copy on top of their stack — if it is
+    /// not one.
+    fn put_any(&mut self, col: &mut Col, lane: u32, v: Value) {
+        if col.kind != Kind::Val {
+            let base = self.vals.len() as u32;
+            for i in 0..col.len {
+                let x = self.stored(*col, i);
+                self.vals.push(x);
+            }
+            col.kind = Kind::Val;
+            col.base = base;
+        }
+        self.vals[col.at(lane)] = v;
+        self.clear_err(col, lane);
+    }
+
+    /// Copy lane `lane` of `from` into lane `to_lane` of `to`, an error
+    /// tagged with `span` if it has none.
+    fn copy_lane(&mut self, from: Col, lane: u32, to: &mut Col, to_lane: u32, span: Span) {
+        if let Some(e) = self.err(from, lane) {
+            let e = e.clone().or_span(span);
+            return self.fail(to, to_lane, e);
+        }
+        match from.kind {
+            Kind::Empty => {}
+            Kind::Obj => {
+                let o = self.objs[from.at(lane)].clone();
+                self.put_obj(to, to_lane, o);
+            }
+            Kind::Val => {
+                let v = self.vals[from.at(lane)].clone();
+                self.put_val(to, to_lane, v);
+            }
+            kind => {
+                let bits = self.nums[from.at(lane)];
+                self.put_num(to, to_lane, kind, bits);
+            }
+        }
+    }
+
+    /// Append a lane holding `v` to `col`, a column being built on top of
+    /// its stack: the subjects of a batch, the elements a source lends.
+    #[inline]
+    fn push_lane(&mut self, col: &mut Col, v: Value) {
+        match v {
+            Value::Obj(o) => self.push_obj(col, o),
+            v => self.push_value(col, v),
+        }
+    }
+
+    /// Append a lane holding object `o` to `col` ([`push_lane`](Self::push_lane)).
+    #[inline]
+    fn push_obj(&mut self, col: &mut Col, o: ObjRef) {
+        match col.kind {
+            Kind::Obj => {}
+            Kind::Empty => {
+                col.kind = Kind::Obj;
+                col.base = self.objs.len() as u32;
+            }
+            _ => return self.push_value(col, Value::Obj(o)),
+        }
+        self.objs.push(o);
+        col.len += 1;
+    }
+
+    /// Append a lane holding `v` to `col` as a value, first turning the
+    /// lanes so far into values if they are objects.
+    #[inline(never)]
+    fn push_value(&mut self, col: &mut Col, v: Value) {
+        if col.kind != Kind::Val {
+            let base = self.vals.len() as u32;
+            for i in 0..col.len {
+                let x = self.stored(*col, i);
+                self.vals.push(x);
+            }
+            if col.kind == Kind::Obj {
+                self.objs.truncate(col.base as usize);
+            }
+            col.kind = Kind::Val;
+            col.base = base;
+        }
+        self.vals.push(v);
+        col.len += 1;
+    }
+
+    /// A column of `n` lanes, lane `e` holding what lane `owners + e` on
+    /// [`lanes`](Self::lanes) holds in `col`: an outer slot as the
+    /// elements of a construct see it.
+    fn gather(&mut self, col: Col, owners: u32, n: u32) -> Col {
+        let mut out = Col::new(n);
+        out.kind = col.kind;
+        let owner = |st: &Self, e: u32| col.at(st.lanes[(owners + e) as usize]);
+        match col.kind {
+            Kind::Empty => {}
+            Kind::Obj => {
+                out.base = self.objs.len() as u32;
+                for e in 0..n {
+                    let o = self.objs[owner(self, e)].clone();
+                    self.objs.push(o);
+                }
+            }
+            Kind::Val => {
+                out.base = self.vals.len() as u32;
+                for e in 0..n {
+                    let v = self.vals[owner(self, e)].clone();
+                    self.vals.push(v);
+                }
+            }
+            _ => {
+                out.base = self.nums.len() as u32;
+                for e in 0..n {
+                    let bits = self.nums[owner(self, e)];
+                    self.nums.push(bits);
+                }
+            }
+        }
+        if col.failed > 0 {
+            for e in 0..n {
+                let lane = self.lanes[(owners + e) as usize];
+                if let Some(x) = self.err(col, lane) {
+                    let x = x.clone();
+                    self.fail(&mut out, e, x);
+                }
+            }
+        }
+        out
     }
 
     /// The selection of the lanes pushed on [`lanes`](Self::lanes) since
@@ -2458,16 +2953,17 @@ impl Scratch {
     }
 
     /// Settle the lanes of `sel` that failed in `col` — their error, tagged
-    /// with `span`, is their value in `out` — and select the others.
-    fn settle(&mut self, col: Col, sel: Sel, out: Col, span: Span) -> Sel {
-        self.filter(
-            sel,
-            |st, lane| match &st.vals[col.at(lane)] {
-                Ok(_) => Ok(()),
-                Err(e) => Err(Some(e.clone())),
-            },
-            |st, lane, e| st.vals[out.at(lane)] = Err(e.or_span(span)),
-        )
+    /// with `span`, is their lane's in `out` — and select the others: `sel`
+    /// itself, at once, if no lane of `col` failed.
+    fn settle(&mut self, col: Col, sel: Sel, out: &mut Col, span: Span) -> Sel {
+        if col.failed == 0 {
+            return sel;
+        }
+        let failed = |st: &Self, lane| match st.err(col, lane) {
+            Some(e) => Err(Some(e.clone().or_span(span))),
+            None => Ok(()),
+        };
+        self.filter(sel, failed, |st, lane, e| st.fail(out, lane, e))
     }
 
     /// Fail the lanes of `alive` whose value in `col` is an error, or that
@@ -2482,12 +2978,27 @@ impl Scratch {
     ) -> Sel {
         self.filter(
             alive,
-            |st, lane| match &st.vals[col.at(lane)] {
-                Ok(v) => check(v).map_err(Some),
-                Err(e) => Err(Some(e.clone())),
+            |st, lane| match st.err(col, lane) {
+                Some(e) => Err(Some(e.clone())),
+                None => check(&st.value(col, lane)).map_err(Some),
             },
             |st, lane, e| st.outcomes[lane as usize] = Err(e),
         )
+    }
+
+    /// Tag the errors `col` holds for `sel` with `span`, if they have none.
+    fn tag(&mut self, col: Col, sel: Sel, span: Span) {
+        if col.failed == 0 || span == Span::default() {
+            return;
+        }
+        for k in sel.range() {
+            let at = (col.errs + col.off(self.lanes[k])) as usize;
+            if let Some(e) = &mut self.errs[at] {
+                if e.span.is_none() {
+                    e.span = Some(span);
+                }
+            }
+        }
     }
 
     /// The tops of the frame stacks, for [`close`](Self::close).
@@ -2510,6 +3021,16 @@ impl Scratch {
 
 impl Drop for Scratch {
     fn drop(&mut self) {
+        if std::env::var("SCRATCH_CAPS").is_ok() {
+            eprintln!(
+                "caps nums {} objs {} vals {} errs {} lanes {}",
+                self.nums.capacity(),
+                self.objs.capacity(),
+                self.vals.capacity(),
+                self.errs.capacity(),
+                self.lanes.capacity()
+            );
+        }
         CACHE_HITS.add(self.cache_hits);
         CACHE_MISSES.add(self.cache_misses);
         NODE_EXECUTIONS.add(self.executions);
@@ -2535,26 +3056,35 @@ pub struct CompiledEvaluator<M: ObjectModel> {
 
 /// What an evaluator keeps per subject: a row for each subject that has
 /// reached a subject or run site — its subject cells, then its run cells,
-/// each a value once filled. Rows are made as subjects arrive, so they
+/// each a value once filled. A cell holds the value as a lane of a column
+/// would — a float, integer, truth value or object unboxed in its variant
+/// — so answering a lane from it copies one number or reference into the
+/// lane ([`Scratch::put_ref`]). Rows are made as subjects arrive, so they
 /// are as many as the subjects evaluated (a version's contexts), never as
-/// many as the data source holds. A row's run cells answer for the context
-/// of its epoch only: a batch of another context starts a new epoch
-/// ([`Kept::enter`]), and a row of an older one has its run cells emptied
-/// when it is next looked up.
+/// many as the data source holds. A run cell answers for the context of
+/// the epoch it was filled in only: a batch of another context starts a
+/// new epoch ([`Kept::enter`]), which empties every run cell at once.
 struct Kept {
     rows: perfdata::IdMap<ObjRef, u32>,
-    /// Per lane of a batch's body: the subject a site last looked up there,
-    /// its row — batch after batch, as long as the lane's subject is the
-    /// same (the analyzers cut every property's subjects alike) — and the
-    /// batch ([`Kept::batch`]) that last looked it up.
-    lanes: Vec<(ObjRef, u32, u32)>,
-    /// Counts the batches run ([`Kept::enter`]): a lane looked up in the
-    /// running batch answers without a second look.
+    /// The subjects of recent batches and their rows ([`SubjectRows`]): a
+    /// batch over the same subjects, lane for lane, as one of them — the
+    /// next property's batch over a version's contexts — takes its rows
+    /// from it without looking a subject up.
+    lists: Vec<SubjectRows>,
+    /// The list [`Kept::bind`] replaces next.
+    next_list: usize,
+    /// The list of the running batch's rows, and the batch it was bound
+    /// for: a site of a later batch binds that batch's.
+    list: usize,
+    bound: u32,
+    /// Counts the batches run ([`Kept::enter`]).
     batch: u32,
-    /// Row `r`'s cells at `r * width..`.
-    cells: Vec<Option<Value>>,
-    /// Per row: the epoch its run cells were filled in.
-    epochs: Vec<u32>,
+    /// Cell `c` of row `r` at `c * capacity + r`: a site reads and fills
+    /// the cells of a batch's subjects, rows made in turn, side by side.
+    cells: Vec<KeptCell>,
+    /// The rows `cells` has room for, and the rows made.
+    capacity: usize,
+    n_rows: usize,
     subject_cells: usize,
     width: usize,
     /// The context of the current epoch.
@@ -2564,21 +3094,79 @@ struct Kept {
     sums: Vec<ops::Aggregator>,
 }
 
+/// A cell of [`Kept`]: its value once filled, and the epoch it was filled
+/// in.
+#[derive(Clone, Default)]
+struct KeptCell {
+    epoch: u32,
+    value: Option<Value>,
+}
+
+/// The rows of a batch's subjects, lane by lane — [`NONE`] for a subject
+/// that is not an object. `subjects` is empty for a batch whose subjects
+/// are not all objects, which no later batch matches.
+#[derive(Default)]
+struct SubjectRows {
+    subjects: Vec<ObjRef>,
+    rows: Vec<u32>,
+}
+
 impl Kept {
     fn new(plan: &BatchPlan) -> Self {
         let subject_cells = plan.subject_cells as usize;
         Kept {
             rows: HashMap::default(),
-            lanes: Vec::new(),
+            lists: Vec::new(),
+            next_list: 0,
+            list: 0,
+            bound: NONE,
             batch: 0,
             cells: Vec::new(),
-            epochs: Vec::new(),
+            capacity: 0,
+            n_rows: 0,
             subject_cells,
             width: subject_cells + plan.run_cells(),
             context: Vec::new(),
             epoch: 0,
             sums: Vec::new(),
         }
+    }
+
+    /// Bind the rows of the running batch's `subjects` (the column in the
+    /// body's slot 0): a recent list of the same subjects, or a list made
+    /// of them.
+    fn bind(&mut self, subjects: Col, st: &Scratch) {
+        self.bound = self.batch;
+        let objects = match subjects.kind {
+            Kind::Obj => &st.objs[subjects.base as usize..][..subjects.len as usize],
+            _ => &[],
+        };
+        let known = (self.lists.iter()).position(|l| !objects.is_empty() && l.subjects == objects);
+        self.list = match known {
+            Some(at) => at,
+            None => {
+                if self.lists.is_empty() {
+                    // Room for batches of the analyzers' width on first use.
+                    let list = || SubjectRows {
+                        subjects: Vec::with_capacity(RESERVED_LANES),
+                        rows: Vec::with_capacity(RESERVED_LANES),
+                    };
+                    self.lists = (0..RECENT_LISTS).map(|_| list()).collect();
+                }
+                let at = self.next_list % RECENT_LISTS;
+                self.next_list = at + 1;
+                let mut list = std::mem::take(&mut self.lists[at]);
+                list.subjects.clear();
+                list.subjects.extend_from_slice(objects);
+                list.rows.clear();
+                for lane in 0..subjects.len {
+                    let row = st.obj_of(subjects, lane).map_or(NONE, |s| self.row(s));
+                    list.rows.push(row);
+                }
+                self.lists[at] = list;
+                at
+            }
+        };
     }
 
     /// Start a batch and bind the run cells to its `context`: a new epoch
@@ -2592,44 +3180,61 @@ impl Kept {
         }
     }
 
-    /// The row of `subject`, made on first ask, its run cells those of the
-    /// current epoch.
+    /// The row of `subject`, made on first ask.
     fn row(&mut self, subject: &ObjRef) -> u32 {
-        if self.epochs.capacity() == 0 {
+        if self.capacity == 0 {
             // Room for a batch of subjects on first use.
             self.rows.reserve(RESERVED_LANES);
-            self.lanes.reserve(RESERVED_LANES);
-            self.cells.reserve(RESERVED_LANES * self.width);
-            self.epochs.reserve(RESERVED_LANES);
         }
-        let next = self.epochs.len() as u32;
+        let next = self.n_rows as u32;
         let row = *self.rows.entry(subject.clone()).or_insert(next);
         if row == next {
-            self.cells.resize(self.cells.len() + self.width, None);
-            self.epochs.push(self.epoch);
-        }
-        self.refresh(row)
-    }
-
-    /// `row`, its run cells emptied if they are of an older epoch.
-    fn refresh(&mut self, row: u32) -> u32 {
-        if self.epochs[row as usize] != self.epoch {
-            self.epochs[row as usize] = self.epoch;
-            let at = row as usize * self.width;
-            self.cells[at + self.subject_cells..at + self.width].fill(None);
+            if self.n_rows == self.capacity {
+                self.grow();
+            }
+            self.n_rows += 1;
         }
         row
     }
 
-    /// The slot of `cell` ([`BatchPlan::cell`], flag included) in `row`.
-    fn at(&mut self, row: u32, cell: u32) -> &mut Option<Value> {
+    /// Make room for twice the rows — for a batch of subjects at first.
+    fn grow(&mut self) {
+        let capacity = (self.capacity * 2).max(RESERVED_LANES);
+        let mut cells = Vec::with_capacity(self.width * capacity);
+        let mut old = std::mem::take(&mut self.cells).into_iter();
+        for c in 1..=self.width {
+            cells.extend(old.by_ref().take(self.capacity));
+            cells.resize(c * capacity, KeptCell::default());
+        }
+        (self.cells, self.capacity) = (cells, capacity);
+    }
+
+    /// Where `cell` ([`BatchPlan::cell`], flag included) of `row` is.
+    fn index(&self, row: u32, cell: u32) -> usize {
         let id = (cell & !(SUBJECT_CELL | RUN_CELL)) as usize;
         let run = if cell & RUN_CELL != 0 {
             self.subject_cells
         } else {
             0
         };
-        &mut self.cells[row as usize * self.width + run + id]
+        (run + id) * self.capacity + row as usize
+    }
+
+    /// Fill `cell` of `row` with `v`.
+    fn fill(&mut self, row: u32, cell: u32, v: Value) {
+        let at = self.index(row, cell);
+        self.cells[at] = KeptCell {
+            epoch: self.epoch,
+            value: Some(v),
+        };
+    }
+
+    /// The value `cell` of `row` holds, if it is filled — a run cell in
+    /// the current epoch.
+    fn get(&self, row: u32, cell: u32) -> Option<&Value> {
+        let kept = &self.cells[self.index(row, cell)];
+        let stale = cell & RUN_CELL != 0 && kept.epoch != self.epoch;
+        kept.value.as_ref().filter(|_| !stale)
     }
 }
 
@@ -2751,7 +3356,7 @@ impl<M: ObjectModel> CompiledEvaluator<M> {
             Some(first) => batch.eval(std::iter::once(first.clone()))[0].clone()?,
             None => {
                 batch.st.clear();
-                batch.run(1)[0].clone()?
+                batch.run(1, None)[0].clone()?
             }
         };
         let fired = batch.prop.conditions.iter().enumerate();
@@ -2787,18 +3392,23 @@ impl<M: ObjectModel> Batch<'_, M> {
     pub fn eval(&mut self, subjects: impl IntoIterator<Item = Value>) -> &[EvalResult<Outcome>] {
         let st = &mut *self.st;
         st.clear();
-        if st.vals.capacity() == 0 {
+        if st.lanes.capacity() == 0 {
             // Room for a batch on first use.
-            st.vals.reserve(RESERVED_VALUES);
+            st.nums.reserve(RESERVED_VALUES);
+            st.objs.reserve(RESERVED_VALUES);
+            st.vals.reserve(RESERVED_LANES);
+            st.errs.reserve(RESERVED_LANES);
             st.lanes.reserve(RESERVED_VALUES);
             st.outcomes.reserve(RESERVED_LANES);
             st.best.reserve(RESERVED_LANES);
             st.regs.reserve(RESERVED_FRAMES);
             st.frames.reserve(RESERVED_FRAMES);
         }
-        st.vals.extend(subjects.into_iter().map(Ok));
-        let width = st.vals.len() as u32;
-        self.run(width)
+        let mut col = Col::new(0);
+        for s in subjects {
+            st.push_lane(&mut col, s);
+        }
+        self.run(col.len, Some(col))
     }
 
     /// Did condition `i` (declaration order) fire in `lane` of the last
@@ -2807,15 +3417,14 @@ impl<M: ObjectModel> Batch<'_, M> {
         self.st.fired(lane, i)
     }
 
-    /// One batch of `width` lanes: the subjects, if the property takes
-    /// one, are the first `width` values on the cleared stack and go to
-    /// slot 0; the context follows. Slots past the parameters are the
-    /// LETs, a column each.
-    fn run(&mut self, width: u32) -> &[EvalResult<Outcome>] {
+    /// One batch of `width` lanes: the `subjects`, if the property takes
+    /// one, go to slot 0; the context follows, a shared column each. Slots
+    /// past the parameters are the LETs, a column each.
+    fn run(&mut self, width: u32, subjects: Option<Col>) -> &[EvalResult<Outcome>] {
         let (ctx, p, st) = (&self.ctx, self.prop, &mut *self.st);
         st.regs.resize(p.n_slots, Col::default());
-        if st.subject {
-            st.regs[0] = Col { base: 0, stride: 1 };
+        if let Some(col) = subjects {
+            st.regs[0] = col;
         }
         for i in 0..st.context.len() {
             let col = st.push_one(Ok(st.context[i].clone()));
@@ -2837,22 +3446,34 @@ impl<M: ObjectModel> Batch<'_, M> {
 
         for &(slot, value) in &p.lets {
             let col = ctx.eval(value, fr, alive, st);
-            alive = st.settle_lanes(alive, col, |_| Ok(()));
+            if col.failed > 0 {
+                alive = st.settle_lanes(alive, col, |_| Ok(()));
+            }
             st.regs[slot as usize] = col;
         }
 
         for (i, (_, pred)) in p.conditions.iter().enumerate() {
-            let top = st.vals.len();
+            let top = st.top();
             let col = ctx.eval(*pred, fr, alive, st);
-            // Fire the lanes that hold in one pass; settle the others only
-            // if one of them failed.
+            // Fire the lanes that hold in one pass over the truth values;
+            // settle the others only if one of them failed.
+            let (word, bit) = (i / 64, 1 << (i % 64));
             let mut failed = false;
-            for k in alive.range() {
-                let lane = st.lanes[k] as usize;
-                match st.vals[col.at(lane as u32)] {
-                    Ok(Value::Bool(true)) => st.fired[lane * st.words + i / 64] |= 1 << (i % 64),
-                    Ok(Value::Bool(false)) => {}
-                    _ => failed = true,
+            if col.kind == Kind::Bool && col.failed == 0 {
+                for k in alive.range() {
+                    let lane = st.lanes[k];
+                    if st.nums[col.at(lane)] != 0 {
+                        st.fired[lane as usize * st.words + word] |= bit;
+                    }
+                }
+            } else {
+                for k in alive.range() {
+                    let lane = st.lanes[k];
+                    match st.bool_of(col, lane) {
+                        Some(true) => st.fired[lane as usize * st.words + word] |= bit,
+                        Some(false) => {}
+                        None => failed = true,
+                    }
                 }
             }
             if failed {
@@ -2864,13 +3485,18 @@ impl<M: ObjectModel> Batch<'_, M> {
                     )),
                 });
             }
-            st.vals.truncate(top);
+            st.cut(top);
         }
-        let words = st.words;
-        alive = st.select(alive, |st, lane| {
+        // The lanes where a condition fired go on.
+        let (words, start) = (st.words, st.lanes.len());
+        for k in alive.range() {
+            let lane = st.lanes[k];
             let bits = &st.fired[lane as usize * words..][..words];
-            bits.iter().any(|&w| w != 0)
-        });
+            if bits.iter().any(|&w| w != 0) {
+                st.lanes.push(lane);
+            }
+        }
+        alive = st.since(start);
 
         for (arms, severity) in [(&p.confidence, false), (&p.severity, true)] {
             for k in alive.range() {
@@ -2882,20 +3508,27 @@ impl<M: ObjectModel> Batch<'_, M> {
                     None => alive,
                     Some(i) => st.select(alive, |st, lane| st.fired(lane as usize, i)),
                 };
-                let top = st.vals.len();
+                let top = st.top();
                 let col = ctx.eval(arm.expr, fr, reached, st);
                 // Take the numbers in one pass; settle the other lanes only
                 // if there is one.
                 let mut failed = false;
+                let numbers = matches!(col.kind, Kind::F64 | Kind::I64) && col.failed == 0;
                 for k in reached.range() {
                     let lane = st.lanes[k];
-                    match st.vals[col.at(lane)].as_ref().ok().and_then(Value::as_f64) {
-                        Some(x) => {
-                            let best = &mut st.best[lane as usize];
-                            *best = Some(best.map_or(x, |b| b.max(x)));
-                        }
-                        None => failed = true,
-                    }
+                    let x = match numbers {
+                        true if col.kind == Kind::F64 => f64::from_bits(st.nums[col.at(lane)]),
+                        true => st.nums[col.at(lane)] as i64 as f64,
+                        false => match st.f64_of(col, lane) {
+                            Some(x) => x,
+                            None => {
+                                failed = true;
+                                continue;
+                            }
+                        },
+                    };
+                    let best = &mut st.best[lane as usize];
+                    *best = Some(best.map_or(x, |b| b.max(x)));
                 }
                 if failed {
                     st.settle_lanes(reached, col, |v| match v.as_f64() {
@@ -2907,7 +3540,7 @@ impl<M: ObjectModel> Batch<'_, M> {
                     });
                     alive = st.select(alive, |st, lane| st.outcomes[lane as usize].is_ok());
                 }
-                st.vals.truncate(top);
+                st.cut(top);
             }
             for k in alive.range() {
                 let lane = st.lanes[k] as usize;
@@ -3006,7 +3639,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let fr = self.body_frame(1, slots, st);
         st.lanes.push(0);
         let col = self.eval(body, fr, Sel { start: 0, len: 1 }, st);
-        st.vals[col.at(0)].clone()
+        st.get(col, 0)
     }
 
     /// The checks of a helper call with `n_args` arguments, before its body
@@ -3028,8 +3661,9 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     /// a column holding, for every lane of `sel`, the node's value or the
     /// first error evaluating it met on that lane — tagged, as it bubbles
     /// out, with the deepest node span that saw it (mirroring the
-    /// interpreter's `eval` wrapper). Columns the node pushed above its
-    /// result are popped; the result stays until the caller pops it.
+    /// interpreter's `eval` wrapper). The lanes the node pushed besides its
+    /// result are popped, its result moved down over them; the result stays
+    /// until the caller pops it.
     fn eval(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
         if sel.len == 0 {
             // Nothing reaches the node: nothing to read from the result.
@@ -3064,15 +3698,15 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         if st.hoisted[cell].is_none() {
             st.cache_misses += 1;
             hits -= 1;
-            let (top, lanes) = (st.vals.len(), st.lanes.len());
+            let (top, lanes) = (st.top(), st.lanes.len());
             st.lanes.push(st.lanes[sel.start as usize]);
             let first = Sel {
                 start: lanes as u32,
                 len: 1,
             };
             let col = self.eval_inner(node, fr, first, st);
-            let kept = st.vals[col.at(st.lanes[lanes])].clone();
-            st.vals.truncate(top);
+            let kept = st.get(col, st.lanes[lanes]);
+            st.cut(top);
             st.lanes.truncate(lanes);
             st.hoisted[cell] = Some(kept);
         }
@@ -3088,18 +3722,10 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     /// property bodies, whose slot 0 holds the subject.
     #[inline(never)]
     fn eval_kept(&self, cell: u32, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
-        // Every lane of the frame, in order: the column is pushed as it is
-        // answered, not made first and overwritten.
-        let whole = sel.len == fr.width;
-        let out = match whole {
-            true => Col {
-                base: st.vals.len() as u32,
-                stride: 1,
-            },
-            false => st.push_col(fr.width),
-        };
+        let top = st.top();
+        let mut out = Col::new(fr.width);
         let start = st.lanes.len();
-        self.answer_kept(cell, fr, sel, out, whole, st);
+        self.answer_kept(cell, fr, sel, &mut out, st);
         let mut missed = st.since(start);
         let group = match cell & RUN_CELL {
             0 => NO_CELL,
@@ -3108,7 +3734,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         if missed.len > 0 && group != NO_CELL {
             self.fill_group(group, node, fr, missed, st);
             let again = st.lanes.len();
-            self.answer_kept(cell, fr, missed, out, false, st);
+            self.answer_kept(cell, fr, missed, &mut out, st);
             missed = st.since(again);
         }
         if missed.len > 0 {
@@ -3116,38 +3742,38 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             let mut kept = self.kept.borrow_mut();
             for k in missed.range() {
                 let lane = st.lanes[k];
-                let v = st.vals[col.at(lane)].clone();
-                if let (Some(row), Ok(v)) = (self.row_of(&mut kept, fr, lane, st), &v) {
-                    *kept.at(row, cell) = Some(v.clone());
+                if st.err(col, lane).is_none() {
+                    if let Some(row) = self.row_of(&mut kept, fr, lane, st) {
+                        kept.fill(row, cell, st.value(col, lane));
+                    }
                 }
-                st.vals[out.at(lane)] = v;
+            }
+            if out.kind == Kind::Empty {
+                // No lane was answered: the evaluated column is the answer.
+                out = col;
+            } else {
+                for k in missed.range() {
+                    let lane = st.lanes[k];
+                    st.copy_lane(col, lane, &mut out, lane, Span::default());
+                }
             }
         }
-        st.pop_above(out, fr.width);
         st.lanes.truncate(start);
-        out
+        st.keep(top, out)
     }
 
-    /// Answer the lanes of `sel` whose cell holds a value into `out`, and
-    /// push the others onto the lanes. `push`: `out` is the top of the
-    /// stack and `sel` every lane of the frame, in order — each lane's
-    /// answer is pushed, `Null` for one not answered.
-    fn answer_kept(&self, cell: u32, fr: Frame, sel: Sel, out: Col, push: bool, st: &mut Scratch) {
+    /// Answer the lanes of `sel` whose cell holds a value into `out` — a
+    /// number or an object copied into its lane — and push the others onto
+    /// the lanes.
+    fn answer_kept(&self, cell: u32, fr: Frame, sel: Sel, out: &mut Col, st: &mut Scratch) {
         let mut kept = self.kept.borrow_mut();
         let missed = st.lanes.len();
         for k in sel.range() {
             let lane = st.lanes[k];
             let row = self.row_of(&mut kept, fr, lane, st);
-            let v = match row.and_then(|row| kept.at(row, cell).as_ref()) {
-                Some(v) => Ok(v.clone()),
-                None => {
-                    st.lanes.push(lane);
-                    Ok(Value::Null)
-                }
-            };
-            match push {
-                true => st.vals.push(v),
-                false => st.vals[out.at(lane)] = v,
+            match row.and_then(|row| kept.get(row, cell)) {
+                Some(v) => st.put_ref(out, lane, v),
+                None => st.lanes.push(lane),
             }
         }
         let misses = (st.lanes.len() - missed) as u64;
@@ -3159,8 +3785,8 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     /// is not an object. Sites are in property bodies: an element of a set
     /// construct is of the batch lane its owners lead up to, whose subject
     /// is the body frame's slot 0 (a site may read the subject through a
-    /// LET only, so the element's frame need not hold it). A batch lane
-    /// remembers its row ([`Kept::lanes`]).
+    /// LET only, so the element's frame need not hold it). The rows of a
+    /// batch's lanes are bound once, by its first site ([`Kept::bind`]).
     fn row_of(&self, kept: &mut Kept, fr: Frame, lane: u32, st: &Scratch) -> Option<u32> {
         let (mut frame, mut lane) = (fr.id, lane);
         while frame != 0 {
@@ -3168,40 +3794,11 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             lane = st.lanes[(rec.owners + lane) as usize];
             frame = rec.parent;
         }
-        let lane = lane as usize;
-        let batch = kept.batch;
-        if let Some(&(_, row, seen)) = kept.lanes.get(lane) {
-            if seen == batch {
-                return Some(row);
-            }
+        if kept.bound != kept.batch {
+            kept.bind(st.regs[0], st);
         }
-        let Ok(Value::Obj(s)) = &st.vals[st.regs[0].at(lane as u32)] else {
-            return None;
-        };
-        let row = match kept.lanes.get(lane) {
-            Some((known, row, _)) if known == s => {
-                let row = *row;
-                kept.refresh(row)
-            }
-            _ => {
-                let row = kept.row(s);
-                if lane >= kept.lanes.len() {
-                    let index = u32::MAX;
-                    let unknown = (
-                        ObjRef {
-                            class: s.class,
-                            index,
-                        },
-                        0,
-                        batch.wrapping_sub(1),
-                    );
-                    kept.lanes.resize(lane + 1, unknown);
-                }
-                row
-            }
-        };
-        kept.lanes[lane] = (s.clone(), row, batch);
-        Some(row)
+        let row = kept.lists[kept.list].rows[lane as usize];
+        (row != NONE).then_some(row)
     }
 
     /// Fill the run cells of every member of sum group `group` for the
@@ -3224,6 +3821,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             unreachable!("sum groups are over indexed filters");
         };
         let group = &self.plan.groups[group as usize];
+        let top = st.top();
         let objs = self.eval(*obj, fr, sel, st);
         let keys = self.eval(*key, fr, sel, st);
         let mut kept = self.kept.borrow_mut();
@@ -3233,13 +3831,13 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             let Some(row) = self.row_of(&mut kept, fr, lane, st) else {
                 continue;
             };
-            let (Ok(Value::Obj(o)), Ok(key)) = (&st.vals[objs.at(lane)], &st.vals[keys.at(lane)])
-            else {
+            let (Some(o), None) = (st.obj_of(objs, lane), st.err(keys, lane)) else {
                 continue;
             };
+            let key = st.value(keys, lane);
             let filter = SetFilter {
                 elem_attr,
-                key,
+                key: &key,
                 among: None,
             };
             sums.clear();
@@ -3256,12 +3854,14 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             if let Some(Ok(())) = answered {
                 for (cell, sum) in group.members.iter().zip(sums.drain(..)) {
                     if let Ok(v) = sum.finish() {
-                        *kept.at(row, RUN_CELL | cell) = Some(v);
+                        kept.fill(row, RUN_CELL | cell, v);
                     }
                 }
             }
         }
         kept.sums = sums;
+        drop(kept);
+        st.cut(top);
     }
 
     fn eval_inner(&self, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) -> Col {
@@ -3301,76 +3901,58 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             Ir::Cached { cache, expr } => self.cached(*cache, *expr, fr, sel, st, span),
             Ir::Call { func, args } => self.call(*func as usize, args, fr, sel, st, span),
             Ir::CallUnknown { name, args } => {
-                let out = st.push_col(fr.width);
+                let top = st.top();
+                let mut out = Col::new(fr.width);
                 let mut alive = sel;
                 for a in args.iter() {
                     let col = self.eval(*a, fr, alive, st);
-                    alive = st.settle(col, alive, out, span);
+                    alive = st.settle(col, alive, &mut out, span);
                 }
                 for k in alive.range() {
                     let lane = st.lanes[k];
-                    st.vals[out.at(lane)] = Err(EvalError::new(
+                    let e = EvalError::new(
                         EvalErrorKind::Unknown,
                         format!("unknown function `{}`", self.cs.strings[*name as usize]),
-                    )
-                    .or_span(span));
+                    );
+                    st.fail(&mut out, lane, e.or_span(span));
                 }
-                st.pop_above(out, fr.width);
-                out
+                st.keep(top, out)
             }
             Ir::MinMax { is_max, args } => self.min_max(*is_max, args, fr, sel, st, span),
             Ir::SetComp { .. } => {
-                let out = st.push_col(fr.width);
-                self.comp_members(node, Members::Set, fr, sel, out, st);
-                st.pop_above(out, fr.width);
-                out
+                let top = st.top();
+                let mut out = Col::new(fr.width);
+                self.comp_members(node, Members::Set, fr, sel, &mut out, st);
+                st.keep(top, out)
             }
             Ir::Unique(inner) => {
-                let out = st.push_col(fr.width);
-                self.members(
-                    *inner,
-                    Members::Unique,
-                    "UNIQUE applied to",
-                    fr,
-                    sel,
-                    out,
-                    st,
-                );
-                self.tag(out, sel, span, st);
-                st.pop_above(out, fr.width);
-                out
+                let top = st.top();
+                let mut out = Col::new(fr.width);
+                let how = Members::Unique;
+                self.members(*inner, how, "UNIQUE applied to", fr, sel, &mut out, st);
+                st.tag(out, sel, span);
+                st.keep(top, out)
             }
             Ir::CountSet(inner) => {
-                let out = st.push_col(fr.width);
-                self.members(*inner, Members::Count, "COUNT applied to", fr, sel, out, st);
-                self.tag(out, sel, span, st);
-                st.pop_above(out, fr.width);
-                out
+                let top = st.top();
+                let mut out = Col::new(fr.width);
+                let how = Members::Count;
+                self.members(*inner, how, "COUNT applied to", fr, sel, &mut out, st);
+                st.tag(out, sel, span);
+                st.keep(top, out)
             }
             Ir::Aggregate { .. } => self.aggregate(node, fr, sel, st),
             Ir::Quantifier { .. } => self.quantifier(node, fr, sel, st),
             Ir::FilterEq { .. } => {
-                let out = st.push_col(fr.width);
-                let v = self.lend_filter(node, None, fr, sel, out, st);
-                self.fold_members(v, None, Members::Set, sel, out, st);
-                st.pop_above(out, fr.width);
-                out
+                let top = st.top();
+                let mut out = Col::new(fr.width);
+                let v = self.lend_filter(node, None, fr, sel, &mut out, st);
+                self.fold_members(v, None, Members::Set, sel, &mut out, st);
+                st.keep(top, out)
             }
         };
         st.lanes.truncate(lanes);
         col
-    }
-
-    /// Tag the errors `out` holds for `sel` with `span`, if they have none.
-    fn tag(&self, out: Col, sel: Sel, span: Span, st: &mut Scratch) {
-        for k in sel.range() {
-            let lane = st.lanes[k];
-            if let Err(e) = &mut st.vals[out.at(lane)] {
-                if e.span.is_none() && span != Span::default() {
-                    e.span = Some(span);
-                }
-            }
-        }
     }
 
     /// A node of one operand: `f` of its value, lane by lane — once, if
@@ -3384,31 +3966,31 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         span: Span,
         f: impl Fn(&Value) -> EvalResult<Value>,
     ) -> Col {
-        let out = st.push_col(fr.width);
+        let top = st.top();
         let v = self.eval(inner, fr, sel, st);
-        let apply = |r: &EvalResult<Value>| match r {
-            Ok(v) => f(v).map_err(|e| e.or_span(span)),
-            Err(e) => Err(e.clone().or_span(span)),
+        let apply = |st: &Scratch, lane| match st.err(v, lane) {
+            Some(e) => Err(e.clone().or_span(span)),
+            None => f(&st.value(v, lane)).map_err(|e| e.or_span(span)),
         };
-        if v.stride == 0 {
-            let r = apply(&st.vals[v.base as usize]);
-            st.vals[out.base as usize] = r;
-            st.pop_above(out, fr.width);
-            return Col {
-                base: out.base,
-                stride: 0,
-            };
+        if v.len == 1 {
+            let r = apply(st, 0);
+            st.cut(top);
+            return st.push_one(r);
         }
+        let mut out = Col::new(fr.width);
         for k in sel.range() {
             let lane = st.lanes[k];
-            st.vals[out.at(lane)] = apply(&st.vals[v.at(lane)]);
+            let r = apply(st, lane);
+            st.put(&mut out, lane, r);
         }
-        st.pop_above(out, fr.width);
-        out
+        st.keep(top, out)
     }
 
     /// A strict binary operator: the right operand runs on the lanes where
-    /// the left one did not fail.
+    /// the left one did not fail. Numbers run through the scalar kernels
+    /// of [`ops`] straight from and into their unboxed lanes; whatever the
+    /// kernels leave open, and operands of other kinds, through
+    /// [`ops::binary_strict`].
     #[allow(clippy::too_many_arguments)]
     fn strict(
         &self,
@@ -3420,29 +4002,36 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         st: &mut Scratch,
         span: Span,
     ) -> Col {
-        let out = st.push_col(fr.width);
+        let top = st.top();
+        let mut out = Col::new(fr.width);
         let l = self.eval(lhs, fr, sel, st);
-        let right = st.settle(l, sel, out, span);
+        let right = st.settle(l, sel, &mut out, span);
         let r = self.eval(rhs, fr, right, st);
-        let apply = |l: &EvalResult<Value>, r: &EvalResult<Value>| match (l, r) {
-            (Ok(l), Ok(r)) => ops::binary_strict(op, l, r).map_err(|e| e.or_span(span)),
-            (_, Err(e)) | (Err(e), _) => Err(e.clone().or_span(span)),
+        let both = st.settle(r, right, &mut out, span);
+        let general = |st: &Scratch, lane| {
+            ops::binary_strict(op, &st.value(l, lane), &st.value(r, lane))
+                .map_err(|e| e.or_span(span))
         };
-        if l.stride == 0 && r.stride == 0 && right.len > 0 {
-            let v = apply(&st.vals[l.base as usize], &st.vals[r.base as usize]);
-            st.vals[out.base as usize] = v;
-            st.pop_above(out, fr.width);
-            return Col {
-                base: out.base,
-                stride: 0,
-            };
+        if l.len == 1 && r.len == 1 && both.len > 0 {
+            let v = general(st, 0);
+            st.cut(top);
+            return st.push_one(v);
         }
-        for k in right.range() {
+        for k in both.range() {
             let lane = st.lanes[k];
-            st.vals[out.at(lane)] = apply(&st.vals[l.at(lane)], &st.vals[r.at(lane)]);
+            let kernel = match (st.num_of(l, lane), st.num_of(r, lane)) {
+                (Some(a), Some(b)) => ops::numeric_binary(op, a, b),
+                _ => None,
+            };
+            match kernel {
+                Some(s) => st.put_scalar(&mut out, lane, s),
+                None => {
+                    let v = general(st, lane);
+                    st.put(&mut out, lane, v);
+                }
+            }
         }
-        st.pop_above(out, fr.width);
-        out
+        st.keep(top, out)
     }
 
     /// `AND`/`OR`: the right operand runs on the lanes the left one did
@@ -3463,30 +4052,35 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         } else {
             ("OR", true)
         };
-        let out = st.push_col(fr.width);
-        let truth = |r: &EvalResult<Value>| match r {
-            Ok(Value::Bool(b)) => Ok(*b),
-            Ok(v) => Err(ops::type_err(word, v).or_span(span)),
-            Err(e) => Err(e.clone().or_span(span)),
+        let truth = |st: &Scratch, col: Col, lane| match st.bool_of(col, lane) {
+            Some(b) => Ok(b),
+            None => Err(match st.err(col, lane) {
+                Some(e) => e.clone().or_span(span),
+                None => ops::type_err(word, &st.value(col, lane)).or_span(span),
+            }),
         };
+        let top = st.top();
+        let mut out = Col::new(fr.width);
         let l = self.eval(lhs, fr, sel, st);
         let start = st.lanes.len();
         for k in sel.range() {
             let lane = st.lanes[k];
-            match truth(&st.vals[l.at(lane)]) {
-                Ok(b) if b == decides => st.vals[out.at(lane)] = Ok(Value::Bool(b)),
+            match truth(st, l, lane) {
+                Ok(b) if b == decides => st.put_num(&mut out, lane, Kind::Bool, u64::from(b)),
                 Ok(_) => st.lanes.push(lane),
-                Err(e) => st.vals[out.at(lane)] = Err(e),
+                Err(e) => st.fail(&mut out, lane, e),
             }
         }
         let right = st.since(start);
         let r = self.eval(rhs, fr, right, st);
         for k in right.range() {
             let lane = st.lanes[k];
-            st.vals[out.at(lane)] = truth(&st.vals[r.at(lane)]).map(Value::Bool);
+            match truth(st, r, lane) {
+                Ok(b) => st.put_num(&mut out, lane, Kind::Bool, u64::from(b)),
+                Err(e) => st.fail(&mut out, lane, e),
+            }
         }
-        st.pop_above(out, fr.width);
-        out
+        st.keep(top, out)
     }
 
     /// A loop-invariant cell of the construct entry each lane is in: the
@@ -3501,7 +4095,8 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         st: &mut Scratch,
         span: Span,
     ) -> Col {
-        let out = st.push_col(fr.width);
+        let top = st.top();
+        let mut out = Col::new(fr.width);
         // Each lane's cell, then the first lane of each empty one.
         let cells = st.lanes.len();
         for k in sel.range() {
@@ -3529,14 +4124,13 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         for (j, k) in sel.range().enumerate() {
             let (lane, cell) = (st.lanes[k], st.lanes[cells + j] as usize);
             if filling.is_some_and(|f| st.lanes[f] == lane) {
-                st.caches[cell] = Some(st.vals[col.at(lane)].clone());
+                st.caches[cell] = Some(st.get(col, lane));
                 filling = next.next();
             }
             let kept = st.caches[cell].clone().expect("filled above");
-            st.vals[out.at(lane)] = kept.map_err(|e| e.or_span(span));
+            st.put(&mut out, lane, kept.map_err(|e| e.or_span(span)));
         }
-        st.pop_above(out, fr.width);
-        out
+        st.keep(top, out)
     }
 
     /// Where cache cell `cache` of `lane` is: with the entry of the
@@ -3574,7 +4168,8 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         span: Span,
     ) -> Col {
         let f = &self.cs.functions[fid];
-        let out = st.push_col(fr.width);
+        let top = st.top();
+        let mut out = Col::new(fr.width);
         let regs = st.regs.len();
         st.regs
             .resize(regs + f.n_slots.max(args.len()), Col::default());
@@ -3582,7 +4177,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         for (i, a) in args.iter().enumerate() {
             let col = self.eval(*a, fr, alive, st);
             st.regs[regs + i] = col;
-            alive = st.settle(col, alive, out, span);
+            alive = st.settle(col, alive, &mut out, span);
         }
         let entered = self.enter_call(f, args.len()).and_then(|()| {
             if st.depth >= MAX_CALL_DEPTH {
@@ -3597,48 +4192,43 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             Err(e) => {
                 for k in alive.range() {
                     let lane = st.lanes[k];
-                    st.vals[out.at(lane)] = Err(e.clone().or_span(span));
+                    st.fail(&mut out, lane, e.clone().or_span(span));
                 }
             }
             Ok(()) if alive.len > 0 => {
                 st.regs.truncate(regs + f.n_slots);
                 let frames = st.frames.len();
                 let callee = self.body_frame(fr.width, f.n_slots, st);
+                let args_made = st.top();
                 st.depth += 1;
-                let body = self.eval(f.body, callee, alive, st);
+                let mut body = self.eval(f.body, callee, alive, st);
                 st.depth -= 1;
                 st.frames.truncate(frames);
                 st.regs.truncate(regs);
-                if body.stride == 1 && body.base > out.base {
+                if body.len == fr.width && st.made_since(args_made, body) {
                     // A column the call made: its answer, with the lanes
                     // that failed before the body ran.
-                    self.tag(body, alive, span, st);
-                    if alive.len < sel.len {
+                    st.tag(body, alive, span);
+                    if out.failed > 0 {
                         for k in sel.range() {
                             let lane = st.lanes[k];
-                            if st.vals[out.at(lane)].is_err() {
-                                let failed =
-                                    std::mem::replace(&mut st.vals[out.at(lane)], Ok(Value::Null));
-                                st.vals[body.at(lane)] = failed;
+                            if let Some(e) = st.err(out, lane) {
+                                let e = e.clone();
+                                st.fail(&mut body, lane, e);
                             }
                         }
                     }
-                    return body;
+                    return st.keep(top, body);
                 }
                 for k in alive.range() {
                     let lane = st.lanes[k];
-                    let v = match &st.vals[body.at(lane)] {
-                        Ok(v) => Ok(v.clone()),
-                        Err(e) => Err(e.clone().or_span(span)),
-                    };
-                    st.vals[out.at(lane)] = v;
+                    st.copy_lane(body, lane, &mut out, lane, span);
                 }
             }
             Ok(()) => {}
         }
         st.regs.truncate(regs);
-        st.pop_above(out, fr.width);
-        out
+        st.keep(top, out)
     }
 
     /// The n-ary `MAX(a, b, …)` / `MIN(a, b, …)` builtin.
@@ -3652,22 +4242,22 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         st: &mut Scratch,
         span: Span,
     ) -> Col {
-        let out = st.push_col(fr.width);
+        let top = st.top();
+        let mut out = Col::new(fr.width);
         let cols = st.regs.len();
         let mut alive = sel;
         for a in args.iter() {
             let col = self.eval(*a, fr, alive, st);
             st.regs.push(col);
-            alive = st.settle(col, alive, out, span);
+            alive = st.settle(col, alive, &mut out, span);
         }
         for k in alive.range() {
             let lane = st.lanes[k];
             let mut best: Option<Value> = None;
             for &col in &st.regs[cols..] {
-                let v = st.vals[col.at(lane)].as_ref().expect("settled").clone();
-                best = ops::fold_builtin_minmax(is_max, best, v);
+                best = ops::fold_builtin_minmax(is_max, best, st.value(col, lane));
             }
-            st.vals[out.at(lane)] = best.ok_or_else(|| {
+            let r = best.ok_or_else(|| {
                 let word = if is_max { "MAX" } else { "MIN" };
                 EvalError::new(
                     EvalErrorKind::Type,
@@ -3675,16 +4265,16 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 )
                 .or_span(span)
             });
+            st.put(&mut out, lane, r);
         }
         st.regs.truncate(cols);
-        st.pop_above(out, fr.width);
-        out
+        st.keep(top, out)
     }
 
     /// The members of the set `node` evaluates to, for a consumer that
-    /// only looks at them (`UNIQUE`, `COUNT`). A comprehension hands over
-    /// the elements it keeps without collecting them: its predicates run
-    /// in the same order either way.
+    /// only looks at them (`UNIQUE`, `COUNT`), into `out`. A comprehension
+    /// hands over the elements it keeps without collecting them: its
+    /// predicates run in the same order either way.
     #[allow(clippy::too_many_arguments)]
     fn members(
         &self,
@@ -3693,7 +4283,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         not_a_set: &str,
         fr: Frame,
         sel: Sel,
-        out: Col,
+        out: &mut Col,
         st: &mut Scratch,
     ) {
         let (comp, filter) = match self.cs.nodes[node as usize] {
@@ -3702,8 +4292,11 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             _ => (false, false),
         };
         let lent = self.cell[node as usize] == NO_CELL;
-        if lent && (comp || filter) && self.count_members(node, how, fr, sel, out, st) {
-            return;
+        if lent && (comp || filter) {
+            if let Some(counted) = self.count_members(node, how, fr, sel, st) {
+                *out = counted;
+                return;
+            }
         }
         if lent && comp {
             return self.comp_members(node, how, fr, sel, out, st);
@@ -3715,23 +4308,20 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     /// `COUNT`/`UNIQUE` (`how`) of an indexed filter — or of a
     /// comprehension over one whose predicate is a second key — as the data
     /// source counts it ([`ObjectModel::count_set`]): no element is lent.
-    /// False where the source does not answer every lane of `sel`, or a
-    /// lane has no object or key to ask it with; what it wrote into `out`
-    /// is then overwritten by the visit.
-    #[allow(clippy::too_many_arguments)]
+    /// `None`, with nothing left pushed, where the source does not answer
+    /// every lane of `sel`, or a lane has no object or key to ask it with.
     fn count_members(
         &self,
         node: NodeRef,
         how: Members,
         fr: Frame,
         sel: Sel,
-        out: Col,
         st: &mut Scratch,
-    ) -> bool {
+    ) -> Option<Col> {
         let (source, among) = match &self.cs.nodes[node as usize] {
             Ir::SetComp { source, .. } => match self.second_key_of(node) {
                 Some(among) if self.cell[*source as usize] == NO_CELL => (*source, Some(among)),
-                _ => return false,
+                _ => return None,
             },
             _ => (node, None),
         };
@@ -3743,39 +4333,48 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             ..
         } = &self.cs.nodes[source as usize]
         else {
-            return false;
+            return None;
         };
+        let top = st.top();
         let objs = self.eval(*obj, fr, sel, st);
         let keys = self.eval(*key, fr, sel, st);
+        let mut out = Col::new(fr.width);
         for k in sel.range() {
             let lane = st.lanes[k];
-            let (Ok(Value::Obj(o)), Ok(key)) = (&st.vals[objs.at(lane)], &st.vals[keys.at(lane)])
-            else {
-                return false;
+            let counted = match (st.obj_of(objs, lane), st.err(keys, lane)) {
+                (Some(o), None) => {
+                    let key = st.value(keys, lane);
+                    let filter = SetFilter {
+                        elem_attr,
+                        key: &key,
+                        among,
+                    };
+                    self.data.count_set(o, set_attr, filter)
+                }
+                _ => None,
             };
-            let filter = SetFilter {
-                elem_attr,
-                key,
-                among,
-            };
-            st.vals[out.at(lane)] = match self.data.count_set(o, set_attr, filter) {
+            let r = match counted {
                 Some(Ok((1, Some(only)))) if matches!(how, Members::Unique) => Ok(Value::Obj(only)),
                 Some(Ok((n, first))) => how.finish(n, first.map(Value::Obj), None),
-                _ => return false,
+                _ => {
+                    st.cut(top);
+                    return None;
+                }
             };
+            st.put(&mut out, lane, r);
         }
-        true
+        Some(st.keep(top, out))
     }
 
     /// The members the comprehension `comp` keeps, per lane, as `how`
-    /// wants them.
+    /// wants them, into `out`.
     fn comp_members(
         &self,
         comp: NodeRef,
         how: Members,
         fr: Frame,
         sel: Sel,
-        out: Col,
+        out: &mut Col,
         st: &mut Scratch,
     ) {
         let Ir::SetComp {
@@ -3787,10 +4386,10 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let among = self.second_key_of(comp);
         let v = self.visit(*source, among, "comprehension source is", fr, sel, out, st);
         let comp_span = self.cs.spans[comp as usize];
-        self.tag(out, sel, comp_span, st);
+        st.tag(*out, sel, comp_span);
         let marks = st.marks();
         let child = self.open(comp, *slot, fr, v, st);
-        let tested = self.elements(v, out, |selected| !selected, st);
+        let tested = self.elements(v, |selected| !selected, st);
         let tests = self.eval(*pred, child, tested, st);
         st.close(marks);
         let spans = [self.cs.spans[*source as usize], comp_span];
@@ -3808,65 +4407,69 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         tests: Option<(Col, [Span; 2])>,
         how: Members,
         sel: Sel,
-        out: Col,
+        out: &mut Col,
         st: &mut Scratch,
     ) {
+        let n = v.elems.len;
         let mut e = 0;
         for k in sel.range() {
             let lane = st.lanes[k];
-            let selected = match &st.vals[out.at(lane)] {
-                Err(_) => continue,
-                Ok(flag) => matches!(flag, Value::Bool(true)),
-            };
+            if st.err(*out, lane).is_some() {
+                continue;
+            }
+            let selected = v.selected(lane, st);
             let mut items = matches!(how, Members::Set).then(Vec::new);
-            let (mut n, mut first, mut err) = (0usize, None, None);
-            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+            let (mut count, mut first, mut err) = (0usize, None, None);
+            while e < n && v.owner(e, st) == lane {
                 let keep = match tests {
-                    Some((tests, _)) if err.is_none() && !selected => match &st.vals[tests.at(e)] {
-                        Ok(Value::Bool(b)) => Ok(*b),
-                        Ok(_) => Err(EvalError::new(
-                            EvalErrorKind::Type,
-                            "comprehension predicate is not boolean",
-                        )),
-                        Err(x) => Err(x.clone()),
+                    Some((tests, _)) if err.is_none() && !selected => match st.err(tests, e) {
+                        Some(x) => Err(x.clone()),
+                        None => st.bool_of(tests, e).ok_or_else(|| {
+                            EvalError::new(
+                                EvalErrorKind::Type,
+                                "comprehension predicate is not boolean",
+                            )
+                        }),
                     },
                     _ => Ok(err.is_none()),
                 };
                 match keep {
                     Ok(true) => {
-                        let item = st.vals[(v.elems + e) as usize]
-                            .as_ref()
-                            .expect("an element");
                         if let Some(items) = &mut items {
-                            items.push(item.clone());
-                        } else if n == 0 {
-                            first = Some(item.clone());
+                            items.push(st.value(v.elems, e));
+                        } else if count == 0 {
+                            first = Some(st.value(v.elems, e));
                         }
-                        n += 1;
+                        count += 1;
                     }
                     Ok(false) => {}
                     Err(x) => err = Some(x),
                 }
                 e += 1;
             }
-            st.vals[out.at(lane)] = match err {
+            let r = match err {
                 Some(x) => {
                     let [source, comp] = tests.map_or([Span::default(); 2], |(_, spans)| spans);
                     Err(x.or_span(source).or_span(comp))
                 }
-                None => how.finish(n, first, items),
+                None => how.finish(count, first, items),
             };
+            st.put(out, lane, r);
         }
     }
 
-    /// Select the elements of `v` whose lane's flag in `out` `wants`
-    /// (given whether the data source selected them).
-    fn elements(&self, v: Visit, out: Col, wants: impl Fn(bool) -> bool, st: &mut Scratch) -> Sel {
+    /// Select the elements of `v` whose lane `wants` them (given whether
+    /// the data source selected them).
+    fn elements(&self, v: Visit, wants: impl Fn(bool) -> bool, st: &mut Scratch) -> Sel {
         let start = st.lanes.len();
-        for e in 0..v.n {
-            let owner = st.lanes[(v.owners + e) as usize];
-            let selected = matches!(st.vals[out.at(owner)], Ok(Value::Bool(true)));
-            if wants(selected) {
+        if v.selected == NONE {
+            if wants(false) {
+                st.lanes.extend(0..v.elems.len);
+            }
+            return st.since(start);
+        }
+        for e in 0..v.elems.len {
+            if wants(v.selected(v.owner(e, st), st)) {
                 st.lanes.push(e);
             }
         }
@@ -3892,32 +4495,28 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         if let Some(col) = self.fold_attr(node, fr, sel, st) {
             return col;
         }
-        let out = st.push_col(fr.width);
+        let top = st.top();
+        let mut out = Col::new(fr.width);
         let among = self.second_key_of(node);
-        let v = self.visit(*source, among, "aggregate source is", fr, sel, out, st);
+        let v = self.visit(*source, among, "aggregate source is", fr, sel, &mut out, st);
+        let n = v.elems.len;
         let marks = st.marks();
         let child = self.open(node, *slot, fr, v, st);
         // A predicate the data source applied on every lane does not run.
-        let untested = |st: &Scratch| {
-            let flag = |k: usize| &st.vals[out.at(st.lanes[k])];
-            sel.range()
-                .any(|k| matches!(flag(k), Ok(Value::Bool(false))))
-        };
-        let tests = pred.filter(|_| untested(st)).map(|p| {
-            let tested = self.elements(v, out, |selected| !selected, st);
+        let untested = sel.range().any(|k| {
+            let lane = st.lanes[k];
+            st.err(out, lane).is_none() && !v.selected(lane, st)
+        });
+        let tests = pred.filter(|_| untested).map(|p| {
+            let tested = self.elements(v, |selected| !selected, st);
             self.eval(p, child, tested, st)
         });
         let start = st.lanes.len();
         match tests {
-            None => st.lanes.extend(0..v.n),
+            None => st.lanes.extend(0..n),
             Some(tests) => {
-                for e in 0..v.n {
-                    let owner = st.lanes[(v.owners + e) as usize];
-                    let keep = match &st.vals[out.at(owner)] {
-                        Ok(Value::Bool(true)) => true,
-                        _ => matches!(st.vals[tests.at(e)], Ok(Value::Bool(true))),
-                    };
-                    if keep {
+                for e in 0..n {
+                    if v.selected(v.owner(e, st), st) || st.bool_of(tests, e) == Some(true) {
                         st.lanes.push(e);
                     }
                 }
@@ -3927,43 +4526,44 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let values = self.eval(*value, child, kept, st);
         st.close(marks);
 
+        let source_span = self.cs.spans[*source as usize];
         let mut e = 0;
         for k in sel.range() {
             let lane = st.lanes[k];
-            let selected = match &st.vals[out.at(lane)] {
-                Err(_) => continue,
-                Ok(flag) => matches!(flag, Value::Bool(true)),
-            };
+            if st.err(out, lane).is_some() {
+                continue;
+            }
+            let selected = v.selected(lane, st);
             let mut agg = ops::Aggregator::new(*op);
             let mut err = None;
-            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+            while e < n && v.owner(e, st) == lane {
                 if err.is_none() {
                     let test = match tests {
-                        Some(tests) if !selected => st.vals[tests.at(e)]
-                            .as_ref()
-                            .map(|t| t.as_bool().unwrap_or(false)),
+                        Some(tests) if !selected => match st.err(tests, e) {
+                            Some(x) => Err(x.clone()),
+                            None => Ok(st.bool_of(tests, e).unwrap_or(false)),
+                        },
                         _ => Ok(true),
                     };
                     match test {
-                        Ok(true) => match &st.vals[values.at(e)] {
-                            Ok(x) => agg.push(x.clone()),
-                            Err(x) => err = Some(x.clone()),
+                        Ok(true) => match st.err(values, e) {
+                            Some(x) => err = Some(x.clone()),
+                            None => agg.push(st.value(values, e)),
                         },
                         Ok(false) => {}
-                        Err(x) => err = Some(x.clone()),
+                        Err(x) => err = Some(x),
                     }
                 }
                 e += 1;
             }
-            let source_span = self.cs.spans[*source as usize];
-            st.vals[out.at(lane)] = match err {
+            let r = match err {
                 Some(x) => Err(x.or_span(source_span)),
                 None => agg.finish(),
             };
+            st.put(&mut out, lane, r);
         }
-        self.tag(out, sel, self.cs.spans[node as usize], st);
-        st.pop_above(out, fr.width);
-        out
+        st.tag(out, sel, self.cs.spans[node as usize]);
+        st.keep(top, out)
     }
 
     /// An aggregate of a binder attribute over an indexed filter, its
@@ -4003,17 +4603,19 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         if !answered || !of_binder || self.cell[*source as usize] != NO_CELL {
             return None;
         }
-        let out = st.push_col(fr.width);
+        let top = st.top();
         let objs = self.eval(*obj, fr, sel, st);
         let keys = self.eval(*key, fr, sel, st);
+        let mut out = Col::new(fr.width);
         for k in sel.range() {
             let lane = st.lanes[k];
             let mut agg = ops::Aggregator::new(*op);
-            let folded = match (&st.vals[objs.at(lane)], &st.vals[keys.at(lane)]) {
-                (Ok(Value::Obj(o)), Ok(key)) => {
+            let folded = match (st.obj_of(objs, lane), st.err(keys, lane)) {
+                (Some(o), None) => {
+                    let key = st.value(keys, lane);
                     let filter = SetFilter {
                         elem_attr,
-                        key,
+                        key: &key,
                         among,
                     };
                     self.data
@@ -4022,14 +4624,13 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 _ => None,
             };
             if !matches!(folded, Some(Ok(()))) {
-                st.vals.truncate(out.base as usize);
+                st.cut(top);
                 return None;
             }
-            st.vals[out.at(lane)] = agg.finish();
+            st.put(&mut out, lane, agg.finish());
         }
-        self.tag(out, sel, self.cs.spans[node as usize], st);
-        st.pop_above(out, fr.width);
-        Some(out)
+        st.tag(out, sel, self.cs.spans[node as usize]);
+        Some(st.keep(top, out))
     }
 
     /// `FORALL`/`EXISTS`: the predicate over each lane's elements in
@@ -4047,59 +4648,63 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         else {
             unreachable!("quantifier is called on quantifier nodes only");
         };
-        let out = st.push_col(fr.width);
-        let v = self.visit(*source, None, "quantifier source is", fr, sel, out, st);
+        let top = st.top();
+        let mut out = Col::new(fr.width);
+        let v = self.visit(*source, None, "quantifier source is", fr, sel, &mut out, st);
+        let n = v.elems.len;
         let tests = pred.map(|p| {
-            let tests = st.push_col(v.n);
+            let mut tests = Col::new(n);
             let marks = st.marks();
             let child = self.open(node, *slot, fr, v, st);
-            self.decide(p, *forall, child, v, sel, tests, st);
+            self.decide(p, *forall, child, v, sel, &mut tests, st);
             st.close(marks);
             tests
         });
 
+        let source_span = self.cs.spans[*source as usize];
         let mut e = 0;
         for k in sel.range() {
             let lane = st.lanes[k];
-            if st.vals[out.at(lane)].is_err() {
+            if st.err(out, lane).is_some() {
                 continue;
             }
             let mut decided: EvalResult<Option<bool>> = Ok(None);
-            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+            while e < n && v.owner(e, st) == lane {
                 if let Ok(None) = decided {
                     let b = match tests {
-                        Some(tests) => st.vals[tests.at(e)]
-                            .as_ref()
-                            .map(|t| t.as_bool().unwrap_or(false)),
+                        Some(tests) => match st.err(tests, e) {
+                            Some(x) => Err(x.clone()),
+                            None => Ok(st.bool_of(tests, e).unwrap_or(false)),
+                        },
                         None => Ok(true),
                     };
                     decided = match b {
                         // FORALL ends at its first counterexample, EXISTS
                         // at its first witness.
                         Ok(b) => Ok((b != *forall).then_some(b)),
-                        Err(x) => Err(x.clone()),
+                        Err(x) => Err(x),
                     };
                 }
                 e += 1;
             }
-            let source_span = self.cs.spans[*source as usize];
-            st.vals[out.at(lane)] = match decided {
+            let r = match decided {
                 Ok(b) => Ok(Value::Bool(b.unwrap_or(*forall))),
                 Err(x) => Err(x.or_span(source_span)),
             };
+            st.put(&mut out, lane, r);
         }
-        self.tag(out, sel, self.cs.spans[node as usize], st);
-        st.pop_above(out, fr.width);
-        out
+        st.tag(out, sel, self.cs.spans[node as usize]);
+        st.keep(top, out)
     }
 
     /// Test the elements of `v` with a quantifier's predicate `pred` into
-    /// `tests`, in rounds: the first [`QUANTIFIER_ROUND`] elements of each
-    /// lane, then twice as many of each lane no element has decided yet —
-    /// by failing, or as a counterexample (`FORALL`) or witness (`EXISTS`)
-    /// — and so on. A lane decided early costs at most twice the elements
-    /// up to its deciding one, or the first round; the elements after it
-    /// are not tested, as evaluating the instance alone would not.
+    /// `tests` — a truth value or an error per element — in rounds: the
+    /// first [`QUANTIFIER_ROUND`] elements of each lane, then twice as many
+    /// of each lane no element has decided yet — by failing, or as a
+    /// counterexample (`FORALL`) or witness (`EXISTS`) — and so on. A lane
+    /// decided early costs at most twice the elements up to its deciding
+    /// one, or the first round; the elements after it are not tested, as
+    /// evaluating the instance alone would not.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         &self,
@@ -4108,9 +4713,10 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         child: Frame,
         v: Visit,
         sel: Sel,
-        tests: Col,
+        tests: &mut Col,
         st: &mut Scratch,
     ) {
+        let n = v.elems.len;
         // Per lane of `sel`: its next untested element and the end of its
         // elements — equal once the lane is decided.
         let cursors = st.lanes.len();
@@ -4118,7 +4724,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         for k in sel.range() {
             let lane = st.lanes[k];
             st.lanes.push(e);
-            while e < v.n && st.lanes[(v.owners + e) as usize] == lane {
+            while e < n && v.owner(e, st) == lane {
                 e += 1;
             }
             st.lanes.push(e);
@@ -4134,20 +4740,29 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             if tested.len == 0 {
                 break;
             }
-            let top = st.vals.len();
+            let top = st.top();
             let col = self.eval(pred, child, tested, st);
             for k in tested.range() {
                 let e = st.lanes[k];
-                st.vals[tests.at(e)] = st.vals[col.at(e)].clone();
+                match st.err(col, e) {
+                    Some(x) => {
+                        let x = x.clone();
+                        st.fail(tests, e, x);
+                    }
+                    None => {
+                        let b = st.bool_of(col, e).unwrap_or(false);
+                        st.put_num(tests, e, Kind::Bool, u64::from(b));
+                    }
+                }
             }
-            st.vals.truncate(top);
+            *tests = st.keep(top, *tests);
             st.lanes.truncate(start);
             for j in 0..sel.len as usize {
                 let (next, end) = (st.lanes[cursors + 2 * j], st.lanes[cursors + 2 * j + 1]);
                 let upto = end.min(next.saturating_add(round));
-                let decides = |e: u32| match &st.vals[tests.at(e)] {
-                    Ok(t) => t.as_bool().unwrap_or(false) != forall,
-                    Err(_) => true,
+                let decides = |e: u32| match st.bool_of(*tests, e) {
+                    Some(t) => t != forall,
+                    None => true,
                 };
                 let decided = (next..upto).any(decides);
                 st.lanes[cursors + 2 * j] = if decided { end } else { upto };
@@ -4169,24 +4784,12 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let gather = self.plan.gather[construct as usize];
         for s in 0..slot.min(fr.slots) {
             let col = st.regs[regs + s as usize];
-            if gather >> s.min(63) & 1 == 0 || col.stride == 0 {
+            if gather >> s.min(63) & 1 == 0 || col.len <= 1 {
                 continue;
             }
-            let base = st.vals.len();
-            for e in 0..v.n {
-                let owner = st.lanes[(v.owners + e) as usize];
-                let x = st.vals[col.at(owner)].clone();
-                st.vals.push(x);
-            }
-            st.regs[regs + s as usize] = Col {
-                base: base as u32,
-                stride: 1,
-            };
+            st.regs[regs + s as usize] = st.gather(col, v.owners, v.elems.len);
         }
-        st.regs[regs + slot as usize] = Col {
-            base: v.elems,
-            stride: 1,
-        };
+        st.regs[regs + slot as usize] = v.elems;
         let (Ir::SetComp { resets, .. }
         | Ir::Aggregate { resets, .. }
         | Ir::Quantifier { resets, .. }) = &self.cs.nodes[construct as usize]
@@ -4206,21 +4809,21 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         Frame {
             id: st.frames.len() as u32 - 1,
             regs: regs as u32,
-            width: v.n,
+            width: v.elems.len,
             slots: fr.slots,
         }
     }
 
     /// Lend each lane of `sel` the elements of the set `source` evaluates
-    /// to, in set order, and flag the lane in `out` — `Ok(true)` if the
-    /// data source applied the second key `among` (the elements satisfy
-    /// the construct's predicate), `Ok(false)` if not, its error if the
-    /// source failed on it. An attribute of the data source, filtered or
-    /// whole, is lent ([`ObjectModel::visit_set`]) instead of
-    /// materialized; anything else — and a source the plan keeps in a
-    /// cell — is evaluated to a set first. `not_a_set` starts the type
-    /// error for any other value. Errors are tagged with the source's
-    /// span, as if they came out of evaluating it.
+    /// to, in set order, and flag the lanes whose elements the data source
+    /// selected by the second key `among` (they satisfy the construct's
+    /// predicate); a lane the source failed on fails in `out`. An attribute
+    /// of the data source, filtered or whole, is lent
+    /// ([`ObjectModel::visit_set`]) instead of materialized; anything else
+    /// — and a source the plan keeps in a cell — is evaluated to a set
+    /// first. `not_a_set` starts the type error for any other value. Errors
+    /// are tagged with the source's span, as if they came out of evaluating
+    /// it.
     #[allow(clippy::too_many_arguments)]
     fn visit(
         &self,
@@ -4229,7 +4832,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         not_a_set: &str,
         fr: Frame,
         sel: Sel,
-        out: Col,
+        out: &mut Col,
         st: &mut Scratch,
     ) -> Visit {
         let span = self.cs.spans[source as usize];
@@ -4238,98 +4841,102 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
             Ir::FilterEq { .. } if lendable => self.lend_filter(source, among, fr, sel, out, st),
             Ir::Attr { base, attr } if lendable => {
                 let b = self.eval(*base, fr, sel, st);
-                let (elems, owners) = (st.vals.len(), st.lanes.len());
+                let owners = st.lanes.len() as u32;
+                let mut elems = Col::new(0);
                 for k in sel.range() {
                     let lane = st.lanes[k];
-                    let got = match &st.vals[b.at(lane)] {
-                        Ok(Value::Obj(obj)) => {
-                            let obj = obj.clone();
-                            match self.lend(lane, &obj, attr, None, st) {
-                                Some(lent) => {
-                                    st.vals[out.at(lane)] = lent
-                                        .map(|()| Value::Bool(false))
-                                        .map_err(|e| e.or_span(span));
+                    let got = match (st.err(b, lane), st.obj_of(b, lane).cloned()) {
+                        (Some(e), _) => Err(e.clone()),
+                        (None, Some(obj)) => {
+                            match self.lend(lane, &obj, attr, None, &mut elems, st) {
+                                Some(Ok(())) => continue,
+                                Some(Err(e)) => {
+                                    st.fail(out, lane, e.or_span(span));
                                     continue;
                                 }
                                 None => self.data.attr(&obj, attr),
                             }
                         }
-                        Ok(other) => ops::attr_on(self.data, other, attr),
-                        Err(e) => Err(e.clone()),
+                        (None, None) => ops::attr_on(self.data, &st.value(b, lane), attr),
                     };
-                    self.push_set(got, lane, not_a_set, out, span, st);
+                    self.push_set(got, lane, not_a_set, out, &mut elems, span, st);
                 }
-                self.visited(elems, owners, st)
+                Visit {
+                    elems,
+                    owners,
+                    selected: NONE,
+                }
             }
             _ => {
                 let set = self.eval(source, fr, sel, st);
-                let (elems, owners) = (st.vals.len(), st.lanes.len());
+                let owners = st.lanes.len() as u32;
+                let mut elems = Col::new(0);
                 for k in sel.range() {
                     let lane = st.lanes[k];
-                    let got = st.vals[set.at(lane)].clone();
-                    self.push_set(got, lane, not_a_set, out, span, st);
+                    let got = st.get(set, lane);
+                    self.push_set(got, lane, not_a_set, out, &mut elems, span, st);
                 }
-                self.visited(elems, owners, st)
+                Visit {
+                    elems,
+                    owners,
+                    selected: NONE,
+                }
             }
         }
     }
 
-    /// The [`Visit`] of the elements pushed since `elems` and `owners`.
-    fn visited(&self, elems: usize, owners: usize, st: &Scratch) -> Visit {
-        Visit {
-            elems: elems as u32,
-            owners: owners as u32,
-            n: (st.vals.len() - elems) as u32,
-        }
-    }
-
-    /// Push the members of a materialized set as `lane`'s elements.
+    /// Push the members of a materialized set as `lane`'s elements, or
+    /// fail the lane in `out`.
     #[allow(clippy::too_many_arguments)]
     fn push_set(
         &self,
         set: EvalResult<Value>,
         lane: u32,
         not_a_set: &str,
-        out: Col,
+        out: &mut Col,
+        elems: &mut Col,
         span: Span,
         st: &mut Scratch,
     ) {
-        st.vals[out.at(lane)] = match set {
+        let e = match set {
             Ok(Value::Set(items)) => {
                 for item in items.iter() {
-                    st.vals.push(Ok(item.clone()));
+                    st.push_lane(elems, item.clone());
                     st.lanes.push(lane);
                 }
-                Ok(Value::Bool(false))
+                return;
             }
-            Ok(v) => Err(EvalError::new(
+            Ok(v) => EvalError::new(
                 EvalErrorKind::Type,
                 format!("{not_a_set} {}", v.type_name()),
-            )
-            .or_span(span)),
-            Err(e) => Err(e.or_span(span)),
+            ),
+            Err(e) => e,
         };
+        st.fail(out, lane, e.or_span(span));
     }
 
     /// Lend `lane` what the data source lends of `obj.set_attr` under
-    /// `filter`; nothing stays pushed unless it lent all of it.
+    /// `filter`, onto `elems`; nothing stays pushed unless it lent all of
+    /// it.
     fn lend(
         &self,
         lane: u32,
         obj: &ObjRef,
         set_attr: &str,
         filter: Option<SetFilter<'_>>,
+        elems: &mut Col,
         st: &mut Scratch,
     ) -> Option<EvalResult<()>> {
-        let (elems, owners) = (st.vals.len(), st.lanes.len());
+        let (before, top, owners) = (*elems, st.top(), st.lanes.len());
         let lent = self.data.visit_set(obj, set_attr, filter, &mut |elem| {
-            st.vals.push(Ok(Value::Obj(elem)));
+            st.push_obj(elems, elem);
             st.lanes.push(lane);
             Ok(true)
         });
         if !matches!(lent, Some(Ok(()))) {
-            st.vals.truncate(elems);
+            st.cut(top);
             st.lanes.truncate(owners);
+            *elems = before;
         }
         lent
     }
@@ -4345,7 +4952,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         among: Option<(&str, &[Value])>,
         fr: Frame,
         sel: Sel,
-        out: Col,
+        out: &mut Col,
         st: &mut Scratch,
     ) -> Visit {
         let Ir::FilterEq {
@@ -4360,19 +4967,18 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         };
         let span = self.cs.spans[node as usize];
         let objs = self.eval(*obj, fr, sel, st);
-        let object = |st: &Scratch, lane: u32| matches!(st.vals[objs.at(lane)], Ok(Value::Obj(_)));
-        if sel.range().any(|k| !object(st, st.lanes[k])) {
-            for k in sel.range() {
-                // The attribute-access errors the generic lowering would
-                // have raised on `base.set_attr`.
-                st.vals[out.at(st.lanes[k])] = match &st.vals[objs.at(st.lanes[k])] {
-                    Ok(Value::Obj(_)) => continue,
-                    Ok(base) => Err(ops::attr_on(self.data, base, set_attr)
-                        .expect_err("attribute access on a non-object fails")),
-                    Err(e) => Err(e.clone()),
-                }
-                .map_err(|e| e.or_span(span));
-            }
+        let object = |st: &Scratch, lane: u32| st.obj_of(objs, lane).is_some();
+        for k in sel.range() {
+            let lane = st.lanes[k];
+            // The attribute-access errors the generic lowering would have
+            // raised on `base.set_attr`.
+            let e = match st.err(objs, lane) {
+                Some(e) => e.clone(),
+                None if object(st, lane) => continue,
+                None => ops::attr_on(self.data, &st.value(objs, lane), set_attr)
+                    .expect_err("attribute access on a non-object fails"),
+            };
+            st.fail(out, lane, e.or_span(span));
         }
         let with_obj = st.select(sel, object);
         // Key evaluation is infallible by construction (see
@@ -4380,52 +4986,54 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         // access cannot reorder observable errors.
         let keys = self.eval(*key, fr, with_obj, st);
         let keyed = st.settle(keys, with_obj, out, span);
-        let (elems, owners) = (st.vals.len(), st.lanes.len());
-        let shared_key = (keys.stride == 0 && keyed.len > 0).then(|| st.vals[keys.at(0)].clone());
+        let selected = match among {
+            Some(_) => {
+                let at = st.lanes.len();
+                st.lanes.resize(at + fr.width as usize, 0);
+                at as u32
+            }
+            None => NONE,
+        };
+        let owners = st.lanes.len() as u32;
+        let mut elems = Col::new(0);
         for k in keyed.range() {
             let lane = st.lanes[k];
-            let Ok(Value::Obj(obj_ref)) = &st.vals[objs.at(lane)] else {
-                unreachable!("lanes with an object");
-            };
-            let obj_ref = obj_ref.clone();
-            let own_key;
-            let key_v = match &shared_key {
-                Some(Ok(key)) => key,
-                _ => {
-                    own_key = st.vals[keys.at(lane)].clone().expect("settled");
-                    &own_key
-                }
-            };
+            let obj_ref = st.obj_of(objs, lane).expect("lanes with an object").clone();
+            let key_v = st.value(keys, lane);
             let one_key = SetFilter {
                 elem_attr,
-                key: key_v,
+                key: &key_v,
                 among: None,
             };
             let mut lent = None;
             if among.is_some() {
                 let filter = Some(SetFilter { among, ..one_key });
                 lent = self
-                    .lend(lane, &obj_ref, set_attr, filter, st)
+                    .lend(lane, &obj_ref, set_attr, filter, &mut elems, st)
                     .map(|lent| lent.map(|()| true));
                 // Not answered, and nothing lent: the first key alone,
                 // and the predicate runs.
             }
             if lent.is_none() {
                 lent = self
-                    .lend(lane, &obj_ref, set_attr, Some(one_key), st)
+                    .lend(lane, &obj_ref, set_attr, Some(one_key), &mut elems, st)
                     .map(|lent| lent.map(|()| false));
             }
             match lent {
-                Some(lent) => {
-                    st.vals[out.at(lane)] = lent.map(Value::Bool).map_err(|e| e.or_span(span));
-                }
+                Some(Ok(true)) => st.lanes[(selected + lane) as usize] = 1,
+                Some(Ok(false)) => {}
+                Some(Err(e)) => st.fail(out, lane, e.or_span(span)),
                 None => {
-                    let set = self.scan_filter_eq(&obj_ref, set_attr, elem_attr, key_v, *ctx);
-                    self.push_set(set, lane, "", out, span, st);
+                    let set = self.scan_filter_eq(&obj_ref, set_attr, elem_attr, &key_v, *ctx);
+                    self.push_set(set, lane, "", out, &mut elems, span, st);
                 }
             }
         }
-        self.visited(elems, owners, st)
+        Visit {
+            elems,
+            owners,
+            selected,
+        }
     }
 
     /// [`Ir::FilterEq`] on a data source that lends no such filter: scan

@@ -66,6 +66,7 @@ impl CosySyms {
 }
 
 /// The process-wide [`CosySyms`] table.
+#[inline]
 pub fn syms() -> &'static CosySyms {
     static SYMS: OnceLock<CosySyms> = OnceLock::new();
     SYMS.get_or_init(|| {

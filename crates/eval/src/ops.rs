@@ -38,7 +38,7 @@ pub fn both_numbers(l: &Value, r: &Value, op: &str) -> EvalResult<(f64, f64)> {
 pub fn unary(op: UnOp, v: &Value) -> EvalResult<Value> {
     match op {
         UnOp::Neg => match v {
-            Value::Int(x) => Ok(Value::Int(-x)),
+            Value::Int(x) => Ok(Value::Int(x.wrapping_neg())),
             Value::Float(x) => Ok(Value::Float(-x)),
             other => Err(EvalError::new(
                 EvalErrorKind::Type,
@@ -55,36 +55,117 @@ pub fn unary(op: UnOp, v: &Value) -> EvalResult<Value> {
     }
 }
 
+/// What a scalar kernel yields: a number or a truth value, unboxed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar {
+    /// An integer.
+    Int(i64),
+    /// A float.
+    Float(f64),
+    /// A truth value.
+    Bool(bool),
+}
+
+impl From<Scalar> for Value {
+    fn from(s: Scalar) -> Value {
+        match s {
+            Scalar::Int(x) => Value::Int(x),
+            Scalar::Float(x) => Value::Float(x),
+            Scalar::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
+impl Scalar {
+    /// `v` as a number, if it is one.
+    pub fn number(v: &Value) -> Option<Scalar> {
+        match v {
+            Value::Int(x) => Some(Scalar::Int(*x)),
+            Value::Float(x) => Some(Scalar::Float(*x)),
+            _ => None,
+        }
+    }
+
+    /// The number widened to a float (a truth value is not one).
+    fn as_f64(self) -> f64 {
+        match self {
+            Scalar::Int(x) => x as f64,
+            Scalar::Float(x) => x,
+            Scalar::Bool(b) => f64::from(u8::from(b)),
+        }
+    }
+}
+
+/// `op` over two numbers: [`int_binary`] over two integers,
+/// [`float_binary`] over any other pair, widened.
+#[inline]
+pub fn numeric_binary(op: BinOp, a: Scalar, b: Scalar) -> Option<Scalar> {
+    match (a, b) {
+        (Scalar::Int(a), Scalar::Int(b)) => int_binary(op, a, b),
+        (a, b) => float_binary(op, a.as_f64(), b.as_f64()),
+    }
+}
+
+/// Does `ord` satisfy the comparison `op`? `None` for an operator that is
+/// not an ordering.
+fn holds(op: BinOp, ord: std::cmp::Ordering) -> Option<bool> {
+    match op {
+        BinOp::Lt => Some(ord.is_lt()),
+        BinOp::Le => Some(ord.is_le()),
+        BinOp::Gt => Some(ord.is_gt()),
+        BinOp::Ge => Some(ord.is_ge()),
+        _ => None,
+    }
+}
+
+/// `op` over two integers. Arithmetic wraps on overflow, as `SUM` does;
+/// `/` yields a float. `None` where the general rules of
+/// [`binary_strict`] decide: a zero divisor, and `AND`/`OR`.
+#[inline]
+pub fn int_binary(op: BinOp, a: i64, b: i64) -> Option<Scalar> {
+    Some(match op {
+        BinOp::Add => Scalar::Int(a.wrapping_add(b)),
+        BinOp::Sub => Scalar::Int(a.wrapping_sub(b)),
+        BinOp::Mul => Scalar::Int(a.wrapping_mul(b)),
+        BinOp::Mod if b != 0 => Scalar::Int(a.wrapping_rem(b)),
+        BinOp::Div if b != 0 => Scalar::Float(a as f64 / b as f64),
+        BinOp::Eq => Scalar::Bool(a == b),
+        BinOp::Ne => Scalar::Bool(a != b),
+        _ => Scalar::Bool(holds(op, a.cmp(&b))?),
+    })
+}
+
+/// `op` over two numbers, at least one of them a float, both widened to
+/// `f64`. `None` where the general rules of [`binary_strict`] decide: a
+/// zero divisor, a NaN to order, `%`, and `AND`/`OR`.
+#[inline]
+pub fn float_binary(op: BinOp, a: f64, b: f64) -> Option<Scalar> {
+    Some(match op {
+        BinOp::Add => Scalar::Float(a + b),
+        BinOp::Sub => Scalar::Float(a - b),
+        BinOp::Mul => Scalar::Float(a * b),
+        BinOp::Div if b != 0.0 => Scalar::Float(a / b),
+        BinOp::Eq => Scalar::Bool(a == b),
+        BinOp::Ne => Scalar::Bool(a != b),
+        _ => Scalar::Bool(holds(op, a.partial_cmp(&b)?)?),
+    })
+}
+
 /// Strict (non-short-circuit) binary operator semantics: comparisons,
 /// arithmetic, `%`. `AND`/`OR` must be handled by the caller (they
 /// short-circuit and must not evaluate both operands first). Operands
 /// come by reference: the engines evaluate them into place and nothing
-/// here needs to own them.
+/// here needs to own them. Numbers go through the scalar kernels
+/// ([`numeric_binary`]), which the compiled evaluator also runs over its
+/// unboxed lanes; what they leave open — a zero divisor, a
+/// NaN to order, operands of other types — the general rules below decide.
 pub fn binary_strict(op: BinOp, l: &Value, r: &Value) -> EvalResult<Value> {
-    // Numbers, one at least a float — the common case of every spec's
-    // arithmetic — are answered first, in `f64`. A zero divisor, a NaN to
-    // order and `%` go on to the general rules below.
-    let floats = match (l, r) {
-        (Value::Float(a), Value::Float(b)) => Some((*a, *b)),
-        (Value::Float(a), Value::Int(b)) => Some((*a, *b as f64)),
-        (Value::Int(a), Value::Float(b)) => Some((*a as f64, *b)),
+    let kernel = match (Scalar::number(l), Scalar::number(r)) {
+        (Some(a), Some(b)) => numeric_binary(op, a, b),
         _ => None,
     };
-    if let Some((a, b)) = floats {
-        let ord = a.partial_cmp(&b);
-        match (op, ord) {
-            (BinOp::Add, _) => return Ok(Value::Float(a + b)),
-            (BinOp::Sub, _) => return Ok(Value::Float(a - b)),
-            (BinOp::Mul, _) => return Ok(Value::Float(a * b)),
-            (BinOp::Div, _) if b != 0.0 => return Ok(Value::Float(a / b)),
-            (BinOp::Eq, _) => return Ok(Value::Bool(a == b)),
-            (BinOp::Ne, _) => return Ok(Value::Bool(a != b)),
-            (BinOp::Lt, Some(o)) => return Ok(Value::Bool(o.is_lt())),
-            (BinOp::Le, Some(o)) => return Ok(Value::Bool(o.is_le())),
-            (BinOp::Gt, Some(o)) => return Ok(Value::Bool(o.is_gt())),
-            (BinOp::Ge, Some(o)) => return Ok(Value::Bool(o.is_ge())),
-            _ => {}
-        }
+    if let Some(v) = kernel {
+        return Ok(v.into());
     }
     match op {
         BinOp::Eq => Ok(Value::Bool(l.asl_eq(r))),
@@ -96,47 +177,16 @@ pub fn binary_strict(op: BinOp, l: &Value, r: &Value) -> EvalResult<Value> {
                     format!("cannot order {} and {}", l.type_name(), r.type_name()),
                 )
             })?;
-            let b = match op {
-                BinOp::Lt => ord == std::cmp::Ordering::Less,
-                BinOp::Le => ord != std::cmp::Ordering::Greater,
-                BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                BinOp::Ge => ord != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(b))
+            Ok(Value::Bool(holds(op, ord).expect("an ordering")))
         }
-        BinOp::Add | BinOp::Sub | BinOp::Mul => match (l, r) {
-            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                _ => unreachable!(),
-            })),
-            _ => {
-                let (a, b) = both_numbers(l, r, op.symbol())?;
-                Ok(Value::Float(match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    _ => unreachable!(),
-                }))
-            }
-        },
-        // `/` always yields float (see the checker's documented rule).
-        BinOp::Div => {
-            let (a, b) = both_numbers(l, r, "/")?;
-            if b == 0.0 {
-                return Err(EvalError::new(EvalErrorKind::DivByZero, "division by zero"));
-            }
-            Ok(Value::Float(a / b))
+        // Two numbers reach here only with a zero divisor.
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+            both_numbers(l, r, op.symbol())?;
+            Err(EvalError::new(EvalErrorKind::DivByZero, "division by zero"))
         }
         BinOp::Mod => match (l, r) {
-            (Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    Err(EvalError::new(EvalErrorKind::DivByZero, "modulo by zero"))
-                } else {
-                    Ok(Value::Int(a % b))
-                }
+            (Value::Int(_), Value::Int(_)) => {
+                Err(EvalError::new(EvalErrorKind::DivByZero, "modulo by zero"))
             }
             _ => Err(EvalError::new(
                 EvalErrorKind::Type,

@@ -55,6 +55,7 @@ pub enum Value {
 impl Value {
     /// Object helper. Accepts a pre-interned [`Symbol`] (free) or a string
     /// (interned on the spot).
+    #[inline]
     pub fn obj(class: impl Into<Symbol>, index: u32) -> Value {
         Value::Obj(ObjRef {
             class: class.into(),
@@ -63,16 +64,19 @@ impl Value {
     }
 
     /// A `Region` reference from a perfdata id.
+    #[inline]
     pub fn region(id: perfdata::RegionId) -> Value {
         Value::obj(crate::cosy_model::syms().region, id.0)
     }
 
     /// A `TestRun` reference from a perfdata id.
+    #[inline]
     pub fn run(id: perfdata::TestRunId) -> Value {
         Value::obj(crate::cosy_model::syms().test_run, id.0)
     }
 
     /// A `FunctionCall` reference from a perfdata id.
+    #[inline]
     pub fn call(id: perfdata::CallId) -> Value {
         Value::obj(crate::cosy_model::syms().function_call, id.0)
     }

@@ -151,6 +151,9 @@ fn recovery_allocations_are_pinned() {
     // first bound (+84 allocations, once), each binding that reaches a
     // site keeps a row table, a ranked run sorts packed keys beside its
     // entries, and a batch no longer reserves room for frames it does not
-    // open: 19 997 → 20 079.
-    assert_eq!(count, 20_079, "allocations of one recovery under the suite");
+    // open: 19 997 → 20 079. Report names are interned, not shared
+    // strings made per version (an entry copies a reference), while a
+    // scratch reserves four lane stacks and an error table and an
+    // evaluator the rows of its recent subject lists: 20 079 → 19 982.
+    assert_eq!(count, 19_982, "allocations of one recovery under the suite");
 }

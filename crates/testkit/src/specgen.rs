@@ -191,7 +191,67 @@ fn generated_properties(seed: u64) -> String {
         ));
     }
     out.push_str(&shared_properties(&mut rng));
+    out.push_str(&lane_properties(&mut rng));
     out + FIXED_PROPERTIES
+}
+
+/// Properties whose columns mix what the compiled evaluator keeps apart:
+/// integer and float lanes of one value (an empty `SUM` is the integer 0,
+/// compared with `0` and with `1.0`; a product that overflows on some
+/// lanes; `%` and `/` by zero on some), severities that are NaN or ±inf
+/// on some lanes, object lanes beside `Null` ones (the parent of a root)
+/// compared with objects, a lane failing in a `LET` while the others go
+/// on through an `AND` and a `FORALL`, and a run cell an empty sum fills
+/// with an integer in one property that a float comparison reads in
+/// another.
+fn lane_properties(rng: &mut Rng) -> String {
+    let k = 1 + rng.below(3);
+    let ty = timing_type(rng);
+    let sum = format!("SUM(tt.Time WHERE tt IN r.TypTimes AND tt.Run == t AND tt.Type == {ty})");
+    let huge = "S * 1.0e308 * 1.0e308";
+    format!(
+        "Property LaneMix(Region r, TestRun t, Region Basis) {{\n\
+             LET float S = {sum};\n\
+                 int C = COUNT(r.TypTimes)\n\
+             IN CONDITION: (zero) S == 0 OR (one) S + C == 1.0 OR (pos) S > 0.0\n\
+                 OR (wrap) C * 4611686018427387904 < 0;\n\
+             CONFIDENCE: MAX((zero) -> 1, (one) -> 0.5, (pos) -> {huge});\n\
+             SEVERITY: MAX((zero) -> S / (C % 2), (pos) -> {huge} - {huge},\n\
+                 (wrap) -> 0.0 - {huge});\n\
+         }}\n\
+         Property LaneNan(Region r, TestRun t, Region Basis) {{\n\
+             LET float S = SUM(tt.Time WHERE tt IN r.TypTimes AND tt.Run == t)\n\
+             IN CONDITION: S == 0.0 OR {huge} - {huge} > 1.0;\n\
+             CONFIDENCE: 1;\n\
+             SEVERITY: {huge};\n\
+         }}\n\
+         Property LaneMod(Region r, TestRun t, Region Basis) {{\n\
+             LET int C = COUNT(r.TypTimes)\n\
+             IN CONDITION: C % (C % 2) >= 0 AND C * 4611686018427387904 != 1;\n\
+             CONFIDENCE: 1;\n\
+             SEVERITY: C * 4611686018427387904 / 1.0e18;\n\
+         }}\n\
+         Property LaneNull(Region r, TestRun t, Region Basis) {{\n\
+             LET Region P = r.ParentRegion\n\
+             IN CONDITION: (root) P == Basis OR (self) P != r OR (named) P.Name == r.Name;\n\
+             CONFIDENCE: 1;\n\
+             SEVERITY: MAX((root) -> 1.0, (self) -> 2, (named) -> 3.0);\n\
+         }}\n\
+         Property LaneLet(Region r, TestRun t, Region Basis) {{\n\
+             LET float U = Summary(r, t).Incl\n\
+             IN CONDITION: U >= 0.0 AND FORALL(s IN r.TotTimes WITH s.Incl >= U - {k}.0);\n\
+             CONFIDENCE: 1;\n\
+             SEVERITY: U / Duration(Basis, t);\n\
+         }}\n\
+         Property LaneCellA(Region r, TestRun t, Region Basis) {{\n\
+             LET float A = {sum}\n\
+             IN CONDITION: A == 0; CONFIDENCE: 1; SEVERITY: 1;\n\
+         }}\n\
+         Property LaneCellB(Region r, TestRun t, Region Basis) {{\n\
+             CONDITION: {sum} >= 0.0 AND {sum} < 1.5; CONFIDENCE: 1;\n\
+             SEVERITY: {sum} / Duration(Basis, t);\n\
+         }}\n"
+    )
 }
 
 /// Properties that share subtrees, between them and within one, so the
