@@ -895,6 +895,12 @@ impl<'a> Analyzer<'a> {
                 // `%`: int-only; keep just the integrality.
                 _ => Itv::int_top(),
             };
+            // Integer `+`, `-` and `*` wrap at the bounds of `i64`: a
+            // result that may leave them may be anything.
+            let i64_range = -2f64.powi(63)..2f64.powi(63);
+            let wraps =
+                itv.int_only && !(i64_range.contains(&itv.lo) && i64_range.contains(&itv.hi));
+            let itv = if wraps { Itv::int_top() } else { itv };
             let unit = match op {
                 BinOp::Add | BinOp::Sub => lu.add_sub(ru),
                 BinOp::Mul => lu.mul(ru),
