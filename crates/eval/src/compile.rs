@@ -2264,10 +2264,12 @@ fn alternatives(
 /// No frame, no construct, no error block.
 const NONE: u32 = u32::MAX;
 
-/// Lanes a fresh [`Scratch`] makes room for on each of its stacks at once:
-/// a batch of the analyzers' width (256 subjects), its set constructs'
-/// elements included, fits, so a batch allocates the same whatever its
-/// width (`crates/cosy/tests/alloc_budget.rs`).
+/// Lanes a fresh [`Scratch`] makes room for at once on its stacks of
+/// numbers, objects and lane indices (values and error slots get a
+/// batch's width, [`RESERVED_LANES`]): a batch of the analyzers' width
+/// (256 subjects), its set constructs' elements included, fits, so a
+/// batch allocates the same whatever its width
+/// (`crates/cosy/tests/alloc_budget.rs`).
 const RESERVED_VALUES: usize = 4096;
 
 /// Lanes a fresh [`Scratch`] makes room for in its per-lane outcomes: the
