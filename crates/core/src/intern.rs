@@ -38,21 +38,32 @@ fn table() -> &'static RwLock<Interner> {
 impl Symbol {
     /// Intern a string, returning its stable symbol.
     pub fn intern(name: &str) -> Symbol {
+        Symbol(Self::lookup(name).1)
+    }
+
+    /// Intern a string, returning the interned text: `intern(name).as_str()`
+    /// in one lookup.
+    pub fn intern_str(name: &str) -> &'static str {
+        Self::lookup(name).0
+    }
+
+    /// The interned text of `name` and its id, interned on first ask.
+    fn lookup(name: &str) -> (&'static str, u32) {
         {
             let t = table().read().expect("interner poisoned");
-            if let Some(&id) = t.by_name.get(name) {
-                return Symbol(id);
+            if let Some((&text, &id)) = t.by_name.get_key_value(name) {
+                return (text, id);
             }
         }
         let mut t = table().write().expect("interner poisoned");
-        if let Some(&id) = t.by_name.get(name) {
-            return Symbol(id);
+        if let Some((&text, &id)) = t.by_name.get_key_value(name) {
+            return (text, id);
         }
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
         let id = u32::try_from(t.names.len()).expect("interner overflow");
         t.names.push(leaked);
         t.by_name.insert(leaked, id);
-        Symbol(id)
+        (leaked, id)
     }
 
     /// The interned string. The reference is `'static` because the table

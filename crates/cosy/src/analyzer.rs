@@ -79,7 +79,7 @@ impl std::ops::Deref for Name {
 
 impl From<&str> for Name {
     fn from(s: &str) -> Self {
-        Name(Symbol::intern(s).as_str())
+        Name(Symbol::intern_str(s))
     }
 }
 

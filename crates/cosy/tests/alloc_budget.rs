@@ -59,8 +59,10 @@ fn evaluation_allocates_per_batch_not_per_instance() {
     // no longer grows a frame stack for every batch: 76 → 75. Unboxed
     // lanes are four stacks and an error table, each reserved once per
     // scratch where one stack of values was — three more per call — and
-    // the evaluator keeps the rows of its four most recent subject lists
-    // (a list of subjects and one of rows each, reserved at once): 75 → 92.
+    // the evaluator keeps the rows of its subject lists: 75 → 92. (Kept
+    // per subject a batch starts with, made as batches arrive, in place
+    // of four reserved at once, and cells grown a block of rows at a
+    // time: still 92.)
     assert_eq!(cold, 92, "cold allocations of the three runs");
 
     // Warm, on the instances that do not hold: evaluating all of them

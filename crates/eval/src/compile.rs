@@ -79,13 +79,16 @@
 //! the context and occurs twice or more in the spec once per subject and
 //! context, whichever property reaches it first (a *run* cell) — sums that
 //! select disjoint values of one attribute over one indexed source filling
-//! theirs in one visit. A predicate that only selects elements by a set of
-//! constants (`tt.Type == A OR tt.Type == B`) is handed to the data source
-//! with the filter in front of it ([`SetFilter::among`]) instead of being
-//! run per element, and `UNIQUE`/`COUNT` of an indexed filter and an
-//! aggregate of a binder attribute over one are answered by the data source
-//! ([`ObjectModel::count_set`], [`ObjectModel::visit_attr`]) without lending
-//! the elements. Which subtrees and predicates those are, and which outer
+//! theirs in one visit. Subject and run cells hold a lane's value as a
+//! column does, a number or an object unboxed, so a lane is answered from
+//! its subject's cell, or fills it, by copying one word. A predicate that
+//! only selects elements by a set of constants (`tt.Type == A OR tt.Type
+//! == B`) is handed to the data source with the filter in front of it
+//! ([`SetFilter::among`]) instead of being run per element, and
+//! `UNIQUE`/`COUNT` of an indexed filter and an aggregate of a binder
+//! attribute over one are answered by the data source
+//! ([`ObjectModel::count_set`], [`ObjectModel::visit_attr`]) without
+//! lending the elements. Which subtrees and predicates those are, and which outer
 //! slots a set construct's body reads, is a plan computed *beside* the node
 //! pool on first bind ([`CompiledSpec::node_count`] and the pool that
 //! kojak-lint and kojak-flow walk are exactly what [`compile`] emitted).
@@ -2281,9 +2284,9 @@ const RESERVED_LANES: usize = 256;
 /// one whose cells answer, and allocates no more for it.
 const RESERVED_FRAMES: usize = 64;
 
-/// Subject lists whose rows an evaluator keeps ([`Kept::lists`]): a
-/// version's contexts of each class, cut into batches, fit.
-const RECENT_LISTS: usize = 4;
+/// Rows of [`Kept`] a block of cells holds: a batch of the analyzers'
+/// width.
+const BLOCK_ROWS: usize = 256;
 
 /// Elements of each lane a quantifier tests in its first round
 /// ([`Ctx::decide`]).
@@ -2654,12 +2657,12 @@ impl Scratch {
     /// Lane `lane`'s number in `col`, which has not failed there, if it
     /// holds one: read straight from an unboxed lane.
     #[inline]
-    fn num_of(&self, col: Col, lane: u32) -> Option<ops::Scalar> {
+    fn num_of(&self, col: Col, lane: u32) -> Option<ops::Number> {
         let at = col.at(lane);
         match col.kind {
-            Kind::F64 => Some(ops::Scalar::Float(f64::from_bits(self.nums[at]))),
-            Kind::I64 => Some(ops::Scalar::Int(self.nums[at] as i64)),
-            Kind::Val => ops::Scalar::number(&self.vals[at]),
+            Kind::F64 => Some(ops::Number::Float(f64::from_bits(self.nums[at]))),
+            Kind::I64 => Some(ops::Number::Int(self.nums[at] as i64)),
+            Kind::Val => ops::Number::of(&self.vals[at]),
             _ => None,
         }
     }
@@ -2734,17 +2737,6 @@ impl Scratch {
         }
     }
 
-    /// [`put_val`](Self::put_val) of a borrowed value.
-    #[inline]
-    fn put_ref(&mut self, col: &mut Col, lane: u32, v: &Value) {
-        match v {
-            Value::Float(x) => self.put_num(col, lane, Kind::F64, x.to_bits()),
-            Value::Int(x) => self.put_num(col, lane, Kind::I64, *x as u64),
-            Value::Bool(b) => self.put_num(col, lane, Kind::Bool, u64::from(*b)),
-            v => self.put_val(col, lane, v.clone()),
-        }
-    }
-
     /// Write what a scalar kernel yielded into lane `lane` of `col`.
     #[inline]
     fn put_scalar(&mut self, col: &mut Col, lane: u32, s: ops::Scalar) {
@@ -2791,16 +2783,22 @@ impl Scratch {
     /// not one.
     fn put_any(&mut self, col: &mut Col, lane: u32, v: Value) {
         if col.kind != Kind::Val {
-            let base = self.vals.len() as u32;
-            for i in 0..col.len {
-                let x = self.stored(*col, i);
-                self.vals.push(x);
-            }
-            col.kind = Kind::Val;
-            col.base = base;
+            self.promote(col);
         }
         self.vals[col.at(lane)] = v;
         self.clear_err(col, lane);
+    }
+
+    /// Turn `col` into a column of values: a copy of its lanes on top of
+    /// their stack.
+    fn promote(&mut self, col: &mut Col) {
+        let base = self.vals.len() as u32;
+        for i in 0..col.len {
+            let x = self.stored(*col, i);
+            self.vals.push(x);
+        }
+        col.kind = Kind::Val;
+        col.base = base;
     }
 
     /// Copy lane `lane` of `from` into lane `to_lane` of `to`, an error
@@ -2857,16 +2855,11 @@ impl Scratch {
     #[inline(never)]
     fn push_value(&mut self, col: &mut Col, v: Value) {
         if col.kind != Kind::Val {
-            let base = self.vals.len() as u32;
-            for i in 0..col.len {
-                let x = self.stored(*col, i);
-                self.vals.push(x);
+            let objects = (col.kind == Kind::Obj).then_some(col.base as usize);
+            self.promote(col);
+            if let Some(base) = objects {
+                self.objs.truncate(base);
             }
-            if col.kind == Kind::Obj {
-                self.objs.truncate(col.base as usize);
-            }
-            col.kind = Kind::Val;
-            col.base = base;
         }
         self.vals.push(v);
         col.len += 1;
@@ -3015,6 +3008,20 @@ impl Scratch {
         self.caches.truncate(caches);
     }
 
+    /// The batch lane lane `lane` of frame `fr` is of: the lane itself in
+    /// the body's frame, the lane its owners lead up to in a set
+    /// construct's.
+    #[inline]
+    fn batch_lane(&self, fr: Frame, lane: u32) -> u32 {
+        let (mut frame, mut lane) = (fr.id, lane);
+        while frame != 0 {
+            let rec = &self.frames[frame as usize];
+            lane = self.lanes[(rec.owners + lane) as usize];
+            frame = rec.parent;
+        }
+        lane
+    }
+
     /// Did condition `i` fire in `lane` of the last batch?
     fn fired(&self, lane: usize, i: usize) -> bool {
         self.fired[lane * self.words + i / 64] >> (i % 64) & 1 == 1
@@ -3023,16 +3030,6 @@ impl Scratch {
 
 impl Drop for Scratch {
     fn drop(&mut self) {
-        if std::env::var("SCRATCH_CAPS").is_ok() {
-            eprintln!(
-                "caps nums {} objs {} vals {} errs {} lanes {}",
-                self.nums.capacity(),
-                self.objs.capacity(),
-                self.vals.capacity(),
-                self.errs.capacity(),
-                self.lanes.capacity()
-            );
-        }
         CACHE_HITS.add(self.cache_hits);
         CACHE_MISSES.add(self.cache_misses);
         NODE_EXECUTIONS.add(self.executions);
@@ -3057,56 +3054,88 @@ pub struct CompiledEvaluator<M: ObjectModel> {
 }
 
 /// What an evaluator keeps per subject: a row for each subject that has
-/// reached a subject or run site — its subject cells, then its run cells,
-/// each a value once filled. A cell holds the value as a lane of a column
-/// would — a float, integer, truth value or object unboxed in its variant
-/// — so answering a lane from it copies one number or reference into the
-/// lane ([`Scratch::put_ref`]). Rows are made as subjects arrive, so they
-/// are as many as the subjects evaluated (a version's contexts), never as
-/// many as the data source holds. A run cell answers for the context of
-/// the epoch it was filled in only: a batch of another context starts a
-/// new epoch ([`Kept::enter`]), which empties every run cell at once.
+/// reached a subject or run site — its subject cells, then its run cells.
+/// A cell holds a lane's value as a column does ([`KeptCell`]): a float,
+/// integer or truth value as its bits and an object as its class and
+/// index, unboxed, and only another value on `vals` — so answering a lane
+/// from it copies one word into the lane, and filling it from a lane one
+/// word out. Rows are made as subjects arrive, so they are as many as the
+/// subjects evaluated (a version's contexts), never as many as the data
+/// source holds. A run cell answers for the context of the epoch it was
+/// filled in only: a batch of another context starts a new epoch
+/// ([`Kept::enter`]), which empties every run cell at once.
 struct Kept {
     rows: perfdata::IdMap<ObjRef, u32>,
-    /// The subjects of recent batches and their rows ([`SubjectRows`]): a
-    /// batch over the same subjects, lane for lane, as one of them — the
-    /// next property's batch over a version's contexts — takes its rows
-    /// from it without looking a subject up.
+    /// The subjects and rows of batches ([`SubjectRows`]), one list per
+    /// subject a batch started with: a batch over the same subjects, lane
+    /// for lane, as the last one that started with its first — the next
+    /// property's batch over a version's contexts, the next run's — takes
+    /// its rows from there without looking a subject up. Two batches over
+    /// different subjects that start with the same one take turns in a
+    /// list, each looking its subjects up. List 0 is for the batches whose
+    /// subjects are not all objects; the lists are as many as the subjects
+    /// batches start with, each as long as the last such batch.
     lists: Vec<SubjectRows>,
-    /// The list [`Kept::bind`] replaces next.
-    next_list: usize,
+    /// Per row: the list of the batches that start with its subject,
+    /// [`NONE`] if no batch has.
+    starts: Vec<u32>,
     /// The list of the running batch's rows, and the batch it was bound
     /// for: a site of a later batch binds that batch's.
     list: usize,
     bound: u32,
     /// Counts the batches run ([`Kept::enter`]).
     batch: u32,
-    /// Cell `c` of row `r` at `c * capacity + r`: a site reads and fills
-    /// the cells of a batch's subjects, rows made in turn, side by side.
+    /// The cells of rows in blocks of [`BLOCK_ROWS`]: cell `c` of row `r`
+    /// at [`Kept::at`] — a site reads and fills the cells of a batch's
+    /// subjects, rows made in turn, side by side. A block is added as rows
+    /// are made; no cell moves.
     cells: Vec<KeptCell>,
-    /// The rows `cells` has room for, and the rows made.
-    capacity: usize,
     n_rows: usize,
     subject_cells: usize,
     width: usize,
+    /// The values cells hold that are neither numbers nor objects, and
+    /// the places on it that no cell holds.
+    vals: Vec<Value>,
+    free: Vec<u32>,
+    /// The classes of the objects cells hold, each at the place a cell's
+    /// bits name.
+    classes: Vec<Symbol>,
     /// The context of the current epoch.
     context: Vec<Value>,
     epoch: u32,
-    /// The members' sums of a [`SumGroup`] being filled.
-    sums: Vec<ops::Aggregator>,
+    /// The members' sums of a [`SumGroup`] being filled, each `false`
+    /// once a value it selected was not a number.
+    sums: Vec<(ops::NumSum, bool)>,
 }
 
-/// A cell of [`Kept`]: its value once filled, and the epoch it was filled
-/// in.
-#[derive(Clone, Default)]
+/// A cell of [`Kept`]: the `bits` of a value of `kind` — a number's, an
+/// object's class (its place on [`Kept::classes`]) above its index, or the
+/// place of a value on [`Kept::vals`] — and the epoch it answers in: the
+/// one a run cell was filled in, [`SUBJECT_EPOCH`] for a subject cell,
+/// [`NONE`] while the cell is empty.
+#[derive(Clone, Copy)]
 struct KeptCell {
+    bits: u64,
     epoch: u32,
-    value: Option<Value>,
+    kind: Kind,
 }
+
+impl Default for KeptCell {
+    fn default() -> Self {
+        KeptCell {
+            bits: 0,
+            epoch: NONE,
+            kind: Kind::Empty,
+        }
+    }
+}
+
+/// The epoch a subject cell answers in: every batch's.
+const SUBJECT_EPOCH: u32 = 0;
 
 /// The rows of a batch's subjects, lane by lane — [`NONE`] for a subject
 /// that is not an object. `subjects` is empty for a batch whose subjects
-/// are not all objects, which no later batch matches.
+/// are not all objects.
 #[derive(Default)]
 struct SubjectRows {
     subjects: Vec<ObjRef>,
@@ -3119,56 +3148,67 @@ impl Kept {
         Kept {
             rows: HashMap::default(),
             lists: Vec::new(),
-            next_list: 0,
+            starts: Vec::new(),
             list: 0,
             bound: NONE,
             batch: 0,
             cells: Vec::new(),
-            capacity: 0,
             n_rows: 0,
             subject_cells,
             width: subject_cells + plan.run_cells(),
+            vals: Vec::new(),
+            free: Vec::new(),
+            classes: Vec::new(),
             context: Vec::new(),
-            epoch: 0,
+            epoch: SUBJECT_EPOCH + 1,
             sums: Vec::new(),
         }
     }
 
-    /// Bind the rows of the running batch's `subjects` (the column in the
-    /// body's slot 0): a recent list of the same subjects, or a list made
-    /// of them.
+    /// Bind the rows of the running batch's `subjects`: those of the list
+    /// of its first subject if it holds the same subjects, or rows looked
+    /// up subject by subject.
     fn bind(&mut self, subjects: Col, st: &Scratch) {
         self.bound = self.batch;
         let objects = match subjects.kind {
             Kind::Obj => &st.objs[subjects.base as usize..][..subjects.len as usize],
             _ => &[],
         };
-        let known = (self.lists.iter()).position(|l| !objects.is_empty() && l.subjects == objects);
-        self.list = match known {
-            Some(at) => at,
-            None => {
-                if self.lists.is_empty() {
-                    // Room for batches of the analyzers' width on first use.
-                    let list = || SubjectRows {
-                        subjects: Vec::with_capacity(RESERVED_LANES),
-                        rows: Vec::with_capacity(RESERVED_LANES),
-                    };
-                    self.lists = (0..RECENT_LISTS).map(|_| list()).collect();
+        if self.lists.is_empty() {
+            self.lists.push(SubjectRows::default());
+        }
+        self.list = match objects.first() {
+            Some(first) => {
+                let row = self.row(first) as usize;
+                if self.starts[row] == NONE {
+                    self.starts[row] = self.lists.len() as u32;
+                    self.lists.push(SubjectRows::default());
                 }
-                let at = self.next_list % RECENT_LISTS;
-                self.next_list = at + 1;
-                let mut list = std::mem::take(&mut self.lists[at]);
-                list.subjects.clear();
-                list.subjects.extend_from_slice(objects);
-                list.rows.clear();
-                for lane in 0..subjects.len {
-                    let row = st.obj_of(subjects, lane).map_or(NONE, |s| self.row(s));
-                    list.rows.push(row);
-                }
-                self.lists[at] = list;
-                at
+                self.starts[row] as usize
             }
+            None => 0,
         };
+        if self.list != 0 && self.lists[self.list].subjects == objects {
+            return;
+        }
+        let mut list = std::mem::take(&mut self.lists[self.list]);
+        list.subjects.clear();
+        list.subjects.extend_from_slice(objects);
+        list.rows.clear();
+        for lane in 0..subjects.len {
+            let row = st.obj_of(subjects, lane).map_or(NONE, |s| self.row(s));
+            list.rows.push(row);
+        }
+        self.lists[self.list] = list;
+    }
+
+    /// Bind the running batch's rows, if no site has yet: its subjects are
+    /// the column in the body's slot 0.
+    #[inline]
+    fn bind_batch(&mut self, st: &Scratch) {
+        if self.bound != self.batch {
+            self.bind(st.regs[0], st);
+        }
     }
 
     /// Start a batch and bind the run cells to its `context`: a new epoch
@@ -3182,61 +3222,137 @@ impl Kept {
         }
     }
 
+    /// The row of the subject of lane `lane` of frame `fr`, `None` for a
+    /// subject that is not an object. Sites are in property bodies: an
+    /// element of a set construct is of the batch lane its owners lead up
+    /// to ([`Scratch::batch_lane`]). The rows of a batch's lanes are bound
+    /// once, by its first site ([`Kept::bind`]).
+    #[inline]
+    fn row_of(&mut self, fr: Frame, lane: u32, st: &Scratch) -> Option<u32> {
+        self.bind_batch(st);
+        let row = self.lists[self.list].rows[st.batch_lane(fr, lane) as usize];
+        (row != NONE).then_some(row)
+    }
+
     /// The row of `subject`, made on first ask.
     fn row(&mut self, subject: &ObjRef) -> u32 {
-        if self.capacity == 0 {
+        if self.n_rows == 0 {
             // Room for a batch of subjects on first use.
             self.rows.reserve(RESERVED_LANES);
         }
         let next = self.n_rows as u32;
         let row = *self.rows.entry(subject.clone()).or_insert(next);
         if row == next {
-            if self.n_rows == self.capacity {
-                self.grow();
+            if self.n_rows.is_multiple_of(BLOCK_ROWS) {
+                let cells = self.cells.len() + self.width * BLOCK_ROWS;
+                self.cells.resize(cells, KeptCell::default());
             }
             self.n_rows += 1;
+            self.starts.push(NONE);
         }
         row
     }
 
-    /// Make room for twice the rows — for a batch of subjects at first.
-    fn grow(&mut self) {
-        let capacity = (self.capacity * 2).max(RESERVED_LANES);
-        let mut cells = Vec::with_capacity(self.width * capacity);
-        let mut old = std::mem::take(&mut self.cells).into_iter();
-        for c in 1..=self.width {
-            cells.extend(old.by_ref().take(self.capacity));
-            cells.resize(c * capacity, KeptCell::default());
-        }
-        (self.cells, self.capacity) = (cells, capacity);
-    }
-
-    /// Where `cell` ([`BatchPlan::cell`], flag included) of `row` is.
-    fn index(&self, row: u32, cell: u32) -> usize {
+    /// Where the cells of `cell` ([`BatchPlan::cell`], flag included) are
+    /// in a block, for [`Kept::at`], and the epoch they answer in.
+    fn column(&self, cell: u32) -> (usize, u32) {
         let id = (cell & !(SUBJECT_CELL | RUN_CELL)) as usize;
-        let run = if cell & RUN_CELL != 0 {
-            self.subject_cells
-        } else {
-            0
-        };
-        (run + id) * self.capacity + row as usize
+        match cell & RUN_CELL {
+            0 => (id * BLOCK_ROWS, SUBJECT_EPOCH),
+            _ => ((self.subject_cells + id) * BLOCK_ROWS, self.epoch),
+        }
     }
 
-    /// Fill `cell` of `row` with `v`.
-    fn fill(&mut self, row: u32, cell: u32, v: Value) {
-        let at = self.index(row, cell);
-        self.cells[at] = KeptCell {
-            epoch: self.epoch,
-            value: Some(v),
-        };
+    /// Where the cell of `row` in `column` ([`Kept::column`]) is on `cells`.
+    #[inline]
+    fn at(&self, column: usize, row: u32) -> usize {
+        let row = row as usize;
+        row / BLOCK_ROWS * self.width * BLOCK_ROWS + column + row % BLOCK_ROWS
     }
 
-    /// The value `cell` of `row` holds, if it is filled — a run cell in
-    /// the current epoch.
-    fn get(&self, row: u32, cell: u32) -> Option<&Value> {
-        let kept = &self.cells[self.index(row, cell)];
-        let stale = cell & RUN_CELL != 0 && kept.epoch != self.epoch;
-        kept.value.as_ref().filter(|_| !stale)
+    /// Fill the cell at `at` with `bits` of numeric or object `kind`, to
+    /// answer in `epoch`.
+    #[inline]
+    fn store(&mut self, at: usize, epoch: u32, kind: Kind, bits: u64) {
+        let old = self.cells[at];
+        if old.kind == Kind::Val {
+            self.vals[old.bits as usize] = Value::Null;
+            self.free.push(old.bits as u32);
+        }
+        self.cells[at] = KeptCell { bits, epoch, kind };
+    }
+
+    /// Fill the cell at `at` with `v`, to answer in `epoch`.
+    fn fill(&mut self, at: usize, epoch: u32, v: &Value) {
+        match v {
+            Value::Float(x) => self.store(at, epoch, Kind::F64, x.to_bits()),
+            Value::Int(x) => self.store(at, epoch, Kind::I64, *x as u64),
+            Value::Bool(b) => self.store(at, epoch, Kind::Bool, u64::from(*b)),
+            Value::Obj(o) => {
+                let bits = self.obj_bits(o);
+                self.store(at, epoch, Kind::Obj, bits);
+            }
+            v => {
+                let old = self.cells[at];
+                let place = if old.kind == Kind::Val {
+                    old.bits as usize
+                } else if let Some(free) = self.free.pop() {
+                    free as usize
+                } else {
+                    self.vals.push(Value::Null);
+                    self.vals.len() - 1
+                };
+                self.vals[place] = v.clone();
+                self.cells[at] = KeptCell {
+                    bits: place as u64,
+                    epoch,
+                    kind: Kind::Val,
+                };
+            }
+        }
+    }
+
+    /// Fill the cell at `at` with lane `lane` of `col`, which holds a
+    /// value there, to answer in `epoch`.
+    #[inline]
+    fn fill_lane(&mut self, at: usize, epoch: u32, col: Col, lane: u32, st: &Scratch) {
+        match col.kind {
+            Kind::Empty => {}
+            Kind::Obj => {
+                let bits = self.obj_bits(&st.objs[col.at(lane)]);
+                self.store(at, epoch, Kind::Obj, bits);
+            }
+            Kind::Val => self.fill(at, epoch, &st.vals[col.at(lane)]),
+            kind => self.store(at, epoch, kind, st.nums[col.at(lane)]),
+        }
+    }
+
+    /// The bits of object `o` in a cell.
+    fn obj_bits(&mut self, o: &ObjRef) -> u64 {
+        let class = match self.classes.iter().position(|c| *c == o.class) {
+            Some(class) => class,
+            None => {
+                self.classes.push(o.class);
+                self.classes.len() - 1
+            }
+        };
+        (class as u64) << 32 | u64::from(o.index)
+    }
+
+    /// Write what filled cell `c` holds into lane `lane` of `out`.
+    #[inline]
+    fn answer(&self, c: KeptCell, out: &mut Col, lane: u32, st: &mut Scratch) {
+        match c.kind {
+            Kind::Obj => {
+                let o = ObjRef {
+                    class: self.classes[(c.bits >> 32) as usize],
+                    index: c.bits as u32,
+                };
+                st.put_obj(out, lane, o);
+            }
+            Kind::Val => st.put_val(out, lane, self.vals[c.bits as usize].clone()),
+            kind => st.put_num(out, lane, kind, c.bits),
+        }
     }
 }
 
@@ -3742,11 +3858,13 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         if missed.len > 0 {
             let col = self.eval_inner(node, fr, missed, st);
             let mut kept = self.kept.borrow_mut();
+            let (column, epoch) = kept.column(cell);
             for k in missed.range() {
                 let lane = st.lanes[k];
                 if st.err(col, lane).is_none() {
-                    if let Some(row) = self.row_of(&mut kept, fr, lane, st) {
-                        kept.fill(row, cell, st.value(col, lane));
+                    if let Some(row) = kept.row_of(fr, lane, st) {
+                        let at = kept.at(column, row);
+                        kept.fill_lane(at, epoch, col, lane, st);
                     }
                 }
             }
@@ -3770,11 +3888,15 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
     fn answer_kept(&self, cell: u32, fr: Frame, sel: Sel, out: &mut Col, st: &mut Scratch) {
         let mut kept = self.kept.borrow_mut();
         let missed = st.lanes.len();
+        kept.bind_batch(st);
+        let (column, epoch) = kept.column(cell);
         for k in sel.range() {
             let lane = st.lanes[k];
-            let row = self.row_of(&mut kept, fr, lane, st);
-            match row.and_then(|row| kept.get(row, cell)) {
-                Some(v) => st.put_ref(out, lane, v),
+            let found = kept
+                .row_of(fr, lane, st)
+                .map(|row| kept.cells[kept.at(column, row)]);
+            match found.filter(|c| c.epoch == epoch) {
+                Some(c) => kept.answer(c, out, lane, st),
                 None => st.lanes.push(lane),
             }
         }
@@ -3783,33 +3905,13 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         st.cache_hits += u64::from(sel.len) - misses;
     }
 
-    /// The row of `lane`'s subject in [`Kept`], `None` for a subject that
-    /// is not an object. Sites are in property bodies: an element of a set
-    /// construct is of the batch lane its owners lead up to, whose subject
-    /// is the body frame's slot 0 (a site may read the subject through a
-    /// LET only, so the element's frame need not hold it). The rows of a
-    /// batch's lanes are bound once, by its first site ([`Kept::bind`]).
-    fn row_of(&self, kept: &mut Kept, fr: Frame, lane: u32, st: &Scratch) -> Option<u32> {
-        let (mut frame, mut lane) = (fr.id, lane);
-        while frame != 0 {
-            let rec = &st.frames[frame as usize];
-            lane = st.lanes[(rec.owners + lane) as usize];
-            frame = rec.parent;
-        }
-        if kept.bound != kept.batch {
-            kept.bind(st.regs[0], st);
-        }
-        let row = kept.lists[kept.list].rows[lane as usize];
-        (row != NONE).then_some(row)
-    }
-
     /// Fill the run cells of every member of sum group `group` for the
     /// lanes `sel`, `node` one member: one visit of the source's elements
     /// per lane, each adding its attribute to the member that selects it,
     /// in the source's order. A lane the data source does not answer, or a
     /// member whose sum fails, is left empty — its site evaluates it.
     fn fill_group(&self, group: u32, node: NodeRef, fr: Frame, sel: Sel, st: &mut Scratch) {
-        let Ir::Aggregate { op, source, .. } = &self.cs.nodes[node as usize] else {
+        let Ir::Aggregate { source, .. } = &self.cs.nodes[node as usize] else {
             unreachable!("sum groups are of aggregates");
         };
         let Ir::FilterEq {
@@ -3830,7 +3932,7 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
         let mut sums = std::mem::take(&mut kept.sums);
         for k in sel.range() {
             let lane = st.lanes[k];
-            let Some(row) = self.row_of(&mut kept, fr, lane, st) else {
+            let Some(row) = kept.row_of(fr, lane, st) else {
                 continue;
             };
             let (Some(o), None) = (st.obj_of(objs, lane), st.err(keys, lane)) else {
@@ -3843,20 +3945,25 @@ impl<'c, M: ObjectModel> Ctx<'c, M> {
                 among: None,
             };
             sums.clear();
-            sums.extend(group.members.iter().map(|_| ops::Aggregator::new(*op)));
+            sums.resize(group.members.len(), (ops::NumSum::new(), true));
             let routes = &group.routes;
-            let mut route = |v, by: &Value| {
+            let mut route = |v: Value, by: &Value| {
                 let key = enum_key(by);
                 if let Some(&(_, m)) = routes.iter().find(|(k, _)| Some(*k) == key) {
-                    sums[m as usize].push(v);
+                    let (sum, numbers) = &mut sums[m as usize];
+                    *numbers &= sum.push(&v);
                 }
             };
             let answered =
                 (self.data).visit_attr(o, set_attr, filter, group.attr, Some(group.by), &mut route);
             if let Some(Ok(())) = answered {
-                for (cell, sum) in group.members.iter().zip(sums.drain(..)) {
-                    if let Ok(v) = sum.finish() {
-                        kept.fill(row, RUN_CELL | cell, v);
+                for (&cell, &(sum, numbers)) in group.members.iter().zip(&sums) {
+                    let (column, epoch) = kept.column(RUN_CELL | cell);
+                    let at = kept.at(column, row);
+                    match sum.total() {
+                        _ if !numbers => {}
+                        ops::Number::Int(x) => kept.store(at, epoch, Kind::I64, x as u64),
+                        ops::Number::Float(x) => kept.store(at, epoch, Kind::F64, x.to_bits()),
                     }
                 }
             }

@@ -76,22 +76,31 @@ impl From<Scalar> for Value {
     }
 }
 
-impl Scalar {
+/// An operand of the scalar kernels: a number, unboxed. A truth value is
+/// not one; the general rules of [`binary_strict`] decide over it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// An integer.
+    Int(i64),
+    /// A float.
+    Float(f64),
+}
+
+impl Number {
     /// `v` as a number, if it is one.
-    pub fn number(v: &Value) -> Option<Scalar> {
+    pub fn of(v: &Value) -> Option<Number> {
         match v {
-            Value::Int(x) => Some(Scalar::Int(*x)),
-            Value::Float(x) => Some(Scalar::Float(*x)),
+            Value::Int(x) => Some(Number::Int(*x)),
+            Value::Float(x) => Some(Number::Float(*x)),
             _ => None,
         }
     }
 
-    /// The number widened to a float (a truth value is not one).
+    /// The number widened to a float.
     fn as_f64(self) -> f64 {
         match self {
-            Scalar::Int(x) => x as f64,
-            Scalar::Float(x) => x,
-            Scalar::Bool(b) => f64::from(u8::from(b)),
+            Number::Int(x) => x as f64,
+            Number::Float(x) => x,
         }
     }
 }
@@ -99,9 +108,9 @@ impl Scalar {
 /// `op` over two numbers: [`int_binary`] over two integers,
 /// [`float_binary`] over any other pair, widened.
 #[inline]
-pub fn numeric_binary(op: BinOp, a: Scalar, b: Scalar) -> Option<Scalar> {
+pub fn numeric_binary(op: BinOp, a: Number, b: Number) -> Option<Scalar> {
     match (a, b) {
-        (Scalar::Int(a), Scalar::Int(b)) => int_binary(op, a, b),
+        (Number::Int(a), Number::Int(b)) => int_binary(op, a, b),
         (a, b) => float_binary(op, a.as_f64(), b.as_f64()),
     }
 }
@@ -160,7 +169,7 @@ pub fn float_binary(op: BinOp, a: f64, b: f64) -> Option<Scalar> {
 /// unboxed lanes; what they leave open — a zero divisor, a
 /// NaN to order, operands of other types — the general rules below decide.
 pub fn binary_strict(op: BinOp, l: &Value, r: &Value) -> EvalResult<Value> {
-    let kernel = match (Scalar::number(l), Scalar::number(r)) {
+    let kernel = match (Number::of(l), Number::of(r)) {
         (Some(a), Some(b)) => numeric_binary(op, a, b),
         _ => None,
     };
@@ -231,10 +240,8 @@ pub fn fold_builtin_minmax(is_max: bool, best: Option<Value>, v: Value) -> Optio
 pub struct Aggregator {
     op: AggOp,
     count: usize,
-    /// `SUM`: every value so far was an `Int` (the sum stays integral).
-    all_int: bool,
-    int_sum: i64,
-    float_sum: f64,
+    /// `SUM`/`AVG`: the sum so far.
+    sum: NumSum,
     /// `MIN`/`MAX`: the extremum so far.
     best: Option<Value>,
     /// First value the operator could not take.
@@ -247,9 +254,7 @@ impl Aggregator {
         Aggregator {
             op,
             count: 0,
-            all_int: true,
-            int_sum: 0,
-            float_sum: 0.0,
+            sum: NumSum::new(),
             best: None,
             failed: None,
         }
@@ -264,18 +269,11 @@ impl Aggregator {
         match self.op {
             AggOp::Count => {}
             AggOp::Sum | AggOp::Avg => {
-                match v {
-                    Value::Int(x) => self.int_sum = self.int_sum.wrapping_add(x),
-                    _ => self.all_int = false,
-                }
-                match v.as_f64() {
-                    Some(x) => self.float_sum += x,
-                    None => {
-                        self.failed = Some(EvalError::new(
-                            EvalErrorKind::Type,
-                            format!("{} over {} value", self.op.keyword(), v.type_name()),
-                        ))
-                    }
+                if !self.sum.push(&v) {
+                    self.failed = Some(EvalError::new(
+                        EvalErrorKind::Type,
+                        format!("{} over {} value", self.op.keyword(), v.type_name()),
+                    ))
                 }
             }
             AggOp::Min | AggOp::Max => {
@@ -316,11 +314,67 @@ impl Aggregator {
             // Empty sums are zero — `SUM(tt.Time WHERE …)` over a region
             // without matching typed timings must yield 0 so the
             // condition `> 0` is simply false (paper's SyncCost).
-            AggOp::Sum if self.all_int => Ok(Value::Int(self.int_sum)),
-            AggOp::Sum => Ok(Value::Float(self.float_sum)),
+            AggOp::Sum => Ok(match self.sum.total() {
+                Number::Int(x) => Value::Int(x),
+                Number::Float(x) => Value::Float(x),
+            }),
             AggOp::Avg if self.count == 0 => Err(empty()),
-            AggOp::Avg => Ok(Value::Float(self.float_sum / self.count as f64)),
+            AggOp::Avg => Ok(Value::Float(self.sum.float_sum / self.count as f64)),
             AggOp::Min | AggOp::Max => self.best.ok_or_else(empty),
+        }
+    }
+}
+
+/// A `SUM` of numbers, unboxed: an integer while every value is one
+/// (wrapping on overflow), and beside it the float total, accumulated left
+/// to right from `0.0` as a loop over the values would.
+#[derive(Debug, Clone, Copy)]
+pub struct NumSum {
+    all_int: bool,
+    int_sum: i64,
+    float_sum: f64,
+}
+
+impl Default for NumSum {
+    fn default() -> Self {
+        NumSum::new()
+    }
+}
+
+impl NumSum {
+    /// The empty sum: the integer 0.
+    pub const fn new() -> Self {
+        NumSum {
+            all_int: true,
+            int_sum: 0,
+            float_sum: 0.0,
+        }
+    }
+
+    /// Fold in `v`; `false`, leaving the sum as it was, if `v` is not a
+    /// number.
+    #[inline]
+    pub fn push(&mut self, v: &Value) -> bool {
+        match *v {
+            Value::Int(x) => {
+                self.int_sum = self.int_sum.wrapping_add(x);
+                self.float_sum += x as f64;
+            }
+            Value::Float(x) => {
+                self.all_int = false;
+                self.float_sum += x;
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The sum: an integer if every value was one.
+    #[inline]
+    pub fn total(self) -> Number {
+        match self.all_int {
+            true => Number::Int(self.int_sum),
+            false => Number::Float(self.float_sum),
         }
     }
 }

@@ -706,7 +706,7 @@ impl<'a> Analyzer<'a> {
                 bot!(v);
                 match v.as_num() {
                     Some((itv, unit)) => AbsVal::Num {
-                        itv: itv.neg(),
+                        itv: itv.neg().wrap_i64(),
                         unit,
                     },
                     None => AbsVal::Other,
@@ -895,12 +895,7 @@ impl<'a> Analyzer<'a> {
                 // `%`: int-only; keep just the integrality.
                 _ => Itv::int_top(),
             };
-            // Integer `+`, `-` and `*` wrap at the bounds of `i64`: a
-            // result that may leave them may be anything.
-            let i64_range = -2f64.powi(63)..2f64.powi(63);
-            let wraps =
-                itv.int_only && !(i64_range.contains(&itv.lo) && i64_range.contains(&itv.hi));
-            let itv = if wraps { Itv::int_top() } else { itv };
+            let itv = itv.wrap_i64();
             let unit = match op {
                 BinOp::Add | BinOp::Sub => lu.add_sub(ru),
                 BinOp::Mul => lu.mul(ru),

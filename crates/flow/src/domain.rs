@@ -304,6 +304,19 @@ impl Itv {
         w
     }
 
+    /// The interval as integer arithmetic leaves it: integer `+`, `-`,
+    /// `*` and negation wrap at the bounds of `i64`, so an integer result
+    /// that may leave them may be any integer.
+    pub fn wrap_i64(self) -> Itv {
+        let i64_range = -2f64.powi(63)..2f64.powi(63);
+        let inside = i64_range.contains(&self.lo) && i64_range.contains(&self.hi);
+        if self.int_only && !inside {
+            Itv::int_top()
+        } else {
+            self
+        }
+    }
+
     /// Abstract negation.
     pub fn neg(&self) -> Itv {
         Itv {

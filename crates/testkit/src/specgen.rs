@@ -198,12 +198,13 @@ fn generated_properties(seed: u64) -> String {
 /// Properties whose columns mix what the compiled evaluator keeps apart:
 /// integer and float lanes of one value (an empty `SUM` is the integer 0,
 /// compared with `0` and with `1.0`; a product that overflows on some
-/// lanes; `%` and `/` by zero on some), severities that are NaN or ±inf
-/// on some lanes, object lanes beside `Null` ones (the parent of a root)
-/// compared with objects, a lane failing in a `LET` while the others go
-/// on through an `AND` and a `FORALL`, and a run cell an empty sum fills
-/// with an integer in one property that a float comparison reads in
-/// another.
+/// lanes, a negation of the least integer, an empty sum that wraps past
+/// the greatest integer where a float sum does not; `%` and `/` by zero
+/// on some), severities that are NaN or ±inf on some lanes, object lanes
+/// beside `Null` ones (the parent of a root) compared with objects, a
+/// lane failing in a `LET` while the others go on through an `AND` and a
+/// `FORALL`, and a run cell an empty sum fills with an integer in one
+/// property that a float comparison reads in another.
 fn lane_properties(rng: &mut Rng) -> String {
     let k = 1 + rng.below(3);
     let ty = timing_type(rng);
@@ -214,7 +215,9 @@ fn lane_properties(rng: &mut Rng) -> String {
              LET float S = {sum};\n\
                  int C = COUNT(r.TypTimes)\n\
              IN CONDITION: (zero) S == 0 OR (one) S + C == 1.0 OR (pos) S > 0.0\n\
-                 OR (wrap) C * 4611686018427387904 < 0;\n\
+                 OR (wrap) C * 4611686018427387904 < 0\n\
+                 OR (neg) 0 < -(0 - 9223372036854775807 - 1)\n\
+                 OR (big) S + 9223372036854775807 + 1 < 0;\n\
              CONFIDENCE: MAX((zero) -> 1, (one) -> 0.5, (pos) -> {huge});\n\
              SEVERITY: MAX((zero) -> S / (C % 2), (pos) -> {huge} - {huge},\n\
                  (wrap) -> 0.0 - {huge});\n\
