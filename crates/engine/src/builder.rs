@@ -246,6 +246,10 @@ impl AnalysisEngine for Engine {
         self.as_engine().ingest_batch(events)
     }
 
+    fn ingest_framed(&self, batch: online::FramedBatch<'_>) -> Result<usize, EngineError> {
+        self.as_engine().ingest_framed(batch)
+    }
+
     fn flush(&self) -> Result<Vec<RunKey>, EngineError> {
         self.as_engine().flush()
     }

@@ -54,7 +54,7 @@ pub mod sharded;
 
 use asl_core::check::CheckedSpec;
 use cosy::AnalysisReport;
-use online::{OnlineSession, RunKey, SessionStats, TraceEvent};
+use online::{FramedBatch, OnlineSession, RunKey, SessionStats, TraceEvent};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -111,6 +111,16 @@ pub trait AnalysisEngine: Send + Sync {
     /// ([`SessionStats::events_rejected`]) is exact everywhere.
     fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, EngineError>;
 
+    /// Ingest a batch that arrived as a batch frame (`kojak-net`'s server
+    /// hands one down for every whole producer batch): the same contract
+    /// as [`ingest_batch`](AnalysisEngine::ingest_batch) over
+    /// `batch.events()`, which is what the default does. A durable engine
+    /// overrides it to append the frame's bytes to its log as they are,
+    /// rather than encode the events again.
+    fn ingest_framed(&self, batch: FramedBatch<'_>) -> Result<usize, EngineError> {
+        self.ingest_batch(batch.events())
+    }
+
     /// Ingest one event.
     fn ingest(&self, event: &TraceEvent) -> Result<(), EngineError> {
         self.ingest_batch(std::slice::from_ref(event)).map(|_| ())
@@ -161,6 +171,10 @@ pub trait AnalysisEngine: Send + Sync {
 impl AnalysisEngine for OnlineSession {
     fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, EngineError> {
         OnlineSession::ingest_batch(self, events).map_err(EngineError::from)
+    }
+
+    fn ingest_framed(&self, batch: FramedBatch<'_>) -> Result<usize, EngineError> {
+        OnlineSession::ingest_framed(self, batch).map_err(EngineError::from)
     }
 
     fn flush(&self) -> Result<Vec<RunKey>, EngineError> {

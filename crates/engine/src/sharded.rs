@@ -64,8 +64,8 @@ use crate::{AnalysisEngine, RecoverableState};
 use asl_core::check::CheckedSpec;
 use cosy::AnalysisReport;
 use online::{
-    DurableConfig, IncrementalStats, OnlineSession, RecoveryError, RecoveryStats, RunKey,
-    SessionConfig, SessionStats, TraceEvent,
+    DurableConfig, FramedBatch, IncrementalStats, OnlineSession, RecoveryError, RecoveryStats,
+    RunKey, SessionConfig, SessionStats, TraceEvent,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -647,16 +647,27 @@ impl ShardedSession {
     }
 
     /// Ingest one shard's sub-batch under its lock, parking on (or
-    /// entering) quarantine. `Ok` counts events the shard took
-    /// responsibility for — applied, or parked for reintegration.
-    fn ingest_shard(&self, index: usize, group: &[TraceEvent]) -> Result<usize, EngineError> {
+    /// entering) quarantine — as the frame it arrived in, when it is the
+    /// whole of one (`framed`, whose events are `group`). `Ok` counts
+    /// events the shard took responsibility for — applied, or parked for
+    /// reintegration.
+    fn ingest_shard(
+        &self,
+        index: usize,
+        group: &[TraceEvent],
+        framed: Option<FramedBatch<'_>>,
+    ) -> Result<usize, EngineError> {
         let mut state = self.state(index);
         let result = match &mut *state {
             ShardState::Quarantined(q) => {
                 q.parked.extend_from_slice(group);
                 return Ok(group.len());
             }
-            ShardState::Healthy(engine) => engine.ingest_batch(group).map_err(EngineError::from),
+            ShardState::Healthy(engine) => match framed {
+                Some(batch) => engine.ingest_framed(batch),
+                None => engine.ingest_batch(group),
+            }
+            .map_err(EngineError::from),
         };
         match result {
             Ok(n) => Ok(n),
@@ -674,6 +685,45 @@ impl ShardedSession {
             // A per-event rejection is final: the engine counted and
             // skipped it, the rest of the group applied.
             Err(e) => Err(e),
+        }
+    }
+
+    /// Partition `events` by run affinity and apply every non-empty
+    /// sub-batch; `framed`, when given, is the frame `events` arrived in.
+    fn ingest_routed(
+        &self,
+        events: &[TraceEvent],
+        framed: Option<FramedBatch<'_>>,
+    ) -> Result<usize, EngineError> {
+        let groups = match self.partition(events) {
+            // Whole batch, one shard: feed the caller's slice (and frame)
+            // straight through — no clone, no per-shard Vec, no thread
+            // spawn.
+            Partitioned::Single(shard, slice) => {
+                return self.ingest_shard(shard, slice, framed);
+            }
+            Partitioned::Groups(groups) => groups,
+        };
+        let active: Vec<usize> = groups
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| !g.is_empty())
+            .map(|(i, _)| i)
+            .collect();
+        let results = self.fan_out(&active, |i| self.ingest_shard(i, &groups[i], None));
+        let mut accepted = 0usize;
+        let mut failure = None;
+        for result in results.into_iter().flatten() {
+            match result {
+                Ok(n) => accepted += n,
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(accepted),
         }
     }
 }
@@ -695,35 +745,15 @@ impl AnalysisEngine for ShardedSession {
     /// accepted here — the error surfaces through
     /// [`ShardedSession::degraded_state`] instead of poisoning the batch.
     fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, EngineError> {
-        let groups = match self.partition(events) {
-            // Whole batch, one shard: feed the caller's slice straight
-            // through — no clone, no per-shard Vec, no thread spawn.
-            Partitioned::Single(shard, slice) => {
-                return self.ingest_shard(shard, slice);
-            }
-            Partitioned::Groups(groups) => groups,
-        };
-        let active: Vec<usize> = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        let results = self.fan_out(&active, |i| self.ingest_shard(i, &groups[i]));
-        let mut accepted = 0usize;
-        let mut failure = None;
-        for result in results.into_iter().flatten() {
-            match result {
-                Ok(n) => accepted += n,
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(accepted),
-        }
+        self.ingest_routed(events, None)
+    }
+
+    /// [`ingest_batch`](AnalysisEngine::ingest_batch) over the frame's
+    /// events. A frame whose events all land on one shard is logged there
+    /// as received; one spanning shards is split, and each shard's part
+    /// encoded afresh, once.
+    fn ingest_framed(&self, batch: FramedBatch<'_>) -> Result<usize, EngineError> {
+        self.ingest_routed(batch.events(), Some(batch))
     }
 
     /// Flush every shard in parallel; the merged update set is sorted by

@@ -9,11 +9,13 @@
 //! losses, no producer-side persistence needed beyond the ability to
 //! replay its own stream.
 //!
-//! In flight, unacknowledged batches are retained (encoded) until their
-//! ack arrives; a connection failure triggers reconnect-with-resume: the
-//! new handshake's high-water mark drops whatever the server already
-//! applied, the rest is resent, and the server deduplicates any overlap
-//! by sequence number. Sends block once the in-flight window — the
+//! Each event is encoded once, straight into the batch frame it ships in
+//! ([`online::BatchEncoder`]), and the frame is checksummed once, when
+//! the batch is complete. In flight, unacknowledged frames are retained
+//! as written until their ack arrives; a connection failure triggers
+//! reconnect-with-resume: the new handshake's high-water mark drops
+//! whatever the server already applied, the rest is resent byte for byte,
+//! and the server deduplicates any overlap by sequence number. Sends block once the in-flight window — the
 //! smaller of the server's advertised window and its latest ack
 //! headroom, floored at one batch — is full: backpressure propagates to
 //! the producer instead of buffering unboundedly on either side.
@@ -22,7 +24,7 @@ use crate::error::NetError;
 use crate::proto::{self, Hello, Message};
 use faults::{FaultStream, Faults};
 use obs::{MetricsSnapshot, MetricsSource};
-use online::TraceEvent;
+use online::{BatchEncoder, TraceEvent};
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -119,6 +121,8 @@ pub struct NetStats {
     pub reconnects: u64,
     /// Events rewritten after a reconnect (unacked at failure time).
     pub events_resent: u64,
+    /// Bytes of every frame written, headers included (resends too).
+    pub frame_bytes_sent: u64,
     /// The server's most recent advertised headroom.
     pub server_headroom: u32,
 }
@@ -137,6 +141,7 @@ impl MetricsSource for NetStats {
             acks_received,
             reconnects,
             events_resent,
+            frame_bytes_sent,
             server_headroom,
         } = *self;
         out.push_counter("kojak_net_events_offered_total", events_offered);
@@ -150,53 +155,39 @@ impl MetricsSource for NetStats {
         out.push_counter("kojak_net_acks_received_total", acks_received);
         out.push_counter("kojak_net_reconnects_total", reconnects);
         out.push_counter("kojak_net_events_resent_total", events_resent);
+        out.push_counter("kojak_net_frame_bytes_sent_total", frame_bytes_sent);
         out.push_gauge("kojak_net_events_inflight", events_inflight);
         out.push_gauge("kojak_net_server_headroom", u64::from(server_headroom));
     }
 }
 
-/// A batch written to the socket and awaiting its ack. Events are
-/// retained as their wire encoding — `body` holds consecutive
-/// `len u32 | event bytes` entries, exactly the EventBatch body layout,
-/// and `offsets` marks where each entry starts — so shipping and
-/// resending re-frame cached bytes instead of re-serializing, and a
-/// partially acknowledged batch can be trimmed on an entry boundary.
+/// A batch written to the socket and awaiting its ack, retained as its
+/// frame — checksummed once, when it was completed — so a resend writes
+/// the same bytes again. A batch the server acknowledged in part stays
+/// whole: a resend carries the acknowledged prefix too, and the server
+/// drops it by sequence number.
 #[derive(Debug, Clone)]
 struct SentBatch {
     first_seq: u64,
-    offsets: Vec<usize>,
-    body: Vec<u8>,
+    count: usize,
+    frame: Vec<u8>,
 }
 
 impl SentBatch {
-    fn count(&self) -> usize {
-        self.offsets.len()
-    }
-
     fn last_seq(&self) -> u64 {
-        self.first_seq + self.count() as u64 - 1
-    }
-
-    /// Write this batch as one EventBatch frame.
-    fn write(&self, stream: &mut ProducerStream) -> std::io::Result<()> {
-        proto::write_event_batch(stream, self.first_seq, self.count() as u32, &self.body)
-    }
-
-    /// Drop the entries acknowledged through `high_water` (which the
-    /// caller guarantees covers a proper, non-empty prefix). Returns how
-    /// many entries were dropped.
-    fn trim_acked(&mut self, high_water: u64) -> usize {
-        let covered = (high_water - self.first_seq + 1) as usize;
-        let cut = self.offsets[covered];
-        self.body.drain(..cut);
-        self.offsets.drain(..covered);
-        for offset in &mut self.offsets {
-            *offset -= cut;
-        }
-        self.first_seq = high_water + 1;
-        covered
+        self.first_seq + self.count as u64 - 1
     }
 }
+
+/// Write whole frames (one `write`, then a flush).
+fn write_frame_bytes(stream: &mut ProducerStream, frame: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    stream.write_all(frame)?;
+    stream.flush()
+}
+
+/// Frame buffers of acknowledged batches kept for the next batches.
+const SPARE_FRAMES: usize = 4;
 
 /// A reconnecting producer connection to an [`crate::EngineServer`].
 pub struct TraceProducer {
@@ -213,12 +204,16 @@ pub struct TraceProducer {
     headroom: u32,
     /// Feature set negotiated at the latest handshake.
     features: u8,
-    /// Entry offsets into `pending_body` — the unsent tail of the
-    /// stream, already wire-encoded (see [`SentBatch`]).
-    pending_offsets: Vec<usize>,
-    pending_body: Vec<u8>,
+    /// The open batch frame — the unsent tail of the stream, already
+    /// encoded; empty when no frame is open.
+    pending: Vec<u8>,
+    encoder: BatchEncoder,
     /// Shipped, unacknowledged batches, oldest first.
     unacked: VecDeque<SentBatch>,
+    /// Frame buffers of acknowledged batches, for the next ones.
+    spare: Vec<Vec<u8>>,
+    /// The buffer every frame from the server is read into.
+    incoming: Vec<u8>,
     /// Monotone draw counter for the deterministic reconnect jitter:
     /// successive reconnect episodes draw fresh waits.
     backoff_draws: u64,
@@ -240,9 +235,11 @@ impl TraceProducer {
             window: ack.window,
             headroom: ack.window,
             features: ack.features,
-            pending_offsets: Vec::new(),
-            pending_body: Vec::new(),
+            pending: Vec::new(),
+            encoder: BatchEncoder::new(),
             unacked: VecDeque::new(),
+            spare: Vec::new(),
+            incoming: Vec::new(),
             backoff_draws: 0,
             stats: NetStats::default(),
             stream: Some(stream),
@@ -287,15 +284,9 @@ impl TraceProducer {
             return Err(NetError::FeatureUnavailable("introspect"));
         }
         self.ship_pending()?;
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(NetError::Closed);
-        };
-        proto::write_message(stream, &Message::Introspect)?;
+        self.write_message(&Message::Introspect)?;
         loop {
-            let Some(stream) = self.stream.as_mut() else {
-                return Err(NetError::Closed);
-            };
-            match proto::read_message(stream, self.config.max_frame_len)? {
+            match self.read_message()? {
                 Message::Ack(ack) => {
                     self.stats.acks_received += 1;
                     self.headroom = ack.headroom;
@@ -315,7 +306,30 @@ impl TraceProducer {
     }
 
     fn inflight_events(&self) -> usize {
-        self.unacked.iter().map(|b| b.count()).sum()
+        self.unacked.iter().map(|b| b.count).sum()
+    }
+
+    /// Encode and write one frame of `message`, counting its bytes.
+    fn write_message(&mut self, message: &Message) -> Result<(), NetError> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Err(NetError::Closed);
+        };
+        let mut frame = Vec::new();
+        online::wire::put_frame(&mut frame, |buf| proto::encode_message(buf, message));
+        write_frame_bytes(stream, &frame)?;
+        self.stats.frame_bytes_sent += frame.len() as u64;
+        Ok(())
+    }
+
+    /// Read and decode one frame from the server into the buffer the
+    /// producer keeps: an ack allocates nothing.
+    fn read_message(&mut self) -> Result<Message, NetError> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Err(NetError::Closed);
+        };
+        proto::read_frame_into(stream, self.config.max_frame_len, &mut self.incoming)?;
+        proto::decode_message(&self.incoming[online::wire::FRAME_HEADER_LEN..])
+            .map_err(NetError::Wire)
     }
 
     /// The in-flight budget: the server's advertised window, tightened by
@@ -337,9 +351,11 @@ impl TraceProducer {
             self.stats.events_skipped_resume += 1;
             return Ok(());
         }
-        self.pending_offsets.push(self.pending_body.len());
-        proto::encode_batch_entry(&mut self.pending_body, event);
-        if self.pending_offsets.len() >= self.config.batch_events.max(1) {
+        if self.pending.is_empty() {
+            self.encoder.begin(&mut self.pending, self.position);
+        }
+        self.encoder.push(&mut self.pending, event);
+        if self.encoder.len() >= self.config.batch_events.max(1) {
             self.ship_pending()?;
         }
         Ok(())
@@ -362,8 +378,10 @@ impl TraceProducer {
     pub fn close(mut self) -> Result<NetStats, NetError> {
         use std::io::Read;
         self.flush()?;
+        if self.stream.is_some() {
+            self.write_message(&Message::Goodbye)?;
+        }
         if let Some(stream) = self.stream.as_mut() {
-            proto::write_message(stream, &Message::Goodbye)?;
             let mut sink = [0u8; 64];
             while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
         }
@@ -372,7 +390,7 @@ impl TraceProducer {
     }
 
     fn ship_pending(&mut self) -> Result<(), NetError> {
-        let pending = self.pending_offsets.len();
+        let pending = self.encoder.len();
         if pending == 0 {
             return Ok(());
         }
@@ -383,10 +401,12 @@ impl TraceProducer {
         {
             self.read_ack()?;
         }
+        self.encoder.finish(&mut self.pending);
+        let spare = self.spare.pop().unwrap_or_default();
         let batch = SentBatch {
             first_seq: self.position - pending as u64 + 1,
-            offsets: std::mem::take(&mut self.pending_offsets),
-            body: std::mem::take(&mut self.pending_body),
+            count: pending,
+            frame: std::mem::replace(&mut self.pending, spare),
         };
         self.stats.events_sent += pending as u64;
         self.stats.batches_sent += 1;
@@ -398,10 +418,7 @@ impl TraceProducer {
     /// socket failure.
     fn read_ack(&mut self) -> Result<(), NetError> {
         let message = loop {
-            let Some(stream) = self.stream.as_mut() else {
-                return Err(NetError::Closed);
-            };
-            match proto::read_message(stream, self.config.max_frame_len) {
+            match self.read_message() {
                 Ok(m) => break m,
                 Err(e) if e.is_transient() => {
                     self.reconnect(e)?;
@@ -429,21 +446,26 @@ impl TraceProducer {
     }
 
     /// Drop retained batches the server has acknowledged up to
-    /// `high_water` (trimming a partially covered batch).
+    /// `high_water`; a batch it acknowledged in part stays whole (see
+    /// [`SentBatch`]).
     fn retire_acked(&mut self, high_water: u64) {
         if high_water <= self.acked {
             return;
         }
+        // Every sequence number past the last mark was sent by this
+        // producer: those below the mark it had at connect were skipped.
+        self.stats.events_acked += high_water - self.acked;
         self.acked = high_water;
-        while let Some(front) = self.unacked.front_mut() {
-            if front.last_seq() <= high_water {
-                self.stats.events_acked += front.count() as u64;
-                self.unacked.pop_front();
-            } else if front.first_seq <= high_water {
-                self.stats.events_acked += front.trim_acked(high_water) as u64;
-                break;
-            } else {
-                break;
+        while self
+            .unacked
+            .front()
+            .is_some_and(|front| front.last_seq() <= high_water)
+        {
+            let retired = self.unacked.pop_front().expect("a front batch");
+            if self.spare.len() < SPARE_FRAMES {
+                let mut frame = retired.frame;
+                frame.clear();
+                self.spare.push(frame);
             }
         }
     }
@@ -453,8 +475,11 @@ impl TraceProducer {
         let (Some(stream), Some(batch)) = (self.stream.as_mut(), self.unacked.back()) else {
             return Err(NetError::Closed);
         };
-        match batch.write(stream) {
-            Ok(()) => Ok(()),
+        match write_frame_bytes(stream, &batch.frame) {
+            Ok(()) => {
+                self.stats.frame_bytes_sent += batch.frame.len() as u64;
+                Ok(())
+            }
             // The failed frame is already retained in `unacked`:
             // reconnect resends everything still owed, this frame
             // included.
@@ -503,9 +528,10 @@ impl TraceProducer {
                     self.retire_acked(hello_ack.last_acked);
                     match resend_all(&mut stream, &self.unacked) {
                         Ok(resent) => {
-                            self.stats.events_resent += resent.0;
-                            self.stats.events_sent += resent.0;
-                            self.stats.batches_sent += resent.1;
+                            self.stats.events_resent += resent.events;
+                            self.stats.events_sent += resent.events;
+                            self.stats.batches_sent += resent.batches;
+                            self.stats.frame_bytes_sent += resent.bytes;
                             self.stats.reconnects += 1;
                             self.stream = Some(stream);
                             return Ok(());
@@ -562,20 +588,31 @@ pub fn decorrelated_backoff(
     Duration::from_nanos(wait_ns).min(cap)
 }
 
-/// Rewrite every retained batch on a fresh connection (cached bytes, no
-/// re-serialization); returns (events, batches) resent.
+/// What [`resend_all`] wrote.
+struct Resent {
+    events: u64,
+    batches: u64,
+    bytes: u64,
+}
+
+/// Rewrite every retained batch on a fresh connection (the retained
+/// frames, byte for byte).
 fn resend_all(
     stream: &mut ProducerStream,
     unacked: &VecDeque<SentBatch>,
-) -> std::io::Result<(u64, u64)> {
-    let mut events = 0u64;
-    let mut batches = 0u64;
+) -> std::io::Result<Resent> {
+    let mut resent = Resent {
+        events: 0,
+        batches: 0,
+        bytes: 0,
+    };
     for batch in unacked {
-        batch.write(stream)?;
-        events += batch.count() as u64;
-        batches += 1;
+        write_frame_bytes(stream, &batch.frame)?;
+        resent.events += batch.count as u64;
+        resent.batches += 1;
+        resent.bytes += batch.frame.len() as u64;
     }
-    Ok((events, batches))
+    Ok(resent)
 }
 
 /// Connect with the configured timeout (resolving `addr` may yield

@@ -2,9 +2,10 @@
 //!
 //! Everything on the socket reuses the hand-rolled binary primitives of
 //! [`online::wire`] (little-endian integers, `f64` bit patterns,
-//! length-prefixed strings) and the event encoding of
-//! [`TraceEvent::encode_wire`] — the exact codec the write-ahead log
-//! already trusts. The network adds three layers on top:
+//! length-prefixed strings), and an event batch *is* a batch frame of
+//! [`online::batch`] — the bytes the write-ahead log keeps, so a durable
+//! shard appends a received batch as it is. The network adds three
+//! layers on top:
 //!
 //! ## Handshake
 //!
@@ -42,8 +43,17 @@
 //! event batches, acks) bumps [`PROTO_VERSION`]; optional additions like
 //! [`Message::Introspect`] ride on a feature bit. The server reads the
 //! version-bearing 21-byte prefix first ([`HELLO_PREFIX_LEN`]) and only
-//! consumes the features byte from a version-2 peer, so a v1 producer is
-//! refused promptly instead of deadlocking on a byte it never sends.
+//! consumes the features byte from a peer of version 2 or later, so a v1
+//! producer is refused promptly instead of deadlocking on a byte it never
+//! sends.
+//!
+//! ## Versions
+//!
+//! Version 3 made the event batch a batch frame (below). A server still
+//! accepts a version-2 producer ([`MIN_PROTO_VERSION`]), answers it as
+//! version 2 and applies its entry batches; nothing writes those any
+//! more. A version-3 producer answered as anything else stops with a
+//! typed [`NetError::UnsupportedProtocol`] before it sends a batch.
 //!
 //! ## Frames
 //!
@@ -67,11 +77,28 @@
 //! events), `Ack` (server → producer: high-water mark + queue headroom —
 //! the backpressure signal), or `Goodbye` (producer → server: graceful
 //! end of stream).
+//!
+//! An event batch is a batch frame ([`online::batch`], tag 6): its
+//! `first_seq` field is the sequence number of its first event, and each
+//! run key and name of its events is written once, in tables after the
+//! records:
+//!
+//! ```text
+//! ┌────────┬────────┬───┬─────┬───────────┬────────┬─────────────┬─────────┬──────────┬───────────┐
+//! │len: u32│crc: u32│ 6 │ ver │first_seq  │events  │record_bytes │ records │ run table│ name table│
+//! │        │        │u8 │ u8  │u64        │u32     │u32          │         │          │           │
+//! └────────┴────────┴───┴─────┴───────────┴────────┴─────────────┴─────────┴──────────┴───────────┘
+//! ```
+//!
+//! A version-2 producer's batch (kind 1: `first_seq u64 | count u32`,
+//! then per event `len u32 | TraceEvent::encode_wire bytes`) is still
+//! read, never written.
 
 use crate::error::NetError;
 use asl_core::check::CheckedSpec;
-use online::wire::{self, Reader, WireError};
-use online::TraceEvent;
+use online::batch::{BatchDecoder, BatchEncoder, BATCH_TAG};
+use online::wire::{self, Reader, WireError, FRAME_HEADER_LEN};
+use online::{FramedBatch, TraceEvent};
 use std::io::{Read, Write};
 
 /// Magic prefix opening both handshake directions.
@@ -79,8 +106,12 @@ pub const NET_MAGIC: &[u8; 4] = b"KJNP";
 /// Protocol version. Bump on any **core** handshake/frame/message layout
 /// change; both ends refuse unknown versions with a typed error. Optional
 /// message sets are negotiated via [`feature`] bits instead. Version 2
-/// appended the feature byte to both hello directions.
-pub const PROTO_VERSION: u8 = 2;
+/// appended the feature byte to both hello directions; version 3 made the
+/// event batch a batch frame.
+pub const PROTO_VERSION: u8 = 3;
+/// The oldest producer version a server still accepts: its hello has the
+/// feature byte, and its entry batches are still read.
+pub const MIN_PROTO_VERSION: u8 = 2;
 /// Byte length of the producer hello.
 pub const HELLO_LEN: usize = 22;
 /// Byte length of the version-bearing hello prefix (everything before
@@ -205,6 +236,9 @@ pub fn decode_hello(bytes: &[u8; HELLO_LEN]) -> Result<(u8, Hello), NetError> {
 /// The server's handshake reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloAck {
+    /// The protocol version the server speaks on this connection: the
+    /// producer's own when accepted, [`PROTO_VERSION`] in a refusal.
+    pub version: u8,
     /// One of the [`status`] codes.
     pub status: u8,
     /// Hash of the suite the server evaluates.
@@ -223,7 +257,7 @@ pub struct HelloAck {
 pub fn encode_hello_ack(ack: &HelloAck) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HELLO_ACK_LEN);
     buf.extend_from_slice(NET_MAGIC);
-    wire::put_u8(&mut buf, PROTO_VERSION);
+    wire::put_u8(&mut buf, ack.version);
     wire::put_u8(&mut buf, ack.status);
     wire::put_u64(&mut buf, ack.spec_hash);
     wire::put_u64(&mut buf, ack.last_acked);
@@ -232,7 +266,9 @@ pub fn encode_hello_ack(ack: &HelloAck) -> Vec<u8> {
     buf
 }
 
-/// Decode a server hello reply.
+/// Decode a server hello reply. A reply of another version than
+/// [`PROTO_VERSION`] — a server that would not read this build's batch
+/// frames — is refused, typed, before anything is sent.
 pub fn decode_hello_ack(bytes: &[u8; HELLO_ACK_LEN]) -> Result<HelloAck, NetError> {
     if &bytes[..4] != NET_MAGIC {
         return Err(NetError::BadMagic(bytes[..4].try_into().unwrap()));
@@ -243,6 +279,7 @@ pub fn decode_hello_ack(bytes: &[u8; HELLO_ACK_LEN]) -> Result<HelloAck, NetErro
         return Err(NetError::UnsupportedProtocol(version));
     }
     Ok(HelloAck {
+        version,
         status: r.get_u8("handshake status").map_err(NetError::Wire)?,
         spec_hash: r.get_u64("spec hash").map_err(NetError::Wire)?,
         last_acked: r.get_u64("last acked").map_err(NetError::Wire)?,
@@ -270,7 +307,8 @@ pub struct Ack {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Producer → server: events with consecutive sequence numbers
-    /// `first_seq, first_seq+1, …`.
+    /// `first_seq, first_seq+1, …` — a batch frame on the wire (a
+    /// version-2 entry batch decodes to this too).
     EventBatch {
         /// Sequence number of the first event.
         first_seq: u64,
@@ -293,7 +331,8 @@ pub enum Message {
     MetricsReport(Vec<u8>),
 }
 
-const KIND_EVENT_BATCH: u8 = 1;
+/// A version-2 producer's entry batch: read, never written.
+const KIND_ENTRY_BATCH: u8 = 1;
 const KIND_ACK: u8 = 2;
 const KIND_GOODBYE: u8 = 3;
 const KIND_INTROSPECT: u8 = 4;
@@ -312,54 +351,14 @@ impl Message {
     }
 }
 
-/// Append one `len u32 | encoded event` entry of an EventBatch body.
-/// Producers encode each event exactly once with this and retain the
-/// bytes until acknowledged, so a resend re-frames cached bytes instead
-/// of re-serializing.
-pub fn encode_batch_entry(body: &mut Vec<u8>, event: &TraceEvent) {
-    let len_at = body.len();
-    wire::put_u32(body, 0); // back-patched below
-    event.encode_wire(body);
-    let len = (body.len() - len_at - 4) as u32;
-    body[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Append the EventBatch header: kind, first sequence number, count.
-fn put_event_batch_header(buf: &mut Vec<u8>, first_seq: u64, count: u32) {
-    wire::put_u8(buf, KIND_EVENT_BATCH);
-    wire::put_u64(buf, first_seq);
-    wire::put_u32(buf, count);
-}
-
-/// Write one EventBatch frame from a pre-encoded body of `count`
-/// [`encode_batch_entry`] entries — the bytes [`write_message`] writes
-/// for those events, built in one buffer with one copy of the body by the
-/// frame writer WAL frames use too ([`wire::put_frame`]).
-/// One `write`, then a flush. A producer retains each batch as its body
-/// and re-frames it with this on every resend.
-pub fn write_event_batch(
-    w: &mut impl Write,
-    first_seq: u64,
-    count: u32,
-    body: &[u8],
-) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(8 + 13 + body.len());
-    wire::put_frame(&mut frame, |frame| {
-        put_event_batch_header(frame, first_seq, count);
-        frame.extend_from_slice(body);
-    });
-    w.write_all(&frame)?;
-    w.flush()
-}
-
-/// Append the encoding of `message` to `buf`.
+/// Append the encoding of `message` to `buf`: the payload of its frame
+/// ([`write_message`] writes the whole frame).
 pub fn encode_message(buf: &mut Vec<u8>, message: &Message) {
     match message {
         Message::EventBatch { first_seq, events } => {
-            put_event_batch_header(buf, *first_seq, events.len() as u32);
-            for event in events {
-                encode_batch_entry(buf, event);
-            }
+            let start = buf.len();
+            BatchEncoder::new().encode(buf, *first_seq, events);
+            buf.drain(start..start + FRAME_HEADER_LEN);
         }
         Message::Ack(ack) => {
             wire::put_u8(buf, KIND_ACK);
@@ -379,21 +378,32 @@ pub fn encode_message(buf: &mut Vec<u8>, message: &Message) {
 /// Decode one frame payload. The whole payload must be consumed; typed
 /// errors on anything else — a socket feeds this arbitrary bytes.
 pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
-    decode_message_with_pool(payload, &mut Vec::new())
+    decode_message_with_pool(payload, &mut Vec::new(), &mut BatchDecoder::new())
 }
 
 /// [`decode_message`] with a recycled-vector pool: an `EventBatch`
 /// decodes into a vector popped from `pool` instead of a fresh one,
-/// overwriting its events in place ([`TraceEvent::decode_wire_into`]) and
-/// truncating the ones past the batch — allocation-free once warm. See
-/// [`DecodeArena`] for the owning handle.
+/// overwriting its events in place ([`BatchDecoder::decode_into`], or
+/// [`TraceEvent::decode_wire_into`] for an entry batch) and truncating the
+/// ones past the batch — allocation-free once warm. See [`DecodeArena`]
+/// for the owning handle.
 fn decode_message_with_pool(
     payload: &[u8],
     pool: &mut Vec<Vec<TraceEvent>>,
+    decoder: &mut BatchDecoder,
 ) -> Result<Message, WireError> {
+    if payload.first() == Some(&BATCH_TAG) {
+        let mut events = pool.pop().unwrap_or_default();
+        let header = decoder.decode_into(payload, &mut events, 0)?;
+        events.truncate(header.count as usize);
+        return Ok(Message::EventBatch {
+            first_seq: header.first_seq,
+            events,
+        });
+    }
     let mut r = Reader::new(payload);
     let message = match r.get_u8("message kind")? {
-        KIND_EVENT_BATCH => {
+        KIND_ENTRY_BATCH => {
             let first_seq = r.get_u64("first sequence")?;
             let count = r.get_u32("event count")? as usize;
             // Preallocation guard: a wire-encoded event is ≥ 2 bytes plus
@@ -437,50 +447,52 @@ fn decode_message_with_pool(
 
 // ------------------------------------------------------------- frames ----
 
-/// Write `payload` as one frame (len + crc32 + payload, [`wire::put_frame`];
-/// a single write).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    wire::put_frame(&mut frame, |frame| frame.extend_from_slice(payload));
+/// Encode and write `message` as one frame (a single write, then a
+/// flush): an event batch is encoded straight into its frame.
+pub fn write_message(w: &mut impl Write, message: &Message) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(64);
+    match message {
+        Message::EventBatch { first_seq, events } => {
+            BatchEncoder::new().encode(&mut frame, *first_seq, events)
+        }
+        other => wire::put_frame(&mut frame, |buf| encode_message(buf, other)),
+    }
     w.write_all(&frame)?;
     w.flush()
-}
-
-/// Encode and write `message` as one frame.
-pub fn write_message(w: &mut impl Write, message: &Message) -> std::io::Result<()> {
-    let mut payload = Vec::with_capacity(64);
-    encode_message(&mut payload, message);
-    write_frame(w, &payload)
 }
 
 /// Read one frame payload, verifying length cap and checksum before
 /// anything downstream sees the bytes.
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Vec<u8>, NetError> {
-    let mut payload = Vec::new();
-    read_frame_into(r, max_len, &mut payload)?;
-    Ok(payload)
+    let mut frame = Vec::new();
+    read_frame_into(r, max_len, &mut frame)?;
+    frame.drain(..FRAME_HEADER_LEN);
+    Ok(frame)
 }
 
-/// [`read_frame`] into a caller-owned buffer (cleared first): the hot
-/// path reuses one buffer per connection instead of allocating per
-/// frame. The length cap is enforced *before* the buffer grows, so a
-/// hostile prefix still cannot balloon memory.
+/// Read one whole frame — header and payload, `frame[FRAME_HEADER_LEN..]`
+/// the payload — into a caller-owned buffer (cleared first), verifying
+/// length cap and checksum: the hot paths reuse one buffer per
+/// connection instead of allocating per frame. The length cap is
+/// enforced *before* the buffer grows, so a hostile prefix still cannot
+/// balloon memory.
 pub fn read_frame_into(
     r: &mut impl Read,
     max_len: u32,
-    payload: &mut Vec<u8>,
+    frame: &mut Vec<u8>,
 ) -> Result<(), NetError> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut header)?;
     let len = u32::from_le_bytes(header[..4].try_into().unwrap());
     let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
     if len > max_len {
         return Err(NetError::FrameTooLarge { len, max: max_len });
     }
-    payload.clear();
-    payload.resize(len as usize, 0);
-    r.read_exact(payload)?;
-    let actual = wire::crc32(payload);
+    frame.clear();
+    frame.extend_from_slice(&header);
+    frame.resize(FRAME_HEADER_LEN + len as usize, 0);
+    r.read_exact(&mut frame[FRAME_HEADER_LEN..])?;
+    let actual = wire::crc32(&frame[FRAME_HEADER_LEN..]);
     if actual != crc {
         return Err(NetError::Checksum {
             expected: crc,
@@ -490,16 +502,17 @@ pub fn read_frame_into(
     Ok(())
 }
 
-/// A per-connection decode arena: one payload buffer reused across
-/// frames, plus a small pool of recycled event vectors whose events are
-/// decoded over in place, strings included, so the server's decode →
-/// handle path allocates nothing per frame or per event once warm. The
-/// handler hands an `EventBatch`'s vector back through
+/// A per-connection decode arena: one frame buffer reused across frames,
+/// a batch decoder, and a small pool of recycled event vectors whose
+/// events are decoded over in place, strings included, so the server's
+/// decode → handle path allocates nothing per frame or per event once
+/// warm. The handler hands an `EventBatch`'s vector back through
 /// [`DecodeArena::recycle`] after ingesting it.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
-    payload: Vec<u8>,
+    frame: Vec<u8>,
     pool: Vec<Vec<TraceEvent>>,
+    decoder: BatchDecoder,
 }
 
 /// Recycled event vectors kept per arena; beyond this, returned vectors
@@ -513,19 +526,34 @@ impl DecodeArena {
         DecodeArena::default()
     }
 
-    /// Read one frame into the arena's payload buffer (see
+    /// Read one frame into the arena's frame buffer (see
     /// [`read_frame_into`]).
     pub fn read_frame(&mut self, r: &mut impl Read, max_len: u32) -> Result<(), NetError> {
-        read_frame_into(r, max_len, &mut self.payload)
+        read_frame_into(r, max_len, &mut self.frame)
+    }
+
+    /// Bytes of the last frame read, header included.
+    pub fn frame_len(&self) -> usize {
+        self.frame.len()
     }
 
     /// Decode the last frame read by [`DecodeArena::read_frame`]. An
     /// `EventBatch` decodes into a recycled vector from the pool.
     pub fn decode(&mut self) -> Result<Message, WireError> {
-        let payload = std::mem::take(&mut self.payload);
-        let result = decode_message_with_pool(&payload, &mut self.pool);
-        self.payload = payload;
-        result
+        decode_message_with_pool(
+            &self.frame[FRAME_HEADER_LEN..],
+            &mut self.pool,
+            &mut self.decoder,
+        )
+    }
+
+    /// The last frame read as a [`FramedBatch`] beside `events` — the
+    /// events [`DecodeArena::decode`] made of it — when it is a batch
+    /// frame (a version-2 entry batch is not: its events must be encoded
+    /// to be logged).
+    pub fn framed<'a>(&'a self, events: &'a [TraceEvent]) -> Option<FramedBatch<'a>> {
+        (self.frame.get(FRAME_HEADER_LEN) == Some(&BATCH_TAG))
+            .then(|| FramedBatch::new(&self.frame, events))
     }
 
     /// Return an `EventBatch`'s event vector for reuse by a later decode,
@@ -591,6 +619,7 @@ mod tests {
     #[test]
     fn hello_ack_roundtrip() {
         let ack = HelloAck {
+            version: PROTO_VERSION,
             status: status::ACCEPTED,
             spec_hash: 42,
             last_acked: 1000,
@@ -699,22 +728,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_event_batch_frame_is_the_message_frame() {
-        for (first_seq, runs) in [(17, 0..3), (1, 0..0)] {
-            let events: Vec<TraceEvent> = runs
-                .map(|run| TraceEvent::RunFinished { run: RunKey(run) })
-                .collect();
-            let mut body = Vec::new();
-            for event in &events {
-                encode_batch_entry(&mut body, event);
-            }
-            let mut one_step = Vec::new();
-            write_event_batch(&mut one_step, first_seq, events.len() as u32, &body).unwrap();
-            let mut message = Vec::new();
-            write_message(&mut message, &Message::EventBatch { first_seq, events }).unwrap();
-            assert_eq!(one_step, message);
+    /// The bytes a version-2 producer sends for `events`: kind 1, then
+    /// one `len u32 | encode_wire` entry per event.
+    pub(crate) fn entry_batch(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
+        let mut payload = vec![KIND_ENTRY_BATCH];
+        wire::put_u64(&mut payload, first_seq);
+        wire::put_u32(&mut payload, events.len() as u32);
+        for event in events {
+            let mut bytes = Vec::new();
+            event.encode_wire(&mut bytes);
+            wire::put_u32(&mut payload, bytes.len() as u32);
+            payload.extend_from_slice(&bytes);
         }
+        payload
+    }
+
+    #[test]
+    fn an_event_batch_is_written_as_a_batch_frame_and_an_entry_batch_still_reads() {
+        let events: Vec<TraceEvent> = (0..3)
+            .map(|run| TraceEvent::RunFinished { run: RunKey(run) })
+            .collect();
+        let batch = Message::EventBatch {
+            first_seq: 17,
+            events: events.clone(),
+        };
+        let mut socket = Vec::new();
+        write_message(&mut socket, &batch).unwrap();
+        assert_eq!(socket[FRAME_HEADER_LEN], BATCH_TAG);
+        let mut frame = Vec::new();
+        BatchEncoder::new().encode(&mut frame, 17, &events);
+        assert_eq!(socket, frame, "the message frame is the batch frame");
+        assert_eq!(decode_message(&entry_batch(17, &events)).unwrap(), batch);
     }
 
     #[test]

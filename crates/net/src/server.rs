@@ -86,6 +86,8 @@ pub struct ServerStats {
     pub batches_received: u64,
     /// Events received over all batches.
     pub events_received: u64,
+    /// Bytes of every frame read and verified, headers included.
+    pub frame_bytes_received: u64,
     /// Events dropped as duplicates of an already-acknowledged sequence
     /// number (producer resend after a lost ack).
     pub events_deduplicated: u64,
@@ -113,6 +115,7 @@ impl MetricsSource for ServerStats {
             handshakes_refused,
             batches_received,
             events_received,
+            frame_bytes_received,
             events_deduplicated,
             protocol_errors,
             ingest_failures,
@@ -124,6 +127,7 @@ impl MetricsSource for ServerStats {
         out.push_counter("kojak_net_handshakes_refused_total", handshakes_refused);
         out.push_counter("kojak_net_batches_received_total", batches_received);
         out.push_counter("kojak_net_events_received_total", events_received);
+        out.push_counter("kojak_net_frame_bytes_received_total", frame_bytes_received);
         out.push_counter("kojak_net_events_deduplicated_total", events_deduplicated);
         out.push_counter("kojak_net_protocol_errors_total", protocol_errors);
         out.push_counter("kojak_net_ingest_failures_total", ingest_failures);
@@ -503,7 +507,8 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
             return Err(e);
         }
     };
-    if version == proto::PROTO_VERSION {
+    let known = (proto::MIN_PROTO_VERSION..=proto::PROTO_VERSION).contains(&version);
+    if known {
         let mut features_byte = [0u8; 1];
         if stream.read_exact(&mut features_byte).is_err() {
             return Err(NetError::Closed);
@@ -518,7 +523,7 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
         let producer = slot.lock().unwrap_or_else(|e| e.into_inner());
         (producer.last_acked, producer.quarantined)
     };
-    let refusal = if version != proto::PROTO_VERSION {
+    let refusal = if !known {
         Some(proto::status::UNSUPPORTED_PROTOCOL)
     } else if hello.spec_hash != inner.spec_hash {
         Some(proto::status::SPEC_MISMATCH)
@@ -528,6 +533,8 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
         None
     };
     let reply = HelloAck {
+        // An accepted producer is answered in its own version.
+        version: if known { version } else { proto::PROTO_VERSION },
         status: refusal.unwrap_or(proto::status::ACCEPTED),
         spec_hash: inner.spec_hash,
         last_acked,
@@ -563,7 +570,7 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
         // The blocking socket read stays outside the decode timer — it
         // measures producer idle time, not decode work.
         match arena.read_frame(&mut stream, inner.config.max_frame_len) {
-            Ok(()) => {}
+            Ok(()) => inner.stats().frame_bytes_received += arena.frame_len() as u64,
             Err(NetError::Io(e)) if is_timeout(&e) && !idle.is_zero() => {
                 // Idle (or dribbling) producer: reap the connection. Its
                 // resume state is kept — a live producer reconnects and
@@ -629,7 +636,15 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) -> Result<(), NetEr
                     // timing refinements are overwrite-idempotent and
                     // duplicate RunStarted events are rejected-and-counted,
                     // never applied twice.)
-                    if let Err(e) = inner.engine.ingest_batch(fresh) {
+                    // A whole batch frame goes down as received, so a
+                    // durable engine logs its bytes as they are; a
+                    // deduplicated tail (or a version-2 entry batch) as
+                    // events.
+                    let ingested = match arena.framed(&events) {
+                        Some(batch) if skip == 0 => inner.engine.ingest_framed(batch),
+                        _ => inner.engine.ingest_batch(fresh),
+                    };
+                    if let Err(e) = ingested {
                         if e.failed_wholesale() {
                             inner.stats().ingest_failures += 1;
                             return Err(NetError::Engine(e));

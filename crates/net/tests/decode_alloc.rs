@@ -3,15 +3,19 @@
 //!
 //! A connection's [`DecodeArena`] decodes each `EventBatch` over the
 //! events of the batch it recycled before, strings included: once warm,
-//! reading, checksumming and decoding a 256-event batch that holds every
-//! event variant allocates nothing at all. (Decoding into fresh events, as
-//! the arena did before, cost 513 allocations per such batch warm: one
-//! per string of every event.)
+//! reading, checksumming and decoding a 256-event batch frame that holds
+//! every event variant — its names read once into the arena's table, and
+//! copied from there into the slots — allocates nothing at all; nor does
+//! a version-2 producer's entry batch of the same events. (Decoding into
+//! fresh events, as the arena did before, cost 513 allocations per such
+//! batch warm: one per string of every event.)
 //!
 //! Own test binary, one test function: the counter is the process's
 //! global allocator.
 
 use net::proto::{self, DecodeArena, Message, DEFAULT_MAX_FRAME_LEN};
+use online::batch::BATCH_TAG;
+use online::wire::{self, FRAME_HEADER_LEN};
 use online::{CallStats, RegionDef, RegionRef, RunKey, TraceEvent, VersionTag};
 use perfdata::{DateTime, RegionKind, TimingType};
 use testkit::allocations;
@@ -78,6 +82,24 @@ fn event(i: usize) -> TraceEvent {
     }
 }
 
+/// What a version-2 producer wrote for `events`: kind 1, `first_seq`,
+/// count, then a `len u32 | encode_wire` entry per event.
+fn entry_batch(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    wire::put_frame(&mut frame, |buf| {
+        wire::put_u8(buf, 1);
+        wire::put_u64(buf, first_seq);
+        wire::put_u32(buf, events.len() as u32);
+        for event in events {
+            let mut bytes = Vec::new();
+            event.encode_wire(&mut bytes);
+            wire::put_u32(buf, bytes.len() as u32);
+            buf.extend_from_slice(&bytes);
+        }
+    });
+    frame
+}
+
 #[test]
 fn a_warm_arena_decodes_a_batch_without_allocating() {
     let events: Vec<TraceEvent> = (0..256).map(event).collect();
@@ -87,13 +109,15 @@ fn a_warm_arena_decodes_a_batch_without_allocating() {
         events: events.clone(),
     };
     proto::write_message(&mut socket, &batch).unwrap();
+    assert_eq!(socket[FRAME_HEADER_LEN], BATCH_TAG, "a batch frame");
+    let entries = entry_batch(1, &events);
 
     let mut arena = DecodeArena::new();
     // One frame through the server's steps: read + checksum, decode,
     // hand the vector back.
-    let mut round = || {
+    let mut round = |socket: &[u8]| {
         arena
-            .read_frame(&mut &socket[..], DEFAULT_MAX_FRAME_LEN)
+            .read_frame(&mut &*socket, DEFAULT_MAX_FRAME_LEN)
             .unwrap();
         let Ok(Message::EventBatch {
             first_seq,
@@ -105,8 +129,19 @@ fn a_warm_arena_decodes_a_batch_without_allocating() {
         assert!(first_seq == 1 && decoded == events, "decoded another batch");
         arena.recycle(decoded);
     };
-    let (cold, ()) = allocations(&mut round);
-    let (warm, ()) = allocations(&mut round);
-    println!("decode arena: {cold} allocations cold, {warm} warm, per 256-event batch");
-    assert_eq!(warm, 0, "a warm arena allocates while decoding a batch");
+    let (cold, ()) = allocations(|| round(&socket));
+    let (warm, ()) = allocations(|| round(&socket));
+    println!("decode arena: {cold} allocations cold, {warm} warm, per 256-event batch frame");
+    assert_eq!(
+        warm, 0,
+        "a warm arena allocates while decoding a batch frame"
+    );
+    // The entry batch is the longer frame: the arena's buffer grows once.
+    round(&entries);
+    let (entries_warm, ()) = allocations(|| round(&entries));
+    println!("decode arena: {entries_warm} allocations warm per 256-event entry batch");
+    assert_eq!(
+        entries_warm, 0,
+        "a warm arena allocates while decoding an entry batch"
+    );
 }

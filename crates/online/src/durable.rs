@@ -8,21 +8,22 @@
 //!                      │◀──── truncates the log behind it)
 //!                      ▼
 //!    recover = load snapshot ▸ stream log tail ▸ one full flush
-//!                              (REPLAY_CHUNK events at a time,
-//!                               decoded into reused slots)
+//!                              (whole frames, REPLAY_CHUNK events
+//!                               at a time, decoded into reused slots)
 //! ```
 //!
 //! A session built by [`OnlineSession::open`] carries a [`WalWriter`]:
 //! every event batch is framed to disk *before* it is applied
-//! (write-ahead), and a checkpoint — taken automatically every
+//! (write-ahead; a batch that arrived as a frame, [`crate::FramedBatch`],
+//! as those very bytes), and a checkpoint — taken automatically every
 //! `snapshot_every_flushes` flushes or explicitly via
 //! [`OnlineSession::checkpoint`] — serializes the builder state and
 //! finished-run set, then truncates the log. [`OnlineSession::recover`]
 //! inverts the process: load the latest valid snapshot, stream the log
 //! tail through the ordinary [`OnlineSession::ingest_batch`] path in
-//! batches of [`REPLAY_CHUNK`] events — each frame decoded in place into
-//! a slot of one reused chunk, so replay allocates next to nothing per
-//! event once the chunk is warm — and run one full flush, after which the
+//! batches of [`REPLAY_CHUNK`] events, rounded up to whole frames — each
+//! frame decoded in place into the slots of one reused chunk, so replay
+//! allocates next to nothing per event once the chunk is warm — and run one full flush, after which the
 //! live reports are **bit-identical** to what an uninterrupted session
 //! over the same events would show (the durable shapes of the
 //! workspace's `tests/shapes.rs` are killed at a random event and held to
@@ -53,10 +54,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const WAL_FILE: &str = "wal.log";
 /// File name of the snapshot inside a session directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
-/// Events recovery decodes and applies per batch: it holds at most this
-/// many decoded events at a time, never the whole log, and decodes each
-/// chunk into the slots of the previous one.
-pub const REPLAY_CHUNK: usize = 4096;
+/// Events recovery decodes and applies per batch, in whole frames: it
+/// applies a chunk once it holds this many, so it holds fewer than this
+/// many plus one frame's decoded events at a time, never the whole log,
+/// and decodes each chunk into the slots of the previous one. A frame the
+/// log encodes itself holds at most this many events
+/// ([`WalWriter::append_batch`]).
+pub const REPLAY_CHUNK: usize = 256;
 
 /// Configuration of a durable session.
 #[derive(Debug, Clone)]
@@ -249,33 +253,30 @@ impl OnlineSession {
             None => OnlineSession::new(config),
         };
 
-        // Stream the tail through the ordinary ingestion path, one chunk
-        // at a time, each frame decoded in place into a slot of the same
-        // reused chunk — no allocation per event once the slots are warm.
-        // A log that is not to be applied (stale, or refused by its epoch)
-        // is still scanned to its end, so a newer-format frame anywhere
-        // refuses recovery below.
+        // Stream the tail through the ordinary ingestion path, a chunk of
+        // whole frames at a time, each frame decoded in place into the
+        // slots of the same reused chunk — no allocation per event once
+        // the slots are warm. A log that is not to be applied (stale, or
+        // refused by its epoch) is still scanned to its end, so a
+        // newer-format frame anywhere refuses recovery below.
         let apply = epoch_error.is_none() && !stats.wal_stale;
         let rejected_before = session.stats().events_rejected;
         let mut chunk: Vec<TraceEvent> = Vec::new();
+        let mut len = 0;
         loop {
-            let mut len = 0;
-            while len < REPLAY_CHUNK {
-                if len == chunk.len() {
-                    chunk.push(TraceEvent::default());
+            let decoded = frames.next_into(&mut chunk, len);
+            len += decoded.unwrap_or(0);
+            if len >= REPLAY_CHUNK || (decoded.is_none() && len > 0) {
+                if apply {
+                    stats.wal_events_replayed += len as u64;
+                    // Rejected events are counted and skipped exactly as
+                    // they were live; the first error is not fatal to the
+                    // rest.
+                    let _ = session.ingest_batch(&chunk[..len]);
                 }
-                if !frames.next_into(&mut chunk[len]) {
-                    break;
-                }
-                len += 1;
+                len = 0;
             }
-            if apply && len > 0 {
-                stats.wal_events_replayed += len as u64;
-                // Rejected events are counted and skipped exactly as they
-                // were live; the first error is not fatal to the rest.
-                let _ = session.ingest_batch(&chunk[..len]);
-            }
-            if len < REPLAY_CHUNK {
+            if decoded.is_none() {
                 break;
             }
         }
@@ -360,7 +361,8 @@ impl Durability {
         wal.set_metrics(WalMetrics {
             append_ns: Some(registry.histogram("kojak_wal_append_ns")),
             fsync_ns: Some(registry.histogram("kojak_wal_fsync_ns")),
-            frames: Some(registry.counter("kojak_wal_appended_frames_total")),
+            events: Some(registry.counter("kojak_wal_appended_events_total")),
+            bytes: Some(registry.counter("kojak_wal_appended_bytes_total")),
             fsyncs: Some(registry.counter("kojak_wal_fsyncs_total")),
         });
         Ok(Durability {

@@ -336,7 +336,7 @@ impl TraceEvent {
     }
 
     /// The variant's wire tag, the byte after [`WIRE_VERSION`].
-    fn tag(&self) -> u8 {
+    pub(crate) fn tag(&self) -> u8 {
         match self {
             TraceEvent::RunStarted { .. } => 0,
             TraceEvent::RegionEntered { .. } => 1,
@@ -350,7 +350,7 @@ impl TraceEvent {
     /// Turn `slot` into the variant of wire tag `tag`, its scalars zeroed,
     /// holding the strings the slot held: a slot that changes variant
     /// keeps their buffers for the decode that overwrites them.
-    fn reshape(slot: &mut TraceEvent, tag: u8) -> Result<(), WireError> {
+    pub(crate) fn reshape(slot: &mut TraceEvent, tag: u8) -> Result<(), WireError> {
         let take = std::mem::take::<String>;
         let [a, b, c] = match slot {
             TraceEvent::RunStarted {
@@ -606,7 +606,7 @@ impl Default for TraceEvent {
 /// once that buffer is long enough; a buffer that grows grows amortized).
 /// A string of a fresh slot has none: it is allocated at `src`'s length
 /// at once, which costs a fresh decode no more than a copied string.
-fn set_str(dst: &mut String, src: &str) {
+pub(crate) fn set_str(dst: &mut String, src: &str) {
     if dst.capacity() == 0 {
         *dst = src.to_owned();
     } else {

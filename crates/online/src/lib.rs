@@ -91,6 +91,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod batch;
 pub mod builder;
 pub mod durable;
 pub mod error;
@@ -104,6 +105,7 @@ mod test_events;
 pub mod wal;
 pub mod wire;
 
+pub use batch::{BatchDecoder, BatchEncoder, FramedBatch};
 pub use builder::{StoreBuilder, StoreDelta};
 
 /// The compiled evaluator's process-global lazy-cell counters as a metric

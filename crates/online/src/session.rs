@@ -17,6 +17,7 @@
 //! [`OnlineSession::ingest_batch`] is logged before it is applied. There
 //! is no un-logged way into a durable session's store.
 
+use crate::batch::FramedBatch;
 use crate::builder::{StoreBuilder, StoreDelta};
 use crate::durable::{Durability, DurableConfig, RecoveryError, RecoveryStats};
 use crate::error::FlushError;
@@ -256,9 +257,31 @@ impl OnlineSession {
     /// re-rejects them deterministically, keeping recovered counters
     /// truthful.
     pub fn ingest_batch(&self, events: &[TraceEvent]) -> Result<usize, IngestError> {
+        self.ingest_logged(events, None)
+    }
+
+    /// [`OnlineSession::ingest_batch`] for a batch that arrived as a batch
+    /// frame: a durable session appends the frame's bytes to its log as
+    /// they are — the producer's encoding and checksum — instead of
+    /// encoding the events again. Same isolation, same result.
+    pub fn ingest_framed(&self, batch: FramedBatch<'_>) -> Result<usize, IngestError> {
+        self.ingest_logged(batch.events(), Some(batch.frame()))
+    }
+
+    /// Log `events` — as `frame`, when they arrived as one — then apply
+    /// them.
+    fn ingest_logged(
+        &self,
+        events: &[TraceEvent],
+        frame: Option<&[u8]>,
+    ) -> Result<usize, IngestError> {
         let mut log = self.durability.as_deref().map(Durability::lock);
         if let Some(log) = &mut log {
-            log.wal.append_batch(events).map_err(IngestError::Wal)?;
+            match frame {
+                Some(frame) => log.wal.append_frame(frame, events.len()),
+                None => log.wal.append_batch(events),
+            }
+            .map_err(IngestError::Wal)?;
         }
         let mut inner = self.lock();
         let SessionInner {

@@ -90,3 +90,19 @@ pub(crate) fn call_stat(key: u64, caller: &str, site: (&str, u32)) -> TraceEvent
         },
     }
 }
+
+/// One event of every variant, `RegionEntered` with and without a parent,
+/// over two runs (the codecs' round-trip input).
+pub(crate) fn every_variant() -> Vec<TraceEvent> {
+    vec![
+        run_started(1, 7, 4),
+        region_entered(1, "main", "main", None, 1),
+        region_entered(1, "main", "main:loop@5", Some(("main", 1)), 5),
+        exited(1, "main", ("main:loop@5", 5), 2.5),
+        typed(1, "main", ("main:loop@5", 5)),
+        call_stat(1, "main", ("main", 1)),
+        run_started(2, 7, 8),
+        typed(2, "main", ("main", 1)),
+        TraceEvent::RunFinished { run: RunKey(1) },
+    ]
+}

@@ -1,14 +1,24 @@
 //! The write-ahead event log.
 //!
-//! Every event a durable [`crate::OnlineSession`] accepts is appended here
-//! *before* it touches the live store, as one self-checking frame:
+//! Every batch a durable [`crate::OnlineSession`] accepts is appended here
+//! *before* it touches the live store, as self-checking frames:
 //!
 //! ```text
-//! ┌────────────┬─────────────┬──────────────────────────────┐
-//! │ len: u32 LE│ crc32: u32  │ payload (wire-encoded event, │
-//! │ of payload │ of payload  │ leading WIRE_VERSION byte)   │
-//! └────────────┴─────────────┴──────────────────────────────┘
+//! ┌────────────┬─────────────┬──────────────────────────────────────┐
+//! │ len: u32 LE│ crc32: u32  │ payload: a batch frame's             │
+//! │ of payload │ of payload  │ (tag 6 │ version │ … see crate::batch)│
+//! └────────────┴─────────────┴──────────────────────────────────────┘
 //! ```
+//!
+//! A batch frame ([`crate::batch`]) names each run key and string of its
+//! events once, and is byte for byte the `kojak-net` event batch that
+//! carried them: a durable shard fed a whole producer batch appends the
+//! received frame as it is ([`WalWriter::append_frame`]), and only a batch
+//! it must split or trim is encoded here ([`WalWriter::append_batch`]).
+//! Logs written before batch frames hold one event per frame, the payload
+//! its [`TraceEvent::encode_wire`] bytes (leading
+//! [`crate::event::WIRE_VERSION`]); they are still read, in any mix with
+//! batch frames, and no longer written.
 //!
 //! The file opens with a 13-byte header — magic, format version, and the
 //! **checkpoint epoch** — and a truncation (after a snapshot superseded
@@ -25,10 +35,11 @@
 //! walks frames until the first torn or corrupt one and reports it as a
 //! typed [`WalCorruption`] instead of trusting anything beyond it: a frame
 //! after a bad checksum has an untrustworthy length prefix, so the log is
-//! only ever recovered as a consistent prefix. Frames from a *newer wire
-//! format* (or a foreign/damaged header) are classified separately from
-//! torn-tail corruption, so the recovery layer can refuse them instead of
-//! destructively truncating data a newer binary could still read.
+//! only ever recovered as a consistent prefix of whole frames. Frames from
+//! a *newer format* (or a foreign/damaged header) are classified
+//! separately from torn-tail corruption, so the recovery layer can refuse
+//! them instead of destructively truncating data a newer binary could
+//! still read.
 //!
 //! Every file operation whose failure surfaces runs through the fault seam
 //! ([`faults::Faults`]), which returns a [`faults::IoFailure`] tagged with
@@ -37,8 +48,9 @@
 //! exactly one op by the seam's return type, never by a mapping written
 //! here.
 
+use crate::batch::{BatchDecoder, BatchEncoder, BATCH_TAG};
 use crate::event::TraceEvent;
-use crate::wire::{self, WireError};
+use crate::wire::{self, WireError, FRAME_HEADER_LEN};
 use faults::{Faults, IoFailure, Op};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, Write};
@@ -46,8 +58,9 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a WAL file.
 pub const WAL_MAGIC: &[u8; 4] = b"KJWL";
-/// WAL container-format version (frame payloads carry their own
-/// [`crate::event::WIRE_VERSION`] byte).
+/// WAL container-format version (a frame's payload says its own format
+/// in its first bytes: a batch frame's tag and version, or an event
+/// frame's [`crate::event::WIRE_VERSION`]).
 pub const WAL_FORMAT_VERSION: u8 = 1;
 /// Byte length of the file header (magic + format version + epoch).
 pub const WAL_HEADER_LEN: u64 = 13;
@@ -102,7 +115,8 @@ pub enum WalCorruptionKind {
     /// The payload does not match its checksum (bit rot or a torn
     /// overwrite).
     ChecksumMismatch,
-    /// A checksum-valid frame written by a **newer wire format**. Not
+    /// A checksum-valid frame written by a **newer format** (the version
+    /// byte of a batch frame, or the first byte of any other). Not
     /// damage: a newer binary can read it, so recovery must refuse rather
     /// than truncate it away (binary-downgrade protection).
     UnsupportedFrameVersion(u8),
@@ -160,8 +174,8 @@ impl std::fmt::Display for WalCorruption {
     }
 }
 
-/// Result of reading a log: the checkpoint epoch, the consistent event
-/// prefix, the byte length of that prefix, and the corruption (if any)
+/// Result of reading a log: the checkpoint epoch, the events of the
+/// consistent frame prefix, the byte length of that prefix, and the corruption (if any)
 /// that ended it.
 #[derive(Debug, Default)]
 pub struct WalContents {
@@ -178,12 +192,13 @@ pub struct WalContents {
 }
 
 /// The one frame scanner: the events of a log image (header + frames), in
-/// append order, up to the first torn, corrupt or newer-format frame.
-/// [`parse_frames`] collects it; recovery decodes it in place, frame by
-/// frame into a reused chunk of events ([`WalFrames::next_into`]) — so
-/// every reader of the log cuts it at the same frame. The header is read
-/// on construction: [`WalFrames::epoch`] is known before the first frame
-/// is.
+/// append order, frame by frame, up to the first torn, corrupt or
+/// newer-format frame. [`parse_frames`] collects it; recovery decodes it
+/// in place into the reused slots of one chunk of events
+/// ([`WalFrames::next_into`]) — so every reader of the log cuts it at the
+/// same frame. A frame's events are yielded whole or not at all. The
+/// header is read on construction: [`WalFrames::epoch`] is known before
+/// the first frame is.
 pub(crate) struct WalFrames<'a> {
     bytes: &'a [u8],
     /// Start of the next frame; also the byte length of the consistent
@@ -192,6 +207,7 @@ pub(crate) struct WalFrames<'a> {
     frame: usize,
     epoch: u64,
     corruption: Option<WalCorruption>,
+    decoder: BatchDecoder,
 }
 
 impl<'a> WalFrames<'a> {
@@ -203,6 +219,7 @@ impl<'a> WalFrames<'a> {
             frame: 0,
             epoch: 0,
             corruption: None,
+            decoder: BatchDecoder::new(),
         };
         if bytes.is_empty() {
             return frames;
@@ -242,15 +259,15 @@ impl<'a> WalFrames<'a> {
     /// The checksum-verified payload of the frame at `pos`.
     fn payload(&self) -> Result<&'a [u8], WalCorruptionKind> {
         let rest = &self.bytes[self.pos..];
-        if rest.len() < 8 {
+        if rest.len() < FRAME_HEADER_LEN {
             return Err(WalCorruptionKind::TruncatedHeader);
         }
         let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
         let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
-        let Some(payload) = rest[8..].get(..len as usize) else {
+        let Some(payload) = rest[FRAME_HEADER_LEN..].get(..len as usize) else {
             return Err(WalCorruptionKind::TruncatedFrame {
                 expected: len,
-                present: (rest.len() - 8) as u32,
+                present: (rest.len() - FRAME_HEADER_LEN) as u32,
             });
         };
         if wire::crc32(payload) != crc {
@@ -259,22 +276,41 @@ impl<'a> WalFrames<'a> {
         Ok(payload)
     }
 
-    /// Decode the next frame into `slot` (see
-    /// [`TraceEvent::decode_wire_into`]: a warm slot is overwritten
-    /// without allocating) and step past it. False at the end of the
-    /// consistent prefix — the end of the image, or a frame that failed,
-    /// recorded in [`WalFrames::corruption`]; the slot is then
-    /// meaningless.
-    pub(crate) fn next_into(&mut self, slot: &mut TraceEvent) -> bool {
+    /// Decode a verified payload into `events[at..]`: a batch frame's
+    /// events, or the one event of a frame written before batch frames.
+    fn decode(
+        &mut self,
+        payload: &[u8],
+        events: &mut Vec<TraceEvent>,
+        at: usize,
+    ) -> Result<usize, WireError> {
+        if payload.first() == Some(&BATCH_TAG) {
+            let header = self.decoder.decode_into(payload, events, at)?;
+            return Ok(header.count as usize);
+        }
+        if at == events.len() {
+            events.push(TraceEvent::default());
+        }
+        TraceEvent::decode_wire_into(payload, &mut events[at]).map(|()| 1)
+    }
+
+    /// Decode the next frame into `events[at..]` (see
+    /// [`BatchDecoder::decode_into`]: warm slots are overwritten without
+    /// allocating, and slots are pushed past the end as needed) and step
+    /// past it, returning how many events it held. `None` at the end of
+    /// the consistent prefix — the end of the image, or a frame that
+    /// failed, recorded in [`WalFrames::corruption`]; the slots from `at`
+    /// on are then meaningless.
+    pub(crate) fn next_into(&mut self, events: &mut Vec<TraceEvent>, at: usize) -> Option<usize> {
         if self.corruption.is_some() || self.pos == self.bytes.len() {
-            return false;
+            return None;
         }
         let kind = match self.payload() {
-            Ok(payload) => match TraceEvent::decode_wire_into(payload, slot) {
-                Ok(()) => {
-                    self.pos += 8 + payload.len();
+            Ok(payload) => match self.decode(payload, events, at) {
+                Ok(n) => {
+                    self.pos += FRAME_HEADER_LEN + payload.len();
                     self.frame += 1;
-                    return true;
+                    return Some(n);
                 }
                 Err(WireError::UnsupportedVersion(v)) => {
                     WalCorruptionKind::UnsupportedFrameVersion(v)
@@ -288,17 +324,7 @@ impl<'a> WalFrames<'a> {
             offset: self.pos as u64,
             kind,
         });
-        false
-    }
-}
-
-impl Iterator for WalFrames<'_> {
-    type Item = TraceEvent;
-
-    /// [`WalFrames::next_into`] over a fresh slot.
-    fn next(&mut self) -> Option<TraceEvent> {
-        let mut event = TraceEvent::default();
-        self.next_into(&mut event).then_some(event)
+        None
     }
 }
 
@@ -306,7 +332,12 @@ impl Iterator for WalFrames<'_> {
 /// prefix. An empty image is a fresh epoch-0 log.
 pub fn parse_frames(bytes: &[u8]) -> WalContents {
     let mut frames = WalFrames::new(bytes);
-    let events = frames.by_ref().collect();
+    let mut events = Vec::new();
+    let mut len = 0;
+    while let Some(n) = frames.next_into(&mut events, len) {
+        len += n;
+    }
+    events.truncate(len);
     WalContents {
         epoch: frames.epoch,
         events,
@@ -331,29 +362,21 @@ pub fn read_wal(path: &Path) -> Result<WalContents, IoFailure> {
     Ok(parse_frames(&read_image(path, &Faults::none())?))
 }
 
-/// Append one framed event to `buf` (shared by the WAL writer and tests).
-///
-/// The payload is wire-encoded **in place** ([`wire::put_frame`]), so
-/// framing a whole batch into one scratch buffer performs
-/// zero per-event allocations — the group-commit append's cost is one
-/// buffer fill, one `write`, at most one fsync.
-pub fn frame_event(buf: &mut Vec<u8>, event: &TraceEvent) {
-    wire::put_frame(buf, |buf| event.encode_wire(buf));
-}
-
 /// Metric handles a [`WalWriter`] records into when its owner wires them
 /// up (see [`WalWriter::set_metrics`]); all-`None` by default, so the
 /// writer stays usable without any observability plumbing.
 #[derive(Debug, Default)]
 pub struct WalMetrics {
     /// Wall time of each batch append: encoding and checksumming its
-    /// frames plus the `write` call, not the policy fsync (that is
-    /// `fsync_ns`).
+    /// frames (none for a frame appended as received) plus the `write`
+    /// call, not the policy fsync (that is `fsync_ns`).
     pub append_ns: Option<std::sync::Arc<obs::Histogram>>,
     /// Wall time of each fsync (policy-driven or explicit).
     pub fsync_ns: Option<std::sync::Arc<obs::Histogram>>,
-    /// Frames appended (one per logged event).
-    pub frames: Option<std::sync::Arc<obs::Counter>>,
+    /// Events logged.
+    pub events: Option<std::sync::Arc<obs::Counter>>,
+    /// Bytes of frames appended, headers included: the log's growth.
+    pub bytes: Option<std::sync::Arc<obs::Counter>>,
     /// Fsyncs performed.
     pub fsyncs: Option<std::sync::Arc<obs::Counter>>,
 }
@@ -384,6 +407,7 @@ pub struct WalWriter {
     len: u64,
     appended_since_sync: u64,
     scratch: Vec<u8>,
+    encoder: BatchEncoder,
     metrics: WalMetrics,
     faults: Faults,
     repair: Option<PendingRepair>,
@@ -442,6 +466,7 @@ impl WalWriter {
             len: if fresh { WAL_HEADER_LEN } else { valid_len },
             appended_since_sync: 0,
             scratch: Vec::new(),
+            encoder: BatchEncoder::new(),
             metrics: WalMetrics::default(),
             faults: faults.clone(),
             repair: None,
@@ -506,33 +531,61 @@ impl WalWriter {
         self.len <= WAL_HEADER_LEN
     }
 
-    /// Append a batch of events as consecutive frames with one `write`
-    /// call, then apply the fsync policy. On `Ok`, every event is at least
-    /// in the OS page cache (crash-of-this-process durable). On `Err`,
-    /// *no* frame of the batch remains in the log (a torn prefix is
+    /// Append a batch of events as batch frames ([`crate::batch`]) of at
+    /// most [`crate::durable::REPLAY_CHUNK`] events each, with one
+    /// `write` call, then apply the fsync policy. On `Ok`, every event is
+    /// at least in the OS page cache (crash-of-this-process durable). On
+    /// `Err`, *no* frame of the batch remains in the log (a torn prefix is
     /// truncated away), so the caller can safely not apply the events and
     /// later retry the whole batch without double-logging.
     pub fn append_batch(&mut self, events: &[TraceEvent]) -> Result<(), IoFailure> {
         if events.is_empty() {
             return Ok(());
         }
+        let histogram = self.metrics.append_ns.clone();
+        let timer = obs::StageTimer::maybe(histogram.as_deref());
+        let mut frames = std::mem::take(&mut self.scratch);
+        frames.clear();
+        for chunk in events.chunks(crate::durable::REPLAY_CHUNK) {
+            self.encoder.encode(&mut frames, 0, chunk);
+        }
+        let appended = self.append(&frames, events.len(), timer);
+        self.scratch = frames;
+        appended
+    }
+
+    /// Append one batch frame as received — `frame` is its bytes,
+    /// `len | crc32 | payload`, as [`crate::FramedBatch::frame`] holds
+    /// them, and `events` how many events it carries — with one `write`
+    /// call, then apply the fsync policy: the producer's encoding and
+    /// checksum are the log's. Failure semantics are
+    /// [`WalWriter::append_batch`]'s.
+    pub fn append_frame(&mut self, frame: &[u8], events: usize) -> Result<(), IoFailure> {
+        let histogram = self.metrics.append_ns.clone();
+        self.append(frame, events, obs::StageTimer::maybe(histogram.as_deref()))
+    }
+
+    /// Write `bytes` (whole frames holding `events` events), then apply
+    /// the fsync policy; `timer` times the append up to the `write`.
+    fn append(
+        &mut self,
+        bytes: &[u8],
+        events: usize,
+        timer: obs::StageTimer<'_>,
+    ) -> Result<(), IoFailure> {
+        if events == 0 {
+            return Ok(());
+        }
         self.complete_repair()?;
         let before = self.len;
-        let written = {
-            let _stage = obs::StageTimer::maybe(self.metrics.append_ns.as_deref());
-            self.scratch.clear();
-            for event in events {
-                frame_event(&mut self.scratch, event);
-            }
-            self.faults
-                .write_all(Op::WalAppend, &mut self.file, &self.scratch)
-        };
+        let written = self.faults.write_all(Op::WalAppend, &mut self.file, bytes);
+        drop(timer);
         if let Err(failure) = written {
             self.mark_torn(before);
             return Err(failure);
         }
-        self.len += self.scratch.len() as u64;
-        self.appended_since_sync += events.len() as u64;
+        self.len += bytes.len() as u64;
+        self.appended_since_sync += events as u64;
         let due = match self.policy {
             FsyncPolicy::Never => false,
             FsyncPolicy::Always => true,
@@ -549,9 +602,12 @@ impl WalWriter {
         }
         // Counted only now: a frame that was appended but torn away by a
         // failed policy-fsync never happened as far as the ledger
-        // (`kojak_wal_appended_frames_total == events applied`) goes.
-        if let Some(frames) = &self.metrics.frames {
-            frames.add(events.len() as u64);
+        // (`kojak_wal_appended_events_total == events applied`) goes.
+        if let Some(counter) = &self.metrics.events {
+            counter.add(events as u64);
+        }
+        if let Some(counter) = &self.metrics.bytes {
+            counter.add(bytes.len() as u64);
         }
         Ok(())
     }
@@ -666,17 +722,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
-    #[test]
-    fn torn_tail_is_reported_and_prefix_kept() {
+    /// A log image of `frames` batch frames of `per` events each.
+    fn image(frames: u64, per: u64) -> Vec<u8> {
         let mut bytes = wal_header(0);
-        for e in finished(3) {
-            frame_event(&mut bytes, &e);
+        let mut encoder = BatchEncoder::new();
+        for _ in 0..frames {
+            encoder.encode(&mut bytes, 0, &finished(per));
         }
+        bytes
+    }
+
+    /// A frame as logs held them before batch frames: one event's
+    /// `encode_wire` bytes.
+    fn event_frame(buf: &mut Vec<u8>, event: &TraceEvent) {
+        wire::put_frame(buf, |buf| event.encode_wire(buf));
+    }
+
+    #[test]
+    fn torn_tail_is_reported_and_whole_frames_kept() {
+        let mut bytes = image(3, 4);
         let header = WAL_HEADER_LEN as usize;
         let frame_len = (bytes.len() - header) / 3;
         bytes.truncate(bytes.len() - 3);
         let contents = parse_frames(&bytes);
-        assert_eq!(contents.events.len(), 2);
+        assert_eq!(contents.events.len(), 8, "two whole frames of four");
         let c = contents.corruption.expect("tail reported");
         assert!(matches!(c.kind, WalCorruptionKind::TruncatedFrame { .. }));
         assert_eq!(c.frame, 2);
@@ -685,20 +754,34 @@ mod tests {
 
     #[test]
     fn flipped_byte_stops_at_checksum() {
-        let mut bytes = wal_header(0);
-        for e in finished(3) {
-            frame_event(&mut bytes, &e);
-        }
+        let mut bytes = image(3, 4);
         // Flip one payload byte of the middle frame.
         let header = WAL_HEADER_LEN as usize;
         let frame_len = (bytes.len() - header) / 3;
         bytes[header + frame_len + 10] ^= 0xff;
         let contents = parse_frames(&bytes);
-        assert_eq!(contents.events.len(), 1);
+        assert_eq!(contents.events.len(), 4);
         let c = contents.corruption.expect("corruption reported");
         assert_eq!(c.kind, WalCorruptionKind::ChecksumMismatch);
         assert_eq!(c.frame, 1);
         assert_eq!(contents.valid_len as usize, header + frame_len);
+    }
+
+    #[test]
+    fn event_frames_and_batch_frames_read_in_any_mix() {
+        let events = crate::test_events::every_variant();
+        let mut bytes = wal_header(3);
+        event_frame(&mut bytes, &events[0]);
+        BatchEncoder::new().encode(&mut bytes, 0, &events[1..5]);
+        for event in &events[5..7] {
+            event_frame(&mut bytes, event);
+        }
+        BatchEncoder::new().encode(&mut bytes, 9, &events[7..]);
+        let contents = parse_frames(&bytes);
+        assert!(contents.corruption.is_none());
+        assert_eq!(contents.events, events);
+        assert_eq!(contents.epoch, 3);
+        assert_eq!(contents.valid_len as usize, bytes.len());
     }
 
     #[test]
@@ -710,23 +793,48 @@ mod tests {
         assert!(c.kind.is_incompatibility());
         assert_eq!(contents.valid_len, 0);
 
-        // A checksum-valid frame from a future wire version.
-        let mut bytes = wal_header(0);
-        frame_event(&mut bytes, &TraceEvent::RunFinished { run: RunKey(1) });
+        // A checksum-valid frame from a future wire version, and a
+        // checksum-valid batch frame of a future layout.
         let mut payload = Vec::new();
         TraceEvent::RunFinished { run: RunKey(2) }.encode_wire(&mut payload);
-        payload[0] = 9; // future WIRE_VERSION, re-checksummed below
-        wire::put_u32(&mut bytes, payload.len() as u32);
-        wire::put_u32(&mut bytes, wire::crc32(&payload));
-        bytes.extend_from_slice(&payload);
-        let contents = parse_frames(&bytes);
-        assert_eq!(contents.events.len(), 1);
-        let c = contents.corruption.expect("newer frame reported");
-        assert_eq!(c.kind, WalCorruptionKind::UnsupportedFrameVersion(9));
-        assert!(c.kind.is_incompatibility());
+        payload[0] = 9; // future WIRE_VERSION
+        let mut batch = Vec::new();
+        BatchEncoder::new().encode(&mut batch, 0, &finished(2));
+        let mut newer_batch = batch[FRAME_HEADER_LEN..].to_vec();
+        newer_batch[1] = 2; // future batch version
+        for (newer, version) in [(payload, 9), (newer_batch, 2)] {
+            let mut bytes = wal_header(0);
+            bytes.extend_from_slice(&batch);
+            wire::put_frame(&mut bytes, |buf| buf.extend_from_slice(&newer));
+            let contents = parse_frames(&bytes);
+            assert_eq!(contents.events.len(), 2);
+            let c = contents.corruption.expect("newer frame reported");
+            assert_eq!(c.kind, WalCorruptionKind::UnsupportedFrameVersion(version));
+            assert_eq!(c.frame, 1);
+            assert!(c.kind.is_incompatibility());
+        }
         // Torn tails, by contrast, are recoverable.
         assert!(!WalCorruptionKind::TruncatedHeader.is_incompatibility());
         assert!(!WalCorruptionKind::ChecksumMismatch.is_incompatibility());
+    }
+
+    #[test]
+    fn a_received_frame_is_appended_as_it_is() {
+        let path = tmp("verbatim");
+        let events = crate::test_events::every_variant();
+        let mut frame = Vec::new();
+        BatchEncoder::new().encode(&mut frame, 77, &events);
+        let mut w = WalWriter::open(&path, 0, 0, FsyncPolicy::Never).unwrap();
+        w.append_frame(&frame, events.len()).unwrap();
+        w.append_batch(&events).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let header = WAL_HEADER_LEN as usize;
+        assert_eq!(&bytes[header..header + frame.len()], &frame[..]);
+        let contents = read_wal(&path).unwrap();
+        assert_eq!(contents.events.len(), 2 * events.len());
+        assert_eq!(&contents.events[..events.len()], &events[..]);
+        assert_eq!(&contents.events[events.len()..], &events[..]);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     #[test]

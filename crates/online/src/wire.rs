@@ -30,11 +30,36 @@ pub enum WireError {
         code: u8,
     },
     /// A string payload was not valid UTF-8.
-    BadUtf8,
+    BadUtf8 {
+        /// Which string.
+        what: &'static str,
+    },
     /// Decoding finished with bytes left over (framing drift).
     TrailingBytes {
         /// How many bytes remained.
         remaining: usize,
+    },
+    /// A section held more bytes than its declared count of items used:
+    /// the count disagrees with what is present.
+    CountMismatch {
+        /// Which section.
+        what: &'static str,
+        /// Bytes left after the last declared item.
+        remaining: usize,
+    },
+    /// An index into a batch frame's name or run table points past it.
+    BadIndex {
+        /// Which field held the index.
+        what: &'static str,
+        /// The index read.
+        index: u32,
+        /// Entries in the table.
+        len: u32,
+    },
+    /// A variable-length integer ran past 32 bits.
+    BadVarint {
+        /// What was being read.
+        what: &'static str,
     },
 }
 
@@ -44,10 +69,17 @@ impl fmt::Display for WireError {
             WireError::UnexpectedEof { what } => write!(f, "unexpected end of input in {what}"),
             WireError::UnsupportedVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::BadEnum { what, code } => write!(f, "invalid {what} code {code}"),
-            WireError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
+            WireError::BadUtf8 { what } => write!(f, "{what} is not valid UTF-8"),
             WireError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after value")
             }
+            WireError::CountMismatch { what, remaining } => {
+                write!(f, "{remaining} bytes of {what} past its declared count")
+            }
+            WireError::BadIndex { what, index, len } => {
+                write!(f, "{what} {index} is out of range of a table of {len}")
+            }
+            WireError::BadVarint { what } => write!(f, "{what} overflows 32 bits"),
         }
     }
 }
@@ -81,6 +113,17 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// Append `v` as a LEB128 variable-length integer: seven bits a byte,
+/// low bits first, the high bit set on every byte but the last (one byte
+/// below 128, at most five).
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 /// Append a length-prefixed UTF-8 string.
 ///
 /// The prefix is a `u32`: a string of 4 GiB or more cannot be framed (the
@@ -97,20 +140,37 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// Append one frame, `len u32 | crc32 u32 | payload`, whose payload
-/// `encode` appends in place: the header is reserved up front and
-/// back-patched with the payload's length and [`crc32`] once its extent
-/// is known — the one writer of WAL frames ([`crate::wal::frame_event`])
-/// and `kojak-net` frames.
+/// `encode` appends in place ([`begin_frame`], then [`end_frame`]) —
+/// `kojak-net`'s frames other than event batches.
 pub fn put_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
-    let header = buf.len();
-    let body = header + 8;
-    buf.resize(body, 0);
+    let header = begin_frame(buf);
     encode(buf);
+    end_frame(buf, header);
+}
+
+/// Reserve a frame header at the end of `buf` and return its offset: the
+/// payload is appended after it, and [`end_frame`] back-patches the
+/// header once the payload's extent is known. The writers of batch frames
+/// ([`crate::batch::BatchEncoder`]) and of [`put_frame`] go through these
+/// two, so every frame is checksummed exactly once, where it is written.
+pub fn begin_frame(buf: &mut Vec<u8>) -> usize {
+    let header = buf.len();
+    buf.resize(header + FRAME_HEADER_LEN, 0);
+    header
+}
+
+/// Patch the frame header at `header` with the length and [`crc32`] of
+/// everything appended after it.
+pub fn end_frame(buf: &mut [u8], header: usize) {
+    let body = header + FRAME_HEADER_LEN;
     let len = (buf.len() - body) as u32;
     let crc = crc32(&buf[body..]);
     buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
     buf[header + 4..body].copy_from_slice(&crc.to_le_bytes());
 }
+
+/// Byte length of a frame header, `len u32 | crc32 u32`.
+pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Stable one-byte code of a [`RegionKind`] (wire + snapshot format).
 pub fn region_kind_code(kind: RegionKind) -> u8 {
@@ -197,6 +257,28 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.get_u64(what)?))
     }
 
+    /// Read a LEB128 integer written by [`put_varint`]. More than five
+    /// bytes, or a fifth byte carrying bits past 32, is a typed
+    /// [`WireError::BadVarint`].
+    pub fn get_varint(&mut self, what: &'static str) -> Result<u32, WireError> {
+        let first = self.get_u8(what)?;
+        if first < 0x80 {
+            return Ok(u32::from(first));
+        }
+        let mut v = u32::from(first & 0x7f);
+        for shift in [7, 14, 21, 28] {
+            let b = self.get_u8(what)?;
+            if shift == 28 && b > 0x0f {
+                return Err(WireError::BadVarint { what });
+            }
+            v |= u32::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(WireError::BadVarint { what })
+    }
+
     /// Read `n` raw bytes (a nested length-prefixed payload, e.g. one
     /// wire-encoded event inside a network frame). Bounds-checked like
     /// every other read: a declared length exceeding the remaining buffer
@@ -216,7 +298,7 @@ impl<'a> Reader<'a> {
     pub fn get_str_ref(&mut self, what: &'static str) -> Result<&'a str, WireError> {
         let len = self.get_u32(what)? as usize;
         let bytes = self.take(len, what)?;
-        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8 { what })
     }
 }
 
@@ -318,6 +400,42 @@ mod tests {
     }
 
     #[test]
+    fn varints_roundtrip_at_every_width_and_overflow_is_typed() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            300,
+            16_383,
+            16_384,
+            1 << 21,
+            (1 << 28) - 1,
+            1 << 28,
+            u32::MAX,
+        ] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.get_varint("v").unwrap(), v);
+            r.finish().unwrap();
+            assert!(matches!(
+                Reader::new(&buf[..buf.len() - 1]).get_varint("v"),
+                Err(WireError::UnexpectedEof { what: "v" })
+            ));
+        }
+        for bytes in [
+            &[0xff, 0xff, 0xff, 0xff, 0x10][..],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0],
+        ] {
+            assert_eq!(
+                Reader::new(bytes).get_varint("v"),
+                Err(WireError::BadVarint { what: "v" })
+            );
+        }
+    }
+
+    #[test]
     fn truncation_and_trailing_are_typed() {
         let mut buf = Vec::new();
         put_u64(&mut buf, 9);
@@ -337,9 +455,9 @@ mod tests {
         put_u32(&mut buf, 2);
         buf.extend_from_slice(&[0xff, 0xfe]);
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_str("s"), Err(WireError::BadUtf8));
+        assert_eq!(r.get_str("s"), Err(WireError::BadUtf8 { what: "s" }));
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_str_ref("s"), Err(WireError::BadUtf8));
+        assert_eq!(r.get_str_ref("s"), Err(WireError::BadUtf8 { what: "s" }));
     }
 
     #[test]

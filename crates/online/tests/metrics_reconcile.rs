@@ -2,19 +2,40 @@
 //! session exposes through [`OnlineSession::metrics`] must close
 //! **exactly** against the session's own [`SessionStats`] and against
 //! the durability ledger — across a kill and recovery, every applied
-//! event is accounted for as either a WAL frame appended *by this
-//! process* or an event replayed *into* it:
+//! event is accounted for as either an event logged *by this process* or
+//! an event replayed *into* it:
 //!
 //! ```text
 //! kojak_online_events_applied_total
-//!   == kojak_online_events_replayed_total + kojak_wal_appended_frames_total
+//!   == kojak_online_events_replayed_total + kojak_wal_appended_events_total
 //! ```
 //!
-//! (valid-only streams; a rejected event is WAL-framed but not applied,
-//! which is why the suite pins the zero-rejection case exactly).
+//! (valid-only streams; a rejected event is logged but not applied, which
+//! is why the suite pins the zero-rejection case exactly). The bytes the
+//! log grew by close against its frames: `kojak_wal_appended_bytes_total`
+//! is the sum of the lengths of the frames this process appended, read
+//! back off the file.
 
+use online::durable::WAL_FILE;
+use online::wal::WAL_HEADER_LEN;
 use online::{OnlineSession, SessionConfig, TraceEvent};
+use std::path::Path;
 use testkit::{durable_config, Scenario, ScratchDir, Suite};
+
+/// The lengths of the frames of the log in `dir`, headers included,
+/// walked by their length prefixes from the file header on.
+fn frame_lengths(dir: &Path) -> Vec<u64> {
+    let bytes = std::fs::read(dir.join(WAL_FILE)).expect("read the log");
+    let mut at = WAL_HEADER_LEN as usize;
+    let mut lengths = Vec::new();
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize + 8;
+        lengths.push(len as u64);
+        at += len;
+    }
+    assert_eq!(at, bytes.len(), "the log ends on a frame boundary");
+    lengths
+}
 
 fn sim_events(seed: u64) -> Vec<TraceEvent> {
     Scenario {
@@ -51,9 +72,24 @@ fn registry_counters_close_against_ground_truth() {
         "a session born empty replays nothing"
     );
     assert_eq!(
-        snapshot.counter("kojak_wal_appended_frames_total"),
+        snapshot.counter("kojak_wal_appended_events_total"),
         events.len() as u64,
-        "every applied event was WAL-framed first"
+        "every applied event was logged first"
+    );
+    let frames = frame_lengths(dir.path());
+    assert_eq!(
+        frames.len(),
+        chunks.len(),
+        "one batch frame per ingested batch"
+    );
+    assert_eq!(
+        snapshot.counter("kojak_wal_appended_bytes_total"),
+        frames.iter().sum::<u64>(),
+        "the appended bytes are the frames' lengths"
+    );
+    assert_eq!(
+        snapshot.counter("kojak_wal_appended_bytes_total"),
+        durable.wal_len() - WAL_HEADER_LEN
     );
     assert_eq!(
         snapshot
@@ -79,17 +115,23 @@ fn applied_equals_replayed_plus_frames_across_kill_and_recover() {
     let cut = events.len() / 2;
 
     // Process 1: stream the first half, flush, die without checkpoint.
-    {
+    let first_frames = {
         let durable = OnlineSession::open(dir.path(), durable_config(0)).expect("open");
         durable.ingest_batch(&events[..cut]).expect("ingest");
         durable.flush().expect("flush");
         let snapshot = durable.metrics();
         assert_eq!(
-            snapshot.counter("kojak_wal_appended_frames_total"),
+            snapshot.counter("kojak_wal_appended_events_total"),
             cut as u64
         );
+        let frames = frame_lengths(dir.path());
+        assert_eq!(
+            snapshot.counter("kojak_wal_appended_bytes_total"),
+            frames.iter().sum::<u64>()
+        );
+        frames.len()
         // Killed here: drop without checkpoint — the WAL is the survivor.
-    }
+    };
 
     // Process 2: recover, stream the rest, reconcile.
     let recovered = OnlineSession::open(dir.path(), durable_config(0)).expect("recover");
@@ -106,15 +148,22 @@ fn applied_equals_replayed_plus_frames_across_kill_and_recover() {
         "the whole un-checkpointed WAL was replayed"
     );
     assert_eq!(
-        snapshot.counter("kojak_wal_appended_frames_total"),
+        snapshot.counter("kojak_wal_appended_events_total"),
         (events.len() - cut) as u64,
         "the registry is per-process: only this process's appends"
     );
     assert_eq!(
         snapshot.counter("kojak_online_events_applied_total"),
         snapshot.counter("kojak_online_events_replayed_total")
-            + snapshot.counter("kojak_wal_appended_frames_total"),
-        "every applied event is either replayed in or framed by us"
+            + snapshot.counter("kojak_wal_appended_events_total"),
+        "every applied event is either replayed in or logged by us"
+    );
+    // This process's bytes are the frames past the recovered prefix.
+    let frames = frame_lengths(dir.path());
+    assert_eq!(
+        snapshot.counter("kojak_wal_appended_bytes_total"),
+        frames[first_frames..].iter().sum::<u64>(),
+        "the frames after the first process's"
     );
 
     // A checkpoint exercises (and counts) the snapshot-write stage.

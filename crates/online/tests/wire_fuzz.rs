@@ -11,10 +11,19 @@
 //! input above and every prior slot content, it must accept exactly what
 //! `decode_wire` accepts, produce the same event bit for bit, and fail
 //! with the same error.
+//!
+//! Batch frames ([`online::batch`]) — what producers send and the log
+//! holds — are held to the same: a frame re-encodes byte-identically
+//! from its decoded events, over any prior slots, and a hostile table
+//! count, an index out of range, invalid UTF-8 in a table name, a record
+//! count that disagrees with the records, or a truncated record each fail
+//! with a [`WireError`] naming the field.
 
 use online::wal::{self, FsyncPolicy, WalWriter};
 use online::wire::{self, Reader, WireError};
-use online::{CallStats, RegionDef, RegionRef, RunKey, TraceEvent, VersionTag};
+use online::{
+    BatchDecoder, BatchEncoder, CallStats, RegionDef, RegionRef, RunKey, TraceEvent, VersionTag,
+};
 use perfdata::{DateTime, RegionKind, TimingType};
 use proptest::prelude::*;
 
@@ -203,9 +212,14 @@ proptest! {
                 WireError::UnexpectedEof { .. }
                 | WireError::UnsupportedVersion(_)
                 | WireError::BadEnum { .. }
-                | WireError::BadUtf8
+                | WireError::BadUtf8 { .. }
                 | WireError::TrailingBytes { .. },
             ) => {}
+            Err(
+                e @ (WireError::CountMismatch { .. }
+                | WireError::BadIndex { .. }
+                | WireError::BadVarint { .. }),
+            ) => panic!("a single event has no tables or varints: {e}"),
         }
     }
 
@@ -359,4 +373,219 @@ fn nan_payloads_roundtrip_the_wal_bit_exactly() {
         read_back.encode_wire(&mut again);
         assert_eq!(&again, encoding, "WAL round-trip re-encodes bit-exactly");
     }
+}
+
+// ------------------------------------------------------- batch frames ----
+
+/// A batch of `n` events drawn like [`event_from`]'s, their names from a
+/// pool of four so that tables hold repeats, and two runs.
+fn batch_from(n: usize, variants: u64, bits: u64, line: u32) -> Vec<TraceEvent> {
+    const NAMES: [&str; 4] = ["main", "solver:loop@12", "", "kernel"];
+    (0..n)
+        .map(|i| {
+            let v = (variants >> (i % 21 * 3)) as u8;
+            let b = bits.rotate_left(i as u32 * 7);
+            event_from(v, i as u64 % 2, b, line + i as u32, NAMES[i % 4])
+        })
+        .collect()
+}
+
+/// The payload of a batch frame of `events`.
+fn batch_payload(events: &[TraceEvent]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    BatchEncoder::new().encode(&mut frame, 5, events);
+    frame.split_off(wire::FRAME_HEADER_LEN)
+}
+
+/// Decode a batch payload into fresh slots.
+fn decode_batch(payload: &[u8]) -> Result<Vec<TraceEvent>, WireError> {
+    let mut events = Vec::new();
+    let header = BatchDecoder::new().decode_into(payload, &mut events, 0)?;
+    events.truncate(header.count as usize);
+    Ok(events)
+}
+
+/// A batch payload's sections: the records, then the tables.
+fn split_batch(payload: &[u8]) -> (&[u8], &[u8]) {
+    let records = u32::from_le_bytes(payload[14..18].try_into().unwrap()) as usize;
+    payload[18..].split_at(records)
+}
+
+/// A batch payload of `count` events from these sections.
+fn join_batch(count: u32, records: &[u8], tables: &[u8]) -> Vec<u8> {
+    let mut payload = vec![online::batch::BATCH_TAG, online::batch::BATCH_VERSION];
+    wire::put_u64(&mut payload, 5);
+    wire::put_u32(&mut payload, count);
+    wire::put_u32(&mut payload, records.len() as u32);
+    payload.extend_from_slice(records);
+    payload.extend_from_slice(tables);
+    payload
+}
+
+proptest! {
+    #![proptest_config(testkit::cases(256))]
+
+    /// Encode → decode → encode is byte-identical, NaN payloads, −0.0
+    /// and infinities included; decoding over the slots of another batch
+    /// gives the same events bit for bit.
+    #[test]
+    fn batch_frames_roundtrip_bit_exactly(
+        n in 0usize..40,
+        variants in any::<u64>(),
+        bits in any::<u64>(),
+        line in 1u32..5000,
+        m in 0usize..40,
+        prior_variants in any::<u64>(),
+    ) {
+        let events = batch_from(n, variants, bits, line);
+        let payload = batch_payload(&events);
+        let decoded = decode_batch(&payload).expect("a valid batch decodes");
+        prop_assert_eq!(batch_payload(&decoded), payload.clone());
+        let mut slots = batch_from(m, prior_variants, !bits, line / 2 + 1);
+        let header = BatchDecoder::new()
+            .decode_into(&payload, &mut slots, 0)
+            .expect("decodes over any slots");
+        prop_assert_eq!(header.count as usize, n);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (slot, event) in slots[..n].iter().zip(&decoded) {
+            slot.encode_wire(&mut got);
+            event.encode_wire(&mut want);
+        }
+        prop_assert_eq!(got, want);
+    }
+
+    /// Truncated or byte-flipped batch payloads decode or fail typed —
+    /// never a panic, never an over-read.
+    #[test]
+    fn damaged_batch_frames_fail_typed(
+        n in 1usize..24,
+        variants in any::<u64>(),
+        bits in any::<u64>(),
+        edit in 0u8..2,
+        pos_seed in any::<u64>(),
+        flip in 1u8..255,
+    ) {
+        let mut payload = batch_payload(&batch_from(n, variants, bits, 3));
+        let pos = (pos_seed % payload.len() as u64) as usize;
+        match edit {
+            0 => payload.truncate(pos),
+            _ => payload[pos] ^= flip,
+        }
+        let _ = decode_batch(&payload);
+    }
+}
+
+#[test]
+fn hostile_table_counts_fail_typed_without_allocating_by_the_count() {
+    let payload = batch_payload(&batch_from(6, 0x2d2d_2d2d_2d2d, 7, 3));
+    let (records, tables) = split_batch(&payload);
+    let runs = u32::from_le_bytes(tables[..4].try_into().unwrap()) as usize;
+    let names_at = 4 + runs * 8;
+
+    let mut hostile = tables.to_vec();
+    hostile[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        decode_batch(&join_batch(6, records, &hostile)),
+        Err(WireError::UnexpectedEof { what: "run keys" })
+    );
+    let mut hostile = tables.to_vec();
+    hostile[names_at..names_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        decode_batch(&join_batch(6, records, &hostile)),
+        Err(WireError::UnexpectedEof { what: "table name" })
+    );
+    // A count of events far past the records present.
+    assert_eq!(
+        decode_batch(&join_batch(u32::MAX, records, tables)),
+        Err(WireError::UnexpectedEof { what: "record tag" })
+    );
+}
+
+#[test]
+fn indices_out_of_range_name_their_field() {
+    let events = [TraceEvent::TypedSample {
+        run: RunKey(4),
+        function: "main".into(),
+        region: RegionRef::new("main:loop@3", 3),
+        ty: TimingType::Barrier,
+        time: 0.5,
+    }];
+    let payload = batch_payload(&events);
+    let (records, tables) = split_batch(&payload);
+    // tag | run 0 | function 0 | region 1 | …
+    assert_eq!(&records[..4], &[3, 0, 0, 1]);
+    for (at, what, len) in [
+        (1, "run index", 1),
+        (2, "function index", 2),
+        (3, "region index", 2),
+    ] {
+        let mut bad = records.to_vec();
+        bad[at] = 9;
+        assert_eq!(
+            decode_batch(&join_batch(1, &bad, tables)),
+            Err(WireError::BadIndex {
+                what,
+                index: 9,
+                len
+            })
+        );
+    }
+    let mut overlong = records[..2].to_vec();
+    overlong.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0x7f]);
+    overlong.extend_from_slice(&records[3..]);
+    assert_eq!(
+        decode_batch(&join_batch(1, &overlong, tables)),
+        Err(WireError::BadVarint {
+            what: "function index"
+        })
+    );
+}
+
+#[test]
+fn invalid_utf8_in_a_table_name_is_typed() {
+    let payload = batch_payload(&[TraceEvent::RunFinished { run: RunKey(1) }]);
+    let (records, _) = split_batch(&payload);
+    let mut tables = Vec::new();
+    wire::put_u32(&mut tables, 1);
+    wire::put_u64(&mut tables, 1);
+    wire::put_u32(&mut tables, 1);
+    wire::put_u32(&mut tables, 2);
+    tables.extend_from_slice(&[0xc3, 0x28]);
+    assert_eq!(
+        decode_batch(&join_batch(1, records, &tables)),
+        Err(WireError::BadUtf8 { what: "table name" })
+    );
+}
+
+#[test]
+fn a_record_count_that_disagrees_or_a_truncated_record_is_typed() {
+    let events = batch_from(5, 0x1249_2492_4924, 11, 3);
+    let payload = batch_payload(&events);
+    let (records, tables) = split_batch(&payload);
+    assert_eq!(
+        decode_batch(&join_batch(4, records, tables)),
+        Err(WireError::CountMismatch {
+            what: "records",
+            remaining: records.len() - split_batch(&batch_payload(&events[..4])).0.len()
+        })
+    );
+    assert_eq!(
+        decode_batch(&join_batch(6, records, tables)),
+        Err(WireError::UnexpectedEof { what: "record tag" })
+    );
+    // The last record cut short by one byte: its last field runs out.
+    assert!(matches!(
+        decode_batch(&join_batch(5, &records[..records.len() - 1], tables)),
+        Err(WireError::UnexpectedEof { .. })
+    ));
+    // Bytes after the name table.
+    let mut trailing = tables.to_vec();
+    trailing.push(0);
+    assert_eq!(
+        decode_batch(&join_batch(5, records, &trailing)),
+        Err(WireError::CountMismatch {
+            what: "name table",
+            remaining: 1
+        })
+    );
 }

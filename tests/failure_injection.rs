@@ -10,7 +10,7 @@ use kojak::apprentice_sim::{archetypes, simulate_program, MachineModel};
 use kojak::cosy::{Analyzer, Backend, ProblemThreshold};
 use kojak::online::durable::{RecoveryError, RecoveryStats, REPLAY_CHUNK, SNAPSHOT_FILE, WAL_FILE};
 use kojak::online::wal::{read_wal, WalCorruptionKind};
-use kojak::online::{OnlineSession, SessionConfig, TraceEvent};
+use kojak::online::{BatchEncoder, OnlineSession, SessionConfig, TraceEvent};
 use kojak::perfdata::{DateTime, RegionKind, Store};
 use testkit::{durable_config, uninterrupted, Program, Scenario, ScratchDir};
 
@@ -197,10 +197,23 @@ fn assert_replay_matches_read_wal(stats: &RecoveryStats, wal_path: &std::path::P
     assert_eq!(stats.wal_corruption, read.corruption);
 }
 
-/// Ingest `events` durably (one flush at the end), then kill the session.
+/// Events per batch the WAL-damage cases ingest: the log holds each
+/// batch as one batch frame, and the frames straddle replay chunks.
+const FRAME_EVENTS: usize = 100;
+
+/// Events of the log's last frame when `n` events were ingested
+/// [`FRAME_EVENTS`] at a time.
+fn last_frame(n: usize) -> usize {
+    (n - 1) % FRAME_EVENTS + 1
+}
+
+/// Ingest `events` durably, [`FRAME_EVENTS`] at a time (one flush at the
+/// end), then kill the session.
 fn write_session_dir(dir: &ScratchDir, events: &[TraceEvent], snapshot_every: u32) {
     let durable = OnlineSession::open(dir.path(), durable_config(snapshot_every)).expect("open");
-    durable.ingest_batch(events).expect("ingest");
+    for batch in events.chunks(FRAME_EVENTS) {
+        durable.ingest_batch(batch).expect("ingest");
+    }
     durable.flush().expect("flush");
 }
 
@@ -210,7 +223,7 @@ fn truncated_final_wal_frame_recovers_to_last_consistent_event() {
         let dir = ScratchDir::new(&format!("torn-tail-{name}"));
         write_session_dir(&dir, &events, 0);
 
-        // Tear the final frame: a crash mid-`write`.
+        // Tear the final batch frame: a crash mid-`write`.
         let wal_path = dir.path().join(WAL_FILE);
         let bytes = std::fs::read(&wal_path).unwrap();
         std::fs::write(&wal_path, &bytes[..bytes.len() - 5]).unwrap();
@@ -219,15 +232,18 @@ fn truncated_final_wal_frame_recovers_to_last_consistent_event() {
             OnlineSession::recover(dir.path(), SessionConfig::default()).expect("never a panic");
         let c = stats.wal_corruption.clone().expect("typed skip report");
         assert!(matches!(c.kind, WalCorruptionKind::TruncatedFrame { .. }));
-        assert_eq!(stats.wal_events_replayed, events.len() as u64 - 1);
+        assert_eq!(c.frame, events.len().div_ceil(FRAME_EVENTS) - 1);
+        // The torn frame is lost whole, and nothing before it.
+        let kept = events.len() - last_frame(events.len());
+        assert_eq!(stats.wal_events_replayed, kept as u64);
         assert_replay_matches_read_wal(&stats, &wal_path);
         // Identical to an uninterrupted session over the surviving prefix.
-        let reference = uninterrupted(&events[..events.len() - 1]);
+        let reference = uninterrupted(&events[..kept]);
         assert_eq!(recovered.reports(), reference.reports(), "{name}");
 
         // Reopening for writing resumes on the frame boundary.
         let resumed = OnlineSession::open(dir.path(), durable_config(0)).expect("reopen");
-        resumed.ingest(&events[events.len() - 1]).expect("append");
+        resumed.ingest_batch(&events[kept..]).expect("append");
         resumed.flush().expect("flush");
         assert_eq!(
             resumed.reports(),
@@ -260,6 +276,11 @@ fn flipped_wal_checksum_byte_recovers_prefix_with_typed_report() {
         assert_replay_matches_read_wal(&stats, &wal_path);
         let kept = stats.wal_events_replayed as usize;
         assert!(kept < events.len(), "corrupt frame must not be trusted");
+        assert_eq!(kept % FRAME_EVENTS, 0, "the log is cut between frames");
+        assert_eq!(
+            stats.wal_corruption.as_ref().map(|c| c.frame),
+            Some(kept / FRAME_EVENTS)
+        );
         assert_eq!(
             recovered.reports(),
             uninterrupted(&events[..kept]).reports(),
@@ -393,39 +414,63 @@ fn deleted_snapshot_behind_a_truncated_log_is_detected() {
 
 #[test]
 fn newer_format_wal_frames_refuse_recovery_instead_of_truncating() {
-    // A checksum-valid frame written by a future wire version (binary
-    // downgrade): recovery must hard-stop — truncating it away would
-    // destroy data a newer build could still read. On the long input the
-    // frame sits behind more than two replay chunks already applied.
+    // A checksum-valid frame written by a future format (binary
+    // downgrade) — an event frame of a future wire version, or a batch
+    // frame of a future layout: recovery must hard-stop — truncating it
+    // away would destroy data a newer build could still read. On the
+    // long input the frame sits behind more than two replay chunks
+    // already applied.
     for (name, events) in streams() {
-        let dir = ScratchDir::new(&format!("newer-wire-{name}"));
-        let cut = events.len() / 2;
-        write_session_dir(&dir, &events[..cut], 0);
+        for (form, version) in [("event", 9), ("batch", 2)] {
+            let dir = ScratchDir::new(&format!("newer-{form}-{name}"));
+            let cut = events.len() / 2;
+            write_session_dir(&dir, &events[..cut], 0);
 
-        let wal_path = dir.path().join(WAL_FILE);
-        let mut bytes = std::fs::read(&wal_path).unwrap();
-        let mut payload = Vec::new();
-        events[cut].encode_wire(&mut payload);
-        payload[0] = 9; // future WIRE_VERSION
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&kojak::online::wire::crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        bytes.extend_from_slice(&frame);
-        std::fs::write(&wal_path, &bytes).unwrap();
+            let wal_path = dir.path().join(WAL_FILE);
+            let mut bytes = std::fs::read(&wal_path).unwrap();
+            let mut payload = Vec::new();
+            if form == "event" {
+                events[cut].encode_wire(&mut payload);
+                payload[0] = version; // future WIRE_VERSION
+            } else {
+                BatchEncoder::new().encode(&mut payload, 0, &events[cut..cut + 3]);
+                payload.drain(..8);
+                payload[1] = version; // future batch layout
+            }
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&kojak::online::wire::crc32(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            bytes.extend_from_slice(&frame);
+            std::fs::write(&wal_path, &bytes).unwrap();
 
-        match OnlineSession::recover(dir.path(), SessionConfig::default()) {
-            Err(RecoveryError::Incompatible { .. }) => {}
-            Err(other) => panic!("{name}: expected Incompatible, got {other:?}"),
-            Ok(_) => panic!("{name}: expected Incompatible, got a recovered session"),
+            // `read_wal` cuts the log at that frame, after every batch.
+            let read = read_wal(&wal_path).expect("read_wal");
+            assert_eq!(read.events.len(), cut, "{form}-{name}");
+            let c = read.corruption.expect("the newer frame is reported");
+            assert_eq!(c.kind, WalCorruptionKind::UnsupportedFrameVersion(version));
+            assert_eq!(c.frame, cut.div_ceil(FRAME_EVENTS));
+
+            // Streamed recovery meets it at the same frame and refuses.
+            match OnlineSession::recover(dir.path(), SessionConfig::default()) {
+                Err(RecoveryError::Incompatible { detail, .. }) => assert!(
+                    detail.starts_with(&format!("wal frame {} ", c.frame)),
+                    "{form}-{name}: {detail}"
+                ),
+                Err(other) => panic!("{form}-{name}: expected Incompatible, got {other:?}"),
+                Ok(_) => panic!("{form}-{name}: expected Incompatible, got a recovered session"),
+            }
+            match OnlineSession::open(dir.path(), durable_config(0)) {
+                Err(RecoveryError::Incompatible { .. }) => {}
+                other => panic!(
+                    "{form}-{name}: expected Incompatible, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+            // Nothing was truncated or rewritten: the newer frames are
+            // intact for the build that can read them.
+            assert!(std::fs::read(&wal_path).unwrap() == bytes, "{form}-{name}");
         }
-        match OnlineSession::open(dir.path(), durable_config(0)) {
-            Err(RecoveryError::Incompatible { .. }) => {}
-            other => panic!("{name}: expected Incompatible, got {:?}", other.map(|_| ())),
-        }
-        // Nothing was truncated or rewritten: the newer frames are intact
-        // for the build that can read them.
-        assert!(std::fs::read(&wal_path).unwrap() == bytes, "{name}");
     }
 }
 
