@@ -15,10 +15,11 @@
 //! as written until their ack arrives; a connection failure triggers
 //! reconnect-with-resume: the new handshake's high-water mark drops
 //! whatever the server already applied, the rest is resent byte for byte,
-//! and the server deduplicates any overlap by sequence number. Sends block once the in-flight window — the
-//! smaller of the server's advertised window and its latest ack
-//! headroom, floored at one batch — is full: backpressure propagates to
-//! the producer instead of buffering unboundedly on either side.
+//! and the server deduplicates any overlap by sequence number. Sends
+//! block once the in-flight window — the smaller of the server's
+//! advertised window and its latest ack headroom, floored at one batch —
+//! is full: backpressure propagates to the producer instead of buffering
+//! unboundedly on either side.
 
 use crate::error::NetError;
 use crate::proto::{self, Hello, Message};
@@ -456,14 +457,12 @@ impl TraceProducer {
         // producer: those below the mark it had at connect were skipped.
         self.stats.events_acked += high_water - self.acked;
         self.acked = high_water;
-        while self
-            .unacked
-            .front()
-            .is_some_and(|front| front.last_seq() <= high_water)
-        {
-            let retired = self.unacked.pop_front().expect("a front batch");
+        while let Some(front) = self.unacked.front() {
+            if front.last_seq() > high_water {
+                break;
+            }
+            let mut frame = self.unacked.pop_front().expect("a front batch").frame;
             if self.spare.len() < SPARE_FRAMES {
-                let mut frame = retired.frame;
                 frame.clear();
                 self.spare.push(frame);
             }

@@ -84,10 +84,11 @@
 //! records:
 //!
 //! ```text
-//! ┌────────┬────────┬───┬─────┬───────────┬────────┬─────────────┬─────────┬──────────┬───────────┐
-//! │len: u32│crc: u32│ 6 │ ver │first_seq  │events  │record_bytes │ records │ run table│ name table│
-//! │        │        │u8 │ u8  │u64        │u32     │u32          │         │          │           │
-//! └────────┴────────┴───┴─────┴───────────┴────────┴─────────────┴─────────┴──────────┴───────────┘
+//! ┌────────┬────────┬────┬────────┬───────────┬────────┬──────────────┐
+//! │len: u32│crc: u32│ 6  │ver u8=1│first_seq  │events  │record_bytes  │
+//! │        │        │ u8 │        │u64        │u32     │u32           │
+//! └────────┴────────┴────┴────────┴───────────┴────────┴──────────────┘
+//! then: records │ runs u32 │ run key u64 × runs │ names u32 │ (len u32 │ UTF-8) × names
 //! ```
 //!
 //! A version-2 producer's batch (kind 1: `first_seq u64 | count u32`,
@@ -448,15 +449,10 @@ fn decode_message_with_pool(
 // ------------------------------------------------------------- frames ----
 
 /// Encode and write `message` as one frame (a single write, then a
-/// flush): an event batch is encoded straight into its frame.
+/// flush).
 pub fn write_message(w: &mut impl Write, message: &Message) -> std::io::Result<()> {
     let mut frame = Vec::with_capacity(64);
-    match message {
-        Message::EventBatch { first_seq, events } => {
-            BatchEncoder::new().encode(&mut frame, *first_seq, events)
-        }
-        other => wire::put_frame(&mut frame, |buf| encode_message(buf, other)),
-    }
+    wire::put_frame(&mut frame, |buf| encode_message(buf, message));
     w.write_all(&frame)?;
     w.flush()
 }
@@ -730,7 +726,7 @@ mod tests {
 
     /// The bytes a version-2 producer sends for `events`: kind 1, then
     /// one `len u32 | encode_wire` entry per event.
-    pub(crate) fn entry_batch(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
+    fn entry_batch(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
         let mut payload = vec![KIND_ENTRY_BATCH];
         wire::put_u64(&mut payload, first_seq);
         wire::put_u32(&mut payload, events.len() as u32);

@@ -35,8 +35,9 @@
 use crate::event::{set_str, RunKey, TraceEvent};
 use crate::wire::{self, Reader, WireError, FRAME_HEADER_LEN};
 use perfdata::TimingType;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasher;
 
 /// First payload byte of a batch frame: the net's message kind of an
 /// event batch, and what tells a log's batch frame from an event frame.
@@ -47,54 +48,6 @@ pub const BATCH_VERSION: u8 = 1;
 /// Bytes of a batch payload before its records: tag, version, first
 /// sequence number, event count, record bytes.
 pub const BATCH_HEADER_LEN: usize = 1 + 1 + 8 + 4 + 4;
-
-/// A hasher that passes on a key already mixed by [`mix`]: the run table
-/// hashes each key once, itself.
-#[derive(Default)]
-struct Premixed(u64);
-
-impl Hasher for Premixed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("keys are premixed u64s")
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-}
-
-type PremixedMap = HashMap<u64, u32, BuildHasherDefault<Premixed>>;
-
-const K: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// A 64-bit finalizer (splitmix64's): every input bit reaches the high
-/// bits the table's probe groups are chosen by.
-fn mix(mut h: u64) -> u64 {
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
-/// Hash a name by its length and its first and last eight bytes: names
-/// that share both ends collide, and the table tells them apart by their
-/// bytes (names are short, and mostly differ at an end — `solver:loop@12`
-/// and `solver:loop@13`).
-fn hash_name(bytes: &[u8]) -> u64 {
-    let word = |b: &[u8]| {
-        let mut w = [0u8; 8];
-        w[..b.len()].copy_from_slice(b);
-        u64::from_le_bytes(w)
-    };
-    let n = bytes.len();
-    let (head, tail) = if n >= 8 {
-        (word(&bytes[..8]), word(&bytes[n - 8..]))
-    } else {
-        (word(bytes), 0)
-    };
-    mix((n as u64 ^ head).wrapping_mul(K) ^ tail.rotate_left(29))
-}
 
 /// Writes batch frames: [`BatchEncoder::begin`] opens one at the end of a
 /// buffer, [`BatchEncoder::push`] encodes each event straight into it,
@@ -107,7 +60,7 @@ pub struct BatchEncoder {
     open: Option<usize>,
     count: u32,
     runs: Vec<u64>,
-    run_ids: PremixedMap,
+    run_ids: HashMap<u64, u32>,
     /// The last run pushed and its index: a batch is mostly runs of
     /// consecutive events.
     last_run: Option<(u64, u32)>,
@@ -115,27 +68,34 @@ pub struct BatchEncoder {
     names: Vec<u8>,
     /// Start and length of each name's bytes in `names`.
     spans: Vec<(u32, u32)>,
-    /// [`hash_name`] of each name.
+    /// Keys the names' hashes, so that names crafted to collide — an
+    /// encoder also writes what peers sent — cannot be chosen ahead.
+    keys: RandomState,
+    /// Each name's hash.
     hashes: Vec<u64>,
     /// The names by hash, open-addressed with linear probing: a slot
     /// holds a name's index + 1, or 0. At least twice as long as the
     /// table, a power of two; emptied, not shrunk, between frames.
     slots: Vec<u32>,
-    /// The index each [`Role`] last wrote: consecutive events mostly name
-    /// the same function and region, and a repeat is one comparison.
-    recent: [Option<u32>; 3],
+    /// A direct-mapped memo of names met in the open frame: slot
+    /// [`memo_slot`] of a name holds the index + 1 of the last name that
+    /// mapped there, or 0. A frame names few names many times, mostly
+    /// the one just named, so a repeat costs one comparison and no hash;
+    /// a miss (by chance or by design) only costs the hash.
+    memo: [u32; MEMO_SLOTS],
 }
 
-/// Which field of an event a name fills, for the encoder's memo of the
-/// last name per field.
-#[derive(Clone, Copy)]
-enum Role {
-    /// A function: `function`, `caller`.
-    Function = 0,
-    /// A region: `region`, `site`.
-    Region = 1,
-    /// Any other name: a parent, a callee, a program, a source.
-    Other = 2,
+/// Slots of [`BatchEncoder`]'s name memo.
+const MEMO_SLOTS: usize = 32;
+
+/// A name's memo slot, from its length and its two end bytes.
+fn memo_slot(name: &[u8]) -> usize {
+    let (first, last) = match name {
+        [] => (0, 0),
+        [first, .., last] => (*first, *last),
+        [only] => (*only, *only),
+    };
+    (name.len() ^ usize::from(first) ^ usize::from(last) << 3) % MEMO_SLOTS
 }
 
 impl BatchEncoder {
@@ -188,9 +148,9 @@ impl BatchEncoder {
             } => {
                 self.put_run(buf, *run);
                 wire::put_u64(buf, version.0);
-                self.put_name(buf, program, Role::Other);
+                self.put_name(buf, program);
                 wire::put_i64(buf, compiled_at.micros());
-                self.put_name(buf, source, Role::Other);
+                self.put_name(buf, source);
                 wire::put_i64(buf, start.micros());
                 wire::put_u32(buf, *no_pe);
                 wire::put_u32(buf, *clockspeed);
@@ -201,13 +161,13 @@ impl BatchEncoder {
                 region,
             } => {
                 self.put_run(buf, *run);
-                self.put_name(buf, function, Role::Function);
-                self.put_name(buf, &region.name, Role::Region);
+                self.put_name(buf, function);
+                self.put_name(buf, &region.name);
                 match &region.parent {
                     None => wire::put_u8(buf, 0),
                     Some(p) => {
                         wire::put_u8(buf, 1);
-                        self.put_name(buf, &p.name, Role::Other);
+                        self.put_name(buf, &p.name);
                         wire::put_u32(buf, p.first_line);
                     }
                 }
@@ -224,8 +184,8 @@ impl BatchEncoder {
                 ovhd,
             } => {
                 self.put_run(buf, *run);
-                self.put_name(buf, function, Role::Function);
-                self.put_name(buf, &region.name, Role::Region);
+                self.put_name(buf, function);
+                self.put_name(buf, &region.name);
                 wire::put_u32(buf, region.first_line);
                 wire::put_f64(buf, *excl);
                 wire::put_f64(buf, *incl);
@@ -239,8 +199,8 @@ impl BatchEncoder {
                 time,
             } => {
                 self.put_run(buf, *run);
-                self.put_name(buf, function, Role::Function);
-                self.put_name(buf, &region.name, Role::Region);
+                self.put_name(buf, function);
+                self.put_name(buf, &region.name);
                 wire::put_u32(buf, region.first_line);
                 wire::put_u8(buf, ty.code());
                 wire::put_f64(buf, *time);
@@ -253,9 +213,9 @@ impl BatchEncoder {
                 stats,
             } => {
                 self.put_run(buf, *run);
-                self.put_name(buf, caller, Role::Function);
-                self.put_name(buf, callee, Role::Other);
-                self.put_name(buf, &site.name, Role::Region);
+                self.put_name(buf, caller);
+                self.put_name(buf, callee);
+                self.put_name(buf, &site.name);
                 wire::put_u32(buf, site.first_line);
                 wire::put_f64(buf, stats.min_count);
                 wire::put_f64(buf, stats.max_count);
@@ -284,7 +244,8 @@ impl BatchEncoder {
     pub fn finish(&mut self, buf: &mut Vec<u8>) {
         let header = self.open.take().expect("no batch frame is open");
         let payload = header + FRAME_HEADER_LEN;
-        let records = (buf.len() - payload - BATCH_HEADER_LEN) as u32;
+        let records = u32::try_from(buf.len() - payload - BATCH_HEADER_LEN)
+            .expect("a batch frame's records fit a u32 length");
         buf[payload + 10..payload + 14].copy_from_slice(&self.count.to_le_bytes());
         buf[payload + 14..payload + 18].copy_from_slice(&records.to_le_bytes());
         wire::put_u32(buf, self.runs.len() as u32);
@@ -302,7 +263,7 @@ impl BatchEncoder {
         self.spans.clear();
         self.hashes.clear();
         self.slots.fill(0);
-        self.recent = [None; 3];
+        self.memo = [0; MEMO_SLOTS];
     }
 
     /// Append one whole frame of `events` to `buf` (begin, push each,
@@ -319,17 +280,11 @@ impl BatchEncoder {
         let index = match self.last_run {
             Some((key, index)) if key == run.0 => index,
             _ => {
-                let next = self.runs.len() as u32;
-                let index = *self.run_ids.entry(mix(run.0)).or_insert(next);
-                let index = if self.runs.get(index as usize) == Some(&run.0) {
-                    index
-                } else {
-                    // A new key, or one whose mix collides with another's:
-                    // a second entry for it is harmless, the decoder does
-                    // not ask the table to be free of repeats.
-                    self.runs.push(run.0);
-                    next
-                };
+                let runs = &mut self.runs;
+                let index = *self.run_ids.entry(run.0).or_insert_with(|| {
+                    runs.push(run.0);
+                    runs.len() as u32 - 1
+                });
                 self.last_run = Some((run.0, index));
                 index
             }
@@ -343,22 +298,24 @@ impl BatchEncoder {
         &self.names[start as usize..(start + len) as usize]
     }
 
-    fn put_name(&mut self, buf: &mut Vec<u8>, name: &str, role: Role) {
-        let index = match self.recent[role as usize] {
-            Some(last) if self.name(last) == name.as_bytes() => last,
-            _ => {
-                let index = self.intern(name);
-                self.recent[role as usize] = Some(index);
-                index
-            }
+    fn put_name(&mut self, buf: &mut Vec<u8>, name: &str) {
+        let slot = memo_slot(name.as_bytes());
+        let index = match self.memo[slot] {
+            0 => None,
+            hit => Some(hit - 1).filter(|&index| self.name(index) == name.as_bytes()),
         };
+        let index = index.unwrap_or_else(|| {
+            let index = self.intern(name);
+            self.memo[slot] = index + 1;
+            index
+        });
         wire::put_varint(buf, index);
     }
 
     /// The index of `name` in the open frame's table, entered if new.
     fn intern(&mut self, name: &str) -> u32 {
         let bytes = name.as_bytes();
-        let hash = hash_name(bytes);
+        let hash = self.keys.hash_one(bytes);
         if self.slots.len() < 2 * (self.spans.len() + 1) {
             self.grow();
         }
@@ -495,7 +452,7 @@ impl BatchDecoder {
         self.runs.clear();
         self.runs.extend(
             keys.chunks_exact(8)
-                .map(|k| u64::from_le_bytes(k.try_into().unwrap())),
+                .map(|k| u64::from_le_bytes(k.try_into().expect("eight bytes"))),
         );
         let names = r.get_u32("name count")?;
         self.name_count = 0;
