@@ -4,9 +4,9 @@
 //! trace data produced by **real monitors**: instrumented processes on
 //! other machines, not in-process fixtures. This crate is that seam — a
 //! length-prefixed, CRC-32-checksummed, versioned frame protocol over
-//! TCP carrying [`online::TraceEvent`]s, promoting the codec the
-//! write-ahead log already trusts ([`online::wire`]) from a durability
-//! detail to a network protocol.
+//! TCP carrying [`online::TraceEvent`]s in batch frames
+//! ([`online::batch`]) — the very frames the write-ahead log keeps, so a
+//! durable engine logs a received batch without encoding it again.
 //!
 //! ```text
 //!  TraceProducer ──TCP──▶ ┐

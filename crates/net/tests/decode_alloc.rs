@@ -6,7 +6,8 @@
 //! reading, checksumming and decoding a 256-event batch frame that holds
 //! every event variant — its names read once into the arena's table, and
 //! copied from there into the slots — allocates nothing at all; nor does
-//! a version-2 producer's entry batch of the same events. (Decoding into
+//! a version-2 producer's entry batch of the same events, nor a
+//! producer's read of an ack into the buffer it keeps. (Decoding into
 //! fresh events, as the arena did before, cost 513 allocations per such
 //! batch warm: one per string of every event.)
 //!
@@ -144,4 +145,23 @@ fn a_warm_arena_decodes_a_batch_without_allocating() {
         entries_warm, 0,
         "a warm arena allocates while decoding an entry batch"
     );
+
+    // A producer reads each ack into the one buffer it keeps and decodes
+    // it from there: nothing per ack once the buffer has grown.
+    let mut ack = Vec::new();
+    let sent = Message::Ack(proto::Ack {
+        high_water: 256,
+        headroom: 3840,
+    });
+    proto::write_message(&mut ack, &sent).unwrap();
+    let mut incoming = Vec::new();
+    let mut read_ack = || {
+        proto::read_frame_into(&mut &ack[..], DEFAULT_MAX_FRAME_LEN, &mut incoming).unwrap();
+        let got = proto::decode_message(&incoming[FRAME_HEADER_LEN..]).unwrap();
+        assert!(got == sent, "decoded another ack");
+    };
+    read_ack();
+    let (acks_warm, ()) = allocations(&mut read_ack);
+    println!("producer: {acks_warm} allocations per ack read warm");
+    assert_eq!(acks_warm, 0, "a producer allocates while reading an ack");
 }

@@ -4,10 +4,10 @@
 //! *before* it touches the live store, as self-checking frames:
 //!
 //! ```text
-//! ┌────────────┬─────────────┬──────────────────────────────────────┐
-//! │ len: u32 LE│ crc32: u32  │ payload: a batch frame's             │
-//! │ of payload │ of payload  │ (tag 6 │ version │ … see crate::batch)│
-//! └────────────┴─────────────┴──────────────────────────────────────┘
+//! ┌────────────┬─────────────┬────────────────────────────────────────┐
+//! │ len: u32 LE│ crc32: u32  │ payload: a batch frame's               │
+//! │ of payload │ of payload  │ tag 6 │ version │ … (see crate::batch) │
+//! └────────────┴─────────────┴────────────────────────────────────────┘
 //! ```
 //!
 //! A batch frame ([`crate::batch`]) names each run key and string of its
@@ -175,8 +175,8 @@ impl std::fmt::Display for WalCorruption {
 }
 
 /// Result of reading a log: the checkpoint epoch, the events of the
-/// consistent frame prefix, the byte length of that prefix, and the corruption (if any)
-/// that ended it.
+/// consistent frame prefix, the byte length of that prefix, and the
+/// corruption (if any) that ended it.
 #[derive(Debug, Default)]
 pub struct WalContents {
     /// Checkpoint epoch from the file header (0 for a missing/empty log).
