@@ -724,21 +724,6 @@ mod tests {
         }
     }
 
-    /// The bytes a version-2 producer sends for `events`: kind 1, then
-    /// one `len u32 | encode_wire` entry per event.
-    fn entry_batch(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
-        let mut payload = vec![KIND_ENTRY_BATCH];
-        wire::put_u64(&mut payload, first_seq);
-        wire::put_u32(&mut payload, events.len() as u32);
-        for event in events {
-            let mut bytes = Vec::new();
-            event.encode_wire(&mut bytes);
-            wire::put_u32(&mut payload, bytes.len() as u32);
-            payload.extend_from_slice(&bytes);
-        }
-        payload
-    }
-
     #[test]
     fn an_event_batch_is_written_as_a_batch_frame_and_an_entry_batch_still_reads() {
         let events: Vec<TraceEvent> = (0..3)
@@ -754,7 +739,10 @@ mod tests {
         let mut frame = Vec::new();
         BatchEncoder::new().encode(&mut frame, 17, &events);
         assert_eq!(socket, frame, "the message frame is the batch frame");
-        assert_eq!(decode_message(&entry_batch(17, &events)).unwrap(), batch);
+        let entries = testkit::entry_batch_frame(17, &events);
+        let payload = &entries[FRAME_HEADER_LEN..];
+        assert_eq!(payload[0], KIND_ENTRY_BATCH);
+        assert_eq!(decode_message(payload).unwrap(), batch);
     }
 
     #[test]

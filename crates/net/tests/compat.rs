@@ -33,24 +33,6 @@ fn server(engine: Arc<dyn AnalysisEngine>) -> EngineServer {
     .expect("bind server")
 }
 
-/// A version-2 event batch: kind 1, `first_seq`, count, then one
-/// `len u32 | TraceEvent::encode_wire` entry per event.
-fn entry_batch_frame(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
-    let mut frame = Vec::new();
-    wire::put_frame(&mut frame, |buf| {
-        wire::put_u8(buf, 1);
-        wire::put_u64(buf, first_seq);
-        wire::put_u32(buf, events.len() as u32);
-        for event in events {
-            let mut bytes = Vec::new();
-            event.encode_wire(&mut bytes);
-            wire::put_u32(buf, bytes.len() as u32);
-            buf.extend_from_slice(&bytes);
-        }
-    });
-    frame
-}
-
 /// Read one frame off `stream` and decode it.
 fn read_message(stream: &mut std::net::TcpStream) -> proto::Message {
     proto::read_message(stream, proto::DEFAULT_MAX_FRAME_LEN).expect("a frame")
@@ -79,7 +61,7 @@ fn a_version_2_producer_is_answered_as_one_and_its_entry_batches_apply() {
 
     let mut first_seq = 1;
     for batch in events.chunks(50) {
-        peer.write_all(&entry_batch_frame(first_seq, batch))
+        peer.write_all(&testkit::entry_batch_frame(first_seq, batch))
             .expect("entry batch");
         first_seq += batch.len() as u64;
         match read_message(&mut peer) {

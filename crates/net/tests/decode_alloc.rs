@@ -16,7 +16,7 @@
 
 use net::proto::{self, DecodeArena, Message, DEFAULT_MAX_FRAME_LEN};
 use online::batch::BATCH_TAG;
-use online::wire::{self, FRAME_HEADER_LEN};
+use online::wire::FRAME_HEADER_LEN;
 use online::{CallStats, RegionDef, RegionRef, RunKey, TraceEvent, VersionTag};
 use perfdata::{DateTime, RegionKind, TimingType};
 use testkit::allocations;
@@ -83,24 +83,6 @@ fn event(i: usize) -> TraceEvent {
     }
 }
 
-/// What a version-2 producer wrote for `events`: kind 1, `first_seq`,
-/// count, then a `len u32 | encode_wire` entry per event.
-fn entry_batch(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
-    let mut frame = Vec::new();
-    wire::put_frame(&mut frame, |buf| {
-        wire::put_u8(buf, 1);
-        wire::put_u64(buf, first_seq);
-        wire::put_u32(buf, events.len() as u32);
-        for event in events {
-            let mut bytes = Vec::new();
-            event.encode_wire(&mut bytes);
-            wire::put_u32(buf, bytes.len() as u32);
-            buf.extend_from_slice(&bytes);
-        }
-    });
-    frame
-}
-
 #[test]
 fn a_warm_arena_decodes_a_batch_without_allocating() {
     let events: Vec<TraceEvent> = (0..256).map(event).collect();
@@ -111,7 +93,7 @@ fn a_warm_arena_decodes_a_batch_without_allocating() {
     };
     proto::write_message(&mut socket, &batch).unwrap();
     assert_eq!(socket[FRAME_HEADER_LEN], BATCH_TAG, "a batch frame");
-    let entries = entry_batch(1, &events);
+    let entries = testkit::entry_batch_frame(1, &events);
 
     let mut arena = DecodeArena::new();
     // One frame through the server's steps: read + checksum, decode,

@@ -16,7 +16,8 @@ use std::fmt;
 
 /// Version byte leading every wire-encoded event. Bump on any layout
 /// change; decoders reject unknown versions with a typed error instead of
-/// misreading bytes (the WAL and snapshot formats both embed it).
+/// misreading bytes (the one-event frames of logs written before batch
+/// frames lead with it, and the net's spec hash mixes it in).
 pub const WIRE_VERSION: u8 = 1;
 
 /// Producer-assigned identifier of one test run, unique within a session.

@@ -131,6 +131,27 @@ pub fn durable_config(snapshot_every_flushes: u32) -> DurableConfig {
     }
 }
 
+/// The frame a version-2 producer wrote for `events`: kind 1,
+/// `first_seq u64`, count `u32`, then a `len u32 | encode_wire` entry per
+/// event. Nothing in the workspace writes this form any more; servers
+/// still read it.
+pub fn entry_batch_frame(first_seq: u64, events: &[TraceEvent]) -> Vec<u8> {
+    use online::wire;
+    let mut frame = Vec::new();
+    wire::put_frame(&mut frame, |buf| {
+        wire::put_u8(buf, 1);
+        wire::put_u64(buf, first_seq);
+        wire::put_u32(buf, events.len() as u32);
+        for event in events {
+            let mut bytes = Vec::new();
+            event.encode_wire(&mut bytes);
+            wire::put_u32(buf, bytes.len() as u32);
+            buf.extend_from_slice(&bytes);
+        }
+    });
+    frame
+}
+
 /// The specification a [`Scenario`] evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suite {
