@@ -100,12 +100,20 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
+    /// Consume the current token and hand it over. The parser never looks
+    /// behind `pos`, so the kind is moved out (its slot keeps a placeholder);
+    /// the final `Eof` stays in place and is returned as a copy.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        let t = &mut self.tokens[self.pos];
+        if self.pos == last {
+            return t.clone();
         }
-        t
+        self.pos += 1;
+        Token {
+            kind: std::mem::replace(&mut t.kind, TokenKind::Eof),
+            span: t.span,
+        }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -136,9 +144,14 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Option<Ident> {
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            let span = self.span();
-            self.bump();
+        if matches!(self.peek(), TokenKind::Ident(_)) {
+            let Token {
+                kind: TokenKind::Ident(name),
+                span,
+            } = self.bump()
+            else {
+                unreachable!("peeked an identifier")
+            };
             Some(Ident::new(name, span))
         } else {
             let span = self.span();
@@ -744,17 +757,19 @@ impl Parser {
 
     fn primary(&mut self) -> Expr {
         let start = self.span();
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
+        match self.peek() {
+            &TokenKind::Int(v) => {
                 self.bump();
                 Expr::new(ExprKind::IntLit(v), start)
             }
-            TokenKind::Float(v) => {
+            &TokenKind::Float(v) => {
                 self.bump();
                 Expr::new(ExprKind::FloatLit(v), start)
             }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str(_) => {
+                let TokenKind::Str(s) = self.bump().kind else {
+                    unreachable!("peeked a string literal")
+                };
                 Expr::new(ExprKind::StrLit(s), start)
             }
             TokenKind::True => {
@@ -789,9 +804,8 @@ impl Parser {
             TokenKind::Count => self.aggregate(AggOp::Count),
             TokenKind::Exists => self.quantifier(Quant::Exists),
             TokenKind::Forall => self.quantifier(Quant::Forall),
-            TokenKind::Ident(name) => {
-                self.bump();
-                let id = Ident::new(name, start);
+            TokenKind::Ident(_) => {
+                let id = self.ident().expect("peeked an identifier");
                 if self.at(&TokenKind::LParen) {
                     self.bump();
                     let mut args = Vec::new();

@@ -14,7 +14,9 @@
 //!    through attribute loads), `LET`s are evaluated in order,
 //!    conditions are decided three-valued, and each confidence/severity
 //!    arm is re-evaluated under the *facts* of its guard — the
-//!    conjunction of interval constraints the guard condition implies.
+//!    conjunction of interval constraints the guard condition implies,
+//!    each on an expression named by its structural [`ExprKey`] (one
+//!    interner per analysis, so keys also compare across properties).
 //! 3. **Verdicts.** Every division/modulo site gets a [`DivVerdict`];
 //!    unit mismatches and per-condition constraint sets are recorded;
 //!    `COUNT`-guard upper bounds are exported for the static cost
@@ -25,10 +27,12 @@
 //! claims against both runtime backends.
 
 use crate::domain::{cmp_tri, AbsVal, Itv, Tri, Unit};
+use crate::keys::{Body, ExprKey, Keys};
 use asl_core::ast::{AggOp, BinOp, UnOp};
 use asl_core::types::Type;
 use asl_core::{CheckedSpec, Span};
 use asl_eval::{CompiledSpec, FnIr, Ir, NodeRef, PropIr};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Verdict for one division/modulo site, ordered from worst to best.
@@ -110,9 +114,9 @@ pub struct OperandUnit {
 /// One interval constraint `key ∈ itv` extracted from a guard conjunct.
 #[derive(Debug, Clone)]
 pub struct Atom {
-    /// Canonical rendering of the constrained expression (structural
-    /// key; LETs resolved one level, binders alpha-renamed).
-    pub key: String,
+    /// Structural key of the constrained expression (LETs resolved one
+    /// level, binders alpha-renamed).
+    pub key: ExprKey,
     /// Human-readable rendering (real parameter/LET names).
     pub display: String,
     /// The solution interval, already met with the expression's own
@@ -158,12 +162,12 @@ impl ConstraintSet {
         })
     }
 
-    /// Look up the atom constraining `key`.
-    pub fn find(&self, key: &str) -> Option<&Atom> {
+    /// Look up the atom constraining the expression with key `key`.
+    pub fn find(&self, key: ExprKey) -> Option<&Atom> {
         self.atoms.iter().find(|a| a.key == key)
     }
 
-    fn add_atom(&mut self, key: String, display: String, itv: Itv, span: Span) {
+    fn add_atom(&mut self, key: ExprKey, display: String, itv: Itv, span: Span) {
         if let Some(a) = self.atoms.iter_mut().find(|a| a.key == key) {
             a.itv = a.itv.meet(&itv);
         } else {
@@ -197,8 +201,8 @@ pub struct CondFlow {
 pub struct ArmCanon {
     /// Guard condition index (`None` = unguarded).
     pub guard: Option<usize>,
-    /// Canonical rendering of the arm expression.
-    pub key: String,
+    /// Structural key of the arm expression.
+    pub key: ExprKey,
     /// Constant value, when the expression folds.
     pub konst: Option<f64>,
 }
@@ -269,8 +273,8 @@ pub fn analyze(spec: &CheckedSpec, comp: &CompiledSpec) -> FlowReport {
 /// Evaluation context flags threaded through [`Analyzer::eval`].
 #[derive(Clone, Copy, Default)]
 struct Cx<'e> {
-    /// Facts from the active guard condition, keyed by canonical key.
-    facts: Option<&'e HashMap<String, Fact>>,
+    /// The active guard condition, whose atoms are the facts.
+    facts: Option<&'e CondFlow>,
     /// Record division/unit sites (off during the fixpoint and during
     /// re-evaluation, so each site is reported exactly once).
     record: bool,
@@ -283,34 +287,20 @@ impl<'e> Cx<'e> {
     };
 }
 
-/// One fact derived from a guard condition.
-#[derive(Debug, Clone)]
-struct Fact {
-    itv: Itv,
-    label: String,
-    span: Span,
-}
-
 /// Mutable evaluation state for one declaration body.
 struct Env<'e> {
     slots: Vec<AbsVal>,
-    n_params: usize,
-    lets: &'e [(u32, NodeRef)],
+    body: Body<'e>,
     slot_names: HashMap<u32, Box<str>>,
 }
 
 impl<'e> Env<'e> {
-    fn new(n_slots: usize, n_params: usize, lets: &'e [(u32, NodeRef)]) -> Env<'e> {
+    fn new(n_slots: usize, body: Body<'e>) -> Env<'e> {
         Env {
             slots: vec![AbsVal::Bottom; n_slots],
-            n_params,
-            lets,
+            body,
             slot_names: HashMap::new(),
         }
-    }
-
-    fn let_body(&self, slot: u32) -> Option<NodeRef> {
-        self.lets.iter().find(|(s, _)| *s == slot).map(|(_, b)| *b)
     }
 }
 
@@ -331,6 +321,8 @@ struct Analyzer<'a> {
     summaries: Vec<AbsVal>,
     /// Exported loop bounds (filled during the property passes).
     bounds: HashMap<NodeRef, u64>,
+    /// The expression keys of the whole analysis.
+    keys: RefCell<Keys>,
 }
 
 /// Maximum fixpoint rounds; widening kicks in at [`WIDEN_AFTER`].
@@ -347,6 +339,25 @@ impl<'a> Analyzer<'a> {
             summaries: vec![AbsVal::Bottom; fns.len()],
             fns,
             bounds: HashMap::new(),
+            keys: RefCell::new(Keys::new(comp)),
+        }
+    }
+
+    /// The body of constant `i`.
+    fn const_body(&self, i: usize) -> Body<'static> {
+        Body {
+            id: i as u32,
+            n_params: 0,
+            lets: &[],
+        }
+    }
+
+    /// The body of helper function `f`.
+    fn fn_body(&self, f: usize) -> Body<'static> {
+        Body {
+            id: (self.consts.len() + f) as u32,
+            n_params: self.fns[f].n_params,
+            lets: &[],
         }
     }
 
@@ -356,14 +367,14 @@ impl<'a> Analyzer<'a> {
             let mut changed = false;
             let consts: Vec<_> = self.comp.consts_ir().collect();
             for (i, c) in consts.iter().enumerate() {
-                let mut env = Env::new(c.n_slots, 0, &[]);
+                let mut env = Env::new(c.n_slots, self.const_body(i));
                 let mut sink = Sink::default();
                 let v = self.eval(&mut env, &mut sink, Cx::QUIET, c.body);
                 changed |= self.step(round, v, StepTarget::Const(i));
             }
             for f in 0..self.fns.len() {
                 let view = self.fns[f];
-                let mut env = Env::new(view.n_slots, view.n_params, &[]);
+                let mut env = Env::new(view.n_slots, self.fn_body(f));
                 self.seed_fn_params(&mut env, view.name);
                 let mut sink = Sink::default();
                 let v = self.eval(&mut env, &mut sink, Cx::QUIET, view.body);
@@ -435,8 +446,8 @@ impl<'a> Analyzer<'a> {
         };
         let mut consts_flow = Vec::new();
         let consts: Vec<_> = self.comp.consts_ir().collect();
-        for c in &consts {
-            let mut env = Env::new(c.n_slots, 0, &[]);
+        for (i, c) in consts.iter().enumerate() {
+            let mut env = Env::new(c.n_slots, self.const_body(i));
             let mut sink = Sink::default();
             self.eval(&mut env, &mut sink, record, c.body);
             consts_flow.push(DeclFlow {
@@ -446,8 +457,8 @@ impl<'a> Analyzer<'a> {
             });
         }
         let mut fns_flow = Vec::new();
-        for f in self.fns.clone() {
-            let mut env = Env::new(f.n_slots, f.n_params, &[]);
+        for (i, f) in self.fns.clone().into_iter().enumerate() {
+            let mut env = Env::new(f.n_slots, self.fn_body(i));
             self.seed_fn_params(&mut env, f.name);
             let mut sink = Sink::default();
             self.eval(&mut env, &mut sink, record, f.body);
@@ -458,7 +469,11 @@ impl<'a> Analyzer<'a> {
             });
         }
         let props: Vec<PropIr<'a>> = self.comp.properties_ir().collect();
-        let properties = props.iter().map(|p| self.analyze_property(p)).collect();
+        let properties = props
+            .iter()
+            .enumerate()
+            .map(|(i, p)| self.analyze_property(i, p))
+            .collect();
         FlowReport {
             consts: consts_flow,
             functions: fns_flow,
@@ -467,7 +482,7 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn analyze_property(&mut self, p: &PropIr<'a>) -> PropFlow {
+    fn analyze_property(&mut self, i: usize, p: &PropIr<'a>) -> PropFlow {
         let record = Cx {
             facts: None,
             record: true,
@@ -478,7 +493,12 @@ impl<'a> Analyzer<'a> {
             .properties
             .iter()
             .find(|d| d.name.name == p.name);
-        let mut env = Env::new(p.n_slots, p.n_params, p.lets);
+        let body = Body {
+            id: (self.consts.len() + self.fns.len() + i) as u32,
+            n_params: p.n_params,
+            lets: p.lets,
+        };
+        let mut env = Env::new(p.n_slots, body);
         let mut param_sig = Vec::new();
         if let Some(sig) = self.spec.model.properties.get(p.name) {
             for (i, (pname, ty)) in sig.params.iter().enumerate() {
@@ -523,39 +543,19 @@ impl<'a> Analyzer<'a> {
                 constraints,
             });
         }
-        // Facts per condition: the constraint atoms, labeled.
-        let fact_maps: Vec<HashMap<String, Fact>> = conditions
-            .iter()
-            .map(|c| {
-                c.constraints
-                    .atoms
-                    .iter()
-                    .map(|a| {
-                        (
-                            a.key.clone(),
-                            Fact {
-                                itv: a.itv,
-                                label: c.label.clone(),
-                                span: c.span,
-                            },
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
         // An unguarded arm inherits the sole condition's facts (when the
         // property has exactly one condition, holding implies it fired).
         let sole = (conditions.len() == 1).then_some(0);
         for arm in p.confidence.iter().chain(p.severity) {
             let fid = arm.guard.or(sole);
             let cx = Cx {
-                facts: fid.map(|i| &fact_maps[i]),
+                facts: fid.map(|i| &conditions[i]),
                 record: true,
             };
             self.eval(&mut env, &mut sink, cx, arm.expr);
             // Export COUNT-guard loop bounds for the cost model.
             if let Some(i) = fid {
-                self.harvest_bounds(&env, &fact_maps[i], arm.expr);
+                self.harvest_bounds(&env, &conditions[i].constraints, arm.expr);
             }
         }
         let severity = p
@@ -563,7 +563,7 @@ impl<'a> Analyzer<'a> {
             .iter()
             .map(|a| ArmCanon {
                 guard: a.guard,
-                key: self.render(&env, a.expr, RenderMode::CANON, &mut Vec::new()),
+                key: self.key(&env, a.expr),
                 konst: self.const_value(a.expr),
             })
             .collect();
@@ -580,7 +580,7 @@ impl<'a> Analyzer<'a> {
     /// Walk an arm expression and export proven cardinality bounds for
     /// its loop sources: a guard fact `COUNT(src) ∈ [_, hi]` bounds the
     /// loop over `src` by `hi`.
-    fn harvest_bounds(&mut self, env: &Env, facts: &HashMap<String, Fact>, root: NodeRef) {
+    fn harvest_bounds(&mut self, env: &Env, facts: &ConstraintSet, root: NodeRef) {
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
             match self.comp.node(n) {
@@ -624,13 +624,10 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    fn bound_source(&mut self, env: &Env, facts: &HashMap<String, Fact>, source: NodeRef) {
+    fn bound_source(&mut self, env: &Env, facts: &ConstraintSet, source: NodeRef) {
         let src = self.unwrap_cached(source);
-        let key = format!(
-            "COUNT({})",
-            self.render(env, src, RenderMode::CANON, &mut Vec::new())
-        );
-        if let Some(f) = facts.get(&key) {
+        let key = self.keys.get_mut().count_of(self.comp, &env.body, src);
+        if let Some(f) = key.and_then(|k| facts.find(k)) {
             let itv = f.itv.norm();
             if itv.hi.is_finite() && itv.hi >= 0.0 {
                 let b = itv.hi as u64;
@@ -820,12 +817,13 @@ impl<'a> Analyzer<'a> {
     /// Meet a numeric result with the active guard fact for this
     /// expression, if one exists.
     fn refine(&self, env: &Env, cx: Cx, node: NodeRef, out: AbsVal) -> AbsVal {
-        let Some(facts) = cx.facts else { return out };
+        let Some(guard) = cx.facts.filter(|c| !c.constraints.atoms.is_empty()) else {
+            return out;
+        };
         let AbsVal::Num { itv, unit } = out else {
             return out;
         };
-        let key = self.render(env, node, RenderMode::CANON, &mut Vec::new());
-        match facts.get(&key) {
+        match guard.constraints.find(self.key(env, node)) {
             Some(f) => AbsVal::Num {
                 itv: itv.meet(&f.itv),
                 unit,
@@ -937,12 +935,12 @@ impl<'a> Analyzer<'a> {
             span: self.comp.node_span(node),
             op,
             left: OperandUnit {
-                display: self.render(env, l, RenderMode::DISPLAY, &mut Vec::new()),
+                display: self.render(env, l, &mut Vec::new()),
                 unit: lu,
                 span: self.comp.node_span(l),
             },
             right: OperandUnit {
-                display: self.render(env, r, RenderMode::DISPLAY, &mut Vec::new()),
+                display: self.render(env, r, &mut Vec::new()),
                 unit: ru,
                 span: self.comp.node_span(r),
             },
@@ -975,15 +973,15 @@ impl<'a> Analyzer<'a> {
                     None => true,
                 };
                 if zero_without_guard {
-                    let key = self.render(env, den, RenderMode::CANON, &mut Vec::new());
-                    if let Some(f) = cx.facts.and_then(|m| m.get(&key)) {
+                    let key = self.key(env, den);
+                    if let Some(c) = cx.facts.filter(|c| c.constraints.find(key).is_some()) {
                         reason = format!(
                             "condition {} bounds `{}` away from zero",
-                            f.label,
-                            self.render(env, den, RenderMode::DISPLAY, &mut Vec::new()),
+                            c.label,
+                            self.render(env, den, &mut Vec::new()),
                         );
-                        guard = Some(f.label.clone());
-                        guard_span = Some(f.span);
+                        guard = Some(c.label.clone());
+                        guard_span = Some(c.span);
                     }
                 }
             }
@@ -1023,11 +1021,11 @@ impl<'a> Analyzer<'a> {
             ),
             Ir::Binary(BinOp::Sub, l, r) if self.same_canon(env, *l, *r) => Some(format!(
                 "the denominator `{} - {}` is identically zero",
-                self.render(env, *l, RenderMode::DISPLAY, &mut Vec::new()),
-                self.render(env, *r, RenderMode::DISPLAY, &mut Vec::new()),
+                self.render(env, *l, &mut Vec::new()),
+                self.render(env, *r, &mut Vec::new()),
             )),
             Ir::Load(slot) => {
-                let body = env.let_body(*slot)?;
+                let body = env.body.let_body(*slot)?;
                 let why = self.zero_trigger(env, body)?;
                 let name = env
                     .slot_names
@@ -1064,9 +1062,13 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// The structural key of `node` in the body being evaluated.
+    fn key(&self, env: &Env, node: NodeRef) -> ExprKey {
+        self.keys.borrow_mut().key(self.comp, &env.body, node)
+    }
+
     fn same_canon(&self, env: &Env, l: NodeRef, r: NodeRef) -> bool {
-        self.render(env, l, RenderMode::CANON, &mut Vec::new())
-            == self.render(env, r, RenderMode::CANON, &mut Vec::new())
+        self.key(env, l) == self.key(env, r)
     }
 
     // ---- Guard constraints -----------------------------------------
@@ -1100,8 +1102,8 @@ impl<'a> Analyzer<'a> {
                                 }
                                 (None, Some(k)) => match solution_itv(*op, k) {
                                     Some(itv) => cs.add_atom(
-                                        self.render(env, *l, RenderMode::CANON, &mut Vec::new()),
-                                        self.render(env, *l, RenderMode::DISPLAY, &mut Vec::new()),
+                                        self.key(env, *l),
+                                        self.render(env, *l, &mut Vec::new()),
                                         itv.meet(&li),
                                         self.comp.node_span(n),
                                     ),
@@ -1109,8 +1111,8 @@ impl<'a> Analyzer<'a> {
                                 },
                                 (Some(k), None) => match solution_itv(flip(*op), k) {
                                     Some(itv) => cs.add_atom(
-                                        self.render(env, *r, RenderMode::CANON, &mut Vec::new()),
-                                        self.render(env, *r, RenderMode::DISPLAY, &mut Vec::new()),
+                                        self.key(env, *r),
+                                        self.render(env, *r, &mut Vec::new()),
                                         itv.meet(&ri),
                                         self.comp.node_span(n),
                                     ),
@@ -1241,11 +1243,10 @@ impl<'a> Analyzer<'a> {
 
     // ---- Rendering --------------------------------------------------
 
-    /// Render an IR subtree to a string. `CANON` resolves `LET`s one
-    /// level, names parameters positionally (`p0`) and alpha-renames
-    /// binders (`b0`, `b1`, …) so keys match across properties;
-    /// `DISPLAY` uses the declared names for messages.
-    fn render(&self, env: &Env, node: NodeRef, m: RenderMode, binders: &mut Vec<u32>) -> String {
+    /// Render an IR subtree for a message: parameters and `LET`s by their
+    /// declared names, binders as `b0`, `b1`, …. Expressions are compared
+    /// by [`ExprKey`], never by this text.
+    fn render(&self, env: &Env, node: NodeRef, binders: &mut Vec<u32>) -> String {
         match self.comp.node(node) {
             Ir::Int(v) => v.to_string(),
             Ir::Float(v) => format!("{v:?}"),
@@ -1257,25 +1258,10 @@ impl<'a> Analyzer<'a> {
                 if let Some(pos) = binders.iter().rposition(|s| s == slot) {
                     return format!("b{pos}");
                 }
-                if m.names {
-                    if let Some(name) = env.slot_names.get(slot) {
-                        return name.to_string();
-                    }
+                if let Some(name) = env.slot_names.get(slot) {
+                    return name.to_string();
                 }
-                if m.resolve_lets {
-                    if let Some(body) = env.let_body(*slot) {
-                        return self.render(
-                            env,
-                            body,
-                            RenderMode {
-                                resolve_lets: false,
-                                ..m
-                            },
-                            &mut Vec::new(),
-                        );
-                    }
-                }
-                if (*slot as usize) < env.n_params {
+                if (*slot as usize) < env.body.n_params {
                     format!("p{slot}")
                 } else {
                     format!("s{slot}")
@@ -1288,41 +1274,41 @@ impl<'a> Analyzer<'a> {
                 .map(|c| c.name.to_string())
                 .unwrap_or_else(|| format!("const{i}")),
             Ir::Attr { base, attr } => {
-                format!("{}.{attr}", self.render(env, *base, m, binders))
+                format!("{}.{attr}", self.render(env, *base, binders))
             }
             Ir::Call { func, args } => {
                 let name = self.fns.get(*func as usize).map(|f| f.name).unwrap_or("?");
-                format!("{name}({})", self.render_list(env, args, m, binders))
+                format!("{name}({})", self.render_list(env, args, binders))
             }
             Ir::CallUnknown { name, args } => format!(
                 "{}({})",
                 self.comp.str_lit(*name),
-                self.render_list(env, args, m, binders)
+                self.render_list(env, args, binders)
             ),
             Ir::MinMax { is_max, args } => format!(
                 "{}({})",
                 if *is_max { "MAX" } else { "MIN" },
-                self.render_list(env, args, m, binders)
+                self.render_list(env, args, binders)
             ),
-            Ir::Unary(UnOp::Neg, i) => format!("(-{})", self.render(env, *i, m, binders)),
-            Ir::Unary(UnOp::Not, i) => format!("(NOT {})", self.render(env, *i, m, binders)),
+            Ir::Unary(UnOp::Neg, i) => format!("(-{})", self.render(env, *i, binders)),
+            Ir::Unary(UnOp::Not, i) => format!("(NOT {})", self.render(env, *i, binders)),
             Ir::Binary(op, l, r) => format!(
                 "({} {} {})",
-                self.render(env, *l, m, binders),
+                self.render(env, *l, binders),
                 op.symbol(),
-                self.render(env, *r, m, binders)
+                self.render(env, *r, binders)
             ),
             Ir::SetComp {
                 slot, source, pred, ..
             } => {
-                let src = self.render(env, *source, m, binders);
+                let src = self.render(env, *source, binders);
                 binders.push(*slot);
                 let b = format!("b{}", binders.len() - 1);
-                let p = self.render(env, *pred, m, binders);
+                let p = self.render(env, *pred, binders);
                 binders.pop();
                 format!("{{{b} IN {src} WITH {p}}}")
             }
-            Ir::Unique(i) => format!("UNIQUE({})", self.render(env, *i, m, binders)),
+            Ir::Unique(i) => format!("UNIQUE({})", self.render(env, *i, binders)),
             Ir::Aggregate {
                 op,
                 slot,
@@ -1331,12 +1317,12 @@ impl<'a> Analyzer<'a> {
                 pred,
                 ..
             } => {
-                let src = self.render(env, *source, m, binders);
+                let src = self.render(env, *source, binders);
                 binders.push(*slot);
                 let b = format!("b{}", binders.len() - 1);
-                let v = self.render(env, *value, m, binders);
+                let v = self.render(env, *value, binders);
                 let p = pred
-                    .map(|p| format!(" AND {}", self.render(env, p, m, binders)))
+                    .map(|p| format!(" AND {}", self.render(env, p, binders)))
                     .unwrap_or_default();
                 binders.pop();
                 format!("{}({v} WHERE {b} IN {src}{p})", agg_name(*op))
@@ -1348,11 +1334,11 @@ impl<'a> Analyzer<'a> {
                 pred,
                 ..
             } => {
-                let src = self.render(env, *source, m, binders);
+                let src = self.render(env, *source, binders);
                 binders.push(*slot);
                 let b = format!("b{}", binders.len() - 1);
                 let p = pred
-                    .map(|p| format!(" AND {}", self.render(env, p, m, binders)))
+                    .map(|p| format!(" AND {}", self.render(env, p, binders)))
                     .unwrap_or_default();
                 binders.pop();
                 format!(
@@ -1360,8 +1346,8 @@ impl<'a> Analyzer<'a> {
                     if *forall { "FORALL" } else { "EXISTS" }
                 )
             }
-            Ir::CountSet(i) => format!("COUNT({})", self.render(env, *i, m, binders)),
-            Ir::Cached { expr, .. } => self.render(env, *expr, m, binders),
+            Ir::CountSet(i) => format!("COUNT({})", self.render(env, *i, binders)),
+            Ir::Cached { expr, .. } => self.render(env, *expr, binders),
             Ir::FilterEq {
                 obj,
                 set_attr,
@@ -1370,21 +1356,15 @@ impl<'a> Analyzer<'a> {
                 ..
             } => format!(
                 "{{* IN {}.{set_attr} WITH .{elem_attr} == {}}}",
-                self.render(env, *obj, m, binders),
-                self.render(env, *key, m, binders)
+                self.render(env, *obj, binders),
+                self.render(env, *key, binders)
             ),
         }
     }
 
-    fn render_list(
-        &self,
-        env: &Env,
-        args: &[NodeRef],
-        m: RenderMode,
-        binders: &mut Vec<u32>,
-    ) -> String {
+    fn render_list(&self, env: &Env, args: &[NodeRef], binders: &mut Vec<u32>) -> String {
         args.iter()
-            .map(|a| self.render(env, *a, m, binders))
+            .map(|a| self.render(env, *a, binders))
             .collect::<Vec<_>>()
             .join(", ")
     }
@@ -1393,23 +1373,6 @@ impl<'a> Analyzer<'a> {
 enum StepTarget {
     Const(usize),
     Fn(usize),
-}
-
-#[derive(Clone, Copy)]
-struct RenderMode {
-    resolve_lets: bool,
-    names: bool,
-}
-
-impl RenderMode {
-    const CANON: RenderMode = RenderMode {
-        resolve_lets: true,
-        names: false,
-    };
-    const DISPLAY: RenderMode = RenderMode {
-        resolve_lets: false,
-        names: true,
-    };
 }
 
 fn agg_name(op: AggOp) -> &'static str {

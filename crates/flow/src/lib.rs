@@ -20,7 +20,11 @@
 //!   under their guard's facts (one level of `LET` resolution,
 //!   engine-faithful short-circuit semantics), which upgrades
 //!   unreachable-arm/overlapping-arm reasoning to arbitrary guard
-//!   expressions and powers whole-suite property subsumption.
+//!   expressions and powers whole-suite property subsumption. A fact
+//!   names its expression by an [`ExprKey`]: exact structure, interned
+//!   once per analysis, so a guard on `COUNT(r.TotTimes)` in one
+//!   property meets the same count in another, and two expressions that
+//!   merely print alike never do.
 //!
 //! The analysis is **conservative by construction**: `Unknown` never
 //! justifies a finding, and the soundness property test
@@ -53,9 +57,11 @@
 
 pub mod absint;
 pub mod domain;
+mod keys;
 
 pub use absint::{
     analyze, ArmCanon, Atom, CondFlow, ConstraintSet, DeclFlow, DivSite, DivVerdict, FlowReport,
     OperandUnit, PropFlow, UnitMismatch,
 };
 pub use domain::{cmp_tri, AbsVal, Itv, Tri, Unit};
+pub use keys::ExprKey;

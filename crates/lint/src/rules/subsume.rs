@@ -1,7 +1,7 @@
 //! `subsumed-property`: a whole-suite pass over the flow results. A
 //! property `P` is *subsumed* by `Q` when they range over the same
 //! parameter signature, `P`'s condition provably implies `Q`'s
-//! (constraint-set implication over canonical expression keys), and
+//! (constraint-set implication over structural expression keys), and
 //! `Q` reports at equal-or-higher severity — so every apprenticeship
 //! bottleneck `P` would flag, `Q` already flags at least as loudly and
 //! on a strictly larger run set. `P` is redundant.
@@ -20,8 +20,8 @@ use flow::PropFlow;
 /// See module docs.
 pub struct SubsumedProperty;
 
-/// Is `p`'s single severity arm dominated by `q`'s (equal canonical
-/// expression, or both constants with `p`'s not above `q`'s)?
+/// Is `p`'s single severity arm dominated by `q`'s (equal expression
+/// key, or both constants with `p`'s not above `q`'s)?
 fn severity_dominated(p: &PropFlow, q: &PropFlow) -> bool {
     let [a] = p.severity.as_slice() else {
         return false;

@@ -8,6 +8,10 @@
 //! the allocations (and the milliseconds) while `infer_expr_type` cloned
 //! the model per call.
 //!
+//! The flow analysis inside it is pinned on its own: it keys guard facts
+//! by interned structure, and a key rendered as text per visited node
+//! (as it was, 2 554 allocations on the suite) shows at once.
+//!
 //! Own test binary, one test function: the counter is the process's
 //! global allocator.
 
@@ -90,8 +94,9 @@ fn lint_allocations_scale_with_the_spec_not_its_square() {
         r8.findings.len()
     );
 
-    // Measured: 3 631 and 28 546 (7.9×). With a `Model::clone` per
-    // inference it was 48 274 and 1 126 111 (23.3×).
+    // Measured: 1 625 and 12 412 (7.6×); 3 631 and 28 546 (7.9×) while
+    // flow keyed expressions by their rendered text. With a `Model::clone`
+    // per inference it was 48 274 and 1 126 111 (23.3×).
     assert!(
         n8 <= 10 * n1,
         "lint allocates {n8} times on the 8× suite, {n1} on the suite \
@@ -101,7 +106,17 @@ fn lint_allocations_scale_with_the_spec_not_its_square() {
     );
     // The measured count plus 25 % for the rules to grow into.
     assert!(
-        n1 <= 4_540,
-        "lint allocates {n1} times on the standard suite, ceiling 4540"
+        n1 <= 2_031,
+        "lint allocates {n1} times on the standard suite, ceiling 2031"
+    );
+
+    // Exact: one flow analysis of the suite.
+    let spec = asl_core::parse_and_check(&one).expect("the suite checks");
+    let comp = asl_eval::compile(&spec);
+    let (nf, _) = allocations(|| flow::analyze(&spec, &comp));
+    assert_eq!(
+        nf, 546,
+        "flow::analyze allocates {nf} times on the standard suite, pinned at 546: \
+         is an expression keyed by a rendering again?"
     );
 }

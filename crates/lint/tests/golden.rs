@@ -142,6 +142,13 @@ fn golden_flow_subsumed() {
     run_fixture("flow_subsumed");
 }
 
+/// Keys are structural: a constant named `p0` is not parameter 0, binder
+/// names do not matter, and a guard on a LET's body guards the LET.
+#[test]
+fn golden_flow_keys() {
+    run_fixture("flow_keys");
+}
+
 #[test]
 fn golden_unused_allow() {
     run_fixture("unused_allow");

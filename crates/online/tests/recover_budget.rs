@@ -160,5 +160,7 @@ fn recovery_allocations_are_pinned() {
     // made as batches arrive, where it reserved four at once, and a row
     // per subject for the list its batches start: 19 982 → 19 999.
     // Batch frames and a replay chunk of 256 (see above): 19 999 → 7 797.
-    assert_eq!(count, 7_797, "allocations of one recovery under the suite");
+    // The parser moves each token's text into the tree instead of cloning
+    // it (twice per identifier): 7 797 → 6 757.
+    assert_eq!(count, 6_757, "allocations of one recovery under the suite");
 }
